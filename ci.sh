@@ -13,6 +13,7 @@ cd "$(dirname "$0")"
 
 MODE="${1:-full}"
 FAILED=0
+DIRTY_BEFORE="$(git status --porcelain -uno)"
 
 step() {
     echo
@@ -47,15 +48,17 @@ fi
 # 4. Lock-order analysis (DESIGN.md §13): the held-while-acquiring
 #    graph over every parking_lot acquisition must stay acyclic, and
 #    every guard held across a blocking call must carry a waiver.
-mkdir -p bench_results
+#    The JSON reports are build outputs: they go under target/ci/, not
+#    into tracked files.
+mkdir -p target/ci
 step "mendel-audit locks" \
-    cargo run -q -p mendel-audit -- locks --json bench_results/audit_locks.json
+    cargo run -q -p mendel-audit -- locks --json target/ci/audit_locks.json
 
 # 5. Atomic-ordering audit (DESIGN.md §13): every `Ordering::*` site
 #    needs an `audit:ordering(<Ord>): <reason>` annotation or a
 #    baseline entry; atomics-baseline.txt only ever shrinks.
 step "mendel-audit atomics" \
-    cargo run -q -p mendel-audit -- atomics --json bench_results/audit_atomics.json
+    cargo run -q -p mendel-audit -- atomics --json target/ci/audit_atomics.json
 
 # 6. Deterministic two-thread interleaving stress for Histogram,
 #    FlightRecorder, and the work-stealing scheduler's deques (lockstep
@@ -109,21 +112,12 @@ if [ "$MODE" != "quick" ]; then
         cargo run --release -q -p mendel-bench --bin kernel_bench -- --smoke
 fi
 
-# 9b. Throughput harness self-checks (DESIGN.md §15): fails if the SIMD
-#    and scalar kernels disagree on any sampled query, if batched hits
-#    diverge from sequential, or if the scheduler fails to shed past its
-#    admission bound; writes bench_results/qps.json in both modes.
-step "qps_bench --smoke" \
-    cargo run --release -q -p mendel-bench --bin qps_bench -- --smoke
-
 # 10. Observability suite (DESIGN.md §11): exact counter assertions
 #    (distance calls, fan-out, fault-verdict replay) under the invariant
-#    checkers, plus the metrics-overhead harness at smoke sizes.
+#    checkers.
 if [ "$MODE" != "quick" ]; then
     step "observability suite (strict-invariants)" \
         cargo test --test observability --features strict-invariants -q
-    step "obs_bench --smoke" \
-        cargo run --release -q -p mendel-bench --bin obs_bench -- --smoke
 fi
 
 # 11. Causal-tracing suite (DESIGN.md §12): the seeded chaos-flavoured
@@ -147,8 +141,8 @@ fi
 # 13. Durability gate (DESIGN.md §14): the store-level crash-point
 #    matrix (kill after every VFS op, recover, committed-prefix check)
 #    plus the cluster-level kill-and-recover suite, then the smoke
-#    bench re-runs the matrix across fsync policies and emits
-#    bench_results/durability.json.
+#    bench re-runs the matrix across fsync policies (its report goes to
+#    the system temp dir).
 step "crash-point matrix" cargo test -p mendel-store --test crash_matrix -q
 if [ "$MODE" != "quick" ]; then
     step "durability suite" cargo test --test durability -q
@@ -181,8 +175,7 @@ fi
 #    query against the real 3-process loopback cluster must stitch
 #    node-side spans from every process into one Perfetto-loadable
 #    chrome JSON with resolving parent links, and the slowlog, federated
-#    metrics, and verbose healthz surfaces must answer. (obs_bench's
-#    smoke run in step 10 self-checks the tracing-over-TCP ≤5% budget.)
+#    metrics, and verbose healthz surfaces must answer.
 if [ "$MODE" != "quick" ]; then
     if command -v timeout >/dev/null 2>&1; then
         step "multi-process trace smoke (loopback)" \
@@ -194,6 +187,11 @@ if [ "$MODE" != "quick" ]; then
             traced_query_stitches_spans_from_all_three_processes
     fi
 fi
+
+# 16. The gate reads the tree; it must not rewrite it. Any tracked file
+#    that differs from its state when the gate started (a step that
+#    regenerates a checked-in report, say) fails the run.
+step "gate left tracked files untouched" test "$(git status --porcelain -uno)" = "$DIRTY_BEFORE"
 
 echo
 if [ "$FAILED" -ne 0 ]; then

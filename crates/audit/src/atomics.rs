@@ -312,7 +312,7 @@ pub fn render_report(
     out
 }
 
-/// JSON document for `bench_results/` trend tracking.
+/// JSON document for trend tracking (`ci.sh` writes it under `target/ci/`).
 pub fn to_json(report: &AtomicsReport, regressions: &[Regression]) -> Json {
     Json::Obj(vec![
         ("analysis".into(), Json::str("atomics")),

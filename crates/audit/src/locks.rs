@@ -726,7 +726,7 @@ pub fn render_report(report: &LockReport) -> String {
     out
 }
 
-/// JSON document for `bench_results/` trend tracking.
+/// JSON document for trend tracking (`ci.sh` writes it under `target/ci/`).
 pub fn to_json(report: &LockReport) -> Json {
     let edge = |e: &LockEdge| {
         Json::Obj(vec![

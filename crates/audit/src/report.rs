@@ -3,8 +3,8 @@
 //! The audit crate deliberately has zero dependencies, so this is a
 //! small hand-rolled JSON value tree with a deterministic renderer.
 //! Every analysis (`lint`, `locks`, `atomics`) can be asked for a
-//! [`Json`] document; `ci.sh` writes them into `bench_results/` so
-//! finding counts can be tracked across commits like any other metric.
+//! [`Json`] document; `ci.sh` writes them under `target/ci/` so
+//! finding counts can be compared across commits like any other metric.
 
 use std::fmt::Write as _;
 

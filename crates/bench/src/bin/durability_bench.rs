@@ -7,7 +7,8 @@
 //! 1. **crash matrix** — kill the store after every VFS operation of an
 //!    ingest run, recover, and check the committed-prefix invariant
 //!    (the same sweep as `crates/store/tests/crash_matrix.rs`, sized
-//!    for CI). Emits `bench_results/durability.json`.
+//!    for CI). Emits `bench_results/durability.json` (`--smoke`: in the
+//!    system temp dir).
 //! 2. **WAL replay throughput** — records/s and MB/s of a cold open
 //!    replaying an unflushed log.
 //! 3. **recovery time vs. log size** — cold-open latency as the WAL
@@ -310,9 +311,14 @@ fn main() {
         if smoke { "smoke" } else { "full" },
         scale.matrix_records,
     );
-    let results_dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../bench_results");
+    // A smoke run (the CI gate) must not touch the working tree.
+    let results_dir = if smoke {
+        std::env::temp_dir()
+    } else {
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../bench_results")
+    };
     // audit:allow(expect): bench binary; an unwritable report path should abort the run.
-    std::fs::create_dir_all(&results_dir).expect("create bench_results");
+    std::fs::create_dir_all(&results_dir).expect("create report directory");
     let durability_path = results_dir.join("durability.json");
     // audit:allow(expect): bench binary; an unwritable report path should abort the run.
     std::fs::write(&durability_path, &durability_json).expect("write durability report");

@@ -607,12 +607,13 @@ pub fn cmd_trace_dump(args: &Args) -> Result<String, CliError> {
     }
 }
 
-/// `mendel bench qps` — sustained-throughput probe over an indexed
-/// cluster (DESIGN.md §15): the query set runs once through the
-/// sequential `query` loop (per-query latency percentiles) and once
-/// through `query_batch` at `--batch` (default 32), then the
-/// work-stealing scheduler's counters are reported. Per-query hits are
-/// asserted identical between the two paths.
+/// `mendel bench qps` — the in-process quick check of the one query
+/// pipeline (DESIGN.md "The query pipeline"): the query set runs once a
+/// query at a time (batches of one; per-query latency percentiles) and
+/// once in batches of `--batch` (default 32), then the work-stealing
+/// scheduler's counters are reported. Per-query hits are asserted
+/// identical between the two batch sizes. Served-path numbers come from
+/// `benchmark/`, not from here.
 pub fn cmd_bench_qps(args: &Args) -> Result<String, CliError> {
     let (cluster, alphabet) = restore_cluster(args)?;
     let params = query_params(args, alphabet)?;

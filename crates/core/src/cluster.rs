@@ -8,20 +8,17 @@ use crate::error::MendelError;
 use crate::metric::BlockMetric;
 use crate::node::{DbCell, StorageNode};
 use crate::params::QueryParams;
-use crate::query::{identity, subquery_offsets};
-use crate::report::{
-    CoverageReport, GroupCoverage, MendelHit, QueryReport, QueryStats, StageTimings,
-};
-use mendel_align::hsp::{bin_by_subject, merge_overlapping};
+use crate::query::identity;
+use crate::report::{CoverageReport, GroupCoverage, MendelHit, QueryReport};
+use mendel_align::hsp::bin_by_subject;
 use mendel_align::karlin::solve_ungapped_background;
 use mendel_align::{extend_gapped_banded, Hsp, KarlinParams};
 use mendel_dht::sha1::sha1_u64;
 use mendel_dht::{FlatPlacement, GroupId, LoadReport, NodeId, Topology};
-use mendel_net::latency::parallel_max;
 use mendel_net::{HeartbeatMonitor, NodeSpeed};
 use mendel_obs::{
-    Clock, MetricsSnapshot, MonotonicClock, QueryObservation, Registry, SlowLogConfig,
-    SlowQueryLog, SpanId, SpanRecord, TraceCollector, TraceId, TraceTree,
+    Clock, MetricsSnapshot, MonotonicClock, Registry, SlowLogConfig, SlowQueryLog, SpanRecord,
+    TraceCollector, TraceId, TraceTree,
 };
 use mendel_sched::{SchedConfig, Scheduler};
 use mendel_seq::{Alphabet, ScoringMatrix, SeqId, SeqStore, WindowView};
@@ -35,10 +32,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Estimated wire size of one anchor (subject id, two ranges, score).
-const HSP_WIRE_BYTES: usize = 28;
-/// Fixed per-message header overhead charged by the cost model.
-const MSG_OVERHEAD_BYTES: usize = 64;
 /// At most this many anchors per subject enter the gapped stage (the
 /// strongest first); bounds worst-case finalize cost on repetitive data.
 const MAX_GAPPED_ANCHORS_PER_SUBJECT: usize = 16;
@@ -134,7 +127,7 @@ pub struct MendelCluster {
     /// Durable storage backend; `None` in memory mode.
     storage: Option<NodeStores>,
     /// Work-stealing query scheduler (DESIGN.md §15): admission control
-    /// plus the worker pool [`Self::query_batch`] fans node-local
+    /// plus the worker pool every in-process query fans its node-local
     /// searches out on. Its `mendel.sched.*` counters live in [`Self::obs`].
     sched: Arc<Scheduler>,
 }
@@ -439,7 +432,7 @@ impl MendelCluster {
     }
 
     /// Live (non-failed) members of a group.
-    fn live_members(&self, topo: &Topology, g: GroupId) -> Vec<NodeId> {
+    pub(crate) fn live_members(&self, topo: &Topology, g: GroupId) -> Vec<NodeId> {
         let failed = self.failed.read();
         topo.group_members(g)
             .iter()
@@ -448,380 +441,74 @@ impl MendelCluster {
             .collect()
     }
 
-    fn speed_of(&self, topo: &Topology, node: NodeId) -> NodeSpeed {
+    pub(crate) fn speed_of(&self, topo: &Topology, node: NodeId) -> NodeSpeed {
         topo.node_speed(node).unwrap_or(NodeSpeed::HP_DL160)
     }
 
-    /// Evaluate `query` from the default entry point (node 0).
+    /// The entry node a query runs from: `entry` when it names a live
+    /// member of `topo`, the first live node when unspecified.
+    pub(crate) fn resolve_entry(
+        &self,
+        topo: &Topology,
+        entry: Option<NodeId>,
+    ) -> Result<NodeId, MendelError> {
+        let failed = self.failed.read();
+        match entry {
+            Some(n) if topo.node_group(n).is_none() || failed.contains_key(&n) => {
+                Err(MendelError::NoSuchNode(n))
+            }
+            Some(n) => Ok(n),
+            None => topo
+                .nodes()
+                .find(|n| !failed.contains_key(n))
+                .ok_or_else(|| MendelError::Config("cluster has no live nodes".into())),
+        }
+    }
+
+    /// Evaluate `query` from the default entry point, the first live
+    /// node. A single query is a batch of one (DESIGN.md "The query
+    /// pipeline"): it passes admission control and is shed with
+    /// [`MendelError::Shed`] past the scheduler's `max_in_flight` bound.
     pub fn query(&self, query: &[u8], params: &QueryParams) -> Result<QueryReport, MendelError> {
-        let entry = self
-            .topology
-            .read()
-            .nodes()
-            .next()
-            .ok_or(MendelError::Config("cluster has no live nodes".into()))?;
-        self.query_from(entry, query, params)
+        self.query_entry(None, query, params)
     }
 
     /// Evaluate `query` entering the system at `entry` (§V-B: "any node
     /// in the cluster can perform as a query's entry point and generates
-    /// identical results").
+    /// identical results"). A failed or unknown `entry` is
+    /// [`MendelError::NoSuchNode`].
     pub fn query_from(
         &self,
         entry: NodeId,
         query: &[u8],
         params: &QueryParams,
     ) -> Result<QueryReport, MendelError> {
-        params.validate()?;
-        if query.len() < self.config.block_len {
-            return Err(MendelError::Query(format!(
-                "query ({} residues) is shorter than the block length ({})",
-                query.len(),
-                self.config.block_len
-            )));
-        }
-        let matrix = self.resolve_matrix(&params.m)?;
-        let topo = self.topology.read().clone();
-        if topo.node_group(entry).is_none() || self.failed.read().contains_key(&entry) {
-            return Err(MendelError::NoSuchNode(entry));
-        }
-        let entry_speed = self.speed_of(&topo, entry);
-        let latency = self.config.latency;
-        let block_len = self.config.block_len;
-        let mut stats = QueryStats::default();
-        let clock = self.obs.clock();
-        // Registry state before the pipeline; the report carries the
-        // delta, so counters attribute exactly to this query when
-        // evaluation is serial.
-        let before = self.obs.snapshot();
-        self.obs.counter("mendel.query.count").inc();
-
-        // ---- Stage 1: decompose + vp-prefix routing at the entry node.
-        let t = clock.now();
-        let offsets = subquery_offsets(query.len(), block_len, params.k);
-        stats.subqueries = offsets.len();
-        let mut group_offsets: BTreeMap<GroupId, Vec<usize>> = BTreeMap::new();
-        for &off in &offsets {
-            for g in self.groups_of_window(&query[off..off + block_len], params.group_tolerance) {
-                group_offsets.entry(g).or_default().push(off);
-            }
-        }
-        let decompose = entry_speed.scale(clock.now().saturating_sub(t));
-        stats.groups_contacted = group_offsets.len();
-        self.obs
-            .counter("mendel.query.fanout_groups")
-            .add(group_offsets.len() as u64);
-
-        // ---- Stage 2: scatter query to group entry points.
-        let query_msg_bytes = query.len() + MSG_OVERHEAD_BYTES;
-        let scatter = latency.fanout(query_msg_bytes, group_offsets.len());
-        stats.messages += group_offsets.len();
-        stats.bytes += query_msg_bytes * group_offsets.len();
-
-        // ---- Stage 3: per-group evaluation (parallel; the slowest group
-        //      bounds the phase).
-        struct GroupOutcome {
-            anchors: Vec<Hsp>,
-            sim: Duration,
-            nodes: usize,
-            candidates: usize,
-            messages: usize,
-            bytes: usize,
-            // Timeline components kept for trace assembly (all ZERO /
-            // empty for a dead group).
-            members: Vec<NodeId>,
-            member_times: Vec<Duration>,
-            replicate: Duration,
-            node_phase: Duration,
-            gather_in: Duration,
-        }
-        let nodes_guard = self.nodes.read();
-        let group_list: Vec<(GroupId, Vec<usize>)> = group_offsets.into_iter().collect();
-        let mut outcomes: Vec<GroupOutcome> = group_list
-            .par_iter()
-            .map(|(g, offs)| {
-                let members = self.live_members(&topo, *g);
-                if members.is_empty() {
-                    return GroupOutcome {
-                        anchors: Vec::new(),
-                        sim: Duration::ZERO,
-                        nodes: 0,
-                        candidates: 0,
-                        messages: 0,
-                        bytes: 0,
-                        members: Vec::new(),
-                        member_times: Vec::new(),
-                        replicate: Duration::ZERO,
-                        node_phase: Duration::ZERO,
-                        gather_in: Duration::ZERO,
-                    };
-                }
-                // Group entry point replicates to the other members.
-                let replicate = latency.fanout(query_msg_bytes, members.len() - 1);
-                let per_member: Vec<(Vec<Hsp>, Duration, usize)> = members
-                    .par_iter()
-                    .map(|&m| {
-                        let node = nodes_guard[m.0 as usize].read();
-                        let t = clock.now();
-                        let out = node.local_search_many(query, offs, block_len, params, &matrix);
-                        let raw = clock.now().saturating_sub(t);
-                        self.obs
-                            .counter("mendel.query.local_search_nanos")
-                            .add(raw.as_nanos() as u64);
-                        (
-                            out.anchors,
-                            self.speed_of(&topo, m).scale(raw),
-                            out.candidates,
-                        )
-                    })
-                    .collect();
-                let node_phase = parallel_max(per_member.iter().map(|(_, d, _)| *d));
-                let member_times: Vec<Duration> = per_member.iter().map(|(_, d, _)| *d).collect();
-                let candidates = per_member.iter().map(|(_, _, c)| c).sum();
-                let all: Vec<Hsp> = per_member.into_iter().flat_map(|(a, _, _)| a).collect();
-                // Members ship their anchor sets to the group entry point;
-                // the gather serializes on the entry point's downlink.
-                let anchor_bytes: usize =
-                    all.len() * HSP_WIRE_BYTES + MSG_OVERHEAD_BYTES * (members.len() - 1);
-                let gather_in = latency.transfer(anchor_bytes);
-                let t = clock.now();
-                let merged = merge_overlapping(all);
-                let gep = members[0];
-                let merge_time = self
-                    .speed_of(&topo, gep)
-                    .scale(clock.now().saturating_sub(t));
-                GroupOutcome {
-                    nodes: members.len(),
-                    candidates,
-                    messages: (members.len() - 1) * 2,
-                    bytes: query_msg_bytes * (members.len() - 1) + anchor_bytes,
-                    sim: replicate + node_phase + gather_in + merge_time,
-                    anchors: merged,
-                    members,
-                    member_times,
-                    replicate,
-                    node_phase,
-                    gather_in,
-                }
-            })
-            .collect();
-        drop(nodes_guard);
-
-        let group_phase = parallel_max(outcomes.iter().map(|o| o.sim));
-        for o in &outcomes {
-            stats.nodes_contacted += o.nodes;
-            stats.candidates += o.candidates;
-            stats.messages += o.messages;
-            stats.bytes += o.bytes;
-        }
-
-        // ---- Stage 4: group entry points send merged anchors up.
-        let up_bytes: usize = outcomes
-            .iter()
-            .map(|o| o.anchors.len() * HSP_WIRE_BYTES + MSG_OVERHEAD_BYTES)
-            .sum();
-        let gather = latency.transfer(up_bytes);
-        stats.messages += outcomes.len();
-        stats.bytes += up_bytes;
-
-        // ---- Stage 5: system-level merge, gapped extension, ranking.
-        let t = clock.now();
-        let all: Vec<Hsp> = outcomes
-            .iter_mut()
-            .flat_map(|o| std::mem::take(&mut o.anchors))
-            .collect();
-        let merged = merge_overlapping(all);
-        stats.anchors = merged.len();
-        let hits = self.finalize(query, merged, params, &matrix);
-        let raw_finalize = clock.now().saturating_sub(t);
-        self.obs
-            .counter("mendel.query.finalize_nanos")
-            .add(raw_finalize.as_nanos() as u64);
-        let finalize = entry_speed.scale(raw_finalize);
-
-        let timings = StageTimings {
-            decompose,
-            scatter,
-            group_phase,
-            gather,
-            finalize,
-        };
-        self.record_stage_timings(&timings);
-
-        let (trace, critical_path) = if self.trace_query_sampled() {
-            // Assemble the causal trace serially from the simulated
-            // timeline (base instant 0). Minting ids after the rayon
-            // group phase keeps them — and hence the chrome export —
-            // deterministic for a fixed seed (DESIGN.md §12).
-            let entry_node = entry.0 as u32;
-            let entry_tracer = self.obs.tracer(entry_node);
-            let trace = TraceId(entry_tracer.next_id());
-            let mut records: Vec<SpanRecord> = Vec::new();
-            let mut mint = |name: String,
-                            parent: Option<SpanId>,
-                            node: u32,
-                            start: Duration,
-                            end: Duration,
-                            tags: Vec<(String, String)>|
-             -> SpanId {
-                let span = SpanId(entry_tracer.next_id());
-                records.push(SpanRecord {
-                    trace,
-                    span,
-                    parent,
-                    node,
-                    name,
-                    start,
-                    end,
-                    tags,
-                });
-                span
-            };
-            let total = timings.total();
-            let d = timings.decompose;
-            let root = mint(
-                "query".into(),
-                None,
-                entry_node,
-                Duration::ZERO,
-                total,
-                vec![
-                    ("groups".into(), stats.groups_contacted.to_string()),
-                    ("subqueries".into(), stats.subqueries.to_string()),
-                    ("hits".into(), hits.len().to_string()),
-                ],
-            );
-            mint(
-                "decompose".into(),
-                Some(root),
-                entry_node,
-                Duration::ZERO,
-                d,
-                Vec::new(),
-            );
-            let group_start = d + timings.scatter;
-            mint(
-                "scatter".into(),
-                Some(root),
-                entry_node,
-                d,
-                group_start,
-                Vec::new(),
-            );
-            for ((g, _), o) in group_list.iter().zip(&outcomes) {
-                let gnode = o.members.first().map_or(entry_node, |n| n.0 as u32);
-                let tags = if o.members.is_empty() {
-                    vec![("degraded".into(), "no live members".into())]
-                } else {
-                    Vec::new()
-                };
-                let gspan = mint(
-                    format!("group/{}", g.0),
-                    Some(root),
-                    gnode,
-                    group_start,
-                    group_start + o.sim,
-                    tags,
-                );
-                let node_start = group_start + o.replicate;
-                for (m, mt) in o.members.iter().zip(&o.member_times) {
-                    mint(
-                        format!("node/{}", m.0),
-                        Some(gspan),
-                        m.0 as u32,
-                        node_start,
-                        node_start + *mt,
-                        Vec::new(),
-                    );
-                }
-                if !o.members.is_empty() {
-                    mint(
-                        "merge".into(),
-                        Some(gspan),
-                        gnode,
-                        node_start + o.node_phase + o.gather_in,
-                        group_start + o.sim,
-                        Vec::new(),
-                    );
-                }
-            }
-            let gather_start = group_start + timings.group_phase;
-            mint(
-                "gather".into(),
-                Some(root),
-                entry_node,
-                gather_start,
-                gather_start + timings.gather,
-                Vec::new(),
-            );
-            mint(
-                "finalize".into(),
-                Some(root),
-                entry_node,
-                gather_start + timings.gather,
-                total,
-                Vec::new(),
-            );
-            for r in &records {
-                self.obs.tracer(r.node).record(r.clone());
-            }
-            let mut collector = TraceCollector::new();
-            collector.ingest(records);
-            let path = collector
-                .tree(trace)
-                .map(|t| t.critical_path())
-                .unwrap_or_default();
-            (Some(trace), path)
-        } else {
-            (None, Vec::new())
-        };
-
-        let coverage = self.coverage();
-        if coverage.degraded {
-            // `mendel top` surfaces degraded-coverage queries from the
-            // federated exposition; the slowlog keeps the details.
-            self.obs.counter("mendel.query.degraded").inc();
-        }
-        self.slowlog.observe(QueryObservation {
-            at: clock.now(),
-            duration: timings.total(),
-            trace,
-            query_len: query.len(),
-            hits: hits.len(),
-            groups: stats.groups_contacted,
-            degraded: coverage.degraded,
-        });
-        Ok(QueryReport {
-            hits,
-            timings,
-            stats,
-            coverage,
-            metrics: self.obs.snapshot().since(&before),
-            trace,
-            critical_path,
-        })
+        self.query_entry(Some(entry), query, params)
     }
 
-    /// Record one query's simulated stage durations into the
-    /// `mendel.query.stage.*.seconds` histograms (plus the end-to-end
-    /// turnaround), so Fig. 5-style numbers can be re-derived from a
-    /// metrics snapshot instead of ad-hoc prints.
-    fn record_stage_timings(&self, t: &StageTimings) {
-        let scope = self.obs.scoped("mendel.query.stage");
-        for (name, d) in [
-            ("decompose", t.decompose),
-            ("scatter", t.scatter),
-            ("group_phase", t.group_phase),
-            ("gather", t.gather),
-            ("finalize", t.finalize),
-        ] {
-            scope
-                .histogram(&format!("{name}.seconds"))
-                .record(d.as_secs_f64());
-        }
-        self.obs
-            .histogram("mendel.query.turnaround.seconds")
-            .record(t.total().as_secs_f64());
+    fn query_entry(
+        &self,
+        entry: Option<NodeId>,
+        query: &[u8],
+        params: &QueryParams,
+    ) -> Result<QueryReport, MendelError> {
+        crate::pipeline::evaluate(self, entry, &[query], params)
+            .pop()
+            .expect("one report per query") // audit:allow(expect): evaluate returns exactly one result per input query
+    }
+
+    /// Evaluate many queries as ONE batch: each storage node scans its
+    /// vp-tree once for every query routed to it, and per-query `hits`
+    /// are bit-identical to [`Self::query`]. Admission control applies
+    /// per query — a shed query errors, the rest of the batch proceeds.
+    /// Each report's `metrics` delta and node scan times cover the whole
+    /// call, and the reports share one coverage sweep.
+    pub fn query_batch(
+        &self,
+        queries: &[Vec<u8>],
+        params: &QueryParams,
+    ) -> Vec<Result<QueryReport, MendelError>> {
+        crate::pipeline::evaluate(self, None, queries, params)
     }
 
     /// The cluster's metric registry: counters, histograms, and the
@@ -1617,16 +1304,6 @@ impl MendelCluster {
         Ok(out)
     }
 
-    /// Evaluate many queries in parallel (rayon), each from the default
-    /// entry point.
-    pub fn query_many(
-        &self,
-        queries: &[Vec<u8>],
-        params: &QueryParams,
-    ) -> Vec<Result<QueryReport, MendelError>> {
-        queries.par_iter().map(|q| self.query(q, params)).collect()
-    }
-
     /// The cluster's work-stealing query scheduler (admission bound,
     /// queue-depth/steal/shed counters).
     pub fn scheduler(&self) -> &Arc<Scheduler> {
@@ -1639,274 +1316,6 @@ impl MendelCluster {
     pub fn with_scheduler(mut self, config: SchedConfig) -> Self {
         self.sched = Arc::new(Scheduler::new(config, &self.obs));
         self
-    }
-
-    /// Evaluate many queries as ONE batch (DESIGN.md §15): each storage
-    /// node scans its vp-tree once for every query routed to it
-    /// ([`StorageNode::local_search_batch`] → `VpTree::knn_batch`), and
-    /// the node-level work fans out on the work-stealing scheduler.
-    ///
-    /// Per-query `hits` are bit-identical to [`Self::query`] — the
-    /// batched traversal replays the sequential search decisions exactly.
-    /// Admission control applies per query: past the scheduler's
-    /// `max_in_flight` bound a query is shed with [`MendelError::Shed`]
-    /// instead of queueing unboundedly; the rest of the batch proceeds.
-    ///
-    /// Batch-mode caveats: real-compute timings and the `metrics` delta
-    /// are attributed at batch granularity (each report carries the
-    /// whole batch's registry delta, and a node's scan time covers every
-    /// query it served), the cluster-wide `coverage` report is computed
-    /// once and shared by every report in the batch (placement cannot
-    /// change mid-batch, so it equals the per-query snapshot), and no
-    /// causal trace is assembled.
-    pub fn query_batch(
-        &self,
-        queries: &[Vec<u8>],
-        params: &QueryParams,
-    ) -> Vec<Result<QueryReport, MendelError>> {
-        if queries.is_empty() {
-            return Vec::new();
-        }
-        if let Err(e) = params.validate() {
-            return queries.iter().map(|_| Err(e.clone())).collect();
-        }
-        let matrix = match self.resolve_matrix(&params.m) {
-            Ok(m) => m,
-            Err(e) => return queries.iter().map(|_| Err(e.clone())).collect(),
-        };
-        let topo = self.topology.read().clone();
-        let Some(entry) = topo.nodes().next() else {
-            let e = MendelError::Config("cluster has no live nodes".into());
-            return queries.iter().map(|_| Err(e.clone())).collect();
-        };
-        let entry_speed = self.speed_of(&topo, entry);
-        let latency = self.config.latency;
-        let block_len = self.config.block_len;
-        let clock = self.obs.clock();
-        let before = self.obs.snapshot();
-
-        // ---- Stage 1 per query: admission, decomposition, routing.
-        struct Plan {
-            /// Held for the whole evaluation; dropping it releases the
-            /// query's in-flight slot.
-            _permit: mendel_sched::AdmissionPermit,
-            /// `(group, subquery offsets, live members)` in group order.
-            groups: Vec<(GroupId, Vec<usize>, Vec<NodeId>)>,
-            subqueries: usize,
-            decompose: Duration,
-        }
-        let mut plans: Vec<Result<Plan, MendelError>> = Vec::with_capacity(queries.len());
-        for q in queries {
-            if q.len() < block_len {
-                plans.push(Err(MendelError::Query(format!(
-                    "query ({} residues) is shorter than the block length ({block_len})",
-                    q.len()
-                ))));
-                continue;
-            }
-            let permit = match self.sched.admit() {
-                Ok(p) => p,
-                Err(e) => {
-                    plans.push(Err(e.into()));
-                    continue;
-                }
-            };
-            self.obs.counter("mendel.query.count").inc();
-            let t = clock.now();
-            let offsets = subquery_offsets(q.len(), block_len, params.k);
-            let mut group_offsets: BTreeMap<GroupId, Vec<usize>> = BTreeMap::new();
-            for &off in &offsets {
-                for g in self.groups_of_window(&q[off..off + block_len], params.group_tolerance) {
-                    group_offsets.entry(g).or_default().push(off);
-                }
-            }
-            let decompose = entry_speed.scale(clock.now().saturating_sub(t));
-            self.obs
-                .counter("mendel.query.fanout_groups")
-                .add(group_offsets.len() as u64);
-            let groups = group_offsets
-                .into_iter()
-                .map(|(g, offs)| {
-                    let members = self.live_members(&topo, g);
-                    (g, offs, members)
-                })
-                .collect();
-            plans.push(Ok(Plan {
-                _permit: permit,
-                groups,
-                subqueries: offsets.len(),
-                decompose,
-            }));
-        }
-
-        // ---- Fan-out: ONE scheduler job per storage node, batching all
-        // admitted queries that route to it into a single tree scan.
-        type NodeRequests = (Vec<(Arc<Vec<u8>>, Vec<usize>)>, Vec<(usize, usize, usize)>);
-        let shared: Vec<Arc<Vec<u8>>> = queries.iter().map(|q| Arc::new(q.clone())).collect();
-        let mut node_reqs: BTreeMap<NodeId, NodeRequests> = BTreeMap::new();
-        for (qi, plan) in plans.iter().enumerate() {
-            let Ok(plan) = plan else { continue };
-            for (gi, (_, offs, members)) in plan.groups.iter().enumerate() {
-                for (mi, m) in members.iter().enumerate() {
-                    let (reqs, slots) = node_reqs.entry(*m).or_default();
-                    reqs.push((shared[qi].clone(), offs.clone()));
-                    slots.push((qi, gi, mi));
-                }
-            }
-        }
-        let nodes_snapshot: Vec<Arc<RwLock<StorageNode>>> = self.nodes.read().clone();
-        let mut handles = Vec::new();
-        for (node, (reqs, slots)) in node_reqs {
-            let node_arc = nodes_snapshot[node.0 as usize].clone();
-            let speed = self.speed_of(&topo, node);
-            let params = params.clone();
-            let matrix = matrix.clone();
-            let clock = clock.clone();
-            let obs = self.obs.clone();
-            let handle = self.sched.run(move || {
-                let refs: Vec<(&[u8], &[usize])> = reqs
-                    .iter()
-                    .map(|(q, o)| (q.as_slice(), o.as_slice()))
-                    .collect();
-                let guard = node_arc.read();
-                let t = clock.now();
-                let outs = guard.local_search_batch(&refs, block_len, &params, &matrix);
-                let raw = clock.now().saturating_sub(t);
-                obs.counter("mendel.query.local_search_nanos")
-                    .add(raw.as_nanos() as u64);
-                (outs, speed.scale(raw))
-            });
-            handles.push((node, slots, handle));
-        }
-        // (query, group idx, member idx) → that member's local output.
-        let mut member_out: HashMap<(usize, usize, usize), crate::node::LocalSearchOutput> =
-            HashMap::new();
-        let mut node_elapsed: HashMap<NodeId, Duration> = HashMap::new();
-        let mut crashed: HashSet<usize> = HashSet::new();
-        for (node, slots, handle) in handles {
-            match handle.wait() {
-                Some((outs, elapsed)) => {
-                    node_elapsed.insert(node, elapsed);
-                    for (slot, o) in slots.into_iter().zip(outs) {
-                        member_out.insert(slot, o);
-                    }
-                }
-                // The job panicked; its queries cannot be answered
-                // faithfully, so they error rather than silently drop
-                // this node's anchors.
-                None => crashed.extend(slots.into_iter().map(|(qi, _, _)| qi)),
-            }
-        }
-
-        // ---- Stages 3–5 per query, identical merge/finalize order to
-        // the sequential pipeline.
-        //
-        // Report assembly is amortized across the batch: the cluster-wide
-        // coverage sweep (a walk over every node's block keys — by far
-        // the most expensive piece of per-report bookkeeping) runs once
-        // here, and `metrics` deltas are batch-level (see the method
-        // docs). No query mutates placement, so the shared snapshot is
-        // the one each query would have observed.
-        let coverage = self.coverage();
-        let mut out: Vec<Result<QueryReport, MendelError>> = Vec::with_capacity(queries.len());
-        for (qi, plan) in plans.into_iter().enumerate() {
-            let plan = match plan {
-                Ok(p) => p,
-                Err(e) => {
-                    out.push(Err(e));
-                    continue;
-                }
-            };
-            if crashed.contains(&qi) {
-                out.push(Err(MendelError::Query(
-                    "batch evaluation job panicked".into(),
-                )));
-                continue;
-            }
-            let query: &[u8] = &queries[qi];
-            let query_msg_bytes = query.len() + MSG_OVERHEAD_BYTES;
-            let mut stats = QueryStats {
-                subqueries: plan.subqueries,
-                groups_contacted: plan.groups.len(),
-                ..QueryStats::default()
-            };
-            stats.messages += plan.groups.len();
-            stats.bytes += query_msg_bytes * plan.groups.len();
-            let scatter = latency.fanout(query_msg_bytes, plan.groups.len());
-
-            let mut group_sims: Vec<Duration> = Vec::new();
-            let mut group_merged: Vec<Vec<Hsp>> = Vec::new();
-            for (gi, (_, _, members)) in plan.groups.iter().enumerate() {
-                if members.is_empty() {
-                    group_sims.push(Duration::ZERO);
-                    group_merged.push(Vec::new());
-                    continue;
-                }
-                let replicate = latency.fanout(query_msg_bytes, members.len() - 1);
-                let mut all: Vec<Hsp> = Vec::new();
-                let mut member_times: Vec<Duration> = Vec::with_capacity(members.len());
-                for (mi, m) in members.iter().enumerate() {
-                    if let Some(o) = member_out.remove(&(qi, gi, mi)) {
-                        stats.candidates += o.candidates;
-                        all.extend(o.anchors);
-                    }
-                    member_times.push(node_elapsed.get(m).copied().unwrap_or_default());
-                }
-                let node_phase = parallel_max(member_times);
-                let anchor_bytes =
-                    all.len() * HSP_WIRE_BYTES + MSG_OVERHEAD_BYTES * (members.len() - 1);
-                let gather_in = latency.transfer(anchor_bytes);
-                stats.nodes_contacted += members.len();
-                stats.messages += (members.len() - 1) * 2;
-                stats.bytes += query_msg_bytes * (members.len() - 1) + anchor_bytes;
-                let t = clock.now();
-                let merged = merge_overlapping(all);
-                let merge_time = self
-                    .speed_of(&topo, members[0])
-                    .scale(clock.now().saturating_sub(t));
-                group_sims.push(replicate + node_phase + gather_in + merge_time);
-                group_merged.push(merged);
-            }
-            let group_phase = parallel_max(group_sims);
-
-            let up_bytes: usize = group_merged
-                .iter()
-                .map(|a| a.len() * HSP_WIRE_BYTES + MSG_OVERHEAD_BYTES)
-                .sum();
-            let gather = latency.transfer(up_bytes);
-            stats.messages += plan.groups.len();
-            stats.bytes += up_bytes;
-
-            let t = clock.now();
-            let all: Vec<Hsp> = group_merged.into_iter().flatten().collect();
-            let merged = merge_overlapping(all);
-            stats.anchors = merged.len();
-            let hits = self.finalize(query, merged, params, &matrix);
-            let raw_finalize = clock.now().saturating_sub(t);
-            self.obs
-                .counter("mendel.query.finalize_nanos")
-                .add(raw_finalize.as_nanos() as u64);
-            let finalize = entry_speed.scale(raw_finalize);
-
-            let timings = StageTimings {
-                decompose: plan.decompose,
-                scatter,
-                group_phase,
-                gather,
-                finalize,
-            };
-            self.record_stage_timings(&timings);
-            out.push(Ok(QueryReport {
-                hits,
-                timings,
-                stats,
-                coverage: coverage.clone(),
-                metrics: self.obs.snapshot().since(&before),
-                trace: None,
-                critical_path: Vec::new(),
-            }));
-        }
-        out
     }
 
     /// The cluster's Karlin–Altschul statistics.
@@ -1933,6 +1342,11 @@ impl MendelCluster {
             }
             None => Vec::new(),
         }
+    }
+
+    /// Shared handles on every node's state, indexed by `NodeId`.
+    pub(crate) fn node_handles(&self) -> Vec<Arc<RwLock<StorageNode>>> {
+        self.nodes.read().clone()
     }
 
     /// All blocks currently held by `node` (snapshot path).
@@ -2133,9 +1547,12 @@ mod tests {
     }
 
     #[test]
-    fn query_batch_matches_sequential_hits() {
+    fn query_batch_matches_the_per_window_wire_search() {
         let db = small_db();
-        let c = small_cluster(&db);
+        let c = Arc::new(small_cluster(&db));
+        // The independent reference: wire nodes search window by window
+        // (`knn_with_budget`), the batch through one `knn_batch` pass.
+        let wire = crate::wire::WireCluster::serve(c.clone());
         let params = QueryParams::protein();
         let queries: Vec<Vec<u8>> = (0..6)
             .map(|i| db.get(SeqId(i * 3)).unwrap().residues.clone())
@@ -2143,13 +1560,14 @@ mod tests {
         let batch = c.query_batch(&queries, &params);
         assert_eq!(batch.len(), queries.len());
         for (q, r) in queries.iter().zip(&batch) {
-            let seq = c.query(q, &params).unwrap();
             let r = r.as_ref().unwrap();
-            assert_eq!(r.hits, seq.hits, "batched hits must match sequential");
-            assert_eq!(r.stats.subqueries, seq.stats.subqueries);
-            assert_eq!(r.stats.groups_contacted, seq.stats.groups_contacted);
-            assert_eq!(r.stats.candidates, seq.stats.candidates);
-            assert_eq!(r.stats.anchors, seq.stats.anchors);
+            assert_eq!(r.hits, wire.query(q, &params).unwrap(), "batched vs wire");
+            // Batch mates leak nothing into each other's accounting.
+            let alone = c.query(q, &params).unwrap();
+            assert_eq!(r.stats.subqueries, alone.stats.subqueries);
+            assert_eq!(r.stats.groups_contacted, alone.stats.groups_contacted);
+            assert_eq!(r.stats.candidates, alone.stats.candidates);
+            assert_eq!(r.stats.anchors, alone.stats.anchors);
         }
     }
 
@@ -2272,12 +1690,21 @@ mod tests {
         // Fail one node in each group.
         c.fail_node(NodeId(0)).unwrap();
         c.fail_node(NodeId(3)).unwrap();
-        let after = c.query_from(NodeId(1), &q, &params).unwrap();
+        // The default entry point is the first *live* node, so a dead
+        // node 0 does not take `query()` and `query_batch()` down with it.
+        let after = c.query(&q, &params).unwrap();
         assert_eq!(
             after.best().unwrap().subject,
             before.best().unwrap().subject,
             "replication must mask the failures"
         );
+        assert!(!after.coverage.degraded, "every block is still reachable");
+        let batch = c.query_batch(std::slice::from_ref(&q), &params);
+        assert_eq!(batch[0].as_ref().unwrap().hits, after.hits);
+        assert!(matches!(
+            c.query_from(NodeId(0), &q, &params),
+            Err(MendelError::NoSuchNode(NodeId(0)))
+        ));
         c.recover_node(NodeId(0)).unwrap();
         assert_eq!(c.failed_nodes(), vec![NodeId(3)]);
     }
@@ -2484,20 +1911,6 @@ mod tests {
         assert!(dna_cluster
             .query_translated(&dna, &QueryParams::protein())
             .is_err());
-    }
-
-    #[test]
-    fn query_many_matches_individual_queries() {
-        let db = small_db();
-        let c = small_cluster(&db);
-        let params = QueryParams::protein();
-        let queries: Vec<Vec<u8>> = (0..4)
-            .map(|i| db.get(SeqId(i)).unwrap().residues.clone())
-            .collect();
-        let batch = c.query_many(&queries, &params);
-        for (q, r) in queries.iter().zip(batch) {
-            assert_eq!(r.unwrap().hits, c.query(q, &params).unwrap().hits);
-        }
     }
 
     #[test]

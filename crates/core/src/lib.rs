@@ -19,6 +19,12 @@
 //!    and consecutivity filtering, anchor extension, two-stage diagonal
 //!    aggregation, gapped extension, and E-value ranking ([`query`]).
 //!
+//! There is one query pipeline — plan → evaluator → finish (DESIGN.md
+//! "The query pipeline"). [`MendelCluster::query`], `query_from` and
+//! `query_batch` are thin callers of its in-process evaluator (a single
+//! query is a batch of one); [`wire::query_via`] runs the same plan and
+//! the same epilogue around real messages over any transport.
+//!
 //! The public entry point is [`MendelCluster`]; [`QueryParams`] mirrors
 //! Table I of the paper. See the workspace DESIGN.md for the full
 //! experiment map and the documented substitutions (in-process cluster,
@@ -44,6 +50,7 @@ pub mod error;
 pub mod metric;
 pub mod node;
 pub mod params;
+mod pipeline;
 pub mod query;
 pub mod report;
 pub mod serve;

@@ -262,18 +262,18 @@ impl StorageNode {
     /// tracking, and anchor extension replays in request order. Per-
     /// request outputs are bit-identical to calling `local_search_many`
     /// once per request.
-    pub fn local_search_batch(
+    pub fn local_search_batch<Q: AsRef<[u8]>, O: AsRef<[usize]>>(
         &self,
-        requests: &[(&[u8], &[usize])],
+        requests: &[(Q, O)],
         block_len: usize,
         params: &QueryParams,
         matrix: &ScoringMatrix,
     ) -> Vec<LocalSearchOutput> {
         let db = self.db.read().clone();
         let mut views = Vec::new();
-        for &(query, offsets) in requests {
-            let backing: Arc<[u8]> = Arc::from(query);
-            for &offset in offsets {
+        for (query, offsets) in requests {
+            let backing: Arc<[u8]> = Arc::from(query.as_ref());
+            for &offset in offsets.as_ref() {
                 views.push(WindowView::new(backing.clone(), offset, block_len));
             }
         }
@@ -282,10 +282,10 @@ impl StorageNode {
             .knn_batch(&views, params.n, params.search_budget)
             .into_iter();
         let mut outputs = Vec::with_capacity(requests.len());
-        for &(query, offsets) in requests {
+        for (query, offsets) in requests {
             let cx = SubqueryCtx {
                 db: &db,
-                query,
+                query: query.as_ref(),
                 block_len,
                 params,
                 matrix,
@@ -293,7 +293,7 @@ impl StorageNode {
             };
             let mut out = LocalSearchOutput::default();
             let mut covered: CoveredMap = CoveredMap::new();
-            for &offset in offsets {
+            for &offset in offsets.as_ref() {
                 let neighbors = neighbor_lists.next().unwrap_or_default();
                 self.eval_subquery(&cx, offset, neighbors, &mut covered, &mut out);
             }

@@ -7,11 +7,10 @@
 //! a restore skips the entire hash-and-route pipeline — only the cheap
 //! node-local vp-tree builds rerun.
 //!
-//! Format versions: VERSION 2 (written by [`save`]) ends with a CRC-32
-//! footer over everything before it, so any truncation or corruption is
-//! rejected up front; VERSION 1 (no footer) is still read for old
-//! snapshots. Every malformed buffer yields [`MendelError::Snapshot`] —
-//! never a panic.
+//! Format: VERSION 2 ends with a CRC-32 footer over everything before
+//! it, so any truncation or corruption is rejected up front. (VERSION 1
+//! had no footer; nothing writes it, so nothing reads it.) Every
+//! malformed buffer yields [`MendelError::Snapshot`] — never a panic.
 
 use crate::block::Block;
 use crate::cluster::MendelCluster;
@@ -25,10 +24,8 @@ use mendel_seq::{Alphabet, SeqStore};
 use std::sync::Arc;
 
 const MAGIC: u32 = 0x4d53_4e50; // "MSNP"
-/// Current write version (CRC-32 footer).
+/// The one format version written and read (CRC-32 footer).
 const VERSION: u8 = 2;
-/// Oldest version [`restore`] still reads (pre-footer).
-const VERSION_V1: u8 = 1;
 
 fn alphabet_tag(a: Alphabet) -> u8 {
     match a {
@@ -109,45 +106,42 @@ pub fn restore(
     db: Arc<SeqStore>,
     latency: LatencyModel,
 ) -> Result<MendelCluster, MendelError> {
-    // The version byte sits right after the 4-byte magic. For VERSION 2
-    // buffers, verify and strip the CRC-32 footer before any decoding:
-    // truncation or corruption anywhere is caught here, up front.
+    // The version byte sits right after the 4-byte magic. Verify and
+    // strip the CRC-32 footer before any decoding: truncation or
+    // corruption anywhere is caught here, up front.
     let raw = bytes.as_slice();
     if raw.len() < 5 {
         return Err(MendelError::Snapshot("truncated header".into()));
     }
-    let mut buf = if raw[4] == VERSION {
-        let body_len = raw
-            .len()
-            .checked_sub(4)
-            .filter(|&n| n >= 5)
-            .ok_or_else(|| MendelError::Snapshot("truncated footer".into()))?;
-        let stored = u32::from_le_bytes([
-            raw[body_len],
-            raw[body_len + 1],
-            raw[body_len + 2],
-            raw[body_len + 3],
-        ]);
-        let actual = mendel_store::crc32(&raw[..body_len]);
-        if stored != actual {
-            return Err(MendelError::Snapshot(format!(
-                "checksum mismatch (stored {stored:#010x}, computed {actual:#010x})"
-            )));
-        }
-        bytes.slice(0..body_len)
-    } else {
-        bytes.clone()
-    };
+    if raw[4] != VERSION {
+        return Err(MendelError::Snapshot(format!(
+            "unsupported version {}",
+            raw[4]
+        )));
+    }
+    let body_len = raw
+        .len()
+        .checked_sub(4)
+        .filter(|&n| n >= 5)
+        .ok_or_else(|| MendelError::Snapshot("truncated footer".into()))?;
+    let stored = u32::from_le_bytes([
+        raw[body_len],
+        raw[body_len + 1],
+        raw[body_len + 2],
+        raw[body_len + 3],
+    ]);
+    let actual = mendel_store::crc32(&raw[..body_len]);
+    if stored != actual {
+        return Err(MendelError::Snapshot(format!(
+            "checksum mismatch (stored {stored:#010x}, computed {actual:#010x})"
+        )));
+    }
+    let mut buf = bytes.slice(0..body_len);
     let bad = |e: mendel_net::DecodeError| MendelError::Snapshot(e.to_string());
     if u32::decode(&mut buf).map_err(bad)? != MAGIC {
         return Err(MendelError::Snapshot("bad magic".into()));
     }
-    let version = u8::decode(&mut buf).map_err(bad)?;
-    if version != VERSION && version != VERSION_V1 {
-        return Err(MendelError::Snapshot(format!(
-            "unsupported version {version}"
-        )));
-    }
+    u8::decode(&mut buf).map_err(bad)?; // the version byte checked above
     let nodes = u16::decode(&mut buf).map_err(bad)? as usize;
     let groups = u16::decode(&mut buf).map_err(bad)? as usize;
     let block_len = usize::decode(&mut buf).map_err(bad)?;
@@ -288,33 +282,19 @@ mod tests {
     }
 
     #[test]
-    fn v1_snapshots_without_footer_still_restore() {
-        let db = db();
-        let original = MendelCluster::build(ClusterConfig::small_protein(), db.clone()).unwrap();
-        let v2 = save(&original).unwrap();
-        // A v1 snapshot is the v2 body without its footer, tagged 1.
-        let mut v1 = v2.to_vec();
-        v1.truncate(v1.len() - 4);
-        v1[4] = 1;
-        let restored = restore(&Bytes::from(v1), db.clone(), LatencyModel::lan()).unwrap();
-        assert_eq!(restored.total_blocks(), original.total_blocks());
-        let q = db.get(SeqId(2)).unwrap().residues.clone();
-        let params = QueryParams::protein();
-        assert_eq!(
-            restored.query(&q, &params).unwrap().hits,
-            original.query(&q, &params).unwrap().hits,
-        );
-    }
-
-    #[test]
     fn bad_version_is_rejected() {
         let db = db();
         let c = MendelCluster::build(ClusterConfig::small_protein(), db.clone()).unwrap();
         let mut bytes = save(&c).unwrap().to_vec();
-        bytes[4] = 99; // version byte follows the 4-byte magic
-        assert!(matches!(
-            restore(&Bytes::from(bytes), db, LatencyModel::lan()),
-            Err(MendelError::Snapshot(_))
-        ));
+        // The version byte follows the 4-byte magic; 1 is the retired
+        // footer-less format (here with and without the footer cut off).
+        for (version, cut) in [(99u8, 0), (1, 0), (1, 4)] {
+            bytes[4] = version;
+            let tagged = Bytes::from(bytes[..bytes.len() - cut].to_vec());
+            assert!(matches!(
+                restore(&tagged, db.clone(), LatencyModel::lan()),
+                Err(MendelError::Snapshot(m)) if m.contains("unsupported version")
+            ));
+        }
     }
 }

@@ -1,11 +1,12 @@
 //! Wire-mode query execution: the §V-B pipeline over real message
 //! passing.
 //!
-//! [`crate::MendelCluster::query`] computes the distributed pipeline
-//! in-process (with a simulated cluster clock). This module runs the
-//! *same* pipeline the way a deployment would: every node owning only
-//! its transport endpoint, and every subquery and anchor crossing node
-//! boundaries as encoded bytes:
+//! [`crate::MendelCluster::query`] evaluates a query in-process (with a
+//! simulated cluster clock). This module is the other evaluator behind
+//! the one pipeline (DESIGN.md "The query pipeline"): the same `plan`
+//! and the same `finish`, with the middle run the way a deployment
+//! would — every node owning only its transport endpoint, and every
+//! subquery and anchor crossing node boundaries as encoded bytes:
 //!
 //! ```text
 //! client ──GroupQuery──▶ group entry point ──NodeQuery──▶ members
@@ -13,9 +14,10 @@
 //! ```
 //!
 //! The client (system entry point) performs decomposition/routing and
-//! the final §V-B aggregation + gapped extension, exactly like the
-//! in-process path — so the two paths must return identical hits, which
-//! the tests assert.
+//! the final §V-B aggregation + gapped extension through the shared
+//! plan and epilogue; the node-local search here is the per-window
+//! `knn_with_budget`, the in-process one `knn_batch` — so the two must
+//! return identical hits, which the tests assert.
 //!
 //! Everything here is generic over [`Transport`]: [`WireCluster`] runs
 //! the node loops as threads over the simulated network, and
@@ -34,6 +36,7 @@
 use crate::cluster::MendelCluster;
 use crate::error::MendelError;
 use crate::params::QueryParams;
+use crate::pipeline::{self, Epilogue, Finished};
 use crate::report::{CoverageReport, MendelHit};
 use bytes::{Bytes, BytesMut};
 use mendel_align::Hsp;
@@ -42,10 +45,7 @@ use mendel_net::codec::{Decode, DecodeError, Encode};
 use mendel_net::heartbeat::HEARTBEAT_CORRELATION;
 use mendel_net::mailbox::{Endpoint, Envelope, Network, NodeAddr, RecvError};
 use mendel_net::transport::Transport;
-use mendel_obs::{
-    ActiveSpan, CriticalHop, QueryObservation, SpanId, SpanRecord, TraceCollector, TraceContext,
-    TraceId, Tracer,
-};
+use mendel_obs::{ActiveSpan, CriticalHop, SpanId, SpanRecord, TraceContext, TraceId, Tracer};
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -500,40 +500,28 @@ pub fn query_via<T: Transport>(
     params: &QueryParams,
     timeouts: &WireTimeouts,
 ) -> Result<WireQueryOutcome, MendelError> {
-    params.validate()?;
-    let block_len = cluster.config().block_len;
-    if query.len() < block_len {
-        return Err(MendelError::Query("query shorter than block length".into()));
-    }
-    // Resolve early so bad params fail before any traffic.
-    let matrix = cluster.resolve_matrix(&params.m)?;
     let topo = cluster.topology();
     let clock = cluster.metrics_registry().clock();
     let q_start = clock.now();
 
+    // Stage 1: validate + decompose + route (system entry point). A bad
+    // request fails here, before any traffic, span or sampling tick.
+    let plan = pipeline::plan(cluster, query, params)?;
+
     // Distributed tracing (DESIGN.md §17): the sampling decision is
     // made once here at the system entry point and rides in every
     // envelope's trace tail; remote span trees come home in reply tails.
+    // The root and its decompose child are backdated over stage 1.
     let tracer: Option<Tracer> = cluster
         .trace_query_sampled()
         .then(|| cluster.metrics_registry().tracer(client.addr().0 as u32));
-    let mut root: Option<ActiveSpan> = tracer.as_ref().map(|t| t.start_trace("query"));
-
-    // Stage 1: decompose + route (system entry point).
-    let decompose_span = tracer
+    let mut root: Option<ActiveSpan> = tracer
         .as_ref()
-        .zip(root.as_ref())
-        .map(|(t, r)| t.child("decompose", r.context()));
-    let offsets = crate::query::subquery_offsets(query.len(), block_len, params.k);
-    let mut group_offsets: HashMap<GroupId, Vec<usize>> = HashMap::new();
-    for &off in &offsets {
-        for g in cluster.groups_of_window(&query[off..off + block_len], params.group_tolerance) {
-            group_offsets.entry(g).or_default().push(off);
-        }
-    }
-    if let Some(mut s) = decompose_span {
-        s.tag("subqueries", offsets.len());
-        s.tag("groups", group_offsets.len());
+        .map(|t| t.start_trace("query").started_at(q_start));
+    if let Some((t, r)) = tracer.as_ref().zip(root.as_ref()) {
+        let mut s = t.child("decompose", r.context()).started_at(q_start);
+        s.tag("subqueries", plan.subqueries);
+        s.tag("groups", plan.groups.len());
         s.finish();
     }
 
@@ -545,9 +533,9 @@ pub fn query_via<T: Transport>(
     let mut responded: BTreeMap<GroupId, Vec<NodeId>> = BTreeMap::new();
     let mut down: BTreeSet<NodeId> = BTreeSet::new();
     let mut corr = 1u64;
-    // (group, candidate entry-point index) still needing an answer.
-    let mut round: Vec<(GroupId, usize)> = group_offsets.keys().map(|&g| (g, 0)).collect();
-    round.sort_unstable_by_key(|&(g, _)| g);
+    // (group, candidate entry-point index) still needing an answer, in
+    // group order.
+    let mut round: Vec<(GroupId, usize)> = plan.groups.keys().map(|&g| (g, 0)).collect();
     // Open per-group RPC spans as the scatter sends them; each is
     // finished when its reply (or timeout) resolves, with the remote
     // span tree re-anchored into this timeline on receipt.
@@ -569,7 +557,7 @@ pub fn query_via<T: Transport>(
             let msg = QueryMsg {
                 tag: TAG_GROUP_QUERY,
                 query: query.to_vec(),
-                offsets: group_offsets.get(&g).cloned().unwrap_or_default(),
+                offsets: plan.groups.get(&g).cloned().unwrap_or_default(),
                 params: wire_params.clone(),
             };
             let mut span_entry = tracer.as_ref().zip(root.as_ref()).map(|(t, r)| {
@@ -658,66 +646,36 @@ pub fn query_via<T: Transport>(
         round.sort_unstable_by_key(|&(g, _)| g);
     }
 
-    // Stage 5: system-level merge + gapped extension + ranking,
-    // identical to the in-process path.
+    // Stage 5: the shared epilogue — system-level merge, gapped
+    // extension, ranking, coverage over the nodes seen unreachable, and
+    // the per-query counters and slow-query log on the real clock.
+    let unreachable: Vec<NodeId> = down.iter().copied().collect();
+    let epilogue = Epilogue::new(cluster, params, &unreachable);
     let finalize_span = tracer
         .as_ref()
         .zip(root.as_ref())
         .map(|(t, r)| t.child("finalize", r.context()));
-    let merged = mendel_align::hsp::merge_overlapping(anchors);
-    let hits = cluster.finalize(query, merged, params, &matrix);
+    let trace = root.as_ref().map(ActiveSpan::trace);
+    let Finished { hits, .. } = epilogue.finish(query, &plan, anchors, trace, |_| {
+        clock.now().saturating_sub(q_start)
+    });
+    let coverage = epilogue.coverage;
     if let Some(s) = finalize_span {
         s.finish();
     }
-    let unreachable: Vec<NodeId> = down.iter().copied().collect();
-    let coverage = cluster.coverage_with_down(&unreachable);
 
     // Close the root span, then stitch every record this trace produced
     // (local spans + re-anchored remote trees) into the critical path.
-    let (trace, critical_path) = match root.take() {
-        Some(mut span) => {
-            let trace = span.trace();
-            span.tag("groups", responded.len());
-            span.tag("hits", hits.len());
-            if coverage.degraded {
-                span.tag("degraded", true);
-            }
-            span.finish();
-            let mut collector = TraceCollector::new();
-            collector.ingest(
-                cluster
-                    .metrics_registry()
-                    .trace_records()
-                    .into_iter()
-                    .filter(|r| r.trace == trace),
-            );
-            collector.dedup();
-            let path = collector
-                .tree(trace)
-                .map(|t| t.critical_path())
-                .unwrap_or_default();
-            (Some(trace), path)
+    let critical_path = root.take().map_or_else(Vec::new, |mut span| {
+        let trace = span.trace();
+        span.tag("groups", responded.len());
+        span.tag("hits", hits.len());
+        if coverage.degraded {
+            span.tag("degraded", true);
         }
-        None => (None, Vec::new()),
-    };
-    // Same names the in-process path uses, so `mendel top` and the
-    // federated exposition see front-end traffic too.
-    let registry = cluster.metrics_registry();
-    registry.counter("mendel.query.count").inc();
-    registry
-        .histogram("mendel.query.turnaround.seconds")
-        .record(clock.now().saturating_sub(q_start).as_secs_f64());
-    if coverage.degraded {
-        registry.counter("mendel.query.degraded").inc();
-    }
-    cluster.slowlog().observe(QueryObservation {
-        at: clock.now(),
-        duration: clock.now().saturating_sub(q_start),
-        trace,
-        query_len: query.len(),
-        hits: hits.len(),
-        groups: responded.len(),
-        degraded: coverage.degraded,
+        span.finish();
+        let records = cluster.metrics_registry().trace_records();
+        pipeline::critical_path(records.into_iter().filter(|r| r.trace == trace), trace)
     });
     Ok(WireQueryOutcome {
         hits,
@@ -1182,7 +1140,7 @@ mod tests {
             .unwrap();
         assert!(parent.name.starts_with("group_rpc/"), "{}", parent.name);
         // The tree reassembles and its chrome export is loadable.
-        let mut c = TraceCollector::new();
+        let mut c = mendel_obs::TraceCollector::new();
         c.ingest(records.clone());
         c.dedup();
         let tree = c.tree(trace).expect("tree");

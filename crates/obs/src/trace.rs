@@ -238,6 +238,13 @@ impl ActiveSpan {
         }
     }
 
+    /// Backdate the span to `start`, for work that had to run before the
+    /// decision to trace it (e.g. validating the request).
+    pub fn started_at(mut self, start: Duration) -> Self {
+        self.start = start;
+        self
+    }
+
     /// Attach a tag (kept in insertion order).
     pub fn tag(&mut self, key: &str, value: impl std::fmt::Display) {
         self.tags.push((key.to_string(), value.to_string()));

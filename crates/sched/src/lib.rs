@@ -34,8 +34,11 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// A unit of work: boxed closure run once on a worker thread.
-type Job = Box<dyn FnOnce() + Send + 'static>;
+/// A unit of work: boxed closure run once on a worker thread. What it
+/// returns is run after the job is counted `completed`, so a caller woken
+/// by the result it publishes never sees the counter lag behind.
+type Job = Box<dyn FnOnce() -> Publish + Send + 'static>;
+type Publish = Box<dyn FnOnce() + Send + 'static>;
 
 /// Scheduler sizing knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -253,20 +256,34 @@ impl Scheduler {
     /// wake a worker. Jobs are not admission-bounded — bound *queries*
     /// with [`Self::admit`]; their fan-out tasks always run.
     pub fn submit(&self, job: impl FnOnce() + Send + 'static) {
+        self.enqueue(Box::new(move || {
+            job();
+            Box::new(|| {})
+        }));
+    }
+
+    fn enqueue(&self, job: Job) {
         // audit:ordering(Relaxed): round-robin cursor; any interleaving of placements is correct (stealing rebalances anyway)
         let slot = self.inner.next.fetch_add(1, Ordering::Relaxed) % self.inner.deques.len();
-        self.inner.deques[slot].lock().push_back(Box::new(job));
+        self.inner.deques[slot].lock().push_back(job);
         self.inner.counters.submitted.inc();
         self.inner.counters.queue_depth.add(1);
         let _ = self.inner.wake_tx.send(());
     }
 
-    /// Enqueue a job and hand back a handle to its result.
+    /// Enqueue a job and hand back a handle to its result. The result is
+    /// sent after `mendel.sched.completed` counts the job, so
+    /// `submitted == completed` holds whenever every handle has been
+    /// waited on (a panicked job disconnects its handle while unwinding,
+    /// before it is counted).
     pub fn run<R: Send + 'static>(&self, f: impl FnOnce() -> R + Send + 'static) -> JobHandle<R> {
         let (tx, rx) = channel::unbounded();
-        self.submit(move || {
-            let _ = tx.send(f());
-        });
+        self.enqueue(Box::new(move || {
+            let result = f();
+            Box::new(move || {
+                let _ = tx.send(result);
+            })
+        }));
         JobHandle { rx }
     }
 
@@ -313,6 +330,9 @@ fn worker_loop(inner: Arc<Inner>, me: usize) {
                     inner.counters.job_panics.inc();
                 }
                 inner.counters.completed.inc();
+                if let Ok(publish) = outcome {
+                    publish();
+                }
             }
             None => match inner.wake_rx.recv_timeout(Duration::from_millis(10)) {
                 Ok(()) | Err(RecvTimeoutError::Timeout) => {}
@@ -337,6 +357,18 @@ mod tests {
         let results: Vec<_> = handles.into_iter().map(|h| h.wait()).collect();
         for (i, r) in results.iter().enumerate() {
             assert_eq!(*r, Some((i * i) as u64));
+        }
+    }
+
+    #[test]
+    fn completed_is_counted_before_the_result_arrives() {
+        let reg = Registry::new();
+        let sched = Scheduler::new(SchedConfig::default(), &reg);
+        for done in 1..=500u64 {
+            sched.run(|| ()).wait();
+            let snap = reg.snapshot();
+            assert_eq!(snap.counter("mendel.sched.completed"), done);
+            assert_eq!(snap.counter("mendel.sched.submitted"), done);
         }
     }
 

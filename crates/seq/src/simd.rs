@@ -15,20 +15,19 @@
 //!   `table[q[pos] * n + c[pos]]` in strict position order — exactly the
 //!   per-pair chain. The production dispatch runs four independent
 //!   scalar accumulation chains (instruction-level parallelism breaks
-//!   the 4-cycle add-latency chain the serial kernel is bound by); an
-//!   eight-lane AVX2 `vgatherdps` variant exists and is exactness-tested
-//!   but is NOT dispatched — measured on the target hardware the gather
-//!   is 1.7–2× *slower* than the serial chain (`vgatherdps` decodes to
-//!   per-lane loads without the early-abandon asymmetry win; see
-//!   BENCH_pr8_qps.json ablations). A periodic all-lanes-over-bound
+//!   the 4-cycle add-latency chain the serial kernel is bound by). An
+//!   eight-lane AVX2 `vgatherdps` variant was measured, rejected and
+//!   removed: the gather ran 1.7–2× *slower* than the serial chain
+//!   (`vgatherdps` decodes to per-lane loads without the early-abandon
+//!   asymmetry win; DESIGN.md §15.1). A periodic all-lanes-over-bound
 //!   check keeps the early-abandoning behaviour of the scalar bounded
 //!   kernel: since residue distances are non-negative the partial sums
 //!   are monotone, so once every lane exceeds the bound every final
 //!   distance would too, and `None` for all lanes is exact.
 //!
 //! The `set_simd_enabled(false)` switch forces every dispatch back to
-//! the scalar kernels; `qps_bench` and `kernel_bench` use it for the
-//! scalar-vs-SIMD ablations and CI asserts both paths agree bit-for-bit.
+//! the scalar kernels; `kernel_bench` uses it for the scalar-vs-SIMD
+//! ablation and CI asserts both paths agree bit-for-bit.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -136,11 +135,6 @@ pub(crate) fn matrix_dist_bounded_many(
     let mut rest = cands;
     // Four independent scalar accumulation chains: same per-lane f32
     // order as the serial kernel, ~4× the instruction-level parallelism.
-    // The AVX2 gather variant (`x86::matrix_sums_avx2_x8`) is
-    // deliberately not dispatched: measured on the target hardware
-    // `vgatherdps` over the residue table runs 1.7–2× slower than these
-    // chains — the gather decodes to per-lane loads, and grouping eight
-    // candidates forfeits most of the per-candidate early-abandon win.
     while rest.len() >= 4 {
         let (head, tail) = rest.split_at(4);
         let group: [&[u8]; 4] = [head[0], head[1], head[2], head[3]];
@@ -290,79 +284,6 @@ mod x86 {
             total += hamming_sse2(&a[i..], &b[i..]);
         }
         total
-    }
-
-    /// Eight-lane AVX2 gather kernel: lane `j` accumulates candidate
-    /// `c[j]`'s residue distances in strict position order, seeded at
-    /// `-0.0` — bit-identical per lane to the serial scalar sum. Every
-    /// 8 positions an all-lanes-over-bound test short-circuits the rest
-    /// (monotone sums make the all-abandon verdict exact; lanes are
-    /// reported as `+inf`, which the caller maps to `None`).
-    ///
-    /// # Safety
-    /// The caller must have verified AVX2 support at runtime and that
-    /// every residue code of `q` and each `c[j]` is `< n`, so every
-    /// gathered index lies inside the `n × n` table.
-    // Kept exactness-tested but out of the production dispatch: the
-    // gather is slower than the four-chain ILP kernel on the target
-    // hardware (see the module docs).
-    #[cfg_attr(not(test), allow(dead_code))]
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn matrix_sums_avx2_x8(
-        table: &[f32],
-        n: usize,
-        q: &[u8],
-        c: &[&[u8]; 8],
-        bound: f32,
-    ) -> [f32; 8] {
-        const CHECK: usize = 8;
-        let len = q.len();
-        let nn = n as i32;
-        let base = table.as_ptr();
-        let mut acc = _mm256_set1_ps(-0.0);
-        // `bound` can be +inf (unbounded search): the GT compare is then
-        // always false and the kernel never bails, as intended.
-        let vbound = _mm256_set1_ps(bound);
-        let mut i = 0;
-        while i + CHECK <= len {
-            for pos in i..i + CHECK {
-                let row = q[pos] as i32 * nn;
-                let idx = _mm256_set_epi32(
-                    row + c[7][pos] as i32,
-                    row + c[6][pos] as i32,
-                    row + c[5][pos] as i32,
-                    row + c[4][pos] as i32,
-                    row + c[3][pos] as i32,
-                    row + c[2][pos] as i32,
-                    row + c[1][pos] as i32,
-                    row + c[0][pos] as i32,
-                );
-                acc = _mm256_add_ps(acc, _mm256_i32gather_ps(base, idx, 4));
-            }
-            let over = _mm256_movemask_ps(_mm256_cmp_ps(acc, vbound, _CMP_GT_OQ));
-            if over == 0xFF {
-                return [f32::INFINITY; 8];
-            }
-            i += CHECK;
-        }
-        while i < len {
-            let row = q[i] as i32 * nn;
-            let idx = _mm256_set_epi32(
-                row + c[7][i] as i32,
-                row + c[6][i] as i32,
-                row + c[5][i] as i32,
-                row + c[4][i] as i32,
-                row + c[3][i] as i32,
-                row + c[2][i] as i32,
-                row + c[1][i] as i32,
-                row + c[0][i] as i32,
-            );
-            acc = _mm256_add_ps(acc, _mm256_i32gather_ps(base, idx, 4));
-            i += 1;
-        }
-        let mut out = [0.0f32; 8];
-        _mm256_storeu_ps(out.as_mut_ptr(), acc);
-        out
     }
 }
 

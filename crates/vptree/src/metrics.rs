@@ -5,7 +5,7 @@
 //! stack, and each public search entry point flushes the tally into the
 //! shared [`SearchMetrics`] atomics once — a handful of relaxed
 //! `fetch_add`s per *query*, not per *distance call*. The overhead
-//! budget (≤ 5% on `kernel_bench`) is verified by `obs_bench`.
+//! budget (≤ 5% on `kernel_bench`) was measured in PR 4 (DESIGN.md §11.3).
 
 use mendel_obs::{Counter, Registry};
 use std::sync::Arc;

@@ -1,12 +1,17 @@
-//! Multi-query batching property suite (DESIGN.md §15): for random
-//! batches of random queries, under both metrics (protein/MatrixDistance
-//! and DNA/Hamming) and both storage backends (memory and durable),
-//! `MendelCluster::query_batch` returns hits **bit-identical** to the
-//! sequential `query` path — the batched vp-tree traversal replays every
-//! sequential search decision exactly.
+//! Multi-query batching property suite (DESIGN.md "The query pipeline"):
+//! for random batches of random queries, under both metrics
+//! (protein/MatrixDistance and DNA/Hamming) and both storage backends
+//! (memory and durable),
+//!
+//! * a batch of N answers exactly like N batches of one — `knn_batch`
+//!   keeps queries independent of their batch-mates; and
+//! * the in-process evaluator (`knn_batch`) answers **bit-identically**
+//!   to `WireCluster::query`, whose nodes run the per-window
+//!   `knn_with_budget` search — the independent reference the batched
+//!   traversal must replay decision for decision.
 
 use mendel_suite::core::{
-    ClusterConfig, MendelCluster, MendelError, MendelHit, QueryParams, StorageBackend,
+    ClusterConfig, MendelCluster, MendelError, MendelHit, QueryParams, StorageBackend, WireCluster,
 };
 use mendel_suite::seq::gen::{NrLikeSpec, QuerySetSpec};
 use mendel_suite::seq::Alphabet;
@@ -15,7 +20,7 @@ use std::sync::{Arc, OnceLock};
 
 /// One pre-built cluster plus a pool of realistic queries against it.
 struct World {
-    cluster: MendelCluster,
+    cluster: Arc<MendelCluster>,
     pool: Vec<Vec<u8>>,
 }
 
@@ -36,14 +41,16 @@ fn build_world(alphabet: Alphabet, backend: StorageBackend, seed: u64) -> World 
         Alphabet::Protein => ClusterConfig::small_protein(),
         Alphabet::Dna => ClusterConfig::small_dna(),
     };
-    let cluster = MendelCluster::build(
-        ClusterConfig {
-            storage: backend,
-            ..base
-        },
-        db.clone(),
-    )
-    .unwrap();
+    let cluster = Arc::new(
+        MendelCluster::build(
+            ClusterConfig {
+                storage: backend,
+                ..base
+            },
+            db.clone(),
+        )
+        .unwrap(),
+    );
     // Query pool: mutated windows (80% identity) plus raw subsequences.
     let mut pool: Vec<Vec<u8>> = QuerySetSpec {
         count: 8,
@@ -97,23 +104,40 @@ fn hit_bits(h: &MendelHit) -> (u32, i32, u64, u64, usize, usize, usize, usize, u
     )
 }
 
-fn assert_batch_matches(world: &World, picks: &[usize], k: usize) {
-    let mut params = match world.cluster.config().alphabet {
+fn params_for(world: &World) -> QueryParams {
+    match world.cluster.config().alphabet {
         Alphabet::Protein => QueryParams::protein(),
         Alphabet::Dna => QueryParams::dna(),
-    };
+    }
+}
+
+fn assert_batch_matches(world: &World, picks: &[usize], k: usize) {
+    let mut params = params_for(world);
     params.k = k;
     let queries: Vec<Vec<u8>> = picks.iter().map(|&i| world.pool[i].clone()).collect();
     let batch = world.cluster.query_batch(&queries, &params);
     assert_eq!(batch.len(), queries.len());
-    for (q, r) in queries.iter().zip(&batch) {
-        let sequential = world.cluster.query(q, &params).unwrap();
+    // One wire client per case: a `WireCluster` handle carries one query
+    // at a time and the worlds are shared between test threads.
+    let wire = WireCluster::serve(world.cluster.clone());
+    let mut wired = std::collections::HashSet::new();
+    for ((q, r), &pick) in queries.iter().zip(&batch).zip(picks) {
+        let single = world.cluster.query(q, &params).unwrap();
         let batched = r.as_ref().unwrap();
         let a: Vec<_> = batched.hits.iter().map(hit_bits).collect();
-        let b: Vec<_> = sequential.hits.iter().map(hit_bits).collect();
-        assert_eq!(a, b, "batched hits must be bit-identical to sequential");
-        assert_eq!(batched.stats.candidates, sequential.stats.candidates);
-        assert_eq!(batched.stats.anchors, sequential.stats.anchors);
+        let b: Vec<_> = single.hits.iter().map(hit_bits).collect();
+        assert_eq!(a, b, "a batch of N must answer like N batches of one");
+        assert_eq!(batched.stats.candidates, single.stats.candidates);
+        assert_eq!(batched.stats.anchors, single.stats.anchors);
+        if wired.insert(pick) {
+            let w: Vec<_> = wire
+                .query(q, &params)
+                .unwrap()
+                .iter()
+                .map(hit_bits)
+                .collect();
+            assert_eq!(w, b, "knn_batch must replay the per-window wire search");
+        }
     }
 }
 
@@ -204,4 +228,123 @@ fn shed_query_leaves_batch_mates_bit_identical() {
         let b: Vec<_> = seq.hits.iter().map(hit_bits).collect();
         assert_eq!(a, b);
     }
+}
+
+/// Callers on several threads share the one evaluator (and its
+/// scheduler); each still gets the answer a lone caller gets.
+#[test]
+fn concurrent_single_queries_match_serial_answers() {
+    let w = world(Alphabet::Protein, false);
+    let params = QueryParams::protein();
+    let serial: Vec<Vec<MendelHit>> = w.pool[..4]
+        .iter()
+        .map(|q| w.cluster.query(q, &params).unwrap().hits)
+        .collect();
+    let concurrent: Vec<Vec<MendelHit>> = std::thread::scope(|s| {
+        let handles: Vec<_> = w.pool[..4]
+            .iter()
+            .map(|q| s.spawn(|| w.cluster.query(q, &QueryParams::protein()).unwrap().hits))
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    assert_eq!(concurrent, serial);
+}
+
+/// The process-wide SIMD kill switch changes which distance kernel
+/// runs, never an answer (hits are compared, so toggling it under the
+/// other tests of this binary is harmless to them).
+#[test]
+fn simd_kill_switch_leaves_cluster_hits_identical() {
+    use mendel_suite::seq::simd::set_simd_enabled;
+    for alphabet in [Alphabet::Dna, Alphabet::Protein] {
+        let w = world(alphabet, false);
+        let params = params_for(w);
+        let answers = |on: bool| -> Vec<Vec<MendelHit>> {
+            let prev = set_simd_enabled(on);
+            let out = w
+                .cluster
+                .query_batch(&w.pool, &params)
+                .into_iter()
+                .map(|r| r.unwrap().hits)
+                .collect();
+            set_simd_enabled(prev);
+            out
+        };
+        assert_eq!(answers(false), answers(true), "{alphabet:?}");
+    }
+}
+
+/// Every node job a batch submits runs to completion.
+#[test]
+fn scheduler_drains_every_job_of_a_batch() {
+    let w = world(Alphabet::Protein, false);
+    let cluster = MendelCluster::build(ClusterConfig::small_protein(), w.cluster.db()).unwrap();
+    for r in cluster.query_batch(&w.pool, &QueryParams::protein()) {
+        r.unwrap();
+    }
+    // The scheduler counts a job `completed` before it publishes the
+    // job's result, so the counters agree as soon as the reports exist.
+    let snap = cluster.metrics_snapshot();
+    assert!(snap.counter("mendel.sched.submitted") > 0);
+    assert_eq!(
+        snap.counter("mendel.sched.submitted"),
+        snap.counter("mendel.sched.completed")
+    );
+    assert_eq!(snap.counter("mendel.sched.job_panics"), 0);
+}
+
+/// Drift guard: a batch feeds the slow-query log and the degraded
+/// counter once per query, exactly like the same queries asked singly.
+#[test]
+fn batch_observes_each_query_like_single_queries_do() {
+    use mendel_suite::dht::NodeId;
+    use mendel_suite::obs::SlowLogConfig;
+    let w = world(Alphabet::Protein, false);
+    let queries = &w.pool[..3];
+    let observed = |run: &dyn Fn(&MendelCluster)| {
+        // Replication 1: one dead node leaves blocks with no live copy.
+        let cluster = MendelCluster::build(ClusterConfig::small_protein(), w.cluster.db()).unwrap();
+        cluster.set_slowlog_config(SlowLogConfig {
+            threshold: std::time::Duration::ZERO, // log everything
+            sample_every: 0,
+            capacity: 16,
+        });
+        cluster.fail_node(NodeId(1)).unwrap();
+        run(&cluster);
+        let entries = cluster.slowlog().entries();
+        assert!(entries.iter().all(|e| e.query.degraded));
+        (
+            entries.len(),
+            cluster.metrics_snapshot().counter("mendel.query.degraded"),
+            cluster.metrics_snapshot().counter("mendel.query.count"),
+        )
+    };
+    let params = QueryParams::protein();
+    let singly = observed(&|c| {
+        for q in queries {
+            assert!(c.query(q, &params).unwrap().coverage.degraded);
+        }
+    });
+    let batched = observed(&|c| {
+        for r in c.query_batch(queries, &params) {
+            assert!(r.unwrap().coverage.degraded);
+        }
+    });
+    assert_eq!(singly, (3, 3, 3));
+    assert_eq!(batched, singly);
+}
+
+/// Drift guard: every entry point rejects a too-short query with the
+/// same words.
+#[test]
+fn too_short_query_error_is_the_same_from_every_entry_point() {
+    let w = world(Alphabet::Protein, false);
+    let params = QueryParams::protein();
+    let short = vec![0u8; 4];
+    let single = w.cluster.query(&short, &params).unwrap_err().to_string();
+    let batch = w.cluster.query_batch(std::slice::from_ref(&short), &params);
+    let wire = WireCluster::serve(w.cluster.clone());
+    assert!(single.contains("4 residues"), "{single}");
+    assert_eq!(batch[0].as_ref().unwrap_err().to_string(), single);
+    assert_eq!(wire.query(&short, &params).unwrap_err().to_string(), single);
 }

@@ -250,7 +250,14 @@ fn identical_serial_runs_produce_identical_counter_deltas() {
             },
             db.clone(),
         )
-        .unwrap();
+        .unwrap()
+        // Serial all the way down: one scheduler worker runs the node
+        // jobs in submission order, so `mendel.sched.steals` — which
+        // worker got to a job first — is not left to thread timing.
+        .with_scheduler(mendel_suite::sched::SchedConfig {
+            workers: 1,
+            ..Default::default()
+        });
         let params = QueryParams::protein();
         let mut deltas = Vec::new();
         for i in 0..4u32 {

@@ -5,7 +5,7 @@
 //! wire-format compatibility contract (with and without trace context).
 
 use bytes::{BufMut, Bytes, BytesMut};
-use mendel_suite::core::{ClusterConfig, MendelCluster, QueryParams, TraceCollector};
+use mendel_suite::core::{ClusterConfig, MendelCluster, QueryParams, TraceCollector, WireCluster};
 use mendel_suite::dht::NodeId;
 use mendel_suite::net::codec::{Decode, Encode};
 use mendel_suite::net::{Envelope, NodeAddr};
@@ -110,6 +110,10 @@ fn traced_chaos_export(seed: u64) -> String {
     cluster.recover_node(NodeId(1)).unwrap();
     cluster.repair();
     cluster.query(&queries[2], &params).unwrap();
+    // A batch traces each of its sampled queries too.
+    for report in cluster.query_batch(&queries, &params) {
+        assert!(report.unwrap().trace.is_some());
+    }
     cluster.chrome_trace()
 }
 
@@ -200,6 +204,10 @@ fn query_reports_trace_consistent_with_flight_recorders() {
     cluster.set_tracing(true);
     let q = db.get(SeqId(1)).unwrap().residues.clone();
     let report = cluster.query(&q, &QueryParams::protein()).unwrap();
+    cluster.set_tracing(false);
+    let untraced = cluster.query(&q, &QueryParams::protein()).unwrap();
+    assert_eq!(untraced.hits, report.hits, "tracing must not change hits");
+    assert!(untraced.trace.is_none());
     let trace = report.trace.expect("traced query names its trace");
     let tree = cluster.trace_tree(trace).expect("recorders hold the trace");
     assert_eq!(tree.critical_path(), report.critical_path);
@@ -209,6 +217,85 @@ fn query_reports_trace_consistent_with_flight_recorders() {
         report.critical_path.len() >= 2,
         "path descends into a stage"
     );
+}
+
+/// Drift guard: a query traced inside a batch of three records the
+/// same span tree — names and parent links, depth first — as the same
+/// query traced alone.
+#[test]
+fn query_in_a_batch_traces_like_the_same_query_alone() {
+    let db = chaos_db(0x7F);
+    let build = || {
+        let clock = Arc::new(VirtualClock::new());
+        let c = MendelCluster::build_with_clock(ClusterConfig::small_protein(), db.clone(), clock)
+            .unwrap();
+        c.set_tracing(true);
+        c
+    };
+    fn shape(node: &mendel_suite::obs::TraceNode, parent: &str, out: &mut Vec<(String, String)>) {
+        out.push((parent.to_string(), node.record.name.clone()));
+        for child in &node.children {
+            shape(child, &node.record.name, out);
+        }
+    }
+    let shape_of = |cluster: &MendelCluster, trace| {
+        let mut out = Vec::new();
+        shape(&cluster.trace_tree(trace).unwrap().root, "", &mut out);
+        out
+    };
+    let params = QueryParams::protein();
+    let queries: Vec<Vec<u8>> = (0..3)
+        .map(|i| db.get(SeqId(i * 4)).unwrap().residues.clone())
+        .collect();
+
+    let alone = build();
+    let report = alone.query(&queries[1], &params).unwrap();
+    let alone_shape = shape_of(&alone, report.trace.unwrap());
+    assert!(alone_shape
+        .iter()
+        .any(|(p, n)| p.starts_with("group/") && n.starts_with("node/")));
+
+    let batched = build();
+    let reports = batched.query_batch(&queries, &params);
+    let in_batch = reports[1].as_ref().unwrap();
+    assert_eq!(shape_of(&batched, in_batch.trace.unwrap()), alone_shape);
+    assert_eq!(in_batch.critical_path[0].name, "query");
+    assert_eq!(in_batch.critical_path[0].duration, in_batch.timings.total());
+}
+
+/// A request the plan rejects draws no 1-in-N sampling tick, from either
+/// evaluator: which later queries get traced does not depend on it.
+#[test]
+fn rejected_request_draws_no_sampling_tick() {
+    let db = chaos_db(0x80);
+    let q = db.get(SeqId(2)).unwrap().residues.clone();
+    let params = QueryParams::protein();
+    let build = || {
+        let c = MendelCluster::build(ClusterConfig::small_protein(), db.clone()).unwrap();
+        c.set_tracing(true);
+        c.set_trace_sampling(2);
+        Arc::new(c)
+    };
+
+    let c = build();
+    let mut traced = Vec::new();
+    for query in [&q[..], &q[..3], &q[..], &q[..]] {
+        traced.push(c.query(query, &params).map(|r| r.trace.is_some()).ok());
+    }
+    assert_eq!(traced, [Some(true), None, Some(false), Some(true)]);
+
+    let c = build();
+    let wire = WireCluster::serve(c.clone());
+    let mut traced = Vec::new();
+    for query in [&q[..], &q[..3], &q[..], &q[..]] {
+        let outcome = wire.query_outcome(query, &params);
+        traced.push(outcome.map(|o| o.trace.is_some()).ok());
+    }
+    assert_eq!(traced, [Some(true), None, Some(false), Some(true)]);
+    // The rejected request left no span behind either.
+    let names: Vec<String> = c.trace_records().into_iter().map(|r| r.name).collect();
+    assert_eq!(names.iter().filter(|n| *n == "query").count(), 2);
+    assert_eq!(names.iter().filter(|n| *n == "decompose").count(), 2);
 }
 
 // ---- Satellite: envelope wire-format compatibility. ----
