@@ -449,7 +449,7 @@ mod tests {
     #[test]
     fn instant_now_fires_only_in_instrumented_crates() {
         let src = "fn f() { let t = Instant::now(); let u = std::time::Instant::now(); }";
-        let got = scan_source("crates/net/src/rpc.rs", src);
+        let got = scan_source("crates/net/src/tcp.rs", src);
         assert_eq!(
             got.iter().map(|v| v.rule).collect::<Vec<_>>(),
             vec![Rule::InstantNow, Rule::InstantNow]
@@ -464,7 +464,7 @@ mod tests {
     #[test]
     fn instant_now_suppressible_with_marker() {
         let src = "// audit:allow(instant-now): deadline math needs a real Instant\nfn f() { let t = Instant::now(); }\n";
-        assert!(scan_source("crates/net/src/rpc.rs", src).is_empty());
+        assert!(scan_source("crates/net/src/tcp.rs", src).is_empty());
     }
 
     #[test]

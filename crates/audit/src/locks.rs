@@ -45,18 +45,16 @@ const GUARD_METHODS: [&str; 3] = ["lock", "read", "write"];
 /// Calls that block or perform I/O; making one while a guard is live is
 /// the `guard-across-io` smell (waivable via
 /// `audit:allow(guard-across-io): <reason>`).
-const IO_CALLS: [&str; 21] = [
+const IO_CALLS: [&str; 17] = [
     "send",
     "send_traced",
     "recv",
     "recv_timeout",
     "try_recv",
-    "call",
-    "call_with_retry",
-    "call_with_retry_traced",
-    "scatter_gather",
-    "scatter_gather_partial",
-    "serve_one",
+    // The wire path's request/reply layer (calls are not followed, so
+    // the wrappers around send and recv_timeout are named themselves).
+    "request",
+    "gather",
     "sleep",
     // File I/O (the mendel-store disk path): an fsync can stall for
     // seconds on a busy disk, and even buffered writes/reads block.
@@ -155,7 +153,7 @@ impl LockReport {
 }
 
 /// Lock id prefix for a workspace-relative path:
-/// `crates/net/src/rpc.rs` → `net/rpc`.
+/// `crates/net/src/tcp.rs` → `net/tcp`.
 pub fn module_name(rel_path: &str) -> String {
     let p = rel_path.strip_prefix("crates/").unwrap_or(rel_path);
     let p = p.replace("/src/", "/");
@@ -809,7 +807,7 @@ mod tests {
 
     #[test]
     fn module_names() {
-        assert_eq!(module_name("crates/net/src/rpc.rs"), "net/rpc");
+        assert_eq!(module_name("crates/net/src/tcp.rs"), "net/tcp");
         assert_eq!(
             module_name("crates/cli/src/bin/mendel.rs"),
             "cli/bin/mendel"

@@ -37,7 +37,7 @@ use std::time::Duration;
 const MAX_GAPPED_ANCHORS_PER_SUBJECT: usize = 16;
 
 /// Why (and when) a node entered the failed set.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 struct FailureRecord {
     /// True when the failure detector suspected the node
     /// ([`MendelCluster::sync_failure_detector`]); false for an
@@ -48,6 +48,12 @@ struct FailureRecord {
     /// at recovery means placement moved while the node was dark — its
     /// contents are stale and the group must be re-placed.
     group_epoch: u64,
+    /// Durable backend only: the keys the node held when its RAM was
+    /// dropped ([`MendelCluster::kill_node_process`]). Coverage and
+    /// repair derive the placed universe from RAM, so without these a
+    /// dead node's blocks would vanish from `expected` and lost data
+    /// would report as full coverage. Released by `recover_node`.
+    held: Vec<crate::block::BlockKey>,
 }
 
 /// What one [`MendelCluster::sync_failure_detector`] pass changed.
@@ -708,6 +714,11 @@ impl MendelCluster {
             return Err(MendelError::NoSuchNode(node));
         };
         let epoch = self.group_epochs.read()[g.0 as usize];
+        let held = if self.storage.is_some() {
+            self.nodes.read()[node.0 as usize].read().block_keys()
+        } else {
+            Vec::new()
+        };
         let mut failed = self.failed.write();
         if failed.contains_key(&node) {
             return Ok(false);
@@ -717,6 +728,7 @@ impl MendelCluster {
             FailureRecord {
                 auto,
                 group_epoch: epoch,
+                held,
             },
         );
         drop(failed);
@@ -727,7 +739,8 @@ impl MendelCluster {
     }
 
     /// Durable-backend half of a node failure: drop the store handle and
-    /// replace the node's in-memory state with an empty one. No-op in
+    /// replace the node's in-memory state with an empty one (the caller
+    /// has put the keys it held into the failure record). No-op in
     /// memory mode, where `fail_node` keeps RAM (the pre-durability
     /// semantics).
     fn kill_node_process(&self, node: NodeId) {
@@ -880,6 +893,9 @@ impl MendelCluster {
             let mut expected: HashSet<crate::block::BlockKey> = HashSet::new();
             for &m in topo.group_members(g) {
                 expected.extend(nodes[m.0 as usize].read().block_keys());
+                if let Some(rec) = self.failed.read().get(&m) {
+                    expected.extend(rec.held.iter().copied());
+                }
             }
             let mut holders: BTreeMap<crate::block::BlockKey, Vec<NodeId>> = BTreeMap::new();
             for &m in &live {
@@ -953,8 +969,9 @@ impl MendelCluster {
     }
 
     /// Block availability right now: per group, the distinct keys held
-    /// by *any* member (the placed universe — in-process data never
-    /// leaves a failed node) versus the keys reachable on live members.
+    /// by *any* member (the placed universe — a failed node keeps its
+    /// RAM on the memory backend, and its failure record keeps the keys
+    /// on the durable one) versus the keys reachable on live members.
     /// `degraded` means some placed block has no live replica and query
     /// answers may be incomplete.
     pub fn coverage(&self) -> CoverageReport {
@@ -985,6 +1002,9 @@ impl MendelCluster {
                     reachable.extend(keys.iter().copied());
                 }
                 expected.extend(keys);
+                if let Some(rec) = failed.get(&m) {
+                    expected.extend(rec.held.iter().copied());
+                }
             }
             out.blocks_expected += expected.len();
             out.blocks_reachable += reachable.len();

@@ -25,6 +25,13 @@
 //! [`query_via`] over [`mendel_net::TcpTransport`] so a cluster of real
 //! OS processes executes byte-identical traffic.
 //!
+//! Both tiers issue their requests and await the replies through one
+//! private request/reply layer (`request` / `gather`, DESIGN.md §16.3):
+//! request ids are never reused and carry the issuer's address, and a
+//! reply counts only under a pending id from the peer that was asked —
+//! so a late reply can neither answer a later query nor be mistaken for
+//! a request.
+//!
 //! Failure semantics (mirroring the in-process failover of
 //! `fail_node`): a group entry point that cannot hear a member within
 //! [`WireTimeouts::member`] answers with whoever responded; the client
@@ -46,8 +53,9 @@ use mendel_net::heartbeat::HEARTBEAT_CORRELATION;
 use mendel_net::mailbox::{Endpoint, Envelope, Network, NodeAddr, RecvError};
 use mendel_net::transport::Transport;
 use mendel_obs::{ActiveSpan, CriticalHop, SpanId, SpanRecord, TraceContext, TraceId, Tracer};
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -55,9 +63,6 @@ use std::time::{Duration, Instant};
 pub(crate) const TAG_NODE_QUERY: u8 = 1;
 pub(crate) const TAG_GROUP_QUERY: u8 = 2;
 pub(crate) const TAG_SHUTDOWN: u8 = 3;
-
-/// Correlation base for a group entry point's member scatter.
-const MEMBER_CORR_BASE: u64 = 1_000_000;
 
 /// Poll interval for serving loops checking their stop flag.
 const SERVE_POLL: Duration = Duration::from_millis(100);
@@ -88,6 +93,102 @@ impl Default for WireTimeouts {
 /// conventional simulated client; real front-ends pick high addresses).
 pub fn node_addr(node: NodeId) -> NodeAddr {
     NodeAddr(node.0 + 1)
+}
+
+// ---- The request/reply layer (DESIGN.md §16.3) ------------------------
+//
+// Both tiers of the §V-B scatter/gather — front-end → group entry
+// points, entry point → members — issue requests with `request` and
+// await them with `gather`; nothing else in this module matches a reply
+// to a request.
+
+/// Low 48 bits of a request id: the per-process sequence number.
+const REQUEST_SEQ_MASK: u64 = (1 << 48) - 1;
+
+/// Source of request sequence numbers, shared by every issuer in the
+/// process so an id is never handed out twice while the process lives.
+static NEXT_REQUEST: AtomicU64 = AtomicU64::new(1);
+
+/// A correlation id for a request issued by `me`: the issuer's address
+/// in the top 16 bits (its *id plane*, as `seed_trace_ids` does for
+/// span ids) over a sequence number that is never reused. A reply echoes
+/// the id, so an envelope in the receiver's own plane is by construction
+/// a reply to something it sent — never a request.
+fn fresh_request_id(me: NodeAddr) -> u64 {
+    // audit:ordering(Relaxed): unique-id allocation; RMW atomicity is all that is needed, no data is published through the value
+    let seq = NEXT_REQUEST.fetch_add(1, Ordering::Relaxed);
+    (u64::from(me.0) << 48) | (seq & REQUEST_SEQ_MASK)
+}
+
+/// Whether `correlation` lies in `me`'s id plane (see
+/// [`fresh_request_id`]).
+fn is_reply_to(me: NodeAddr, correlation: u64) -> bool {
+    correlation >> 48 == u64::from(me.0)
+}
+
+/// Requests awaiting their reply: id → the one peer allowed to answer
+/// it, and whatever the issuer needs back when it resolves.
+type Pending<K> = HashMap<u64, (NodeAddr, K)>;
+
+/// Send `payload` to `to` under a fresh id and park `key` in `pending`
+/// until [`gather`] sees the reply. A dead-letter send parks nothing and
+/// hands `key` back.
+fn request<T: Transport, K>(
+    transport: &T,
+    pending: &mut Pending<K>,
+    to: NodeAddr,
+    payload: Bytes,
+    trace: Option<TraceContext>,
+    key: K,
+) -> Option<K> {
+    let id = fresh_request_id(transport.addr());
+    if transport.send_traced(to, id, payload, trace) {
+        pending.insert(id, (to, key));
+        None
+    } else {
+        Some(key)
+    }
+}
+
+/// Await the replies to `pending` for up to `timeout`, handing each to
+/// `on_reply` with its parked key the moment it lands (span
+/// re-anchoring needs the receive instant). Requests still parked on
+/// return timed out.
+///
+/// A reply is accepted only under a pending id *and* from the peer that
+/// id was sent to. Any other envelope in this endpoint's own id plane
+/// is a reply nobody waits for any more — late, duplicated or forged —
+/// and is dropped here, so it can neither answer a later request nor
+/// reach the serving loop's tag dispatch. Envelopes in foreign planes
+/// are other issuers' requests and go to `on_foreign`.
+fn gather<T: Transport, K>(
+    transport: &T,
+    pending: &mut Pending<K>,
+    timeout: Duration,
+    mut on_reply: impl FnMut(K, Envelope),
+    mut on_foreign: impl FnMut(Envelope),
+) -> Result<(), RecvError> {
+    let me = transport.addr();
+    let start = Instant::now(); // audit:allow(instant-now): the gather deadline bounds a real recv_timeout; virtual time cannot wake it
+    while !pending.is_empty() {
+        let waited = start.elapsed();
+        if waited >= timeout {
+            break;
+        }
+        match transport.recv_timeout(timeout - waited) {
+            Ok(env) if is_reply_to(me, env.correlation) => {
+                if let Entry::Occupied(slot) = pending.entry(env.correlation) {
+                    if slot.get().0 == env.from {
+                        on_reply(slot.remove().1, env);
+                    }
+                }
+            }
+            Ok(env) => on_foreign(env),
+            Err(RecvError::Timeout) => break,
+            Err(RecvError::Disconnected) => return Err(RecvError::Disconnected),
+        }
+    }
+    Ok(())
 }
 
 /// The subset of [`QueryParams`] a storage node needs, in wire form.
@@ -483,6 +584,13 @@ impl Drop for WireCluster {
     }
 }
 
+/// What [`query_via`] parks per group request: the group, the index of
+/// the entry-point candidate asked, and — when traced — the open
+/// `group_rpc` span with its send instant. The span is finished when the
+/// reply (or the timeout) resolves the request, with the remote span
+/// tree re-anchored into the client's timeline on receipt.
+type GroupRequest = (GroupId, usize, Option<(ActiveSpan, Duration)>);
+
 /// Evaluate one query through `client` against a cluster of serving
 /// nodes reachable over any [`Transport`].
 ///
@@ -532,18 +640,12 @@ pub fn query_via<T: Transport>(
     let mut anchors: Vec<Hsp> = Vec::new();
     let mut responded: BTreeMap<GroupId, Vec<NodeId>> = BTreeMap::new();
     let mut down: BTreeSet<NodeId> = BTreeSet::new();
-    let mut corr = 1u64;
     // (group, candidate entry-point index) still needing an answer, in
     // group order.
     let mut round: Vec<(GroupId, usize)> = plan.groups.keys().map(|&g| (g, 0)).collect();
-    // Open per-group RPC spans as the scatter sends them; each is
-    // finished when its reply (or timeout) resolves, with the remote
-    // span tree re-anchored into this timeline on receipt.
-    let mut rpc_spans: HashMap<u64, (ActiveSpan, Duration)> = HashMap::new();
     while !round.is_empty() {
-        let batch: Vec<(GroupId, usize)> = std::mem::take(&mut round);
-        let mut pending: HashMap<u64, (GroupId, usize)> = HashMap::new();
-        for (g, mut idx) in batch {
+        let mut pending: Pending<GroupRequest> = HashMap::new();
+        for (g, mut idx) in std::mem::take(&mut round) {
             let members = topo.group_members(g);
             // Skip candidates another group's gather already proved dead.
             while members.get(idx).is_some_and(|m| down.contains(m)) {
@@ -560,85 +662,68 @@ pub fn query_via<T: Transport>(
                 offsets: plan.groups.get(&g).cloned().unwrap_or_default(),
                 params: wire_params.clone(),
             };
-            let mut span_entry = tracer.as_ref().zip(root.as_ref()).map(|(t, r)| {
+            let span_entry = tracer.as_ref().zip(root.as_ref()).map(|(t, r)| {
                 let mut span = t.child(&format!("group_rpc/{}", g.0), r.context());
                 span.tag("entry", gep.0);
                 (span, t.clock().now())
             });
             let ctx = span_entry.as_ref().map(|(span, _)| span.context());
-            if client.send_traced(node_addr(gep), corr, msg.to_bytes(), ctx) {
-                pending.insert(corr, (g, idx));
-                if let Some(entry) = span_entry {
-                    rpc_spans.insert(corr, entry);
-                }
-            } else {
+            let key = (g, idx, span_entry);
+            if let Some((_, _, span_entry)) = request(
+                client,
+                &mut pending,
+                node_addr(gep),
+                msg.to_bytes(),
+                ctx,
+                key,
+            ) {
                 // Dead letter: the entry point is unreachable right now.
                 down.insert(gep);
                 round.push((g, idx + 1));
-                if let Some((mut span, _)) = span_entry.take() {
+                if let Some((mut span, _)) = span_entry {
                     span.tag("error", "dead-letter");
                     span.finish();
                 }
             }
-            corr += 1;
         }
-        if pending.is_empty() {
-            continue;
-        }
-        let start = Instant::now(); // audit:allow(instant-now): wire-path RPC deadline bounds a real recv_timeout; virtual time cannot wake it
-        loop {
-            let waited = start.elapsed();
-            if waited >= timeouts.rpc || pending.is_empty() {
-                break;
-            }
-            match client.recv_timeout(timeouts.rpc - waited) {
-                Ok(env) => {
-                    let Some((g, _idx)) = pending.remove(&env.correlation) else {
-                        continue; // stray or late reply
-                    };
-                    let Ok(reply) = GroupReply::from_bytes(&env.payload) else {
-                        continue;
-                    };
-                    let members = topo.group_members(g);
-                    let answered: Vec<NodeId> =
-                        reply.responded.iter().map(|&r| NodeId(r)).collect();
-                    for &m in members {
-                        if !answered.contains(&m) {
-                            down.insert(m);
-                        }
-                    }
-                    if let Some((mut span, sent)) = rpc_spans.remove(&env.correlation) {
-                        if let Some(t) = tracer.as_ref() {
-                            let received = t.clock().now();
-                            let mut remote = reply.spans;
-                            reanchor_spans(&mut remote, sent, received);
-                            for r in remote {
-                                cluster.metrics_registry().tracer(r.node).record(r);
-                            }
-                        }
-                        span.tag("members", answered.len());
-                        span.tag("anchors", reply.hsps.len());
-                        span.finish();
-                    }
-                    anchors.extend(reply.hsps);
-                    responded.insert(g, answered);
-                }
-                Err(RecvError::Timeout) => break,
-                Err(RecvError::Disconnected) => {
-                    return Err(MendelError::Query(
-                        "wire gather failed: disconnected".into(),
-                    ))
+        // A front-end serves no requests: foreign envelopes are strays.
+        let on_foreign = |_| {};
+        let on_reply = |(g, _idx, span_entry): GroupRequest, env: Envelope| {
+            let Ok(reply) = GroupReply::from_bytes(&env.payload) else {
+                return;
+            };
+            let answered: Vec<NodeId> = reply.responded.iter().map(|&r| NodeId(r)).collect();
+            for &m in topo.group_members(g) {
+                if !answered.contains(&m) {
+                    down.insert(m);
                 }
             }
-        }
+            if let Some((mut span, sent)) = span_entry {
+                if let Some(t) = tracer.as_ref() {
+                    let received = t.clock().now();
+                    let mut remote = reply.spans;
+                    reanchor_spans(&mut remote, sent, received);
+                    for r in remote {
+                        cluster.metrics_registry().tracer(r.node).record(r);
+                    }
+                }
+                span.tag("members", answered.len());
+                span.tag("anchors", reply.hsps.len());
+                span.finish();
+            }
+            anchors.extend(reply.hsps);
+            responded.insert(g, answered);
+        };
+        gather(client, &mut pending, timeouts.rpc, on_reply, on_foreign)
+            .map_err(|_| MendelError::Query("wire gather failed: disconnected".into()))?;
         // Whatever is still pending timed out: mark the candidate entry
         // point down and move each group to its next member.
-        for (corr_id, (g, idx)) in pending.drain() {
+        for (_, (_, (g, idx, span_entry))) in pending.drain() {
             if let Some(&gep) = topo.group_members(g).get(idx) {
                 down.insert(gep);
             }
             round.push((g, idx + 1));
-            if let Some((mut span, _)) = rpc_spans.remove(&corr_id) {
+            if let Some((mut span, _)) = span_entry {
                 span.tag("error", "timeout");
                 span.finish();
             }
@@ -690,10 +775,12 @@ pub fn query_via<T: Transport>(
 /// The per-node serving loop, generic over the transport carrying it.
 ///
 /// Serves until `stop` is set, the transport disconnects, or a
-/// [`TAG_SHUTDOWN`] envelope arrives. Envelopes that arrive while the
+/// [`TAG_SHUTDOWN`] request arrives. Requests that arrive while the
 /// node is mid-gather as a group entry point are backlogged and served
 /// afterwards, so interleaved queries from multiple front-ends are
-/// reordered rather than dropped.
+/// reordered rather than dropped. Replies never get this far: an
+/// envelope in the node's own id plane is consumed or dropped by
+/// [`gather`], or dropped by the idle poll here.
 pub fn node_serve_loop<T: Transport>(
     cluster: &Arc<MendelCluster>,
     topo: &Topology,
@@ -711,6 +798,9 @@ pub fn node_serve_loop<T: Transport>(
         let env = match backlog.pop_front() {
             Some(env) => env,
             None => match transport.recv_timeout(SERVE_POLL) {
+                // A reply to a gather that has ended: only requests are
+                // dispatched on their tag.
+                Ok(env) if is_reply_to(transport.addr(), env.correlation) => continue,
                 Ok(env) => env,
                 Err(RecvError::Timeout) => continue,
                 Err(RecvError::Disconnected) => return,
@@ -811,28 +901,25 @@ fn serve_group_query<T: Transport>(
     });
     let mut shipped: Vec<SpanRecord> = Vec::new();
 
-    let peers: Vec<NodeId> = topo
-        .group_members(g)
-        .iter()
-        .copied()
-        .filter(|&n| n != me)
-        .collect();
     let sub = QueryMsg {
         tag: TAG_NODE_QUERY,
         ..msg.clone()
     };
     let sub_bytes = sub.to_bytes();
-    let mut pending: HashMap<u64, NodeId> = HashMap::new();
-    let mut sent_at: HashMap<u64, Duration> = HashMap::new();
-    for (i, &peer) in peers.iter().enumerate() {
-        let corr = MEMBER_CORR_BASE + i as u64;
-        if let Some(t) = tracer.as_ref() {
-            sent_at.insert(corr, t.clock().now());
-        }
-        if transport.send_traced(node_addr(peer), corr, sub_bytes.clone(), member_ctx) {
-            pending.insert(corr, peer);
-        }
+    // Each request parks the member asked and, when traced, the send
+    // instant its span tree is re-anchored against.
+    let mut pending: Pending<(NodeId, Option<Duration>)> = HashMap::new();
+    for &peer in topo.group_members(g).iter().filter(|&&n| n != me) {
+        let sent = tracer.as_ref().map(|t| t.clock().now());
         // A dead-letter send is simply a member that will not respond.
+        request(
+            transport,
+            &mut pending,
+            node_addr(peer),
+            sub_bytes.clone(),
+            member_ctx,
+            (peer, sent),
+        );
     }
     let eval_start = tracer.as_ref().map(|t| t.clock().now());
     let mut anchors = eval_local(cluster, me, msg);
@@ -851,41 +938,31 @@ fn serve_group_query<T: Transport>(
         shipped.push(rec);
     }
     let mut answered = vec![me];
-    let start = Instant::now(); // audit:allow(instant-now): member-gather deadline bounds a real recv_timeout; virtual time cannot wake it
-    while !pending.is_empty() {
-        let waited = start.elapsed();
-        if waited >= timeouts.member {
-            break;
+    let on_reply = |(peer, sent): (NodeId, Option<Duration>), resp: Envelope| {
+        let Ok((more, mut remote)) = decode_hsps_and_spans(&resp.payload) else {
+            return;
+        };
+        anchors.extend(more);
+        answered.push(peer);
+        if let (Some(t), Some(sent)) = (&tracer, sent) {
+            reanchor_spans(&mut remote, sent, t.clock().now());
+            for r in &remote {
+                cluster.metrics_registry().tracer(r.node).record(r.clone());
+            }
+            shipped.extend(remote);
         }
-        match transport.recv_timeout(timeouts.member - waited) {
-            Ok(resp) => match pending.remove(&resp.correlation) {
-                Some(peer) if resp.from == node_addr(peer) => {
-                    if let Ok((more, remote)) = decode_hsps_and_spans(&resp.payload) {
-                        anchors.extend(more);
-                        answered.push(peer);
-                        if let (Some(t), Some(&sent)) = (&tracer, sent_at.get(&resp.correlation)) {
-                            let mut remote = remote;
-                            reanchor_spans(&mut remote, sent, t.clock().now());
-                            for r in &remote {
-                                cluster.metrics_registry().tracer(r.node).record(r.clone());
-                            }
-                            shipped.extend(remote);
-                        }
-                    }
-                }
-                Some(peer) => {
-                    // Correlation collision from a different sender:
-                    // restore the pending slot and backlog the envelope.
-                    pending.insert(resp.correlation, peer);
-                    backlog.push_back(resp);
-                }
-                None if resp.correlation == HEARTBEAT_CORRELATION => {}
-                None => backlog.push_back(resp),
-            },
-            Err(RecvError::Timeout) => break,
-            Err(RecvError::Disconnected) => break,
-        }
-    }
+    };
+    // Other issuers' requests wait in the backlog until this one is
+    // answered. A disconnect ends the wait like the deadline does; the
+    // serving loop's next poll sees it too and stops.
+    let on_foreign = |env| backlog.push_back(env);
+    let _ = gather(
+        transport,
+        &mut pending,
+        timeouts.member,
+        on_reply,
+        on_foreign,
+    );
     answered.sort_unstable();
     // First aggregation stage (§V-B): merge overlapping anchors on the
     // same diagonal at the group entry point.
@@ -1317,5 +1394,176 @@ mod tests {
             assert!(outcome.unreachable.contains(&victim));
             assert_eq!(outcome.coverage.degraded, twin.coverage().degraded);
         }
+    }
+
+    // ---- Late replies (DESIGN.md §16.3) -------------------------------
+
+    /// Deliver `payload` from `from` to `to` once under every request
+    /// sequence number in `issued`, placed in `to`'s id plane: what a
+    /// late reply to each request `to` issued in that span looks like.
+    fn deliver_late(
+        wire: &WireCluster,
+        from: NodeAddr,
+        to: NodeAddr,
+        issued: std::ops::Range<u64>,
+        payload: &Bytes,
+    ) {
+        for seq in issued {
+            assert!(wire.network.send(Envelope {
+                from,
+                to,
+                correlation: (u64::from(to.0) << 48) | seq,
+                payload: payload.clone(),
+                trace: None,
+            }));
+        }
+    }
+
+    fn issued_so_far() -> u64 {
+        NEXT_REQUEST.load(Ordering::Relaxed)
+    }
+
+    fn bogus_anchors(n: u32) -> Vec<Hsp> {
+        (0..n)
+            .map(|i| Hsp {
+                subject_id: 900_000 + i,
+                query_start: 0,
+                query_end: 30,
+                subject_start: 0,
+                score: 99,
+            })
+            .collect()
+    }
+
+    /// A `GroupReply` to an earlier query that lands late — an id that
+    /// was really issued, from the entry point that was really asked —
+    /// is not the next query's answer.
+    #[test]
+    fn late_group_reply_does_not_answer_the_next_query() {
+        let cluster = cluster();
+        let topo = cluster.topology();
+        let wire = WireCluster::serve(cluster.clone());
+        let q = cluster.db().get(SeqId(2)).unwrap().residues.clone();
+        let params = QueryParams::protein();
+        let before = issued_so_far();
+        let clean = wire.query_outcome(&q, &params).unwrap();
+        let issued = before..issued_so_far();
+        assert!(!clean.hits.is_empty() && !issued.is_empty());
+
+        for &g in clean.responded.keys() {
+            let members = topo.group_members(g);
+            let empty = GroupReply {
+                responded: members.iter().map(|n| n.0).collect(),
+                hsps: Vec::new(),
+                spans: Vec::new(),
+            };
+            let entry = node_addr(members[0]);
+            deliver_late(
+                &wire,
+                entry,
+                wire.client.addr(),
+                issued.clone(),
+                &empty.to_bytes(),
+            );
+        }
+        let next = wire.query_outcome(&q, &params).unwrap();
+        assert_eq!(next.hits, clean.hits);
+        assert_eq!(next.coverage, clean.coverage);
+        assert_eq!(next.responded, clean.responded);
+    }
+
+    /// One level down: a member anchor set that answers an earlier group
+    /// query, arriving while the entry point gathers the next one, is
+    /// not merged into it.
+    #[test]
+    fn late_member_reply_is_not_merged_into_the_next_group_query() {
+        let cluster = cluster();
+        let topo = cluster.topology();
+        let wire = WireCluster::serve(cluster.clone());
+        let q = cluster.db().get(SeqId(2)).unwrap().residues.clone();
+        let params = QueryParams::protein();
+        let plan = pipeline::plan(&cluster, &q, &params).unwrap();
+        let (&g, offsets) = plan
+            .groups
+            .iter()
+            .find(|(&g, _)| topo.group_members(g).len() >= 2)
+            .expect("a queried group with two members");
+        let (entry, member) = (topo.group_members(g)[0], topo.group_members(g)[1]);
+        let group_query = QueryMsg {
+            tag: TAG_GROUP_QUERY,
+            query: q.clone(),
+            offsets: offsets.clone(),
+            params: WireParams::of(&params),
+        };
+        let node_query = QueryMsg {
+            tag: TAG_NODE_QUERY,
+            ..group_query.clone()
+        };
+        let stale = encode_hsps(&bogus_anchors(1));
+        // Play the front-end by hand, so the late replies can be queued
+        // right behind the group query. The entry point is first kept
+        // busy with node-local searches (answered under id 0, skipped
+        // below): everything queued here is in its inbox before it asks
+        // its members anything.
+        let ask = |id: u64, late: std::ops::Range<u64>| {
+            let to = node_addr(entry);
+            for _ in 0..8 {
+                assert!(wire.client.send(to, 0, node_query.to_bytes()));
+            }
+            assert!(wire.client.send(to, id, group_query.to_bytes()));
+            deliver_late(&wire, node_addr(member), to, late, &stale);
+            loop {
+                let env = wire.client.recv_timeout(Duration::from_secs(20)).unwrap();
+                if env.correlation == id {
+                    break GroupReply::from_bytes(&env.payload).unwrap();
+                }
+            }
+        };
+        let before = issued_so_far();
+        let clean = ask(1, 0..0);
+        let issued = before..issued_so_far();
+        assert!(!clean.hsps.is_empty() && !issued.is_empty());
+        let next = ask(2, issued);
+        assert_eq!(next, clean);
+    }
+
+    /// A member reply starts with its `u32` anchor count, so one with
+    /// exactly three anchors starts with the `TAG_SHUTDOWN` byte. Landing
+    /// at an idle node it is still a reply, and the node keeps serving.
+    #[test]
+    fn late_three_anchor_reply_does_not_stop_an_idle_node() {
+        let cluster = cluster();
+        let topo = cluster.topology();
+        let fast = WireTimeouts {
+            rpc: Duration::from_secs(5),
+            member: Duration::from_millis(400),
+        };
+        let wire = WireCluster::serve_with(cluster.clone(), &[], fast);
+        let q = cluster.db().get(SeqId(2)).unwrap().residues.clone();
+        let params = QueryParams::protein();
+        let before = issued_so_far();
+        let clean = wire.query_outcome(&q, &params).unwrap();
+        let issued = before..issued_so_far();
+        assert!(clean.unreachable.is_empty() && !issued.is_empty());
+
+        let three = encode_hsps(&bogus_anchors(3));
+        assert_eq!(three.first(), Some(&TAG_SHUTDOWN));
+        for g in topo.group_ids() {
+            let members = topo.group_members(g);
+            for (i, &node) in members.iter().enumerate() {
+                let peer = members[(i + 1) % members.len()];
+                deliver_late(
+                    &wire,
+                    node_addr(peer),
+                    node_addr(node),
+                    issued.clone(),
+                    &three,
+                );
+            }
+        }
+        let next = wire.query_outcome(&q, &params).unwrap();
+        assert_eq!(next.unreachable, Vec::<NodeId>::new());
+        assert_eq!(next.hits, clean.hits);
+        assert_eq!(next.coverage, clean.coverage);
     }
 }

@@ -83,42 +83,6 @@ impl NodeSpeed {
     }
 }
 
-/// A span of simulated time, composable serially ([`SimSpan::then`]) and
-/// in parallel ([`SimSpan::join`], which takes the maximum — the
-/// straggler defines the barrier).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
-pub struct SimSpan(Duration);
-
-impl SimSpan {
-    /// The empty span.
-    pub fn zero() -> Self {
-        SimSpan(Duration::ZERO)
-    }
-
-    /// A span of exactly `d`.
-    pub fn of(d: Duration) -> Self {
-        SimSpan(d)
-    }
-
-    /// Sequential composition: this stage, then `d` more.
-    #[must_use]
-    pub fn then(self, d: Duration) -> Self {
-        SimSpan(self.0 + d)
-    }
-
-    /// Parallel composition: both spans run concurrently; the longer one
-    /// bounds the result.
-    #[must_use]
-    pub fn join(self, other: SimSpan) -> Self {
-        SimSpan(self.0.max(other.0))
-    }
-
-    /// The accumulated simulated duration.
-    pub fn duration(&self) -> Duration {
-        self.0
-    }
-}
-
 /// Maximum over a set of parallel branch durations (zero when empty).
 pub fn parallel_max(branches: impl IntoIterator<Item = Duration>) -> Duration {
     branches.into_iter().max().unwrap_or(Duration::ZERO)
@@ -201,16 +165,6 @@ mod tests {
             .filter(|&i| NodeSpeed::paper_mix(i) == NodeSpeed::HP_DL160)
             .count();
         assert_eq!(fast, 25, "the testbed is a 25/25 split");
-    }
-
-    #[test]
-    fn simspan_serial_and_parallel() {
-        let a = SimSpan::of(Duration::from_millis(10)).then(Duration::from_millis(5));
-        let b = SimSpan::of(Duration::from_millis(12));
-        assert_eq!(a.duration(), Duration::from_millis(15));
-        assert_eq!(a.join(b).duration(), Duration::from_millis(15));
-        assert_eq!(b.join(a).duration(), Duration::from_millis(15));
-        assert_eq!(SimSpan::zero().duration(), Duration::ZERO);
     }
 
     #[test]

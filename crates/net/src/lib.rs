@@ -1,25 +1,31 @@
-//! # mendel-net — in-process message-passing substrate
+//! # mendel-net — envelope carriage for a Mendel cluster
 //!
-//! The paper evaluates Mendel on a 50-node LAN cluster. This crate is the
-//! repository's stand-in for that network (DESIGN.md §3): storage nodes
-//! run in one process but talk exclusively through typed, *byte-encoded*
-//! messages over per-node mailboxes, so the code paths exercised are the
-//! ones a wire deployment would run.
+//! The paper evaluates Mendel on a 50-node LAN cluster. Storage nodes
+//! talk exclusively through typed, *byte-encoded* [`Envelope`]s pushed
+//! through a [`Transport`]; this crate supplies the two carriers behind
+//! that trait and what they are tested with. Matching a reply to its
+//! request is not done here: the one request/reply layer sits where the
+//! traffic is, in `mendel::wire` (DESIGN.md §16.3).
 //!
 //! * [`codec`] — a compact little-endian binary wire format
 //!   ([`codec::Encode`]/[`codec::Decode`]) implemented from scratch; the
 //!   byte counts it produces feed the latency model,
-//! * [`mailbox`] — a [`mailbox::Network`] of unbounded per-node channels
-//!   with [`mailbox::Endpoint`] handles and global traffic accounting,
+//! * [`transport`] — the [`Transport`] seam: address, best-effort send,
+//!   blocking / bounded / non-blocking receive,
+//! * [`mailbox`] — the simulated carrier (DESIGN.md §3): a
+//!   [`mailbox::Network`] of unbounded per-node channels with
+//!   [`mailbox::Endpoint`] handles and global traffic accounting,
+//! * [`tcp`] + [`frame`] — the real carrier (DESIGN.md §16): the same
+//!   envelope bytes in length-prefixed frames over pooled, reconnecting
+//!   sockets,
 //! * [`latency`] — the simulated LAN cost model: per-message base latency,
-//!   per-byte transfer cost, per-node speed factors for the heterogeneous
-//!   cluster, and [`latency::SimSpan`] for composing serial/parallel
-//!   simulated timelines,
-//! * [`rpc`] — correlation-id request/response and scatter/gather on top
-//!   of the mailboxes, with retry/backoff policies,
+//!   per-byte transfer cost, and per-node speed factors for the
+//!   heterogeneous cluster,
+//! * [`heartbeat`] — liveness beats and the suspicion monitor,
 //! * [`fault`] — seeded, deterministic fault injection (drops, delays,
 //!   duplication, crash/restart schedules) consulted by the mailbox
-//!   network for chaos testing.
+//!   network for chaos testing,
+//! * [`metrics`] — the `mendel.net.*` counters of both carriers.
 
 pub mod codec;
 pub mod fault;
@@ -28,7 +34,6 @@ pub mod heartbeat;
 pub mod latency;
 pub mod mailbox;
 pub mod metrics;
-pub mod rpc;
 pub mod tcp;
 pub mod transport;
 
@@ -36,9 +41,8 @@ pub use codec::{Decode, DecodeError, Encode};
 pub use fault::{FaultConfig, FaultEvent, FaultEventKind, FaultPlan, Verdict, XorShift64};
 pub use frame::{FrameError, FRAME_MAGIC, MAX_FRAME};
 pub use heartbeat::HeartbeatMonitor;
-pub use latency::{LatencyModel, NodeSpeed, SimSpan};
+pub use latency::{LatencyModel, NodeSpeed};
 pub use mailbox::{Endpoint, Envelope, Network, NetworkStats, NodeAddr, RecvError};
-pub use metrics::{NetMetrics, RpcMetrics, TransportMetrics};
-pub use rpc::{RetryPolicy, RpcClient, RpcError};
+pub use metrics::{NetMetrics, TransportMetrics};
 pub use tcp::{TcpConfig, TcpTransport};
 pub use transport::{SimTransport, Transport};

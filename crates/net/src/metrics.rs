@@ -1,16 +1,14 @@
 //! Network-layer instrumentation (`mendel.net.*`).
 //!
-//! Two handle bundles mirror the crate's two layers:
+//! Two handle bundles mirror the crate's two carriers:
 //!
 //! * [`NetMetrics`] hangs off a [`crate::mailbox::Network`] and counts
 //!   traffic at the delivery point — per-peer sent/received bytes and
 //!   envelopes silently dropped by an installed
 //!   [`crate::fault::FaultPlan`] (probabilistic drops *and*
 //!   crash-blocks both surface as `Verdict::Drop` at the mailbox),
-//! * [`RpcMetrics`] hangs off an [`crate::rpc::RpcClient`] and counts
-//!   request-level events — retries, timeouts, parked out-of-order
-//!   responses, and late responses discarded against closed
-//!   correlations.
+//! * [`TransportMetrics`] hangs off a [`crate::tcp::TcpTransport`] and
+//!   counts wire activity — frames, framed bytes, connects.
 //!
 //! Both default to *detached* counters (functional atomics registered
 //! nowhere), so the substrate carries no registry unless a caller
@@ -86,41 +84,6 @@ impl NetMetrics {
     /// Record one fault-plan drop.
     pub fn record_drop(&self) {
         self.dropped_envelopes.inc();
-    }
-}
-
-/// Request-level counters for one [`crate::rpc::RpcClient`], under
-/// `mendel.net.rpc.*` when registered.
-#[derive(Debug, Clone, Default)]
-pub struct RpcMetrics {
-    /// Extra attempts beyond the first in
-    /// [`crate::rpc::RpcClient::call_with_retry`].
-    pub retries: Arc<Counter>,
-    /// Attempts that gave up waiting for a response.
-    pub timeouts: Arc<Counter>,
-    /// Out-of-order responses parked for a correlation someone else is
-    /// still waiting on.
-    pub parked: Arc<Counter>,
-    /// Late or duplicate responses discarded against a closed
-    /// correlation.
-    pub dropped_late: Arc<Counter>,
-}
-
-impl RpcMetrics {
-    /// Detached counters (registered nowhere).
-    pub fn detached() -> Self {
-        Self::default()
-    }
-
-    /// Counters registered under `mendel.net.rpc.*` in `registry`.
-    pub fn registered(registry: &Registry) -> Self {
-        let scope = registry.scoped("mendel.net.rpc");
-        RpcMetrics {
-            retries: scope.counter("retries"),
-            timeouts: scope.counter("timeouts"),
-            parked: scope.counter("parked"),
-            dropped_late: scope.counter("dropped_late"),
-        }
     }
 }
 
@@ -223,15 +186,5 @@ mod tests {
         let snap = r.snapshot();
         assert_eq!(snap.counter("mendel.net.dropped_envelopes"), 2);
         assert_eq!(snap.counter("mendel.net.delivered_envelopes"), 0);
-    }
-
-    #[test]
-    fn rpc_metrics_register_under_rpc_scope() {
-        let r = Registry::new();
-        let m = RpcMetrics::registered(&r);
-        m.retries.inc();
-        m.timeouts.add(2);
-        assert_eq!(r.snapshot().counter("mendel.net.rpc.retries"), 1);
-        assert_eq!(r.snapshot().counter("mendel.net.rpc.timeouts"), 2);
     }
 }

@@ -25,7 +25,7 @@
 //!   and redials with exponential backoff capped at
 //!   [`TcpConfig::reconnect_cap`]. A send that exhausts
 //!   [`TcpConfig::dial_attempts`] returns `false` — the dead-letter
-//!   signal the RPC retry layer already treats as transient.
+//!   signal the wire path answers by failing over to the next peer.
 //! * **Determinism boundary.** Everything *above* the transport stays
 //!   deterministic (same envelopes, same codec, same merge logic);
 //!   arrival interleaving across distinct senders is real-OS

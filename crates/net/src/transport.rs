@@ -1,10 +1,9 @@
 //! The `Transport` seam between messaging semantics and message carriage.
 //!
-//! Everything above the mailbox — RPC correlation, retry/backoff,
-//! scatter/gather, heartbeats, the wire-mode cluster — needs only five
-//! operations: know its own address, push an [`Envelope`] toward a peer,
-//! and pull delivered envelopes back out (blocking, bounded-wait, or
-//! non-blocking). [`Transport`] names exactly that surface so the same
+//! Everything above the mailbox — heartbeats, the wire-mode cluster and
+//! its request/reply gather — needs only five operations: know its own
+//! address, push an [`Envelope`] toward a peer, and pull delivered
+//! envelopes back out (blocking, bounded-wait, or non-blocking). [`Transport`] names exactly that surface so the same
 //! protocol code runs over two interchangeable carriers:
 //!
 //! * [`SimTransport`] — the deterministic in-process substrate
@@ -52,9 +51,8 @@ pub trait Transport: Send + Sync {
     fn addr(&self) -> NodeAddr;
 
     /// Hand one envelope to the carrier. `false` means the envelope is
-    /// already known lost (the RPC layer maps this to
-    /// [`crate::rpc::RpcError::DeadLetter`], which is transient and
-    /// retried).
+    /// already known lost (a dead letter: the wire path marks the peer
+    /// unreachable and fails over).
     fn send_envelope(&self, env: Envelope) -> bool;
 
     /// Block until an envelope arrives or the carrier shuts down.

@@ -6,19 +6,18 @@
 //! mailboxes) and [`TcpTransport`] (real loopback sockets) via a
 //! fixture that builds N mutually-reachable endpoints. The point is to
 //! stop the backends drifting semantically: per-peer FIFO ordering,
-//! dead-letter signalling, RPC timeout → retry → success, and heartbeat
-//! liveness must hold identically whether envelopes cross a channel or
+//! dead-letter signalling, replies pairing with their request, typed
+//! receive timeouts, and heartbeat liveness must hold identically whether envelopes cross a channel or
 //! a socket.
 
 use bytes::Bytes;
 use mendel_net::heartbeat::{beat_until_stopped, HeartbeatMonitor, HEARTBEAT_CORRELATION};
-use mendel_net::mailbox::{Network, NodeAddr};
-use mendel_net::rpc::{serve_one_on, RetryPolicy, RpcClient, RpcError};
+use mendel_net::mailbox::{Network, NodeAddr, RecvError};
 use mendel_net::tcp::{TcpConfig, TcpTransport};
 use mendel_net::transport::{SimTransport, Transport};
 use mendel_net::TransportMetrics;
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
@@ -125,58 +124,45 @@ mod suite {
         h2.join().expect("sender 2");
     }
 
-    /// A request to a peer that never answers times out; the same
-    /// request under a retry policy succeeds once the peer starts
-    /// answering — and the successful response pairs with the *retry's*
-    /// correlation id, not a stale one.
-    pub fn rpc_timeout_then_retry_then_success<F: Fixture>() {
+    /// A reply sent to a request's `from` under the request's
+    /// correlation id reaches the requester, carrying that id and the
+    /// replier's address — what the wire path's gather matches on. Over
+    /// TCP this is the learned reply route back down the request's
+    /// connection.
+    pub fn reply_pairs_with_request_id_and_sender<F: Fixture>() {
         let mut clique = F::clique(2);
         let server = clique.pop().expect("server");
-        let client = RpcClient::over(clique.pop().expect("client"));
-        let server_addr = server.addr();
-        // The server deliberately swallows the first two requests.
-        let served = Arc::new(AtomicU32::new(0));
-        let served2 = Arc::clone(&served);
+        let client = clique.pop().expect("client");
+        let (server_addr, client_addr) = (server.addr(), client.addr());
         let h = thread::spawn(move || {
-            let mut seen = 0u32;
-            loop {
-                if seen < 2 {
-                    if server.recv_timeout(T).is_ok() {
-                        seen += 1;
-                    }
-                    continue;
-                }
-                let ok = serve_one_on::<_, u32, u32>(&server, T, |_, x| {
-                    served2.fetch_add(1, Ordering::SeqCst);
-                    x * 3
-                });
-                if matches!(ok, Ok(true)) {
-                    return;
-                }
+            for _ in 0..2 {
+                let req = server.recv_timeout(T).expect("request");
+                assert_eq!(req.from, client_addr);
+                let x = u32::from_le_bytes(req.payload[..].try_into().expect("u32 payload"));
+                let reply = Bytes::from((x * 3).to_le_bytes().to_vec());
+                assert!(server.send(req.from, req.correlation, reply));
             }
         });
-        let policy = RetryPolicy::retries(5, Duration::from_millis(250), Duration::from_millis(2));
-        let resp: u32 = client
-            .call_with_retry(server_addr, &14u32, &policy)
-            .expect("retry reaches the answering server");
-        assert_eq!(resp, 42);
-        assert_eq!(served.load(Ordering::SeqCst), 1);
-        assert!(
-            client.metrics().retries.get() >= 2,
-            "the swallowed attempts were retried"
-        );
+        let ids = [(7u64 << 48) | 1, 42];
+        for (id, x) in ids.into_iter().zip([14u32, 5]) {
+            assert!(client.send(server_addr, id, Bytes::from(x.to_le_bytes().to_vec())));
+            let resp = client.recv_timeout(T).expect("reply");
+            assert_eq!((resp.from, resp.correlation), (server_addr, id));
+            assert_eq!(&resp.payload[..], &(x * 3).to_le_bytes());
+        }
         h.join().expect("server thread");
     }
 
-    /// A request with no server at all times out with the typed error.
-    pub fn rpc_timeout_is_typed<F: Fixture>() {
+    /// A request nobody answers ends in the typed, transient timeout.
+    pub fn unanswered_request_times_out_typed<F: Fixture>() {
         let mut clique = F::clique(2);
-        let _silent = clique.pop().expect("silent");
-        let client = RpcClient::over(clique.pop().expect("client"));
+        let silent = clique.pop().expect("silent");
+        let client = clique.pop().expect("client");
+        assert!(client.send(silent.addr(), 1, Bytes::new()));
         let err = client
-            .call::<u32, u32>(_silent.addr(), &1, Duration::from_millis(80))
+            .recv_timeout(Duration::from_millis(80))
             .expect_err("nobody answers");
-        assert_eq!(err, RpcError::Timeout);
+        assert_eq!(err, RecvError::Timeout);
     }
 
     /// Heartbeats keep a node alive in the monitor; silence past the
@@ -273,13 +259,13 @@ macro_rules! conformance {
             }
 
             #[test]
-            fn rpc_timeout_then_retry_then_success() {
-                suite::rpc_timeout_then_retry_then_success::<$fixture>();
+            fn reply_pairs_with_request_id_and_sender() {
+                suite::reply_pairs_with_request_id_and_sender::<$fixture>();
             }
 
             #[test]
-            fn rpc_timeout_is_typed() {
-                suite::rpc_timeout_is_typed::<$fixture>();
+            fn unanswered_request_times_out_typed() {
+                suite::unanswered_request_times_out_typed::<$fixture>();
             }
 
             #[test]

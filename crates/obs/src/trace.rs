@@ -76,7 +76,7 @@ pub struct SpanRecord {
     pub parent: Option<SpanId>,
     /// Node the work ran on.
     pub node: u32,
-    /// Span name (e.g. `query`, `group/2`, `rpc.attempt`).
+    /// Span name (e.g. `query`, `group/2`, `group_rpc/2`).
     pub name: String,
     /// Start offset on the trace's clock.
     pub start: Duration,

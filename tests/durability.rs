@@ -202,3 +202,43 @@ fn memory_backend_exposes_no_vfs() {
         0
     );
 }
+
+/// `fail_node` on the durable backend drops the node's RAM, which is
+/// where coverage and repair read the placed universe from. The dead
+/// node's blocks must stay in `expected` all the same: unreplicated,
+/// they are lost until it recovers, exactly as the memory backend (which
+/// keeps a failed node's RAM) reports it.
+#[test]
+fn dead_durable_node_keeps_its_blocks_in_expected_coverage() {
+    let db = db(45);
+    let build = |storage: StorageBackend| {
+        let cfg = ClusterConfig {
+            replication: 1,
+            storage,
+            ..ClusterConfig::small_protein()
+        };
+        MendelCluster::build(cfg, db.clone()).unwrap()
+    };
+    let memory = build(StorageBackend::Memory);
+    let durable = build(StorageBackend::Durable(StoreOptions::default()));
+    let q = db.get(SeqId(3)).unwrap().residues.clone();
+    let params = QueryParams::protein();
+    let full = durable.coverage();
+    assert!(!full.degraded);
+    assert_eq!(full, memory.coverage());
+
+    memory.fail_node(NodeId(1)).unwrap();
+    durable.fail_node(NodeId(1)).unwrap();
+    let degraded = memory.coverage();
+    assert!(degraded.degraded && degraded.blocks_expected == full.blocks_expected);
+    assert_eq!(durable.coverage(), degraded);
+    assert_eq!(durable.query(&q, &params).unwrap().coverage, degraded);
+    assert_eq!(memory.query(&q, &params).unwrap().coverage, degraded);
+    let lost = full.blocks_expected - degraded.blocks_reachable;
+    assert_eq!(memory.repair().unreachable, lost);
+    assert_eq!(durable.repair().unreachable, lost);
+
+    durable.recover_node(NodeId(1)).unwrap();
+    assert_eq!(durable.coverage(), full);
+    assert_eq!(durable.query(&q, &params).unwrap().coverage, full);
+}

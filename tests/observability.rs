@@ -12,21 +12,19 @@
 //!    fan-out counter == `stats.groups_contacted`, one turnaround sample
 //!    per query, and identical serial runs produce identical counter
 //!    deltas.
-//! 3. **fault injection** — envelope-drop and RPC-retry counters must
+//! 3. **fault injection** — the envelope drop and delivery counters must
 //!    equal the counts obtained by replaying the seeded [`FaultPlan`]'s
 //!    verdict stream offline. Fault decisions are per-edge sequences, so
 //!    a fresh plan with the same seed replays them exactly.
 
 use mendel_suite::core::{ClusterConfig, MendelCluster, QueryParams};
 use mendel_suite::net::fault::{FaultConfig, FaultPlan};
-use mendel_suite::net::{Encode, Network, RetryPolicy, RpcClient, RpcMetrics, Verdict};
+use mendel_suite::net::{Encode, Network, Verdict};
 use mendel_suite::obs::Registry;
 use mendel_suite::seq::gen::NrLikeSpec;
 use mendel_suite::seq::{BlockDistance, MatrixDistance, ScoringMatrix, SeqId, SeqStore, Unbounded};
 use mendel_suite::vptree::{SearchMetrics, VpTree};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 const WINDOW_LEN: usize = 48;
 const K: usize = 6;
@@ -349,81 +347,4 @@ fn crash_blocked_envelopes_land_in_the_drop_counter() {
         "the drop counter covers probabilistic drops and crash blocks"
     );
     assert_eq!(snap.counter("mendel.net.delivered_envelopes"), 0);
-}
-
-#[test]
-fn rpc_retry_counters_match_replayed_fault_verdicts() {
-    const CALLS: usize = 12;
-    let seed = 0x0E2;
-    let drop_prob = 0.4;
-
-    let registry = Registry::new();
-    let net = Network::new();
-    net.set_metrics_registry(&registry);
-    let plan = Arc::new(FaultPlan::new(FaultConfig::drops(seed, drop_prob)));
-    net.set_fault_plan(Some(plan.clone()));
-
-    let mut client = RpcClient::new(net.join());
-    client.set_metrics(RpcMetrics::registered(&registry));
-    let server_ep = net.join();
-    let server_addr = server_ep.addr();
-    let client_addr = client.addr();
-
-    let stop = Arc::new(AtomicBool::new(false));
-    let server = {
-        let stop = stop.clone();
-        std::thread::spawn(move || {
-            while !stop.load(Ordering::Relaxed) {
-                let _ = mendel_suite::net::rpc::serve_one::<u32, u32>(
-                    &server_ep,
-                    Duration::from_millis(5),
-                    |_, x| x + 1,
-                );
-            }
-        })
-    };
-
-    // A generous per-attempt timeout: local delivery is instant, so an
-    // attempt fails if and only if the request or the reply is dropped.
-    let policy = RetryPolicy::retries(30, Duration::from_secs(2), Duration::ZERO);
-    for i in 0..CALLS {
-        let resp: u32 = client
-            .call_with_retry(server_addr, &(i as u32), &policy)
-            .unwrap();
-        assert_eq!(resp, i as u32 + 1);
-    }
-    stop.store(true, Ordering::Relaxed);
-    server.join().unwrap();
-
-    // Replay: an attempt consumes one request verdict; a delivered
-    // request consumes one reply verdict; the attempt succeeds when both
-    // survive.
-    let replay = FaultPlan::new(FaultConfig::drops(seed, drop_prob));
-    let mut failed_attempts = 0u64;
-    for _ in 0..CALLS {
-        loop {
-            if replay.decide(client_addr, server_addr) == Verdict::Drop {
-                failed_attempts += 1;
-                continue;
-            }
-            if replay.decide(server_addr, client_addr) == Verdict::Drop {
-                failed_attempts += 1;
-                continue;
-            }
-            break;
-        }
-    }
-
-    let snap = registry.snapshot();
-    assert_eq!(
-        snap.counter("mendel.net.rpc.retries"),
-        failed_attempts,
-        "every replayed failed attempt is one retry"
-    );
-    assert_eq!(snap.counter("mendel.net.rpc.timeouts"), failed_attempts);
-    assert_eq!(
-        snap.counter("mendel.net.dropped_envelopes"),
-        plan.stats().dropped()
-    );
-    assert!(failed_attempts > 0, "plan must actually drop at this rate");
 }
