@@ -187,7 +187,13 @@ if [ "$MODE" != "quick" ]; then
     step "benchmark package builds + tests against the tree" bench_package
 fi
 
-# 16. The gate reads the tree; it must not rewrite it. Any tracked file
+# 16. The alternating-pairs A/B runner (ab.sh) is a measurement tool,
+#    not a gate step — a ten-pair run takes most of an hour — so the
+#    gate only keeps it parsing and answering `--help`.
+ab_script() { bash -n ab.sh && ./ab.sh --help >/dev/null; }
+step "ab.sh parses and prints its usage" ab_script
+
+# 17. The gate reads the tree; it must not rewrite it. Any tracked file
 #    that differs from its state when the gate started (a step that
 #    regenerates a checked-in report, say) fails the run.
 step "gate left tracked files untouched" test "$(git status --porcelain -uno)" = "$DIRTY_BEFORE"

@@ -2,9 +2,10 @@
 //! query pipeline (§V-B), the simulated cluster clock (DESIGN.md §3),
 //! fault tolerance and elasticity (§VII-B extensions).
 
-use crate::block::make_blocks;
+use crate::block::{make_blocks, Block, BlockKey};
 use crate::config::{ClusterConfig, StorageBackend};
 use crate::error::MendelError;
+use crate::ledger::Ledger;
 use crate::metric::BlockMetric;
 use crate::node::{DbCell, StorageNode};
 use crate::params::QueryParams;
@@ -26,7 +27,7 @@ use mendel_store::{DurableStore, MemVfs, StoreMetrics, StoreOptions, Vfs};
 use mendel_vptree::{GroupAssignment, SearchMetrics, VpPrefixTree};
 use parking_lot::{Mutex, RwLock};
 use rayon::prelude::*;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -37,7 +38,7 @@ use std::time::Duration;
 const MAX_GAPPED_ANCHORS_PER_SUBJECT: usize = 16;
 
 /// Why (and when) a node entered the failed set.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct FailureRecord {
     /// True when the failure detector suspected the node
     /// ([`MendelCluster::sync_failure_detector`]); false for an
@@ -48,12 +49,6 @@ struct FailureRecord {
     /// at recovery means placement moved while the node was dark — its
     /// contents are stale and the group must be re-placed.
     group_epoch: u64,
-    /// Durable backend only: the keys the node held when its RAM was
-    /// dropped ([`MendelCluster::kill_node_process`]). Coverage and
-    /// repair derive the placed universe from RAM, so without these a
-    /// dead node's blocks would vanish from `expected` and lost data
-    /// would report as full coverage. Released by `recover_node`.
-    held: Vec<crate::block::BlockKey>,
 }
 
 /// What one [`MendelCluster::sync_failure_detector`] pass changed.
@@ -104,6 +99,15 @@ pub struct MendelCluster {
     assignment: GroupAssignment,
     placement: FlatPlacement,
     nodes: RwLock<Vec<Arc<RwLock<StorageNode>>>>,
+    /// Who holds which block key (DESIGN.md §9): written by
+    /// [`Self::place`] and [`Self::reset_node`], read by coverage and
+    /// repair. Taken last and held across no other acquisition.
+    ledger: RwLock<Ledger>,
+    /// Oracle state for [`Self::check_ledger`]: the keys each dark
+    /// (killed, not yet restored) durable node held when its RAM was
+    /// dropped, which the sweep cannot read back from anywhere else.
+    #[cfg(any(test, feature = "strict-invariants"))]
+    dark_keys: Mutex<HashMap<NodeId, Vec<BlockKey>>>,
     failed: RwLock<HashMap<NodeId, FailureRecord>>,
     /// Per-group rebalance counters backing stale-recovery detection.
     group_epochs: RwLock<Vec<u64>>,
@@ -218,6 +222,9 @@ impl MendelCluster {
             assignment,
             placement,
             nodes: RwLock::new(nodes),
+            ledger: RwLock::new(Ledger::new(groups)),
+            #[cfg(any(test, feature = "strict-invariants"))]
+            dark_keys: Mutex::new(HashMap::new()),
             failed: RwLock::new(HashMap::new()),
             group_epochs: RwLock::new(vec![0; groups]),
             repair_moves: AtomicU64::new(0),
@@ -308,7 +315,7 @@ impl MendelCluster {
         let db = self.db.read().clone();
         // Route blocks to per-node batches (parallel over sequences, then
         // merged; routing is hashing-dominated).
-        let per_seq: Vec<Vec<(NodeId, crate::block::Block)>> = db
+        let per_seq: Vec<Vec<(NodeId, Block)>> = db
             .iter()
             .collect::<Vec<_>>()
             .par_iter()
@@ -324,39 +331,67 @@ impl MendelCluster {
             })
             .collect();
 
-        let mut batches: Vec<Vec<crate::block::Block>> = vec![Vec::new(); self.config.nodes];
+        let mut batches: Vec<Vec<Block>> = vec![Vec::new(); self.config.nodes];
         for routed in per_seq {
             for (node, b) in routed {
                 batches[node.0 as usize].push(b);
             }
         }
-        drop(topo);
 
         let nodes = self.nodes.read();
-        batches.into_par_iter().enumerate().try_for_each(
-            |(i, batch)| -> Result<(), MendelError> {
-                if batch.is_empty() {
-                    return Ok(());
-                }
-                // Durable backend: a block is acknowledged only once its
-                // WAL record is on disk, so persist *before* the RAM
-                // insert consumes the batch.
-                self.persist_blocks(i, &batch)?;
-                nodes[i].write().insert_blocks(batch);
-                Ok(())
-            },
-        )?;
+        batches
+            .into_par_iter()
+            .enumerate()
+            .filter(|(_, batch)| !batch.is_empty())
+            .try_for_each(|(i, batch)| self.place(&topo, &nodes, NodeId(i as u16), batch))?;
+        drop((nodes, topo));
+        self.assert_ledger("index_all");
         Ok(())
+    }
+
+    /// The one write path for block copies: give `node` a batch of
+    /// blocks. Persist, then ledger, then RAM — the durable backend
+    /// acknowledges a block only once its WAL record is on disk, so a
+    /// copy that never became durable is never claimed by coverage or
+    /// served from RAM.
+    fn place(
+        &self,
+        topo: &Topology,
+        nodes: &[Arc<RwLock<StorageNode>>],
+        node: NodeId,
+        blocks: Vec<Block>,
+    ) -> Result<(), MendelError> {
+        let g = topo.node_group(node).ok_or(MendelError::NoSuchNode(node))?;
+        self.persist_blocks(node.0 as usize, &blocks)?;
+        self.ledger
+            .write()
+            .place(g, node, blocks.iter().map(Block::key));
+        nodes[node.0 as usize].write().insert_blocks(blocks);
+        Ok(())
+    }
+
+    /// The one wholesale reset: replace `node`'s RAM with an empty
+    /// [`StorageNode`]. `strike_from` names the node's group when its
+    /// holdings are to be struck from the ledger too, for the caller to
+    /// place anew; `None` leaves the ledger alone — the node went dark,
+    /// and what it held stays placed (expected, and unreachable until it
+    /// comes back).
+    fn reset_node(
+        &self,
+        nodes: &[Arc<RwLock<StorageNode>>],
+        node: NodeId,
+        strike_from: Option<GroupId>,
+    ) {
+        *nodes[node.0 as usize].write() = self.fresh_node(node.0 as usize);
+        if let Some(g) = strike_from {
+            self.ledger.write().clear(g, node);
+        }
     }
 
     /// Append `blocks` to node `node`'s durable store (no-op in memory
     /// mode or while the node's process is down). The store's fsync
     /// policy decides when the records become crash-proof.
-    fn persist_blocks(
-        &self,
-        node: usize,
-        blocks: &[crate::block::Block],
-    ) -> Result<(), MendelError> {
+    fn persist_blocks(&self, node: usize, blocks: &[Block]) -> Result<(), MendelError> {
         let Some(st) = &self.storage else {
             return Ok(());
         };
@@ -507,8 +542,8 @@ impl MendelCluster {
     /// vp-tree once for every query routed to it, and per-query `hits`
     /// are bit-identical to [`Self::query`]. Admission control applies
     /// per query — a shed query errors, the rest of the batch proceeds.
-    /// Each report's `metrics` delta and node scan times cover the whole
-    /// call, and the reports share one coverage sweep.
+    /// Each report's `metrics` delta, node scan times and coverage
+    /// report cover the whole call.
     pub fn query_batch(
         &self,
         queries: &[Vec<u8>],
@@ -523,8 +558,19 @@ impl MendelCluster {
         &self.obs
     }
 
-    /// A point-in-time snapshot of every cluster metric.
+    /// A point-in-time snapshot of every cluster metric. The
+    /// `mendel.coverage.*` gauges are brought up to date here, the one
+    /// place they are written, so an exposition shows a degraded cluster
+    /// even when nobody is querying it.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
+        let coverage = self.coverage();
+        let gauge = |name: &str, v: usize| self.obs.gauge(name).set(v as i64);
+        gauge("mendel.coverage.blocks_expected", coverage.blocks_expected);
+        gauge(
+            "mendel.coverage.blocks_reachable",
+            coverage.blocks_reachable,
+        );
+        gauge("mendel.coverage.degraded", coverage.degraded as usize);
         self.obs.snapshot()
     }
 
@@ -713,36 +759,25 @@ impl MendelCluster {
         let Some(g) = self.topology.read().node_group(node) else {
             return Err(MendelError::NoSuchNode(node));
         };
-        let epoch = self.group_epochs.read()[g.0 as usize];
-        let held = if self.storage.is_some() {
-            self.nodes.read()[node.0 as usize].read().block_keys()
-        } else {
-            Vec::new()
-        };
+        let group_epoch = self.group_epochs.read()[g.0 as usize];
         let mut failed = self.failed.write();
         if failed.contains_key(&node) {
             return Ok(false);
         }
-        failed.insert(
-            node,
-            FailureRecord {
-                auto,
-                group_epoch: epoch,
-                held,
-            },
-        );
+        failed.insert(node, FailureRecord { auto, group_epoch });
         drop(failed);
         // Durable backend: a failure is a true process kill — the node's
         // RAM and store handle die; only its disk survives.
         self.kill_node_process(node);
+        self.assert_ledger("mark_failed");
         Ok(true)
     }
 
     /// Durable-backend half of a node failure: drop the store handle and
-    /// replace the node's in-memory state with an empty one (the caller
-    /// has put the keys it held into the failure record). No-op in
-    /// memory mode, where `fail_node` keeps RAM (the pre-durability
-    /// semantics).
+    /// replace the node's in-memory state with an empty one. The ledger
+    /// keeps what the node held: a dark node's blocks stay expected, so
+    /// lost data never reads as full coverage. No-op in memory mode,
+    /// where `fail_node` keeps RAM (the pre-durability semantics).
     fn kill_node_process(&self, node: NodeId) {
         let Some(st) = &self.storage else { return };
         let cell = {
@@ -753,9 +788,12 @@ impl MendelCluster {
             }
         };
         *cell.lock() = None;
-        let fresh = self.fresh_node(node.0 as usize);
         let nodes = self.nodes.read();
-        *nodes[node.0 as usize].write() = fresh;
+        #[cfg(any(test, feature = "strict-invariants"))]
+        self.dark_keys
+            .lock()
+            .insert(node, nodes[node.0 as usize].read().block_keys());
+        self.reset_node(&nodes, node, None);
     }
 
     /// Durable-backend half of a node recovery: reopen the on-disk store
@@ -763,7 +801,7 @@ impl MendelCluster {
     /// truncation), rebuild the node's vp-tree from the scanned blocks,
     /// and time the whole thing into `mendel.store.recovery.seconds`.
     /// No-op in memory mode.
-    fn restore_node_from_disk(&self, node: NodeId) -> Result<(), MendelError> {
+    fn restore_node_from_disk(&self, node: NodeId, g: GroupId) -> Result<(), MendelError> {
         let Some(st) = &self.storage else {
             return Ok(());
         };
@@ -783,7 +821,7 @@ impl MendelCluster {
             st.opts,
             st.metrics.clone(),
         )?;
-        let blocks: Vec<crate::block::Block> = store
+        let blocks: Vec<Block> = store
             .scan()?
             .into_iter()
             .filter_map(|s| {
@@ -792,19 +830,25 @@ impl MendelCluster {
                 let key: [u8; 8] = s.key.as_slice().try_into().ok()?;
                 let seq = u32::from_le_bytes([key[0], key[1], key[2], key[3]]);
                 let start = u32::from_le_bytes([key[4], key[5], key[6], key[7]]);
-                Some(crate::block::Block {
+                Some(Block {
                     seq: SeqId(seq),
                     start,
                     window: WindowView::new(s.backing, s.offset as usize, s.len as usize),
                 })
             })
             .collect();
-        let mut fresh = self.fresh_node(idx);
-        fresh.insert_blocks(blocks);
+        // The disk has been read, so nothing below can fail: the node
+        // now holds exactly what its disk does. Its store cell is still
+        // empty, so `place` appends nothing back to the WAL being
+        // replayed.
         {
+            let topo = self.topology.read();
             let nodes = self.nodes.read();
-            *nodes[idx].write() = fresh;
+            self.reset_node(&nodes, node, Some(g));
+            self.place(&topo, &nodes, node, blocks)?;
         }
+        #[cfg(any(test, feature = "strict-invariants"))]
+        self.dark_keys.lock().remove(&node);
         *cell.lock() = Some(store);
         let elapsed = clock.now().saturating_sub(started);
         self.obs
@@ -820,23 +864,26 @@ impl MendelCluster {
     /// node's group rebalanced while it was down (its failure-time epoch
     /// no longer matches), its contents reflect a stale placement — the
     /// whole group is re-placed so queries never see pre-rebalance
-    /// layout.
+    /// layout. A durable node whose disk cannot be read back stays
+    /// failed, its blocks still expected and unreachable.
     pub fn recover_node(&self, node: NodeId) -> Result<(), MendelError> {
         let Some(g) = self.topology.read().node_group(node) else {
             return Err(MendelError::NoSuchNode(node));
         };
-        let record = self.failed.write().remove(&node);
-        if let Some(rec) = record {
-            // Durable backend: the process is restarting from disk —
-            // replay the WAL and rebuild the vp-tree before the node
-            // serves anything.
-            self.restore_node_from_disk(node)?;
-            let current = self.group_epochs.read()[g.0 as usize];
-            if rec.group_epoch != current {
-                let topo = self.topology.read().clone();
-                self.rebalance_group(&topo, g);
-            }
+        let Some(rec) = self.failed.read().get(&node).copied() else {
+            return Ok(());
+        };
+        // Durable backend: the process is restarting from disk — replay
+        // the WAL and rebuild the vp-tree before the node serves
+        // anything, and leave the failed set only once that worked.
+        self.restore_node_from_disk(node, g)?;
+        self.failed.write().remove(&node);
+        let current = self.group_epochs.read()[g.0 as usize];
+        if rec.group_epoch != current {
+            let topo = self.topology.read().clone();
+            self.rebalance_group(&topo, g);
         }
+        self.assert_ledger("recover_node");
         Ok(())
     }
 
@@ -890,33 +937,18 @@ impl MendelCluster {
         for g in topo.group_ids() {
             let live = self.live_members(&topo, g);
             let nodes = self.nodes.read();
-            let mut expected: HashSet<crate::block::BlockKey> = HashSet::new();
-            for &m in topo.group_members(g) {
-                expected.extend(nodes[m.0 as usize].read().block_keys());
-                if let Some(rec) = self.failed.read().get(&m) {
-                    expected.extend(rec.held.iter().copied());
-                }
-            }
-            let mut holders: BTreeMap<crate::block::BlockKey, Vec<NodeId>> = BTreeMap::new();
-            for &m in &live {
-                for k in nodes[m.0 as usize].read().block_keys() {
-                    holders.entry(k).or_default().push(m);
-                }
-            }
-            report.blocks_scanned += expected.len();
-            report.unreachable += expected.len() - holders.len();
-            if live.is_empty() {
-                continue;
-            }
             let want = self.placement.replication.min(live.len());
-            let mut adds: BTreeMap<NodeId, Vec<crate::block::Block>> = BTreeMap::new();
-            let mut cache: HashMap<NodeId, BTreeMap<crate::block::BlockKey, crate::block::Block>> =
-                HashMap::new();
+            let short = {
+                let ledger = self.ledger.read();
+                let expected = ledger.expected(g);
+                report.blocks_scanned += expected;
+                report.unreachable += expected - ledger.reachable(g, |n| live.contains(&n));
+                ledger.under_replicated(g, &live, want)
+            };
+            let mut adds: BTreeMap<NodeId, Vec<Block>> = BTreeMap::new();
+            let mut cache: HashMap<NodeId, BTreeMap<BlockKey, Block>> = HashMap::new();
             let mut group_added = 0u64;
-            for (key, hs) in &holders {
-                if hs.len() >= want {
-                    continue;
-                }
+            for (key, hs) in &short {
                 let src = hs[0];
                 let src_blocks = cache.entry(src).or_insert_with(|| {
                     nodes[src.0 as usize]
@@ -949,31 +981,32 @@ impl MendelCluster {
             }
             report.copies_added += group_added;
             for (node, batch) in adds {
-                if self.persist_blocks(node.0 as usize, &batch).is_err() {
-                    // The copies never became durable: don't let RAM (or
-                    // the report) claim them. The target is failed below
-                    // and can recover from its own pre-repair disk state.
-                    report.copies_added -= batch.len() as u64;
+                let copies = batch.len() as u64;
+                if self.place(&topo, &nodes, node, batch).is_err() {
+                    // The copies never became durable: don't let the
+                    // report claim them either. The target is failed
+                    // below and can recover from its own pre-repair
+                    // disk state.
+                    report.copies_added -= copies;
                     broken.push(node);
-                    continue;
                 }
-                nodes[node.0 as usize].write().insert_blocks(batch);
             }
         }
         for node in broken {
             let _ = self.mark_failed(node, true);
         }
+        self.assert_ledger("repair");
         self.repair_moves
             .fetch_add(report.copies_added, Ordering::Relaxed); // audit:ordering(Relaxed): statistics counter; RMW atomicity is all that is needed
         report
     }
 
-    /// Block availability right now: per group, the distinct keys held
-    /// by *any* member (the placed universe — a failed node keeps its
-    /// RAM on the memory backend, and its failure record keeps the keys
-    /// on the durable one) versus the keys reachable on live members.
-    /// `degraded` means some placed block has no live replica and query
-    /// answers may be incomplete.
+    /// Block availability right now: per group, the distinct keys the
+    /// placement ledger records on *any* member (the placed universe — a
+    /// failed node keeps its RAM on the memory backend, and a dark
+    /// durable node's holdings stay in the ledger) versus the keys
+    /// recorded on a live member. `degraded` means some placed block has
+    /// no live replica and query answers may be incomplete.
     pub fn coverage(&self) -> CoverageReport {
         self.coverage_with_down(&[])
     }
@@ -984,39 +1017,113 @@ impl MendelCluster {
     /// points, members missing from group replies) fold into the same
     /// report shape the control plane produces for `fail_node`, so a
     /// real-process cluster and its simulated twin emit identical
-    /// degraded-coverage answers.
+    /// degraded-coverage answers. A ledger read: per group it costs the
+    /// number of distinct holder sets, whatever `down` is and however
+    /// many blocks are stored.
     pub fn coverage_with_down(&self, down: &[NodeId]) -> CoverageReport {
-        let topo = self.topology.read().clone();
-        let nodes = self.nodes.read();
+        let topo = self.topology.read();
         let failed = self.failed.read();
-        let mut out = CoverageReport::default();
-        for g in topo.group_ids() {
-            let mut expected: HashSet<crate::block::BlockKey> = HashSet::new();
-            let mut reachable: HashSet<crate::block::BlockKey> = HashSet::new();
-            let mut live_members = 0;
+        let ledger = self.ledger.read();
+        let is_live = |n: NodeId| !failed.contains_key(&n) && !down.contains(&n);
+        let per_group = topo.group_ids().map(|g| GroupCoverage {
+            group: g,
+            expected: ledger.expected(g),
+            reachable: ledger.reachable(g, is_live),
+            live_members: topo
+                .group_members(g)
+                .iter()
+                .filter(|&&m| is_live(m))
+                .count(),
+        });
+        CoverageReport::of(per_group.collect())
+    }
+
+    /// The O(blocks) sweep [`Self::coverage_with_down`] must agree with,
+    /// kept as its test oracle: per group, every key found in a member's
+    /// RAM (or among what a dark member held) with the members it was
+    /// found on.
+    #[cfg(any(test, feature = "strict-invariants"))]
+    fn sweep_holders(&self) -> Vec<HashMap<BlockKey, Vec<NodeId>>> {
+        let topo = self.topology.read();
+        let nodes = self.nodes.read();
+        let dark = self.dark_keys.lock();
+        let group = |g| {
+            let mut holders: HashMap<BlockKey, Vec<NodeId>> = HashMap::new();
             for &m in topo.group_members(g) {
-                let keys = nodes[m.0 as usize].read().block_keys();
-                let is_live = !failed.contains_key(&m) && !down.contains(&m);
-                if is_live {
-                    live_members += 1;
-                    reachable.extend(keys.iter().copied());
-                }
-                expected.extend(keys);
-                if let Some(rec) = failed.get(&m) {
-                    expected.extend(rec.held.iter().copied());
+                let ram = nodes[m.0 as usize].read().block_keys();
+                for key in ram.iter().chain(dark.get(&m).into_iter().flatten()) {
+                    holders.entry(*key).or_default().push(m);
                 }
             }
-            out.blocks_expected += expected.len();
-            out.blocks_reachable += reachable.len();
-            out.per_group.push(GroupCoverage {
+            holders
+        };
+        topo.group_ids().map(group).collect()
+    }
+
+    /// Coverage by the sweep's definition: a key is expected when any
+    /// member holds it, reachable when a member neither failed nor in
+    /// `down` does.
+    #[cfg(any(test, feature = "strict-invariants"))]
+    fn sweep_coverage(
+        &self,
+        holders: &[HashMap<BlockKey, Vec<NodeId>>],
+        down: &[NodeId],
+    ) -> CoverageReport {
+        let topo = self.topology.read();
+        let failed = self.failed.read();
+        let is_live = |n: &NodeId| !failed.contains_key(n) && !down.contains(n);
+        let per_group = topo.group_ids().zip(holders).map(|(g, holders)| {
+            let reachable = holders.values().filter(|hs| hs.iter().any(is_live));
+            GroupCoverage {
                 group: g,
-                expected: expected.len(),
-                reachable: reachable.len(),
-                live_members,
-            });
+                expected: holders.len(),
+                reachable: reachable.count(),
+                live_members: topo.group_members(g).iter().filter(|m| is_live(m)).count(),
+            }
+        });
+        CoverageReport::of(per_group.collect())
+    }
+
+    /// Ledger validation (the `strict-invariants` checker, DESIGN.md
+    /// §8.2): the ledger's own accounting holds, and its coverage equals
+    /// the sweep's for each of `downs` on top of the failed set. Unlike
+    /// the other checkers it exists only in test and `strict-invariants`
+    /// builds, because the sweep needs oracle state
+    /// ([`Self::dark_keys`]) the product does not keep.
+    #[cfg(any(test, feature = "strict-invariants"))]
+    pub fn check_ledger_for(&self, downs: &[Vec<NodeId>]) -> Result<(), String> {
+        self.ledger.read().check_invariants()?;
+        let holders = self.sweep_holders();
+        for down in downs {
+            let ledger = self.coverage_with_down(down);
+            let sweep = self.sweep_coverage(&holders, down);
+            if ledger != sweep {
+                return Err(format!(
+                    "with {down:?} down the ledger reports {ledger:?}, the sweep {sweep:?}"
+                ));
+            }
         }
-        out.degraded = out.blocks_reachable < out.blocks_expected;
-        out
+        Ok(())
+    }
+
+    /// [`Self::check_ledger_for`] with nobody extra down and with
+    /// each single node down.
+    #[cfg(any(test, feature = "strict-invariants"))]
+    pub fn check_ledger(&self) -> Result<(), String> {
+        let nodes = self.topology.read().nodes().collect::<Vec<_>>();
+        let downs = std::iter::once(Vec::new()).chain(nodes.into_iter().map(|n| vec![n]));
+        self.check_ledger_for(&downs.collect::<Vec<_>>())
+    }
+
+    /// Abort with the violation when [`Self::check_ledger`] fails —
+    /// called wherever placement or the failed set changes under
+    /// `strict-invariants`; nothing otherwise.
+    fn assert_ledger(&self, _site: &str) {
+        #[cfg(feature = "strict-invariants")]
+        if let Err(e) = self.check_ledger() {
+            // audit:allow(panic): strict-invariants mode aborts on accounting corruption by design.
+            panic!("placement ledger diverged from the coverage sweep after {_site}: {e}");
+        }
     }
 
     // ---- Elasticity (§VII-B) ------------------------------------------
@@ -1046,6 +1153,7 @@ impl MendelCluster {
         let topo_snapshot = topo.clone();
         drop(topo);
         self.rebalance_group(&topo_snapshot, g);
+        self.assert_ledger("add_node");
         id
     }
 
@@ -1068,7 +1176,7 @@ impl MendelCluster {
         let members = self.live_members(topo, g);
         let nodes = self.nodes.read();
         // Collect unique blocks held by the group.
-        let mut unique: BTreeMap<crate::block::BlockKey, crate::block::Block> = BTreeMap::new();
+        let mut unique: BTreeMap<BlockKey, Block> = BTreeMap::new();
         for &m in &members {
             for b in nodes[m.0 as usize].read().blocks() {
                 unique.insert(b.key(), b);
@@ -1079,7 +1187,7 @@ impl MendelCluster {
         // alongside RAM so disk never resurrects the old placement.
         let mut broken: Vec<NodeId> = Vec::new();
         for &m in &members {
-            *nodes[m.0 as usize].write() = self.fresh_node(m.0 as usize);
+            self.reset_node(&nodes, m, Some(g));
             if let Some(st) = &self.storage {
                 let cell = {
                     let stores = st.stores.read();
@@ -1108,7 +1216,7 @@ impl MendelCluster {
             }
         }
         let failed = self.failed.read();
-        let mut batches: BTreeMap<NodeId, Vec<crate::block::Block>> = BTreeMap::new();
+        let mut batches: BTreeMap<NodeId, Vec<Block>> = BTreeMap::new();
         for (key, block) in unique {
             for node in self.placement.replicas(topo, g, &key.as_bytes()) {
                 // A down node cannot accept writes; the block stays
@@ -1123,9 +1231,8 @@ impl MendelCluster {
         drop(failed);
         let persist_broken: Mutex<Vec<NodeId>> = Mutex::new(Vec::new());
         batches.into_par_iter().for_each(|(node, batch)| {
-            match self.persist_blocks(node.0 as usize, &batch) {
-                Ok(()) => nodes[node.0 as usize].write().insert_blocks(batch),
-                Err(_) => persist_broken.lock().push(node),
+            if self.place(topo, &nodes, node, batch).is_err() {
+                persist_broken.lock().push(node);
             }
         });
         broken.extend(persist_broken.into_inner());
@@ -1139,6 +1246,7 @@ impl MendelCluster {
         for node in broken {
             let _ = self.mark_failed(node, true);
         }
+        self.assert_ledger("rebalance_group");
     }
 
     // ---- Introspection --------------------------------------------------
@@ -1228,7 +1336,7 @@ impl MendelCluster {
         // those blocks under-replicated until the next [`Self::repair`].
         let topo = self.topology.read();
         let failed = self.failed.read();
-        let mut batches: BTreeMap<NodeId, Vec<crate::block::Block>> = BTreeMap::new();
+        let mut batches: BTreeMap<NodeId, Vec<Block>> = BTreeMap::new();
         for s in &new_seqs {
             for b in make_blocks(s, self.config.block_len) {
                 let g = self.group_of_window(&b.window);
@@ -1241,15 +1349,12 @@ impl MendelCluster {
             }
         }
         drop(failed);
-        drop(topo);
         let nodes = self.nodes.read();
         batches
             .into_par_iter()
-            .try_for_each(|(node, batch)| -> Result<(), MendelError> {
-                self.persist_blocks(node.0 as usize, &batch)?;
-                nodes[node.0 as usize].write().insert_blocks(batch);
-                Ok(())
-            })?;
+            .try_for_each(|(node, batch)| self.place(&topo, &nodes, node, batch))?;
+        drop((nodes, topo));
+        self.assert_ledger("insert_sequences");
         Ok(ids)
     }
 
@@ -1370,7 +1475,7 @@ impl MendelCluster {
     }
 
     /// All blocks currently held by `node` (snapshot path).
-    pub(crate) fn node_blocks(&self, node: NodeId) -> Vec<crate::block::Block> {
+    pub(crate) fn node_blocks(&self, node: NodeId) -> Vec<Block> {
         self.nodes.read()[node.0 as usize].read().blocks()
     }
 
@@ -1379,11 +1484,12 @@ impl MendelCluster {
     pub(crate) fn load_node_blocks(
         &self,
         node: NodeId,
-        blocks: Vec<crate::block::Block>,
+        blocks: Vec<Block>,
     ) -> Result<(), MendelError> {
-        self.persist_blocks(node.0 as usize, &blocks)?;
-        let nodes = self.nodes.read();
-        nodes[node.0 as usize].write().insert_blocks(blocks);
+        let topo = self.topology.read();
+        self.place(&topo, &self.nodes.read(), node, blocks)?;
+        drop(topo);
+        self.assert_ledger("load_node_blocks");
         Ok(())
     }
 
@@ -1431,6 +1537,9 @@ impl MendelCluster {
             assignment,
             placement: FlatPlacement::with_replication(1),
             nodes: RwLock::new(nodes),
+            ledger: RwLock::new(Ledger::new(groups)),
+            #[cfg(any(test, feature = "strict-invariants"))]
+            dark_keys: Mutex::new(HashMap::new()),
             failed: RwLock::new(HashMap::new()),
             group_epochs: RwLock::new(vec![0; groups]),
             repair_moves: AtomicU64::new(0),

@@ -47,6 +47,7 @@ pub mod block;
 pub mod cluster;
 pub mod config;
 pub mod error;
+mod ledger;
 pub mod metric;
 pub mod node;
 pub mod params;

@@ -203,8 +203,8 @@ impl StorageNode {
             .collect()
     }
 
-    /// Keys of all held blocks, without touching payloads (coverage and
-    /// repair accounting).
+    /// Keys of all held blocks, without touching payloads (what the
+    /// placement ledger is checked against).
     pub fn block_keys(&self) -> Vec<crate::block::BlockKey> {
         self.store.iter().map(|(_, k)| *k).collect()
     }

@@ -94,7 +94,8 @@ pub(crate) struct Epilogue<'a> {
 }
 
 impl<'a> Epilogue<'a> {
-    /// Runs the O(blocks) coverage sweep once, with `down` (plus the
+    /// Reads coverage from the placement ledger once — O(groups), see
+    /// [`MendelCluster::coverage_with_down`] — with `down` (plus the
     /// control plane's failed set) unreachable, for every query finished
     /// through this value: no query mutates placement, so within one
     /// evaluator call it is the report each would have seen.
@@ -197,7 +198,7 @@ type NodeRequests = (Vec<(Arc<[u8]>, Vec<usize>)>, Vec<usize>);
 /// `knn_batch`) as one scheduler job, and each query is merged, finished
 /// and timed on the simulated LAN clock (DESIGN.md §3). Per call, not
 /// per query: each report's `metrics` delta, a node's scan time, and the
-/// coverage sweep.
+/// coverage report.
 pub(crate) fn evaluate<Q: AsRef<[u8]>>(
     cluster: &MendelCluster,
     entry: Option<NodeId>,

@@ -104,6 +104,18 @@ pub struct CoverageReport {
 }
 
 impl CoverageReport {
+    /// The cluster-wide report over per-group availability.
+    pub(crate) fn of(per_group: Vec<GroupCoverage>) -> Self {
+        let blocks_expected = per_group.iter().map(|g| g.expected).sum();
+        let blocks_reachable = per_group.iter().map(|g| g.reachable).sum();
+        CoverageReport {
+            blocks_expected,
+            blocks_reachable,
+            per_group,
+            degraded: blocks_reachable < blocks_expected,
+        }
+    }
+
     /// Fraction of placed blocks reachable, in `[0, 1]` (1.0 for an
     /// empty cluster).
     pub fn fraction(&self) -> f64 {

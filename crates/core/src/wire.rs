@@ -734,12 +734,12 @@ pub fn query_via<T: Transport>(
     // Stage 5: the shared epilogue — system-level merge, gapped
     // extension, ranking, coverage over the nodes seen unreachable, and
     // the per-query counters and slow-query log on the real clock.
-    let unreachable: Vec<NodeId> = down.iter().copied().collect();
-    let epilogue = Epilogue::new(cluster, params, &unreachable);
     let finalize_span = tracer
         .as_ref()
         .zip(root.as_ref())
         .map(|(t, r)| t.child("finalize", r.context()));
+    let unreachable: Vec<NodeId> = down.iter().copied().collect();
+    let epilogue = Epilogue::new(cluster, params, &unreachable);
     let trace = root.as_ref().map(ActiveSpan::trace);
     let Finished { hits, .. } = epilogue.finish(query, &plan, anchors, trace, |_| {
         clock.now().saturating_sub(q_start)

@@ -242,3 +242,48 @@ fn dead_durable_node_keeps_its_blocks_in_expected_coverage() {
     assert_eq!(durable.coverage(), full);
     assert_eq!(durable.query(&q, &params).unwrap().coverage, full);
 }
+
+/// A `recover_node` whose disk cannot be read back must leave the node
+/// where `fail_node` put it: still failed, its blocks still expected and
+/// unreachable, queries routed around it. Dropping it from the failed
+/// set with empty RAM would take its blocks out of `expected`, and lost
+/// data would read as a healthy cluster.
+#[test]
+fn failed_recover_keeps_the_node_failed_and_its_blocks_expected() {
+    let db = db(46);
+    let vfs = Arc::new(MemVfs::plain(46));
+    let cfg = ClusterConfig {
+        replication: 1,
+        storage: StorageBackend::Durable(StoreOptions::default()),
+        ..ClusterConfig::small_protein()
+    };
+    let cluster = MendelCluster::build_with_storage(
+        cfg,
+        db.clone(),
+        Arc::new(MonotonicClock::new()),
+        Some(vfs.clone() as Arc<dyn Vfs>),
+    )
+    .unwrap();
+    let q = db.get(SeqId(3)).unwrap().residues.clone();
+    let params = QueryParams::protein();
+    let full = cluster.coverage();
+    cluster.fail_node(NodeId(1)).unwrap();
+    let degraded = cluster.coverage();
+    assert!(degraded.degraded && degraded.blocks_expected == full.blocks_expected);
+
+    // The disk dies under the restart.
+    vfs.set_crash_after(0);
+    assert!(cluster.recover_node(NodeId(1)).is_err());
+    assert_eq!(cluster.failed_nodes(), vec![NodeId(1)]);
+    assert_eq!(cluster.coverage(), degraded);
+    assert_eq!(cluster.query(&q, &params).unwrap().coverage, degraded);
+    let lost = full.blocks_expected - degraded.blocks_reachable;
+    assert_eq!(cluster.repair().unreachable, lost);
+
+    // The disk comes back: a second recover returns the node to full.
+    vfs.recover();
+    cluster.recover_node(NodeId(1)).unwrap();
+    assert!(cluster.failed_nodes().is_empty());
+    assert_eq!(cluster.coverage(), full);
+    assert_eq!(cluster.query(&q, &params).unwrap().coverage, full);
+}

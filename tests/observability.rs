@@ -18,6 +18,7 @@
 //!    a fresh plan with the same seed replays them exactly.
 
 use mendel_suite::core::{ClusterConfig, MendelCluster, QueryParams};
+use mendel_suite::dht::NodeId;
 use mendel_suite::net::fault::{FaultConfig, FaultPlan};
 use mendel_suite::net::{Encode, Network, Verdict};
 use mendel_suite::obs::Registry;
@@ -199,6 +200,36 @@ fn fanout_counter_matches_query_report() {
     let report = one.query(&query, &params).unwrap();
     assert_eq!(report.metrics.counter("mendel.query.fanout_groups"), 1);
     assert_eq!(report.coverage.per_group.len(), 1);
+}
+
+/// The `mendel.coverage.*` gauges are what `coverage()` reports at
+/// snapshot time — with no query needed to notice a failed node.
+#[test]
+fn coverage_gauges_equal_the_coverage_report_without_a_query() {
+    let cfg = ClusterConfig {
+        replication: 1,
+        ..ClusterConfig::small_protein()
+    };
+    let cluster = MendelCluster::build(cfg, small_db(0x0D2)).unwrap();
+    let gauges_match_coverage = || {
+        let snap = cluster.metrics_snapshot();
+        let coverage = cluster.coverage();
+        let gauges = (
+            snap.gauge("mendel.coverage.blocks_expected"),
+            snap.gauge("mendel.coverage.blocks_reachable"),
+            snap.gauge("mendel.coverage.degraded"),
+        );
+        let report = (
+            coverage.blocks_expected as i64,
+            coverage.blocks_reachable as i64,
+            coverage.degraded as i64,
+        );
+        assert_eq!(gauges, report);
+        coverage.degraded
+    };
+    assert!(!gauges_match_coverage());
+    cluster.fail_node(NodeId(1)).unwrap();
+    assert!(gauges_match_coverage());
 }
 
 #[test]

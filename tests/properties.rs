@@ -3,14 +3,15 @@
 //! the query engine.
 
 use mendel_suite::core::{
-    check_block_chain, make_blocks, ClusterConfig, MendelCluster, QueryParams,
+    check_block_chain, make_blocks, ClusterConfig, MendelCluster, QueryParams, StorageBackend,
 };
-use mendel_suite::dht::{FlatPlacement, GroupId, Topology};
+use mendel_suite::dht::{FlatPlacement, GroupId, NodeId, Topology};
 use mendel_suite::seq::gen::NrLikeSpec;
 use mendel_suite::seq::matrix::ScoringMatrix;
 use mendel_suite::seq::{
     Alphabet, BlockDistance, MatrixDistance, Metric, SeqId, Sequence, Unbounded,
 };
+use mendel_suite::store::StoreOptions;
 use mendel_suite::vptree::{brute_force_knn, VpTree};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -162,6 +163,115 @@ proptest! {
             prop_assert!(h.query_end <= q.len());
             let subject = db.get(h.subject).unwrap();
             prop_assert!(h.subject_end <= subject.len());
+        }
+    }
+
+    /// Coverage read from the placement ledger stays what a sweep over
+    /// every node's blocks would report, through any sequence of
+    /// failures, recoveries, repairs, scale-outs and ingests — on both
+    /// backends, unreplicated and replicated, and for any set of extra
+    /// unreachable nodes. The exact ledger == sweep comparison needs the
+    /// checker's oracle and so runs under `strict-invariants` (where
+    /// every mutation site asserts it as well); the relations between
+    /// reports hold in every build.
+    #[test]
+    fn ledger_coverage_holds_through_churn(
+        ops in proptest::collection::vec((0u8..7, any::<u16>()), 6..12),
+        seed in 0u64..4,
+    ) {
+        let db = Arc::new(NrLikeSpec {
+            families: 6,
+            members_per_family: 2,
+            length_range: (100, 160),
+            seed: 0x1ED + seed,
+            ..Default::default()
+        }.generate().unwrap());
+        let q = db.get(SeqId(2)).unwrap().residues.clone();
+        let params = QueryParams::protein();
+        let durable = StorageBackend::Durable(StoreOptions::default());
+        for (storage, replication) in
+            [(StorageBackend::Memory, 1), (StorageBackend::Memory, 2), (durable, 1), (durable, 2)]
+        {
+            let config = ClusterConfig { storage, replication, ..ClusterConfig::small_protein() };
+            let cluster = MendelCluster::build(config, db.clone()).unwrap();
+            for &(op, pick) in &ops {
+                let topo = cluster.topology();
+                let nodes: Vec<NodeId> = topo.nodes().collect();
+                let node = nodes[pick as usize % nodes.len()];
+                let may_fail = cluster.failed_nodes().len() + 1 < nodes.len();
+                match op {
+                    0 if may_fail => {
+                        let before = cluster.coverage().blocks_expected;
+                        cluster.fail_node(node).unwrap();
+                        // A failed node's blocks stay placed, RAM or not.
+                        prop_assert_eq!(cluster.coverage().blocks_expected, before);
+                    }
+                    1 => cluster.recover_node(node).unwrap(),
+                    2 => { cluster.repair(); }
+                    3 if nodes.len() < 9 => { cluster.add_node(); }
+                    4 => {
+                        let extra = NrLikeSpec {
+                            families: 1,
+                            members_per_family: 1,
+                            length_range: (40, 60),
+                            seed: pick as u64,
+                            ..Default::default()
+                        }.generate().unwrap();
+                        cluster.insert_sequences(extra.iter().cloned().collect()).unwrap();
+                    }
+                    // A member goes dark, its group rebalances onto a
+                    // joiner without it, and it comes back holding a
+                    // stale layout.
+                    5 if may_fail && nodes.len() < 9 => {
+                        let joins = topo.group_ids()
+                            .min_by_key(|&g| topo.group_members(g).len())
+                            .unwrap();
+                        let members = topo.group_members(joins);
+                        let dark = members[pick as usize % members.len()];
+                        cluster.fail_node(dark).unwrap();
+                        let joiner = cluster.add_node();
+                        prop_assert_eq!(cluster.topology().node_group(joiner), Some(joins));
+                        cluster.recover_node(dark).unwrap();
+                    }
+                    // Repair with a holder dead, which then returns to
+                    // find its blocks copied elsewhere.
+                    6 if may_fail => {
+                        cluster.fail_node(node).unwrap();
+                        cluster.repair();
+                        cluster.recover_node(node).unwrap();
+                    }
+                    _ => {}
+                }
+
+                let nodes: Vec<NodeId> = cluster.topology().nodes().collect();
+                let failed = cluster.failed_nodes();
+                let down: Vec<NodeId> = nodes
+                    .iter()
+                    .copied()
+                    .filter(|n| (pick >> (n.0 % 16)) & 1 == 1)
+                    .collect();
+                #[cfg(feature = "strict-invariants")]
+                prop_assert_eq!(
+                    cluster.check_ledger_for(&[down.clone(), nodes.clone(), failed.clone()]),
+                    Ok(())
+                );
+                let now = cluster.coverage();
+                prop_assert_eq!(&cluster.query(&q, &params).unwrap().coverage, &now);
+                prop_assert_eq!(now.degraded, now.blocks_reachable < now.blocks_expected);
+                prop_assert!(!now.degraded || !failed.is_empty(), "degraded with every node up");
+                prop_assert_eq!(&cluster.coverage_with_down(&failed), &now);
+                prop_assert_eq!(cluster.coverage_with_down(&nodes).blocks_reachable, 0);
+                let with_down = cluster.coverage_with_down(&down);
+                prop_assert_eq!(with_down.blocks_expected, now.blocks_expected);
+                prop_assert!(with_down.blocks_reachable <= now.blocks_reachable);
+                for g in &with_down.per_group {
+                    let live = cluster.topology().group_members(g.group).iter()
+                        .filter(|m| !failed.contains(m) && !down.contains(m))
+                        .count();
+                    prop_assert_eq!(g.live_members, live);
+                    prop_assert!(g.reachable <= g.expected);
+                }
+            }
         }
     }
 }
