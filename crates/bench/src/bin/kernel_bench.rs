@@ -1,13 +1,19 @@
-//! PR 3 perf harness — early-abandoning kernels and arena-backed blocks.
+//! PR 3 perf harness — distance kernels, the leaf scan, and arena-backed
+//! blocks.
 //!
-//! Two micro-benchmarks over the shared `nr`-like workload:
+//! Three micro-benchmarks over the shared `nr`-like workload:
 //!
 //! 1. **Bounded vs. unbounded kNN.** Two vp-trees with identical
 //!    geometry (same points, same seed) differ only in the kernel: the
 //!    early-abandoning `dist_bounded` versus the full-compute
 //!    [`Unbounded`] wrapper. Results must be bit-identical — the bench
 //!    asserts so — and the bounded tree must win on leaf-scan time.
-//! 2. **Arena vs. materialized ingest.** The same blocks ingested into
+//! 2. **Per-pair vs. whole-leaf search.** The served path's search
+//!    (16-residue windows, `k` = 8, budget 4096) with leaf candidates
+//!    scored one `dist_bounded` call at a time versus one
+//!    `scan_bounded` call per leaf, protein and DNA, SIMD on and off —
+//!    same neighbours, same four counters, asserted.
+//! 3. **Arena vs. materialized ingest.** The same blocks ingested into
 //!    an arena-backed [`StorageNode`] versus the materialized-era layout
 //!    (one owned `Vec<u8>` per window in the store, a second in the
 //!    tree), comparing ingest time and stored bytes.
@@ -74,13 +80,13 @@ fn main() {
     }
 
     let (leaf_json, speedup) = bench_leaf_scan(&scale);
-    let (simd_json, simd_speedup) = bench_simd_leaf_scan(&scale);
+    let (whole_json, whole_speedup) = bench_whole_leaf_search(&scale);
     let tree_json = bench_tree_knn(&scale);
     let counted_json = bench_counted_knn(&scale);
     let ingest_json = bench_ingest(&scale);
 
     let json = format!(
-        "{{\n  \"bench\": \"pr3_kernels\",\n  \"mode\": \"{}\",\n  \"leaf_scan\": {leaf_json},\n  \"simd_leaf_scan\": {simd_json},\n  \"tree_knn\": {tree_json},\n  \"counted_knn\": {counted_json},\n  \"ingest\": {ingest_json}\n}}\n",
+        "{{\n  \"bench\": \"pr3_kernels\",\n  \"mode\": \"{}\",\n  \"leaf_scan\": {leaf_json},\n  \"whole_leaf_search\": {whole_json},\n  \"tree_knn\": {tree_json},\n  \"counted_knn\": {counted_json},\n  \"ingest\": {ingest_json}\n}}\n",
         if smoke { "smoke" } else { "full" }
     );
     assert_json_well_formed(&json);
@@ -97,13 +103,15 @@ fn main() {
     println!("\nreport: {}", path.display());
 
     if smoke {
-        println!("smoke checks passed: JSON well-formed, bounded kNN identical to unbounded, SIMD identical to scalar");
+        println!("smoke checks passed: JSON well-formed, bounded kNN identical to unbounded, whole-leaf search identical to per-pair, SIMD identical to scalar");
     } else {
         if speedup < 1.5 {
             println!("WARNING: bounded-kernel speedup {speedup:.2}x below the 1.5x target");
         }
-        if simd_speedup < 1.5 {
-            println!("WARNING: SIMD leaf-scan speedup {simd_speedup:.2}x below the 1.5x target");
+        if whole_speedup < 1.3 {
+            println!(
+                "WARNING: whole-leaf protein search speedup {whole_speedup:.2}x below the 1.3x target"
+            );
         }
     }
 }
@@ -182,164 +190,131 @@ fn bench_leaf_scan(scale: &Scale) -> (String, f64) {
     (json, speedup)
 }
 
-/// The PR 8 headline: the same leaf scan driven through the
-/// multi-candidate SIMD kernels versus the scalar bounded kernels
-/// (`mendel_seq::simd::set_simd_enabled` flips the dispatch at runtime).
-/// Matrix distances go through `dist_bounded_many` in chunks of 16 — the
-/// exact shape of the batched leaf scan in `mendel-vptree` — and Hamming
-/// through its within-pair vector count. Results must be bit-identical;
-/// the full run targets ≥1.5× on the vectorized matrix scan.
-fn bench_simd_leaf_scan(scale: &Scale) -> (String, f64) {
+/// A metric that scores leaf candidates one `dist_bounded` call at a
+/// time: it forwards the two per-pair methods and leaves
+/// `scan_bounded` at the trait default. A tree over `PerPair<M>` runs
+/// the search the way it ran before leaves were scored whole.
+#[derive(Clone)]
+struct PerPair<M>(M);
+
+impl<T: ?Sized, M: Metric<T>> Metric<T> for PerPair<M> {
+    fn dist(&self, a: &T, b: &T) -> f32 {
+        self.0.dist(a, b)
+    }
+    fn dist_bounded(&self, a: &T, b: &T, bound: f32) -> Option<f32> {
+        self.0.dist_bounded(a, b, bound)
+    }
+}
+
+/// The served path's node search — `knn_with_budget(w, 8, 4096)` over
+/// 16-residue windows in buckets of 32 — with leaves scored per pair
+/// versus whole (`Metric::scan_bounded`), for both alphabets, and whole
+/// again with SIMD off. All three must return the same neighbours and
+/// the same four `mendel.vptree.*` counters. Returns the protein
+/// per-pair / whole-leaf ratio as the headline.
+fn bench_whole_leaf_search(scale: &Scale) -> (String, f64) {
     use mendel_seq::simd::{active_kernel, set_simd_enabled};
     use mendel_seq::Hamming;
-    use mendel_vptree::knn::KnnHeap;
+    const SERVED_WINDOW: usize = 16;
+    const SERVED_BUDGET: usize = 4096;
+
+    fn run<M: Metric<Vec<u8>>>(
+        points: &[Vec<u8>],
+        queries: &[Vec<u8>],
+        metric: M,
+        reps: usize,
+    ) -> (Duration, Vec<Vec<Neighbor>>, [u64; 4]) {
+        let tree = VpTree::build(points.to_vec(), metric, BUCKET, DB_SEED);
+        let (t, hits) = time_best(reps, || {
+            queries
+                .iter()
+                .map(|q| tree.knn_with_budget(q, K, SERVED_BUDGET))
+                .collect::<Vec<_>>()
+        });
+        let m = tree.search_metrics();
+        let counters = [
+            m.dist_calls.get(),
+            m.early_abandons.get(),
+            m.nodes_visited.get(),
+            m.leaf_scans.get(),
+        ];
+        (t, hits, counters.map(|c| c / reps as u64))
+    }
+
+    fn compare<M: Metric<Vec<u8>> + Clone>(
+        what: &str,
+        points: &[Vec<u8>],
+        queries: &[Vec<u8>],
+        metric: M,
+        reps: usize,
+    ) -> (String, f64) {
+        let (pair_t, pair_hits, pair_counts) = run(points, queries, PerPair(metric.clone()), reps);
+        let (whole_t, whole_hits, whole_counts) = run(points, queries, metric.clone(), reps);
+        let prev = set_simd_enabled(false);
+        let (scalar_t, scalar_hits, scalar_counts) = run(points, queries, metric, reps);
+        set_simd_enabled(prev);
+        assert_identical(&pair_hits, &whole_hits, "whole-leaf search");
+        assert_identical(&pair_hits, &scalar_hits, "whole-leaf search, SIMD off");
+        assert_eq!(
+            pair_counts, whole_counts,
+            "{what}: whole-leaf changed the work profile"
+        );
+        assert_eq!(
+            pair_counts, scalar_counts,
+            "{what}: SIMD changed the work profile"
+        );
+        let us = |t: Duration| t.as_secs_f64() * 1e6 / queries.len() as f64;
+        let speedup = pair_t.as_secs_f64() / whole_t.as_secs_f64().max(1e-12);
+        println!(
+            "  {what:8}: per-pair {:7.1} us   whole-leaf {:7.1} us ({speedup:.2}x)   whole-leaf scalar {:7.1} us   results + 4 counters identical",
+            us(pair_t),
+            us(whole_t),
+            us(scalar_t),
+        );
+        let json = format!(
+            "{{ \"per_pair_us\": {:.2}, \"whole_leaf_us\": {:.2}, \"whole_leaf_scalar_us\": {:.2}, \"speedup\": {speedup:.3}, \"dist_calls\": {}, \"early_abandons\": {}, \"nodes_visited\": {}, \"leaf_scans\": {} }}",
+            us(pair_t),
+            us(whole_t),
+            us(scalar_t),
+            pair_counts[0],
+            pair_counts[1],
+            pair_counts[2],
+            pair_counts[3],
+        );
+        (json, speedup)
+    }
+
     let (points, queries) =
-        clustered_windows(scale.knn_points, scale.knn_queries, WINDOW_LEN, DB_SEED);
-    let matrix = MatrixDistance::mendel(&ScoringMatrix::blosum62());
-
-    let scan_matrix = || -> Vec<Vec<Neighbor>> {
-        queries
-            .iter()
-            .map(|q| {
-                let mut out: Vec<Option<f32>> = Vec::new();
-                let mut heap = KnnHeap::new(K);
-                for (ci, chunk) in points.chunks(16).enumerate() {
-                    let cands: Vec<&[u8]> = chunk.iter().map(|p| p.as_slice()).collect();
-                    matrix.dist_bounded_many(q, &cands, heap.tau(), &mut out);
-                    for (j, d) in out.iter().enumerate() {
-                        if let Some(d) = d {
-                            if *d <= heap.tau() {
-                                heap.offer((ci * 16 + j) as u32, *d);
-                            }
-                        }
-                    }
-                }
-                heap.into_sorted()
-            })
+        clustered_windows(scale.knn_points, scale.knn_queries, SERVED_WINDOW, DB_SEED);
+    // The same family structure over a four-letter alphabet.
+    let to_dna = |ws: &[Vec<u8>]| -> Vec<Vec<u8>> {
+        ws.iter()
+            .map(|w| w.iter().map(|b| b % 4).collect())
             .collect()
     };
-    let scan_hamming = || -> Vec<Vec<Neighbor>> {
-        queries
-            .iter()
-            .map(|q| {
-                let mut heap = KnnHeap::new(K);
-                for (i, p) in points.iter().enumerate() {
-                    if let Some(d) = Hamming.dist_bounded(&q[..], &p[..], heap.tau()) {
-                        heap.offer(i as u32, d);
-                    }
-                }
-                heap.into_sorted()
-            })
-            .collect()
-    };
-
-    // Throughput regime: every candidate fully evaluated (bound = ∞) —
-    // the [`Unbounded`]-metric leaf scan and the heap-warmup phase. This
-    // is the regime lane parallelism targets; under a tight τ the
-    // per-candidate early abandon dominates and the dispatch stays on
-    // the scalar-chain kernels (see `mendel_seq::simd`).
-    let scan_matrix_full = || -> Vec<u32> {
-        let mut out: Vec<Option<f32>> = Vec::new();
-        queries
-            .iter()
-            .map(|q| {
-                let mut acc = 0u32;
-                for chunk in points.chunks(16) {
-                    let cands: Vec<&[u8]> = chunk.iter().map(|p| p.as_slice()).collect();
-                    matrix.dist_bounded_many(q, &cands, f32::INFINITY, &mut out);
-                    for d in &out {
-                        // audit:allow(unwrap): bound = ∞ never abandons, so every distance is Some
-                        acc = acc.wrapping_add(d.unwrap().to_bits());
-                    }
-                }
-                acc
-            })
-            .collect()
-    };
-    let scan_hamming_full = || -> Vec<u64> {
-        queries
-            .iter()
-            .map(|q| {
-                points
-                    .iter()
-                    .map(|p| Hamming.dist(&q[..], &p[..]) as u64)
-                    .sum()
-            })
-            .collect()
-    };
-
-    let prev = set_simd_enabled(false);
-    let (scalar_m_t, scalar_m) = time_best(scale.reps, scan_matrix);
-    let (scalar_h_t, scalar_h) = time_best(scale.reps, scan_hamming);
-    let (scalar_mf_t, scalar_mf) = time_best(scale.reps, scan_matrix_full);
-    let (scalar_hf_t, scalar_hf) = time_best(scale.reps, scan_hamming_full);
-    set_simd_enabled(true);
-    let kernel = active_kernel();
-    let (simd_m_t, simd_m) = time_best(scale.reps, scan_matrix);
-    let (simd_h_t, simd_h) = time_best(scale.reps, scan_hamming);
-    let (simd_mf_t, simd_mf) = time_best(scale.reps, scan_matrix_full);
-    let (simd_hf_t, simd_hf) = time_best(scale.reps, scan_hamming_full);
-    set_simd_enabled(prev);
-    assert_identical(&scalar_m, &simd_m, "matrix SIMD leaf scan");
-    assert_identical(&scalar_h, &simd_h, "hamming SIMD leaf scan");
-    assert_eq!(
-        scalar_mf, simd_mf,
-        "matrix full-compute sums must be bit-identical"
-    );
-    assert_eq!(
-        scalar_hf, simd_hf,
-        "hamming full-compute counts must be identical"
-    );
-
-    let m_speedup = scalar_m_t.as_secs_f64() / simd_m_t.as_secs_f64().max(1e-12);
-    let h_speedup = scalar_h_t.as_secs_f64() / simd_h_t.as_secs_f64().max(1e-12);
-    let mf_speedup = scalar_mf_t.as_secs_f64() / simd_mf_t.as_secs_f64().max(1e-12);
-    let hf_speedup = scalar_hf_t.as_secs_f64() / simd_hf_t.as_secs_f64().max(1e-12);
     println!(
-        "\nSIMD leaf scan ({} points, {} queries, k={K}, window {WINDOW_LEN}, kernel {kernel}):",
-        points.len(),
-        queries.len()
-    );
-    println!("  full-compute (bound=inf, the vectorized regime):",);
-    println!(
-        "    matrix : scalar {:8.2} ms   simd {:8.2} ms   speedup {mf_speedup:.2}x   sums bit-identical",
-        scalar_mf_t.as_secs_f64() * 1e3,
-        simd_mf_t.as_secs_f64() * 1e3,
-    );
-    println!(
-        "    hamming: scalar {:8.2} ms   simd {:8.2} ms   speedup {hf_speedup:.2}x   counts identical",
-        scalar_hf_t.as_secs_f64() * 1e3,
-        simd_hf_t.as_secs_f64() * 1e3,
-    );
-    println!("  tight-tau kNN scan (early-abandon regime; dispatch stays scalar-chain):");
-    println!(
-        "    matrix : scalar {:8.2} ms   simd {:8.2} ms   speedup {m_speedup:.2}x   results identical",
-        scalar_m_t.as_secs_f64() * 1e3,
-        simd_m_t.as_secs_f64() * 1e3,
-    );
-    println!(
-        "    hamming: scalar {:8.2} ms   simd {:8.2} ms   speedup {h_speedup:.2}x   results identical",
-        scalar_h_t.as_secs_f64() * 1e3,
-        simd_h_t.as_secs_f64() * 1e3,
-    );
-    let json = format!(
-        "{{\n    \"points\": {}, \"queries\": {}, \"k\": {K}, \"window_len\": {WINDOW_LEN}, \"kernel\": \"{kernel}\",\n    \"matrix_full_scalar_ms\": {:.3}, \"matrix_full_simd_ms\": {:.3}, \"matrix_full_speedup\": {mf_speedup:.3},\n    \"hamming_full_scalar_ms\": {:.3}, \"hamming_full_simd_ms\": {:.3}, \"hamming_full_speedup\": {hf_speedup:.3},\n    \"matrix_knn_scalar_ms\": {:.3}, \"matrix_knn_simd_ms\": {:.3}, \"matrix_knn_speedup\": {m_speedup:.3},\n    \"hamming_knn_scalar_ms\": {:.3}, \"hamming_knn_simd_ms\": {:.3}, \"hamming_knn_speedup\": {h_speedup:.3},\n    \"identical\": true\n  }}",
+        "\nwhole-leaf search ({} points, {} queries, k={K}, window {SERVED_WINDOW}, bucket {BUCKET}, budget {SERVED_BUDGET}, kernel {}; us per search):",
         points.len(),
         queries.len(),
-        scalar_mf_t.as_secs_f64() * 1e3,
-        simd_mf_t.as_secs_f64() * 1e3,
-        scalar_hf_t.as_secs_f64() * 1e3,
-        simd_hf_t.as_secs_f64() * 1e3,
-        scalar_m_t.as_secs_f64() * 1e3,
-        simd_m_t.as_secs_f64() * 1e3,
-        scalar_h_t.as_secs_f64() * 1e3,
-        simd_h_t.as_secs_f64() * 1e3,
+        active_kernel(),
     );
-    // Headline: the Hamming full-compute scan — the one regime where the
-    // vector units (not just ILP) do the work. The matrix scan is
-    // memory-bandwidth-bound at this working-set size and tops out
-    // around 1.1–1.2× regardless of kernel (see DESIGN.md §15).
-    (json, hf_speedup)
+    let protein = BlockDistance::new(MatrixDistance::mendel(&ScoringMatrix::blosum62()));
+    let (protein_json, protein_speedup) =
+        compare("protein", &points, &queries, protein, scale.reps);
+    let (dna_json, _) = compare(
+        "dna",
+        &to_dna(&points),
+        &to_dna(&queries),
+        BlockDistance::new(Hamming),
+        scale.reps,
+    );
+    let json = format!(
+        "{{\n    \"points\": {}, \"queries\": {}, \"k\": {K}, \"window_len\": {SERVED_WINDOW}, \"bucket\": {BUCKET}, \"budget\": {SERVED_BUDGET}, \"kernel\": \"{}\",\n    \"protein\": {protein_json},\n    \"dna\": {dna_json},\n    \"identical\": true, \"counters_invariant\": true\n  }}",
+        points.len(),
+        queries.len(),
+        active_kernel(),
+    );
+    (json, protein_speedup)
 }
 
 fn assert_identical(base: &[Vec<Neighbor>], fast: &[Vec<Neighbor>], what: &str) {
@@ -525,25 +500,11 @@ fn bench_counted_knn(scale: &Scale) -> String {
     };
     let u = run_counted(false);
     let b = run_counted(true);
-    // Check 3 (PR 8): the SIMD kernels and the multi-query batched
-    // traversal are pure implementation strategies — over identical
-    // geometry all three paths (scalar, SIMD, batched) must report the
-    // same work profile, counter for counter.
+    // Check 3 (PR 8): the SIMD kernels are a pure implementation
+    // strategy — over identical geometry the scalar and vector paths must
+    // report the same work profile, counter for counter.
     let prev = mendel_seq::simd::set_simd_enabled(false);
     let scalar = run_counted(true);
-    mendel_seq::simd::set_simd_enabled(true);
-    let batched = {
-        let registry = Registry::new();
-        let mut tree = VpTree::build(
-            points.clone(),
-            BlockDistance::new(matrix.clone()),
-            BUCKET,
-            DB_SEED,
-        );
-        tree.set_metrics(SearchMetrics::registered(&registry));
-        let _ = tree.knn_batch(&queries, K, usize::MAX);
-        registry.snapshot()
-    };
     mendel_seq::simd::set_simd_enabled(prev);
     for key in [
         "mendel.vptree.dist_calls",
@@ -561,11 +522,6 @@ fn bench_counted_knn(scale: &Scale) -> String {
             b.counter(key),
             "{key}: SIMD changed the work profile"
         );
-        assert_eq!(
-            batched.counter(key),
-            b.counter(key),
-            "{key}: batching changed the work profile"
-        );
     }
     let dist_calls = b.counter("mendel.vptree.dist_calls");
     let abandons = b.counter("mendel.vptree.early_abandons");
@@ -575,14 +531,14 @@ fn bench_counted_knn(scale: &Scale) -> String {
         queries.len()
     );
     println!(
-        "  dist_calls {dist_calls}   early_abandons {abandons} ({:.1}%)   nodes_visited {}   leaf_scans {}   counts invariant across kernel/simd/batched paths",
+        "  dist_calls {dist_calls}   early_abandons {abandons} ({:.1}%)   nodes_visited {}   leaf_scans {}   counts invariant across kernel/simd paths",
         abandon_frac * 100.0,
         b.counter("mendel.vptree.nodes_visited"),
         b.counter("mendel.vptree.leaf_scans"),
     );
 
     format!(
-        "{{\n    \"points\": {n}, \"queries\": {}, \"k\": {K}, \"bucket\": {BUCKET},\n    \"dist_calls\": {dist_calls}, \"early_abandons\": {abandons}, \"abandon_fraction\": {abandon_frac:.4},\n    \"nodes_visited\": {}, \"leaf_scans\": {}, \"kernel_invariant\": true, \"simd_invariant\": true, \"batched_invariant\": true\n  }}",
+        "{{\n    \"points\": {n}, \"queries\": {}, \"k\": {K}, \"bucket\": {BUCKET},\n    \"dist_calls\": {dist_calls}, \"early_abandons\": {abandons}, \"abandon_fraction\": {abandon_frac:.4},\n    \"nodes_visited\": {}, \"leaf_scans\": {}, \"kernel_invariant\": true, \"simd_invariant\": true\n  }}",
         queries.len(),
         b.counter("mendel.vptree.nodes_visited"),
         b.counter("mendel.vptree.leaf_scans"),

@@ -457,7 +457,14 @@ impl MendelCluster {
                     .parse::<i32>()
                     .map_err(|_| MendelError::Params(format!("bad score in {name:?}")))
             };
-            ScoringMatrix::dna(parse(m)?, parse(mm)?)
+            let (m, mm) = (parse(m)?, parse(mm)?);
+            // The name can come off the wire; `ScoringMatrix::dna` asserts.
+            if m <= 0 || mm >= 0 {
+                return Err(MendelError::Params(format!(
+                    "DNA matrix {name:?} needs a positive match and a negative mismatch score"
+                )));
+            }
+            ScoringMatrix::dna(m, mm)
         } else {
             return Err(MendelError::Params(format!(
                 "unknown scoring matrix {name:?}"
@@ -1679,8 +1686,8 @@ mod tests {
     fn query_batch_matches_the_per_window_wire_search() {
         let db = small_db();
         let c = Arc::new(small_cluster(&db));
-        // The independent reference: wire nodes search window by window
-        // (`knn_with_budget`), the batch through one `knn_batch` pass.
+        // The other evaluator: the same node search, reached over encoded
+        // messages instead of one scheduler job per node.
         let wire = crate::wire::WireCluster::serve(c.clone());
         let params = QueryParams::protein();
         let queries: Vec<Vec<u8>> = (0..6)

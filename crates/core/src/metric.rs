@@ -43,9 +43,9 @@ impl BlockMetric {
 
 /// One blanket impl covers every byte-window point type the trees use —
 /// `[u8]` slices, owned `Vec<u8>` blocks, and arena-backed
-/// [`mendel_seq::WindowView`]s — so the SIMD kernels behind the inner
-/// metrics plug in at exactly one seam (previously three hand-written
-/// delegations).
+/// [`mendel_seq::WindowView`]s — so the kernels behind the inner metrics
+/// plug in at exactly one seam, and a leaf's candidates reach them as
+/// borrowed slices with nothing collected on the way.
 impl<T: AsRef<[u8]> + ?Sized> Metric<T> for BlockMetric {
     #[inline]
     fn dist(&self, a: &T, b: &T) -> f32 {
@@ -63,11 +63,15 @@ impl<T: AsRef<[u8]> + ?Sized> Metric<T> for BlockMetric {
         }
     }
 
-    fn dist_bounded_many(&self, a: &T, bs: &[&T], bound: f32, out: &mut Vec<Option<f32>>) {
-        let slices: Vec<&[u8]> = bs.iter().map(|b| b.as_ref()).collect();
+    fn scan_bounded<'a, I>(&self, a: &T, cands: I, bound: f32, out: &mut Vec<(u32, f32)>)
+    where
+        I: Iterator<Item = &'a T>,
+        T: 'a,
+    {
+        let cands = cands.map(AsRef::as_ref);
         match self {
-            BlockMetric::Hamming => Hamming.dist_bounded_many(a.as_ref(), &slices, bound, out),
-            BlockMetric::Matrix(m) => m.dist_bounded_many(a.as_ref(), &slices, bound, out),
+            BlockMetric::Hamming => Hamming.scan_bounded(a.as_ref(), cands, bound, out),
+            BlockMetric::Matrix(m) => m.scan_bounded(a.as_ref(), cands, bound, out),
         }
     }
 }

@@ -48,8 +48,7 @@ pub struct StorageNode {
 /// `(subject, diagonal)` → query range already covered by an anchor.
 type CoveredMap = std::collections::HashMap<(u32, i64), (usize, usize)>;
 
-/// Borrowed per-request context shared by every subquery evaluation —
-/// one instance per query in both the sequential and batched paths.
+/// Borrowed per-request context shared by every subquery evaluation.
 #[derive(Clone, Copy)]
 struct SubqueryCtx<'a> {
     db: &'a SeqStore,
@@ -209,7 +208,7 @@ impl StorageNode {
         self.store.iter().map(|(_, k)| *k).collect()
     }
 
-    /// Evaluate a batch of subquery windows against this node (§V-B):
+    /// Evaluate one request's subquery windows against this node (§V-B):
     ///
     /// 1. vp-tree k-NN for the `n` nearest blocks per subquery,
     /// 2. percent-identity and c-score filtering,
@@ -220,7 +219,9 @@ impl StorageNode {
     ///    them would only burn node time).
     ///
     /// `query` is the *full* query; each subquery window starts at an
-    /// `offsets` entry and has the cluster's block length.
+    /// `offsets` entry and has the cluster's block length. This is the
+    /// one node search: the served path calls it per message, the
+    /// in-process evaluator through [`Self::local_search_batch`].
     pub fn local_search_many(
         &self,
         query: &[u8],
@@ -255,13 +256,10 @@ impl StorageNode {
         out
     }
 
-    /// Batched variant of [`Self::local_search_many`] for many concurrent
-    /// queries: every subquery window of every request goes through one
-    /// [`DynamicVpTree::knn_batch`] pass (leaf scans shared across the
-    /// whole batch), then each request's candidate filtering, coverage
-    /// tracking, and anchor extension replays in request order. Per-
-    /// request outputs are bit-identical to calling `local_search_many`
-    /// once per request.
+    /// [`Self::local_search_many`] once per `(query, offsets)` request, in
+    /// request order — what one scheduler job asks of a node on behalf of
+    /// every query of an in-process call. A plain loop on purpose: sharing
+    /// leaf scans across the requests measured slower (DESIGN.md §15.2).
     pub fn local_search_batch<Q: AsRef<[u8]>, O: AsRef<[usize]>>(
         &self,
         requests: &[(Q, O)],
@@ -269,43 +267,16 @@ impl StorageNode {
         params: &QueryParams,
         matrix: &ScoringMatrix,
     ) -> Vec<LocalSearchOutput> {
-        let db = self.db.read().clone();
-        let mut views = Vec::new();
-        for (query, offsets) in requests {
-            let backing: Arc<[u8]> = Arc::from(query.as_ref());
-            for &offset in offsets.as_ref() {
-                views.push(WindowView::new(backing.clone(), offset, block_len));
-            }
-        }
-        let mut neighbor_lists = self
-            .tree
-            .knn_batch(&views, params.n, params.search_budget)
-            .into_iter();
-        let mut outputs = Vec::with_capacity(requests.len());
-        for (query, offsets) in requests {
-            let cx = SubqueryCtx {
-                db: &db,
-                query: query.as_ref(),
-                block_len,
-                params,
-                matrix,
-                positive: (self.alphabet == Alphabet::Protein).then_some(matrix),
-            };
-            let mut out = LocalSearchOutput::default();
-            let mut covered: CoveredMap = CoveredMap::new();
-            for &offset in offsets.as_ref() {
-                let neighbors = neighbor_lists.next().unwrap_or_default();
-                self.eval_subquery(&cx, offset, neighbors, &mut covered, &mut out);
-            }
-            finish_output(&mut out);
-            outputs.push(out);
-        }
-        outputs
+        requests
+            .iter()
+            .map(|(query, offsets)| {
+                self.local_search_many(query.as_ref(), offsets.as_ref(), block_len, params, matrix)
+            })
+            .collect()
     }
 
     /// Evaluate one subquery's k-NN candidates: §V-B filtering, coverage
-    /// tracking, and ungapped anchor extension. Shared verbatim between
-    /// the sequential and batched search paths so they cannot drift.
+    /// tracking, and ungapped anchor extension.
     fn eval_subquery(
         &self,
         cx: &SubqueryCtx<'_>,

@@ -40,9 +40,23 @@ pub(crate) struct QueryPlan {
     pub(crate) groups: BTreeMap<GroupId, Vec<usize>>,
 }
 
-/// Stage 1 at the system entry point: validate, decompose into
-/// subqueries, and route every window through the vp-prefix hash. Fails
-/// before any traffic or search work is spent on a bad request.
+/// The first residue code of `query` that is not a letter of the
+/// cluster's alphabet. The distance kernels index tables by code and
+/// panic on one with no row, so both trust boundaries — [`plan`] and the
+/// serving node's request check — turn an unencoded or corrupt query away
+/// with this.
+pub(crate) fn foreign_code(cluster: &MendelCluster, query: &[u8]) -> Option<u8> {
+    let letters = cluster.config().alphabet.size();
+    query
+        .iter()
+        .copied()
+        .find(|&code| usize::from(code) >= letters)
+}
+
+/// Stage 1 at the system entry point: validate (parameters, length,
+/// residue codes), decompose into subqueries, and route every window
+/// through the vp-prefix hash. Fails before any traffic or search work is
+/// spent on a bad request.
 pub(crate) fn plan(
     cluster: &MendelCluster,
     query: &[u8],
@@ -54,6 +68,11 @@ pub(crate) fn plan(
         return Err(MendelError::Query(format!(
             "query ({} residues) is shorter than the block length ({block_len})",
             query.len()
+        )));
+    }
+    if let Some(code) = foreign_code(cluster, query) {
+        return Err(MendelError::Query(format!(
+            "residue code {code} is outside the cluster's alphabet"
         )));
     }
     let matrix = cluster.resolve_matrix(&params.m)?;
@@ -194,8 +213,9 @@ type NodeRequests = (Vec<(Arc<[u8]>, Vec<usize>)>, Vec<usize>);
 
 /// The in-process evaluator: every query of the call is admitted and
 /// planned at `entry` (default: the first live node), each storage node
-/// scans its vp-tree ONCE for all of them (`local_search_batch` →
-/// `knn_batch`) as one scheduler job, and each query is merged, finished
+/// answers all of them as ONE scheduler job (`local_search_batch`: the
+/// served path's `local_search_many`, once per query), and each query is
+/// merged, finished
 /// and timed on the simulated LAN clock (DESIGN.md §3). Per call, not
 /// per query: each report's `metrics` delta, a node's scan time, and the
 /// coverage report.
@@ -245,7 +265,7 @@ pub(crate) fn evaluate<Q: AsRef<[u8]>>(
         .collect();
 
     // ---- Stages 2–3: scatter. ONE scheduler job per storage node,
-    // batching every admitted query routed to it into a single tree scan.
+    // carrying every admitted query routed to it.
     let mut node_reqs: BTreeMap<NodeId, NodeRequests> = BTreeMap::new();
     for (qi, a) in admitted.iter().enumerate() {
         let Ok(a) = a else { continue };

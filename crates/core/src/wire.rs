@@ -15,9 +15,9 @@
 //!
 //! The client (system entry point) performs decomposition/routing and
 //! the final §V-B aggregation + gapped extension through the shared
-//! plan and epilogue; the node-local search here is the per-window
-//! `knn_with_budget`, the in-process one `knn_batch` — so the two must
-//! return identical hits, which the tests assert.
+//! plan and epilogue; the node-local search is the in-process
+//! evaluator's (`StorageNode::local_search_many`), so the two must return
+//! identical hits, which the tests assert.
 //!
 //! Everything here is generic over [`Transport`]: [`WireCluster`] runs
 //! the node loops as threads over the simulated network, and
@@ -818,6 +818,10 @@ pub fn node_serve_loop<T: Transport>(
                 let Ok(msg) = QueryMsg::from_bytes(&env.payload) else {
                     continue;
                 };
+                if !admissible(cluster, &msg) {
+                    transport.send(env.from, env.correlation, encode_hsps(&[]));
+                    continue;
+                }
                 // Sampled trace context on the envelope: time the local
                 // search and ship the span home as a reply tail.
                 match env.trace.filter(|c| c.sampled) {
@@ -852,6 +856,18 @@ pub fn node_serve_loop<T: Transport>(
                 let Ok(msg) = QueryMsg::from_bytes(&env.payload) else {
                     continue;
                 };
+                if !admissible(cluster, &msg) {
+                    // Nobody searched, so nobody is listed as having
+                    // contributed: the caller sees a degraded answer now
+                    // instead of a member timeout later.
+                    let nothing = GroupReply {
+                        responded: Vec::new(),
+                        hsps: Vec::new(),
+                        spans: Vec::new(),
+                    };
+                    transport.send(env.from, env.correlation, nothing.to_bytes());
+                    continue;
+                }
                 serve_group_query(
                     cluster,
                     topo,
@@ -866,6 +882,31 @@ pub fn node_serve_loop<T: Transport>(
             _ => {}
         }
     }
+}
+
+/// The trust boundary of a serving node: a decoded request is searched
+/// only if every residue code indexes the cluster's alphabet (the
+/// distance kernels panic on a code outside their table) and every
+/// subquery window lies inside the query. A front-end's own plan never
+/// produces anything else, so a request failing this is malformed or
+/// forged; it is counted in `mendel.wire.rejected_requests` and answered
+/// with an empty anchor set instead of a panic that would stop this
+/// node's serving thread for good.
+fn admissible(cluster: &MendelCluster, msg: &QueryMsg) -> bool {
+    let block_len = cluster.config().block_len;
+    let ok = pipeline::foreign_code(cluster, &msg.query).is_none()
+        && msg.offsets.iter().all(|&offset| {
+            offset
+                .checked_add(block_len)
+                .is_some_and(|end| end <= msg.query.len())
+        });
+    if !ok {
+        cluster
+            .metrics_registry()
+            .counter("mendel.wire.rejected_requests")
+            .inc();
+    }
+    ok
 }
 
 /// Entry-point duty: replicate the subqueries to the other members,
@@ -901,11 +942,15 @@ fn serve_group_query<T: Transport>(
     });
     let mut shipped: Vec<SpanRecord> = Vec::new();
 
-    let sub = QueryMsg {
-        tag: TAG_NODE_QUERY,
-        ..msg.clone()
-    };
-    let sub_bytes = sub.to_bytes();
+    // The member request is the group request with its leading tag byte
+    // flipped (`from_bytes` consumed the payload exactly, so it *is*
+    // `msg`'s encoding): patch a copy instead of cloning and re-encoding
+    // the query and offsets.
+    let mut sub = env.payload.to_vec();
+    if let Some(tag) = sub.first_mut() {
+        *tag = TAG_NODE_QUERY;
+    }
+    let sub_bytes = Bytes::from(sub);
     // Each request parks the member asked and, when traced, the send
     // instant its span tree is re-anchored against.
     let mut pending: Pending<(NodeId, Option<Duration>)> = HashMap::new();
@@ -1278,6 +1323,11 @@ mod tests {
         bad.n = 0;
         let q = cluster.db().get(SeqId(0)).unwrap().residues.clone();
         assert!(wire.query(&q, &bad).is_err());
+        // Unencoded residues (ASCII, not codes) fail in `plan`, on both
+        // evaluators, instead of panicking in a distance kernel.
+        let ascii = b"MKVLAAGIVGLLLAQWERTYHHH".to_vec();
+        assert!(wire.query(&ascii, &QueryParams::protein()).is_err());
+        assert!(cluster.query(&ascii, &QueryParams::protein()).is_err());
     }
 
     #[test]
@@ -1394,6 +1444,112 @@ mod tests {
             assert!(outcome.unreachable.contains(&victim));
             assert_eq!(outcome.coverage.degraded, twin.coverage().degraded);
         }
+    }
+
+    // ---- Malformed requests -------------------------------------------
+
+    /// Requests that decode but that no front-end's plan would produce — a
+    /// residue code outside the alphabet (it used to index past the
+    /// distance table), a subquery window past the end of the query —
+    /// are answered with nothing and counted, under either tag, and the
+    /// node serves the next honest query as if nothing had happened.
+    #[test]
+    fn forged_queries_are_rejected_and_the_node_keeps_serving() {
+        let cluster = cluster();
+        let topo = cluster.topology();
+        let fast = WireTimeouts {
+            rpc: Duration::from_secs(5),
+            member: Duration::from_millis(400),
+        };
+        let wire = WireCluster::serve_with(cluster.clone(), &[], fast);
+        let q = cluster.db().get(SeqId(2)).unwrap().residues.clone();
+        let params = QueryParams::protein();
+        let clean = wire.query_outcome(&q, &params).unwrap();
+        assert!(!clean.hits.is_empty() && clean.unreachable.is_empty());
+
+        let forged = [
+            (
+                "residue code outside the alphabet",
+                vec![200u8; 40],
+                vec![0usize],
+            ),
+            ("window past the end", q[..40].to_vec(), vec![1000]),
+            (
+                "window offset overflows",
+                q[..40].to_vec(),
+                vec![usize::MAX],
+            ),
+        ];
+        let mut sent = 0;
+        for tag in [TAG_NODE_QUERY, TAG_GROUP_QUERY] {
+            for (what, query, offsets) in &forged {
+                let msg = QueryMsg {
+                    tag,
+                    query: query.clone(),
+                    offsets: offsets.clone(),
+                    params: WireParams::of(&params),
+                };
+                for node in topo.nodes() {
+                    // Correlation 0 is in the client's own id plane, so
+                    // the (empty) answers are dropped by its next gather.
+                    assert!(wire.client.send(node_addr(node), 0, msg.to_bytes()));
+                    sent += 1;
+                }
+                let next = wire.query_outcome(&q, &params).unwrap();
+                assert_eq!(next.unreachable, Vec::<NodeId>::new(), "tag {tag}: {what}");
+                assert_eq!(next.hits, clean.hits, "tag {tag}: {what}");
+                assert_eq!(next.coverage, clean.coverage, "tag {tag}: {what}");
+            }
+        }
+        let rejected = cluster
+            .metrics_registry()
+            .snapshot()
+            .counter("mendel.wire.rejected_requests");
+        assert_eq!(
+            rejected, sent,
+            "every forged request is counted, no honest one"
+        );
+    }
+
+    /// Parameters that decode but would have panicked below the trust
+    /// boundary: a neighbour count no heap can preallocate, and a DNA
+    /// matrix name whose scores `ScoringMatrix::dna` asserts against.
+    #[test]
+    fn hostile_wire_params_do_not_stop_a_node() {
+        let cluster = cluster();
+        let topo = cluster.topology();
+        let fast = WireTimeouts {
+            rpc: Duration::from_secs(5),
+            member: Duration::from_millis(400),
+        };
+        let wire = WireCluster::serve_with(cluster.clone(), &[], fast);
+        let q = cluster.db().get(SeqId(2)).unwrap().residues.clone();
+        let params = QueryParams::protein();
+        let clean = wire.query_outcome(&q, &params).unwrap();
+        let hostile = [
+            WireParams {
+                n: usize::MAX,
+                ..WireParams::of(&params)
+            },
+            WireParams {
+                m: "DNA(0/0)".into(),
+                ..WireParams::of(&params)
+            },
+        ];
+        for params in hostile {
+            let msg = QueryMsg {
+                tag: TAG_NODE_QUERY,
+                query: q[..40].to_vec(),
+                offsets: vec![0],
+                params,
+            };
+            for node in topo.nodes() {
+                assert!(wire.client.send(node_addr(node), 0, msg.to_bytes()));
+            }
+        }
+        let next = wire.query_outcome(&q, &QueryParams::protein()).unwrap();
+        assert_eq!(next.unreachable, Vec::<NodeId>::new());
+        assert_eq!(next.hits, clean.hits);
     }
 
     // ---- Late replies (DESIGN.md §16.3) -------------------------------

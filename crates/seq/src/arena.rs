@@ -127,15 +127,12 @@ impl<M: Metric<[u8]>> Metric<WindowView> for BlockDistance<M> {
         self.inner.dist_bounded(a, b, bound)
     }
 
-    fn dist_bounded_many(
-        &self,
-        a: &WindowView,
-        bs: &[&WindowView],
-        bound: f32,
-        out: &mut Vec<Option<f32>>,
-    ) {
-        let slices: Vec<&[u8]> = bs.iter().map(|b| b.as_ref()).collect();
-        self.inner.dist_bounded_many(a, &slices, bound, out)
+    fn scan_bounded<'a, I>(&self, a: &WindowView, cands: I, bound: f32, out: &mut Vec<(u32, f32)>)
+    where
+        I: Iterator<Item = &'a WindowView>,
+    {
+        self.inner
+            .scan_bounded(a, cands.map(WindowView::as_slice), bound, out);
     }
 }
 

@@ -22,6 +22,16 @@
 //!
 //! Window distances compose per-residue distances with an L1 sum, which
 //! preserves all metric axioms.
+//!
+//! Both metrics are **integers in disguise**: a Hamming distance is a
+//! count, and every `MatrixDistance` entry is `½(|a| + |b|)` for integer
+//! scores `a`, `b` — a whole number of *half-units*. The table is stored
+//! in half-units, a window distance is the integer sum of its entries, and
+//! the `f32` handed to callers is that sum × 0.5. Integer addition is
+//! associative, so `dist`, `dist_bounded` and the whole-leaf
+//! [`Metric::scan_bounded`] agree bit for bit whatever order, chunking or
+//! lane layout a kernel uses (DESIGN.md §10, §15.1; kernels in
+//! [`crate::simd`]).
 
 use crate::alphabet::Alphabet;
 use crate::error::SeqError;
@@ -40,8 +50,9 @@ pub trait Metric<T: ?Sized>: Send + Sync {
     /// otherwise. The contract callers rely on (see DESIGN.md §10):
     ///
     /// * when `Some(d)` is returned, `d` is **bit-identical** to what
-    ///   [`Self::dist`] would compute (implementations must accumulate in
-    ///   the same order);
+    ///   [`Self::dist`] would compute (automatic for the integer metrics
+    ///   of this module; a floating-point metric must accumulate in the
+    ///   same order);
     /// * `None` may only be returned when the true distance strictly
     ///   exceeds `bound`.
     ///
@@ -49,28 +60,36 @@ pub trait Metric<T: ?Sized>: Send + Sync {
     /// every metric. Implementations whose distance is a monotone running
     /// sum (L1 window composition, Hamming counts) override this with an
     /// early-abandoning kernel that bails out as soon as the partial sum
-    /// exceeds `bound`, which is where vp-tree leaf scans win their time
-    /// back under a shrinking τ.
+    /// exceeds `bound`.
     #[inline]
     fn dist_bounded(&self, a: &T, b: &T, bound: f32) -> Option<f32> {
         let d = self.dist(a, b);
         (d <= bound).then_some(d)
     }
 
-    /// Bounded distance from one query to *many* candidates under the
-    /// same bound, appending one [`Self::dist_bounded`]-identical result
-    /// per candidate to `out` (in candidate order; `out` is cleared
-    /// first).
+    /// Survivors-only scan of one query against many candidates under one
+    /// bound: append `(j, d)` to `out` for every candidate `j` (its
+    /// position in `cands`) with `d = dist(a, cands[j]) ≤ bound`, in
+    /// candidate order, each `d` bit-identical to [`Self::dist`].
     ///
-    /// This is the seam the SIMD kernels plug into (DESIGN.md §15): the
-    /// serial f32 accumulation order of a single pair can never be
-    /// reassociated without breaking bit-identity, but lanes *across*
-    /// candidates are independent, so implementations vectorize one
-    /// candidate per lane. The default simply loops `dist_bounded`,
-    /// which keeps wrappers like [`Unbounded`] exact by construction.
-    fn dist_bounded_many(&self, a: &T, bs: &[&T], bound: f32, out: &mut Vec<Option<f32>>) {
-        out.clear();
-        out.extend(bs.iter().map(|b| self.dist_bounded(a, b, bound)));
+    /// This is the vp-tree's leaf scan (DESIGN.md §15.1): a leaf bucket
+    /// is scored in one call, so an implementation can put one candidate
+    /// in each SIMD lane, and candidates arrive as an iterator of
+    /// borrowed points, so nothing is collected or allocated per call.
+    /// The default loops [`Self::dist_bounded`], which keeps wrappers
+    /// like [`Unbounded`] exact by construction and is the per-pair path
+    /// the vector kernels are tested against.
+    fn scan_bounded<'a, I>(&self, a: &T, cands: I, bound: f32, out: &mut Vec<(u32, f32)>)
+    where
+        I: Iterator<Item = &'a T>,
+        T: 'a,
+        Self: Sized,
+    {
+        for (j, b) in cands.enumerate() {
+            if let Some(d) = self.dist_bounded(a, b, bound) {
+                out.push((j as u32, d));
+            }
+        }
     }
 }
 
@@ -128,10 +147,23 @@ impl Metric<[u8]> for Hamming {
         let d = count as f32;
         (d <= bound).then_some(d)
     }
+
+    /// One `cmpeq` + `movemask` + popcount per candidate, with the kernel
+    /// chosen once per call ([`crate::simd`]).
+    fn scan_bounded<'a, I>(&self, a: &[u8], cands: I, bound: f32, out: &mut Vec<(u32, f32)>)
+    where
+        I: Iterator<Item = &'a [u8]>,
+    {
+        crate::simd::hamming_scan(a, cands, bound, out);
+    }
 }
 
 /// A per-residue distance table derived from a scoring matrix, composed
 /// over windows with an L1 sum.
+///
+/// Entries are whole numbers of **half-units** (see the module docs):
+/// `residue_dist` and every window distance are an integer × 0.5, exact in
+/// `f32` below 2²⁴ half-units.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MatrixDistance {
     /// Name recording provenance, e.g. `"mendel(BLOSUM62)"`.
@@ -139,7 +171,12 @@ pub struct MatrixDistance {
     /// Alphabet whose codes index the table.
     pub alphabet: Alphabet,
     n: usize,
-    d: Vec<f32>,
+    /// Row-major `n × n` table in half-units.
+    half: Vec<u32>,
+    /// The same table as zero-padded `u8` rows of
+    /// [`crate::simd::ROW_BYTES`] for the sixteen-lane kernel; empty when
+    /// it does not fit (an entry over 255 half-units, or `n > 32`).
+    rows: Vec<u8>,
 }
 
 impl MatrixDistance {
@@ -153,20 +190,25 @@ impl MatrixDistance {
     pub fn mendel(b: &ScoringMatrix) -> Self {
         let k = b.alphabet.canonical_size();
         let n = b.alphabet.size();
-        let mut d = vec![0.0f32; n * n];
-        let mut worst = 0.0f32;
+        let mut half = vec![0u32; n * n];
+        let mut worst = 0u32;
         for i in 0..k {
             for j in 0..k {
                 if i == j {
                     continue;
                 }
-                // One-sided transforms relative to each diagonal; average to
-                // symmetrise (B is symmetric, so the two sides differ only
-                // through the diagonals B[i][i] vs B[j][j]).
-                let via_j = (b.score(i as u8, j as u8) - b.score(j as u8, j as u8)).abs() as f32;
-                let via_i = (b.score(i as u8, j as u8) - b.score(i as u8, i as u8)).abs() as f32;
-                let v = 0.5 * (via_i + via_j);
-                d[i * n + j] = v;
+                // One-sided transforms relative to each diagonal; their
+                // mean symmetrises (B is symmetric, so the two sides differ
+                // only through the diagonals B[i][i] vs B[j][j]). In
+                // half-units the mean is just the sum.
+                let via_j = b
+                    .score(i as u8, j as u8)
+                    .abs_diff(b.score(j as u8, j as u8));
+                let via_i = b
+                    .score(i as u8, j as u8)
+                    .abs_diff(b.score(i as u8, i as u8));
+                let v = via_i.saturating_add(via_j);
+                half[i * n + j] = v;
                 worst = worst.max(v);
             }
         }
@@ -175,31 +217,44 @@ impl MatrixDistance {
         for i in 0..n {
             for j in 0..n {
                 if (i >= k || j >= k) && i != j {
-                    d[i * n + j] = worst;
+                    half[i * n + j] = worst;
                 }
             }
         }
-        MatrixDistance {
-            name: format!("mendel({})", b.name),
-            alphabet: b.alphabet,
-            n,
-            d,
-        }
+        Self::from_half_units(format!("mendel({})", b.name), b.alphabet, n, half)
     }
 
     /// Unit distance table: 0 on the diagonal, 1 elsewhere (Hamming as a
     /// `MatrixDistance`, useful for tests and DNA).
     pub fn unit(alphabet: Alphabet) -> Self {
         let n = alphabet.size();
-        let mut d = vec![1.0f32; n * n];
+        let mut half = vec![2u32; n * n];
         for i in 0..n {
-            d[i * n + i] = 0.0;
+            half[i * n + i] = 0;
+        }
+        Self::from_half_units("unit".into(), alphabet, n, half)
+    }
+
+    /// Assemble a table from its half-unit entries, deriving the `u8` rows
+    /// the vector kernel reads when the table fits them.
+    fn from_half_units(name: String, alphabet: Alphabet, n: usize, half: Vec<u32>) -> Self {
+        use crate::simd::ROW_BYTES;
+        debug_assert_eq!(half.len(), n * n);
+        let mut rows = Vec::new();
+        if n <= ROW_BYTES && half.iter().all(|&h| h <= 255) {
+            rows = vec![0u8; n * ROW_BYTES];
+            for (row, entries) in rows.chunks_exact_mut(ROW_BYTES).zip(half.chunks_exact(n)) {
+                for (slot, &h) in row.iter_mut().zip(entries) {
+                    *slot = h as u8;
+                }
+            }
         }
         MatrixDistance {
-            name: "unit".into(),
+            name,
             alphabet,
             n,
-            d,
+            half,
+            rows,
         }
     }
 
@@ -207,7 +262,7 @@ impl MatrixDistance {
     #[inline]
     pub fn residue_dist(&self, a: u8, b: u8) -> f32 {
         debug_assert!((a as usize) < self.n && (b as usize) < self.n);
-        self.d[a as usize * self.n + b as usize]
+        self.half[a as usize * self.n + b as usize] as f32 * 0.5
     }
 
     /// Enforce the triangle inequality by closing the table under
@@ -215,22 +270,19 @@ impl MatrixDistance {
     /// distances can only shrink, and the diagonal stays zero.
     pub fn repair_metric(&self) -> Self {
         let n = self.n;
-        let mut d = self.d.clone();
+        let mut d = self.half.clone();
         for mid in 0..n {
             for i in 0..n {
                 let dim = d[i * n + mid];
                 for j in 0..n {
-                    let via = dim + d[mid * n + j];
+                    let via = dim.saturating_add(d[mid * n + j]);
                     if via < d[i * n + j] {
                         d[i * n + j] = via;
                     }
                 }
             }
         }
-        MatrixDistance {
-            name: format!("repaired({})", self.name),
-            ..MatrixDistance { d, ..self.clone() }
-        }
+        Self::from_half_units(format!("repaired({})", self.name), self.alphabet, n, d)
     }
 
     /// Check all four metric axioms over the residue table. Returns the
@@ -272,7 +324,7 @@ impl MatrixDistance {
 
     /// Largest per-residue distance in the table.
     pub fn max_residue_dist(&self) -> f32 {
-        self.d.iter().copied().fold(0.0, f32::max)
+        self.half.iter().copied().max().unwrap_or(0) as f32 * 0.5
     }
 }
 
@@ -291,40 +343,50 @@ pub enum MetricViolation {
 }
 
 impl Metric<[u8]> for MatrixDistance {
-    /// L1 composition over a window.
+    /// L1 composition over a window: the integer sum of the half-unit
+    /// entries, × 0.5.
     ///
     /// # Panics
-    /// Panics if the windows have different lengths.
+    /// Panics if the windows have different lengths, or if either holds a
+    /// residue code outside the table.
     #[inline]
     fn dist(&self, a: &[u8], b: &[u8]) -> f32 {
         assert_eq!(a.len(), b.len(), "window distance requires equal lengths");
-        a.iter()
+        crate::simd::assert_pair_in_table(a, b, self.n);
+        let sum: u64 = a
+            .iter()
             .zip(b)
-            .map(|(&x, &y)| self.residue_dist(x, y))
-            .sum()
+            .map(|(&x, &y)| u64::from(self.half[usize::from(x) * self.n + usize::from(y)]))
+            .sum();
+        sum as f32 * 0.5
     }
 
-    /// Early-abandoning L1 kernel, unrolled over 8-residue spans of the
-    /// fixed block length. Accumulation is strictly left-to-right — the
-    /// identical f32 addition order as [`Metric::dist`] — so a `Some`
-    /// result is bit-identical to the full kernel; the bound is only
-    /// *checked* once per span to keep the bail-out off the dependency
-    /// chain of the adds.
+    /// Early-abandoning L1 kernel over 8-residue spans of the window: the
+    /// same integer sum as [`Metric::dist`], so a `Some` is bit-identical
+    /// to it; the bound is checked once per span, which keeps the
+    /// bail-out off the adds' dependency chain and — measured — beats the
+    /// check-free sum by 12 % end to end.
+    ///
+    /// # Panics
+    /// As [`Metric::dist`]; the checks run before any arithmetic, so an
+    /// out-of-table code panics wherever an early abandon would have
+    /// stopped.
     fn dist_bounded(&self, a: &[u8], b: &[u8], bound: f32) -> Option<f32> {
-        assert_eq!(a.len(), b.len(), "window distance requires equal lengths");
-        // `iter::Sum<f32>` folds from -0.0 (it preserves every addend,
-        // including -0.0); the kernel seeds identically so even the
-        // empty window's result matches `dist` bit-for-bit.
-        crate::simd::matrix_sum_scalar(&self.d, self.n, a, b, bound)
+        crate::simd::matrix_dist_bounded(&self.half, self.n, a, b, bound)
     }
 
-    /// Multi-candidate bounded kernel: one SIMD/ILP lane per candidate,
-    /// each accumulating in the identical strict left-to-right f32 order
-    /// as [`Metric::dist`], so every `Some` is bit-identical to the
-    /// per-pair kernel (see [`crate::simd`]).
-    fn dist_bounded_many(&self, a: &[u8], bs: &[&[u8]], bound: f32, out: &mut Vec<Option<f32>>) {
-        out.clear();
-        crate::simd::matrix_dist_bounded_many(&self.d, self.n, a, bs, bound, out);
+    /// Sixteen candidates per kernel call, one per byte lane
+    /// ([`crate::simd::matrix_scan`]); per pair when the bound is too
+    /// loose for `u8` lanes, the table does not fit them, or SIMD is off.
+    ///
+    /// # Panics
+    /// As [`Metric::dist`], for the query and every candidate, on every
+    /// path.
+    fn scan_bounded<'a, I>(&self, a: &[u8], cands: I, bound: f32, out: &mut Vec<(u32, f32)>)
+    where
+        I: Iterator<Item = &'a [u8]>,
+    {
+        crate::simd::matrix_scan(&self.half, &self.rows, self.n, a, cands, bound, out);
     }
 }
 
@@ -355,15 +417,12 @@ impl<M: Metric<[u8]>> Metric<Vec<u8>> for BlockDistance<M> {
         self.inner.dist_bounded(a, b, bound)
     }
 
-    fn dist_bounded_many(
-        &self,
-        a: &Vec<u8>,
-        bs: &[&Vec<u8>],
-        bound: f32,
-        out: &mut Vec<Option<f32>>,
-    ) {
-        let slices: Vec<&[u8]> = bs.iter().map(|b| b.as_slice()).collect();
-        self.inner.dist_bounded_many(a, &slices, bound, out)
+    fn scan_bounded<'a, I>(&self, a: &Vec<u8>, cands: I, bound: f32, out: &mut Vec<(u32, f32)>)
+    where
+        I: Iterator<Item = &'a Vec<u8>>,
+    {
+        self.inner
+            .scan_bounded(a, cands.map(Vec::as_slice), bound, out);
     }
 }
 
@@ -380,8 +439,9 @@ impl<T: ?Sized, M: Metric<T>> Metric<T> for Unbounded<M> {
     fn dist(&self, a: &T, b: &T) -> f32 {
         self.0.dist(a, b)
     }
-    // `dist_bounded` deliberately left at the trait default: full distance,
-    // then compare against the bound.
+    // `dist_bounded` and `scan_bounded` deliberately left at the trait
+    // defaults: full distance, then compare against the bound, one pair
+    // at a time.
 }
 
 /// Percent identity between two equal-length windows: the fraction of
@@ -566,10 +626,211 @@ mod tests {
         );
     }
 
+    /// An arbitrary half-unit table over `n` letters (the alphabet field is
+    /// a label only; `n` is what the kernels index by).
+    fn table(n: usize, half: Vec<u32>) -> MatrixDistance {
+        MatrixDistance::from_half_units("test".into(), Alphabet::Protein, n, half)
+    }
+
+    /// The definition every kernel must reproduce: residue distances as
+    /// `f32`, summed left to right, kept when `≤ bound`.
+    fn reference_scan(
+        m: &MatrixDistance,
+        q: &[u8],
+        cands: &[Vec<u8>],
+        bound: f32,
+    ) -> Vec<(u32, u32)> {
+        (0u32..)
+            .zip(cands)
+            .map(|(j, c)| {
+                let d = q
+                    .iter()
+                    .zip(c)
+                    .fold(0.0f32, |s, (&x, &y)| s + m.residue_dist(x, y));
+                (j, d)
+            })
+            .filter(|&(_, d)| d <= bound)
+            .map(|(j, d)| (j, d.to_bits()))
+            .collect()
+    }
+
+    /// Survivors through the production dispatch (vector lanes when the
+    /// table, bound and CPU allow) and through the per-pair integer path
+    /// `set_simd_enabled(false)` selects — here forced by withholding the
+    /// `u8` rows, so no test flips the process-wide switch.
+    fn both_scans(
+        m: &MatrixDistance,
+        q: &[u8],
+        cands: &[Vec<u8>],
+        bound: f32,
+    ) -> [Vec<(u32, u32)>; 2] {
+        let bits = |v: Vec<(u32, f32)>| v.into_iter().map(|(j, d)| (j, d.to_bits())).collect();
+        let mut dispatched = Vec::new();
+        m.scan_bounded(q, cands.iter().map(Vec::as_slice), bound, &mut dispatched);
+        let mut per_pair = Vec::new();
+        let slices = cands.iter().map(Vec::as_slice);
+        crate::simd::matrix_scan(&m.half, &[], m.n, q, slices, bound, &mut per_pair);
+        [bits(dispatched), bits(per_pair)]
+    }
+
+    #[test]
+    fn saturation_boundary_is_exact() {
+        // 254 half-units is the last sum a u8 lane can hold unsaturated and
+        // 127.0 the loosest bound the vector path takes; 255 must be
+        // rejected there and accepted one half-unit of bound later (which
+        // the per-pair path serves).
+        let m = table(3, vec![0, 127, 128, 127, 0, 1, 128, 1, 0]);
+        assert!(!m.rows.is_empty(), "fits u8 rows");
+        let q = vec![0u8, 0];
+        let mut cands = vec![vec![1u8, 1], vec![1, 2], vec![2, 2], vec![0, 0]];
+        cands.resize(16, vec![1, 2]);
+        for (bound, survivors) in [(126.5, 1), (127.0, 2), (127.5, 15), (128.0, 16)] {
+            let want = reference_scan(&m, &q, &cands, bound);
+            assert_eq!(want.len(), survivors, "bound {bound}");
+            for got in both_scans(&m, &q, &cands, bound) {
+                assert_eq!(got, want, "bound {bound}");
+            }
+        }
+    }
+
+    #[test]
+    fn out_of_table_codes_panic_from_every_kernel_and_either_operand() {
+        // One outcome, whichever kernel runs and whichever operand is bad:
+        // a panic. Code 30 is past the 24-letter table but inside the
+        // 32-byte padded rows (it used to read a neighbouring row); the
+        // bad residue sits last, behind 16 maximally distant ones, where
+        // an early abandon under a tight bound stops reading first.
+        let m = MatrixDistance::mendel(&ScoringMatrix::blosum62());
+        fn panics<R>(f: impl FnOnce() -> R) -> bool {
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).is_err()
+        }
+        for code in [24u8, 30, 200] {
+            let clean = vec![0u8; 17];
+            let far = {
+                let mut w = vec![23u8; 17];
+                w[16] = 0;
+                w
+            };
+            let mut bad = far.clone();
+            bad[16] = code;
+            for bound in [1.0f32, 100.0, f32::INFINITY] {
+                let what = format!("code {code} bound {bound}");
+                assert!(panics(|| m.dist(&clean[..], &bad[..])), "{what}");
+                assert!(panics(|| m.dist(&bad[..], &clean[..])), "{what}");
+                assert!(
+                    panics(|| m.dist_bounded(&clean[..], &bad[..], bound)),
+                    "{what}"
+                );
+                assert!(
+                    panics(|| m.dist_bounded(&bad[..], &clean[..], bound)),
+                    "{what}"
+                );
+                // Candidate lists long enough for the vector path, the bad
+                // window in a full group and in the tail; `both_scans`
+                // stops at the dispatched scan, so the per-pair path gets
+                // its own call. Then a bad *query* against clean windows.
+                for bad_at in [5usize, 17] {
+                    let mut cands = vec![far.clone(); 19];
+                    cands[bad_at] = bad.clone();
+                    let per_pair = |q: &[u8], cands: &[Vec<u8>]| {
+                        let slices = cands.iter().map(Vec::as_slice);
+                        let mut out = Vec::new();
+                        crate::simd::matrix_scan(&m.half, &[], m.n, q, slices, bound, &mut out);
+                    };
+                    assert!(panics(|| both_scans(&m, &clean, &cands, bound)), "{what}");
+                    assert!(panics(|| per_pair(&clean, &cands)), "{what}");
+                    cands[bad_at] = far.clone();
+                    assert!(panics(|| both_scans(&m, &bad, &cands, bound)), "{what}");
+                    assert!(panics(|| per_pair(&bad, &cands)), "{what}");
+                }
+            }
+        }
+        // Hamming has no table: any byte is a residue.
+        assert_eq!(Hamming.dist(&[200u8, 1][..], &[200u8, 2][..]), 1.0);
+    }
+
+    mod scan_properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(192))]
+
+            /// Exactness of the whole-leaf scan: for random half-integer
+            /// tables (with and without `u8` rows), window lengths on and
+            /// off the 16-position tile, candidate counts across every
+            /// group/tail shape and bounds on both sides of the vector
+            /// path's range, the survivors of the dispatched scan and of
+            /// the per-pair integer path are exactly — index for index,
+            /// bit for bit — the candidates whose left-to-right `f32` sum
+            /// of residue distances is within the bound.
+            #[test]
+            fn scan_survivors_are_the_f32_definition(
+                n in 2usize..=32,
+                len in 1usize..=48,
+                count in 0usize..=70,
+                ceiling in 0usize..4,
+                seed in any::<u64>(),
+            ) {
+                // 255 half-units = 127.5: lanes saturate from two residues
+                // on; 2000 does not fit a u8 row at all.
+                let ceiling = [3u64, 26, 255, 2000][ceiling];
+                let mut state = seed | 1;
+                let mut below = move |bound: u64| {
+                    state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                    (state >> 33) % bound
+                };
+                let half: Vec<u32> = (0..n * n)
+                    .map(|i| if i / n == i % n { 0 } else { below(ceiling + 1) as u32 })
+                    .collect();
+                let m = table(n, half);
+                prop_assert_eq!(m.rows.is_empty(), ceiling > 255 && m.half.iter().any(|&h| h > 255));
+                let mut window = |_| (0..len).map(|_| below(n as u64) as u8).collect::<Vec<u8>>();
+                let q = window(0);
+                // Near-copies of the query keep some sums under tight
+                // bounds; the rest are unrelated windows.
+                let cands: Vec<Vec<u8>> = (0..count)
+                    .map(|j| {
+                        let mut c = window(j);
+                        if j % 3 == 0 {
+                            c.copy_from_slice(&q);
+                            c[j % len] = (j % n) as u8;
+                        }
+                        c
+                    })
+                    .collect();
+                let some_distance = cands.get(count / 2).map_or(1.0, |c| m.dist(&q[..], &c[..]));
+                for bound in [
+                    0.0,
+                    some_distance,
+                    some_distance - 0.5,
+                    127.0,
+                    127.5,
+                    1e6,
+                    f32::INFINITY,
+                    -1.0,
+                ] {
+                    let want = reference_scan(&m, &q, &cands, bound);
+                    let [dispatched, per_pair] = both_scans(&m, &q, &cands, bound);
+                    prop_assert_eq!(&dispatched, &want, "dispatched, bound {}", bound);
+                    prop_assert_eq!(&per_pair, &want, "per pair, bound {}", bound);
+                }
+                // The per-pair entry points agree with the same definition.
+                for (j, c) in cands.iter().enumerate().take(8) {
+                    let d = m.dist(&q[..], &c[..]);
+                    let want = reference_scan(&m, &q, &cands[j..=j], f32::INFINITY)[0].1;
+                    prop_assert_eq!(d.to_bits(), want);
+                    prop_assert_eq!(m.dist_bounded(&q[..], &c[..], d), Some(d));
+                    prop_assert_eq!(m.dist_bounded(&q[..], &c[..], d - 0.5), None);
+                }
+            }
+        }
+    }
+
     #[test]
     fn metric_violation_reports_diagonal() {
         let mut u = MatrixDistance::unit(Alphabet::Dna);
-        u.d[0] = 0.5;
+        u.half[0] = 1;
         assert_eq!(
             u.metric_violation(),
             Some(MetricViolation::NonZeroDiagonal(0))

@@ -9,6 +9,7 @@
 use crate::alphabet::Alphabet;
 use crate::error::SeqError;
 use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
 
 /// Canonical BLOSUM62 in NCBI format (row/column order
 /// `ARNDCQEGHILKMFPSTWYVBZX*`).
@@ -53,9 +54,16 @@ pub struct ScoringMatrix {
 
 impl ScoringMatrix {
     /// The BLOSUM62 matrix (the paper's and BLAST's default for proteins).
+    /// The embedded text is parsed once per process; each call clones the
+    /// parsed table.
     pub fn blosum62() -> Self {
-        Self::from_ncbi_text("BLOSUM62", Alphabet::Protein, BLOSUM62_TEXT)
-            .expect("embedded BLOSUM62 must parse") // audit:allow(expect): embedded constant text; failing to parse it is a build defect worth a panic
+        static PARSED: OnceLock<ScoringMatrix> = OnceLock::new();
+        PARSED
+            .get_or_init(|| {
+                Self::from_ncbi_text("BLOSUM62", Alphabet::Protein, BLOSUM62_TEXT)
+                    .expect("embedded BLOSUM62 must parse") // audit:allow(expect): embedded constant text; failing to parse it is a build defect worth a panic
+            })
+            .clone()
     }
 
     /// A DNA matrix with the given match reward and mismatch penalty.

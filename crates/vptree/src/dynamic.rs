@@ -303,12 +303,6 @@ impl<P: Clone, M: Metric<P>> DynamicVpTree<P, M> {
         self.tree.knn_with_budget(query, n, budget)
     }
 
-    /// Batched multi-query search (see [`VpTree::knn_batch`]): per-query
-    /// results and counters bit-identical to [`Self::knn_with_budget`].
-    pub fn knn_batch(&self, queries: &[P], n: usize, budget: usize) -> Vec<Vec<Neighbor>> {
-        self.tree.knn_batch(queries, n, budget)
-    }
-
     /// All neighbours within `radius` (see [`VpTree::range`]).
     pub fn range(&self, query: &P, radius: f32) -> Vec<Neighbor> {
         self.tree.range(query, radius)

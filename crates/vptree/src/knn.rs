@@ -43,10 +43,13 @@ pub struct KnnHeap {
 impl KnnHeap {
     /// A heap retaining the best `k` neighbours (`k ≥ 1`).
     pub fn new(k: usize) -> Self {
+        /// `k` can come off the wire: preallocate for ordinary values and
+        /// let an absurd one grow only as far as real candidates take it.
+        const PREALLOC: usize = 1024;
         assert!(k >= 1, "k must be at least 1");
         KnnHeap {
             k,
-            heap: BinaryHeap::with_capacity(k + 1),
+            heap: BinaryHeap::with_capacity(k.min(PREALLOC) + 1),
         }
     }
 

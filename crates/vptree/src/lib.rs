@@ -19,7 +19,6 @@
 //! DNA blocks under Hamming distance and protein blocks under the Mendel
 //! BLOSUM62-derived distance.
 
-pub mod batch;
 pub mod dynamic;
 pub mod knn;
 pub mod metrics;

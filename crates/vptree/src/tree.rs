@@ -22,6 +22,13 @@ use rand_chacha::ChaCha8Rng;
 /// Sentinel for "no node".
 pub(crate) const NIL: u32 = u32::MAX;
 
+/// Candidates scored per [`Metric::scan_bounded`] call during a k-NN leaf
+/// scan. One chunk shares a single bound (τ at chunk start): smaller
+/// chunks track the shrinking τ more closely, larger ones fill the
+/// kernel's lanes better. 32 is the paper testbed's bucket capacity, so a
+/// full leaf is one call.
+const LEAF_CHUNK: usize = 32;
+
 /// Arena node of a vp-tree.
 #[derive(Debug, Clone)]
 pub(crate) enum Node {
@@ -76,6 +83,16 @@ pub struct VpTree<P, M> {
     /// Search instrumentation (`mendel.vptree.*`); detached by default,
     /// attach registry-backed handles with [`VpTree::set_metrics`].
     pub(crate) obs: SearchMetrics,
+}
+
+/// The mutable state of one k-NN search, threaded through the recursion.
+/// The survivors scratch lives here so a leaf scan allocates nothing.
+struct Search {
+    heap: KnnHeap,
+    budget: usize,
+    tally: SearchTally,
+    /// `(position in chunk, distance)` pairs of the chunk being replayed.
+    survivors: Vec<(u32, f32)>,
 }
 
 /// Structural statistics, used by balance tests and the ablation benches.
@@ -433,12 +450,15 @@ impl<P, M: Metric<P>> VpTree<P, M> {
         if self.root == NIL || n == 0 || budget == 0 {
             return Vec::new();
         }
-        let mut heap = KnnHeap::new(n);
-        let mut budget = budget;
-        let mut tally = SearchTally::default();
-        self.search_rec(self.root, query, &mut heap, &mut budget, &mut tally);
-        tally.flush(&self.obs);
-        heap.into_sorted()
+        let mut search = Search {
+            heap: KnnHeap::new(n),
+            budget,
+            tally: SearchTally::default(),
+            survivors: Vec::with_capacity(LEAF_CHUNK),
+        };
+        self.search_rec(self.root, query, &mut search);
+        search.tally.flush(&self.obs);
+        search.heap.into_sorted()
     }
 
     /// All neighbours within distance `radius` of `query`, sorted by
@@ -447,45 +467,69 @@ impl<P, M: Metric<P>> VpTree<P, M> {
         let mut out = Vec::new();
         if self.root != NIL {
             let mut tally = SearchTally::default();
-            self.range_rec(self.root, query, radius, &mut out, &mut tally);
+            let mut survivors = Vec::new();
+            self.range_rec(
+                self.root,
+                query,
+                radius,
+                &mut out,
+                &mut survivors,
+                &mut tally,
+            );
             tally.flush(&self.obs);
         }
         out.sort_by(|a, b| a.dist.total_cmp(&b.dist).then(a.index.cmp(&b.index)));
         out
     }
 
-    fn search_rec(
-        &self,
-        node: u32,
-        query: &P,
-        heap: &mut KnnHeap,
-        budget: &mut usize,
-        tally: &mut SearchTally,
-    ) {
-        if *budget == 0 {
+    /// The one leaf scan: score `ids` against `query` under `bound` in a
+    /// single kernel call, leaving `(position in ids, distance)` of every
+    /// candidate with `d ≤ bound` in `survivors`, in bucket order.
+    #[inline]
+    fn scan_leaf(&self, query: &P, ids: &[u32], bound: f32, survivors: &mut Vec<(u32, f32)>) {
+        survivors.clear();
+        let cands = ids.iter().map(|&i| &self.points[i as usize]);
+        self.metric.scan_bounded(query, cands, bound, survivors);
+    }
+
+    fn search_rec(&self, node: u32, query: &P, s: &mut Search) {
+        if s.budget == 0 {
             return;
         }
-        tally.nodes_visited += 1;
+        s.tally.nodes_visited += 1;
         match &self.nodes[node as usize] {
             Node::Leaf { bucket } => {
-                tally.leaf_scans += 1;
-                for &i in bucket {
-                    if *budget == 0 {
+                s.tally.leaf_scans += 1;
+                // Whole-chunk leaf scan. A chunk is scored under the τ
+                // held when it starts and its survivors are replayed, in
+                // bucket order, against the live τ — which only shrinks,
+                // so `τ_live ≤ τ_chunk` and by the `scan_bounded` contract
+                // (`d` reported ⟺ `d ≤ bound`):
+                //   * not reported ⟹ d > τ_chunk ≥ τ_live: the one-by-one
+                //     scan would abandon it too;
+                //   * reported, d ≤ τ_live: the one-by-one scan would see
+                //     the same bits and offer them;
+                //   * reported, d > τ_live: one-by-one abandons.
+                // Truncating the chunk to the remaining budget stops on
+                // the candidate the one-by-one loop would stop on, so
+                // results and all four counters are those of scoring the
+                // bucket a candidate at a time.
+                for chunk in bucket.chunks(LEAF_CHUNK) {
+                    if s.budget == 0 {
                         return;
                     }
-                    *budget -= 1;
-                    tally.dist_calls += 1;
-                    // Early-abandoning leaf scan: a candidate can only enter
-                    // the heap at d < τ, so the kernel may bail out past τ.
-                    // `None` ⟹ d > τ ⟹ `offer` would have rejected it.
-                    if let Some(d) =
-                        self.metric
-                            .dist_bounded(query, &self.points[i as usize], heap.tau())
-                    {
-                        heap.offer(i, d);
-                    } else {
-                        tally.early_abandons += 1;
+                    let chunk = &chunk[..chunk.len().min(s.budget)];
+                    self.scan_leaf(query, chunk, s.heap.tau(), &mut s.survivors);
+                    s.budget -= chunk.len();
+                    s.tally.dist_calls += chunk.len() as u64;
+                    let mut offered = 0;
+                    for &(j, d) in &s.survivors {
+                        if d <= s.heap.tau() {
+                            s.heap.offer(chunk[j as usize], d);
+                            offered += 1;
+                        }
                     }
+                    s.tally.early_abandons += chunk.len() as u64 - offered;
                 }
             }
             Node::Internal {
@@ -501,7 +545,7 @@ impl<P, M: Metric<P>> VpTree<P, M> {
                 // cannot enter the heap (d > τ) *and* the query ball misses
                 // both child bands (d − τ > hi), so the whole subtree is
                 // pruned — exactly what the unbounded traversal would do.
-                let tau = heap.tau();
+                let tau = s.heap.tau();
                 let vantage_bound = if tau.is_infinite() {
                     f32::INFINITY
                 } else {
@@ -510,13 +554,13 @@ impl<P, M: Metric<P>> VpTree<P, M> {
                 let bounded =
                     self.metric
                         .dist_bounded(query, &self.points[*vantage as usize], vantage_bound);
-                *budget -= 1;
-                tally.dist_calls += 1;
+                s.budget -= 1;
+                s.tally.dist_calls += 1;
                 let Some(d) = bounded else {
-                    tally.early_abandons += 1;
+                    s.tally.early_abandons += 1;
                     return;
                 };
-                heap.offer(*vantage, d);
+                s.heap.offer(*vantage, d);
                 // Visit the likelier side first so τ shrinks early (and so
                 // a finite budget is spent where matches actually live).
                 let (first, second, fb, sb) = if d <= *radius {
@@ -524,11 +568,11 @@ impl<P, M: Metric<P>> VpTree<P, M> {
                 } else {
                     (*right, *left, *right_bounds, *left_bounds)
                 };
-                if first != NIL && Self::band_intersects(d, heap.tau(), fb) {
-                    self.search_rec(first, query, heap, budget, tally);
+                if first != NIL && Self::band_intersects(d, s.heap.tau(), fb) {
+                    self.search_rec(first, query, s);
                 }
-                if second != NIL && Self::band_intersects(d, heap.tau(), sb) {
-                    self.search_rec(second, query, heap, budget, tally);
+                if second != NIL && Self::band_intersects(d, s.heap.tau(), sb) {
+                    self.search_rec(second, query, s);
                 }
             }
         }
@@ -551,24 +595,22 @@ impl<P, M: Metric<P>> VpTree<P, M> {
         query: &P,
         radius: f32,
         out: &mut Vec<Neighbor>,
+        survivors: &mut Vec<(u32, f32)>,
         tally: &mut SearchTally,
     ) {
         tally.nodes_visited += 1;
         match &self.nodes[node as usize] {
             Node::Leaf { bucket } => {
                 tally.leaf_scans += 1;
-                for &i in bucket {
-                    tally.dist_calls += 1;
-                    // `Some` ⟺ d ≤ radius: exactly the membership test.
-                    if let Some(d) =
-                        self.metric
-                            .dist_bounded(query, &self.points[i as usize], radius)
-                    {
-                        out.push(Neighbor { index: i, dist: d });
-                    } else {
-                        tally.early_abandons += 1;
-                    }
-                }
+                // The bound never moves, so the whole bucket is one scan
+                // and a survivor (d ≤ radius) is exactly a member.
+                self.scan_leaf(query, bucket, radius, survivors);
+                tally.dist_calls += bucket.len() as u64;
+                tally.early_abandons += (bucket.len() - survivors.len()) as u64;
+                out.extend(survivors.iter().map(|&(j, dist)| Neighbor {
+                    index: bucket[j as usize],
+                    dist,
+                }));
             }
             Node::Internal {
                 vantage,
@@ -601,10 +643,10 @@ impl<P, M: Metric<P>> VpTree<P, M> {
                     });
                 }
                 if *left != NIL && Self::band_intersects(d, radius, *left_bounds) {
-                    self.range_rec(*left, query, radius, out, tally);
+                    self.range_rec(*left, query, radius, out, survivors, tally);
                 }
                 if *right != NIL && Self::band_intersects(d, radius, *right_bounds) {
-                    self.range_rec(*right, query, radius, out, tally);
+                    self.range_rec(*right, query, radius, out, survivors, tally);
                 }
             }
         }
@@ -1148,34 +1190,114 @@ mod tests {
         assert!(t.check_invariants().is_err());
     }
 
+    /// The whole-leaf scan is an implementation strategy, not a different
+    /// search: over identical tree geometry, the production metrics
+    /// (early-abandoning per-pair kernel on vantage points, chunked
+    /// `scan_bounded` in the leaves, SIMD lanes where they apply) must
+    /// return the same neighbours — indices and distance bits — and the
+    /// same four counters as an [`Unbounded`] twin, whose every distance
+    /// is a full per-pair `dist` call. Covers both metrics, buckets
+    /// smaller than, equal to and larger than a scan chunk, budgets that
+    /// run out on a vantage point, mid-chunk and never, window lengths on
+    /// and off the 16-residue tile, and range search.
     #[test]
-    fn bounded_kernel_searches_are_bit_identical_to_unbounded() {
-        // The same tree geometry under the early-abandoning metric and the
-        // full-compute `Unbounded` wrapper must return identical results —
-        // indices and distance bits — for exact, budgeted, and range
-        // searches. Uses the matrix metric so distances are non-trivial
-        // f32 sums where accumulation order matters.
+    fn whole_leaf_scan_equals_the_per_pair_search() {
         use mendel_seq::{MatrixDistance, ScoringMatrix, Unbounded};
-        let matrix = MatrixDistance::mendel(&ScoringMatrix::blosum62());
-        let points = random_points(800, 16, 20, 50);
-        let bounded = VpTree::build(points.clone(), BlockDistance::new(matrix.clone()), 8, 99);
-        let baseline = VpTree::build(points, BlockDistance::new(Unbounded(matrix)), 8, 99);
-        let check = |got: &[Neighbor], want: &[Neighbor], what: &str| {
-            assert_eq!(got.len(), want.len(), "{what}: result count");
-            for (g, w) in got.iter().zip(want) {
-                assert_eq!(g.index, w.index, "{what}: index");
-                assert_eq!(g.dist.to_bits(), w.dist.to_bits(), "{what}: dist bits");
-            }
-        };
-        for q in random_points(20, 16, 20, 51) {
-            check(&bounded.knn(&q, 6), &baseline.knn(&q, 6), "knn");
-            check(
-                &bounded.knn_with_budget(&q, 6, 100),
-                &baseline.knn_with_budget(&q, 6, 100),
-                "budgeted knn",
-            );
-            check(&bounded.range(&q, 40.0), &baseline.range(&q, 40.0), "range");
+        fn counters<P, M: Metric<P>>(t: &VpTree<P, M>) -> [u64; 4] {
+            let m = t.search_metrics();
+            [
+                m.dist_calls.get(),
+                m.early_abandons.get(),
+                m.nodes_visited.get(),
+                m.leaf_scans.get(),
+            ]
         }
+        fn check<M: Metric<Vec<u8>> + Clone>(metric: M, alphabet: u8, len: usize, what: &str) {
+            let points = random_points(900, len, alphabet, 50 + len as u64);
+            let queries = random_points(6, len, alphabet, 51 + len as u64);
+            for bucket in [1usize, 7, 32, 40] {
+                let fast = VpTree::build(points.clone(), metric.clone(), bucket, 99);
+                let slow = VpTree::build(points.clone(), Unbounded(metric.clone()), bucket, 99);
+                let same = |got: &[Neighbor], want: &[Neighbor], search: &str| {
+                    assert_eq!(got.len(), want.len(), "{what} bucket {bucket} {search}");
+                    for (g, w) in got.iter().zip(want) {
+                        assert_eq!(g.index, w.index, "{what} bucket {bucket} {search}");
+                        assert_eq!(
+                            g.dist.to_bits(),
+                            w.dist.to_bits(),
+                            "{what} bucket {bucket} {search}"
+                        );
+                    }
+                    assert_eq!(
+                        counters(&fast),
+                        counters(&slow),
+                        "{what} bucket {bucket} {search}: counters"
+                    );
+                };
+                for q in &queries {
+                    for budget in [1usize, 17, 4096, usize::MAX] {
+                        for k in [1usize, 6] {
+                            same(
+                                &fast.knn_with_budget(q, k, budget),
+                                &slow.knn_with_budget(q, k, budget),
+                                &format!("knn k {k} budget {budget}"),
+                            );
+                        }
+                    }
+                    let radius = 2.5 * len as f32;
+                    same(&fast.range(q, radius), &slow.range(q, radius), "range");
+                }
+            }
+        }
+        let protein = MatrixDistance::mendel(&ScoringMatrix::blosum62());
+        for len in [12usize, 16, 20, 40] {
+            // All 24 codes: the ambiguity letters sit at the table maximum.
+            check(BlockDistance::new(protein.clone()), 24, len, "protein");
+            check(BlockDistance::new(Hamming), 4, len, "dna");
+        }
+    }
+
+    #[test]
+    fn degenerate_searches_return_nothing_and_count_nothing() {
+        let t = build(random_points(40, 8, 4, 3), 4);
+        let q = vec![0u8; 8];
+        assert!(t.knn_with_budget(&q, 0, usize::MAX).is_empty());
+        assert!(t.knn_with_budget(&q, 4, 0).is_empty());
+        assert_eq!(t.search_metrics().dist_calls.get(), 0);
+        // Budget 1 is spent on the root vantage.
+        assert_eq!(t.knn_with_budget(&q, 4, 1).len(), 1);
+        assert_eq!(t.search_metrics().dist_calls.get(), 1);
+    }
+
+    /// The work profile of a fixed-seed search set, as integer literals
+    /// captured at the commit before the whole-leaf scan landed (PR 23's
+    /// parent). A kernel or scan change that alters the traversal — not
+    /// just its speed — trips this test instead of a benchmark.
+    #[test]
+    fn fixed_seed_search_counters_are_pinned() {
+        use mendel_seq::{MatrixDistance, ScoringMatrix};
+        fn profile<M: Metric<Vec<u8>>>(metric: M, alphabet: u8) -> [u64; 4] {
+            let tree = VpTree::build(random_points(6000, 16, alphabet, 0x23), metric, 32, 0x23);
+            for q in random_points(24, 16, alphabet, 0x24) {
+                tree.knn_with_budget(&q, 8, 1024);
+            }
+            let m = tree.search_metrics();
+            [
+                m.dist_calls.get(),
+                m.early_abandons.get(),
+                m.nodes_visited.get(),
+                m.leaf_scans.get(),
+            ]
+        }
+        let protein = MatrixDistance::mendel(&ScoringMatrix::blosum62());
+        assert_eq!(
+            profile(BlockDistance::new(protein), 20),
+            [24_576, 22_585, 2_190, 1_054]
+        );
+        assert_eq!(
+            profile(BlockDistance::new(Hamming), 4),
+            [24_576, 22_221, 2_297, 1_099]
+        );
     }
 
     #[test]

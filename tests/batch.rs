@@ -3,12 +3,11 @@
 //! (protein/MatrixDistance and DNA/Hamming) and both storage backends
 //! (memory and durable),
 //!
-//! * a batch of N answers exactly like N batches of one — `knn_batch`
-//!   keeps queries independent of their batch-mates; and
-//! * the in-process evaluator (`knn_batch`) answers **bit-identically**
-//!   to `WireCluster::query`, whose nodes run the per-window
-//!   `knn_with_budget` search — the independent reference the batched
-//!   traversal must replay decision for decision.
+//! * a batch of N answers exactly like N batches of one — queries stay
+//!   independent of their batch-mates; and
+//! * the in-process evaluator answers **bit-identically** to
+//!   `WireCluster::query` — the same per-window node search, reached
+//!   through one scheduler job per node rather than encoded messages.
 
 use mendel_suite::core::{
     ClusterConfig, MendelCluster, MendelError, MendelHit, QueryParams, StorageBackend, WireCluster,
@@ -24,7 +23,7 @@ struct World {
     pool: Vec<Vec<u8>>,
 }
 
-fn build_world(alphabet: Alphabet, backend: StorageBackend, seed: u64) -> World {
+fn build_world(alphabet: Alphabet, backend: StorageBackend, seed: u64, block_len: usize) -> World {
     let db = Arc::new(
         NrLikeSpec {
             alphabet,
@@ -45,6 +44,7 @@ fn build_world(alphabet: Alphabet, backend: StorageBackend, seed: u64) -> World 
         MendelCluster::build(
             ClusterConfig {
                 storage: backend,
+                block_len,
                 ..base
             },
             db.clone(),
@@ -84,7 +84,7 @@ fn world(alphabet: Alphabet, durable: bool) -> &'static World {
         } else {
             StorageBackend::Memory
         };
-        build_world(alphabet, backend, 0xBA7C + idx as u64)
+        build_world(alphabet, backend, 0xBA7C + idx as u64, 16)
     })
 }
 
@@ -136,7 +136,10 @@ fn assert_batch_matches(world: &World, picks: &[usize], k: usize) {
                 .iter()
                 .map(hit_bits)
                 .collect();
-            assert_eq!(w, b, "knn_batch must replay the per-window wire search");
+            assert_eq!(
+                w, b,
+                "the in-process evaluator must answer like the wire path"
+            );
         }
     }
 }
@@ -188,7 +191,7 @@ proptest! {
 }
 
 /// Duplicate queries inside one batch each get the full, identical answer
-/// (regression guard for leaf-group bookkeeping keyed by query index).
+/// (regression guard: outputs are keyed by query index, not by content).
 #[test]
 fn duplicate_queries_in_one_batch_agree() {
     let w = world(Alphabet::Protein, false);
@@ -271,6 +274,45 @@ fn simd_kill_switch_leaves_cluster_hits_identical() {
             out
         };
         assert_eq!(answers(false), answers(true), "{alphabet:?}");
+    }
+}
+
+/// Block lengths off the kernels' 16-residue tile — a short tail only
+/// (12) and a full tile plus a tail (20) — answer identically from a
+/// batch, from single queries, over the wire, and with SIMD off, on both
+/// alphabets.
+#[test]
+fn off_tile_block_lengths_answer_identically_everywhere() {
+    use mendel_suite::seq::simd::set_simd_enabled;
+    for alphabet in [Alphabet::Protein, Alphabet::Dna] {
+        for block_len in [12usize, 20] {
+            let w = build_world(
+                alphabet,
+                StorageBackend::Memory,
+                0xB10C + block_len as u64,
+                block_len,
+            );
+            let picks: Vec<usize> = (0..w.pool.len()).collect();
+            assert_batch_matches(&w, &picks, 1);
+            let params = params_for(&w);
+            let hits = |on: bool| -> Vec<Vec<MendelHit>> {
+                let prev = set_simd_enabled(on);
+                let out = w
+                    .cluster
+                    .query_batch(&w.pool, &params)
+                    .into_iter()
+                    .map(|r| r.unwrap().hits)
+                    .collect();
+                set_simd_enabled(prev);
+                out
+            };
+            let vector = hits(true);
+            assert_eq!(hits(false), vector, "{alphabet:?} block {block_len}");
+            assert!(
+                vector.iter().any(|h| !h.is_empty()),
+                "{alphabet:?} block {block_len}: the pool finds something"
+            );
+        }
     }
 }
 
