@@ -192,6 +192,10 @@ fi
 #    gate only keeps it parsing and answering `--help`.
 ab_script() { bash -n ab.sh && ./ab.sh --help >/dev/null; }
 step "ab.sh parses and prints its usage" ab_script
+#    Likewise the line counter CHANGES.md size tables are made with
+#    (loc.sh): it must parse and count the tree.
+loc_script() { bash -n loc.sh && ./loc.sh | grep -q '^total'; }
+step "loc.sh parses and counts the tree" loc_script
 
 # 17. The gate reads the tree; it must not rewrite it. Any tracked file
 #    that differs from its state when the gate started (a step that

@@ -206,37 +206,43 @@ fn mark_depth(tokens: &mut [Token]) {
 /// [`crate::lint`]: a `#[test]` or test-carrying `#[cfg(..)]` attribute
 /// arms a pending flag; the next `{` opens a region popped by its
 /// matching `}`. A `;` at attribute level disarms (attribute on a
-/// bodyless item).
+/// bodyless item), and so does the `}` that closes the block the
+/// attribute sits in (attribute on a struct field or a literal's field:
+/// the item cannot outlive its enclosing braces, so the next `{` is
+/// somebody else's).
 fn mark_test_regions(tokens: &mut [Token]) {
-    let mut pending = false;
+    // Brace depth at which the pending attribute was seen.
+    let mut pending: Option<u32> = None;
     let mut stack: Vec<u32> = Vec::new();
     let mut i = 0;
     while i < tokens.len() {
         if tokens[i].is_punct('#') && tokens.get(i + 1).is_some_and(|t| t.is_punct('[')) {
             if let Some((end, is_test)) = scan_attribute(tokens, i + 1) {
                 if is_test {
-                    pending = true;
+                    pending = Some(tokens[i].depth);
                 }
                 for tok in tokens[i..=end].iter_mut() {
-                    tok.in_test = tok.in_test || pending || !stack.is_empty();
+                    tok.in_test = tok.in_test || pending.is_some() || !stack.is_empty();
                 }
                 i = end + 1;
                 continue;
             }
         }
         let tok = &mut tokens[i];
-        tok.in_test = pending || !stack.is_empty();
+        tok.in_test = pending.is_some() || !stack.is_empty();
         if tok.is_punct('{') {
-            if pending {
+            if pending.take().is_some() {
                 stack.push(tok.depth);
-                pending = false;
             }
         } else if tok.is_punct('}') {
             if stack.last() == Some(&tok.depth) {
                 stack.pop();
             }
+            if pending.is_some_and(|armed| tok.depth < armed) {
+                pending = None;
+            }
         } else if tok.is_punct(';') && stack.is_empty() {
-            pending = false;
+            pending = None;
         }
         i += 1;
     }
@@ -371,6 +377,18 @@ mod tests {
         assert!(!flag("c"));
         // The signature between attribute and brace is covered too.
         assert!(flag("tests"));
+    }
+
+    #[test]
+    fn test_attribute_on_a_field_does_not_swallow_the_next_block() {
+        let src = "struct S {\n    a: u8,\n    #[cfg(any(test, feature = \"x\"))]\n    b: u8,\n}\nimpl S { fn live(&self) { a(); } }";
+        let lexed = lex(src);
+        let flag = |s: &str| lexed.tokens.iter().find(|t| t.text == s).unwrap().in_test;
+        assert!(flag("b"), "the attributed field itself is test-only");
+        assert!(
+            !flag("live") && !flag("a"),
+            "the impl after the struct is not"
+        );
     }
 
     #[test]

@@ -7,7 +7,6 @@ use mendel_align::karlin::solve_ungapped_background;
 use mendel_align::{extend_gapped_banded, extend_ungapped, GapPenalties, KarlinParams};
 use mendel_seq::dist::percent_identity;
 use mendel_seq::{ScoringMatrix, SeqId, SeqStore};
-use rayon::prelude::*;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -287,9 +286,9 @@ impl Blast {
         out
     }
 
-    /// Search many queries in parallel (rayon).
+    /// Search many queries, one result list per query in input order.
     pub fn search_all(&self, queries: &[Vec<u8>]) -> Vec<Vec<BlastHit>> {
-        queries.par_iter().map(|q| self.search(q)).collect()
+        queries.iter().map(|q| self.search(q)).collect()
     }
 
     /// blastx-style translated search: translate an encoded DNA query in
@@ -308,7 +307,7 @@ impl Blast {
         );
         let frames = mendel_seq::six_frames(dna_query);
         let mut out: Vec<(usize, BlastHit)> = frames
-            .par_iter()
+            .iter()
             .enumerate()
             .flat_map(|(f, q)| {
                 self.search(q)

@@ -1,32 +1,41 @@
 //! The Mendel cluster façade: two-tier indexing (§V-A), the distributed
-//! query pipeline (§V-B), the simulated cluster clock (DESIGN.md §3),
-//! fault tolerance and elasticity (§VII-B extensions).
+//! query pipeline (§V-B) and the simulated cluster clock (DESIGN.md §3).
+//!
+//! The cluster is the control plane — topology, vp-prefix hash,
+//! placement ledger, failed set — over a `Vec` of [`NodeSlot`]s, each of
+//! which owns one node's RAM, disk and lifecycle ([`crate::node`]).
+//! This module holds construction, routing, the query wrappers and
+//! introspection; fault tolerance and elasticity (§VII-B) are in
+//! [`ops`].
 
-use crate::block::{make_blocks, Block, BlockKey};
+mod ops;
+
+pub use ops::{FailoverDelta, RepairReport};
+
+use crate::block::{make_blocks, Block};
 use crate::config::{ClusterConfig, StorageBackend};
 use crate::error::MendelError;
 use crate::ledger::Ledger;
 use crate::metric::BlockMetric;
-use crate::node::{DbCell, StorageNode};
+use crate::node::{DbCell, NodeSlot, NodeStores};
 use crate::params::QueryParams;
 use crate::query::identity;
-use crate::report::{CoverageReport, GroupCoverage, MendelHit, QueryReport};
+use crate::report::{MendelHit, QueryReport};
 use mendel_align::hsp::bin_by_subject;
 use mendel_align::karlin::solve_ungapped_background;
 use mendel_align::{extend_gapped_banded, Hsp, KarlinParams};
-use mendel_dht::sha1::sha1_u64;
 use mendel_dht::{FlatPlacement, GroupId, LoadReport, NodeId, Topology};
-use mendel_net::{HeartbeatMonitor, NodeSpeed};
+use mendel_net::NodeSpeed;
 use mendel_obs::{
     Clock, MetricsSnapshot, MonotonicClock, Registry, SlowLogConfig, SlowQueryLog, SpanRecord,
     TraceCollector, TraceId, TraceTree,
 };
 use mendel_sched::{SchedConfig, Scheduler};
-use mendel_seq::{Alphabet, ScoringMatrix, SeqId, SeqStore, WindowView};
-use mendel_store::{DurableStore, MemVfs, StoreMetrics, StoreOptions, Vfs};
+use mendel_seq::{Alphabet, ScoringMatrix, SeqStore, Sequence};
+use mendel_store::{MemVfs, StoreMetrics, Vfs};
 use mendel_vptree::{GroupAssignment, SearchMetrics, VpPrefixTree};
-use parking_lot::{Mutex, RwLock};
-use rayon::prelude::*;
+use ops::FailureRecord;
+use parking_lot::RwLock;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -37,77 +46,19 @@ use std::time::Duration;
 /// strongest first); bounds worst-case finalize cost on repetitive data.
 const MAX_GAPPED_ANCHORS_PER_SUBJECT: usize = 16;
 
-/// Why (and when) a node entered the failed set.
-#[derive(Debug, Clone, Copy)]
-struct FailureRecord {
-    /// True when the failure detector suspected the node
-    /// ([`MendelCluster::sync_failure_detector`]); false for an
-    /// operator-initiated [`MendelCluster::fail_node`]. Only auto
-    /// failures are auto-recovered when the node beats again.
-    auto: bool,
-    /// The group's rebalance epoch when the node went down. A mismatch
-    /// at recovery means placement moved while the node was dark — its
-    /// contents are stale and the group must be re-placed.
-    group_epoch: u64,
-}
-
-/// What one [`MendelCluster::sync_failure_detector`] pass changed.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct FailoverDelta {
-    /// Nodes newly added to the failed set (detector suspects).
-    pub suspected: Vec<NodeId>,
-    /// Auto-failed nodes recovered because they beat again.
-    pub recovered: Vec<NodeId>,
-}
-
-/// What one [`MendelCluster::repair`] pass did.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RepairReport {
-    /// Groups where at least one copy was added.
-    pub groups_repaired: usize,
-    /// Distinct block keys examined across all groups.
-    pub blocks_scanned: usize,
-    /// Block copies created to restore the replication factor.
-    pub copies_added: u64,
-    /// Blocks with **no** live replica — repair cannot recreate these;
-    /// they come back only when a holder recovers.
-    pub unreachable: usize,
-}
-
-/// On-VFS root directory of one node's durable store.
-fn store_root(node: usize) -> String {
-    format!("node-{node}")
-}
-
-/// Durable-backend state (ROADMAP item 2): one `mendel-store` engine per
-/// node, each rooted at `node-<i>/` on a shared injectable [`Vfs`]. A
-/// `None` cell means the node's process is down — its RAM (and store
-/// handle) are gone and only the bytes on disk survive until
-/// [`MendelCluster::recover_node`] replays them.
-struct NodeStores {
-    vfs: Arc<dyn Vfs>,
-    opts: StoreOptions,
-    metrics: StoreMetrics,
-    stores: RwLock<Vec<Arc<Mutex<Option<DurableStore>>>>>,
-}
-
 /// A running Mendel cluster over an indexed reference database.
 pub struct MendelCluster {
     config: ClusterConfig,
     topology: RwLock<Topology>,
     prefix: VpPrefixTree<Vec<u8>, BlockMetric>,
     assignment: GroupAssignment,
-    placement: FlatPlacement,
-    nodes: RwLock<Vec<Arc<RwLock<StorageNode>>>>,
+    /// Every node ever joined, indexed by `NodeId`.
+    nodes: RwLock<Vec<Arc<NodeSlot>>>,
     /// Who holds which block key (DESIGN.md §9): written by
-    /// [`Self::place`] and [`Self::reset_node`], read by coverage and
-    /// repair. Taken last and held across no other acquisition.
+    /// [`Self::admit`] and where a node's holdings are struck
+    /// (replay, rebalance), read by coverage and repair. Taken last and
+    /// held across no other acquisition.
     ledger: RwLock<Ledger>,
-    /// Oracle state for [`Self::check_ledger`]: the keys each dark
-    /// (killed, not yet restored) durable node held when its RAM was
-    /// dropped, which the sweep cannot read back from anywhere else.
-    #[cfg(any(test, feature = "strict-invariants"))]
-    dark_keys: Mutex<HashMap<NodeId, Vec<BlockKey>>>,
     failed: RwLock<HashMap<NodeId, FailureRecord>>,
     /// Per-group rebalance counters backing stale-recovery detection.
     group_epochs: RwLock<Vec<u64>>,
@@ -134,8 +85,8 @@ pub struct MendelCluster {
     db: DbCell,
     karlin: KarlinParams,
     index_elapsed: Duration,
-    /// Durable storage backend; `None` in memory mode.
-    storage: Option<NodeStores>,
+    /// What opening a node's durable store takes; `None` in memory mode.
+    storage: Option<Arc<NodeStores>>,
     /// Work-stealing query scheduler (DESIGN.md §15): admission control
     /// plus the worker pool every in-process query fans its node-local
     /// searches out on. Its `mendel.sched.*` counters live in [`Self::obs`].
@@ -174,11 +125,35 @@ impl MendelCluster {
         clock: Arc<dyn Clock>,
         vfs: Option<Arc<dyn Vfs>>,
     ) -> Result<Self, MendelError> {
+        let started = clock.now();
+        let corpus = db.clone();
+        let mut cluster = Self::skeleton(config, db, clock.clone(), vfs)?;
+        cluster.index_sequences(corpus.iter())?;
+        cluster.index_elapsed = clock.now().saturating_sub(started);
+        Ok(cluster)
+    }
+
+    /// Restore-path constructor ([`crate::snapshot`]): the skeleton
+    /// alone, no data routed.
+    pub(crate) fn build_empty(
+        config: ClusterConfig,
+        db: Arc<SeqStore>,
+    ) -> Result<Self, MendelError> {
+        Self::skeleton(config, db, Arc::new(MonotonicClock::new()), None)
+    }
+
+    /// The one constructor: vp-prefix hash, topology, and one empty,
+    /// opened [`NodeSlot`] per configured node. Everything a cluster
+    /// derives from its config is derived here or read from
+    /// [`Self::config`] later — nothing is stored twice.
+    fn skeleton(
+        config: ClusterConfig,
+        db: Arc<SeqStore>,
+        clock: Arc<dyn Clock>,
+        vfs: Option<Arc<dyn Vfs>>,
+    ) -> Result<Self, MendelError> {
         config.validate()?;
         let obs = Registry::with_clock(clock);
-        let clock = obs.clock();
-        let started = clock.now();
-        let metric = config.metric.instantiate();
 
         // Prefix-tree sample: an even stride over all windows.
         let sample = Self::sample_windows(&db, config.block_len, config.prefix_sample);
@@ -188,88 +163,71 @@ impl MendelCluster {
                 config.block_len
             )));
         }
-        let prefix = VpPrefixTree::build(sample, metric.clone(), config.prefix_depth, config.seed);
+        let prefix = VpPrefixTree::build(
+            sample,
+            config.metric.instantiate(),
+            config.prefix_depth,
+            config.seed,
+        );
         let assignment = GroupAssignment::new(prefix.num_buckets(), config.groups);
         let topology = Topology::new(config.nodes, config.groups);
-        let placement = FlatPlacement::with_replication(config.replication);
 
+        let storage = match config.storage {
+            StorageBackend::Memory => None,
+            StorageBackend::Durable(opts) => Some(Arc::new(NodeStores {
+                vfs: vfs.unwrap_or_else(|| Arc::new(MemVfs::plain(config.seed))),
+                opts,
+                metrics: StoreMetrics::registered(&obs, "mendel.store"),
+            })),
+        };
         let db: DbCell = Arc::new(RwLock::new(db));
-        // One shared counter bundle across all nodes: per-node trees
-        // aggregate into the cluster-wide `mendel.vptree.*` counters.
-        let search_metrics = SearchMetrics::registered(&obs);
-        let nodes: Vec<Arc<RwLock<StorageNode>>> = (0..config.nodes)
+        let nodes = (0..config.nodes)
             .map(|i| {
-                let mut node = StorageNode::new(
-                    metric.clone(),
-                    config.bucket_capacity,
-                    db.clone(),
-                    config.alphabet,
-                    config.seed ^ (i as u64 + 1),
-                );
-                node.set_search_metrics(search_metrics.clone());
-                Arc::new(RwLock::new(node))
+                let slot = Self::new_slot(&config, &db, &obs, &storage, i);
+                slot.open().map(|()| slot)
             })
-            .collect();
+            .collect::<Result<Vec<_>, _>>()?;
 
-        let karlin = Self::default_karlin(config.alphabet);
-        let groups = config.groups;
-        let storage = Self::init_storage(&config, &obs, vfs)?;
-        let sched = Arc::new(Scheduler::new(SchedConfig::default(), &obs));
-        let cluster = MendelCluster {
-            config,
+        Ok(MendelCluster {
             topology: RwLock::new(topology),
             prefix,
             assignment,
-            placement,
             nodes: RwLock::new(nodes),
-            ledger: RwLock::new(Ledger::new(groups)),
-            #[cfg(any(test, feature = "strict-invariants"))]
-            dark_keys: Mutex::new(HashMap::new()),
+            ledger: RwLock::new(Ledger::new(config.groups)),
             failed: RwLock::new(HashMap::new()),
-            group_epochs: RwLock::new(vec![0; groups]),
+            group_epochs: RwLock::new(vec![0; config.groups]),
             repair_moves: AtomicU64::new(0),
-            obs,
             tracing: AtomicBool::new(false),
             trace_sample: AtomicU64::new(1),
             trace_seq: AtomicU64::new(0),
             slowlog: SlowQueryLog::default(),
             db,
-            karlin,
+            karlin: Self::default_karlin(config.alphabet),
             index_elapsed: Duration::ZERO,
             storage,
-            sched,
-        };
-        cluster.index_all()?;
-        Ok(MendelCluster {
-            index_elapsed: clock.now().saturating_sub(started),
-            ..cluster
+            sched: Arc::new(Scheduler::new(SchedConfig::default(), &obs)),
+            obs,
+            config,
         })
     }
 
-    /// Open one durable store per node when the config asks for the
-    /// durable backend; `Ok(None)` in memory mode.
-    fn init_storage(
+    /// The one place a node slot is made (construction and
+    /// [`Self::add_node`]): empty, wired to the cluster's shared
+    /// `mendel.vptree.*` counters, its store not yet open.
+    fn new_slot(
         config: &ClusterConfig,
+        db: &DbCell,
         obs: &Registry,
-        vfs: Option<Arc<dyn Vfs>>,
-    ) -> Result<Option<NodeStores>, MendelError> {
-        let StorageBackend::Durable(opts) = config.storage else {
-            return Ok(None);
-        };
-        let vfs: Arc<dyn Vfs> = vfs.unwrap_or_else(|| Arc::new(MemVfs::plain(config.seed)));
-        let metrics = StoreMetrics::registered(obs, "mendel.store");
-        let mut stores = Vec::with_capacity(config.nodes);
-        for i in 0..config.nodes {
-            let (store, _report) =
-                DurableStore::open(vfs.clone(), &store_root(i), opts, metrics.clone())?;
-            stores.push(Arc::new(Mutex::new(Some(store))));
-        }
-        Ok(Some(NodeStores {
-            vfs,
-            opts,
-            metrics,
-            stores: RwLock::new(stores),
-        }))
+        storage: &Option<Arc<NodeStores>>,
+        idx: usize,
+    ) -> Arc<NodeSlot> {
+        Arc::new(NodeSlot::new(
+            NodeId(idx as u16),
+            config,
+            db.clone(),
+            SearchMetrics::registered(obs),
+            storage.clone(),
+        ))
     }
 
     fn default_karlin(alphabet: Alphabet) -> KarlinParams {
@@ -307,46 +265,57 @@ impl MendelCluster {
         out
     }
 
-    /// Phases 1–3 of indexing for the whole database: block creation,
-    /// vp-prefix dispersion to groups, SHA-1 placement within groups,
-    /// then parallel per-node local vp-tree builds.
-    fn index_all(&self) -> Result<(), MendelError> {
+    /// Phases 1–3 of indexing (§V-A) for `seqs`, which the reference
+    /// store already holds: block creation, vp-prefix dispersion to
+    /// groups, SHA-1 placement within groups, node-local vp-tree
+    /// insertion. Reports the first node whose disk refused its batch.
+    fn index_sequences<'a>(
+        &self,
+        seqs: impl Iterator<Item = &'a Sequence>,
+    ) -> Result<(), MendelError> {
         let topo = self.topology.read();
-        let db = self.db.read().clone();
-        // Route blocks to per-node batches (parallel over sequences, then
-        // merged; routing is hashing-dominated).
-        let per_seq: Vec<Vec<(NodeId, Block)>> = db
-            .iter()
-            .collect::<Vec<_>>()
-            .par_iter()
-            .map(|s| {
-                let mut routed = Vec::new();
-                for b in make_blocks(s, self.config.block_len) {
-                    let g = self.group_of_window(&b.window);
-                    for node in self.placement.replicas(&topo, g, &b.key().as_bytes()) {
-                        routed.push((node, b.clone()));
+        let blocks = seqs
+            .flat_map(|s| make_blocks(s, self.config.block_len))
+            .map(|b| (self.group_of_window(&b.window), b));
+        let refused = self.route_and_place(&topo, blocks);
+        drop(topo);
+        self.assert_ledger("index_sequences");
+        match refused.into_iter().next() {
+            Some((_, e)) => Err(e),
+            None => Ok(()),
+        }
+    }
+
+    /// The one route-and-place: send each block to its replicas in its
+    /// group under `topo` and hand every node its batch ([`Self::place`]),
+    /// in node order. Replicas that land on failed nodes are skipped — a
+    /// down node cannot accept writes — leaving those blocks
+    /// under-replicated until [`Self::repair`] or the node's own
+    /// stale-recovery rebalance. Returns the nodes whose disk refused
+    /// their batch; what the caller does about them is its policy.
+    fn route_and_place(
+        &self,
+        topo: &Topology,
+        blocks: impl Iterator<Item = (GroupId, Block)>,
+    ) -> Vec<(NodeId, MendelError)> {
+        // Derived here from the one place the replication factor is kept.
+        let placement = FlatPlacement::with_replication(self.config.replication);
+        let mut batches: BTreeMap<NodeId, Vec<Block>> = BTreeMap::new();
+        {
+            let failed = self.failed.read();
+            for (g, b) in blocks {
+                for node in placement.replicas(topo, g, &b.key().as_bytes()) {
+                    if !failed.contains_key(&node) {
+                        batches.entry(node).or_default().push(b.clone());
                     }
                 }
-                routed
-            })
-            .collect();
-
-        let mut batches: Vec<Vec<Block>> = vec![Vec::new(); self.config.nodes];
-        for routed in per_seq {
-            for (node, b) in routed {
-                batches[node.0 as usize].push(b);
             }
         }
-
         let nodes = self.nodes.read();
         batches
-            .into_par_iter()
-            .enumerate()
-            .filter(|(_, batch)| !batch.is_empty())
-            .try_for_each(|(i, batch)| self.place(&topo, &nodes, NodeId(i as u16), batch))?;
-        drop((nodes, topo));
-        self.assert_ledger("index_all");
-        Ok(())
+            .into_iter()
+            .filter_map(|(node, batch)| Some((node, self.place(topo, &nodes, node, batch).err()?)))
+            .collect()
     }
 
     /// The one write path for block copies: give `node` a batch of
@@ -357,64 +326,25 @@ impl MendelCluster {
     fn place(
         &self,
         topo: &Topology,
-        nodes: &[Arc<RwLock<StorageNode>>],
+        nodes: &[Arc<NodeSlot>],
         node: NodeId,
         blocks: Vec<Block>,
     ) -> Result<(), MendelError> {
         let g = topo.node_group(node).ok_or(MendelError::NoSuchNode(node))?;
-        self.persist_blocks(node.0 as usize, &blocks)?;
+        let slot = &nodes[node.0 as usize];
+        slot.persist(&blocks)?;
+        self.admit(g, slot, blocks);
+        Ok(())
+    }
+
+    /// [`Self::place`] without the persist: ledger, then RAM. Asked for
+    /// by name where the blocks are already on the node's disk (replay
+    /// after a restart); every other caller goes through `place`.
+    fn admit(&self, g: GroupId, slot: &NodeSlot, blocks: Vec<Block>) {
         self.ledger
             .write()
-            .place(g, node, blocks.iter().map(Block::key));
-        nodes[node.0 as usize].write().insert_blocks(blocks);
-        Ok(())
-    }
-
-    /// The one wholesale reset: replace `node`'s RAM with an empty
-    /// [`StorageNode`]. `strike_from` names the node's group when its
-    /// holdings are to be struck from the ledger too, for the caller to
-    /// place anew; `None` leaves the ledger alone — the node went dark,
-    /// and what it held stays placed (expected, and unreachable until it
-    /// comes back).
-    fn reset_node(
-        &self,
-        nodes: &[Arc<RwLock<StorageNode>>],
-        node: NodeId,
-        strike_from: Option<GroupId>,
-    ) {
-        *nodes[node.0 as usize].write() = self.fresh_node(node.0 as usize);
-        if let Some(g) = strike_from {
-            self.ledger.write().clear(g, node);
-        }
-    }
-
-    /// Append `blocks` to node `node`'s durable store (no-op in memory
-    /// mode or while the node's process is down). The store's fsync
-    /// policy decides when the records become crash-proof.
-    fn persist_blocks(&self, node: usize, blocks: &[Block]) -> Result<(), MendelError> {
-        let Some(st) = &self.storage else {
-            return Ok(());
-        };
-        let cell = {
-            let stores = st.stores.read();
-            match stores.get(node) {
-                Some(c) => c.clone(),
-                None => return Ok(()),
-            }
-        };
-        let mut guard = cell.lock();
-        let Some(store) = guard.as_mut() else {
-            return Ok(());
-        };
-        for b in blocks {
-            store.put_block(
-                &b.key().as_bytes(),
-                b.window.backing(),
-                b.window.offset() as u32,
-                b.window.len() as u32,
-            )?;
-        }
-        Ok(())
+            .place(g, slot.id(), blocks.iter().map(Block::key));
+        slot.insert_blocks(blocks);
     }
 
     /// First-tier hash: window → vp-prefix bucket → group.
@@ -752,510 +682,6 @@ impl MendelCluster {
         hits
     }
 
-    // ---- Fault tolerance (§VII-B) -------------------------------------
-
-    /// Inject a node failure: the node stops serving queries. With
-    /// `replication ≥ 2`, its blocks remain reachable on replicas.
-    /// Idempotent: failing an already-failed node is `Ok` and keeps the
-    /// original failure record.
-    pub fn fail_node(&self, node: NodeId) -> Result<(), MendelError> {
-        self.mark_failed(node, false).map(|_| ())
-    }
-
-    fn mark_failed(&self, node: NodeId, auto: bool) -> Result<bool, MendelError> {
-        let Some(g) = self.topology.read().node_group(node) else {
-            return Err(MendelError::NoSuchNode(node));
-        };
-        let group_epoch = self.group_epochs.read()[g.0 as usize];
-        let mut failed = self.failed.write();
-        if failed.contains_key(&node) {
-            return Ok(false);
-        }
-        failed.insert(node, FailureRecord { auto, group_epoch });
-        drop(failed);
-        // Durable backend: a failure is a true process kill — the node's
-        // RAM and store handle die; only its disk survives.
-        self.kill_node_process(node);
-        self.assert_ledger("mark_failed");
-        Ok(true)
-    }
-
-    /// Durable-backend half of a node failure: drop the store handle and
-    /// replace the node's in-memory state with an empty one. The ledger
-    /// keeps what the node held: a dark node's blocks stay expected, so
-    /// lost data never reads as full coverage. No-op in memory mode,
-    /// where `fail_node` keeps RAM (the pre-durability semantics).
-    fn kill_node_process(&self, node: NodeId) {
-        let Some(st) = &self.storage else { return };
-        let cell = {
-            let stores = st.stores.read();
-            match stores.get(node.0 as usize) {
-                Some(c) => c.clone(),
-                None => return,
-            }
-        };
-        *cell.lock() = None;
-        let nodes = self.nodes.read();
-        #[cfg(any(test, feature = "strict-invariants"))]
-        self.dark_keys
-            .lock()
-            .insert(node, nodes[node.0 as usize].read().block_keys());
-        self.reset_node(&nodes, node, None);
-    }
-
-    /// Durable-backend half of a node recovery: reopen the on-disk store
-    /// (manifest + segment verification, WAL replay, torn-tail
-    /// truncation), rebuild the node's vp-tree from the scanned blocks,
-    /// and time the whole thing into `mendel.store.recovery.seconds`.
-    /// No-op in memory mode.
-    fn restore_node_from_disk(&self, node: NodeId, g: GroupId) -> Result<(), MendelError> {
-        let Some(st) = &self.storage else {
-            return Ok(());
-        };
-        let idx = node.0 as usize;
-        let cell = {
-            let stores = st.stores.read();
-            match stores.get(idx) {
-                Some(c) => c.clone(),
-                None => return Ok(()),
-            }
-        };
-        let clock = self.obs.clock();
-        let started = clock.now();
-        let (store, _report) = DurableStore::open(
-            st.vfs.clone(),
-            &store_root(idx),
-            st.opts,
-            st.metrics.clone(),
-        )?;
-        let blocks: Vec<Block> = store
-            .scan()?
-            .into_iter()
-            .filter_map(|s| {
-                // Keys are the 8-byte BlockKey wire form; anything else
-                // in the store did not come from persist_blocks.
-                let key: [u8; 8] = s.key.as_slice().try_into().ok()?;
-                let seq = u32::from_le_bytes([key[0], key[1], key[2], key[3]]);
-                let start = u32::from_le_bytes([key[4], key[5], key[6], key[7]]);
-                Some(Block {
-                    seq: SeqId(seq),
-                    start,
-                    window: WindowView::new(s.backing, s.offset as usize, s.len as usize),
-                })
-            })
-            .collect();
-        // The disk has been read, so nothing below can fail: the node
-        // now holds exactly what its disk does. Its store cell is still
-        // empty, so `place` appends nothing back to the WAL being
-        // replayed.
-        {
-            let topo = self.topology.read();
-            let nodes = self.nodes.read();
-            self.reset_node(&nodes, node, Some(g));
-            self.place(&topo, &nodes, node, blocks)?;
-        }
-        #[cfg(any(test, feature = "strict-invariants"))]
-        self.dark_keys.lock().remove(&node);
-        *cell.lock() = Some(store);
-        let elapsed = clock.now().saturating_sub(started);
-        self.obs
-            .histogram("mendel.store.recovery.seconds")
-            .record(elapsed.as_secs_f64());
-        self.obs.counter("mendel.store.recoveries").inc();
-        Ok(())
-    }
-
-    /// Recover a previously failed node (its in-memory data never left).
-    /// Errors with [`MendelError::NoSuchNode`] for ids outside the
-    /// topology; recovering a node that is not failed is `Ok`. If the
-    /// node's group rebalanced while it was down (its failure-time epoch
-    /// no longer matches), its contents reflect a stale placement — the
-    /// whole group is re-placed so queries never see pre-rebalance
-    /// layout. A durable node whose disk cannot be read back stays
-    /// failed, its blocks still expected and unreachable.
-    pub fn recover_node(&self, node: NodeId) -> Result<(), MendelError> {
-        let Some(g) = self.topology.read().node_group(node) else {
-            return Err(MendelError::NoSuchNode(node));
-        };
-        let Some(rec) = self.failed.read().get(&node).copied() else {
-            return Ok(());
-        };
-        // Durable backend: the process is restarting from disk — replay
-        // the WAL and rebuild the vp-tree before the node serves
-        // anything, and leave the failed set only once that worked.
-        self.restore_node_from_disk(node, g)?;
-        self.failed.write().remove(&node);
-        let current = self.group_epochs.read()[g.0 as usize];
-        if rec.group_epoch != current {
-            let topo = self.topology.read().clone();
-            self.rebalance_group(&topo, g);
-        }
-        self.assert_ledger("recover_node");
-        Ok(())
-    }
-
-    /// Currently failed nodes.
-    pub fn failed_nodes(&self) -> Vec<NodeId> {
-        let mut v: Vec<NodeId> = self.failed.read().keys().copied().collect();
-        v.sort_unstable();
-        v
-    }
-
-    /// Fold a [`HeartbeatMonitor`]'s view into the failed set, closing
-    /// the detect→route-around loop. Convention: heartbeat address
-    /// `NodeAddr(i)` is storage node `NodeId(i)`; addresses outside the
-    /// topology (e.g. the monitor's own endpoint) are ignored.
-    ///
-    /// Suspects not already failed are auto-failed; auto-failed nodes
-    /// that beat again are recovered (through [`Self::recover_node`], so
-    /// stale-placement recovery applies). Operator-failed nodes are
-    /// never auto-recovered — suspicion is a hint, an explicit
-    /// `fail_node` is a decision.
-    pub fn sync_failure_detector(&self, monitor: &HeartbeatMonitor) -> FailoverDelta {
-        let mut delta = FailoverDelta::default();
-        for addr in monitor.suspects() {
-            let node = NodeId(addr.0);
-            if let Ok(true) = self.mark_failed(node, true) {
-                delta.suspected.push(node);
-            }
-        }
-        for addr in monitor.alive() {
-            let node = NodeId(addr.0);
-            let is_auto = matches!(self.failed.read().get(&node), Some(r) if r.auto);
-            if is_auto && self.recover_node(node).is_ok() {
-                delta.recovered.push(node);
-            }
-        }
-        delta
-    }
-
-    /// Re-replicate under-replicated blocks onto live group members,
-    /// restoring the configured replication factor where enough live
-    /// nodes exist. Copy targets follow the same deterministic ring walk
-    /// as [`FlatPlacement::replicas`], so repeated repairs are
-    /// idempotent. Blocks whose every replica is down are reported as
-    /// `unreachable` — they reappear when a holder recovers.
-    pub fn repair(&self) -> RepairReport {
-        let topo = self.topology.read().clone();
-        let mut report = RepairReport::default();
-        // Nodes whose durable store broke while persisting a repair copy;
-        // marked failed after all guards drop.
-        let mut broken: Vec<NodeId> = Vec::new();
-        for g in topo.group_ids() {
-            let live = self.live_members(&topo, g);
-            let nodes = self.nodes.read();
-            let want = self.placement.replication.min(live.len());
-            let short = {
-                let ledger = self.ledger.read();
-                let expected = ledger.expected(g);
-                report.blocks_scanned += expected;
-                report.unreachable += expected - ledger.reachable(g, |n| live.contains(&n));
-                ledger.under_replicated(g, &live, want)
-            };
-            let mut adds: BTreeMap<NodeId, Vec<Block>> = BTreeMap::new();
-            let mut cache: HashMap<NodeId, BTreeMap<BlockKey, Block>> = HashMap::new();
-            let mut group_added = 0u64;
-            for (key, hs) in &short {
-                let src = hs[0];
-                let src_blocks = cache.entry(src).or_insert_with(|| {
-                    nodes[src.0 as usize]
-                        .read()
-                        .blocks()
-                        .into_iter()
-                        .map(|b| (b.key(), b))
-                        .collect()
-                });
-                let Some(block) = src_blocks.get(key) else {
-                    continue;
-                };
-                let start = (sha1_u64(&key.as_bytes()) % live.len() as u64) as usize;
-                let mut have = hs.len();
-                for i in 0..live.len() {
-                    if have >= want {
-                        break;
-                    }
-                    let target = live[(start + i) % live.len()];
-                    if hs.contains(&target) {
-                        continue;
-                    }
-                    adds.entry(target).or_default().push(block.clone());
-                    have += 1;
-                    group_added += 1;
-                }
-            }
-            if group_added > 0 {
-                report.groups_repaired += 1;
-            }
-            report.copies_added += group_added;
-            for (node, batch) in adds {
-                let copies = batch.len() as u64;
-                if self.place(&topo, &nodes, node, batch).is_err() {
-                    // The copies never became durable: don't let the
-                    // report claim them either. The target is failed
-                    // below and can recover from its own pre-repair
-                    // disk state.
-                    report.copies_added -= copies;
-                    broken.push(node);
-                }
-            }
-        }
-        for node in broken {
-            let _ = self.mark_failed(node, true);
-        }
-        self.assert_ledger("repair");
-        self.repair_moves
-            .fetch_add(report.copies_added, Ordering::Relaxed); // audit:ordering(Relaxed): statistics counter; RMW atomicity is all that is needed
-        report
-    }
-
-    /// Block availability right now: per group, the distinct keys the
-    /// placement ledger records on *any* member (the placed universe — a
-    /// failed node keeps its RAM on the memory backend, and a dark
-    /// durable node's holdings stay in the ledger) versus the keys
-    /// recorded on a live member. `degraded` means some placed block has
-    /// no live replica and query answers may be incomplete.
-    pub fn coverage(&self) -> CoverageReport {
-        self.coverage_with_down(&[])
-    }
-
-    /// [`Self::coverage`], additionally treating every node in `down`
-    /// as failed. This is how a wire front-end reports availability:
-    /// nodes it observed unreachable during a query (silent entry
-    /// points, members missing from group replies) fold into the same
-    /// report shape the control plane produces for `fail_node`, so a
-    /// real-process cluster and its simulated twin emit identical
-    /// degraded-coverage answers. A ledger read: per group it costs the
-    /// number of distinct holder sets, whatever `down` is and however
-    /// many blocks are stored.
-    pub fn coverage_with_down(&self, down: &[NodeId]) -> CoverageReport {
-        let topo = self.topology.read();
-        let failed = self.failed.read();
-        let ledger = self.ledger.read();
-        let is_live = |n: NodeId| !failed.contains_key(&n) && !down.contains(&n);
-        let per_group = topo.group_ids().map(|g| GroupCoverage {
-            group: g,
-            expected: ledger.expected(g),
-            reachable: ledger.reachable(g, is_live),
-            live_members: topo
-                .group_members(g)
-                .iter()
-                .filter(|&&m| is_live(m))
-                .count(),
-        });
-        CoverageReport::of(per_group.collect())
-    }
-
-    /// The O(blocks) sweep [`Self::coverage_with_down`] must agree with,
-    /// kept as its test oracle: per group, every key found in a member's
-    /// RAM (or among what a dark member held) with the members it was
-    /// found on.
-    #[cfg(any(test, feature = "strict-invariants"))]
-    fn sweep_holders(&self) -> Vec<HashMap<BlockKey, Vec<NodeId>>> {
-        let topo = self.topology.read();
-        let nodes = self.nodes.read();
-        let dark = self.dark_keys.lock();
-        let group = |g| {
-            let mut holders: HashMap<BlockKey, Vec<NodeId>> = HashMap::new();
-            for &m in topo.group_members(g) {
-                let ram = nodes[m.0 as usize].read().block_keys();
-                for key in ram.iter().chain(dark.get(&m).into_iter().flatten()) {
-                    holders.entry(*key).or_default().push(m);
-                }
-            }
-            holders
-        };
-        topo.group_ids().map(group).collect()
-    }
-
-    /// Coverage by the sweep's definition: a key is expected when any
-    /// member holds it, reachable when a member neither failed nor in
-    /// `down` does.
-    #[cfg(any(test, feature = "strict-invariants"))]
-    fn sweep_coverage(
-        &self,
-        holders: &[HashMap<BlockKey, Vec<NodeId>>],
-        down: &[NodeId],
-    ) -> CoverageReport {
-        let topo = self.topology.read();
-        let failed = self.failed.read();
-        let is_live = |n: &NodeId| !failed.contains_key(n) && !down.contains(n);
-        let per_group = topo.group_ids().zip(holders).map(|(g, holders)| {
-            let reachable = holders.values().filter(|hs| hs.iter().any(is_live));
-            GroupCoverage {
-                group: g,
-                expected: holders.len(),
-                reachable: reachable.count(),
-                live_members: topo.group_members(g).iter().filter(|m| is_live(m)).count(),
-            }
-        });
-        CoverageReport::of(per_group.collect())
-    }
-
-    /// Ledger validation (the `strict-invariants` checker, DESIGN.md
-    /// §8.2): the ledger's own accounting holds, and its coverage equals
-    /// the sweep's for each of `downs` on top of the failed set. Unlike
-    /// the other checkers it exists only in test and `strict-invariants`
-    /// builds, because the sweep needs oracle state
-    /// ([`Self::dark_keys`]) the product does not keep.
-    #[cfg(any(test, feature = "strict-invariants"))]
-    pub fn check_ledger_for(&self, downs: &[Vec<NodeId>]) -> Result<(), String> {
-        self.ledger.read().check_invariants()?;
-        let holders = self.sweep_holders();
-        for down in downs {
-            let ledger = self.coverage_with_down(down);
-            let sweep = self.sweep_coverage(&holders, down);
-            if ledger != sweep {
-                return Err(format!(
-                    "with {down:?} down the ledger reports {ledger:?}, the sweep {sweep:?}"
-                ));
-            }
-        }
-        Ok(())
-    }
-
-    /// [`Self::check_ledger_for`] with nobody extra down and with
-    /// each single node down.
-    #[cfg(any(test, feature = "strict-invariants"))]
-    pub fn check_ledger(&self) -> Result<(), String> {
-        let nodes = self.topology.read().nodes().collect::<Vec<_>>();
-        let downs = std::iter::once(Vec::new()).chain(nodes.into_iter().map(|n| vec![n]));
-        self.check_ledger_for(&downs.collect::<Vec<_>>())
-    }
-
-    /// Abort with the violation when [`Self::check_ledger`] fails —
-    /// called wherever placement or the failed set changes under
-    /// `strict-invariants`; nothing otherwise.
-    fn assert_ledger(&self, _site: &str) {
-        #[cfg(feature = "strict-invariants")]
-        if let Err(e) = self.check_ledger() {
-            // audit:allow(panic): strict-invariants mode aborts on accounting corruption by design.
-            panic!("placement ledger diverged from the coverage sweep after {_site}: {e}");
-        }
-    }
-
-    // ---- Elasticity (§VII-B) ------------------------------------------
-
-    /// Scale out: add a storage node to the smallest group and rebalance
-    /// that group's blocks over its new membership.
-    pub fn add_node(&self) -> NodeId {
-        let mut topo = self.topology.write();
-        let idx = topo.id_space();
-        let (id, g) = topo.join(NodeSpeed::paper_mix(idx));
-        let node = self.fresh_node(idx);
-        self.nodes.write().push(Arc::new(RwLock::new(node)));
-        // Durable backend: the joiner gets its own store before any
-        // block can be re-placed onto it. An unopenable store leaves the
-        // cell empty — the node runs RAM-only until a recover_node.
-        if let Some(st) = &self.storage {
-            let opened = DurableStore::open(
-                st.vfs.clone(),
-                &store_root(idx),
-                st.opts,
-                st.metrics.clone(),
-            )
-            .ok()
-            .map(|(store, _)| store);
-            st.stores.write().push(Arc::new(Mutex::new(opened)));
-        }
-        let topo_snapshot = topo.clone();
-        drop(topo);
-        self.rebalance_group(&topo_snapshot, g);
-        self.assert_ledger("add_node");
-        id
-    }
-
-    /// A freshly built empty [`StorageNode`] wired to the cluster's
-    /// shared search-metric counters.
-    fn fresh_node(&self, idx: usize) -> StorageNode {
-        let mut node = StorageNode::new(
-            self.config.metric.instantiate(),
-            self.config.bucket_capacity,
-            self.db.clone(),
-            self.config.alphabet,
-            self.config.seed ^ (idx as u64 + 1),
-        );
-        node.set_search_metrics(SearchMetrics::registered(&self.obs));
-        node
-    }
-
-    /// Re-place every block of group `g` under the current membership.
-    fn rebalance_group(&self, topo: &Topology, g: GroupId) {
-        let members = self.live_members(topo, g);
-        let nodes = self.nodes.read();
-        // Collect unique blocks held by the group.
-        let mut unique: BTreeMap<BlockKey, Block> = BTreeMap::new();
-        for &m in &members {
-            for b in nodes[m.0 as usize].read().blocks() {
-                unique.insert(b.key(), b);
-            }
-        }
-        // Rebuild members empty, then re-place. Durable members mirror
-        // the wipe: their on-disk state is rebuilt from scratch
-        // alongside RAM so disk never resurrects the old placement.
-        let mut broken: Vec<NodeId> = Vec::new();
-        for &m in &members {
-            self.reset_node(&nodes, m, Some(g));
-            if let Some(st) = &self.storage {
-                let cell = {
-                    let stores = st.stores.read();
-                    stores.get(m.0 as usize).cloned()
-                };
-                if let Some(cell) = cell {
-                    let mut guard = cell.lock();
-                    if guard.is_some() {
-                        *guard = None;
-                        let reopened =
-                            DurableStore::wipe(st.vfs.as_ref(), &store_root(m.0 as usize))
-                                .and_then(|()| {
-                                    DurableStore::open(
-                                        st.vfs.clone(),
-                                        &store_root(m.0 as usize),
-                                        st.opts,
-                                        st.metrics.clone(),
-                                    )
-                                });
-                        match reopened {
-                            Ok((store, _)) => *guard = Some(store),
-                            Err(_) => broken.push(m),
-                        }
-                    }
-                }
-            }
-        }
-        let failed = self.failed.read();
-        let mut batches: BTreeMap<NodeId, Vec<Block>> = BTreeMap::new();
-        for (key, block) in unique {
-            for node in self.placement.replicas(topo, g, &key.as_bytes()) {
-                // A down node cannot accept writes; the block stays
-                // under-replicated until repair() or the node's own
-                // stale-recovery rebalance.
-                if failed.contains_key(&node) {
-                    continue;
-                }
-                batches.entry(node).or_default().push(block.clone());
-            }
-        }
-        drop(failed);
-        let persist_broken: Mutex<Vec<NodeId>> = Mutex::new(Vec::new());
-        batches.into_par_iter().for_each(|(node, batch)| {
-            if self.place(topo, &nodes, node, batch).is_err() {
-                persist_broken.lock().push(node);
-            }
-        });
-        broken.extend(persist_broken.into_inner());
-        drop(nodes);
-        // Any node that was down during this re-placement now holds a
-        // stale layout; the epoch bump makes recover_node detect that.
-        self.group_epochs.write()[g.0 as usize] += 1;
-        // Members whose disks broke mid-rebalance hold partial state:
-        // fail them (after every guard above is gone) so queries route
-        // around until an operator recover replays what *is* durable.
-        for node in broken {
-            let _ = self.mark_failed(node, true);
-        }
-        self.assert_ledger("rebalance_group");
-    }
-
     // ---- Introspection --------------------------------------------------
 
     /// Per-node stored bytes (the Fig. 5 measurement), plus repair
@@ -1310,7 +736,7 @@ impl MendelCluster {
     /// that placement stays stable under growth.
     pub fn insert_sequences(
         &self,
-        seqs: Vec<mendel_seq::Sequence>,
+        seqs: Vec<Sequence>,
     ) -> Result<Vec<mendel_seq::SeqId>, MendelError> {
         if seqs.is_empty() {
             return Ok(Vec::new());
@@ -1338,30 +764,7 @@ impl MendelCluster {
                     .collect::<Vec<_>>(),
             )
         };
-        // Route and insert the new blocks. Replicas placed on failed
-        // nodes are skipped — a down node cannot accept writes — leaving
-        // those blocks under-replicated until the next [`Self::repair`].
-        let topo = self.topology.read();
-        let failed = self.failed.read();
-        let mut batches: BTreeMap<NodeId, Vec<Block>> = BTreeMap::new();
-        for s in &new_seqs {
-            for b in make_blocks(s, self.config.block_len) {
-                let g = self.group_of_window(&b.window);
-                for node in self.placement.replicas(&topo, g, &b.key().as_bytes()) {
-                    if failed.contains_key(&node) {
-                        continue;
-                    }
-                    batches.entry(node).or_default().push(b.clone());
-                }
-            }
-        }
-        drop(failed);
-        let nodes = self.nodes.read();
-        batches
-            .into_par_iter()
-            .try_for_each(|(node, batch)| self.place(&topo, &nodes, node, batch))?;
-        drop((nodes, topo));
-        self.assert_ledger("insert_sequences");
+        self.index_sequences(new_seqs.iter())?;
         Ok(ids)
     }
 
@@ -1476,14 +879,19 @@ impl MendelCluster {
         }
     }
 
-    /// Shared handles on every node's state, indexed by `NodeId`.
-    pub(crate) fn node_handles(&self) -> Vec<Arc<RwLock<StorageNode>>> {
+    /// Shared handles on every node, indexed by `NodeId`.
+    pub(crate) fn node_handles(&self) -> Vec<Arc<NodeSlot>> {
         self.nodes.read().clone()
+    }
+
+    /// The slot of a node the topology knows.
+    fn slot(&self, node: NodeId) -> Arc<NodeSlot> {
+        self.nodes.read()[node.0 as usize].clone()
     }
 
     /// All blocks currently held by `node` (snapshot path).
     pub(crate) fn node_blocks(&self, node: NodeId) -> Vec<Block> {
-        self.nodes.read()[node.0 as usize].read().blocks()
+        self.slot(node).read().blocks()
     }
 
     /// Restore-path helper: bulk-load pre-routed blocks directly onto a
@@ -1500,69 +908,6 @@ impl MendelCluster {
         Ok(())
     }
 
-    /// Restore-path constructor: build the cluster skeleton (prefix tree,
-    /// topology, empty nodes) without routing any data.
-    pub(crate) fn build_empty(
-        config: ClusterConfig,
-        db: Arc<SeqStore>,
-    ) -> Result<Self, MendelError> {
-        config.validate()?;
-        let metric = config.metric.instantiate();
-        let sample = Self::sample_windows(&db, config.block_len, config.prefix_sample);
-        if sample.is_empty() {
-            return Err(MendelError::Config(
-                "database has no indexable sequence".into(),
-            ));
-        }
-        let prefix = VpPrefixTree::build(sample, metric.clone(), config.prefix_depth, config.seed);
-        let assignment = GroupAssignment::new(prefix.num_buckets(), config.groups);
-        let topology = Topology::new(config.nodes, config.groups);
-        let db: DbCell = Arc::new(RwLock::new(db));
-        let obs = Registry::new();
-        let search_metrics = SearchMetrics::registered(&obs);
-        let nodes = (0..config.nodes)
-            .map(|i| {
-                let mut node = StorageNode::new(
-                    metric.clone(),
-                    config.bucket_capacity,
-                    db.clone(),
-                    config.alphabet,
-                    config.seed ^ (i as u64 + 1),
-                );
-                node.set_search_metrics(search_metrics.clone());
-                Arc::new(RwLock::new(node))
-            })
-            .collect();
-        let karlin = Self::default_karlin(config.alphabet);
-        let groups = config.groups;
-        let storage = Self::init_storage(&config, &obs, None)?;
-        let sched = Arc::new(Scheduler::new(SchedConfig::default(), &obs));
-        Ok(MendelCluster {
-            config,
-            topology: RwLock::new(topology),
-            prefix,
-            assignment,
-            placement: FlatPlacement::with_replication(1),
-            nodes: RwLock::new(nodes),
-            ledger: RwLock::new(Ledger::new(groups)),
-            #[cfg(any(test, feature = "strict-invariants"))]
-            dark_keys: Mutex::new(HashMap::new()),
-            failed: RwLock::new(HashMap::new()),
-            group_epochs: RwLock::new(vec![0; groups]),
-            repair_moves: AtomicU64::new(0),
-            obs,
-            tracing: AtomicBool::new(false),
-            trace_sample: AtomicU64::new(1),
-            trace_seq: AtomicU64::new(0),
-            slowlog: SlowQueryLog::default(),
-            db,
-            karlin,
-            index_elapsed: Duration::ZERO,
-            storage,
-            sched,
-        })
-    }
-
     // ---- Durable storage (ROADMAP item 2) -----------------------------
 
     /// The injectable VFS the durable stores run on; `None` in memory
@@ -1575,31 +920,14 @@ impl MendelCluster {
     /// ingested so far survives any crash regardless of the configured
     /// fsync policy. No-op in memory mode.
     pub fn sync_storage(&self) -> Result<(), MendelError> {
-        self.for_each_store(|store| store.sync())
+        self.node_handles().iter().try_for_each(|n| n.sync())
     }
 
     /// Flush every live node's memtable into an immutable sorted
     /// segment (WAL is truncated once the segment and manifest are
     /// durable). No-op in memory mode.
     pub fn flush_storage(&self) -> Result<(), MendelError> {
-        self.for_each_store(|store| store.flush())
-    }
-
-    fn for_each_store(
-        &self,
-        mut f: impl FnMut(&mut DurableStore) -> Result<(), mendel_store::StoreError>,
-    ) -> Result<(), MendelError> {
-        let Some(st) = &self.storage else {
-            return Ok(());
-        };
-        let cells: Vec<_> = st.stores.read().iter().cloned().collect();
-        for cell in cells {
-            let mut guard = cell.lock();
-            if let Some(store) = guard.as_mut() {
-                f(store)?;
-            }
-        }
-        Ok(())
+        self.node_handles().iter().try_for_each(|n| n.flush())
     }
 }
 
@@ -2255,6 +1583,64 @@ mod tests {
         assert_eq!(c.total_blocks(), total);
         c.recover_node(NodeId(1)).unwrap();
         assert_eq!(c.total_blocks(), total);
+    }
+
+    #[test]
+    fn joiner_whose_store_cannot_open_is_down_not_silently_ram_only() {
+        let db = small_db();
+        let twin = MendelCluster::build(durable_config(), db.clone()).unwrap();
+        let twin_joiner = twin.add_node();
+        // `k` VFS operations into add_node the disk dies: inside the
+        // joiner's open at first, then inside the members'
+        // wipe-and-reopen, then under the re-placement's persists.
+        let mut failed_to_open = 0;
+        for k in (0..12).chain((12..4000).step_by(397)) {
+            let vfs = MemVfs::plain(7);
+            let c = MendelCluster::build_with_storage(
+                durable_config(),
+                db.clone(),
+                Arc::new(MonotonicClock::new()),
+                Some(Arc::new(vfs.clone())),
+            )
+            .unwrap();
+            let blocks = c.coverage().blocks_expected;
+            vfs.set_crash_after(vfs.ops() + k);
+            let id = c.add_node();
+            assert_eq!(id, twin_joiner);
+            if !vfs.is_crashed() {
+                break; // `k` is past the end of add_node
+            }
+            vfs.recover();
+            c.check_ledger().unwrap();
+            let failed = c.failed_nodes();
+            // The disk died inside the joiner's open when the joiner is
+            // down and nothing else moved.
+            let before_rebalance = failed == vec![id] && c.coverage().blocks_reachable == blocks;
+            assert!(!before_rebalance || c.coverage().blocks_expected == blocks);
+
+            // A joiner that stayed live acknowledged only what is on
+            // its disk: a restart brings all of it back.
+            let held = c.node_blocks(id).len();
+            c.fail_node(id).unwrap();
+            c.recover_node(id).unwrap();
+            assert!(failed.contains(&id) || c.node_blocks(id).len() == held);
+            c.check_ledger().unwrap();
+
+            // Nobody else was touched then, and bringing the joiner up
+            // finishes the join.
+            if before_rebalance {
+                failed_to_open += 1;
+                assert!(c.failed_nodes().is_empty(), "k = {k}");
+                assert_eq!(c.coverage(), twin.coverage(), "k = {k}");
+                assert_eq!(c.total_blocks(), twin.total_blocks(), "k = {k}");
+                assert_eq!(
+                    c.node_blocks(id).len(),
+                    twin.node_blocks(id).len(),
+                    "k = {k}"
+                );
+            }
+        }
+        assert!(failed_to_open > 0, "no crash point hit the joiner's open");
     }
 
     #[test]

@@ -12,16 +12,24 @@
 //! are O(1) zero-hop block fetches (every block's location is computable
 //! from its key); the shared handle models that path without shipping
 //! bytes — see DESIGN.md §3.
+//!
+//! [`StorageNode`] is a node's RAM state. [`NodeSlot`] is the node as
+//! the cluster holds it — RAM, durable store and lifecycle in one place
+//! (DESIGN.md §14.4).
 
 use crate::block::{Block, BlockKey};
+use crate::config::ClusterConfig;
+use crate::error::MendelError;
 use crate::metric::BlockMetric;
 use crate::params::QueryParams;
 use crate::query::{c_score, identity};
 use mendel_align::{extend_ungapped, Hsp};
 use mendel_dht::store::BlockStore;
-use mendel_seq::{Alphabet, ScoringMatrix, SeqArena, SeqStore, WindowView};
-use mendel_vptree::DynamicVpTree;
-use parking_lot::RwLock;
+use mendel_dht::NodeId;
+use mendel_seq::{Alphabet, ScoringMatrix, SeqArena, SeqId, SeqStore, WindowView};
+use mendel_store::{DurableStore, StoreMetrics, StoreOptions, Vfs};
+use mendel_vptree::{DynamicVpTree, SearchMetrics};
+use parking_lot::{Mutex, RwLock, RwLockReadGuard};
 use std::sync::Arc;
 
 /// Shared, swappable handle on the reference store: nodes read the
@@ -43,6 +51,10 @@ pub struct StorageNode {
     /// zero-hop block-fetch path; see module docs).
     db: DbCell,
     alphabet: Alphabet,
+    /// What [`Self::clear`] rebuilds the empty vp-tree from.
+    metric: BlockMetric,
+    bucket_capacity: usize,
+    seed: u64,
 }
 
 /// `(subject, diagonal)` → query range already covered by an anchor.
@@ -97,10 +109,23 @@ impl StorageNode {
         StorageNode {
             store: BlockStore::new(),
             arena: SeqArena::new(),
-            tree: DynamicVpTree::new(metric, bucket_capacity, seed),
+            tree: DynamicVpTree::new(metric.clone(), bucket_capacity, seed),
             db,
             alphabet,
+            metric,
+            bucket_capacity,
+            seed,
         }
+    }
+
+    /// Forget every block: the node is as [`Self::new`] made it, search
+    /// counters still attached.
+    pub fn clear(&mut self) {
+        let counters = self.tree.search_metrics().clone();
+        self.store = BlockStore::new();
+        self.arena = SeqArena::new();
+        self.tree = DynamicVpTree::new(self.metric.clone(), self.bucket_capacity, self.seed);
+        self.tree.set_metrics(counters);
     }
 
     /// Re-anchor one incoming block against the node's arena, interning
@@ -204,7 +229,7 @@ impl StorageNode {
 
     /// Keys of all held blocks, without touching payloads (what the
     /// placement ledger is checked against).
-    pub fn block_keys(&self) -> Vec<crate::block::BlockKey> {
+    pub fn block_keys(&self) -> Vec<BlockKey> {
         self.store.iter().map(|(_, k)| *k).collect()
     }
 
@@ -364,6 +389,250 @@ impl StorageNode {
         matrix: &ScoringMatrix,
     ) -> LocalSearchOutput {
         self.local_search_many(query, &[offset], block_len, params, matrix)
+    }
+}
+
+/// What opening a node's durable store takes; one per durable cluster,
+/// shared by its slots.
+pub(crate) struct NodeStores {
+    pub(crate) vfs: Arc<dyn Vfs>,
+    pub(crate) opts: StoreOptions,
+    pub(crate) metrics: StoreMetrics,
+}
+
+/// A slot's durable half: the store rooted at `root` on the shared VFS.
+struct Disk {
+    env: Arc<NodeStores>,
+    root: String,
+    /// `None` while the node's process is down: the handle died with
+    /// it and only the bytes on disk remain.
+    handle: Mutex<Option<DurableStore>>,
+}
+
+impl Disk {
+    /// Open (or create) the store, running its recovery. The one
+    /// `DurableStore::open` of the cluster.
+    fn open_store(&self) -> Result<DurableStore, MendelError> {
+        let (store, _report) = DurableStore::open(
+            self.env.vfs.clone(),
+            &self.root,
+            self.env.opts,
+            self.env.metrics.clone(),
+        )?;
+        Ok(store)
+    }
+}
+
+/// One storage node as the cluster holds it: everything that is per
+/// node, and the lifecycle verbs over it. The RAM lock and the disk
+/// mutex are separate and never held together, so a persist (an fsync
+/// per block) does not block the node's queries.
+pub(crate) struct NodeSlot {
+    id: NodeId,
+    ram: RwLock<StorageNode>,
+    /// `None` on the memory backend.
+    disk: Option<Disk>,
+    /// Oracle state for `MendelCluster::check_ledger`: the keys this
+    /// node held when it went dark ([`Self::kill`]), which the sweep
+    /// cannot read back from anywhere else.
+    #[cfg(any(test, feature = "strict-invariants"))]
+    dark_keys: Mutex<Vec<BlockKey>>,
+}
+
+impl NodeSlot {
+    /// An empty node, its store (if `stores` names a backend) not yet
+    /// open — [`Self::open`] it before placing anything. The one place a
+    /// cluster's [`StorageNode`]s are made.
+    pub(crate) fn new(
+        id: NodeId,
+        config: &ClusterConfig,
+        db: DbCell,
+        counters: SearchMetrics,
+        stores: Option<Arc<NodeStores>>,
+    ) -> Self {
+        let mut ram = StorageNode::new(
+            config.metric.instantiate(),
+            config.bucket_capacity,
+            db,
+            config.alphabet,
+            config.seed ^ (id.0 as u64 + 1),
+        );
+        ram.set_search_metrics(counters);
+        NodeSlot {
+            id,
+            ram: RwLock::new(ram),
+            disk: stores.map(|env| Disk {
+                env,
+                root: format!("node-{}", id.0),
+                handle: Mutex::new(None),
+            }),
+            #[cfg(any(test, feature = "strict-invariants"))]
+            dark_keys: Mutex::new(Vec::new()),
+        }
+    }
+
+    pub(crate) fn id(&self) -> NodeId {
+        self.id
+    }
+
+    /// The node's RAM state, shared.
+    pub(crate) fn read(&self) -> RwLockReadGuard<'_, StorageNode> {
+        self.ram.read()
+    }
+
+    /// Start the node's store. A slot whose store does not open is down:
+    /// the caller either gives up (construction) or fails the node
+    /// (join). Nothing to do on the memory backend.
+    pub(crate) fn open(&self) -> Result<(), MendelError> {
+        if let Some(disk) = &self.disk {
+            let store = disk.open_store()?;
+            *disk.handle.lock() = Some(store);
+        }
+        Ok(())
+    }
+
+    /// Append `blocks` to the node's store; the store's fsync policy
+    /// decides when the records become crash-proof. Nothing to do on
+    /// the memory backend — but a durable node without an open store
+    /// cannot acknowledge anything, so that is an error.
+    pub(crate) fn persist(&self, blocks: &[Block]) -> Result<(), MendelError> {
+        let Some(disk) = &self.disk else {
+            return Ok(());
+        };
+        let mut handle = disk.handle.lock();
+        let store = handle
+            .as_mut()
+            .ok_or_else(|| MendelError::Store(format!("node {} has no open store", self.id)))?;
+        for b in blocks {
+            store.put_block(
+                &b.key().as_bytes(),
+                b.window.backing(),
+                b.window.offset() as u32,
+                b.window.len() as u32,
+            )?;
+        }
+        Ok(())
+    }
+
+    /// Index `blocks` in RAM. Callers persist first ([`Self::persist`]),
+    /// or hold blocks that came off this node's own disk.
+    pub(crate) fn insert_blocks(&self, blocks: Vec<Block>) {
+        self.ram.write().insert_blocks(blocks);
+    }
+
+    /// The node's process dies: on the durable backend the store handle
+    /// and the RAM go, the disk stays. The memory backend keeps its RAM
+    /// (a failed node's in-process data never leaves). Killing a node
+    /// that is already dark changes nothing.
+    pub(crate) fn kill(&self) {
+        let Some(disk) = &self.disk else { return };
+        if disk.handle.lock().take().is_none() {
+            return;
+        }
+        self.go_dark();
+    }
+
+    /// Drop the RAM, remembering (for the ledger oracle) what it held.
+    fn go_dark(&self) {
+        #[cfg(any(test, feature = "strict-invariants"))]
+        {
+            let held = self.ram.read().block_keys();
+            *self.dark_keys.lock() = held;
+        }
+        self.ram.write().clear();
+    }
+
+    /// The node's process restarts from disk: reopen the store
+    /// (manifest + segment verification, WAL replay, torn-tail
+    /// truncation) and read every block back. On `Ok` the store is open,
+    /// the RAM empty, and the returned blocks are exactly what the disk
+    /// holds — the caller indexes them *without* persisting them again.
+    /// On `Err` nothing changed. `None` on the memory backend, whose RAM
+    /// never left.
+    pub(crate) fn replay(&self) -> Result<Option<Vec<Block>>, MendelError> {
+        let Some(disk) = &self.disk else {
+            return Ok(None);
+        };
+        let store = disk.open_store()?;
+        let blocks = store
+            .scan()?
+            .into_iter()
+            .filter_map(|s| {
+                // Keys are the 8-byte BlockKey wire form; anything else
+                // in the store did not come from `persist`.
+                let key: [u8; 8] = s.key.as_slice().try_into().ok()?;
+                let seq = u32::from_le_bytes([key[0], key[1], key[2], key[3]]);
+                let start = u32::from_le_bytes([key[4], key[5], key[6], key[7]]);
+                Some(Block {
+                    seq: SeqId(seq),
+                    start,
+                    window: WindowView::new(s.backing, s.offset as usize, s.len as usize),
+                })
+            })
+            .collect();
+        *disk.handle.lock() = Some(store);
+        self.ram.write().clear();
+        #[cfg(any(test, feature = "strict-invariants"))]
+        self.dark_keys.lock().clear();
+        Ok(Some(blocks))
+    }
+
+    /// Forget everything, RAM and disk, ahead of a re-placement: the
+    /// store is closed, its files deleted and a fresh one opened, so
+    /// disk never resurrects the old placement. A node whose disk
+    /// refuses goes dark instead ([`Self::kill`]) — still holding, as
+    /// far as anyone can tell, what it held — and the caller must fail
+    /// it.
+    pub(crate) fn wipe(&self) -> Result<(), MendelError> {
+        if let Some(disk) = &self.disk {
+            let mut handle = disk.handle.lock();
+            *handle = None;
+            let reopened = DurableStore::wipe(disk.env.vfs.as_ref(), &disk.root)
+                .map_err(MendelError::from)
+                .and_then(|()| disk.open_store());
+            match reopened {
+                Ok(store) => *handle = Some(store),
+                Err(e) => {
+                    drop(handle);
+                    self.go_dark();
+                    return Err(e);
+                }
+            }
+        }
+        self.ram.write().clear();
+        Ok(())
+    }
+
+    /// Fsync the node's WAL, if its store is open.
+    pub(crate) fn sync(&self) -> Result<(), MendelError> {
+        self.with_store(DurableStore::sync)
+    }
+
+    /// Flush the node's memtable into a segment, if its store is open.
+    pub(crate) fn flush(&self) -> Result<(), MendelError> {
+        self.with_store(DurableStore::flush)
+    }
+
+    fn with_store(
+        &self,
+        f: impl FnOnce(&mut DurableStore) -> Result<(), mendel_store::StoreError>,
+    ) -> Result<(), MendelError> {
+        let Some(disk) = &self.disk else {
+            return Ok(());
+        };
+        match disk.handle.lock().as_mut() {
+            Some(store) => Ok(f(store)?),
+            None => Ok(()),
+        }
+    }
+
+    /// Every key the ledger should record on this node: what its RAM
+    /// holds, or what it held when it went dark.
+    #[cfg(any(test, feature = "strict-invariants"))]
+    pub(crate) fn oracle_keys(&self) -> Vec<BlockKey> {
+        let mut keys = self.ram.read().block_keys();
+        keys.extend(self.dark_keys.lock().iter().copied());
+        keys
     }
 }
 

@@ -14,7 +14,7 @@
 
 use crate::block::Block;
 use crate::cluster::MendelCluster;
-use crate::config::{ClusterConfig, MetricKind};
+use crate::config::{ClusterConfig, MetricKind, StorageBackend};
 use crate::error::MendelError;
 use bytes::{Bytes, BytesMut};
 use mendel_dht::NodeId;
@@ -62,8 +62,11 @@ fn metric_from(tag: u8) -> Result<MetricKind, MendelError> {
 /// Serialize a cluster's geometry and routed blocks.
 ///
 /// Only clusters with their original membership can be saved (a snapshot
-/// of a scaled/failed topology would not restore into
-/// `Topology::new(nodes, groups)`).
+/// of a scaled topology would not restore into
+/// `Topology::new(nodes, groups)`), and only with every node up: the
+/// format has no place for the failed set, so a restore would bring a
+/// down node back as healthy — without its blocks on the durable
+/// backend, whose dark nodes have nothing in RAM to save.
 pub fn save(cluster: &MendelCluster) -> Result<Bytes, MendelError> {
     let cfg = cluster.config();
     let topo = cluster.topology();
@@ -71,6 +74,12 @@ pub fn save(cluster: &MendelCluster) -> Result<Bytes, MendelError> {
         return Err(MendelError::Snapshot(
             "cannot snapshot a cluster whose membership changed; re-index instead".into(),
         ));
+    }
+    let failed = cluster.failed_nodes();
+    if !failed.is_empty() {
+        return Err(MendelError::Snapshot(format!(
+            "cannot snapshot a cluster with nodes down ({failed:?}); recover them first"
+        )));
     }
     let mut buf = BytesMut::new();
     MAGIC.encode(&mut buf);
@@ -166,7 +175,7 @@ pub fn restore(
         seed,
         // The backend is a runtime deployment choice, not part of the
         // indexed-data geometry; restores start in memory mode.
-        storage: crate::config::StorageBackend::Memory,
+        storage: StorageBackend::Memory,
     };
     let cluster = MendelCluster::build_empty(config, db)?;
     for n in 0..nodes {
@@ -224,6 +233,50 @@ mod tests {
         let c = MendelCluster::build(ClusterConfig::small_protein(), db).unwrap();
         c.add_node();
         assert!(matches!(save(&c), Err(MendelError::Snapshot(_))));
+    }
+
+    #[test]
+    fn snapshot_with_a_node_down_is_refused() {
+        let db = db();
+        for storage in [StorageBackend::Memory, StorageBackend::durable()] {
+            let cfg = ClusterConfig {
+                storage,
+                ..ClusterConfig::small_protein()
+            };
+            let c = MendelCluster::build(cfg, db.clone()).unwrap();
+            c.fail_node(NodeId(1)).unwrap();
+            assert!(
+                matches!(save(&c), Err(MendelError::Snapshot(m)) if m.contains("down")),
+                "{storage:?}: the format cannot say a node is down"
+            );
+            c.recover_node(NodeId(1)).unwrap();
+            let restored = restore(&save(&c).unwrap(), db.clone(), LatencyModel::lan()).unwrap();
+            assert_eq!(restored.coverage(), c.coverage());
+        }
+    }
+
+    #[test]
+    fn restored_cluster_keeps_its_replication_factor() {
+        let db = db();
+        let cfg = ClusterConfig {
+            replication: 2,
+            ..ClusterConfig::small_protein()
+        };
+        let built = MendelCluster::build(cfg, db.clone()).unwrap();
+        let restored = restore(&save(&built).unwrap(), db, LatencyModel::lan()).unwrap();
+        assert_eq!(restored.config().replication, 2);
+        // Scale-out re-places the joiner's group: it must do so at the
+        // configured factor on both.
+        built.add_node();
+        restored.add_node();
+        assert_eq!(restored.total_blocks(), built.total_blocks());
+        for c in [&built, &restored] {
+            for n in c.topology().nodes() {
+                c.fail_node(n).unwrap();
+                assert!(!c.coverage().degraded, "one node down at replication 2");
+                c.recover_node(n).unwrap();
+            }
+        }
     }
 
     #[test]

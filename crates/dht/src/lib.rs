@@ -17,17 +17,13 @@
 //! * [`load`] — cluster-wide load-balance reports (Fig. 5's measurement).
 
 pub mod load;
-pub mod metrics;
 pub mod placement;
-pub mod ring;
 pub mod sha1;
 pub mod store;
 pub mod topology;
 
 pub use load::LoadReport;
-pub use metrics::DhtMetrics;
 pub use placement::FlatPlacement;
-pub use ring::ConsistentRing;
 pub use sha1::{sha1, Sha1};
 pub use store::{BlockRef, BlockStore};
 pub use topology::{GroupId, NodeId, Topology};

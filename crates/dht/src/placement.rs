@@ -8,7 +8,6 @@
 //! Placement optionally yields `replication` distinct nodes (primary
 //! first) — the fault-tolerance extension of §VII-B.
 
-use crate::metrics::DhtMetrics;
 use crate::sha1::sha1_u64;
 use crate::topology::{GroupId, NodeId, Topology};
 
@@ -56,40 +55,6 @@ impl FlatPlacement {
         (0..n)
             .map(|i| members[(start + i) % members.len()])
             .collect()
-    }
-
-    /// [`Self::primary`] with routing instrumentation: one ring walk per
-    /// resolution.
-    pub fn primary_counted(
-        &self,
-        topo: &Topology,
-        g: GroupId,
-        key: &[u8],
-        obs: &DhtMetrics,
-    ) -> Option<NodeId> {
-        let out = self.primary(topo, g, key);
-        if out.is_some() {
-            obs.ring_walks.inc();
-        }
-        out
-    }
-
-    /// [`Self::replicas`] with routing instrumentation: one ring walk
-    /// per resolution plus one placement retry per ring step taken past
-    /// the primary.
-    pub fn replicas_counted(
-        &self,
-        topo: &Topology,
-        g: GroupId,
-        key: &[u8],
-        obs: &DhtMetrics,
-    ) -> Vec<NodeId> {
-        let out = self.replicas(topo, g, key);
-        if !out.is_empty() {
-            obs.ring_walks.inc();
-            obs.placement_retries.add(out.len() as u64 - 1);
-        }
-        out
     }
 }
 
@@ -179,42 +144,6 @@ mod tests {
     #[should_panic(expected = "replication factor")]
     fn zero_replication_rejected() {
         FlatPlacement::with_replication(0);
-    }
-
-    #[test]
-    fn counted_placement_matches_plain_and_tallies_walks() {
-        use mendel_obs::Registry;
-        let registry = Registry::new();
-        let obs = DhtMetrics::registered(&registry);
-        let t = Topology::new(6, 2);
-        let p = FlatPlacement::with_replication(3);
-        for key in [b"a".as_slice(), b"b", b"c"] {
-            assert_eq!(
-                p.primary_counted(&t, GroupId(0), key, &obs),
-                p.primary(&t, GroupId(0), key)
-            );
-            assert_eq!(
-                p.replicas_counted(&t, GroupId(0), key, &obs),
-                p.replicas(&t, GroupId(0), key)
-            );
-        }
-        let snap = registry.snapshot();
-        // 3 primaries + 3 replica resolutions; each replica set walks 2
-        // steps past its primary.
-        assert_eq!(snap.counter("mendel.dht.ring_walks"), 6);
-        assert_eq!(snap.counter("mendel.dht.placement_retries"), 6);
-    }
-
-    #[test]
-    fn counted_placement_on_empty_group_counts_nothing() {
-        let mut t = Topology::new(2, 2);
-        t.leave(NodeId(0));
-        let obs = DhtMetrics::detached();
-        let p = FlatPlacement::new();
-        assert!(p.primary_counted(&t, GroupId(0), b"x", &obs).is_none());
-        assert!(p.replicas_counted(&t, GroupId(0), b"x", &obs).is_empty());
-        assert_eq!(obs.ring_walks.get(), 0);
-        assert_eq!(obs.placement_retries.get(), 0);
     }
 
     #[test]

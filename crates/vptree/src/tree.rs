@@ -55,22 +55,6 @@ pub(crate) enum Node {
     },
 }
 
-/// Owned intermediate node used by the parallel builder before arena
-/// flattening.
-enum BuildNode {
-    Leaf {
-        bucket: Vec<u32>,
-    },
-    Internal {
-        vantage: u32,
-        radius: f32,
-        left: Option<Box<BuildNode>>,
-        right: Option<Box<BuildNode>>,
-        left_bounds: (f32, f32),
-        right_bounds: (f32, f32),
-    },
-}
-
 /// A bulk-built vantage-point tree over points of type `P` under metric `M`.
 #[derive(Debug)]
 pub struct VpTree<P, M> {
@@ -250,157 +234,6 @@ impl<P, M: Metric<P>> VpTree<P, M> {
             }
         }
         best.0
-    }
-
-    /// Build in parallel with rayon: partitions recurse concurrently via
-    /// `rayon::join` into boxed subtrees, which are then flattened into
-    /// the arena. Produces the same *kind* of tree as [`Self::build`]
-    /// (median-balanced, bucketed, bounded) but not bit-identical — each
-    /// branch derives its own RNG stream so construction is
-    /// deterministic *and* independent of the scheduler.
-    pub fn build_parallel(points: Vec<P>, metric: M, bucket_capacity: usize, seed: u64) -> Self
-    where
-        P: Send + Sync,
-        M: Sync,
-    {
-        assert!(bucket_capacity >= 1, "bucket capacity must be at least 1");
-        let mut tree = VpTree {
-            metric,
-            points,
-            nodes: Vec::new(),
-            root: NIL,
-            bucket_capacity,
-            seed,
-            obs: SearchMetrics::default(),
-        };
-        let mut items: Vec<u32> = (0..tree.points.len() as u32).collect();
-        let boxed = tree.build_boxed(&mut items, seed);
-        tree.root = tree.flatten(boxed);
-        #[cfg(feature = "strict-invariants")]
-        tree.assert_invariants("build_parallel");
-        tree
-    }
-
-    /// Parallel recursive construction into an owned subtree.
-    fn build_boxed(&self, items: &mut [u32], branch_seed: u64) -> Option<Box<BuildNode>>
-    where
-        P: Send + Sync,
-        M: Sync,
-    {
-        if items.is_empty() {
-            return None;
-        }
-        if items.len() <= self.bucket_capacity {
-            return Some(Box::new(BuildNode::Leaf {
-                bucket: items.to_vec(),
-            }));
-        }
-        let mut rng = ChaCha8Rng::seed_from_u64(branch_seed);
-        let v_pos = self.pick_vantage(items, &mut rng);
-        items.swap(0, v_pos);
-        let vantage = items[0];
-        let rest = &items[1..];
-        let mut dists: Vec<(u32, f32)> = rest
-            .iter()
-            .map(|&i| {
-                (
-                    i,
-                    self.metric
-                        .dist(&self.points[vantage as usize], &self.points[i as usize]),
-                )
-            })
-            .collect();
-        let mid = (dists.len() - 1) / 2;
-        dists.select_nth_unstable_by(mid, |a, b| a.1.total_cmp(&b.1));
-        let mut radius = dists[mid].1;
-        let (mut left, mut right): (Vec<(u32, f32)>, Vec<(u32, f32)>) =
-            dists.into_iter().partition(|&(_, d)| d <= radius);
-        if right.is_empty() && left.len() > self.bucket_capacity {
-            let below = left
-                .iter()
-                .map(|&(_, d)| d)
-                .filter(|&d| d < radius)
-                .fold(f32::NEG_INFINITY, f32::max);
-            if below.is_finite() {
-                radius = below;
-                right = left.iter().copied().filter(|&(_, d)| d > radius).collect();
-                left.retain(|&(_, d)| d <= radius);
-            } else {
-                let half = left.len() / 2;
-                right = left.split_off(half);
-            }
-        }
-        let bounds = |side: &[(u32, f32)]| -> (f32, f32) {
-            side.iter()
-                .fold((f32::INFINITY, f32::NEG_INFINITY), |(lo, hi), &(_, d)| {
-                    (lo.min(d), hi.max(d))
-                })
-        };
-        let left_bounds = bounds(&left);
-        let right_bounds = bounds(&right);
-        let mut left_items: Vec<u32> = left.into_iter().map(|(i, _)| i).collect();
-        let mut right_items: Vec<u32> = right.into_iter().map(|(i, _)| i).collect();
-        // Splitmix-style per-branch seed derivation keeps the tree
-        // independent of scheduling.
-        let ls = branch_seed
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .wrapping_add(1);
-        let rs = branch_seed
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .wrapping_add(2);
-        const PAR_THRESHOLD: usize = 1024;
-        let (l, r) = if left_items.len() + right_items.len() >= PAR_THRESHOLD {
-            rayon::join(
-                || self.build_boxed(&mut left_items, ls),
-                || self.build_boxed(&mut right_items, rs),
-            )
-        } else {
-            (
-                self.build_boxed(&mut left_items, ls),
-                self.build_boxed(&mut right_items, rs),
-            )
-        };
-        Some(Box::new(BuildNode::Internal {
-            vantage,
-            radius,
-            left: l,
-            right: r,
-            left_bounds,
-            right_bounds,
-        }))
-    }
-
-    /// Flatten a boxed subtree into the arena, returning its node index.
-    fn flatten(&mut self, node: Option<Box<BuildNode>>) -> u32 {
-        match node {
-            None => NIL,
-            Some(b) => match *b {
-                BuildNode::Leaf { bucket } => {
-                    self.nodes.push(Node::Leaf { bucket });
-                    (self.nodes.len() - 1) as u32
-                }
-                BuildNode::Internal {
-                    vantage,
-                    radius,
-                    left,
-                    right,
-                    left_bounds,
-                    right_bounds,
-                } => {
-                    let l = self.flatten(left);
-                    let r = self.flatten(right);
-                    self.nodes.push(Node::Internal {
-                        vantage,
-                        radius,
-                        left: l,
-                        right: r,
-                        left_bounds,
-                        right_bounds,
-                    });
-                    (self.nodes.len() - 1) as u32
-                }
-            },
-        }
     }
 
     /// Number of indexed elements.
@@ -1038,49 +871,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_build_answers_exactly() {
-        let points = random_points(3000, 10, 20, 30);
-        let metric = BlockDistance::new(Hamming);
-        let par = VpTree::build_parallel(points.clone(), metric, 16, 7);
-        let metric = BlockDistance::new(Hamming);
-        for q in random_points(15, 10, 20, 31) {
-            let got: Vec<f32> = par.knn(&q, 6).iter().map(|n| n.dist).collect();
-            let want: Vec<f32> = crate::knn::brute_force_knn(par.points(), &metric, &q, 6)
-                .iter()
-                .map(|n| n.dist)
-                .collect();
-            assert_eq!(got, want, "parallel build must stay exact");
-        }
-        let s = par.stats();
-        assert_eq!(s.points, 3000);
-        assert!(
-            s.max_depth <= 20,
-            "parallel build stays balanced: {}",
-            s.max_depth
-        );
-    }
-
-    #[test]
-    fn parallel_build_is_deterministic() {
-        let points = random_points(2000, 8, 4, 32);
-        let a = VpTree::build_parallel(points.clone(), BlockDistance::new(Hamming), 8, 5);
-        let b = VpTree::build_parallel(points, BlockDistance::new(Hamming), 8, 5);
-        let q = vec![1u8; 8];
-        let na: Vec<u32> = a.knn(&q, 9).iter().map(|n| n.index).collect();
-        let nb: Vec<u32> = b.knn(&q, 9).iter().map(|n| n.index).collect();
-        assert_eq!(na, nb, "scheduler must not influence the tree");
-    }
-
-    #[test]
-    fn parallel_build_empty_and_tiny() {
-        let empty: VpTree<Vec<u8>, _> =
-            VpTree::build_parallel(vec![], BlockDistance::new(Hamming), 4, 1);
-        assert!(empty.is_empty());
-        let one = VpTree::build_parallel(vec![vec![1u8, 2]], BlockDistance::new(Hamming), 4, 1);
-        assert_eq!(one.knn(&vec![1u8, 2], 1)[0].dist, 0.0);
-    }
-
-    #[test]
     fn unbounded_budget_equals_exact_knn() {
         let points = random_points(600, 10, 4, 20);
         let t = build(points, 8);
@@ -1127,13 +917,6 @@ mod tests {
         let mut points = vec![vec![1u8, 1, 1]; 100];
         points.extend(random_points(50, 3, 4, 12));
         assert_eq!(build(points, 4).check_invariants(), Ok(()));
-        let par = VpTree::build_parallel(
-            random_points(3000, 10, 20, 30),
-            BlockDistance::new(Hamming),
-            16,
-            7,
-        );
-        assert_eq!(par.check_invariants(), Ok(()));
     }
 
     #[test]

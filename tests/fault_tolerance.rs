@@ -267,11 +267,14 @@ fn detector_sync_fails_suspects_and_recovers_on_fresh_beats() {
     let q = db.get(SeqId(6)).unwrap().residues.clone();
     let baseline = cluster.query(&q, &params).unwrap().best().unwrap().subject;
 
-    let mut monitor = HeartbeatMonitor::new(Duration::from_millis(100));
+    // The timeout races the wall clock between here and the second
+    // sync below (a sync and a query: ~90 ms under strict-invariants),
+    // hence seconds.
+    let mut monitor = HeartbeatMonitor::new(Duration::from_secs(2));
     let now = Instant::now();
     for n in 0..8u16 {
         let when = if n == 3 {
-            now - Duration::from_millis(250) // slow node: beats arrive late
+            now - Duration::from_secs(5) // slow node: beats arrive late
         } else {
             now
         };

@@ -168,15 +168,26 @@ proptest! {
 
     /// Coverage read from the placement ledger stays what a sweep over
     /// every node's blocks would report, through any sequence of
-    /// failures, recoveries, repairs, scale-outs and ingests — on both
-    /// backends, unreplicated and replicated, and for any set of extra
-    /// unreachable nodes. The exact ledger == sweep comparison needs the
-    /// checker's oracle and so runs under `strict-invariants` (where
-    /// every mutation site asserts it as well); the relations between
-    /// reports hold in every build.
+    /// failures, recoveries, repairs, scale-outs, ingests and flushes —
+    /// on both backends, unreplicated and replicated, and for any set of
+    /// extra unreachable nodes. The exact ledger == sweep comparison
+    /// needs the checker's oracle and so runs under `strict-invariants`
+    /// (where every mutation site asserts it as well); the relations
+    /// between reports hold in every build.
+    ///
+    /// And the node lifecycle loses nothing: once everyone is back, the
+    /// cluster holds and answers what a twin that never saw a failure
+    /// does — where that twin is defined. It is not after a scale-out
+    /// (another membership), after a repair around a dead holder (the
+    /// holder returns and its blocks are held once too often), or after
+    /// an ingest with a node down (fewer copies are placed, none for a
+    /// block whose every replica is down). `calm` runs keep it defined
+    /// — no scale-out, everyone recovered ahead of a repair or an ingest
+    /// — so half the cases reach the comparison.
     #[test]
     fn ledger_coverage_holds_through_churn(
-        ops in proptest::collection::vec((0u8..7, any::<u16>()), 6..12),
+        ops in proptest::collection::vec((0u8..8, any::<u16>()), 6..12),
+        calm in any::<bool>(),
         seed in 0u64..4,
     ) {
         let db = Arc::new(NrLikeSpec {
@@ -193,12 +204,20 @@ proptest! {
             [(StorageBackend::Memory, 1), (StorageBackend::Memory, 2), (durable, 1), (durable, 2)]
         {
             let config = ClusterConfig { storage, replication, ..ClusterConfig::small_protein() };
-            let cluster = MendelCluster::build(config, db.clone()).unwrap();
+            let cluster = MendelCluster::build(config.clone(), db.clone()).unwrap();
+            let mut ingested: Vec<Vec<Sequence>> = Vec::new();
+            let mut twin_defined = true;
             for &(op, pick) in &ops {
                 let topo = cluster.topology();
                 let nodes: Vec<NodeId> = topo.nodes().collect();
                 let node = nodes[pick as usize % nodes.len()];
                 let may_fail = cluster.failed_nodes().len() + 1 < nodes.len();
+                let op = if calm { [0, 1, 2, 1, 4, 0, 7, 4][op as usize] } else { op };
+                if calm && matches!(op, 2 | 4) {
+                    for down in cluster.failed_nodes() {
+                        cluster.recover_node(down).unwrap();
+                    }
+                }
                 match op {
                     0 if may_fail => {
                         let before = cluster.coverage().blocks_expected;
@@ -207,8 +226,14 @@ proptest! {
                         prop_assert_eq!(cluster.coverage().blocks_expected, before);
                     }
                     1 => cluster.recover_node(node).unwrap(),
-                    2 => { cluster.repair(); }
-                    3 if nodes.len() < 9 => { cluster.add_node(); }
+                    2 => {
+                        twin_defined &= cluster.failed_nodes().is_empty();
+                        cluster.repair();
+                    }
+                    3 if nodes.len() < 9 => {
+                        twin_defined = false;
+                        cluster.add_node();
+                    }
                     4 => {
                         let extra = NrLikeSpec {
                             families: 1,
@@ -217,12 +242,16 @@ proptest! {
                             seed: pick as u64,
                             ..Default::default()
                         }.generate().unwrap();
-                        cluster.insert_sequences(extra.iter().cloned().collect()).unwrap();
+                        let extra: Vec<Sequence> = extra.iter().cloned().collect();
+                        twin_defined &= cluster.failed_nodes().is_empty();
+                        cluster.insert_sequences(extra.clone()).unwrap();
+                        ingested.push(extra);
                     }
                     // A member goes dark, its group rebalances onto a
                     // joiner without it, and it comes back holding a
                     // stale layout.
                     5 if may_fail && nodes.len() < 9 => {
+                        twin_defined = false;
                         let joins = topo.group_ids()
                             .min_by_key(|&g| topo.group_members(g).len())
                             .unwrap();
@@ -236,10 +265,12 @@ proptest! {
                     // Repair with a holder dead, which then returns to
                     // find its blocks copied elsewhere.
                     6 if may_fail => {
+                        twin_defined = false;
                         cluster.fail_node(node).unwrap();
                         cluster.repair();
                         cluster.recover_node(node).unwrap();
                     }
+                    7 => cluster.flush_storage().unwrap(),
                     _ => {}
                 }
 
@@ -271,6 +302,25 @@ proptest! {
                     prop_assert_eq!(g.live_members, live);
                     prop_assert!(g.reachable <= g.expected);
                 }
+            }
+
+            for node in cluster.failed_nodes() {
+                cluster.recover_node(node).unwrap();
+            }
+            #[cfg(feature = "strict-invariants")]
+            prop_assert_eq!(cluster.check_ledger(), Ok(()));
+            prop_assert!(!cluster.coverage().degraded);
+            if twin_defined {
+                let twin = MendelCluster::build(config, db.clone()).unwrap();
+                for seqs in ingested {
+                    twin.insert_sequences(seqs).unwrap();
+                }
+                prop_assert_eq!(cluster.total_blocks(), twin.total_blocks());
+                prop_assert_eq!(cluster.coverage(), twin.coverage());
+                prop_assert_eq!(
+                    cluster.query(&q, &params).unwrap().hits,
+                    twin.query(&q, &params).unwrap().hits
+                );
             }
         }
     }
