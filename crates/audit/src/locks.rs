@@ -45,16 +45,18 @@ const GUARD_METHODS: [&str; 3] = ["lock", "read", "write"];
 /// Calls that block or perform I/O; making one while a guard is live is
 /// the `guard-across-io` smell (waivable via
 /// `audit:allow(guard-across-io): <reason>`).
-const IO_CALLS: [&str; 17] = [
+const IO_CALLS: [&str; 18] = [
     "send",
     "send_traced",
     "recv",
     "recv_timeout",
     "try_recv",
     // The wire path's request/reply layer (calls are not followed, so
-    // the wrappers around send and recv_timeout are named themselves).
+    // the wrappers around send and recv_timeout are named themselves),
+    // and the front-end's query, which waits on both.
     "request",
     "gather",
+    "query_via",
     "sleep",
     // File I/O (the mendel-store disk path): an fsync can stall for
     // seconds on a busy disk, and even buffered writes/reads block.

@@ -60,13 +60,13 @@ use crate::http::{http_request, Handler, HttpServer, Request, Response};
 use mendel::store::RealVfs;
 use mendel::{
     chrome_trace_json, parse_records_text, render_records_text, Clock, ClusterConfig,
-    CoverageReport, MendelCluster, MendelError, MendelHit, MonotonicClock, NodeServer, QueryParams,
-    SlowLogConfig, StorageBackend, TcpFrontEnd, TraceCollector, TraceId, WireQueryOutcome,
+    CoverageReport, FrontEnd, MendelCluster, MendelError, MendelHit, MonotonicClock, NodeServer,
+    QueryParams, SlowLogConfig, StorageBackend, TraceCollector, TraceId, WireQueryOutcome,
     WireTimeouts,
 };
 use mendel_dht::NodeId;
 use mendel_net::mailbox::NodeAddr;
-use mendel_net::tcp::TcpConfig;
+use mendel_net::tcp::{TcpConfig, TcpTransport};
 use mendel_net::TransportMetrics;
 use mendel_seq::{parse_fasta_sequences, Alphabet, SeqStore};
 use parking_lot::Mutex;
@@ -360,8 +360,8 @@ pub fn render_outcome_json(
 struct Serving {
     cluster: Arc<MendelCluster>,
     /// Held for its Drop: owns the bound transport + serving thread.
-    _node_server: NodeServer,
-    front: TcpFrontEnd,
+    _node_server: NodeServer<TcpTransport>,
+    front: FrontEnd<TcpTransport>,
     sequences: usize,
 }
 
@@ -439,7 +439,7 @@ impl State {
         if let Some(sock) = node_server.local_socket_addr() {
             front_peers.push((NodeAddr(me.0 + 1), sock));
         }
-        let front = TcpFrontEnd::connect(
+        let front = FrontEnd::connect(
             cluster.clone(),
             self.cfg.node,
             &front_peers,

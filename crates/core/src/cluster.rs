@@ -444,11 +444,11 @@ impl MendelCluster {
     }
 
     /// Evaluate `query` from the default entry point, the first live
-    /// node. A single query is a batch of one (DESIGN.md "The query
-    /// pipeline"): it passes admission control and is shed with
-    /// [`MendelError::Shed`] past the scheduler's `max_in_flight` bound.
+    /// node (DESIGN.md "The query pipeline"). The query passes admission
+    /// control and is shed with [`MendelError::Shed`] past the
+    /// scheduler's `max_in_flight` bound.
     pub fn query(&self, query: &[u8], params: &QueryParams) -> Result<QueryReport, MendelError> {
-        self.query_entry(None, query, params)
+        crate::pipeline::evaluate(self, None, query, params)
     }
 
     /// Evaluate `query` entering the system at `entry` (§V-B: "any node
@@ -461,32 +461,7 @@ impl MendelCluster {
         query: &[u8],
         params: &QueryParams,
     ) -> Result<QueryReport, MendelError> {
-        self.query_entry(Some(entry), query, params)
-    }
-
-    fn query_entry(
-        &self,
-        entry: Option<NodeId>,
-        query: &[u8],
-        params: &QueryParams,
-    ) -> Result<QueryReport, MendelError> {
-        crate::pipeline::evaluate(self, entry, &[query], params)
-            .pop()
-            .expect("one report per query") // audit:allow(expect): evaluate returns exactly one result per input query
-    }
-
-    /// Evaluate many queries as ONE batch: each storage node scans its
-    /// vp-tree once for every query routed to it, and per-query `hits`
-    /// are bit-identical to [`Self::query`]. Admission control applies
-    /// per query — a shed query errors, the rest of the batch proceeds.
-    /// Each report's `metrics` delta, node scan times and coverage
-    /// report cover the whole call.
-    pub fn query_batch(
-        &self,
-        queries: &[Vec<u8>],
-        params: &QueryParams,
-    ) -> Vec<Result<QueryReport, MendelError>> {
-        crate::pipeline::evaluate(self, None, queries, params)
+        crate::pipeline::evaluate(self, Some(entry), query, params)
     }
 
     /// The cluster's metric registry: counters, histograms, and the
@@ -1017,68 +992,6 @@ mod tests {
     }
 
     #[test]
-    fn query_batch_matches_the_per_window_wire_search() {
-        let db = small_db();
-        let c = Arc::new(small_cluster(&db));
-        // The other evaluator: the same node search, reached over encoded
-        // messages instead of one scheduler job per node.
-        let wire = crate::wire::WireCluster::serve(c.clone());
-        let params = QueryParams::protein();
-        let queries: Vec<Vec<u8>> = (0..6)
-            .map(|i| db.get(SeqId(i * 3)).unwrap().residues.clone())
-            .collect();
-        let batch = c.query_batch(&queries, &params);
-        assert_eq!(batch.len(), queries.len());
-        for (q, r) in queries.iter().zip(&batch) {
-            let r = r.as_ref().unwrap();
-            assert_eq!(r.hits, wire.query(q, &params).unwrap(), "batched vs wire");
-            // Batch mates leak nothing into each other's accounting.
-            let alone = c.query(q, &params).unwrap();
-            assert_eq!(r.stats.subqueries, alone.stats.subqueries);
-            assert_eq!(r.stats.groups_contacted, alone.stats.groups_contacted);
-            assert_eq!(r.stats.candidates, alone.stats.candidates);
-            assert_eq!(r.stats.anchors, alone.stats.anchors);
-        }
-    }
-
-    #[test]
-    fn query_batch_sheds_past_admission_bound() {
-        let db = small_db();
-        let c = small_cluster(&db).with_scheduler(mendel_sched::SchedConfig {
-            workers: 2,
-            max_in_flight: 2,
-        });
-        let q = db.get(SeqId(1)).unwrap().residues.clone();
-        let queries = vec![q.clone(), q.clone(), q.clone(), q];
-        let results = c.query_batch(&queries, &QueryParams::protein());
-        assert!(results[0].is_ok() && results[1].is_ok());
-        for r in &results[2..] {
-            assert!(
-                matches!(r, Err(MendelError::Shed { limit: 2, .. })),
-                "past the bound queries shed, got {r:?}"
-            );
-        }
-        let snap = c.metrics_snapshot();
-        assert_eq!(snap.counter("mendel.sched.shed"), 2);
-        // Permits released: a follow-up batch is admitted again.
-        let again = c.query_batch(&queries[..1], &QueryParams::protein());
-        assert!(again[0].is_ok());
-    }
-
-    #[test]
-    fn query_batch_rejects_short_query_but_serves_rest() {
-        let db = small_db();
-        let c = small_cluster(&db);
-        let good = db.get(SeqId(2)).unwrap().residues.clone();
-        let results = c.query_batch(&[vec![0u8; 4], good.clone()], &QueryParams::protein());
-        assert!(matches!(&results[0], Err(MendelError::Query(_))));
-        assert_eq!(
-            results[1].as_ref().unwrap().hits,
-            c.query(&good, &QueryParams::protein()).unwrap().hits
-        );
-    }
-
-    #[test]
     fn timings_are_positive_and_stats_populated() {
         let db = small_db();
         let c = small_cluster(&db);
@@ -1161,7 +1074,7 @@ mod tests {
         c.fail_node(NodeId(0)).unwrap();
         c.fail_node(NodeId(3)).unwrap();
         // The default entry point is the first *live* node, so a dead
-        // node 0 does not take `query()` and `query_batch()` down with it.
+        // node 0 does not take `query()` down with it.
         let after = c.query(&q, &params).unwrap();
         assert_eq!(
             after.best().unwrap().subject,
@@ -1169,8 +1082,6 @@ mod tests {
             "replication must mask the failures"
         );
         assert!(!after.coverage.degraded, "every block is still reachable");
-        let batch = c.query_batch(std::slice::from_ref(&q), &params);
-        assert_eq!(batch[0].as_ref().unwrap().hits, after.hits);
         assert!(matches!(
             c.query_from(NodeId(0), &q, &params),
             Err(MendelError::NoSuchNode(NodeId(0)))

@@ -20,10 +20,11 @@
 //!    aggregation, gapped extension, and E-value ranking ([`query`]).
 //!
 //! There is one query pipeline — plan → evaluator → finish (DESIGN.md
-//! "The query pipeline"). [`MendelCluster::query`], `query_from` and
-//! `query_batch` are thin callers of its in-process evaluator (a single
-//! query is a batch of one); [`wire::query_via`] runs the same plan and
-//! the same epilogue around real messages over any transport.
+//! "The query pipeline"), one query per call. [`MendelCluster::query`]
+//! and `query_from` call its in-process evaluator; a [`FrontEnd`] runs
+//! the same plan and the same epilogue around real messages to
+//! [`NodeServer`]s over any transport — [`WireCluster`] over the
+//! simulated network, `mendel serve` over TCP.
 //!
 //! The public entry point is [`MendelCluster`]; [`QueryParams`] mirrors
 //! Table I of the paper. See the workspace DESIGN.md for the full
@@ -71,5 +72,5 @@ pub use mendel_store as store;
 pub use metric::BlockMetric;
 pub use params::QueryParams;
 pub use report::{CoverageReport, GroupCoverage, MendelHit, QueryReport, StageTimings};
-pub use serve::{NodeServer, TcpFrontEnd, FRONT_END_ADDR_BASE};
-pub use wire::{node_serve_loop, query_via, WireCluster, WireQueryOutcome, WireTimeouts};
+pub use serve::{FrontEnd, NodeServer, FRONT_END_ADDR_BASE};
+pub use wire::{WireCluster, WireQueryOutcome, WireTimeouts};

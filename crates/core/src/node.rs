@@ -246,7 +246,7 @@ impl StorageNode {
     /// `query` is the *full* query; each subquery window starts at an
     /// `offsets` entry and has the cluster's block length. This is the
     /// one node search: the served path calls it per message, the
-    /// in-process evaluator through [`Self::local_search_batch`].
+    /// in-process evaluator once per scheduler job.
     pub fn local_search_many(
         &self,
         query: &[u8],
@@ -279,25 +279,6 @@ impl StorageNode {
         }
         finish_output(&mut out);
         out
-    }
-
-    /// [`Self::local_search_many`] once per `(query, offsets)` request, in
-    /// request order — what one scheduler job asks of a node on behalf of
-    /// every query of an in-process call. A plain loop on purpose: sharing
-    /// leaf scans across the requests measured slower (DESIGN.md §15.2).
-    pub fn local_search_batch<Q: AsRef<[u8]>, O: AsRef<[usize]>>(
-        &self,
-        requests: &[(Q, O)],
-        block_len: usize,
-        params: &QueryParams,
-        matrix: &ScoringMatrix,
-    ) -> Vec<LocalSearchOutput> {
-        requests
-            .iter()
-            .map(|(query, offsets)| {
-                self.local_search_many(query.as_ref(), offsets.as_ref(), block_len, params, matrix)
-            })
-            .collect()
     }
 
     /// Evaluate one subquery's k-NN candidates: §V-B filtering, coverage
@@ -377,18 +358,6 @@ impl StorageNode {
                 });
             }
         }
-    }
-
-    /// Single-subquery convenience wrapper over [`Self::local_search_many`].
-    pub fn local_search(
-        &self,
-        query: &[u8],
-        offset: usize,
-        block_len: usize,
-        params: &QueryParams,
-        matrix: &ScoringMatrix,
-    ) -> LocalSearchOutput {
-        self.local_search_many(query, &[offset], block_len, params, matrix)
     }
 }
 
@@ -753,9 +722,9 @@ mod tests {
         let db = test_db();
         let node = loaded_node(&db);
         let q = db.get(SeqId(2)).unwrap().residues.clone();
-        let out = node.local_search(
+        let out = node.local_search_many(
             &q,
-            0,
+            &[0],
             16,
             &QueryParams::protein(),
             &ScoringMatrix::blosum62(),
@@ -784,7 +753,7 @@ mod tests {
         let q = db.get(SeqId(0)).unwrap().residues.clone();
         let mut params = QueryParams::protein();
         params.i = 1.0; // only exact windows survive
-        let out = node.local_search(&q, 0, 16, &params, &ScoringMatrix::blosum62());
+        let out = node.local_search_many(&q, &[0], 16, &params, &ScoringMatrix::blosum62());
         for a in &out.anchors {
             assert_eq!(
                 a.subject_id, 0,
@@ -798,9 +767,9 @@ mod tests {
         let db = test_db();
         let node = loaded_node(&db);
         let q = db.get(SeqId(1)).unwrap().residues.clone();
-        let out = node.local_search(
+        let out = node.local_search_many(
             &q,
-            0,
+            &[0],
             16,
             &QueryParams::protein(),
             &ScoringMatrix::blosum62(),

@@ -5,13 +5,12 @@
 //! owns the system-level merge, gapped extension, coverage, the per-query
 //! counters and the slow-query log. Between them sits [`evaluate`]
 //! (in-process, simulated LAN clock — behind `MendelCluster::{query,
-//! query_from, query_batch}`) or [`crate::wire::query_via`] (real
+//! query_from}`) or [`crate::wire::query_via`] (real
 //! messages over any `Transport`), so a query reports the same fan-out,
 //! errors and observations whichever entry point answered it.
 
 use crate::cluster::MendelCluster;
 use crate::error::MendelError;
-use crate::node::LocalSearchOutput;
 use crate::params::QueryParams;
 use crate::query::subquery_offsets;
 use crate::report::{CoverageReport, MendelHit, QueryReport, QueryStats, StageTimings};
@@ -21,7 +20,7 @@ use mendel_dht::{GroupId, NodeId};
 use mendel_net::latency::parallel_max;
 use mendel_obs::{CriticalHop, QueryObservation, SpanId, SpanRecord, TraceCollector, TraceId};
 use mendel_seq::ScoringMatrix;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -113,11 +112,9 @@ pub(crate) struct Epilogue<'a> {
 }
 
 impl<'a> Epilogue<'a> {
-    /// Reads coverage from the placement ledger once — O(groups), see
+    /// Reads coverage from the placement ledger — O(groups), see
     /// [`MendelCluster::coverage_with_down`] — with `down` (plus the
-    /// control plane's failed set) unreachable, for every query finished
-    /// through this value: no query mutates placement, so within one
-    /// evaluator call it is the report each would have seen.
+    /// control plane's failed set) unreachable.
     pub(crate) fn new(
         cluster: &'a MendelCluster,
         params: &'a QueryParams,
@@ -182,18 +179,6 @@ impl<'a> Epilogue<'a> {
     }
 }
 
-/// One admitted query between stage 1 and its report.
-struct Admitted {
-    /// Held for the whole evaluation; dropping it releases the query's
-    /// in-flight slot.
-    _permit: mendel_sched::AdmissionPermit,
-    plan: QueryPlan,
-    /// One lane per planned group, in plan order.
-    lanes: Vec<GroupLane>,
-    decompose: Duration,
-    trace: Option<TraceId>,
-}
-
 /// One group's share of a query's simulated timeline; the durations
 /// stay zero for a group with no live member.
 #[derive(Default)]
@@ -207,196 +192,158 @@ struct GroupLane {
     total: Duration,
 }
 
-/// Everything one storage node is asked in one call: `(query, offsets)`
-/// requests and, aligned with them, the index of the query each serves.
-type NodeRequests = (Vec<(Arc<[u8]>, Vec<usize>)>, Vec<usize>);
-
-/// The in-process evaluator: every query of the call is admitted and
-/// planned at `entry` (default: the first live node), each storage node
-/// answers all of them as ONE scheduler job (`local_search_batch`: the
-/// served path's `local_search_many`, once per query), and each query is
-/// merged, finished
-/// and timed on the simulated LAN clock (DESIGN.md §3). Per call, not
-/// per query: each report's `metrics` delta, a node's scan time, and the
-/// coverage report.
-pub(crate) fn evaluate<Q: AsRef<[u8]>>(
+/// The in-process evaluator: `query` is admitted and planned at `entry`
+/// (default: the first live node), every live member of each routed
+/// group searches its windows as one scheduler job
+/// (`local_search_many`, the served path's node search), and the groups'
+/// anchors are merged, finished and timed on the simulated LAN clock
+/// (DESIGN.md §3).
+pub(crate) fn evaluate(
     cluster: &MendelCluster,
     entry: Option<NodeId>,
-    queries: &[Q],
+    query: &[u8],
     params: &QueryParams,
-) -> Vec<Result<QueryReport, MendelError>> {
+) -> Result<QueryReport, MendelError> {
     let topo = cluster.topology();
-    let entry = match cluster.resolve_entry(&topo, entry) {
-        Ok(entry) => entry,
-        Err(e) => return queries.iter().map(|_| Err(e.clone())).collect(),
-    };
+    let entry = cluster.resolve_entry(&topo, entry)?;
     let entry_speed = cluster.speed_of(&topo, entry);
     let latency = cluster.config().latency;
     let block_len = cluster.config().block_len;
     let obs = cluster.metrics_registry();
     let clock = obs.clock();
-    let tracer = obs.tracer(entry.0 as u32);
     let before = obs.snapshot();
 
-    // ---- Stage 1 per query, serially in query order: admission,
-    // decomposition + routing at the entry node, the sampling decision.
-    let mut admitted: Vec<Result<Admitted, MendelError>> = queries
-        .iter()
-        .map(|q| {
-            let permit = cluster.scheduler().admit()?;
-            let t = clock.now();
-            let plan = plan(cluster, q.as_ref(), params)?;
-            let decompose = entry_speed.scale(clock.now().saturating_sub(t));
-            // Only a request that planned draws a sampling tick.
-            let sampled = cluster.trace_query_sampled();
-            let lane = |&group| GroupLane {
-                group,
-                members: cluster.live_members(&topo, group),
-                ..GroupLane::default()
-            };
-            Ok(Admitted {
-                _permit: permit,
-                lanes: plan.groups.keys().map(lane).collect(),
-                plan,
-                decompose,
-                trace: sampled.then(|| TraceId(tracer.next_id())),
-            })
+    // ---- Stage 1 at the entry node: admission (the permit is held
+    // until the report exists), decomposition + routing, the sampling
+    // decision.
+    let _permit = cluster.scheduler().admit()?;
+    let t = clock.now();
+    let plan = plan(cluster, query, params)?;
+    let decompose = entry_speed.scale(clock.now().saturating_sub(t));
+    // Only a request that planned draws a sampling tick.
+    let trace = cluster
+        .trace_query_sampled()
+        .then(|| TraceId(obs.tracer(entry.0 as u32).next_id()));
+    let mut lanes: Vec<GroupLane> = plan
+        .groups
+        .keys()
+        .map(|&group| GroupLane {
+            group,
+            members: cluster.live_members(&topo, group),
+            ..GroupLane::default()
         })
         .collect();
 
-    // ---- Stages 2–3: scatter. ONE scheduler job per storage node,
-    // carrying every admitted query routed to it.
-    let mut node_reqs: BTreeMap<NodeId, NodeRequests> = BTreeMap::new();
-    for (qi, a) in admitted.iter().enumerate() {
-        let Ok(a) = a else { continue };
-        let query: Arc<[u8]> = Arc::from(queries[qi].as_ref());
-        for (offs, lane) in a.plan.groups.values().zip(&a.lanes) {
-            for &m in &lane.members {
-                let (reqs, served) = node_reqs.entry(m).or_default();
-                reqs.push((query.clone(), offs.clone()));
-                served.push(qi);
-            }
-        }
-    }
-    // Params are per call, so every plan resolved the same matrix.
-    let matrix = admitted.iter().flatten().map(|a| &a.plan.matrix).next();
+    // ---- Stages 2–3: scatter. One scheduler job per live member of
+    // each routed group, all submitted before any is awaited.
+    let shared: Arc<[u8]> = Arc::from(query);
     let nodes = cluster.node_handles();
-    let mut handles = Vec::new();
-    for (node, (reqs, served)) in node_reqs {
-        let Some(matrix) = matrix.cloned() else { break };
-        let node_arc = nodes[node.0 as usize].clone();
-        let speed = cluster.speed_of(&topo, node);
-        let (params, clock, obs) = (params.clone(), clock.clone(), obs.clone());
-        let handle = cluster.scheduler().run(move || {
-            let guard = node_arc.read();
-            let t = clock.now();
-            let outs = guard.local_search_batch(&reqs, block_len, &params, &matrix);
-            let raw = clock.now().saturating_sub(t);
-            obs.counter("mendel.query.local_search_nanos")
-                .add(raw.as_nanos() as u64);
-            (outs, speed.scale(raw))
-        });
-        handles.push((node, served, handle));
-    }
-    // A node belongs to one group and a query routes to a group at most
-    // once, so (query, node) names one output.
-    let mut member_out: HashMap<(usize, NodeId), (LocalSearchOutput, Duration)> = HashMap::new();
-    for (node, served, handle) in handles {
-        match handle.wait() {
-            Some((outs, elapsed)) => {
-                let outs = outs.into_iter().map(|o| (o, elapsed));
-                member_out.extend(served.into_iter().map(|qi| (qi, node)).zip(outs));
-            }
-            // The job panicked; its queries cannot be answered
-            // faithfully, so they error rather than silently drop this
-            // node's anchors.
-            None => served.into_iter().for_each(|qi| {
-                admitted[qi] = Err(MendelError::Query("node search job panicked".into()));
-            }),
-        }
-    }
-
-    // ---- Stages 3–5 per query: group merge, gather, finish.
-    let epilogue = Epilogue::new(cluster, params, &[]);
-    let assemble = |(qi, a): (usize, Result<Admitted, MendelError>)| {
-        let mut a = a?;
-        let query = queries[qi].as_ref();
-        let msg_bytes = query.len() + MSG_OVERHEAD_BYTES;
-        let fanout = a.plan.groups.len();
-        let mut stats = QueryStats {
-            subqueries: a.plan.subqueries,
-            groups_contacted: fanout,
-            messages: fanout,
-            bytes: msg_bytes * fanout,
-            ..QueryStats::default()
-        };
-        let scatter = latency.fanout(msg_bytes, fanout);
-
-        // Each group entry point replicates the query to its peers,
-        // gathers their anchor sets (serialized on its downlink), merges,
-        // and ships the result up.
-        let mut anchors: Vec<Hsp> = Vec::new();
-        let mut up_bytes = MSG_OVERHEAD_BYTES * fanout;
-        for lane in &mut a.lanes {
-            let Some(&gep) = lane.members.first() else {
-                continue;
+    let jobs: Vec<Vec<_>> = plan
+        .groups
+        .values()
+        .zip(&lanes)
+        .map(|(offsets, lane)| {
+            let job = |&m: &NodeId| {
+                let node = nodes[m.0 as usize].clone();
+                let speed = cluster.speed_of(&topo, m);
+                let (query, offsets) = (shared.clone(), offsets.clone());
+                let (params, matrix) = (params.clone(), plan.matrix.clone());
+                let (clock, obs) = (clock.clone(), obs.clone());
+                cluster.scheduler().run(move || {
+                    let guard = node.read();
+                    let t = clock.now();
+                    let out =
+                        guard.local_search_many(&query, &offsets, block_len, &params, &matrix);
+                    let raw = clock.now().saturating_sub(t);
+                    obs.counter("mendel.query.local_search_nanos")
+                        .add(raw.as_nanos() as u64);
+                    (out, speed.scale(raw))
+                })
             };
-            let peers = lane.members.len() - 1;
-            lane.replicate = latency.fanout(msg_bytes, peers);
-            let mut all: Vec<Hsp> = Vec::new();
-            for &m in &lane.members {
-                let (out, elapsed) = member_out.remove(&(qi, m)).unwrap_or_default();
-                stats.candidates += out.candidates;
-                all.extend(out.anchors);
-                lane.member_times.push(elapsed);
-            }
-            let node_phase = parallel_max(lane.member_times.iter().copied());
-            let anchor_bytes = all.len() * HSP_WIRE_BYTES + MSG_OVERHEAD_BYTES * peers;
-            let gather_in = latency.transfer(anchor_bytes);
-            stats.nodes_contacted += peers + 1;
-            stats.messages += peers * 2;
-            stats.bytes += msg_bytes * peers + anchor_bytes;
-            let t = clock.now();
-            let merged = merge_overlapping(all);
-            let merge_raw = clock.now().saturating_sub(t);
-            lane.merge = cluster.speed_of(&topo, gep).scale(merge_raw);
-            lane.total = lane.replicate + node_phase + gather_in + lane.merge;
-            up_bytes += merged.len() * HSP_WIRE_BYTES;
-            anchors.extend(merged);
-        }
-        let group_phase = parallel_max(a.lanes.iter().map(|l| l.total));
-        let gather = latency.transfer(up_bytes);
-        stats.messages += fanout;
-        stats.bytes += up_bytes;
+            lane.members.iter().map(job).collect()
+        })
+        .collect();
 
-        let so_far = a.decompose + scatter + group_phase + gather;
-        let done = epilogue.finish(query, &a.plan, anchors, a.trace, |raw| {
-            so_far + entry_speed.scale(raw)
-        });
-        stats.anchors = done.anchors;
-        let timings = StageTimings {
-            decompose: a.decompose,
-            scatter,
-            group_phase,
-            gather,
-            finalize: entry_speed.scale(done.finalize),
-        };
-        record_stage_timings(cluster, &timings);
-        let mut report = QueryReport {
-            hits: done.hits,
-            timings,
-            stats,
-            coverage: epilogue.coverage.clone(),
-            metrics: obs.snapshot().since(&before),
-            trace: a.trace,
-            critical_path: Vec::new(),
-        };
-        if let Some(trace) = a.trace {
-            report.critical_path = assemble_trace(cluster, entry, trace, &report, &a.lanes);
-        }
-        Ok(report)
+    // ---- Stages 3–5: group merge, gather, finish.
+    let msg_bytes = query.len() + MSG_OVERHEAD_BYTES;
+    let fanout = plan.groups.len();
+    let mut stats = QueryStats {
+        subqueries: plan.subqueries,
+        groups_contacted: fanout,
+        messages: fanout,
+        bytes: msg_bytes * fanout,
+        ..QueryStats::default()
     };
-    admitted.into_iter().enumerate().map(assemble).collect()
+    let scatter = latency.fanout(msg_bytes, fanout);
+
+    // Each group entry point replicates the query to its peers, gathers
+    // their anchor sets (serialized on its downlink), merges, and ships
+    // the result up.
+    let mut anchors: Vec<Hsp> = Vec::new();
+    let mut up_bytes = MSG_OVERHEAD_BYTES * fanout;
+    for (lane, handles) in lanes.iter_mut().zip(jobs) {
+        let Some(&gep) = lane.members.first() else {
+            continue;
+        };
+        let peers = lane.members.len() - 1;
+        lane.replicate = latency.fanout(msg_bytes, peers);
+        let mut all: Vec<Hsp> = Vec::new();
+        for handle in handles {
+            // A panicked job cannot be answered faithfully, so the query
+            // errors rather than silently dropping that node's anchors.
+            let (out, elapsed) = handle
+                .wait()
+                .ok_or_else(|| MendelError::Query("node search job panicked".into()))?;
+            stats.candidates += out.candidates;
+            all.extend(out.anchors);
+            lane.member_times.push(elapsed);
+        }
+        let node_phase = parallel_max(lane.member_times.iter().copied());
+        let anchor_bytes = all.len() * HSP_WIRE_BYTES + MSG_OVERHEAD_BYTES * peers;
+        let gather_in = latency.transfer(anchor_bytes);
+        stats.nodes_contacted += peers + 1;
+        stats.messages += peers * 2;
+        stats.bytes += msg_bytes * peers + anchor_bytes;
+        let t = clock.now();
+        let merged = merge_overlapping(all);
+        let merge_raw = clock.now().saturating_sub(t);
+        lane.merge = cluster.speed_of(&topo, gep).scale(merge_raw);
+        lane.total = lane.replicate + node_phase + gather_in + lane.merge;
+        up_bytes += merged.len() * HSP_WIRE_BYTES;
+        anchors.extend(merged);
+    }
+    let group_phase = parallel_max(lanes.iter().map(|l| l.total));
+    let gather = latency.transfer(up_bytes);
+    stats.messages += fanout;
+    stats.bytes += up_bytes;
+
+    let so_far = decompose + scatter + group_phase + gather;
+    let epilogue = Epilogue::new(cluster, params, &[]);
+    let done = epilogue.finish(query, &plan, anchors, trace, |raw| {
+        so_far + entry_speed.scale(raw)
+    });
+    stats.anchors = done.anchors;
+    let timings = StageTimings {
+        decompose,
+        scatter,
+        group_phase,
+        gather,
+        finalize: entry_speed.scale(done.finalize),
+    };
+    record_stage_timings(cluster, &timings);
+    let mut report = QueryReport {
+        hits: done.hits,
+        timings,
+        stats,
+        coverage: epilogue.coverage,
+        metrics: obs.snapshot().since(&before),
+        trace,
+        critical_path: Vec::new(),
+    };
+    if let Some(trace) = trace {
+        report.critical_path = assemble_trace(cluster, entry, trace, &report, &lanes);
+    }
+    Ok(report)
 }
 
 /// Record one query's simulated stage durations into the

@@ -1,26 +1,26 @@
-//! Real-process serving: a storage node (or query front-end) backed by
-//! [`TcpTransport`] instead of the simulated network.
+//! Serving: a storage node's serving thread and a query front-end, each
+//! generic over the [`Transport`] that carries its traffic.
 //!
 //! This is the thin ownership layer between the transport-generic wire
-//! machinery ([`crate::wire`]) and an OS process. A `mendel serve`
-//! process builds its [`MendelCluster`] control plane deterministically
-//! from the shared corpus (every process derives the same routing
-//! tables and block placement from the same seed), binds a
-//! [`TcpTransport`] at its node's address, and runs
-//! [`node_serve_loop`](crate::wire::node_serve_loop) on a thread; a
-//! front-end dials the same peers with [`TcpTransport::connect_only`]
-//! and evaluates queries through [`query_via`](crate::wire::query_via).
-//! The bytes on the loopback wire are exactly the bytes the simulated
-//! mailboxes account for, so a real cluster and its in-process twin
-//! return identical hits — asserted end-to-end by `tests/serve.rs` and
-//! the multi-process suite in `mendel-cli`.
+//! machinery ([`crate::wire`]) and a thread or an OS process. A
+//! [`NodeServer`] runs the node side of the wire pipeline on a thread; a
+//! [`FrontEnd`] evaluates queries through the client side. Over the
+//! simulated network the pair is [`crate::WireCluster`]. Over
+//! [`TcpTransport`] it is what a `mendel serve` process runs: it builds
+//! its [`MendelCluster`] control plane deterministically from the shared
+//! corpus (every process derives the same routing tables and block
+//! placement from the same seed), binds its node's address
+//! ([`NodeServer::start`]) and dials the same peers
+//! ([`FrontEnd::connect`]). The bytes on the loopback wire are exactly
+//! the bytes the simulated mailboxes account for, so a real cluster and
+//! its in-process twin return identical hits — asserted end-to-end by
+//! the tests below and the multi-process suite in `mendel-cli`.
 //!
 //! Addressing convention (shared with the sim): storage node `i`
 //! listens as `NodeAddr(i + 1)`; front-ends use
 //! [`FRONT_END_ADDR_BASE`]` + front_end_id` so reply routes learned at
 //! entry points never collide with node addresses. Each front-end
-//! handle serializes its own queries (one in flight per transport
-//! address).
+//! serializes its own queries (one in flight per transport address).
 
 use crate::cluster::MendelCluster;
 use crate::error::MendelError;
@@ -29,7 +29,7 @@ use crate::wire::{node_addr, node_serve_loop, query_via, WireQueryOutcome, WireT
 use mendel_dht::NodeId;
 use mendel_net::mailbox::NodeAddr;
 use mendel_net::tcp::{TcpConfig, TcpTransport};
-use mendel_net::TransportMetrics;
+use mendel_net::{Transport, TransportMetrics};
 use parking_lot::Mutex;
 use std::io;
 use std::net::SocketAddr;
@@ -42,17 +42,75 @@ use std::thread::JoinHandle;
 /// this range free.
 pub const FRONT_END_ADDR_BASE: u16 = 60_000;
 
-/// One storage node served over TCP: owns the bound transport and the
-/// serving thread. Dropping (or [`NodeServer::shutdown`]) stops the
-/// loop and joins the thread.
-pub struct NodeServer {
+/// One storage node serving over a transport: owns the transport, the
+/// stop flag and the serving thread. Dropping it stops the loop and joins
+/// the thread.
+pub struct NodeServer<T> {
     node: NodeId,
-    transport: Arc<TcpTransport>,
+    transport: Arc<T>,
     stop: Arc<AtomicBool>,
     handle: Option<JoinHandle<()>>,
 }
 
-impl NodeServer {
+impl<T: Transport + 'static> NodeServer<T> {
+    /// Serve queries for `node` from `cluster`'s replica of its data over
+    /// `transport`, on a thread of its own, until `stop` is raised (by
+    /// this server's drop or by any other server given the same flag) or
+    /// the transport disconnects.
+    pub(crate) fn spawn(
+        cluster: Arc<MendelCluster>,
+        node: NodeId,
+        transport: T,
+        timeouts: WireTimeouts,
+        stop: Arc<AtomicBool>,
+    ) -> io::Result<Self> {
+        let transport = Arc::new(transport);
+        let topo = cluster.topology();
+        let handle = {
+            let (transport, stop) = (transport.clone(), stop.clone());
+            std::thread::Builder::new()
+                .name(format!("mendel-serve-{}", node.0))
+                .spawn(move || {
+                    node_serve_loop(&cluster, &topo, node, &transport, &timeouts, &stop);
+                })?
+        };
+        Ok(NodeServer {
+            node,
+            transport,
+            stop,
+            handle: Some(handle),
+        })
+    }
+}
+
+impl<T> NodeServer<T> {
+    /// The node this server answers for.
+    pub fn node(&self) -> NodeId {
+        self.node
+    }
+
+    /// The underlying transport, e.g. to register late-joining peers.
+    pub fn transport(&self) -> &Arc<T> {
+        &self.transport
+    }
+
+    /// Raise the stop flag and join the serving thread. Idempotent.
+    fn stop_and_join(&mut self) {
+        // audit:ordering(Relaxed): best-effort stop flag; the serving loop re-checks it on its poll tick
+        self.stop.store(true, Ordering::Relaxed);
+        if let Some(h) = self.handle.take() {
+            let _ = h.join();
+        }
+    }
+}
+
+impl<T> Drop for NodeServer<T> {
+    fn drop(&mut self) {
+        self.stop_and_join();
+    }
+}
+
+impl NodeServer<TcpTransport> {
     /// Bind `node`'s transport at `listen` and start serving queries
     /// from `cluster`'s replica of the node's data.
     ///
@@ -67,36 +125,10 @@ impl NodeServer {
         cfg: TcpConfig,
         metrics: TransportMetrics,
         timeouts: WireTimeouts,
-    ) -> io::Result<NodeServer> {
-        let transport = Arc::new(TcpTransport::bind(
-            node_addr(node),
-            listen,
-            peers,
-            cfg,
-            metrics,
-        )?);
+    ) -> io::Result<Self> {
+        let transport = TcpTransport::bind(node_addr(node), listen, peers, cfg, metrics)?;
         let stop = Arc::new(AtomicBool::new(false));
-        let topo = cluster.topology();
-        let handle = {
-            let transport = transport.clone();
-            let stop = stop.clone();
-            std::thread::Builder::new()
-                .name(format!("mendel-serve-{}", node.0))
-                .spawn(move || {
-                    node_serve_loop(&cluster, &topo, node, &transport, &timeouts, &stop);
-                })?
-        };
-        Ok(NodeServer {
-            node,
-            transport,
-            stop,
-            handle: Some(handle),
-        })
-    }
-
-    /// The node this server answers for.
-    pub fn node(&self) -> NodeId {
-        self.node
+        Self::spawn(cluster, node, transport, timeouts, stop)
     }
 
     /// The socket the transport actually bound (resolves port 0).
@@ -104,57 +136,32 @@ impl NodeServer {
         self.transport.local_socket_addr()
     }
 
-    /// The underlying transport, e.g. to register late-joining peers.
-    pub fn transport(&self) -> &Arc<TcpTransport> {
-        &self.transport
-    }
-
-    /// Stop serving, close the transport, and join the thread.
-    /// Idempotent; also run by `Drop`.
+    /// Close the transport — its listener refuses connections from here
+    /// on — stop serving and join the thread. Idempotent.
     pub fn shutdown(&mut self) {
-        // audit:ordering(Relaxed): best-effort stop flag; the closed transport below wakes the serving loop
-        self.stop.store(true, Ordering::Relaxed);
         self.transport.shutdown();
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
+        self.stop_and_join();
     }
 }
 
-impl Drop for NodeServer {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-/// A query front-end over TCP: dials the storage nodes (no listener of
-/// its own — replies ride the request connections back) and evaluates
-/// queries through the same [`query_via`] pipeline the simulated client
-/// uses.
-pub struct TcpFrontEnd {
+/// A query front-end: evaluates queries through the same `query_via`
+/// pipeline whatever carries them, against nodes served by
+/// [`NodeServer`]s. It serves nothing: replies reach it on the transport
+/// it sends from.
+pub struct FrontEnd<T> {
     cluster: Arc<MendelCluster>,
-    transport: TcpTransport,
+    transport: T,
     timeouts: WireTimeouts,
     /// One query in flight per front-end: `query_via` owns the
     /// transport inbox for the duration of a call.
     in_flight: Mutex<()>,
 }
 
-impl TcpFrontEnd {
-    /// Connect a front-end with id `front_end_id` (distinct per
-    /// process/handle so reply routes at shared entry points never
-    /// collide) to the given node listen addresses.
-    pub fn connect(
-        cluster: Arc<MendelCluster>,
-        front_end_id: u16,
-        peers: &[(NodeAddr, SocketAddr)],
-        cfg: TcpConfig,
-        metrics: TransportMetrics,
-        timeouts: WireTimeouts,
-    ) -> TcpFrontEnd {
-        let me = NodeAddr(FRONT_END_ADDR_BASE.saturating_add(front_end_id));
-        let transport = TcpTransport::connect_only(me, peers, cfg, metrics);
-        TcpFrontEnd {
+impl<T: Transport> FrontEnd<T> {
+    /// A front-end routing with `cluster`'s control plane and sending
+    /// from `transport`.
+    pub(crate) fn new(cluster: Arc<MendelCluster>, transport: T, timeouts: WireTimeouts) -> Self {
+        FrontEnd {
             cluster,
             transport,
             timeouts,
@@ -162,17 +169,7 @@ impl TcpFrontEnd {
         }
     }
 
-    /// Register (or update) a storage node's listen address.
-    pub fn add_node(&self, node: NodeId, socket: SocketAddr) {
-        self.transport.add_peer(node_addr(node), socket);
-    }
-
-    /// The control-plane replica this front-end routes with.
-    pub fn cluster(&self) -> &Arc<MendelCluster> {
-        &self.cluster
-    }
-
-    /// Evaluate one query against the real cluster. Identical hits to
+    /// Evaluate one query against the serving nodes. Identical hits to
     /// [`MendelCluster::query`] on the same corpus; nodes observed
     /// unreachable degrade the outcome's coverage exactly like
     /// `fail_node` does in-process.
@@ -182,6 +179,7 @@ impl TcpFrontEnd {
         params: &QueryParams,
     ) -> Result<WireQueryOutcome, MendelError> {
         let _guard = self.in_flight.lock();
+        // audit:allow(guard-across-io): the guard IS the one-query-in-flight rule — released mid-call, a second gather on this inbox would drop the first's replies as not its own
         query_via(
             &self.cluster,
             &self.transport,
@@ -192,11 +190,32 @@ impl TcpFrontEnd {
     }
 }
 
+impl FrontEnd<TcpTransport> {
+    /// Connect a front-end with id `front_end_id` (distinct per
+    /// process/handle so reply routes at shared entry points never
+    /// collide) to the given node listen addresses. It dials only — no
+    /// listener of its own; replies ride the request connections back.
+    pub fn connect(
+        cluster: Arc<MendelCluster>,
+        front_end_id: u16,
+        peers: &[(NodeAddr, SocketAddr)],
+        cfg: TcpConfig,
+        metrics: TransportMetrics,
+        timeouts: WireTimeouts,
+    ) -> Self {
+        let me = NodeAddr(FRONT_END_ADDR_BASE.saturating_add(front_end_id));
+        Self::new(
+            cluster,
+            TcpTransport::connect_only(me, peers, cfg, metrics),
+            timeouts,
+        )
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::ClusterConfig;
-    use mendel_net::Transport;
     use mendel_seq::gen::NrLikeSpec;
     use mendel_seq::SeqId;
     use std::time::Duration;
@@ -228,9 +247,9 @@ mod tests {
     fn serve_all(
         cluster: &Arc<MendelCluster>,
         timeouts: WireTimeouts,
-    ) -> (Vec<NodeServer>, Vec<(NodeAddr, SocketAddr)>) {
+    ) -> (Vec<NodeServer<TcpTransport>>, Vec<(NodeAddr, SocketAddr)>) {
         let any: SocketAddr = "127.0.0.1:0".parse().expect("loopback");
-        let servers: Vec<NodeServer> = cluster
+        let servers: Vec<NodeServer<TcpTransport>> = cluster
             .topology()
             .nodes()
             .map(|n| {
@@ -265,7 +284,7 @@ mod tests {
     fn tcp_cluster_matches_in_process_twin() {
         let cluster = cluster();
         let (mut servers, addrs) = serve_all(&cluster, timeouts());
-        let fe = TcpFrontEnd::connect(
+        let fe = FrontEnd::connect(
             cluster.clone(),
             0,
             &addrs,
@@ -293,7 +312,7 @@ mod tests {
     fn forged_stop_frame_does_not_stop_a_node() {
         let cluster = cluster();
         let (mut servers, addrs) = serve_all(&cluster, timeouts());
-        let fe = TcpFrontEnd::connect(
+        let fe = FrontEnd::connect(
             cluster.clone(),
             2,
             &addrs,
@@ -306,7 +325,8 @@ mod tests {
         let clean = fe.query(&q, &params).unwrap();
         assert!(!clean.hits.is_empty() && clean.unreachable.is_empty());
 
-        let frames_in = |s: &NodeServer| s.transport().metrics().frames_received.get();
+        let frames_in =
+            |s: &NodeServer<TcpTransport>| s.transport().metrics().frames_received.get();
         let before: Vec<u64> = servers.iter().map(frames_in).collect();
         let stranger = TcpTransport::connect_only(
             NodeAddr(FRONT_END_ADDR_BASE + 99),
@@ -336,7 +356,13 @@ mod tests {
     }
 
     /// Killing one node's server degrades the TCP answer exactly like
-    /// `fail_node` degrades the in-process twin.
+    /// `fail_node` degrades the in-process twin. The killed server's
+    /// listener is closed, so the entry point's connect to it is refused;
+    /// after `TcpConfig::dial_attempts` the send returns `false`, and the
+    /// member takes `request`'s dead-letter path: counted as not
+    /// answering at once, with no member timeout waited out. (The
+    /// never-started sim nodes of `wire.rs`'s `dead_` failover tests are
+    /// silent instead, and are timed out.)
     #[test]
     fn killed_node_server_degrades_like_fail_node() {
         let cluster = cluster();
@@ -345,8 +371,8 @@ mod tests {
             member: Duration::from_millis(400),
         };
         let (mut servers, addrs) = serve_all(&cluster, fast);
-        // Kill a non-entry-point member so its group's entry point must
-        // time it out mid-gather.
+        // Kill a non-entry-point member, so the group's entry point
+        // cannot reach it.
         let topo = cluster.topology();
         let victim = topo
             .group_ids()
@@ -359,7 +385,7 @@ mod tests {
             .expect("victim serves");
         servers[pos].shutdown();
 
-        let fe = TcpFrontEnd::connect(
+        let fe = FrontEnd::connect(
             cluster.clone(),
             1,
             &addrs,

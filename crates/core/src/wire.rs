@@ -19,11 +19,12 @@
 //! evaluator's (`StorageNode::local_search_many`), so the two must return
 //! identical hits, which the tests assert.
 //!
-//! Everything here is generic over [`Transport`]: [`WireCluster`] runs
-//! the node loops as threads over the simulated network, and
-//! [`crate::serve`] runs the *same* [`node_serve_loop`] /
-//! [`query_via`] over [`mendel_net::TcpTransport`] so a cluster of real
-//! OS processes executes byte-identical traffic.
+//! Everything here is generic over [`Transport`], and so are the
+//! [`NodeServer`] and [`FrontEnd`] that run [`node_serve_loop`] and
+//! [`query_via`]: [`WireCluster`] is the pair over the simulated network,
+//! and `mendel serve` runs the *same* pair over
+//! [`mendel_net::TcpTransport`], so a cluster of real OS processes
+//! executes byte-identical traffic.
 //!
 //! Both tiers issue their requests and await the replies through one
 //! private request/reply layer (`request` / `gather`, DESIGN.md §16.3):
@@ -45,6 +46,7 @@ use crate::error::MendelError;
 use crate::params::QueryParams;
 use crate::pipeline::{self, Epilogue, Finished};
 use crate::report::{CoverageReport, MendelHit};
+use crate::serve::{FrontEnd, NodeServer};
 use bytes::{Bytes, BytesMut};
 use mendel_align::Hsp;
 use mendel_dht::{GroupId, NodeId, Topology};
@@ -53,12 +55,10 @@ use mendel_net::heartbeat::HEARTBEAT_CORRELATION;
 use mendel_net::mailbox::{Endpoint, Envelope, Network, NodeAddr, RecvError};
 use mendel_net::transport::Transport;
 use mendel_obs::{ActiveSpan, CriticalHop, SpanId, SpanRecord, TraceContext, TraceId, Tracer};
-use parking_lot::Mutex;
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 pub(crate) const TAG_NODE_QUERY: u8 = 1;
@@ -421,7 +421,7 @@ fn reanchor_spans(spans: &mut [SpanRecord], sent: Duration, received: Duration) 
 /// tail (same trick as the envelope trace tail: absence is the
 /// untraced encoding, so untraced replies are byte-identical to the
 /// pre-tracing format).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 struct GroupReply {
     responded: Vec<u16>,
     hsps: Vec<Hsp>,
@@ -484,19 +484,17 @@ pub struct WireQueryOutcome {
 /// [`Network`].
 ///
 /// This is the [`mendel_net::SimTransport`] instantiation of the
-/// generic wire machinery; `mendel serve` is the TCP one. Like
-/// [`crate::serve::TcpFrontEnd`], it runs one query at a time.
+/// [`NodeServer`]/[`FrontEnd`] pair `mendel serve` runs over TCP, so like
+/// it, it runs one query at a time.
 pub struct WireCluster {
-    cluster: Arc<MendelCluster>,
     network: Network,
-    client: Endpoint,
-    timeouts: WireTimeouts,
-    /// One query in flight: `query_via` owns the client inbox for the
-    /// duration of a call.
-    in_flight: Mutex<()>,
-    stop: Arc<AtomicBool>,
-    /// Node address = NodeId.0 + 1 (the client takes address 0).
-    handles: Vec<JoinHandle<()>>,
+    /// Node address = NodeId.0 + 1 (the front-end takes address 0).
+    _nodes: Vec<NodeServer<Endpoint>>,
+    /// The mailboxes of the nodes [`Self::serve_with`] never started,
+    /// held so that a send to one is delivered and never answered
+    /// rather than a dead letter.
+    _silent: Vec<Endpoint>,
+    front: FrontEnd<Endpoint>,
 }
 
 impl WireCluster {
@@ -517,30 +515,26 @@ impl WireCluster {
         let network = Network::new();
         let client = network.join();
         debug_assert_eq!(client.addr().0, 0);
-        let topo = cluster.topology();
+        // One flag for every server: the first to drop stops them all, so
+        // their threads wind down together, not one poll tick each.
         let stop = Arc::new(AtomicBool::new(false));
-        let mut handles = Vec::new();
-        for node in topo.nodes() {
+        let (mut nodes, mut silent) = (Vec::new(), Vec::new());
+        for node in cluster.topology().nodes() {
             let endpoint = network.join();
             debug_assert_eq!(endpoint.addr(), node_addr(node));
             if dead.contains(&node) {
+                silent.push(endpoint);
                 continue;
             }
-            let cluster = cluster.clone();
-            let topo = topo.clone();
-            let stop = stop.clone();
-            handles.push(std::thread::spawn(move || {
-                node_serve_loop(&cluster, &topo, node, &endpoint, &timeouts, &stop);
-            }));
+            let server = NodeServer::spawn(cluster.clone(), node, endpoint, timeouts, stop.clone());
+            // audit:allow(expect): the OS refusing a thread is the out-of-resources panic `std::thread::spawn` raises too
+            nodes.push(server.expect("spawn a node's serving thread"));
         }
         WireCluster {
-            cluster,
             network,
-            client,
-            timeouts,
-            in_flight: Mutex::new(()),
-            stop,
-            handles,
+            _nodes: nodes,
+            _silent: silent,
+            front: FrontEnd::new(cluster, client, timeouts),
         }
     }
 
@@ -568,19 +562,7 @@ impl WireCluster {
         query: &[u8],
         params: &QueryParams,
     ) -> Result<WireQueryOutcome, MendelError> {
-        let _guard = self.in_flight.lock();
-        query_via(&self.cluster, &self.client, query, params, &self.timeouts)
-    }
-}
-
-impl Drop for WireCluster {
-    fn drop(&mut self) {
-        // Raise the stop flag and join every node thread; each sees the
-        // flag on its next poll tick.
-        self.stop.store(true, Ordering::Relaxed); // audit:ordering(Relaxed): best-effort stop flag; node loops re-check it on their poll tick
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
+        self.front.query(query, params)
     }
 }
 
@@ -601,7 +583,7 @@ type GroupRequest = (GroupId, usize, Option<(ActiveSpan, Duration)>);
 /// dead entry point degrades the answer exactly like the in-process
 /// failover path (anchors from live members only) instead of losing the
 /// whole group.
-pub fn query_via<T: Transport>(
+pub(crate) fn query_via<T: Transport>(
     cluster: &MendelCluster,
     client: &T,
     query: &[u8],
@@ -781,7 +763,7 @@ pub fn query_via<T: Transport>(
 /// reordered rather than dropped. Replies never get this far: an
 /// envelope in the node's own id plane is consumed or dropped by
 /// [`gather`], or dropped by the idle poll here.
-pub fn node_serve_loop<T: Transport>(
+pub(crate) fn node_serve_loop<T: Transport>(
     cluster: &Arc<MendelCluster>,
     topo: &Topology,
     me: NodeId,
@@ -809,77 +791,57 @@ pub fn node_serve_loop<T: Transport>(
         if env.correlation == HEARTBEAT_CORRELATION {
             continue; // liveness traffic is the monitor's business
         }
-        let Some(&tag) = env.payload.first() else {
+        // A payload that does not decode as a query, or carries a tag
+        // this protocol does not have, is ignored.
+        let Ok(msg) = QueryMsg::from_bytes(&env.payload) else {
             continue;
         };
-        match tag {
-            TAG_NODE_QUERY => {
-                let Ok(msg) = QueryMsg::from_bytes(&env.payload) else {
-                    continue;
-                };
-                if !admissible(cluster, &msg) {
-                    transport.send(env.from, env.correlation, encode_hsps(&[]));
-                    continue;
-                }
-                // Sampled trace context on the envelope: time the local
-                // search and ship the span home as a reply tail.
-                match env.trace.filter(|c| c.sampled) {
-                    Some(ctx) => {
-                        let tracer = cluster.metrics_registry().tracer(me.0 as u32);
-                        let t0 = tracer.clock().now();
-                        let anchors = eval_local(cluster, me, &msg);
-                        let t1 = tracer.clock().now();
-                        let rec = SpanRecord {
-                            trace: ctx.trace,
-                            span: SpanId(tracer.next_id()),
-                            parent: Some(ctx.parent),
-                            node: me.0 as u32,
-                            name: format!("node/{}", me.0),
-                            start: t0,
-                            end: t1.max(t0),
-                            tags: vec![("anchors".into(), anchors.len().to_string())],
-                        };
-                        tracer.record(rec.clone());
-                        let mut buf = BytesMut::new();
-                        encode_hsps_into(&anchors, &mut buf);
-                        encode_spans_into(&[rec], &mut buf);
-                        transport.send(env.from, env.correlation, buf.freeze());
-                    }
-                    None => {
-                        let anchors = eval_local(cluster, me, &msg);
-                        transport.send(env.from, env.correlation, encode_hsps(&anchors));
-                    }
-                }
-            }
-            TAG_GROUP_QUERY => {
-                let Ok(msg) = QueryMsg::from_bytes(&env.payload) else {
-                    continue;
-                };
-                if !admissible(cluster, &msg) {
-                    // Nobody searched, so nobody is listed as having
-                    // contributed: the caller sees a degraded answer now
-                    // instead of a member timeout later.
-                    let nothing = GroupReply {
-                        responded: Vec::new(),
-                        hsps: Vec::new(),
-                        spans: Vec::new(),
-                    };
-                    transport.send(env.from, env.correlation, nothing.to_bytes());
-                    continue;
-                }
-                serve_group_query(
-                    cluster,
-                    topo,
-                    me,
-                    transport,
-                    timeouts,
-                    &env,
-                    &msg,
-                    &mut backlog,
-                );
-            }
-            _ => {}
+        let group = match msg.tag {
+            TAG_GROUP_QUERY => true,
+            TAG_NODE_QUERY => false,
+            _ => continue,
+        };
+        if !admissible(cluster, &msg) {
+            // Nobody searched, so nobody is listed as having contributed:
+            // the caller sees a degraded answer now instead of a member
+            // timeout later.
+            let nothing = if group {
+                GroupReply::default().to_bytes()
+            } else {
+                encode_hsps(&[])
+            };
+            transport.send(env.from, env.correlation, nothing);
+            continue;
         }
+        if group {
+            serve_group_query(
+                cluster,
+                topo,
+                me,
+                transport,
+                timeouts,
+                &env,
+                &msg,
+                &mut backlog,
+            );
+            continue;
+        }
+        // A sampled trace context on the envelope: the local search is a
+        // span, shipped home as a reply tail.
+        let span = env.trace.filter(|c| c.sampled).map(|ctx| {
+            let tracer = cluster.metrics_registry().tracer(me.0 as u32);
+            tracer.child(&format!("node/{}", me.0), ctx)
+        });
+        let anchors = eval_local(cluster, me, &msg);
+        let mut reply = BytesMut::new();
+        encode_hsps_into(&anchors, &mut reply);
+        if let Some(mut span) = span {
+            span.tag("anchors", anchors.len());
+            if let Some(record) = span.finish() {
+                encode_spans_into(&[record], &mut reply);
+            }
+        }
+        transport.send(env.from, env.correlation, reply.freeze());
     }
 }
 
@@ -925,20 +887,22 @@ fn serve_group_query<T: Transport>(
     let Some(g) = topo.node_group(me) else {
         return; // not a member of any group: nothing to serve
     };
-    // Sampled trace context: open a group span now (its id parents all
-    // member subqueries and the local eval), collect every member's
-    // span tree from the reply tails, and ship the lot home.
+    // Sampled trace context: open a group span now (it parents every
+    // member subquery, the local search and the merge), collect each
+    // member's span tree from the reply tails, and ship the lot home.
     let trace_ctx = env.trace.filter(|c| c.sampled);
     let tracer = trace_ctx.map(|_| cluster.metrics_registry().tracer(me.0 as u32));
-    let group_span = trace_ctx
+    let group_span = tracer
         .as_ref()
-        .zip(tracer.as_ref())
-        .map(|(ctx, t)| (SpanId(t.next_id()), t.clock().now(), *ctx));
-    let member_ctx = group_span.map(|(span, _, ctx)| TraceContext {
-        trace: ctx.trace,
-        parent: span,
-        sampled: true,
-    });
+        .zip(trace_ctx)
+        .map(|(t, ctx)| t.child(&format!("group/{}", g.0), ctx));
+    let member_ctx = group_span.as_ref().map(ActiveSpan::context);
+    let child = |name: &str| {
+        tracer
+            .as_ref()
+            .zip(member_ctx)
+            .map(|(t, c)| t.child(name, c))
+    };
     let mut shipped: Vec<SpanRecord> = Vec::new();
 
     // The member request is the group request with its leading tag byte
@@ -965,21 +929,11 @@ fn serve_group_query<T: Transport>(
             (peer, sent),
         );
     }
-    let eval_start = tracer.as_ref().map(|t| t.clock().now());
+    let node_span = child(&format!("node/{}", me.0));
     let mut anchors = eval_local(cluster, me, msg);
-    if let (Some(t), Some(t0), Some((gspan, _, ctx))) = (&tracer, eval_start, group_span) {
-        let rec = SpanRecord {
-            trace: ctx.trace,
-            span: SpanId(t.next_id()),
-            parent: Some(gspan),
-            node: me.0 as u32,
-            name: format!("node/{}", me.0),
-            start: t0,
-            end: t.clock().now().max(t0),
-            tags: vec![("anchors".into(), anchors.len().to_string())],
-        };
-        t.record(rec.clone());
-        shipped.push(rec);
+    if let Some(mut span) = node_span {
+        span.tag("anchors", anchors.len());
+        shipped.extend(span.finish());
     }
     let mut answered = vec![me];
     let on_reply = |(peer, sent): (NodeId, Option<Duration>), resp: Envelope| {
@@ -1010,38 +964,17 @@ fn serve_group_query<T: Transport>(
     answered.sort_unstable();
     // First aggregation stage (§V-B): merge overlapping anchors on the
     // same diagonal at the group entry point.
-    let merge_start = tracer.as_ref().map(|t| t.clock().now());
+    let merge_span = child("merge");
     let merged = mendel_align::hsp::merge_overlapping(anchors);
-    if let (Some(t), Some(t0), Some((gspan, _, ctx))) = (&tracer, merge_start, group_span) {
-        let rec = SpanRecord {
-            trace: ctx.trace,
-            span: SpanId(t.next_id()),
-            parent: Some(gspan),
-            node: me.0 as u32,
-            name: "merge".into(),
-            start: t0,
-            end: t.clock().now().max(t0),
-            tags: Vec::new(),
-        };
-        t.record(rec.clone());
-        shipped.push(rec);
-    }
+    shipped.extend(merge_span.and_then(ActiveSpan::finish));
     // Close the group span last so it brackets everything above, then
     // put it first in the tail: the re-anchoring at the receiving side
     // keys off the earliest-starting record as the hop's root.
-    if let (Some(t), Some((gspan, t0, ctx))) = (&tracer, group_span) {
-        let rec = SpanRecord {
-            trace: ctx.trace,
-            span: gspan,
-            parent: Some(ctx.parent),
-            node: me.0 as u32,
-            name: format!("group/{}", g.0),
-            start: t0,
-            end: t.clock().now().max(t0),
-            tags: vec![("members".into(), answered.len().to_string())],
-        };
-        t.record(rec.clone());
-        shipped.insert(0, rec);
+    if let Some(mut span) = group_span {
+        span.tag("members", answered.len());
+        if let Some(record) = span.finish() {
+            shipped.insert(0, record);
+        }
     }
     let reply = GroupReply {
         responded: answered.iter().map(|n| n.0).collect(),
@@ -1357,6 +1290,20 @@ mod tests {
         }
     }
 
+    /// The second member (`at = 1`) or the entry point (`at = 0`) of a
+    /// group `q` is routed to: a node whose silence the query must meet.
+    fn queried_member(cluster: &MendelCluster, q: &[u8], at: usize) -> NodeId {
+        let topo = cluster.topology();
+        let plan = pipeline::plan(cluster, q, &QueryParams::protein()).unwrap();
+        plan.groups
+            .keys()
+            .find_map(|&g| {
+                let members = topo.group_members(g);
+                (members.len() >= 2).then(|| members[at])
+            })
+            .expect("a queried group with two members")
+    }
+
     /// A never-started node (a crashed process, as seen by peers) must
     /// degrade the wire answer exactly like the in-process failover
     /// path: hits from live members only, and the same coverage report
@@ -1364,21 +1311,19 @@ mod tests {
     #[test]
     fn dead_member_degrades_like_in_process_failover() {
         let cluster = cluster();
-        let topo = cluster.topology();
-        // Kill a non-entry-point member of the group serving seq 0's
-        // windows, so the entry point must time the member out.
+        // Kill a non-entry-point member of a group serving seq 0's
+        // windows: its mailbox swallows the member request, so the entry
+        // point must time the member out.
         let q = cluster.db().get(SeqId(0)).unwrap().residues.clone();
-        let victim = topo
-            .group_ids()
-            .filter_map(|g| topo.group_members(g).get(1).copied())
-            .next()
-            .expect("a group with two members");
+        let victim = queried_member(&cluster, &q, 1);
         let fast = WireTimeouts {
             rpc: Duration::from_secs(5),
             member: Duration::from_millis(400),
         };
         let wire = WireCluster::serve_with(cluster.clone(), &[victim], fast);
+        let asked = Instant::now();
         let outcome = wire.query_outcome(&q, &QueryParams::protein()).unwrap();
+        assert!(asked.elapsed() >= fast.member, "the member was timed out");
 
         // Twin: same build, in-process failover of the same node.
         let twin = self::cluster();
@@ -1387,44 +1332,30 @@ mod tests {
         assert_eq!(outcome.hits, expected_hits, "hits match simulated failover");
         let twin_cov = twin.coverage();
         let wire_cov = &outcome.coverage;
-        // The victim served no query traffic, so if its group was
-        // queried it must be reported unreachable with twin-identical
-        // coverage.
-        if outcome
-            .responded
-            .keys()
-            .any(|&g| topo.group_members(g).contains(&victim))
-        {
-            assert!(outcome.unreachable.contains(&victim));
-            assert_eq!(wire_cov.blocks_expected, twin_cov.blocks_expected);
-            assert_eq!(wire_cov.blocks_reachable, twin_cov.blocks_reachable);
-            assert_eq!(wire_cov.degraded, twin_cov.degraded);
-            assert_eq!(wire_cov.per_group, twin_cov.per_group);
-        }
+        assert!(outcome.unreachable.contains(&victim));
+        assert_eq!(wire_cov.blocks_expected, twin_cov.blocks_expected);
+        assert_eq!(wire_cov.blocks_reachable, twin_cov.blocks_reachable);
+        assert_eq!(wire_cov.degraded, twin_cov.degraded);
+        assert_eq!(wire_cov.per_group, twin_cov.per_group);
     }
 
-    /// A dead group entry point: the client retries through the next
-    /// member, so the group still answers (minus the dead node's
-    /// anchors), matching in-process failover on a twin.
+    /// A dead group entry point: the client times it out and retries
+    /// through the next member, so the group still answers (minus the
+    /// dead node's anchors), matching in-process failover on a twin.
     #[test]
     fn dead_entry_point_fails_over_to_next_member() {
         let cluster = cluster();
         let topo = cluster.topology();
         let q = cluster.db().get(SeqId(4)).unwrap().residues.clone();
-        let victim = topo
-            .group_ids()
-            .filter_map(|g| {
-                let m = topo.group_members(g);
-                (m.len() >= 2).then(|| m[0])
-            })
-            .next()
-            .expect("a group with two members");
+        let victim = queried_member(&cluster, &q, 0);
         let fast = WireTimeouts {
             rpc: Duration::from_millis(900),
             member: Duration::from_millis(300),
         };
         let wire = WireCluster::serve_with(cluster.clone(), &[victim], fast);
+        let asked = Instant::now();
         let outcome = wire.query_outcome(&q, &QueryParams::protein()).unwrap();
+        assert!(asked.elapsed() >= fast.rpc, "the entry point was timed out");
         let twin = self::cluster();
         twin.fail_node(victim).unwrap();
         // The failed node cannot be the twin's entry point; any live
@@ -1435,14 +1366,8 @@ mod tests {
             .unwrap()
             .hits;
         assert_eq!(outcome.hits, expected_hits, "failover hits match");
-        if outcome
-            .responded
-            .keys()
-            .any(|&g| topo.group_members(g).first() == Some(&victim))
-        {
-            assert!(outcome.unreachable.contains(&victim));
-            assert_eq!(outcome.coverage.degraded, twin.coverage().degraded);
-        }
+        assert!(outcome.unreachable.contains(&victim));
+        assert_eq!(outcome.coverage.degraded, twin.coverage().degraded);
     }
 
     // ---- Malformed requests -------------------------------------------
@@ -1479,6 +1404,7 @@ mod tests {
                 vec![usize::MAX],
             ),
         ];
+        let stranger = wire.network.join();
         let mut sent = 0;
         for tag in [TAG_NODE_QUERY, TAG_GROUP_QUERY] {
             for (what, query, offsets) in &forged {
@@ -1489,9 +1415,7 @@ mod tests {
                     params: WireParams::of(&params),
                 };
                 for node in topo.nodes() {
-                    // Correlation 0 is in the client's own id plane, so
-                    // the (empty) answers are dropped by its next gather.
-                    assert!(wire.client.send(node_addr(node), 0, msg.to_bytes()));
+                    assert!(stranger.send(node_addr(node), 0, msg.to_bytes()));
                     sent += 1;
                 }
                 let next = wire.query_outcome(&q, &params).unwrap();
@@ -1535,6 +1459,7 @@ mod tests {
                 ..WireParams::of(&params)
             },
         ];
+        let stranger = wire.network.join();
         for params in hostile {
             let msg = QueryMsg {
                 tag: TAG_NODE_QUERY,
@@ -1543,7 +1468,7 @@ mod tests {
                 params,
             };
             for node in topo.nodes() {
-                assert!(wire.client.send(node_addr(node), 0, msg.to_bytes()));
+                assert!(stranger.send(node_addr(node), 0, msg.to_bytes()));
             }
         }
         let next = wire.query_outcome(&q, &QueryParams::protein()).unwrap();
@@ -1613,13 +1538,8 @@ mod tests {
                 spans: Vec::new(),
             };
             let entry = node_addr(members[0]);
-            deliver_late(
-                &wire,
-                entry,
-                wire.client.addr(),
-                issued.clone(),
-                &empty.to_bytes(),
-            );
+            // The front-end is address 0.
+            deliver_late(&wire, entry, NodeAddr(0), issued.clone(), &empty.to_bytes());
         }
         let next = wire.query_outcome(&q, &params).unwrap();
         assert_eq!(next.hits, clean.hits);
@@ -1655,20 +1575,21 @@ mod tests {
             ..group_query.clone()
         };
         let stale = encode_hsps(&bogus_anchors(1));
-        // Play the front-end by hand, so the late replies can be queued
+        // Play a front-end by hand, so the late replies can be queued
         // right behind the group query. The entry point is first kept
         // busy with node-local searches (answered under id 0, skipped
         // below): everything queued here is in its inbox before it asks
         // its members anything.
+        let client = wire.network.join();
         let ask = |id: u64, late: std::ops::Range<u64>| {
             let to = node_addr(entry);
             for _ in 0..8 {
-                assert!(wire.client.send(to, 0, node_query.to_bytes()));
+                assert!(client.send(to, 0, node_query.to_bytes()));
             }
-            assert!(wire.client.send(to, id, group_query.to_bytes()));
+            assert!(client.send(to, id, group_query.to_bytes()));
             deliver_late(&wire, node_addr(member), to, late, &stale);
             loop {
-                let env = wire.client.recv_timeout(Duration::from_secs(20)).unwrap();
+                let env = client.recv_timeout(Duration::from_secs(20)).unwrap();
                 if env.correlation == id {
                     break GroupReply::from_bytes(&env.payload).unwrap();
                 }

@@ -240,15 +240,6 @@ impl Transport for TcpTransport {
         send_envelope(&self.shared, env)
     }
 
-    fn recv(&self) -> Result<Envelope, RecvError> {
-        loop {
-            match self.recv_timeout(Duration::from_millis(50)) {
-                Err(RecvError::Timeout) => continue,
-                other => return other,
-            }
-        }
-    }
-
     fn recv_timeout(&self, timeout: Duration) -> Result<Envelope, RecvError> {
         // Drain anything already delivered even after shutdown, then
         // report the carrier gone instead of idling out the timeout.

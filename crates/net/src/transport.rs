@@ -1,10 +1,11 @@
 //! The `Transport` seam between messaging semantics and message carriage.
 //!
 //! Everything above the mailbox — heartbeats, the wire-mode cluster and
-//! its request/reply gather — needs only five operations: know its own
+//! its request/reply gather — needs only four operations: know its own
 //! address, push an [`Envelope`] toward a peer, and pull delivered
-//! envelopes back out (blocking, bounded-wait, or non-blocking). [`Transport`] names exactly that surface so the same
-//! protocol code runs over two interchangeable carriers:
+//! envelopes back out (bounded-wait or non-blocking). [`Transport`]
+//! names exactly that surface so the same protocol code runs over two
+//! interchangeable carriers:
 //!
 //! * [`SimTransport`] — the deterministic in-process substrate
 //!   ([`crate::mailbox::Endpoint`], re-exported under its backend name):
@@ -55,9 +56,6 @@ pub trait Transport: Send + Sync {
     /// unreachable and fails over).
     fn send_envelope(&self, env: Envelope) -> bool;
 
-    /// Block until an envelope arrives or the carrier shuts down.
-    fn recv(&self) -> Result<Envelope, RecvError>;
-
     /// Block up to `timeout` for the next envelope.
     fn recv_timeout(&self, timeout: Duration) -> Result<Envelope, RecvError>;
 
@@ -96,10 +94,6 @@ impl Transport for Endpoint {
         self.network().send(env)
     }
 
-    fn recv(&self) -> Result<Envelope, RecvError> {
-        Endpoint::recv(self)
-    }
-
     fn recv_timeout(&self, timeout: Duration) -> Result<Envelope, RecvError> {
         Endpoint::recv_timeout(self, timeout)
     }
@@ -118,9 +112,6 @@ impl<T: Transport + ?Sized> Transport for &T {
     fn send_envelope(&self, env: Envelope) -> bool {
         (**self).send_envelope(env)
     }
-    fn recv(&self) -> Result<Envelope, RecvError> {
-        (**self).recv()
-    }
     fn recv_timeout(&self, timeout: Duration) -> Result<Envelope, RecvError> {
         (**self).recv_timeout(timeout)
     }
@@ -135,9 +126,6 @@ impl<T: Transport + ?Sized> Transport for std::sync::Arc<T> {
     }
     fn send_envelope(&self, env: Envelope) -> bool {
         (**self).send_envelope(env)
-    }
-    fn recv(&self) -> Result<Envelope, RecvError> {
-        (**self).recv()
     }
     fn recv_timeout(&self, timeout: Duration) -> Result<Envelope, RecvError> {
         (**self).recv_timeout(timeout)
@@ -161,7 +149,7 @@ mod tests {
             t.send(to, 7, Bytes::from_static(b"hi"))
         }
         assert!(ship(&a, Transport::addr(&b)));
-        let env = Transport::recv(&b).expect("delivered");
+        let env = b.recv().expect("delivered");
         assert_eq!(env.correlation, 7);
         assert_eq!(env.from, Transport::addr(&a));
         assert!(env.trace.is_none());
@@ -173,6 +161,6 @@ mod tests {
         let a = std::sync::Arc::new(net.join());
         let b = net.join();
         assert!(a.send(Transport::addr(&b), 1, Bytes::new()));
-        assert!((&b).try_recv().is_some() || Transport::recv(&b).is_ok());
+        assert!((&b).try_recv().is_some());
     }
 }

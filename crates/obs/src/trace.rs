@@ -251,9 +251,12 @@ impl ActiveSpan {
     }
 
     /// Close the span at the current clock reading, push its record into
-    /// the flight recorder (unless the trace is unsampled — timing still
-    /// comes back, memory is not spent), and return the elapsed time.
-    pub fn finish(self) -> Duration {
+    /// the flight recorder, and return that record — `None`, and nothing
+    /// recorded, when the trace is unsampled.
+    pub fn finish(self) -> Option<SpanRecord> {
+        if !self.sampled {
+            return None;
+        }
         let end = self.tracer.clock.now();
         let record = SpanRecord {
             trace: self.trace,
@@ -265,11 +268,8 @@ impl ActiveSpan {
             end: end.max(self.start),
             tags: self.tags,
         };
-        let elapsed = record.duration();
-        if self.sampled {
-            self.tracer.record(record);
-        }
-        elapsed
+        self.tracer.record(record.clone());
+        Some(record)
     }
 }
 
@@ -631,9 +631,14 @@ mod tests {
         let ctx = root.context();
         let child = t.child("scatter", ctx);
         clock.advance(Duration::from_micros(100));
-        assert_eq!(child.finish(), Duration::from_micros(100));
-        assert_eq!(root.finish(), Duration::from_micros(600));
+        let scatter = child.finish().expect("sampled");
+        assert_eq!(scatter.duration(), Duration::from_micros(100));
+        assert_eq!(
+            root.finish().map(|r| r.duration()),
+            Some(Duration::from_micros(600))
+        );
         let records = t.recorder().records();
+        assert_eq!(records[0], scatter, "finish returns the record it wrote");
         assert_eq!(records.len(), 2);
         let scatter = &records[0];
         assert_eq!(scatter.name, "scatter");
@@ -871,7 +876,7 @@ mod tests {
         let child = t.child("hop", unsampled);
         assert!(!child.context().sampled, "children inherit the decision");
         t.event("dropped", unsampled, Vec::new());
-        child.finish();
+        assert_eq!(child.finish(), None, "an unsampled span writes nothing");
         root.finish();
         let names: Vec<String> = t
             .recorder()

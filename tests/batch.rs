@@ -1,17 +1,16 @@
-//! Multi-query batching property suite (DESIGN.md "The query pipeline"):
-//! for random batches of random queries, under both metrics
+//! Evaluator-agreement property suite (DESIGN.md "The query pipeline"):
+//! for random picks of random queries, under both metrics
 //! (protein/MatrixDistance and DNA/Hamming) and both storage backends
-//! (memory and durable),
-//!
-//! * a batch of N answers exactly like N batches of one — queries stay
-//!   independent of their batch-mates; and
-//! * the in-process evaluator answers **bit-identically** to
-//!   `WireCluster::query` — the same per-window node search, reached
-//!   through one scheduler job per node rather than encoded messages.
+//! (memory and durable), the in-process evaluator answers
+//! **bit-identically** to `WireCluster::query` — the same per-window node
+//! search, reached through one scheduler job per member rather than
+//! encoded messages. Beside it: admission shedding, the scheduler's
+//! accounting and the SIMD kill switch, all one query per call.
 
 use mendel_suite::core::{
     ClusterConfig, MendelCluster, MendelError, MendelHit, QueryParams, StorageBackend, WireCluster,
 };
+use mendel_suite::dht::NodeId;
 use mendel_suite::seq::gen::{NrLikeSpec, QuerySetSpec};
 use mendel_suite::seq::Alphabet;
 use proptest::prelude::*;
@@ -111,36 +110,33 @@ fn params_for(world: &World) -> QueryParams {
     }
 }
 
-fn assert_batch_matches(world: &World, picks: &[usize], k: usize) {
+fn assert_evaluators_agree(world: &World, picks: &[usize], k: usize) {
     let mut params = params_for(world);
     params.k = k;
-    let queries: Vec<Vec<u8>> = picks.iter().map(|&i| world.pool[i].clone()).collect();
-    let batch = world.cluster.query_batch(&queries, &params);
-    assert_eq!(batch.len(), queries.len());
     // One wire client per case: a `WireCluster` handle carries one query
     // at a time and the worlds are shared between test threads.
     let wire = WireCluster::serve(world.cluster.clone());
-    let mut wired = std::collections::HashSet::new();
-    for ((q, r), &pick) in queries.iter().zip(&batch).zip(picks) {
-        let single = world.cluster.query(q, &params).unwrap();
-        let batched = r.as_ref().unwrap();
-        let a: Vec<_> = batched.hits.iter().map(hit_bits).collect();
-        let b: Vec<_> = single.hits.iter().map(hit_bits).collect();
-        assert_eq!(a, b, "a batch of N must answer like N batches of one");
-        assert_eq!(batched.stats.candidates, single.stats.candidates);
-        assert_eq!(batched.stats.anchors, single.stats.anchors);
-        if wired.insert(pick) {
-            let w: Vec<_> = wire
-                .query(q, &params)
-                .unwrap()
-                .iter()
-                .map(hit_bits)
-                .collect();
-            assert_eq!(
-                w, b,
-                "the in-process evaluator must answer like the wire path"
-            );
-        }
+    let mut asked = std::collections::HashSet::new();
+    for &pick in picks.iter().filter(|&&p| asked.insert(p)) {
+        let q = &world.pool[pick];
+        let local: Vec<_> = world
+            .cluster
+            .query(q, &params)
+            .unwrap()
+            .hits
+            .iter()
+            .map(hit_bits)
+            .collect();
+        let wired: Vec<_> = wire
+            .query(q, &params)
+            .unwrap()
+            .iter()
+            .map(hit_bits)
+            .collect();
+        assert_eq!(
+            wired, local,
+            "the in-process evaluator must answer like the wire path"
+        );
     }
 }
 
@@ -153,7 +149,7 @@ proptest! {
         picks in proptest::collection::vec(0usize..12, 1..64),
         k in 1usize..4,
     ) {
-        assert_batch_matches(world(Alphabet::Protein, false), &picks, k);
+        assert_evaluators_agree(world(Alphabet::Protein, false), &picks, k);
     }
 
     /// Memory backend, DNA cluster (Hamming SIMD kernel).
@@ -162,13 +158,13 @@ proptest! {
         picks in proptest::collection::vec(0usize..12, 1..64),
         k in 1usize..4,
     ) {
-        assert_batch_matches(world(Alphabet::Dna, false), &picks, k);
+        assert_evaluators_agree(world(Alphabet::Dna, false), &picks, k);
     }
 }
 
 proptest! {
     // The durable clusters pay WAL + recovery machinery per build; a few
-    // cases over the same worlds still sweep batch sizes and k.
+    // cases over the same worlds still sweep query picks and k.
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Durable backend, protein cluster.
@@ -177,7 +173,7 @@ proptest! {
         picks in proptest::collection::vec(0usize..12, 1..48),
         k in 1usize..4,
     ) {
-        assert_batch_matches(world(Alphabet::Protein, true), &picks, k);
+        assert_evaluators_agree(world(Alphabet::Protein, true), &picks, k);
     }
 
     /// Durable backend, DNA cluster.
@@ -186,34 +182,14 @@ proptest! {
         picks in proptest::collection::vec(0usize..12, 1..48),
         k in 1usize..4,
     ) {
-        assert_batch_matches(world(Alphabet::Dna, true), &picks, k);
+        assert_evaluators_agree(world(Alphabet::Dna, true), &picks, k);
     }
 }
 
-/// Duplicate queries inside one batch each get the full, identical answer
-/// (regression guard: outputs are keyed by query index, not by content).
+/// Past the scheduler's admission bound a query is shed with a typed
+/// error instead of queueing, and is answered again once slots free up.
 #[test]
-fn duplicate_queries_in_one_batch_agree() {
-    let w = world(Alphabet::Protein, false);
-    let q = w.pool[0].clone();
-    let params = QueryParams::protein();
-    let batch = w.cluster.query_batch(&[q.clone(), q.clone(), q], &params);
-    let first: Vec<_> = batch[0]
-        .as_ref()
-        .unwrap()
-        .hits
-        .iter()
-        .map(hit_bits)
-        .collect();
-    for r in &batch {
-        let bits: Vec<_> = r.as_ref().unwrap().hits.iter().map(hit_bits).collect();
-        assert_eq!(bits, first);
-    }
-}
-
-/// A shed query errors without contaminating its batch-mates.
-#[test]
-fn shed_query_leaves_batch_mates_bit_identical() {
+fn query_is_shed_while_admission_is_full() {
     let w = world(Alphabet::Dna, false);
     let cluster = MendelCluster::build(ClusterConfig::small_dna(), w.cluster.db())
         .unwrap()
@@ -222,15 +198,19 @@ fn shed_query_leaves_batch_mates_bit_identical() {
             max_in_flight: 2,
         });
     let params = QueryParams::dna();
-    let queries: Vec<Vec<u8>> = w.pool[..3].to_vec();
-    let results = cluster.query_batch(&queries, &params);
-    assert!(matches!(results[2], Err(MendelError::Shed { .. })));
-    for (q, r) in queries[..2].iter().zip(&results[..2]) {
-        let seq = cluster.query(q, &params).unwrap();
-        let a: Vec<_> = r.as_ref().unwrap().hits.iter().map(hit_bits).collect();
-        let b: Vec<_> = seq.hits.iter().map(hit_bits).collect();
-        assert_eq!(a, b);
-    }
+    let q = &w.pool[0];
+    let want = cluster.query(q, &params).unwrap().hits;
+    let held: Vec<_> = (0..2)
+        .map(|_| cluster.scheduler().admit().unwrap())
+        .collect();
+    let shed = cluster.query(q, &params);
+    assert!(
+        matches!(shed, Err(MendelError::Shed { limit: 2, .. })),
+        "{shed:?}"
+    );
+    assert_eq!(cluster.metrics_snapshot().counter("mendel.sched.shed"), 1);
+    drop(held);
+    assert_eq!(cluster.query(q, &params).unwrap().hits, want);
 }
 
 /// Callers on several threads share the one evaluator (and its
@@ -275,11 +255,10 @@ fn simd_kill_switch_leaves_cluster_hits_identical() {
         let answers = |on: bool| -> Vec<(Vec<MendelHit>, [u64; 4])> {
             let prev = set_simd_enabled(on);
             let out = w
-                .cluster
-                .query_batch(&w.pool, &params)
-                .into_iter()
-                .map(|r| {
-                    let r = r.unwrap();
+                .pool
+                .iter()
+                .map(|q| {
+                    let r = w.cluster.query(q, &params).unwrap();
                     (r.hits, COUNTERS.map(|c| r.metrics.counter(c)))
                 })
                 .collect();
@@ -293,9 +272,8 @@ fn simd_kill_switch_leaves_cluster_hits_identical() {
 }
 
 /// Block lengths off the kernels' 16-residue tile — a short tail only
-/// (12) and a full tile plus a tail (20) — answer identically from a
-/// batch, from single queries, over the wire, and with SIMD off, on both
-/// alphabets.
+/// (12) and a full tile plus a tail (20) — answer identically in
+/// process, over the wire, and with SIMD off, on both alphabets.
 #[test]
 fn off_tile_block_lengths_answer_identically_everywhere() {
     use mendel_suite::seq::simd::set_simd_enabled;
@@ -308,15 +286,14 @@ fn off_tile_block_lengths_answer_identically_everywhere() {
                 block_len,
             );
             let picks: Vec<usize> = (0..w.pool.len()).collect();
-            assert_batch_matches(&w, &picks, 1);
+            assert_evaluators_agree(&w, &picks, 1);
             let params = params_for(&w);
             let hits = |on: bool| -> Vec<Vec<MendelHit>> {
                 let prev = set_simd_enabled(on);
                 let out = w
-                    .cluster
-                    .query_batch(&w.pool, &params)
-                    .into_iter()
-                    .map(|r| r.unwrap().hits)
+                    .pool
+                    .iter()
+                    .map(|q| w.cluster.query(q, &params).unwrap().hits)
                     .collect();
                 set_simd_enabled(prev);
                 out
@@ -331,13 +308,13 @@ fn off_tile_block_lengths_answer_identically_everywhere() {
     }
 }
 
-/// Every node job a batch submits runs to completion.
+/// Every node job a run of queries submits runs to completion.
 #[test]
 fn scheduler_drains_every_job_of_a_batch() {
     let w = world(Alphabet::Protein, false);
     let cluster = MendelCluster::build(ClusterConfig::small_protein(), w.cluster.db()).unwrap();
-    for r in cluster.query_batch(&w.pool, &QueryParams::protein()) {
-        r.unwrap();
+    for q in &w.pool {
+        cluster.query(q, &QueryParams::protein()).unwrap();
     }
     // The scheduler counts a job `completed` before it publishes the
     // job's result, so the counters agree as soon as the reports exist.
@@ -350,47 +327,6 @@ fn scheduler_drains_every_job_of_a_batch() {
     assert_eq!(snap.counter("mendel.sched.job_panics"), 0);
 }
 
-/// Drift guard: a batch feeds the slow-query log and the degraded
-/// counter once per query, exactly like the same queries asked singly.
-#[test]
-fn batch_observes_each_query_like_single_queries_do() {
-    use mendel_suite::dht::NodeId;
-    use mendel_suite::obs::SlowLogConfig;
-    let w = world(Alphabet::Protein, false);
-    let queries = &w.pool[..3];
-    let observed = |run: &dyn Fn(&MendelCluster)| {
-        // Replication 1: one dead node leaves blocks with no live copy.
-        let cluster = MendelCluster::build(ClusterConfig::small_protein(), w.cluster.db()).unwrap();
-        cluster.set_slowlog_config(SlowLogConfig {
-            threshold: std::time::Duration::ZERO, // log everything
-            sample_every: 0,
-            capacity: 16,
-        });
-        cluster.fail_node(NodeId(1)).unwrap();
-        run(&cluster);
-        let entries = cluster.slowlog().entries();
-        assert!(entries.iter().all(|e| e.query.degraded));
-        (
-            entries.len(),
-            cluster.metrics_snapshot().counter("mendel.query.degraded"),
-            cluster.metrics_snapshot().counter("mendel.query.count"),
-        )
-    };
-    let params = QueryParams::protein();
-    let singly = observed(&|c| {
-        for q in queries {
-            assert!(c.query(q, &params).unwrap().coverage.degraded);
-        }
-    });
-    let batched = observed(&|c| {
-        for r in c.query_batch(queries, &params) {
-            assert!(r.unwrap().coverage.degraded);
-        }
-    });
-    assert_eq!(singly, (3, 3, 3));
-    assert_eq!(batched, singly);
-}
-
 /// Drift guard: every entry point rejects a too-short query with the
 /// same words.
 #[test]
@@ -399,9 +335,9 @@ fn too_short_query_error_is_the_same_from_every_entry_point() {
     let params = QueryParams::protein();
     let short = vec![0u8; 4];
     let single = w.cluster.query(&short, &params).unwrap_err().to_string();
-    let batch = w.cluster.query_batch(std::slice::from_ref(&short), &params);
+    let entered = w.cluster.query_from(NodeId(2), &short, &params);
     let wire = WireCluster::serve(w.cluster.clone());
     assert!(single.contains("4 residues"), "{single}");
-    assert_eq!(batch[0].as_ref().unwrap_err().to_string(), single);
+    assert_eq!(entered.unwrap_err().to_string(), single);
     assert_eq!(wire.query(&short, &params).unwrap_err().to_string(), single);
 }

@@ -3,6 +3,7 @@
 
 use mendel_suite::core::{ClusterConfig, MendelCluster, MendelError, QueryParams};
 use mendel_suite::dht::NodeId;
+use mendel_suite::obs::SlowLogConfig;
 use mendel_suite::seq::gen::NrLikeSpec;
 use mendel_suite::seq::{SeqId, SeqStore};
 use std::sync::Arc;
@@ -356,6 +357,11 @@ fn repair_restores_replication_factor() {
 fn coverage_reports_degradation_and_heals_on_recovery() {
     let db = db(15);
     let cluster = replicated_cluster(&db, 1); // no redundancy
+    cluster.set_slowlog_config(SlowLogConfig {
+        threshold: std::time::Duration::ZERO, // log everything
+        sample_every: 0,
+        capacity: 16,
+    });
     let params = QueryParams::protein();
     let q = db.get(SeqId(2)).unwrap().residues.clone();
     let healthy = cluster.query(&q, &params).unwrap();
@@ -366,6 +372,18 @@ fn coverage_reports_degradation_and_heals_on_recovery() {
     let degraded = cluster.query_from(NodeId(0), &q, &params).unwrap();
     assert!(degraded.coverage.degraded, "lost blocks must be flagged");
     assert!(degraded.coverage.fraction() < 1.0);
+    // Each query is observed once — in its own counter delta and in the
+    // slow-query log — and flagged degraded exactly when it was.
+    assert_eq!(degraded.metrics.counter("mendel.query.count"), 1);
+    assert_eq!(degraded.metrics.counter("mendel.query.degraded"), 1);
+    assert_eq!(healthy.metrics.counter("mendel.query.degraded"), 0);
+    let logged: Vec<bool> = cluster
+        .slowlog()
+        .entries()
+        .iter()
+        .map(|e| e.query.degraded)
+        .collect();
+    assert_eq!(logged, [false, true]);
     let down_group = degraded
         .coverage
         .per_group
