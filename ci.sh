@@ -45,6 +45,12 @@ else
     echo "==> clippy unavailable; skipping lint check"
 fi
 
+#    Rustdoc with warnings denied: a dangling or private intra-doc link
+#    (one a deletion left behind, say) fails the gate. Library targets
+#    only: the `mendel` binary's docs would land on the `mendel` library's.
+step "cargo doc (warnings denied)" \
+    env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --lib -q
+
 # 4. Lock-order analysis (DESIGN.md §13): the held-while-acquiring
 #    graph over every parking_lot acquisition must stay acyclic, and
 #    every guard held across a blocking call must carry a waiver.

@@ -10,7 +10,7 @@
 //!    without blocking unrelated work.
 //! 2. **Structural invariant checkers** (in the data-structure crates,
 //!    behind the `strict-invariants` feature): deep `check_invariants`
-//!    methods on the vp-tree, DHT topology, and block store, asserted at
+//!    methods on the vp-tree, DHT topology, and placement ledger, asserted at
 //!    mutation sites and exercised by the property suites.
 //! 3. **Concurrency analyses** (token-level, on the [`lexer`] stream):
 //!    [`locks`] builds the held-while-acquiring lock graph and fails on

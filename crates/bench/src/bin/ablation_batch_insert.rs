@@ -15,7 +15,7 @@
 
 use mendel::MetricKind;
 use mendel_bench::{figure_header, protein_db};
-use mendel_vptree::DynamicVpTree;
+use mendel_vptree::VpTree;
 use std::time::Instant;
 
 const BLOCK_LEN: usize = 16;
@@ -60,9 +60,9 @@ fn main() {
         let metric = MetricKind::MendelBlosum62.instantiate();
         let t = Instant::now();
         let tree = if batch == usize::MAX {
-            DynamicVpTree::build(windows.clone(), metric, BUCKET, 42)
+            VpTree::build(windows.clone(), metric, BUCKET, 42)
         } else {
-            let mut tree = DynamicVpTree::new(metric, BUCKET, 42);
+            let mut tree = VpTree::build(Vec::new(), metric, BUCKET, 42);
             if batch == 1 {
                 for w in windows.iter().cloned() {
                     tree.insert(w);

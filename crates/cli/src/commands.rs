@@ -8,7 +8,6 @@ use mendel::{
     snapshot, store, ClusterConfig, MendelCluster, MendelError, MetricKind, QueryParams,
     StorageBackend,
 };
-use mendel_net::LatencyModel;
 use mendel_seq::gen::{MutationModel, NrLikeSpec};
 use mendel_seq::{parse_fasta_sequences, write_fasta, Alphabet, SeqError, SeqStore};
 use std::fmt::Write as _;
@@ -184,8 +183,7 @@ fn restore_cluster(args: &Args) -> Result<(MendelCluster, Alphabet), CliError> {
     let raw = std::fs::read(index_path).map_err(|e| CliError::Io(index_path.into(), e))?;
     let try_restore = |alpha: Alphabet| -> Result<MendelCluster, CliError> {
         let db = load_db(args.require("db")?, alpha)?;
-        snapshot::restore(&Bytes::from(raw.clone()), db, LatencyModel::lan())
-            .map_err(CliError::from)
+        snapshot::restore(&Bytes::from(raw.clone()), db).map_err(CliError::from)
     };
     match try_restore(Alphabet::Protein) {
         Ok(c) if c.config().alphabet == Alphabet::Protein => Ok((c, Alphabet::Protein)),
@@ -281,7 +279,7 @@ pub fn cmd_info(args: &Args) -> Result<String, CliError> {
     let raw = std::fs::read(index_path).map_err(|e| CliError::Io(index_path.into(), e))?;
     let db = load_db(args.require("db")?, Alphabet::Protein)
         .or_else(|_| load_db(args.require("db")?, Alphabet::Dna))?;
-    let cluster = snapshot::restore(&Bytes::from(raw), db, LatencyModel::lan())?;
+    let cluster = snapshot::restore(&Bytes::from(raw), db)?;
     let cfg = cluster.config();
     let report = cluster.load_report();
     Ok(format!(

@@ -53,7 +53,7 @@ USAGE:
                   [--peers N=host:port,...] [--http-peers N=host:port,...]
                   [--config <toml>] [--db <fasta>]
                   [--nodes N] [--groups N] [--replication N] [--seed N] [--dna]
-                  [--data-dir <dir>] [--rpc-timeout-ms N] [--member-timeout-ms N]
+                  [--data-dir <dir>] [--rpc-timeout-ms N]
                   [--tracing true|false] [--trace-sample N]
                   [--slowlog-threshold-ms N] [--slowlog-sample N]
   mendel help

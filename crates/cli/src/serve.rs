@@ -42,7 +42,6 @@
 //! replication = 1
 //! data-dir = "/var/lib/mendel/node0" # durable backend over RealVfs
 //! rpc-timeout-ms = 2000
-//! member-timeout-ms = 500
 //! tracing = true                     # distributed tracing (DESIGN.md §17)
 //! trace-sample = 1                   # trace every Nth query
 //! slowlog-threshold-ms = 500         # slow-query log admission
@@ -243,7 +242,6 @@ impl ServeConfig {
         };
         let timeouts = WireTimeouts {
             rpc: Duration::from_millis(parse_num("rpc-timeout-ms", 30_000)?),
-            member: Duration::from_millis(parse_num("member-timeout-ms", 15_000)?),
         };
         Ok(ServeConfig {
             node: parse_num("node", 0)? as u16,

@@ -105,9 +105,7 @@ fn spawn_node(
         "--replication",
         "1",
         "--rpc-timeout-ms",
-        "3000",
-        "--member-timeout-ms",
-        "500",
+        "1000",
     ]
     .iter()
     .map(|s| s.to_string())

@@ -8,7 +8,6 @@
 //! which its previous/next neighbour references follow (the windows
 //! overlap with step one).
 
-use mendel_dht::store::StoredBytes;
 use mendel_net::codec::{Decode, DecodeError, Encode};
 use mendel_seq::{SeqId, Sequence, WindowView};
 use serde::{Deserialize, Serialize};
@@ -76,24 +75,6 @@ impl Block {
             seq: self.seq,
             start: self.start + 1,
         })
-    }
-}
-
-/// A materialized block's transfer size: window content plus provenance.
-/// Storage nodes no longer pay this per block — they store compact
-/// [`BlockKey`] entries against a sequence arena — but rebalance/repair
-/// transfers and snapshots still ship this much per block.
-impl StoredBytes for Block {
-    fn stored_bytes(&self) -> usize {
-        self.window.len() + std::mem::size_of::<SeqId>() + std::mem::size_of::<u32>()
-    }
-}
-
-/// The compact per-block store entry: 8 bytes of provenance; window
-/// content lives once per sequence in the node's arena.
-impl StoredBytes for BlockKey {
-    fn stored_bytes(&self) -> usize {
-        std::mem::size_of::<SeqId>() + std::mem::size_of::<u32>()
     }
 }
 
@@ -338,17 +319,6 @@ mod tests {
             2,
             "fragmented views are anchored"
         );
-    }
-
-    #[test]
-    fn stored_bytes_reflects_window() {
-        let b = Block {
-            seq: SeqId(0),
-            start: 0,
-            window: WindowView::standalone(vec![0; 20]),
-        };
-        assert_eq!(b.stored_bytes(), 20 + 8);
-        assert_eq!(b.key().stored_bytes(), 8, "store entries are compact");
     }
 
     #[test]

@@ -2,11 +2,11 @@
 //! query pipeline (§V-B) and the simulated cluster clock (DESIGN.md §3).
 //!
 //! The cluster is the control plane — topology, vp-prefix hash,
-//! placement ledger, failed set — over a `Vec` of [`NodeSlot`]s, each of
+//! placement ledger, failed set — over a `Vec` of `NodeSlot`s, each of
 //! which owns one node's RAM, disk and lifecycle ([`crate::node`]).
 //! This module holds construction, routing, the query wrappers and
 //! introspection; fault tolerance and elasticity (§VII-B) are in
-//! [`ops`].
+//! `ops`.
 
 mod ops;
 
@@ -36,7 +36,7 @@ use mendel_store::{MemVfs, StoreMetrics, Vfs};
 use mendel_vptree::{GroupAssignment, SearchMetrics, VpPrefixTree};
 use ops::FailureRecord;
 use parking_lot::RwLock;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -268,7 +268,8 @@ impl MendelCluster {
     /// Phases 1–3 of indexing (§V-A) for `seqs`, which the reference
     /// store already holds: block creation, vp-prefix dispersion to
     /// groups, SHA-1 placement within groups, node-local vp-tree
-    /// insertion. Reports the first node whose disk refused its batch.
+    /// insertion. Reports the first refusal: a routed group with no live
+    /// member, or a node whose disk refused its batch.
     fn index_sequences<'a>(
         &self,
         seqs: impl Iterator<Item = &'a Sequence>,
@@ -288,34 +289,47 @@ impl MendelCluster {
 
     /// The one route-and-place: send each block to its replicas in its
     /// group under `topo` and hand every node its batch ([`Self::place`]),
-    /// in node order. Replicas that land on failed nodes are skipped — a
-    /// down node cannot accept writes — leaving those blocks
-    /// under-replicated until [`Self::repair`] or the node's own
-    /// stale-recovery rebalance. Returns the nodes whose disk refused
-    /// their batch; what the caller does about them is its policy.
+    /// in node order. A block's replicas are the first `replication`
+    /// live members of its group's placement ring, primary first: with
+    /// every node up that is [`FlatPlacement::replicas`], and a copy whose
+    /// node is down goes to the next live member instead — a down node
+    /// cannot accept writes. A group with no live member places nothing.
+    /// Returns the refusals — such a group (no node), then every node
+    /// whose disk refused its batch; what the caller does about them is
+    /// its policy.
     fn route_and_place(
         &self,
         topo: &Topology,
         blocks: impl Iterator<Item = (GroupId, Block)>,
-    ) -> Vec<(NodeId, MendelError)> {
-        // Derived here from the one place the replication factor is kept.
-        let placement = FlatPlacement::with_replication(self.config.replication);
+    ) -> Vec<(Option<NodeId>, MendelError)> {
+        // The whole ring: a factor past any group's size clamps to it.
+        let ring = FlatPlacement::with_replication(usize::MAX);
         let mut batches: BTreeMap<NodeId, Vec<Block>> = BTreeMap::new();
+        let mut down: BTreeSet<GroupId> = BTreeSet::new();
         {
             let failed = self.failed.read();
             for (g, b) in blocks {
-                for node in placement.replicas(topo, g, &b.key().as_bytes()) {
-                    if !failed.contains_key(&node) {
-                        batches.entry(node).or_default().push(b.clone());
-                    }
+                let live = ring
+                    .replicas(topo, g, &b.key().as_bytes())
+                    .into_iter()
+                    .filter(|n| !failed.contains_key(n))
+                    .take(self.config.replication);
+                let mut placed = false;
+                for node in live {
+                    batches.entry(node).or_default().push(b.clone());
+                    placed = true;
+                }
+                if !placed {
+                    down.insert(g);
                 }
             }
         }
         let nodes = self.nodes.read();
-        batches
-            .into_iter()
-            .filter_map(|(node, batch)| Some((node, self.place(topo, &nodes, node, batch).err()?)))
-            .collect()
+        let refused_groups = down.into_iter().map(|g| (None, MendelError::GroupDown(g)));
+        let refused_nodes = batches.into_iter().filter_map(|(node, batch)| {
+            Some((Some(node), self.place(topo, &nodes, node, batch).err()?))
+        });
+        refused_groups.chain(refused_nodes).collect()
     }
 
     /// The one write path for block copies: give `node` a batch of

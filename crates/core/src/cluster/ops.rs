@@ -172,7 +172,7 @@ impl MendelCluster {
     /// Re-replicate under-replicated blocks onto live group members,
     /// restoring the configured replication factor where enough live
     /// nodes exist. Copy targets follow the same deterministic ring walk
-    /// as [`FlatPlacement::replicas`], so repeated repairs are
+    /// as [`mendel_dht::FlatPlacement::replicas`], so repeated repairs are
     /// idempotent. Blocks whose every replica is down are reported as
     /// `unreachable` — they reappear when a holder recovers.
     pub fn repair(&self) -> RepairReport {
@@ -430,7 +430,9 @@ impl MendelCluster {
         // Members whose disks refused their new batch hold partial
         // state: fail them (every guard above is gone) so queries route
         // around until an operator recover replays what *is* durable.
-        for (node, _) in refused {
+        // (The group itself refuses only when every wipe above failed,
+        // and then its dark members still hold every block.)
+        for node in refused.into_iter().filter_map(|(node, _)| node) {
             let _ = self.mark_failed(node, true);
         }
         self.assert_ledger("rebalance_group");

@@ -18,6 +18,9 @@ pub enum MendelError {
     Snapshot(String),
     /// The addressed node does not exist or has left the cluster.
     NoSuchNode(mendel_dht::NodeId),
+    /// Every member of the group is down, so the group's blocks could
+    /// not be placed anywhere.
+    GroupDown(mendel_dht::GroupId),
     /// The durable storage engine failed (I/O error, poisoned store,
     /// corrupt on-disk state).
     Store(String),
@@ -41,6 +44,7 @@ impl fmt::Display for MendelError {
             MendelError::Seq(e) => write!(f, "sequence error: {e}"),
             MendelError::Snapshot(m) => write!(f, "snapshot error: {m}"),
             MendelError::NoSuchNode(n) => write!(f, "no such node: {n}"),
+            MendelError::GroupDown(g) => write!(f, "group {g} has no live member"),
             MendelError::Store(m) => write!(f, "storage error: {m}"),
             MendelError::Shed { in_flight, limit } => write!(
                 f,

@@ -1,5 +1,5 @@
-//! The storage node: block store + local vp-tree + node-local query
-//! evaluation (§V-A3 and the first half of §V-B).
+//! The storage node: one local vp-tree over its blocks + node-local
+//! query evaluation (§V-A3 and the first half of §V-B).
 //!
 //! "Once an inverted index block reaches its destination storage node
 //! within its storage group, it will be indexed in a regular local
@@ -13,7 +13,7 @@
 //! from its key); the shared handle models that path without shipping
 //! bytes — see DESIGN.md §3.
 //!
-//! [`StorageNode`] is a node's RAM state. [`NodeSlot`] is the node as
+//! [`StorageNode`] is a node's RAM state. `NodeSlot` is the node as
 //! the cluster holds it — RAM, durable store and lifecycle in one place
 //! (DESIGN.md §14.4).
 
@@ -24,11 +24,10 @@ use crate::metric::BlockMetric;
 use crate::params::QueryParams;
 use crate::query::{c_score, identity};
 use mendel_align::{extend_ungapped, Hsp};
-use mendel_dht::store::BlockStore;
 use mendel_dht::NodeId;
 use mendel_seq::{Alphabet, ScoringMatrix, SeqArena, SeqId, SeqStore, WindowView};
 use mendel_store::{DurableStore, StoreMetrics, StoreOptions, Vfs};
-use mendel_vptree::{DynamicVpTree, SearchMetrics};
+use mendel_vptree::{SearchMetrics, VpTree};
 use parking_lot::{Mutex, RwLock, RwLockReadGuard};
 use std::sync::Arc;
 
@@ -39,22 +38,19 @@ pub type DbCell = Arc<RwLock<Arc<SeqStore>>>;
 
 /// One storage node's state.
 ///
-/// Blocks are held arena-backed: the store keeps compact `(seq, start)`
-/// entries, the vp-tree indexes [`WindowView`] points, and the window
+/// Blocks are held arena-backed: the vp-tree indexes [`WindowView`]
+/// points, `keys` holds each one's compact `(seq, start)`, and the window
 /// bytes themselves live once per sequence in the node's [`SeqArena`] —
 /// however many overlapping blocks of that sequence the node holds.
 pub struct StorageNode {
-    store: BlockStore<BlockKey>,
+    /// Each held block's key, at its tree point's index.
+    keys: Vec<BlockKey>,
     arena: SeqArena,
-    tree: DynamicVpTree<WindowView, BlockMetric>,
+    tree: VpTree<WindowView, BlockMetric>,
     /// Read path to sequence content for anchor extension (models the
     /// zero-hop block-fetch path; see module docs).
     db: DbCell,
     alphabet: Alphabet,
-    /// What [`Self::clear`] rebuilds the empty vp-tree from.
-    metric: BlockMetric,
-    bucket_capacity: usize,
-    seed: u64,
 }
 
 /// `(subject, diagonal)` → query range already covered by an anchor.
@@ -107,25 +103,20 @@ impl StorageNode {
         seed: u64,
     ) -> Self {
         StorageNode {
-            store: BlockStore::new(),
+            keys: Vec::new(),
             arena: SeqArena::new(),
-            tree: DynamicVpTree::new(metric.clone(), bucket_capacity, seed),
+            tree: VpTree::build(Vec::new(), metric, bucket_capacity, seed),
             db,
             alphabet,
-            metric,
-            bucket_capacity,
-            seed,
         }
     }
 
     /// Forget every block: the node is as [`Self::new`] made it, search
     /// counters still attached.
     pub fn clear(&mut self) {
-        let counters = self.tree.search_metrics().clone();
-        self.store = BlockStore::new();
+        self.keys.clear();
         self.arena = SeqArena::new();
-        self.tree = DynamicVpTree::new(self.metric.clone(), self.bucket_capacity, self.seed);
-        self.tree.set_metrics(counters);
+        self.tree.clear();
     }
 
     /// Re-anchor one incoming block against the node's arena, interning
@@ -158,24 +149,25 @@ impl StorageNode {
         b.window.clone()
     }
 
-    /// Phase 3 of indexing: store a batch of blocks and index their
-    /// windows in the local vp-tree. Tree point indices equal block-store
-    /// refs (both are append-only and fed in lockstep). Window content is
-    /// anchored into the per-node arena, so the store only keeps 8-byte
-    /// `(seq, start)` entries and each sequence's bytes are charged once.
+    /// Phase 3 of indexing: index a batch of blocks' windows in the local
+    /// vp-tree and record their keys under the same point indices. Window
+    /// content is anchored into the per-node arena, so a block costs an
+    /// 8-byte `(seq, start)` key and each sequence's bytes are charged once.
     pub fn insert_blocks(&mut self, blocks: Vec<Block>) {
         let db = self.db.read().clone();
         let views: Vec<WindowView> = blocks.iter().map(|b| self.anchor(&db, b)).collect();
-        for b in &blocks {
-            self.store.push(b.key());
-        }
+        self.keys.extend(blocks.iter().map(Block::key));
         self.tree.insert_batch(views);
-        debug_assert_eq!(self.store.len(), self.tree.len());
+        debug_assert_eq!(self.keys.len(), self.tree.len());
         #[cfg(feature = "strict-invariants")]
         {
-            if let Err(e) = self.store.check_invariants() {
+            if self.keys.len() != self.tree.len() {
                 // audit:allow(panic): strict-invariants mode aborts on accounting corruption by design.
-                panic!("storage-node ingest violated block-store invariants: {e}");
+                panic!(
+                    "storage-node ingest left {} keys for {} tree points",
+                    self.keys.len(),
+                    self.tree.len()
+                );
             }
             if let Err(e) = self.tree.check_invariants() {
                 // audit:allow(panic): strict-invariants mode aborts on structural corruption by design.
@@ -197,7 +189,7 @@ impl StorageNode {
 
     /// Number of blocks held.
     pub fn block_count(&self) -> usize {
-        self.store.len()
+        self.keys.len()
     }
 
     /// Bytes held (the Fig. 5 load measurement): 8 bytes of provenance
@@ -205,7 +197,7 @@ impl StorageNode {
     /// however many overlapping windows reference it. This replaces the
     /// materialized-era `blocks × (k + 8)` accounting — see DESIGN.md §10.
     pub fn stored_bytes(&self) -> u64 {
-        self.store.bytes() + self.arena.bytes()
+        (self.keys.len() * std::mem::size_of::<BlockKey>()) as u64 + self.arena.bytes()
     }
 
     /// Bytes held in the sequence arena alone.
@@ -217,12 +209,13 @@ impl StorageNode {
     /// arena-backed views — reconstructing a block clones an `Arc`, not
     /// window bytes.
     pub fn blocks(&self) -> Vec<Block> {
-        self.store
+        self.keys
             .iter()
-            .map(|(r, k)| Block {
+            .zip(self.tree.points())
+            .map(|(k, window)| Block {
                 seq: k.seq,
                 start: k.start,
-                window: self.tree.point(r.0).clone(),
+                window: window.clone(),
             })
             .collect()
     }
@@ -230,7 +223,7 @@ impl StorageNode {
     /// Keys of all held blocks, without touching payloads (what the
     /// placement ledger is checked against).
     pub fn block_keys(&self) -> Vec<BlockKey> {
-        self.store.iter().map(|(_, k)| *k).collect()
+        self.keys.clone()
     }
 
     /// Evaluate one request's subquery windows against this node (§V-B):
@@ -303,10 +296,10 @@ impl StorageNode {
         out.candidates += neighbors.len();
         {
             for nb in neighbors {
-                // Tree point indices equal store refs (fed in lockstep); a
+                // Tree point indices index `keys` (fed in lockstep); a
                 // desync would be a bug, but degrading to "skip candidate"
                 // beats panicking in the middle of a distributed query.
-                let Some(&entry) = self.store.get(mendel_dht::BlockRef(nb.index)) else {
+                let Some(&entry) = self.keys.get(nb.index as usize) else {
                     continue;
                 };
                 let cand = self.tree.point(nb.index).as_slice();
@@ -641,7 +634,7 @@ mod tests {
     }
 
     #[test]
-    fn insert_keeps_store_and_tree_in_sync() {
+    fn insert_keeps_keys_and_tree_in_sync() {
         let db = test_db();
         let node = loaded_node(&db);
         assert!(node.block_count() > 0);

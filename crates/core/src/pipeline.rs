@@ -14,6 +14,7 @@ use crate::error::MendelError;
 use crate::params::QueryParams;
 use crate::query::subquery_offsets;
 use crate::report::{CoverageReport, MendelHit, QueryReport, QueryStats, StageTimings};
+use crate::wire::HSP_WIRE_BYTES;
 use mendel_align::hsp::merge_overlapping;
 use mendel_align::Hsp;
 use mendel_dht::{GroupId, NodeId};
@@ -24,8 +25,6 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Estimated wire size of one anchor (subject id, two ranges, score).
-const HSP_WIRE_BYTES: usize = 28;
 /// Fixed per-message header overhead charged by the cost model.
 const MSG_OVERHEAD_BYTES: usize = 64;
 

@@ -238,7 +238,6 @@ mod tests {
     fn timeouts() -> WireTimeouts {
         WireTimeouts {
             rpc: Duration::from_secs(5),
-            member: Duration::from_secs(2),
         }
     }
 
@@ -368,7 +367,6 @@ mod tests {
         let cluster = cluster();
         let fast = WireTimeouts {
             rpc: Duration::from_secs(2),
-            member: Duration::from_millis(400),
         };
         let (mut servers, addrs) = serve_all(&cluster, fast);
         // Kill a non-entry-point member, so the group's entry point

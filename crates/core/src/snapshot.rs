@@ -110,11 +110,7 @@ pub fn save(cluster: &MendelCluster) -> Result<Bytes, MendelError> {
 /// Rebuild a cluster from a snapshot over the same reference database.
 /// The prefix tree is rebuilt deterministically from the recorded seed,
 /// so query routing is identical to the saved cluster's.
-pub fn restore(
-    bytes: &Bytes,
-    db: Arc<SeqStore>,
-    latency: LatencyModel,
-) -> Result<MendelCluster, MendelError> {
+pub fn restore(bytes: &Bytes, db: Arc<SeqStore>) -> Result<MendelCluster, MendelError> {
     // The version byte sits right after the 4-byte magic. Verify and
     // strip the CRC-32 footer before any decoding: truncation or
     // corruption anywhere is caught here, up front.
@@ -171,10 +167,11 @@ pub fn restore(
         prefix_depth,
         prefix_sample,
         replication,
-        latency,
         seed,
-        // The backend is a runtime deployment choice, not part of the
-        // indexed-data geometry; restores start in memory mode.
+        // The backend and the simulated network are runtime choices, not
+        // part of the indexed-data geometry; restores start in memory
+        // mode on the LAN model.
+        latency: LatencyModel::lan(),
         storage: StorageBackend::Memory,
     };
     let cluster = MendelCluster::build_empty(config, db)?;
@@ -217,7 +214,7 @@ mod tests {
         let db = db();
         let original = MendelCluster::build(ClusterConfig::small_protein(), db.clone()).unwrap();
         let bytes = save(&original).unwrap();
-        let restored = restore(&bytes, db.clone(), LatencyModel::lan()).unwrap();
+        let restored = restore(&bytes, db.clone()).unwrap();
         assert_eq!(restored.total_blocks(), original.total_blocks());
         let q = db.get(SeqId(4)).unwrap().residues.clone();
         let params = QueryParams::protein();
@@ -250,7 +247,7 @@ mod tests {
                 "{storage:?}: the format cannot say a node is down"
             );
             c.recover_node(NodeId(1)).unwrap();
-            let restored = restore(&save(&c).unwrap(), db.clone(), LatencyModel::lan()).unwrap();
+            let restored = restore(&save(&c).unwrap(), db.clone()).unwrap();
             assert_eq!(restored.coverage(), c.coverage());
         }
     }
@@ -263,7 +260,7 @@ mod tests {
             ..ClusterConfig::small_protein()
         };
         let built = MendelCluster::build(cfg, db.clone()).unwrap();
-        let restored = restore(&save(&built).unwrap(), db, LatencyModel::lan()).unwrap();
+        let restored = restore(&save(&built).unwrap(), db).unwrap();
         assert_eq!(restored.config().replication, 2);
         // Scale-out re-places the joiner's group: it must do so at the
         // configured factor on both.
@@ -287,14 +284,14 @@ mod tests {
         // Bad magic.
         let mut bad = bytes.to_vec();
         bad[0] ^= 0xFF;
-        assert!(restore(&Bytes::from(bad), db.clone(), LatencyModel::lan()).is_err());
+        assert!(restore(&Bytes::from(bad), db.clone()).is_err());
         // Truncated.
         let short = bytes.slice(0..bytes.len() / 2);
-        assert!(restore(&short, db.clone(), LatencyModel::lan()).is_err());
+        assert!(restore(&short, db.clone()).is_err());
         // Trailing garbage.
         let mut long = bytes.to_vec();
         long.push(0);
-        assert!(restore(&Bytes::from(long), db, LatencyModel::lan()).is_err());
+        assert!(restore(&Bytes::from(long), db).is_err());
     }
 
     #[test]
@@ -305,10 +302,7 @@ mod tests {
         for cut in 0..bytes.len() {
             let short = bytes.slice(0..cut);
             assert!(
-                matches!(
-                    restore(&short, db.clone(), LatencyModel::lan()),
-                    Err(MendelError::Snapshot(_))
-                ),
+                matches!(restore(&short, db.clone()), Err(MendelError::Snapshot(_))),
                 "cut at {cut} must be rejected"
             );
         }
@@ -326,7 +320,7 @@ mod tests {
             bad[off] ^= 1;
             assert!(
                 matches!(
-                    restore(&Bytes::from(bad), db.clone(), LatencyModel::lan()),
+                    restore(&Bytes::from(bad), db.clone()),
                     Err(MendelError::Snapshot(_))
                 ),
                 "flip at {off} must be rejected"
@@ -345,7 +339,7 @@ mod tests {
             bytes[4] = version;
             let tagged = Bytes::from(bytes[..bytes.len() - cut].to_vec());
             assert!(matches!(
-                restore(&tagged, db.clone(), LatencyModel::lan()),
+                restore(&tagged, db.clone()),
                 Err(MendelError::Snapshot(m)) if m.contains("unsupported version")
             ));
         }

@@ -20,8 +20,8 @@
 //! identical hits, which the tests assert.
 //!
 //! Everything here is generic over [`Transport`], and so are the
-//! [`NodeServer`] and [`FrontEnd`] that run [`node_serve_loop`] and
-//! [`query_via`]: [`WireCluster`] is the pair over the simulated network,
+//! [`NodeServer`] and [`FrontEnd`] that run `node_serve_loop` and
+//! `query_via`: [`WireCluster`] is the pair over the simulated network,
 //! and `mendel serve` runs the *same* pair over
 //! [`mendel_net::TcpTransport`], so a cluster of real OS processes
 //! executes byte-identical traffic.
@@ -70,21 +70,27 @@ const SERVE_POLL: Duration = Duration::from_millis(100);
 /// Wire-path deadlines.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WireTimeouts {
-    /// Client-side deadline for one group entry point's reply. Must
-    /// exceed [`Self::member`] (the entry point waits that long for its
-    /// slowest member before answering), or live entry points get
-    /// misclassified as dead.
+    /// Client-side deadline for one group entry point's reply. The
+    /// entry point's own deadline for its members, [`Self::member`], is
+    /// derived from it.
     pub rpc: Duration,
+}
+
+impl WireTimeouts {
     /// Entry-point-side deadline for member anchor sets; members silent
     /// past it are reported unresponsive instead of stalling the query.
-    pub member: Duration,
+    /// Half of [`Self::rpc`], so an entry point that waits it out for
+    /// its slowest member still answers inside the client's deadline
+    /// and is not misclassified as dead.
+    pub fn member(&self) -> Duration {
+        self.rpc / 2
+    }
 }
 
 impl Default for WireTimeouts {
     fn default() -> Self {
         WireTimeouts {
             rpc: Duration::from_secs(30),
-            member: Duration::from_secs(15),
         }
     }
 }
@@ -291,6 +297,16 @@ fn encode_hsps(hsps: &[Hsp]) -> Bytes {
     buf.freeze()
 }
 
+/// Encoded size of one anchor (`u32 + 3 × u64 + i32`), which is also
+/// what the in-process cost model charges per anchor.
+pub(crate) const HSP_WIRE_BYTES: usize = 32;
+/// Smallest encodings of a span record (no parent, empty name, no tags;
+/// layout at [`encode_spans_into`]) and of a tag. The decoders reserve
+/// for no more records than the bytes left could hold at these sizes,
+/// so a forged count allocates nothing it does not carry.
+const SPAN_MIN_WIRE_BYTES: usize = 8 + 8 + 1 + 4 + 8 + 8 + 4 + 4;
+const TAG_MIN_WIRE_BYTES: usize = 4 + 4;
+
 fn encode_hsps_into(hsps: &[Hsp], buf: &mut BytesMut) {
     (hsps.len() as u32).encode(buf);
     for h in hsps {
@@ -304,7 +320,7 @@ fn encode_hsps_into(hsps: &[Hsp], buf: &mut BytesMut) {
 
 fn decode_hsps_from(buf: &mut Bytes) -> Result<Vec<Hsp>, DecodeError> {
     let n = u32::decode(buf)? as usize;
-    let mut out = Vec::with_capacity(n.min(1 << 20));
+    let mut out = Vec::with_capacity(n.min(buf.len() / HSP_WIRE_BYTES));
     for _ in 0..n {
         out.push(Hsp {
             subject_id: u32::decode(buf)?,
@@ -342,7 +358,7 @@ fn encode_spans_into(spans: &[SpanRecord], buf: &mut BytesMut) {
 
 fn decode_spans_from(buf: &mut Bytes) -> Result<Vec<SpanRecord>, DecodeError> {
     let n = u32::decode(buf)? as usize;
-    let mut out = Vec::with_capacity(n.min(1 << 16));
+    let mut out = Vec::with_capacity(n.min(buf.len() / SPAN_MIN_WIRE_BYTES));
     for _ in 0..n {
         let trace = TraceId(u64::decode(buf)?);
         let span = SpanId(u64::decode(buf)?);
@@ -352,7 +368,7 @@ fn decode_spans_from(buf: &mut Bytes) -> Result<Vec<SpanRecord>, DecodeError> {
         let end = Duration::from_nanos(u64::decode(buf)?);
         let name = String::decode(buf)?;
         let tag_count = u32::decode(buf)? as usize;
-        let mut tags = Vec::with_capacity(tag_count.min(64));
+        let mut tags = Vec::with_capacity(tag_count.min(buf.len() / TAG_MIN_WIRE_BYTES));
         for _ in 0..tag_count {
             tags.push((String::decode(buf)?, String::decode(buf)?));
         }
@@ -957,7 +973,7 @@ fn serve_group_query<T: Transport>(
     let _ = gather(
         transport,
         &mut pending,
-        timeouts.member,
+        timeouts.member(),
         on_reply,
         on_foreign,
     );
@@ -1111,6 +1127,30 @@ mod tests {
         };
         assert_eq!(hsps, reply.hsps);
         assert_eq!(spans, reply.spans);
+    }
+
+    #[test]
+    fn hsp_wire_bytes_is_the_encoded_length_of_one_anchor() {
+        let anchor = bogus_anchors(1);
+        let count_prefix = 4;
+        assert_eq!(encode_hsps(&anchor).len() - count_prefix, HSP_WIRE_BYTES);
+    }
+
+    /// Counts of `u32::MAX` with nothing behind them — anchors in a
+    /// member reply or a group reply, span records in a reply tail — are
+    /// decode errors, reserving no more than the bytes carried.
+    #[test]
+    fn forged_counts_without_a_body_are_rejected() {
+        let count = |prefix: &[u8]| {
+            let mut buf = BytesMut::new();
+            buf.extend_from_slice(prefix);
+            u32::MAX.encode(&mut buf);
+            buf.freeze()
+        };
+        assert!(decode_hsps_and_spans(&count(&[])).is_err());
+        assert!(decode_hsps_and_spans(&count(&encode_hsps(&[]))).is_err());
+        let no_members = Vec::<u16>::new().to_bytes();
+        assert!(GroupReply::from_bytes(&count(&no_members)).is_err());
     }
 
     #[test]
@@ -1317,13 +1357,12 @@ mod tests {
         let q = cluster.db().get(SeqId(0)).unwrap().residues.clone();
         let victim = queried_member(&cluster, &q, 1);
         let fast = WireTimeouts {
-            rpc: Duration::from_secs(5),
-            member: Duration::from_millis(400),
+            rpc: Duration::from_millis(1000),
         };
         let wire = WireCluster::serve_with(cluster.clone(), &[victim], fast);
         let asked = Instant::now();
         let outcome = wire.query_outcome(&q, &QueryParams::protein()).unwrap();
-        assert!(asked.elapsed() >= fast.member, "the member was timed out");
+        assert!(asked.elapsed() >= fast.member(), "the member was timed out");
 
         // Twin: same build, in-process failover of the same node.
         let twin = self::cluster();
@@ -1350,7 +1389,6 @@ mod tests {
         let victim = queried_member(&cluster, &q, 0);
         let fast = WireTimeouts {
             rpc: Duration::from_millis(900),
-            member: Duration::from_millis(300),
         };
         let wire = WireCluster::serve_with(cluster.clone(), &[victim], fast);
         let asked = Instant::now();
@@ -1383,7 +1421,6 @@ mod tests {
         let topo = cluster.topology();
         let fast = WireTimeouts {
             rpc: Duration::from_secs(5),
-            member: Duration::from_millis(400),
         };
         let wire = WireCluster::serve_with(cluster.clone(), &[], fast);
         let q = cluster.db().get(SeqId(2)).unwrap().residues.clone();
@@ -1443,7 +1480,6 @@ mod tests {
         let topo = cluster.topology();
         let fast = WireTimeouts {
             rpc: Duration::from_secs(5),
-            member: Duration::from_millis(400),
         };
         let wire = WireCluster::serve_with(cluster.clone(), &[], fast);
         let q = cluster.db().get(SeqId(2)).unwrap().residues.clone();
@@ -1613,7 +1649,6 @@ mod tests {
         let topo = cluster.topology();
         let fast = WireTimeouts {
             rpc: Duration::from_secs(5),
-            member: Duration::from_millis(400),
         };
         let wire = WireCluster::serve_with(cluster.clone(), &[], fast);
         let q = cluster.db().get(SeqId(2)).unwrap().residues.clone();
@@ -1651,7 +1686,6 @@ mod tests {
         let cluster = cluster();
         let fast = WireTimeouts {
             rpc: Duration::from_secs(2),
-            member: Duration::from_millis(400),
         };
         let wire = WireCluster::serve_with(cluster.clone(), &[], fast);
         let q = cluster.db().get(SeqId(2)).unwrap().residues.clone();
@@ -1676,7 +1710,6 @@ mod tests {
         let cluster = cluster();
         let fast = WireTimeouts {
             rpc: Duration::from_secs(1),
-            member: Duration::from_millis(400),
         };
         let wire = Arc::new(WireCluster::serve_with(cluster.clone(), &[], fast));
         let params = QueryParams::protein();

@@ -3,7 +3,6 @@
 
 use mendel_dht::placement::FlatPlacement;
 use mendel_dht::sha1::{sha1, sha1_u64, Sha1};
-use mendel_dht::store::BlockStore;
 use mendel_dht::topology::{GroupId, NodeId, Topology};
 use mendel_net::NodeSpeed;
 use proptest::prelude::*;
@@ -104,29 +103,6 @@ proptest! {
             prop_assert!(topo.node_speed(n).is_some());
             prop_assert!(topo.node_group(n).is_some());
         }
-    }
-
-    /// Block-store ingest and drain keep the byte accounting exact for
-    /// arbitrary payload batches.
-    #[test]
-    fn block_store_accounting_survives_ingest(
-        batches in proptest::collection::vec(
-            proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..40), 0..20),
-            0..4,
-        ),
-    ) {
-        let mut store = BlockStore::new();
-        let mut expected = 0u64;
-        for batch in batches {
-            expected += batch.iter().map(|b| b.len() as u64).sum::<u64>();
-            store.push_batch(batch);
-            prop_assert_eq!(store.check_invariants(), Ok(()));
-            prop_assert_eq!(store.bytes(), expected);
-        }
-        let drained = store.drain();
-        prop_assert_eq!(store.check_invariants(), Ok(()));
-        prop_assert_eq!(store.bytes(), 0);
-        prop_assert_eq!(drained.iter().map(|b| b.len() as u64).sum::<u64>(), expected);
     }
 
     /// Placement with any replication factor stays within the group and

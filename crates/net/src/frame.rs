@@ -2,7 +2,7 @@
 //!
 //! The TCP backend must put the *same bytes* on the wire that the
 //! simulated mailbox accounts for, so a frame is nothing but the
-//! existing [`codec`](crate::codec) envelope encoding behind a length
+//! existing [`codec`] envelope encoding behind a length
 //! prefix:
 //!
 //! ```text

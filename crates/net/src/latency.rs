@@ -88,21 +88,6 @@ pub fn parallel_max(branches: impl IntoIterator<Item = Duration>) -> Duration {
     branches.into_iter().max().unwrap_or(Duration::ZERO)
 }
 
-/// Nearest-rank percentile of a set of durations: the smallest sample
-/// whose rank is ⌈q·n⌉ (clamped to `[1, n]`), i.e. the smallest value
-/// such that at least a `q` fraction of samples are ≤ it. `None` when
-/// `samples` is empty. `q` is clamped to `[0, 1]`; NaN behaves as 0.
-pub fn percentile(samples: &[Duration], q: f64) -> Option<Duration> {
-    if samples.is_empty() {
-        return None;
-    }
-    let mut sorted = samples.to_vec();
-    sorted.sort_unstable();
-    let q = if q.is_nan() { 0.0 } else { q.clamp(0.0, 1.0) };
-    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    Some(sorted[rank - 1])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -165,47 +150,6 @@ mod tests {
             .filter(|&i| NodeSpeed::paper_mix(i) == NodeSpeed::HP_DL160)
             .count();
         assert_eq!(fast, 25, "the testbed is a 25/25 split");
-    }
-
-    #[test]
-    fn percentile_nearest_rank_on_known_samples() {
-        let ms = |n| Duration::from_millis(n);
-        let samples = [ms(10), ms(20), ms(30), ms(40), ms(50)];
-        // Order of the input must not matter.
-        let shuffled = [ms(40), ms(10), ms(50), ms(30), ms(20)];
-        for s in [&samples[..], &shuffled[..]] {
-            assert_eq!(percentile(s, 0.0), Some(ms(10)));
-            assert_eq!(percentile(s, 0.5), Some(ms(30)), "median of five");
-            assert_eq!(percentile(s, 0.9), Some(ms(50)));
-            assert_eq!(percentile(s, 1.0), Some(ms(50)));
-            // p50 of 5 samples is rank ⌈2.5⌉ = 3; p60 is rank 3 too.
-            assert_eq!(percentile(s, 0.6), Some(ms(30)));
-            // p61 crosses to rank 4.
-            assert_eq!(percentile(s, 0.61), Some(ms(40)));
-        }
-    }
-
-    #[test]
-    fn percentile_edge_cases() {
-        assert_eq!(percentile(&[], 0.5), None);
-        let one = [Duration::from_micros(7)];
-        assert_eq!(percentile(&one, 0.0), Some(one[0]));
-        assert_eq!(percentile(&one, 1.0), Some(one[0]));
-        // Out-of-range and NaN quantiles clamp instead of panicking.
-        assert_eq!(percentile(&one, -3.0), Some(one[0]));
-        assert_eq!(percentile(&one, 42.0), Some(one[0]));
-        assert_eq!(percentile(&one, f64::NAN), Some(one[0]));
-    }
-
-    #[test]
-    fn percentile_brackets_latency_model_samples() {
-        let m = LatencyModel::lan();
-        let samples: Vec<Duration> = (0..100).map(|i| m.transfer(i * 1000)).collect();
-        let p50 = percentile(&samples, 0.5).unwrap();
-        let p99 = percentile(&samples, 0.99).unwrap();
-        assert!(p50 < p99);
-        assert_eq!(p50, m.transfer(49_000), "rank 50 of 100 affine samples");
-        assert_eq!(p99, m.transfer(98_000));
     }
 
     #[test]

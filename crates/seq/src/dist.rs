@@ -376,7 +376,7 @@ impl Metric<[u8]> for MatrixDistance {
     }
 
     /// Sixteen candidates per kernel call, one per byte lane
-    /// ([`crate::simd::matrix_scan`]); per pair when the bound is too
+    /// (`simd::matrix_scan`); per pair when the bound is too
     /// loose for `u8` lanes, the table does not fit them, or SIMD is off.
     ///
     /// # Panics

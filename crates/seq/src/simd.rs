@@ -7,15 +7,15 @@
 //!
 //! * **Hamming** — a mismatch count. `cmpeq` + `movemask` + popcount over
 //!   16-byte (SSE2, the x86_64 baseline) or 32-byte (AVX2,
-//!   runtime-detected) chunks. [`hamming_scan`] scores a whole candidate
+//!   runtime-detected) chunks. `hamming_scan` scores a whole candidate
 //!   list through the 16-byte kernel with the dispatch decided once,
 //!   outside the loop, and `popcnt` enabled.
 //! * **MatrixDistance** — every table entry is a whole number of
 //!   *half-units* (`MatrixDistance` builds them as `|a| + |b|` of integer
 //!   scores), a window distance is the integer sum of its entries, and the
 //!   `f32` a caller sees is that sum × 0.5 — exact below 2²⁴ half-units.
-//!   [`matrix_sum_bounded`] is the per-pair kernel (8-residue spans, one
-//!   early-abandon check per span). [`matrix_scan`] scores candidates
+//!   `matrix_sum_bounded` is the per-pair kernel (8-residue spans, one
+//!   early-abandon check per span). `matrix_scan` scores candidates
 //!   **sixteen at a time**, one per byte lane: a 16×16 byte transpose
 //!   turns sixteen windows into sixteen position columns, and each
 //!   position costs two `pshufb` look-ups into the query residue's

@@ -1,4 +1,5 @@
-//! Dynamic vp-tree insertion (§III-D).
+//! Dynamic vp-tree insertion (§III-D): the [`VpTree`] methods that grow
+//! a built (or empty, `VpTree::build(Vec::new(), …)`) tree.
 //!
 //! The original vp-tree is static: "the dataset in its entirety must be
 //! present and inserted at the time of creation". Mendel needs ongoing
@@ -19,8 +20,7 @@
 //! all rebuilds, so external references (Mendel's inverted-index block
 //! ids) never dangle.
 
-use crate::knn::Neighbor;
-use crate::tree::{Node, VpTree, VpTreeStats, NIL};
+use crate::tree::{Node, VpTree, NIL};
 use mendel_seq::Metric;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -39,47 +39,23 @@ pub enum InsertOutcome {
     RebuiltRoot,
 }
 
-/// A vp-tree supporting single-element and batched insertion.
-#[derive(Debug)]
-pub struct DynamicVpTree<P, M> {
-    tree: VpTree<P, M>,
-    rebuild_count: usize,
-}
-
-impl<P: Clone, M: Metric<P>> DynamicVpTree<P, M> {
-    /// An empty dynamic tree.
-    pub fn new(metric: M, bucket_capacity: usize, seed: u64) -> Self {
-        DynamicVpTree {
-            tree: VpTree::build(Vec::new(), metric, bucket_capacity, seed),
-            rebuild_count: 0,
-        }
-    }
-
-    /// Bulk-build from an initial collection (preferred when the data is
-    /// known up front).
-    pub fn build(points: Vec<P>, metric: M, bucket_capacity: usize, seed: u64) -> Self {
-        DynamicVpTree {
-            tree: VpTree::build(points, metric, bucket_capacity, seed),
-            rebuild_count: 0,
-        }
-    }
-
+impl<P, M: Metric<P>> VpTree<P, M> {
     /// Insert one element, returning its stable arena index and the
     /// §III-D case taken.
     pub fn insert(&mut self, point: P) -> (u32, InsertOutcome) {
         let result = self.insert_inner(point);
         #[cfg(feature = "strict-invariants")]
-        self.tree.assert_invariants("dynamic insert");
+        self.assert_invariants("dynamic insert");
         result
     }
 
     fn insert_inner(&mut self, point: P) -> (u32, InsertOutcome) {
-        let idx = self.tree.points.len() as u32;
-        self.tree.points.push(point);
+        let idx = self.points.len() as u32;
+        self.points.push(point);
 
-        if self.tree.root == NIL {
-            self.tree.nodes.push(Node::Leaf { bucket: vec![idx] });
-            self.tree.root = (self.tree.nodes.len() - 1) as u32;
+        if self.root == NIL {
+            self.nodes.push(Node::Leaf { bucket: vec![idx] });
+            self.root = (self.nodes.len() - 1) as u32;
             return (idx, InsertOutcome::Appended);
         }
 
@@ -87,10 +63,10 @@ impl<P: Clone, M: Metric<P>> DynamicVpTree<P, M> {
         // bounds along the way so ancestor prunes stay sound for the new
         // element.
         let mut path: Vec<u32> = Vec::new();
-        let mut node = self.tree.root;
+        let mut node = self.root;
         loop {
             path.push(node);
-            match &mut self.tree.nodes[node as usize] {
+            match &mut self.nodes[node as usize] {
                 Node::Leaf { .. } => break,
                 Node::Internal {
                     vantage,
@@ -100,10 +76,9 @@ impl<P: Clone, M: Metric<P>> DynamicVpTree<P, M> {
                     left_bounds,
                     right_bounds,
                 } => {
-                    let d = self.tree.metric.dist(
-                        &self.tree.points[idx as usize],
-                        &self.tree.points[*vantage as usize],
-                    );
+                    let d = self
+                        .metric
+                        .dist(&self.points[idx as usize], &self.points[*vantage as usize]);
                     let go_left = d <= *radius;
                     let (child, bounds) = if go_left {
                         (left, left_bounds)
@@ -115,9 +90,9 @@ impl<P: Clone, M: Metric<P>> DynamicVpTree<P, M> {
                     if *child == NIL {
                         // Empty slot (possible after duplicate-heavy builds):
                         // create a fresh leaf in place.
-                        self.tree.nodes.push(Node::Leaf { bucket: vec![idx] });
-                        let new_leaf = (self.tree.nodes.len() - 1) as u32;
-                        match &mut self.tree.nodes[node as usize] {
+                        self.nodes.push(Node::Leaf { bucket: vec![idx] });
+                        let new_leaf = (self.nodes.len() - 1) as u32;
+                        match &mut self.nodes[node as usize] {
                             Node::Internal { left, right, .. } => {
                                 if go_left {
                                     *left = new_leaf;
@@ -137,8 +112,8 @@ impl<P: Clone, M: Metric<P>> DynamicVpTree<P, M> {
         // Case 1: room in the leaf bucket. The loop above only breaks on
         // a leaf, so `node` is its index.
         let leaf = node;
-        if let Node::Leaf { bucket } = &mut self.tree.nodes[leaf as usize] {
-            if bucket.len() < self.tree.bucket_capacity {
+        if let Node::Leaf { bucket } = &mut self.nodes[leaf as usize] {
+            if bucket.len() < self.bucket_capacity {
                 bucket.push(idx);
                 return (idx, InsertOutcome::Appended);
             }
@@ -152,8 +127,7 @@ impl<P: Clone, M: Metric<P>> DynamicVpTree<P, M> {
             // "Has room" = a balanced rebuild can absorb the new element
             // without growing the subtree's height: a height-h vp-tree
             // holds at most 2^h full buckets plus 2^h − 1 vantage elements.
-            let capacity =
-                (1usize << height) * self.tree.bucket_capacity + ((1usize << height) - 1);
+            let capacity = (1usize << height) * self.bucket_capacity + ((1usize << height) - 1);
             if count + 1 <= capacity {
                 self.rebuild_subtree(anc, path.get(anc_pos.wrapping_sub(1)).copied(), idx);
                 let levels = levels_up + 1;
@@ -181,16 +155,16 @@ impl<P: Clone, M: Metric<P>> DynamicVpTree<P, M> {
     /// affected subtrees. Returns the stable indices.
     pub fn insert_batch(&mut self, batch: impl IntoIterator<Item = P>) -> Vec<u32> {
         let batch: Vec<P> = batch.into_iter().collect();
-        let start = self.tree.points.len() as u32;
+        let start = self.points.len() as u32;
         if batch.is_empty() {
             return Vec::new();
         }
-        if batch.len() * 4 >= self.tree.points.len() {
-            self.tree.points.extend(batch);
+        if batch.len() * 4 >= self.points.len() {
+            self.points.extend(batch);
             self.rebuild_root();
             #[cfg(feature = "strict-invariants")]
-            self.tree.assert_invariants("batch rebuild");
-            (start..self.tree.points.len() as u32).collect()
+            self.assert_invariants("batch rebuild");
+            (start..self.points.len() as u32).collect()
         } else {
             batch.into_iter().map(|p| self.insert(p).0).collect()
         }
@@ -199,7 +173,7 @@ impl<P: Clone, M: Metric<P>> DynamicVpTree<P, M> {
     /// (elements, height) of the subtree rooted at `node`; a lone leaf has
     /// height 0.
     fn subtree_occupancy(&self, node: u32) -> (usize, usize) {
-        match &self.tree.nodes[node as usize] {
+        match &self.nodes[node as usize] {
             Node::Leaf { bucket } => (bucket.len(), 0),
             Node::Internal { left, right, .. } => {
                 let (mut c, mut h) = (1usize, 0usize); // vantage counts as an element
@@ -217,7 +191,7 @@ impl<P: Clone, M: Metric<P>> DynamicVpTree<P, M> {
 
     /// Collect every element index under `node`.
     fn collect_subtree(&self, node: u32, out: &mut Vec<u32>) {
-        match &self.tree.nodes[node as usize] {
+        match &self.nodes[node as usize] {
             Node::Leaf { bucket } => out.extend_from_slice(bucket),
             Node::Internal {
                 vantage,
@@ -244,11 +218,11 @@ impl<P: Clone, M: Metric<P>> DynamicVpTree<P, M> {
         self.collect_subtree(node, &mut items);
         items.push(extra);
         self.rebuild_count += 1;
-        let mut rng = ChaCha8Rng::seed_from_u64(self.tree.seed ^ (self.rebuild_count as u64) << 17);
-        let new_node = self.tree.build_rec(&mut items, &mut rng);
+        let mut rng = ChaCha8Rng::seed_from_u64(self.seed ^ (self.rebuild_count as u64) << 17);
+        let new_node = self.build_rec(&mut items, &mut rng);
         match parent {
-            None => self.tree.root = new_node,
-            Some(p) => match &mut self.tree.nodes[p as usize] {
+            None => self.root = new_node,
+            Some(p) => match &mut self.nodes[p as usize] {
                 Node::Internal { left, right, .. } => {
                     if *left == node {
                         *left = new_node;
@@ -265,10 +239,10 @@ impl<P: Clone, M: Metric<P>> DynamicVpTree<P, M> {
     /// Rebuild the whole tree from the point arena (case 4 and batch path).
     fn rebuild_root(&mut self) {
         self.rebuild_count += 1;
-        self.tree.nodes.clear();
-        let mut rng = ChaCha8Rng::seed_from_u64(self.tree.seed ^ (self.rebuild_count as u64) << 17);
-        let mut items: Vec<u32> = (0..self.tree.points.len() as u32).collect();
-        self.tree.root = self.tree.build_rec(&mut items, &mut rng);
+        self.nodes.clear();
+        let mut rng = ChaCha8Rng::seed_from_u64(self.seed ^ (self.rebuild_count as u64) << 17);
+        let mut items: Vec<u32> = (0..self.points.len() as u32).collect();
+        self.root = self.build_rec(&mut items, &mut rng);
     }
 
     /// Drop garbage arena nodes left behind by subtree rebuilds (a full
@@ -276,15 +250,7 @@ impl<P: Clone, M: Metric<P>> DynamicVpTree<P, M> {
     pub fn compact(&mut self) {
         self.rebuild_root();
         #[cfg(feature = "strict-invariants")]
-        self.tree.assert_invariants("compact");
-    }
-
-    /// Deep structural validation of the underlying tree — see
-    /// [`VpTree::check_invariants`]. After subtree rebuilds the arena
-    /// holds orphan nodes; the checker only audits what is reachable,
-    /// so it holds at every point of a dynamic tree's life.
-    pub fn check_invariants(&self) -> Result<(), String> {
-        self.tree.check_invariants()
+        self.assert_invariants("compact");
     }
 
     /// How many subtree/root rebuilds have run so far.
@@ -293,53 +259,15 @@ impl<P: Clone, M: Metric<P>> DynamicVpTree<P, M> {
         self.rebuild_count
     }
 
-    /// The `n` nearest neighbours of `query` (see [`VpTree::knn`]).
-    pub fn knn(&self, query: &P, n: usize) -> Vec<Neighbor> {
-        self.tree.knn(query, n)
-    }
-
-    /// Budgeted k-NN (see [`VpTree::knn_with_budget`]).
-    pub fn knn_with_budget(&self, query: &P, n: usize, budget: usize) -> Vec<Neighbor> {
-        self.tree.knn_with_budget(query, n, budget)
-    }
-
-    /// All neighbours within `radius` (see [`VpTree::range`]).
-    pub fn range(&self, query: &P, radius: f32) -> Vec<Neighbor> {
-        self.tree.range(query, radius)
-    }
-
-    /// Number of indexed elements.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.tree.len()
-    }
-
-    /// True when nothing is indexed.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.tree.is_empty()
-    }
-
-    /// The element at stable arena index `i`.
-    #[inline]
-    pub fn point(&self, i: u32) -> &P {
-        self.tree.point(i)
-    }
-
-    /// Structural statistics of the underlying tree.
-    pub fn stats(&self) -> VpTreeStats {
-        self.tree.stats()
-    }
-
-    /// Attach search counters to the underlying tree (preserved across
-    /// rebuilds, which restructure the arena in place).
-    pub fn set_metrics(&mut self, metrics: crate::metrics::SearchMetrics) {
-        self.tree.set_metrics(metrics);
-    }
-
-    /// The underlying tree's search counters.
-    pub fn search_metrics(&self) -> &crate::metrics::SearchMetrics {
-        self.tree.search_metrics()
+    /// Forget every point. Metric, bucket capacity, seed and search
+    /// counters stay; the rebuild count restarts at 0, because it seeds
+    /// every rebuild (`seed ^ rebuilds << 17`), so a cleared tree regrows
+    /// exactly like a fresh empty one.
+    pub fn clear(&mut self) {
+        self.points.clear();
+        self.nodes.clear();
+        self.root = NIL;
+        self.rebuild_count = 0;
     }
 }
 
@@ -350,10 +278,10 @@ mod tests {
     use mendel_seq::{BlockDistance, Hamming};
     use rand::Rng;
 
-    type Tree = DynamicVpTree<Vec<u8>, BlockDistance<Hamming>>;
+    type Tree = VpTree<Vec<u8>, BlockDistance<Hamming>>;
 
     fn empty(bucket: usize) -> Tree {
-        DynamicVpTree::new(BlockDistance::new(Hamming), bucket, 99)
+        VpTree::build(Vec::new(), BlockDistance::new(Hamming), bucket, 99)
     }
 
     fn random_points(n: usize, len: usize, seed: u64) -> Vec<Vec<u8>> {
@@ -525,14 +453,14 @@ mod tests {
 
     #[test]
     fn dynamic_searches_route_through_the_bounded_kernel_bit_identically() {
-        // The dynamic tree delegates knn / budgeted knn / range to the
-        // inner VpTree's bounded-kernel search; incremental inserts must
+        // A grown tree searches (knn / budgeted knn / range) through the
+        // same bounded kernels as a built one; incremental inserts must
         // not break the bit-identity contract against an `Unbounded`
         // twin grown through the same mutation sequence.
         use mendel_seq::{MatrixDistance, ScoringMatrix, Unbounded};
         let matrix = MatrixDistance::mendel(&ScoringMatrix::blosum62());
-        let mut bounded = DynamicVpTree::new(BlockDistance::new(matrix.clone()), 4, 7);
-        let mut baseline = DynamicVpTree::new(BlockDistance::new(Unbounded(matrix)), 4, 7);
+        let mut bounded = VpTree::build(Vec::new(), BlockDistance::new(matrix.clone()), 4, 7);
+        let mut baseline = VpTree::build(Vec::new(), BlockDistance::new(Unbounded(matrix)), 4, 7);
         for chunk in random_points(300, 12, 40).chunks(60) {
             bounded.insert_batch(chunk.to_vec());
             baseline.insert_batch(chunk.to_vec());
@@ -575,5 +503,49 @@ mod tests {
                 .collect();
             assert_eq!(got, want);
         }
+    }
+
+    #[test]
+    fn cleared_tree_regrows_like_a_fresh_one() {
+        // Large batches take the root rebuild, small ones the per-element
+        // §III-D cases, so both rebuild seeds are exercised.
+        let batches = [
+            random_points(200, 8, 60),
+            random_points(7, 8, 61),
+            random_points(120, 8, 62),
+            random_points(3, 8, 63),
+        ];
+        let grow = |t: &mut Tree| {
+            for b in &batches {
+                t.insert_batch(b.clone());
+            }
+        };
+        let mut cleared = empty(4);
+        let counters = crate::metrics::SearchMetrics::detached();
+        cleared.set_metrics(counters.clone());
+        grow(&mut cleared);
+        cleared.knn(&vec![0u8; 8], 3);
+        cleared.clear();
+        assert!(cleared.is_empty());
+        assert_eq!(cleared.rebuilds(), 0);
+        grow(&mut cleared);
+        let mut fresh = empty(4);
+        grow(&mut fresh);
+        assert_eq!(cleared.stats(), fresh.stats());
+        assert_eq!(cleared.rebuilds(), fresh.rebuilds());
+        assert_eq!(cleared.check_invariants(), Ok(()));
+        let before = counters.dist_calls.get();
+        for q in random_points(12, 8, 64) {
+            let (got, want) = (cleared.knn(&q, 5), fresh.knn(&q, 5));
+            assert_eq!(got.len(), want.len());
+            for (g, w) in got.iter().zip(&want) {
+                assert_eq!(g.index, w.index);
+                assert_eq!(g.dist.to_bits(), w.dist.to_bits());
+            }
+        }
+        assert!(
+            counters.dist_calls.get() > before,
+            "clear keeps the search counters attached"
+        );
     }
 }

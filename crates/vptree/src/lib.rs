@@ -2,13 +2,13 @@
 //!
 //! Implements §III of the paper:
 //!
-//! * [`tree`] — the bulk-built vp-tree (Yianilos 1993) with the two
+//! * [`tree`] — the vp-tree (Yianilos 1993), [`VpTree`], with the two
 //!   optimizations of §III-D: leaf *buckets* and per-subtree distance
 //!   *bounds* used for extra pruning during search,
 //! * [`knn`] — the shrinking-τ k-nearest-neighbour search machinery,
-//! * [`dynamic`] — single-element and batched insertion with the four
-//!   rebalancing cases of Fu et al. (VLDB J. 2000) that the paper adopts
-//!   (§III-D's dynamic indexing discussion),
+//! * [`dynamic`] — how a [`VpTree`] grows: single-element and batched
+//!   insertion with the four rebalancing cases of Fu et al. (VLDB J.
+//!   2000) that the paper adopts (§III-D's dynamic indexing discussion),
 //! * [`prefix`] — the vp-*prefix* tree of §III-E/F: a depth-limited
 //!   vp-tree whose root-to-node binary paths act as a locality-sensitive
 //!   hash, including multi-group fan-out when a query ball straddles a
@@ -25,7 +25,6 @@ pub mod metrics;
 pub mod prefix;
 pub mod tree;
 
-pub use dynamic::DynamicVpTree;
 pub use knn::{brute_force_knn, Neighbor};
 pub use metrics::SearchMetrics;
 pub use prefix::{GroupAssignment, VpPrefixTree};

@@ -1,7 +1,7 @@
 //! Search instrumentation for the vp-tree (`mendel.vptree.*`).
 //!
 //! Counting happens in two stages so the hot path stays cheap: the
-//! traversal accumulates into a plain-integer [`SearchTally`] on the
+//! traversal accumulates into a plain-integer `SearchTally` on the
 //! stack, and each public search entry point flushes the tally into the
 //! shared [`SearchMetrics`] atomics once — a handful of relaxed
 //! `fetch_add`s per *query*, not per *distance call*. The overhead

@@ -57,7 +57,8 @@ pub(crate) enum Node {
     },
 }
 
-/// A bulk-built vantage-point tree over points of type `P` under metric `M`.
+/// A vantage-point tree over points of type `P` under metric `M`:
+/// bulk-built, then grown by the §III-D insertion of [`crate::dynamic`].
 #[derive(Debug)]
 pub struct VpTree<P, M> {
     pub(crate) metric: M,
@@ -66,6 +67,9 @@ pub struct VpTree<P, M> {
     pub(crate) root: u32,
     pub(crate) bucket_capacity: usize,
     pub(crate) seed: u64,
+    /// Subtree/root rebuilds run by dynamic insertion; each seeds its
+    /// own vantage sampling from it (see [`VpTree::rebuilds`]).
+    pub(crate) rebuild_count: usize,
     /// Search instrumentation (`mendel.vptree.*`); detached by default,
     /// attach registry-backed handles with [`VpTree::set_metrics`].
     pub(crate) obs: SearchMetrics,
@@ -119,6 +123,7 @@ impl<P, M: Metric<P>> VpTree<P, M> {
             root: NIL,
             bucket_capacity,
             seed,
+            rebuild_count: 0,
             obs: SearchMetrics::default(),
         };
         let mut rng = ChaCha8Rng::seed_from_u64(seed);

@@ -2,7 +2,7 @@
 //! load-bearing invariant of the whole Mendel search path.
 
 use mendel_seq::{BlockDistance, Hamming, Metric};
-use mendel_vptree::{brute_force_knn, DynamicVpTree, VpPrefixTree, VpTree};
+use mendel_vptree::{brute_force_knn, VpPrefixTree, VpTree};
 use proptest::prelude::*;
 
 fn points(n: std::ops::Range<usize>) -> impl Strategy<Value = Vec<Vec<u8>>> {
@@ -61,7 +61,7 @@ proptest! {
         k in 1usize..5,
     ) {
         let bulk = VpTree::build(pts.clone(), BlockDistance::new(Hamming), 4, 17);
-        let mut dynamic = DynamicVpTree::new(BlockDistance::new(Hamming), 4, 17);
+        let mut dynamic = VpTree::build(Vec::new(), BlockDistance::new(Hamming), 4, 17);
         for p in pts {
             dynamic.insert(p);
         }

@@ -13,7 +13,6 @@
 
 use mendel_suite::core::{snapshot, ClusterConfig, MendelCluster, QueryParams};
 use mendel_suite::dht::NodeId;
-use mendel_suite::net::LatencyModel;
 use mendel_suite::seq::gen::{NrLikeSpec, QuerySetSpec};
 use std::sync::Arc;
 use std::time::Instant;
@@ -115,8 +114,7 @@ fn main() {
     let full_index_time = fresh.index_elapsed();
     let bytes = snapshot::save(&fresh).expect("unmodified membership");
     let t = Instant::now();
-    let restored = snapshot::restore(&bytes.clone(), db.clone(), LatencyModel::lan())
-        .expect("snapshot is well-formed");
+    let restored = snapshot::restore(&bytes.clone(), db.clone()).expect("snapshot is well-formed");
     let restore_time = t.elapsed();
     let a = fresh.query(&query.query.residues, &params).unwrap();
     let b = restored.query(&query.query.residues, &params).unwrap();

@@ -236,8 +236,8 @@ fn ingest_while_degraded_heals_to_full_replication() {
     let params = QueryParams::protein();
 
     // A node dies; new data arrives while it is down. Replicas that
-    // would land on the dead node are skipped, leaving fresh blocks
-    // under-replicated.
+    // would land on the dead node go to the next live member of its
+    // group instead, so the fresh blocks are never under-replicated.
     cluster.fail_node(NodeId(2)).unwrap();
     let extra = NrLikeSpec {
         families: 2,
@@ -251,25 +251,21 @@ fn ingest_while_degraded_heals_to_full_replication() {
     let new_seqs: Vec<_> = extra.iter().cloned().collect();
     let ids = cluster.insert_sequences(new_seqs.clone()).unwrap();
 
-    // The new data is findable right away (some replica is live).
+    // The new data is findable right away (its replicas are live).
     let r = cluster.query(&new_seqs[0].residues, &params).unwrap();
     assert_eq!(r.best().unwrap().subject, ids[0]);
     assert!(!r.coverage.degraded, "live replicas carry the new blocks");
-
-    // Node returns; repair restores every block to replication 2.
-    cluster.recover_node(NodeId(2)).unwrap();
-    let report = cluster.repair();
-    assert!(
-        report.copies_added > 0,
-        "under-replicated ingest gets copies"
-    );
-    let coverage = cluster.coverage();
     assert_eq!(
         cluster.total_blocks(),
-        2 * coverage.blocks_expected,
-        "every distinct block is back at replication 2"
+        2 * cluster.coverage().blocks_expected,
+        "the ingest placed two copies of every new block"
     );
-    assert_eq!(cluster.repair().copies_added, 0, "repair is idempotent");
+
+    // Node returns; every block is already at replication 2, so repair
+    // has nothing to copy.
+    cluster.recover_node(NodeId(2)).unwrap();
+    assert_eq!(cluster.repair().copies_added, 0, "nothing under-replicated");
+    assert!(!cluster.coverage().degraded);
 }
 
 #[test]

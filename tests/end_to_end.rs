@@ -4,7 +4,6 @@
 
 use mendel_suite::core::{snapshot, ClusterConfig, MendelCluster, QueryParams};
 use mendel_suite::dht::NodeId;
-use mendel_suite::net::LatencyModel;
 use mendel_suite::seq::gen::{NrLikeSpec, QuerySetSpec};
 use mendel_suite::seq::{SeqId, SeqStore};
 use std::sync::Arc;
@@ -107,7 +106,7 @@ fn snapshot_restores_into_an_equivalent_cluster() {
     let db = family_db(6);
     let original = MendelCluster::build(ClusterConfig::small_protein(), db.clone()).unwrap();
     let bytes = snapshot::save(&original).unwrap();
-    let restored = snapshot::restore(&bytes, db.clone(), LatencyModel::lan()).unwrap();
+    let restored = snapshot::restore(&bytes, db.clone()).unwrap();
     let params = QueryParams::protein();
     for id in [0u32, 9, 33] {
         let q = db.get(SeqId(id)).unwrap().residues.clone();
@@ -170,7 +169,7 @@ fn restored_snapshot_accepts_incremental_ingest() {
     let db = family_db(10);
     let original = MendelCluster::build(ClusterConfig::small_protein(), db.clone()).unwrap();
     let bytes = snapshot::save(&original).unwrap();
-    let restored = snapshot::restore(&bytes, db.clone(), LatencyModel::lan()).unwrap();
+    let restored = snapshot::restore(&bytes, db.clone()).unwrap();
 
     let extra = NrLikeSpec {
         families: 2,

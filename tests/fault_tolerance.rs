@@ -2,7 +2,7 @@
 //! extensions this reproduction implements).
 
 use mendel_suite::core::{ClusterConfig, MendelCluster, MendelError, QueryParams};
-use mendel_suite::dht::NodeId;
+use mendel_suite::dht::{GroupId, NodeId};
 use mendel_suite::obs::SlowLogConfig;
 use mendel_suite::seq::gen::NrLikeSpec;
 use mendel_suite::seq::{SeqId, SeqStore};
@@ -429,4 +429,65 @@ fn scale_out_actually_moves_load() {
         after.total() <= before.total() + db_bytes,
         "at most one extra backing copy per added node"
     );
+}
+
+/// Sequences absent from every `db(seed)` corpus, for ingest tests.
+fn fresh_sequences() -> Vec<mendel_suite::seq::Sequence> {
+    NrLikeSpec {
+        families: 3,
+        members_per_family: 2,
+        length_range: (150, 220),
+        seed: 0xAB,
+        ..Default::default()
+    }
+    .generate()
+    .unwrap()
+    .iter()
+    .cloned()
+    .collect()
+}
+
+/// An unreplicated ingest with a node down places the down node's share
+/// on the next live member of its group: every new block is placed and
+/// findable, none is dropped.
+#[test]
+fn ingest_with_a_node_down_places_every_block() {
+    let db = db(9);
+    let cluster = replicated_cluster(&db, 1);
+    cluster.fail_node(NodeId(2)).unwrap();
+    let before = cluster.coverage().blocks_expected;
+    let seqs = fresh_sequences();
+    let block_len = cluster.config().block_len;
+    let new_blocks: usize = seqs.iter().map(|s| s.len() - block_len + 1).sum();
+    let ids = cluster.insert_sequences(seqs).unwrap();
+    assert_eq!(cluster.coverage().blocks_expected, before + new_blocks);
+    let params = QueryParams::protein();
+    for id in ids {
+        let q = cluster.db().get(id).unwrap().residues.clone();
+        let report = cluster.query(&q, &params).unwrap();
+        assert!(
+            report.hits.iter().any(|h| h.subject == id),
+            "{id:?} must find itself"
+        );
+    }
+}
+
+/// A group whose every member is down refuses the ingest by name; the
+/// other groups still take their blocks.
+#[test]
+fn ingest_into_a_group_with_every_member_down_names_it() {
+    let db = db(10);
+    let cluster = replicated_cluster(&db, 1);
+    let topo = cluster.topology();
+    for &n in topo.group_members(GroupId(0)) {
+        cluster.fail_node(n).unwrap();
+    }
+    let before = cluster.coverage();
+    assert_eq!(
+        cluster.insert_sequences(fresh_sequences()),
+        Err(MendelError::GroupDown(GroupId(0)))
+    );
+    let after = cluster.coverage();
+    assert_eq!(after.per_group[0].expected, before.per_group[0].expected);
+    assert!(after.per_group[1].expected > before.per_group[1].expected);
 }

@@ -3,7 +3,8 @@
 //! the query engine.
 
 use mendel_suite::core::{
-    check_block_chain, make_blocks, ClusterConfig, MendelCluster, QueryParams, StorageBackend,
+    check_block_chain, make_blocks, ClusterConfig, MendelCluster, MendelError, QueryParams,
+    StorageBackend,
 };
 use mendel_suite::dht::{FlatPlacement, GroupId, NodeId, Topology};
 use mendel_suite::seq::gen::NrLikeSpec;
@@ -180,10 +181,13 @@ proptest! {
     /// does — where that twin is defined. It is not after a scale-out
     /// (another membership), after a repair around a dead holder (the
     /// holder returns and its blocks are held once too often), or after
-    /// an ingest with a node down (fewer copies are placed, none for a
-    /// block whose every replica is down). `calm` runs keep it defined
-    /// — no scale-out, everyone recovered ahead of a repair or an ingest
-    /// — so half the cases reach the comparison.
+    /// an ingest with a node down (the down node's copies land on other
+    /// members, whose trees then hold other blocks than the twin's, so
+    /// budgeted searches can answer differently; and a group with every
+    /// member down takes none of its blocks, which the ingest reports by
+    /// naming the group). `calm` runs keep it defined — no scale-out,
+    /// everyone recovered ahead of a repair or an ingest — so half the
+    /// cases reach the comparison.
     #[test]
     fn ledger_coverage_holds_through_churn(
         ops in proptest::collection::vec((0u8..8, any::<u16>()), 6..12),
@@ -243,8 +247,23 @@ proptest! {
                             ..Default::default()
                         }.generate().unwrap();
                         let extra: Vec<Sequence> = extra.iter().cloned().collect();
-                        twin_defined &= cluster.failed_nodes().is_empty();
-                        cluster.insert_sequences(extra.clone()).unwrap();
+                        let failed = cluster.failed_nodes();
+                        twin_defined &= failed.is_empty();
+                        let before = cluster.coverage().blocks_expected;
+                        let new_blocks: usize =
+                            extra.iter().map(|s| s.len() - config.block_len + 1).sum();
+                        match cluster.insert_sequences(extra.clone()) {
+                            // Every block found a live replica.
+                            Ok(_) => prop_assert_eq!(
+                                cluster.coverage().blocks_expected,
+                                before + new_blocks
+                            ),
+                            Err(MendelError::GroupDown(g)) => prop_assert!(
+                                topo.group_members(g).iter().all(|m| failed.contains(m)),
+                                "{:?} refused with a member up", g
+                            ),
+                            Err(e) => prop_assert!(false, "ingest failed: {}", e),
+                        }
                         ingested.push(extra);
                     }
                     // A member goes dark, its group rebalances onto a
