@@ -111,6 +111,14 @@ if [ "$MODE" != "quick" ]; then
         cargo test --release -p mendel-vptree --test frontier -q
 fi
 
+#    The banded gapped-extension kernel against its reference copy: the
+#    debug suite compares 2,000 generated cases, this release run 50,000
+#    (the sweep ignores itself in debug builds).
+if [ "$MODE" != "quick" ]; then
+    step "gapped-extension differential sweep (release)" \
+        cargo test --release -p mendel-align -q
+fi
+
 # 8. Structural invariant checkers asserted at every mutation site
 #    (see DESIGN.md §8.2).
 if [ "$MODE" != "quick" ]; then

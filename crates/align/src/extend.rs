@@ -8,9 +8,53 @@
 //! best seen. The gapped extension runs an affine-gap DP restricted to a
 //! band of `band` diagonals either side of the anchor diagonal — the
 //! paper's `l` query parameter ("gapped alignment band width").
+//!
+//! # The banded kernel
+//!
+//! Each half of [`extend_gapped_banded`] is Gotoh's affine-gap recurrence
+//! (as in Gapped BLAST), anchored at (0, 0) and kept to the cells with
+//! |i − j| ≤ `band`, where `open1 = open + extend` is the cost of a
+//! one-residue gap:
+//!
+//! ```text
+//! F[i][j] = max(F[i−1][j] − extend, H[i−1][j] − open1)     gap in a
+//! E[i][j] = max(E[i][j−1] − extend, H[i][j−1] − open1)     gap in b
+//! H[i][j] = max(H[i−1][j−1] + s(a_i, b_j), E[i][j], F[i][j])
+//! ```
+//!
+//! with `H[0][j] = −cost(j)` and `H[i][0] = −cost(i)` inside the band.
+//! Written that way, every cell waits on its left neighbour's H, which
+//! waits on its E: a serial chain of several operations per cell. The
+//! kernel splits H instead. `T[j] = max(H[i−1][j−1] + s, F[j])` reads
+//! only the previous row, and
+//!
+//! ```text
+//! E[j] = max(E[j−1] − extend, T[j−1] − open1),   H[j] = max(T[j], E[j])
+//! ```
+//!
+//! leaves E's subtract-and-max as the only chain carried along the row.
+//! E may follow T instead of H because `H[j−1] = max(T[j−1], E[j−1])` and
+//! `E[j−1] − open1 ≤ E[j−1] − extend` whenever `open ≥ 0`, so the term
+//! dropped never wins. At the band's first column the left neighbour is
+//! the boundary H itself. One sweep per row computes F, T, E, H and the
+//! row maximum over three buffers allocated once per half (two H rows,
+//! swapped, and F by column), with no branch per cell.
+//!
+//! Cells outside the band read as `NEG = i32::MIN / 4`, and the adds are
+//! plain. Every cell inside the band has a path from (0, 0) inside the
+//! band, so it holds a real score, at least
+//! `−(|a| + |b|)·max(open1, −min s)`. Only F in the row its column enters
+//! the band and E at the band's first column can be built from outside
+//! cells alone; they, and the one subtraction each takes before a real
+//! score replaces them, stay above `NEG − 2·open1`. So nothing
+//! overflows, and no such value beats a real score while real scores stay
+//! above NEG, i.e. while `(|a| + |b|)·max(open1, −min s) < 2^29`.
 
 use crate::alignment::GapPenalties;
 use mendel_seq::ScoringMatrix;
+
+/// The DP's stand-in for −∞ (see the module doc for its margin).
+const NEG: i32 = i32::MIN / 4;
 
 /// Result of an ungapped diagonal extension.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -129,12 +173,15 @@ pub struct GappedExtension {
     pub subject_end: usize,
     /// Gapped alignment score.
     pub score: i32,
+    /// DP cells evaluated over both halves: the work the extension cost.
+    pub cells: u64,
 }
 
 /// Gapped extension from an anchor midpoint `(q_mid, s_mid)` in both
 /// directions, restricted to `band` diagonals either side of the anchor
 /// diagonal (the paper's `l`). Uses affine gaps and X-drop termination
-/// per DP row.
+/// per DP row (see the module doc for the kernel). `gaps.open` must not be
+/// negative.
 pub fn extend_gapped_banded(
     query: &[u8],
     subject: &[u8],
@@ -150,8 +197,9 @@ pub fn extend_gapped_banded(
         "anchor outside sequences"
     );
     // Forward half: align query[q_mid..] vs subject[s_mid..] anchored at
-    // (0,0). Backward half: the same on reversed prefixes.
-    let (fw_score, fw_q, fw_s) = banded_half(
+    // (0,0). Backward half: the same on reversed prefixes. The two copies
+    // are a few hundred bytes against a DP of tens of thousands of cells.
+    let fw = banded_half(
         &query[q_mid..],
         &subject[s_mid..],
         matrix,
@@ -161,19 +209,33 @@ pub fn extend_gapped_banded(
     );
     let rq: Vec<u8> = query[..q_mid].iter().rev().copied().collect();
     let rs: Vec<u8> = subject[..s_mid].iter().rev().copied().collect();
-    let (bw_score, bw_q, bw_s) = banded_half(&rq, &rs, matrix, gaps, band, x_drop);
+    let bw = banded_half(&rq, &rs, matrix, gaps, band, x_drop);
     GappedExtension {
-        query_start: q_mid - bw_q,
-        query_end: q_mid + fw_q,
-        subject_start: s_mid - bw_s,
-        subject_end: s_mid + fw_s,
-        score: fw_score + bw_score,
+        query_start: q_mid - bw.a_len,
+        query_end: q_mid + fw.a_len,
+        subject_start: s_mid - bw.b_len,
+        subject_end: s_mid + fw.b_len,
+        score: fw.score + bw.score,
+        cells: fw.cells + bw.cells,
     }
 }
 
-/// One direction of the banded extension: global-anchored DP from (0,0)
-/// over `a` × `b`, keeping cells within `band` of the main diagonal,
-/// X-dropping rows, and returning the best (score, a-extent, b-extent).
+/// What one direction of the banded extension found.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Half {
+    /// Best score (0 when nothing beats the empty extension).
+    score: i32,
+    /// Residues of `a` the best alignment covers.
+    a_len: usize,
+    /// Residues of `b` the best alignment covers.
+    b_len: usize,
+    /// DP cells evaluated.
+    cells: u64,
+}
+
+/// One direction of the banded extension: the module doc's DP from (0,0)
+/// over `a` × `b`, keeping cells within `band` of the main diagonal and
+/// X-dropping rows. The best cell is the first maximum in row-major order.
 fn banded_half(
     a: &[u8],
     b: &[u8],
@@ -181,68 +243,77 @@ fn banded_half(
     gaps: GapPenalties,
     band: usize,
     x_drop: i32,
-) -> (i32, usize, usize) {
-    const NEG: i32 = i32::MIN / 4;
-    let n = b.len();
-    if a.is_empty() || n == 0 {
-        return (0, 0, 0);
+) -> Half {
+    debug_assert!(gaps.open >= 0, "E may follow T only when open >= 0");
+    if a.is_empty() || b.is_empty() {
+        return Half::default();
     }
-    // Row-major DP with columns clamped to [i-band, i+band].
-    let mut h_prev: Vec<i32> = vec![NEG; n + 1];
-    let mut f: Vec<i32> = vec![NEG; n + 1];
+    // No row reaches past column |a| + band.
+    let n = b.len().min(a.len() + band);
+    let (extend, open1) = (gaps.extend, gaps.cost(1));
+    // Two H rows, swapped after each DP row, and F by column. A column
+    // enters the band once, from the right, where both buffers still hold
+    // their initial NEG, and is never read after it leaves; so the only
+    // cell of a reused row read before this row writes it is the one left
+    // of the band, set per row below.
+    let mut h_prev = vec![NEG; n + 1];
+    let mut h_row = vec![NEG; n + 1];
+    let mut f = vec![NEG; n + 1];
     h_prev[0] = 0;
     // Row 0: leading gap in `a` (delete run) within the band.
-    for j in 1..=n.min(band) {
-        h_prev[j] = -gaps.cost(j);
+    for (j, h) in h_prev.iter_mut().enumerate().take(band + 1).skip(1) {
+        *h = -gaps.cost(j);
     }
-    let mut best = 0i32;
-    let mut best_at = (0usize, 0usize);
+    let (mut best, mut best_at, mut cells) = (0i32, (0usize, 0usize), 0u64);
 
-    for i in 1..=a.len() {
+    for (i, &code) in (1usize..).zip(a) {
         let lo = i.saturating_sub(band).max(1);
         let hi = (i + band).min(n);
         if lo > hi {
             break;
         }
-        let mut h_row: Vec<i32> = vec![NEG; n + 1];
-        if lo == 1 {
-            // Column 0 inside band: leading gap in `b` (insert run).
-            h_row[0] = if i <= band { -gaps.cost(i) } else { NEG };
+        // Column 0 is inside the band while i <= band: a leading gap in
+        // `b` (insert run).
+        h_row[lo - 1] = if lo == 1 && i <= band {
+            -gaps.cost(i)
+        } else {
+            NEG
+        };
+        let score = matrix.row(code);
+        // E's chain is the only one carried from cell to cell; `left` is T
+        // one column back (the boundary H at the band's first column).
+        let (mut e, mut left, mut row_best) = (NEG, h_row[lo - 1], NEG);
+        for (((h, fj), up), &bj) in h_row[lo..=hi]
+            .iter_mut()
+            .zip(&mut f[lo..=hi])
+            .zip(h_prev[lo - 1..=hi].windows(2))
+            .zip(&b[lo - 1..hi])
+        {
+            *fj = (*fj - extend).max(up[1] - open1);
+            let t = (up[0] + score[usize::from(bj)]).max(*fj);
+            e = (e - extend).max(left - open1);
+            left = t;
+            *h = t.max(e);
+            row_best = row_best.max(*h);
         }
-        let mut e = NEG;
-        let mut row_best = NEG;
-        for j in lo..=hi {
-            let open_from = if j >= 1 { h_row[j - 1] } else { NEG };
-            e = (e - gaps.extend).max(saturating(open_from, -gaps.cost(1)));
-            f[j] = (f[j] - gaps.extend).max(saturating(h_prev[j], -gaps.cost(1)));
-            let diag = saturating(h_prev[j - 1], matrix.score(a[i - 1], b[j - 1]));
-            let v = diag.max(e).max(f[j]);
-            h_row[j] = v;
-            row_best = row_best.max(v);
-            if v > best {
-                best = v;
-                best_at = (i, j);
-            }
+        // The row's first maximum is where a row-major scan with a strict
+        // `>` would have left `best_at`.
+        if row_best > best {
+            let first = h_row[lo..=hi].iter().position(|&v| v == row_best);
+            best = row_best;
+            best_at = (i, lo + first.unwrap_or(0));
         }
+        cells += (hi - lo + 1) as u64;
         if best - row_best > x_drop {
             break;
         }
-        h_prev = h_row;
+        std::mem::swap(&mut h_prev, &mut h_row);
     }
-    (
-        best.max(0),
-        if best > 0 { best_at.0 } else { 0 },
-        if best > 0 { best_at.1 } else { 0 },
-    )
-}
-
-#[inline]
-fn saturating(base: i32, delta: i32) -> i32 {
-    const NEG: i32 = i32::MIN / 4;
-    if base <= NEG {
-        NEG
-    } else {
-        base + delta
+    Half {
+        score: best,
+        a_len: best_at.0,
+        b_len: best_at.1,
+        cells,
     }
 }
 
@@ -369,5 +440,281 @@ mod tests {
             18 * 2 - GAPS.cost(4),
             "wide band bridges the indel"
         );
+    }
+}
+
+/// The banded kernel as it stood before the E-from-T rewrite, kept
+/// verbatim apart from a cell count: the oracle the rewrite must match on
+/// every field, for every input.
+#[cfg(test)]
+mod reference {
+    use super::*;
+    use mendel_seq::gen::{random_sequence, MutationModel};
+    use mendel_seq::Alphabet;
+    use proptest::prelude::*;
+    use proptest::test_runner::TestCaseError;
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
+
+    #[allow(clippy::too_many_arguments)]
+    fn reference_extend(
+        query: &[u8],
+        subject: &[u8],
+        q_mid: usize,
+        s_mid: usize,
+        matrix: &ScoringMatrix,
+        gaps: GapPenalties,
+        band: usize,
+        x_drop: i32,
+    ) -> GappedExtension {
+        let (fw_score, fw_q, fw_s, fw_cells) = reference_half(
+            &query[q_mid..],
+            &subject[s_mid..],
+            matrix,
+            gaps,
+            band,
+            x_drop,
+        );
+        let rq: Vec<u8> = query[..q_mid].iter().rev().copied().collect();
+        let rs: Vec<u8> = subject[..s_mid].iter().rev().copied().collect();
+        let (bw_score, bw_q, bw_s, bw_cells) = reference_half(&rq, &rs, matrix, gaps, band, x_drop);
+        GappedExtension {
+            query_start: q_mid - bw_q,
+            query_end: q_mid + fw_q,
+            subject_start: s_mid - bw_s,
+            subject_end: s_mid + fw_s,
+            score: fw_score + bw_score,
+            cells: fw_cells + bw_cells,
+        }
+    }
+
+    fn reference_half(
+        a: &[u8],
+        b: &[u8],
+        matrix: &ScoringMatrix,
+        gaps: GapPenalties,
+        band: usize,
+        x_drop: i32,
+    ) -> (i32, usize, usize, u64) {
+        const NEG: i32 = i32::MIN / 4;
+        let n = b.len();
+        if a.is_empty() || n == 0 {
+            return (0, 0, 0, 0);
+        }
+        // Row-major DP with columns clamped to [i-band, i+band].
+        let mut h_prev: Vec<i32> = vec![NEG; n + 1];
+        let mut f: Vec<i32> = vec![NEG; n + 1];
+        h_prev[0] = 0;
+        // Row 0: leading gap in `a` (delete run) within the band.
+        for j in 1..=n.min(band) {
+            h_prev[j] = -gaps.cost(j);
+        }
+        let mut best = 0i32;
+        let mut best_at = (0usize, 0usize);
+        let mut cells = 0u64;
+
+        for i in 1..=a.len() {
+            let lo = i.saturating_sub(band).max(1);
+            let hi = (i + band).min(n);
+            if lo > hi {
+                break;
+            }
+            let mut h_row: Vec<i32> = vec![NEG; n + 1];
+            if lo == 1 {
+                // Column 0 inside band: leading gap in `b` (insert run).
+                h_row[0] = if i <= band { -gaps.cost(i) } else { NEG };
+            }
+            let mut e = NEG;
+            let mut row_best = NEG;
+            for j in lo..=hi {
+                cells += 1;
+                let open_from = if j >= 1 { h_row[j - 1] } else { NEG };
+                e = (e - gaps.extend).max(saturating(open_from, -gaps.cost(1)));
+                f[j] = (f[j] - gaps.extend).max(saturating(h_prev[j], -gaps.cost(1)));
+                let diag = saturating(h_prev[j - 1], matrix.score(a[i - 1], b[j - 1]));
+                let v = diag.max(e).max(f[j]);
+                h_row[j] = v;
+                row_best = row_best.max(v);
+                if v > best {
+                    best = v;
+                    best_at = (i, j);
+                }
+            }
+            if best - row_best > x_drop {
+                break;
+            }
+            h_prev = h_row;
+        }
+        (
+            best.max(0),
+            if best > 0 { best_at.0 } else { 0 },
+            if best > 0 { best_at.1 } else { 0 },
+            cells,
+        )
+    }
+
+    #[inline]
+    fn saturating(base: i32, delta: i32) -> i32 {
+        const NEG: i32 = i32::MIN / 4;
+        if base <= NEG {
+            NEG
+        } else {
+            base + delta
+        }
+    }
+
+    /// One differential input.
+    #[derive(Debug)]
+    struct Case {
+        query: Vec<u8>,
+        subject: Vec<u8>,
+        q_mid: usize,
+        s_mid: usize,
+        matrix: ScoringMatrix,
+        gaps: GapPenalties,
+        band: usize,
+        x_drop: i32,
+    }
+
+    /// The case drawn from `seed`: BLOSUM62 or DNA(+2/−3); lengths 0–1,000;
+    /// a subject that is either unrelated or a mutant of the query (so the
+    /// DP runs long); ambiguity codes in a quarter of the pairs; anchors at
+    /// either end, on the pair's diagonal, or anywhere; band 0–64, X-drop
+    /// 0–200, open 0–15, extend 0–4.
+    fn case(seed: u64) -> Case {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let (alphabet, matrix) = if rng.random_bool(0.5) {
+            (Alphabet::Protein, ScoringMatrix::blosum62())
+        } else {
+            (Alphabet::Dna, ScoringMatrix::dna(2, -3))
+        };
+        let max_len = [8, 300, 1_000][rng.random_range(0..3usize)];
+        let len = rng.random_range(0..=max_len);
+        let mut query = random_sequence(alphabet, len, &mut rng);
+        let related = rng.random_bool(0.75);
+        let mut subject = if related {
+            let model =
+                MutationModel::with_indels(rng.random_range(0.0..0.5), rng.random_range(0.0..0.15));
+            model.mutate(alphabet, &query, &mut rng)
+        } else {
+            let len = rng.random_range(0..=max_len);
+            random_sequence(alphabet, len, &mut rng)
+        };
+        if rng.random_bool(0.25) {
+            for r in query.iter_mut().chain(subject.iter_mut()) {
+                if rng.random_bool(0.02) {
+                    *r = rng.random_range(0..alphabet.size() as u8);
+                }
+            }
+        }
+        let anywhere = |len: usize, rng: &mut ChaCha8Rng| match rng.random_range(0..4u8) {
+            0 => 0,
+            1 => len,
+            _ => rng.random_range(0..=len),
+        };
+        let q_mid = anywhere(query.len(), &mut rng);
+        let s_mid = if related && rng.random_bool(0.5) {
+            (q_mid * subject.len())
+                .checked_div(query.len())
+                .unwrap_or(0)
+        } else {
+            anywhere(subject.len(), &mut rng)
+        };
+        Case {
+            query,
+            subject,
+            q_mid,
+            s_mid,
+            matrix,
+            gaps: GapPenalties {
+                open: rng.random_range(0..=15),
+                extend: rng.random_range(0..=4),
+            },
+            band: rng.random_range(0..=64),
+            x_drop: rng.random_range(0..=200),
+        }
+    }
+
+    fn agrees(seed: u64) -> Result<(), TestCaseError> {
+        let c = case(seed);
+        let (q, s) = (&c.query[..], &c.subject[..]);
+        let (mid, m) = ((c.q_mid, c.s_mid), &c.matrix);
+        prop_assert_eq!(
+            extend_gapped_banded(q, s, mid.0, mid.1, m, c.gaps, c.band, c.x_drop),
+            reference_extend(q, s, mid.0, mid.1, m, c.gaps, c.band, c.x_drop)
+        );
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2_000))]
+
+        /// The kernel returns the reference's extension on every
+        /// field, `cells` included, so both walk the same band.
+        #[test]
+        fn kernel_equals_the_reference(seed in any::<u64>()) {
+            agrees(seed)?;
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(50_000))]
+
+        /// The same at 25× the cases, in release only (`ci.sh`).
+        #[test]
+        #[cfg_attr(debug_assertions, ignore)]
+        fn kernel_equals_the_reference_release_sweep(seed in any::<u64>()) {
+            agrees(seed)?;
+        }
+    }
+
+    /// The first 2,000 draws reach every corner the sweep claims to cover.
+    #[test]
+    fn cases_reach_every_corner() {
+        let cases: Vec<Case> = (0..2_000).map(case).collect();
+        let any = |p: &dyn Fn(&Case) -> bool| cases.iter().any(p);
+        assert!(any(&|c| c.matrix.alphabet == Alphabet::Protein));
+        assert!(any(&|c| c.matrix.alphabet == Alphabet::Dna));
+        assert!(any(&|c| c.query.is_empty()) && any(&|c| c.subject.is_empty()));
+        assert!(any(&|c| c.query.len() >= 950));
+        assert!(any(&|c| c.q_mid == 0 && !c.query.is_empty()));
+        assert!(any(&|c| c.q_mid == c.query.len() && !c.query.is_empty()));
+        assert!(any(&|c| c.band == 0) && any(&|c| c.band == 64));
+        assert!(any(&|c| c.x_drop == 0) && any(&|c| c.x_drop == 200));
+        assert!(any(&|c| c.gaps.open == 0) && any(&|c| c.gaps.open == 15));
+        assert!(any(&|c| c.gaps.extend == 0) && any(&|c| c.gaps.extend == 4));
+        assert!(any(&|c| {
+            let n = c.matrix.alphabet.canonical_size() as u8;
+            c.query.iter().any(|&r| r >= n)
+        }));
+    }
+
+    /// 50,000-residue pairs walk their whole band with every add
+    /// overflow-checked (in a debug build): against itself, where the
+    /// answer is the self-score sum, and against a random subject with no
+    /// X-drop at all.
+    #[test]
+    fn fifty_thousand_residue_pairs_do_not_overflow() {
+        const LEN: usize = 50_000;
+        const BAND: usize = 24;
+        let mut rng = ChaCha8Rng::seed_from_u64(50_000);
+        let a = random_sequence(Alphabet::Protein, LEN, &mut rng);
+        let b = random_sequence(Alphabet::Protein, LEN, &mut rng);
+        let (matrix, gaps) = (ScoringMatrix::blosum62(), GapPenalties::BLASTP_DEFAULT);
+        let half = LEN / 2;
+        let whole_band: u64 = (1..=half)
+            .map(|i| (i.saturating_sub(BAND).max(1)..=(i + BAND).min(half)).count() as u64)
+            .sum();
+
+        let own = extend_gapped_banded(&a, &a, half, half, &matrix, gaps, BAND, 38);
+        let self_score: i32 = a.iter().map(|&r| matrix.score(r, r)).sum();
+        assert_eq!((own.query_start, own.query_end), (0, LEN));
+        assert_eq!((own.subject_start, own.subject_end), (0, LEN));
+        assert_eq!(own.score, self_score);
+        assert_eq!(own.cells, 2 * whole_band);
+
+        let random = extend_gapped_banded(&a, &b, half, half, &matrix, gaps, BAND, i32::MAX);
+        assert_eq!(random.cells, 2 * whole_band);
+        assert!(random.score >= 0 && random.query_end <= LEN && random.subject_end <= LEN);
     }
 }

@@ -592,7 +592,8 @@ impl MendelCluster {
 
     /// §V-B final stage: bin anchors by subject, run banded gapped
     /// extensions for anchors whose normalized score clears `S`, score,
-    /// filter by `E`, rank.
+    /// filter by `E`, rank. The extensions run and the DP cells they
+    /// evaluate are added to `mendel.query.gapped_{extensions, cells}`.
     pub(crate) fn finalize(
         &self,
         query: &[u8],
@@ -603,6 +604,7 @@ impl MendelCluster {
         let db = self.db.read().clone();
         let db_residues = db.total_residues();
         let mut hits: Vec<MendelHit> = Vec::new();
+        let (mut extensions, mut cells) = (0u64, 0u64);
         for (subject_id, mut bin) in bin_by_subject(anchors) {
             let subject = match db.get(mendel_seq::SeqId(subject_id)) {
                 Some(s) => &s.residues,
@@ -634,6 +636,8 @@ impl MendelCluster {
                         params.l,
                         params.x_drop_gapped,
                     );
+                    extensions += 1;
+                    cells += g.cells;
                     (
                         g.score.max(a.score),
                         (g.query_start, g.query_end),
@@ -668,6 +672,10 @@ impl MendelCluster {
                 }
             }
         }
+        let obs = self.metrics_registry();
+        obs.counter("mendel.query.gapped_extensions")
+            .add(extensions);
+        obs.counter("mendel.query.gapped_cells").add(cells);
         hits.sort_by(|a, b| {
             a.evalue
                 .total_cmp(&b.evalue)

@@ -146,6 +146,19 @@ impl QueryParams {
         if self.search_budget == 0 {
             return Err(MendelError::Params("search budget must be >= 1".into()));
         }
+        // Costs and drops, not rewards: `extend_ungapped` asserts on a
+        // negative X-drop, and the gapped kernel's recurrence needs
+        // open >= 0.
+        for (name, v) in [
+            ("gap open", self.gaps.open),
+            ("gap extend", self.gaps.extend),
+            ("ungapped X-drop", self.x_drop_ungapped),
+            ("gapped X-drop", self.x_drop_gapped),
+        ] {
+            if v < 0 {
+                return Err(MendelError::Params(format!("{name}={v} must be >= 0")));
+            }
+        }
         Ok(())
     }
 
@@ -225,10 +238,43 @@ mod tests {
         .is_err());
         assert!(QueryParams {
             search_budget: 0,
-            ..ok
+            ..ok.clone()
         }
         .validate()
         .is_err());
+        for gaps in [
+            GapPenalties {
+                open: -1,
+                ..ok.gaps
+            },
+            GapPenalties {
+                extend: -1,
+                ..ok.gaps
+            },
+        ] {
+            assert!(QueryParams { gaps, ..ok.clone() }.validate().is_err());
+        }
+        assert!(QueryParams {
+            x_drop_ungapped: -1,
+            ..ok.clone()
+        }
+        .validate()
+        .is_err());
+        assert!(QueryParams {
+            x_drop_gapped: -1,
+            ..ok.clone()
+        }
+        .validate()
+        .is_err());
+        // Zero costs nothing and drops nothing, and is allowed.
+        QueryParams {
+            gaps: GapPenalties { open: 0, extend: 0 },
+            x_drop_ungapped: 0,
+            x_drop_gapped: 0,
+            ..ok
+        }
+        .validate()
+        .unwrap();
     }
 
     #[test]

@@ -862,16 +862,19 @@ pub(crate) fn node_serve_loop<T: Transport>(
 }
 
 /// The trust boundary of a serving node: a decoded request is searched
-/// only if every residue code indexes the cluster's alphabet (the
-/// distance kernels panic on a code outside their table) and every
-/// subquery window lies inside the query. A front-end's own plan never
-/// produces anything else, so a request failing this is malformed or
-/// forged; it is counted in `mendel.wire.rejected_requests` and answered
-/// with an empty anchor set instead of a panic that would stop this
-/// node's serving thread for good.
+/// only if its parameters pass the same [`QueryParams::validate`] as a
+/// front-end's `plan` (a negative ungapped X-drop would trip
+/// `extend_ungapped`'s assert), every residue code indexes the cluster's
+/// alphabet (the distance kernels panic on a code outside their table)
+/// and every subquery window lies inside the query. A front-end's own
+/// plan never produces anything else, so a request failing this is
+/// malformed or forged; it is counted in `mendel.wire.rejected_requests`
+/// and answered with an empty anchor set instead of a panic that would
+/// stop this node's serving thread for good.
 fn admissible(cluster: &MendelCluster, msg: &QueryMsg) -> bool {
     let block_len = cluster.config().block_len;
-    let ok = pipeline::foreign_code(cluster, &msg.query).is_none()
+    let ok = msg.params.to_query_params().validate().is_ok()
+        && pipeline::foreign_code(cluster, &msg.query).is_none()
         && msg.offsets.iter().all(|&offset| {
             offset
                 .checked_add(block_len)
@@ -1472,8 +1475,9 @@ mod tests {
     }
 
     /// Parameters that decode but would have panicked below the trust
-    /// boundary: a neighbour count no heap can preallocate, and a DNA
-    /// matrix name whose scores `ScoringMatrix::dna` asserts against.
+    /// boundary: a neighbour count no heap can preallocate, a DNA
+    /// matrix name whose scores `ScoringMatrix::dna` asserts against, and
+    /// a negative ungapped X-drop, which `extend_ungapped` asserts against.
     #[test]
     fn hostile_wire_params_do_not_stop_a_node() {
         let cluster = cluster();
@@ -1492,6 +1496,10 @@ mod tests {
             },
             WireParams {
                 m: "DNA(0/0)".into(),
+                ..WireParams::of(&params)
+            },
+            WireParams {
+                x_drop_ungapped: -1,
                 ..WireParams::of(&params)
             },
         ];

@@ -182,6 +182,18 @@ impl ScoringMatrix {
         self.scores[a as usize * self.n + b as usize]
     }
 
+    /// Every score of residue code `a`, indexed by the other code:
+    /// `row(a)[b] == score(a, b)`. A DP row over one residue of `a` looks
+    /// its scores up here instead of multiplying out each cell's index.
+    ///
+    /// # Panics
+    /// Panics if `a` is out of range for the alphabet.
+    #[inline]
+    pub fn row(&self, a: u8) -> &[i32] {
+        let start = a as usize * self.n;
+        &self.scores[start..start + self.n]
+    }
+
     /// Matrix dimension (number of residue codes).
     #[inline]
     pub fn dim(&self) -> usize {
@@ -353,6 +365,19 @@ mod tests {
         assert_eq!(m.score(enc(b'W'), enc(b'V')), -3);
         assert_eq!(m.score(enc(b'E'), enc(b'Z')), 4);
         assert_eq!(m.score(enc(b'*'), enc(b'*')), 1);
+    }
+
+    #[test]
+    fn rows_agree_with_pair_scores() {
+        for m in [ScoringMatrix::blosum62(), ScoringMatrix::dna(2, -3)] {
+            let n = m.dim() as u8;
+            for a in 0..n {
+                assert_eq!(m.row(a).len(), m.dim());
+                for b in 0..n {
+                    assert_eq!(m.row(a)[b as usize], m.score(a, b), "{} ({a},{b})", m.name);
+                }
+            }
+        }
     }
 
     #[test]

@@ -10,18 +10,19 @@
 //!    inside calls (`early_abandons` > 0).
 //! 2. **query pipeline** — `QueryReport.metrics` is a per-query delta:
 //!    fan-out counter == `stats.groups_contacted`, one turnaround sample
-//!    per query, and identical serial runs produce identical counter
+//!    per query, gapped-extension and DP-cell counts equal on both
+//!    evaluators, and identical serial runs produce identical counter
 //!    deltas.
 //! 3. **fault injection** — the envelope drop and delivery counters must
 //!    equal the counts obtained by replaying the seeded [`FaultPlan`]'s
 //!    verdict stream offline. Fault decisions are per-edge sequences, so
 //!    a fresh plan with the same seed replays them exactly.
 
-use mendel_suite::core::{ClusterConfig, MendelCluster, QueryParams};
+use mendel_suite::core::{ClusterConfig, MendelCluster, QueryParams, WireCluster};
 use mendel_suite::dht::NodeId;
 use mendel_suite::net::fault::{FaultConfig, FaultPlan};
 use mendel_suite::net::{Encode, Network, Verdict};
-use mendel_suite::obs::Registry;
+use mendel_suite::obs::{MetricsSnapshot, Registry};
 use mendel_suite::seq::gen::NrLikeSpec;
 use mendel_suite::seq::{BlockDistance, MatrixDistance, ScoringMatrix, SeqId, SeqStore, Unbounded};
 use mendel_suite::vptree::{SearchMetrics, VpTree};
@@ -264,6 +265,55 @@ fn per_query_deltas_include_stage_histograms() {
     // The simulated stage timings themselves are what the histograms
     // record; both views must agree that time passed.
     assert!(turnaround.sum >= 0.0);
+}
+
+/// The finalize stage's budget in counts: every query exports how many
+/// gapped extensions it ran and how many DP cells they evaluated, and the
+/// in-process evaluator and the wire evaluator count the same for the
+/// same query (one `finalize` behind both).
+#[test]
+fn gapped_extension_counts_are_exported_and_agree_across_evaluators() {
+    let db = small_db(0x0D4);
+    let cluster = Arc::new(
+        MendelCluster::build(
+            ClusterConfig {
+                nodes: 4,
+                groups: 2,
+                replication: 1,
+                ..ClusterConfig::small_protein()
+            },
+            db.clone(),
+        )
+        .unwrap(),
+    );
+    let wire = WireCluster::serve(cluster.clone());
+    let params = QueryParams::protein();
+    let names = [
+        "mendel.query.gapped_extensions",
+        "mendel.query.gapped_cells",
+    ];
+    let counts = |m: &MetricsSnapshot| names.map(|n| m.counter(n));
+    let mut extensions = 0;
+    for i in [0u32, 7, 13] {
+        let query = db.get(SeqId(i)).unwrap().residues.clone();
+        let report = cluster.query(&query, &params).unwrap();
+        let exposition = report.metrics.to_prometheus();
+        for name in names {
+            let prom = name.replace('.', "_");
+            assert!(exposition.contains(&format!("\n{prom} ")), "{name}");
+        }
+        let in_process = counts(&report.metrics);
+
+        let before = cluster.metrics_snapshot();
+        let hits = wire.query(&query, &params).unwrap();
+        let over_wire = counts(&cluster.metrics_snapshot().since(&before));
+        assert_eq!(hits, report.hits, "seq {i}");
+        assert_eq!(over_wire, in_process, "seq {i}: [extensions, cells]");
+        // No extension evaluates no cell; every extension evaluates some.
+        assert_eq!(in_process[0] == 0, in_process[1] == 0, "seq {i}");
+        extensions += in_process[0];
+    }
+    assert!(extensions > 0, "the queries must reach a gapped extension");
 }
 
 #[test]
