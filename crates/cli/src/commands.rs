@@ -714,8 +714,8 @@ fn fmt_bytes(b: f64) -> String {
 
 /// `mendel top` — live cluster overview from the federated metrics
 /// exposition (`/metrics?scope=cluster`): cluster QPS, turnaround
-/// percentiles, shed and degraded-coverage counts, and per-node query
-/// and wire-byte totals. Renders one frame per poll, `--iterations`
+/// percentiles, the degraded-coverage count, and per-node query and
+/// wire-byte totals. Renders one frame per poll, `--iterations`
 /// times (default 3), sleeping `--interval-ms` (default 1000) between
 /// polls; QPS is the counter delta between consecutive frames.
 pub fn cmd_top(args: &Args) -> Result<String, CliError> {
@@ -741,6 +741,7 @@ pub fn cmd_top(args: &Args) -> Result<String, CliError> {
         };
         prev = Some((now, total_q));
         let fmt_ms = |v: Option<f64>| v.map_or("-".to_string(), |ms| format!("{ms:.2}ms"));
+        let turnaround = "mendel_query_turnaround_seconds";
         let mut nodes: Vec<u64> = samples
             .iter()
             .filter_map(|(_, l, _)| prom_label(l, "node")?.parse().ok())
@@ -749,12 +750,11 @@ pub fn cmd_top(args: &Args) -> Result<String, CliError> {
         nodes.dedup();
         let _ = writeln!(
             out,
-            "mendel top @ {addr}  nodes {}  queries {}  qps {qps}  p50 {}  p99 {}  shed {}  degraded {}",
+            "mendel top @ {addr}  nodes {}  queries {}  qps {qps}  p50 {}  p99 {}  degraded {}",
             nodes.len(),
             total_q as u64,
-            fmt_ms(quantile_ms(&samples, "mendel_query_turnaround_seconds", 0.50)),
-            fmt_ms(quantile_ms(&samples, "mendel_query_turnaround_seconds", 0.99)),
-            sum_samples(&samples, "mendel_sched_shed") as u64,
+            fmt_ms(quantile_ms(&samples, turnaround, 0.50)),
+            fmt_ms(quantile_ms(&samples, turnaround, 0.99)),
             sum_samples(&samples, "mendel_query_degraded") as u64,
         );
         for n in &nodes {

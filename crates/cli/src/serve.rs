@@ -65,7 +65,7 @@ use mendel::{
 };
 use mendel_dht::NodeId;
 use mendel_net::mailbox::NodeAddr;
-use mendel_net::tcp::{TcpConfig, TcpTransport};
+use mendel_net::tcp::TcpConfig;
 use mendel_net::TransportMetrics;
 use mendel_seq::{parse_fasta_sequences, Alphabet, SeqStore};
 use parking_lot::Mutex;
@@ -358,8 +358,8 @@ pub fn render_outcome_json(
 struct Serving {
     cluster: Arc<MendelCluster>,
     /// Held for its Drop: owns the bound transport + serving thread.
-    _node_server: NodeServer<TcpTransport>,
-    front: FrontEnd<TcpTransport>,
+    _node_server: NodeServer,
+    front: FrontEnd,
     sequences: usize,
 }
 
@@ -625,7 +625,7 @@ impl State {
                 }
             }
         }
-        collector.dedup();
+        collector.dedup(); // the peers' copies of local spans
         if collector.records().is_empty() {
             return Response::json(404, "{\"error\":\"no records for that trace\"}");
         }

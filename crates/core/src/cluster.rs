@@ -17,7 +17,7 @@ use crate::config::{ClusterConfig, StorageBackend};
 use crate::error::MendelError;
 use crate::ledger::Ledger;
 use crate::metric::BlockMetric;
-use crate::node::{DbCell, NodeSlot, NodeStores};
+use crate::node::{DbCell, LocalSearchOutput, NodeSlot, NodeStores};
 use crate::params::QueryParams;
 use crate::query::identity;
 use crate::report::{MendelHit, QueryReport};
@@ -30,13 +30,12 @@ use mendel_obs::{
     Clock, MetricsSnapshot, MonotonicClock, Registry, SlowLogConfig, SlowQueryLog, SpanRecord,
     TraceCollector, TraceId, TraceTree,
 };
-use mendel_sched::{SchedConfig, Scheduler};
 use mendel_seq::{Alphabet, ScoringMatrix, SeqStore, Sequence};
 use mendel_store::{MemVfs, StoreMetrics, Vfs};
 use mendel_vptree::{GroupAssignment, SearchMetrics, VpPrefixTree};
 use ops::FailureRecord;
 use parking_lot::RwLock;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -69,10 +68,10 @@ pub struct MendelCluster {
     /// wall-clock measurement goes through its injectable clock
     /// (DESIGN.md §11).
     obs: Registry,
-    /// When set, every query assembles a causal trace of its simulated
-    /// timeline into the registry's per-node flight recorders
-    /// (DESIGN.md §12). Off by default: tracing costs a few span
-    /// records per query.
+    /// When set, every sampled query records its span tree — the one
+    /// `mendel serve` records — into the registry's per-node flight
+    /// recorders (DESIGN.md §12). Off by default: tracing costs a few
+    /// span records per query.
     tracing: AtomicBool,
     /// Deterministic 1-in-N trace sampling (DESIGN.md §17): with tracing
     /// on, every `trace_sample`-th query is sampled. 1 = every query.
@@ -87,10 +86,6 @@ pub struct MendelCluster {
     index_elapsed: Duration,
     /// What opening a node's durable store takes; `None` in memory mode.
     storage: Option<Arc<NodeStores>>,
-    /// Work-stealing query scheduler (DESIGN.md §15): admission control
-    /// plus the worker pool every in-process query fans its node-local
-    /// searches out on. Its `mendel.sched.*` counters live in [`Self::obs`].
-    sched: Arc<Scheduler>,
 }
 
 impl MendelCluster {
@@ -205,7 +200,6 @@ impl MendelCluster {
             karlin: Self::default_karlin(config.alphabet),
             index_elapsed: Duration::ZERO,
             storage,
-            sched: Arc::new(Scheduler::new(SchedConfig::default(), &obs)),
             obs,
             config,
         })
@@ -423,6 +417,11 @@ impl MendelCluster {
         Ok(matrix)
     }
 
+    /// Whether the control plane has `node` in its failed set.
+    pub(crate) fn is_failed(&self, node: NodeId) -> bool {
+        self.failed.read().contains_key(&node)
+    }
+
     /// Live (non-failed) members of a group.
     pub(crate) fn live_members(&self, topo: &Topology, g: GroupId) -> Vec<NodeId> {
         let failed = self.failed.read();
@@ -458,11 +457,10 @@ impl MendelCluster {
     }
 
     /// Evaluate `query` from the default entry point, the first live
-    /// node (DESIGN.md "The query pipeline"). The query passes admission
-    /// control and is shed with [`MendelError::Shed`] past the
-    /// scheduler's `max_in_flight` bound.
+    /// node (DESIGN.md §18): the served pipeline, its messages delivered
+    /// in process on the caller's thread, timed on the §3 cluster clock.
     pub fn query(&self, query: &[u8], params: &QueryParams) -> Result<QueryReport, MendelError> {
-        crate::pipeline::evaluate(self, None, query, params)
+        crate::pipeline::report(self, None, query, params)
     }
 
     /// Evaluate `query` entering the system at `entry` (§V-B: "any node
@@ -475,7 +473,7 @@ impl MendelCluster {
         query: &[u8],
         params: &QueryParams,
     ) -> Result<QueryReport, MendelError> {
-        crate::pipeline::evaluate(self, Some(entry), query, params)
+        crate::pipeline::report(self, Some(entry), query, params)
     }
 
     /// The cluster's metric registry: counters, histograms, and the
@@ -501,8 +499,8 @@ impl MendelCluster {
     }
 
     /// Enable or disable per-query causal tracing (DESIGN.md §12). Off
-    /// by default; when on, each query assembles its simulated timeline
-    /// into the registry's per-node flight recorders.
+    /// by default; when on, each sampled query records its span tree into
+    /// the registry's per-node flight recorders.
     pub fn set_tracing(&self, on: bool) {
         self.tracing.store(on, Ordering::Relaxed); // audit:ordering(Relaxed): advisory flag store; publishes no data, readers tolerate either value
     }
@@ -535,8 +533,8 @@ impl MendelCluster {
         seq % every == 0
     }
 
-    /// The structured slow-query log (DESIGN.md §17). Both query paths
-    /// (simulated and wire) feed it; `mendel serve` dumps it at
+    /// The structured slow-query log (DESIGN.md §17). Every query feeds
+    /// it, in process or served; `mendel serve` dumps it at
     /// `/debug/slowlog`.
     pub fn slowlog(&self) -> &SlowQueryLog {
         &self.slowlog
@@ -548,9 +546,15 @@ impl MendelCluster {
     }
 
     /// Every span currently held in the per-node flight recorders,
-    /// merged across nodes (node order, unsorted within a node).
+    /// merged across nodes (node order, unsorted within a node), each
+    /// `(node, span)` once. In process every node shares this registry,
+    /// so a span that rode home in reply tails was recorded again by
+    /// each hop it crossed; the first copy — its own node's — wins.
     pub fn trace_records(&self) -> Vec<SpanRecord> {
-        self.obs.trace_records()
+        let mut seen = HashSet::new();
+        let mut records = self.obs.trace_records();
+        records.retain(|r| seen.insert((r.node, r.span)));
+        records
     }
 
     /// Reassemble one trace's tree from the flight recorders.
@@ -842,27 +846,13 @@ impl MendelCluster {
         Ok(out)
     }
 
-    /// The cluster's work-stealing query scheduler (admission bound,
-    /// queue-depth/steal/shed counters).
-    pub fn scheduler(&self) -> &Arc<Scheduler> {
-        &self.sched
-    }
-
-    /// Replace the query scheduler (worker count, admission bound). The
-    /// old pool drains and joins; counters keep accumulating in the
-    /// cluster registry.
-    pub fn with_scheduler(mut self, config: SchedConfig) -> Self {
-        self.sched = Arc::new(Scheduler::new(config, &self.obs));
-        self
-    }
-
     /// The cluster's Karlin–Altschul statistics.
     pub fn karlin(&self) -> KarlinParams {
         self.karlin
     }
 
-    /// Run a node-local search directly against one node's state (the
-    /// wire-mode data plane; see [`crate::wire`]).
+    /// Run a node-local search against one node's state (the data plane
+    /// of [`crate::wire`]'s node side).
     pub(crate) fn node_local_search(
         &self,
         node: NodeId,
@@ -870,15 +860,14 @@ impl MendelCluster {
         offsets: &[usize],
         params: &QueryParams,
         matrix: &ScoringMatrix,
-    ) -> Vec<Hsp> {
+    ) -> LocalSearchOutput {
         let nodes = self.nodes.read();
         match nodes.get(node.0 as usize) {
             Some(n) => {
                 n.read()
                     .local_search_many(query, offsets, self.config.block_len, params, matrix)
-                    .anchors
             }
-            None => Vec::new(),
+            None => LocalSearchOutput::default(),
         }
     }
 
@@ -1341,6 +1330,10 @@ mod tests {
         assert_eq!(c.metrics_snapshot().counter("mendel.query.count"), 2);
     }
 
+    /// A traced query records the served span tree once: `query` →
+    /// `decompose`, one `group_rpc/<g>` per contacted group → its entry
+    /// point's `group/<g>` → one `node/<n>` per member and a `merge`;
+    /// `finalize`.
     #[test]
     fn tracing_assembles_query_tree_with_consistent_critical_path() {
         let db = small_db();
@@ -1362,31 +1355,47 @@ mod tests {
         let tree = c
             .trace_tree(trace)
             .expect("tree reassembles from recorders");
-
-        // Root spans the whole simulated turnaround and carries the
-        // pipeline stages plus one span per contacted group.
         assert_eq!(tree.root.record.name, "query");
-        assert_eq!(tree.root.record.duration(), r.timings.total());
-        let child_names: Vec<&str> = tree
+        let names = |n: &mendel_obs::TraceNode| -> Vec<String> {
+            n.children.iter().map(|c| c.record.name.clone()).collect()
+        };
+        let stages = names(&tree.root);
+        assert_eq!(stages.first().map(String::as_str), Some("decompose"));
+        assert_eq!(stages.last().map(String::as_str), Some("finalize"));
+        let rpcs: Vec<_> = tree
             .root
             .children
             .iter()
-            .map(|n| n.record.name.as_str())
+            .filter(|n| n.record.name.starts_with("group_rpc/"))
             .collect();
-        for stage in ["decompose", "scatter", "gather", "finalize"] {
-            assert!(child_names.contains(&stage), "missing stage {stage}");
-        }
-        let groups = child_names
-            .iter()
-            .filter(|n| n.starts_with("group/"))
-            .count();
+        let groups = rpcs.len();
         assert_eq!(groups, r.stats.groups_contacted);
+        assert_eq!(stages.len(), groups + 2);
+        let mut nodes = 0;
+        for rpc in rpcs {
+            let g = &rpc.record.name["group_rpc/".len()..];
+            assert_eq!(names(rpc), [format!("group/{g}")]);
+            let group = &rpc.children[0];
+            let members = names(group);
+            assert_eq!(members.last().map(String::as_str), Some("merge"));
+            assert!(members[..members.len() - 1]
+                .iter()
+                .all(|m| m.starts_with("node/")));
+            nodes += members.len() - 1;
+        }
+        assert_eq!(nodes, r.stats.nodes_contacted);
+        // Each span once (`group/<g>` and `merge` per group), though
+        // every hop home recorded it again.
+        assert_eq!(
+            c.trace_records().len(),
+            1 + stages.len() + 2 * groups + nodes
+        );
 
         // The critical path starts at the root and never gains time as
         // it descends.
         assert_eq!(r.critical_path, tree.critical_path());
         assert_eq!(r.critical_path[0].name, "query");
-        assert_eq!(r.critical_path[0].duration, r.timings.total());
+        assert_eq!(r.critical_path[0].duration, tree.root.record.duration());
         for pair in r.critical_path.windows(2) {
             assert!(pair[1].duration <= pair[0].duration);
         }

@@ -24,15 +24,6 @@ pub enum MendelError {
     /// The durable storage engine failed (I/O error, poisoned store,
     /// corrupt on-disk state).
     Store(String),
-    /// The query scheduler refused admission: `in_flight` queries were
-    /// already running against a bound of `limit`. Shedding is load
-    /// protection, not failure — retry when the cluster drains.
-    Shed {
-        /// Queries in flight at the moment of rejection.
-        in_flight: usize,
-        /// The scheduler's admission bound.
-        limit: usize,
-    },
 }
 
 impl fmt::Display for MendelError {
@@ -46,10 +37,6 @@ impl fmt::Display for MendelError {
             MendelError::NoSuchNode(n) => write!(f, "no such node: {n}"),
             MendelError::GroupDown(g) => write!(f, "group {g} has no live member"),
             MendelError::Store(m) => write!(f, "storage error: {m}"),
-            MendelError::Shed { in_flight, limit } => write!(
-                f,
-                "query shed by admission control: {in_flight} in flight >= limit {limit}"
-            ),
         }
     }
 }
@@ -65,16 +52,6 @@ impl From<mendel_seq::SeqError> for MendelError {
 impl From<mendel_store::StoreError> for MendelError {
     fn from(e: mendel_store::StoreError) -> Self {
         MendelError::Store(e.to_string())
-    }
-}
-
-impl From<mendel_sched::SchedError> for MendelError {
-    fn from(e: mendel_sched::SchedError) -> Self {
-        match e {
-            mendel_sched::SchedError::Shed { in_flight, limit } => {
-                MendelError::Shed { in_flight, limit }
-            }
-        }
     }
 }
 
@@ -96,23 +73,6 @@ mod tests {
     fn seq_error_converts() {
         let e: MendelError = mendel_seq::SeqError::EmptySequence.into();
         assert!(matches!(e, MendelError::Seq(_)));
-    }
-
-    #[test]
-    fn shed_error_converts() {
-        let e: MendelError = mendel_sched::SchedError::Shed {
-            in_flight: 7,
-            limit: 4,
-        }
-        .into();
-        assert_eq!(
-            e,
-            MendelError::Shed {
-                in_flight: 7,
-                limit: 4
-            }
-        );
-        assert!(e.to_string().contains("admission"));
     }
 
     #[test]

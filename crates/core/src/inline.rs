@@ -1,0 +1,115 @@
+//! In-process delivery (DESIGN.md §16.1): a [`Transport`] whose send to
+//! a storage node runs that node's [`serve_request`] on the sender's
+//! thread, so `MendelCluster::query` and `WireCluster` run the evaluator
+//! `mendel serve` runs over TCP. No threads, no channels: delivery order
+//! is call order, and a seed fixes every message, span id and counter.
+
+use crate::cluster::MendelCluster;
+use crate::wire::{is_reply_to, node_addr, serve_request, WireTimeouts};
+use mendel_dht::{NodeId, Topology};
+use mendel_net::mailbox::{Envelope, NodeAddr, RecvError};
+use mendel_net::transport::Transport;
+use mendel_obs::Counter;
+use parking_lot::Mutex;
+use std::collections::{BTreeMap, VecDeque};
+use std::time::Duration;
+
+/// One query's delivery between `cluster`'s nodes and one front-end:
+/// an inbox per node and one for the front-end.
+pub(crate) struct InlineNet<'a> {
+    cluster: &'a MendelCluster,
+    topo: Topology,
+    /// Nodes that accept what they are sent and never answer.
+    dead: &'a [NodeId],
+    timeouts: WireTimeouts,
+    inboxes: BTreeMap<NodeAddr, Mutex<VecDeque<Envelope>>>,
+    messages: Counter,
+    bytes: Counter,
+}
+
+impl<'a> InlineNet<'a> {
+    pub(crate) fn new(
+        cluster: &'a MendelCluster,
+        front: NodeAddr,
+        dead: &'a [NodeId],
+        timeouts: WireTimeouts,
+    ) -> Self {
+        let topo = cluster.topology();
+        let inboxes = topo.nodes().map(node_addr).chain([front]);
+        InlineNet {
+            cluster,
+            dead,
+            timeouts,
+            inboxes: inboxes.map(|addr| (addr, Mutex::default())).collect(),
+            topo,
+            messages: Counter::new(),
+            bytes: Counter::new(),
+        }
+    }
+
+    /// The endpoint at `addr`.
+    pub(crate) fn port(&self, addr: NodeAddr) -> Port<'_> {
+        Port { net: self, addr }
+    }
+
+    /// Envelopes accepted so far, and their payload bytes.
+    pub(crate) fn traffic(&self) -> (u64, u64) {
+        (self.messages.get(), self.bytes.get())
+    }
+
+    /// A send to a failed node (`fail_node`) is a dead letter; one to a
+    /// `dead` node is swallowed; a request — an id outside the
+    /// recipient's plane — is served at once; a reply waits in its
+    /// recipient's inbox.
+    fn deliver(&self, env: Envelope) -> bool {
+        let node =
+            (env.to.0.checked_sub(1).map(NodeId)).filter(|&n| self.topo.node_group(n).is_some());
+        if node.is_some_and(|n| self.cluster.is_failed(n)) {
+            return false;
+        }
+        let Some(inbox) = self.inboxes.get(&env.to) else {
+            return false;
+        };
+        self.messages.inc();
+        self.bytes.add(env.payload.len() as u64);
+        match node {
+            Some(n) if self.dead.contains(&n) => {}
+            Some(n) if !is_reply_to(env.to, env.correlation) => {
+                let (port, mut backlog) = (self.port(env.to), VecDeque::new());
+                let (topo, timeouts) = (&self.topo, &self.timeouts);
+                serve_request(self.cluster, topo, n, &port, timeouts, env, &mut backlog);
+            }
+            _ => inbox.lock().push_back(env),
+        }
+        true
+    }
+}
+
+/// One address's endpoint on an [`InlineNet`].
+pub(crate) struct Port<'a> {
+    net: &'a InlineNet<'a>,
+    addr: NodeAddr,
+}
+
+impl Transport for Port<'_> {
+    fn addr(&self) -> NodeAddr {
+        self.addr
+    }
+
+    fn send_envelope(&self, env: Envelope) -> bool {
+        self.net.deliver(env)
+    }
+
+    /// Nobody else sends while this endpoint waits, so an empty inbox
+    /// stays empty: wait out the deadline, as for a silent peer.
+    fn recv_timeout(&self, timeout: Duration) -> Result<Envelope, RecvError> {
+        self.try_recv().ok_or_else(|| {
+            std::thread::sleep(timeout);
+            RecvError::Timeout
+        })
+    }
+
+    fn try_recv(&self) -> Option<Envelope> {
+        self.net.inboxes.get(&self.addr)?.lock().pop_front()
+    }
+}

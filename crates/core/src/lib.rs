@@ -19,12 +19,12 @@
 //!    and consecutivity filtering, anchor extension, two-stage diagonal
 //!    aggregation, gapped extension, and E-value ranking ([`query`]).
 //!
-//! There is one query pipeline — plan → evaluator → finish (DESIGN.md
-//! "The query pipeline"), one query per call. [`MendelCluster::query`]
-//! and `query_from` call its in-process evaluator; a [`FrontEnd`] runs
-//! the same plan and the same epilogue around real messages to
-//! [`NodeServer`]s over any transport — [`WireCluster`] over the
-//! simulated network, `mendel serve` over TCP.
+//! There is one query pipeline — plan → messages → finish (DESIGN.md
+//! §18), one query per call, and one evaluator of it, the [`wire`]
+//! module's. [`MendelCluster::query`], `query_from` and [`WireCluster`]
+//! deliver its messages in process, each node's handler running on the
+//! caller's thread; a [`FrontEnd`] sends the same bytes to
+//! [`NodeServer`]s over TCP, which is what `mendel serve` runs.
 //!
 //! The public entry point is [`MendelCluster`]; [`QueryParams`] mirrors
 //! Table I of the paper. See the workspace DESIGN.md for the full
@@ -48,6 +48,7 @@ pub mod block;
 pub mod cluster;
 pub mod config;
 pub mod error;
+mod inline;
 mod ledger;
 pub mod metric;
 pub mod node;

@@ -1,28 +1,30 @@
-//! The one query pipeline (§V-B; DESIGN.md "The query pipeline"):
-//! [`plan`] → an evaluator → [`Epilogue::finish`].
+//! The one query pipeline (§V-B; DESIGN.md §18): [`plan`] →
+//! `wire::query_via` → [`Epilogue::finish`].
 //!
 //! `plan` owns validation, decomposition and vp-prefix routing; `finish`
 //! owns the system-level merge, gapped extension, coverage, the per-query
-//! counters and the slow-query log. Between them sits [`evaluate`]
-//! (in-process, simulated LAN clock — behind `MendelCluster::{query,
-//! query_from}`) or [`crate::wire::query_via`] (real
-//! messages over any `Transport`), so a query reports the same fan-out,
-//! errors and observations whichever entry point answered it.
+//! counters and the slow-query log. Between them `query_via` scatters
+//! the plan as messages and gathers each group's anchors with its
+//! members' receipts, over inline delivery in process ([`report`], behind
+//! `MendelCluster::{query, query_from}`) or over TCP (`mendel serve`).
+//! [`report`] also charges the §3 LAN cost model from those receipts.
 
 use crate::cluster::MendelCluster;
 use crate::error::MendelError;
+use crate::inline::InlineNet;
 use crate::params::QueryParams;
 use crate::query::subquery_offsets;
 use crate::report::{CoverageReport, MendelHit, QueryReport, QueryStats, StageTimings};
-use crate::wire::HSP_WIRE_BYTES;
+use crate::serve::FRONT_END_ADDR_BASE;
+use crate::wire::{query_via, Evaluated, WireTimeouts, HSP_WIRE_BYTES};
 use mendel_align::hsp::merge_overlapping;
 use mendel_align::Hsp;
-use mendel_dht::{GroupId, NodeId};
+use mendel_dht::{GroupId, NodeId, Topology};
 use mendel_net::latency::parallel_max;
-use mendel_obs::{CriticalHop, QueryObservation, SpanId, SpanRecord, TraceCollector, TraceId};
-use mendel_seq::ScoringMatrix;
+use mendel_net::mailbox::NodeAddr;
+use mendel_obs::{QueryObservation, TraceId};
+use mendel_seq::{ScoringMatrix, SeqId, SeqStore};
 use std::collections::BTreeMap;
-use std::sync::Arc;
 use std::time::Duration;
 
 /// Fixed per-message header overhead charged by the cost model.
@@ -92,7 +94,7 @@ pub(crate) fn plan(
     })
 }
 
-/// What [`Epilogue::finish`] hands back to its evaluator.
+/// What [`Epilogue::finish`] hands back to `query_via`.
 pub(crate) struct Finished {
     /// Ranked alignments.
     pub(crate) hits: Vec<MendelHit>,
@@ -102,7 +104,7 @@ pub(crate) struct Finished {
     pub(crate) finalize: Duration,
 }
 
-/// Stage 5 and everything after it, shared by both evaluators.
+/// Stage 5 and everything after it.
 pub(crate) struct Epilogue<'a> {
     cluster: &'a MendelCluster,
     params: &'a QueryParams,
@@ -129,20 +131,30 @@ impl<'a> Epilogue<'a> {
     /// System-level merge of the groups' anchors, gapped extension and
     /// ranking, then the per-query bookkeeping every entry point owes:
     /// `mendel.query.{count, degraded, finalize_nanos}`, the turnaround
-    /// histogram and the slow-query log. `turnaround` maps the measured
-    /// finalize time to the query's duration on the evaluator's clock
-    /// (simulated stages so far + scaled finalize, or real elapsed).
+    /// histogram and the slow-query log, both on the registry clock
+    /// since `started`.
+    ///
+    /// Anchors come off the wire, so any whose range is empty or
+    /// inverted, runs past the query, names no stored subject or runs
+    /// past its subject is dropped first, into
+    /// `mendel.wire.rejected_anchors`: no node sends one, and `finalize`
+    /// would index out of bounds on it.
     pub(crate) fn finish(
         &self,
         query: &[u8],
         plan: &QueryPlan,
-        anchors: Vec<Hsp>,
+        mut anchors: Vec<Hsp>,
         trace: Option<TraceId>,
-        turnaround: impl FnOnce(Duration) -> Duration,
+        started: Duration,
     ) -> Finished {
         let obs = self.cluster.metrics_registry();
         let clock = obs.clock();
         let t = clock.now();
+        let db = self.cluster.db();
+        let received = anchors.len();
+        anchors.retain(|a| in_bounds(a, query, &db));
+        obs.counter("mendel.wire.rejected_anchors")
+            .add((received - anchors.len()) as u64);
         let merged = merge_overlapping(anchors);
         let anchors = merged.len();
         let hits = self
@@ -152,7 +164,7 @@ impl<'a> Epilogue<'a> {
         obs.counter("mendel.query.finalize_nanos")
             .add(finalize.as_nanos() as u64);
 
-        let duration = turnaround(finalize);
+        let duration = clock.now().saturating_sub(started);
         obs.counter("mendel.query.count").inc();
         obs.histogram("mendel.query.turnaround.seconds")
             .record(duration.as_secs_f64());
@@ -178,26 +190,19 @@ impl<'a> Epilogue<'a> {
     }
 }
 
-/// One group's share of a query's simulated timeline; the durations
-/// stay zero for a group with no live member.
-#[derive(Default)]
-struct GroupLane {
-    group: GroupId,
-    /// Live members; the first is the group entry point.
-    members: Vec<NodeId>,
-    member_times: Vec<Duration>,
-    replicate: Duration,
-    merge: Duration,
-    total: Duration,
+/// Whether `a` is a non-empty stretch of `query` and of a subject
+/// `db` stores — as every anchor a node sends is.
+fn in_bounds(a: &Hsp, query: &[u8], db: &SeqStore) -> bool {
+    let subject_len = db.get(SeqId(a.subject_id)).map_or(0, |s| s.len());
+    let fits = |end: usize| end <= subject_len;
+    a.query_start < a.query_end
+        && a.query_end <= query.len()
+        && a.subject_start.checked_add(a.len()).is_some_and(fits)
 }
 
-/// The in-process evaluator: `query` is admitted and planned at `entry`
-/// (default: the first live node), every live member of each routed
-/// group searches its windows as one scheduler job
-/// (`local_search_many`, the served path's node search), and the groups'
-/// anchors are merged, finished and timed on the simulated LAN clock
-/// (DESIGN.md §3).
-pub(crate) fn evaluate(
+/// `MendelCluster::{query, query_from}`: resolve the entry node, run
+/// `query_via` from its front-end over inline delivery, and report.
+pub(crate) fn report(
     cluster: &MendelCluster,
     entry: Option<NodeId>,
     query: &[u8],
@@ -205,144 +210,85 @@ pub(crate) fn evaluate(
 ) -> Result<QueryReport, MendelError> {
     let topo = cluster.topology();
     let entry = cluster.resolve_entry(&topo, entry)?;
-    let entry_speed = cluster.speed_of(&topo, entry);
-    let latency = cluster.config().latency;
-    let block_len = cluster.config().block_len;
     let obs = cluster.metrics_registry();
-    let clock = obs.clock();
     let before = obs.snapshot();
+    // The entry node's front-end, at the address `mendel serve` gives it.
+    let front = NodeAddr(FRONT_END_ADDR_BASE.saturating_add(entry.0));
+    let timeouts = WireTimeouts::default();
+    let net = InlineNet::new(cluster, front, &[], timeouts);
+    let evaluated = query_via(cluster, &net.port(front), query, params, &timeouts)?;
+    let (timings, stats) = charge(cluster, &topo, entry, query.len(), &evaluated);
+    record_stage_timings(cluster, &timings);
+    let outcome = evaluated.outcome;
+    Ok(QueryReport {
+        hits: outcome.hits,
+        timings,
+        stats,
+        coverage: outcome.coverage,
+        metrics: obs.snapshot().since(&before),
+        trace: outcome.trace,
+        critical_path: outcome.critical_path,
+    })
+}
 
-    // ---- Stage 1 at the entry node: admission (the permit is held
-    // until the report exists), decomposition + routing, the sampling
-    // decision.
-    let _permit = cluster.scheduler().admit()?;
-    let t = clock.now();
-    let plan = plan(cluster, query, params)?;
-    let decompose = entry_speed.scale(clock.now().saturating_sub(t));
-    // Only a request that planned draws a sampling tick.
-    let trace = cluster
-        .trace_query_sampled()
-        .then(|| TraceId(obs.tracer(entry.0 as u32).next_id()));
-    let mut lanes: Vec<GroupLane> = plan
-        .groups
-        .keys()
-        .map(|&group| GroupLane {
-            group,
-            members: cluster.live_members(&topo, group),
-            ..GroupLane::default()
-        })
-        .collect();
-
-    // ---- Stages 2–3: scatter. One scheduler job per live member of
-    // each routed group, all submitted before any is awaited.
-    let shared: Arc<[u8]> = Arc::from(query);
-    let nodes = cluster.node_handles();
-    let jobs: Vec<Vec<_>> = plan
-        .groups
-        .values()
-        .zip(&lanes)
-        .map(|(offsets, lane)| {
-            let job = |&m: &NodeId| {
-                let node = nodes[m.0 as usize].clone();
-                let speed = cluster.speed_of(&topo, m);
-                let (query, offsets) = (shared.clone(), offsets.clone());
-                let (params, matrix) = (params.clone(), plan.matrix.clone());
-                let (clock, obs) = (clock.clone(), obs.clone());
-                cluster.scheduler().run(move || {
-                    let guard = node.read();
-                    let t = clock.now();
-                    let out =
-                        guard.local_search_many(&query, &offsets, block_len, &params, &matrix);
-                    let raw = clock.now().saturating_sub(t);
-                    obs.counter("mendel.query.local_search_nanos")
-                        .add(raw.as_nanos() as u64);
-                    (out, speed.scale(raw))
-                })
-            };
-            lane.members.iter().map(job).collect()
-        })
-        .collect();
-
-    // ---- Stages 3–5: group merge, gather, finish.
-    let msg_bytes = query.len() + MSG_OVERHEAD_BYTES;
-    let fanout = plan.groups.len();
+/// The §3 LAN cost model, charged once per query from what its messages
+/// reported: the entry node's plan and finalize times, and per answering
+/// group its members' receipts and its entry point's merge. Measured
+/// times scale by the node's speed; each message costs 64 B of header
+/// plus its payload (the query, or [`HSP_WIRE_BYTES`] per anchor); the
+/// groups run in parallel, and within a group the entry point replicates
+/// the query to its peers, waits for the slowest member, gathers their
+/// anchor sets on its downlink, merges and ships the result up.
+fn charge(
+    cluster: &MendelCluster,
+    topo: &Topology,
+    entry: NodeId,
+    query_len: usize,
+    evaluated: &Evaluated,
+) -> (StageTimings, QueryStats) {
+    let latency = cluster.config().latency;
+    let speed = |node| cluster.speed_of(topo, node);
+    let msg_bytes = query_len + MSG_OVERHEAD_BYTES;
+    let fanout = evaluated.fanout;
     let mut stats = QueryStats {
-        subqueries: plan.subqueries,
+        subqueries: evaluated.subqueries,
         groups_contacted: fanout,
+        anchors: evaluated.anchors,
         messages: fanout,
         bytes: msg_bytes * fanout,
         ..QueryStats::default()
     };
-    let scatter = latency.fanout(msg_bytes, fanout);
-
-    // Each group entry point replicates the query to its peers, gathers
-    // their anchor sets (serialized on its downlink), merges, and ships
-    // the result up.
-    let mut anchors: Vec<Hsp> = Vec::new();
-    let mut up_bytes = MSG_OVERHEAD_BYTES * fanout;
-    for (lane, handles) in lanes.iter_mut().zip(jobs) {
-        let Some(&gep) = lane.members.first() else {
+    let up_bytes = MSG_OVERHEAD_BYTES * fanout + evaluated.gathered * HSP_WIRE_BYTES;
+    let mut lanes = Vec::with_capacity(evaluated.groups.len());
+    for (entry, receipts, merge) in &evaluated.groups {
+        let Some(peers) = receipts.len().checked_sub(1) else {
             continue;
         };
-        let peers = lane.members.len() - 1;
-        lane.replicate = latency.fanout(msg_bytes, peers);
-        let mut all: Vec<Hsp> = Vec::new();
-        for handle in handles {
-            // A panicked job cannot be answered faithfully, so the query
-            // errors rather than silently dropping that node's anchors.
-            let (out, elapsed) = handle
-                .wait()
-                .ok_or_else(|| MendelError::Query("node search job panicked".into()))?;
-            stats.candidates += out.candidates;
-            all.extend(out.anchors);
-            lane.member_times.push(elapsed);
-        }
-        let node_phase = parallel_max(lane.member_times.iter().copied());
-        let anchor_bytes = all.len() * HSP_WIRE_BYTES + MSG_OVERHEAD_BYTES * peers;
-        let gather_in = latency.transfer(anchor_bytes);
+        let node_phase = parallel_max(receipts.iter().map(|r| speed(r.node).scale(r.compute)));
+        let anchors: usize = receipts.iter().map(|r| r.anchors as usize).sum();
+        stats.candidates += receipts.iter().map(|r| r.candidates).sum::<usize>();
+        let anchor_bytes = anchors * HSP_WIRE_BYTES + MSG_OVERHEAD_BYTES * peers;
         stats.nodes_contacted += peers + 1;
         stats.messages += peers * 2;
         stats.bytes += msg_bytes * peers + anchor_bytes;
-        let t = clock.now();
-        let merged = merge_overlapping(all);
-        let merge_raw = clock.now().saturating_sub(t);
-        lane.merge = cluster.speed_of(&topo, gep).scale(merge_raw);
-        lane.total = lane.replicate + node_phase + gather_in + lane.merge;
-        up_bytes += merged.len() * HSP_WIRE_BYTES;
-        anchors.extend(merged);
+        lanes.push(
+            latency.fanout(msg_bytes, peers)
+                + node_phase
+                + latency.transfer(anchor_bytes)
+                + speed(*entry).scale(*merge),
+        );
     }
-    let group_phase = parallel_max(lanes.iter().map(|l| l.total));
-    let gather = latency.transfer(up_bytes);
     stats.messages += fanout;
     stats.bytes += up_bytes;
-
-    let so_far = decompose + scatter + group_phase + gather;
-    let epilogue = Epilogue::new(cluster, params, &[]);
-    let done = epilogue.finish(query, &plan, anchors, trace, |raw| {
-        so_far + entry_speed.scale(raw)
-    });
-    stats.anchors = done.anchors;
+    let entry = speed(entry);
     let timings = StageTimings {
-        decompose,
-        scatter,
-        group_phase,
-        gather,
-        finalize: entry_speed.scale(done.finalize),
+        decompose: entry.scale(evaluated.decompose),
+        scatter: latency.fanout(msg_bytes, fanout),
+        group_phase: parallel_max(lanes),
+        gather: latency.transfer(up_bytes),
+        finalize: entry.scale(evaluated.finalize),
     };
-    record_stage_timings(cluster, &timings);
-    let mut report = QueryReport {
-        hits: done.hits,
-        timings,
-        stats,
-        coverage: epilogue.coverage,
-        metrics: obs.snapshot().since(&before),
-        trace,
-        critical_path: Vec::new(),
-    };
-    if let Some(trace) = trace {
-        report.critical_path = assemble_trace(cluster, entry, trace, &report, &lanes);
-    }
-    Ok(report)
+    (timings, stats)
 }
 
 /// Record one query's simulated stage durations into the
@@ -361,88 +307,4 @@ fn record_stage_timings(cluster: &MendelCluster, t: &StageTimings) {
             .histogram(&format!("{name}.seconds"))
             .record(d.as_secs_f64());
     }
-}
-
-/// Assemble one sampled query's causal trace into the per-node flight
-/// recorders and return its critical path. The spans sit on the query's
-/// simulated timeline (base instant 0) and are minted serially after the
-/// fan-out, so span ids — and hence the chrome export — are
-/// deterministic for a fixed seed (DESIGN.md §12).
-fn assemble_trace(
-    cluster: &MendelCluster,
-    entry: NodeId,
-    trace: TraceId,
-    report: &QueryReport,
-    lanes: &[GroupLane],
-) -> Vec<CriticalHop> {
-    let (timings, stats) = (&report.timings, &report.stats);
-    let obs = cluster.metrics_registry();
-    let entry = entry.0 as u32;
-    let tracer = obs.tracer(entry);
-    let mut records: Vec<SpanRecord> = Vec::new();
-    let mut span = |name: &str, parent, node, start, end, tags: &[(&str, String)]| {
-        let span = SpanId(tracer.next_id());
-        let tags = tags.iter().map(|(k, v)| (k.to_string(), v.clone()));
-        records.push(SpanRecord {
-            trace,
-            span,
-            parent,
-            node,
-            name: name.to_string(),
-            start,
-            end,
-            tags: tags.collect(),
-        });
-        Some(span)
-    };
-    let scatter_at = timings.decompose;
-    let groups_at = scatter_at + timings.scatter;
-    let gather_at = groups_at + timings.group_phase;
-    let finalize_at = gather_at + timings.gather;
-    let total = timings.total();
-    let tags = [
-        ("groups", stats.groups_contacted.to_string()),
-        ("subqueries", stats.subqueries.to_string()),
-        ("hits", report.hits.len().to_string()),
-    ];
-    let root = span("query", None, entry, Duration::ZERO, total, &tags);
-    span("decompose", root, entry, Duration::ZERO, scatter_at, &[]);
-    span("scatter", root, entry, scatter_at, groups_at, &[]);
-    for lane in lanes {
-        let group_end = groups_at + lane.total;
-        let name = format!("group/{}", lane.group.0);
-        let Some(gep) = lane.members.first().map(|n| n.0 as u32) else {
-            let dead = [("degraded", "no live members".to_string())];
-            span(&name, root, entry, groups_at, group_end, &dead);
-            continue;
-        };
-        let group = span(&name, root, gep, groups_at, group_end, &[]);
-        let nodes_at = groups_at + lane.replicate;
-        for (m, mt) in lane.members.iter().zip(&lane.member_times) {
-            let name = format!("node/{}", m.0);
-            span(&name, group, m.0 as u32, nodes_at, nodes_at + *mt, &[]);
-        }
-        span("merge", group, gep, group_end - lane.merge, group_end, &[]);
-    }
-    span("gather", root, entry, gather_at, finalize_at, &[]);
-    span("finalize", root, entry, finalize_at, total, &[]);
-    for r in &records {
-        obs.tracer(r.node).record(r.clone());
-    }
-    critical_path(records, trace)
-}
-
-/// The critical path of `trace` through `records` (duplicates of a span,
-/// as when node threads share the client's recorder, count once).
-pub(crate) fn critical_path(
-    records: impl IntoIterator<Item = SpanRecord>,
-    trace: TraceId,
-) -> Vec<CriticalHop> {
-    let mut collector = TraceCollector::new();
-    collector.ingest(records);
-    collector.dedup();
-    collector
-        .tree(trace)
-        .map(|t| t.critical_path())
-        .unwrap_or_default()
 }

@@ -1,23 +1,21 @@
-//! Serving: a storage node's serving thread and a query front-end, each
-//! generic over the [`Transport`] that carries its traffic.
+//! Serving over TCP: a storage node's serving thread and a query
+//! front-end — what a `mendel serve` process runs.
 //!
-//! This is the thin ownership layer between the transport-generic wire
-//! machinery ([`crate::wire`]) and a thread or an OS process. A
-//! [`NodeServer`] runs the node side of the wire pipeline on a thread; a
-//! [`FrontEnd`] evaluates queries through the client side. Over the
-//! simulated network the pair is [`crate::WireCluster`]. Over
-//! [`TcpTransport`] it is what a `mendel serve` process runs: it builds
-//! its [`MendelCluster`] control plane deterministically from the shared
+//! This is the thin ownership layer between the wire machinery
+//! ([`crate::wire`]) and an OS process. A [`NodeServer`] binds its
+//! node's address and runs the node side (`node_serve_loop` →
+//! `serve_request`) on a thread; a [`FrontEnd`] dials the nodes and
+//! evaluates queries through `query_via`. The process builds its
+//! [`MendelCluster`] control plane deterministically from the shared
 //! corpus (every process derives the same routing tables and block
-//! placement from the same seed), binds its node's address
-//! ([`NodeServer::start`]) and dials the same peers
-//! ([`FrontEnd::connect`]). The bytes on the loopback wire are exactly
-//! the bytes the simulated mailboxes account for, so a real cluster and
-//! its in-process twin return identical hits — asserted end-to-end by
-//! the tests below and the multi-process suite in `mendel-cli`.
+//! placement from the same seed). The bytes on the loopback wire are
+//! exactly the bytes in-process delivery carries for
+//! [`MendelCluster::query`], so a real cluster and its in-process twin
+//! return identical hits — asserted end-to-end by the tests below,
+//! `tests/batch.rs` and the multi-process suite in `mendel-cli`.
 //!
-//! Addressing convention (shared with the sim): storage node `i`
-//! listens as `NodeAddr(i + 1)`; front-ends use
+//! Addressing convention (shared with in-process delivery): storage
+//! node `i` listens as `NodeAddr(i + 1)`; front-ends use
 //! [`FRONT_END_ADDR_BASE`]` + front_end_id` so reply routes learned at
 //! entry points never collide with node addresses. Each front-end
 //! serializes its own queries (one in flight per transport address).
@@ -29,7 +27,7 @@ use crate::wire::{node_addr, node_serve_loop, query_via, WireQueryOutcome, WireT
 use mendel_dht::NodeId;
 use mendel_net::mailbox::NodeAddr;
 use mendel_net::tcp::{TcpConfig, TcpTransport};
-use mendel_net::{Transport, TransportMetrics};
+use mendel_net::TransportMetrics;
 use parking_lot::Mutex;
 use std::io;
 use std::net::SocketAddr;
@@ -42,29 +40,41 @@ use std::thread::JoinHandle;
 /// this range free.
 pub const FRONT_END_ADDR_BASE: u16 = 60_000;
 
-/// One storage node serving over a transport: owns the transport, the
-/// stop flag and the serving thread. Dropping it stops the loop and joins
-/// the thread.
-pub struct NodeServer<T> {
+/// One storage node serving over TCP: owns the transport, the stop flag
+/// and the serving thread. Dropping it stops the loop and joins the
+/// thread.
+pub struct NodeServer {
     node: NodeId,
-    transport: Arc<T>,
+    transport: Arc<TcpTransport>,
     stop: Arc<AtomicBool>,
     handle: Option<JoinHandle<()>>,
 }
 
-impl<T: Transport + 'static> NodeServer<T> {
-    /// Serve queries for `node` from `cluster`'s replica of its data over
-    /// `transport`, on a thread of its own, until `stop` is raised (by
-    /// this server's drop or by any other server given the same flag) or
-    /// the transport disconnects.
-    pub(crate) fn spawn(
+impl NodeServer {
+    /// Bind `node`'s transport at `listen` and serve queries from
+    /// `cluster`'s replica of the node's data on a thread of its own,
+    /// until [`Self::shutdown`] or drop.
+    ///
+    /// `peers` maps the *other* nodes' transport addresses; more can be
+    /// added later through [`NodeServer::transport`] as their processes
+    /// come up.
+    pub fn start(
         cluster: Arc<MendelCluster>,
         node: NodeId,
-        transport: T,
+        listen: SocketAddr,
+        peers: &[(NodeAddr, SocketAddr)],
+        cfg: TcpConfig,
+        metrics: TransportMetrics,
         timeouts: WireTimeouts,
-        stop: Arc<AtomicBool>,
     ) -> io::Result<Self> {
-        let transport = Arc::new(transport);
+        let transport = Arc::new(TcpTransport::bind(
+            node_addr(node),
+            listen,
+            peers,
+            cfg,
+            metrics,
+        )?);
+        let stop = Arc::new(AtomicBool::new(false));
         let topo = cluster.topology();
         let handle = {
             let (transport, stop) = (transport.clone(), stop.clone());
@@ -81,54 +91,15 @@ impl<T: Transport + 'static> NodeServer<T> {
             handle: Some(handle),
         })
     }
-}
 
-impl<T> NodeServer<T> {
     /// The node this server answers for.
     pub fn node(&self) -> NodeId {
         self.node
     }
 
     /// The underlying transport, e.g. to register late-joining peers.
-    pub fn transport(&self) -> &Arc<T> {
+    pub fn transport(&self) -> &Arc<TcpTransport> {
         &self.transport
-    }
-
-    /// Raise the stop flag and join the serving thread. Idempotent.
-    fn stop_and_join(&mut self) {
-        // audit:ordering(Relaxed): best-effort stop flag; the serving loop re-checks it on its poll tick
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-impl<T> Drop for NodeServer<T> {
-    fn drop(&mut self) {
-        self.stop_and_join();
-    }
-}
-
-impl NodeServer<TcpTransport> {
-    /// Bind `node`'s transport at `listen` and start serving queries
-    /// from `cluster`'s replica of the node's data.
-    ///
-    /// `peers` maps the *other* nodes' transport addresses; more can be
-    /// added later through [`NodeServer::transport`] as their processes
-    /// come up.
-    pub fn start(
-        cluster: Arc<MendelCluster>,
-        node: NodeId,
-        listen: SocketAddr,
-        peers: &[(NodeAddr, SocketAddr)],
-        cfg: TcpConfig,
-        metrics: TransportMetrics,
-        timeouts: WireTimeouts,
-    ) -> io::Result<Self> {
-        let transport = TcpTransport::bind(node_addr(node), listen, peers, cfg, metrics)?;
-        let stop = Arc::new(AtomicBool::new(false));
-        Self::spawn(cluster, node, transport, timeouts, stop)
     }
 
     /// The socket the transport actually bound (resolves port 0).
@@ -142,28 +113,53 @@ impl NodeServer<TcpTransport> {
         self.transport.shutdown();
         self.stop_and_join();
     }
+
+    /// Raise the stop flag and join the serving thread. Idempotent.
+    fn stop_and_join(&mut self) {
+        // audit:ordering(Relaxed): best-effort stop flag; the serving loop re-checks it on its poll tick
+        self.stop.store(true, Ordering::Relaxed);
+        if let Some(h) = self.handle.take() {
+            let _ = h.join();
+        }
+    }
 }
 
-/// A query front-end: evaluates queries through the same `query_via`
-/// pipeline whatever carries them, against nodes served by
-/// [`NodeServer`]s. It serves nothing: replies reach it on the transport
-/// it sends from.
-pub struct FrontEnd<T> {
+impl Drop for NodeServer {
+    fn drop(&mut self) {
+        self.stop_and_join();
+    }
+}
+
+/// A query front-end over TCP: evaluates queries through `query_via`,
+/// the pipeline every query runs, against nodes served by
+/// [`NodeServer`]s. It serves nothing: replies reach it on the
+/// connections it dialed.
+pub struct FrontEnd {
     cluster: Arc<MendelCluster>,
-    transport: T,
+    transport: TcpTransport,
     timeouts: WireTimeouts,
     /// One query in flight per front-end: `query_via` owns the
     /// transport inbox for the duration of a call.
     in_flight: Mutex<()>,
 }
 
-impl<T: Transport> FrontEnd<T> {
-    /// A front-end routing with `cluster`'s control plane and sending
-    /// from `transport`.
-    pub(crate) fn new(cluster: Arc<MendelCluster>, transport: T, timeouts: WireTimeouts) -> Self {
+impl FrontEnd {
+    /// Connect a front-end with id `front_end_id` (distinct per
+    /// process/handle so reply routes at shared entry points never
+    /// collide) to the given node listen addresses. It dials only — no
+    /// listener of its own; replies ride the request connections back.
+    pub fn connect(
+        cluster: Arc<MendelCluster>,
+        front_end_id: u16,
+        peers: &[(NodeAddr, SocketAddr)],
+        cfg: TcpConfig,
+        metrics: TransportMetrics,
+        timeouts: WireTimeouts,
+    ) -> Self {
+        let me = NodeAddr(FRONT_END_ADDR_BASE.saturating_add(front_end_id));
         FrontEnd {
             cluster,
-            transport,
+            transport: TcpTransport::connect_only(me, peers, cfg, metrics),
             timeouts,
             in_flight: Mutex::new(()),
         }
@@ -187,28 +183,7 @@ impl<T: Transport> FrontEnd<T> {
             params,
             &self.timeouts,
         )
-    }
-}
-
-impl FrontEnd<TcpTransport> {
-    /// Connect a front-end with id `front_end_id` (distinct per
-    /// process/handle so reply routes at shared entry points never
-    /// collide) to the given node listen addresses. It dials only — no
-    /// listener of its own; replies ride the request connections back.
-    pub fn connect(
-        cluster: Arc<MendelCluster>,
-        front_end_id: u16,
-        peers: &[(NodeAddr, SocketAddr)],
-        cfg: TcpConfig,
-        metrics: TransportMetrics,
-        timeouts: WireTimeouts,
-    ) -> Self {
-        let me = NodeAddr(FRONT_END_ADDR_BASE.saturating_add(front_end_id));
-        Self::new(
-            cluster,
-            TcpTransport::connect_only(me, peers, cfg, metrics),
-            timeouts,
-        )
+        .map(|evaluated| evaluated.outcome)
     }
 }
 
@@ -216,6 +191,7 @@ impl FrontEnd<TcpTransport> {
 mod tests {
     use super::*;
     use crate::config::ClusterConfig;
+    use mendel_net::Transport;
     use mendel_seq::gen::NrLikeSpec;
     use mendel_seq::SeqId;
     use std::time::Duration;
@@ -246,9 +222,9 @@ mod tests {
     fn serve_all(
         cluster: &Arc<MendelCluster>,
         timeouts: WireTimeouts,
-    ) -> (Vec<NodeServer<TcpTransport>>, Vec<(NodeAddr, SocketAddr)>) {
+    ) -> (Vec<NodeServer>, Vec<(NodeAddr, SocketAddr)>) {
         let any: SocketAddr = "127.0.0.1:0".parse().expect("loopback");
-        let servers: Vec<NodeServer<TcpTransport>> = cluster
+        let servers: Vec<NodeServer> = cluster
             .topology()
             .nodes()
             .map(|n| {
@@ -295,10 +271,15 @@ mod tests {
         for id in [0u32, 3, 9] {
             let q = cluster.db().get(SeqId(id)).unwrap().residues.clone();
             let want = cluster.query(&q, &params).unwrap().hits;
+            let before = cluster.metrics_snapshot();
             let got = fe.query(&q, &params).unwrap();
             assert_eq!(got.hits, want, "TCP and in-process agree on seq {id}");
             assert!(got.unreachable.is_empty());
             assert!(!got.coverage.degraded);
+            // The serving nodes time their searches where they fill the
+            // receipt, as in-process delivery does.
+            let served = cluster.metrics_snapshot().since(&before);
+            assert!(served.counter("mendel.query.local_search_nanos") > 0);
         }
         for s in &mut servers {
             s.shutdown();
@@ -324,8 +305,7 @@ mod tests {
         let clean = fe.query(&q, &params).unwrap();
         assert!(!clean.hits.is_empty() && clean.unreachable.is_empty());
 
-        let frames_in =
-            |s: &NodeServer<TcpTransport>| s.transport().metrics().frames_received.get();
+        let frames_in = |s: &NodeServer| s.transport().metrics().frames_received.get();
         let before: Vec<u64> = servers.iter().map(frames_in).collect();
         let stranger = TcpTransport::connect_only(
             NodeAddr(FRONT_END_ADDR_BASE + 99),
@@ -359,9 +339,9 @@ mod tests {
     /// listener is closed, so the entry point's connect to it is refused;
     /// after `TcpConfig::dial_attempts` the send returns `false`, and the
     /// member takes `request`'s dead-letter path: counted as not
-    /// answering at once, with no member timeout waited out. (The
-    /// never-started sim nodes of `wire.rs`'s `dead_` failover tests are
-    /// silent instead, and are timed out.)
+    /// answering at once, with no member timeout waited out. (The `dead`
+    /// nodes of `wire.rs`'s `dead_` failover tests are silent instead,
+    /// and are timed out.)
     #[test]
     fn killed_node_server_degrades_like_fail_node() {
         let cluster = cluster();

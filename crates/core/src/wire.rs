@@ -1,12 +1,10 @@
-//! Wire-mode query execution: the §V-B pipeline over real message
-//! passing.
+//! The §V-B pipeline over message passing: the one evaluator behind
+//! every query (DESIGN.md §18).
 //!
-//! [`crate::MendelCluster::query`] evaluates a query in-process (with a
-//! simulated cluster clock). This module is the other evaluator behind
-//! the one pipeline (DESIGN.md "The query pipeline"): the same `plan`
-//! and the same `finish`, with the middle run the way a deployment
-//! would — every node owning only its transport endpoint, and every
-//! subquery and anchor crossing node boundaries as encoded bytes:
+//! `query_via` runs between the shared `plan` and `finish` the way a
+//! deployment would — every node owning only its transport endpoint,
+//! and every subquery and anchor crossing node boundaries as encoded
+//! bytes:
 //!
 //! ```text
 //! client ──GroupQuery──▶ group entry point ──NodeQuery──▶ members
@@ -15,16 +13,15 @@
 //!
 //! The client (system entry point) performs decomposition/routing and
 //! the final §V-B aggregation + gapped extension through the shared
-//! plan and epilogue; the node-local search is the in-process
-//! evaluator's (`StorageNode::local_search_many`), so the two must return
-//! identical hits, which the tests assert.
-//!
-//! Everything here is generic over [`Transport`], and so are the
-//! [`NodeServer`] and [`FrontEnd`] that run `node_serve_loop` and
-//! `query_via`: [`WireCluster`] is the pair over the simulated network,
-//! and `mendel serve` runs the *same* pair over
-//! [`mendel_net::TcpTransport`], so a cluster of real OS processes
-//! executes byte-identical traffic.
+//! plan and epilogue. The node side is one function, `serve_request`,
+//! whose node search (`StorageNode::local_search_many`) reports a
+//! receipt — compute time and candidates — with its anchors. Two
+//! carriers run the pair: in process, inline delivery (`inline.rs`) calls
+//! the recipient's `serve_request` on the sender's thread (behind
+//! [`MendelCluster::query`] and [`WireCluster`]); over
+//! [`mendel_net::TcpTransport`], `node_serve_loop` receives for a
+//! [`crate::NodeServer`] and a [`crate::FrontEnd`] sends, so a cluster of
+//! real OS processes executes byte-identical traffic.
 //!
 //! Both tiers issue their requests and await the replies through one
 //! private request/reply layer (`request` / `gather`, DESIGN.md §16.3):
@@ -33,28 +30,30 @@
 //! so a late reply can neither answer a later query nor be mistaken for
 //! a request.
 //!
-//! Failure semantics (mirroring the in-process failover of
-//! `fail_node`): a group entry point that cannot hear a member within
-//! [`WireTimeouts::member`] answers with whoever responded; the client
-//! retries a silent entry point through the group's remaining members,
-//! and folds every node observed unreachable into a
-//! [`CoverageReport`] via [`MendelCluster::coverage_with_down`] — the
-//! same degraded-coverage shape the simulated path reports.
+//! Failure semantics: a node the control plane has failed
+//! (`fail_node`) is a dead letter; a group entry point that cannot hear
+//! a member within [`WireTimeouts::member`] answers with whoever
+//! responded; the client retries a silent entry point through the
+//! group's remaining members, and folds every node observed unreachable
+//! into a [`CoverageReport`] via [`MendelCluster::coverage_with_down`].
 
 use crate::cluster::MendelCluster;
 use crate::error::MendelError;
+use crate::inline::InlineNet;
 use crate::params::QueryParams;
 use crate::pipeline::{self, Epilogue, Finished};
 use crate::report::{CoverageReport, MendelHit};
-use crate::serve::{FrontEnd, NodeServer};
 use bytes::{Bytes, BytesMut};
 use mendel_align::Hsp;
 use mendel_dht::{GroupId, NodeId, Topology};
 use mendel_net::codec::{Decode, DecodeError, Encode};
 use mendel_net::heartbeat::HEARTBEAT_CORRELATION;
-use mendel_net::mailbox::{Endpoint, Envelope, Network, NodeAddr, RecvError};
+use mendel_net::mailbox::{Envelope, NodeAddr, RecvError};
+use mendel_net::tcp::TcpTransport;
 use mendel_net::transport::Transport;
-use mendel_obs::{ActiveSpan, CriticalHop, SpanId, SpanRecord, TraceContext, TraceId, Tracer};
+use mendel_obs::{
+    ActiveSpan, Counter, CriticalHop, SpanId, SpanRecord, TraceContext, TraceId, Tracer,
+};
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -128,7 +127,7 @@ fn fresh_request_id(me: NodeAddr) -> u64 {
 
 /// Whether `correlation` lies in `me`'s id plane (see
 /// [`fresh_request_id`]).
-fn is_reply_to(me: NodeAddr, correlation: u64) -> bool {
+pub(crate) fn is_reply_to(me: NodeAddr, correlation: u64) -> bool {
     correlation >> 48 == u64::from(me.0)
 }
 
@@ -291,14 +290,8 @@ impl Decode for QueryMsg {
     }
 }
 
-fn encode_hsps(hsps: &[Hsp]) -> Bytes {
-    let mut buf = BytesMut::new();
-    encode_hsps_into(hsps, &mut buf);
-    buf.freeze()
-}
-
 /// Encoded size of one anchor (`u32 + 3 × u64 + i32`), which is also
-/// what the in-process cost model charges per anchor.
+/// what the cost model charges per anchor.
 pub(crate) const HSP_WIRE_BYTES: usize = 32;
 /// Smallest encodings of a span record (no parent, empty name, no tags;
 /// layout at [`encode_spans_into`]) and of a tag. The decoders reserve
@@ -336,9 +329,12 @@ fn decode_hsps_from(buf: &mut Bytes) -> Result<Vec<Hsp>, DecodeError> {
 /// Span records in wire form (DESIGN.md §17): count-prefixed, each
 /// `trace:u64 · span:u64 · parent:Option<u64> · node:u32 · start_ns:u64
 /// · end_ns:u64 · name · tags`. Only ever appended as an *optional*
-/// tail — untraced messages never carry it, keeping their bytes
-/// identical to the pre-tracing encodings.
+/// tail — untraced replies never carry it, and an exhausted buffer after
+/// the anchors decodes as "untraced" ([`decode_span_tail`]).
 fn encode_spans_into(spans: &[SpanRecord], buf: &mut BytesMut) {
+    if spans.is_empty() {
+        return;
+    }
     (spans.len() as u32).encode(buf);
     for s in spans {
         s.trace.0.encode(buf);
@@ -356,7 +352,10 @@ fn encode_spans_into(spans: &[SpanRecord], buf: &mut BytesMut) {
     }
 }
 
-fn decode_spans_from(buf: &mut Bytes) -> Result<Vec<SpanRecord>, DecodeError> {
+fn decode_span_tail(buf: &mut Bytes) -> Result<Vec<SpanRecord>, DecodeError> {
+    if buf.is_empty() {
+        return Ok(Vec::new());
+    }
     let n = u32::decode(buf)? as usize;
     let mut out = Vec::with_capacity(n.min(buf.len() / SPAN_MIN_WIRE_BYTES));
     for _ in 0..n {
@@ -384,21 +383,6 @@ fn decode_spans_from(buf: &mut Bytes) -> Result<Vec<SpanRecord>, DecodeError> {
         });
     }
     Ok(out)
-}
-
-/// Decode a member's anchor-set reply: the hsps, plus the optional
-/// span-record tail a traced member appends. An exhausted buffer after
-/// the hsps means "untraced" — the tail's absence *is* the encoding, so
-/// untraced replies stay byte-identical to the pre-tracing format.
-fn decode_hsps_and_spans(bytes: &Bytes) -> Result<(Vec<Hsp>, Vec<SpanRecord>), DecodeError> {
-    let mut buf = bytes.clone();
-    let hsps = decode_hsps_from(&mut buf)?;
-    let spans = if buf.is_empty() {
-        Vec::new()
-    } else {
-        decode_spans_from(&mut buf)?
-    };
-    Ok((hsps, spans))
 }
 
 /// Shift a remote hop's span records onto the local timeline.
@@ -431,42 +415,100 @@ fn reanchor_spans(spans: &mut [SpanRecord], sent: Duration, received: Duration) 
     }
 }
 
-/// A group entry point's reply: which members contributed anchor sets
-/// (entry point included), the group-merged anchors, and — for traced
-/// queries only — the node-side span tree riding home as an optional
-/// tail (same trick as the envelope trace tail: absence is the
-/// untraced encoding, so untraced replies are byte-identical to the
-/// pre-tracing format).
+/// One member's share of a group query, as its entry point reports it:
+/// `node:u16 · compute_ns:u64 · candidates:u64 · anchors:u32`. The
+/// §3 cost model reads nothing else from a node.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Receipt {
+    pub(crate) node: NodeId,
+    /// Registry-clock time of the member's node search.
+    pub(crate) compute: Duration,
+    /// k-NN candidates the search inspected before filtering.
+    pub(crate) candidates: usize,
+    /// Anchors the member returned, before the group merge.
+    pub(crate) anchors: u32,
+}
+
+impl Encode for Receipt {
+    fn encode(&self, buf: &mut BytesMut) {
+        self.node.0.encode(buf);
+        (self.compute.as_nanos() as u64).encode(buf);
+        self.candidates.encode(buf);
+        self.anchors.encode(buf);
+    }
+}
+
+impl Decode for Receipt {
+    fn decode(buf: &mut Bytes) -> Result<Self, DecodeError> {
+        Ok(Receipt {
+            node: NodeId(u16::decode(buf)?),
+            compute: Duration::from_nanos(u64::decode(buf)?),
+            candidates: usize::decode(buf)?,
+            anchors: u32::decode(buf)?,
+        })
+    }
+}
+
+/// A member's reply to a node query: `compute_ns:u64 · candidates:u64`
+/// (its receipt, less what the entry point knows), the anchors, and —
+/// for traced queries only — the member's span as an optional tail.
+#[derive(Debug, Clone, Default, PartialEq)]
+struct NodeReply {
+    compute: Duration,
+    candidates: usize,
+    hsps: Vec<Hsp>,
+    spans: Vec<SpanRecord>,
+}
+
+impl Encode for NodeReply {
+    fn encode(&self, buf: &mut BytesMut) {
+        (self.compute.as_nanos() as u64).encode(buf);
+        self.candidates.encode(buf);
+        encode_hsps_into(&self.hsps, buf);
+        encode_spans_into(&self.spans, buf);
+    }
+}
+
+impl Decode for NodeReply {
+    fn decode(buf: &mut Bytes) -> Result<Self, DecodeError> {
+        Ok(NodeReply {
+            compute: Duration::from_nanos(u64::decode(buf)?),
+            candidates: usize::decode(buf)?,
+            hsps: decode_hsps_from(buf)?,
+            spans: decode_span_tail(buf)?,
+        })
+    }
+}
+
+/// A group entry point's reply: one receipt per member that contributed
+/// (entry point included, ascending), the entry point's merge time, the
+/// group-merged anchors, and — for traced queries only — the node-side
+/// span tree riding home as an optional tail (same trick as the
+/// envelope trace tail: absence is the untraced encoding).
 #[derive(Debug, Clone, Default, PartialEq)]
 struct GroupReply {
-    responded: Vec<u16>,
+    receipts: Vec<Receipt>,
+    merge: Duration,
     hsps: Vec<Hsp>,
     spans: Vec<SpanRecord>,
 }
 
 impl Encode for GroupReply {
     fn encode(&self, buf: &mut BytesMut) {
-        self.responded.encode(buf);
+        self.receipts.encode(buf);
+        (self.merge.as_nanos() as u64).encode(buf);
         encode_hsps_into(&self.hsps, buf);
-        if !self.spans.is_empty() {
-            encode_spans_into(&self.spans, buf);
-        }
+        encode_spans_into(&self.spans, buf);
     }
 }
 
 impl Decode for GroupReply {
     fn decode(buf: &mut Bytes) -> Result<Self, DecodeError> {
-        let responded = Vec::decode(buf)?;
-        let hsps = decode_hsps_from(buf)?;
-        let spans = if buf.is_empty() {
-            Vec::new()
-        } else {
-            decode_spans_from(buf)?
-        };
         Ok(GroupReply {
-            responded,
-            hsps,
-            spans,
+            receipts: Vec::decode(buf)?,
+            merge: Duration::from_nanos(u64::decode(buf)?),
+            hsps: decode_hsps_from(buf)?,
+            spans: decode_span_tail(buf)?,
         })
     }
 }
@@ -474,7 +516,7 @@ impl Decode for GroupReply {
 /// What a wire query learned beyond the hits themselves.
 #[derive(Debug, Clone, Default)]
 pub struct WireQueryOutcome {
-    /// Ranked alignments, identical to the in-process path over the
+    /// Ranked alignments, identical from every entry point over the
     /// same reachable nodes.
     pub hits: Vec<MendelHit>,
     /// Members that contributed per queried group.
@@ -483,8 +525,7 @@ pub struct WireQueryOutcome {
     /// points and members missing from group replies), ascending.
     pub unreachable: Vec<NodeId>,
     /// Cluster-wide block availability treating [`Self::unreachable`]
-    /// (plus anything already failed in the control plane) as down —
-    /// the same shape the in-process failover path reports.
+    /// (plus anything already failed in the control plane) as down.
     pub coverage: CoverageReport,
     /// Trace id when this query drew a sampled trace (DESIGN.md §17).
     pub trace: Option<TraceId>,
@@ -493,80 +534,73 @@ pub struct WireQueryOutcome {
     pub critical_path: Vec<CriticalHop>,
 }
 
-/// A cluster whose storage nodes run as threads and communicate only
-/// through encoded messages over the simulated network. Wraps an
-/// indexed [`MendelCluster`] (the control plane: routing tables and
-/// node-local state); all data-plane traffic is real bytes on the
-/// [`Network`].
-///
-/// This is the [`mendel_net::SimTransport`] instantiation of the
-/// [`NodeServer`]/[`FrontEnd`] pair `mendel serve` runs over TCP, so like
-/// it, it runs one query at a time.
+/// Everything [`query_via`] learned: the outcome, and what the §3 cost
+/// model (`pipeline::charge`) charges for.
+pub(crate) struct Evaluated {
+    pub(crate) outcome: WireQueryOutcome,
+    /// Subqueries the plan produced and groups it routed to.
+    pub(crate) subqueries: usize,
+    pub(crate) fanout: usize,
+    /// Anchors the groups sent up, and those the system merge left.
+    pub(crate) gathered: usize,
+    pub(crate) anchors: usize,
+    /// Registry-clock time of the plan and of the epilogue's finalize.
+    pub(crate) decompose: Duration,
+    pub(crate) finalize: Duration,
+    /// Per answering group: its entry point, receipts and merge time.
+    pub(crate) groups: Vec<(NodeId, Vec<Receipt>, Duration)>,
+}
+
+/// `query_via` over inline delivery: every subquery and anchor crosses a
+/// node boundary as the bytes `mendel serve` puts on TCP, on the
+/// caller's thread. Beyond [`MendelCluster::query`] it can hold nodes
+/// that never answer ([`Self::serve_with`]), takes explicit deadlines
+/// and counts its traffic.
 pub struct WireCluster {
-    network: Network,
-    /// Node address = NodeId.0 + 1 (the front-end takes address 0).
-    _nodes: Vec<NodeServer<Endpoint>>,
-    /// The mailboxes of the nodes [`Self::serve_with`] never started,
-    /// held so that a send to one is delivered and never answered
-    /// rather than a dead letter.
-    _silent: Vec<Endpoint>,
-    front: FrontEnd<Endpoint>,
+    cluster: Arc<MendelCluster>,
+    dead: Vec<NodeId>,
+    timeouts: WireTimeouts,
+    messages: Counter,
+    bytes: Counter,
 }
 
 impl WireCluster {
-    /// Spawn one serving thread per live node of `cluster`.
+    /// Serve every node of `cluster`.
     pub fn serve(cluster: Arc<MendelCluster>) -> Self {
         Self::serve_with(cluster, &[], WireTimeouts::default())
     }
 
     /// [`Self::serve`] with explicit deadlines (client and node side),
-    /// and with the nodes in `dead` never starting to serve — their
-    /// mailboxes exist and silently swallow traffic, which is how a
-    /// crashed process looks to its peers. For failover tests.
+    /// and with the nodes in `dead` never answering — a send to one is
+    /// accepted and swallowed, which is how a hung or crashed process
+    /// looks to its peers. For failover tests.
     pub fn serve_with(
         cluster: Arc<MendelCluster>,
         dead: &[NodeId],
         timeouts: WireTimeouts,
     ) -> Self {
-        let network = Network::new();
-        let client = network.join();
-        debug_assert_eq!(client.addr().0, 0);
-        // One flag for every server: the first to drop stops them all, so
-        // their threads wind down together, not one poll tick each.
-        let stop = Arc::new(AtomicBool::new(false));
-        let (mut nodes, mut silent) = (Vec::new(), Vec::new());
-        for node in cluster.topology().nodes() {
-            let endpoint = network.join();
-            debug_assert_eq!(endpoint.addr(), node_addr(node));
-            if dead.contains(&node) {
-                silent.push(endpoint);
-                continue;
-            }
-            let server = NodeServer::spawn(cluster.clone(), node, endpoint, timeouts, stop.clone());
-            // audit:allow(expect): the OS refusing a thread is the out-of-resources panic `std::thread::spawn` raises too
-            nodes.push(server.expect("spawn a node's serving thread"));
-        }
         WireCluster {
-            network,
-            _nodes: nodes,
-            _silent: silent,
-            front: FrontEnd::new(cluster, client, timeouts),
+            cluster,
+            dead: dead.to_vec(),
+            timeouts,
+            messages: Counter::new(),
+            bytes: Counter::new(),
         }
     }
 
     /// Total messages sent on the wire so far.
     pub fn messages_sent(&self) -> u64 {
-        self.network.stats().messages()
+        self.messages.get()
     }
 
     /// Total payload bytes sent on the wire so far.
     pub fn bytes_sent(&self) -> u64 {
-        self.network.stats().bytes()
+        self.bytes.get()
     }
 
     /// Evaluate a query over the wire. Routing happens at the client
-    /// (the system entry point), per-group evaluation at the group entry
-    /// points, node-local search on each member's thread. Returns the
+    /// (the system entry point, address 0), per-group evaluation at the
+    /// group entry points, node-local search at each member. Returns the
     /// same ranked hits as [`MendelCluster::query`].
     pub fn query(&self, query: &[u8], params: &QueryParams) -> Result<Vec<MendelHit>, MendelError> {
         Ok(self.query_outcome(query, params)?.hits)
@@ -578,7 +612,19 @@ impl WireCluster {
         query: &[u8],
         params: &QueryParams,
     ) -> Result<WireQueryOutcome, MendelError> {
-        self.front.query(query, params)
+        let client = NodeAddr(0);
+        let net = InlineNet::new(&self.cluster, client, &self.dead, self.timeouts);
+        let answer = query_via(
+            &self.cluster,
+            &net.port(client),
+            query,
+            params,
+            &self.timeouts,
+        );
+        let (messages, bytes) = net.traffic();
+        self.messages.add(messages);
+        self.bytes.add(bytes);
+        Ok(answer?.outcome)
     }
 }
 
@@ -594,18 +640,17 @@ type GroupRequest = (GroupId, usize, Option<(ActiveSpan, Duration)>);
 ///
 /// The control-plane `cluster` supplies routing (vp-prefix → groups)
 /// and the final aggregation; all anchor traffic crosses the transport.
-/// Group entry points are tried in member order: a silent candidate is
-/// recorded unreachable and the next member gets the group query, so a
-/// dead entry point degrades the answer exactly like the in-process
-/// failover path (anchors from live members only) instead of losing the
-/// whole group.
+/// Group entry points are tried in member order: a dead or silent
+/// candidate is recorded unreachable and the next member gets the group
+/// query, so a dead entry point degrades the answer (anchors from live
+/// members only) instead of losing the whole group.
 pub(crate) fn query_via<T: Transport>(
     cluster: &MendelCluster,
     client: &T,
     query: &[u8],
     params: &QueryParams,
     timeouts: &WireTimeouts,
-) -> Result<WireQueryOutcome, MendelError> {
+) -> Result<Evaluated, MendelError> {
     let topo = cluster.topology();
     let clock = cluster.metrics_registry().clock();
     let q_start = clock.now();
@@ -613,6 +658,7 @@ pub(crate) fn query_via<T: Transport>(
     // Stage 1: validate + decompose + route (system entry point). A bad
     // request fails here, before any traffic, span or sampling tick.
     let plan = pipeline::plan(cluster, query, params)?;
+    let decompose = clock.now().saturating_sub(q_start);
 
     // Distributed tracing (DESIGN.md §17): the sampling decision is
     // made once here at the system entry point and rides in every
@@ -636,6 +682,7 @@ pub(crate) fn query_via<T: Transport>(
     // remaining members.
     let wire_params = WireParams::of(params);
     let mut anchors: Vec<Hsp> = Vec::new();
+    let mut groups: Vec<(NodeId, Vec<Receipt>, Duration)> = Vec::new();
     let mut responded: BTreeMap<GroupId, Vec<NodeId>> = BTreeMap::new();
     let mut down: BTreeSet<NodeId> = BTreeSet::new();
     // (group, candidate entry-point index) still needing an answer, in
@@ -686,12 +733,13 @@ pub(crate) fn query_via<T: Transport>(
         }
         // A front-end serves no requests: foreign envelopes are strays.
         let on_foreign = |_| {};
-        let on_reply = |(g, _idx, span_entry): GroupRequest, env: Envelope| {
+        let on_reply = |(g, idx, span_entry): GroupRequest, env: Envelope| {
             let Ok(reply) = GroupReply::from_bytes(&env.payload) else {
                 return;
             };
-            let answered: Vec<NodeId> = reply.responded.iter().map(|&r| NodeId(r)).collect();
-            for &m in topo.group_members(g) {
+            let members = topo.group_members(g);
+            let answered: Vec<NodeId> = reply.receipts.iter().map(|r| r.node).collect();
+            for &m in members {
                 if !answered.contains(&m) {
                     down.insert(m);
                 }
@@ -709,6 +757,8 @@ pub(crate) fn query_via<T: Transport>(
                 span.tag("anchors", reply.hsps.len());
                 span.finish();
             }
+            let entry = members.get(idx).copied().unwrap_or_default();
+            groups.push((entry, reply.receipts, reply.merge));
             anchors.extend(reply.hsps);
             responded.insert(g, answered);
         };
@@ -731,24 +781,27 @@ pub(crate) fn query_via<T: Transport>(
 
     // Stage 5: the shared epilogue — system-level merge, gapped
     // extension, ranking, coverage over the nodes seen unreachable, and
-    // the per-query counters and slow-query log on the real clock.
+    // the per-query counters and slow-query log.
     let finalize_span = tracer
         .as_ref()
         .zip(root.as_ref())
         .map(|(t, r)| t.child("finalize", r.context()));
     let unreachable: Vec<NodeId> = down.iter().copied().collect();
+    let gathered = anchors.len();
     let epilogue = Epilogue::new(cluster, params, &unreachable);
     let trace = root.as_ref().map(ActiveSpan::trace);
-    let Finished { hits, .. } = epilogue.finish(query, &plan, anchors, trace, |_| {
-        clock.now().saturating_sub(q_start)
-    });
+    let Finished {
+        hits,
+        anchors: merged,
+        finalize,
+    } = epilogue.finish(query, &plan, anchors, trace, q_start);
     let coverage = epilogue.coverage;
     if let Some(s) = finalize_span {
         s.finish();
     }
 
-    // Close the root span, then stitch every record this trace produced
-    // (local spans + re-anchored remote trees) into the critical path.
+    // Close the root span, then read the critical path off the stitched
+    // tree (local spans + re-anchored remote trees).
     let critical_path = root.take().map_or_else(Vec::new, |mut span| {
         let trace = span.trace();
         span.tag("groups", responded.len());
@@ -757,20 +810,32 @@ pub(crate) fn query_via<T: Transport>(
             span.tag("degraded", true);
         }
         span.finish();
-        let records = cluster.metrics_registry().trace_records();
-        pipeline::critical_path(records.into_iter().filter(|r| r.trace == trace), trace)
+        cluster
+            .trace_tree(trace)
+            .map(|t| t.critical_path())
+            .unwrap_or_default()
     });
-    Ok(WireQueryOutcome {
-        hits,
-        responded,
-        unreachable,
-        coverage,
-        trace,
-        critical_path,
+    Ok(Evaluated {
+        outcome: WireQueryOutcome {
+            hits,
+            responded,
+            unreachable,
+            coverage,
+            trace,
+            critical_path,
+        },
+        subqueries: plan.subqueries,
+        fanout: plan.groups.len(),
+        gathered,
+        anchors: merged,
+        decompose,
+        finalize,
+        groups,
     })
 }
 
-/// The per-node serving loop, generic over the transport carrying it.
+/// A storage node's serving loop over TCP: receive, then
+/// [`serve_request`].
 ///
 /// Serves until `stop` is set or the transport disconnects; no message
 /// stops a node, so a forged one cannot either. Requests that arrive
@@ -779,11 +844,11 @@ pub(crate) fn query_via<T: Transport>(
 /// reordered rather than dropped. Replies never get this far: an
 /// envelope in the node's own id plane is consumed or dropped by
 /// [`gather`], or dropped by the idle poll here.
-pub(crate) fn node_serve_loop<T: Transport>(
-    cluster: &Arc<MendelCluster>,
+pub(crate) fn node_serve_loop(
+    cluster: &MendelCluster,
     topo: &Topology,
     me: NodeId,
-    transport: &T,
+    transport: &TcpTransport,
     timeouts: &WireTimeouts,
     stop: &AtomicBool,
 ) {
@@ -804,61 +869,69 @@ pub(crate) fn node_serve_loop<T: Transport>(
                 Err(RecvError::Disconnected) => return,
             },
         };
-        if env.correlation == HEARTBEAT_CORRELATION {
-            continue; // liveness traffic is the monitor's business
-        }
-        // A payload that does not decode as a query, or carries a tag
-        // this protocol does not have, is ignored.
-        let Ok(msg) = QueryMsg::from_bytes(&env.payload) else {
-            continue;
-        };
-        let group = match msg.tag {
-            TAG_GROUP_QUERY => true,
-            TAG_NODE_QUERY => false,
-            _ => continue,
-        };
-        if !admissible(cluster, &msg) {
-            // Nobody searched, so nobody is listed as having contributed:
-            // the caller sees a degraded answer now instead of a member
-            // timeout later.
-            let nothing = if group {
-                GroupReply::default().to_bytes()
-            } else {
-                encode_hsps(&[])
-            };
-            transport.send(env.from, env.correlation, nothing);
-            continue;
-        }
-        if group {
-            serve_group_query(
-                cluster,
-                topo,
-                me,
-                transport,
-                timeouts,
-                &env,
-                &msg,
-                &mut backlog,
-            );
-            continue;
-        }
-        // A sampled trace context on the envelope: the local search is a
-        // span, shipped home as a reply tail.
-        let span = env.trace.filter(|c| c.sampled).map(|ctx| {
-            let tracer = cluster.metrics_registry().tracer(me.0 as u32);
-            tracer.child(&format!("node/{}", me.0), ctx)
-        });
-        let anchors = eval_local(cluster, me, &msg);
-        let mut reply = BytesMut::new();
-        encode_hsps_into(&anchors, &mut reply);
-        if let Some(mut span) = span {
-            span.tag("anchors", anchors.len());
-            if let Some(record) = span.finish() {
-                encode_spans_into(&[record], &mut reply);
-            }
-        }
-        transport.send(env.from, env.correlation, reply.freeze());
+        serve_request(cluster, topo, me, transport, timeouts, env, &mut backlog);
     }
+}
+
+/// The node side: `me` answers one request, whichever carrier brought
+/// it; anything but a group or node query is ignored. Other issuers'
+/// requests that reach `me` while it gathers land in `backlog`.
+pub(crate) fn serve_request<T: Transport>(
+    cluster: &MendelCluster,
+    topo: &Topology,
+    me: NodeId,
+    transport: &T,
+    timeouts: &WireTimeouts,
+    env: Envelope,
+    backlog: &mut VecDeque<Envelope>,
+) {
+    if env.correlation == HEARTBEAT_CORRELATION {
+        return; // liveness traffic is the monitor's business
+    }
+    // A payload that does not decode as a query, or carries a tag this
+    // protocol does not have, is ignored.
+    let Ok(msg) = QueryMsg::from_bytes(&env.payload) else {
+        return;
+    };
+    let group = match msg.tag {
+        TAG_GROUP_QUERY => true,
+        TAG_NODE_QUERY => false,
+        _ => return,
+    };
+    if !admissible(cluster, &msg) {
+        // Nobody searched, so nobody is listed as having contributed:
+        // the caller sees a degraded answer now instead of a member
+        // timeout later.
+        let nothing = if group {
+            GroupReply::default().to_bytes()
+        } else {
+            NodeReply::default().to_bytes()
+        };
+        transport.send(env.from, env.correlation, nothing);
+        return;
+    }
+    if group {
+        serve_group_query(cluster, topo, me, transport, timeouts, &env, &msg, backlog);
+        return;
+    }
+    // A sampled trace context on the envelope: the local search is a
+    // span, shipped home as a reply tail.
+    let span = env.trace.filter(|c| c.sampled).map(|ctx| {
+        let tracer = cluster.metrics_registry().tracer(me.0 as u32);
+        tracer.child(&format!("node/{}", me.0), ctx)
+    });
+    let (hsps, receipt) = eval_local(cluster, me, &msg);
+    let mut reply = NodeReply {
+        compute: receipt.compute,
+        candidates: receipt.candidates,
+        hsps,
+        spans: Vec::new(),
+    };
+    if let Some(mut span) = span {
+        span.tag("anchors", reply.hsps.len());
+        reply.spans.extend(span.finish());
+    }
+    transport.send(env.from, env.correlation, reply.to_bytes());
 }
 
 /// The trust boundary of a serving node: a decoded request is searched
@@ -891,10 +964,10 @@ fn admissible(cluster: &MendelCluster, msg: &QueryMsg) -> bool {
 
 /// Entry-point duty: replicate the subqueries to the other members,
 /// evaluate the local share, gather member anchor sets under the member
-/// deadline, merge, and reply with who contributed.
+/// deadline, merge, and reply with every contributor's receipt.
 #[allow(clippy::too_many_arguments)] // audit:allow(too-many-arguments): serving-context plumbing; bundling into a struct would be pure ceremony
 fn serve_group_query<T: Transport>(
-    cluster: &Arc<MendelCluster>,
+    cluster: &MendelCluster,
     topo: &Topology,
     me: NodeId,
     transport: &T,
@@ -949,19 +1022,25 @@ fn serve_group_query<T: Transport>(
         );
     }
     let node_span = child(&format!("node/{}", me.0));
-    let mut anchors = eval_local(cluster, me, msg);
+    let (mut anchors, own) = eval_local(cluster, me, msg);
     if let Some(mut span) = node_span {
         span.tag("anchors", anchors.len());
         shipped.extend(span.finish());
     }
-    let mut answered = vec![me];
+    let mut receipts = vec![own];
     let on_reply = |(peer, sent): (NodeId, Option<Duration>), resp: Envelope| {
-        let Ok((more, mut remote)) = decode_hsps_and_spans(&resp.payload) else {
+        let Ok(reply) = NodeReply::from_bytes(&resp.payload) else {
             return;
         };
-        anchors.extend(more);
-        answered.push(peer);
+        receipts.push(Receipt {
+            node: peer,
+            compute: reply.compute,
+            candidates: reply.candidates,
+            anchors: reply.hsps.len() as u32,
+        });
+        anchors.extend(reply.hsps);
         if let (Some(t), Some(sent)) = (&tracer, sent) {
+            let mut remote = reply.spans;
             reanchor_spans(&mut remote, sent, t.clock().now());
             for r in &remote {
                 cluster.metrics_registry().tracer(r.node).record(r.clone());
@@ -980,41 +1059,68 @@ fn serve_group_query<T: Transport>(
         on_reply,
         on_foreign,
     );
-    answered.sort_unstable();
+    receipts.sort_unstable_by_key(|r| r.node);
     // First aggregation stage (§V-B): merge overlapping anchors on the
     // same diagonal at the group entry point.
     let merge_span = child("merge");
+    let clock = cluster.metrics_registry().clock();
+    let t = clock.now();
     let merged = mendel_align::hsp::merge_overlapping(anchors);
+    let merge = clock.now().saturating_sub(t);
     shipped.extend(merge_span.and_then(ActiveSpan::finish));
     // Close the group span last so it brackets everything above, then
     // put it first in the tail: the re-anchoring at the receiving side
     // keys off the earliest-starting record as the hop's root.
     if let Some(mut span) = group_span {
-        span.tag("members", answered.len());
+        span.tag("members", receipts.len());
         if let Some(record) = span.finish() {
             shipped.insert(0, record);
         }
     }
     let reply = GroupReply {
-        responded: answered.iter().map(|n| n.0).collect(),
+        receipts,
+        merge,
         hsps: merged,
         spans: shipped,
     };
     transport.send(env.from, env.correlation, reply.to_bytes());
 }
 
-fn eval_local(cluster: &MendelCluster, me: NodeId, msg: &QueryMsg) -> Vec<Hsp> {
+/// Node `me`'s search for `msg` — the one site that times a node search:
+/// its anchors and its receipt, the compute time also added to
+/// `mendel.query.local_search_nanos`.
+fn eval_local(cluster: &MendelCluster, me: NodeId, msg: &QueryMsg) -> (Vec<Hsp>, Receipt) {
     let params = msg.params.to_query_params();
     let Ok(matrix) = cluster.resolve_matrix(&params.m) else {
-        return Vec::new();
+        return (
+            Vec::new(),
+            Receipt {
+                node: me,
+                ..Receipt::default()
+            },
+        );
     };
-    cluster.node_local_search(me, &msg.query, &msg.offsets, &params, &matrix)
+    let obs = cluster.metrics_registry();
+    let clock = obs.clock();
+    let t = clock.now();
+    let out = cluster.node_local_search(me, &msg.query, &msg.offsets, &params, &matrix);
+    let compute = clock.now().saturating_sub(t);
+    obs.counter("mendel.query.local_search_nanos")
+        .add(compute.as_nanos() as u64);
+    let receipt = Receipt {
+        node: me,
+        compute,
+        candidates: out.candidates,
+        anchors: out.anchors.len() as u32,
+    };
+    (out.anchors, receipt)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::ClusterConfig;
+    use crate::inline::Port;
     use mendel_seq::gen::{NrLikeSpec, QuerySetSpec};
     use mendel_seq::SeqId;
 
@@ -1031,6 +1137,27 @@ mod tests {
             .unwrap(),
         );
         Arc::new(MendelCluster::build(ClusterConfig::small_protein(), db).unwrap())
+    }
+
+    /// The front-end address of a hand-built [`InlineNet`].
+    const FRONT: NodeAddr = NodeAddr(0);
+
+    /// An address that is neither a node nor [`FRONT`]: replies to it
+    /// are dead letters.
+    const STRANGER: NodeAddr = NodeAddr(999);
+
+    /// One query from [`FRONT`] over `net`, whose inboxes a test may have
+    /// seeded.
+    fn ask(
+        cluster: &MendelCluster,
+        net: &InlineNet,
+        q: &[u8],
+        params: &QueryParams,
+    ) -> WireQueryOutcome {
+        let timeouts = WireTimeouts::default();
+        query_via(cluster, &net.port(FRONT), q, params, &timeouts)
+            .unwrap()
+            .outcome
     }
 
     #[test]
@@ -1082,66 +1209,101 @@ mod tests {
         }
     }
 
+    fn anchor() -> Hsp {
+        Hsp {
+            subject_id: 9,
+            query_start: 4,
+            query_end: 40,
+            subject_start: 11,
+            score: 55,
+        }
+    }
+
+    /// The MDL1 layouts, built by hand: a member reply is `compute_ns ·
+    /// candidates · hsps`, a group reply `receipts · merge_ns · hsps`,
+    /// each receipt `node:u16 · compute_ns · candidates · anchors:u32`;
+    /// untraced, neither carries a span tail.
     #[test]
     fn untraced_group_reply_is_byte_identical_to_pre_tracing_encoding() {
+        let receipt = |node: u16, ns: u64| Receipt {
+            node: NodeId(node),
+            compute: Duration::from_nanos(ns),
+            candidates: 24,
+            anchors: 2,
+        };
         let reply = GroupReply {
-            responded: vec![0, 3, 7],
-            hsps: vec![Hsp {
-                subject_id: 9,
-                query_start: 4,
-                query_end: 40,
-                subject_start: 11,
-                score: 55,
-            }],
+            receipts: vec![receipt(0, 700), receipt(3, 900)],
+            merge: Duration::from_nanos(40),
+            hsps: vec![anchor()],
             spans: Vec::new(),
         };
-        // Hand-build the PR 9 encoding: responded vec + hsps, no tail.
-        let mut legacy = BytesMut::new();
-        reply.responded.encode(&mut legacy);
-        encode_hsps_into(&reply.hsps, &mut legacy);
-        assert_eq!(reply.to_bytes(), legacy.freeze());
-        // And it round-trips to an empty span set.
-        let back = GroupReply::from_bytes(&reply.to_bytes()).unwrap();
-        assert_eq!(back, reply);
+        let mut hand = BytesMut::new();
+        2u32.encode(&mut hand);
+        for (node, ns) in [(0u16, 700u64), (3, 900)] {
+            node.encode(&mut hand);
+            ns.encode(&mut hand);
+            24u64.encode(&mut hand);
+            2u32.encode(&mut hand);
+        }
+        40u64.encode(&mut hand);
+        encode_hsps_into(&reply.hsps, &mut hand);
+        assert_eq!(reply.to_bytes(), hand.freeze());
+        assert_eq!(GroupReply::from_bytes(&reply.to_bytes()).unwrap(), reply);
+
+        let member = NodeReply {
+            compute: Duration::from_nanos(700),
+            candidates: 24,
+            hsps: vec![anchor()],
+            spans: Vec::new(),
+        };
+        let mut hand = BytesMut::new();
+        700u64.encode(&mut hand);
+        24u64.encode(&mut hand);
+        encode_hsps_into(&member.hsps, &mut hand);
+        assert_eq!(member.to_bytes(), hand.freeze());
+        assert_eq!(NodeReply::from_bytes(&member.to_bytes()).unwrap(), member);
     }
 
     #[test]
     fn traced_group_reply_roundtrips_span_tail() {
+        let spans = vec![SpanRecord {
+            trace: TraceId(500),
+            span: SpanId(501),
+            parent: Some(SpanId(7)),
+            node: 1,
+            name: "group/0".into(),
+            start: Duration::from_nanos(100),
+            end: Duration::from_nanos(900),
+            tags: vec![("members".into(), "2".into())],
+        }];
         let reply = GroupReply {
-            responded: vec![1],
-            hsps: Vec::new(),
-            spans: vec![SpanRecord {
-                trace: TraceId(500),
-                span: SpanId(501),
-                parent: Some(SpanId(7)),
-                node: 1,
-                name: "group/0".into(),
-                start: Duration::from_nanos(100),
-                end: Duration::from_nanos(900),
-                tags: vec![("members".into(), "2".into())],
-            }],
+            receipts: vec![Receipt::default()],
+            spans: spans.clone(),
+            ..GroupReply::default()
         };
         assert_eq!(GroupReply::from_bytes(&reply.to_bytes()).unwrap(), reply);
-        let (hsps, spans) = {
-            let mut buf = BytesMut::new();
-            encode_hsps_into(&reply.hsps, &mut buf);
-            encode_spans_into(&reply.spans, &mut buf);
-            decode_hsps_and_spans(&buf.freeze()).unwrap()
+        let member = NodeReply {
+            hsps: vec![anchor()],
+            spans,
+            ..NodeReply::default()
         };
-        assert_eq!(hsps, reply.hsps);
-        assert_eq!(spans, reply.spans);
+        assert_eq!(NodeReply::from_bytes(&member.to_bytes()).unwrap(), member);
     }
 
     #[test]
     fn hsp_wire_bytes_is_the_encoded_length_of_one_anchor() {
-        let anchor = bogus_anchors(1);
-        let count_prefix = 4;
-        assert_eq!(encode_hsps(&anchor).len() - count_prefix, HSP_WIRE_BYTES);
+        let reply = |hsps| NodeReply {
+            hsps,
+            ..NodeReply::default()
+        };
+        let one = reply(bogus_anchors(1)).to_bytes().len();
+        assert_eq!(one - reply(Vec::new()).to_bytes().len(), HSP_WIRE_BYTES);
     }
 
-    /// Counts of `u32::MAX` with nothing behind them — anchors in a
-    /// member reply or a group reply, span records in a reply tail — are
-    /// decode errors, reserving no more than the bytes carried.
+    /// Counts of `u32::MAX` with nothing behind them — receipts in a group
+    /// reply, anchors in a member reply or a group reply, span records in
+    /// a reply tail — are decode errors, reserving no more than the bytes
+    /// carried.
     #[test]
     fn forged_counts_without_a_body_are_rejected() {
         let count = |prefix: &[u8]| {
@@ -1150,10 +1312,19 @@ mod tests {
             u32::MAX.encode(&mut buf);
             buf.freeze()
         };
-        assert!(decode_hsps_and_spans(&count(&[])).is_err());
-        assert!(decode_hsps_and_spans(&count(&encode_hsps(&[]))).is_err());
-        let no_members = Vec::<u16>::new().to_bytes();
-        assert!(GroupReply::from_bytes(&count(&no_members)).is_err());
+        // A member reply: no receipt at all, a receipt and no anchors, and
+        // anchors with no span records behind their tail count.
+        assert!(NodeReply::from_bytes(&count(&[])).is_err());
+        let receipt = [0u8; 16];
+        assert!(NodeReply::from_bytes(&count(&receipt)).is_err());
+        let no_anchors = NodeReply::default().to_bytes();
+        assert!(NodeReply::from_bytes(&count(&no_anchors)).is_err());
+        // A group reply: receipts, then anchors.
+        assert!(GroupReply::from_bytes(&count(&[])).is_err());
+        let mut no_receipts = BytesMut::new();
+        Vec::<Receipt>::new().encode(&mut no_receipts);
+        0u64.encode(&mut no_receipts);
+        assert!(GroupReply::from_bytes(&count(&no_receipts)).is_err());
     }
 
     #[test]
@@ -1239,7 +1410,6 @@ mod tests {
         // The tree reassembles and its chrome export is loadable.
         let mut c = mendel_obs::TraceCollector::new();
         c.ingest(records.clone());
-        c.dedup();
         let tree = c.tree(trace).expect("tree");
         assert_eq!(tree.root.record.name, "query");
         let json = mendel_obs::chrome_trace_json(&records);
@@ -1298,18 +1468,11 @@ mod tests {
         bad.n = 0;
         let q = cluster.db().get(SeqId(0)).unwrap().residues.clone();
         assert!(wire.query(&q, &bad).is_err());
-        // Unencoded residues (ASCII, not codes) fail in `plan`, on both
-        // evaluators, instead of panicking in a distance kernel.
+        // Unencoded residues (ASCII, not codes) fail in `plan`, from
+        // every entry point, instead of panicking in a distance kernel.
         let ascii = b"MKVLAAGIVGLLLAQWERTYHHH".to_vec();
         assert!(wire.query(&ascii, &QueryParams::protein()).is_err());
         assert!(cluster.query(&ascii, &QueryParams::protein()).is_err());
-    }
-
-    #[test]
-    fn shutdown_joins_all_threads() {
-        let cluster = cluster();
-        let wire = WireCluster::serve(cluster.clone());
-        drop(wire); // must not hang
     }
 
     #[test]
@@ -1347,16 +1510,16 @@ mod tests {
             .expect("a queried group with two members")
     }
 
-    /// A never-started node (a crashed process, as seen by peers) must
-    /// degrade the wire answer exactly like the in-process failover
-    /// path: hits from live members only, and the same coverage report
-    /// `fail_node` produces on a twin cluster.
+    /// A node that never answers (a hung process, as seen by peers) must
+    /// degrade the wire answer exactly like the control plane's
+    /// `fail_node`: hits from live members only, and the same coverage
+    /// report on a twin cluster.
     #[test]
     fn dead_member_degrades_like_in_process_failover() {
         let cluster = cluster();
         // Kill a non-entry-point member of a group serving seq 0's
-        // windows: its mailbox swallows the member request, so the entry
-        // point must time the member out.
+        // windows: it swallows the member request, so the entry point
+        // must time the member out.
         let q = cluster.db().get(SeqId(0)).unwrap().residues.clone();
         let victim = queried_member(&cluster, &q, 1);
         let fast = WireTimeouts {
@@ -1367,7 +1530,7 @@ mod tests {
         let outcome = wire.query_outcome(&q, &QueryParams::protein()).unwrap();
         assert!(asked.elapsed() >= fast.member(), "the member was timed out");
 
-        // Twin: same build, in-process failover of the same node.
+        // Twin: same build, control-plane failover of the same node.
         let twin = self::cluster();
         twin.fail_node(victim).unwrap();
         let expected_hits = twin.query(&q, &QueryParams::protein()).unwrap().hits;
@@ -1383,7 +1546,7 @@ mod tests {
 
     /// A dead group entry point: the client times it out and retries
     /// through the next member, so the group still answers (minus the
-    /// dead node's anchors), matching in-process failover on a twin.
+    /// dead node's anchors), matching control-plane failover on a twin.
     #[test]
     fn dead_entry_point_fails_over_to_next_member() {
         let cluster = cluster();
@@ -1411,6 +1574,135 @@ mod tests {
         assert_eq!(outcome.coverage.degraded, twin.coverage().degraded);
     }
 
+    // ---- Hostile replies -----------------------------------------------
+
+    /// A front-end port whose every group reply gains `forged` anchors,
+    /// as an entry point that lies would send them.
+    struct Tampered<'a> {
+        port: Port<'a>,
+        forged: Vec<Hsp>,
+    }
+
+    impl Transport for Tampered<'_> {
+        fn addr(&self) -> NodeAddr {
+            self.port.addr()
+        }
+        fn send_envelope(&self, env: Envelope) -> bool {
+            self.port.send_envelope(env)
+        }
+        fn recv_timeout(&self, timeout: Duration) -> Result<Envelope, RecvError> {
+            let mut env = self.port.recv_timeout(timeout)?;
+            if let Ok(mut reply) = GroupReply::from_bytes(&env.payload) {
+                reply.hsps.extend(&self.forged);
+                env.payload = reply.to_bytes();
+            }
+            Ok(env)
+        }
+        fn try_recv(&self) -> Option<Envelope> {
+            self.port.try_recv()
+        }
+    }
+
+    /// Anchors off the wire that lie outside the query or the subject —
+    /// past the query's end, inverted, empty, on a subject nobody
+    /// stores, past the subject's end — are dropped and counted before
+    /// `finalize` indexes with them: the answer is the clean run's.
+    #[test]
+    fn out_of_range_anchors_from_an_entry_point_are_dropped() {
+        let cluster = cluster();
+        let q = cluster.db().get(SeqId(2)).unwrap().residues.clone();
+        let params = QueryParams::protein();
+        let clean = cluster.query(&q, &params).unwrap();
+        let db = cluster.db();
+        let subject_len = db.get(SeqId(0)).unwrap().len();
+        let at = |query_start, query_end, subject_id, subject_start| Hsp {
+            subject_id,
+            query_start,
+            query_end,
+            subject_start,
+            score: 99,
+        };
+        let forged = vec![
+            at(0, q.len() + 50, 0, 0),
+            at(20, 10, 0, 20),
+            at(5, 5, 0, 5),
+            at(0, 16, db.len() as u32 + 7, 0),
+            at(0, 16, 0, subject_len - 5),
+        ];
+        let net = InlineNet::new(&cluster, FRONT, &[], WireTimeouts::default());
+        let lying = Tampered {
+            port: net.port(FRONT),
+            forged: forged.clone(),
+        };
+        let before = cluster.metrics_snapshot();
+        let outcome = query_via(&cluster, &lying, &q, &params, &WireTimeouts::default())
+            .unwrap()
+            .outcome;
+        assert_eq!(outcome.hits, clean.hits);
+        assert!(outcome.unreachable.is_empty());
+        let rejected = cluster
+            .metrics_snapshot()
+            .since(&before)
+            .counter("mendel.wire.rejected_anchors");
+        assert_eq!(rejected, (forged.len() * outcome.responded.len()) as u64);
+    }
+
+    /// A front-end port that, before each request it sends, queues a
+    /// reply to it from `imposter`, a peer that was not asked.
+    struct Impersonated<'a> {
+        port: Port<'a>,
+        imposter: NodeAddr,
+    }
+
+    impl Transport for Impersonated<'_> {
+        fn addr(&self) -> NodeAddr {
+            self.port.addr()
+        }
+        fn send_envelope(&self, env: Envelope) -> bool {
+            let forged = Envelope {
+                from: self.imposter,
+                to: env.from,
+                correlation: env.correlation,
+                payload: GroupReply::default().to_bytes(),
+                trace: None,
+            };
+            assert!(self.port.send_envelope(forged));
+            self.port.send_envelope(env)
+        }
+        fn recv_timeout(&self, timeout: Duration) -> Result<Envelope, RecvError> {
+            self.port.recv_timeout(timeout)
+        }
+        fn try_recv(&self) -> Option<Envelope> {
+            self.port.try_recv()
+        }
+    }
+
+    /// A reply under a pending id from a peer it was not sent to — a
+    /// forgery, since TCP's `from` is self-declared — answers nothing:
+    /// the asked entry point's reply, queued behind it, does.
+    #[test]
+    fn reply_from_a_peer_not_asked_is_dropped() {
+        let cluster = cluster();
+        let q = cluster.db().get(SeqId(2)).unwrap().residues.clone();
+        let params = QueryParams::protein();
+        let clean = WireCluster::serve(cluster.clone())
+            .query_outcome(&q, &params)
+            .unwrap();
+        for imposter in [STRANGER, node_addr(NodeId(5))] {
+            let net = InlineNet::new(&cluster, FRONT, &[], WireTimeouts::default());
+            let forging = Impersonated {
+                port: net.port(FRONT),
+                imposter,
+            };
+            let next = query_via(&cluster, &forging, &q, &params, &WireTimeouts::default())
+                .unwrap()
+                .outcome;
+            assert_eq!(next.unreachable, Vec::<NodeId>::new(), "{imposter}");
+            assert_eq!(next.responded, clean.responded, "{imposter}");
+            assert_eq!(next.hits, clean.hits, "{imposter}");
+        }
+    }
+
     // ---- Malformed requests -------------------------------------------
 
     /// Requests that decode but that no front-end's plan would produce — a
@@ -1422,13 +1714,10 @@ mod tests {
     fn forged_queries_are_rejected_and_the_node_keeps_serving() {
         let cluster = cluster();
         let topo = cluster.topology();
-        let fast = WireTimeouts {
-            rpc: Duration::from_secs(5),
-        };
-        let wire = WireCluster::serve_with(cluster.clone(), &[], fast);
+        let net = InlineNet::new(&cluster, FRONT, &[], WireTimeouts::default());
         let q = cluster.db().get(SeqId(2)).unwrap().residues.clone();
         let params = QueryParams::protein();
-        let clean = wire.query_outcome(&q, &params).unwrap();
+        let clean = ask(&cluster, &net, &q, &params);
         assert!(!clean.hits.is_empty() && clean.unreachable.is_empty());
 
         let forged = [
@@ -1444,7 +1733,7 @@ mod tests {
                 vec![usize::MAX],
             ),
         ];
-        let stranger = wire.network.join();
+        let stranger = net.port(STRANGER);
         let mut sent = 0;
         for tag in [TAG_NODE_QUERY, TAG_GROUP_QUERY] {
             for (what, query, offsets) in &forged {
@@ -1458,7 +1747,7 @@ mod tests {
                     assert!(stranger.send(node_addr(node), 0, msg.to_bytes()));
                     sent += 1;
                 }
-                let next = wire.query_outcome(&q, &params).unwrap();
+                let next = ask(&cluster, &net, &q, &params);
                 assert_eq!(next.unreachable, Vec::<NodeId>::new(), "tag {tag}: {what}");
                 assert_eq!(next.hits, clean.hits, "tag {tag}: {what}");
                 assert_eq!(next.coverage, clean.coverage, "tag {tag}: {what}");
@@ -1482,13 +1771,10 @@ mod tests {
     fn hostile_wire_params_do_not_stop_a_node() {
         let cluster = cluster();
         let topo = cluster.topology();
-        let fast = WireTimeouts {
-            rpc: Duration::from_secs(5),
-        };
-        let wire = WireCluster::serve_with(cluster.clone(), &[], fast);
+        let net = InlineNet::new(&cluster, FRONT, &[], WireTimeouts::default());
         let q = cluster.db().get(SeqId(2)).unwrap().residues.clone();
         let params = QueryParams::protein();
-        let clean = wire.query_outcome(&q, &params).unwrap();
+        let clean = ask(&cluster, &net, &q, &params);
         let hostile = [
             WireParams {
                 n: usize::MAX,
@@ -1503,7 +1789,7 @@ mod tests {
                 ..WireParams::of(&params)
             },
         ];
-        let stranger = wire.network.join();
+        let stranger = net.port(STRANGER);
         for params in hostile {
             let msg = QueryMsg {
                 tag: TAG_NODE_QUERY,
@@ -1515,25 +1801,26 @@ mod tests {
                 assert!(stranger.send(node_addr(node), 0, msg.to_bytes()));
             }
         }
-        let next = wire.query_outcome(&q, &QueryParams::protein()).unwrap();
+        let next = ask(&cluster, &net, &q, &QueryParams::protein());
         assert_eq!(next.unreachable, Vec::<NodeId>::new());
         assert_eq!(next.hits, clean.hits);
     }
 
     // ---- Late replies (DESIGN.md §16.3) -------------------------------
 
-    /// Deliver `payload` from `from` to `to` once under every request
-    /// sequence number in `issued`, placed in `to`'s id plane: what a
-    /// late reply to each request `to` issued in that span looks like.
+    /// Queue `payload` from `from` in `to`'s inbox once under every
+    /// request sequence number in `issued`, placed in `to`'s id plane:
+    /// what a late reply to each request `to` issued in that span looks
+    /// like, waiting for `to`'s next gather.
     fn deliver_late(
-        wire: &WireCluster,
+        net: &InlineNet,
         from: NodeAddr,
         to: NodeAddr,
         issued: std::ops::Range<u64>,
         payload: &Bytes,
     ) {
         for seq in issued {
-            assert!(wire.network.send(Envelope {
+            assert!(net.port(from).send_envelope(Envelope {
                 from,
                 to,
                 correlation: (u64::from(to.0) << 48) | seq,
@@ -1566,39 +1853,54 @@ mod tests {
     fn late_group_reply_does_not_answer_the_next_query() {
         let cluster = cluster();
         let topo = cluster.topology();
-        let wire = WireCluster::serve(cluster.clone());
         let q = cluster.db().get(SeqId(2)).unwrap().residues.clone();
         let params = QueryParams::protein();
         let before = issued_so_far();
-        let clean = wire.query_outcome(&q, &params).unwrap();
+        let clean = ask(
+            &cluster,
+            &InlineNet::new(&cluster, FRONT, &[], WireTimeouts::default()),
+            &q,
+            &params,
+        );
         let issued = before..issued_so_far();
         assert!(!clean.hits.is_empty() && !issued.is_empty());
 
+        let net = InlineNet::new(&cluster, FRONT, &[], WireTimeouts::default());
         for &g in clean.responded.keys() {
             let members = topo.group_members(g);
             let empty = GroupReply {
-                responded: members.iter().map(|n| n.0).collect(),
-                hsps: Vec::new(),
-                spans: Vec::new(),
+                receipts: members
+                    .iter()
+                    .map(|&node| Receipt {
+                        node,
+                        ..Receipt::default()
+                    })
+                    .collect(),
+                ..GroupReply::default()
             };
             let entry = node_addr(members[0]);
-            // The front-end is address 0.
-            deliver_late(&wire, entry, NodeAddr(0), issued.clone(), &empty.to_bytes());
+            deliver_late(&net, entry, FRONT, issued.clone(), &empty.to_bytes());
         }
-        let next = wire.query_outcome(&q, &params).unwrap();
+        let next = ask(&cluster, &net, &q, &params);
         assert_eq!(next.hits, clean.hits);
         assert_eq!(next.coverage, clean.coverage);
         assert_eq!(next.responded, clean.responded);
     }
 
+    /// What a group reply says about the work done, less the times.
+    fn work(reply: &GroupReply) -> (Vec<(NodeId, usize, u32)>, &[Hsp]) {
+        let receipts = reply.receipts.iter();
+        let work = receipts.map(|r| (r.node, r.candidates, r.anchors));
+        (work.collect(), &reply.hsps)
+    }
+
     /// One level down: a member anchor set that answers an earlier group
-    /// query, arriving while the entry point gathers the next one, is
-    /// not merged into it.
+    /// query, waiting at the entry point when it gathers the next one,
+    /// is not merged into it.
     #[test]
     fn late_member_reply_is_not_merged_into_the_next_group_query() {
         let cluster = cluster();
         let topo = cluster.topology();
-        let wire = WireCluster::serve(cluster.clone());
         let q = cluster.db().get(SeqId(2)).unwrap().residues.clone();
         let params = QueryParams::protein();
         let plan = pipeline::plan(&cluster, &q, &params).unwrap();
@@ -1614,66 +1916,63 @@ mod tests {
             offsets: offsets.clone(),
             params: WireParams::of(&params),
         };
-        let node_query = QueryMsg {
-            tag: TAG_NODE_QUERY,
-            ..group_query.clone()
-        };
-        let stale = encode_hsps(&bogus_anchors(1));
-        // Play a front-end by hand, so the late replies can be queued
-        // right behind the group query. The entry point is first kept
-        // busy with node-local searches (answered under id 0, skipped
-        // below): everything queued here is in its inbox before it asks
-        // its members anything.
-        let client = wire.network.join();
+        let stale = NodeReply {
+            hsps: bogus_anchors(1),
+            ..NodeReply::default()
+        }
+        .to_bytes();
+        // Play a front-end by hand: the late replies are queued at the
+        // entry point before it asks its members anything.
+        let net = InlineNet::new(&cluster, FRONT, &[], WireTimeouts::default());
+        let front = net.port(FRONT);
         let ask = |id: u64, late: std::ops::Range<u64>| {
-            let to = node_addr(entry);
-            for _ in 0..8 {
-                assert!(client.send(to, 0, node_query.to_bytes()));
-            }
-            assert!(client.send(to, id, group_query.to_bytes()));
-            deliver_late(&wire, node_addr(member), to, late, &stale);
-            loop {
-                let env = client.recv_timeout(Duration::from_secs(20)).unwrap();
-                if env.correlation == id {
-                    break GroupReply::from_bytes(&env.payload).unwrap();
-                }
-            }
+            deliver_late(&net, node_addr(member), node_addr(entry), late, &stale);
+            assert!(front.send(node_addr(entry), id, group_query.to_bytes()));
+            let env = front.try_recv().expect("answered on the sender's thread");
+            assert_eq!(env.correlation, id);
+            GroupReply::from_bytes(&env.payload).unwrap()
         };
         let before = issued_so_far();
         let clean = ask(1, 0..0);
         let issued = before..issued_so_far();
         assert!(!clean.hsps.is_empty() && !issued.is_empty());
         let next = ask(2, issued);
-        assert_eq!(next, clean);
+        assert_eq!(work(&next), work(&clean));
     }
 
-    /// A member reply starts with its `u32` anchor count, so one with
-    /// exactly three anchors starts with the byte `3` (the stop tag this
-    /// protocol once had). Landing at an idle node it is still a reply,
-    /// and the node keeps serving.
+    /// A member reply that starts with the byte `3` (the stop tag this
+    /// protocol once had) waiting in an idle node's inbox is still a
+    /// reply, and the node keeps serving.
     #[test]
     fn late_three_anchor_reply_does_not_stop_an_idle_node() {
         let cluster = cluster();
         let topo = cluster.topology();
-        let fast = WireTimeouts {
-            rpc: Duration::from_secs(5),
-        };
-        let wire = WireCluster::serve_with(cluster.clone(), &[], fast);
         let q = cluster.db().get(SeqId(2)).unwrap().residues.clone();
         let params = QueryParams::protein();
         let before = issued_so_far();
-        let clean = wire.query_outcome(&q, &params).unwrap();
+        let clean = ask(
+            &cluster,
+            &InlineNet::new(&cluster, FRONT, &[], WireTimeouts::default()),
+            &q,
+            &params,
+        );
         let issued = before..issued_so_far();
         assert!(clean.unreachable.is_empty() && !issued.is_empty());
 
-        let three = encode_hsps(&bogus_anchors(3));
+        let three = NodeReply {
+            compute: Duration::from_nanos(3),
+            hsps: bogus_anchors(3),
+            ..NodeReply::default()
+        }
+        .to_bytes();
         assert_eq!(three.first(), Some(&3));
+        let net = InlineNet::new(&cluster, FRONT, &[], WireTimeouts::default());
         for g in topo.group_ids() {
             let members = topo.group_members(g);
             for (i, &node) in members.iter().enumerate() {
                 let peer = members[(i + 1) % members.len()];
                 deliver_late(
-                    &wire,
+                    &net,
                     node_addr(peer),
                     node_addr(node),
                     issued.clone(),
@@ -1681,7 +1980,7 @@ mod tests {
                 );
             }
         }
-        let next = wire.query_outcome(&q, &params).unwrap();
+        let next = ask(&cluster, &net, &q, &params);
         assert_eq!(next.unreachable, Vec::<NodeId>::new());
         assert_eq!(next.hits, clean.hits);
         assert_eq!(next.coverage, clean.coverage);
@@ -1692,27 +1991,24 @@ mod tests {
     #[test]
     fn forged_stop_frame_does_not_stop_a_node() {
         let cluster = cluster();
-        let fast = WireTimeouts {
-            rpc: Duration::from_secs(2),
-        };
-        let wire = WireCluster::serve_with(cluster.clone(), &[], fast);
+        let net = InlineNet::new(&cluster, FRONT, &[], WireTimeouts::default());
         let q = cluster.db().get(SeqId(2)).unwrap().residues.clone();
         let params = QueryParams::protein();
-        let clean = wire.query_outcome(&q, &params).unwrap();
+        let clean = ask(&cluster, &net, &q, &params);
         assert!(!clean.hits.is_empty() && clean.unreachable.is_empty());
 
-        let stranger = wire.network.join();
+        let stranger = net.port(STRANGER);
         for node in cluster.topology().nodes() {
             assert!(stranger.send(node_addr(node), 0, Bytes::from_static(&[3])));
         }
-        let next = wire.query_outcome(&q, &params).unwrap();
+        let next = ask(&cluster, &net, &q, &params);
         assert_eq!(next.unreachable, Vec::<NodeId>::new());
         assert_eq!(next.hits, clean.hits);
         assert_eq!(next.coverage, clean.coverage);
     }
 
     /// Two threads sharing one `WireCluster` get the answers they would
-    /// get one at a time: neither gather swallows the other's replies.
+    /// get one at a time: each query has its own inboxes.
     #[test]
     fn concurrent_queries_on_one_wire_cluster_match_sequential_ones() {
         let cluster = cluster();

@@ -103,38 +103,6 @@ impl Transport for Endpoint {
     }
 }
 
-/// Blanket passthrough so `&T` and `Arc<T>` are transports too —
-/// protocol code can hold whichever ownership shape fits.
-impl<T: Transport + ?Sized> Transport for &T {
-    fn addr(&self) -> NodeAddr {
-        (**self).addr()
-    }
-    fn send_envelope(&self, env: Envelope) -> bool {
-        (**self).send_envelope(env)
-    }
-    fn recv_timeout(&self, timeout: Duration) -> Result<Envelope, RecvError> {
-        (**self).recv_timeout(timeout)
-    }
-    fn try_recv(&self) -> Option<Envelope> {
-        (**self).try_recv()
-    }
-}
-
-impl<T: Transport + ?Sized> Transport for std::sync::Arc<T> {
-    fn addr(&self) -> NodeAddr {
-        (**self).addr()
-    }
-    fn send_envelope(&self, env: Envelope) -> bool {
-        (**self).send_envelope(env)
-    }
-    fn recv_timeout(&self, timeout: Duration) -> Result<Envelope, RecvError> {
-        (**self).recv_timeout(timeout)
-    }
-    fn try_recv(&self) -> Option<Envelope> {
-        (**self).try_recv()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -153,14 +121,5 @@ mod tests {
         assert_eq!(env.correlation, 7);
         assert_eq!(env.from, Transport::addr(&a));
         assert!(env.trace.is_none());
-    }
-
-    #[test]
-    fn arc_and_ref_passthrough() {
-        let net = Network::new();
-        let a = std::sync::Arc::new(net.join());
-        let b = net.join();
-        assert!(a.send(Transport::addr(&b), 1, Bytes::new()));
-        assert!((&b).try_recv().is_some());
     }
 }

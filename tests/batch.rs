@@ -1,19 +1,23 @@
-//! Evaluator-agreement property suite (DESIGN.md "The query pipeline"):
-//! for random picks of random queries, under both metrics
-//! (protein/MatrixDistance and DNA/Hamming) and both storage backends
-//! (memory and durable), the in-process evaluator answers
-//! **bit-identically** to `WireCluster::query` — the same per-window node
-//! search, reached through one scheduler job per member rather than
-//! encoded messages. Beside it: admission shedding, the scheduler's
-//! accounting and the SIMD kill switch, all one query per call.
+//! Sim-vs-TCP twin property suite (DESIGN.md §18): for random picks of
+//! random queries, under both metrics (protein/MatrixDistance and
+//! DNA/Hamming), both storage backends (memory and durable) and three
+//! block lengths, `MendelCluster::query` — the pipeline's messages
+//! delivered in process — answers **bit-identically** to a front-end
+//! whose messages cross loopback TCP to one `NodeServer` per node, as
+//! `mendel serve` runs them. Beside it: concurrent callers, the SIMD
+//! kill switch and the error text, all one query per call.
 
+use mendel_suite::core::wire::node_addr;
 use mendel_suite::core::{
-    ClusterConfig, MendelCluster, MendelError, MendelHit, QueryParams, StorageBackend, WireCluster,
+    ClusterConfig, FrontEnd, MendelCluster, MendelHit, NodeServer, QueryParams, StorageBackend,
+    WireCluster, WireTimeouts,
 };
 use mendel_suite::dht::NodeId;
+use mendel_suite::net::{NodeAddr, TcpConfig, TransportMetrics};
 use mendel_suite::seq::gen::{NrLikeSpec, QuerySetSpec};
 use mendel_suite::seq::Alphabet;
 use proptest::prelude::*;
+use std::net::SocketAddr;
 use std::sync::{Arc, OnceLock};
 
 /// One pre-built cluster plus a pool of realistic queries against it.
@@ -69,8 +73,51 @@ fn build_world(alphabet: Alphabet, backend: StorageBackend, seed: u64, block_len
     World { cluster, pool }
 }
 
-fn world(alphabet: Alphabet, durable: bool) -> &'static World {
-    static WORLDS: [OnceLock<World>; 4] = [
+/// Every node of a cluster served over loopback TCP, and a front-end
+/// dialing them all.
+struct Served {
+    _nodes: Vec<NodeServer>,
+    front: FrontEnd,
+}
+
+fn serve(cluster: &Arc<MendelCluster>) -> Served {
+    let timeouts = WireTimeouts::default();
+    let any: SocketAddr = "127.0.0.1:0".parse().unwrap();
+    let nodes: Vec<NodeServer> = cluster
+        .topology()
+        .nodes()
+        .map(|n| {
+            let metrics = TransportMetrics::detached();
+            let cfg = TcpConfig::default();
+            NodeServer::start(cluster.clone(), n, any, &[], cfg, metrics, timeouts).unwrap()
+        })
+        .collect();
+    let addrs: Vec<(NodeAddr, SocketAddr)> = nodes
+        .iter()
+        .map(|s| (node_addr(s.node()), s.local_socket_addr().unwrap()))
+        .collect();
+    for s in &nodes {
+        for &(peer, sock) in &addrs {
+            s.transport().add_peer(peer, sock);
+        }
+    }
+    let metrics = TransportMetrics::detached();
+    let front = FrontEnd::connect(
+        cluster.clone(),
+        0,
+        &addrs,
+        TcpConfig::default(),
+        metrics,
+        timeouts,
+    );
+    Served {
+        _nodes: nodes,
+        front,
+    }
+}
+
+fn world(alphabet: Alphabet, durable: bool) -> &'static (World, Served) {
+    static WORLDS: [OnceLock<(World, Served)>; 4] = [
         OnceLock::new(),
         OnceLock::new(),
         OnceLock::new(),
@@ -83,7 +130,9 @@ fn world(alphabet: Alphabet, durable: bool) -> &'static World {
         } else {
             StorageBackend::Memory
         };
-        build_world(alphabet, backend, 0xBA7C + idx as u64, 16)
+        let world = build_world(alphabet, backend, 0xBA7C + idx as u64, 16);
+        let served = serve(&world.cluster);
+        (world, served)
     })
 }
 
@@ -110,16 +159,13 @@ fn params_for(world: &World) -> QueryParams {
     }
 }
 
-fn assert_evaluators_agree(world: &World, picks: &[usize], k: usize) {
+fn assert_sim_and_tcp_agree(world: &World, served: &Served, picks: &[usize], k: usize) {
     let mut params = params_for(world);
     params.k = k;
-    // One wire client per case: a `WireCluster` handle carries one query
-    // at a time and the worlds are shared between test threads.
-    let wire = WireCluster::serve(world.cluster.clone());
     let mut asked = std::collections::HashSet::new();
     for &pick in picks.iter().filter(|&&p| asked.insert(p)) {
         let q = &world.pool[pick];
-        let local: Vec<_> = world
+        let sim: Vec<_> = world
             .cluster
             .query(q, &params)
             .unwrap()
@@ -127,16 +173,10 @@ fn assert_evaluators_agree(world: &World, picks: &[usize], k: usize) {
             .iter()
             .map(hit_bits)
             .collect();
-        let wired: Vec<_> = wire
-            .query(q, &params)
-            .unwrap()
-            .iter()
-            .map(hit_bits)
-            .collect();
-        assert_eq!(
-            wired, local,
-            "the in-process evaluator must answer like the wire path"
-        );
+        let tcp = served.front.query(q, &params).unwrap();
+        assert!(tcp.unreachable.is_empty());
+        let tcp: Vec<_> = tcp.hits.iter().map(hit_bits).collect();
+        assert_eq!(tcp, sim, "in-process delivery must answer like TCP");
     }
 }
 
@@ -149,7 +189,8 @@ proptest! {
         picks in proptest::collection::vec(0usize..12, 1..64),
         k in 1usize..4,
     ) {
-        assert_evaluators_agree(world(Alphabet::Protein, false), &picks, k);
+        let (w, served) = world(Alphabet::Protein, false);
+        assert_sim_and_tcp_agree(w, served, &picks, k);
     }
 
     /// Memory backend, DNA cluster (Hamming SIMD kernel).
@@ -158,7 +199,8 @@ proptest! {
         picks in proptest::collection::vec(0usize..12, 1..64),
         k in 1usize..4,
     ) {
-        assert_evaluators_agree(world(Alphabet::Dna, false), &picks, k);
+        let (w, served) = world(Alphabet::Dna, false);
+        assert_sim_and_tcp_agree(w, served, &picks, k);
     }
 }
 
@@ -173,7 +215,8 @@ proptest! {
         picks in proptest::collection::vec(0usize..12, 1..48),
         k in 1usize..4,
     ) {
-        assert_evaluators_agree(world(Alphabet::Protein, true), &picks, k);
+        let (w, served) = world(Alphabet::Protein, true);
+        assert_sim_and_tcp_agree(w, served, &picks, k);
     }
 
     /// Durable backend, DNA cluster.
@@ -182,42 +225,16 @@ proptest! {
         picks in proptest::collection::vec(0usize..12, 1..48),
         k in 1usize..4,
     ) {
-        assert_evaluators_agree(world(Alphabet::Dna, true), &picks, k);
+        let (w, served) = world(Alphabet::Dna, true);
+        assert_sim_and_tcp_agree(w, served, &picks, k);
     }
 }
 
-/// Past the scheduler's admission bound a query is shed with a typed
-/// error instead of queueing, and is answered again once slots free up.
-#[test]
-fn query_is_shed_while_admission_is_full() {
-    let w = world(Alphabet::Dna, false);
-    let cluster = MendelCluster::build(ClusterConfig::small_dna(), w.cluster.db())
-        .unwrap()
-        .with_scheduler(mendel_suite::sched::SchedConfig {
-            workers: 2,
-            max_in_flight: 2,
-        });
-    let params = QueryParams::dna();
-    let q = &w.pool[0];
-    let want = cluster.query(q, &params).unwrap().hits;
-    let held: Vec<_> = (0..2)
-        .map(|_| cluster.scheduler().admit().unwrap())
-        .collect();
-    let shed = cluster.query(q, &params);
-    assert!(
-        matches!(shed, Err(MendelError::Shed { limit: 2, .. })),
-        "{shed:?}"
-    );
-    assert_eq!(cluster.metrics_snapshot().counter("mendel.sched.shed"), 1);
-    drop(held);
-    assert_eq!(cluster.query(q, &params).unwrap().hits, want);
-}
-
-/// Callers on several threads share the one evaluator (and its
-/// scheduler); each still gets the answer a lone caller gets.
+/// Callers on several threads share the one cluster, each query on its
+/// own caller's thread; each still gets the answer a lone caller gets.
 #[test]
 fn concurrent_single_queries_match_serial_answers() {
-    let w = world(Alphabet::Protein, false);
+    let (w, _) = world(Alphabet::Protein, false);
     let params = QueryParams::protein();
     let serial: Vec<Vec<MendelHit>> = w.pool[..4]
         .iter()
@@ -273,7 +290,7 @@ fn simd_kill_switch_leaves_cluster_hits_identical() {
 
 /// Block lengths off the kernels' 16-residue tile — a short tail only
 /// (12) and a full tile plus a tail (20) — answer identically in
-/// process, over the wire, and with SIMD off, on both alphabets.
+/// process, over TCP, and with SIMD off, on both alphabets.
 #[test]
 fn off_tile_block_lengths_answer_identically_everywhere() {
     use mendel_suite::seq::simd::set_simd_enabled;
@@ -286,7 +303,7 @@ fn off_tile_block_lengths_answer_identically_everywhere() {
                 block_len,
             );
             let picks: Vec<usize> = (0..w.pool.len()).collect();
-            assert_evaluators_agree(&w, &picks, 1);
+            assert_sim_and_tcp_agree(&w, &serve(&w.cluster), &picks, 1);
             let params = params_for(&w);
             let hits = |on: bool| -> Vec<Vec<MendelHit>> {
                 let prev = set_simd_enabled(on);
@@ -308,36 +325,19 @@ fn off_tile_block_lengths_answer_identically_everywhere() {
     }
 }
 
-/// Every node job a run of queries submits runs to completion.
-#[test]
-fn scheduler_drains_every_job_of_a_batch() {
-    let w = world(Alphabet::Protein, false);
-    let cluster = MendelCluster::build(ClusterConfig::small_protein(), w.cluster.db()).unwrap();
-    for q in &w.pool {
-        cluster.query(q, &QueryParams::protein()).unwrap();
-    }
-    // The scheduler counts a job `completed` before it publishes the
-    // job's result, so the counters agree as soon as the reports exist.
-    let snap = cluster.metrics_snapshot();
-    assert!(snap.counter("mendel.sched.submitted") > 0);
-    assert_eq!(
-        snap.counter("mendel.sched.submitted"),
-        snap.counter("mendel.sched.completed")
-    );
-    assert_eq!(snap.counter("mendel.sched.job_panics"), 0);
-}
-
 /// Drift guard: every entry point rejects a too-short query with the
 /// same words.
 #[test]
 fn too_short_query_error_is_the_same_from_every_entry_point() {
-    let w = world(Alphabet::Protein, false);
+    let (w, served) = world(Alphabet::Protein, false);
     let params = QueryParams::protein();
     let short = vec![0u8; 4];
     let single = w.cluster.query(&short, &params).unwrap_err().to_string();
     let entered = w.cluster.query_from(NodeId(2), &short, &params);
     let wire = WireCluster::serve(w.cluster.clone());
+    let tcp = served.front.query(&short, &params);
     assert!(single.contains("4 residues"), "{single}");
     assert_eq!(entered.unwrap_err().to_string(), single);
     assert_eq!(wire.query(&short, &params).unwrap_err().to_string(), single);
+    assert_eq!(tcp.unwrap_err().to_string(), single);
 }

@@ -268,9 +268,11 @@ fn per_query_deltas_include_stage_histograms() {
 }
 
 /// The finalize stage's budget in counts: every query exports how many
-/// gapped extensions it ran and how many DP cells they evaluated, and the
-/// in-process evaluator and the wire evaluator count the same for the
-/// same query (one `finalize` behind both).
+/// gapped extensions it ran and how many DP cells they evaluated, and
+/// `MendelCluster::query` and `WireCluster` count the same for the same
+/// query (one `finalize` behind both). Both also export the node search's
+/// time, `mendel.query.local_search_nanos`, from the one site that fills
+/// a member's receipt.
 #[test]
 fn gapped_extension_counts_are_exported_and_agree_across_evaluators() {
     let db = small_db(0x0D4);
@@ -293,20 +295,24 @@ fn gapped_extension_counts_are_exported_and_agree_across_evaluators() {
         "mendel.query.gapped_cells",
     ];
     let counts = |m: &MetricsSnapshot| names.map(|n| m.counter(n));
+    let search_nanos = "mendel.query.local_search_nanos";
     let mut extensions = 0;
     for i in [0u32, 7, 13] {
         let query = db.get(SeqId(i)).unwrap().residues.clone();
         let report = cluster.query(&query, &params).unwrap();
         let exposition = report.metrics.to_prometheus();
-        for name in names {
+        for name in names.iter().chain([&search_nanos]) {
             let prom = name.replace('.', "_");
             assert!(exposition.contains(&format!("\n{prom} ")), "{name}");
         }
         let in_process = counts(&report.metrics);
+        assert!(report.metrics.counter(search_nanos) > 0, "seq {i}");
 
         let before = cluster.metrics_snapshot();
         let hits = wire.query(&query, &params).unwrap();
-        let over_wire = counts(&cluster.metrics_snapshot().since(&before));
+        let delta = cluster.metrics_snapshot().since(&before);
+        let over_wire = counts(&delta);
+        assert!(delta.counter(search_nanos) > 0, "seq {i}");
         assert_eq!(hits, report.hits, "seq {i}");
         assert_eq!(over_wire, in_process, "seq {i}: [extensions, cells]");
         // No extension evaluates no cell; every extension evaluates some.
@@ -329,14 +335,7 @@ fn identical_serial_runs_produce_identical_counter_deltas() {
             },
             db.clone(),
         )
-        .unwrap()
-        // Serial all the way down: one scheduler worker runs the node
-        // jobs in submission order, so `mendel.sched.steals` — which
-        // worker got to a job first — is not left to thread timing.
-        .with_scheduler(mendel_suite::sched::SchedConfig {
-            workers: 1,
-            ..Default::default()
-        });
+        .unwrap();
         let params = QueryParams::protein();
         let mut deltas = Vec::new();
         for i in 0..4u32 {
