@@ -127,8 +127,8 @@ if [ "$MODE" != "quick" ]; then
 fi
 
 # 9. Observability suite (DESIGN.md §11): exact counter assertions
-#    (distance calls, fan-out, fault-verdict replay) under the invariant
-#    checkers.
+#    (distance calls, fan-out, gapped-extension work, identical deltas
+#    for identical runs) under the invariant checkers.
 if [ "$MODE" != "quick" ]; then
     step "observability suite (strict-invariants)" \
         cargo test --test observability --features strict-invariants -q
@@ -143,10 +143,11 @@ if [ "$MODE" != "quick" ]; then
     step "trace determinism + schema" cargo test --test tracing -q
 fi
 
-# 11. Seeded chaos suite (DESIGN.md §9): deterministic fault injection,
-#    heartbeat failover, and re-replication repair under the invariant
-#    checkers. Fast fixed seeds only; the multi-seed sweep stays behind
-#    `--ignored`.
+# 11. Seeded chaos suite (DESIGN.md §9): seeded heartbeat drops and
+#    crash/restart schedules on a logical clock, detector failover,
+#    re-replication repair and exact same-seed replay, under the
+#    invariant checkers. No threads, no sleeps; the seeds that fail at
+#    the served search budget stay behind `--ignored`.
 if [ "$MODE" != "quick" ]; then
     step "chaos suite (strict-invariants)" \
         cargo test --test chaos --features strict-invariants -q
@@ -162,8 +163,8 @@ if [ "$MODE" != "quick" ]; then
 fi
 
 # 13. Real serving layer (DESIGN.md §16): frame-codec hostile-input +
-#    property tests, transport conformance against both the simulated
-#    and TCP backends, then the multi-process loopback cluster — three
+#    property tests, transport conformance of the TCP backend, then the
+#    multi-process loopback cluster — three
 #    `mendel serve` OS processes, HTTP-ingested, answering byte-identical
 #    to the in-process twin, with SIGKILL degradation matching
 #    fail_node — and, in the same suite, the cross-process tracing and
@@ -190,9 +191,11 @@ fi
 #    its unit tests against this tree, so a refactor that breaks the
 #    frozen probe API `layers` links fails here instead of at the next
 #    benchmark run. Its build lands in target/benchmark/
-#    (benchmark/.cargo/config.toml).
+#    (benchmark/.cargo/config.toml). `--locked`: a change to the
+#    workspace's dependency edges fails here instead of silently
+#    rewriting benchmark/Cargo.lock.
 bench_package() {
-    (cd benchmark && cargo build --offline --bins -q && cargo test --offline -q)
+    (cd benchmark && cargo build --offline --locked --bins -q && cargo test --offline --locked -q)
 }
 if [ "$MODE" != "quick" ]; then
     step "benchmark package builds + tests against the tree" bench_package

@@ -64,7 +64,7 @@ use mendel::{
     WireTimeouts,
 };
 use mendel_dht::NodeId;
-use mendel_net::mailbox::NodeAddr;
+use mendel_net::envelope::NodeAddr;
 use mendel_net::tcp::TcpConfig;
 use mendel_net::TransportMetrics;
 use mendel_seq::{parse_fasta_sequences, Alphabet, SeqStore};

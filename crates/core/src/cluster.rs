@@ -8,8 +8,10 @@
 //! introspection; fault tolerance and elasticity (§VII-B) are in
 //! `ops`.
 
+mod heartbeat;
 mod ops;
 
+pub use heartbeat::HeartbeatMonitor;
 pub use ops::{FailoverDelta, RepairReport};
 
 use crate::block::{make_blocks, Block};

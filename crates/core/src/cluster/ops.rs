@@ -4,13 +4,13 @@
 //! declared in the parent module; per-node work goes through the
 //! [`NodeSlot`] verbs.
 
-use super::MendelCluster;
+use super::{HeartbeatMonitor, MendelCluster};
 use crate::block::{Block, BlockKey};
 use crate::error::MendelError;
 use crate::report::{CoverageReport, GroupCoverage};
 use mendel_dht::sha1::sha1_u64;
 use mendel_dht::{GroupId, NodeId, Topology};
-use mendel_net::{HeartbeatMonitor, NodeSpeed};
+use mendel_net::NodeSpeed;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::Ordering;
 
@@ -142,9 +142,8 @@ impl MendelCluster {
     }
 
     /// Fold a [`HeartbeatMonitor`]'s view into the failed set, closing
-    /// the detect→route-around loop. Convention: heartbeat address
-    /// `NodeAddr(i)` is storage node `NodeId(i)`; addresses outside the
-    /// topology (e.g. the monitor's own endpoint) are ignored.
+    /// the detect→route-around loop. Ids outside the topology are
+    /// ignored.
     ///
     /// Suspects not already failed are auto-failed; auto-failed nodes
     /// that beat again are recovered (through [`Self::recover_node`], so
@@ -153,14 +152,12 @@ impl MendelCluster {
     /// `fail_node` is a decision.
     pub fn sync_failure_detector(&self, monitor: &HeartbeatMonitor) -> FailoverDelta {
         let mut delta = FailoverDelta::default();
-        for addr in monitor.suspects() {
-            let node = NodeId(addr.0);
+        for node in monitor.suspects() {
             if let Ok(true) = self.mark_failed(node, true) {
                 delta.suspected.push(node);
             }
         }
-        for addr in monitor.alive() {
-            let node = NodeId(addr.0);
+        for node in monitor.alive() {
             let is_auto = matches!(self.failed.read().get(&node), Some(r) if r.auto);
             if is_auto && self.recover_node(node).is_ok() {
                 delta.recovered.push(node);

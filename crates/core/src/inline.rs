@@ -7,7 +7,7 @@
 use crate::cluster::MendelCluster;
 use crate::wire::{is_reply_to, node_addr, serve_request, WireTimeouts};
 use mendel_dht::{NodeId, Topology};
-use mendel_net::mailbox::{Envelope, NodeAddr, RecvError};
+use mendel_net::envelope::{Envelope, NodeAddr, RecvError};
 use mendel_net::transport::Transport;
 use mendel_obs::Counter;
 use parking_lot::Mutex;

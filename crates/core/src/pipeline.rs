@@ -20,8 +20,8 @@ use crate::wire::{query_via, Evaluated, WireTimeouts, HSP_WIRE_BYTES};
 use mendel_align::hsp::merge_overlapping;
 use mendel_align::Hsp;
 use mendel_dht::{GroupId, NodeId, Topology};
+use mendel_net::envelope::NodeAddr;
 use mendel_net::latency::parallel_max;
-use mendel_net::mailbox::NodeAddr;
 use mendel_obs::{QueryObservation, TraceId};
 use mendel_seq::{ScoringMatrix, SeqId, SeqStore};
 use std::collections::BTreeMap;

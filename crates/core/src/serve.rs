@@ -25,7 +25,7 @@ use crate::error::MendelError;
 use crate::params::QueryParams;
 use crate::wire::{node_addr, node_serve_loop, query_via, WireQueryOutcome, WireTimeouts};
 use mendel_dht::NodeId;
-use mendel_net::mailbox::NodeAddr;
+use mendel_net::envelope::NodeAddr;
 use mendel_net::tcp::{TcpConfig, TcpTransport};
 use mendel_net::TransportMetrics;
 use parking_lot::Mutex;

@@ -47,8 +47,7 @@ use bytes::{Bytes, BytesMut};
 use mendel_align::Hsp;
 use mendel_dht::{GroupId, NodeId, Topology};
 use mendel_net::codec::{Decode, DecodeError, Encode};
-use mendel_net::heartbeat::HEARTBEAT_CORRELATION;
-use mendel_net::mailbox::{Envelope, NodeAddr, RecvError};
+use mendel_net::envelope::{Envelope, NodeAddr, RecvError};
 use mendel_net::tcp::TcpTransport;
 use mendel_net::transport::Transport;
 use mendel_obs::{
@@ -885,9 +884,6 @@ pub(crate) fn serve_request<T: Transport>(
     env: Envelope,
     backlog: &mut VecDeque<Envelope>,
 ) {
-    if env.correlation == HEARTBEAT_CORRELATION {
-        return; // liveness traffic is the monitor's business
-    }
     // A payload that does not decode as a query, or carries a tag this
     // protocol does not have, is ignored.
     let Ok(msg) = QueryMsg::from_bytes(&env.payload) else {

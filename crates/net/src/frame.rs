@@ -1,7 +1,7 @@
 //! Length-prefixed framing for [`Envelope`]s over byte streams.
 //!
 //! The TCP backend must put the *same bytes* on the wire that the
-//! simulated mailbox accounts for, so a frame is nothing but the
+//! in-process carrier hands over, so a frame is nothing but the
 //! existing [`codec`] envelope encoding behind a length
 //! prefix:
 //!
@@ -37,7 +37,7 @@
 //! run over in-memory cursors without opening sockets.
 
 use crate::codec::{self, Decode, DecodeError, Encode};
-use crate::mailbox::Envelope;
+use crate::envelope::Envelope;
 use bytes::{Bytes, BytesMut};
 use std::io::{self, Read, Write};
 
@@ -194,7 +194,7 @@ pub fn read_frame(r: &mut impl Read) -> Result<(Envelope, usize), FrameError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mailbox::NodeAddr;
+    use crate::envelope::NodeAddr;
     use mendel_obs::{SpanId, TraceContext, TraceId};
     use std::io::Cursor;
 

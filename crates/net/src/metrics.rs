@@ -1,99 +1,18 @@
-//! Network-layer instrumentation (`mendel.net.*`).
+//! TCP carrier instrumentation (`mendel.net.transport.*`).
 //!
-//! Two handle bundles mirror the crate's two carriers:
-//!
-//! * [`NetMetrics`] hangs off a [`crate::mailbox::Network`] and counts
-//!   traffic at the delivery point — per-peer sent/received bytes and
-//!   envelopes silently dropped by an installed
-//!   [`crate::fault::FaultPlan`] (probabilistic drops *and*
-//!   crash-blocks both surface as `Verdict::Drop` at the mailbox),
-//! * [`TransportMetrics`] hangs off a [`crate::tcp::TcpTransport`] and
-//!   counts wire activity — frames, framed bytes, connects.
-//!
-//! Both default to *detached* counters (functional atomics registered
-//! nowhere), so the substrate carries no registry unless a caller
-//! installs one.
+//! [`TransportMetrics`] hangs off a [`crate::tcp::TcpTransport`] and
+//! counts wire activity — frames, framed bytes, connects. It defaults to
+//! *detached* counters (functional atomics registered nowhere), so the
+//! carrier carries no registry unless a caller installs one.
 
-use crate::mailbox::NodeAddr;
 use mendel_obs::{Counter, Gauge, Registry};
-use parking_lot::RwLock;
-use std::collections::HashMap;
 use std::sync::Arc;
-
-/// Per-peer byte counters, created lazily on first traffic.
-#[derive(Debug, Clone)]
-struct PeerCounters {
-    sent_bytes: Arc<Counter>,
-    recv_bytes: Arc<Counter>,
-}
-
-/// Mailbox-level counters for one [`crate::mailbox::Network`].
-///
-/// Per-peer counters live under `mendel.net.peer.node<N>.sent_bytes` /
-/// `.recv_bytes`; a delivered envelope from A to B of `n` payload bytes
-/// adds `n` to A's `sent_bytes` and `n` to B's `recv_bytes`. Dropped
-/// envelopes (fault plan verdicts, including crash-blocks) count under
-/// `mendel.net.dropped_envelopes` — by design they add no bytes
-/// anywhere, matching [`crate::mailbox::NetworkStats`].
-#[derive(Debug, Clone)]
-pub struct NetMetrics {
-    registry: Registry,
-    /// Envelopes a fault plan decided to drop (sender saw `true`).
-    pub dropped_envelopes: Arc<Counter>,
-    /// Envelopes delivered into a mailbox.
-    pub delivered_envelopes: Arc<Counter>,
-    peers: Arc<RwLock<HashMap<u16, PeerCounters>>>,
-}
-
-impl NetMetrics {
-    /// Counters registered under `mendel.net.*` in `registry`.
-    pub fn registered(registry: &Registry) -> Self {
-        let scope = registry.scoped("mendel.net");
-        NetMetrics {
-            dropped_envelopes: scope.counter("dropped_envelopes"),
-            delivered_envelopes: scope.counter("delivered_envelopes"),
-            registry: registry.clone(),
-            peers: Arc::new(RwLock::new(HashMap::new())),
-        }
-    }
-
-    fn peer(&self, addr: NodeAddr) -> PeerCounters {
-        if let Some(p) = self.peers.read().get(&addr.0) {
-            return p.clone();
-        }
-        let mut peers = self.peers.write();
-        peers
-            .entry(addr.0)
-            .or_insert_with(|| {
-                let scope = self.registry.scoped(&format!("mendel.net.peer.{addr}"));
-                PeerCounters {
-                    sent_bytes: scope.counter("sent_bytes"),
-                    recv_bytes: scope.counter("recv_bytes"),
-                }
-            })
-            .clone()
-    }
-
-    /// Record one successful delivery of `bytes` payload bytes.
-    pub fn record_delivery(&self, from: NodeAddr, to: NodeAddr, bytes: usize) {
-        self.delivered_envelopes.inc();
-        self.peer(from).sent_bytes.add(bytes as u64);
-        self.peer(to).recv_bytes.add(bytes as u64);
-    }
-
-    /// Record one fault-plan drop.
-    pub fn record_drop(&self) {
-        self.dropped_envelopes.inc();
-    }
-}
 
 /// Carrier-level counters for one [`crate::tcp::TcpTransport`], under
 /// `mendel.net.transport.*` when registered.
 ///
-/// These count *wire* activity (frames and framed bytes, including the
-/// 4-byte length prefix and envelope header), unlike [`NetMetrics`]
-/// which counts payload bytes at the simulated delivery point — the two
-/// views deliberately measure different layers.
+/// These count *wire* activity: frames and framed bytes, including the
+/// 4-byte length prefix and envelope header.
 #[derive(Debug, Clone, Default)]
 pub struct TransportMetrics {
     /// Frames successfully written to a peer.
@@ -160,31 +79,5 @@ mod tests {
         assert_eq!(snap.counter("mendel.net.transport.bytes_sent"), 42);
         assert_eq!(snap.counter("mendel.net.transport.reconnects"), 1);
         assert_eq!(snap.gauge("mendel.net.transport.pool_size"), 3);
-    }
-
-    #[test]
-    fn delivery_splits_bytes_between_sender_and_receiver() {
-        let r = Registry::new();
-        let m = NetMetrics::registered(&r);
-        m.record_delivery(NodeAddr(1), NodeAddr(2), 100);
-        m.record_delivery(NodeAddr(1), NodeAddr(3), 50);
-        m.record_delivery(NodeAddr(2), NodeAddr(1), 7);
-        let snap = r.snapshot();
-        assert_eq!(snap.counter("mendel.net.peer.node1.sent_bytes"), 150);
-        assert_eq!(snap.counter("mendel.net.peer.node1.recv_bytes"), 7);
-        assert_eq!(snap.counter("mendel.net.peer.node2.recv_bytes"), 100);
-        assert_eq!(snap.counter("mendel.net.peer.node3.recv_bytes"), 50);
-        assert_eq!(snap.counter("mendel.net.delivered_envelopes"), 3);
-    }
-
-    #[test]
-    fn drops_count_no_bytes() {
-        let r = Registry::new();
-        let m = NetMetrics::registered(&r);
-        m.record_drop();
-        m.record_drop();
-        let snap = r.snapshot();
-        assert_eq!(snap.counter("mendel.net.dropped_envelopes"), 2);
-        assert_eq!(snap.counter("mendel.net.delivered_envelopes"), 0);
     }
 }

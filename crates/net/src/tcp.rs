@@ -1,11 +1,10 @@
 //! Real-socket [`Transport`] backend: length-prefixed envelope frames
 //! over TCP.
 //!
-//! Where [`SimTransport`](crate::transport::SimTransport) moves
-//! envelopes through in-process channels, `TcpTransport` moves the
-//! *same bytes* ([`crate::frame`]) across OS sockets, so a Mendel
-//! cluster can run as N real processes (`mendel serve`) on loopback or
-//! a LAN. Design:
+//! Where `mendel`'s in-process carrier hands envelopes straight to the
+//! node that serves them, `TcpTransport` moves the *same bytes*
+//! ([`crate::frame`]) across OS sockets, so a Mendel cluster can run as
+//! N real processes (`mendel serve`) on loopback or a LAN. Design:
 //!
 //! * **Thread-per-connection, std::net.** The workspace vendors no
 //!   async runtime, so the backend uses blocking sockets: one acceptor
@@ -29,11 +28,10 @@
 //! * **Determinism boundary.** Everything *above* the transport stays
 //!   deterministic (same envelopes, same codec, same merge logic);
 //!   arrival interleaving across distinct senders is real-OS
-//!   nondeterministic, exactly like the simulated network under a
-//!   latency model.
+//!   nondeterministic.
 
+use crate::envelope::{Envelope, NodeAddr, RecvError};
 use crate::frame::{self, FrameError};
-use crate::mailbox::{Envelope, NodeAddr, RecvError};
 use crate::metrics::TransportMetrics;
 use crate::transport::Transport;
 use crossbeam::channel::{unbounded, Receiver, Sender};
@@ -407,8 +405,7 @@ fn send_envelope(shared: &Arc<Shared>, env: Envelope) -> bool {
     if shared.is_shut_down() {
         return false;
     }
-    // Self-sends short-circuit to the inbox, mirroring the simulated
-    // network's self-delivery.
+    // Self-sends short-circuit to the inbox.
     if env.to == shared.me {
         return shared.inbox_tx.send(env).is_ok();
     }

@@ -1,23 +1,20 @@
 //! The `Transport` seam between messaging semantics and message carriage.
 //!
-//! Everything above the mailbox — heartbeats, the wire-mode cluster and
-//! its request/reply gather — needs only four operations: know its own
-//! address, push an [`Envelope`] toward a peer, and pull delivered
-//! envelopes back out (bounded-wait or non-blocking). [`Transport`]
-//! names exactly that surface so the same protocol code runs over two
-//! interchangeable carriers:
+//! The wire-mode request/reply gather (`mendel::wire`) needs only four
+//! operations: know its own address, push an [`Envelope`] toward a peer,
+//! and pull delivered envelopes back out (bounded-wait or non-blocking).
+//! [`Transport`] names exactly that surface so the same protocol code
+//! runs over two carriers:
 //!
-//! * [`SimTransport`] — the deterministic in-process substrate
-//!   ([`crate::mailbox::Endpoint`], re-exported under its backend name):
-//!   per-node channels, [`crate::fault::FaultPlan`] chaos injection,
-//!   latency modelling, and trace capture. Nothing about it changed when
-//!   the trait was extracted; the simulation *is* one backend.
+//! * the in-process delivery in `mendel`'s `inline` module, where each
+//!   node's handler runs on the caller's thread (what
+//!   `MendelCluster::query` and `WireCluster` use),
 //! * [`crate::tcp::TcpTransport`] — real loopback/LAN sockets carrying
 //!   the identical envelope bytes inside length-prefixed frames
 //!   ([`crate::frame`]).
 //!
-//! Semantics every backend must honour (checked by the shared
-//! conformance suite in `tests/transport_conformance.rs`):
+//! Semantics every backend must honour (the TCP backend is checked by
+//! `tests/transport_conformance.rs`):
 //!
 //! * **Per-peer FIFO**: two envelopes sent A→B are delivered to B in
 //!   send order (no ordering guarantee across distinct senders).
@@ -28,25 +25,13 @@
 //! * **Typed receive failure**: [`RecvError::Timeout`] is transient,
 //!   [`RecvError::Disconnected`] is terminal for the endpoint.
 
-use crate::mailbox::{Endpoint, Envelope, NodeAddr, RecvError};
+use crate::envelope::{Envelope, NodeAddr, RecvError};
 use bytes::Bytes;
 use mendel_obs::TraceContext;
 use std::time::Duration;
 
-/// The simulated backend: a mailbox [`Endpoint`] under its transport name.
-///
-/// A type alias rather than a newtype so the entire existing test and
-/// chaos surface (`Network::endpoint`, fault plans, virtual-clock
-/// latency) keeps working unchanged — an `Endpoint` *is* a
-/// `SimTransport`.
-pub type SimTransport = Endpoint;
-
 /// Minimal peer-to-peer envelope carriage. See the module docs for the
 /// semantics backends must uphold.
-///
-/// The required methods deliberately mirror [`Endpoint`]'s inherent
-/// method names, so protocol code written against the concrete mailbox
-/// reads identically once made generic.
 pub trait Transport: Send + Sync {
     /// The address peers use to reach this endpoint.
     fn addr(&self) -> NodeAddr;
@@ -62,12 +47,13 @@ pub trait Transport: Send + Sync {
     /// Non-blocking poll; `None` when the inbox is empty.
     fn try_recv(&self) -> Option<Envelope>;
 
-    /// Untraced convenience send, mirroring [`Endpoint::send`].
+    /// Untraced convenience send.
     fn send(&self, to: NodeAddr, correlation: u64, payload: Bytes) -> bool {
         self.send_traced(to, correlation, payload, None)
     }
 
-    /// Traced convenience send, mirroring [`Endpoint::send_traced`].
+    /// Send stamped with a causal trace context, so downstream hops can
+    /// attribute it.
     fn send_traced(
         &self,
         to: NodeAddr,
@@ -82,44 +68,5 @@ pub trait Transport: Send + Sync {
             payload,
             trace,
         })
-    }
-}
-
-impl Transport for Endpoint {
-    fn addr(&self) -> NodeAddr {
-        Endpoint::addr(self)
-    }
-
-    fn send_envelope(&self, env: Envelope) -> bool {
-        self.network().send(env)
-    }
-
-    fn recv_timeout(&self, timeout: Duration) -> Result<Envelope, RecvError> {
-        Endpoint::recv_timeout(self, timeout)
-    }
-
-    fn try_recv(&self) -> Option<Envelope> {
-        Endpoint::try_recv(self)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::mailbox::Network;
-
-    #[test]
-    fn endpoint_satisfies_transport() {
-        let net = Network::new();
-        let a = net.join();
-        let b = net.join();
-        fn ship<T: Transport>(t: &T, to: NodeAddr) -> bool {
-            t.send(to, 7, Bytes::from_static(b"hi"))
-        }
-        assert!(ship(&a, Transport::addr(&b)));
-        let env = b.recv().expect("delivered");
-        assert_eq!(env.correlation, 7);
-        assert_eq!(env.from, Transport::addr(&a));
-        assert!(env.trace.is_none());
     }
 }

@@ -8,8 +8,8 @@
 //! it either yields an envelope or a typed [`FrameError`].
 
 use bytes::Bytes;
+use mendel_net::envelope::{Envelope, NodeAddr};
 use mendel_net::frame::{read_frame, write_frame, FrameError, MAX_FRAME};
-use mendel_net::mailbox::{Envelope, NodeAddr};
 use mendel_obs::{SpanId, TraceContext, TraceId};
 use proptest::prelude::*;
 use std::io::Cursor;

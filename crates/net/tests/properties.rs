@@ -1,8 +1,7 @@
-//! Property tests for the wire codec and mailbox substrate.
+//! Property tests for the wire codec.
 
 use bytes::Bytes;
 use mendel_net::codec::{Decode, Encode};
-use mendel_net::mailbox::Network;
 use proptest::prelude::*;
 
 proptest! {
@@ -65,25 +64,5 @@ proptest! {
         let _ = String::from_bytes(&bytes);
         let _ = Option::<u64>::from_bytes(&bytes);
         let _ = Vec::<(u8, Vec<u16>)>::from_bytes(&bytes);
-    }
-
-    /// Mailbox delivery preserves payloads and sender order for any
-    /// message sequence.
-    #[test]
-    fn mailbox_fifo_for_any_payloads(
-        payloads in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..32), 1..20)
-    ) {
-        let net = Network::new();
-        let a = net.join();
-        let b = net.join();
-        for (i, p) in payloads.iter().enumerate() {
-            prop_assert!(a.send(b.addr(), i as u64, Bytes::from(p.clone())));
-        }
-        for (i, p) in payloads.iter().enumerate() {
-            let env = b.recv().unwrap();
-            prop_assert_eq!(env.correlation, i as u64);
-            prop_assert_eq!(&env.payload[..], &p[..]);
-        }
-        prop_assert_eq!(net.stats().messages(), payloads.len() as u64);
     }
 }

@@ -1,8 +1,7 @@
 //! Scalar metrics: lock-free counters and gauges.
 //!
 //! Both are single atomic cells touched with `Ordering::Relaxed` — the
-//! same idiom the workspace already uses for `NetworkStats` and
-//! `FaultStats` hot counters. Handles are shared as `Arc<Counter>` /
+//! same idiom `mendel-net`'s `FaultStats` uses for its hot counters. Handles are shared as `Arc<Counter>` /
 //! `Arc<Gauge>`; a handle detached from any [`crate::Registry`] is a
 //! perfectly functional metric that simply never appears in snapshots.
 

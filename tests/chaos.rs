@@ -1,26 +1,34 @@
 //! Seeded chaos suite: drive deterministic fault schedules through the
 //! whole inject → detect → route-around → repair → report loop.
 //!
-//! Faults (message drops, node crash/restart schedules) come from a
-//! seeded `FaultPlan`, so every run is exactly reproducible; detection
-//! runs over real heartbeat traffic on the lossy network; the cluster
-//! routes around suspects, `repair()` restores the replication factor,
-//! and `QueryReport::coverage` certifies when answers are complete.
+//! Faults (heartbeat drops, node crash/restart schedules) come from a
+//! seeded `FaultPlan`, and detection runs on a logical clock: each round
+//! advances a `VirtualClock` by one beat period, then asks the plan, in
+//! ascending node order, whether each node's beat reaches the monitor.
+//! No thread starts and nothing waits on the wall clock, so a seed
+//! fixes the whole run: `chaos_run` returns its event log, and two runs
+//! of one seed must return equal logs. The cluster routes around suspects, `repair()`
+//! restores the replication factor, and `QueryReport::coverage`
+//! certifies when answers are complete.
 
-use mendel_suite::core::{ClusterConfig, MendelCluster, QueryParams};
+use mendel_suite::core::{
+    ClusterConfig, FailoverDelta, HeartbeatMonitor, MendelCluster, QueryParams,
+};
 use mendel_suite::dht::NodeId;
 use mendel_suite::net::fault::{crash_schedule, schedule_bytes, FaultConfig, FaultPlan};
-use mendel_suite::net::heartbeat::beat_until_stopped;
-use mendel_suite::net::{HeartbeatMonitor, Network, NodeAddr};
+use mendel_suite::net::{NodeAddr, Verdict};
+use mendel_suite::obs::VirtualClock;
 use mendel_suite::seq::gen::NrLikeSpec;
 use mendel_suite::seq::{SeqId, SeqStore};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 const NODES: usize = 8;
 const BEAT_PERIOD: Duration = Duration::from_millis(10);
 const SUSPECT_TIMEOUT: Duration = Duration::from_millis(80);
+/// Beat rounds after a schedule event before the detector is read:
+/// long enough past `SUSPECT_TIMEOUT` for a crash to be suspected.
+const SETTLE_ROUNDS: usize = 14;
 
 fn db(seed: u64) -> Arc<SeqStore> {
     Arc::new(
@@ -46,41 +54,35 @@ fn replicated_cluster(db: &Arc<SeqStore>) -> MendelCluster {
     MendelCluster::build(cfg, db.clone()).unwrap()
 }
 
-/// Heartbeat infrastructure over a (possibly faulty) network: one beater
-/// thread per storage node at address `NodeAddr(i) == NodeId(i)`, plus a
-/// monitor endpoint joined last.
-struct BeatNet {
-    monitor_ep: mendel_suite::net::Endpoint,
-    stop: Arc<AtomicBool>,
-    handles: Vec<std::thread::JoinHandle<usize>>,
+/// Heartbeats on a logical clock. On the plan's edges storage node `i`
+/// is `NodeAddr(i)` and the monitor sits past them at `NodeAddr(NODES)`.
+struct Beats {
+    plan: FaultPlan,
+    clock: Arc<VirtualClock>,
+    monitor: HeartbeatMonitor,
 }
 
-impl BeatNet {
-    fn start(net: &Network) -> Self {
-        let node_eps = net.join_many(NODES);
-        let monitor_ep = net.join();
-        let monitor_addr = monitor_ep.addr();
-        let stop = Arc::new(AtomicBool::new(false));
-        let handles = node_eps
-            .into_iter()
-            .map(|ep| {
-                let stop = stop.clone();
-                std::thread::spawn(move || {
-                    beat_until_stopped(&ep, monitor_addr, BEAT_PERIOD, &stop)
-                })
-            })
-            .collect();
-        BeatNet {
-            monitor_ep,
-            stop,
-            handles,
+impl Beats {
+    fn new(config: FaultConfig) -> Self {
+        let clock = Arc::new(VirtualClock::new());
+        Beats {
+            plan: FaultPlan::new(config),
+            monitor: HeartbeatMonitor::with_clock(SUSPECT_TIMEOUT, clock.clone()),
+            clock,
         }
     }
 
-    fn shutdown(self) {
-        self.stop.store(true, Ordering::Relaxed);
-        for h in self.handles {
-            assert!(h.join().unwrap() > 0, "every beater actually beat");
+    /// `n` beat periods. Each advances the clock by one period; then
+    /// every node whose beat the plan delivers is observed.
+    fn rounds(&mut self, n: usize) {
+        let monitor = NodeAddr(NODES as u16);
+        for _ in 0..n {
+            self.clock.advance(BEAT_PERIOD);
+            for i in 0..NODES as u16 {
+                if self.plan.decide(NodeAddr(i), monitor) == Verdict::Deliver {
+                    self.monitor.observe(NodeId(i));
+                }
+            }
         }
     }
 }
@@ -101,13 +103,29 @@ impl Drop for DumpOnPanic<'_> {
     }
 }
 
+/// Everything a chaos run decided, in order. Replaying a seed must
+/// reproduce it exactly.
+#[derive(Debug, PartialEq)]
+struct ChaosLog {
+    /// Per schedule event: the detector's delta, the copies `repair`
+    /// added, and whether the query through the first live node reported
+    /// degraded coverage (`None` when every node was down).
+    events: Vec<(FailoverDelta, u64, Option<bool>)>,
+    /// Detector deltas while the restarted cluster converges.
+    convergence: Vec<FailoverDelta>,
+    /// Copies the final repair added.
+    final_copies: u64,
+    /// The plan's `FaultStats` at the end: dropped, crash-blocked.
+    faults: (u64, u64),
+}
+
 /// One full chaos run for `seed`. Asserts the acceptance contract:
 /// the schedule replays byte-identically, queries stay correct whenever
 /// coverage is complete, and after every node restarts the cluster
 /// converges back to full coverage with hits identical to the
 /// fault-free baseline. Causal tracing stays on throughout, so any
 /// failure dumps the flight recorders via [`DumpOnPanic`].
-fn chaos_run(seed: u64) {
+fn chaos_run(seed: u64) -> ChaosLog {
     let db = db(seed ^ 0xD8);
     let cluster = replicated_cluster(&db);
     cluster.set_tracing(true);
@@ -132,36 +150,23 @@ fn chaos_run(seed: u64) {
         "same seed must replay the exact same fault schedule"
     );
 
-    // Lossy network (drop probability ≥ 0.05) carrying real heartbeats.
-    let net = Network::new();
-    let plan = Arc::new(FaultPlan::new(FaultConfig::drops(seed, 0.08)));
-    net.set_fault_plan(Some(plan.clone()));
-    let beat = BeatNet::start(&net);
-    let mut monitor = HeartbeatMonitor::new(SUSPECT_TIMEOUT);
+    // Lossy heartbeats (drop probability ≥ 0.05). Every node establishes
+    // a healthy baseline in the monitor first.
+    let mut beats = Beats::new(FaultConfig::drops(seed, 0.08));
+    beats.rounds(8);
+    cluster.sync_failure_detector(&beats.monitor);
 
-    let observe = |monitor: &mut HeartbeatMonitor, rounds: usize| {
-        for _ in 0..rounds {
-            std::thread::sleep(Duration::from_millis(20));
-            monitor.drain(&beat.monitor_ep);
-        }
-    };
-
-    // Let every node establish a healthy baseline in the monitor.
-    observe(&mut monitor, 4);
-    cluster.sync_failure_detector(&monitor);
-
+    let mut events = Vec::new();
     for event in &schedule {
-        plan.apply(event);
-        // Give suspicion time to form (or clear) over the lossy network.
-        observe(&mut monitor, 7);
-        cluster.sync_failure_detector(&monitor);
-        let repaired = cluster.repair();
-        let _ = repaired.copies_added; // accounting exercised every round
-                                       // Whenever no block lost every replica, answers must be exact.
+        beats.plan.apply(event);
+        beats.rounds(SETTLE_ROUNDS);
+        let delta = cluster.sync_failure_detector(&beats.monitor);
+        let copies = cluster.repair().copies_added;
+        // Whenever no block lost every replica, answers must be exact.
         let entry = (0..NODES as u16)
             .map(NodeId)
             .find(|n| !cluster.failed_nodes().contains(n));
-        if let Some(entry) = entry {
+        let degraded = entry.map(|entry| {
             let report = cluster.query_from(entry, &queries[0], &params).unwrap();
             if !report.coverage.degraded {
                 assert_eq!(
@@ -169,29 +174,29 @@ fn chaos_run(seed: u64) {
                     "complete coverage must mean complete answers (seed {seed:#x})"
                 );
             }
-        }
+            report.coverage.degraded
+        });
+        events.push((delta, copies, degraded));
     }
 
     // The schedule restarts every crashed node; once beats flow again the
     // detector must converge back to an empty failed set.
     assert!(
-        plan.crashed_nodes().is_empty(),
+        beats.plan.crashed_nodes().is_empty(),
         "schedule ends all-restarted"
     );
-    let mut converged = false;
-    for _ in 0..50 {
-        observe(&mut monitor, 2);
-        cluster.sync_failure_detector(&monitor);
-        if cluster.failed_nodes().is_empty() {
-            converged = true;
-            break;
-        }
+    let mut convergence = Vec::new();
+    while !cluster.failed_nodes().is_empty() {
+        assert!(
+            convergence.len() < 50,
+            "all nodes beat again => failed set drains"
+        );
+        beats.rounds(4);
+        convergence.push(cluster.sync_failure_detector(&beats.monitor));
     }
-    beat.shutdown();
-    assert!(converged, "all nodes beat again => failed set drains");
 
     // Final repair → full coverage, exact fault-free results.
-    cluster.repair();
+    let final_copies = cluster.repair().copies_added;
     for (q, baseline) in queries.iter().zip(&baselines) {
         let report = cluster.query(q, &params).unwrap();
         assert!(
@@ -204,10 +209,15 @@ fn chaos_run(seed: u64) {
             "post-chaos hits match fault-free run"
         );
     }
-    assert!(
-        plan.stats().dropped() + plan.stats().crash_blocked() > 0,
-        "the plan actually injected faults"
-    );
+    let stats = beats.plan.stats();
+    let faults = (stats.dropped(), stats.crash_blocked());
+    assert!(faults.0 + faults.1 > 0, "the plan actually injected faults");
+    ChaosLog {
+        events,
+        convergence,
+        final_copies,
+        faults,
+    }
 }
 
 #[test]
@@ -220,11 +230,45 @@ fn seeded_chaos_second_seed() {
     chaos_run(0x5EED5);
 }
 
-/// Longer multi-seed sweep; run with `cargo test -- --ignored`.
 #[test]
-#[ignore]
-fn seeded_chaos_sweep() {
-    for seed in [1u64, 2, 3, 0xBEEF, 0xFEED] {
+fn same_seed_chaos_run_replays_an_identical_log() {
+    let log = chaos_run(0x5EED5);
+    assert!(
+        log.events
+            .iter()
+            .any(|(delta, _, _)| !delta.suspected.is_empty()),
+        "the schedule's crashes were detected"
+    );
+    assert_eq!(log, chaos_run(0x5EED5), "a seed fixes the whole run");
+}
+
+// The rest of the seed sweep. Each seed is its own test so they run in
+// parallel and a failure names its seed.
+
+#[test]
+fn seeded_chaos_sweep_seed_1() {
+    chaos_run(1);
+}
+
+#[test]
+fn seeded_chaos_sweep_seed_3() {
+    chaos_run(3);
+}
+
+#[test]
+fn seeded_chaos_sweep_seed_feed() {
+    chaos_run(0xFEED);
+}
+
+/// Seeds 2 and 0xBEEF fail "complete coverage must mean complete
+/// answers" at the served protein search budget (1,024 nodes visited):
+/// which replicas are live changes what a budgeted k-NN search returns.
+/// Both pass at a budget of 4,096. See ROADMAP.md, "Bound the node
+/// search by the filter it feeds".
+#[test]
+#[ignore = "budgeted search answers depend on the live replica set"]
+fn seeded_chaos_budget_sensitive_seeds() {
+    for seed in [2u64, 0xBEEF] {
         chaos_run(seed);
     }
 }
@@ -271,47 +315,29 @@ fn ingest_while_degraded_heals_to_full_replication() {
 #[test]
 fn crashed_node_recovers_after_restart_under_plan() {
     // Crash semantics at the plan level: while crashed, a node's beats
-    // are discarded and it gets suspected; after restart its beats flow
-    // and the cluster auto-recovers it.
+    // are discarded and it gets suspected; after restart its next beat
+    // arrives and the cluster auto-recovers it.
     let db = db(0xB2);
     let cluster = replicated_cluster(&db);
-    let net = Network::new();
-    let plan = Arc::new(FaultPlan::new(FaultConfig::passthrough(7)));
-    net.set_fault_plan(Some(plan.clone()));
-    let beat = BeatNet::start(&net);
-    let mut monitor = HeartbeatMonitor::new(SUSPECT_TIMEOUT);
+    let mut beats = Beats::new(FaultConfig::passthrough(7));
 
     // Healthy baseline.
-    for _ in 0..4 {
-        std::thread::sleep(Duration::from_millis(20));
-        monitor.drain(&beat.monitor_ep);
-    }
-    cluster.sync_failure_detector(&monitor);
+    beats.rounds(8);
+    cluster.sync_failure_detector(&beats.monitor);
     assert!(cluster.failed_nodes().is_empty());
 
-    plan.crash(NodeAddr(5));
-    for _ in 0..7 {
-        std::thread::sleep(Duration::from_millis(20));
-        monitor.drain(&beat.monitor_ep);
-    }
-    let delta = cluster.sync_failure_detector(&monitor);
-    assert!(
-        delta.suspected.contains(&NodeId(5)),
-        "crashed node suspected"
-    );
+    beats.plan.crash(NodeAddr(5));
+    beats.rounds(SETTLE_ROUNDS);
+    let delta = cluster.sync_failure_detector(&beats.monitor);
+    assert_eq!(delta.suspected, vec![NodeId(5)], "crashed node suspected");
 
-    plan.restart(NodeAddr(5));
-    let mut recovered = false;
-    for _ in 0..50 {
-        std::thread::sleep(Duration::from_millis(20));
-        monitor.drain(&beat.monitor_ep);
-        let delta = cluster.sync_failure_detector(&monitor);
-        if delta.recovered.contains(&NodeId(5)) {
-            recovered = true;
-            break;
-        }
-    }
-    beat.shutdown();
-    assert!(recovered, "restarted node beats again and auto-recovers");
+    beats.plan.restart(NodeAddr(5));
+    beats.rounds(1);
+    let delta = cluster.sync_failure_detector(&beats.monitor);
+    assert_eq!(
+        delta.recovered,
+        vec![NodeId(5)],
+        "restarted node beats again and auto-recovers"
+    );
     assert!(cluster.failed_nodes().is_empty());
 }

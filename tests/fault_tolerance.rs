@@ -1,12 +1,15 @@
 //! Fault-tolerance and elasticity integration tests (the §VII-B
 //! extensions this reproduction implements).
 
-use mendel_suite::core::{ClusterConfig, MendelCluster, MendelError, QueryParams};
+use mendel_suite::core::{
+    ClusterConfig, HeartbeatMonitor, MendelCluster, MendelError, QueryParams,
+};
 use mendel_suite::dht::{GroupId, NodeId};
-use mendel_suite::obs::SlowLogConfig;
+use mendel_suite::obs::{SlowLogConfig, VirtualClock};
 use mendel_suite::seq::gen::NrLikeSpec;
 use mendel_suite::seq::{SeqId, SeqStore};
 use std::sync::Arc;
+use std::time::Duration;
 
 fn db(seed: u64) -> Arc<SeqStore> {
     Arc::new(
@@ -30,6 +33,14 @@ fn replicated_cluster(db: &Arc<SeqStore>, replication: usize) -> MendelCluster {
         ..ClusterConfig::small_protein()
     };
     MendelCluster::build(cfg, db.clone()).unwrap()
+}
+
+/// A failure detector on a logical clock, suspecting silence past
+/// `timeout_ms`, with the clock that drives it.
+fn virtual_monitor(timeout_ms: u64) -> (HeartbeatMonitor, Arc<VirtualClock>) {
+    let clock = Arc::new(VirtualClock::new());
+    let monitor = HeartbeatMonitor::with_clock(Duration::from_millis(timeout_ms), clock.clone());
+    (monitor, clock)
 }
 
 #[test]
@@ -150,35 +161,28 @@ fn repeated_scale_out_keeps_results_stable() {
 
 #[test]
 fn heartbeat_suspicion_drives_failover() {
-    // Wire the net-layer failure detector to the cluster's failover: a
-    // node that stops beating gets suspected, the cluster routes around
-    // it, and queries keep answering (replication 2 masks the loss).
-    use mendel_suite::net::{HeartbeatMonitor, NodeAddr};
-    use std::time::{Duration, Instant};
-
+    // Wire the failure detector to the cluster's failover: a node that
+    // stops beating gets suspected, the cluster routes around it, and
+    // queries keep answering (replication 2 masks the loss).
     let db = db(9);
     let cluster = replicated_cluster(&db, 2);
     let params = QueryParams::protein();
     let q = db.get(SeqId(3)).unwrap().residues.clone();
     let baseline = cluster.query(&q, &params).unwrap().best().unwrap().subject;
 
-    // Simulated beat history: node 2 went silent 200 ms ago.
-    let mut monitor = HeartbeatMonitor::new(Duration::from_millis(100));
-    let now = Instant::now();
-    for n in 0..8u16 {
-        let when = if n == 2 {
-            now - Duration::from_millis(200)
-        } else {
-            now
-        };
-        monitor.observe_at(NodeAddr(n), when);
+    // Beat history: node 2 went silent 200 ms ago.
+    let (mut monitor, clock) = virtual_monitor(100);
+    monitor.observe(NodeId(2));
+    clock.advance(Duration::from_millis(200));
+    for n in (0..8).filter(|&n| n != 2) {
+        monitor.observe(NodeId(n));
     }
-    let suspects = monitor.suspects_at(now);
-    assert_eq!(suspects, vec![NodeAddr(2)]);
+    let suspects = monitor.suspects();
+    assert_eq!(suspects, vec![NodeId(2)]);
 
     // Act on the suspicion.
-    for s in &suspects {
-        cluster.fail_node(NodeId(s.0)).unwrap();
+    for &s in &suspects {
+        cluster.fail_node(s).unwrap();
     }
     let masked = cluster
         .query_from(NodeId(0), &q, &params)
@@ -191,13 +195,11 @@ fn heartbeat_suspicion_drives_failover() {
         "suspected node's data must be served by replicas"
     );
 
-    // Everyone beats again (wall time has moved on since `now`, maybe
-    // past the timeout — the query above isn't free): suspicion clears.
-    let later = Instant::now();
-    for n in 0..8u16 {
-        monitor.observe_at(NodeAddr(n), later);
+    // Everyone beats again: suspicion clears.
+    for n in 0..8 {
+        monitor.observe(NodeId(n));
     }
-    assert!(monitor.suspects_at(later).is_empty());
+    assert!(monitor.suspects().is_empty());
     cluster.recover_node(NodeId(2)).unwrap();
     assert!(cluster.failed_nodes().is_empty());
 }
@@ -259,8 +261,6 @@ fn recovery_after_rebalance_serves_current_placement() {
 fn detector_sync_fails_suspects_and_recovers_on_fresh_beats() {
     // False-positive recovery: a slow-but-alive node is suspected,
     // routed around, then unsuspected once it beats again.
-    use mendel_suite::net::{HeartbeatMonitor, NodeAddr};
-    use std::time::{Duration, Instant};
 
     let db = db(12);
     let cluster = replicated_cluster(&db, 2);
@@ -268,18 +268,11 @@ fn detector_sync_fails_suspects_and_recovers_on_fresh_beats() {
     let q = db.get(SeqId(6)).unwrap().residues.clone();
     let baseline = cluster.query(&q, &params).unwrap().best().unwrap().subject;
 
-    // The timeout races the wall clock between here and the second
-    // sync below (a sync and a query: ~90 ms under strict-invariants),
-    // hence seconds.
-    let mut monitor = HeartbeatMonitor::new(Duration::from_secs(2));
-    let now = Instant::now();
-    for n in 0..8u16 {
-        let when = if n == 3 {
-            now - Duration::from_secs(5) // slow node: beats arrive late
-        } else {
-            now
-        };
-        monitor.observe_at(NodeAddr(n), when);
+    let (mut monitor, clock) = virtual_monitor(100);
+    monitor.observe(NodeId(3)); // slow node: its next beat is late
+    clock.advance(Duration::from_millis(200));
+    for n in (0..8).filter(|&n| n != 3) {
+        monitor.observe(NodeId(n));
     }
     let delta = cluster.sync_failure_detector(&monitor);
     assert_eq!(delta.suspected, vec![NodeId(3)]);
@@ -295,7 +288,7 @@ fn detector_sync_fails_suspects_and_recovers_on_fresh_beats() {
     assert!(again.suspected.is_empty() && again.recovered.is_empty());
 
     // The node beats again → auto-recovery.
-    monitor.observe(NodeAddr(3));
+    monitor.observe(NodeId(3));
     let delta = cluster.sync_failure_detector(&monitor);
     assert_eq!(delta.recovered, vec![NodeId(3)]);
     assert!(cluster.failed_nodes().is_empty());
@@ -307,14 +300,11 @@ fn detector_sync_fails_suspects_and_recovers_on_fresh_beats() {
 
 #[test]
 fn detector_never_recovers_operator_failed_nodes() {
-    use mendel_suite::net::{HeartbeatMonitor, NodeAddr};
-    use std::time::Duration;
-
     let db = db(13);
     let cluster = replicated_cluster(&db, 2);
     cluster.fail_node(NodeId(5)).unwrap(); // operator decision
-    let mut monitor = HeartbeatMonitor::new(Duration::from_millis(100));
-    monitor.observe(NodeAddr(5)); // the node is beating happily
+    let (mut monitor, _clock) = virtual_monitor(100);
+    monitor.observe(NodeId(5)); // the node is beating happily
     let delta = cluster.sync_failure_detector(&monitor);
     assert!(delta.recovered.is_empty(), "operator failures stick");
     assert_eq!(cluster.failed_nodes(), vec![NodeId(5)]);
@@ -358,7 +348,7 @@ fn coverage_reports_degradation_and_heals_on_recovery() {
     let db = db(15);
     let cluster = replicated_cluster(&db, 1); // no redundancy
     cluster.set_slowlog_config(SlowLogConfig {
-        threshold: std::time::Duration::ZERO, // log everything
+        threshold: Duration::ZERO, // log everything
         sample_every: 0,
         capacity: 16,
     });

@@ -1,7 +1,7 @@
 //! Observability suite: the metric registry asserted end-to-end with
 //! *exact* values (DESIGN.md §11).
 //!
-//! Three layers of oracle:
+//! Two layers of oracle:
 //!
 //! 1. **vp-tree search work** — a single-leaf tree degenerates to a flat
 //!    scan, so `mendel.vptree.dist_calls` must equal queries × points;
@@ -13,15 +13,9 @@
 //!    per query, gapped-extension and DP-cell counts equal on both
 //!    evaluators, and identical serial runs produce identical counter
 //!    deltas.
-//! 3. **fault injection** — the envelope drop and delivery counters must
-//!    equal the counts obtained by replaying the seeded [`FaultPlan`]'s
-//!    verdict stream offline. Fault decisions are per-edge sequences, so
-//!    a fresh plan with the same seed replays them exactly.
 
 use mendel_suite::core::{ClusterConfig, MendelCluster, QueryParams, WireCluster};
 use mendel_suite::dht::NodeId;
-use mendel_suite::net::fault::{FaultConfig, FaultPlan};
-use mendel_suite::net::{Encode, Network, Verdict};
 use mendel_suite::obs::{MetricsSnapshot, Registry};
 use mendel_suite::seq::gen::NrLikeSpec;
 use mendel_suite::seq::{BlockDistance, MatrixDistance, ScoringMatrix, SeqId, SeqStore, Unbounded};
@@ -356,75 +350,4 @@ fn identical_serial_runs_produce_identical_counter_deltas() {
         run(),
         "seeded serial evaluation must meter identically"
     );
-}
-
-// ---------------------------------------------------------------- layer 3
-
-#[test]
-fn dropped_envelope_counter_matches_replayed_fault_verdicts() {
-    const SENDS: u64 = 200;
-    let seed = 0x0E1;
-
-    let registry = Registry::new();
-    let net = Network::new();
-    net.set_metrics_registry(&registry);
-    let plan = Arc::new(FaultPlan::new(FaultConfig::drops(seed, 0.35)));
-    net.set_fault_plan(Some(plan.clone()));
-
-    let a = net.join();
-    let b = net.join();
-    let payload_len = 0xFEEDu32.to_bytes().len() as u64;
-    for corr in 0..SENDS {
-        a.send(b.addr(), corr, 0xFEEDu32.to_bytes());
-    }
-
-    // Replay the verdict stream on a fresh plan with the same seed: the
-    // n-th decision for an edge is a pure function of (seed, edge, n).
-    let replay = FaultPlan::new(FaultConfig::drops(seed, 0.35));
-    let mut replayed_drops = 0u64;
-    for _ in 0..SENDS {
-        if replay.decide(a.addr(), b.addr()) == Verdict::Drop {
-            replayed_drops += 1;
-        }
-    }
-    assert!(replayed_drops > 0, "plan must actually drop at this rate");
-
-    let snap = registry.snapshot();
-    assert_eq!(snap.counter("mendel.net.dropped_envelopes"), replayed_drops);
-    assert_eq!(plan.stats().dropped(), replayed_drops);
-    assert_eq!(
-        snap.counter("mendel.net.delivered_envelopes"),
-        SENDS - replayed_drops
-    );
-    // Per-peer byte accounting covers only delivered envelopes.
-    let delivered_bytes = (SENDS - replayed_drops) * payload_len;
-    let sent = format!("mendel.net.peer.{}.sent_bytes", a.addr());
-    let recv = format!("mendel.net.peer.{}.recv_bytes", b.addr());
-    assert_eq!(snap.counter(&sent), delivered_bytes);
-    assert_eq!(snap.counter(&recv), delivered_bytes);
-}
-
-#[test]
-fn crash_blocked_envelopes_land_in_the_drop_counter() {
-    const SENDS: u64 = 25;
-    let registry = Registry::new();
-    let net = Network::new();
-    net.set_metrics_registry(&registry);
-    let plan = Arc::new(FaultPlan::new(FaultConfig::passthrough(9)));
-    net.set_fault_plan(Some(plan.clone()));
-
-    let a = net.join();
-    let b = net.join();
-    plan.crash(b.addr());
-    for corr in 0..SENDS {
-        a.send(b.addr(), corr, 1u32.to_bytes());
-    }
-    let snap = registry.snapshot();
-    assert_eq!(plan.stats().crash_blocked(), SENDS);
-    assert_eq!(
-        snap.counter("mendel.net.dropped_envelopes"),
-        plan.stats().dropped() + plan.stats().crash_blocked(),
-        "the drop counter covers probabilistic drops and crash blocks"
-    );
-    assert_eq!(snap.counter("mendel.net.delivered_envelopes"), 0);
 }
