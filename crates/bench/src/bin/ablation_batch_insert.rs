@@ -62,7 +62,7 @@ fn main() {
         let tree = if batch == usize::MAX {
             VpTree::build(windows.clone(), metric, BUCKET, 42)
         } else {
-            let mut tree = VpTree::build(Vec::new(), metric, BUCKET, 42);
+            let mut tree = VpTree::new(metric, BUCKET, 42);
             if batch == 1 {
                 for w in windows.iter().cloned() {
                     tree.insert(w);

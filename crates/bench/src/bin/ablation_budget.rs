@@ -52,7 +52,7 @@ fn main() {
         .collect();
     let metric = config.metric.instantiate();
     let flat = VpTree::build(share.clone(), metric.clone(), share.len(), config.seed);
-    let tree = VpTree::build(share, metric, config.bucket_capacity, config.seed);
+    let tree = VpTree::build(share.clone(), metric, config.bucket_capacity, config.seed);
     let windows: Vec<(Vec<u8>, Vec<u32>)> = queries
         .iter()
         .flat_map(|q| {
@@ -65,7 +65,7 @@ fn main() {
             let wanted = flat
                 .knn(&w, base.n)
                 .iter()
-                .filter(|nb| identity(&w, tree.point(nb.index)) >= base.i)
+                .filter(|nb| identity(&w, &share[nb.index as usize]) >= base.i)
                 .map(|nb| nb.index)
                 .collect();
             (w, wanted)

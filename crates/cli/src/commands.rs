@@ -175,20 +175,15 @@ pub fn cmd_index(args: &Args) -> Result<String, CliError> {
     ))
 }
 
-/// Restore a cluster from `--index`/`--db`, inferring the alphabet.
-/// The db must be encoded with the snapshot's alphabet, so try protein
-/// first, then DNA.
+/// Restore a cluster from `--index`/`--db`, parsing the db in the
+/// snapshot's alphabet.
 fn restore_cluster(args: &Args) -> Result<(MendelCluster, Alphabet), CliError> {
     let index_path = args.require("index")?;
     let raw = std::fs::read(index_path).map_err(|e| CliError::Io(index_path.into(), e))?;
-    let try_restore = |alpha: Alphabet| -> Result<MendelCluster, CliError> {
-        let db = load_db(args.require("db")?, alpha)?;
-        snapshot::restore(&Bytes::from(raw.clone()), db).map_err(CliError::from)
-    };
-    match try_restore(Alphabet::Protein) {
-        Ok(c) if c.config().alphabet == Alphabet::Protein => Ok((c, Alphabet::Protein)),
-        _ => Ok((try_restore(Alphabet::Dna)?, Alphabet::Dna)),
-    }
+    let raw = Bytes::from(raw);
+    let alphabet = snapshot::config(&raw)?.alphabet;
+    let db = load_db(args.require("db")?, alphabet)?;
+    Ok((snapshot::restore(&raw, db)?, alphabet))
 }
 
 /// `mendel query` — run FASTA queries against a snapshot.
@@ -275,11 +270,7 @@ pub fn cmd_blast(args: &Args) -> Result<String, CliError> {
 
 /// `mendel info` — describe a snapshot.
 pub fn cmd_info(args: &Args) -> Result<String, CliError> {
-    let index_path = args.require("index")?;
-    let raw = std::fs::read(index_path).map_err(|e| CliError::Io(index_path.into(), e))?;
-    let db = load_db(args.require("db")?, Alphabet::Protein)
-        .or_else(|_| load_db(args.require("db")?, Alphabet::Dna))?;
-    let cluster = snapshot::restore(&Bytes::from(raw), db)?;
+    let (cluster, _) = restore_cluster(args)?;
     let cfg = cluster.config();
     let report = cluster.load_report();
     Ok(format!(

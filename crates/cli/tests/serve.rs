@@ -543,3 +543,42 @@ fn serve_arg_errors_are_reported() {
     let err = mendel_cli::run(&toks).unwrap_err();
     assert!(err.to_string().contains("listen"), "{err}");
 }
+
+/// A snapshot queried against a FASTA other than the one it indexed is
+/// refused by the `mendel` executable, with a non-zero exit and the
+/// reason, instead of panicking mid-query or answering with the other
+/// database's residues.
+#[test]
+fn snapshot_against_another_fasta_is_refused() {
+    let dir = std::env::temp_dir().join(format!("mendel-serve-tests-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = |name: &str| dir.join(name).to_string_lossy().into_owned();
+    let (a, b, snap) = (path("a.fa"), path("b.fa"), path("a.mendel"));
+    let mendel = |args: &str| {
+        Command::new(env!("CARGO_BIN_EXE_mendel"))
+            .args(args.split_whitespace())
+            .output()
+            .expect("run mendel")
+    };
+    for args in [
+        format!("generate --out {a} --families 6 --members 3 --min-len 300 --max-len 300 --seed 1"),
+        format!("index --db {a} --out {snap} --nodes 3 --groups 1"),
+        format!("generate --out {b} --families 3 --members 3 --min-len 200 --max-len 200 --seed 5"),
+    ] {
+        let out = mendel(&args);
+        assert!(out.status.success(), "{args}: {out:?}");
+    }
+    for args in [
+        format!("query --index {snap} --db {b} --query {b}"),
+        format!("info --index {snap} --db {b}"),
+    ] {
+        let out = mendel(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args}: {stderr}");
+        assert!(
+            stderr.contains("snapshot does not match the database"),
+            "{args}: {stderr}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

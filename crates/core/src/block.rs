@@ -94,8 +94,8 @@ impl Decode for Block {
         Ok(Block {
             seq: SeqId(u32::decode(buf)?),
             start: u32::decode(buf)?,
-            // Decoded views are standalone; the receiving node re-anchors
-            // them against its own arena on insert.
+            // Decoded views are standalone; a receiving node's tree
+            // copies the bytes into its leaves on insert.
             window: WindowView::standalone(Vec::<u8>::decode(buf)?),
         })
     }
@@ -295,7 +295,7 @@ mod tests {
     #[test]
     fn wire_format_matches_the_materialized_era() {
         // (seq u32-le, start u32-le, window len u32-le, window bytes) —
-        // the exact frame the pre-arena `Vec<u8>` window encoded.
+        // the exact frame an owned `Vec<u8>` window encodes.
         let b = Block {
             seq: SeqId(3),
             start: 17,

@@ -1058,17 +1058,10 @@ mod tests {
         let db = small_db();
         let c = small_cluster(&db);
         let report = c.load_report();
-        // Arena accounting: 8 bytes of provenance per block plus each
-        // sequence's residues charged once per holding node — strictly
-        // below the materialized-era blocks × (k + 8).
-        let total = report.total() as usize;
-        assert!(
-            total > c.total_blocks() * 8,
-            "total {total} must include arena bytes"
-        );
-        assert!(
-            total < c.total_blocks() * (16 + 8),
-            "total {total} must undercut materialized windows"
+        // A block costs its 8-byte key plus its window (DESIGN.md §10).
+        assert_eq!(
+            report.total() as usize,
+            c.total_blocks() * (8 + c.config().block_len)
         );
         // 6 nodes → ideal share 16.7%; two-tier hashing should stay sane.
         assert!(report.spread_pct() < 25.0, "spread {}", report.spread_pct());

@@ -41,11 +41,11 @@ impl BlockMetric {
     }
 }
 
-/// One blanket impl covers every byte-window point type the trees use —
-/// `[u8]` slices, owned `Vec<u8>` blocks, and arena-backed
-/// [`mendel_seq::WindowView`]s — so the kernels behind the inner metrics
-/// plug in at exactly one seam, and a leaf's candidates reach them as
-/// borrowed slices with nothing collected on the way.
+/// One blanket impl covers every byte-window type the trees use — the
+/// `[u8]` windows a vp-tree packs in its leaves and the owned `Vec<u8>`
+/// samples of the vp-prefix tree — so the kernels behind the inner
+/// metrics plug in at exactly one seam, and a leaf's candidates reach
+/// them as borrowed slices with nothing collected on the way.
 impl<T: AsRef<[u8]> + ?Sized> Metric<T> for BlockMetric {
     #[inline]
     fn dist(&self, a: &T, b: &T) -> f32 {

@@ -25,10 +25,11 @@ use crate::params::QueryParams;
 use crate::query::{c_score, identity};
 use mendel_align::{extend_ungapped, Hsp};
 use mendel_dht::NodeId;
-use mendel_seq::{Alphabet, ScoringMatrix, SeqArena, SeqId, SeqStore, WindowView};
+use mendel_seq::{Alphabet, ScoringMatrix, SeqId, SeqStore, WindowView};
 use mendel_store::{DurableStore, StoreMetrics, StoreOptions, Vfs};
 use mendel_vptree::{SearchMetrics, VpTree};
 use parking_lot::{Mutex, RwLock, RwLockReadGuard};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Shared, swappable handle on the reference store: nodes read the
@@ -38,15 +39,13 @@ pub type DbCell = Arc<RwLock<Arc<SeqStore>>>;
 
 /// One storage node's state.
 ///
-/// Blocks are held arena-backed: the vp-tree indexes [`WindowView`]
-/// points, `keys` holds each one's compact `(seq, start)`, and the window
-/// bytes themselves live once per sequence in the node's [`SeqArena`] —
-/// however many overlapping blocks of that sequence the node holds.
+/// The vp-tree owns the blocks' windows, packed per leaf for the search;
+/// `keys` holds each block's compact `(seq, start)` at its insertion id.
+/// A block costs its key plus its window's bytes, once (DESIGN.md §10).
 pub struct StorageNode {
-    /// Each held block's key, at its tree point's index.
+    /// Each held block's key, at its tree insertion id.
     keys: Vec<BlockKey>,
-    arena: SeqArena,
-    tree: VpTree<WindowView, BlockMetric>,
+    tree: VpTree<BlockMetric>,
     /// Read path to sequence content for anchor extension (models the
     /// zero-hop block-fetch path; see module docs).
     db: DbCell,
@@ -104,8 +103,7 @@ impl StorageNode {
     ) -> Self {
         StorageNode {
             keys: Vec::new(),
-            arena: SeqArena::new(),
-            tree: VpTree::build(Vec::new(), metric, bucket_capacity, seed),
+            tree: VpTree::new(metric, bucket_capacity, seed),
             db,
             alphabet,
         }
@@ -115,49 +113,17 @@ impl StorageNode {
     /// counters still attached.
     pub fn clear(&mut self) {
         self.keys.clear();
-        self.arena = SeqArena::new();
         self.tree.clear();
     }
 
-    /// Re-anchor one incoming block against the node's arena, interning
-    /// its sequence on first contact. Preference order: an already-interned
-    /// buffer, then the reference store's canonical residues (the zero-hop
-    /// fetch path; one copy per sequence per node), then the block's own
-    /// backing when it is anchored in sequence coordinates (the
-    /// `make_blocks` case — no copy at all). A block anchored to none of
-    /// these (a wire-decoded orphan whose sequence the node cannot see)
-    /// keeps its standalone view.
-    fn anchor(&mut self, db: &SeqStore, b: &Block) -> WindowView {
-        let len = b.window.len();
-        if let Some(v) = self.arena.view(b.seq, b.start, len) {
-            return v;
-        }
-        if let Some(s) = db.get(b.seq) {
-            if b.start as usize + len <= s.residues.len() {
-                self.arena.intern(b.seq, &s.residues);
-                if let Some(v) = self.arena.view(b.seq, b.start, len) {
-                    return v;
-                }
-            }
-        }
-        if b.window.anchored_at(b.start) {
-            self.arena.intern_arc(b.seq, b.window.backing().clone());
-            if let Some(v) = self.arena.view(b.seq, b.start, len) {
-                return v;
-            }
-        }
-        b.window.clone()
-    }
-
     /// Phase 3 of indexing: index a batch of blocks' windows in the local
-    /// vp-tree and record their keys under the same point indices. Window
-    /// content is anchored into the per-node arena, so a block costs an
-    /// 8-byte `(seq, start)` key and each sequence's bytes are charged once.
+    /// vp-tree and record their keys under the same insertion ids. The
+    /// tree copies each window into its leaves, so a block costs its
+    /// 8-byte `(seq, start)` key plus its window.
     pub fn insert_blocks(&mut self, blocks: Vec<Block>) {
-        let db = self.db.read().clone();
-        let views: Vec<WindowView> = blocks.iter().map(|b| self.anchor(&db, b)).collect();
         self.keys.extend(blocks.iter().map(Block::key));
-        self.tree.insert_batch(views);
+        // By value: the blocks are gone before the tree builds.
+        self.tree.insert_batch(blocks.into_iter().map(|b| b.window));
         debug_assert_eq!(self.keys.len(), self.tree.len());
         #[cfg(feature = "strict-invariants")]
         {
@@ -172,10 +138,6 @@ impl StorageNode {
             if let Err(e) = self.tree.check_invariants() {
                 // audit:allow(panic): strict-invariants mode aborts on structural corruption by design.
                 panic!("storage-node ingest violated vp-tree invariants: {e}");
-            }
-            if let Err(e) = self.arena.check_invariants() {
-                // audit:allow(panic): strict-invariants mode aborts on accounting corruption by design.
-                panic!("storage-node ingest violated arena invariants: {e}");
             }
         }
     }
@@ -192,30 +154,40 @@ impl StorageNode {
         self.keys.len()
     }
 
-    /// Bytes held (the Fig. 5 load measurement): 8 bytes of provenance
-    /// per block plus each interned sequence's bytes charged **once**,
-    /// however many overlapping windows reference it. This replaces the
-    /// materialized-era `blocks × (k + 8)` accounting — see DESIGN.md §10.
+    /// Bytes held: each block's 8-byte `(seq, start)` key plus its
+    /// window's bytes in the tree (DESIGN.md §10).
     pub fn stored_bytes(&self) -> u64 {
-        (self.keys.len() * std::mem::size_of::<BlockKey>()) as u64 + self.arena.bytes()
+        (self.keys.len() * (std::mem::size_of::<BlockKey>() + self.tree.window_len())) as u64
     }
 
-    /// Bytes held in the sequence arena alone.
-    pub fn arena_bytes(&self) -> u64 {
-        self.arena.bytes()
-    }
-
-    /// All blocks (snapshot/rebalance path). Windows are the tree's
-    /// arena-backed views — reconstructing a block clones an `Arc`, not
-    /// window bytes.
+    /// All blocks, in insertion order (snapshot/rebalance path): the
+    /// keys plus the tree's windows. A window the reference store holds
+    /// at its key is a view of that sequence, one shared copy per
+    /// sequence, so a re-placed block persists into the sequence's
+    /// stored blob just as its first ingest did; any other window (a
+    /// wire-decoded block whose sequence the store lacks) is standalone.
     pub fn blocks(&self) -> Vec<Block> {
+        let db = self.db.read().clone();
+        let mut seqs: HashMap<SeqId, Option<Arc<[u8]>>> = HashMap::new();
         self.keys
             .iter()
-            .zip(self.tree.points())
-            .map(|(k, window)| Block {
-                seq: k.seq,
-                start: k.start,
-                window: window.clone(),
+            .zip(self.tree.windows())
+            .map(|(k, bytes)| {
+                let start = k.start as usize;
+                let backing = seqs
+                    .entry(k.seq)
+                    .or_insert_with(|| db.get(k.seq).map(|s| Arc::from(s.residues.as_slice())))
+                    .as_ref()
+                    .filter(|seq| seq.get(start..start + bytes.len()) == Some(bytes));
+                let window = match backing {
+                    Some(seq) => WindowView::new(seq.clone(), start, bytes.len()),
+                    None => WindowView::standalone(bytes.to_vec()),
+                };
+                Block {
+                    seq: k.seq,
+                    start: k.start,
+                    window,
+                }
             })
             .collect()
     }
@@ -260,14 +232,11 @@ impl StorageNode {
         let mut out = LocalSearchOutput::default();
         // (subject, diagonal) → query range already covered by an anchor.
         let mut covered: CoveredMap = CoveredMap::new();
-        // One shared backing for every subquery view — the same zero-copy
-        // representation the tree's own points use.
-        let query_backing: Arc<[u8]> = Arc::from(query);
         for &offset in offsets {
-            let qview = WindowView::new(query_backing.clone(), offset, block_len);
+            let window = &query[offset..offset + block_len];
             let neighbors = self
                 .tree
-                .knn_with_budget(&qview, params.n, params.search_budget);
+                .knn_with_budget(window, params.n, params.search_budget);
             self.eval_subquery(&cx, offset, neighbors, &mut covered, &mut out);
         }
         finish_output(&mut out);
@@ -296,13 +265,24 @@ impl StorageNode {
         out.candidates += neighbors.len();
         {
             for nb in neighbors {
-                // Tree point indices index `keys` (fed in lockstep); a
+                // Tree insertion ids index `keys` (fed in lockstep); a
                 // desync would be a bug, but degrading to "skip candidate"
                 // beats panicking in the middle of a distributed query.
                 let Some(&entry) = self.keys.get(nb.index as usize) else {
                     continue;
                 };
-                let cand = self.tree.point(nb.index).as_slice();
+                // The candidate's window, read where anchor extension
+                // reads its neighbours: the reference store. A block the
+                // store cannot resolve (mid-swap, or a range past the
+                // sequence) could not extend, so it yields no anchor.
+                let Some(subject_seq) = db.get(entry.seq) else {
+                    continue;
+                };
+                let subject = &subject_seq.residues;
+                let start = entry.start as usize;
+                let Some(cand) = subject.get(start..start + block_len) else {
+                    continue;
+                };
                 // §V-B candidate measures.
                 if identity(window, cand) < params.i {
                     continue;
@@ -316,13 +296,7 @@ impl StorageNode {
                         continue; // inside an anchor we already extended
                     }
                 }
-                // Anchor extension through neighbouring blocks' content; a
-                // block whose sequence the reference store cannot resolve
-                // (mid-swap window) cannot extend, so it yields no anchor.
-                let Some(subject_seq) = db.get(entry.seq) else {
-                    continue;
-                };
-                let subject = &subject_seq.residues;
+                // Anchor extension through neighbouring blocks' content.
                 let ext = extend_ungapped(
                     query,
                     subject,
@@ -642,71 +616,49 @@ mod tests {
     }
 
     #[test]
-    fn stored_bytes_charge_each_sequence_once() {
-        // The §10 accounting identity: 8 bytes of (seq, start) provenance
-        // per block, plus each held sequence's residues exactly once —
-        // not once per overlapping window as in the materialized era.
+    fn stored_bytes_are_each_blocks_key_plus_its_window() {
         let db = test_db();
         let node = loaded_node(&db);
-        let seq_bytes: u64 = db.iter().map(|s| s.residues.len() as u64).sum();
-        assert_eq!(node.arena_bytes(), seq_bytes);
-        assert_eq!(
-            node.stored_bytes(),
-            node.block_count() as u64 * 8 + seq_bytes
-        );
-        // The materialized representation would have cost k bytes per
-        // block; the arena form must come in far under it.
-        let materialized = node.block_count() as u64 * (16 + 8);
-        assert!(node.stored_bytes() < materialized / 2);
+        let held: u64 = node
+            .blocks()
+            .iter()
+            .map(|b| (std::mem::size_of::<BlockKey>() + b.window.len()) as u64)
+            .sum();
+        assert_eq!(node.stored_bytes(), held);
+        assert_eq!(node.stored_bytes(), node.block_count() as u64 * (8 + 16));
     }
 
     #[test]
-    fn reinserting_same_sequence_blocks_does_not_recharge_arena() {
-        let db = test_db();
-        let mut node = loaded_node(&db);
-        let before = node.arena_bytes();
-        let s = db.get(SeqId(0)).unwrap();
-        node.insert_blocks(make_blocks(s, 16));
-        assert_eq!(node.arena_bytes(), before, "sequence already interned");
-    }
-
-    #[test]
-    fn blocks_reconstruct_windows_from_arena_views() {
-        let db = test_db();
-        let node = loaded_node(&db);
-        for b in node.blocks() {
-            let s = db.get(b.seq).unwrap();
-            let start = b.start as usize;
-            assert_eq!(&b.window[..], &s.residues[start..start + 16]);
-            assert!(b.window.anchored_at(b.start), "views stay arena-anchored");
-        }
-    }
-
-    #[test]
-    fn wire_decoded_blocks_reanchor_against_the_reference_store() {
-        // A block that round-trips the wire arrives as a standalone view;
-        // inserting it must re-anchor it against the node's arena (via the
-        // reference store) rather than keeping a private copy per block.
+    fn blocks_round_trip_in_insertion_order() {
+        // Blocks as ingest makes them, then wire-decoded ones — one of
+        // them naming a sequence the reference store lacks.
         use mendel_net::{Decode, Encode};
         let db = test_db();
         let mut node = StorageNode::new(
             BlockMetric::mendel_blosum62(),
-            16,
+            4,
             Arc::new(RwLock::new(db.clone())),
             Alphabet::Protein,
             1,
         );
-        let blocks = make_blocks(db.get(SeqId(3)).unwrap(), 16);
-        let decoded = Vec::<Block>::from_bytes(&blocks.to_bytes()).unwrap();
-        node.insert_blocks(decoded);
-        let seq_len = db.get(SeqId(3)).unwrap().residues.len() as u64;
-        assert_eq!(
-            node.arena_bytes(),
-            seq_len,
-            "one backing, not one per block"
-        );
-        for b in node.blocks() {
-            assert!(b.window.anchored_at(b.start));
+        let mut sent = make_blocks(db.get(SeqId(3)).unwrap(), 16);
+        let mut wired = make_blocks(db.get(SeqId(5)).unwrap(), 16);
+        wired[7].seq = SeqId(999);
+        sent.extend(Vec::<Block>::from_bytes(&wired.to_bytes()).unwrap());
+        node.insert_blocks(sent[..40].to_vec());
+        node.insert_blocks(sent[40..].to_vec());
+        let got = node.blocks();
+        assert_eq!(got, sent);
+        for b in &got {
+            // A resolvable block shares its sequence's buffer again.
+            let resolves = b.seq != SeqId(999);
+            let seq_len = db.get(b.seq).map_or(0, |s| s.residues.len());
+            assert_eq!(
+                b.window.backing().len() == seq_len,
+                resolves,
+                "{:?}",
+                b.key()
+            );
         }
     }
 

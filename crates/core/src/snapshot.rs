@@ -107,10 +107,77 @@ pub fn save(cluster: &MendelCluster) -> Result<Bytes, MendelError> {
     Ok(out.freeze())
 }
 
+/// The cluster geometry a snapshot records (its alphabet picks how to
+/// parse the matching database), after the same integrity checks as
+/// [`restore`].
+pub fn config(bytes: &Bytes) -> Result<ClusterConfig, MendelError> {
+    Ok(header(bytes)?.0)
+}
+
 /// Rebuild a cluster from a snapshot over the same reference database.
 /// The prefix tree is rebuilt deterministically from the recorded seed,
-/// so query routing is identical to the saved cluster's.
+/// so query routing is identical to the saved cluster's. Every block must
+/// be its sequence's residues at its key in `db`: a snapshot restored
+/// against another database is refused, not queried.
 pub fn restore(bytes: &Bytes, db: Arc<SeqStore>) -> Result<MendelCluster, MendelError> {
+    let (config, mut buf) = header(bytes)?;
+    let nodes = config.nodes;
+    let block_len = config.block_len;
+    let cluster = MendelCluster::build_empty(config, db.clone())?;
+    for n in 0..nodes {
+        let blocks = Vec::<Block>::decode(&mut buf).map_err(decode_error)?;
+        for b in &blocks {
+            check_block(&db, b, block_len)?;
+        }
+        cluster.load_node_blocks(NodeId(n as u16), blocks)?;
+    }
+    if !buf.is_empty() {
+        return Err(MendelError::Snapshot(format!(
+            "{} trailing bytes after node data",
+            buf.len()
+        )));
+    }
+    Ok(cluster)
+}
+
+fn decode_error(e: mendel_net::DecodeError) -> MendelError {
+    MendelError::Snapshot(e.to_string())
+}
+
+/// Refuse a block that is not `db`'s residues at its key: its sequence
+/// is absent, its range runs past the sequence, or its bytes differ.
+fn check_block(db: &SeqStore, b: &Block, block_len: usize) -> Result<(), MendelError> {
+    let what = |why: String| {
+        MendelError::Snapshot(format!(
+            "snapshot does not match the database: block (seq {}, start {}) {why}",
+            b.seq.0, b.start
+        ))
+    };
+    if b.window.len() != block_len {
+        return Err(what(format!(
+            "is {} residues long, not the snapshot's {block_len}",
+            b.window.len()
+        )));
+    }
+    let seq = db
+        .get(b.seq)
+        .ok_or_else(|| what("names a sequence the database lacks".into()))?;
+    let start = b.start as usize;
+    let residues = seq.residues.get(start..start + block_len).ok_or_else(|| {
+        what(format!(
+            "runs past its {}-residue sequence",
+            seq.residues.len()
+        ))
+    })?;
+    if residues != &b.window[..] {
+        return Err(what("differs from its sequence's residues".into()));
+    }
+    Ok(())
+}
+
+/// Verify the footer and decode the header: the recorded geometry and
+/// the node data after it.
+fn header(bytes: &Bytes) -> Result<(ClusterConfig, Bytes), MendelError> {
     // The version byte sits right after the 4-byte magic. Verify and
     // strip the CRC-32 footer before any decoding: truncation or
     // corruption anywhere is caught here, up front.
@@ -142,7 +209,7 @@ pub fn restore(bytes: &Bytes, db: Arc<SeqStore>) -> Result<MendelCluster, Mendel
         )));
     }
     let mut buf = bytes.slice(0..body_len);
-    let bad = |e: mendel_net::DecodeError| MendelError::Snapshot(e.to_string());
+    let bad = decode_error;
     if u32::decode(&mut buf).map_err(bad)? != MAGIC {
         return Err(MendelError::Snapshot("bad magic".into()));
     }
@@ -174,18 +241,7 @@ pub fn restore(bytes: &Bytes, db: Arc<SeqStore>) -> Result<MendelCluster, Mendel
         latency: LatencyModel::lan(),
         storage: StorageBackend::Memory,
     };
-    let cluster = MendelCluster::build_empty(config, db)?;
-    for n in 0..nodes {
-        let blocks = Vec::<Block>::decode(&mut buf).map_err(bad)?;
-        cluster.load_node_blocks(NodeId(n as u16), blocks)?;
-    }
-    if !buf.is_empty() {
-        return Err(MendelError::Snapshot(format!(
-            "{} trailing bytes after node data",
-            buf.len()
-        )));
-    }
-    Ok(cluster)
+    Ok((config, buf))
 }
 
 #[cfg(test)]
@@ -193,7 +249,7 @@ mod tests {
     use super::*;
     use crate::params::QueryParams;
     use mendel_seq::gen::NrLikeSpec;
-    use mendel_seq::SeqId;
+    use mendel_seq::{SeqId, Sequence};
 
     fn db() -> Arc<SeqStore> {
         Arc::new(
@@ -326,6 +382,53 @@ mod tests {
                 "flip at {off} must be rejected"
             );
         }
+    }
+
+    /// A snapshot names blocks by `(sequence, start)` in the database it
+    /// was indexed from; restored against another, its blocks would
+    /// extend through foreign residues (or past their ends). Each kind of
+    /// mismatch is refused up front.
+    #[test]
+    fn snapshot_against_another_database_is_refused() {
+        let db = db();
+        let c = MendelCluster::build(ClusterConfig::small_protein(), db.clone()).unwrap();
+        let bytes = save(&c).unwrap();
+        let edited = |edit: &dyn Fn(&mut Sequence)| {
+            let mut other = SeqStore::new();
+            for s in db.iter() {
+                let mut s = s.clone();
+                edit(&mut s);
+                other.insert(s);
+            }
+            Arc::new(other)
+        };
+        let fewer = {
+            let mut other = SeqStore::new();
+            for s in db.iter().take(db.len() - 1) {
+                other.insert(s.clone());
+            }
+            Arc::new(other)
+        };
+        let shorter = edited(&|s| s.residues.truncate(s.residues.len() - 1));
+        let mutated = edited(&|s| {
+            let mid = s.residues.len() / 2;
+            s.residues[mid] ^= 1;
+        });
+        for (other, why) in [
+            (fewer, "lacks"),
+            (shorter, "runs past"),
+            (mutated, "differs"),
+        ] {
+            let err = restore(&bytes, other)
+                .err()
+                .expect("a mismatched database is refused");
+            assert!(
+                matches!(&err, MendelError::Snapshot(m)
+                    if m.contains("does not match the database") && m.contains(why)),
+                "{why}: {err}"
+            );
+        }
+        assert_eq!(config(&bytes).unwrap().alphabet, Alphabet::Protein);
     }
 
     #[test]

@@ -1205,7 +1205,7 @@ mod tests {
         }
     }
 
-    fn anchor() -> Hsp {
+    fn sample_anchor() -> Hsp {
         Hsp {
             subject_id: 9,
             query_start: 4,
@@ -1230,7 +1230,7 @@ mod tests {
         let reply = GroupReply {
             receipts: vec![receipt(0, 700), receipt(3, 900)],
             merge: Duration::from_nanos(40),
-            hsps: vec![anchor()],
+            hsps: vec![sample_anchor()],
             spans: Vec::new(),
         };
         let mut hand = BytesMut::new();
@@ -1249,7 +1249,7 @@ mod tests {
         let member = NodeReply {
             compute: Duration::from_nanos(700),
             candidates: 24,
-            hsps: vec![anchor()],
+            hsps: vec![sample_anchor()],
             spans: Vec::new(),
         };
         let mut hand = BytesMut::new();
@@ -1279,7 +1279,7 @@ mod tests {
         };
         assert_eq!(GroupReply::from_bytes(&reply.to_bytes()).unwrap(), reply);
         let member = NodeReply {
-            hsps: vec![anchor()],
+            hsps: vec![sample_anchor()],
             spans,
             ..NodeReply::default()
         };

@@ -12,8 +12,8 @@
 //!   Mendel distance matrix derived from BLOSUM62 (§III-B of the paper),
 //!   with an optional *metric repair* that restores the triangle inequality,
 //!   plus bounded (early-abandoning) kernel variants for vp-tree searches,
-//! * [`arena`] — shared sequence backing buffers and zero-copy window
-//!   views, so overlapping inverted-index blocks store their sequence once,
+//! * [`window`] — zero-copy window views over a shared sequence buffer,
+//!   so overlapping inverted-index blocks share their sequence's bytes,
 //! * [`gen`] — deterministic synthetic dataset generators standing in for
 //!   NCBI `nr` and the `s_aureus` / `e_coli` query sets,
 //! * [`stats`] — residue composition statistics (Swiss-Prot background
@@ -23,7 +23,6 @@
 //! reproduce bit-for-bit.
 
 pub mod alphabet;
-pub mod arena;
 pub mod dist;
 pub mod error;
 pub mod fasta;
@@ -34,9 +33,9 @@ pub mod seq;
 pub mod simd;
 pub mod stats;
 pub mod translate;
+pub mod window;
 
 pub use alphabet::Alphabet;
-pub use arena::{SeqArena, WindowView};
 pub use dist::{BlockDistance, Hamming, MatrixDistance, Metric, Unbounded};
 pub use error::SeqError;
 pub use fasta::{parse_fasta, parse_fasta_sequences, write_fasta, FastaRecord};
@@ -44,3 +43,4 @@ pub use fastq::{parse_fastq, FastqRecord};
 pub use matrix::ScoringMatrix;
 pub use seq::{SeqId, SeqStore, Sequence};
 pub use translate::{reverse_complement, six_frames, translate};
+pub use window::WindowView;

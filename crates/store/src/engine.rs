@@ -4,8 +4,9 @@
 //! then applied to the in-memory memtable. Values are slices of
 //! content-addressed *blobs* — shared backing buffers keyed by their
 //! from-scratch SHA-1 — so the overlapping windows Mendel cuts from one
-//! sequence share a single copy on disk exactly as they share an arena
-//! in memory. A blob already durable anywhere in the store is never
+//! sequence share a single copy on disk exactly as their window views
+//! share one buffer in memory. A blob already durable anywhere in the
+//! store is never
 //! written again (dedup).
 //!
 //! When the memtable reaches its flush threshold it becomes an
@@ -643,7 +644,7 @@ impl DurableStore {
     /// Every live record, key-ordered, with backing buffers shared the
     /// way they were written: all keys slicing one blob return clones
     /// of a single `Arc`. This is recovery's bulk path — a node
-    /// rebuilds its arena + vp-tree state from it after a restart.
+    /// rebuilds its vp-tree state from it after a restart.
     pub fn scan(&self) -> StoreResult<Vec<ScannedBlock>> {
         self.ensure_live()?;
         // Oldest → newest so later writes shadow earlier ones.

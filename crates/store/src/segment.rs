@@ -17,8 +17,8 @@
 //! ```
 //!
 //! Entries do not carry values; they reference a content-addressed
-//! *blob* (a shared backing buffer — on disk what a window arena is in
-//! memory) by SHA-1 plus an `(offset, len)` slice into it. Blobs whose
+//! *blob* (a shared backing buffer — the sequence a block's window view
+//! is cut from) by SHA-1 plus an `(offset, len)` slice into it. Blobs whose
 //! digest is already durable in an older segment are not rewritten:
 //! the engine's global blob directory resolves them (dedup).
 //!

@@ -16,11 +16,12 @@
 //! case leaves the touched region median-balanced. The paper's preferred
 //! *batch* path (`insert_batch`) rebuilds once per batch — "a middle
 //! ground ... which maintains an acceptable performance while maintaining
-//! an optimized, balanced vp-tree". Point arena indices are stable across
-//! all rebuilds, so external references (Mendel's inverted-index block
-//! ids) never dangle.
+//! an optimized, balanced vp-tree". Insertion ids are stable across all
+//! rebuilds, so external references (Mendel's inverted-index block keys)
+//! never dangle. A rebuild moves the windows of the subtree it replaces
+//! into the new one, so the orphaned nodes hold no bytes.
 
-use crate::tree::{Node, VpTree, NIL};
+use crate::tree::{Node, Staged, VpTree, NIL};
 use mendel_seq::Metric;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -39,22 +40,29 @@ pub enum InsertOutcome {
     RebuiltRoot,
 }
 
-impl<P, M: Metric<P>> VpTree<P, M> {
-    /// Insert one element, returning its stable arena index and the
-    /// §III-D case taken.
-    pub fn insert(&mut self, point: P) -> (u32, InsertOutcome) {
-        let result = self.insert_inner(point);
+impl<M: Metric<[u8]>> VpTree<M> {
+    /// Insert one window, returning its insertion id and the §III-D case
+    /// taken.
+    ///
+    /// # Panics
+    /// Panics when the window is empty or its length differs from the
+    /// tree's.
+    pub fn insert(&mut self, point: impl AsRef<[u8]>) -> (u32, InsertOutcome) {
+        let result = self.insert_inner(point.as_ref());
         #[cfg(feature = "strict-invariants")]
         self.assert_invariants("dynamic insert");
         result
     }
 
-    fn insert_inner(&mut self, point: P) -> (u32, InsertOutcome) {
-        let idx = self.points.len() as u32;
-        self.points.push(point);
+    fn insert_inner(&mut self, point: &[u8]) -> (u32, InsertOutcome) {
+        let idx = self.admit(point);
+        let leaf_of = |point: &[u8]| Node::Leaf {
+            ids: vec![idx],
+            windows: point.to_vec(),
+        };
 
         if self.root == NIL {
-            self.nodes.push(Node::Leaf { bucket: vec![idx] });
+            self.nodes.push(leaf_of(point));
             self.root = (self.nodes.len() - 1) as u32;
             return (idx, InsertOutcome::Appended);
         }
@@ -64,21 +72,21 @@ impl<P, M: Metric<P>> VpTree<P, M> {
         // element.
         let mut path: Vec<u32> = Vec::new();
         let mut node = self.root;
+        let next_node = self.nodes.len() as u32;
         loop {
             path.push(node);
             match &mut self.nodes[node as usize] {
                 Node::Leaf { .. } => break,
                 Node::Internal {
-                    vantage,
+                    window,
                     radius,
                     left,
                     right,
                     left_bounds,
                     right_bounds,
+                    ..
                 } => {
-                    let d = self
-                        .metric
-                        .dist(&self.points[idx as usize], &self.points[*vantage as usize]);
+                    let d = self.metric.dist(point, window);
                     let go_left = d <= *radius;
                     let (child, bounds) = if go_left {
                         (left, left_bounds)
@@ -90,18 +98,8 @@ impl<P, M: Metric<P>> VpTree<P, M> {
                     if *child == NIL {
                         // Empty slot (possible after duplicate-heavy builds):
                         // create a fresh leaf in place.
-                        self.nodes.push(Node::Leaf { bucket: vec![idx] });
-                        let new_leaf = (self.nodes.len() - 1) as u32;
-                        match &mut self.nodes[node as usize] {
-                            Node::Internal { left, right, .. } => {
-                                if go_left {
-                                    *left = new_leaf;
-                                } else {
-                                    *right = new_leaf;
-                                }
-                            }
-                            Node::Leaf { .. } => unreachable!(),
-                        }
+                        *child = next_node;
+                        self.nodes.push(leaf_of(point));
                         return (idx, InsertOutcome::Appended);
                     }
                     node = *child;
@@ -112,9 +110,10 @@ impl<P, M: Metric<P>> VpTree<P, M> {
         // Case 1: room in the leaf bucket. The loop above only breaks on
         // a leaf, so `node` is its index.
         let leaf = node;
-        if let Node::Leaf { bucket } = &mut self.nodes[leaf as usize] {
-            if bucket.len() < self.bucket_capacity {
-                bucket.push(idx);
+        if let Node::Leaf { ids, windows } = &mut self.nodes[leaf as usize] {
+            if ids.len() < self.bucket_capacity {
+                ids.push(idx);
+                windows.extend_from_slice(point);
                 return (idx, InsertOutcome::Appended);
             }
         }
@@ -129,7 +128,8 @@ impl<P, M: Metric<P>> VpTree<P, M> {
             // holds at most 2^h full buckets plus 2^h − 1 vantage elements.
             let capacity = (1usize << height) * self.bucket_capacity + ((1usize << height) - 1);
             if count + 1 <= capacity {
-                self.rebuild_subtree(anc, path.get(anc_pos.wrapping_sub(1)).copied(), idx);
+                let parent = path.get(anc_pos.wrapping_sub(1)).copied();
+                self.rebuild_subtree(anc, parent, idx, point);
                 let levels = levels_up + 1;
                 return (
                     idx,
@@ -144,7 +144,9 @@ impl<P, M: Metric<P>> VpTree<P, M> {
 
         // Case 4: the tree is completely full — split the root (rebuild;
         // the build routine grows the extra level it needs).
-        self.rebuild_root();
+        let mut extra = Staged::default();
+        extra.push(idx, point);
+        self.rebuild_root(extra);
         (idx, InsertOutcome::RebuiltRoot)
     }
 
@@ -152,19 +154,22 @@ impl<P, M: Metric<P>> VpTree<P, M> {
     /// that is large relative to the existing tree (≥ 25%) triggers one
     /// balanced rebuild over everything; smaller batches fall back to
     /// per-element insertion, whose §III-D cases only rebuild the
-    /// affected subtrees. Returns the stable indices.
-    pub fn insert_batch(&mut self, batch: impl IntoIterator<Item = P>) -> Vec<u32> {
+    /// affected subtrees. Returns the insertion ids.
+    pub fn insert_batch<P: AsRef<[u8]>>(&mut self, batch: impl IntoIterator<Item = P>) -> Vec<u32> {
         let batch: Vec<P> = batch.into_iter().collect();
-        let start = self.points.len() as u32;
+        let start = self.len as u32;
         if batch.is_empty() {
             return Vec::new();
         }
-        if batch.len() * 4 >= self.points.len() {
-            self.points.extend(batch);
-            self.rebuild_root();
+        if batch.len() * 4 >= self.len {
+            let mut extra = Staged::default();
+            for p in batch {
+                self.stage(&mut extra, p.as_ref());
+            }
+            self.rebuild_root(extra);
             #[cfg(feature = "strict-invariants")]
             self.assert_invariants("batch rebuild");
-            (start..self.points.len() as u32).collect()
+            (start..self.len as u32).collect()
         } else {
             batch.into_iter().map(|p| self.insert(p).0).collect()
         }
@@ -174,7 +179,7 @@ impl<P, M: Metric<P>> VpTree<P, M> {
     /// height 0.
     fn subtree_occupancy(&self, node: u32) -> (usize, usize) {
         match &self.nodes[node as usize] {
-            Node::Leaf { bucket } => (bucket.len(), 0),
+            Node::Leaf { ids, .. } => (ids.len(), 0),
             Node::Internal { left, right, .. } => {
                 let (mut c, mut h) = (1usize, 0usize); // vantage counts as an element
                 for child in [*left, *right] {
@@ -189,37 +194,45 @@ impl<P, M: Metric<P>> VpTree<P, M> {
         }
     }
 
-    /// Collect every element index under `node`.
-    fn collect_subtree(&self, node: u32, out: &mut Vec<u32>) {
-        match &self.nodes[node as usize] {
-            Node::Leaf { bucket } => out.extend_from_slice(bucket),
+    /// Move every element under `node` into `out` — vantage, then the
+    /// left subtree, then the right — leaving the nodes it empties
+    /// holding no ids or windows.
+    fn drain_subtree(&mut self, node: u32, out: &mut Staged) {
+        let children = match &mut self.nodes[node as usize] {
+            Node::Leaf { ids, windows } => {
+                out.ids.extend(std::mem::take(ids));
+                out.bytes.extend(std::mem::take(windows));
+                return;
+            }
             Node::Internal {
                 vantage,
+                window,
                 left,
                 right,
                 ..
             } => {
-                out.push(*vantage);
-                if *left != NIL {
-                    self.collect_subtree(*left, out);
-                }
-                if *right != NIL {
-                    self.collect_subtree(*right, out);
-                }
+                out.push(*vantage, &std::mem::take(window));
+                [*left, *right]
+            }
+        };
+        for child in children {
+            if child != NIL {
+                self.drain_subtree(child, out);
             }
         }
     }
 
-    /// Rebuild the subtree at `node` with `extra` added, grafting the new
-    /// subtree into `parent` (or the root slot). Old arena nodes become
-    /// garbage; [`Self::compact`] reclaims them.
-    fn rebuild_subtree(&mut self, node: u32, parent: Option<u32>, extra: u32) {
-        let mut items = Vec::new();
-        self.collect_subtree(node, &mut items);
-        items.push(extra);
+    /// Rebuild the subtree at `node` with element `(id, window)` added,
+    /// grafting the new subtree into `parent` (or the root slot). Old
+    /// arena nodes become empty garbage; [`Self::compact`] reclaims them.
+    fn rebuild_subtree(&mut self, node: u32, parent: Option<u32>, id: u32, window: &[u8]) {
+        let mut staged = Staged::default();
+        self.drain_subtree(node, &mut staged);
+        staged.push(id, window);
         self.rebuild_count += 1;
         let mut rng = ChaCha8Rng::seed_from_u64(self.seed ^ (self.rebuild_count as u64) << 17);
-        let new_node = self.build_rec(&mut items, &mut rng);
+        let mut items: Vec<u32> = (0..staged.ids.len() as u32).collect();
+        let new_node = self.build_rec(&mut items, &staged, &mut rng);
         match parent {
             None => self.root = new_node,
             Some(p) => match &mut self.nodes[p as usize] {
@@ -236,19 +249,32 @@ impl<P, M: Metric<P>> VpTree<P, M> {
         }
     }
 
-    /// Rebuild the whole tree from the point arena (case 4 and batch path).
-    fn rebuild_root(&mut self) {
+    /// Rebuild the whole tree over its elements plus the `extra` ones
+    /// admitted after them (case 4 and the batch path), in insertion-id
+    /// order.
+    fn rebuild_root(&mut self, extra: Staged) {
         self.rebuild_count += 1;
+        let bytes = if self.root == NIL {
+            extra.bytes // an empty tree's ids are exactly `extra`'s
+        } else {
+            let mut bytes = self.windows().concat();
+            bytes.extend_from_slice(&extra.bytes);
+            bytes
+        };
         self.nodes.clear();
+        let staged = Staged {
+            ids: (0..self.len as u32).collect(),
+            bytes,
+        };
         let mut rng = ChaCha8Rng::seed_from_u64(self.seed ^ (self.rebuild_count as u64) << 17);
-        let mut items: Vec<u32> = (0..self.points.len() as u32).collect();
-        self.root = self.build_rec(&mut items, &mut rng);
+        let mut items = staged.ids.clone();
+        self.root = self.build_rec(&mut items, &staged, &mut rng);
     }
 
     /// Drop garbage arena nodes left behind by subtree rebuilds (a full
     /// rebuild, which also rebalances).
     pub fn compact(&mut self) {
-        self.rebuild_root();
+        self.rebuild_root(Staged::default());
         #[cfg(feature = "strict-invariants")]
         self.assert_invariants("compact");
     }
@@ -259,14 +285,15 @@ impl<P, M: Metric<P>> VpTree<P, M> {
         self.rebuild_count
     }
 
-    /// Forget every point. Metric, bucket capacity, seed and search
+    /// Forget every element. Metric, bucket capacity, seed and search
     /// counters stay; the rebuild count restarts at 0, because it seeds
     /// every rebuild (`seed ^ rebuilds << 17`), so a cleared tree regrows
     /// exactly like a fresh empty one.
     pub fn clear(&mut self) {
-        self.points.clear();
         self.nodes.clear();
         self.root = NIL;
+        self.len = 0;
+        self.window_len = 0;
         self.rebuild_count = 0;
     }
 }
@@ -275,13 +302,13 @@ impl<P, M: Metric<P>> VpTree<P, M> {
 mod tests {
     use super::*;
     use crate::knn::brute_force_knn;
-    use mendel_seq::{BlockDistance, Hamming};
+    use mendel_seq::Hamming;
     use rand::Rng;
 
-    type Tree = VpTree<Vec<u8>, BlockDistance<Hamming>>;
+    type Tree = VpTree<Hamming>;
 
     fn empty(bucket: usize) -> Tree {
-        VpTree::build(Vec::new(), BlockDistance::new(Hamming), bucket, 99)
+        VpTree::new(Hamming, bucket, 99)
     }
 
     fn random_points(n: usize, len: usize, seed: u64) -> Vec<Vec<u8>> {
@@ -346,14 +373,13 @@ mod tests {
     #[test]
     fn incremental_tree_answers_knn_exactly() {
         let points = random_points(400, 8, 4);
-        let metric = BlockDistance::new(Hamming);
         let mut t = empty(8);
         for p in points.clone() {
             t.insert(p);
         }
         for q in random_points(20, 8, 5) {
             let got: Vec<f32> = t.knn(&q, 4).iter().map(|n| n.dist).collect();
-            let want: Vec<f32> = brute_force_knn(&points, &metric, &q, 4)
+            let want: Vec<f32> = brute_force_knn(&points, &Hamming, &q, 4)
                 .iter()
                 .map(|n| n.dist)
                 .collect();
@@ -379,18 +405,40 @@ mod tests {
         assert_eq!(t.check_invariants(), Ok(()));
     }
 
+    /// Every §III-D path — appends, parent and ancestor rebuilds, root
+    /// splits, both batch paths, `compact` — keeps each insertion id
+    /// mapped to the window inserted under it, and leaves no replaced
+    /// node holding windows.
     #[test]
     fn indices_are_stable_across_rebuilds() {
-        let points = random_points(200, 8, 6);
         let mut t = empty(2); // tiny buckets force many rebuilds
-        let mut indices = Vec::new();
-        for p in points.clone() {
-            indices.push(t.insert(p).0);
+        let mut inserted: Vec<Vec<u8>> = Vec::new();
+        let mut seen = std::collections::HashSet::new();
+        let check = |t: &Tree, inserted: &[Vec<u8>], after: &str| {
+            let windows = t.windows();
+            assert_eq!(windows.len(), inserted.len(), "{after}");
+            for (i, (got, want)) in windows.iter().zip(inserted).enumerate() {
+                assert_eq!(*got, &want[..], "id {i} after {after}");
+            }
+            assert_eq!(t.check_invariants(), Ok(()), "{after}");
+        };
+        for p in random_points(200, 8, 6) {
+            let (id, outcome) = t.insert(&p);
+            assert_eq!(id as usize, inserted.len());
+            inserted.push(p);
+            seen.insert(std::mem::discriminant(&outcome));
+            check(&t, &inserted, &format!("{outcome:?}"));
         }
-        assert!(t.rebuilds() > 0);
-        for (i, p) in indices.into_iter().zip(points.iter()) {
-            assert_eq!(t.point(i), p, "index {i} must still address its point");
+        assert_eq!(seen.len(), 4, "all four §III-D cases ran");
+        for (batch, seed) in [(150usize, 7u64), (5, 8)] {
+            let points = random_points(batch, 8, seed);
+            let ids = t.insert_batch(points.iter());
+            assert_eq!(ids[0] as usize, inserted.len());
+            inserted.extend(points);
+            check(&t, &inserted, &format!("a batch of {batch}"));
         }
+        t.compact();
+        check(&t, &inserted, "compact");
     }
 
     #[test]
@@ -459,8 +507,8 @@ mod tests {
         // twin grown through the same mutation sequence.
         use mendel_seq::{MatrixDistance, ScoringMatrix, Unbounded};
         let matrix = MatrixDistance::mendel(&ScoringMatrix::blosum62());
-        let mut bounded = VpTree::build(Vec::new(), BlockDistance::new(matrix.clone()), 4, 7);
-        let mut baseline = VpTree::build(Vec::new(), BlockDistance::new(Unbounded(matrix)), 4, 7);
+        let mut bounded = VpTree::new(matrix.clone(), 4, 7);
+        let mut baseline = VpTree::new(Unbounded(matrix), 4, 7);
         for chunk in random_points(300, 12, 40).chunks(60) {
             bounded.insert_batch(chunk.to_vec());
             baseline.insert_batch(chunk.to_vec());
@@ -485,7 +533,6 @@ mod tests {
 
     #[test]
     fn mixed_batch_and_single_inserts() {
-        let metric = BlockDistance::new(Hamming);
         let a = random_points(64, 6, 10);
         let b = random_points(64, 6, 11);
         let mut t = empty(4);
@@ -497,7 +544,7 @@ mod tests {
         all.extend(b);
         for q in random_points(10, 6, 12) {
             let got: Vec<f32> = t.knn(&q, 3).iter().map(|n| n.dist).collect();
-            let want: Vec<f32> = brute_force_knn(&all, &metric, &q, 3)
+            let want: Vec<f32> = brute_force_knn(&all, &Hamming, &q, 3)
                 .iter()
                 .map(|n| n.dist)
                 .collect();

@@ -5,11 +5,12 @@ use mendel_seq::Metric;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-/// One nearest-neighbour result: the point's index in its tree plus its
-/// distance to the query.
+/// One nearest-neighbour result: the point's insertion id in its tree
+/// plus its distance to the query.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Neighbor {
-    /// Index of the point in the owning tree's point arena.
+    /// Insertion id of the point: `i` for the `i`-th window its tree was
+    /// given, by `VpTree::build` or an insert, whatever rebuilds ran since.
     pub index: u32,
     /// Distance from the query to the point.
     pub dist: f32,
@@ -98,17 +99,17 @@ impl KnnHeap {
     }
 }
 
-/// Brute-force k-NN over a point slice — the oracle the vp-tree is
+/// Brute-force k-NN over a window slice — the oracle the vp-tree is
 /// property-tested against, and the fallback for tiny collections.
-pub fn brute_force_knn<P, M: Metric<P>>(
+pub fn brute_force_knn<P: AsRef<[u8]>, M: Metric<[u8]>>(
     points: &[P],
     metric: &M,
-    query: &P,
+    query: &[u8],
     k: usize,
 ) -> Vec<Neighbor> {
     let mut heap = KnnHeap::new(k);
     for (i, p) in points.iter().enumerate() {
-        heap.offer(i as u32, metric.dist(query, p));
+        heap.offer(i as u32, metric.dist(query, p.as_ref()));
     }
     heap.into_sorted()
 }
@@ -188,8 +189,7 @@ mod tests {
     #[test]
     fn brute_force_oracle() {
         let points: Vec<Vec<u8>> = vec![vec![0, 0, 0], vec![0, 0, 1], vec![1, 1, 1], vec![2, 2, 2]];
-        let metric = mendel_seq::BlockDistance::new(Hamming);
-        let out = brute_force_knn(&points, &metric, &vec![0u8, 0, 0], 2);
+        let out = brute_force_knn(&points, &Hamming, &[0u8, 0, 0], 2);
         assert_eq!(
             out[0],
             Neighbor {
@@ -209,8 +209,7 @@ mod tests {
     #[test]
     fn brute_force_with_fewer_points_than_k() {
         let points: Vec<Vec<u8>> = vec![vec![0u8]];
-        let metric = mendel_seq::BlockDistance::new(Hamming);
-        let out = brute_force_knn(&points, &metric, &vec![1u8], 5);
+        let out = brute_force_knn(&points, &Hamming, &[1u8], 5);
         assert_eq!(out.len(), 1);
     }
 }

@@ -14,10 +14,11 @@
 //!   hash, including multi-group fan-out when a query ball straddles a
 //!   partition boundary.
 //!
-//! Trees are generic over the point type `P` and any
-//! [`mendel_seq::Metric`] implementation, so the same structure indexes
+//! A [`VpTree`] indexes fixed-length byte windows, which it owns, under
+//! any [`mendel_seq::Metric`] over `[u8]`, so the same structure indexes
 //! DNA blocks under Hamming distance and protein blocks under the Mendel
-//! BLOSUM62-derived distance.
+//! BLOSUM62-derived distance. The vp-prefix tree is generic over its
+//! point type.
 
 pub mod dynamic;
 pub mod knn;

@@ -10,6 +10,12 @@
 //! 2. **subtree bounds** — every internal vertex stores the `[min, max]`
 //!    distance band of each child's elements as seen from its vantage
 //!    point, giving the search a tighter prune than μ alone.
+//!
+//! The tree owns the windows it indexes, laid out for the leaf scan: a
+//! leaf holds its elements' insertion ids and their windows concatenated
+//! in bucket order, an internal vertex its vantage's id and window. A
+//! candidate's bytes therefore sit in the leaf the search is scanning,
+//! not behind a pointer per element (DESIGN.md §15.1).
 
 use crate::knn::{KnnHeap, Neighbor};
 use crate::metrics::{SearchMetrics, SearchTally};
@@ -37,8 +43,10 @@ pub(crate) enum Node {
     /// Internal vertex: vantage element, radius μ, children, and the
     /// distance bounds of each child's elements from the vantage point.
     Internal {
-        /// Index of the vantage element in the point arena.
+        /// Insertion id of the vantage element.
         vantage: u32,
+        /// The vantage element's window.
+        window: Box<[u8]>,
         /// Partition radius μ: left elements satisfy `d ≤ μ`, right `d ≥ μ`.
         radius: f32,
         /// Left ("near") child node index.
@@ -50,21 +58,30 @@ pub(crate) enum Node {
         /// `[min, max]` distances of right-subtree elements to `vantage`.
         right_bounds: (f32, f32),
     },
-    /// Leaf vertex holding a bucket of element indices.
+    /// Leaf vertex holding a bucket of elements.
     Leaf {
-        /// Indices into the point arena.
-        bucket: Vec<u32>,
+        /// Insertion ids of the bucket's elements.
+        ids: Vec<u32>,
+        /// Their windows, concatenated in bucket order.
+        windows: Vec<u8>,
     },
 }
 
-/// A vantage-point tree over points of type `P` under metric `M`:
+/// A vantage-point tree over fixed-length byte windows under metric `M`:
 /// bulk-built, then grown by the §III-D insertion of [`crate::dynamic`].
+///
+/// Elements are named by insertion id — `i` for the `i`-th window the
+/// tree was given, by [`Self::build`] or an insert — which every rebuild
+/// keeps.
 #[derive(Debug)]
-pub struct VpTree<P, M> {
+pub struct VpTree<M> {
     pub(crate) metric: M,
-    pub(crate) points: Vec<P>,
     pub(crate) nodes: Vec<Node>,
     pub(crate) root: u32,
+    /// Elements held; their ids are `0..len`.
+    pub(crate) len: usize,
+    /// The one window length, fixed by the first element.
+    pub(crate) window_len: usize,
     pub(crate) bucket_capacity: usize,
     pub(crate) seed: u64,
     /// Subtree/root rebuilds run by dynamic insertion; each seeds its
@@ -73,6 +90,25 @@ pub struct VpTree<P, M> {
     /// Search instrumentation (`mendel.vptree.*`); detached by default,
     /// attach registry-backed handles with [`VpTree::set_metrics`].
     pub(crate) obs: SearchMetrics,
+}
+
+/// Windows on their way into a (sub)tree build: element `p` has insertion
+/// id `ids[p]` and window `bytes[p·L .. (p+1)·L]`.
+#[derive(Debug, Default)]
+pub(crate) struct Staged {
+    pub(crate) ids: Vec<u32>,
+    pub(crate) bytes: Vec<u8>,
+}
+
+impl Staged {
+    pub(crate) fn push(&mut self, id: u32, window: &[u8]) {
+        self.ids.push(id);
+        self.bytes.extend_from_slice(window);
+    }
+
+    fn window(&self, p: u32, len: usize) -> &[u8] {
+        &self.bytes[p as usize * len..][..len]
+    }
 }
 
 /// The mutable state of one k-NN search. The survivors scratch lives
@@ -110,56 +146,104 @@ pub struct VpTreeStats {
     pub mean_bucket_fill: f64,
 }
 
-impl<P, M: Metric<P>> VpTree<P, M> {
-    /// Build a tree over `points` with the given leaf-bucket capacity.
-    /// `seed` drives vantage-point sampling; the same inputs always build
-    /// the same tree.
-    pub fn build(points: Vec<P>, metric: M, bucket_capacity: usize, seed: u64) -> Self {
+impl<M: Metric<[u8]>> VpTree<M> {
+    /// An empty tree with the given leaf-bucket capacity; `seed` drives
+    /// vantage-point sampling.
+    pub fn new(metric: M, bucket_capacity: usize, seed: u64) -> Self {
         assert!(bucket_capacity >= 1, "bucket capacity must be at least 1");
-        let mut tree = VpTree {
+        VpTree {
             metric,
-            points,
             nodes: Vec::new(),
             root: NIL,
+            len: 0,
+            window_len: 0,
             bucket_capacity,
             seed,
             rebuild_count: 0,
             obs: SearchMetrics::default(),
-        };
+        }
+    }
+
+    /// Build a tree over `points` with the given leaf-bucket capacity.
+    /// `seed` drives vantage-point sampling; the same inputs always build
+    /// the same tree. Point `i` gets insertion id `i`.
+    ///
+    /// # Panics
+    /// Panics when the windows are empty or differ in length.
+    pub fn build<P: AsRef<[u8]>>(
+        points: Vec<P>,
+        metric: M,
+        bucket_capacity: usize,
+        seed: u64,
+    ) -> Self {
+        let mut tree = Self::new(metric, bucket_capacity, seed);
+        let mut staged = Staged::default();
+        for p in points {
+            tree.stage(&mut staged, p.as_ref());
+        }
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let mut items: Vec<u32> = (0..tree.points.len() as u32).collect();
-        tree.root = tree.build_rec(&mut items, &mut rng);
+        let mut items: Vec<u32> = (0..tree.len as u32).collect();
+        tree.root = tree.build_rec(&mut items, &staged, &mut rng);
         #[cfg(feature = "strict-invariants")]
         tree.assert_invariants("build");
         tree
     }
 
-    /// Recursively build the subtree over `items`, returning its node index.
-    pub(crate) fn build_rec(&mut self, items: &mut [u32], rng: &mut impl Rng) -> u32 {
+    /// Give `window` the next insertion id. The first element of an empty
+    /// tree fixes the window length; every later one must match it.
+    pub(crate) fn admit(&mut self, window: &[u8]) -> u32 {
+        if self.len == 0 {
+            assert!(!window.is_empty(), "vp-tree windows must be non-empty");
+            self.window_len = window.len();
+        }
+        assert_eq!(
+            window.len(),
+            self.window_len,
+            "vp-tree windows must share one length"
+        );
+        self.len += 1;
+        (self.len - 1) as u32
+    }
+
+    /// [`Self::admit`] `window` and stage it for a build.
+    pub(crate) fn stage(&mut self, staged: &mut Staged, window: &[u8]) {
+        let id = self.admit(window);
+        staged.push(id, window);
+    }
+
+    /// Recursively build the subtree over the staged elements at
+    /// positions `items`, returning its node index.
+    pub(crate) fn build_rec(
+        &mut self,
+        items: &mut [u32],
+        staged: &Staged,
+        rng: &mut impl Rng,
+    ) -> u32 {
         if items.is_empty() {
             return NIL;
         }
+        let len = self.window_len;
         if items.len() <= self.bucket_capacity {
+            let mut windows = Vec::with_capacity(items.len() * len);
+            for &p in items.iter() {
+                windows.extend_from_slice(staged.window(p, len));
+            }
             self.nodes.push(Node::Leaf {
-                bucket: items.to_vec(),
+                ids: items.iter().map(|&p| staged.ids[p as usize]).collect(),
+                windows,
             });
             return (self.nodes.len() - 1) as u32;
         }
-        let v_pos = self.pick_vantage(items, rng);
+        let v_pos = self.pick_vantage(items, staged, rng);
         items.swap(0, v_pos);
-        let vantage = items[0];
+        let vantage = staged.window(items[0], len);
+        let vantage_id = staged.ids[items[0] as usize];
         let rest = &mut items[1..];
 
         // Distances of the remaining elements to the vantage point.
         let mut dists: Vec<(u32, f32)> = rest
             .iter()
-            .map(|&i| {
-                (
-                    i,
-                    self.metric
-                        .dist(&self.points[vantage as usize], &self.points[i as usize]),
-                )
-            })
+            .map(|&i| (i, self.metric.dist(vantage, staged.window(i, len))))
             .collect();
         // Median split: the radius must "encompass roughly half of the data
         // points in order to maintain a balanced vp-tree" (§III-A).
@@ -208,12 +292,19 @@ impl<P, M: Metric<P>> VpTree<P, M> {
         let left_bounds = bounds(&left);
         let right_bounds = bounds(&right);
 
-        let mut left_items: Vec<u32> = left.into_iter().map(|(i, _)| i).collect();
-        let mut right_items: Vec<u32> = right.into_iter().map(|(i, _)| i).collect();
-        let left_node = self.build_rec(&mut left_items, rng);
-        let right_node = self.build_rec(&mut right_items, rng);
+        // The children's items go back into `rest`, left then right, and
+        // this level's scratch is freed before recursing: a build's
+        // temporaries stay one level deep.
+        for (slot, &(i, _)) in rest.iter_mut().zip(left.iter().chain(&right)) {
+            *slot = i;
+        }
+        let (left_items, right_items) = rest.split_at_mut(left.len());
+        drop((dists, left, right));
+        let left_node = self.build_rec(left_items, staged, rng);
+        let right_node = self.build_rec(right_items, staged, rng);
         self.nodes.push(Node::Internal {
-            vantage,
+            vantage: vantage_id,
+            window: vantage.into(),
             radius,
             left: left_node,
             right: right_node,
@@ -225,22 +316,23 @@ impl<P, M: Metric<P>> VpTree<P, M> {
 
     /// Yianilos' spread heuristic: sample a few candidates, estimate each
     /// one's distance spread against a random subset, keep the widest.
-    fn pick_vantage(&self, items: &[u32], rng: &mut impl Rng) -> usize {
+    fn pick_vantage(&self, items: &[u32], staged: &Staged, rng: &mut impl Rng) -> usize {
         const CANDIDATES: usize = 5;
         const PROBES: usize = 12;
         if items.len() <= 2 {
             return 0;
         }
+        let len = self.window_len;
         let n_cand = CANDIDATES.min(items.len());
         let n_probe = PROBES.min(items.len());
         let cands = sample(rng, items.len(), n_cand);
         let probes: Vec<usize> = sample(rng, items.len(), n_probe).into_iter().collect();
         let mut best = (0usize, f32::NEG_INFINITY);
         for c in cands {
-            let cp = &self.points[items[c] as usize];
+            let cp = staged.window(items[c], len);
             let ds: Vec<f32> = probes
                 .iter()
-                .map(|&p| self.metric.dist(cp, &self.points[items[p] as usize]))
+                .map(|&p| self.metric.dist(cp, staged.window(items[p], len)))
                 .collect();
             let mean = ds.iter().sum::<f32>() / ds.len() as f32;
             let var = ds.iter().map(|d| (d - mean) * (d - mean)).sum::<f32>() / ds.len() as f32;
@@ -254,31 +346,60 @@ impl<P, M: Metric<P>> VpTree<P, M> {
     /// Number of indexed elements.
     #[inline]
     pub fn len(&self) -> usize {
-        self.points.len()
+        self.len
     }
 
     /// True when the tree indexes nothing.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
+        self.len == 0
     }
 
-    /// The indexed point at arena index `i` (as returned in [`Neighbor`]).
+    /// Length of every indexed window (0 while the tree is empty).
     #[inline]
-    pub fn point(&self, i: u32) -> &P {
-        &self.points[i as usize]
+    pub fn window_len(&self) -> usize {
+        self.window_len
     }
 
-    /// All points, in arena order.
-    #[inline]
-    pub fn points(&self) -> &[P] {
-        &self.points
+    /// Every indexed window, by insertion id: entry `i` is element `i`'s
+    /// (empty for an id the tree does not hold).
+    pub fn windows(&self) -> Vec<&[u8]> {
+        let mut out = vec![&[][..]; self.len];
+        let mut place = |id: u32, window| {
+            if let Some(slot) = out.get_mut(id as usize) {
+                *slot = window;
+            }
+        };
+        let mut stack = Vec::new();
+        if self.root != NIL {
+            stack.push(self.root);
+        }
+        while let Some(node) = stack.pop() {
+            match &self.nodes[node as usize] {
+                Node::Leaf { ids, windows } => {
+                    for (&id, window) in ids.iter().zip(windows.chunks_exact(self.window_len)) {
+                        place(id, window);
+                    }
+                }
+                Node::Internal {
+                    vantage,
+                    window,
+                    left,
+                    right,
+                    ..
+                } => {
+                    place(*vantage, window);
+                    stack.extend([*left, *right].into_iter().filter(|&c| c != NIL));
+                }
+            }
+        }
+        out
     }
 
     /// The `n` nearest neighbours of `query`, sorted by ascending distance
     /// (§III-C's k-NN with shrinking τ); exactly the brute-force answer,
     /// ties included (see [`KnnHeap::offer`]).
-    pub fn knn(&self, query: &P, n: usize) -> Vec<Neighbor> {
+    pub fn knn(&self, query: &[u8], n: usize) -> Vec<Neighbor> {
         self.knn_with_budget(query, n, usize::MAX)
     }
 
@@ -295,7 +416,7 @@ impl<P, M: Metric<P>> VpTree<P, M> {
     /// nearest the query, finding more of the exhaustive answer per call
     /// than the depth-first descent it replaced: recall per budget is in
     /// `crates/vptree/tests/frontier.rs` and the `ablation_budget` bin.
-    pub fn knn_with_budget(&self, query: &P, n: usize, budget: usize) -> Vec<Neighbor> {
+    pub fn knn_with_budget(&self, query: &[u8], n: usize, budget: usize) -> Vec<Neighbor> {
         if self.root == NIL || n == 0 || budget == 0 {
             return Vec::new();
         }
@@ -312,7 +433,7 @@ impl<P, M: Metric<P>> VpTree<P, M> {
 
     /// All neighbours within distance `radius` of `query`, sorted by
     /// ascending distance.
-    pub fn range(&self, query: &P, radius: f32) -> Vec<Neighbor> {
+    pub fn range(&self, query: &[u8], radius: f32) -> Vec<Neighbor> {
         let mut out = Vec::new();
         if self.root != NIL {
             let mut tally = SearchTally::default();
@@ -331,20 +452,21 @@ impl<P, M: Metric<P>> VpTree<P, M> {
         out
     }
 
-    /// The one leaf scan: score `ids` against `query` under `bound` in a
-    /// single kernel call, leaving `(position in ids, distance)` of every
-    /// candidate with `d ≤ bound` in `survivors`, in bucket order.
+    /// The one leaf scan: score the concatenated `windows` against `query`
+    /// under `bound` in a single kernel call, leaving `(position,
+    /// distance)` of every candidate with `d ≤ bound` in `survivors`, in
+    /// bucket order.
     #[inline]
-    fn scan_leaf(&self, query: &P, ids: &[u32], bound: f32, survivors: &mut Vec<(u32, f32)>) {
+    fn scan_leaf(&self, query: &[u8], windows: &[u8], bound: f32, survivors: &mut Vec<(u32, f32)>) {
         survivors.clear();
-        let cands = ids.iter().map(|&i| &self.points[i as usize]);
+        let cands = windows.chunks_exact(self.window_len);
         self.metric.scan_bounded(query, cands, bound, survivors);
     }
 
     /// The one k-NN traversal: expand the frontier subtree with the
     /// smallest lower bound until the budget is spent or that bound
     /// exceeds τ — every subtree left is then as far, so the heap is exact.
-    fn search(&self, query: &P, s: &mut Search) {
+    fn search(&self, query: &[u8], s: &mut Search) {
         let mut frontier = BinaryHeap::with_capacity(64);
         frontier.push(pending(0.0, self.root));
         while let Some(Reverse(key)) = frontier.pop() {
@@ -358,7 +480,7 @@ impl<P, M: Metric<P>> VpTree<P, M> {
             }
             s.tally.nodes_visited += 1;
             match &self.nodes[node as usize] {
-                Node::Leaf { bucket } => {
+                Node::Leaf { ids, windows } => {
                     s.tally.leaf_scans += 1;
                     // Whole-chunk leaf scan. A chunk is scored under the τ
                     // held when it starts and its survivors are replayed, in
@@ -374,7 +496,10 @@ impl<P, M: Metric<P>> VpTree<P, M> {
                     // the candidate the one-by-one loop would stop on, so
                     // results and all counters are those of scoring the
                     // bucket a candidate at a time.
-                    for chunk in bucket.chunks(LEAF_CHUNK) {
+                    let len = self.window_len;
+                    for (chunk, bytes) in
+                        ids.chunks(LEAF_CHUNK).zip(windows.chunks(LEAF_CHUNK * len))
+                    {
                         if s.budget < chunk.len() {
                             s.tally.budget_exhausted = 1;
                         }
@@ -382,7 +507,8 @@ impl<P, M: Metric<P>> VpTree<P, M> {
                             break;
                         }
                         let chunk = &chunk[..chunk.len().min(s.budget)];
-                        self.scan_leaf(query, chunk, s.heap.tau(), &mut s.survivors);
+                        let bytes = &bytes[..chunk.len() * len];
+                        self.scan_leaf(query, bytes, s.heap.tau(), &mut s.survivors);
                         s.budget -= chunk.len();
                         s.tally.dist_calls += chunk.len() as u64;
                         let mut offered = 0;
@@ -397,6 +523,7 @@ impl<P, M: Metric<P>> VpTree<P, M> {
                 }
                 Node::Internal {
                     vantage,
+                    window,
                     left,
                     right,
                     left_bounds,
@@ -410,11 +537,7 @@ impl<P, M: Metric<P>> VpTree<P, M> {
                     // `d − hi` exceed τ — the unbounded search prunes the
                     // whole subtree too.
                     let vantage_bound = s.heap.tau() + left_bounds.1.max(right_bounds.1);
-                    let bounded = self.metric.dist_bounded(
-                        query,
-                        &self.points[*vantage as usize],
-                        vantage_bound,
-                    );
+                    let bounded = self.metric.dist_bounded(query, window, vantage_bound);
                     s.budget -= 1;
                     s.tally.dist_calls += 1;
                     let Some(d) = bounded else {
@@ -451,7 +574,7 @@ impl<P, M: Metric<P>> VpTree<P, M> {
     fn range_rec(
         &self,
         node: u32,
-        query: &P,
+        query: &[u8],
         radius: f32,
         out: &mut Vec<Neighbor>,
         survivors: &mut Vec<(u32, f32)>,
@@ -459,20 +582,21 @@ impl<P, M: Metric<P>> VpTree<P, M> {
     ) {
         tally.nodes_visited += 1;
         match &self.nodes[node as usize] {
-            Node::Leaf { bucket } => {
+            Node::Leaf { ids, windows } => {
                 tally.leaf_scans += 1;
                 // The bound never moves, so the whole bucket is one scan
                 // and a survivor (d ≤ radius) is exactly a member.
-                self.scan_leaf(query, bucket, radius, survivors);
-                tally.dist_calls += bucket.len() as u64;
-                tally.early_abandons += (bucket.len() - survivors.len()) as u64;
+                self.scan_leaf(query, windows, radius, survivors);
+                tally.dist_calls += ids.len() as u64;
+                tally.early_abandons += (ids.len() - survivors.len()) as u64;
                 out.extend(survivors.iter().map(|&(j, dist)| Neighbor {
-                    index: bucket[j as usize],
+                    index: ids[j as usize],
                     dist,
                 }));
             }
             Node::Internal {
                 vantage,
+                window,
                 left,
                 right,
                 left_bounds,
@@ -488,10 +612,7 @@ impl<P, M: Metric<P>> VpTree<P, M> {
                     radius + left_bounds.1.max(right_bounds.1)
                 };
                 tally.dist_calls += 1;
-                let Some(d) =
-                    self.metric
-                        .dist_bounded(query, &self.points[*vantage as usize], vantage_bound)
-                else {
+                let Some(d) = self.metric.dist_bounded(query, window, vantage_bound) else {
                     tally.early_abandons += 1;
                     return;
                 };
@@ -527,7 +648,7 @@ impl<P, M: Metric<P>> VpTree<P, M> {
     /// Structural statistics (depth, balance, bucket fill).
     pub fn stats(&self) -> VpTreeStats {
         let mut s = VpTreeStats {
-            points: self.points.len(),
+            points: self.len,
             internal_nodes: 0,
             leaves: 0,
             max_depth: 0,
@@ -555,10 +676,13 @@ impl<P, M: Metric<P>> VpTree<P, M> {
     ///   the ancestor vantage lies inside the stored `[lo, hi]` band
     ///   (bounds may over-approximate after expand-only dynamic
     ///   updates, so containment — not tightness — is the invariant);
-    /// - **arena accounting** — every point index appears exactly once
+    /// - **id accounting** — every insertion id appears exactly once
     ///   among reachable vantages and leaf buckets, every reachable
-    ///   node is visited at most once (no cycles or shared subtrees;
-    ///   orphan nodes left by subtree rebuilds are legal garbage);
+    ///   node is visited at most once (no cycles or shared subtrees);
+    /// - **window layout** — each vantage holds one window and each leaf
+    ///   one per id, in bucket order, all of the tree's window length;
+    ///   nodes orphaned by subtree rebuilds (legal garbage until the next
+    ///   root rebuild) hold no ids or windows;
     /// - **leaf occupancy** — buckets hold `1..=bucket_capacity`
     ///   elements.
     ///
@@ -567,46 +691,54 @@ impl<P, M: Metric<P>> VpTree<P, M> {
     /// additionally asserts it after every build and rebalancing
     /// mutation.
     pub fn check_invariants(&self) -> Result<(), String> {
-        if self.points.is_empty() {
-            return if self.root == NIL {
-                Ok(())
-            } else {
-                Err("empty tree has a root node".into())
-            };
-        }
-        if self.root == NIL {
-            return Err(format!("{} points but no root node", self.points.len()));
-        }
         let mut visited = vec![false; self.nodes.len()];
-        let mut elements = Vec::with_capacity(self.points.len());
-        self.check_node(self.root, &mut visited, &mut elements)?;
-        let mut count = vec![0usize; self.points.len()];
-        for &e in &elements {
-            match count.get_mut(e as usize) {
-                Some(c) => *c += 1,
-                None => {
-                    return Err(format!(
-                        "element index {e} out of range ({} points)",
-                        self.points.len()
-                    ))
+        if self.len == 0 {
+            if self.root != NIL {
+                return Err("empty tree has a root node".into());
+            }
+        } else {
+            if self.root == NIL {
+                return Err(format!("{} points but no root node", self.len));
+            }
+            let mut elements = Vec::with_capacity(self.len);
+            self.check_node(self.root, &mut visited, &mut elements)?;
+            let mut count = vec![0usize; self.len];
+            for &(e, _) in &elements {
+                match count.get_mut(e as usize) {
+                    Some(c) => *c += 1,
+                    None => {
+                        return Err(format!("element id {e} out of range ({} points)", self.len))
+                    }
                 }
             }
+            if let Some(i) = count.iter().position(|&c| c == 0) {
+                return Err(format!("point {i} is not reachable from the root"));
+            }
+            if let Some(i) = count.iter().position(|&c| c > 1) {
+                return Err(format!("point {i} appears {} times in the tree", count[i]));
+            }
         }
-        if let Some(i) = count.iter().position(|&c| c == 0) {
-            return Err(format!("point {i} is not reachable from the root"));
-        }
-        if let Some(i) = count.iter().position(|&c| c > 1) {
-            return Err(format!("point {i} appears {} times in the tree", count[i]));
+        for (i, node) in self.nodes.iter().enumerate() {
+            let held = match node {
+                Node::Leaf { ids, windows } => ids.len() + windows.len(),
+                Node::Internal { window, .. } => window.len(),
+            };
+            if !visited[i] && held > 0 {
+                return Err(format!(
+                    "node {i} is no longer in the tree but still holds windows"
+                ));
+            }
         }
         Ok(())
     }
 
-    /// Validate the subtree at `node`, appending its elements to `out`.
-    fn check_node(
-        &self,
+    /// Validate the subtree at `node`, appending its elements' ids and
+    /// windows to `out`.
+    fn check_node<'a>(
+        &'a self,
         node: u32,
         visited: &mut [bool],
-        out: &mut Vec<u32>,
+        out: &mut Vec<(u32, &'a [u8])>,
     ) -> Result<(), String> {
         match visited.get_mut(node as usize) {
             None => {
@@ -622,23 +754,32 @@ impl<P, M: Metric<P>> VpTree<P, M> {
             }
             Some(slot) => *slot = true,
         }
+        let len = self.window_len;
         match &self.nodes[node as usize] {
-            Node::Leaf { bucket } => {
-                if bucket.is_empty() {
+            Node::Leaf { ids, windows } => {
+                if ids.is_empty() {
                     return Err(format!("leaf {node} has an empty bucket"));
                 }
-                if bucket.len() > self.bucket_capacity {
+                if ids.len() > self.bucket_capacity {
                     return Err(format!(
                         "leaf {node} holds {} elements, capacity is {}",
-                        bucket.len(),
+                        ids.len(),
                         self.bucket_capacity
                     ));
                 }
-                out.extend_from_slice(bucket);
+                if windows.len() != ids.len() * len {
+                    return Err(format!(
+                        "leaf {node} holds {} window bytes for {} elements of length {len}",
+                        windows.len(),
+                        ids.len()
+                    ));
+                }
+                out.extend(ids.iter().copied().zip(windows.chunks_exact(len)));
                 Ok(())
             }
             Node::Internal {
                 vantage,
+                window,
                 radius,
                 left,
                 right,
@@ -648,10 +789,13 @@ impl<P, M: Metric<P>> VpTree<P, M> {
                 if !radius.is_finite() || *radius < 0.0 {
                     return Err(format!("node {node} has invalid radius {radius}"));
                 }
-                if (self.points.len() as u32) <= *vantage {
-                    return Err(format!("node {node} vantage {vantage} out of range"));
+                if window.len() != len {
+                    return Err(format!(
+                        "node {node} vantage window holds {} bytes, not {len}",
+                        window.len()
+                    ));
                 }
-                out.push(*vantage);
+                out.push((*vantage, window));
                 let mut left_elems = Vec::new();
                 if *left != NIL {
                     self.check_node(*left, visited, &mut left_elems)?;
@@ -660,8 +804,8 @@ impl<P, M: Metric<P>> VpTree<P, M> {
                 if *right != NIL {
                     self.check_node(*right, visited, &mut right_elems)?;
                 }
-                self.check_side(node, *vantage, *radius, &left_elems, *left_bounds, true)?;
-                self.check_side(node, *vantage, *radius, &right_elems, *right_bounds, false)?;
+                self.check_side(node, window, *radius, &left_elems, *left_bounds, true)?;
+                self.check_side(node, window, *radius, &right_elems, *right_bounds, false)?;
                 out.append(&mut left_elems);
                 out.append(&mut right_elems);
                 Ok(())
@@ -669,14 +813,14 @@ impl<P, M: Metric<P>> VpTree<P, M> {
         }
     }
 
-    /// Check one child's element set against the split radius and the
-    /// stored distance band.
+    /// Check one child's elements against the split radius and the
+    /// stored distance band of the vantage window `vp`.
     fn check_side(
         &self,
         node: u32,
-        vantage: u32,
+        vp: &[u8],
         radius: f32,
-        elems: &[u32],
+        elems: &[(u32, &[u8])],
         (lo, hi): (f32, f32),
         is_left: bool,
     ) -> Result<(), String> {
@@ -689,12 +833,8 @@ impl<P, M: Metric<P>> VpTree<P, M> {
                 "node {node} {side} bounds [{lo}, {hi}] are not ordered"
             ));
         }
-        let vp = &self.points[vantage as usize];
-        for &e in elems {
-            if (self.points.len() as u32) <= e {
-                return Err(format!("node {node} {side} element {e} out of range"));
-            }
-            let d = self.metric.dist(vp, &self.points[e as usize]);
+        for &(e, window) in elems {
+            let d = self.metric.dist(vp, window);
             if d < lo || d > hi {
                 return Err(format!(
                     "node {node} {side} element {e}: d = {d} outside bounds [{lo}, {hi}]"
@@ -726,11 +866,11 @@ impl<P, M: Metric<P>> VpTree<P, M> {
 
     fn stats_rec(&self, node: u32, depth: usize, s: &mut VpTreeStats, fill: &mut usize) {
         match &self.nodes[node as usize] {
-            Node::Leaf { bucket } => {
+            Node::Leaf { ids, .. } => {
                 s.leaves += 1;
                 s.max_depth = s.max_depth.max(depth);
                 s.min_depth = s.min_depth.min(depth);
-                *fill += bucket.len();
+                *fill += ids.len();
             }
             Node::Internal { left, right, .. } => {
                 s.internal_nodes += 1;
@@ -749,9 +889,9 @@ impl<P, M: Metric<P>> VpTree<P, M> {
 mod tests {
     use super::*;
     use crate::knn::brute_force_knn;
-    use mendel_seq::{BlockDistance, Hamming};
+    use mendel_seq::Hamming;
 
-    type Tree = VpTree<Vec<u8>, BlockDistance<Hamming>>;
+    type Tree = VpTree<Hamming>;
 
     fn random_points(n: usize, len: usize, alphabet: u8, seed: u64) -> Vec<Vec<u8>> {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
@@ -761,7 +901,7 @@ mod tests {
     }
 
     fn build(points: Vec<Vec<u8>>, bucket: usize) -> Tree {
-        VpTree::build(points, BlockDistance::new(Hamming), bucket, 42)
+        VpTree::build(points, Hamming, bucket, 42)
     }
 
     #[test]
@@ -789,7 +929,7 @@ mod tests {
     #[test]
     fn knn_matches_brute_force_on_random_data() {
         use mendel_seq::{MatrixDistance, ScoringMatrix};
-        fn check<M: Metric<Vec<u8>> + Clone>(metric: M, alphabet: u8, what: &str) {
+        fn check<M: Metric<[u8]> + Clone>(metric: M, alphabet: u8, what: &str) {
             let points = random_points(500, 12, alphabet, 7);
             for bucket in [1usize, 8, 32] {
                 let t = VpTree::build(points.clone(), metric.clone(), bucket, 42);
@@ -807,8 +947,8 @@ mod tests {
             }
         }
         let protein = MatrixDistance::mendel(&ScoringMatrix::blosum62());
-        check(BlockDistance::new(protein), 24, "protein");
-        check(BlockDistance::new(Hamming), 4, "dna");
+        check(protein, 24, "protein");
+        check(Hamming, 4, "dna");
     }
 
     #[test]
@@ -843,21 +983,20 @@ mod tests {
         let t = build(points, 16);
         let nn = t.knn(&needle, 1);
         assert_eq!(nn[0].dist, 0.0);
-        assert_eq!(t.point(nn[0].index), &needle);
+        assert_eq!(t.windows()[nn[0].index as usize], &needle[..]);
     }
 
     #[test]
     fn range_search_matches_filter() {
         let points = random_points(400, 8, 4, 10);
         let t = build(points.clone(), 8);
-        let metric = BlockDistance::new(Hamming);
         let q = random_points(1, 8, 4, 11).pop().unwrap();
         for radius in [0.0, 1.0, 3.0, 8.0] {
             let got: Vec<u32> = t.range(&q, radius).iter().map(|n| n.index).collect();
             let mut want: Vec<u32> = points
                 .iter()
                 .enumerate()
-                .filter(|(_, p)| metric.dist(&q, p) <= radius)
+                .filter(|(_, p)| Hamming.dist(&q[..], &p[..]) <= radius)
                 .map(|(i, _)| i as u32)
                 .collect();
             let mut got_sorted = got.clone();
@@ -1010,15 +1149,61 @@ mod tests {
     fn lost_element_is_detected() {
         let mut t = build(random_points(100, 8, 4, 42), 8);
         for node in &mut t.nodes {
-            if let Node::Leaf { bucket } = node {
-                if bucket.len() >= 2 {
-                    bucket.pop(); // lose one element without emptying the leaf
+            if let Node::Leaf { ids, windows } = node {
+                if ids.len() >= 2 {
+                    // Lose one element without emptying the leaf.
+                    ids.pop();
+                    windows.truncate(ids.len() * 8);
                     break;
                 }
             }
         }
         let err = t.check_invariants().unwrap_err();
         assert!(err.contains("not reachable"), "unexpected message: {err}");
+    }
+
+    #[test]
+    fn leaf_windows_out_of_step_with_ids_are_detected() {
+        let mut t = build(random_points(100, 8, 4, 45), 8);
+        for node in &mut t.nodes {
+            if let Node::Leaf { windows, .. } = node {
+                windows.truncate(windows.len() - 8); // an id without its window
+                break;
+            }
+        }
+        let err = t.check_invariants().unwrap_err();
+        assert!(err.contains("window bytes"), "unexpected message: {err}");
+    }
+
+    #[test]
+    fn vantage_window_of_the_wrong_length_is_detected() {
+        let mut t = build(random_points(100, 8, 4, 46), 4);
+        let root = t.root as usize;
+        if let Node::Internal { window, .. } = &mut t.nodes[root] {
+            *window = vec![0u8; 7].into();
+        }
+        let err = t.check_invariants().unwrap_err();
+        assert!(err.contains("vantage window"), "unexpected message: {err}");
+    }
+
+    #[test]
+    fn windows_left_in_a_replaced_node_are_detected() {
+        let mut t = build(random_points(100, 8, 4, 47), 4);
+        t.nodes.push(Node::Leaf {
+            ids: vec![0],
+            windows: vec![0u8; 8],
+        });
+        let err = t.check_invariants().unwrap_err();
+        assert!(
+            err.contains("no longer in the tree"),
+            "unexpected message: {err}"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "one length")]
+    fn windows_of_mixed_lengths_are_rejected() {
+        build(vec![vec![1u8, 2, 3], vec![1u8, 2]], 4);
     }
 
     #[test]
@@ -1054,7 +1239,7 @@ mod tests {
     #[test]
     fn whole_leaf_scan_equals_the_per_pair_search() {
         use mendel_seq::{MatrixDistance, ScoringMatrix, Unbounded};
-        fn counters<P, M: Metric<P>>(t: &VpTree<P, M>) -> [u64; 4] {
+        fn counters<M: Metric<[u8]>>(t: &VpTree<M>) -> [u64; 4] {
             let m = t.search_metrics();
             [
                 m.dist_calls.get(),
@@ -1063,7 +1248,7 @@ mod tests {
                 m.leaf_scans.get(),
             ]
         }
-        fn check<M: Metric<Vec<u8>> + Clone>(metric: M, alphabet: u8, len: usize, what: &str) {
+        fn check<M: Metric<[u8]> + Clone>(metric: M, alphabet: u8, len: usize, what: &str) {
             let points = random_points(900, len, alphabet, 50 + len as u64);
             let queries = random_points(6, len, alphabet, 51 + len as u64);
             for bucket in [1usize, 7, 32, 40, points.len()] {
@@ -1103,8 +1288,8 @@ mod tests {
         let protein = MatrixDistance::mendel(&ScoringMatrix::blosum62());
         for len in [12usize, 16, 20, 40, 64] {
             // All 24 codes: the ambiguity letters sit at the table maximum.
-            check(BlockDistance::new(protein.clone()), 24, len, "protein");
-            check(BlockDistance::new(Hamming), 4, len, "dna");
+            check(protein.clone(), 24, len, "protein");
+            check(Hamming, 4, len, "dna");
         }
     }
 
@@ -1132,7 +1317,7 @@ mod tests {
     #[test]
     fn fixed_seed_search_counters_are_pinned() {
         use mendel_seq::{MatrixDistance, ScoringMatrix};
-        fn profile<M: Metric<Vec<u8>>>(metric: M, alphabet: u8) -> [u64; 5] {
+        fn profile<M: Metric<[u8]>>(metric: M, alphabet: u8) -> [u64; 5] {
             let tree = VpTree::build(random_points(6000, 16, alphabet, 0x23), metric, 32, 0x23);
             for q in random_points(24, 16, alphabet, 0x24) {
                 tree.knn_with_budget(&q, 8, 1024);
@@ -1147,24 +1332,17 @@ mod tests {
             ]
         }
         let protein = MatrixDistance::mendel(&ScoringMatrix::blosum62());
-        assert_eq!(
-            profile(BlockDistance::new(protein), 20),
-            [24_576, 21_981, 2_766, 1_026, 24]
-        );
-        assert_eq!(
-            profile(BlockDistance::new(Hamming), 4),
-            [24_576, 21_743, 2_729, 1_056, 24]
-        );
+        assert_eq!(profile(protein, 20), [24_576, 21_981, 2_766, 1_026, 24]);
+        assert_eq!(profile(Hamming, 4), [24_576, 21_743, 2_729, 1_056, 24]);
     }
 
     #[test]
     fn bounded_knn_still_matches_brute_force() {
         let points = random_points(600, 12, 4, 60);
         let t = build(points.clone(), 8);
-        let metric = BlockDistance::new(Hamming);
         for q in random_points(20, 12, 4, 61) {
             let got: Vec<f32> = t.knn(&q, 5).iter().map(|n| n.dist).collect();
-            let want: Vec<f32> = brute_force_knn(&points, &metric, &q, 5)
+            let want: Vec<f32> = brute_force_knn(&points, &Hamming, &q, 5)
                 .iter()
                 .map(|n| n.dist)
                 .collect();

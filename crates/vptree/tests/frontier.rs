@@ -20,7 +20,7 @@
 //! (protein) or half (DNA) of its distance calls.
 
 use mendel_seq::gen::{MutationModel, NrLikeSpec};
-use mendel_seq::{Alphabet, BlockDistance, Hamming, MatrixDistance, Metric, ScoringMatrix};
+use mendel_seq::{Alphabet, Hamming, MatrixDistance, Metric, ScoringMatrix};
 use mendel_vptree::VpTree;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -128,7 +128,7 @@ fn identity(a: &[u8], b: &[u8]) -> f32 {
 }
 
 /// Filter-surviving recall of `budget` on the corpus of `alphabet`.
-fn frontier<M: Metric<Vec<u8>> + Clone>(
+fn frontier<M: Metric<[u8]> + Clone>(
     alphabet: Alphabet,
     seq_len: usize,
     shape: Shape,
@@ -140,12 +140,12 @@ fn frontier<M: Metric<Vec<u8>> + Clone>(
     // A one-leaf tree is the flat scan: every point, in index order,
     // through the leaf kernel — the exhaustive answer.
     let flat = VpTree::build(points.clone(), metric.clone(), points.len(), 0);
-    let tree = VpTree::build(points, metric, BUCKET, 0xF0);
+    let tree = VpTree::build(points.clone(), metric, BUCKET, 0xF0);
     let (mut found, mut wanted) = (0, 0);
     for q in &queries {
         let got = tree.knn_with_budget(q, N, budget);
         for nb in flat.knn(q, N) {
-            if identity(q, tree.point(nb.index)) >= min_identity {
+            if identity(q, &points[nb.index as usize]) >= min_identity {
                 wanted += 1;
                 found += usize::from(got.iter().any(|g| g.index == nb.index));
             }
@@ -174,13 +174,13 @@ fn holds(got: Point, parent: Point, cheaper: u64) {
 }
 
 fn protein(shape: Shape) -> Point {
-    let metric = BlockDistance::new(MatrixDistance::mendel(&ScoringMatrix::blosum62()));
+    let metric = MatrixDistance::mendel(&ScoringMatrix::blosum62());
     // `QueryParams::protein().i`.
     frontier(Alphabet::Protein, 800, shape, metric, 0.40, PROTEIN_BUDGET)
 }
 
 fn dna(shape: Shape) -> Point {
-    let metric = BlockDistance::new(Hamming);
+    let metric = Hamming;
     // `QueryParams::dna().i`.
     frontier(Alphabet::Dna, 1050, shape, metric, 0.70, DNA_BUDGET)
 }
@@ -197,4 +197,117 @@ fn best_first_at_the_served_budget_beats_depth_first_4096() {
 fn best_first_at_the_served_budget_beats_depth_first_4096_at_served_size() {
     holds(protein(SERVED), DEPTH_FIRST_PROTEIN[1], 4);
     holds(dna(SERVED), DEPTH_FIRST_DNA[1], 2);
+}
+
+/// The identity filter's distance ceiling for `q`: a neighbour passes
+/// `identity ≥ min_identity` only with at most `m` mismatching positions
+/// — the largest `m` the filter's own f32 expression accepts, ⌊(1 − i)·L⌋
+/// — and each mismatch at position `p` costs at most `row_max(q[p])`, so
+/// no survivor is farther than the `m` largest of those costs.
+fn ceiling(q: &[u8], min_identity: f32, row_max: &dyn Fn(u8) -> f32) -> f32 {
+    let len = q.len();
+    let mismatches = (0..=len)
+        .filter(|m| identity_of(len - m, len) >= min_identity)
+        .max()
+        .unwrap_or(0);
+    let mut costs: Vec<f32> = q.iter().map(|&r| row_max(r)).collect();
+    costs.sort_by(|a, b| b.total_cmp(a));
+    costs[..mismatches].iter().sum()
+}
+
+/// [`identity`] of two windows of `len` residues with `same` equal ones.
+fn identity_of(same: usize, len: usize) -> f32 {
+    same as f32 / len as f32
+}
+
+/// A search radius taken from the identity filter, a negative result
+/// (DESIGN.md §6). The ceiling is sound — every filter survivor of the
+/// exhaustive top-n lies within it — but useless as a radius: a range
+/// search within it spends at least `10×` the served budget's distance
+/// calls (measured at `SMALL`: 24.8× DNA, 46.0× protein). Protein's
+/// ceiling holds nearly the whole tree; DNA's holds a handful of points
+/// the tree cannot prune its way to.
+fn ceiling_is_sound_but_costs_tenfold<M: Metric<[u8]> + Clone>(
+    alphabet: Alphabet,
+    seq_len: usize,
+    shape: Shape,
+    metric: M,
+    min_identity: f32,
+    budget: usize,
+    row_max: &dyn Fn(u8) -> f32,
+) {
+    let (points, queries) = corpus(alphabet, seq_len, shape);
+    let flat = VpTree::build(points.clone(), metric.clone(), points.len(), 0);
+    let tree = VpTree::build(points.clone(), metric, BUCKET, 0xF0);
+    let calls = || tree.search_metrics().dist_calls.get();
+    let (mut budgeted, mut ranged, mut within, mut ceilings) = (0, 0, 0, 0.0);
+    for q in &queries {
+        let radius = ceiling(q, min_identity, row_max);
+        ceilings += f64::from(radius);
+        for nb in flat.knn(q, N) {
+            if identity(q, &points[nb.index as usize]) >= min_identity {
+                assert!(nb.dist <= radius, "survivor at {} past {radius}", nb.dist);
+            }
+        }
+        let before = calls();
+        tree.knn_with_budget(q, N, budget);
+        budgeted += calls() - before;
+        let before = calls();
+        within += tree.range(q, radius).len();
+        ranged += calls() - before;
+    }
+    let times = ranged as f64 / budgeted as f64;
+    let per_query = |n: f64| n / queries.len() as f64;
+    eprintln!(
+        "{alphabet:?}: mean ceiling {:.1}, {:.0} of {} points within it; \
+         range search {:.0} calls per query, {times:.1}× the budget's",
+        per_query(ceilings),
+        per_query(within as f64),
+        points.len(),
+        per_query(ranged as f64),
+    );
+    assert!(
+        times >= 10.0,
+        "{alphabet:?}: the ceiling's range search costs only {times:.1}×"
+    );
+}
+
+fn ceilings(shape: Shape) {
+    let matrix = MatrixDistance::mendel(&ScoringMatrix::blosum62());
+    let table = matrix.clone();
+    let protein_row_max = move |r: u8| {
+        (0..24)
+            .map(|c| table.residue_dist(r, c))
+            .fold(0.0, f32::max)
+    };
+    ceiling_is_sound_but_costs_tenfold(
+        Alphabet::Protein,
+        800,
+        shape,
+        matrix,
+        0.40,
+        PROTEIN_BUDGET,
+        &protein_row_max,
+    );
+    ceiling_is_sound_but_costs_tenfold(
+        Alphabet::Dna,
+        1050,
+        shape,
+        Hamming,
+        0.70,
+        DNA_BUDGET,
+        &|_| 1.0,
+    );
+}
+
+#[test]
+fn the_identity_filters_ceiling_is_no_search_radius() {
+    ceilings(SMALL);
+}
+
+/// The same at served size; `ci.sh` runs it in release.
+#[test]
+#[cfg_attr(debug_assertions, ignore)]
+fn the_identity_filters_ceiling_is_no_search_radius_at_served_size() {
+    ceilings(SERVED);
 }

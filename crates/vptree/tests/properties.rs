@@ -21,12 +21,10 @@ proptest! {
         k in 1usize..8,
         bucket in 1usize..12,
     ) {
-        let metric = BlockDistance::new(Hamming);
-        let tree = VpTree::build(pts.clone(), metric, bucket, 11);
+        let tree = VpTree::build(pts.clone(), Hamming, bucket, 11);
         prop_assert_eq!(tree.check_invariants(), Ok(()));
         let got: Vec<f32> = tree.knn(&query, k).iter().map(|n| n.dist).collect();
-        let metric = BlockDistance::new(Hamming);
-        let want: Vec<f32> = brute_force_knn(&pts, &metric, &query, k).iter().map(|n| n.dist).collect();
+        let want: Vec<f32> = brute_force_knn(&pts, &Hamming, &query, k).iter().map(|n| n.dist).collect();
         prop_assert_eq!(got, want);
     }
 
@@ -38,15 +36,13 @@ proptest! {
         radius in 0.0f32..7.0,
         bucket in 1usize..10,
     ) {
-        let metric = BlockDistance::new(Hamming);
-        let tree = VpTree::build(pts.clone(), metric, bucket, 13);
+        let tree = VpTree::build(pts.clone(), Hamming, bucket, 13);
         let mut got: Vec<u32> = tree.range(&query, radius).iter().map(|n| n.index).collect();
         got.sort_unstable();
-        let metric = BlockDistance::new(Hamming);
         let mut want: Vec<u32> = pts
             .iter()
             .enumerate()
-            .filter(|(_, p)| Metric::<[u8]>::dist(&metric.inner, &query[..], &p[..]) <= radius)
+            .filter(|(_, p)| Hamming.dist(&query[..], &p[..]) <= radius)
             .map(|(i, _)| i as u32)
             .collect();
         want.sort_unstable();
@@ -60,8 +56,8 @@ proptest! {
         query in proptest::collection::vec(0u8..8, 6..7),
         k in 1usize..5,
     ) {
-        let bulk = VpTree::build(pts.clone(), BlockDistance::new(Hamming), 4, 17);
-        let mut dynamic = VpTree::build(Vec::new(), BlockDistance::new(Hamming), 4, 17);
+        let bulk = VpTree::build(pts.clone(), Hamming, 4, 17);
+        let mut dynamic = VpTree::new(Hamming, 4, 17);
         for p in pts {
             dynamic.insert(p);
         }
@@ -81,7 +77,7 @@ proptest! {
         query in proptest::collection::vec(0u8..8, 6..7),
         budget in 1usize..64,
     ) {
-        let tree = VpTree::build(pts, BlockDistance::new(Hamming), 4, 19);
+        let tree = VpTree::build(pts, Hamming, 4, 19);
         let exact: Vec<f32> = tree.knn(&query, 3).iter().map(|n| n.dist).collect();
         let full: Vec<f32> =
             tree.knn_with_budget(&query, 3, usize::MAX).iter().map(|n| n.dist).collect();
@@ -119,7 +115,7 @@ proptest! {
     #[test]
     fn stats_accounting(pts in points(1..200), bucket in 1usize..16) {
         let n = pts.len();
-        let tree = VpTree::build(pts, BlockDistance::new(Hamming), bucket, 29);
+        let tree = VpTree::build(pts, Hamming, bucket, 29);
         let s = tree.stats();
         prop_assert_eq!(s.points, n);
         // internal vantages + leaf bucket contents = all points.

@@ -18,7 +18,7 @@ use mendel_suite::core::{ClusterConfig, MendelCluster, QueryParams, WireCluster}
 use mendel_suite::dht::NodeId;
 use mendel_suite::obs::{MetricsSnapshot, Registry};
 use mendel_suite::seq::gen::NrLikeSpec;
-use mendel_suite::seq::{BlockDistance, MatrixDistance, ScoringMatrix, SeqId, SeqStore, Unbounded};
+use mendel_suite::seq::{MatrixDistance, ScoringMatrix, SeqId, SeqStore, Unbounded};
 use mendel_suite::vptree::{SearchMetrics, VpTree};
 use std::sync::Arc;
 
@@ -89,9 +89,7 @@ fn single_leaf_tree_counts_every_distance_call_exactly() {
     let registry = Registry::new();
     let mut tree = VpTree::build(
         points,
-        BlockDistance::new(Unbounded(
-            MatrixDistance::mendel(&ScoringMatrix::blosum62()),
-        )),
+        Unbounded(MatrixDistance::mendel(&ScoringMatrix::blosum62())),
         300,
         7,
     );
@@ -115,7 +113,7 @@ fn pruned_search_shrinks_distance_calls_below_the_flat_scan() {
     // Early-abandoning kernel, real geometry.
     let bounded = {
         let registry = Registry::new();
-        let mut tree = VpTree::build(points.clone(), BlockDistance::new(matrix.clone()), 16, 7);
+        let mut tree = VpTree::build(points.clone(), matrix.clone(), 16, 7);
         tree.set_metrics(SearchMetrics::registered(&registry));
         for query in &queries {
             let _ = tree.knn(query, K);
@@ -125,7 +123,7 @@ fn pruned_search_shrinks_distance_calls_below_the_flat_scan() {
     // Full-compute kernel, identical geometry.
     let unbounded = {
         let registry = Registry::new();
-        let mut tree = VpTree::build(points, BlockDistance::new(Unbounded(matrix)), 16, 7);
+        let mut tree = VpTree::build(points, Unbounded(matrix), 16, 7);
         tree.set_metrics(SearchMetrics::registered(&registry));
         for query in &queries {
             let _ = tree.knn(query, K);

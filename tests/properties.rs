@@ -9,9 +9,7 @@ use mendel_suite::core::{
 use mendel_suite::dht::{FlatPlacement, GroupId, NodeId, Topology};
 use mendel_suite::seq::gen::NrLikeSpec;
 use mendel_suite::seq::matrix::ScoringMatrix;
-use mendel_suite::seq::{
-    Alphabet, BlockDistance, MatrixDistance, Metric, SeqId, Sequence, Unbounded,
-};
+use mendel_suite::seq::{Alphabet, MatrixDistance, Metric, SeqId, Sequence, Unbounded};
 use mendel_suite::store::StoreOptions;
 use mendel_suite::vptree::{brute_force_knn, VpTree};
 use proptest::prelude::*;
@@ -87,11 +85,11 @@ proptest! {
     ) {
         let m = MatrixDistance::mendel(&ScoringMatrix::blosum62());
         let bounded = VpTree::build(
-            windows.clone(), BlockDistance::new(m.clone()), bucket, seed);
+            windows.clone(), m.clone(), bucket, seed);
         let baseline = VpTree::build(
-            windows.clone(), BlockDistance::new(Unbounded(m.clone())), bucket, seed);
+            windows.clone(), Unbounded(m.clone()), bucket, seed);
         let got = bounded.knn(&query, k);
-        let oracle = brute_force_knn(&windows, &BlockDistance::new(m), &query, k);
+        let oracle = brute_force_knn(&windows, &m, &query, k);
         prop_assert_eq!(got.len(), oracle.len());
         for (g, w) in got.iter().zip(&oracle) {
             prop_assert_eq!(g.dist.to_bits(), w.dist.to_bits(), "oracle distance");
