@@ -38,6 +38,11 @@ fi
 #    unjustified allows versus audit-baseline.txt (see DESIGN.md §8.1).
 step "mendel-audit lint" cargo run -q -p mendel-audit -- lint
 
+#    Dead-code audit (DESIGN.md §8.1): every pub fn, type and const is
+#    named outside its own definition and tests, or carries a waiver
+#    naming its reader. No baseline; any finding fails the gate.
+step "mendel-audit reach" cargo run -q -p mendel-audit -- reach
+
 # 3. Clippy with the workspace lint table ([workspace.lints.clippy]).
 if cargo clippy --version >/dev/null 2>&1; then
     step "cargo clippy" cargo clippy --workspace --all-targets -q

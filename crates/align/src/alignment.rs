@@ -1,11 +1,8 @@
 //! Alignment representation: operations, gap penalties, and summaries.
 
-use mendel_seq::Alphabet;
-use serde::{Deserialize, Serialize};
-
 /// Affine gap penalties. A gap of length `g` costs `open + extend * g`
 /// (both values are positive; they are *subtracted* from scores).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GapPenalties {
     /// One-time cost for opening a gap.
     pub open: i32,
@@ -31,7 +28,7 @@ impl GapPenalties {
 }
 
 /// One aligned column (or run of columns) in an alignment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AlignOp {
     /// `count` columns pairing query and subject residues (match or
     /// substitution — distinguished by looking at the sequences).
@@ -45,7 +42,7 @@ pub enum AlignOp {
 }
 
 /// A scored pairwise alignment between a query range and a subject range.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Alignment {
     /// Start of the aligned region in the query (0-based, inclusive).
     pub query_start: usize,
@@ -62,16 +59,6 @@ pub struct Alignment {
 }
 
 impl Alignment {
-    /// Number of alignment columns (diagonal + gap columns).
-    pub fn columns(&self) -> usize {
-        self.ops
-            .iter()
-            .map(|op| match op {
-                AlignOp::Diagonal(c) | AlignOp::Insert(c) | AlignOp::Delete(c) => *c as usize,
-            })
-            .sum()
-    }
-
     /// Fraction of *diagonal* columns whose residues are identical.
     /// Returns 0 for an empty alignment.
     pub fn identity(&self, query: &[u8], subject: &[u8]) -> f64 {
@@ -99,58 +86,6 @@ impl Alignment {
         } else {
             matches as f64 / diag_cols as f64
         }
-    }
-
-    /// Compact CIGAR-like string, e.g. `"12M2D7M"` (M = diagonal,
-    /// I = insert, D = delete).
-    pub fn cigar(&self) -> String {
-        let mut s = String::new();
-        for op in &self.ops {
-            match op {
-                AlignOp::Diagonal(c) => s.push_str(&format!("{c}M")),
-                AlignOp::Insert(c) => s.push_str(&format!("{c}I")),
-                AlignOp::Delete(c) => s.push_str(&format!("{c}D")),
-            }
-        }
-        s
-    }
-
-    /// Render a three-line human-readable alignment
-    /// (query / midline / subject) for the given alphabet.
-    pub fn pretty(&self, alphabet: Alphabet, query: &[u8], subject: &[u8]) -> String {
-        let (mut qi, mut si) = (self.query_start, self.subject_start);
-        let (mut top, mut mid, mut bot) = (String::new(), String::new(), String::new());
-        for op in &self.ops {
-            match *op {
-                AlignOp::Diagonal(c) => {
-                    for k in 0..c as usize {
-                        let (q, s) = (query[qi + k], subject[si + k]);
-                        top.push(char::from(alphabet.decode(q)));
-                        mid.push(if q == s { '|' } else { ' ' });
-                        bot.push(char::from(alphabet.decode(s)));
-                    }
-                    qi += c as usize;
-                    si += c as usize;
-                }
-                AlignOp::Insert(c) => {
-                    for k in 0..c as usize {
-                        top.push(char::from(alphabet.decode(query[qi + k])));
-                        mid.push(' ');
-                        bot.push('-');
-                    }
-                    qi += c as usize;
-                }
-                AlignOp::Delete(c) => {
-                    for k in 0..c as usize {
-                        top.push('-');
-                        mid.push(' ');
-                        bot.push(char::from(alphabet.decode(subject[si + k])));
-                    }
-                    si += c as usize;
-                }
-            }
-        }
-        format!("{top}\n{mid}\n{bot}")
     }
 
     /// Validate internal consistency: op counts must add up to the query
@@ -186,6 +121,7 @@ pub(crate) fn push_op(ops: &mut Vec<AlignOp>, op: AlignOp) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mendel_seq::Alphabet;
 
     fn diag(c: u32) -> AlignOp {
         AlignOp::Diagonal(c)
@@ -199,7 +135,7 @@ mod tests {
     }
 
     #[test]
-    fn columns_and_cigar() {
+    fn consistent_alignment_accepted() {
         let a = Alignment {
             query_start: 0,
             query_end: 5,
@@ -208,8 +144,6 @@ mod tests {
             score: 10,
             ops: vec![diag(3), AlignOp::Delete(2), diag(2)],
         };
-        assert_eq!(a.columns(), 7);
-        assert_eq!(a.cigar(), "3M2D2M");
         assert!(a.is_consistent());
     }
 
@@ -241,21 +175,6 @@ mod tests {
         };
         assert!(a.is_consistent());
         assert_eq!(a.identity(&q, &s), 1.0);
-    }
-
-    #[test]
-    fn pretty_renders_gaps() {
-        let q = Alphabet::Dna.encode_seq(b"ACGT").unwrap();
-        let s = Alphabet::Dna.encode_seq(b"ACGAT").unwrap();
-        let a = Alignment {
-            query_start: 0,
-            query_end: 4,
-            subject_start: 0,
-            subject_end: 5,
-            score: 0,
-            ops: vec![diag(3), AlignOp::Delete(1), diag(1)],
-        };
-        assert_eq!(a.pretty(Alphabet::Dna, &q, &s), "ACG-T\n||| |\nACGAT");
     }
 
     #[test]

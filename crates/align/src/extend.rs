@@ -158,9 +158,8 @@ pub fn extend_ungapped(
     }
 }
 
-/// Result of a banded gapped extension: endpoints and score only (the
-/// full traceback is rarely needed at this stage; callers wanting ops run
-/// [`crate::local::smith_waterman`] on the found ranges).
+/// Result of a banded gapped extension: endpoints and score only, no
+/// traceback.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GappedExtension {
     /// Query range of the gapped alignment.

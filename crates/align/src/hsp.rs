@@ -5,10 +5,9 @@
 //! by subject sequence and diagonal.
 
 use mendel_seq::ScoringMatrix;
-use serde::{Deserialize, Serialize};
 
 /// An ungapped high-scoring segment pair between a query and one subject.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Hsp {
     /// Index (or id) of the subject sequence.
     pub subject_id: u32,

@@ -20,11 +20,10 @@
 
 use mendel_seq::stats::background_frequencies;
 use mendel_seq::ScoringMatrix;
-use serde::{Deserialize, Serialize};
 
 /// The (λ, K, H) triple describing a scoring system's extreme-value
 /// statistics.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KarlinParams {
     /// Scale of the score distribution (nats per score unit).
     pub lambda: f64,
@@ -35,14 +34,6 @@ pub struct KarlinParams {
 }
 
 impl KarlinParams {
-    /// Published ungapped BLOSUM62 constants (Robinson–Robinson
-    /// composition; BLAST's `ungappedParams` for blastp).
-    pub const BLOSUM62_UNGAPPED: KarlinParams = KarlinParams {
-        lambda: 0.3176,
-        k: 0.134,
-        h: 0.4012,
-    };
-
     /// Published gapped BLOSUM62 constants for gap open 11 / extend 1
     /// (BLAST's default blastp configuration).
     pub const BLOSUM62_GAPPED_11_1: KarlinParams = KarlinParams {
@@ -349,7 +340,7 @@ mod tests {
 
     #[test]
     fn evalue_decreases_exponentially_in_score() {
-        let p = KarlinParams::BLOSUM62_UNGAPPED;
+        let p = KarlinParams::BLOSUM62_GAPPED_11_1;
         let e50 = p.evalue(50, 1000, 1_000_000);
         let e60 = p.evalue(60, 1000, 1_000_000);
         assert!(e60 < e50);
@@ -368,7 +359,7 @@ mod tests {
     #[test]
     fn bit_score_roundtrip() {
         // E = m·n·2^(−bits) must agree with the raw formula.
-        let p = KarlinParams::BLOSUM62_UNGAPPED;
+        let p = KarlinParams::BLOSUM62_GAPPED_11_1;
         let (m, n, s) = (700usize, 9_000usize, 64);
         let bits = p.bit_score(s);
         let via_bits = m as f64 * n as f64 * 2f64.powf(-bits);
@@ -378,7 +369,7 @@ mod tests {
 
     #[test]
     fn helper_functions_delegate() {
-        let p = KarlinParams::BLOSUM62_UNGAPPED;
+        let p = KarlinParams::BLOSUM62_GAPPED_11_1;
         assert_eq!(evalue(&p, 42, 10, 10), p.evalue(42, 10, 10));
         assert_eq!(bit_score(&p, 42), p.bit_score(42));
     }

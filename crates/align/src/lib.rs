@@ -3,7 +3,8 @@
 //! Dynamic-programming alignment and alignment statistics shared by the
 //! Mendel query pipeline and the BLAST baseline:
 //!
-//! * [`local`] — Smith–Waterman local alignment with affine gaps (Gotoh),
+//! * [`local`] — Smith–Waterman local alignment scores with affine gaps
+//!   (Gotoh), the exact reference for the banded extension,
 //! * [`global`] — Needleman–Wunsch global alignment with affine gaps,
 //! * [`extend`] — seed extensions: ungapped X-drop (BLAST's first stage)
 //!   and banded gapped X-drop (Gapped BLAST's second stage; the band width
@@ -25,4 +26,3 @@ pub use extend::{extend_gapped_banded, extend_ungapped, GappedExtension, Ungappe
 pub use global::needleman_wunsch;
 pub use hsp::Hsp;
 pub use karlin::{bit_score, evalue, KarlinParams};
-pub use local::smith_waterman;

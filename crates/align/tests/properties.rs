@@ -1,9 +1,7 @@
 //! Property tests for the alignment substrate.
 
 use mendel_align::local::smith_waterman_score;
-use mendel_align::{
-    extend_gapped_banded, extend_ungapped, needleman_wunsch, smith_waterman, GapPenalties,
-};
+use mendel_align::{extend_gapped_banded, extend_ungapped, needleman_wunsch, GapPenalties};
 use mendel_seq::ScoringMatrix;
 use proptest::prelude::*;
 
@@ -19,43 +17,6 @@ fn m() -> ScoringMatrix {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
-
-    /// The traceback alignment's ops recompute to its reported score, and
-    /// the score matches the score-only kernel.
-    #[test]
-    fn sw_traceback_is_self_consistent(a in dna(1..60), b in dna(1..60)) {
-        let matrix = m();
-        let fast = smith_waterman_score(&a, &b, &matrix, GAPS);
-        match smith_waterman(&a, &b, &matrix, GAPS) {
-            None => prop_assert!(fast <= 0),
-            Some(aln) => {
-                prop_assert_eq!(aln.score, fast);
-                prop_assert!(aln.is_consistent());
-                // Recompute the score from the ops.
-                let (mut qi, mut si, mut score) = (aln.query_start, aln.subject_start, 0i32);
-                for op in &aln.ops {
-                    match *op {
-                        mendel_align::AlignOp::Diagonal(c) => {
-                            for k in 0..c as usize {
-                                score += matrix.score(a[qi + k], b[si + k]);
-                            }
-                            qi += c as usize;
-                            si += c as usize;
-                        }
-                        mendel_align::AlignOp::Insert(c) => {
-                            score -= GAPS.cost(c as usize);
-                            qi += c as usize;
-                        }
-                        mendel_align::AlignOp::Delete(c) => {
-                            score -= GAPS.cost(c as usize);
-                            si += c as usize;
-                        }
-                    }
-                }
-                prop_assert_eq!(score, aln.score, "cigar {}", aln.cigar());
-            }
-        }
-    }
 
     /// Local alignment score is symmetric and never negative-reported.
     #[test]

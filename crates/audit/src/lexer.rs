@@ -82,21 +82,28 @@ pub fn lex(source: &str) -> Lexed {
     let comments: Vec<String> = sanitized.iter().map(|l| l.comment.clone()).collect();
 
     let mut tokens = Vec::new();
+    let mut in_string = false;
     for (idx, line) in sanitized.iter().enumerate() {
-        lex_line(&line.code, idx + 1, &mut tokens);
+        in_string = lex_line(&line.code, idx + 1, in_string, &mut tokens);
     }
     mark_depth(&mut tokens);
     mark_test_regions(&mut tokens);
     Lexed { tokens, comments }
 }
 
-/// Tokenize one sanitized line. String and char literals never span
-/// lines here: the sanitizer leaves the opening delimiter on one line
-/// and the closing delimiter on another, with only blanks between, so
-/// an unterminated quote on a line simply ends the line's tokens.
-fn lex_line(code: &str, line_no: usize, out: &mut Vec<Token>) {
+/// Tokenize one sanitized line. A string literal that spans lines is
+/// one token on its first line; `in_string` says the line starts inside
+/// such a literal, and the return value whether the next one does. The
+/// sanitizer blanked the contents, so the next quote closes it.
+fn lex_line(code: &str, line_no: usize, in_string: bool, out: &mut Vec<Token>) -> bool {
     let chars: Vec<char> = code.chars().collect();
     let mut i = 0;
+    if in_string {
+        match chars.iter().position(|&c| c == '"') {
+            Some(close) => i = close + 1,
+            None => return true,
+        }
+    }
     while i < chars.len() {
         let c = chars[i];
         if c.is_whitespace() {
@@ -135,16 +142,12 @@ fn lex_line(code: &str, line_no: usize, out: &mut Vec<Token>) {
             );
         } else if c == '"' {
             // Sanitized string: contents are blanks, so the next quote
-            // on this line closes it; if none does, the literal spans
-            // lines and the closing delimiter is handled when its line
-            // is lexed (the stray quote there opens an "empty" literal
-            // that likewise runs to the next quote).
-            let mut j = i + 1;
-            while j < chars.len() && chars[j] != '"' {
-                j += 1;
-            }
-            i = (j + 1).min(chars.len());
+            // closes it, on this line or a later one.
             push(out, TokKind::Literal, String::from("\"\""), line_no);
+            match chars[i + 1..].iter().position(|&c| c == '"') {
+                Some(len) => i += len + 2,
+                None => return true,
+            }
         } else if c == '\'' {
             let next = chars.get(i + 1).copied();
             if next.is_some_and(|n| n.is_alphanumeric() || n == '_') {
@@ -174,6 +177,7 @@ fn lex_line(code: &str, line_no: usize, out: &mut Vec<Token>) {
             i += 1;
         }
     }
+    false
 }
 
 fn push(out: &mut Vec<Token>, kind: TokKind, text: String, line: usize) {
@@ -249,32 +253,27 @@ fn mark_test_regions(tokens: &mut [Token]) {
 }
 
 /// Given `open` at the `[` of `#[...]`, return the index of the
-/// matching `]` and whether the attribute marks test code: `#[test]`,
-/// `#[cfg(test)]`, `#[cfg(all(test, ..))]`, and friends.
+/// matching `]` and whether the attribute marks test-only code:
+/// `#[test]`, `#[cfg(test)]` and `#[cfg(all(test, ..))]`, as the lint's
+/// line tracker reads them. `#[cfg(any(test, ..))]` code also builds
+/// outside tests, so it is not a test region.
 fn scan_attribute(tokens: &[Token], open: usize) -> Option<(usize, bool)> {
     let mut depth = 0usize;
-    let mut first_ident: Option<&str> = None;
-    let mut saw_test = false;
+    let mut idents: Vec<&str> = Vec::new();
     for (j, tok) in tokens.iter().enumerate().skip(open) {
         if tok.is_punct('[') {
             depth += 1;
         } else if tok.is_punct(']') {
             depth -= 1;
             if depth == 0 {
-                let is_test = match first_ident {
-                    Some("test") => true,
-                    Some("cfg") => saw_test,
-                    _ => false,
-                };
+                let is_test = matches!(
+                    idents.as_slice(),
+                    ["test", ..] | ["cfg", "test", ..] | ["cfg", "all", "test", ..]
+                );
                 return Some((j, is_test));
             }
         } else if tok.kind == TokKind::Ident {
-            if first_ident.is_none() {
-                first_ident = Some(tok.text.as_str());
-            }
-            if tok.text == "test" {
-                saw_test = true;
-            }
+            idents.push(tok.text.as_str());
         }
         // Attributes are short; bail if the stream is malformed.
         if j > open + 256 {
@@ -332,8 +331,10 @@ mod tests {
     #[test]
     fn multiline_strings_do_not_swallow_code() {
         let toks = texts("let s = \"first\nsecond\";\nlet t = 3;");
-        let tail: Vec<_> = toks.iter().skip_while(|t| *t != "t").collect();
-        assert_eq!(tail, vec!["t", "=", "3", ";"]);
+        assert_eq!(
+            toks,
+            vec!["let", "s", "=", "\"\"", ";", "let", "t", "=", "3", ";"]
+        );
     }
 
     #[test]
@@ -381,7 +382,7 @@ mod tests {
 
     #[test]
     fn test_attribute_on_a_field_does_not_swallow_the_next_block() {
-        let src = "struct S {\n    a: u8,\n    #[cfg(any(test, feature = \"x\"))]\n    b: u8,\n}\nimpl S { fn live(&self) { a(); } }";
+        let src = "struct S {\n    a: u8,\n    #[cfg(all(test, feature = \"x\"))]\n    b: u8,\n}\nimpl S { fn live(&self) { a(); } }";
         let lexed = lex(src);
         let flag = |s: &str| lexed.tokens.iter().find(|t| t.text == s).unwrap().in_test;
         assert!(flag("b"), "the attributed field itself is test-only");
@@ -393,9 +394,11 @@ mod tests {
 
     #[test]
     fn non_test_cfg_attributes_do_not_arm() {
-        let src = "#[cfg(feature = \"x\")]\nfn f() { a(); }";
+        let src = "#[cfg(feature = \"x\")]\nfn f() { a(); }\n#[cfg(any(test, feature = \"x\"))]\nfn g() { b(); }";
         let lexed = lex(src);
-        assert!(!lexed.tokens.iter().find(|t| t.text == "a").unwrap().in_test);
+        let flag = |s: &str| lexed.tokens.iter().find(|t| t.text == s).unwrap().in_test;
+        assert!(!flag("a"));
+        assert!(!flag("b"), "`any(test, ..)` also builds outside tests");
     }
 
     #[test]

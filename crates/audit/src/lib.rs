@@ -1,7 +1,7 @@
 //! `mendel-audit`: a from-scratch, zero-dependency source auditor for
 //! the Mendel workspace.
 //!
-//! Three halves (the third grew in the concurrency-audit PR):
+//! Four parts:
 //!
 //! 1. **Lint pass** (this crate): walks `crates/*/src/**/*.rs`, runs a
 //!    line-level scanner over sanitized source, and diffs the findings
@@ -17,15 +17,22 @@
 //!    lock-order cycles and guard-across-io smells; [`atomics`] forces
 //!    every `Ordering::*` site to carry an `audit:ordering` review
 //!    annotation, with its own shrink-only `atomics-baseline.txt`.
+//! 4. **Dead-code analysis** ([`reach`]): every `pub` fn, type and const
+//!    must be named somewhere other than its own definition, tests, and
+//!    the bodies of other unreached items — library code, a binary, an
+//!    example or the benchmark — or carry an `audit:allow(unreached)`
+//!    waiver. No baseline: the tree is kept at zero findings.
 //!
-//! Run `cargo run -p mendel-audit -- <lint|locks|atomics>` from anywhere
-//! in the workspace; see `DESIGN.md` § "Concurrency static analysis".
+//! Run `cargo run -p mendel-audit -- <lint|locks|atomics|reach>` from
+//! anywhere in the workspace; see `DESIGN.md` §8.1 and § "Concurrency
+//! static analysis".
 
 pub mod atomics;
 pub mod baseline;
 pub mod lexer;
 pub mod lint;
 pub mod locks;
+pub mod reach;
 pub mod report;
 pub mod sanitize;
 
@@ -60,7 +67,7 @@ pub fn workspace_rs_files(root: &Path) -> io::Result<Vec<PathBuf>> {
     Ok(files)
 }
 
-fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
+pub(crate) fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
     for entry in fs::read_dir(dir)? {
         let path = entry?.path();
         if path.is_dir() {
@@ -72,18 +79,21 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
     Ok(())
 }
 
+/// `path` with `/` separators regardless of platform.
+pub(crate) fn slash_path(path: &Path) -> String {
+    path.components()
+        .map(|c| c.as_os_str().to_string_lossy())
+        .collect::<Vec<_>>()
+        .join("/")
+}
+
 /// Scan the whole workspace under `root`; violations carry
 /// workspace-relative `/`-separated paths.
 pub fn scan_workspace(root: &Path) -> io::Result<Vec<Violation>> {
     let mut violations = Vec::new();
     for rel in workspace_rs_files(root)? {
         let source = fs::read_to_string(root.join(&rel))?;
-        let rel_str = rel
-            .components()
-            .map(|c| c.as_os_str().to_string_lossy())
-            .collect::<Vec<_>>()
-            .join("/");
-        violations.extend(scan_source(&rel_str, &source));
+        violations.extend(scan_source(&slash_path(&rel), &source));
     }
     Ok(violations)
 }
@@ -208,7 +218,39 @@ mod tests {
     }
 
     self_test_concurrency(root)?;
+    self_test_reach(root)?;
     Ok(report)
+}
+
+/// Seed an uncalled `pub fn` and a waived one, then verify `reach`
+/// reports the first, by file and line, and only it.
+fn self_test_reach(root: &Path) -> Result<(), String> {
+    let src_dir = root.join("crates/unreached/src");
+    fs::create_dir_all(&src_dir).map_err(|e| format!("self-test setup: {e}"))?;
+    let seeded = "\
+pub fn never_called() {}
+
+// audit:allow(unreached): the self-test's waived item
+pub fn waived_on_purpose() {}
+";
+    fs::write(src_dir.join("lib.rs"), seeded).map_err(|e| format!("self-test setup: {e}"))?;
+    let report = reach::scan_workspace(root)?;
+    let unreached: Vec<&str> = report
+        .unreached_items()
+        .iter()
+        .map(|i| i.name.as_str())
+        .collect();
+    if unreached != ["never_called"] || report.waived() != 1 {
+        return Err(format!(
+            "self-test: reach found {unreached:?} ({} waived), wanted [\"never_called\"] (1 waived)",
+            report.waived()
+        ));
+    }
+    let text = reach::render_report(&report);
+    if !text.contains("crates/unreached/src/lib.rs:1: pub fn never_called") {
+        return Err(format!("self-test: reach report lacks file:line:\n{text}"));
+    }
+    Ok(())
 }
 
 /// Seed a deadlock pair, an unannotated atomic site, and an unwaived
@@ -320,6 +362,16 @@ mod tests {
         );
         // The inventory covers the workspace's real atomic sites.
         assert!(report.sites.len() >= 30, "suspiciously few Ordering sites");
+    }
+
+    #[test]
+    fn reach_on_real_tree_is_clean() {
+        // Same gate as `mendel-audit reach` in CI: every pub item is named
+        // outside its own definition and tests, or carries a waiver.
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let report = reach::scan_workspace(&root).expect("scan workspace");
+        assert!(report.is_clean(), "{}", reach::render_report(&report));
+        assert!(report.items.len() >= 500, "suspiciously few pub items");
     }
 
     #[test]

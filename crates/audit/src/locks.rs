@@ -528,11 +528,7 @@ pub fn analyze_workspace(root: &Path) -> Result<LockReport, String> {
         crate::workspace_rs_files(root).map_err(|e| format!("scanning {}: {e}", root.display()))?;
     let mut report = LockReport::default();
     for rel_path in files {
-        let rel = rel_path
-            .components()
-            .map(|c| c.as_os_str().to_string_lossy())
-            .collect::<Vec<_>>()
-            .join("/");
+        let rel = crate::slash_path(&rel_path);
         let source = std::fs::read_to_string(root.join(&rel_path))
             .map_err(|e| format!("read {}: {e}", rel_path.display()))?;
         let facts = analyze_source(&rel, &module_name(&rel), &source);

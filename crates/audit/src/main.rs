@@ -5,6 +5,7 @@
 //! mendel-audit baseline [--root DIR] [--baseline FILE] [--write]
 //! mendel-audit locks    [--root DIR] [--dot] [--json FILE]            # gate: fail on cycles / unwaived smells
 //! mendel-audit atomics  [--root DIR] [--baseline FILE] [--write] [--json FILE]
+//! mendel-audit reach    [--root DIR] [--json FILE]                    # gate: fail on unreached pub items
 //! mendel-audit self-test
 //! ```
 
@@ -14,13 +15,13 @@
 #![allow(clippy::print_stdout)]
 
 use mendel_audit::{
-    atomics, diff, locks, parse_baseline, render_baseline, render_report, scan_workspace,
+    atomics, diff, locks, parse_baseline, reach, render_baseline, render_report, scan_workspace,
     self_test, to_counts, Json,
 };
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-const USAGE: &str = "usage: mendel-audit <lint|baseline|locks|atomics|self-test> \
+const USAGE: &str = "usage: mendel-audit <lint|baseline|locks|atomics|reach|self-test> \
      [--root DIR] [--baseline FILE] [--write] [--dot] [--json FILE]";
 
 struct Options {
@@ -181,6 +182,15 @@ fn run() -> Result<ExitCode, String> {
             }
             eprintln!("{}", atomics::render_report(&report, &regressions, &stale));
             Ok(exit(regressions.is_empty()))
+        }
+        "reach" => {
+            let opts = parse_args(rest)?;
+            let report = reach::scan_workspace(&opts.root)?;
+            if let Some(json_path) = &opts.json {
+                write_json(json_path, &reach::to_json(&report))?;
+            }
+            eprintln!("{}", reach::render_report(&report));
+            Ok(exit(report.is_clean()))
         }
         "self-test" => {
             let report = self_test()?;

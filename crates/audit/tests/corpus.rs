@@ -1,15 +1,16 @@
-//! Fixture-corpus tests for the concurrency analyses: exact finding
-//! counts on known-deadlock, known-clean, and adversarial sources, and
-//! zero false positives on the clean set.
+//! Fixture-corpus tests for the concurrency and reachability analyses:
+//! exact finding counts on known-deadlock, known-clean, adversarial and
+//! dead-code sources, and zero false positives on the clean set.
 
-use mendel_audit::atomics;
 use mendel_audit::locks::{self, find_cycles};
+use mendel_audit::{atomics, reach};
 
 const DEADLOCK: &str = include_str!("fixtures/deadlock.rs");
 const CLEAN: &str = include_str!("fixtures/clean.rs");
 const ADVERSARIAL: &str = include_str!("fixtures/adversarial.rs");
 const PUBLICATION: &str = include_str!("fixtures/publication.rs");
 const WORK_STEALING: &str = include_str!("fixtures/work_stealing.rs");
+const REACH: &str = include_str!("fixtures/reach.rs");
 
 fn lock_facts(name: &str, src: &str) -> locks::FileLockFacts {
     locks::analyze_source(
@@ -146,4 +147,63 @@ fn publication_fixture_has_no_lock_findings() {
     assert!(facts.acquisitions.is_empty());
     assert!(facts.edges.is_empty());
     assert!(facts.smells.is_empty());
+}
+
+/// Split a multi-file fixture on its `// ==> <path>` lines.
+fn fixture_files(src: &str) -> Vec<(String, String)> {
+    let mut files: Vec<(String, String)> = Vec::new();
+    for line in src.lines() {
+        if let Some(path) = line.strip_prefix("// ==> ") {
+            files.push((path.to_string(), String::new()));
+        } else if let Some((_, body)) = files.last_mut() {
+            body.push_str(line);
+            body.push('\n');
+        }
+    }
+    files
+}
+
+#[test]
+fn reach_fixture_exact_counts() {
+    let report = reach::analyze(&fixture_files(REACH));
+    let names = |idxs: &[usize]| -> Vec<&str> {
+        idxs.iter()
+            .map(|&i| report.items[i].name.as_str())
+            .collect()
+    };
+    // The library file and the example; the `tests/` file is not read.
+    assert_eq!(report.files, 2);
+    assert_eq!(report.items.len(), 10, "items: {:?}", report.items);
+    assert_eq!(
+        names(&report.unreached),
+        [
+            "uncalled",
+            "dead_helper",
+            "test_only",
+            "OnlyImpl",
+            "reexported"
+        ]
+    );
+    assert_eq!(names(&report.stale_waivers), ["stale_waiver"]);
+    assert_eq!(report.waived(), 2);
+    assert!(!report.is_clean());
+    let waived = report.items.iter().find(|i| i.name == "waived").unwrap();
+    assert_eq!(
+        waived.waiver.as_deref(),
+        Some("kept for the fixture's waiver case")
+    );
+}
+
+#[test]
+fn reach_report_names_every_finding_with_its_line() {
+    let report = reach::analyze(&fixture_files(REACH));
+    let text = reach::render_report(&report);
+    for expected in [
+        "crates/fix/src/lib.rs:4: pub fn uncalled",
+        "crates/fix/src/lib.rs:19: pub struct OnlyImpl",
+        "crates/fix/src/lib.rs:46: pub fn stale_waiver",
+    ] {
+        assert!(text.contains(expected), "missing {expected:?} in:\n{text}");
+    }
+    assert!(!text.contains("from_example"), "{text}");
 }

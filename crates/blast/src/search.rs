@@ -286,46 +286,6 @@ impl Blast {
         out
     }
 
-    /// Search many queries, one result list per query in input order.
-    pub fn search_all(&self, queries: &[Vec<u8>]) -> Vec<Vec<BlastHit>> {
-        queries.iter().map(|q| self.search(q)).collect()
-    }
-
-    /// blastx-style translated search: translate an encoded DNA query in
-    /// all six reading frames and search each against this (protein)
-    /// database. Returns `(frame, hit)` pairs ranked by ascending
-    /// E-value; frames 0–2 are the forward strand, 3–5 the reverse
-    /// complement.
-    ///
-    /// # Panics
-    /// Debug-asserts that the database is a protein database.
-    pub fn search_translated(&self, dna_query: &[u8]) -> Vec<(usize, BlastHit)> {
-        debug_assert_eq!(
-            self.params.matrix.alphabet,
-            mendel_seq::Alphabet::Protein,
-            "translated search needs a protein database"
-        );
-        let frames = mendel_seq::six_frames(dna_query);
-        let mut out: Vec<(usize, BlastHit)> = frames
-            .iter()
-            .enumerate()
-            .flat_map(|(f, q)| {
-                self.search(q)
-                    .into_iter()
-                    .map(move |h| (f, h))
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        out.sort_by(|a, b| {
-            a.1.evalue
-                .total_cmp(&b.1.evalue)
-                .then(b.1.score.cmp(&a.1.score))
-                .then(a.1.subject.cmp(&b.1.subject))
-                .then(a.0.cmp(&b.0))
-        });
-        out
-    }
-
     /// Total residues in the indexed database.
     pub fn db_residues(&self) -> usize {
         self.db_residues
@@ -401,7 +361,7 @@ mod tests {
     fn family_members_rank_above_strangers() {
         let db = protein_db();
         let blast = Blast::new(db.clone(), BlastParams::protein());
-        let q = db.get_by_name("fam3_m0").unwrap();
+        let q = db.iter().find(|s| s.name == "fam3_m0").unwrap();
         let hits = blast.search(&q.residues);
         // The top hits should all be family-3 members.
         let top_names: Vec<&str> = hits
@@ -482,57 +442,6 @@ mod tests {
         let a = blast.search(&q.residues);
         let b = blast.search(&q.residues);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn search_all_matches_individual_searches() {
-        let db = protein_db();
-        let blast = Blast::new(db.clone(), BlastParams::protein());
-        let queries: Vec<Vec<u8>> = (0..4)
-            .map(|i| db.get(SeqId(i)).unwrap().residues.clone())
-            .collect();
-        let batch = blast.search_all(&queries);
-        for (q, expect) in queries.iter().zip(&batch) {
-            assert_eq!(&blast.search(q), expect);
-        }
-    }
-
-    #[test]
-    fn translated_search_finds_the_coding_protein() {
-        use mendel_seq::translate::translate_codon;
-        // Reverse-engineer a DNA sequence coding for a database protein,
-        // then search it in translated mode.
-        let db = protein_db();
-        let blast = Blast::new(db.clone(), BlastParams::protein());
-        let target = db.get(SeqId(3)).unwrap();
-        // Pick, for each residue, some codon that translates to it.
-        let mut dna: Vec<u8> = Vec::with_capacity(target.len() * 3);
-        'residue: for &aa in target.residues.iter().take(120) {
-            for c0 in 0..4u8 {
-                for c1 in 0..4u8 {
-                    for c2 in 0..4u8 {
-                        if translate_codon(c0, c1, c2) == aa {
-                            dna.extend_from_slice(&[c0, c1, c2]);
-                            continue 'residue;
-                        }
-                    }
-                }
-            }
-            unreachable!("every canonical residue has a codon");
-        }
-        let hits = blast.search_translated(&dna);
-        assert!(!hits.is_empty());
-        assert_eq!(hits[0].1.subject, SeqId(3));
-        assert_eq!(hits[0].0, 0, "the coding frame is +0");
-        // The reverse complement should find it via a minus frame.
-        let rc = mendel_seq::reverse_complement(&dna);
-        let rc_hits = blast.search_translated(&rc);
-        assert_eq!(rc_hits[0].1.subject, SeqId(3));
-        assert!(
-            rc_hits[0].0 >= 3,
-            "reverse strand frame expected, got {}",
-            rc_hits[0].0
-        );
     }
 
     #[test]

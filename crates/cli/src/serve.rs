@@ -58,7 +58,7 @@ use crate::commands::CliError;
 use crate::http::{http_request, Handler, HttpServer, Request, Response};
 use mendel::store::RealVfs;
 use mendel::{
-    chrome_trace_json, parse_records_text, render_records_text, Clock, ClusterConfig,
+    chrome_trace_json, escape_json, parse_records_text, render_records_text, Clock, ClusterConfig,
     CoverageReport, FrontEnd, MendelCluster, MendelError, MendelHit, MonotonicClock, NodeServer,
     QueryParams, SlowLogConfig, StorageBackend, TraceCollector, TraceId, WireQueryOutcome,
     WireTimeouts,
@@ -324,10 +324,11 @@ pub fn render_outcome_json(
             .unwrap_or_default();
         let _ = write!(
             out,
-            "{{\"subject\":{},\"name\":{name:?},\"score\":{},\"bits\":{},\"evalue\":{},\
+            "{{\"subject\":{},\"name\":\"{}\",\"score\":{},\"bits\":{},\"evalue\":{},\
              \"identity\":{},\"query_start\":{},\"query_end\":{},\"subject_start\":{},\
              \"subject_end\":{}}}",
             h.subject.0,
+            escape_json(&name),
             h.score,
             h.bits,
             h.evalue,
@@ -352,6 +353,11 @@ pub fn render_outcome_json(
     }
     out.push_str("]}}");
     out
+}
+
+/// The body of a 400: `{"error":"<message>"}`.
+fn error_json(e: &impl std::fmt::Display) -> String {
+    format!("{{\"error\":\"{}\"}}", escape_json(&e.to_string()))
 }
 
 /// A serving node: cluster replica + TCP node server + query front-end.
@@ -473,12 +479,12 @@ impl State {
                 if req.query_param("verbose").is_some_and(|v| v != "0") {
                     let _ = write!(
                         body,
-                        ",\"version\":{:?},\"git_sha\":{:?},\"uptime_seconds\":{},\
-                         \"kernel\":{:?},\"tracing\":{},\"trace_sample\":{}",
-                        env!("CARGO_PKG_VERSION"),
-                        env!("MENDEL_GIT_SHA"),
+                        ",\"version\":\"{}\",\"git_sha\":\"{}\",\"uptime_seconds\":{},\
+                         \"kernel\":\"{}\",\"tracing\":{},\"trace_sample\":{}",
+                        escape_json(env!("CARGO_PKG_VERSION")),
+                        escape_json(env!("MENDEL_GIT_SHA")),
                         self.uptime.now().as_secs(),
-                        mendel_seq::simd::active_kernel(),
+                        escape_json(mendel_seq::simd::active_kernel()),
                         self.cfg.tracing,
                         self.cfg.trace_sample,
                     );
@@ -497,7 +503,7 @@ impl State {
                             "{{\"ingested\":true,\"sequences\":{sequences},\"blocks\":{blocks}}}"
                         ),
                     ),
-                    Err(e) => Response::json(400, format!("{{\"error\":{:?}}}", e.to_string())),
+                    Err(e) => Response::json(400, error_json(&e)),
                 }
             }
             ("POST", "/query") => {
@@ -506,9 +512,7 @@ impl State {
                 };
                 let residues = match extract_query(text, self.cfg.alphabet()) {
                     Ok(r) => r,
-                    Err(e) => {
-                        return Response::json(400, format!("{{\"error\":{:?}}}", e.to_string()))
-                    }
+                    Err(e) => return Response::json(400, error_json(&e)),
                 };
                 let guard = self.serving.lock();
                 let Some(serving) = guard.as_ref() else {
@@ -532,7 +536,7 @@ impl State {
                         }
                         Response::json(200, body)
                     }
-                    Err(e) => Response::json(400, format!("{{\"error\":{:?}}}", e.to_string())),
+                    Err(e) => Response::json(400, error_json(&e)),
                 }
             }
             ("GET", "/metrics") => {
@@ -683,8 +687,8 @@ fn render_trace_suffix(outcome: &WireQueryOutcome) -> String {
                 }
                 let _ = write!(
                     out,
-                    "{{\"name\":{:?},\"node\":{},\"duration_us\":{}}}",
-                    hop.name,
+                    "{{\"name\":\"{}\",\"node\":{},\"duration_us\":{}}}",
+                    escape_json(&hop.name),
                     hop.node,
                     hop.duration.as_micros()
                 );
@@ -936,6 +940,50 @@ mod tests {
         assert!(a.contains("\"degraded\":true"));
         assert!(a.contains("\"unreachable\":[2]"));
         assert!(a.starts_with('{') && a.ends_with('}'));
+    }
+
+    #[test]
+    fn render_outcome_json_escapes_names_as_json() {
+        // A FASTA name token is any run of non-whitespace, so control
+        // characters, quotes and non-ASCII reach the body. Rust's `{:?}`
+        // writes `\u{1}` and `\u{7f}`, which no JSON parser accepts.
+        let names = [
+            "ctl\u{1}x",
+            "del\u{7f}",
+            "zw\u{200b}sp",
+            "q\"uote",
+            "back\\slash",
+        ];
+        let mut db = SeqStore::new();
+        for name in names {
+            db.insert(mendel_seq::Sequence::from_codes(
+                name,
+                Alphabet::Protein,
+                vec![0],
+            ));
+        }
+        let hits: Vec<MendelHit> = (0..names.len() as u32)
+            .map(|i| MendelHit {
+                subject: mendel_seq::SeqId(i),
+                score: 1,
+                bits: 1.0,
+                evalue: 1.0,
+                query_start: 0,
+                query_end: 1,
+                subject_start: 0,
+                subject_end: 1,
+                identity: 1.0,
+            })
+            .collect();
+        let body = render_outcome_json(&db, &hits, &CoverageReport::default(), &[]);
+        assert!(body.contains("\"name\":\"ctl\\u0001x\""), "{body}");
+        assert!(body.contains("\"name\":\"del\u{7f}\""), "{body}");
+        assert!(body.contains("\"name\":\"zw\u{200b}sp\""), "{body}");
+        assert!(body.contains(r#""name":"q\"uote""#), "{body}");
+        assert!(body.contains(r#""name":"back\\slash""#), "{body}");
+        assert!(!body.contains("\\u{"), "{body}");
+        let err = error_json(&"bad\u{1}query");
+        assert_eq!(err, "{\"error\":\"bad\\u0001query\"}");
     }
 
     #[test]

@@ -10,12 +10,11 @@
 
 use mendel_net::codec::{Decode, DecodeError, Encode};
 use mendel_seq::{SeqId, Sequence, WindowView};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// The globally unique key of a block: (sequence, start offset). Its
 /// byte form feeds the second-tier SHA-1 placement hash.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct BlockKey {
     /// Owning sequence.
     pub seq: SeqId,

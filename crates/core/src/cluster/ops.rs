@@ -150,6 +150,7 @@ impl MendelCluster {
     /// stale-placement recovery applies). Operator-failed nodes are
     /// never auto-recovered — suspicion is a hint, an explicit
     /// `fail_node` is a decision.
+    // audit:allow(unreached): the failure detector tests/fault_tolerance.rs and tests/chaos.rs drive on a virtual clock; no serving path runs heartbeats yet
     pub fn sync_failure_detector(&self, monitor: &HeartbeatMonitor) -> FailoverDelta {
         let mut delta = FailoverDelta::default();
         for node in monitor.suspects() {
@@ -172,6 +173,7 @@ impl MendelCluster {
     /// as [`mendel_dht::FlatPlacement::replicas`], so repeated repairs are
     /// idempotent. Blocks whose every replica is down are reported as
     /// `unreachable` — they reappear when a holder recovers.
+    // audit:allow(unreached): the re-replication pass tests/fault_tolerance.rs and tests/chaos.rs heal with; no operator command calls it yet
     pub fn repair(&self) -> RepairReport {
         let topo = self.topology.read().clone();
         let mut report = RepairReport::default();

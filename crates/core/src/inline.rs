@@ -23,7 +23,6 @@ pub(crate) struct InlineNet<'a> {
     dead: &'a [NodeId],
     timeouts: WireTimeouts,
     inboxes: BTreeMap<NodeAddr, Mutex<VecDeque<Envelope>>>,
-    messages: Counter,
     bytes: Counter,
 }
 
@@ -42,7 +41,6 @@ impl<'a> InlineNet<'a> {
             timeouts,
             inboxes: inboxes.map(|addr| (addr, Mutex::default())).collect(),
             topo,
-            messages: Counter::new(),
             bytes: Counter::new(),
         }
     }
@@ -52,9 +50,9 @@ impl<'a> InlineNet<'a> {
         Port { net: self, addr }
     }
 
-    /// Envelopes accepted so far, and their payload bytes.
-    pub(crate) fn traffic(&self) -> (u64, u64) {
-        (self.messages.get(), self.bytes.get())
+    /// Payload bytes of the envelopes accepted so far.
+    pub(crate) fn traffic(&self) -> u64 {
+        self.bytes.get()
     }
 
     /// A send to a failed node (`fail_node`) is a dead letter; one to a
@@ -70,7 +68,6 @@ impl<'a> InlineNet<'a> {
         let Some(inbox) = self.inboxes.get(&env.to) else {
             return false;
         };
-        self.messages.inc();
         self.bytes.add(env.payload.len() as u64);
         match node {
             Some(n) if self.dead.contains(&n) => {}

@@ -65,7 +65,7 @@ pub use cluster::{FailoverDelta, HeartbeatMonitor, MendelCluster, RepairReport};
 pub use config::{ClusterConfig, MetricKind, StorageBackend};
 pub use error::MendelError;
 pub use mendel_obs::{
-    chrome_trace_json, parse_records_text, render_records_text, Clock, CriticalHop,
+    chrome_trace_json, escape_json, parse_records_text, render_records_text, Clock, CriticalHop,
     MetricsSnapshot, MonotonicClock, Registry as MetricsRegistry, SlowLogConfig, SlowQueryLog,
     SpanRecord, TraceCollector, TraceId, TraceTree,
 };

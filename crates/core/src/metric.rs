@@ -31,14 +31,6 @@ impl BlockMetric {
             MatrixDistance::mendel(&ScoringMatrix::blosum62()).repair_metric(),
         ))
     }
-
-    /// Largest possible per-position distance (used to scale tolerances).
-    pub fn max_residue_dist(&self) -> f32 {
-        match self {
-            BlockMetric::Hamming => 1.0,
-            BlockMetric::Matrix(m) => m.max_residue_dist(),
-        }
-    }
 }
 
 /// One blanket impl covers every byte-window type the trees use — the
@@ -85,7 +77,6 @@ mod tests {
     fn hamming_variant_counts_mismatches() {
         let m = BlockMetric::Hamming;
         assert_eq!(Metric::<[u8]>::dist(&m, b"\x00\x01", b"\x00\x02"), 1.0);
-        assert_eq!(m.max_residue_dist(), 1.0);
     }
 
     #[test]
@@ -111,7 +102,7 @@ mod tests {
     #[test]
     fn repaired_variant_is_a_true_metric() {
         match BlockMetric::mendel_blosum62_repaired() {
-            BlockMetric::Matrix(t) => assert!(t.is_metric()),
+            BlockMetric::Matrix(t) => assert_eq!(t.metric_violation(), None),
             _ => unreachable!(),
         }
     }

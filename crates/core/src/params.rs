@@ -13,13 +13,12 @@
 
 use crate::error::MendelError;
 use mendel_align::GapPenalties;
-use serde::{Deserialize, Serialize};
 
 /// The eight Table I knobs plus the group-routing tolerance (an
 /// implementation parameter of §V-B's multi-group fan-out: a query ball
 /// of this radius follows both children when it straddles a vp-prefix
 /// partition boundary).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QueryParams {
     /// `k` — sliding window step over the query: the query is normalized
     /// into subqueries of the indexed block length, stepping by `k`

@@ -3,12 +3,10 @@
 use mendel_dht::GroupId;
 use mendel_obs::{CriticalHop, MetricsSnapshot, TraceId};
 use mendel_seq::SeqId;
-use serde::{Deserialize, Serialize};
-use std::fmt::Write as _;
 use std::time::Duration;
 
 /// One reported alignment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MendelHit {
     /// Subject (reference) sequence.
     pub subject: SeqId,
@@ -32,7 +30,7 @@ pub struct MendelHit {
 
 /// Simulated wall-clock of each pipeline stage (§V-B's stages, timed
 /// under the DESIGN.md cluster-clock model).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StageTimings {
     /// Query decomposition + vp-prefix hashing at the system entry point.
     pub decompose: Duration,
@@ -56,7 +54,7 @@ impl StageTimings {
 }
 
 /// Work counters for a query.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct QueryStats {
     /// Subqueries produced by the sliding window.
     pub subqueries: usize,
@@ -75,7 +73,7 @@ pub struct QueryStats {
 }
 
 /// Availability of one group's placed blocks at query time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct GroupCoverage {
     /// The group.
     pub group: GroupId,
@@ -90,7 +88,7 @@ pub struct GroupCoverage {
 /// How much of the placed data a query could actually see. With enough
 /// replication a failed node leaves coverage at 100%; when every replica
 /// of some block is down, `degraded` flags that hits may be incomplete.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct CoverageReport {
     /// Distinct block keys placed cluster-wide.
     pub blocks_expected: usize,
@@ -113,16 +111,6 @@ impl CoverageReport {
             blocks_reachable,
             per_group,
             degraded: blocks_reachable < blocks_expected,
-        }
-    }
-
-    /// Fraction of placed blocks reachable, in `[0, 1]` (1.0 for an
-    /// empty cluster).
-    pub fn fraction(&self) -> f64 {
-        if self.blocks_expected == 0 {
-            1.0
-        } else {
-            self.blocks_reachable as f64 / self.blocks_expected as f64
         }
     }
 }
@@ -167,53 +155,6 @@ impl QueryReport {
     pub fn best(&self) -> Option<&MendelHit> {
         self.hits.first()
     }
-
-    /// A human-readable breakdown of where the query's time and work
-    /// went (an EXPLAIN for the §V-B pipeline).
-    pub fn explain(&self) -> String {
-        let t = &self.timings;
-        let s = &self.stats;
-        let mut out = format!(
-            "pipeline ({:?} total):\n\
-             \x20 decompose+route   {:?}\n\
-             \x20 scatter to groups {:?}   ({} groups)\n\
-             \x20 group phase       {:?}   ({} nodes, {} candidates -> {} anchors)\n\
-             \x20 gather            {:?}\n\
-             \x20 finalize+rank     {:?}   ({} hits)\n\
-             traffic: {} messages, {} bytes; {} subqueries\n\
-             coverage: {}/{} blocks reachable ({:.1}%){}\n",
-            t.total(),
-            t.decompose,
-            t.scatter,
-            s.groups_contacted,
-            t.group_phase,
-            s.nodes_contacted,
-            s.candidates,
-            s.anchors,
-            t.gather,
-            t.finalize,
-            self.hits.len(),
-            s.messages,
-            s.bytes,
-            s.subqueries,
-            self.coverage.blocks_reachable,
-            self.coverage.blocks_expected,
-            100.0 * self.coverage.fraction(),
-            if self.coverage.degraded {
-                " DEGRADED"
-            } else {
-                ""
-            },
-        );
-        if !self.critical_path.is_empty() {
-            out.push_str("critical path:");
-            for hop in &self.critical_path {
-                let _ = write!(out, " {} [node{}] {:?};", hop.name, hop.node, hop.duration);
-            }
-            out.push('\n');
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -256,34 +197,5 @@ mod tests {
         };
         assert_eq!(r.best(), Some(&hit));
         assert_eq!(r.turnaround(), Duration::ZERO);
-        assert!(!r.explain().contains("critical path"));
-        let traced = QueryReport {
-            trace: Some(TraceId(7)),
-            critical_path: vec![CriticalHop {
-                name: "query".into(),
-                node: 0,
-                duration: Duration::from_micros(5),
-            }],
-            ..r
-        };
-        assert!(traced.explain().contains("critical path: query [node0]"));
-    }
-
-    #[test]
-    fn coverage_fraction_handles_empty_and_partial() {
-        let full = CoverageReport::default();
-        assert_eq!(full.fraction(), 1.0);
-        let half = CoverageReport {
-            blocks_expected: 10,
-            blocks_reachable: 5,
-            per_group: vec![GroupCoverage {
-                group: GroupId(0),
-                expected: 10,
-                reachable: 5,
-                live_members: 1,
-            }],
-            degraded: true,
-        };
-        assert_eq!(half.fraction(), 0.5);
     }
 }

@@ -559,7 +559,6 @@ pub struct WireCluster {
     cluster: Arc<MendelCluster>,
     dead: Vec<NodeId>,
     timeouts: WireTimeouts,
-    messages: Counter,
     bytes: Counter,
 }
 
@@ -582,14 +581,8 @@ impl WireCluster {
             cluster,
             dead: dead.to_vec(),
             timeouts,
-            messages: Counter::new(),
             bytes: Counter::new(),
         }
-    }
-
-    /// Total messages sent on the wire so far.
-    pub fn messages_sent(&self) -> u64 {
-        self.messages.get()
     }
 
     /// Total payload bytes sent on the wire so far.
@@ -620,9 +613,7 @@ impl WireCluster {
             params,
             &self.timeouts,
         );
-        let (messages, bytes) = net.traffic();
-        self.messages.add(messages);
-        self.bytes.add(bytes);
+        self.bytes.add(net.traffic());
         Ok(answer?.outcome)
     }
 }
@@ -1178,7 +1169,7 @@ mod tests {
         let wire = WireCluster::serve(cluster.clone());
         let q = cluster.db().get(SeqId(2)).unwrap().residues.clone();
         let _ = wire.query(&q, &QueryParams::protein()).unwrap();
-        assert!(wire.messages_sent() > 0, "a query must send messages");
+        assert!(wire.bytes_sent() > 0, "a query must send messages");
         assert!(
             wire.bytes_sent() > q.len() as u64,
             "payloads include the query"

@@ -7,12 +7,9 @@
 //! the DHT *zero-hop*: any request routes directly to its destination.
 
 use mendel_net::NodeSpeed;
-use serde::{Deserialize, Serialize};
 
 /// Identifier of a storage node within the cluster.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct NodeId(pub u16);
 
 impl std::fmt::Display for NodeId {
@@ -22,9 +19,7 @@ impl std::fmt::Display for NodeId {
 }
 
 /// Identifier of a node group.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct GroupId(pub u16);
 
 impl std::fmt::Display for GroupId {
@@ -68,11 +63,6 @@ impl Topology {
         topo
     }
 
-    /// The paper's testbed: 50 nodes in 10 groups of 5.
-    pub fn paper_testbed() -> Self {
-        Self::new(50, 10)
-    }
-
     /// Number of live nodes.
     pub fn num_nodes(&self) -> usize {
         self.speeds.iter().filter(|s| s.is_some()).count()
@@ -83,22 +73,9 @@ impl Topology {
         self.speeds.len()
     }
 
-    /// Number of groups.
-    pub fn num_groups(&self) -> usize {
-        self.groups.len()
-    }
-
     /// Live members of group `g`.
     pub fn group_members(&self, g: GroupId) -> &[NodeId] {
         &self.groups[g.0 as usize]
-    }
-
-    /// The group's entry point: the member that receives the group's
-    /// subquery and scatters it to the rest (§V-B). By convention this
-    /// is the first live member; `None` for an empty (fully failed) or
-    /// unknown group.
-    pub fn entry_point(&self, g: GroupId) -> Option<NodeId> {
-        self.groups.get(g.0 as usize)?.first().copied()
     }
 
     /// The group a node belongs to, or `None` for departed/unknown nodes.
@@ -158,6 +135,7 @@ impl Topology {
 
     /// Remove a node (failure or decommission). Returns its former group,
     /// or `None` if it was not a live member.
+    // audit:allow(unreached): the departure placement.rs's membership tests and crates/dht/tests/properties.rs's churn invariants drive; the cluster fails nodes instead of removing them
     pub fn leave(&mut self, node: NodeId) -> Option<GroupId> {
         let g = self.node_group(node)?;
         self.groups[g.0 as usize].retain(|&n| n != node);
@@ -232,29 +210,12 @@ mod tests {
 
     #[test]
     fn paper_testbed_is_50_nodes_10_groups_of_5() {
-        let t = Topology::paper_testbed();
+        let t = Topology::new(50, 10);
         assert_eq!(t.num_nodes(), 50);
-        assert_eq!(t.num_groups(), 10);
+        assert_eq!(t.group_ids().count(), 10);
         for g in t.group_ids() {
             assert_eq!(t.group_members(g).len(), 5, "group {g}");
         }
-    }
-
-    #[test]
-    fn entry_point_is_first_live_member() {
-        let mut t = Topology::new(4, 2);
-        for g in t.group_ids() {
-            assert_eq!(t.entry_point(g), t.group_members(g).first().copied());
-            assert!(t.entry_point(g).is_some());
-        }
-        assert_eq!(t.entry_point(GroupId(99)), None, "unknown group");
-        // Entry point leaves → the next member takes over.
-        let g = GroupId(0);
-        let old = t.entry_point(g).unwrap();
-        t.leave(old);
-        let new = t.entry_point(g);
-        assert_ne!(new, Some(old));
-        assert_eq!(new, t.group_members(g).first().copied());
     }
 
     #[test]
@@ -288,7 +249,7 @@ mod tests {
 
     #[test]
     fn speeds_follow_paper_mix() {
-        let t = Topology::paper_testbed();
+        let t = Topology::new(50, 10);
         assert_eq!(t.node_speed(NodeId(0)), Some(NodeSpeed::HP_DL160));
         assert_eq!(t.node_speed(NodeId(1)), Some(NodeSpeed::SUNFIRE_X4100));
     }

@@ -89,6 +89,7 @@ impl FaultConfig {
     }
 
     /// A transparent plan (crash schedules still apply when used).
+    // audit:allow(unreached): the drop-free plan of tests/chaos.rs's crash-only runs
     pub fn passthrough(seed: u64) -> Self {
         Self::drops(seed, 0.0)
     }
@@ -124,6 +125,7 @@ impl FaultStats {
 
 /// A seeded, reproducible fault-injection plan, consulted once per
 /// envelope through [`FaultPlan::decide`].
+// audit:allow(unreached): the seeded fault plane tests/chaos.rs runs its heartbeats through
 pub struct FaultPlan {
     config: FaultConfig,
     crashed: RwLock<HashSet<NodeAddr>>,
@@ -171,6 +173,7 @@ impl FaultPlan {
     }
 
     /// Currently crashed nodes, ascending.
+    // audit:allow(unreached): tests/chaos.rs checks every crash was restarted with it
     pub fn crashed_nodes(&self) -> Vec<NodeAddr> {
         let mut v: Vec<NodeAddr> = self.crashed.read().iter().copied().collect();
         v.sort_unstable();
@@ -178,6 +181,7 @@ impl FaultPlan {
     }
 
     /// Apply one schedule event (crash or restart).
+    // audit:allow(unreached): tests/chaos.rs replays crash_schedule events with it
     pub fn apply(&self, event: &FaultEvent) {
         match event.kind {
             FaultEventKind::Crash => self.crash(event.node),
@@ -188,6 +192,7 @@ impl FaultPlan {
     /// Decide the fate of the next envelope on the `(from, to)` edge.
     /// Deterministic: the n-th call for an edge always returns the same
     /// verdict for the same seed.
+    // audit:allow(unreached): tests/chaos.rs asks it about every heartbeat
     pub fn decide(&self, from: NodeAddr, to: NodeAddr) -> Verdict {
         if self.is_crashed(from) || self.is_crashed(to) {
             self.stats.crash_blocked.fetch_add(1, Ordering::Relaxed); // audit:ordering(Relaxed): statistics counter; no ordering with envelope delivery is required
@@ -237,6 +242,7 @@ pub struct FaultEvent {
 /// events over `nodes`, each crash eventually matched by a restart (the
 /// tail restarts every still-crashed node), steps ascending within
 /// `horizon`. Same inputs → identical schedule, byte for byte.
+// audit:allow(unreached): the crash/restart schedule tests/chaos.rs replays
 pub fn crash_schedule(
     seed: u64,
     nodes: &[NodeAddr],
@@ -285,6 +291,7 @@ pub fn crash_schedule(
 /// Stable byte serialization of a schedule — the replay-identity check:
 /// two runs of [`crash_schedule`] with the same inputs must produce
 /// byte-identical output.
+// audit:allow(unreached): tests/chaos.rs compares two schedules with it
 pub fn schedule_bytes(events: &[FaultEvent]) -> Vec<u8> {
     let mut out = Vec::with_capacity(events.len() * 7);
     for e in events {

@@ -29,14 +29,6 @@ impl LatencyModel {
         }
     }
 
-    /// A free network (for isolating compute effects in ablations).
-    pub fn zero() -> Self {
-        LatencyModel {
-            base: Duration::ZERO,
-            per_byte: Duration::ZERO,
-        }
-    }
-
     /// Simulated wall time to move `bytes` across one hop.
     pub fn transfer(&self, bytes: usize) -> Duration {
         self.base + self.per_byte * bytes as u32
@@ -111,11 +103,6 @@ mod tests {
             t > Duration::from_millis(8) && t < Duration::from_millis(10),
             "{t:?}"
         );
-    }
-
-    #[test]
-    fn zero_model_is_free() {
-        assert_eq!(LatencyModel::zero().transfer(1 << 30), Duration::ZERO);
     }
 
     #[test]

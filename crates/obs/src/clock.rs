@@ -47,6 +47,7 @@ impl Clock for MonotonicClock {
 
 /// Test clock: time advances only when told to, in whole nanoseconds.
 /// Monotone by construction — there is no way to move it backwards.
+// audit:allow(unreached): the logical clock tests/chaos.rs, tests/fault_tolerance.rs and tests/tracing.rs run clusters on
 #[derive(Debug, Default)]
 pub struct VirtualClock {
     nanos: AtomicU64,
@@ -59,6 +60,7 @@ impl VirtualClock {
     }
 
     /// Advance the clock by `d` (saturating at `u64::MAX` nanoseconds).
+    // audit:allow(unreached): how tests/chaos.rs, tests/fault_tolerance.rs and tests/tracing.rs move time
     pub fn advance(&self, d: Duration) {
         let add = u64::try_from(d.as_nanos()).unwrap_or(u64::MAX);
         let mut cur = self.nanos.load(Ordering::Relaxed); // audit:ordering(Relaxed): CAS loop seed read; any stale value is corrected by the retry

@@ -3,33 +3,24 @@
 //! Boundaries are chosen once at construction (typically log-spaced —
 //! latency and distance-count distributions are heavy-tailed) and never
 //! change, so recording is a binary search plus one relaxed atomic
-//! increment: safe to leave in hot paths.
-//!
-//! Quantile estimates are deliberately returned as the *bracket* of the
-//! bucket containing the requested rank, `(lo, hi]`: the true sample
-//! quantile is guaranteed to lie inside the bracket (the property suite
-//! proves it), and the caller decides how to collapse it to a scalar.
+//! increment: safe to leave in hot paths. Readers take a
+//! [`HistogramSnapshot`] of the cells.
 
 use crate::snapshot::HistogramSnapshot;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Histogram construction/merge failures.
+/// Histogram construction failures.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum HistogramError {
     /// Boundaries must be finite and strictly increasing, with at least
     /// one entry.
     BadBounds(String),
-    /// Merging requires bitwise-identical boundary vectors.
-    BoundaryMismatch,
 }
 
 impl std::fmt::Display for HistogramError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             HistogramError::BadBounds(why) => write!(f, "bad histogram bounds: {why}"),
-            HistogramError::BoundaryMismatch => {
-                write!(f, "cannot merge histograms with different boundaries")
-            }
         }
     }
 }
@@ -141,78 +132,6 @@ impl Histogram {
         f64::from_bits(self.sum_bits.load(Ordering::Relaxed)) // audit:ordering(Relaxed): sum snapshot read; racy-by-design statistics
     }
 
-    /// The `(lo, hi]` bracket of the bucket holding the `q`-quantile
-    /// (nearest-rank, `q` clamped into `[0, 1]`), or `None` when the
-    /// histogram is empty. `lo` is `-∞` for the first bucket and `hi`
-    /// is `+∞` for the overflow bucket.
-    pub fn quantile_bounds(&self, q: f64) -> Option<(f64, f64)> {
-        let counts: Vec<u64> = self
-            .cells
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed)) // audit:ordering(Relaxed): bucket snapshot read; racy-by-design statistics
-            .collect();
-        let n: u64 = counts.iter().sum();
-        if n == 0 {
-            return None;
-        }
-        let q = q.clamp(0.0, 1.0);
-        // Nearest-rank: the r-th smallest sample, r in [1, n].
-        let rank = ((q * n as f64).ceil() as u64).clamp(1, n);
-        let mut cumulative = 0u64;
-        for (i, &c) in counts.iter().enumerate() {
-            cumulative += c;
-            if cumulative >= rank {
-                let lo = if i == 0 {
-                    f64::NEG_INFINITY
-                } else {
-                    self.bounds[i - 1]
-                };
-                let hi = if i == self.bounds.len() {
-                    f64::INFINITY
-                } else {
-                    self.bounds[i]
-                };
-                return Some((lo, hi));
-            }
-        }
-        None
-    }
-
-    /// Conservative scalar quantile estimate: the upper edge of the
-    /// bracket (may be `+∞` if the rank falls in the overflow bucket).
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        self.quantile_bounds(q).map(|(_, hi)| hi)
-    }
-
-    /// Fold `other`'s samples into `self`. Boundaries must be bitwise
-    /// identical.
-    pub fn merge_from(&self, other: &Histogram) -> Result<(), HistogramError> {
-        if self.bounds.len() != other.bounds.len()
-            || self
-                .bounds
-                .iter()
-                .zip(&other.bounds)
-                .any(|(a, b)| a.to_bits() != b.to_bits())
-        {
-            return Err(HistogramError::BoundaryMismatch);
-        }
-        for (mine, theirs) in self.cells.iter().zip(&other.cells) {
-            mine.fetch_add(theirs.load(Ordering::Relaxed), Ordering::Relaxed); // audit:ordering(Relaxed): cell-by-cell merge of statistics counters; racy-by-design
-        }
-        let add = other.sum();
-        let mut cur = self.sum_bits.load(Ordering::Relaxed); // audit:ordering(Relaxed): CAS loop seed read; any stale value is corrected by the retry
-        loop {
-            let next = (f64::from_bits(cur) + add).to_bits();
-            match self
-                .sum_bits
-                .compare_exchange(cur, next, Ordering::Relaxed, Ordering::Relaxed) // audit:ordering(Relaxed): f64-bits accumulator CAS; only RMW atomicity of this cell is required
-            {
-                Ok(_) => return Ok(()),
-                Err(seen) => cur = seen,
-            }
-        }
-    }
-
     /// A point-in-time copy of the cells.
     pub fn snapshot(&self) -> HistogramSnapshot {
         HistogramSnapshot {
@@ -276,48 +195,7 @@ mod tests {
     }
 
     #[test]
-    fn quantiles_on_empty_are_none() {
-        let h = Histogram::span_seconds();
-        assert_eq!(h.quantile_bounds(0.5), None);
-        assert_eq!(h.quantile(0.99), None);
-    }
-
-    #[test]
-    fn quantile_extremes_hit_first_and_last_occupied_buckets() {
-        let h = Histogram::with_bounds(vec![1.0, 10.0, 100.0]).unwrap();
-        h.record(0.5); // bucket 0
-        h.record(5.0); // bucket 1
-        h.record(50.0); // bucket 2
-                        // q=0 clamps to rank 1: the smallest sample's bucket, whose lower
-                        // edge is the open -inf end of the first bucket.
-        assert_eq!(h.quantile_bounds(0.0), Some((f64::NEG_INFINITY, 1.0)));
-        // q=1 is rank n: the largest sample's bucket.
-        assert_eq!(h.quantile_bounds(1.0), Some((10.0, 100.0)));
-        // Out-of-range q clamps rather than erroring.
-        assert_eq!(h.quantile_bounds(-3.0), h.quantile_bounds(0.0));
-        assert_eq!(h.quantile_bounds(7.5), h.quantile_bounds(1.0));
-    }
-
-    #[test]
-    fn single_sample_owns_every_quantile() {
-        let h = Histogram::with_bounds(vec![1.0, 10.0]).unwrap();
-        h.record(3.0);
-        for q in [0.0, 0.25, 0.5, 0.99, 1.0] {
-            assert_eq!(h.quantile_bounds(q), Some((1.0, 10.0)), "q={q}");
-            assert_eq!(h.quantile(q), Some(10.0), "q={q}");
-        }
-    }
-
-    #[test]
-    fn overflow_bucket_quantile_is_unbounded_above() {
-        let h = Histogram::with_bounds(vec![1.0]).unwrap();
-        h.record(1e9);
-        assert_eq!(h.quantile_bounds(0.5), Some((1.0, f64::INFINITY)));
-        assert_eq!(h.quantile(0.5), Some(f64::INFINITY));
-    }
-
-    #[test]
-    fn nan_record_leaves_cells_sum_and_quantiles_untouched() {
+    fn nan_record_leaves_cells_and_sum_untouched() {
         let h = Histogram::with_bounds(vec![1.0, 10.0]).unwrap();
         h.record(2.0);
         let before = h.snapshot();
@@ -325,21 +203,6 @@ mod tests {
         let after = h.snapshot();
         assert_eq!(before, after, "NaN must not perturb any cell or the sum");
         assert_eq!(h.count(), 1);
-        assert_eq!(h.quantile_bounds(0.5), Some((1.0, 10.0)));
-    }
-
-    #[test]
-    fn merge_rejects_different_bounds() {
-        let a = Histogram::with_bounds(vec![1.0, 2.0]).unwrap();
-        let b = Histogram::with_bounds(vec![1.0, 3.0]).unwrap();
-        assert_eq!(a.merge_from(&b), Err(HistogramError::BoundaryMismatch));
-    }
-
-    /// Reference quantile: the nearest-rank sample itself.
-    fn true_quantile(sorted: &[f64], q: f64) -> f64 {
-        let n = sorted.len() as f64;
-        let rank = ((q.clamp(0.0, 1.0) * n).ceil() as usize).clamp(1, sorted.len());
-        sorted[rank - 1]
     }
 
     proptest! {
@@ -356,51 +219,6 @@ mod tests {
             let snap = h.snapshot();
             prop_assert_eq!(snap.counts.iter().sum::<u64>(), samples.len() as u64);
             prop_assert_eq!(snap.counts.len(), snap.bounds.len() + 1);
-        }
-
-        /// Satellite property: the quantile bracket contains the true
-        /// nearest-rank sample quantile, for arbitrary samples and q.
-        #[test]
-        fn quantile_bracket_contains_true_quantile(
-            samples in proptest::collection::vec(-10.0f64..1e5, 1..250),
-            q in 0.0f64..1.0,
-        ) {
-            let h = Histogram::log_spaced(1e-2, 1e3, 30).unwrap();
-            for &s in &samples {
-                h.record(s);
-            }
-            let mut sorted = samples.clone();
-            sorted.sort_by(f64::total_cmp);
-            let truth = true_quantile(&sorted, q);
-            let (lo, hi) = h.quantile_bounds(q).unwrap();
-            // Buckets are (lo, hi], so the bracket is strict below.
-            prop_assert!(lo < truth, "lower bracket {lo} not below true quantile {truth}");
-            prop_assert!(truth <= hi, "true quantile {truth} above bracket {hi}");
-            prop_assert!(h.quantile(q).unwrap() >= truth);
-        }
-
-        /// Satellite property: merge(a, b) is indistinguishable from
-        /// recording every sample into one histogram.
-        #[test]
-        fn merge_equals_record_all(
-            xs in proptest::collection::vec(0.0f64..1e4, 0..150),
-            ys in proptest::collection::vec(0.0f64..1e4, 0..150),
-        ) {
-            let a = Histogram::log_spaced(1e-1, 1e3, 20).unwrap();
-            let b = Histogram::log_spaced(1e-1, 1e3, 20).unwrap();
-            let all = Histogram::log_spaced(1e-1, 1e3, 20).unwrap();
-            for &x in &xs {
-                a.record(x);
-                all.record(x);
-            }
-            for &y in &ys {
-                b.record(y);
-                all.record(y);
-            }
-            a.merge_from(&b).unwrap();
-            let (ma, mall) = (a.snapshot(), all.snapshot());
-            prop_assert_eq!(&ma.counts, &mall.counts);
-            prop_assert!((ma.sum - mall.sum).abs() <= 1e-6 * mall.sum.abs().max(1.0));
         }
     }
 }

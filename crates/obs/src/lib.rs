@@ -13,9 +13,7 @@
 //!   (`Ordering::Relaxed`, the workspace's established idiom for hot
 //!   counters).
 //! - [`Histogram`]: fixed-boundary with log-spaced buckets and lock-free
-//!   `AtomicU64` cells; quantile estimates come back as the *bracket*
-//!   of the bucket holding the requested rank, so callers can reason
-//!   about estimation error honestly.
+//!   `AtomicU64` cells.
 //! - [`Registry`]: namespaced get-or-create handles (`mendel.vptree.*`,
 //!   `mendel.net.*`, …) plus point-in-time [`MetricsSnapshot`]s with
 //!   Prometheus-text and JSON exposition and counter-delta arithmetic.
@@ -43,7 +41,7 @@ pub use metric::{Counter, Gauge};
 pub use recorder::FlightRecorder;
 pub use registry::{Registry, ScopedRegistry};
 pub use slowlog::{QueryObservation, SlowLogConfig, SlowLogEntry, SlowLogReason, SlowQueryLog};
-pub use snapshot::{HistogramSnapshot, MetricsSnapshot};
+pub use snapshot::{escape_json, HistogramSnapshot, MetricsSnapshot};
 pub use trace::{
     chrome_trace_json, parse_records_text, render_records_text, ActiveSpan, CriticalHop, SpanId,
     SpanRecord, TraceCollector, TraceContext, TraceId, TraceNode, TraceTree, Tracer,

@@ -181,7 +181,7 @@ fn render_map<'a, V: 'a>(
     }
 }
 
-pub(crate) fn escape_json(s: &str) -> String {
+pub fn escape_json(s: &str) -> String {
     s.chars()
         .flat_map(|c| match c {
             '"' => "\\\"".chars().collect::<Vec<_>>(),

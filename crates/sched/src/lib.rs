@@ -252,16 +252,6 @@ impl Scheduler {
         })
     }
 
-    /// Enqueue a fire-and-forget job on the next deque (round-robin) and
-    /// wake a worker. Jobs are not admission-bounded — bound *queries*
-    /// with [`Self::admit`]; their fan-out tasks always run.
-    pub fn submit(&self, job: impl FnOnce() + Send + 'static) {
-        self.enqueue(Box::new(move || {
-            job();
-            Box::new(|| {})
-        }));
-    }
-
     fn enqueue(&self, job: Job) {
         // audit:ordering(Relaxed): round-robin cursor; any interleaving of placements is correct (stealing rebalances anyway)
         let slot = self.inner.next.fetch_add(1, Ordering::Relaxed) % self.inner.deques.len();
@@ -271,7 +261,10 @@ impl Scheduler {
         let _ = self.inner.wake_tx.send(());
     }
 
-    /// Enqueue a job and hand back a handle to its result. The result is
+    /// Enqueue a job on the next deque (round-robin), wake a worker, and
+    /// hand back a handle to its result; dropping the handle makes it
+    /// fire-and-forget. Jobs are not admission-bounded — bound *queries*
+    /// with [`Self::admit`]; their fan-out tasks always run. The result is
     /// sent after `mendel.sched.completed` counts the job, so
     /// `submitted == completed` holds whenever every handle has been
     /// waited on (a panicked job disconnects its handle while unwinding,
@@ -495,7 +488,7 @@ mod tests {
             let _ = gate_rx.recv();
         });
         for _ in 0..4 {
-            sched.submit(|| {});
+            sched.run(|| {});
         }
         gate_tx.send(()).unwrap();
         drop(sched); // must join, not deadlock

@@ -70,7 +70,7 @@ fn lockstep_submit_and_drain() {
                 // Even steps: the "owner" side pushes work into the pool.
                 let hits = Arc::clone(&hits2);
                 let tx = tx.clone();
-                sched.submit(move || {
+                sched.run(move || {
                     // audit:ordering(Relaxed): test tally.
                     hits.fetch_add(1, Ordering::Relaxed);
                     let _ = tx.send(step as u64);
@@ -116,7 +116,7 @@ fn free_running_submitters_lose_no_jobs() {
             scope.spawn(move || {
                 for i in 0..PER_THREAD as u64 {
                     let sum = Arc::clone(&sum);
-                    sched.submit(move || {
+                    sched.run(move || {
                         // audit:ordering(Relaxed): test tally.
                         sum.fetch_add(t * 1000 + i, Ordering::Relaxed);
                     });

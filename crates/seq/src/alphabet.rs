@@ -6,7 +6,6 @@
 //! DNA uses `ACGTN`.
 
 use crate::error::SeqError;
-use serde::{Deserialize, Serialize};
 
 /// ASCII symbols of the DNA alphabet in code order (`N` = any base).
 pub const DNA_SYMBOLS: &[u8; 5] = b"ACGTN";
@@ -23,7 +22,7 @@ pub const PROTEIN_X: u8 = 22;
 pub const DNA_N: u8 = 4;
 
 /// A residue alphabet: DNA (`ACGTN`) or protein (NCBI 24-letter order).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Alphabet {
     /// Nucleotides `A`, `C`, `G`, `T` plus the wildcard `N`.
     Dna,
@@ -47,15 +46,6 @@ impl Alphabet {
         match self {
             Alphabet::Dna => 4,
             Alphabet::Protein => 20,
-        }
-    }
-
-    /// The wildcard code (`N` for DNA, `X` for protein).
-    #[inline]
-    pub fn wildcard(self) -> u8 {
-        match self {
-            Alphabet::Dna => DNA_N,
-            Alphabet::Protein => PROTEIN_X,
         }
     }
 
@@ -123,12 +113,6 @@ impl Alphabet {
     /// Decode a slice of residue codes into an ASCII string.
     pub fn decode_seq(self, codes: &[u8]) -> String {
         codes.iter().map(|&c| char::from(self.decode(c))).collect()
-    }
-
-    /// True if `code` is a canonical residue (not a wildcard/ambiguity code).
-    #[inline]
-    pub fn is_canonical(self, code: u8) -> bool {
-        (code as usize) < self.canonical_size()
     }
 }
 
@@ -210,15 +194,11 @@ mod tests {
     fn canonical_sizes() {
         assert_eq!(Alphabet::Dna.canonical_size(), 4);
         assert_eq!(Alphabet::Protein.canonical_size(), 20);
-        assert!(Alphabet::Dna.is_canonical(3));
-        assert!(!Alphabet::Dna.is_canonical(DNA_N));
-        assert!(Alphabet::Protein.is_canonical(19));
-        assert!(!Alphabet::Protein.is_canonical(PROTEIN_X));
     }
 
     #[test]
     fn wildcards() {
-        assert_eq!(Alphabet::Dna.decode(Alphabet::Dna.wildcard()), b'N');
-        assert_eq!(Alphabet::Protein.decode(Alphabet::Protein.wildcard()), b'X');
+        assert_eq!(Alphabet::Dna.decode(DNA_N), b'N');
+        assert_eq!(Alphabet::Protein.decode(PROTEIN_X), b'X');
     }
 }

@@ -6,11 +6,10 @@
 use crate::alphabet::Alphabet;
 use crate::error::SeqError;
 use crate::seq::Sequence;
-use serde::{Deserialize, Serialize};
 
 /// One raw FASTA record: header split into name/description plus the
 /// un-encoded residue text.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FastaRecord {
     /// First whitespace-delimited token of the header.
     pub name: String,

@@ -25,7 +25,6 @@ use rand::seq::SliceRandom;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 /// Weighted sampler over an alphabet's canonical residues.
 #[derive(Debug, Clone)]
@@ -101,7 +100,7 @@ pub fn random_sequence(alphabet: Alphabet, len: usize, rng: &mut impl Rng) -> Ve
 
 /// A mutation model applied per residue position: substitutions, insertions,
 /// and deletions, each with an independent per-position probability.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MutationModel {
     /// Per-position substitution probability.
     pub substitution: f64,
@@ -112,15 +111,6 @@ pub struct MutationModel {
 }
 
 impl MutationModel {
-    /// Substitutions only (the model of the paper's Fig 6d experiment).
-    pub fn substitutions(rate: f64) -> Self {
-        MutationModel {
-            substitution: rate,
-            insertion: 0.0,
-            deletion: 0.0,
-        }
-    }
-
     /// Substitutions plus symmetric indels (sequencer-like noise).
     pub fn with_indels(substitution: f64, indel: f64) -> Self {
         MutationModel {
@@ -201,7 +191,7 @@ pub fn mutate_to_identity(
 /// each family contributes `members_per_family` descendants mutated by
 /// `family_divergence`. Planted families give sensitivity experiments a
 /// ground truth. Lengths are drawn uniformly from `length_range`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct NrLikeSpec {
     /// Residue alphabet of the database.
     pub alphabet: Alphabet,
@@ -268,7 +258,7 @@ impl NrLikeSpec {
 }
 
 /// One generated query with its ground-truth provenance.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QueryRecord {
     /// The query sequence itself.
     pub query: Sequence,
@@ -282,7 +272,7 @@ pub struct QueryRecord {
 
 /// Specification of a genome-like query set sampled from a database —
 /// the stand-in for the paper's `s_aureus` / `e_coli` query sets.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct QuerySetSpec {
     /// Number of queries to draw.
     pub count: usize,
@@ -344,7 +334,6 @@ impl QuerySetSpec {
 mod tests {
     use super::*;
     use crate::dist::Hamming;
-    use crate::stats::Composition;
 
     fn rng(seed: u64) -> ChaCha8Rng {
         ChaCha8Rng::seed_from_u64(seed)
@@ -379,10 +368,9 @@ mod tests {
     fn protein_background_matches_swissprot_roughly() {
         let mut r = rng(3);
         let seq = random_sequence(Alphabet::Protein, 50_000, &mut r);
-        let comp = Composition::of(Alphabet::Protein, &seq);
-        let freqs = comp.frequencies();
-        let leu = freqs[10];
-        let trp = freqs[17];
+        let freq = |code: u8| seq.iter().filter(|&&r| r == code).count() as f64 / seq.len() as f64;
+        let leu = freq(10);
+        let trp = freq(17);
         assert!(leu > 0.08 && leu < 0.11, "Leu freq {leu}");
         assert!(trp < 0.02, "Trp freq {trp}");
     }
@@ -410,7 +398,7 @@ mod tests {
     fn mutation_model_substitution_only_preserves_length() {
         let mut r = rng(6);
         let seq = random_sequence(Alphabet::Dna, 500, &mut r);
-        let m = MutationModel::substitutions(0.2).mutate(Alphabet::Dna, &seq, &mut r);
+        let m = MutationModel::with_indels(0.2, 0.0).mutate(Alphabet::Dna, &seq, &mut r);
         assert_eq!(m.len(), seq.len());
         let diff = Hamming::count(&seq, &m);
         assert!((50..150).contains(&diff), "observed {diff} substitutions");
@@ -428,13 +416,13 @@ mod tests {
     fn mutation_model_zero_rates_is_identity() {
         let mut r = rng(8);
         let seq = random_sequence(Alphabet::Protein, 100, &mut r);
-        let m = MutationModel::substitutions(0.0).mutate(Alphabet::Protein, &seq, &mut r);
+        let m = MutationModel::with_indels(0.0, 0.0).mutate(Alphabet::Protein, &seq, &mut r);
         assert_eq!(m, seq);
     }
 
     #[test]
     fn mutation_model_validation() {
-        assert!(MutationModel::substitutions(1.5).validate().is_err());
+        assert!(MutationModel::with_indels(1.5, 0.0).validate().is_err());
         assert!(MutationModel {
             substitution: 0.1,
             insertion: -0.1,
@@ -466,12 +454,12 @@ mod tests {
             families: 2,
             members_per_family: 2,
             length_range: (300, 300),
-            family_divergence: MutationModel::substitutions(0.1),
+            family_divergence: MutationModel::with_indels(0.1, 0.0),
             ..Default::default()
         };
         let db = spec.generate().unwrap();
-        let anc = db.get_by_name("fam0_m0").unwrap();
-        let desc = db.get_by_name("fam0_m1").unwrap();
+        let anc = db.iter().find(|s| s.name == "fam0_m0").unwrap();
+        let desc = db.iter().find(|s| s.name == "fam0_m1").unwrap();
         let diff = Hamming::count(&anc.residues, &desc.residues);
         assert!(diff > 0, "descendant must differ");
         assert!(diff < 100, "descendant must stay close (got {diff}/300)");

@@ -5,7 +5,8 @@
 //!
 //! * [`Alphabet`] — DNA and protein alphabets with compact residue codes,
 //! * [`Sequence`] / [`SeqStore`] — encoded sequences and an id-addressed store,
-//! * [`fasta`] — FASTA parsing and writing,
+//! * [`fasta`] — FASTA parsing and writing, the one input format (the
+//!   paper ingests FASTA reference sequences),
 //! * [`matrix`] — alignment scoring matrices (BLOSUM62, DNA match/mismatch,
 //!   NCBI-format parser),
 //! * [`dist`] — metric-space distance functions: Hamming for DNA and the
@@ -16,8 +17,8 @@
 //!   so overlapping inverted-index blocks share their sequence's bytes,
 //! * [`gen`] — deterministic synthetic dataset generators standing in for
 //!   NCBI `nr` and the `s_aureus` / `e_coli` query sets,
-//! * [`stats`] — residue composition statistics (Swiss-Prot background
-//!   frequencies, entropy, composition counting).
+//! * [`stats`] — Swiss-Prot and uniform DNA background residue
+//!   frequencies.
 //!
 //! Everything is deterministic under a caller-supplied RNG so experiments
 //! reproduce bit-for-bit.
@@ -26,7 +27,6 @@ pub mod alphabet;
 pub mod dist;
 pub mod error;
 pub mod fasta;
-pub mod fastq;
 pub mod gen;
 pub mod matrix;
 pub mod seq;
@@ -39,7 +39,6 @@ pub use alphabet::Alphabet;
 pub use dist::{BlockDistance, Hamming, MatrixDistance, Metric, Unbounded};
 pub use error::SeqError;
 pub use fasta::{parse_fasta, parse_fasta_sequences, write_fasta, FastaRecord};
-pub use fastq::{parse_fastq, FastqRecord};
 pub use matrix::ScoringMatrix;
 pub use seq::{SeqId, SeqStore, Sequence};
 pub use translate::{reverse_complement, six_frames, translate};

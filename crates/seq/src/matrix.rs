@@ -8,7 +8,6 @@
 
 use crate::alphabet::Alphabet;
 use crate::error::SeqError;
-use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
 
 /// Canonical BLOSUM62 in NCBI format (row/column order
@@ -42,7 +41,7 @@ X  0 -1 -1 -1 -2 -1 -1 -1 -1 -1 -1 -1 -1 -1 -2  0  0 -2 -1 -1 -1 -1 -1 -4
 ";
 
 /// A square substitution-score matrix indexed by residue *codes*.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScoringMatrix {
     /// Human-readable name (`"BLOSUM62"`, `"DNA(+5/-4)"`, ...).
     pub name: String,
@@ -199,151 +198,6 @@ impl ScoringMatrix {
     pub fn dim(&self) -> usize {
         self.n
     }
-
-    /// Largest score on the diagonal (the best possible per-residue score).
-    pub fn max_self_score(&self) -> i32 {
-        (0..self.alphabet.canonical_size() as u8)
-            .map(|c| self.score(c, c))
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Score an ungapped pairing of two equal-length encoded windows.
-    pub fn score_window(&self, a: &[u8], b: &[u8]) -> Result<i32, SeqError> {
-        if a.len() != b.len() {
-            return Err(SeqError::LengthMismatch {
-                left: a.len(),
-                right: b.len(),
-            });
-        }
-        Ok(a.iter().zip(b).map(|(&x, &y)| self.score(x, y)).sum())
-    }
-
-    /// True when the matrix is symmetric over canonical residues (every
-    /// standard substitution matrix is).
-    pub fn is_symmetric(&self) -> bool {
-        let k = self.alphabet.canonical_size() as u8;
-        (0..k).all(|i| (0..k).all(|j| self.score(i, j) == self.score(j, i)))
-    }
-}
-
-/// Accumulator of aligned residue-pair observations — the raw input of
-/// the BLOSUM construction (Henikoff & Henikoff 1992): tally pairs from
-/// trusted (high-identity) alignment columns, then turn the tallies into
-/// a log-odds matrix with [`ScoringMatrix::log_odds`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct PairCounts {
-    /// Alphabet whose canonical codes index the table.
-    pub alphabet: Alphabet,
-    k: usize,
-    counts: Vec<f64>,
-}
-
-impl PairCounts {
-    /// Empty tally for an alphabet's canonical residues.
-    pub fn new(alphabet: Alphabet) -> Self {
-        let k = alphabet.canonical_size();
-        PairCounts {
-            alphabet,
-            k,
-            counts: vec![0.0; k * k],
-        }
-    }
-
-    /// Record one aligned pair (order-insensitive; both cells get half).
-    /// Non-canonical codes are ignored.
-    pub fn add_pair(&mut self, a: u8, b: u8) {
-        if (a as usize) < self.k && (b as usize) < self.k {
-            self.counts[a as usize * self.k + b as usize] += 0.5;
-            self.counts[b as usize * self.k + a as usize] += 0.5;
-        }
-    }
-
-    /// Record every column of an ungapped aligned window pair.
-    pub fn add_window(&mut self, a: &[u8], b: &[u8]) -> Result<(), SeqError> {
-        if a.len() != b.len() {
-            return Err(SeqError::LengthMismatch {
-                left: a.len(),
-                right: b.len(),
-            });
-        }
-        for (&x, &y) in a.iter().zip(b) {
-            self.add_pair(x, y);
-        }
-        Ok(())
-    }
-
-    /// Total pairs recorded.
-    pub fn total(&self) -> f64 {
-        self.counts.iter().sum()
-    }
-
-    /// Marginal residue frequencies implied by the tally.
-    pub fn marginals(&self) -> Vec<f64> {
-        let total = self.total().max(f64::MIN_POSITIVE);
-        (0..self.k)
-            .map(|i| {
-                (0..self.k)
-                    .map(|j| self.counts[i * self.k + j])
-                    .sum::<f64>()
-                    / total
-            })
-            .collect()
-    }
-}
-
-impl ScoringMatrix {
-    /// Build a log-odds substitution matrix from observed pair counts —
-    /// the BLOSUM procedure: `s(i,j) = round(scale · log2(q_ij / e_ij))`
-    /// where `q` are observed pair frequencies (with a pseudocount),
-    /// `e_ij = p_i·p_j` the expectation under the tally's marginals, and
-    /// `scale` = 2 gives BLOSUM's half-bit units. Ambiguity codes score
-    /// the matrix minimum; `X` rows get −1.
-    pub fn log_odds(
-        name: impl Into<String>,
-        pairs: &PairCounts,
-        scale: f64,
-    ) -> Result<Self, SeqError> {
-        if pairs.total() <= 0.0 {
-            return Err(SeqError::Config("no pairs tallied".into()));
-        }
-        if scale <= 0.0 {
-            return Err(SeqError::Config("scale must be positive".into()));
-        }
-        let k = pairs.k;
-        let n = pairs.alphabet.size();
-        let total = pairs.total();
-        let p = pairs.marginals();
-        // Jeffreys-style pseudocount keeps unseen pairs finite.
-        let pseudo = 0.5;
-        let mut scores = vec![0i32; n * n];
-        let mut minimum = i32::MAX;
-        for i in 0..k {
-            for j in 0..k {
-                let q = (pairs.counts[i * k + j] + pseudo) / (total + pseudo * (k * k) as f64);
-                let e = (p[i] * p[j]).max(f64::MIN_POSITIVE);
-                let s = (scale * (q / e).log2()).round() as i32;
-                scores[i * n + j] = s;
-                minimum = minimum.min(s);
-            }
-        }
-        // Ambiguity codes: pessimistic defaults à la NCBI (X ≈ -1,
-        // everything else the matrix minimum).
-        let x = pairs.alphabet.wildcard() as usize;
-        for i in 0..n {
-            for j in 0..n {
-                if i >= k || j >= k {
-                    scores[i * n + j] = if i == x || j == x { -1 } else { minimum };
-                }
-            }
-        }
-        Ok(ScoringMatrix {
-            name: name.into(),
-            alphabet: pairs.alphabet,
-            n,
-            scores,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -380,14 +234,14 @@ mod tests {
         }
     }
 
-    #[test]
-    fn blosum62_is_symmetric() {
-        assert!(ScoringMatrix::blosum62().is_symmetric());
+    fn is_symmetric(m: &ScoringMatrix) -> bool {
+        let k = m.alphabet.canonical_size() as u8;
+        (0..k).all(|i| (0..k).all(|j| m.score(i, j) == m.score(j, i)))
     }
 
     #[test]
-    fn blosum62_max_self_score_is_tryptophan() {
-        assert_eq!(ScoringMatrix::blosum62().max_self_score(), 11);
+    fn blosum62_is_symmetric() {
+        assert!(is_symmetric(&ScoringMatrix::blosum62()));
     }
 
     #[test]
@@ -397,22 +251,13 @@ mod tests {
         assert_eq!(m.score(e(b'A'), e(b'A')), 5);
         assert_eq!(m.score(e(b'A'), e(b'G')), -4);
         assert_eq!(m.score(e(b'N'), e(b'N')), -4, "N never rewards");
-        assert!(m.is_symmetric());
+        assert!(is_symmetric(&m));
     }
 
     #[test]
     #[should_panic(expected = "match reward")]
     fn dna_matrix_rejects_nonpositive_match() {
         ScoringMatrix::dna(0, -1);
-    }
-
-    #[test]
-    fn score_window_sums_pairs() {
-        let m = ScoringMatrix::blosum62();
-        let a = Alphabet::Protein.encode_seq(b"WW").unwrap();
-        let b = Alphabet::Protein.encode_seq(b"WV").unwrap();
-        assert_eq!(m.score_window(&a, &b).unwrap(), 11 - 3);
-        assert!(m.score_window(&a, &[0]).is_err());
     }
 
     #[test]
@@ -440,64 +285,6 @@ mod tests {
         let m = ScoringMatrix::from_ncbi_text("toy", Alphabet::Dna, txt).unwrap();
         assert_eq!(m.score(0, 0), 1);
         assert_eq!(m.score(0, 1), -1);
-    }
-
-    #[test]
-    fn pair_counts_tally_symmetrically() {
-        let mut pc = PairCounts::new(Alphabet::Protein);
-        pc.add_pair(enc(b'L'), enc(b'I'));
-        pc.add_pair(enc(b'L'), enc(b'L'));
-        assert_eq!(pc.total(), 2.0);
-        let m = pc.marginals();
-        assert!((m[enc(b'L') as usize] - 0.75).abs() < 1e-12);
-        assert!((m[enc(b'I') as usize] - 0.25).abs() < 1e-12);
-        // Windows and wildcards.
-        let mut pc2 = PairCounts::new(Alphabet::Protein);
-        pc2.add_window(&[0, 1, crate::alphabet::PROTEIN_X], &[0, 2, 0])
-            .unwrap();
-        assert_eq!(pc2.total(), 2.0, "wildcard column is skipped");
-        assert!(pc2.add_window(&[0], &[0, 1]).is_err());
-    }
-
-    #[test]
-    fn log_odds_matrix_from_family_alignments_is_blosum_like() {
-        // Tally pairs from synthetic 80%-identity alignments and check the
-        // resulting matrix has the structural properties the BLOSUM
-        // construction guarantees: symmetry, positive diagonal, negative
-        // expected score under the background (valid Karlin system).
-        use crate::gen::{mutate_to_identity, random_sequence};
-        use rand::SeedableRng;
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(42);
-        let mut pc = PairCounts::new(Alphabet::Protein);
-        for _ in 0..50 {
-            let a = random_sequence(Alphabet::Protein, 200, &mut rng);
-            let b = mutate_to_identity(Alphabet::Protein, &a, 0.8, &mut rng).unwrap();
-            pc.add_window(&a, &b).unwrap();
-        }
-        let m = ScoringMatrix::log_odds("SYN80", &pc, 2.0).unwrap();
-        assert!(m.is_symmetric());
-        for i in 0..20u8 {
-            assert!(m.score(i, i) > 0, "diagonal {i} = {}", m.score(i, i));
-        }
-        // Expected score under the tally's background must be negative.
-        let p = pc.marginals();
-        let mean: f64 = (0..20)
-            .flat_map(|i| (0..20).map(move |j| (i, j)))
-            .map(|(i, j)| p[i] * p[j] * m.score(i as u8, j as u8) as f64)
-            .sum();
-        assert!(mean < 0.0, "mean background score {mean} must be negative");
-        // Wildcard behaviour.
-        let x = Alphabet::Protein.wildcard();
-        assert_eq!(m.score(x, 0), -1);
-    }
-
-    #[test]
-    fn log_odds_rejects_degenerate_inputs() {
-        let pc = PairCounts::new(Alphabet::Protein);
-        assert!(ScoringMatrix::log_odds("empty", &pc, 2.0).is_err());
-        let mut pc = PairCounts::new(Alphabet::Protein);
-        pc.add_pair(0, 0);
-        assert!(ScoringMatrix::log_odds("bad-scale", &pc, 0.0).is_err());
     }
 
     #[test]

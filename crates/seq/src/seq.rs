@@ -2,13 +2,9 @@
 
 use crate::alphabet::Alphabet;
 use crate::error::SeqError;
-use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Stable identifier of a sequence within a [`SeqStore`].
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SeqId(pub u32);
 
 impl SeqId {
@@ -26,7 +22,7 @@ impl std::fmt::Display for SeqId {
 }
 
 /// A single encoded sequence: residue codes plus provenance metadata.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Sequence {
     /// Identifier assigned by the owning store (or `SeqId(0)` when detached).
     pub id: SeqId,
@@ -97,11 +93,9 @@ impl Sequence {
 
 /// An append-only, id-addressed collection of sequences — the "reference
 /// database" role in the paper (NCBI `nr` stood in by synthetic data).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct SeqStore {
     seqs: Vec<Sequence>,
-    #[serde(skip)]
-    by_name: HashMap<String, SeqId>,
 }
 
 impl SeqStore {
@@ -110,14 +104,11 @@ impl SeqStore {
         Self::default()
     }
 
-    /// Insert a sequence, assigning and returning its [`SeqId`].
-    ///
-    /// Duplicate names are allowed (NCBI `nr` has them); name lookup returns
-    /// the *first* sequence inserted under a name.
+    /// Insert a sequence, assigning and returning its [`SeqId`]. Duplicate
+    /// names are allowed (NCBI `nr` has them).
     pub fn insert(&mut self, mut seq: Sequence) -> SeqId {
         let id = SeqId(self.seqs.len() as u32);
         seq.id = id;
-        self.by_name.entry(seq.name.clone()).or_insert(id);
         self.seqs.push(seq);
         id
     }
@@ -131,11 +122,6 @@ impl SeqStore {
     #[inline]
     pub fn get(&self, id: SeqId) -> Option<&Sequence> {
         self.seqs.get(id.index())
-    }
-
-    /// Fetch by name (first match).
-    pub fn get_by_name(&self, name: &str) -> Option<&Sequence> {
-        self.by_name.get(name).and_then(|&id| self.get(id))
     }
 
     /// Number of sequences stored.
@@ -158,14 +144,6 @@ impl SeqStore {
     /// Iterate over all sequences in id order.
     pub fn iter(&self) -> impl Iterator<Item = &Sequence> {
         self.seqs.iter()
-    }
-
-    /// Rebuild the name index (needed after deserialization, which skips it).
-    pub fn rebuild_name_index(&mut self) {
-        self.by_name.clear();
-        for s in &self.seqs {
-            self.by_name.entry(s.name.clone()).or_insert(s.id);
-        }
     }
 }
 
@@ -207,28 +185,10 @@ mod tests {
     }
 
     #[test]
-    fn store_name_lookup_prefers_first_duplicate() {
-        let mut st = SeqStore::new();
-        let first = st.insert(protein("dup", b"MA"));
-        st.insert(protein("dup", b"MRRR"));
-        assert_eq!(st.get_by_name("dup").unwrap().id, first);
-    }
-
-    #[test]
     fn insert_batch_preserves_order() {
         let mut st = SeqStore::new();
         let ids = st.insert_batch(vec![protein("a", b"M"), protein("b", b"MM")]);
         assert_eq!(ids, vec![SeqId(0), SeqId(1)]);
-    }
-
-    #[test]
-    fn rebuild_name_index_restores_lookup() {
-        let mut st = SeqStore::new();
-        st.insert(protein("x", b"MA"));
-        st.by_name.clear();
-        assert!(st.get_by_name("x").is_none());
-        st.rebuild_name_index();
-        assert!(st.get_by_name("x").is_some());
     }
 
     #[test]

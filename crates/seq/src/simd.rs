@@ -50,7 +50,8 @@ pub fn simd_enabled() -> bool {
 
 /// Enable or disable the SIMD kernels process-wide; returns the
 /// previous setting. Both settings are bit-identical — this exists for
-/// ablation benchmarks and the CI agreement check.
+/// the CI agreement check.
+// audit:allow(unreached): the kill switch tests/batch.rs's simd_kill_switch_leaves_cluster_hits_identical flips
 pub fn set_simd_enabled(on: bool) -> bool {
     // audit:ordering(Relaxed): flag flip for ablations; the only reader is the dispatch check above and either value is correct
     SIMD_ENABLED.swap(on, Ordering::Relaxed)

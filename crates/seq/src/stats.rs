@@ -3,9 +3,8 @@
 //! The paper motivates its protein distance function with the September
 //! 2015 UniProtKB/Swiss-Prot composition statistics ("Leucine appears
 //! almost nine times more frequently than Tryptophan"); this module embeds
-//! those background frequencies and provides composition counting used by
-//! the Karlin–Altschul statistics in `mendel-align` and by the synthetic
-//! generators in [`crate::gen`].
+//! those background frequencies, used by the Karlin–Altschul statistics in
+//! `mendel-align` and by the synthetic generators in [`crate::gen`].
 
 use crate::alphabet::Alphabet;
 
@@ -48,71 +47,6 @@ pub fn background_frequencies(alphabet: Alphabet) -> Vec<f64> {
     raw.iter().map(|f| f / total).collect()
 }
 
-/// Count canonical residue occurrences in an encoded sequence.
-/// Wildcard/ambiguity codes are tallied separately in the returned
-/// [`Composition::other`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct Composition {
-    /// Alphabet the counts are indexed under.
-    pub alphabet: Alphabet,
-    /// Per-canonical-residue counts, in code order.
-    pub counts: Vec<u64>,
-    /// Count of non-canonical codes (`N`, `X`, `B`, `Z`, `*`).
-    pub other: u64,
-}
-
-impl Composition {
-    /// Tally a single encoded sequence.
-    pub fn of(alphabet: Alphabet, residues: &[u8]) -> Self {
-        let mut c = Composition {
-            alphabet,
-            counts: vec![0; alphabet.canonical_size()],
-            other: 0,
-        };
-        c.add(residues);
-        c
-    }
-
-    /// Add another encoded sequence to the tally.
-    pub fn add(&mut self, residues: &[u8]) {
-        let k = self.counts.len();
-        for &r in residues {
-            if (r as usize) < k {
-                self.counts[r as usize] += 1;
-            } else {
-                self.other += 1;
-            }
-        }
-    }
-
-    /// Total residues tallied (canonical + other).
-    pub fn total(&self) -> u64 {
-        self.counts.iter().sum::<u64>() + self.other
-    }
-
-    /// Observed canonical frequencies (each count over the canonical total).
-    /// Returns all-zero if nothing canonical was tallied.
-    pub fn frequencies(&self) -> Vec<f64> {
-        let canon: u64 = self.counts.iter().sum();
-        if canon == 0 {
-            return vec![0.0; self.counts.len()];
-        }
-        self.counts
-            .iter()
-            .map(|&c| c as f64 / canon as f64)
-            .collect()
-    }
-
-    /// Shannon entropy (bits per residue) of the canonical composition.
-    pub fn entropy_bits(&self) -> f64 {
-        self.frequencies()
-            .iter()
-            .filter(|&&p| p > 0.0)
-            .map(|&p| -p * p.log2())
-            .sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -133,51 +67,5 @@ mod tests {
         let trp = SWISSPROT_FREQS[Alphabet::Protein.encode(b'W').unwrap() as usize];
         let ratio = leu / trp;
         assert!((8.0..10.0).contains(&ratio), "Leu/Trp ratio = {ratio}");
-    }
-
-    #[test]
-    fn composition_counts_and_other() {
-        let seq = Alphabet::Protein.encode_seq(b"AALX*").unwrap();
-        let c = Composition::of(Alphabet::Protein, &seq);
-        assert_eq!(c.counts[0], 2); // A
-        assert_eq!(c.counts[10], 1); // L
-        assert_eq!(c.other, 2); // X and *
-        assert_eq!(c.total(), 5);
-    }
-
-    #[test]
-    fn frequencies_ignore_non_canonical() {
-        let seq = Alphabet::Dna.encode_seq(b"AANN").unwrap();
-        let c = Composition::of(Alphabet::Dna, &seq);
-        assert_eq!(c.frequencies()[0], 1.0);
-    }
-
-    #[test]
-    fn entropy_of_uniform_dna_is_two_bits() {
-        let seq = Alphabet::Dna.encode_seq(b"ACGT").unwrap();
-        let c = Composition::of(Alphabet::Dna, &seq);
-        assert!((c.entropy_bits() - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn entropy_of_monotone_sequence_is_zero() {
-        let seq = Alphabet::Dna.encode_seq(b"AAAA").unwrap();
-        let c = Composition::of(Alphabet::Dna, &seq);
-        assert_eq!(c.entropy_bits(), 0.0);
-    }
-
-    #[test]
-    fn empty_composition_is_safe() {
-        let c = Composition::of(Alphabet::Protein, &[]);
-        assert_eq!(c.total(), 0);
-        assert!(c.frequencies().iter().all(|&f| f == 0.0));
-        assert_eq!(c.entropy_bits(), 0.0);
-    }
-
-    #[test]
-    fn add_accumulates_across_sequences() {
-        let mut c = Composition::of(Alphabet::Dna, &Alphabet::Dna.encode_seq(b"AC").unwrap());
-        c.add(&Alphabet::Dna.encode_seq(b"AC").unwrap());
-        assert_eq!(c.counts, vec![2, 2, 0, 0]);
     }
 }

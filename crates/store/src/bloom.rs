@@ -102,11 +102,6 @@ impl Bloom {
             .collect();
         Some(Bloom { bits, m, k })
     }
-
-    /// Serialized size in bytes.
-    pub fn byte_len(&self) -> usize {
-        5 + self.bits.len() * 8
-    }
 }
 
 #[cfg(test)]
@@ -145,7 +140,6 @@ mod tests {
         }
         let rt = Bloom::from_bytes(&b.to_bytes()).unwrap();
         assert_eq!(rt, b);
-        assert_eq!(b.to_bytes().len(), b.byte_len());
     }
 
     #[test]

@@ -146,6 +146,7 @@ impl DiskFaultConfig {
 
     /// Short writes and torn-tail bit flips, no spontaneous fsync
     /// failures — the profile the crash-point matrix sweeps.
+    // audit:allow(unreached): the torn-write profile this file's crash-point tests sweep
     pub fn torn(seed: u64) -> Self {
         DiskFaultConfig {
             seed,
@@ -157,6 +158,7 @@ impl DiskFaultConfig {
     }
 
     /// Crash after `ops` successful operations.
+    // audit:allow(unreached): crates/store/tests/crash_matrix.rs and this crate's crash tests set their crash point with it
     pub fn crash_at(mut self, ops: u64) -> Self {
         self.crash_after = Some(ops);
         self
@@ -286,11 +288,13 @@ impl MemVfs {
     /// Arm (or re-arm) the one-shot crash point at an absolute
     /// operation count — lets a harness crash a *recovery* that runs on
     /// the same disk as the crashed ingest.
+    // audit:allow(unreached): crates/store/tests/crash_matrix.rs and mendel's crash-point sweep crash a recovery with it
     pub fn set_crash_after(&self, ops: u64) {
         self.state.lock().cfg.crash_after = Some(ops);
     }
 
     /// Disarm the one-shot crash point.
+    // audit:allow(unreached): crates/store/tests/crash_matrix.rs disarms a crash point that a recovery did not reach
     pub fn clear_crash_after(&self) {
         self.state.lock().cfg.crash_after = None;
     }

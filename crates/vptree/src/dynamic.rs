@@ -224,7 +224,7 @@ impl<M: Metric<[u8]>> VpTree<M> {
 
     /// Rebuild the subtree at `node` with element `(id, window)` added,
     /// grafting the new subtree into `parent` (or the root slot). Old
-    /// arena nodes become empty garbage; [`Self::compact`] reclaims them.
+    /// arena nodes become empty garbage that holds no windows.
     fn rebuild_subtree(&mut self, node: u32, parent: Option<u32>, id: u32, window: &[u8]) {
         let mut staged = Staged::default();
         self.drain_subtree(node, &mut staged);
@@ -269,14 +269,6 @@ impl<M: Metric<[u8]>> VpTree<M> {
         let mut rng = ChaCha8Rng::seed_from_u64(self.seed ^ (self.rebuild_count as u64) << 17);
         let mut items = staged.ids.clone();
         self.root = self.build_rec(&mut items, &staged, &mut rng);
-    }
-
-    /// Drop garbage arena nodes left behind by subtree rebuilds (a full
-    /// rebuild, which also rebalances).
-    pub fn compact(&mut self) {
-        self.rebuild_root(Staged::default());
-        #[cfg(feature = "strict-invariants")]
-        self.assert_invariants("compact");
     }
 
     /// How many subtree/root rebuilds have run so far.
@@ -397,8 +389,6 @@ mod tests {
             }
         }
         assert_eq!(t.check_invariants(), Ok(()));
-        t.compact();
-        assert_eq!(t.check_invariants(), Ok(()));
         t.insert_batch(random_points(200, 8, 51)); // large batch: root rebuild
         assert_eq!(t.check_invariants(), Ok(()));
         t.insert_batch(random_points(5, 8, 52)); // small batch: per-element
@@ -406,7 +396,7 @@ mod tests {
     }
 
     /// Every §III-D path — appends, parent and ancestor rebuilds, root
-    /// splits, both batch paths, `compact` — keeps each insertion id
+    /// splits, both batch paths — keeps each insertion id
     /// mapped to the window inserted under it, and leaves no replaced
     /// node holding windows.
     #[test]
@@ -437,8 +427,6 @@ mod tests {
             inserted.extend(points);
             check(&t, &inserted, &format!("a batch of {batch}"));
         }
-        t.compact();
-        check(&t, &inserted, "compact");
     }
 
     #[test]
@@ -483,20 +471,6 @@ mod tests {
             naive.stats().max_depth,
             batched.stats().max_depth
         );
-    }
-
-    #[test]
-    fn compact_preserves_answers() {
-        let mut t = empty(2);
-        let points = random_points(100, 6, 9);
-        for p in points {
-            t.insert(p);
-        }
-        let q = vec![1u8; 6];
-        let before: Vec<f32> = t.knn(&q, 5).iter().map(|n| n.dist).collect();
-        t.compact();
-        let after: Vec<f32> = t.knn(&q, 5).iter().map(|n| n.dist).collect();
-        assert_eq!(before, after);
     }
 
     #[test]

@@ -299,12 +299,6 @@ impl GroupAssignment {
         bucket * self.groups / self.buckets
     }
 
-    /// Number of groups.
-    #[inline]
-    pub fn num_groups(&self) -> usize {
-        self.groups
-    }
-
     /// Number of buckets.
     #[inline]
     pub fn num_buckets(&self) -> usize {

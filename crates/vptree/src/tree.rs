@@ -641,6 +641,7 @@ impl<M: Metric<[u8]>> VpTree<M> {
     }
 
     /// The tree's search counters.
+    // audit:allow(unreached): the per-tree counters this file's tests and crates/vptree/tests/frontier.rs count distance calls with; served trees share registered ones
     pub fn search_metrics(&self) -> &SearchMetrics {
         &self.obs
     }

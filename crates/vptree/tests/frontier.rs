@@ -112,7 +112,7 @@ fn corpus(alphabet: Alphabet, seq_len: usize, shape: Shape) -> (Vec<Vec<u8>>, Ve
         .map(|w| w.to_vec())
         .collect();
     let mut rng = ChaCha8Rng::seed_from_u64(0x5EEE);
-    let noise = MutationModel::substitutions(0.10);
+    let noise = MutationModel::with_indels(0.10, 0.0);
     let queries = (0..shape.queries)
         .map(|_| {
             let w = windows[rng.random_range(0..windows.len())];

@@ -203,7 +203,10 @@ fn chaos_run(seed: u64) -> ChaosLog {
             !report.coverage.degraded,
             "converged cluster is not degraded"
         );
-        assert_eq!(report.coverage.fraction(), 1.0);
+        assert_eq!(
+            report.coverage.blocks_reachable,
+            report.coverage.blocks_expected
+        );
         assert_eq!(
             &report.hits, baseline,
             "post-chaos hits match fault-free run"

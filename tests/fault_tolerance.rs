@@ -356,12 +356,15 @@ fn coverage_reports_degradation_and_heals_on_recovery() {
     let q = db.get(SeqId(2)).unwrap().residues.clone();
     let healthy = cluster.query(&q, &params).unwrap();
     assert!(!healthy.coverage.degraded);
-    assert_eq!(healthy.coverage.fraction(), 1.0);
+    assert_eq!(
+        healthy.coverage.blocks_reachable,
+        healthy.coverage.blocks_expected
+    );
 
     cluster.fail_node(NodeId(6)).unwrap();
     let degraded = cluster.query_from(NodeId(0), &q, &params).unwrap();
     assert!(degraded.coverage.degraded, "lost blocks must be flagged");
-    assert!(degraded.coverage.fraction() < 1.0);
+    assert!(degraded.coverage.blocks_reachable < degraded.coverage.blocks_expected);
     // Each query is observed once — in its own counter delta and in the
     // slow-query log — and flagged degraded exactly when it was.
     assert_eq!(degraded.metrics.counter("mendel.query.count"), 1);
