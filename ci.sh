@@ -34,8 +34,9 @@ else
     echo "==> rustfmt unavailable; skipping format check"
 fi
 
-# 2. Source audit: no new panics / std::sync locks / stray prints /
-#    unjustified allows versus audit-baseline.txt (see DESIGN.md §8.1).
+# 2. Source audit (DESIGN.md §8.1): no panic, std::sync lock, stray
+#    print or unjustified allow left unwaived. Like every audit step
+#    below, it has no baseline: any unwaived finding fails the gate.
 step "mendel-audit lint" cargo run -q -p mendel-audit -- lint
 
 #    Dead-code audit (DESIGN.md §8.1): every pub fn, type and const is
@@ -66,8 +67,8 @@ step "mendel-audit locks" \
     cargo run -q -p mendel-audit -- locks --json target/ci/audit_locks.json
 
 # 5. Atomic-ordering audit (DESIGN.md §13): every `Ordering::*` site
-#    needs an `audit:ordering(<Ord>): <reason>` annotation or a
-#    baseline entry; atomics-baseline.txt only ever shrinks.
+#    needs an `audit:ordering(<Ord>): <reason>` annotation; any site
+#    without one fails the gate.
 step "mendel-audit atomics" \
     cargo run -q -p mendel-audit -- atomics --json target/ci/audit_atomics.json
 

@@ -15,12 +15,9 @@
 //!
 //! The marker's ordering must match the site's ordering — changing
 //! `Relaxed` to `AcqRel` invalidates the old justification on purpose.
-//! Unannotated sites are held in a shrink-only baseline
-//! (`atomics-baseline.txt`, same contract as the lint baseline): new
-//! unannotated sites fail the audit, annotating a site makes the
-//! baseline stale until it is regenerated smaller.
+//! Any unannotated site fails the audit; there is no baseline.
 
-use crate::lexer::{lex, Lexed, TokKind};
+use crate::lexer::{lex, TokKind};
 use crate::report::Json;
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -51,23 +48,14 @@ pub struct AtomicsReport {
     pub sites: Vec<AtomicSite>,
 }
 
-/// Unannotated counts keyed by `(file, ordering)` — the baseline
-/// currency.
-pub type Counts = BTreeMap<(String, String), usize>;
-
 impl AtomicsReport {
     pub fn unannotated(&self) -> Vec<&AtomicSite> {
         self.sites.iter().filter(|s| !s.annotated()).collect()
     }
 
-    pub fn to_counts(&self) -> Counts {
-        let mut counts = Counts::new();
-        for site in self.unannotated() {
-            *counts
-                .entry((site.file.clone(), site.ordering.clone()))
-                .or_insert(0) += 1;
-        }
-        counts
+    /// Clean when every site is annotated.
+    pub fn is_clean(&self) -> bool {
+        self.sites.iter().all(AtomicSite::annotated)
     }
 
     /// Sites per ordering (annotated or not) — the inventory.
@@ -101,7 +89,13 @@ pub fn scan_source(file: &str, source: &str) -> Vec<AtomicSite> {
             continue;
         };
         let line = ord.line;
-        let reason = annotation_reason(&lexed, line, &ord.text);
+        // An `audit:ordering(<ord>): <reason>` marker on the site's line
+        // or the line directly above, naming the site's ordering.
+        let reason = [line, line - 1]
+            .into_iter()
+            .flat_map(|l| lexed.markers(l, "ordering"))
+            .find(|&(named, _)| named == ord.text)
+            .map(|(_, reason)| reason.to_string());
         sites.push(AtomicSite {
             file: file.to_string(),
             line,
@@ -110,37 +104,6 @@ pub fn scan_source(file: &str, source: &str) -> Vec<AtomicSite> {
         });
     }
     sites
-}
-
-/// Find an `audit:ordering(<ord>): <reason>` marker for `line` (same
-/// line or the line directly above) whose ordering matches.
-fn annotation_reason(lexed: &Lexed, line: usize, ordering: &str) -> Option<String> {
-    parse_marker(lexed.comment_on(line), ordering).or_else(|| {
-        if line > 1 {
-            parse_marker(lexed.comment_on(line - 1), ordering)
-        } else {
-            None
-        }
-    })
-}
-
-fn parse_marker(comment: &str, ordering: &str) -> Option<String> {
-    const MARKER: &str = "audit:ordering(";
-    let mut from = 0;
-    while let Some(pos) = comment[from..].find(MARKER) {
-        let rest = &comment[from + pos + MARKER.len()..];
-        if let Some(close) = rest.find(')') {
-            let named = rest[..close].trim();
-            let reason = rest[close + 1..].strip_prefix(':').map(str::trim);
-            if named == ordering {
-                if let Some(reason) = reason.filter(|r| !r.is_empty()) {
-                    return Some(reason.to_string());
-                }
-            }
-        }
-        from += pos + MARKER.len();
-    }
-    None
 }
 
 /// Scan every workspace source file under `root`.
@@ -158,158 +121,37 @@ pub fn scan_workspace(root: &Path) -> Result<AtomicsReport, String> {
     Ok(report)
 }
 
-/// Render baseline counts in the on-disk format:
-/// `<path>\t<ordering>\t<count>`, sorted, one per line.
-pub fn render_baseline(counts: &Counts) -> String {
-    let mut out = String::from(
-        "# mendel-audit atomics baseline: unannotated Ordering::* sites.\n\
-         # Shrink-only: annotate sites with audit:ordering(<Ord>): <reason>\n\
-         # and regenerate with `mendel-audit atomics --write`.\n",
-    );
-    for ((file, ordering), count) in counts {
-        out.push_str(&format!("{file}\t{ordering}\t{count}\n"));
-    }
-    out
-}
-
-/// Parse the on-disk baseline. Unknown orderings, malformed lines, and
-/// duplicates are errors — a baseline must be exact.
-pub fn parse_baseline(text: &str) -> Result<Counts, String> {
-    let mut counts = Counts::new();
-    for (idx, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let mut parts = line.split('\t');
-        let (Some(file), Some(ordering), Some(count), None) =
-            (parts.next(), parts.next(), parts.next(), parts.next())
-        else {
-            return Err(format!(
-                "atomics baseline line {}: expected 3 tab-separated fields",
-                idx + 1
-            ));
-        };
-        if !ORDERINGS.contains(&ordering) {
-            return Err(format!(
-                "atomics baseline line {}: unknown ordering `{ordering}`",
-                idx + 1
-            ));
-        }
-        let count: usize = count
-            .parse()
-            .map_err(|_| format!("atomics baseline line {}: bad count `{count}`", idx + 1))?;
-        if count == 0 {
-            return Err(format!(
-                "atomics baseline line {}: zero-count entry",
-                idx + 1
-            ));
-        }
-        let key = (file.to_string(), ordering.to_string());
-        if counts.insert(key, count).is_some() {
-            return Err(format!(
-                "atomics baseline line {}: duplicate entry",
-                idx + 1
-            ));
-        }
-    }
-    Ok(counts)
-}
-
-/// A `(file, ordering)` whose unannotated count grew past the
-/// baseline.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Regression {
-    pub file: String,
-    pub ordering: String,
-    pub baseline: usize,
-    pub current: usize,
-}
-
-/// Compare current counts against the baseline: regressions fail the
-/// audit, stale entries mean the baseline can shrink.
-pub fn diff(current: &Counts, baseline: &Counts) -> (Vec<Regression>, Vec<Regression>) {
-    let mut regressions = Vec::new();
-    let mut stale = Vec::new();
-    let keys: std::collections::BTreeSet<&(String, String)> =
-        current.keys().chain(baseline.keys()).collect();
-    for key in keys {
-        let cur = current.get(key).copied().unwrap_or(0);
-        let base = baseline.get(key).copied().unwrap_or(0);
-        let entry = Regression {
-            file: key.0.clone(),
-            ordering: key.1.clone(),
-            baseline: base,
-            current: cur,
-        };
-        if cur > base {
-            regressions.push(entry);
-        } else if cur < base {
-            stale.push(entry);
-        }
-    }
-    (regressions, stale)
-}
-
-/// Human-readable report.
-pub fn render_report(
-    report: &AtomicsReport,
-    regressions: &[Regression],
-    stale: &[Regression],
-) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
+/// Human-readable report: the inventory, then every unannotated site.
+pub fn render_report(report: &AtomicsReport) -> String {
+    let unannotated = report.unannotated();
+    let mut out = format!(
         "atomics: {} files, {} Ordering::* sites ({} annotated, {} unannotated)\n",
         report.files,
         report.sites.len(),
-        report.sites.len() - report.unannotated().len(),
-        report.unannotated().len(),
-    ));
+        report.sites.len() - unannotated.len(),
+        unannotated.len(),
+    );
     out.push_str("inventory:");
     for (ordering, count) in report.inventory() {
         out.push_str(&format!(" {ordering}={count}"));
     }
     out.push('\n');
-    if regressions.is_empty() {
-        out.push_str("no unannotated sites beyond baseline.\n");
+    if unannotated.is_empty() {
+        out.push_str("every site annotated.\n");
     } else {
-        out.push_str(&format!("REGRESSIONS ({}):\n", regressions.len()));
-        for r in regressions {
-            out.push_str(&format!(
-                "  {}\t{}\tbaseline {} -> current {}\n",
-                r.file, r.ordering, r.baseline, r.current
-            ));
-        }
-        out.push_str("annotate with `audit:ordering(<Ord>): <reason>` or fix the ordering.\n");
-        let mut shown = 0;
-        for site in report.unannotated() {
+        for site in unannotated {
             out.push_str(&format!(
                 "  unannotated: {}:{} Ordering::{}\n",
                 site.file, site.line, site.ordering
             ));
-            shown += 1;
-            if shown >= 20 {
-                break;
-            }
         }
-    }
-    if !stale.is_empty() {
-        out.push_str(&format!(
-            "stale baseline entries ({}) — regenerate with --write to shrink:\n",
-            stale.len()
-        ));
-        for s in stale {
-            out.push_str(&format!(
-                "  {}\t{}\tbaseline {} -> current {}\n",
-                s.file, s.ordering, s.baseline, s.current
-            ));
-        }
+        out.push_str("annotate with `audit:ordering(<Ord>): <reason>` or fix the ordering.\n");
     }
     out
 }
 
 /// JSON document for trend tracking (`ci.sh` writes it under `target/ci/`).
-pub fn to_json(report: &AtomicsReport, regressions: &[Regression]) -> Json {
+pub fn to_json(report: &AtomicsReport) -> Json {
     Json::Obj(vec![
         ("analysis".into(), Json::str("atomics")),
         ("files".into(), Json::count(report.files)),
@@ -352,8 +194,7 @@ pub fn to_json(report: &AtomicsReport, regressions: &[Regression]) -> Json {
                     .collect(),
             ),
         ),
-        ("regressions".into(), Json::count(regressions.len())),
-        ("clean".into(), Json::Bool(regressions.is_empty())),
+        ("clean".into(), Json::Bool(report.is_clean())),
     ])
 }
 
@@ -415,37 +256,5 @@ mod tests {
     fn strings_do_not_match() {
         let src = "fn f() { let s = \"Ordering::Relaxed\"; }";
         assert!(sites(src).is_empty());
-    }
-
-    #[test]
-    fn baseline_round_trip() {
-        let mut counts = Counts::new();
-        counts.insert(("crates/a/src/x.rs".into(), "Relaxed".into()), 2);
-        counts.insert(("crates/b/src/y.rs".into(), "SeqCst".into()), 1);
-        let text = render_baseline(&counts);
-        assert_eq!(parse_baseline(&text), Ok(counts));
-    }
-
-    #[test]
-    fn baseline_rejects_garbage() {
-        assert!(parse_baseline("a\tRelaxed").is_err());
-        assert!(parse_baseline("a\tBogus\t1").is_err());
-        assert!(parse_baseline("a\tRelaxed\tzero").is_err());
-        assert!(parse_baseline("a\tRelaxed\t0").is_err());
-        assert!(parse_baseline("a\tRelaxed\t1\na\tRelaxed\t2").is_err());
-    }
-
-    #[test]
-    fn diff_finds_regressions_and_stale() {
-        let mut base = Counts::new();
-        base.insert(("a".into(), "Relaxed".into()), 2);
-        base.insert(("b".into(), "SeqCst".into()), 1);
-        let mut cur = Counts::new();
-        cur.insert(("a".into(), "Relaxed".into()), 3);
-        let (reg, stale) = diff(&cur, &base);
-        assert_eq!(reg.len(), 1);
-        assert_eq!(reg[0].current, 3);
-        assert_eq!(stale.len(), 1);
-        assert_eq!(stale[0].file, "b");
     }
 }

@@ -1,16 +1,18 @@
 //! Token-level view of a Rust source file.
 //!
-//! The lexer runs on top of [`crate::sanitize::sanitize`], which has
+//! The lexer runs on top of a private sanitizer, which has
 //! already blanked comments and literal *contents* while keeping the
 //! delimiters, so every `"` it sees opens or closes a string and every
 //! `'` is either a lifetime sigil or a char-literal delimiter. On that
 //! cleaned text a single pass produces a flat token stream; two cheap
 //! post-passes then stamp each token with its brace depth and whether
 //! it sits inside a `#[test]` / `#[cfg(test)]` region. The token stream
-//! is what the lock-order ([`crate::locks`]) and atomic-ordering
-//! ([`crate::atomics`]) analyses walk — they never touch raw text, so
+//! is what all four analyses walk — the lint ([`crate::lint`]), lock
+//! order ([`crate::locks`]), atomic ordering ([`crate::atomics`]) and
+//! reachability ([`crate::reach`]). None of them touches raw text, so
 //! macro bodies, raw strings, and multi-line method chains cannot fool
-//! them the way they could a line-regex rule.
+//! them the way they could a line-regex rule, and they all honour
+//! waivers through one parser, [`Lexed::markers`].
 
 use crate::sanitize::sanitize;
 
@@ -73,6 +75,30 @@ impl Lexed {
             .and_then(|i| self.comments.get(i))
             .map(|s| s.as_str())
             .unwrap_or("")
+    }
+
+    /// The `(name, reason)` of every `audit:<tag>(<name>): <reason>`
+    /// marker in the comment on 1-based `line`, in order. A reason runs
+    /// to the next `audit:` marker or the end of the comment; a marker
+    /// whose reason is empty is no marker. Which lines to consult is the
+    /// caller's choice: the lint, `locks` and `atomics` read a site's
+    /// own line and the one above, `reach` an item's attributes and doc.
+    pub fn markers<'a>(
+        &'a self,
+        line: usize,
+        tag: &'a str,
+    ) -> impl Iterator<Item = (&'a str, &'a str)> + 'a {
+        self.comment_on(line)
+            .split("audit:")
+            .skip(1)
+            .filter_map(move |marker| {
+                let (name, rest) = marker
+                    .strip_prefix(tag)?
+                    .strip_prefix('(')?
+                    .split_once(')')?;
+                let reason = rest.strip_prefix(':')?.trim();
+                (!reason.is_empty()).then_some((name.trim(), reason))
+            })
     }
 }
 
@@ -206,9 +232,8 @@ fn mark_depth(tokens: &mut [Token]) {
     }
 }
 
-/// Stamp test regions, mirroring the line-level tracker in
-/// [`crate::lint`]: a `#[test]` or test-carrying `#[cfg(..)]` attribute
-/// arms a pending flag; the next `{` opens a region popped by its
+/// Stamp test regions: a `#[test]` or test-carrying `#[cfg(..)]`
+/// attribute arms a pending flag; the next `{` opens a region popped by its
 /// matching `}`. A `;` at attribute level disarms (attribute on a
 /// bodyless item), and so does the `}` that closes the block the
 /// attribute sits in (attribute on a struct field or a literal's field:
@@ -254,9 +279,9 @@ fn mark_test_regions(tokens: &mut [Token]) {
 
 /// Given `open` at the `[` of `#[...]`, return the index of the
 /// matching `]` and whether the attribute marks test-only code:
-/// `#[test]`, `#[cfg(test)]` and `#[cfg(all(test, ..))]`, as the lint's
-/// line tracker reads them. `#[cfg(any(test, ..))]` code also builds
-/// outside tests, so it is not a test region.
+/// `#[test]`, `#[cfg(test)]` and `#[cfg(all(test, ..))]`.
+/// `#[cfg(any(test, ..))]` code also builds outside tests, so it is not
+/// a test region.
 fn scan_attribute(tokens: &[Token], open: usize) -> Option<(usize, bool)> {
     let mut depth = 0usize;
     let mut idents: Vec<&str> = Vec::new();
@@ -406,6 +431,68 @@ mod tests {
         let src = "#[cfg(test)]\nmod tests;\nfn live() { a(); }";
         let lexed = lex(src);
         assert!(!lexed.tokens.iter().find(|t| t.text == "a").unwrap().in_test);
+    }
+
+    #[test]
+    fn every_analysis_reads_markers_the_same_way() {
+        // One site per analysis, the marker that waives it, and the same
+        // tag with a name that must not.
+        type Waived = fn(&str) -> bool;
+        let analyses: [(&str, &str, &str, Waived); 4] = [
+            (
+                "fn f(o: Option<u8>) -> u8 { o.unwrap() }",
+                "audit:allow(unwrap)",
+                "audit:allow(expect)",
+                |src| crate::lint::scan_source("crates/x/src/lib.rs", src).is_empty(),
+            ),
+            (
+                "fn f() { x.load(Ordering::Relaxed); }",
+                "audit:ordering(Relaxed)",
+                "audit:ordering(Acquire)",
+                |src| crate::atomics::scan_source("crates/x/src/lib.rs", src)[0].annotated(),
+            ),
+            (
+                "fn f(&self) { let g = self.a.lock(); tx.send(1); }",
+                "audit:allow(guard-across-io)",
+                "audit:allow(unwrap)",
+                |src| {
+                    crate::locks::analyze_source("crates/x/src/lib.rs", "x/lib", src).smells[0]
+                        .waived
+                },
+            ),
+            (
+                "pub fn a() {}",
+                "audit:allow(unreached)",
+                "audit:allow(unwrap)",
+                |src| {
+                    let files = [("crates/x/src/lib.rs".to_string(), src.to_string())];
+                    crate::reach::analyze(&files).waived() == 1
+                },
+            ),
+        ];
+        for (site, m, wrong, waived) in analyses {
+            let table = [
+                (format!("{site} // {m}: same line"), true),
+                (format!("// {m}: line above\n{site}"), true),
+                (
+                    format!("// {m}: two lines above\nlet _ = 0;\n{site}"),
+                    false,
+                ),
+                (format!("{site} // {m}:"), false),
+                (format!("{site} // {m}:   "), false),
+                (format!("{site} // {m}"), false),
+                (format!("{site} // {wrong}: names something else"), false),
+                (format!("{site} // {wrong}: first; {m}: second"), true),
+                (format!("{site} // {m}: first; {wrong}: second"), true),
+                (
+                    format!("{site} // {m}: {wrong}: the reason is the second's"),
+                    false,
+                ),
+            ];
+            for (src, want) in table {
+                assert_eq!(waived(&src), want, "{src}");
+            }
+        }
     }
 
     #[test]

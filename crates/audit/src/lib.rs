@@ -1,48 +1,43 @@
 //! `mendel-audit`: a from-scratch, zero-dependency source auditor for
 //! the Mendel workspace.
 //!
-//! Four parts:
+//! Every analysis reads source the same way — as the [`lexer`]'s token
+//! stream, with `#[test]` / `#[cfg(test)]` regions marked — honours
+//! waivers through one parser ([`lexer::Lexed::markers`]), and fails on
+//! any finding left unwaived. There are no baselines.
 //!
-//! 1. **Lint pass** (this crate): walks `crates/*/src/**/*.rs`, runs a
-//!    line-level scanner over sanitized source, and diffs the findings
-//!    against the checked-in `audit-baseline.txt`. CI fails only on NEW
-//!    violations, so the pre-existing backlog can burn down gradually
-//!    without blocking unrelated work.
+//! 1. **Lint pass** ([`lint`]): walks `crates/*/src/**/*.rs` and matches
+//!    nine rules (panics, `std::sync` locks, stray prints, unjustified
+//!    `#[allow]`, raw `Instant::now()`) as token sequences.
 //! 2. **Structural invariant checkers** (in the data-structure crates,
 //!    behind the `strict-invariants` feature): deep `check_invariants`
 //!    methods on the vp-tree, DHT topology, and placement ledger, asserted at
 //!    mutation sites and exercised by the property suites.
-//! 3. **Concurrency analyses** (token-level, on the [`lexer`] stream):
-//!    [`locks`] builds the held-while-acquiring lock graph and fails on
-//!    lock-order cycles and guard-across-io smells; [`atomics`] forces
-//!    every `Ordering::*` site to carry an `audit:ordering` review
-//!    annotation, with its own shrink-only `atomics-baseline.txt`.
+//! 3. **Concurrency analyses**: [`locks`] builds the held-while-acquiring
+//!    lock graph and fails on lock-order cycles and guard-across-io
+//!    smells; [`atomics`] forces every `Ordering::*` site to carry an
+//!    `audit:ordering` review annotation.
 //! 4. **Dead-code analysis** ([`reach`]): every `pub` fn, type and const
 //!    must be named somewhere other than its own definition, tests, and
 //!    the bodies of other unreached items — library code, a binary, an
 //!    example or the benchmark — or carry an `audit:allow(unreached)`
-//!    waiver. No baseline: the tree is kept at zero findings.
+//!    waiver.
 //!
 //! Run `cargo run -p mendel-audit -- <lint|locks|atomics|reach>` from
 //! anywhere in the workspace; see `DESIGN.md` §8.1 and § "Concurrency
 //! static analysis".
 
 pub mod atomics;
-pub mod baseline;
 pub mod lexer;
 pub mod lint;
 pub mod locks;
 pub mod reach;
 pub mod report;
-pub mod sanitize;
+mod sanitize;
 
-pub use baseline::{
-    diff, parse as parse_baseline, render as render_baseline, to_counts, Counts, Diff,
-};
 pub use lint::{scan_source, Rule, Violation};
 pub use report::Json;
 
-use std::fmt::Write as _;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -96,58 +91,6 @@ pub fn scan_workspace(root: &Path) -> io::Result<Vec<Violation>> {
         violations.extend(scan_source(&slash_path(&rel), &source));
     }
     Ok(violations)
-}
-
-/// Render a human-readable report for a baseline diff. Returns `None`
-/// when there is nothing to say (no regressions, no stale entries).
-pub fn render_report(d: &Diff) -> Option<String> {
-    if d.regressions.is_empty() && d.stale.is_empty() {
-        return None;
-    }
-    let mut out = String::new();
-    if !d.regressions.is_empty() {
-        let total_over: usize = d
-            .regressions
-            .iter()
-            .map(|r| r.violations.len() - r.allowed)
-            .sum();
-        let _ = writeln!(
-            out,
-            "error: {} new violation(s) beyond the baseline\n",
-            total_over
-        );
-        for r in &d.regressions {
-            let _ = writeln!(
-                out,
-                "{} / {}: found {}, baseline allows {} — {}",
-                r.file,
-                r.rule,
-                r.violations.len(),
-                r.allowed,
-                r.rule.description()
-            );
-            for v in &r.violations {
-                let _ = writeln!(out, "  {}:{}: {}", v.file, v.line, v.excerpt);
-            }
-            out.push('\n');
-        }
-        let _ = writeln!(
-            out,
-            "Fix the new violation(s), or — only for pre-existing debt being\n\
-             catalogued — regenerate: cargo run -p mendel-audit -- baseline --write"
-        );
-    }
-    if !d.stale.is_empty() {
-        let _ = writeln!(
-            out,
-            "\nnote: baseline is stale (violations were fixed — tighten it with\n\
-             `cargo run -p mendel-audit -- baseline --write`):"
-        );
-        for (file, rule, allowed, found) in &d.stale {
-            let _ = writeln!(out, "  {file} / {rule}: baseline {allowed}, found {found}");
-        }
-    }
-    Some(out)
 }
 
 /// Seed a one-file workspace containing known violations into a fresh
@@ -209,8 +152,7 @@ mod tests {
         return Err("self-test: a violation leaked out of the non-test region".into());
     }
 
-    let d = diff(&violations, &Counts::new());
-    let report = render_report(&d).ok_or("self-test: no report for seeded violations")?;
+    let report = lint::render_report(&violations);
     if !report.contains("crates/seeded/src/lib.rs:6") {
         return Err(format!(
             "self-test: report lacks file:line context for the seeded unwrap:\n{report}"
@@ -322,7 +264,8 @@ mod tests {
     #[test]
     fn self_test_passes() {
         let report = self_test().expect("self-test succeeds");
-        assert!(report.contains("new violation(s) beyond the baseline"));
+        assert!(report.contains("lint violation(s)"), "{report}");
+        assert!(report.contains("crates/seeded/src/lib.rs:6: [unwrap]"));
     }
 
     #[test]
@@ -346,20 +289,12 @@ mod tests {
     }
 
     #[test]
-    fn atomics_on_real_tree_matches_baseline() {
+    fn atomics_on_real_tree_is_clean() {
         // Same gate as `mendel-audit atomics` in CI: every Ordering::*
-        // site annotated, or in the shrink-only atomics baseline.
+        // site annotated.
         let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
         let report = atomics::scan_workspace(&root).expect("scan workspace");
-        let text = std::fs::read_to_string(root.join("atomics-baseline.txt"))
-            .expect("read atomics baseline");
-        let baseline = atomics::parse_baseline(&text).expect("parse atomics baseline");
-        let (regressions, _stale) = atomics::diff(&report.to_counts(), &baseline);
-        assert!(
-            regressions.is_empty(),
-            "atomics gate failed:\n{}",
-            atomics::render_report(&report, &regressions, &[])
-        );
+        assert!(report.is_clean(), "{}", atomics::render_report(&report));
         // The inventory covers the workspace's real atomic sites.
         assert!(report.sites.len() >= 30, "suspiciously few Ordering sites");
     }
@@ -375,19 +310,14 @@ mod tests {
     }
 
     #[test]
-    fn scan_workspace_on_real_tree_is_baseline_clean() {
-        // The audit must agree with its own checked-in baseline — this
-        // is the same check `mendel-audit lint` performs in CI.
+    fn lint_on_real_tree_is_clean() {
+        // Same gate as `mendel-audit lint` in CI: no violation unwaived.
         let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
         let violations = scan_workspace(&root).expect("scan workspace");
-        let baseline_text =
-            std::fs::read_to_string(root.join("audit-baseline.txt")).expect("read baseline");
-        let baseline = parse_baseline(&baseline_text).expect("parse baseline");
-        let d = diff(&violations, &baseline);
         assert!(
-            d.regressions.is_empty(),
+            violations.is_empty(),
             "{}",
-            render_report(&d).unwrap_or_default()
+            lint::render_report(&violations)
         );
     }
 }

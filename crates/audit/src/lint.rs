@@ -1,18 +1,21 @@
 //! The lint rules and the per-file scanner.
 //!
-//! Rules are matched against sanitized code (comments and literal
-//! contents blanked — see [`crate::sanitize`]), with `#[cfg(test)]`
-//! modules and `#[test]` functions exempted by a brace-depth region
-//! tracker. Binary targets (`src/bin/**`, `main.rs`) are library code
-//! for the panic-family rules but are allowed to print.
+//! Rules are token sequences matched on [`crate::lexer::lex`]'s stream
+//! (`.` `unwrap` `(` `)`, `panic` `!`, `std` `::` `sync` `::` `Mutex`,
+//! `#` `[` `allow` `(`, …), so comments, literal contents and the line
+//! breaks of a multi-line import or method chain change nothing. Tokens
+//! in `#[cfg(test)]` modules and `#[test]` functions are exempt. Binary
+//! targets (`src/bin/**`, `main.rs`) are library code for the
+//! panic-family rules but are allowed to print.
 //!
 //! Deliberate exceptions are suppressed inline with an
 //! `audit:allow(<rule>): <reason>` marker in a comment on the same line
-//! or the line directly above; the reason is mandatory. This keeps the
-//! checked-in baseline shrink-only: justified sites never enter it.
+//! or the line directly above; the reason is mandatory. There is no
+//! baseline: the gate fails on any finding left unwaived.
 
-use crate::sanitize::{sanitize, SanitizedLine};
+use crate::lexer::{lex, Token};
 use std::fmt;
+use std::fmt::Write as _;
 
 /// The invariants the audit enforces.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -55,7 +58,7 @@ impl Rule {
         Rule::InstantNow,
     ];
 
-    /// Stable name used in the baseline file and reports.
+    /// Stable name used in `audit:allow` markers and reports.
     pub fn name(self) -> &'static str {
         match self {
             Rule::Unwrap => "unwrap",
@@ -126,55 +129,6 @@ impl fmt::Display for Violation {
     }
 }
 
-/// Count occurrences of `needle` in `hay` that are not immediately
-/// preceded by an identifier character (so `println!` does not also
-/// match inside `eprintln!`).
-fn count_token(hay: &str, needle: &str) -> usize {
-    let bytes = hay.as_bytes();
-    let needs_boundary = needle
-        .as_bytes()
-        .first()
-        .is_some_and(|b| b.is_ascii_alphanumeric() || *b == b'_');
-    let mut count = 0;
-    let mut from = 0;
-    while let Some(pos) = hay[from..].find(needle) {
-        let at = from + pos;
-        let bounded = !needs_boundary || at == 0 || {
-            let prev = bytes[at - 1];
-            !(prev.is_ascii_alphanumeric() || prev == b'_')
-        };
-        if bounded {
-            count += 1;
-        }
-        from = at + needle.len();
-    }
-    count
-}
-
-fn has_std_sync_lock(code: &str) -> bool {
-    let mut from = 0;
-    while let Some(pos) = code[from..].find("std::sync::") {
-        let rest = &code[from + pos + "std::sync::".len()..];
-        if rest.starts_with("Mutex") || rest.starts_with("RwLock") {
-            return true;
-        }
-        // `use std::sync::{Mutex, ..}` — grouped import on one line.
-        if rest.starts_with('{') {
-            let group = rest[1..].split('}').next().unwrap_or("");
-            if group
-                .split(',')
-                .any(|item| matches!(item.trim(), "Mutex" | "RwLock"))
-            {
-                return true;
-            }
-        }
-        from += pos + "std::sync::".len();
-    }
-    false
-}
-
-/// Scan one file's source. `file` is the workspace-relative path used in
-/// reports and the baseline.
 /// Crates whose wall-clock reads must go through the injectable
 /// registry clock ([`Rule::InstantNow`]). `mendel-obs` itself is exempt:
 /// it *implements* the clock.
@@ -185,127 +139,118 @@ const INSTRUMENTED_CRATES: [&str; 4] = [
     "crates/core/",
 ];
 
+/// Scan one file's source. `file` is the workspace-relative path used in
+/// reports.
 pub fn scan_source(file: &str, source: &str) -> Vec<Violation> {
     let is_bin = file.contains("/bin/") || file.ends_with("/main.rs");
     let instrumented = INSTRUMENTED_CRATES.iter().any(|p| file.starts_with(p));
-    let lines = sanitize(source);
+    let lexed = lex(source);
+    let toks = &lexed.tokens;
     let raw_lines: Vec<&str> = source.lines().collect();
+    // Rules an `audit:allow` marker on `line` or the line above waives.
+    let waived = |line: usize| -> Vec<Rule> {
+        [line, line - 1]
+            .into_iter()
+            .flat_map(|l| lexed.markers(l, "allow"))
+            .filter_map(|(name, _)| Rule::from_name(name))
+            .collect()
+    };
+    let commented = |line: usize| !lexed.comment_on(line).trim().is_empty();
     let mut violations = Vec::new();
-
-    // Brace-depth tracker for `#[cfg(test)]` / `#[test]` regions.
-    let mut depth: i64 = 0;
-    let mut pending_test = false;
-    let mut test_stack: Vec<i64> = Vec::new();
-
-    for (idx, line) in lines.iter().enumerate() {
-        let code = line.code.as_str();
-        let in_test = !test_stack.is_empty() || pending_test;
-        if code.contains("#[cfg(test)")
-            || code.contains("#[test]")
-            || code.contains("#[cfg(all(test")
-        {
-            pending_test = true;
+    for i in 0..toks.len() {
+        if toks[i].in_test {
+            continue;
         }
-
-        if !in_test && !pending_test {
-            let mut hits: Vec<(Rule, usize)> = vec![
-                (Rule::Unwrap, count_token(code, ".unwrap()")),
-                (Rule::Expect, count_token(code, ".expect(")),
-                (Rule::Panic, count_token(code, "panic!")),
-                (Rule::Todo, count_token(code, "todo!")),
-                (Rule::Unimplemented, count_token(code, "unimplemented!")),
-                (Rule::StdSyncLock, usize::from(has_std_sync_lock(code))),
-            ];
-            if !is_bin {
-                hits.push((
-                    Rule::Println,
-                    count_token(code, "println!") + count_token(code, "eprintln!"),
-                ));
-            }
-            if instrumented && !is_bin {
-                hits.push((Rule::InstantNow, count_token(code, "Instant::now()")));
-            }
-            if (code.contains("#[allow(") || code.contains("#![allow("))
-                && !allow_is_justified(&lines, idx)
-            {
-                hits.push((Rule::AllowWithoutReason, 1));
-            }
-            if hits.iter().any(|&(_, count)| count > 0) {
-                let suppressed = suppressed_rules(&lines, idx);
-                hits.retain(|(rule, _)| !suppressed.contains(rule));
-            }
-            for (rule, count) in hits {
-                for _ in 0..count {
-                    violations.push(Violation {
-                        file: file.to_string(),
-                        line: idx + 1,
-                        rule,
-                        excerpt: excerpt(raw_lines.get(idx).copied().unwrap_or("")),
-                    });
-                }
-            }
+        let Some(rule) = rule_at(toks, i, is_bin, instrumented) else {
+            continue;
+        };
+        let line = toks[i].line;
+        if rule == Rule::AllowWithoutReason && (commented(line) || commented(line - 1)) {
+            continue;
         }
-
-        for c in code.chars() {
-            match c {
-                '{' => {
-                    depth += 1;
-                    if pending_test {
-                        test_stack.push(depth);
-                        pending_test = false;
-                    }
-                }
-                '}' => {
-                    if test_stack.last() == Some(&depth) {
-                        test_stack.pop();
-                    }
-                    depth -= 1;
-                }
-                _ => {}
-            }
+        if waived(line).contains(&rule) {
+            continue;
         }
+        violations.push(Violation {
+            file: file.to_string(),
+            line,
+            rule,
+            excerpt: excerpt(raw_lines.get(line - 1).copied().unwrap_or("")),
+        });
     }
     violations
 }
 
-/// Rules suppressed at line `idx` by an `audit:allow(<rule>): <reason>`
-/// marker in a comment on the same line or the line directly above. A
-/// marker with an unknown rule name or an empty reason suppresses
-/// nothing.
-fn suppressed_rules(lines: &[SanitizedLine], idx: usize) -> Vec<Rule> {
-    const MARKER: &str = "audit:allow(";
-    let mut rules = Vec::new();
-    let mut scan = |comment: &str| {
-        let mut from = 0;
-        while let Some(pos) = comment[from..].find(MARKER) {
-            let rest = &comment[from + pos + MARKER.len()..];
-            if let Some(close) = rest.find(')') {
-                let justified = rest[close + 1..]
-                    .strip_prefix(':')
-                    .is_some_and(|reason| !reason.trim().is_empty());
-                if justified {
-                    if let Some(rule) = Rule::from_name(rest[..close].trim()) {
-                        rules.push(rule);
-                    }
-                }
-            }
-            from += pos + MARKER.len();
-        }
+/// The rule broken by the token sequence that starts at `toks[i]`.
+fn rule_at(toks: &[Token], i: usize, is_bin: bool, instrumented: bool) -> Option<Rule> {
+    let seq = |texts: &[&str]| {
+        texts
+            .iter()
+            .enumerate()
+            .all(|(k, text)| toks.get(i + k).is_some_and(|t| t.text == *text))
     };
-    scan(&lines[idx].comment);
-    if idx > 0 {
-        scan(&lines[idx - 1].comment);
-    }
-    rules
+    let rule = if seq(&[".", "unwrap", "(", ")"]) {
+        Rule::Unwrap
+    } else if seq(&[".", "expect", "("]) {
+        Rule::Expect
+    } else if seq(&["panic", "!"]) {
+        Rule::Panic
+    } else if seq(&["todo", "!"]) {
+        Rule::Todo
+    } else if seq(&["unimplemented", "!"]) {
+        Rule::Unimplemented
+    } else if seq(&["std", ":", ":", "sync", ":", ":"]) && imports_lock(toks, i + 6) {
+        Rule::StdSyncLock
+    } else if !is_bin && (seq(&["println", "!"]) || seq(&["eprintln", "!"])) {
+        Rule::Println
+    } else if seq(&["#", "[", "allow", "("]) || seq(&["#", "!", "[", "allow", "("]) {
+        Rule::AllowWithoutReason
+    } else if instrumented && !is_bin && seq(&["Instant", ":", ":", "now", "(", ")"]) {
+        Rule::InstantNow
+    } else {
+        return None;
+    };
+    Some(rule)
 }
 
-/// An `#[allow]` is justified when a comment sits on the same line or on
-/// the line directly above it.
-fn allow_is_justified(lines: &[SanitizedLine], idx: usize) -> bool {
-    if !lines[idx].comment.trim().is_empty() {
-        return true;
+/// True when the path segment at `toks[at]`, just after `std::sync::`,
+/// names `Mutex` or `RwLock`, directly or as an item of a `{..}` group.
+fn imports_lock(toks: &[Token], at: usize) -> bool {
+    let is_lock = |t: &Token| t.is_ident("Mutex") || t.is_ident("RwLock");
+    let Some(first) = toks.get(at) else {
+        return false;
+    };
+    if !first.is_punct('{') {
+        return is_lock(first);
     }
-    idx > 0 && !lines[idx - 1].comment.trim().is_empty()
+    // An item of the group sits at the group's inner depth, right after
+    // its `{` or a `,`; `atomic::{..}` and `mpsc::..` items are deeper
+    // or follow a `:`.
+    let inner = first.depth + 1;
+    toks[at + 1..]
+        .iter()
+        .zip(&toks[at..])
+        .take_while(|(t, _)| t.depth >= inner)
+        .any(|(t, prev)| {
+            t.depth == inner && is_lock(t) && (prev.is_punct('{') || prev.is_punct(','))
+        })
+}
+
+/// Human-readable report: every violation with its location and rule,
+/// or a one-line clean summary.
+pub fn render_report(violations: &[Violation]) -> String {
+    if violations.is_empty() {
+        return "lint clean: no violations".to_string();
+    }
+    let mut out = format!("error: {} lint violation(s)\n\n", violations.len());
+    for v in violations {
+        let _ = writeln!(out, "{v}");
+    }
+    out.push_str(
+        "\nFix them, or keep one with a marker on its line or the line above:\n  \
+         // audit:allow(<rule>): <reason>",
+    );
+    out
 }
 
 fn excerpt(raw: &str) -> String {
@@ -369,6 +314,18 @@ mod tests {
         assert_eq!(
             rules_of("type L = std::sync::RwLock<u8>;\n"),
             vec![Rule::StdSyncLock]
+        );
+    }
+
+    #[test]
+    fn std_sync_lock_detected_in_a_multi_line_group() {
+        let src = "use std::sync::{\n    Arc,\n    Mutex,\n};\n";
+        let got = scan_source("crates/x/src/lib.rs", src);
+        assert_eq!(got.len(), 1, "{got:?}");
+        assert_eq!((got[0].rule, got[0].line), (Rule::StdSyncLock, 1));
+        assert!(
+            rules_of("use std::sync::{\n    Arc,\n    atomic::{AtomicU8, Ordering},\n};\n")
+                .is_empty()
         );
     }
 

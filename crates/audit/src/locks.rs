@@ -33,7 +33,7 @@
 //! Test code (`#[test]` / `#[cfg(test)]` regions) is exempt, as with
 //! every other audit rule.
 
-use crate::lexer::{lex, Lexed, TokKind, Token};
+use crate::lexer::{lex, TokKind, Token};
 use crate::report::Json;
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
@@ -315,13 +315,19 @@ pub fn analyze_source(file: &str, module: &str, source: &str) -> FileLockFacts {
                             .last()
                             .map(|(n, _)| n.clone())
                             .unwrap_or_else(|| String::from("<top>"));
+                        // `audit:allow(guard-across-io): <reason>` on the
+                        // call's line or the line directly above waives it.
+                        let waived = [tok.line, tok.line - 1]
+                            .into_iter()
+                            .flat_map(|l| lexed.markers(l, "allow"))
+                            .any(|(name, _)| name == "guard-across-io");
                         facts.smells.push(IoSmell {
                             file: file.to_string(),
                             line: tok.line,
                             function,
                             callee: text.to_string(),
                             guards: live,
-                            waived: smell_waived(&lexed, tok.line),
+                            waived,
                         });
                     }
                 }
@@ -500,26 +506,6 @@ fn live_guards(scopes: &[Scope], stmt_temps: &[Guard]) -> Vec<String> {
         }
     }
     live
-}
-
-/// `audit:allow(guard-across-io): <reason>` on the same line or the
-/// line directly above waives a smell.
-fn smell_waived(lexed: &Lexed, line: usize) -> bool {
-    let marked = |text: &str| {
-        let mut from = 0;
-        while let Some(pos) = text[from..].find("audit:allow(guard-across-io)") {
-            let rest = &text[from + pos + "audit:allow(guard-across-io)".len()..];
-            if rest
-                .strip_prefix(':')
-                .is_some_and(|reason| !reason.trim().is_empty())
-            {
-                return true;
-            }
-            from += pos + 1;
-        }
-        false
-    };
-    marked(lexed.comment_on(line)) || (line > 1 && marked(lexed.comment_on(line - 1)))
 }
 
 /// Run the analysis over every workspace source file under `root`.

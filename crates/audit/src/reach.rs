@@ -40,8 +40,6 @@ use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::path::Path;
 
-const WAIVER: &str = "audit:allow(unreached):";
-
 /// One `pub` item the analysis tracks.
 #[derive(Debug, Clone)]
 pub struct Item {
@@ -149,7 +147,9 @@ pub fn analyze(files: &[(String, String)]) -> ReachReport {
                     let first = attributes_start(toks, i);
                     let from = first.checked_sub(1).map_or(1, |p| toks[p].line + 1);
                     let waiver = (from.min(tok.line)..=tok.line)
-                        .find_map(|line| waiver_reason(lexed.comment_on(line)));
+                        .flat_map(|line| lexed.markers(line, "allow"))
+                        .find(|&(name, _)| name == "unreached")
+                        .map(|(_, reason)| reason.to_string());
                     report.items.push(Item {
                         file: path.clone(),
                         line: tok.line,
@@ -362,14 +362,6 @@ fn attributes_start(toks: &[Token], at: usize) -> usize {
         start = open - 1;
     }
     start
-}
-
-/// The reason of an `audit:allow(unreached): <reason>` waiver in
-/// `comment`, when it has one.
-fn waiver_reason(comment: &str) -> Option<String> {
-    let pos = comment.find(WAIVER)?;
-    let reason = comment[pos + WAIVER.len()..].trim();
-    (!reason.is_empty()).then(|| reason.to_string())
 }
 
 /// Analyse the workspace under `root`: library sources under

@@ -1,5 +1,5 @@
-//! Source sanitizer: blanks comments and literal contents so the lint
-//! rules only ever match real code tokens.
+//! Source sanitizer: blanks comments and literal contents so the
+//! [`crate::lexer`] only ever sees real code.
 //!
 //! The scanner is a character-level state machine covering the lexical
 //! shapes that matter for false positives: line comments, nested block
@@ -11,11 +11,11 @@
 /// One source line, split into the code that remains after blanking and
 /// the comment text that was removed from it.
 #[derive(Debug, Default, Clone)]
-pub struct SanitizedLine {
+pub(crate) struct SanitizedLine {
     /// The line with comments and literal contents replaced by spaces.
-    pub code: String,
+    pub(crate) code: String,
     /// Concatenated text of every comment that touched this line.
-    pub comment: String,
+    pub(crate) comment: String,
 }
 
 enum Mode {
@@ -28,7 +28,7 @@ enum Mode {
 }
 
 /// Split `source` into sanitized lines.
-pub fn sanitize(source: &str) -> Vec<SanitizedLine> {
+pub(crate) fn sanitize(source: &str) -> Vec<SanitizedLine> {
     let chars: Vec<char> = source.chars().collect();
     let mut lines = Vec::new();
     let mut cur = SanitizedLine::default();

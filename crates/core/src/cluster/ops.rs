@@ -379,7 +379,7 @@ impl MendelCluster {
     /// brings the joiner up do the rebalance instead.
     pub fn add_node(&self) -> NodeId {
         let mut topo = self.topology.write();
-        let idx = topo.id_space();
+        let idx = topo.num_nodes();
         let (id, g) = topo.join(NodeSpeed::paper_mix(idx));
         let slot = Self::new_slot(&self.config, &self.db, &self.obs, &self.storage, idx);
         let opened = slot.open();

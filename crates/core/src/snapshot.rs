@@ -70,7 +70,7 @@ fn metric_from(tag: u8) -> Result<MetricKind, MendelError> {
 pub fn save(cluster: &MendelCluster) -> Result<Bytes, MendelError> {
     let cfg = cluster.config();
     let topo = cluster.topology();
-    if topo.num_nodes() != cfg.nodes || topo.id_space() != cfg.nodes {
+    if topo.num_nodes() != cfg.nodes {
         return Err(MendelError::Snapshot(
             "cannot snapshot a cluster whose membership changed; re-index instead".into(),
         ));

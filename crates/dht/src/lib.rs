@@ -9,7 +9,7 @@
 //! * [`sha1`](mod@sha1) — SHA-1 implemented from scratch (validated against the
 //!   FIPS-180 vectors); used purely as a uniform placement hash,
 //! * [`topology`] — groups, node membership, zero-hop routing state,
-//!   elastic join/leave with the heterogeneous speed mix of the paper's
+//!   elastic join with the heterogeneous speed mix of the paper's
 //!   testbed,
 //! * [`placement`] — the second-tier flat hash: block key → node within
 //!   a group,

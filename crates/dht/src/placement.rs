@@ -67,6 +67,7 @@ impl Default for FlatPlacement {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mendel_net::NodeSpeed;
 
     fn topo() -> Topology {
         Topology::new(10, 2)
@@ -132,15 +133,6 @@ mod tests {
     }
 
     #[test]
-    fn empty_group_yields_no_placement() {
-        let mut t = Topology::new(2, 2);
-        t.leave(NodeId(0));
-        let p = FlatPlacement::new();
-        assert!(p.primary(&t, GroupId(0), b"x").is_none());
-        assert!(p.replicas(&t, GroupId(0), b"x").is_empty());
-    }
-
-    #[test]
     #[should_panic(expected = "replication factor")]
     fn zero_replication_rejected() {
         FlatPlacement::with_replication(0);
@@ -150,14 +142,13 @@ mod tests {
     fn placement_tracks_membership_changes() {
         let mut t = Topology::new(3, 1);
         let p = FlatPlacement::new();
-        // Find a key placed on node 1, then remove node 1: the key must
-        // remap to a surviving member.
-        let key = (0u32..)
-            .map(|i| i.to_le_bytes())
-            .find(|k| p.primary(&t, GroupId(0), k) == Some(NodeId(1)))
-            .unwrap();
-        t.leave(NodeId(1));
-        let new = p.primary(&t, GroupId(0), &key).unwrap();
-        assert_ne!(new, NodeId(1));
+        // A join grows the group, so some keys remap to the joiner and
+        // every key still lands on a member.
+        let (joiner, g) = t.join(NodeSpeed::HP_DL160);
+        assert_eq!(g, GroupId(0));
+        let keys: Vec<[u8; 4]> = (0u32..64).map(u32::to_le_bytes).collect();
+        let placed: Vec<NodeId> = keys.iter().map(|k| p.primary(&t, g, k).unwrap()).collect();
+        assert!(placed.contains(&joiner));
+        assert!(placed.iter().all(|n| t.group_members(g).contains(n)));
     }
 }

@@ -33,9 +33,8 @@ impl std::fmt::Display for GroupId {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Topology {
     groups: Vec<Vec<NodeId>>,
-    /// Per-node speed factor, indexed by `NodeId.0`; `None` marks a node
-    /// that left the cluster (ids are never reused).
-    speeds: Vec<Option<NodeSpeed>>,
+    /// Per-node speed factor, indexed by `NodeId.0`.
+    speeds: Vec<NodeSpeed>,
 }
 
 impl Topology {
@@ -56,29 +55,24 @@ impl Topology {
         for n in 0..nodes {
             g[n * groups / nodes].push(NodeId(n as u16));
         }
-        let speeds = (0..nodes).map(|n| Some(NodeSpeed::paper_mix(n))).collect();
+        let speeds = (0..nodes).map(NodeSpeed::paper_mix).collect();
         let topo = Topology { groups: g, speeds };
         #[cfg(feature = "strict-invariants")]
         topo.assert_invariants("new");
         topo
     }
 
-    /// Number of live nodes.
+    /// Number of nodes; ids run from 0 to one less than this.
     pub fn num_nodes(&self) -> usize {
-        self.speeds.iter().filter(|s| s.is_some()).count()
-    }
-
-    /// Number of node ids ever allocated (live + departed).
-    pub fn id_space(&self) -> usize {
         self.speeds.len()
     }
 
-    /// Live members of group `g`.
+    /// Members of group `g`.
     pub fn group_members(&self, g: GroupId) -> &[NodeId] {
         &self.groups[g.0 as usize]
     }
 
-    /// The group a node belongs to, or `None` for departed/unknown nodes.
+    /// The group a node belongs to, or `None` for an unknown node.
     pub fn node_group(&self, node: NodeId) -> Option<GroupId> {
         self.groups
             .iter()
@@ -86,12 +80,12 @@ impl Topology {
             .map(|g| GroupId(g as u16))
     }
 
-    /// Speed factor of a live node.
+    /// Speed factor of a node.
     pub fn node_speed(&self, node: NodeId) -> Option<NodeSpeed> {
-        self.speeds.get(node.0 as usize).copied().flatten()
+        self.speeds.get(node.0 as usize).copied()
     }
 
-    /// Iterate over all live node ids.
+    /// Iterate over all node ids.
     pub fn nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
         self.groups.iter().flatten().copied()
     }
@@ -110,52 +104,27 @@ impl Topology {
             "node id space exhausted"
         );
         let id = NodeId(self.speeds.len() as u16);
-        self.speeds.push(Some(speed));
-        let g = match self
-            .groups
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, members)| members.len())
-            .map(|(i, _)| i)
-        {
-            Some(smallest) => smallest,
-            // `new` guarantees at least one group, but an elastic join
-            // on a groupless topology can simply open the first group
-            // instead of failing.
-            None => {
-                self.groups.push(Vec::new());
-                0
-            }
-        };
+        self.speeds.push(speed);
+        // `new` guarantees at least one group.
+        let g = (0..self.groups.len())
+            .min_by_key(|&i| self.groups[i].len())
+            .unwrap_or(0);
         self.groups[g].push(id);
         #[cfg(feature = "strict-invariants")]
         self.assert_invariants("join");
         (id, GroupId(g as u16))
     }
 
-    /// Remove a node (failure or decommission). Returns its former group,
-    /// or `None` if it was not a live member.
-    // audit:allow(unreached): the departure placement.rs's membership tests and crates/dht/tests/properties.rs's churn invariants drive; the cluster fails nodes instead of removing them
-    pub fn leave(&mut self, node: NodeId) -> Option<GroupId> {
-        let g = self.node_group(node)?;
-        self.groups[g.0 as usize].retain(|&n| n != node);
-        self.speeds[node.0 as usize] = None;
-        #[cfg(feature = "strict-invariants")]
-        self.assert_invariants("leave");
-        Some(g)
-    }
-
     /// Deep membership validation (the `strict-invariants` checker):
     ///
-    /// - groups are **disjoint** and only list live, allocated ids;
-    /// - every live node sits in **exactly one** group and carries a
-    ///   speed (ids of departed nodes are retired, never reused);
-    /// - **routing is total**: [`Self::node_group`] resolves every live
-    ///   node to the group that lists it.
+    /// - groups are **disjoint** and only list allocated ids;
+    /// - every node sits in **exactly one** group;
+    /// - **routing is total**: [`Self::node_group`] resolves every node
+    ///   to the group that lists it.
     ///
     /// Returns the first violation found. Compiled unconditionally so
     /// any test can call it; the `strict-invariants` feature
-    /// additionally asserts it after every join/leave.
+    /// additionally asserts it after every join.
     pub fn check_invariants(&self) -> Result<(), String> {
         if self.groups.is_empty() {
             return Err("topology has no groups".into());
@@ -163,38 +132,31 @@ impl Topology {
         let mut membership = vec![0usize; self.speeds.len()];
         for (g, members) in self.groups.iter().enumerate() {
             for &n in members {
-                let idx = n.0 as usize;
-                match self.speeds.get(idx) {
-                    None => return Err(format!("group g{g} lists unallocated node {n}")),
-                    Some(None) => return Err(format!("group g{g} lists departed node {n}")),
-                    Some(Some(_)) => {}
-                }
-                membership[idx] += 1;
-                if membership[idx] > 1 {
+                let Some(count) = membership.get_mut(n.0 as usize) else {
+                    return Err(format!("group g{g} lists unallocated node {n}"));
+                };
+                *count += 1;
+                if *count > 1 {
                     return Err(format!("node {n} appears in more than one group slot"));
                 }
             }
         }
-        for (idx, speed) in self.speeds.iter().enumerate() {
+        for (idx, &count) in membership.iter().enumerate() {
             let n = NodeId(idx as u16);
-            if speed.is_some() {
-                if membership[idx] == 0 {
-                    return Err(format!("live node {n} belongs to no group"));
-                }
-                match self.node_group(n) {
-                    Some(g) if self.groups[g.0 as usize].contains(&n) => {}
-                    Some(g) => {
-                        return Err(format!("node {n} routes to {g}, which does not list it"))
-                    }
-                    None => return Err(format!("routing cannot resolve live node {n}")),
-                }
+            if count == 0 {
+                return Err(format!("node {n} belongs to no group"));
+            }
+            match self.node_group(n) {
+                Some(g) if self.groups[g.0 as usize].contains(&n) => {}
+                Some(g) => return Err(format!("node {n} routes to {g}, which does not list it")),
+                None => return Err(format!("routing cannot resolve node {n}")),
             }
         }
         Ok(())
     }
 
     /// Abort with the violation when [`Self::check_invariants`] fails —
-    /// called after churn operations under `strict-invariants`.
+    /// called after `new` and `join` under `strict-invariants`.
     #[cfg(feature = "strict-invariants")]
     fn assert_invariants(&self, site: &str) {
         if let Err(e) = self.check_invariants() {
@@ -266,19 +228,6 @@ mod tests {
     }
 
     #[test]
-    fn leave_removes_membership_but_not_id() {
-        let mut t = Topology::new(4, 2);
-        assert_eq!(t.leave(NodeId(1)), Some(GroupId(0)));
-        assert_eq!(t.num_nodes(), 3);
-        assert_eq!(t.node_group(NodeId(1)), None);
-        assert_eq!(t.node_speed(NodeId(1)), None);
-        assert_eq!(t.leave(NodeId(1)), None, "double-leave is a no-op");
-        // Ids are never reused.
-        let (id, _) = t.join(NodeSpeed::HP_DL160);
-        assert_eq!(id, NodeId(4));
-    }
-
-    #[test]
     #[should_panic(expected = "more groups")]
     fn more_groups_than_nodes_rejected() {
         Topology::new(2, 3);
@@ -287,9 +236,6 @@ mod tests {
     #[test]
     fn invariants_hold_through_churn() {
         let mut t = Topology::new(7, 3);
-        assert_eq!(t.check_invariants(), Ok(()));
-        t.leave(NodeId(2));
-        t.leave(NodeId(5));
         assert_eq!(t.check_invariants(), Ok(()));
         t.join(NodeSpeed::HP_DL160);
         assert_eq!(t.check_invariants(), Ok(()));
@@ -306,12 +252,7 @@ mod tests {
             .unwrap_err()
             .contains("more than one group"));
 
-        // A departed node still listed.
-        let mut t = Topology::new(6, 2);
-        t.speeds[3] = None;
-        assert!(t.check_invariants().unwrap_err().contains("departed"));
-
-        // A live node in no group.
+        // A node in no group.
         let mut t = Topology::new(6, 2);
         t.groups[0].retain(|&n| n != NodeId(0));
         assert!(t.check_invariants().unwrap_err().contains("no group"));

@@ -6,10 +6,9 @@
 //! agree bit for bit by construction (DESIGN.md §15.1):
 //!
 //! * **Hamming** — a mismatch count. `cmpeq` + `movemask` + popcount over
-//!   16-byte (SSE2, the x86_64 baseline) or 32-byte (AVX2,
-//!   runtime-detected) chunks. `hamming_scan` scores a whole candidate
-//!   list through the 16-byte kernel with the dispatch decided once,
-//!   outside the loop, and `popcnt` enabled.
+//!   16-byte chunks (SSE2, the x86_64 baseline). `hamming_scan` scores a
+//!   whole candidate list through the same kernel with the dispatch
+//!   decided once, outside the loop, and `popcnt` enabled.
 //! * **MatrixDistance** — every table entry is a whole number of
 //!   *half-units* (`MatrixDistance` builds them as `|a| + |b|` of integer
 //!   scores), a window distance is the integer sum of its entries, and the
@@ -29,8 +28,10 @@
 //! What was measured and is *not* here: an eight-lane AVX2 `vgatherdps`
 //! kernel over an `f32` table (1.7–2× slower than the scalar chain), a
 //! 32-lane AVX2 variant of the byte kernel (no gain: the kernel is a
-//! fifth of a search), and the integer sum without its early-abandon
-//! check (12 % slower end to end). See DESIGN.md §15.1.
+//! fifth of a search), a 32-byte AVX2 Hamming kernel (served DNA blocks
+//! are 16 residues, so its 32-byte loop never ran), and the integer sum
+//! without its early-abandon check (12 % slower end to end). See
+//! DESIGN.md §15.1.
 //!
 //! `set_simd_enabled(false)` forces every dispatch back to the scalar
 //! integer kernels — the oracle the vector paths are tested against.
@@ -58,15 +59,18 @@ pub fn set_simd_enabled(on: bool) -> bool {
 }
 
 /// Name of the widest kernel the running CPU dispatches to, honouring
-/// the kill switch. Reported by benches and `mendel metrics`.
+/// the kill switch: `sse4.1` when the sixteen-lane matrix scan can run,
+/// else `sse2`. Reported by benches and `/healthz?verbose=1`.
 pub fn active_kernel() -> &'static str {
     if !simd_enabled() {
         return "scalar";
     }
     #[cfg(target_arch = "x86_64")]
     {
-        if std::arch::is_x86_feature_detected!("avx2") {
-            "avx2"
+        if std::arch::is_x86_feature_detected!("ssse3")
+            && std::arch::is_x86_feature_detected!("sse4.1")
+        {
+            "sse4.1"
         } else {
             "sse2"
         }
@@ -92,14 +96,12 @@ pub fn hamming_count(a: &[u8], b: &[u8]) -> usize {
     }
     #[cfg(target_arch = "x86_64")]
     {
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: AVX2 presence was just checked at runtime.
-            return unsafe { x86::hamming_avx2(a, b) };
-        }
-        return x86::hamming_sse2(a, b);
+        x86::hamming_sse2(a, b)
     }
     #[cfg(not(target_arch = "x86_64"))]
-    hamming_scalar(a, b)
+    {
+        hamming_scalar(a, b)
+    }
 }
 
 /// Portable scalar mismatch count (the pre-SIMD kernel).
@@ -422,35 +424,6 @@ mod x86 {
         total
     }
 
-    /// 32-byte AVX2 mismatch count.
-    ///
-    /// # Safety
-    /// The caller must have verified AVX2 support at runtime.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn hamming_avx2(a: &[u8], b: &[u8]) -> usize {
-        let len = a.len().min(b.len());
-        let mut total = 0usize;
-        let mut i = 0;
-        while i + 32 <= len {
-            // SAFETY: `i + 32 <= len`, and `len` is at most either
-            // slice's length, so both unaligned 32-byte loads are in
-            // bounds; AVX2 is the caller's obligation.
-            let (va, vb) = unsafe {
-                (
-                    _mm256_loadu_si256(a.as_ptr().add(i) as *const __m256i),
-                    _mm256_loadu_si256(b.as_ptr().add(i) as *const __m256i),
-                )
-            };
-            let eq = _mm256_movemask_epi8(_mm256_cmpeq_epi8(va, vb)) as u32;
-            total += 32 - eq.count_ones() as usize;
-            i += 32;
-        }
-        if i < len {
-            total += hamming_sse2(&a[i..len], &b[i..len]);
-        }
-        total
-    }
-
     /// [`super::hamming_scan`]'s loop compiled with POPCNT enabled: the
     /// 16-byte kernel inlines into it and its `count_ones` becomes one
     /// instruction.
@@ -626,10 +599,6 @@ mod tests {
             #[cfg(target_arch = "x86_64")]
             {
                 assert_eq!(x86::hamming_sse2(&a, &b), want, "len {len} sse2");
-                if std::arch::is_x86_feature_detected!("avx2") {
-                    // SAFETY: AVX2 presence just checked.
-                    assert_eq!(unsafe { x86::hamming_avx2(&a, &b) }, want, "len {len} avx2");
-                }
             }
             let cands: Vec<Vec<u8>> = (0..9).map(|j| windows(len, 4, 31 * j).0).collect();
             for bound in [0.0, want as f32, f32::INFINITY] {
@@ -721,6 +690,6 @@ mod tests {
         let prev = set_simd_enabled(false);
         assert_eq!(active_kernel(), "scalar");
         assert!(!set_simd_enabled(prev));
-        assert!(matches!(active_kernel(), "avx2" | "sse2" | "scalar"));
+        assert!(matches!(active_kernel(), "sse4.1" | "sse2" | "scalar"));
     }
 }
