@@ -61,6 +61,7 @@ pub struct Alignment {
 impl Alignment {
     /// Fraction of *diagonal* columns whose residues are identical.
     /// Returns 0 for an empty alignment.
+    // audit:allow(unreached): global.rs's global_identity_recovers_mutation_level measures the NW oracle's identity with it
     pub fn identity(&self, query: &[u8], subject: &[u8]) -> f64 {
         let (mut qi, mut si) = (self.query_start, self.subject_start);
         let mut diag_cols = 0usize;

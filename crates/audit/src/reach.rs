@@ -20,7 +20,13 @@
 //! `pub(crate)` and narrower items are `rustc`'s job and are skipped.
 //! The match is by name, so an item that shares its name with anything
 //! live passes: the rule errs towards missing dead code, not towards
-//! flagging live code.
+//! flagging live code. A method — a `pub fn` inside `impl Foo` — is
+//! matched more closely, as far as the tokens show the receiver: it is
+//! named by a call `.name(` (any receiver), by `Foo::name` or
+//! `Self::name`, or by `Q::name` where `Q` is no type with an `impl` in
+//! the workspace (an alias, a trait, a generic parameter). A bare
+//! `name`, a field `.name`, and `Bar::name` for another type `Bar` do
+//! not name it.
 //!
 //! A finding is cleared by deleting the item or by a waiver in a comment
 //! between the previous item and the `pub` keyword:
@@ -48,6 +54,8 @@ pub struct Item {
     /// `fn`, `struct`, `enum`, `trait`, `union`, `type`, `const` or `static`.
     pub kind: &'static str,
     pub name: String,
+    /// The self type of the `impl` block a method sits in.
+    pub owner: Option<String>,
     /// The waiver's reason, when the item carries one.
     pub waiver: Option<String>,
 }
@@ -76,6 +84,49 @@ impl ReachReport {
     /// The unreached items themselves, in file and line order.
     pub fn unreached_items(&self) -> Vec<&Item> {
         self.unreached.iter().map(|&i| &self.items[i]).collect()
+    }
+}
+
+impl Item {
+    /// `name`, or `Owner::name` for a method.
+    pub fn path(&self) -> String {
+        match &self.owner {
+            Some(owner) => format!("{owner}::{}", self.name),
+            None => self.name.clone(),
+        }
+    }
+}
+
+/// How a mention of a name sits among its neighbouring tokens.
+#[derive(Debug, Clone, PartialEq)]
+enum Form {
+    /// `name` alone: a free item, a local or a field initialiser.
+    Bare,
+    /// `.name` not followed by `(` or `::`: a field.
+    Field,
+    /// `.name(` or `.name::<..>(`: a method call.
+    Call,
+    /// `Q::name`, with `Q` when it is an identifier.
+    Path(Option<String>),
+}
+
+impl Form {
+    fn of(toks: &[Token], at: usize) -> Form {
+        let before = |k: usize| at.checked_sub(k).map(|p| &toks[p]);
+        if before(1).is_some_and(|t| t.is_punct('.')) {
+            let next = toks.get(at + 1);
+            return if next.is_some_and(|t| t.is_punct('(') || t.is_punct(':')) {
+                Form::Call
+            } else {
+                Form::Field
+            };
+        }
+        if before(1).is_some_and(|t| t.is_punct(':')) && before(2).is_some_and(|t| t.is_punct(':'))
+        {
+            let qualifier = before(3).filter(|t| t.kind == TokKind::Ident);
+            return Form::Path(qualifier.map(|t| t.text.clone()));
+        }
+        Form::Bare
     }
 }
 
@@ -110,7 +161,7 @@ pub fn analyze(files: &[(String, String)]) -> ReachReport {
     // Per item: its own spans (definition, plus impl blocks for a type).
     let mut own: Vec<Vec<Span>> = Vec::new();
     let mut impls: HashMap<String, Vec<Span>> = HashMap::new();
-    let mut mentions: Vec<(String, usize, usize)> = Vec::new();
+    let mut mentions: Vec<(String, usize, usize, Form)> = Vec::new();
     for (path, source) in files {
         let library = path.starts_with("src/")
             || path.starts_with("crates/") && path.contains("/src/") && !is_root(path);
@@ -121,9 +172,14 @@ pub fn analyze(files: &[(String, String)]) -> ReachReport {
         report.files += 1;
         let lexed = lex(source);
         let toks = &lexed.tokens;
+        // The impl blocks around the current token: (self type, last token).
+        let mut open_impls: Vec<(String, usize)> = Vec::new();
         let mut i = 0;
         while i < toks.len() {
             let tok = &toks[i];
+            while open_impls.last().is_some_and(|&(_, end)| end < i) {
+                open_impls.pop();
+            }
             if tok.in_test {
                 i += 1;
                 continue;
@@ -134,11 +190,12 @@ pub fn analyze(files: &[(String, String)]) -> ReachReport {
             }
             if tok.is_ident("impl") && starts_item(toks, i) {
                 if let Some((name, end)) = impl_self_type(toks, i) {
-                    impls.entry(name).or_default().push(Span {
+                    impls.entry(name.clone()).or_default().push(Span {
                         file,
                         start: i,
                         end,
                     });
+                    open_impls.push((name, end));
                 }
             }
             if library && tok.is_ident("pub") {
@@ -150,11 +207,13 @@ pub fn analyze(files: &[(String, String)]) -> ReachReport {
                         .flat_map(|line| lexed.markers(line, "allow"))
                         .find(|&(name, _)| name == "unreached")
                         .map(|(_, reason)| reason.to_string());
+                    let owner = open_impls.last().filter(|_| kind == "fn");
                     report.items.push(Item {
                         file: path.clone(),
                         line: tok.line,
                         kind,
                         name: toks[name_at].text.clone(),
+                        owner: owner.map(|(name, _)| name.clone()),
                         waiver,
                     });
                     own.push(vec![Span {
@@ -165,7 +224,7 @@ pub fn analyze(files: &[(String, String)]) -> ReachReport {
                 }
             }
             if tok.kind == TokKind::Ident {
-                mentions.push((tok.text.clone(), file, i));
+                mentions.push((tok.text.clone(), file, i, Form::of(toks, i)));
             }
             i += 1;
         }
@@ -181,30 +240,44 @@ pub fn analyze(files: &[(String, String)]) -> ReachReport {
     for (idx, item) in report.items.iter().enumerate() {
         by_name.entry(item.name.as_str()).or_default().push(idx);
     }
-    let mut sites: HashMap<&str, Vec<(usize, usize)>> = HashMap::new();
-    for (name, file, tok) in &mentions {
+    let mut sites: HashMap<&str, Vec<(usize, usize, &Form)>> = HashMap::new();
+    for (name, file, tok, form) in &mentions {
         if let Some((key, _)) = by_name.get_key_value(name.as_str()) {
-            sites.entry(key).or_default().push((*file, *tok));
+            sites.entry(key).or_default().push((*file, *tok, form));
         }
     }
+    // Whether a mention's form can name `item`: anything names a free
+    // item or a type; a method needs a call or a path that fits its type.
+    let names = |item: &Item, form: &Form| match (&item.owner, form) {
+        (None, _) => true,
+        (Some(_), Form::Call | Form::Path(None)) => true,
+        (Some(owner), Form::Path(Some(q))) => q == owner || q == "Self" || !impls.contains_key(q),
+        (Some(_), Form::Bare | Form::Field) => false,
+    };
 
     // Fixed point: an unreached item's spans stop counting as mentions,
-    // which can leave more items unreached. Waived items stay live.
+    // which can leave more items unreached. Waived items stay live. An
+    // item's own spans never count for it, nor do those of an item with
+    // its name and owner (a free fn's namesake in another module).
     let mut dead = vec![false; report.items.len()];
-    let reached = |name: &str, dead: &[bool]| {
+    let reached = |item: &Item, dead: &[bool]| {
         let excluded: Vec<Span> = (0..own.len())
-            .filter(|&i| dead[i] || report.items[i].name == name)
+            .filter(|&i| {
+                let other = &report.items[i];
+                dead[i] || other.name == item.name && other.owner == item.owner
+            })
             .flat_map(|i| own[i].iter().copied())
             .collect();
-        sites.get(name).is_some_and(|s| {
-            s.iter()
-                .any(|&(f, t)| !excluded.iter().any(|sp| sp.contains(f, t)))
+        sites.get(item.name.as_str()).is_some_and(|s| {
+            s.iter().any(|&(f, t, form)| {
+                names(item, form) && !excluded.iter().any(|sp| sp.contains(f, t))
+            })
         })
     };
     loop {
         let newly: Vec<usize> = (0..dead.len())
             .filter(|&i| !dead[i] && report.items[i].waiver.is_none())
-            .filter(|&i| !reached(&report.items[i].name, &dead))
+            .filter(|&i| !reached(&report.items[i], &dead))
             .collect();
         if newly.is_empty() {
             break;
@@ -214,7 +287,7 @@ pub fn analyze(files: &[(String, String)]) -> ReachReport {
         }
     }
     let stale: Vec<usize> = (0..dead.len())
-        .filter(|&i| report.items[i].waiver.is_some() && reached(&report.items[i].name, &dead))
+        .filter(|&i| report.items[i].waiver.is_some() && reached(&report.items[i], &dead))
         .collect();
     report.unreached = (0..dead.len()).filter(|&i| dead[i]).collect();
     report.stale_waivers = stale;
@@ -402,7 +475,7 @@ pub fn render_report(report: &ReachReport) -> String {
         );
     }
     let mut out = String::new();
-    let line = |i: &Item| format!("  {}:{}: pub {} {}", i.file, i.line, i.kind, i.name);
+    let line = |i: &Item| format!("  {}:{}: pub {} {}", i.file, i.line, i.kind, i.path());
     if !report.unreached.is_empty() {
         let _ = writeln!(
             out,
@@ -437,7 +510,7 @@ pub fn to_json(report: &ReachReport) -> Json {
             idxs.iter()
                 .map(|&i| {
                     let item = &report.items[i];
-                    Json::str(format!("{}:{}: {}", item.file, item.line, item.name))
+                    Json::str(format!("{}:{}: {}", item.file, item.line, item.path()))
                 })
                 .collect(),
         )
@@ -466,7 +539,7 @@ mod tests {
         report
             .unreached_items()
             .iter()
-            .map(|i| format!("{} {}", i.kind, i.name))
+            .map(|i| format!("{} {}", i.kind, i.path()))
             .collect()
     }
 
@@ -490,6 +563,32 @@ mod tests {
         // `Show` is named by Foo's impl and `Foo` by `used`; `Bar` only
         // by its own impl.
         assert_eq!(unreached(src), ["struct Bar"]);
+    }
+
+    #[test]
+    fn methods_are_named_by_calls_and_by_paths_through_their_type() {
+        let src = "pub struct A;\npub struct B;\n\
+                   impl A {\n\
+                       pub fn new() -> A { A }\n\
+                       pub fn called(&self) {}\n\
+                       pub fn turbofish(&self) {}\n\
+                       pub fn field(&self) {}\n\
+                       pub fn bare() {}\n\
+                       pub fn other_type() {}\n\
+                       pub fn alias() {}\n\
+                       pub fn via_self() {}\n\
+                       pub fn helper() { Self::via_self() }\n\
+                   }\n\
+                   impl B { pub fn other_type() {} }\n\
+                   fn user() { let a = A::new(); a.called(); a.turbofish::<u8>();\n\
+                       let _ = a.field; bare(); B::other_type(); Alias::alias(); A::helper(); }\n";
+        // A field read, a bare name and another type's path do not name
+        // a method; a call, its own type, `Self` and an unknown
+        // qualifier (an alias, a trait) do.
+        assert_eq!(
+            unreached(src),
+            ["fn A::field", "fn A::bare", "fn A::other_type"]
+        );
     }
 
     #[test]

@@ -128,11 +128,6 @@ impl Blast {
         }
     }
 
-    /// The parameters in force.
-    pub fn params(&self) -> &BlastParams {
-        &self.params
-    }
-
     /// Search one encoded query, returning hits sorted by ascending
     /// E-value (best first).
     pub fn search(&self, query: &[u8]) -> Vec<BlastHit> {
@@ -284,11 +279,6 @@ impl Blast {
                 .then(a.subject.cmp(&b.subject))
         });
         out
-    }
-
-    /// Total residues in the indexed database.
-    pub fn db_residues(&self) -> usize {
-        self.db_residues
     }
 }
 

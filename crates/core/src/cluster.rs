@@ -51,7 +51,7 @@ const MAX_GAPPED_ANCHORS_PER_SUBJECT: usize = 16;
 pub struct MendelCluster {
     config: ClusterConfig,
     topology: RwLock<Topology>,
-    prefix: VpPrefixTree<Vec<u8>, BlockMetric>,
+    prefix: VpPrefixTree<BlockMetric>,
     assignment: GroupAssignment,
     /// Every node ever joined, indexed by `NodeId`.
     nodes: RwLock<Vec<Arc<NodeSlot>>>,
@@ -287,7 +287,8 @@ impl MendelCluster {
     /// group under `topo` and hand every node its batch ([`Self::place`]),
     /// in node order. A block's replicas are the first `replication`
     /// live members of its group's placement ring, primary first: with
-    /// every node up that is [`FlatPlacement::replicas`], and a copy whose
+    /// every node up that is [`FlatPlacement::replicas`] (both walk
+    /// [`FlatPlacement::ring`]), and a copy whose
     /// node is down goes to the next live member instead — a down node
     /// cannot accept writes. A group with no live member places nothing.
     /// Returns the refusals — such a group (no node), then every node
@@ -298,16 +299,12 @@ impl MendelCluster {
         topo: &Topology,
         blocks: impl Iterator<Item = (GroupId, Block)>,
     ) -> Vec<(Option<NodeId>, MendelError)> {
-        // The whole ring: a factor past any group's size clamps to it.
-        let ring = FlatPlacement::with_replication(usize::MAX);
         let mut batches: BTreeMap<NodeId, Vec<Block>> = BTreeMap::new();
         let mut down: BTreeSet<GroupId> = BTreeSet::new();
         {
             let failed = self.failed.read();
             for (g, b) in blocks {
-                let live = ring
-                    .replicas(topo, g, &b.key().as_bytes())
-                    .into_iter()
+                let live = FlatPlacement::ring(topo, g, &b.key().as_bytes())
                     .filter(|n| !failed.contains_key(n))
                     .take(self.config.replication);
                 let mut placed = false;
@@ -359,7 +356,7 @@ impl MendelCluster {
 
     /// First-tier hash: window → vp-prefix bucket → group.
     fn group_of_window(&self, window: &[u8]) -> GroupId {
-        let prefix = self.prefix.hash(&window.to_vec());
+        let prefix = self.prefix.hash(window);
         GroupId(
             self.assignment
                 .group_of_bucket(self.prefix.bucket_index(prefix)) as u16,
@@ -371,7 +368,7 @@ impl MendelCluster {
     pub(crate) fn groups_of_window(&self, window: &[u8], tolerance: f32) -> Vec<GroupId> {
         let mut groups: Vec<GroupId> = self
             .prefix
-            .hash_with_tolerance(&window.to_vec(), tolerance)
+            .hash_with_tolerance(window, tolerance)
             .into_iter()
             .map(|p| GroupId(self.assignment.group_of_bucket(self.prefix.bucket_index(p)) as u16))
             .collect();
@@ -805,11 +802,6 @@ impl MendelCluster {
                 .then(a.0.cmp(&b.0))
         });
         Ok(out)
-    }
-
-    /// The cluster's Karlin–Altschul statistics.
-    pub fn karlin(&self) -> KarlinParams {
-        self.karlin
     }
 
     /// Run a node-local search against one node's state (the data plane

@@ -586,6 +586,7 @@ impl WireCluster {
     }
 
     /// Total payload bytes sent on the wire so far.
+    // audit:allow(unreached): tests/end_to_end.rs and this file's tests check that a query sends bytes
     pub fn bytes_sent(&self) -> u64 {
         self.bytes.get()
     }

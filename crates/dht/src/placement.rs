@@ -26,6 +26,7 @@ impl FlatPlacement {
 
     /// Placement storing each block on `replication` distinct group
     /// members (clamped to the group size at assignment time).
+    // audit:allow(unreached): tests/properties.rs and crates/dht/tests/properties.rs build replica sets with it
     pub fn with_replication(replication: usize) -> Self {
         assert!(replication >= 1, "replication factor must be at least 1");
         FlatPlacement { replication }
@@ -33,28 +34,32 @@ impl FlatPlacement {
 
     /// The primary node for `key` within group `g`.
     pub fn primary(&self, topo: &Topology, g: GroupId, key: &[u8]) -> Option<NodeId> {
-        let members = topo.group_members(g);
-        if members.is_empty() {
-            return None;
-        }
-        let h = sha1_u64(key);
-        Some(members[(h % members.len() as u64) as usize])
+        Self::ring(topo, g, key).next()
     }
 
     /// All replica nodes for `key` (primary first): the primary plus the
     /// next `replication − 1` members in ring order, so replica sets are
     /// distinct and deterministic.
     pub fn replicas(&self, topo: &Topology, g: GroupId, key: &[u8]) -> Vec<NodeId> {
+        Self::ring(topo, g, key).take(self.replication).collect()
+    }
+
+    /// The placement ring of `key` in group `g`: every member once, from
+    /// the primary (SHA-1 of `key` mod the group size) on in membership
+    /// order, wrapping. Hashes once and walks the member list in place;
+    /// empty for an empty group.
+    pub fn ring<'t>(
+        topo: &'t Topology,
+        g: GroupId,
+        key: &[u8],
+    ) -> impl Iterator<Item = NodeId> + 't {
         let members = topo.group_members(g);
-        if members.is_empty() {
-            return Vec::new();
-        }
-        let h = sha1_u64(key);
-        let start = (h % members.len() as u64) as usize;
-        let n = self.replication.min(members.len());
-        (0..n)
-            .map(|i| members[(start + i) % members.len()])
-            .collect()
+        let start = match members.len() as u64 {
+            0 => 0,
+            n => (sha1_u64(key) % n) as usize,
+        };
+        let (before, from) = members.split_at(start);
+        from.iter().chain(before).copied()
     }
 }
 

@@ -6,6 +6,15 @@
 //! irrelevant to load balancing — so a dependency-free 80-round
 //! implementation suffices. Validated against the FIPS test vectors.
 
+/// The initial hash value (FIPS 180-1 §7).
+const H0: [u32; 5] = [
+    0x6745_2301,
+    0xEFCD_AB89,
+    0x98BA_DCFE,
+    0x1032_5476,
+    0xC3D2_E1F0,
+];
+
 /// Streaming SHA-1 state.
 #[derive(Debug, Clone)]
 pub struct Sha1 {
@@ -27,13 +36,7 @@ impl Sha1 {
     /// Fresh hash state.
     pub fn new() -> Self {
         Sha1 {
-            h: [
-                0x6745_2301,
-                0xEFCD_AB89,
-                0x98BA_DCFE,
-                0x1032_5476,
-                0xC3D2_E1F0,
-            ],
+            h: H0,
             len: 0,
             buf: [0u8; 64],
             buf_len: 0,
@@ -49,16 +52,13 @@ impl Sha1 {
             self.buf_len += take;
             data = &data[take..];
             if self.buf_len == 64 {
-                let block = self.buf;
-                self.compress(&block);
+                compress(&mut self.h, &self.buf);
                 self.buf_len = 0;
             }
         }
         let mut blocks = data.chunks_exact(64);
         for block in &mut blocks {
-            let mut full = [0u8; 64];
-            full.copy_from_slice(block);
-            self.compress(&full);
+            compress(&mut self.h, block);
         }
         data = blocks.remainder();
         if !data.is_empty() {
@@ -68,59 +68,72 @@ impl Sha1 {
     }
 
     /// Finish and produce the 20-byte digest.
-    pub fn finalize(mut self) -> [u8; 20] {
-        let bit_len = self.len.wrapping_mul(8);
-        // Padding: 0x80, zeros, 8-byte big-endian bit length.
-        self.update(&[0x80]);
-        while self.buf_len != 56 {
-            self.update(&[0]);
-        }
-        // Write the length directly into the buffer tail and compress.
-        self.buf[56..64].copy_from_slice(&bit_len.to_be_bytes());
-        let block = self.buf;
-        self.compress(&block);
-
+    pub fn finalize(self) -> [u8; 20] {
         let mut out = [0u8; 20];
-        for (i, word) in self.h.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
+        for (bytes, word) in out.chunks_exact_mut(4).zip(self.finish()) {
+            bytes.copy_from_slice(&word.to_be_bytes());
         }
         out
     }
 
-    fn compress(&mut self, block: &[u8; 64]) {
-        let mut w = [0u32; 80];
-        for (i, chunk) in block.chunks_exact(4).enumerate() {
-            w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
-        }
-        for i in 16..80 {
-            w[i] = (w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16]).rotate_left(1);
-        }
-        let [mut a, mut b, mut c, mut d, mut e] = self.h;
-        for (i, &wi) in w.iter().enumerate() {
-            let (f, k) = match i {
-                0..=19 => ((b & c) | ((!b) & d), 0x5A82_7999),
-                20..=39 => (b ^ c ^ d, 0x6ED9_EBA1),
-                40..=59 => ((b & c) | (b & d) | (c & d), 0x8F1B_BCDC),
-                _ => (b ^ c ^ d, 0xCA62_C1D6),
-            };
-            let tmp = a
-                .rotate_left(5)
-                .wrapping_add(f)
-                .wrapping_add(e)
-                .wrapping_add(k)
-                .wrapping_add(wi);
-            e = d;
-            d = c;
-            c = b.rotate_left(30);
-            b = a;
-            a = tmp;
-        }
-        self.h[0] = self.h[0].wrapping_add(a);
-        self.h[1] = self.h[1].wrapping_add(b);
-        self.h[2] = self.h[2].wrapping_add(c);
-        self.h[3] = self.h[3].wrapping_add(d);
-        self.h[4] = self.h[4].wrapping_add(e);
+    /// Pad and compress the last block or two, returning the hash words.
+    /// The padding — `0x80`, zeros up to 56 mod 64, the message length in
+    /// bits as a big-endian u64 — goes in with one `update`.
+    fn finish(mut self) -> [u32; 5] {
+        let bit_len = self.len.wrapping_mul(8);
+        let zeros_to = if self.buf_len < 56 { 56 } else { 120 };
+        let n = zeros_to - self.buf_len;
+        let mut tail = [0u8; 72];
+        tail[0] = 0x80;
+        tail[n..n + 8].copy_from_slice(&bit_len.to_be_bytes());
+        self.update(&tail[..n + 8]);
+        debug_assert_eq!(self.buf_len, 0);
+        self.h
     }
+}
+
+/// The compression function over one 64-byte block. The four 20-round
+/// phases run as four loops, so no round decides which phase it is in.
+fn compress(h: &mut [u32; 5], block: &[u8]) {
+    debug_assert_eq!(block.len(), 64);
+    let mut w = [0u32; 80];
+    for (wi, chunk) in w.iter_mut().zip(block.chunks_exact(4)) {
+        *wi = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+    }
+    for i in 16..80 {
+        w[i] = (w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16]).rotate_left(1);
+    }
+    let mut s = *h;
+    rounds(&mut s, &w[..20], 0x5A82_7999, |b, c, d| (b & c) | (!b & d));
+    rounds(&mut s, &w[20..40], 0x6ED9_EBA1, |b, c, d| b ^ c ^ d);
+    rounds(&mut s, &w[40..60], 0x8F1B_BCDC, |b, c, d| {
+        (b & c) | (b & d) | (c & d)
+    });
+    rounds(&mut s, &w[60..], 0xCA62_C1D6, |b, c, d| b ^ c ^ d);
+    for (hi, si) in h.iter_mut().zip(s) {
+        *hi = hi.wrapping_add(si);
+    }
+}
+
+/// One phase of [`compress`]: a round per schedule word, with the
+/// phase's constant `k` and boolean function `f(b, c, d)`.
+#[inline(always)]
+fn rounds(s: &mut [u32; 5], w: &[u32], k: u32, f: impl Fn(u32, u32, u32) -> u32) {
+    let [mut a, mut b, mut c, mut d, mut e] = *s;
+    for &wi in w {
+        let tmp = a
+            .rotate_left(5)
+            .wrapping_add(f(b, c, d))
+            .wrapping_add(e)
+            .wrapping_add(k)
+            .wrapping_add(wi);
+        e = d;
+        d = c;
+        c = b.rotate_left(30);
+        b = a;
+        a = tmp;
+    }
+    *s = [a, b, c, d, e];
 }
 
 /// One-shot SHA-1 of `data`.
@@ -131,12 +144,23 @@ pub fn sha1(data: &[u8]) -> [u8; 20] {
 }
 
 /// The first 8 digest bytes as a big-endian u64 — the placement key used
-/// by [`crate::placement`].
+/// by [`crate::placement`]. An input under 56 bytes (every block key)
+/// fits one padded block, built on the stack and compressed once.
 pub fn sha1_u64(data: &[u8]) -> u64 {
-    let d = sha1(data);
-    let mut first = [0u8; 8];
-    first.copy_from_slice(&d[..8]);
-    u64::from_be_bytes(first)
+    let h = if data.len() < 56 {
+        let mut block = [0u8; 64];
+        block[..data.len()].copy_from_slice(data);
+        block[data.len()] = 0x80;
+        block[56..].copy_from_slice(&(data.len() as u64 * 8).to_be_bytes());
+        let mut h = H0;
+        compress(&mut h, &block);
+        h
+    } else {
+        let mut s = Sha1::new();
+        s.update(data);
+        s.finish()
+    };
+    u64::from(h[0]) << 32 | u64::from(h[1])
 }
 
 #[cfg(test)]
@@ -199,28 +223,31 @@ mod tests {
         );
     }
 
+    /// Every length from empty to past two blocks — through 55/56 and
+    /// 119/120, where the padding spills into one more block — and every
+    /// split of the streaming hasher's input: one-shot, `sha1_u64` (whose
+    /// short inputs take the single stack block) and streaming agree.
     #[test]
-    fn streaming_matches_oneshot_at_all_split_points() {
-        let data: Vec<u8> = (0..200u8).collect();
-        let want = sha1(&data);
-        for split in [0usize, 1, 55, 56, 63, 64, 65, 127, 128, 199, 200] {
-            let mut s = Sha1::new();
-            s.update(&data[..split]);
-            s.update(&data[split..]);
-            assert_eq!(s.finalize(), want, "split at {split}");
-        }
-    }
-
-    #[test]
-    fn length_boundary_paddings() {
-        // 55, 56, 63, 64 bytes hit all padding branches.
-        for n in [55usize, 56, 63, 64, 119, 120] {
-            let data = vec![0x5Au8; n];
-            let mut s = Sha1::new();
-            for b in &data {
-                s.update(std::slice::from_ref(b));
+    fn every_length_and_split_point_agrees() {
+        for n in 0..=130usize {
+            let data: Vec<u8> = (0..n).map(|i| (i * 7 + n) as u8).collect();
+            let want = sha1(&data);
+            assert_eq!(
+                sha1_u64(&data),
+                u64::from_be_bytes(want[..8].try_into().unwrap()),
+                "sha1_u64 at length {n}"
+            );
+            for split in 0..=n {
+                let mut s = Sha1::new();
+                s.update(&data[..split]);
+                s.update(&data[split..]);
+                assert_eq!(s.finalize(), want, "length {n} split at {split}");
             }
-            assert_eq!(s.finalize(), sha1(&data), "length {n}");
+            let mut bytewise = Sha1::new();
+            for b in &data {
+                bytewise.update(std::slice::from_ref(b));
+            }
+            assert_eq!(bytewise.finalize(), want, "length {n} fed bytewise");
         }
     }
 

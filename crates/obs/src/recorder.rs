@@ -55,11 +55,6 @@ impl FlightRecorder {
         self.inner.lock().is_empty()
     }
 
-    /// The configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Records evicted so far.
     pub fn dropped(&self) -> u64 {
         self.dropped.load(Ordering::Relaxed) // audit:ordering(Relaxed): statistics read; may trail a concurrent eviction by design
@@ -120,7 +115,6 @@ mod tests {
         let r = FlightRecorder::new(0);
         r.push(record(1));
         r.push(record(2));
-        assert_eq!(r.capacity(), 1);
         assert_eq!(r.len(), 1);
         assert_eq!(r.records()[0].span, SpanId(2));
     }

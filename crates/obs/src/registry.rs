@@ -246,11 +246,6 @@ impl ScopedRegistry {
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
         self.registry.histogram(&self.name(name))
     }
-
-    /// The underlying registry.
-    pub fn registry(&self) -> &Registry {
-        &self.registry
-    }
 }
 
 #[cfg(test)]

@@ -121,12 +121,8 @@ impl Tracer {
         }
     }
 
-    /// The node this tracer records for.
-    pub fn node(&self) -> u32 {
-        self.node
-    }
-
     /// The recorder this tracer writes into.
+    // audit:allow(unreached): this file's and registry.rs's tests read recorded spans back with it
     pub fn recorder(&self) -> &Arc<FlightRecorder> {
         &self.recorder
     }
@@ -173,26 +169,6 @@ impl Tracer {
             start: self.clock.now(),
             tags: Vec::new(),
         }
-    }
-
-    /// Record an instantaneous (zero-length) event under `ctx` at the
-    /// current clock reading. Unsampled contexts record nothing — the
-    /// Dapper-style decision travels with the context.
-    pub fn event(&self, name: &str, ctx: TraceContext, tags: Vec<(String, String)>) {
-        if !ctx.sampled {
-            return;
-        }
-        let now = self.clock.now();
-        self.record(SpanRecord {
-            trace: ctx.trace,
-            span: SpanId(self.next_id()),
-            parent: Some(ctx.parent),
-            node: self.node,
-            name: name.to_string(),
-            start: now,
-            end: now,
-            tags,
-        });
     }
 
     /// Write a hand-built record (e.g. one positioned on a simulated
@@ -649,23 +625,6 @@ mod tests {
         assert_eq!(query.tags, vec![("groups".to_string(), "2".to_string())]);
     }
 
-    #[test]
-    fn events_are_zero_length() {
-        let (clock, t) = tracer();
-        let root = t.start_trace("query");
-        clock.advance(Duration::from_micros(7));
-        t.event(
-            "net.drop",
-            root.context(),
-            vec![("to".into(), "node3".into())],
-        );
-        root.finish();
-        let records = t.recorder().records();
-        let drop = records.iter().find(|r| r.name == "net.drop").unwrap();
-        assert_eq!(drop.start, drop.end);
-        assert_eq!(drop.start, Duration::from_micros(7));
-    }
-
     /// The acceptance-criteria scenario: a hand-built scatter-gather
     /// trace under `VirtualClock` whose critical path must equal the
     /// hand-computed hop sequence and durations.
@@ -875,7 +834,6 @@ mod tests {
         unsampled.sampled = false;
         let child = t.child("hop", unsampled);
         assert!(!child.context().sampled, "children inherit the decision");
-        t.event("dropped", unsampled, Vec::new());
         assert_eq!(child.finish(), None, "an unsampled span writes nothing");
         root.finish();
         let names: Vec<String> = t

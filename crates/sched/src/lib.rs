@@ -280,13 +280,8 @@ impl Scheduler {
         JobHandle { rx }
     }
 
-    /// Current queue depth across all deques (gauge-backed, approximate
-    /// under concurrency).
-    pub fn queue_depth(&self) -> i64 {
-        self.inner.counters.queue_depth.get()
-    }
-
     /// Outstanding admission permits.
+    // audit:allow(unreached): crates/sched/tests/interleave.rs checks that every permit comes back with it
     pub fn in_flight(&self) -> usize {
         // audit:ordering(Relaxed): monitoring read of an independent counter; staleness is acceptable
         self.inner.in_flight.load(Ordering::Relaxed)

@@ -225,6 +225,7 @@ impl MatrixDistance {
 
     /// Unit distance table: 0 on the diagonal, 1 elsewhere (Hamming as a
     /// `MatrixDistance`, useful for tests and DNA).
+    // audit:allow(unreached): tests/properties.rs and this file's tests use it as a table-driven Hamming metric
     pub fn unit(alphabet: Alphabet) -> Self {
         let n = alphabet.size();
         let mut half = vec![2u32; n * n];
@@ -380,43 +381,6 @@ impl Metric<[u8]> for MatrixDistance {
     }
 }
 
-/// Distance over *owned* windows (`Vec<u8>` points in a vp-tree), delegating
-/// to an inner `[u8]` metric. Blanket-bridges the slice metrics above to the
-/// owned block type the DHT stores.
-// audit:allow(unreached): the `Vec<u8>` metric that `VpPrefixTree`'s unit tests and crates/vptree/tests/properties.rs build trees with
-#[derive(Debug, Clone)]
-pub struct BlockDistance<M> {
-    /// The underlying per-window metric.
-    pub inner: M,
-}
-
-impl<M: Metric<[u8]>> BlockDistance<M> {
-    /// Wrap a slice metric for use over owned blocks.
-    pub fn new(inner: M) -> Self {
-        BlockDistance { inner }
-    }
-}
-
-impl<M: Metric<[u8]>> Metric<Vec<u8>> for BlockDistance<M> {
-    #[inline]
-    fn dist(&self, a: &Vec<u8>, b: &Vec<u8>) -> f32 {
-        self.inner.dist(a, b)
-    }
-
-    #[inline]
-    fn dist_bounded(&self, a: &Vec<u8>, b: &Vec<u8>, bound: f32) -> Option<f32> {
-        self.inner.dist_bounded(a, b, bound)
-    }
-
-    fn scan_bounded<'a, I>(&self, a: &Vec<u8>, cands: I, bound: f32, out: &mut Vec<(u32, f32)>)
-    where
-        I: Iterator<Item = &'a Vec<u8>>,
-    {
-        self.inner
-            .scan_bounded(a, cands.map(Vec::as_slice), bound, out);
-    }
-}
-
 /// Reference wrapper that disables early abandoning: `dist_bounded` always
 /// computes the full distance via the trait default. Searches through an
 /// `Unbounded<M>` tree take the exact same code path as through `M` — only
@@ -549,12 +513,6 @@ mod tests {
     }
 
     #[test]
-    fn block_distance_bridges_vec_points() {
-        let bd = BlockDistance::new(Hamming);
-        assert_eq!(bd.dist(&vec![0u8, 1], &vec![1u8, 1]), 1.0);
-    }
-
-    #[test]
     fn percent_identity_basics() {
         assert_eq!(percent_identity(b"\x00\x01", b"\x00\x01").unwrap(), 1.0);
         assert_eq!(percent_identity(b"\x00\x01", b"\x00\x02").unwrap(), 0.5);
@@ -613,16 +571,6 @@ mod tests {
         assert_eq!(m.dist(&a[..], &b[..]), 16.0);
         assert_eq!(m.dist_bounded(&a[..], &b[..], 15.9), None);
         assert_eq!(m.dist_bounded(&a[..], &b[..], 16.0), Some(16.0));
-    }
-
-    #[test]
-    fn block_distance_delegates_bounded_kernel() {
-        let bd = BlockDistance::new(Hamming);
-        assert_eq!(bd.dist_bounded(&vec![0u8, 1], &vec![1u8, 1], 0.5), None);
-        assert_eq!(
-            bd.dist_bounded(&vec![0u8, 1], &vec![1u8, 1], 1.0),
-            Some(1.0)
-        );
     }
 
     /// An arbitrary half-unit table over `n` letters (the alphabet field is
@@ -684,6 +632,83 @@ mod tests {
         let mut cands = vec![vec![1u8, 1], vec![1, 2], vec![2, 2], vec![0, 0]];
         cands.resize(16, vec![1, 2]);
         for (bound, survivors) in [(126.5, 1), (127.0, 2), (127.5, 15), (128.0, 16)] {
+            let want = reference_scan(&m, &q, &cands, bound);
+            assert_eq!(want.len(), survivors, "bound {bound}");
+            for got in both_scans(&m, &q, &cands, bound) {
+                assert_eq!(got, want, "bound {bound}");
+            }
+        }
+    }
+
+    /// The wide (`u16`) lanes every bound from 127.5 up takes, `∞`
+    /// included: BLOSUM62's 24-letter table (codes 16–23 read the upper
+    /// `pshufb` half), 16-residue windows (one full tile) and 20-residue
+    /// ones (a short second tile), through the dispatched scan and the
+    /// per-pair path — each survivor's distance bit-identical to `dist`.
+    /// A candidate code outside the table still panics on this path.
+    #[test]
+    fn wide_lanes_equal_the_per_pair_distance() {
+        let m = MatrixDistance::mendel(&ScoringMatrix::blosum62());
+        let mut state = 0x5EED_u64;
+        let mut code = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((state >> 33) % 24) as u8
+        };
+        for len in [16usize, 20] {
+            let q: Vec<u8> = (0..len).map(|_| code()).collect();
+            let cands: Vec<Vec<u8>> = (0..37)
+                .map(|_| (0..len).map(|_| code()).collect())
+                .collect();
+            assert!(cands.iter().flatten().any(|&c| c >= 16));
+            for bound in [127.5f32, 128.0, 1e6, f32::INFINITY] {
+                let want: Vec<(u32, u32)> = (0u32..)
+                    .zip(&cands)
+                    .map(|(j, c)| (j, m.dist(&q[..], &c[..])))
+                    .filter(|&(_, d)| d <= bound)
+                    .map(|(j, d)| (j, d.to_bits()))
+                    .collect();
+                if bound > 1e5 {
+                    assert_eq!(want.len(), cands.len());
+                }
+                for got in both_scans(&m, &q, &cands, bound) {
+                    assert_eq!(got, want, "len {len} bound {bound}");
+                }
+                // The dispatched scan alone: the per-pair path panics
+                // whatever the vector path does.
+                let mut bad = cands.clone();
+                bad[20][len - 1] = 24;
+                let scan = std::panic::catch_unwind(|| {
+                    let mut out = Vec::new();
+                    m.scan_bounded(&q[..], bad.iter().map(Vec::as_slice), bound, &mut out);
+                });
+                assert!(scan.is_err(), "len {len} bound {bound}: code 24 accepted");
+            }
+        }
+    }
+
+    #[test]
+    fn wide_lane_saturation_is_exact() {
+        // 255-half-unit mismatches over 300 residues: sums from 0 to
+        // 76,500, across the 65,535 at which a `u16` lane saturates. A
+        // saturated lane is rejected under a limit below 65,535 and scored
+        // per pair above it; 65,535 itself is a true sum here.
+        let m = table(2, vec![0, 255, 255, 0]);
+        assert!(!m.rows.is_empty(), "fits u8 rows");
+        let q = vec![0u8; 300];
+        let cands: Vec<Vec<u8>> = [0usize, 1, 256, 257, 258, 300]
+            .iter()
+            .map(|&ones| (0..300).map(|i| u8::from(i < ones)).collect())
+            .collect();
+        for (bound, survivors) in [
+            (32_639.5, 2),
+            (32_640.0, 3),
+            (32_767.0, 3),
+            (32_767.5, 4),
+            (40_000.0, 6),
+            (f32::INFINITY, 6),
+        ] {
             let want = reference_scan(&m, &q, &cands, bound);
             assert_eq!(want.len(), survivors, "bound {bound}");
             for got in both_scans(&m, &q, &cands, bound) {

@@ -36,7 +36,7 @@ pub mod translate;
 pub mod window;
 
 pub use alphabet::Alphabet;
-pub use dist::{BlockDistance, Hamming, MatrixDistance, Metric, Unbounded};
+pub use dist::{Hamming, MatrixDistance, Metric, Unbounded};
 pub use error::SeqError;
 pub use fasta::{parse_fasta, parse_fasta_sequences, write_fasta, FastaRecord};
 pub use matrix::ScoringMatrix;

@@ -192,12 +192,6 @@ impl ScoringMatrix {
         let start = a as usize * self.n;
         &self.scores[start..start + self.n]
     }
-
-    /// Matrix dimension (number of residue codes).
-    #[inline]
-    pub fn dim(&self) -> usize {
-        self.n
-    }
 }
 
 #[cfg(test)]
@@ -224,9 +218,9 @@ mod tests {
     #[test]
     fn rows_agree_with_pair_scores() {
         for m in [ScoringMatrix::blosum62(), ScoringMatrix::dna(2, -3)] {
-            let n = m.dim() as u8;
+            let n = m.alphabet.size() as u8;
             for a in 0..n {
-                assert_eq!(m.row(a).len(), m.dim());
+                assert_eq!(m.row(a).len(), m.alphabet.size());
                 for b in 0..n {
                     assert_eq!(m.row(a)[b as usize], m.score(a, b), "{} ({a},{b})", m.name);
                 }

@@ -15,15 +15,18 @@
 //!   `f32` a caller sees is that sum × 0.5 — exact below 2²⁴ half-units.
 //!   `matrix_sum_bounded` is the per-pair kernel (8-residue spans, one
 //!   early-abandon check per span). `matrix_scan` scores candidates
-//!   **sixteen at a time**, one per byte lane: a 16×16 byte transpose
-//!   turns sixteen windows into sixteen position columns, and each
-//!   position costs two `pshufb` look-ups into the query residue's
-//!   32-byte table row, a select on bit 4 of the candidate code, and one
-//!   saturating `u8` add. A lane that saturates holds a true sum
-//!   ≥ 255 half-units, which is over every bound the vector path accepts
-//!   (`2·bound < 255`), so rejecting it is exact. Looser bounds — `∞`
-//!   while a k-NN heap is still filling — take the per-pair integer
-//!   kernel, as does any table that does not fit `u8` rows.
+//!   **sixteen at a time**, one per lane: a 16×16 byte transpose turns
+//!   sixteen windows into sixteen position columns, and each position
+//!   costs two `pshufb` look-ups into the query residue's 32-byte table
+//!   row, a select on bit 4 of the candidate code, and one saturating
+//!   add. Bounds under 127.5 (`2·bound < 255`) add in `u8` lanes: a lane
+//!   that saturates holds a true sum ≥ 255 half-units, over every such
+//!   bound, so rejecting it is exact. Looser bounds — `∞` while a k-NN
+//!   heap is still filling, and every vp-tree build — add in `u16` lanes
+//!   through the same transpose and look-ups; a `u16` lane that
+//!   saturates (≥ 65,535 half-units) is rejected under a smaller limit
+//!   and scored per pair otherwise. A table that does not fit `u8` rows
+//!   takes the per-pair integer kernel.
 //!
 //! What was measured and is *not* here: an eight-lane AVX2 `vgatherdps`
 //! kernel over an `f32` table (1.7–2× slower than the scalar chain), a
@@ -273,7 +276,8 @@ pub(crate) const ROW_BYTES: usize = 32;
 /// `j` whose half-unit sum against `q` is within `bound`, in candidate
 /// order. `rows` is the zero-padded `u8` copy of `table`
 /// ([`ROW_BYTES`] per residue), empty when the table has an entry over
-/// 255 or more than 32 letters.
+/// 255 or more than 32 letters. Bounds under 127.5 take `u8` lanes, looser
+/// ones — `∞` included — `u16` lanes.
 ///
 /// # Panics
 /// Panics if a candidate's length differs from the query's, or if any
@@ -289,7 +293,7 @@ pub(crate) fn matrix_scan<'a>(
     out: &mut Vec<(u32, f32)>,
 ) {
     #[cfg(target_arch = "x86_64")]
-    if let Some(limit @ 0..=254) = half_unit_limit(bound) {
+    if let Some(limit) = half_unit_limit(bound) {
         if !rows.is_empty()
             && !q.is_empty()
             && simd_enabled()
@@ -299,7 +303,13 @@ pub(crate) fn matrix_scan<'a>(
             debug_assert!(rows.len() == n * ROW_BYTES && n <= ROW_BYTES);
             assert_codes_in_table(q, n);
             // SAFETY: SSSE3 and SSE4.1 were detected on the lines above.
-            unsafe { scan_x16(rows, n, q, cands, limit as u8, out) };
+            unsafe {
+                if limit < 255 {
+                    scan_x16::<false>(table, rows, n, q, cands, bound, out);
+                } else {
+                    scan_x16::<true>(table, rows, n, q, cands, bound, out);
+                }
+            }
             return;
         }
     }
@@ -313,21 +323,31 @@ pub(crate) fn matrix_scan<'a>(
 
 /// The vector path of [`matrix_scan`]: candidates in groups of sixteen, a
 /// short last group padded with repeats of its first window (those lanes
-/// are masked off). `limit` is in half-units and below 255, so a
-/// saturated lane is over it.
+/// are masked off). Narrow (`WIDE = false`) lanes are `u8` and need a
+/// bound under 127.5 — a limit ([`half_unit_limit`]) below 255 — so a
+/// saturated lane is over it. Wide lanes are `u16`; one that saturates
+/// holds a sum of at least 65,535 half-units, rejected when the limit is
+/// below that and otherwise scored per pair.
 ///
 /// # Safety
 /// The caller must have verified SSSE3 and SSE4.1 support at runtime.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "ssse3,sse4.1")]
-unsafe fn scan_x16<'a>(
+unsafe fn scan_x16<'a, const WIDE: bool>(
+    table: &[u32],
     rows: &[u8],
     n: usize,
     q: &[u8],
     mut cands: impl Iterator<Item = &'a [u8]>,
-    limit: u8,
+    bound: f32,
     out: &mut Vec<(u32, f32)>,
 ) {
+    let Some(limit) = half_unit_limit(bound) else {
+        return; // no distance is within a negative or NaN bound
+    };
+    let saturated = if WIDE { u16::MAX } else { u16::from(u8::MAX) };
+    debug_assert!(WIDE || limit < u64::from(saturated));
+    let lane_limit = limit.min(u64::from(saturated)) as u16;
     let mut base = 0usize;
     loop {
         let mut group: [&[u8]; 16] = [&[]; 16];
@@ -342,11 +362,12 @@ unsafe fn scan_x16<'a>(
         }
         let first = group[0];
         group[k..].fill(first);
-        let mut sums = [0u8; 16];
+        let mut sums = [0u16; 16];
         // SAFETY: SSSE3 and SSE4.1 are this function's own precondition;
         // the kernel bounds-checks every window and row slice it loads
         // from.
-        let (within, max_code) = unsafe { x86::matrix_sums_x16(rows, q, &group, limit, &mut sums) };
+        let (within, max_code) =
+            unsafe { x86::matrix_sums_x16::<WIDE>(rows, q, &group, lane_limit, &mut sums) };
         assert!(
             usize::from(max_code) < n,
             "residue code {max_code} outside the {n}-letter distance table"
@@ -354,7 +375,14 @@ unsafe fn scan_x16<'a>(
         let mut live = within & ((1u32 << k) - 1);
         while live != 0 {
             let j = live.trailing_zeros() as usize;
-            out.push(((base + j) as u32, f32::from(sums[j]) * 0.5));
+            let d = if sums[j] == saturated {
+                matrix_dist_bounded(table, n, q, group[j], bound)
+            } else {
+                Some(f32::from(sums[j]) * 0.5)
+            };
+            if let Some(d) = d {
+                out.push(((base + j) as u32, d));
+            }
             live &= live - 1;
         }
         base += k;
@@ -485,8 +513,10 @@ mod x86 {
         out
     }
 
-    /// Score sixteen candidate windows against `q` at once, one per byte
-    /// lane, in saturating `u8` half-units. Writes the lane sums to
+    /// Score sixteen candidate windows against `q` at once, one per lane,
+    /// in saturating half-units: `u8` lanes, or `u16` lanes when `WIDE`.
+    /// Both widths share the transpose and the table look-ups; only the
+    /// accumulate and the final compare differ. Writes the lane sums to
     /// `sums` and returns `(within, max_code)`: bit `j` of `within` is
     /// set iff lane `j`'s sum is `≤ limit`, and `max_code` is the largest
     /// candidate residue code seen (the caller rejects codes outside the
@@ -494,9 +524,9 @@ mod x86 {
     /// short tile is copied into a zeroed buffer, so no load reads past a
     /// window.
     ///
-    /// For the sums to mean anything `limit` must be `< 255` (a saturated
-    /// lane must be over it) and `rows` must be the `ROW_BYTES`-strided
-    /// `u8` table.
+    /// A lane that saturates (255, or 65,535 when `WIDE`) holds a true sum
+    /// at least that large; `rows` must be the `ROW_BYTES`-strided `u8`
+    /// table, and in `u8` lanes `limit` must be below 255.
     ///
     /// # Panics
     /// Panics if a window is shorter than `q` or a query code has no row.
@@ -506,21 +536,23 @@ mod x86 {
     /// safety needs nothing else: every load is from a bounds-checked
     /// slice or a local buffer.
     #[target_feature(enable = "ssse3,sse4.1")]
-    pub(super) unsafe fn matrix_sums_x16(
+    pub(super) unsafe fn matrix_sums_x16<const WIDE: bool>(
         rows: &[u8],
         q: &[u8],
         c: &[&[u8]; 16],
-        limit: u8,
-        sums: &mut [u8; 16],
+        limit: u16,
+        sums: &mut [u16; 16],
     ) -> (u32, u8) {
         let len = q.len();
-        let lim = _mm_set1_epi8(limit as i8);
-        let mut acc = _mm_setzero_si128();
-        let mut seen = _mm_setzero_si128();
+        let zero = _mm_setzero_si128();
+        // Narrow: `acc[0]` holds all sixteen lanes. Wide: `acc[0]` lanes
+        // 0–7 and `acc[1]` lanes 8–15.
+        let mut acc = [zero; 2];
+        let mut seen = zero;
         let mut pos = 0;
         while pos < len {
             let width = (len - pos).min(16);
-            let mut tile = [_mm_setzero_si128(); 16];
+            let mut tile = [zero; 16];
             for (slot, cand) in tile.iter_mut().zip(c) {
                 let src = &cand[pos..pos + width];
                 *slot = if width == 16 {
@@ -551,24 +583,40 @@ mod x86 {
                 let upper = _mm_slli_epi16(col, 3);
                 let cost =
                     _mm_blendv_epi8(_mm_shuffle_epi8(lo, col), _mm_shuffle_epi8(hi, col), upper);
-                acc = _mm_adds_epu8(acc, cost);
+                if WIDE {
+                    acc[0] = _mm_adds_epu16(acc[0], _mm_unpacklo_epi8(cost, zero));
+                    acc[1] = _mm_adds_epu16(acc[1], _mm_unpackhi_epi8(cost, zero));
+                } else {
+                    acc[0] = _mm_adds_epu8(acc[0], cost);
+                }
             }
             pos += width;
         }
-        // SAFETY: `sums` and `codes` are 16-byte buffers.
+        let (wide, within) = if WIDE {
+            let lim = _mm_set1_epi16(limit as i16);
+            let lo = _mm_cmpeq_epi16(_mm_min_epu16(acc[0], lim), acc[0]);
+            let hi = _mm_cmpeq_epi16(_mm_min_epu16(acc[1], lim), acc[1]);
+            // Packing the all-ones / all-zeros words keeps lane order.
+            let mask = _mm_movemask_epi8(_mm_packs_epi16(lo, hi));
+            (acc, mask as u32)
+        } else {
+            let lim = _mm_set1_epi8(limit as u8 as i8);
+            let ok = _mm_cmpeq_epi8(_mm_min_epu8(acc[0], lim), acc[0]);
+            let lanes = [
+                _mm_unpacklo_epi8(acc[0], zero),
+                _mm_unpackhi_epi8(acc[0], zero),
+            ];
+            (lanes, _mm_movemask_epi8(ok) as u32)
+        };
         let mut codes = [0u8; 16];
+        // SAFETY: `sums` is 32 bytes, two 16-byte halves; `codes` is a
+        // 16-byte buffer.
         unsafe {
-            _mm_storeu_si128(sums.as_mut_ptr() as *mut __m128i, acc);
+            _mm_storeu_si128(sums.as_mut_ptr() as *mut __m128i, wide[0]);
+            _mm_storeu_si128(sums.as_mut_ptr().add(8) as *mut __m128i, wide[1]);
             _mm_storeu_si128(codes.as_mut_ptr() as *mut __m128i, seen);
         }
-        (within_mask(acc, lim), super::max_code(&codes))
-    }
-
-    /// Bit `j` set iff unsigned byte lane `j` of `acc` is `≤` that of `lim`.
-    #[inline]
-    #[target_feature(enable = "ssse3,sse4.1")]
-    unsafe fn within_mask(acc: __m128i, lim: __m128i) -> u32 {
-        _mm_movemask_epi8(_mm_cmpeq_epi8(_mm_min_epu8(acc, lim), acc)) as u32
+        (within, super::max_code(&codes))
     }
 }
 
@@ -663,20 +711,38 @@ mod tests {
             for (slot, c) in group.iter_mut().zip(&cands) {
                 *slot = c;
             }
-            for limit in [0u8, 40, 200, 254] {
-                let mut sums = [0u8; 16];
+            // Narrow lanes take limits below 255; wide lanes any, and
+            // their sums never saturate here (at most 26 × 48).
+            for (wide, limit) in [
+                (false, 0u16),
+                (false, 40),
+                (false, 200),
+                (false, 254),
+                (true, 0),
+                (true, 254),
+                (true, 255),
+                (true, 1000),
+                (true, u16::MAX),
+            ] {
+                let mut sums = [0u16; 16];
                 // SAFETY: features detected above; lengths equal by
                 // construction; rows built for n with all codes < n.
-                let (within, max_code) =
-                    unsafe { x86::matrix_sums_x16(&rows, &q, &group, limit, &mut sums) };
+                let (within, max_code) = unsafe {
+                    if wide {
+                        x86::matrix_sums_x16::<true>(&rows, &q, &group, limit, &mut sums)
+                    } else {
+                        x86::matrix_sums_x16::<false>(&rows, &q, &group, limit, &mut sums)
+                    }
+                };
                 assert!(usize::from(max_code) < n);
                 for (j, c) in cands.iter().enumerate() {
                     let exact = matrix_sum_bounded(&table, n, &q, c, u64::MAX)
                         .expect("no limit, no abandon");
                     let ok = within & (1 << j) != 0;
-                    assert_eq!(ok, exact <= u64::from(limit), "len {len} lane {j}");
-                    if ok {
-                        assert_eq!(u64::from(sums[j]), exact, "len {len} lane {j}");
+                    let what = format!("len {len} wide {wide} limit {limit} lane {j}");
+                    assert_eq!(ok, exact <= u64::from(limit), "{what}");
+                    if ok || wide {
+                        assert_eq!(u64::from(sums[j]), exact, "{what}");
                     }
                 }
             }

@@ -268,6 +268,7 @@ impl MemVfs {
 
     /// Operations performed so far (the crash-point matrix measures an
     /// ingest run with this, then sweeps `crash_after` over the range).
+    // audit:allow(unreached): crates/store/tests/crash_matrix.rs and cluster.rs's crash-point sweep place crashes by operation count
     pub fn ops(&self) -> u64 {
         self.state.lock().ops
     }
@@ -279,6 +280,7 @@ impl MemVfs {
 
     /// Bring the disk back after a crash: the surviving bytes stay,
     /// operations work again, and the one-shot crash point is gone.
+    // audit:allow(unreached): tests/durability.rs, crates/store/tests/crash_matrix.rs and the crash tests in cluster.rs and engine.rs restart a crashed disk with it
     pub fn recover(&self) {
         let mut s = self.state.lock();
         s.crashed = false;
@@ -301,6 +303,7 @@ impl MemVfs {
 
     /// Flip one bit at `offset` of `path` — targeted corruption for
     /// checksum-verification tests.
+    // audit:allow(unreached): the segment and WAL tests flip stored bytes with it
     pub fn corrupt(&self, path: &str, offset: usize) -> VfsResult<()> {
         let mut s = self.state.lock();
         let f = s
@@ -318,6 +321,7 @@ impl MemVfs {
     }
 
     /// Current visible length of `path` (testing aid).
+    // audit:allow(unreached): the segment, WAL, engine and vfs tests read file sizes with it
     pub fn file_len(&self, path: &str) -> VfsResult<u64> {
         let s = self.state.lock();
         s.files

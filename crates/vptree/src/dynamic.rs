@@ -542,7 +542,7 @@ mod tests {
             }
         };
         let mut cleared = empty(4);
-        let counters = crate::metrics::SearchMetrics::detached();
+        let counters = crate::metrics::SearchMetrics::default();
         cleared.set_metrics(counters.clone());
         grow(&mut cleared);
         cleared.knn(&vec![0u8; 8], 3);

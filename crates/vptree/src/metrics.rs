@@ -33,11 +33,6 @@ pub struct SearchMetrics {
 }
 
 impl SearchMetrics {
-    /// Detached counters (registered nowhere).
-    pub fn detached() -> Self {
-        Self::default()
-    }
-
     /// Counters registered under `mendel.vptree.*` in `registry`.
     pub fn registered(registry: &Registry) -> Self {
         let scope = registry.scoped("mendel.vptree");
@@ -89,7 +84,7 @@ mod tests {
 
     #[test]
     fn detached_metrics_count_but_register_nothing() {
-        let m = SearchMetrics::detached();
+        let m = SearchMetrics::default();
         m.dist_calls.add(3);
         assert_eq!(m.dist_calls.get(), 3);
     }
@@ -104,7 +99,7 @@ mod tests {
 
     #[test]
     fn tally_flush_accumulates() {
-        let m = SearchMetrics::detached();
+        let m = SearchMetrics::default();
         let tally = SearchTally {
             dist_calls: 10,
             early_abandons: 4,

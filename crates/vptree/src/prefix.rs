@@ -19,35 +19,36 @@ use mendel_seq::Metric;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
-/// One internal vertex of the prefix tree: a vantage point and its μ.
+/// One internal vertex of the prefix tree: a vantage window and its μ.
 #[derive(Debug, Clone)]
-struct PrefixNode<P> {
-    vantage: P,
+struct PrefixNode {
+    vantage: Vec<u8>,
     radius: f32,
 }
 
-/// A depth-limited vp-tree used as a locality-sensitive hash function.
+/// A depth-limited vp-tree over byte windows, used as a
+/// locality-sensitive hash function.
 #[derive(Debug)]
-pub struct VpPrefixTree<P, M> {
+pub struct VpPrefixTree<M> {
     metric: M,
     depth: usize,
     /// Complete binary tree in heap order: node `i` has children `2i+1`,
     /// `2i+2`; there are `2^depth − 1` internal vertices.
-    nodes: Vec<PrefixNode<P>>,
+    nodes: Vec<PrefixNode>,
 }
 
-impl<P: Clone, M: Metric<P>> VpPrefixTree<P, M> {
+impl<M: Metric<[u8]>> VpPrefixTree<M> {
     /// Build the hash tree from a `sample` of the data. `depth` is the
     /// cutoff threshold; the tree hashes into `2^depth` buckets.
     ///
     /// # Panics
     /// Panics if the sample is empty or `depth == 0`.
-    pub fn build(sample: Vec<P>, metric: M, depth: usize, seed: u64) -> Self {
+    pub fn build(sample: Vec<Vec<u8>>, metric: M, depth: usize, seed: u64) -> Self {
         assert!(depth >= 1, "depth threshold must be at least 1");
         assert!(!sample.is_empty(), "prefix tree needs a non-empty sample");
         let n_nodes = (1usize << depth) - 1;
         let fallback = sample[0].clone();
-        let mut nodes: Vec<Option<PrefixNode<P>>> = vec![None; n_nodes];
+        let mut nodes: Vec<Option<PrefixNode>> = vec![None; n_nodes];
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let mut tree = VpPrefixTree {
             metric,
@@ -75,9 +76,9 @@ impl<P: Clone, M: Metric<P>> VpPrefixTree<P, M> {
     fn build_rec(
         &self,
         node: usize,
-        mut items: Vec<P>,
-        fallback: &P,
-        out: &mut Vec<Option<PrefixNode<P>>>,
+        mut items: Vec<Vec<u8>>,
+        fallback: &[u8],
+        out: &mut Vec<Option<PrefixNode>>,
         rng: &mut ChaCha8Rng,
     ) {
         if node >= out.len() {
@@ -87,7 +88,7 @@ impl<P: Clone, M: Metric<P>> VpPrefixTree<P, M> {
             // Starved branch (duplicate-heavy samples): route everything
             // left with an infinite radius so hashing stays total.
             out[node] = Some(PrefixNode {
-                vantage: fallback.clone(),
+                vantage: fallback.to_vec(),
                 radius: f32::INFINITY,
             });
             self.build_rec(2 * node + 1, Vec::new(), fallback, out, rng);
@@ -98,7 +99,7 @@ impl<P: Clone, M: Metric<P>> VpPrefixTree<P, M> {
         // little at the coarse resolutions used for group hashing).
         let v_idx = rng.random_range(0..items.len());
         let vantage = items.swap_remove(v_idx);
-        let mut dists: Vec<(P, f32)> = items
+        let mut dists: Vec<(Vec<u8>, f32)> = items
             .into_iter()
             .map(|p| {
                 let d = self.metric.dist(&vantage, &p);
@@ -125,26 +126,20 @@ impl<P: Clone, M: Metric<P>> VpPrefixTree<P, M> {
         self.build_rec(2 * node + 2, right, fallback, out, rng);
     }
 
-    /// Cutoff depth threshold.
-    #[inline]
-    pub fn depth(&self) -> usize {
-        self.depth
-    }
-
     /// Number of hash buckets (`2^depth`).
     #[inline]
     pub fn num_buckets(&self) -> usize {
         1 << self.depth
     }
 
-    /// Hash a point to its path prefix. The prefix always has the top bit
+    /// Hash a window to its path prefix. The prefix always has the top bit
     /// at position `depth` (root's 1), so distinct depths never collide.
-    pub fn hash(&self, point: &P) -> u64 {
+    pub fn hash(&self, window: &[u8]) -> u64 {
         let mut prefix = 1u64;
         let mut node = 0usize;
         for _ in 0..self.depth {
             let pn = &self.nodes[node];
-            let d = self.metric.dist(point, &pn.vantage);
+            let d = self.metric.dist(window, &pn.vantage);
             if d <= pn.radius {
                 prefix <<= 1;
                 node = 2 * node + 1;
@@ -160,9 +155,9 @@ impl<P: Clone, M: Metric<P>> VpPrefixTree<P, M> {
     /// straddles a vertex's boundary (`|d − μ| ≤ τ`) both children are
     /// followed. Returns the sorted, de-duplicated set of reachable
     /// prefixes (always at least one).
-    pub fn hash_with_tolerance(&self, point: &P, tau: f32) -> Vec<u64> {
+    pub fn hash_with_tolerance(&self, window: &[u8], tau: f32) -> Vec<u64> {
         let mut out = Vec::new();
-        self.hash_tol_rec(0, 1, 0, point, tau, &mut out);
+        self.hash_tol_rec(0, 1, 0, window, tau, &mut out);
         out.sort_unstable();
         out.dedup();
         out
@@ -173,7 +168,7 @@ impl<P: Clone, M: Metric<P>> VpPrefixTree<P, M> {
         node: usize,
         prefix: u64,
         level: usize,
-        point: &P,
+        window: &[u8],
         tau: f32,
         out: &mut Vec<u64>,
     ) {
@@ -182,14 +177,14 @@ impl<P: Clone, M: Metric<P>> VpPrefixTree<P, M> {
             return;
         }
         let pn = &self.nodes[node];
-        let d = self.metric.dist(point, &pn.vantage);
+        let d = self.metric.dist(window, &pn.vantage);
         let go_left = d <= pn.radius + tau;
         let go_right = d + tau > pn.radius;
         if go_left {
-            self.hash_tol_rec(2 * node + 1, prefix << 1, level + 1, point, tau, out);
+            self.hash_tol_rec(2 * node + 1, prefix << 1, level + 1, window, tau, out);
         }
         if go_right || !go_left {
-            self.hash_tol_rec(2 * node + 2, (prefix << 1) | 1, level + 1, point, tau, out);
+            self.hash_tol_rec(2 * node + 2, (prefix << 1) | 1, level + 1, window, tau, out);
         }
     }
 
@@ -199,7 +194,7 @@ impl<P: Clone, M: Metric<P>> VpPrefixTree<P, M> {
     /// for each supplied probe — path consistency: the hash is stable,
     /// carries the top bit at `depth`, maps to a dense bucket in range,
     /// and the tolerance traversal at `τ = 0` reproduces exactly it.
-    pub fn check_invariants(&self, probes: &[P]) -> Result<(), String> {
+    pub fn check_invariants(&self, probes: &[Vec<u8>]) -> Result<(), String> {
         if self.depth == 0 {
             return Err("depth threshold is zero".into());
         }
@@ -247,7 +242,7 @@ impl<P: Clone, M: Metric<P>> VpPrefixTree<P, M> {
     /// Abort with the violation when [`Self::check_invariants`] fails —
     /// called after builds under `strict-invariants`.
     #[cfg(feature = "strict-invariants")]
-    fn assert_invariants(&self, probes: &[P], site: &str) {
+    fn assert_invariants(&self, probes: &[Vec<u8>], site: &str) {
         if let Err(e) = self.check_invariants(probes) {
             // audit:allow(panic): strict-invariants mode aborts on structural corruption by design.
             panic!("vp-prefix-tree invariant violated after {site}: {e}");
@@ -309,10 +304,10 @@ impl GroupAssignment {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mendel_seq::{BlockDistance, Hamming};
+    use mendel_seq::Hamming;
     use rand::Rng;
 
-    type Tree = VpPrefixTree<Vec<u8>, BlockDistance<Hamming>>;
+    type Tree = VpPrefixTree<Hamming>;
 
     fn random_points(n: usize, len: usize, seed: u64) -> Vec<Vec<u8>> {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
@@ -324,7 +319,7 @@ mod tests {
     fn build(depth: usize, seed: u64) -> (Tree, Vec<Vec<u8>>) {
         let sample = random_points(1000, 16, seed);
         (
-            VpPrefixTree::build(sample.clone(), BlockDistance::new(Hamming), depth, seed),
+            VpPrefixTree::build(sample.clone(), Hamming, depth, seed),
             sample,
         )
     }
@@ -383,8 +378,8 @@ mod tests {
         // Fig. 2: the depth threshold sets the similarity resolution —
         // deeper trees spread the same data across more buckets.
         let sample = random_points(2000, 16, 6);
-        let shallow = VpPrefixTree::build(sample.clone(), BlockDistance::new(Hamming), 2, 6);
-        let deep = VpPrefixTree::build(sample.clone(), BlockDistance::new(Hamming), 6, 6);
+        let shallow = VpPrefixTree::build(sample.clone(), Hamming, 2, 6);
+        let deep = VpPrefixTree::build(sample.clone(), Hamming, 6, 6);
         let count_distinct = |t: &Tree| {
             let mut set = std::collections::HashSet::new();
             for p in sample.iter() {
@@ -435,7 +430,7 @@ mod tests {
     #[test]
     fn duplicate_sample_still_hashes_totally() {
         let sample = vec![vec![7u8; 8]; 64];
-        let t: Tree = VpPrefixTree::build(sample, BlockDistance::new(Hamming), 4, 10);
+        let t: Tree = VpPrefixTree::build(sample, Hamming, 4, 10);
         let h = t.hash(&vec![7u8; 8]);
         assert!(t.bucket_index(h) < 16);
         let other = t.hash(&vec![3u8; 8]);
@@ -449,8 +444,7 @@ mod tests {
             assert_eq!(t.check_invariants(&sample[..100]), Ok(()), "depth {depth}");
         }
         // Duplicate-heavy samples build starved (fallback) branches.
-        let dup: Tree =
-            VpPrefixTree::build(vec![vec![7u8; 8]; 64], BlockDistance::new(Hamming), 4, 10);
+        let dup: Tree = VpPrefixTree::build(vec![vec![7u8; 8]; 64], Hamming, 4, 10);
         assert_eq!(dup.check_invariants(&[vec![7u8; 8], vec![3u8; 8]]), Ok(()));
     }
 
@@ -465,13 +459,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "non-empty sample")]
     fn empty_sample_rejected() {
-        let _: Tree = VpPrefixTree::build(vec![], BlockDistance::new(Hamming), 3, 0);
+        let _: Tree = VpPrefixTree::build(vec![], Hamming, 3, 0);
     }
 
     #[test]
     #[should_panic(expected = "depth threshold")]
     fn zero_depth_rejected() {
-        let _: Tree = VpPrefixTree::build(vec![vec![0u8]], BlockDistance::new(Hamming), 0, 0);
+        let _: Tree = VpPrefixTree::build(vec![vec![0u8]], Hamming, 0, 0);
     }
 
     #[test]

@@ -240,11 +240,14 @@ impl<M: Metric<[u8]>> VpTree<M> {
         let vantage_id = staged.ids[items[0] as usize];
         let rest = &mut items[1..];
 
-        // Distances of the remaining elements to the vantage point.
-        let mut dists: Vec<(u32, f32)> = rest
-            .iter()
-            .map(|&i| (i, self.metric.dist(vantage, staged.window(i, len))))
-            .collect();
+        // Distances of the remaining elements to the vantage point, in
+        // one unbounded scan — it keeps every element, in order — then
+        // keyed by staged position.
+        let mut dists = Vec::with_capacity(rest.len());
+        self.scan_all(vantage, rest, staged, &mut dists);
+        for (entry, &i) in dists.iter_mut().zip(rest.iter()) {
+            entry.0 = i;
+        }
         // Median split: the radius must "encompass roughly half of the data
         // points in order to maintain a balanced vp-tree" (§III-A).
         let mid = (dists.len() - 1) / 2;
@@ -314,6 +317,22 @@ impl<M: Metric<[u8]>> VpTree<M> {
         (self.nodes.len() - 1) as u32
     }
 
+    /// Score `from` against the staged elements at `positions` with the
+    /// metric's whole-list kernel under no bound: `out` is replaced by
+    /// `(j, d)` for every `j`, in order, each `d` bit-identical to
+    /// `Metric::dist`.
+    fn scan_all(&self, from: &[u8], positions: &[u32], staged: &Staged, out: &mut Vec<(u32, f32)>) {
+        let len = self.window_len;
+        out.clear();
+        let windows = positions.iter().map(|&p| staged.window(p, len));
+        self.metric.scan_bounded(from, windows, f32::INFINITY, out);
+        assert_eq!(
+            out.len(),
+            positions.len(),
+            "an unbounded scan keeps every element"
+        );
+    }
+
     /// Yianilos' spread heuristic: sample a few candidates, estimate each
     /// one's distance spread against a random subset, keep the widest.
     fn pick_vantage(&self, items: &[u32], staged: &Staged, rng: &mut impl Rng) -> usize {
@@ -326,16 +345,18 @@ impl<M: Metric<[u8]>> VpTree<M> {
         let n_cand = CANDIDATES.min(items.len());
         let n_probe = PROBES.min(items.len());
         let cands = sample(rng, items.len(), n_cand);
-        let probes: Vec<usize> = sample(rng, items.len(), n_probe).into_iter().collect();
+        let probes: Vec<u32> = sample(rng, items.len(), n_probe)
+            .into_iter()
+            .map(|p| items[p])
+            .collect();
         let mut best = (0usize, f32::NEG_INFINITY);
+        let mut scored = Vec::with_capacity(n_probe);
         for c in cands {
             let cp = staged.window(items[c], len);
-            let ds: Vec<f32> = probes
-                .iter()
-                .map(|&p| self.metric.dist(cp, staged.window(items[p], len)))
-                .collect();
-            let mean = ds.iter().sum::<f32>() / ds.len() as f32;
-            let var = ds.iter().map(|d| (d - mean) * (d - mean)).sum::<f32>() / ds.len() as f32;
+            self.scan_all(cp, &probes, staged, &mut scored);
+            let ds = scored.iter().map(|&(_, d)| d);
+            let mean = ds.clone().sum::<f32>() / n_probe as f32;
+            let var = ds.map(|d| (d - mean) * (d - mean)).sum::<f32>() / n_probe as f32;
             if var > best.1 {
                 best = (c, var);
             }
@@ -1335,6 +1356,72 @@ mod tests {
         let protein = MatrixDistance::mendel(&ScoringMatrix::blosum62());
         assert_eq!(profile(protein, 20), [24_576, 21_981, 2_766, 1_026, 24]);
         assert_eq!(profile(Hamming, 4), [24_576, 21_743, 2_729, 1_056, 24]);
+    }
+
+    /// FNV-1a over a tree's whole layout: the root, then every node in
+    /// index order — an internal vertex's vantage id and window, radius,
+    /// children and both distance bands (as bits), a leaf's ids and
+    /// windows. Node order breaks search ties, so it is hashed too.
+    fn layout_digest<M>(t: &VpTree<M>) -> u64 {
+        let mut h = 0xCBF2_9CE4_8422_2325u64;
+        let mut eat = |bytes: &[u8]| {
+            for &b in bytes {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01B3);
+            }
+        };
+        eat(&t.root.to_le_bytes());
+        for node in &t.nodes {
+            match node {
+                Node::Internal {
+                    vantage,
+                    window,
+                    radius,
+                    left,
+                    right,
+                    left_bounds,
+                    right_bounds,
+                } => {
+                    eat(&[0]);
+                    eat(&vantage.to_le_bytes());
+                    eat(window);
+                    for f in [
+                        *radius,
+                        left_bounds.0,
+                        left_bounds.1,
+                        right_bounds.0,
+                        right_bounds.1,
+                    ] {
+                        eat(&f.to_bits().to_le_bytes());
+                    }
+                    eat(&left.to_le_bytes());
+                    eat(&right.to_le_bytes());
+                }
+                Node::Leaf { ids, windows } => {
+                    eat(&[1]);
+                    for id in ids {
+                        eat(&id.to_le_bytes());
+                    }
+                    eat(windows);
+                }
+            }
+        }
+        h
+    }
+
+    /// The layout a fixed-seed build produces, as literals — the points
+    /// and seed of `fixed_seed_search_counters_are_pinned`. A change to
+    /// how a build scores or splits its points must leave every node
+    /// where it was.
+    #[test]
+    fn fixed_seed_build_layout_is_pinned() {
+        use mendel_seq::{MatrixDistance, ScoringMatrix};
+        fn digest<M: Metric<[u8]>>(metric: M, alphabet: u8) -> u64 {
+            let points = random_points(6000, 16, alphabet, 0x23);
+            layout_digest(&VpTree::build(points, metric, 32, 0x23))
+        }
+        let protein = MatrixDistance::mendel(&ScoringMatrix::blosum62());
+        assert_eq!(digest(protein, 20), 0x9DAE_3048_89E8_3F40);
+        assert_eq!(digest(Hamming, 4), 0x1077_EB92_932A_2AD9);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Property tests for the vp-tree: the k-NN oracle equivalence is the
 //! load-bearing invariant of the whole Mendel search path.
 
-use mendel_seq::{BlockDistance, Hamming, Metric};
+use mendel_seq::{Hamming, Metric};
 use mendel_vptree::{brute_force_knn, VpPrefixTree, VpTree};
 use proptest::prelude::*;
 
@@ -95,7 +95,7 @@ proptest! {
         depth in 1usize..6,
         tau in 0.0f32..4.0,
     ) {
-        let tree = VpPrefixTree::build(sample.clone(), BlockDistance::new(Hamming), depth, 23);
+        let tree = VpPrefixTree::build(sample.clone(), Hamming, depth, 23);
         prop_assert_eq!(tree.check_invariants(&sample), Ok(()));
         prop_assert_eq!(tree.check_invariants(std::slice::from_ref(&query)), Ok(()));
         let h = tree.hash(&query);

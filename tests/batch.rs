@@ -253,8 +253,8 @@ fn concurrent_single_queries_match_serial_answers() {
 /// The process-wide SIMD kill switch changes which distance kernel
 /// runs, never an answer nor the work the search does: hits and each
 /// report's four `mendel.vptree.*` counter deltas are identical with it
-/// on and off (hits are compared, so toggling it under the other tests
-/// of this binary is harmless to them).
+/// on and off, at build time and at query time (hits are compared, so
+/// toggling it under the other tests of this binary is harmless to them).
 #[test]
 fn simd_kill_switch_leaves_cluster_hits_identical() {
     use mendel_suite::seq::simd::set_simd_enabled;
@@ -265,11 +265,18 @@ fn simd_kill_switch_leaves_cluster_hits_identical() {
         "mendel.vptree.leaf_scans",
     ];
     for alphabet in [Alphabet::Dna, Alphabet::Protein] {
-        // A cluster of its own: the shared worlds serve this binary's
-        // other tests concurrently, which would leak into the deltas.
-        let w = build_world(alphabet, StorageBackend::Memory, 0x51D, 16);
-        let params = params_for(&w);
-        let answers = |on: bool| -> Vec<(Vec<MendelHit>, [u64; 4])> {
+        // Clusters of their own: the shared worlds serve this binary's
+        // other tests concurrently, which would leak into the deltas. The
+        // build scores its vantage distances through the same kernels, so
+        // one cluster is built with SIMD off and one with it on.
+        let built = |on: bool| -> World {
+            let prev = set_simd_enabled(on);
+            let w = build_world(alphabet, StorageBackend::Memory, 0x51D, 16);
+            set_simd_enabled(prev);
+            w
+        };
+        let answers = |w: &World, on: bool| -> Vec<(Vec<MendelHit>, [u64; 4])> {
+            let params = params_for(w);
             let prev = set_simd_enabled(on);
             let out = w
                 .pool
@@ -282,9 +289,12 @@ fn simd_kill_switch_leaves_cluster_hits_identical() {
             set_simd_enabled(prev);
             out
         };
-        let scalar = answers(false);
+        let (scalar_built, vector_built) = (built(false), built(true));
+        let scalar = answers(&scalar_built, false);
         assert!(scalar.iter().all(|(_, c)| c[0] > 0), "{alphabet:?}");
-        assert_eq!(scalar, answers(true), "{alphabet:?}");
+        assert_eq!(scalar, answers(&scalar_built, true), "{alphabet:?}");
+        assert_eq!(scalar, answers(&vector_built, false), "{alphabet:?}");
+        assert_eq!(scalar, answers(&vector_built, true), "{alphabet:?}");
     }
 }
 
