@@ -118,6 +118,14 @@ if [ "$MODE" != "quick" ]; then
         cargo test --release -p mendel-vptree -q
 fi
 
+#    The lane kernels of the vp-tree leaf scan against per-pair `dist`:
+#    the debug suite compares 2,000 generated leaves, this release run
+#    40,000 (the sweep ignores itself in debug builds).
+if [ "$MODE" != "quick" ]; then
+    step "lane-kernel differential sweep (release)" \
+        cargo test --release -p mendel-seq -q
+fi
+
 #    The banded gapped-extension kernel against its reference copy: the
 #    debug suite compares 2,000 generated cases, this release run 50,000
 #    (the sweep ignores itself in debug builds).

@@ -5,6 +5,7 @@
 //! without triangle-inequality repair) for proteins. A small enum avoids
 //! making every tree generic at the cluster API surface.
 
+use mendel_seq::lanes::LaneGroup;
 use mendel_seq::{Hamming, MatrixDistance, Metric, ScoringMatrix};
 use std::sync::Arc;
 
@@ -64,6 +65,16 @@ impl<T: AsRef<[u8]> + ?Sized> Metric<T> for BlockMetric {
         match self {
             BlockMetric::Hamming => Hamming.scan_bounded(a.as_ref(), cands, bound, out),
             BlockMetric::Matrix(m) => m.scan_bounded(a.as_ref(), cands, bound, out),
+        }
+    }
+
+    fn scan_lanes(&self, a: &[u8], group: LaneGroup<'_>, bound: f32, out: &mut Vec<(u32, f32)>)
+    where
+        [u8]: AsRef<T>,
+    {
+        match self {
+            BlockMetric::Hamming => Hamming.scan_lanes(a, group, bound, out),
+            BlockMetric::Matrix(m) => m.scan_lanes(a, group, bound, out),
         }
     }
 }

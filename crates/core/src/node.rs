@@ -169,10 +169,12 @@ impl StorageNode {
     pub fn blocks(&self) -> Vec<Block> {
         let db = self.db.read().clone();
         let mut seqs: HashMap<SeqId, Option<Arc<[u8]>>> = HashMap::new();
+        let (windows, len) = (self.tree.windows(), self.tree.window_len());
         self.keys
             .iter()
-            .zip(self.tree.windows())
-            .map(|(k, bytes)| {
+            .enumerate()
+            .map(|(i, k)| {
+                let bytes = &windows[i * len..][..len];
                 let start = k.start as usize;
                 let backing = seqs
                     .entry(k.seq)
@@ -210,8 +212,8 @@ impl StorageNode {
     ///
     /// `query` is the *full* query; each subquery window starts at an
     /// `offsets` entry and has the cluster's block length. This is the
-    /// one node search: the served path calls it per message, the
-    /// in-process evaluator once per scheduler job.
+    /// one node search: a node's request handler calls it once per search
+    /// message, whether the message came over TCP or in process.
     pub fn local_search_many(
         &self,
         query: &[u8],

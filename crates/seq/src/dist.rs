@@ -35,6 +35,7 @@
 
 use crate::alphabet::Alphabet;
 use crate::error::SeqError;
+use crate::lanes::LaneGroup;
 use crate::matrix::ScoringMatrix;
 
 /// A distance function over values of type `T`.
@@ -89,6 +90,30 @@ pub trait Metric<T: ?Sized>: Send + Sync {
                 out.push((j as u32, d));
             }
         }
+    }
+
+    /// [`Self::scan_bounded`] over one lane-major group of a vp-tree leaf
+    /// ([`crate::lanes`]): append `(j, d)` for each of the group's first
+    /// `live` windows `j` with `d = dist(a, window j) ≤ bound`, in lane
+    /// order, each `d` bit-identical to [`Self::dist`]. The windows have
+    /// `a`'s length.
+    ///
+    /// The default copies each window out and calls
+    /// [`Self::dist_bounded`] — the per-pair path, which keeps wrappers
+    /// like [`Unbounded`] exact; the integer metrics score a whole group
+    /// per kernel call.
+    ///
+    /// # Panics
+    /// Panics if the group is malformed: a width outside 1 to 16, more
+    /// live windows than that, or too few bytes.
+    fn scan_lanes(&self, a: &[u8], group: LaneGroup<'_>, bound: f32, out: &mut Vec<(u32, f32)>)
+    where
+        [u8]: AsRef<T>,
+        Self: Sized,
+    {
+        crate::lanes::scan_per_pair(a, group, bound, out, |a, c, bound| {
+            self.dist_bounded(a.as_ref(), c.as_ref(), bound)
+        });
     }
 }
 
@@ -154,6 +179,12 @@ impl Metric<[u8]> for Hamming {
         I: Iterator<Item = &'a [u8]>,
     {
         crate::simd::hamming_scan(a, cands, bound, out);
+    }
+
+    /// One `cmpeq` per position scores all of the group's lanes
+    /// ([`crate::simd`]).
+    fn scan_lanes(&self, a: &[u8], group: LaneGroup<'_>, bound: f32, out: &mut Vec<(u32, f32)>) {
+        crate::simd::hamming_scan_lanes(a, group, bound, out);
     }
 }
 
@@ -378,6 +409,17 @@ impl Metric<[u8]> for MatrixDistance {
         I: Iterator<Item = &'a [u8]>,
     {
         crate::simd::matrix_scan(&self.half, &self.rows, self.n, a, cands, bound, out);
+    }
+
+    /// The sixteen-lane kernel with one column load per position, no
+    /// transpose (`simd::matrix_scan_lanes`); per pair where
+    /// [`Metric::scan_bounded`] is.
+    ///
+    /// # Panics
+    /// As [`Metric::dist`], for the query and every live window, on every
+    /// path.
+    fn scan_lanes(&self, a: &[u8], group: LaneGroup<'_>, bound: f32, out: &mut Vec<(u32, f32)>) {
+        crate::simd::matrix_scan_lanes(&self.half, &self.rows, self.n, a, group, bound, out);
     }
 }
 
@@ -848,6 +890,271 @@ mod tests {
                     prop_assert_eq!(m.dist_bounded(&q[..], &c[..], d - 0.5), None);
                 }
             }
+        }
+    }
+
+    /// The lane kernels against per-pair `dist`: one generated leaf per
+    /// seed, every lane group of it scored under bounds on both sides of
+    /// the `u8` / `u16` lane split, through every path a group can take.
+    mod lane_properties {
+        use super::*;
+        use crate::lanes::{groups, lane_bytes, scan_per_pair, write_lanes, LaneGroup};
+        use proptest::prelude::*;
+
+        struct Case {
+            /// `None` for Hamming.
+            table: Option<MatrixDistance>,
+            /// Codes drawn below this.
+            letters: usize,
+            len: usize,
+            q: Vec<u8>,
+            windows: Vec<Vec<u8>>,
+            /// Live windows per group, drawn up to each group's width.
+            live: Vec<usize>,
+        }
+
+        fn case(seed: u64) -> Case {
+            let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+            let mut below = move |bound: usize| {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                ((state >> 33) % bound as u64) as usize
+            };
+            let len = 1 + below(64);
+            let count = 1 + below(40);
+            let (table, letters) = if below(4) == 0 {
+                (None, 4)
+            } else if below(2) == 0 {
+                (Some(MatrixDistance::mendel(&ScoringMatrix::blosum62())), 24)
+            } else {
+                // 255 half-units = 127.5: u8 lanes saturate from two
+                // residues on; 2000 does not fit a u8 row at all.
+                let n = 2 + below(31);
+                let ceiling = [3, 26, 255, 2000][below(4)];
+                let half: Vec<u32> = (0..n * n)
+                    .map(|i| {
+                        if i / n == i % n {
+                            0
+                        } else {
+                            below(ceiling + 1) as u32
+                        }
+                    })
+                    .collect();
+                (Some(table(n, half)), n)
+            };
+            let q: Vec<u8> = (0..len).map(|_| below(letters) as u8).collect();
+            // Near-copies of the query keep some sums under tight bounds.
+            let windows = (0..count)
+                .map(|j| {
+                    let mut w: Vec<u8> = (0..len).map(|_| below(letters) as u8).collect();
+                    if j % 3 == 0 {
+                        w.copy_from_slice(&q);
+                        w[j % len] = (j % letters) as u8;
+                    }
+                    w
+                })
+                .collect();
+            let live = (0..count.div_ceil(16))
+                .map(|g| {
+                    let width = (count - 16 * g).min(16);
+                    if below(3) == 0 {
+                        below(width + 1)
+                    } else {
+                        width
+                    }
+                })
+                .collect();
+            Case {
+                table,
+                letters,
+                len,
+                q,
+                windows,
+                live,
+            }
+        }
+
+        type Survivors = Vec<(u32, u32)>;
+
+        /// Run `scan` on `group` and return its survivors as bits.
+        fn run(scan: impl FnOnce(&mut Vec<(u32, f32)>)) -> Survivors {
+            let mut out = Vec::new();
+            scan(&mut out);
+            out.into_iter().map(|(j, d)| (j, d.to_bits())).collect()
+        }
+
+        /// The paths a lane group can take: the dispatched kernel (vector
+        /// lanes where the table, bound and CPU allow), the matrix kernel
+        /// with its `u8` rows withheld, and the per-pair path the SIMD kill
+        /// switch selects.
+        const PATHS: [&str; 3] = ["dispatched", "rows withheld", "simd off"];
+
+        /// The survivors of `path`, or `None` where a metric has no such
+        /// path (Hamming has no rows).
+        fn scan(c: &Case, path: &str, group: LaneGroup<'_>, bound: f32) -> Option<Survivors> {
+            let q = &c.q[..];
+            let survivors = match (&c.table, path) {
+                (Some(m), "dispatched") => run(|out| m.scan_lanes(q, group, bound, out)),
+                (Some(m), "rows withheld") => run(|out| {
+                    crate::simd::matrix_scan_lanes(&m.half, &[], m.n, q, group, bound, out)
+                }),
+                (Some(m), _) => run(|out| {
+                    scan_per_pair(q, group, bound, out, |a, b, bound| {
+                        crate::simd::matrix_dist_bounded(&m.half, m.n, a, b, bound)
+                    })
+                }),
+                (None, "dispatched") => run(|out| Hamming.scan_lanes(q, group, bound, out)),
+                (None, "rows withheld") => return None,
+                (None, _) => run(|out| {
+                    scan_per_pair(q, group, bound, out, |a, b, bound| {
+                        let d = crate::simd::hamming_scalar(a, b) as f32;
+                        (d <= bound).then_some(d)
+                    })
+                }),
+            };
+            Some(survivors)
+        }
+
+        fn dist(c: &Case, a: &[u8], b: &[u8]) -> f32 {
+            match &c.table {
+                Some(m) => m.dist(a, b),
+                None => Hamming.dist(a, b),
+            }
+        }
+
+        fn lanes_agree(seed: u64) -> Result<(), TestCaseError> {
+            let c = case(seed);
+            let mut lanes = vec![0u8; lane_bytes(c.windows.len(), c.len)];
+            write_lanes(c.windows.iter().map(Vec::as_slice), c.len, &mut lanes);
+            let some = dist(&c, &c.q, &c.windows[c.windows.len() / 2]);
+            for (g, (first, group)) in groups(&lanes, c.windows.len(), c.len).enumerate() {
+                let live = c.live[g];
+                // With the leaf's tail slack and cut to the group's own
+                // bytes, where the last columns are copied, not loaded.
+                let exact = &group.bytes[..group.width * c.len];
+                for bytes in [group.bytes, exact] {
+                    let group = LaneGroup {
+                        bytes,
+                        live,
+                        ..group
+                    };
+                    for bound in [
+                        0.0,
+                        some,
+                        some - 0.5,
+                        127.0,
+                        127.5,
+                        32_767.5,
+                        f32::INFINITY,
+                        -1.0,
+                    ] {
+                        let want: Survivors = (0u32..)
+                            .zip(&c.windows[first..first + live])
+                            .map(|(j, w)| (j, dist(&c, &c.q, w)))
+                            .filter(|&(_, d)| d <= bound)
+                            .map(|(j, d)| (j, d.to_bits()))
+                            .collect();
+                        for path in PATHS {
+                            if let Some(got) = scan(&c, path, group, bound) {
+                                prop_assert_eq!(
+                                    &got,
+                                    &want,
+                                    "seed {} group {} {} bound {}",
+                                    seed,
+                                    g,
+                                    path,
+                                    bound
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+            // A code outside the table panics from a live lane on every
+            // path, and is never read from a dead one.
+            if c.table.is_some() {
+                let count = c.windows.len();
+                let (first, group) = groups(&lanes, count, c.len).last().expect("a group");
+                let j = group.width - 1;
+                let mut bad = lanes.clone();
+                bad[first * c.len + (c.len - 1) * group.width + j] = c.letters as u8;
+                let clean = LaneGroup { live: j, ..group };
+                let dead = LaneGroup {
+                    bytes: &bad[first * c.len..],
+                    live: j,
+                    ..group
+                };
+                let live = LaneGroup {
+                    live: j + 1,
+                    ..dead
+                };
+                for bound in [1.0, f32::INFINITY] {
+                    for path in PATHS {
+                        prop_assert_eq!(scan(&c, path, dead, bound), scan(&c, path, clean, bound));
+                        let scored = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                            scan(&c, path, live, bound)
+                        }));
+                        prop_assert!(
+                            scored.is_err(),
+                            "seed {} {} bound {}: code accepted",
+                            seed,
+                            path,
+                            bound
+                        );
+                    }
+                }
+            }
+            Ok(())
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(2_000))]
+
+            /// Every lane path returns per-pair `dist`'s survivors, index
+            /// for index and bit for bit.
+            #[test]
+            fn lane_kernels_equal_the_per_pair_distance(seed in any::<u64>()) {
+                lanes_agree(seed)?;
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(40_000))]
+
+            /// The same at 20× the cases, in release only (`ci.sh`).
+            #[test]
+            #[cfg_attr(debug_assertions, ignore)]
+            fn lane_kernels_equal_the_per_pair_distance_release_sweep(seed in any::<u64>()) {
+                lanes_agree(seed)?;
+            }
+        }
+
+        /// The first 2,000 draws reach every corner the sweep claims.
+        #[test]
+        fn lane_cases_reach_every_corner() {
+            let cases: Vec<Case> = (0..2_000).map(case).collect();
+            let any = |p: &dyn Fn(&Case) -> bool| cases.iter().any(p);
+            for width in 1..=16 {
+                assert!(
+                    any(&|c| c.windows.len() % 16 == width % 16),
+                    "width {width}"
+                );
+            }
+            for len in 1..=64 {
+                assert!(any(&|c| c.len == len), "length {len}");
+            }
+            assert!(any(&|c| c.table.is_none()));
+            assert!(any(&|c| c
+                .table
+                .as_ref()
+                .is_some_and(|m| m.rows.is_empty())));
+            assert!(any(&|c| c.table.as_ref().is_some_and(|m| m.n == 24)));
+            assert!(any(&|c| c
+                .live
+                .iter()
+                .zip(0..)
+                .any(|(&l, g)| l < (c.windows.len() - 16 * g).min(16))));
         }
     }
 

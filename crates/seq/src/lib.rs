@@ -13,6 +13,8 @@
 //!   Mendel distance matrix derived from BLOSUM62 (§III-B of the paper),
 //!   with an optional *metric repair* that restores the triangle inequality,
 //!   plus bounded (early-abandoning) kernel variants for vp-tree searches,
+//! * [`lanes`] — the lane-major layout vp-tree leaves store their windows
+//!   in, which the leaf kernels score sixteen at a time,
 //! * [`window`] — zero-copy window views over a shared sequence buffer,
 //!   so overlapping inverted-index blocks share their sequence's bytes,
 //! * [`gen`] — deterministic synthetic dataset generators standing in for
@@ -28,6 +30,7 @@ pub mod dist;
 pub mod error;
 pub mod fasta;
 pub mod gen;
+pub mod lanes;
 pub mod matrix;
 pub mod seq;
 pub mod simd;

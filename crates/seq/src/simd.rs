@@ -39,6 +39,7 @@
 //! `set_simd_enabled(false)` forces every dispatch back to the scalar
 //! integer kernels — the oracle the vector paths are tested against.
 
+use crate::lanes::LaneGroup;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Global kill switch for the vectorized kernels (benchmark ablations,
@@ -176,7 +177,10 @@ pub(crate) fn half_unit_limit(bound: f32) -> Option<u64> {
     if twice >= EXACT_HALF_UNITS {
         Some(u64::MAX)
     } else if twice >= 0.0 {
-        Some(twice as u64) // truncation is ⌊·⌋ for a non-negative value
+        // Truncation is ⌊·⌋ for a non-negative value, and one below 2²⁴
+        // fits a `u32`, whose conversion is one instruction where a
+        // `u64`'s takes a range fix-up.
+        Some(u64::from(twice as u32))
     } else {
         None
     }
@@ -293,25 +297,18 @@ pub(crate) fn matrix_scan<'a>(
     out: &mut Vec<(u32, f32)>,
 ) {
     #[cfg(target_arch = "x86_64")]
-    if let Some(limit) = half_unit_limit(bound) {
-        if !rows.is_empty()
-            && !q.is_empty()
-            && simd_enabled()
-            && std::arch::is_x86_feature_detected!("ssse3")
-            && std::arch::is_x86_feature_detected!("sse4.1")
-        {
-            debug_assert!(rows.len() == n * ROW_BYTES && n <= ROW_BYTES);
-            assert_codes_in_table(q, n);
-            // SAFETY: SSSE3 and SSE4.1 were detected on the lines above.
-            unsafe {
-                if limit < 255 {
-                    scan_x16::<false>(table, rows, n, q, cands, bound, out);
-                } else {
-                    scan_x16::<true>(table, rows, n, q, cands, bound, out);
-                }
+    if let Some(wide) = lane_width(rows, n, q, bound) {
+        assert_codes_in_table(q, n);
+        // SAFETY: `lane_width` detected SSSE3 and SSE4.1 and found a row
+        // for each of the `n` letters, which every query code is below.
+        unsafe {
+            if wide {
+                scan_x16::<true>(table, rows, n, q, cands, bound, out);
+            } else {
+                scan_x16::<false>(table, rows, n, q, cands, bound, out);
             }
-            return;
         }
+        return;
     }
     let _ = rows;
     for (j, c) in cands.enumerate() {
@@ -321,16 +318,110 @@ pub(crate) fn matrix_scan<'a>(
     }
 }
 
+/// [`matrix_scan`] over one lane-major group of a leaf ([`crate::lanes`]):
+/// append `(j, sum × 0.5)` for each of the group's first `live` windows
+/// within `bound`. The vector path loads one column per position; the
+/// per-pair path copies each window out ([`crate::lanes::scan_per_pair`]).
+///
+/// # Panics
+/// Panics if the group is malformed ([`LaneGroup::check`]) or a residue
+/// code of the query or of a live window is `≥ n`, on every path.
+pub(crate) fn matrix_scan_lanes(
+    table: &[u32],
+    rows: &[u8],
+    n: usize,
+    q: &[u8],
+    group: LaneGroup<'_>,
+    bound: f32,
+    out: &mut Vec<(u32, f32)>,
+) {
+    group.check(q.len());
+    #[cfg(target_arch = "x86_64")]
+    if let Some(wide) = lane_width(rows, n, q, bound) {
+        assert_codes_in_table(q, n);
+        // SAFETY: `lane_width` detected SSSE3 and SSE4.1 and found a row
+        // for each of the `n` letters, which every query code is below.
+        unsafe {
+            if wide {
+                lanes_x16::<true>(table, rows, n, q, group, bound, out);
+            } else {
+                lanes_x16::<false>(table, rows, n, q, group, bound, out);
+            }
+        }
+        return;
+    }
+    let _ = rows;
+    crate::lanes::scan_per_pair(q, group, bound, out, |q, c, bound| {
+        matrix_dist_bounded(table, n, q, c, bound)
+    });
+}
+
+/// Which lanes the vector matrix kernel takes for `bound` — `u8`
+/// (`Some(false)`) under 127.5, `u16` (`Some(true)`) from there to `∞` —
+/// or `None` when it cannot run: no `u8` row for each of the `n` letters
+/// (the kernel's unchecked row loads rely on one), an empty query, a
+/// negative or NaN bound, SIMD switched off, or a CPU without SSSE3 and
+/// SSE4.1.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+fn lane_width(rows: &[u8], n: usize, q: &[u8], bound: f32) -> Option<bool> {
+    let limit = half_unit_limit(bound)?;
+    let ready = (1..=ROW_BYTES).contains(&n)
+        && rows.len() == n * ROW_BYTES
+        && !q.is_empty()
+        && simd_enabled()
+        && std::arch::is_x86_feature_detected!("ssse3")
+        && std::arch::is_x86_feature_detected!("sse4.1");
+    ready.then_some(limit >= 255)
+}
+
+/// `(saturated, lane limit)` of the narrow (`u8`) or wide (`u16`) lanes
+/// for a half-unit `limit`: narrow lanes need it below 255, so a lane that
+/// saturates is over it; a wide lane that saturates holds at least 65,535
+/// half-units and is scored per pair when the limit reaches that.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+fn lane_limit<const WIDE: bool>(limit: u64) -> (u16, u16) {
+    let saturated = if WIDE { u16::MAX } else { u16::from(u8::MAX) };
+    debug_assert!(WIDE || limit < u64::from(saturated));
+    (saturated, limit.min(u64::from(saturated)) as u16)
+}
+
+/// Push `(base + j, d)` for every lane `j` set in `within`, in lane order:
+/// `d` is the lane's half-unit sum × 0.5, or `per_pair(j)` for a lane that
+/// saturated.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+fn emit(
+    mut within: u32,
+    sums: &[u16; 16],
+    saturated: u16,
+    base: usize,
+    out: &mut Vec<(u32, f32)>,
+    per_pair: impl Fn(usize) -> Option<f32>,
+) {
+    while within != 0 {
+        let j = within.trailing_zeros() as usize;
+        let d = if sums[j] == saturated {
+            per_pair(j)
+        } else {
+            Some(f32::from(sums[j]) * 0.5)
+        };
+        if let Some(d) = d {
+            out.push(((base + j) as u32, d));
+        }
+        within &= within - 1;
+    }
+}
+
 /// The vector path of [`matrix_scan`]: candidates in groups of sixteen, a
 /// short last group padded with repeats of its first window (those lanes
-/// are masked off). Narrow (`WIDE = false`) lanes are `u8` and need a
-/// bound under 127.5 — a limit ([`half_unit_limit`]) below 255 — so a
-/// saturated lane is over it. Wide lanes are `u16`; one that saturates
-/// holds a sum of at least 65,535 half-units, rejected when the limit is
-/// below that and otherwise scored per pair.
+/// are masked off), each group transposed a 16-position tile at a time
+/// into the columns [`matrix_scan_lanes`] loads directly.
 ///
 /// # Safety
-/// The caller must have verified SSSE3 and SSE4.1 support at runtime.
+/// The caller must have verified SSSE3 and SSE4.1 support at runtime, and
+/// that every code of `q` has a row of `rows`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "ssse3,sse4.1")]
 unsafe fn scan_x16<'a, const WIDE: bool>(
@@ -345,9 +436,7 @@ unsafe fn scan_x16<'a, const WIDE: bool>(
     let Some(limit) = half_unit_limit(bound) else {
         return; // no distance is within a negative or NaN bound
     };
-    let saturated = if WIDE { u16::MAX } else { u16::from(u8::MAX) };
-    debug_assert!(WIDE || limit < u64::from(saturated));
-    let lane_limit = limit.min(u64::from(saturated)) as u16;
+    let (saturated, lane_limit) = lane_limit::<WIDE>(limit);
     let mut base = 0usize;
     loop {
         let mut group: [&[u8]; 16] = [&[]; 16];
@@ -363,35 +452,99 @@ unsafe fn scan_x16<'a, const WIDE: bool>(
         let first = group[0];
         group[k..].fill(first);
         let mut sums = [0u16; 16];
-        // SAFETY: SSSE3 and SSE4.1 are this function's own precondition;
-        // the kernel bounds-checks every window and row slice it loads
-        // from.
-        let (within, max_code) =
+        // SAFETY: SSSE3, SSE4.1 and a row per query code are this
+        // function's own precondition; the kernel bounds-checks every
+        // window slice it loads from.
+        let (within, outside) =
             unsafe { x86::matrix_sums_x16::<WIDE>(rows, q, &group, lane_limit, &mut sums) };
-        assert!(
-            usize::from(max_code) < n,
-            "residue code {max_code} outside the {n}-letter distance table"
-        );
-        let mut live = within & ((1u32 << k) - 1);
-        while live != 0 {
-            let j = live.trailing_zeros() as usize;
-            let d = if sums[j] == saturated {
-                matrix_dist_bounded(table, n, q, group[j], bound)
-            } else {
-                Some(f32::from(sums[j]) * 0.5)
-            };
-            if let Some(d) = d {
-                out.push(((base + j) as u32, d));
-            }
-            live &= live - 1;
+        let mask = (1u32 << k) - 1;
+        if outside & mask != 0 {
+            assert_codes_in_table(group[(outside & mask).trailing_zeros() as usize], n);
         }
+        emit(within & mask, &sums, saturated, base, out, |j| {
+            matrix_dist_bounded(table, n, q, group[j], bound)
+        });
         base += k;
     }
+}
+
+/// The vector path of [`matrix_scan_lanes`]: one kernel call per group,
+/// the lanes past `live` masked off.
+///
+/// # Safety
+/// The caller must have verified SSSE3 and SSE4.1 support at runtime, and
+/// that every code of `q` has a row of `rows`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "ssse3,sse4.1")]
+unsafe fn lanes_x16<const WIDE: bool>(
+    table: &[u32],
+    rows: &[u8],
+    n: usize,
+    q: &[u8],
+    group: LaneGroup<'_>,
+    bound: f32,
+    out: &mut Vec<(u32, f32)>,
+) {
+    let Some(limit) = half_unit_limit(bound) else {
+        return;
+    };
+    let (saturated, lane_limit) = lane_limit::<WIDE>(limit);
+    let mut sums = [0u16; 16];
+    // SAFETY: SSSE3, SSE4.1 and a row per query code are this function's
+    // own precondition; the kernel keeps every column load inside the
+    // group's bytes.
+    let (within, outside) = unsafe {
+        x86::matrix_sums_lanes::<WIDE>(rows, q, group.bytes, group.width, lane_limit, &mut sums)
+    };
+    let mask = (1u32 << group.live) - 1;
+    let window = |j: usize| {
+        let mut w = vec![0u8; q.len()];
+        group.window(j, &mut w);
+        w
+    };
+    if outside & mask != 0 {
+        assert_codes_in_table(&window((outside & mask).trailing_zeros() as usize), n);
+    }
+    emit(within & mask, &sums, saturated, 0, out, |j| {
+        matrix_dist_bounded(table, n, q, &window(j), bound)
+    });
+}
+
+/// [`hamming_scan`] over one lane-major group of a leaf
+/// ([`crate::lanes`]): append `(j, count)` for each of the group's first
+/// `live` windows whose mismatch count is `≤ bound`. With SIMD on, SSSE3
+/// and windows of at most 255 residues, one `cmpeq` per position counts
+/// all sixteen lanes' matches; otherwise each window is copied out and
+/// counted per pair.
+///
+/// # Panics
+/// Panics if the group is malformed ([`LaneGroup::check`]).
+pub(crate) fn hamming_scan_lanes(
+    q: &[u8],
+    group: LaneGroup<'_>,
+    bound: f32,
+    out: &mut Vec<(u32, f32)>,
+) {
+    group.check(q.len());
+    #[cfg(target_arch = "x86_64")]
+    if simd_enabled()
+        && q.len() <= usize::from(u8::MAX)
+        && std::arch::is_x86_feature_detected!("ssse3")
+    {
+        // SAFETY: SSSE3 was just detected at runtime.
+        unsafe { x86::hamming_lanes(q, group, bound, out) };
+        return;
+    }
+    crate::lanes::scan_per_pair(q, group, bound, out, |q, c, bound| {
+        let d = hamming_count(q, c) as f32;
+        (d <= bound).then_some(d)
+    });
 }
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     use super::ROW_BYTES;
+    use crate::lanes::LaneGroup;
     use core::arch::x86_64::*;
 
     /// True when any of the first `min(a.len(), b.len())` bytes of `a` or
@@ -513,28 +666,183 @@ mod x86 {
         out
     }
 
+    /// Sixteen bytes of `bytes` from `at` as one vector, zero past the
+    /// end of the slice: one load when they are all inside it, a copy into
+    /// a zeroed buffer otherwise.
+    #[inline(always)]
+    fn load16(bytes: &[u8], at: usize) -> __m128i {
+        match bytes.get(at..at + 16) {
+            // SAFETY: `src` is a bounds-checked 16-byte slice; SSE2 is
+            // statically available on x86_64.
+            Some(src) => unsafe { _mm_loadu_si128(src.as_ptr() as *const __m128i) },
+            None => {
+                let mut buf = [0u8; 16];
+                let src = bytes.get(at..).unwrap_or_default();
+                buf[..src.len()].copy_from_slice(src);
+                // SAFETY: `buf` is a 16-byte local.
+                unsafe { _mm_loadu_si128(buf.as_ptr() as *const __m128i) }
+            }
+        }
+    }
+
+    /// The `len` columns of a lane group of `width` windows: column `p` is
+    /// the sixteen bytes at `p·width`, lanes past `width` holding whatever
+    /// follows. When the last column's load stays inside the group's
+    /// bytes — the leaf's tail slack follows them — every column is one
+    /// load; otherwise each is read through [`load16`].
+    #[derive(Clone, Copy)]
+    struct Columns<'a> {
+        bytes: &'a [u8],
+        width: usize,
+        /// Columns `0..direct` end inside `bytes`: all `len` or none.
+        direct: usize,
+    }
+
+    impl<'a> Columns<'a> {
+        #[inline(always)]
+        fn new(bytes: &'a [u8], width: usize, len: usize) -> Self {
+            let fits = len > 0 && (len - 1) * width + 16 <= bytes.len();
+            let direct = if fits { len } else { 0 };
+            Columns {
+                bytes,
+                width,
+                direct,
+            }
+        }
+
+        #[inline(always)]
+        fn get(&self, p: usize) -> __m128i {
+            if p < self.direct {
+                // SAFETY: `p < direct = len` gives `p·width + 16 ≤
+                // (len − 1)·width + 16 ≤ bytes.len()`; SSE2 is statically
+                // available on x86_64.
+                unsafe {
+                    _mm_loadu_si128(self.bytes.as_ptr().add(p * self.width) as *const __m128i)
+                }
+            } else {
+                load16(self.bytes, p * self.width)
+            }
+        }
+    }
+
+    /// The two 16-byte halves of residue `x`'s row of the `u8` table.
+    ///
+    /// # Safety
+    /// `x` must have a row: `(x + 1)·ROW_BYTES ≤ rows.len()`.
+    #[inline(always)]
+    unsafe fn row(rows: &[u8], x: u8) -> (__m128i, __m128i) {
+        debug_assert!((usize::from(x) + 1) * ROW_BYTES <= rows.len());
+        // SAFETY: the caller's precondition keeps both 16-byte loads inside
+        // `rows`; SSE2 is statically available.
+        unsafe {
+            let at = rows.as_ptr().add(usize::from(x) * ROW_BYTES);
+            (
+                _mm_loadu_si128(at as *const __m128i),
+                _mm_loadu_si128(at.add(16) as *const __m128i),
+            )
+        }
+    }
+
+    /// Running state of the matrix kernel: the lane sums (narrow: `acc[0]`
+    /// holds all sixteen `u8` lanes; wide: `acc[0]` lanes 0–7 and `acc[1]`
+    /// lanes 8–15 as `u16`) and the largest candidate code seen per lane.
+    #[derive(Clone, Copy)]
+    struct LaneSums {
+        acc: [__m128i; 2],
+        seen: __m128i,
+    }
+
+    /// The one accumulate body of both matrix kernels: add the cost of a
+    /// query residue, whose table row is `(lo, hi)`, against the sixteen
+    /// candidate codes of `col` — two `pshufb` look-ups, a select on bit 4
+    /// of the code, one saturating add.
+    ///
+    /// # Safety
+    /// The caller must have verified SSSE3 and SSE4.1 at runtime.
+    #[inline]
+    #[target_feature(enable = "ssse3,sse4.1")]
+    unsafe fn add_column<const WIDE: bool>(
+        (lo, hi): (__m128i, __m128i),
+        col: __m128i,
+        s: &mut LaneSums,
+    ) {
+        s.seen = _mm_max_epu8(s.seen, col);
+        // `pshufb` indexes by the low four bits; bit 4 of the code (moved
+        // to each byte's sign bit) picks the table.
+        let upper = _mm_slli_epi16(col, 3);
+        let cost = _mm_blendv_epi8(_mm_shuffle_epi8(lo, col), _mm_shuffle_epi8(hi, col), upper);
+        if WIDE {
+            let zero = _mm_setzero_si128();
+            s.acc[0] = _mm_adds_epu16(s.acc[0], _mm_unpacklo_epi8(cost, zero));
+            s.acc[1] = _mm_adds_epu16(s.acc[1], _mm_unpackhi_epi8(cost, zero));
+        } else {
+            s.acc[0] = _mm_adds_epu8(s.acc[0], cost);
+        }
+    }
+
+    /// Write the lane sums to `sums` and return `(within, outside)`: bit
+    /// `j` of `within` is set iff lane `j`'s sum is `≤ limit`, bit `j` of
+    /// `outside` iff lane `j` read a code `≥` the table's `letters`
+    /// (`rows.len() / ROW_BYTES`).
+    ///
+    /// # Safety
+    /// The caller must have verified SSSE3 and SSE4.1 at runtime.
+    #[inline]
+    #[target_feature(enable = "ssse3,sse4.1")]
+    unsafe fn finish<const WIDE: bool>(
+        s: LaneSums,
+        rows: &[u8],
+        limit: u16,
+        sums: &mut [u16; 16],
+    ) -> (u32, u32) {
+        let zero = _mm_setzero_si128();
+        let (wide, within) = if WIDE {
+            let lim = _mm_set1_epi16(limit as i16);
+            let lo = _mm_cmpeq_epi16(_mm_min_epu16(s.acc[0], lim), s.acc[0]);
+            let hi = _mm_cmpeq_epi16(_mm_min_epu16(s.acc[1], lim), s.acc[1]);
+            // Packing the all-ones / all-zeros words keeps lane order.
+            let mask = _mm_movemask_epi8(_mm_packs_epi16(lo, hi));
+            (s.acc, mask as u32)
+        } else {
+            let lim = _mm_set1_epi8(limit as u8 as i8);
+            let ok = _mm_cmpeq_epi8(_mm_min_epu8(s.acc[0], lim), s.acc[0]);
+            let lanes = [
+                _mm_unpacklo_epi8(s.acc[0], zero),
+                _mm_unpackhi_epi8(s.acc[0], zero),
+            ];
+            (lanes, _mm_movemask_epi8(ok) as u32)
+        };
+        // At most 32 letters have rows, so `top` fits a byte; saturating
+        // `seen − top` is non-zero exactly in the lanes over it.
+        let top = (rows.len() / ROW_BYTES).saturating_sub(1) as u8;
+        let excess = _mm_subs_epu8(s.seen, _mm_set1_epi8(top as i8));
+        let outside = !(_mm_movemask_epi8(_mm_cmpeq_epi8(excess, zero)) as u32) & 0xFFFF;
+        // SAFETY: `sums` is 32 bytes, two 16-byte halves.
+        unsafe {
+            _mm_storeu_si128(sums.as_mut_ptr() as *mut __m128i, wide[0]);
+            _mm_storeu_si128(sums.as_mut_ptr().add(8) as *mut __m128i, wide[1]);
+        }
+        (within, outside)
+    }
+
     /// Score sixteen candidate windows against `q` at once, one per lane,
     /// in saturating half-units: `u8` lanes, or `u16` lanes when `WIDE`.
-    /// Both widths share the transpose and the table look-ups; only the
-    /// accumulate and the final compare differ. Writes the lane sums to
-    /// `sums` and returns `(within, max_code)`: bit `j` of `within` is
-    /// set iff lane `j`'s sum is `≤ limit`, and `max_code` is the largest
-    /// candidate residue code seen (the caller rejects codes outside the
-    /// table). Windows longer than 16 run in 16-position tiles; a final
-    /// short tile is copied into a zeroed buffer, so no load reads past a
-    /// window.
+    /// Windows run in 16-position tiles, each transposed into sixteen
+    /// position columns for [`add_column`] (a final short tile is copied
+    /// into a zeroed buffer, so no load reads past a window). Writes the
+    /// lane sums to `sums` and returns [`finish`]'s `(within, outside)`.
     ///
     /// A lane that saturates (255, or 65,535 when `WIDE`) holds a true sum
     /// at least that large; `rows` must be the `ROW_BYTES`-strided `u8`
     /// table, and in `u8` lanes `limit` must be below 255.
     ///
     /// # Panics
-    /// Panics if a window is shorter than `q` or a query code has no row.
+    /// Panics if a window is shorter than `q`.
     ///
     /// # Safety
-    /// The caller must have verified SSSE3 and SSE4.1 at runtime. Memory
-    /// safety needs nothing else: every load is from a bounds-checked
-    /// slice or a local buffer.
+    /// The caller must have verified SSSE3 and SSE4.1 at runtime, and that
+    /// every code of `q` has a row of `rows`. Every other load is from a
+    /// bounds-checked slice or a local buffer.
     #[target_feature(enable = "ssse3,sse4.1")]
     pub(super) unsafe fn matrix_sums_x16<const WIDE: bool>(
         rows: &[u8],
@@ -542,13 +850,13 @@ mod x86 {
         c: &[&[u8]; 16],
         limit: u16,
         sums: &mut [u16; 16],
-    ) -> (u32, u8) {
+    ) -> (u32, u32) {
         let len = q.len();
         let zero = _mm_setzero_si128();
-        // Narrow: `acc[0]` holds all sixteen lanes. Wide: `acc[0]` lanes
-        // 0–7 and `acc[1]` lanes 8–15.
-        let mut acc = [zero; 2];
-        let mut seen = zero;
+        let mut s = LaneSums {
+            acc: [zero; 2],
+            seen: zero,
+        };
         let mut pos = 0;
         while pos < len {
             let width = (len - pos).min(16);
@@ -568,55 +876,97 @@ mod x86 {
             // SAFETY: same target features as this function.
             let cols = unsafe { transpose_16x16(tile) };
             for (&x, &col) in q[pos..pos + width].iter().zip(&cols) {
-                let row = &rows[usize::from(x) * ROW_BYTES..][..ROW_BYTES];
-                // SAFETY: `row` is a bounds-checked 32-byte slice: both
-                // 16-byte loads are inside it.
-                let (lo, hi) = unsafe {
-                    (
-                        _mm_loadu_si128(row.as_ptr() as *const __m128i),
-                        _mm_loadu_si128(row.as_ptr().add(16) as *const __m128i),
-                    )
-                };
-                seen = _mm_max_epu8(seen, col);
-                // `pshufb` indexes by the low four bits; bit 4 of the
-                // code (moved to each byte's sign bit) picks the table.
-                let upper = _mm_slli_epi16(col, 3);
-                let cost =
-                    _mm_blendv_epi8(_mm_shuffle_epi8(lo, col), _mm_shuffle_epi8(hi, col), upper);
-                if WIDE {
-                    acc[0] = _mm_adds_epu16(acc[0], _mm_unpacklo_epi8(cost, zero));
-                    acc[1] = _mm_adds_epu16(acc[1], _mm_unpackhi_epi8(cost, zero));
-                } else {
-                    acc[0] = _mm_adds_epu8(acc[0], cost);
-                }
+                // SAFETY: same target features as this function; `x` has a
+                // row by this function's precondition.
+                unsafe { add_column::<WIDE>(row(rows, x), col, &mut s) };
             }
             pos += width;
         }
-        let (wide, within) = if WIDE {
-            let lim = _mm_set1_epi16(limit as i16);
-            let lo = _mm_cmpeq_epi16(_mm_min_epu16(acc[0], lim), acc[0]);
-            let hi = _mm_cmpeq_epi16(_mm_min_epu16(acc[1], lim), acc[1]);
-            // Packing the all-ones / all-zeros words keeps lane order.
-            let mask = _mm_movemask_epi8(_mm_packs_epi16(lo, hi));
-            (acc, mask as u32)
-        } else {
-            let lim = _mm_set1_epi8(limit as u8 as i8);
-            let ok = _mm_cmpeq_epi8(_mm_min_epu8(acc[0], lim), acc[0]);
-            let lanes = [
-                _mm_unpacklo_epi8(acc[0], zero),
-                _mm_unpackhi_epi8(acc[0], zero),
-            ];
-            (lanes, _mm_movemask_epi8(ok) as u32)
+        // SAFETY: same target features as this function.
+        unsafe { finish::<WIDE>(s, rows, limit, sums) }
+    }
+
+    /// [`matrix_sums_x16`] over a lane group of `width` windows
+    /// ([`crate::lanes`]): each position's column is one load, no
+    /// transpose. Lanes past `width` hold bytes of the next columns or the
+    /// tail slack; the caller masks them off.
+    ///
+    /// # Safety
+    /// The caller must have verified SSSE3 and SSE4.1 at runtime, and that
+    /// every code of `q` has a row of `rows`. Every other load is inside
+    /// `group` or a local buffer.
+    #[target_feature(enable = "ssse3,sse4.1")]
+    pub(super) unsafe fn matrix_sums_lanes<const WIDE: bool>(
+        rows: &[u8],
+        q: &[u8],
+        group: &[u8],
+        width: usize,
+        limit: u16,
+        sums: &mut [u16; 16],
+    ) -> (u32, u32) {
+        let zero = _mm_setzero_si128();
+        let mut s = LaneSums {
+            acc: [zero; 2],
+            seen: zero,
         };
-        let mut codes = [0u8; 16];
-        // SAFETY: `sums` is 32 bytes, two 16-byte halves; `codes` is a
-        // 16-byte buffer.
-        unsafe {
-            _mm_storeu_si128(sums.as_mut_ptr() as *mut __m128i, wide[0]);
-            _mm_storeu_si128(sums.as_mut_ptr().add(8) as *mut __m128i, wide[1]);
-            _mm_storeu_si128(codes.as_mut_ptr() as *mut __m128i, seen);
+        let cols = Columns::new(group, width, q.len());
+        for (p, &x) in q.iter().enumerate() {
+            // SAFETY: same target features as this function; `x` has a
+            // row by this function's precondition.
+            unsafe { add_column::<WIDE>(row(rows, x), cols.get(p), &mut s) };
         }
-        (within, super::max_code(&codes))
+        // SAFETY: same target features as this function.
+        unsafe { finish::<WIDE>(s, rows, limit, sums) }
+    }
+
+    /// [`super::hamming_scan_lanes`]' vector path for windows of at most
+    /// 255 residues: per position, `pshufb` broadcasts the query residue
+    /// from a 16-residue tile of the query and one `cmpeq` counts every
+    /// lane's match in a `u8`; one compare then tests all sixteen mismatch
+    /// counts against the bound.
+    ///
+    /// # Safety
+    /// The caller must have verified SSSE3 at runtime.
+    #[target_feature(enable = "ssse3")]
+    pub(super) unsafe fn hamming_lanes(
+        q: &[u8],
+        group: LaneGroup<'_>,
+        bound: f32,
+        out: &mut Vec<(u32, f32)>,
+    ) {
+        debug_assert!(q.len() <= usize::from(u8::MAX));
+        // `count as f32 ≤ bound ⟺ count ≤ ⌊bound⌋` for the small counts
+        // here; a negative or NaN bound admits nothing.
+        let limit = if bound >= 255.0 {
+            u8::MAX
+        } else if bound >= 0.0 {
+            bound as u8
+        } else {
+            return;
+        };
+        let cols = Columns::new(group.bytes, group.width, q.len());
+        let (one, mut matches) = (_mm_set1_epi8(1), _mm_setzero_si128());
+        for (t, residues) in q.chunks(16).enumerate() {
+            let tile = load16(q, 16 * t);
+            let mut at = _mm_setzero_si128();
+            for p in 16 * t..16 * t + residues.len() {
+                // An equal byte is all ones, −1: subtracting counts it.
+                let eq = _mm_cmpeq_epi8(cols.get(p), _mm_shuffle_epi8(tile, at));
+                matches = _mm_sub_epi8(matches, eq);
+                at = _mm_add_epi8(at, one);
+            }
+        }
+        let mism = _mm_sub_epi8(_mm_set1_epi8(q.len() as u8 as i8), matches);
+        let ok = _mm_cmpeq_epi8(_mm_min_epu8(mism, _mm_set1_epi8(limit as i8)), mism);
+        let mut counts = [0u8; 16];
+        // SAFETY: `counts` is a 16-byte local.
+        unsafe { _mm_storeu_si128(counts.as_mut_ptr() as *mut __m128i, mism) };
+        let mut live = _mm_movemask_epi8(ok) as u32 & ((1u32 << group.live) - 1);
+        while live != 0 {
+            let j = live.trailing_zeros() as usize;
+            out.push((j as u32, f32::from(counts[j])));
+            live &= live - 1;
+        }
     }
 }
 
@@ -727,14 +1077,14 @@ mod tests {
                 let mut sums = [0u16; 16];
                 // SAFETY: features detected above; lengths equal by
                 // construction; rows built for n with all codes < n.
-                let (within, max_code) = unsafe {
+                let (within, outside) = unsafe {
                     if wide {
                         x86::matrix_sums_x16::<true>(&rows, &q, &group, limit, &mut sums)
                     } else {
                         x86::matrix_sums_x16::<false>(&rows, &q, &group, limit, &mut sums)
                     }
                 };
-                assert!(usize::from(max_code) < n);
+                assert_eq!(outside, 0);
                 for (j, c) in cands.iter().enumerate() {
                     let exact = matrix_sum_bounded(&table, n, &q, c, u64::MAX)
                         .expect("no limit, no abandon");

@@ -21,7 +21,7 @@
 //! never dangle. A rebuild moves the windows of the subtree it replaces
 //! into the new one, so the orphaned nodes hold no bytes.
 
-use crate::tree::{Node, Staged, VpTree, NIL};
+use crate::tree::{Leaf, Node, Staged, VpTree, NIL};
 use mendel_seq::Metric;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -56,14 +56,10 @@ impl<M: Metric<[u8]>> VpTree<M> {
 
     fn insert_inner(&mut self, point: &[u8]) -> (u32, InsertOutcome) {
         let idx = self.admit(point);
-        let leaf_of = |point: &[u8]| Node::Leaf {
-            ids: vec![idx],
-            windows: point.to_vec(),
-        };
+        let leaf_of = |point: &[u8]| Node::Leaf(Leaf::new([(idx, point)].into_iter(), point.len()));
 
         if self.root == NIL {
-            self.nodes.push(leaf_of(point));
-            self.root = (self.nodes.len() - 1) as u32;
+            self.root = self.push_node(leaf_of(point), None);
             return (idx, InsertOutcome::Appended);
         }
 
@@ -75,45 +71,42 @@ impl<M: Metric<[u8]>> VpTree<M> {
         let next_node = self.nodes.len() as u32;
         loop {
             path.push(node);
-            match &mut self.nodes[node as usize] {
-                Node::Leaf { .. } => break,
-                Node::Internal {
-                    window,
-                    radius,
-                    left,
-                    right,
-                    left_bounds,
-                    right_bounds,
-                    ..
-                } => {
-                    let d = self.metric.dist(point, window);
-                    let go_left = d <= *radius;
-                    let (child, bounds) = if go_left {
-                        (left, left_bounds)
-                    } else {
-                        (right, right_bounds)
-                    };
-                    bounds.0 = bounds.0.min(d);
-                    bounds.1 = bounds.1.max(d);
-                    if *child == NIL {
-                        // Empty slot (possible after duplicate-heavy builds):
-                        // create a fresh leaf in place.
-                        *child = next_node;
-                        self.nodes.push(leaf_of(point));
-                        return (idx, InsertOutcome::Appended);
-                    }
-                    node = *child;
-                }
+            let Node::Internal {
+                radius,
+                left,
+                right,
+                left_bounds,
+                right_bounds,
+                ..
+            } = &mut self.nodes[node as usize]
+            else {
+                break;
+            };
+            let window = &self.vantages[node as usize * point.len()..][..point.len()];
+            let d = self.metric.dist(point, window);
+            let (child, bounds) = if d <= *radius {
+                (left, left_bounds)
+            } else {
+                (right, right_bounds)
+            };
+            bounds.0 = bounds.0.min(d);
+            bounds.1 = bounds.1.max(d);
+            if *child == NIL {
+                // Empty slot (possible after duplicate-heavy builds):
+                // create a fresh leaf in place.
+                *child = next_node;
+                self.push_node(leaf_of(point), None);
+                return (idx, InsertOutcome::Appended);
             }
+            node = *child;
         }
 
         // Case 1: room in the leaf bucket. The loop above only breaks on
-        // a leaf, so `node` is its index.
-        let leaf = node;
-        if let Node::Leaf { ids, windows } = &mut self.nodes[leaf as usize] {
-            if ids.len() < self.bucket_capacity {
-                ids.push(idx);
-                windows.extend_from_slice(point);
+        // a leaf, so `node` is its index; the append re-lays the bucket's
+        // last lane group.
+        if let Node::Leaf(leaf) = &mut self.nodes[node as usize] {
+            if leaf.len() < self.bucket_capacity {
+                leaf.push(idx, point);
                 return (idx, InsertOutcome::Appended);
             }
         }
@@ -179,7 +172,7 @@ impl<M: Metric<[u8]>> VpTree<M> {
     /// height 0.
     fn subtree_occupancy(&self, node: u32) -> (usize, usize) {
         match &self.nodes[node as usize] {
-            Node::Leaf { ids, .. } => (ids.len(), 0),
+            Node::Leaf(leaf) => (leaf.len(), 0),
             Node::Internal { left, right, .. } => {
                 let (mut c, mut h) = (1usize, 0usize); // vantage counts as an element
                 for child in [*left, *right] {
@@ -195,29 +188,29 @@ impl<M: Metric<[u8]>> VpTree<M> {
     }
 
     /// Move every element under `node` into `out` — vantage, then the
-    /// left subtree, then the right — leaving the nodes it empties
-    /// holding no ids or windows.
+    /// left subtree, then the right — leaving each node it empties an
+    /// empty leaf that holds no ids or windows.
     fn drain_subtree(&mut self, node: u32, out: &mut Staged) {
-        let children = match &mut self.nodes[node as usize] {
-            Node::Leaf { ids, windows } => {
-                out.ids.extend(std::mem::take(ids));
-                out.bytes.extend(std::mem::take(windows));
-                return;
+        let len = self.window_len;
+        let drained =
+            std::mem::replace(&mut self.nodes[node as usize], Node::Leaf(Leaf::default()));
+        match drained {
+            Node::Leaf(leaf) => {
+                out.ids.extend(leaf.ids());
+                out.bytes.extend(leaf.windows(len));
             }
             Node::Internal {
                 vantage,
-                window,
                 left,
                 right,
                 ..
             } => {
-                out.push(*vantage, &std::mem::take(window));
-                [*left, *right]
-            }
-        };
-        for child in children {
-            if child != NIL {
-                self.drain_subtree(child, out);
+                out.push(vantage, self.vantage_window(node));
+                for child in [left, right] {
+                    if child != NIL {
+                        self.drain_subtree(child, out);
+                    }
+                }
             }
         }
     }
@@ -257,11 +250,15 @@ impl<M: Metric<[u8]>> VpTree<M> {
         let bytes = if self.root == NIL {
             extra.bytes // an empty tree's ids are exactly `extra`'s
         } else {
-            let mut bytes = self.windows().concat();
+            // The ids admitted with `extra` come last and are not in the
+            // tree yet: `windows` gives them zeros, which `extra` replaces.
+            let mut bytes = self.windows();
+            bytes.truncate((self.len - extra.ids.len()) * self.window_len);
             bytes.extend_from_slice(&extra.bytes);
             bytes
         };
         self.nodes.clear();
+        self.vantages.clear();
         let staged = Staged {
             ids: (0..self.len as u32).collect(),
             bytes,
@@ -283,6 +280,7 @@ impl<M: Metric<[u8]>> VpTree<M> {
     /// exactly like a fresh empty one.
     pub fn clear(&mut self) {
         self.nodes.clear();
+        self.vantages.clear();
         self.root = NIL;
         self.len = 0;
         self.window_len = 0;
@@ -406,9 +404,9 @@ mod tests {
         let mut seen = std::collections::HashSet::new();
         let check = |t: &Tree, inserted: &[Vec<u8>], after: &str| {
             let windows = t.windows();
-            assert_eq!(windows.len(), inserted.len(), "{after}");
-            for (i, (got, want)) in windows.iter().zip(inserted).enumerate() {
-                assert_eq!(*got, &want[..], "id {i} after {after}");
+            assert_eq!(windows.len(), inserted.len() * 8, "{after}");
+            for (i, (got, want)) in windows.chunks_exact(8).zip(inserted).enumerate() {
+                assert_eq!(got, &want[..], "id {i} after {after}");
             }
             assert_eq!(t.check_invariants(), Ok(()), "{after}");
         };

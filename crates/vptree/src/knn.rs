@@ -2,7 +2,6 @@
 //! max-heap that maintains the shrinking search radius τ (§III-C).
 
 use mendel_seq::Metric;
-use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 /// One nearest-neighbour result: the point's insertion id in its tree
@@ -16,30 +15,48 @@ pub struct Neighbor {
     pub dist: f32,
 }
 
-impl Eq for Neighbor {}
-
-impl Ord for Neighbor {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Max-heap by distance; ties broken by index for determinism.
-        self.dist
-            .total_cmp(&other.dist)
-            .then_with(|| self.index.cmp(&other.index))
-    }
-}
-
-impl PartialOrd for Neighbor {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
 /// A bounded max-heap of the best `k` neighbours seen so far. The heap's
 /// worst element defines τ: once full, only points before it in
 /// `(distance, index)` order enter.
+///
+/// A neighbour is held as one `u64` whose unsigned order is that order —
+/// the distance's bits mapped to `f32::total_cmp` order above the index —
+/// so every sift step is one integer compare, and τ is kept beside the
+/// heap instead of being read out of it.
 #[derive(Debug)]
 pub struct KnnHeap {
     k: usize,
-    heap: BinaryHeap<Neighbor>,
+    heap: BinaryHeap<u64>,
+    tau: f32,
+}
+
+/// `(dist, index)` as one key whose unsigned order is `Neighbor`'s.
+#[inline]
+fn key(dist: f32, index: u32) -> u64 {
+    let bits = dist.to_bits();
+    // Negative floats reverse their magnitude order; the sign bit then
+    // puts every negative below every positive, as `total_cmp` does.
+    let ordered = if bits >> 31 == 1 {
+        !bits
+    } else {
+        bits | 1 << 31
+    };
+    u64::from(ordered) << 32 | u64::from(index)
+}
+
+/// The neighbour a [`key`] holds.
+#[inline]
+fn neighbor(key: u64) -> Neighbor {
+    let ordered = (key >> 32) as u32;
+    let bits = if ordered >> 31 == 1 {
+        ordered & !(1 << 31)
+    } else {
+        !ordered
+    };
+    Neighbor {
+        index: key as u32,
+        dist: f32::from_bits(bits),
+    }
 }
 
 impl KnnHeap {
@@ -52,6 +69,7 @@ impl KnnHeap {
         KnnHeap {
             k,
             heap: BinaryHeap::with_capacity(k.min(PREALLOC) + 1),
+            tau: f32::INFINITY,
         }
     }
 
@@ -60,22 +78,26 @@ impl KnnHeap {
     /// (the paper: "Initially τ encompasses all points in the tree").
     #[inline]
     pub fn tau(&self) -> f32 {
-        if self.heap.len() < self.k {
-            f32::INFINITY
-        } else {
-            self.heap.peek().map_or(f32::INFINITY, |n| n.dist)
-        }
+        self.tau
     }
 
     /// Offer a candidate; it is retained iff it improves the result set
     /// in `(distance, index)` order, so a tie at τ goes to the lower index
     /// in any arrival order and every exact traversal keeps the same set.
     pub fn offer(&mut self, index: u32, dist: f32) {
-        let cand = Neighbor { index, dist };
+        let cand = key(dist, index);
         if self.heap.len() < self.k {
             self.heap.push(cand);
         } else if let Some(mut worst) = self.heap.peek_mut().filter(|w| cand < **w) {
             *worst = cand;
+        } else {
+            return;
+        }
+        if self.heap.len() == self.k {
+            self.tau = self
+                .heap
+                .peek()
+                .map_or(f32::INFINITY, |&w| neighbor(w).dist);
         }
     }
 
@@ -93,9 +115,11 @@ impl KnnHeap {
 
     /// Drain into a vector sorted by ascending distance.
     pub fn into_sorted(self) -> Vec<Neighbor> {
-        let mut v = self.heap.into_vec();
-        v.sort();
-        v
+        self.heap
+            .into_sorted_vec()
+            .into_iter()
+            .map(neighbor)
+            .collect()
     }
 }
 
@@ -177,6 +201,37 @@ mod tests {
             }
             let out = h.into_sorted();
             assert_eq!(out[0].index, 0, "arrival order {order:?}");
+        }
+    }
+
+    /// The packed key orders neighbours by `total_cmp` on the distance,
+    /// then the index, and gives back the same bits.
+    #[test]
+    fn packed_keys_keep_neighbour_order_and_bits() {
+        let dists = [
+            f32::NEG_INFINITY,
+            -3.5,
+            -0.0,
+            0.0,
+            0.5,
+            64.5,
+            f32::INFINITY,
+            f32::NAN,
+        ];
+        let all: Vec<Neighbor> = dists
+            .iter()
+            .flat_map(|&dist| [0u32, 7, u32::MAX].map(|index| Neighbor { index, dist }))
+            .collect();
+        for a in &all {
+            let back = neighbor(key(a.dist, a.index));
+            assert_eq!(
+                (back.index, back.dist.to_bits()),
+                (a.index, a.dist.to_bits())
+            );
+            for b in &all {
+                let want = a.dist.total_cmp(&b.dist).then(a.index.cmp(&b.index));
+                assert_eq!(key(a.dist, a.index).cmp(&key(b.dist, b.index)), want);
+            }
         }
     }
 

@@ -11,14 +11,16 @@
 //!    distance band of each child's elements as seen from its vantage
 //!    point, giving the search a tighter prune than μ alone.
 //!
-//! The tree owns the windows it indexes, laid out for the leaf scan: a
-//! leaf holds its elements' insertion ids and their windows concatenated
-//! in bucket order, an internal vertex its vantage's id and window. A
-//! candidate's bytes therefore sit in the leaf the search is scanning,
-//! not behind a pointer per element (DESIGN.md §15.1).
+//! The tree owns the windows it indexes, laid out for the search: an
+//! internal vertex's vantage window sits in one arena at the vertex's
+//! node index, and a leaf holds its elements' insertion ids and their
+//! windows lane-major ([`mendel_seq::lanes`]) in one allocation, so the
+//! leaf kernel loads one 16-candidate column per position and a candidate
+//! is never behind a pointer of its own (DESIGN.md §15.1).
 
 use crate::knn::{KnnHeap, Neighbor};
 use crate::metrics::{SearchMetrics, SearchTally};
+use mendel_seq::lanes::{self, lane_bytes, LaneGroup, GROUP};
 use mendel_seq::Metric;
 use rand::seq::index::sample;
 use rand::Rng;
@@ -30,23 +32,15 @@ use std::collections::BinaryHeap;
 /// Sentinel for "no node".
 pub(crate) const NIL: u32 = u32::MAX;
 
-/// Candidates scored per [`Metric::scan_bounded`] call during a k-NN leaf
-/// scan. One chunk shares a single bound (τ at chunk start): smaller
-/// chunks track the shrinking τ more closely, larger ones fill the
-/// kernel's lanes better. 32 is the paper testbed's bucket capacity, so a
-/// full leaf is one call.
-const LEAF_CHUNK: usize = 32;
-
 /// Arena node of a vp-tree.
 #[derive(Debug, Clone)]
 pub(crate) enum Node {
     /// Internal vertex: vantage element, radius μ, children, and the
     /// distance bounds of each child's elements from the vantage point.
+    /// The vantage's window is the tree's `vantages` slot of this node.
     Internal {
         /// Insertion id of the vantage element.
         vantage: u32,
-        /// The vantage element's window.
-        window: Box<[u8]>,
         /// Partition radius μ: left elements satisfy `d ≤ μ`, right `d ≥ μ`.
         radius: f32,
         /// Left ("near") child node index.
@@ -59,12 +53,100 @@ pub(crate) enum Node {
         right_bounds: (f32, f32),
     },
     /// Leaf vertex holding a bucket of elements.
-    Leaf {
-        /// Insertion ids of the bucket's elements.
-        ids: Vec<u32>,
-        /// Their windows, concatenated in bucket order.
-        windows: Vec<u8>,
-    },
+    Leaf(Leaf),
+}
+
+/// A leaf bucket in one allocation: its elements' insertion ids, as
+/// little-endian `u32`s in bucket order, then their windows lane-major in
+/// groups of sixteen ([`mendel_seq::lanes`]), tail slack included. A
+/// default (empty) leaf allocates nothing.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Leaf {
+    count: u32,
+    bytes: Box<[u8]>,
+}
+
+impl Leaf {
+    /// A leaf over `(id, window)` elements, in bucket order, with windows
+    /// of length `len`.
+    pub(crate) fn new<'a, I>(elements: I, len: usize) -> Leaf
+    where
+        I: ExactSizeIterator<Item = (u32, &'a [u8])> + Clone,
+    {
+        let count = elements.len();
+        let mut bytes = vec![0u8; 4 * count + lane_bytes(count, len)];
+        let (head, lanes) = bytes.split_at_mut(4 * count);
+        for (slot, (id, _)) in head.chunks_exact_mut(4).zip(elements.clone()) {
+            slot.copy_from_slice(&id.to_le_bytes());
+        }
+        lanes::write_lanes(elements.map(|(_, window)| window), len, lanes);
+        Leaf {
+            count: count as u32,
+            bytes: bytes.into(),
+        }
+    }
+
+    /// Elements in the bucket.
+    #[inline]
+    pub(crate) fn len(&self) -> usize {
+        self.count as usize
+    }
+
+    /// Insertion id of the `j`-th element.
+    #[inline]
+    pub(crate) fn id(&self, j: usize) -> u32 {
+        let at = &self.bytes[4 * j..4 * j + 4];
+        u32::from_le_bytes([at[0], at[1], at[2], at[3]])
+    }
+
+    /// Insertion ids in bucket order.
+    pub(crate) fn ids(&self) -> impl Iterator<Item = u32> + '_ {
+        (0..self.len()).map(|j| self.id(j))
+    }
+
+    /// The lane groups of the bucket's windows of length `len`.
+    #[inline]
+    fn groups(&self, len: usize) -> impl Iterator<Item = (usize, LaneGroup<'_>)> {
+        lanes::groups(&self.bytes[4 * self.len()..], self.len(), len)
+    }
+
+    /// The bucket's windows of length `len`, concatenated in bucket order.
+    pub(crate) fn windows(&self, len: usize) -> Vec<u8> {
+        let mut out = vec![0u8; self.len() * len];
+        let lanes = &self.bytes[4 * self.len()..];
+        for (j, window) in out.chunks_exact_mut(len).enumerate() {
+            lanes::read_window(lanes, self.len(), j, window);
+        }
+        out
+    }
+
+    /// Append element `id`: the full groups keep their bytes, the last
+    /// one is re-laid at its new width.
+    pub(crate) fn push(&mut self, id: u32, window: &[u8]) {
+        let (count, len) = (self.len(), window.len());
+        let kept = count - count % GROUP;
+        let old = &self.bytes[4 * count..];
+        let mut tail = vec![0u8; (count + 1 - kept) * len];
+        for (j, slot) in (kept..count).zip(tail.chunks_exact_mut(len)) {
+            lanes::read_window(old, count, j, slot);
+        }
+        tail[(count - kept) * len..].copy_from_slice(window);
+        let mut bytes = vec![0u8; 4 * (count + 1) + lane_bytes(count + 1, len)];
+        let (head, lanes) = bytes.split_at_mut(4 * (count + 1));
+        head[..4 * count].copy_from_slice(&self.bytes[..4 * count]);
+        head[4 * count..].copy_from_slice(&id.to_le_bytes());
+        lanes[..kept * len].copy_from_slice(&old[..kept * len]);
+        lanes::write_lanes(tail.chunks_exact(len), len, &mut lanes[kept * len..]);
+        *self = Leaf {
+            count: (count + 1) as u32,
+            bytes: bytes.into(),
+        };
+    }
+
+    /// Bytes held: ids, lanes and slack.
+    fn held(&self) -> usize {
+        self.bytes.len()
+    }
 }
 
 /// A vantage-point tree over fixed-length byte windows under metric `M`:
@@ -77,6 +159,8 @@ pub(crate) enum Node {
 pub struct VpTree<M> {
     pub(crate) metric: M,
     pub(crate) nodes: Vec<Node>,
+    /// Node `i`'s vantage window at `i·L .. (i+1)·L` (zeros for a leaf).
+    pub(crate) vantages: Vec<u8>,
     pub(crate) root: u32,
     /// Elements held; their ids are `0..len`.
     pub(crate) len: usize,
@@ -117,16 +201,42 @@ struct Search {
     heap: KnnHeap,
     budget: usize,
     tally: SearchTally,
-    /// `(position in chunk, distance)` pairs of the chunk being replayed.
+    /// `(lane, distance)` pairs of the lane group being replayed.
     survivors: Vec<(u32, f32)>,
 }
 
 /// A subtree on the best-first frontier, packed so one integer compare
-/// pops the smallest lower bound first (high half: bit order is numeric
+/// orders the smallest lower bound first (high half: bit order is numeric
 /// order for non-negative floats, and `+ 0.0` maps −0.0 to +0.0), ties
-/// to the lower node index (low half).
-fn pending(lb: f32, node: u32) -> Reverse<u64> {
-    Reverse(u64::from((lb + 0.0).to_bits()) << 32 | u64::from(node))
+/// to the lower node index (low half). No two subtrees share a key.
+fn pending(lb: f32, node: u32) -> u64 {
+    u64::from((lb + 0.0).to_bits()) << 32 | u64::from(node)
+}
+
+/// Start loading `*target` into cache: a hint, with no effect on what the
+/// program computes (and none at all off x86_64).
+#[inline]
+fn prefetch<T>(target: Option<&T>) {
+    #[cfg(target_arch = "x86_64")]
+    if let Some(target) = target {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        // SAFETY: SSE is part of the x86_64 baseline, and a prefetch reads
+        // nothing the program sees; the address is a live reference.
+        unsafe { _mm_prefetch::<_MM_HINT_T0>((target as *const T).cast()) };
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = target;
+}
+
+/// The larger of two distances, none of them NaN: one `maxss`, where
+/// `f32::max`'s NaN rules cost four instructions on this hot path.
+#[inline]
+fn max(a: f32, b: f32) -> f32 {
+    if a > b {
+        a
+    } else {
+        b
+    }
 }
 
 /// Structural statistics, used by balance tests and the ablation benches.
@@ -154,6 +264,7 @@ impl<M: Metric<[u8]>> VpTree<M> {
         VpTree {
             metric,
             nodes: Vec::new(),
+            vantages: Vec::new(),
             root: NIL,
             len: 0,
             window_len: 0,
@@ -224,15 +335,10 @@ impl<M: Metric<[u8]>> VpTree<M> {
         }
         let len = self.window_len;
         if items.len() <= self.bucket_capacity {
-            let mut windows = Vec::with_capacity(items.len() * len);
-            for &p in items.iter() {
-                windows.extend_from_slice(staged.window(p, len));
-            }
-            self.nodes.push(Node::Leaf {
-                ids: items.iter().map(|&p| staged.ids[p as usize]).collect(),
-                windows,
-            });
-            return (self.nodes.len() - 1) as u32;
+            let elements = items
+                .iter()
+                .map(|&p| (staged.ids[p as usize], staged.window(p, len)));
+            return self.push_node(Node::Leaf(Leaf::new(elements, len)), None);
         }
         let v_pos = self.pick_vantage(items, staged, rng);
         items.swap(0, v_pos);
@@ -305,16 +411,33 @@ impl<M: Metric<[u8]>> VpTree<M> {
         drop((dists, left, right));
         let left_node = self.build_rec(left_items, staged, rng);
         let right_node = self.build_rec(right_items, staged, rng);
-        self.nodes.push(Node::Internal {
+        let node = Node::Internal {
             vantage: vantage_id,
-            window: vantage.into(),
             radius,
             left: left_node,
             right: right_node,
             left_bounds,
             right_bounds,
-        });
+        };
+        self.push_node(node, Some(vantage))
+    }
+
+    /// Append `node` to the arena with its vantage `window` (a leaf has
+    /// none: its slot is zeros), returning its index.
+    pub(crate) fn push_node(&mut self, node: Node, window: Option<&[u8]>) -> u32 {
+        let len = self.window_len;
+        match window {
+            Some(window) => self.vantages.extend_from_slice(window),
+            None => self.vantages.resize(self.vantages.len() + len, 0),
+        }
+        self.nodes.push(node);
         (self.nodes.len() - 1) as u32
+    }
+
+    /// Node `node`'s vantage window.
+    #[inline]
+    pub(crate) fn vantage_window(&self, node: u32) -> &[u8] {
+        &self.vantages[node as usize * self.window_len..][..self.window_len]
     }
 
     /// Score `from` against the staged elements at `positions` with the
@@ -382,13 +505,15 @@ impl<M: Metric<[u8]>> VpTree<M> {
         self.window_len
     }
 
-    /// Every indexed window, by insertion id: entry `i` is element `i`'s
-    /// (empty for an id the tree does not hold).
-    pub fn windows(&self) -> Vec<&[u8]> {
-        let mut out = vec![&[][..]; self.len];
-        let mut place = |id: u32, window| {
-            if let Some(slot) = out.get_mut(id as usize) {
-                *slot = window;
+    /// Every indexed window, by insertion id: element `i`'s window is
+    /// bytes `i·L .. (i+1)·L` ([`Self::window_len`]), zeros for an id the
+    /// tree does not hold.
+    pub fn windows(&self) -> Vec<u8> {
+        let len = self.window_len;
+        let mut out = vec![0u8; self.len * len];
+        let mut place = |id: u32, window: &[u8]| {
+            if let Some(slot) = out.get_mut(id as usize * len..(id as usize + 1) * len) {
+                slot.copy_from_slice(window);
             }
         };
         let mut stack = Vec::new();
@@ -397,19 +522,19 @@ impl<M: Metric<[u8]>> VpTree<M> {
         }
         while let Some(node) = stack.pop() {
             match &self.nodes[node as usize] {
-                Node::Leaf { ids, windows } => {
-                    for (&id, window) in ids.iter().zip(windows.chunks_exact(self.window_len)) {
+                Node::Leaf(leaf) => {
+                    let windows = leaf.windows(len);
+                    for (id, window) in leaf.ids().zip(windows.chunks_exact(len)) {
                         place(id, window);
                     }
                 }
                 Node::Internal {
                     vantage,
-                    window,
                     left,
                     right,
                     ..
                 } => {
-                    place(*vantage, window);
+                    place(*vantage, self.vantage_window(node));
                     stack.extend([*left, *right].into_iter().filter(|&c| c != NIL));
                 }
             }
@@ -445,7 +570,7 @@ impl<M: Metric<[u8]>> VpTree<M> {
             heap: KnnHeap::new(n),
             budget,
             tally: SearchTally::default(),
-            survivors: Vec::with_capacity(LEAF_CHUNK),
+            survivors: Vec::with_capacity(GROUP),
         };
         self.search(query, &mut search);
         search.tally.flush(&self.obs);
@@ -473,24 +598,20 @@ impl<M: Metric<[u8]>> VpTree<M> {
         out
     }
 
-    /// The one leaf scan: score the concatenated `windows` against `query`
-    /// under `bound` in a single kernel call, leaving `(position,
-    /// distance)` of every candidate with `d ≤ bound` in `survivors`, in
-    /// bucket order.
-    #[inline]
-    fn scan_leaf(&self, query: &[u8], windows: &[u8], bound: f32, survivors: &mut Vec<(u32, f32)>) {
-        survivors.clear();
-        let cands = windows.chunks_exact(self.window_len);
-        self.metric.scan_bounded(query, cands, bound, survivors);
-    }
-
     /// The one k-NN traversal: expand the frontier subtree with the
     /// smallest lower bound until the budget is spent or that bound
     /// exceeds τ — every subtree left is then as far, so the heap is exact.
+    ///
+    /// Two shortcuts leave that order as it is. An internal vertex's
+    /// nearer child is expanded next without a trip through the frontier
+    /// whenever its key — `(lower bound, node)`, unique per subtree — is
+    /// below every key on the frontier, which is exactly when the frontier
+    /// would pop it next. And both children's nodes and vantage windows
+    /// are prefetched as soon as their parent is read.
     fn search(&self, query: &[u8], s: &mut Search) {
         let mut frontier = BinaryHeap::with_capacity(64);
-        frontier.push(pending(0.0, self.root));
-        while let Some(Reverse(key)) = frontier.pop() {
+        let mut next = Some(pending(0.0, self.root));
+        while let Some(key) = next.take().or_else(|| frontier.pop().map(|Reverse(k)| k)) {
             let (lb, node) = (f32::from_bits((key >> 32) as u32), key as u32);
             if lb > s.heap.tau() {
                 break;
@@ -501,56 +622,25 @@ impl<M: Metric<[u8]>> VpTree<M> {
             }
             s.tally.nodes_visited += 1;
             match &self.nodes[node as usize] {
-                Node::Leaf { ids, windows } => {
+                Node::Leaf(leaf) => {
                     s.tally.leaf_scans += 1;
-                    // Whole-chunk leaf scan. A chunk is scored under the τ
-                    // held when it starts and its survivors are replayed, in
-                    // bucket order, against the live τ — which only shrinks,
-                    // so `τ_live ≤ τ_chunk` and by the `scan_bounded` contract
-                    // (`d` reported ⟺ `d ≤ bound`):
-                    //   * not reported ⟹ d > τ_chunk ≥ τ_live: the one-by-one
-                    //     scan would abandon it too;
-                    //   * reported, d ≤ τ_live: the one-by-one scan would see
-                    //     the same bits and offer them;
-                    //   * reported, d > τ_live: one-by-one abandons.
-                    // Truncating the chunk to the remaining budget stops on
-                    // the candidate the one-by-one loop would stop on, so
-                    // results and all counters are those of scoring the
-                    // bucket a candidate at a time.
-                    let len = self.window_len;
-                    for (chunk, bytes) in
-                        ids.chunks(LEAF_CHUNK).zip(windows.chunks(LEAF_CHUNK * len))
-                    {
-                        if s.budget < chunk.len() {
-                            s.tally.budget_exhausted = 1;
-                        }
-                        if s.budget == 0 {
-                            break;
-                        }
-                        let chunk = &chunk[..chunk.len().min(s.budget)];
-                        let bytes = &bytes[..chunk.len() * len];
-                        self.scan_leaf(query, bytes, s.heap.tau(), &mut s.survivors);
-                        s.budget -= chunk.len();
-                        s.tally.dist_calls += chunk.len() as u64;
-                        let mut offered = 0;
-                        for &(j, d) in &s.survivors {
-                            if d <= s.heap.tau() {
-                                s.heap.offer(chunk[j as usize], d);
-                                offered += 1;
-                            }
-                        }
-                        s.tally.early_abandons += chunk.len() as u64 - offered;
-                    }
+                    self.scan_leaf(query, leaf, s);
                 }
                 Node::Internal {
                     vantage,
-                    window,
                     left,
                     right,
                     left_bounds,
                     right_bounds,
                     ..
                 } => {
+                    // Either child may be expanded next or pushed: start
+                    // loading both nodes and vantage windows now, so the
+                    // distance below hides the wait.
+                    for child in [*left, *right] {
+                        prefetch(self.nodes.get(child as usize));
+                        prefetch(self.vantages.get(child as usize * self.window_len));
+                    }
                     // The vantage distance also bounds the children, so it
                     // gets a looser bound than τ: past `τ + max(child hi)`
                     // (∞ while τ is; at least one band is non-empty) the
@@ -558,6 +648,7 @@ impl<M: Metric<[u8]>> VpTree<M> {
                     // `d − hi` exceed τ — the unbounded search prunes the
                     // whole subtree too.
                     let vantage_bound = s.heap.tau() + left_bounds.1.max(right_bounds.1);
+                    let window = self.vantage_window(node);
                     let bounded = self.metric.dist_bounded(query, window, vantage_bound);
                     s.budget -= 1;
                     s.tally.dist_calls += 1;
@@ -570,14 +661,70 @@ impl<M: Metric<[u8]>> VpTree<M> {
                     // band `[lo, hi]` around the vantage, so by the triangle
                     // inequality it is at least `max(d − hi, lo − d)` from
                     // the query — and no nearer than its parent's bound.
+                    let mut near = None;
                     for (child, (lo, hi)) in [(*left, *left_bounds), (*right, *right_bounds)] {
-                        let lb = lb.max(d - hi).max(lo - d);
-                        if child != NIL && lb <= s.heap.tau() {
-                            frontier.push(pending(lb, child));
+                        let lb = max(max(lb, d - hi), lo - d);
+                        if child == NIL || lb > s.heap.tau() {
+                            continue;
+                        }
+                        let key = pending(lb, child);
+                        match near {
+                            Some(n) if n < key => frontier.push(Reverse(key)),
+                            Some(n) => {
+                                frontier.push(Reverse(n));
+                                near = Some(key);
+                            }
+                            None => near = Some(key),
+                        }
+                    }
+                    if let Some(n) = near {
+                        if frontier.peek().is_none_or(|&Reverse(m)| n < m) {
+                            next = Some(n);
+                        } else {
+                            frontier.push(Reverse(n));
                         }
                     }
                 }
             }
+        }
+    }
+
+    /// The k-NN leaf scan, one lane group per kernel call. A group is
+    /// scored under the τ held when it starts and its survivors are
+    /// replayed, in bucket order, against the live τ — which only shrinks,
+    /// so `τ_live ≤ τ_group` and by the `scan_lanes` contract (`d`
+    /// reported ⟺ `d ≤ bound`):
+    ///   * not reported ⟹ d > τ_group ≥ τ_live: the one-by-one scan would
+    ///     abandon it too;
+    ///   * reported, d ≤ τ_live: the one-by-one scan would see the same
+    ///     bits and offer them;
+    ///   * reported, d > τ_live: one-by-one abandons.
+    ///
+    /// Scoring only the group's first `budget` windows stops on the
+    /// candidate the one-by-one loop would stop on, so results and all
+    /// counters are those of scoring the bucket a candidate at a time.
+    fn scan_leaf(&self, query: &[u8], leaf: &Leaf, s: &mut Search) {
+        for (first, mut group) in leaf.groups(self.window_len) {
+            if s.budget < group.width {
+                s.tally.budget_exhausted = 1;
+            }
+            if s.budget == 0 {
+                break;
+            }
+            group.live = group.width.min(s.budget);
+            s.survivors.clear();
+            self.metric
+                .scan_lanes(query, group, s.heap.tau(), &mut s.survivors);
+            s.budget -= group.live;
+            s.tally.dist_calls += group.live as u64;
+            let mut offered = 0;
+            for &(j, d) in &s.survivors {
+                if d <= s.heap.tau() {
+                    s.heap.offer(leaf.id(first + j as usize), d);
+                    offered += 1;
+                }
+            }
+            s.tally.early_abandons += group.live as u64 - offered;
         }
     }
 
@@ -603,21 +750,23 @@ impl<M: Metric<[u8]>> VpTree<M> {
     ) {
         tally.nodes_visited += 1;
         match &self.nodes[node as usize] {
-            Node::Leaf { ids, windows } => {
+            Node::Leaf(leaf) => {
                 tally.leaf_scans += 1;
-                // The bound never moves, so the whole bucket is one scan
-                // and a survivor (d ≤ radius) is exactly a member.
-                self.scan_leaf(query, windows, radius, survivors);
-                tally.dist_calls += ids.len() as u64;
-                tally.early_abandons += (ids.len() - survivors.len()) as u64;
-                out.extend(survivors.iter().map(|&(j, dist)| Neighbor {
-                    index: ids[j as usize],
-                    dist,
-                }));
+                // The bound never moves, so a survivor (d ≤ radius) is
+                // exactly a member.
+                for (first, group) in leaf.groups(self.window_len) {
+                    survivors.clear();
+                    self.metric.scan_lanes(query, group, radius, survivors);
+                    tally.dist_calls += group.width as u64;
+                    tally.early_abandons += (group.width - survivors.len()) as u64;
+                    out.extend(survivors.iter().map(|&(j, dist)| Neighbor {
+                        index: leaf.id(first + j as usize),
+                        dist,
+                    }));
+                }
             }
             Node::Internal {
                 vantage,
-                window,
                 left,
                 right,
                 left_bounds,
@@ -633,6 +782,7 @@ impl<M: Metric<[u8]>> VpTree<M> {
                     radius + left_bounds.1.max(right_bounds.1)
                 };
                 tally.dist_calls += 1;
+                let window = self.vantage_window(node);
                 let Some(d) = self.metric.dist_bounded(query, window, vantage_bound) else {
                     tally.early_abandons += 1;
                     return;
@@ -701,10 +851,10 @@ impl<M: Metric<[u8]>> VpTree<M> {
     /// - **id accounting** — every insertion id appears exactly once
     ///   among reachable vantages and leaf buckets, every reachable
     ///   node is visited at most once (no cycles or shared subtrees);
-    /// - **window layout** — each vantage holds one window and each leaf
-    ///   one per id, in bucket order, all of the tree's window length;
-    ///   nodes orphaned by subtree rebuilds (legal garbage until the next
-    ///   root rebuild) hold no ids or windows;
+    /// - **window layout** — the vantage arena holds one window of the
+    ///   tree's length per node, and each leaf its ids and exactly the
+    ///   lane bytes of its bucket; nodes orphaned by subtree rebuilds
+    ///   (legal garbage until the next root rebuild) are empty leaves;
     /// - **leaf occupancy** — buckets hold `1..=bucket_capacity`
     ///   elements.
     ///
@@ -713,6 +863,15 @@ impl<M: Metric<[u8]>> VpTree<M> {
     /// additionally asserts it after every build and rebalancing
     /// mutation.
     pub fn check_invariants(&self) -> Result<(), String> {
+        let want = self.nodes.len() * self.window_len;
+        if self.vantages.len() != want {
+            return Err(format!(
+                "vantage windows hold {} bytes for {} nodes of length {}",
+                self.vantages.len(),
+                self.nodes.len(),
+                self.window_len
+            ));
+        }
         let mut visited = vec![false; self.nodes.len()];
         if self.len == 0 {
             if self.root != NIL {
@@ -722,10 +881,10 @@ impl<M: Metric<[u8]>> VpTree<M> {
             if self.root == NIL {
                 return Err(format!("{} points but no root node", self.len));
             }
-            let mut elements = Vec::with_capacity(self.len);
+            let mut elements = Staged::default();
             self.check_node(self.root, &mut visited, &mut elements)?;
             let mut count = vec![0usize; self.len];
-            for &(e, _) in &elements {
+            for &e in &elements.ids {
                 match count.get_mut(e as usize) {
                     Some(c) => *c += 1,
                     None => {
@@ -741,11 +900,8 @@ impl<M: Metric<[u8]>> VpTree<M> {
             }
         }
         for (i, node) in self.nodes.iter().enumerate() {
-            let held = match node {
-                Node::Leaf { ids, windows } => ids.len() + windows.len(),
-                Node::Internal { window, .. } => window.len(),
-            };
-            if !visited[i] && held > 0 {
+            let empty = matches!(node, Node::Leaf(leaf) if leaf.held() == 0);
+            if !visited[i] && !empty {
                 return Err(format!(
                     "node {i} is no longer in the tree but still holds windows"
                 ));
@@ -756,12 +912,7 @@ impl<M: Metric<[u8]>> VpTree<M> {
 
     /// Validate the subtree at `node`, appending its elements' ids and
     /// windows to `out`.
-    fn check_node<'a>(
-        &'a self,
-        node: u32,
-        visited: &mut [bool],
-        out: &mut Vec<(u32, &'a [u8])>,
-    ) -> Result<(), String> {
+    fn check_node(&self, node: u32, visited: &mut [bool], out: &mut Staged) -> Result<(), String> {
         match visited.get_mut(node as usize) {
             None => {
                 return Err(format!(
@@ -778,30 +929,31 @@ impl<M: Metric<[u8]>> VpTree<M> {
         }
         let len = self.window_len;
         match &self.nodes[node as usize] {
-            Node::Leaf { ids, windows } => {
-                if ids.is_empty() {
+            Node::Leaf(leaf) => {
+                if leaf.len() == 0 {
                     return Err(format!("leaf {node} has an empty bucket"));
                 }
-                if ids.len() > self.bucket_capacity {
+                if leaf.len() > self.bucket_capacity {
                     return Err(format!(
                         "leaf {node} holds {} elements, capacity is {}",
-                        ids.len(),
+                        leaf.len(),
                         self.bucket_capacity
                     ));
                 }
-                if windows.len() != ids.len() * len {
+                let want = 4 * leaf.len() + lane_bytes(leaf.len(), len);
+                if leaf.held() != want {
                     return Err(format!(
-                        "leaf {node} holds {} window bytes for {} elements of length {len}",
-                        windows.len(),
-                        ids.len()
+                        "leaf {node} holds {} bytes for {} elements of length {len}, not {want}",
+                        leaf.held(),
+                        leaf.len()
                     ));
                 }
-                out.extend(ids.iter().copied().zip(windows.chunks_exact(len)));
+                out.ids.extend(leaf.ids());
+                out.bytes.extend(leaf.windows(len));
                 Ok(())
             }
             Node::Internal {
                 vantage,
-                window,
                 radius,
                 left,
                 right,
@@ -811,25 +963,22 @@ impl<M: Metric<[u8]>> VpTree<M> {
                 if !radius.is_finite() || *radius < 0.0 {
                     return Err(format!("node {node} has invalid radius {radius}"));
                 }
-                if window.len() != len {
-                    return Err(format!(
-                        "node {node} vantage window holds {} bytes, not {len}",
-                        window.len()
-                    ));
-                }
-                out.push((*vantage, window));
-                let mut left_elems = Vec::new();
+                let window = self.vantage_window(node);
+                out.push(*vantage, window);
+                let mut left_elems = Staged::default();
                 if *left != NIL {
                     self.check_node(*left, visited, &mut left_elems)?;
                 }
-                let mut right_elems = Vec::new();
+                let mut right_elems = Staged::default();
                 if *right != NIL {
                     self.check_node(*right, visited, &mut right_elems)?;
                 }
                 self.check_side(node, window, *radius, &left_elems, *left_bounds, true)?;
                 self.check_side(node, window, *radius, &right_elems, *right_bounds, false)?;
-                out.append(&mut left_elems);
-                out.append(&mut right_elems);
+                out.ids.append(&mut left_elems.ids);
+                out.bytes.append(&mut left_elems.bytes);
+                out.ids.append(&mut right_elems.ids);
+                out.bytes.append(&mut right_elems.bytes);
                 Ok(())
             }
         }
@@ -842,12 +991,12 @@ impl<M: Metric<[u8]>> VpTree<M> {
         node: u32,
         vp: &[u8],
         radius: f32,
-        elems: &[(u32, &[u8])],
+        elems: &Staged,
         (lo, hi): (f32, f32),
         is_left: bool,
     ) -> Result<(), String> {
         let side = if is_left { "left" } else { "right" };
-        if elems.is_empty() {
+        if elems.ids.is_empty() {
             return Ok(());
         }
         if !(lo <= hi) {
@@ -855,7 +1004,8 @@ impl<M: Metric<[u8]>> VpTree<M> {
                 "node {node} {side} bounds [{lo}, {hi}] are not ordered"
             ));
         }
-        for &(e, window) in elems {
+        let windows = elems.bytes.chunks_exact(self.window_len);
+        for (&e, window) in elems.ids.iter().zip(windows) {
             let d = self.metric.dist(vp, window);
             if d < lo || d > hi {
                 return Err(format!(
@@ -888,11 +1038,11 @@ impl<M: Metric<[u8]>> VpTree<M> {
 
     fn stats_rec(&self, node: u32, depth: usize, s: &mut VpTreeStats, fill: &mut usize) {
         match &self.nodes[node as usize] {
-            Node::Leaf { ids, .. } => {
+            Node::Leaf(leaf) => {
                 s.leaves += 1;
                 s.max_depth = s.max_depth.max(depth);
                 s.min_depth = s.min_depth.min(depth);
-                *fill += ids.len();
+                *fill += leaf.len();
             }
             Node::Internal { left, right, .. } => {
                 s.internal_nodes += 1;
@@ -1005,7 +1155,8 @@ mod tests {
         let t = build(points, 16);
         let nn = t.knn(&needle, 1);
         assert_eq!(nn[0].dist, 0.0);
-        assert_eq!(t.windows()[nn[0].index as usize], &needle[..]);
+        let at = nn[0].index as usize * 10;
+        assert_eq!(&t.windows()[at..at + 10], &needle[..]);
     }
 
     #[test]
@@ -1171,11 +1322,12 @@ mod tests {
     fn lost_element_is_detected() {
         let mut t = build(random_points(100, 8, 4, 42), 8);
         for node in &mut t.nodes {
-            if let Node::Leaf { ids, windows } = node {
-                if ids.len() >= 2 {
+            if let Node::Leaf(leaf) = node {
+                if leaf.len() >= 2 {
                     // Lose one element without emptying the leaf.
-                    ids.pop();
-                    windows.truncate(ids.len() * 8);
+                    let ids: Vec<u32> = leaf.ids().skip(1).collect();
+                    let windows = leaf.windows(8).split_off(8);
+                    *leaf = Leaf::new(ids.into_iter().zip(windows.chunks_exact(8)), 8);
                     break;
                 }
             }
@@ -1188,22 +1340,21 @@ mod tests {
     fn leaf_windows_out_of_step_with_ids_are_detected() {
         let mut t = build(random_points(100, 8, 4, 45), 8);
         for node in &mut t.nodes {
-            if let Node::Leaf { windows, .. } = node {
-                windows.truncate(windows.len() - 8); // an id without its window
+            if let Node::Leaf(leaf) = node {
+                // An id without its window.
+                let short = leaf.bytes.len() - 8;
+                leaf.bytes = leaf.bytes[..short].into();
                 break;
             }
         }
         let err = t.check_invariants().unwrap_err();
-        assert!(err.contains("window bytes"), "unexpected message: {err}");
+        assert!(err.contains("bytes for"), "unexpected message: {err}");
     }
 
     #[test]
     fn vantage_window_of_the_wrong_length_is_detected() {
         let mut t = build(random_points(100, 8, 4, 46), 4);
-        let root = t.root as usize;
-        if let Node::Internal { window, .. } = &mut t.nodes[root] {
-            *window = vec![0u8; 7].into();
-        }
+        t.vantages.pop(); // the last node's window one byte short
         let err = t.check_invariants().unwrap_err();
         assert!(err.contains("vantage window"), "unexpected message: {err}");
     }
@@ -1211,10 +1362,10 @@ mod tests {
     #[test]
     fn windows_left_in_a_replaced_node_are_detected() {
         let mut t = build(random_points(100, 8, 4, 47), 4);
-        t.nodes.push(Node::Leaf {
-            ids: vec![0],
-            windows: vec![0u8; 8],
-        });
+        t.push_node(
+            Node::Leaf(Leaf::new([(0, &[0u8; 8][..])].into_iter(), 8)),
+            None,
+        );
         let err = t.check_invariants().unwrap_err();
         assert!(
             err.contains("no longer in the tree"),
@@ -1248,16 +1399,19 @@ mod tests {
 
     /// The whole-leaf scan is an implementation strategy, not a different
     /// search: over identical tree geometry, the production metrics
-    /// (early-abandoning per-pair kernel on vantage points, chunked
-    /// `scan_bounded` in the leaves, SIMD lanes where they apply) must
+    /// (early-abandoning per-pair kernel on vantage points, one lane-group
+    /// kernel call per 16 leaf windows, SIMD lanes where they apply) must
     /// return the same neighbours — indices and distance bits — and the
     /// same four counters as an [`Unbounded`] twin, whose every distance
     /// is a full per-pair `dist` call. Covers both metrics, buckets
-    /// smaller than, equal to and larger than a scan chunk and one leaf
-    /// holding every point (the raw leaf scan), budgets that
-    /// run out on a vantage point, mid-chunk and never, window lengths on
-    /// and off the 16-residue tile (64: four full tiles, where the
-    /// per-8-residue abandon skips the most work), and range search.
+    /// smaller than, equal to and larger than a lane group and one leaf
+    /// holding every point (the raw leaf scan), budgets that run out on a
+    /// vantage point, inside the first, second and third lane group of a
+    /// leaf (5, 17, 23, 33) and never, window lengths on and off the
+    /// 16-residue tile (64: four full tiles, where the per-8-residue
+    /// abandon skips the most work), range search, and trees bulk-built
+    /// or grown by single inserts, whose appends re-lay a leaf's last
+    /// lane group.
     #[test]
     fn whole_leaf_scan_equals_the_per_pair_search() {
         use mendel_seq::{MatrixDistance, ScoringMatrix, Unbounded};
@@ -1270,12 +1424,30 @@ mod tests {
                 m.leaf_scans.get(),
             ]
         }
+        fn grow<M: Metric<[u8]>>(points: &[Vec<u8>], metric: M, bucket: usize) -> VpTree<M> {
+            let mut tree = VpTree::new(metric, bucket, 99);
+            for p in points {
+                tree.insert(p);
+            }
+            tree
+        }
         fn check<M: Metric<[u8]> + Clone>(metric: M, alphabet: u8, len: usize, what: &str) {
             let points = random_points(900, len, alphabet, 50 + len as u64);
             let queries = random_points(6, len, alphabet, 51 + len as u64);
-            for bucket in [1usize, 7, 32, 40, points.len()] {
-                let fast = VpTree::build(points.clone(), metric.clone(), bucket, 99);
-                let slow = VpTree::build(points.clone(), Unbounded(metric.clone()), bucket, 99);
+            let shapes = [1usize, 7, 32, 40, points.len()].map(|b| (b, false));
+            for (bucket, grown) in shapes.into_iter().chain([(7, true), (40, true)]) {
+                let (fast, slow) = if grown {
+                    (
+                        grow(&points, metric.clone(), bucket),
+                        grow(&points, Unbounded(metric.clone()), bucket),
+                    )
+                } else {
+                    (
+                        VpTree::build(points.clone(), metric.clone(), bucket, 99),
+                        VpTree::build(points.clone(), Unbounded(metric.clone()), bucket, 99),
+                    )
+                };
+                let what = &format!("{what}{}", if grown { " grown" } else { "" });
                 let same = |got: &[Neighbor], want: &[Neighbor], search: &str| {
                     assert_eq!(got.len(), want.len(), "{what} bucket {bucket} {search}");
                     for (g, w) in got.iter().zip(want) {
@@ -1293,7 +1465,7 @@ mod tests {
                     );
                 };
                 for q in &queries {
-                    for budget in [1usize, 17, 4096, usize::MAX] {
+                    for budget in [1usize, 5, 17, 23, 33, 4096, usize::MAX] {
                         for k in [1usize, 6] {
                             same(
                                 &fast.knn_with_budget(q, k, budget),
@@ -1358,11 +1530,37 @@ mod tests {
         assert_eq!(profile(Hamming, 4), [24_576, 21_743, 2_729, 1_056, 24]);
     }
 
+    /// The answers of `fixed_seed_search_counters_are_pinned`'s search
+    /// set, as one FNV-1a literal per metric over every neighbour's id
+    /// and distance bits, in rank order. The counters pin the work; this
+    /// pins what it finds, so a layout or kernel change that keeps the
+    /// work but moves a neighbour trips here.
+    #[test]
+    fn fixed_seed_search_answers_are_pinned() {
+        use mendel_seq::{MatrixDistance, ScoringMatrix};
+        fn digest<M: Metric<[u8]>>(metric: M, alphabet: u8) -> u64 {
+            let tree = VpTree::build(random_points(6000, 16, alphabet, 0x23), metric, 32, 0x23);
+            let mut h = 0xCBF2_9CE4_8422_2325u64;
+            for q in random_points(24, 16, alphabet, 0x24) {
+                for n in tree.knn_with_budget(&q, 8, 1024) {
+                    let bytes = n.index.to_le_bytes().into_iter();
+                    for b in bytes.chain(n.dist.to_bits().to_le_bytes()) {
+                        h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01B3);
+                    }
+                }
+            }
+            h
+        }
+        let protein = MatrixDistance::mendel(&ScoringMatrix::blosum62());
+        assert_eq!(digest(protein, 20), 0x4622_0103_F1EC_D4C2);
+        assert_eq!(digest(Hamming, 4), 0xE88E_3711_F632_A6ED);
+    }
+
     /// FNV-1a over a tree's whole layout: the root, then every node in
     /// index order — an internal vertex's vantage id and window, radius,
     /// children and both distance bands (as bits), a leaf's ids and
     /// windows. Node order breaks search ties, so it is hashed too.
-    fn layout_digest<M>(t: &VpTree<M>) -> u64 {
+    fn layout_digest<M: Metric<[u8]>>(t: &VpTree<M>) -> u64 {
         let mut h = 0xCBF2_9CE4_8422_2325u64;
         let mut eat = |bytes: &[u8]| {
             for &b in bytes {
@@ -1370,11 +1568,10 @@ mod tests {
             }
         };
         eat(&t.root.to_le_bytes());
-        for node in &t.nodes {
+        for (i, node) in t.nodes.iter().enumerate() {
             match node {
                 Node::Internal {
                     vantage,
-                    window,
                     radius,
                     left,
                     right,
@@ -1383,7 +1580,7 @@ mod tests {
                 } => {
                     eat(&[0]);
                     eat(&vantage.to_le_bytes());
-                    eat(window);
+                    eat(t.vantage_window(i as u32));
                     for f in [
                         *radius,
                         left_bounds.0,
@@ -1396,12 +1593,12 @@ mod tests {
                     eat(&left.to_le_bytes());
                     eat(&right.to_le_bytes());
                 }
-                Node::Leaf { ids, windows } => {
+                Node::Leaf(leaf) => {
                     eat(&[1]);
-                    for id in ids {
+                    for id in leaf.ids() {
                         eat(&id.to_le_bytes());
                     }
-                    eat(windows);
+                    eat(&leaf.windows(t.window_len));
                 }
             }
         }
