@@ -126,9 +126,13 @@ if [ "$MODE" != "quick" ]; then
         cargo test --release -p mendel-seq -q
 fi
 
-#    The banded gapped-extension kernel against its reference copy: the
-#    debug suite compares 2,000 generated cases, this release run 50,000
-#    (the sweep ignores itself in debug builds).
+#    The banded gapped-extension kernels against their reference copy:
+#    the dispatched (SSE4.1 `i16` lane), kill-switch and forced scalar
+#    paths on every case, 2,000 in the debug suite and 50,000 in this
+#    release run (the sweep ignores itself in debug builds). It also fails
+#    if a benchmark-shaped half runs scalar while `active_kernel()`
+#    reports `sse4.1`, so the sweep cannot quietly compare scalar with
+#    scalar.
 if [ "$MODE" != "quick" ]; then
     step "gapped-extension differential sweep (release)" \
         cargo test --release -p mendel-align -q

@@ -49,9 +49,23 @@
 //! score replaces them, stay above `NEG − 2·open1`. So nothing
 //! overflows, and no such value beats a real score while real scores stay
 //! above NEG, i.e. while `(|a| + |b|)·max(open1, −min s) < 2^29`.
+//!
+//! # The lane kernel
+//!
+//! On x86_64 with SSSE3 and SSE4.1, a half whose scores fit `i16` runs
+//! the same recurrence eight cells per instruction (`extend/sse41.rs`):
+//! each row held in band coordinates, E carried along the row as a prefix
+//! max, scores looked up from [`ScoringMatrix::i8_rows`]. Its outputs are
+//! the scalar kernel's on every field. A half outside the `i16` domain,
+//! a matrix without `i8` rows and every half while
+//! [`mendel_seq::simd::set_simd_enabled`]`(false)` holds run the scalar
+//! kernel above, which stays the fallback and the oracle (DESIGN §19).
 
 use crate::alignment::GapPenalties;
 use mendel_seq::ScoringMatrix;
+
+#[cfg(target_arch = "x86_64")]
+mod sse41;
 
 /// The DP's stand-in for −∞ (see the module doc for its margin).
 const NEG: i32 = i32::MIN / 4;
@@ -191,14 +205,34 @@ pub fn extend_gapped_banded(
     band: usize,
     x_drop: i32,
 ) -> GappedExtension {
+    let ends = (query, subject, q_mid, s_mid);
+    extend_with(ends, matrix, gaps, band, x_drop, banded_half)
+}
+
+/// The signature of one half's kernel: [`banded_half`] or [`scalar_half`].
+type HalfKernel = fn(&[u8], &[u8], &ScoringMatrix, GapPenalties, usize, i32) -> Half;
+
+/// [`extend_gapped_banded`] with each half run by `half`.
+fn extend_with(
+    (query, subject, q_mid, s_mid): (&[u8], &[u8], usize, usize),
+    matrix: &ScoringMatrix,
+    gaps: GapPenalties,
+    band: usize,
+    x_drop: i32,
+    half: HalfKernel,
+) -> GappedExtension {
     assert!(
         q_mid <= query.len() && s_mid <= subject.len(),
         "anchor outside sequences"
     );
+    // A half's cells all lie within |a| + |b| of its diagonal, so no wider
+    // band adds one; clamping keeps `i + band` and the lane buffers'
+    // sizes in range whatever band the caller passed.
+    let band = band.min(query.len() + subject.len());
     // Forward half: align query[q_mid..] vs subject[s_mid..] anchored at
     // (0,0). Backward half: the same on reversed prefixes. The two copies
     // are a few hundred bytes against a DP of tens of thousands of cells.
-    let fw = banded_half(
+    let fw = half(
         &query[q_mid..],
         &subject[s_mid..],
         matrix,
@@ -208,7 +242,7 @@ pub fn extend_gapped_banded(
     );
     let rq: Vec<u8> = query[..q_mid].iter().rev().copied().collect();
     let rs: Vec<u8> = subject[..s_mid].iter().rev().copied().collect();
-    let bw = banded_half(&rq, &rs, matrix, gaps, band, x_drop);
+    let bw = half(&rq, &rs, matrix, gaps, band, x_drop);
     GappedExtension {
         query_start: q_mid - bw.a_len,
         query_end: q_mid + fw.a_len,
@@ -232,10 +266,86 @@ struct Half {
     cells: u64,
 }
 
-/// One direction of the banded extension: the module doc's DP from (0,0)
-/// over `a` × `b`, keeping cells within `band` of the main diagonal and
-/// X-dropping rows. The best cell is the first maximum in row-major order.
+#[cfg(test)]
+thread_local! {
+    /// Halves the lane kernel ran on this thread (the test hook behind
+    /// `benchmark_shaped_halves_run_in_lanes`).
+    static LANE_HALVES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// One direction of the banded extension: the lane kernel when the half
+/// fits it ([`lanes_fit`]), the scalar kernel otherwise. `band` is at most
+/// the whole pair's |q| + |s| ([`extend_with`] clamps it), so no sum with
+/// it wraps.
 fn banded_half(
+    a: &[u8],
+    b: &[u8],
+    matrix: &ScoringMatrix,
+    gaps: GapPenalties,
+    band: usize,
+    x_drop: i32,
+) -> Half {
+    #[cfg(target_arch = "x86_64")]
+    if let Some(rows) = lanes_fit(a, b, matrix, gaps, band) {
+        #[cfg(test)]
+        LANE_HALVES.with(|c| c.set(c.get() + 1));
+        // SAFETY: `lanes_fit` verified SSSE3 and SSE4.1, a row of `rows`
+        // for every code the half reads, and scores that fit `i16`.
+        return unsafe { sse41::banded_half(a, b, rows, gaps, band, x_drop) };
+    }
+    scalar_half(a, b, matrix, gaps, band, x_drop)
+}
+
+/// The `i16` domain guard, with the scalar kernel's sizes: the matrix's
+/// `i8` rows when the lane kernel can run this half exactly — SIMD on, a
+/// CPU with SSSE3 and SSE4.1, both sides non-empty, non-negative gap
+/// costs, every code of `a` and of the `n = min(|b|, |a| + band)` columns
+/// a row can reach inside the table, and
+///
+/// ```text
+/// (|a| + n + 2) · max(open1, −min s, max s) ≤ 2^14
+/// ```
+///
+/// so that every real score and each one step from it fits `i16` with
+/// room to spare (DESIGN §19 argues the bound).
+#[cfg(target_arch = "x86_64")]
+fn lanes_fit<'m>(
+    a: &[u8],
+    b: &[u8],
+    matrix: &'m ScoringMatrix,
+    gaps: GapPenalties,
+    band: usize,
+) -> Option<&'m [[i8; mendel_seq::matrix::I8_ROW]]> {
+    if a.is_empty() || b.is_empty() || gaps.open < 0 || gaps.extend < 0 {
+        return None;
+    }
+    let n = b.len().min(a.len() + band);
+    if !fits_i16(a.len(), n, matrix, gaps) {
+        return None;
+    }
+    let rows = matrix.i8_rows()?;
+    let top = a.iter().max().max(b[..n].iter().max());
+    let inside = top.is_some_and(|&t| usize::from(t) < rows.len());
+    let cpu = std::arch::is_x86_feature_detected!("ssse3")
+        && std::arch::is_x86_feature_detected!("sse4.1");
+    (inside && cpu && mendel_seq::simd::simd_enabled()).then_some(rows)
+}
+
+/// The `i16` bound of [`lanes_fit`] for a half of `a_len` rows and `n`
+/// columns: `(|a| + n + 2) · max(open1, −min s, max s) ≤ 2^14`.
+fn fits_i16(a_len: usize, n: usize, matrix: &ScoringMatrix, gaps: GapPenalties) -> bool {
+    let (min_s, max_s) = matrix.extremes();
+    let c = (i64::from(gaps.open) + i64::from(gaps.extend))
+        .max(-i64::from(min_s))
+        .max(i64::from(max_s));
+    (a_len + n + 2) as i64 * c <= 1 << 14
+}
+
+/// One direction of the banded extension, scalar: the module doc's DP
+/// from (0,0) over `a` × `b`, keeping cells within `band` of the main
+/// diagonal and X-dropping rows. The best cell is the first maximum in
+/// row-major order.
+fn scalar_half(
     a: &[u8],
     b: &[u8],
     matrix: &ScoringMatrix,
@@ -443,17 +553,26 @@ mod tests {
 }
 
 /// The banded kernel as it stood before the E-from-T rewrite, kept
-/// verbatim apart from a cell count: the oracle the rewrite must match on
-/// every field, for every input.
+/// verbatim apart from a cell count: the oracle the scalar kernel and the
+/// lane kernel must match on every field, for every input.
 #[cfg(test)]
 mod reference {
     use super::*;
     use mendel_seq::gen::{random_sequence, MutationModel};
+    use mendel_seq::simd::{active_kernel, set_simd_enabled};
     use mendel_seq::Alphabet;
     use proptest::prelude::*;
     use proptest::test_runner::TestCaseError;
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
+    use std::sync::{Mutex, MutexGuard};
+
+    /// Held by every test here that flips the process-wide SIMD switch or
+    /// needs it on: the dispatched path must not quietly run scalar.
+    fn switch() -> MutexGuard<'static, ()> {
+        static SWITCH: Mutex<()> = Mutex::new(());
+        SWITCH.lock().unwrap_or_else(|e| e.into_inner())
+    }
 
     #[allow(clippy::too_many_arguments)]
     fn reference_extend(
@@ -575,17 +694,19 @@ mod reference {
         x_drop: i32,
     }
 
-    /// The case drawn from `seed`: BLOSUM62 or DNA(+2/−3); lengths 0–1,000;
-    /// a subject that is either unrelated or a mutant of the query (so the
+    /// The case drawn from `seed`: BLOSUM62, DNA(+2/−3) or, one time in
+    /// eight, DNA(+3/−130), which has no `i8` rows; lengths 0–1,000; a
+    /// subject that is either unrelated or a mutant of the query (so the
     /// DP runs long); ambiguity codes in a quarter of the pairs; anchors at
-    /// either end, on the pair's diagonal, or anywhere; band 0–64, X-drop
-    /// 0–200, open 0–15, extend 0–4.
+    /// either end, on the pair's diagonal, or anywhere; band 0–64, or
+    /// |query| + |subject| (+0–2), or `usize::MAX`; X-drop 0–200, open
+    /// 0–15, extend 0–4.
     fn case(seed: u64) -> Case {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let (alphabet, matrix) = if rng.random_bool(0.5) {
-            (Alphabet::Protein, ScoringMatrix::blosum62())
-        } else {
-            (Alphabet::Dna, ScoringMatrix::dna(2, -3))
+        let (alphabet, matrix) = match rng.random_range(0..8u8) {
+            0..=3 => (Alphabet::Protein, ScoringMatrix::blosum62()),
+            4..=6 => (Alphabet::Dna, ScoringMatrix::dna(2, -3)),
+            _ => (Alphabet::Dna, ScoringMatrix::dna(3, -130)),
         };
         let max_len = [8, 300, 1_000][rng.random_range(0..3usize)];
         let len = rng.random_range(0..=max_len);
@@ -619,6 +740,11 @@ mod reference {
         } else {
             anywhere(subject.len(), &mut rng)
         };
+        let band = match rng.random_range(0..16u8) {
+            0 => usize::MAX,
+            1 => query.len() + subject.len() + rng.random_range(0..=2usize),
+            _ => rng.random_range(0..=64),
+        };
         Case {
             query,
             subject,
@@ -629,27 +755,44 @@ mod reference {
                 open: rng.random_range(0..=15),
                 extend: rng.random_range(0..=4),
             },
-            band: rng.random_range(0..=64),
+            band,
             x_drop: rng.random_range(0..=200),
         }
+    }
+
+    /// Whether the case's forward half is inside the `i16` bound.
+    fn forward_fits_i16(c: &Case) -> bool {
+        let (a, b) = (c.query.len() - c.q_mid, c.subject.len() - c.s_mid);
+        let band = c.band.min(c.query.len() + c.subject.len());
+        fits_i16(a, b.min(a + band), &c.matrix, c.gaps)
     }
 
     fn agrees(seed: u64) -> Result<(), TestCaseError> {
         let c = case(seed);
         let (q, s) = (&c.query[..], &c.subject[..]);
-        let (mid, m) = ((c.q_mid, c.s_mid), &c.matrix);
-        prop_assert_eq!(
-            extend_gapped_banded(q, s, mid.0, mid.1, m, c.gaps, c.band, c.x_drop),
-            reference_extend(q, s, mid.0, mid.1, m, c.gaps, c.band, c.x_drop)
-        );
+        let (mid, m, gaps, x) = ((c.q_mid, c.s_mid), &c.matrix, c.gaps, c.x_drop);
+        // The reference adds the band unclamped; half of `usize::MAX` is
+        // as wide as any band it can add without wrapping.
+        let want = reference_extend(q, s, mid.0, mid.1, m, gaps, c.band.min(usize::MAX / 2), x);
+        let _on = switch();
+        let dispatched = extend_gapped_banded(q, s, mid.0, mid.1, m, gaps, c.band, x);
+        let fallback = extend_with((q, s, mid.0, mid.1), m, gaps, c.band, x, scalar_half);
+        let prev = set_simd_enabled(false);
+        let switched_off = extend_gapped_banded(q, s, mid.0, mid.1, m, gaps, c.band, x);
+        set_simd_enabled(prev);
+        prop_assert_eq!(dispatched, want, "dispatched");
+        prop_assert_eq!(fallback, want, "forced fallback");
+        prop_assert_eq!(switched_off, want, "kill switch");
         Ok(())
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(2_000))]
 
-        /// The kernel returns the reference's extension on every
-        /// field, `cells` included, so both walk the same band.
+        /// The dispatched kernel (lanes where a half fits them), the
+        /// scalar kernel behind the kill switch and the scalar kernel
+        /// forced return the reference's extension on every field,
+        /// `cells` included, so all walk the same band.
         #[test]
         fn kernel_equals_the_reference(seed in any::<u64>()) {
             agrees(seed)?;
@@ -679,6 +822,26 @@ mod reference {
         assert!(any(&|c| c.q_mid == 0 && !c.query.is_empty()));
         assert!(any(&|c| c.q_mid == c.query.len() && !c.query.is_empty()));
         assert!(any(&|c| c.band == 0) && any(&|c| c.band == 64));
+        for r in [0, 1, 7] {
+            assert!(
+                any(&|c| c.band <= 64 && c.band % 8 == r),
+                "band ≡ {r} mod 8"
+            );
+        }
+        assert!(any(&|c| c.band == usize::MAX && !c.query.is_empty()));
+        assert!(any(&|c| {
+            let both = c.query.len() + c.subject.len();
+            c.band >= both && c.band < usize::MAX && both > 0
+        }));
+        assert!(any(&|c| c.matrix.i8_rows().is_none()));
+        // Forward halves on both sides of the `i16` guard.
+        let rows = |c: &Case| c.matrix.i8_rows().is_some() && c.q_mid < c.query.len();
+        let long = |c: &Case| c.query.len() - c.q_mid > 300;
+        assert!(any(&|c| rows(c) && forward_fits_i16(c) && long(c)));
+        assert!(any(&|c| rows(c) && !forward_fits_i16(c)));
+        assert!(any(&|c| {
+            c.matrix.alphabet == Alphabet::Protein && c.subject.iter().any(|&r| r >= 16)
+        }));
         assert!(any(&|c| c.x_drop == 0) && any(&|c| c.x_drop == 200));
         assert!(any(&|c| c.gaps.open == 0) && any(&|c| c.gaps.open == 15));
         assert!(any(&|c| c.gaps.extend == 0) && any(&|c| c.gaps.extend == 4));
@@ -686,6 +849,73 @@ mod reference {
             let n = c.matrix.alphabet.canonical_size() as u8;
             c.query.iter().any(|&r| r >= n)
         }));
+    }
+
+    /// A band of `usize::MAX` is the band |a| + |b| on every path: a
+    /// 300-residue pair scores the same full-length hit at both, where the
+    /// unclamped sums once wrapped to an empty or truncated extension.
+    #[test]
+    fn a_huge_band_is_the_widest_useful_band() {
+        let mut rng = ChaCha8Rng::seed_from_u64(300);
+        let a = random_sequence(Alphabet::Protein, 300, &mut rng);
+        let b = MutationModel::with_indels(0.2, 0.05).mutate(Alphabet::Protein, &a, &mut rng);
+        let (m, gaps) = (ScoringMatrix::blosum62(), GapPenalties::BLASTP_DEFAULT);
+        let both = a.len() + b.len();
+        let _on = switch();
+        for half in [banded_half as HalfKernel, scalar_half] {
+            let at = |band| extend_with((&a, &b, 150, 150), &m, gaps, band, 1_000, half);
+            let widest = at(both);
+            assert!(widest.score > 500 && widest.cells > 0);
+            for band in [usize::MAX, usize::MAX - 5, both + 1, 1 << 40] {
+                assert_eq!(at(band), widest, "band {band}");
+            }
+        }
+    }
+
+    /// Benchmark-shaped extensions — a 420-residue protein pair at the
+    /// served `l` = 24 and a 150-nt read at `l` = 16 — run both halves in
+    /// lanes whenever `active_kernel()` reports `sse4.1`: a dispatch that
+    /// quietly fell back would leave the differential sweeps comparing
+    /// the scalar kernel with itself.
+    #[test]
+    fn benchmark_shaped_halves_run_in_lanes() {
+        let mut rng = ChaCha8Rng::seed_from_u64(420);
+        let protein = (ScoringMatrix::blosum62(), GapPenalties::BLASTP_DEFAULT);
+        let dna = (ScoringMatrix::dna(2, -3), GapPenalties::BLASTN_DEFAULT);
+        let shapes = [
+            (Alphabet::Protein, protein, 420, 24, 38),
+            (Alphabet::Dna, dna, 150, 16, 30),
+        ];
+        let _on = switch();
+        for (alphabet, (m, gaps), len, band, x_drop) in shapes {
+            let a = random_sequence(alphabet, len, &mut rng);
+            let b = MutationModel::with_indels(0.2, 0.03).mutate(alphabet, &a, &mut rng);
+            let before = LANE_HALVES.with(|c| c.get());
+            let g = extend_gapped_banded(&a, &b, len / 2, len / 2, &m, gaps, band, x_drop);
+            let lanes = LANE_HALVES.with(|c| c.get()) - before;
+            assert!(g.cells > 0);
+            let want = if active_kernel() == "sse4.1" { 2 } else { 0 };
+            assert_eq!(lanes, want, "{alphabet:?} on {}", active_kernel());
+        }
+    }
+
+    /// A code outside the matrix panics on the dispatched path as on the
+    /// scalar one, in either sequence.
+    #[test]
+    fn a_code_outside_the_matrix_panics_on_every_path() {
+        let mut rng = ChaCha8Rng::seed_from_u64(24);
+        let a = random_sequence(Alphabet::Protein, 200, &mut rng);
+        let (m, gaps) = (ScoringMatrix::blosum62(), GapPenalties::BLASTP_DEFAULT);
+        let _on = switch();
+        for (at, code) in [(0, 24u8), (1, 31), (0, 200)] {
+            let mut pair = [a.clone(), a.clone()];
+            pair[at][110] = code;
+            for half in [banded_half as HalfKernel, scalar_half] {
+                let run = || extend_with((&pair[0], &pair[1], 100, 100), &m, gaps, 24, 1_000, half);
+                let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run));
+                assert!(caught.is_err(), "code {code} in sequence {at}");
+            }
+        }
     }
 
     /// 50,000-residue pairs walk their whole band with every add

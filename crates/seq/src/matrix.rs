@@ -49,7 +49,17 @@ pub struct ScoringMatrix {
     pub alphabet: Alphabet,
     n: usize,
     scores: Vec<i32>,
+    /// Every row as [`I8_ROW`] `i8` scores, zero past the alphabet, for
+    /// `pshufb` look-ups; empty when a score does not fit `i8` or the
+    /// alphabet has more than [`I8_ROW`] letters.
+    i8_rows: Vec<[i8; I8_ROW]>,
+    /// The smallest and the largest score in the table.
+    extremes: (i32, i32),
 }
+
+/// Scores per row of [`ScoringMatrix::i8_rows`]: two 16-byte `pshufb`
+/// tables, indexed by the low four bits of a code and picked by bit 4.
+pub const I8_ROW: usize = 32;
 
 impl ScoringMatrix {
     /// The BLOSUM62 matrix (the paper's and BLAST's default for proteins).
@@ -76,11 +86,39 @@ impl ScoringMatrix {
         for i in 0..4 {
             scores[i * n + i] = match_score;
         }
-        ScoringMatrix {
-            name: format!("DNA({match_score:+}/{mismatch})"),
-            alphabet: Alphabet::Dna,
+        Self::new(
+            format!("DNA({match_score:+}/{mismatch})"),
+            Alphabet::Dna,
             n,
             scores,
+        )
+    }
+
+    /// The matrix over `n` codes with row-major `scores`, and its caches.
+    fn new(name: String, alphabet: Alphabet, n: usize, scores: Vec<i32>) -> Self {
+        let fits = n <= I8_ROW && scores.iter().all(|&s| i8::try_from(s).is_ok());
+        let i8_rows = if fits {
+            let rows = scores.chunks_exact(n).map(|row| {
+                let mut out = [0i8; I8_ROW];
+                for (o, &s) in out.iter_mut().zip(row) {
+                    *o = s as i8;
+                }
+                out
+            });
+            rows.collect()
+        } else {
+            Vec::new()
+        };
+        let extremes = scores
+            .iter()
+            .fold((i32::MAX, i32::MIN), |(lo, hi), &s| (lo.min(s), hi.max(s)));
+        ScoringMatrix {
+            name,
+            alphabet,
+            n,
+            scores,
+            i8_rows,
+            extremes,
         }
     }
 
@@ -163,12 +201,7 @@ impl ScoringMatrix {
                 }
             }
         }
-        Ok(ScoringMatrix {
-            name: name.into(),
-            alphabet,
-            n,
-            scores,
-        })
+        Ok(Self::new(name.into(), alphabet, n, scores))
     }
 
     /// Score of substituting residue code `a` with residue code `b`.
@@ -191,6 +224,22 @@ impl ScoringMatrix {
     pub fn row(&self, a: u8) -> &[i32] {
         let start = a as usize * self.n;
         &self.scores[start..start + self.n]
+    }
+
+    /// Every row as [`I8_ROW`] `i8` scores, indexed by code:
+    /// `i8_rows()[a][b] == score(a, b)`, zero past the alphabet. `None`
+    /// when a score does not fit `i8` or the alphabet has more than
+    /// [`I8_ROW`] letters. The gapped extension's lane kernel looks a
+    /// row's scores up here with two `pshufb`s.
+    #[inline]
+    pub fn i8_rows(&self) -> Option<&[[i8; I8_ROW]]> {
+        (!self.i8_rows.is_empty()).then_some(&self.i8_rows[..])
+    }
+
+    /// The smallest and the largest score in the table.
+    #[inline]
+    pub fn extremes(&self) -> (i32, i32) {
+        self.extremes
     }
 }
 
@@ -219,13 +268,28 @@ mod tests {
     fn rows_agree_with_pair_scores() {
         for m in [ScoringMatrix::blosum62(), ScoringMatrix::dna(2, -3)] {
             let n = m.alphabet.size() as u8;
+            let i8_rows = m.i8_rows().unwrap();
+            assert_eq!(i8_rows.len(), usize::from(n));
+            let (mut lo, mut hi) = (i32::MAX, i32::MIN);
             for a in 0..n {
                 assert_eq!(m.row(a).len(), m.alphabet.size());
                 for b in 0..n {
                     assert_eq!(m.row(a)[b as usize], m.score(a, b), "{} ({a},{b})", m.name);
+                    (lo, hi) = (lo.min(m.score(a, b)), hi.max(m.score(a, b)));
+                }
+                for b in 0..I8_ROW as u8 {
+                    let want = if b < n { m.score(a, b) } else { 0 };
+                    assert_eq!(i32::from(i8_rows[usize::from(a)][usize::from(b)]), want);
                 }
             }
+            assert_eq!(m.extremes(), (lo, hi), "{}", m.name);
         }
+        assert_eq!(ScoringMatrix::blosum62().extremes(), (-4, 11));
+        // One score past `i8` and the table has no byte rows.
+        let wide = ScoringMatrix::dna(128, -3);
+        assert!(wide.i8_rows().is_none());
+        assert_eq!(wide.extremes(), (-3, 128));
+        assert!(ScoringMatrix::dna(127, -128).i8_rows().is_some());
     }
 
     fn is_symmetric(m: &ScoringMatrix) -> bool {

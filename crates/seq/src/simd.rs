@@ -37,13 +37,15 @@
 //! DESIGN.md §15.1.
 //!
 //! `set_simd_enabled(false)` forces every dispatch back to the scalar
-//! integer kernels — the oracle the vector paths are tested against.
+//! integer kernels — the oracle the vector paths are tested against —
+//! and takes `mendel-align`'s gapped extension off its `i16` lanes too.
 
 use crate::lanes::LaneGroup;
 use std::sync::atomic::{AtomicBool, Ordering};
 
-/// Global kill switch for the vectorized kernels (benchmark ablations,
-/// CI agreement checks). Defaults to enabled.
+/// Global kill switch for the vectorized kernels — these distance
+/// kernels and `mendel-align`'s gapped-extension lanes (benchmark
+/// ablations, CI agreement checks). Defaults to enabled.
 static SIMD_ENABLED: AtomicBool = AtomicBool::new(true);
 
 /// True when SIMD dispatch is enabled (the default).
@@ -63,8 +65,11 @@ pub fn set_simd_enabled(on: bool) -> bool {
 }
 
 /// Name of the widest kernel the running CPU dispatches to, honouring
-/// the kill switch: `sse4.1` when the sixteen-lane matrix scan can run,
-/// else `sse2`. Reported by benches and `/healthz?verbose=1`.
+/// the kill switch: `sse4.1` when the sixteen-lane matrix scan and
+/// `mendel-align`'s `i16` gapped-extension lanes can run, else `sse2`
+/// (the gapped extension then runs scalar). The kill switch covers both:
+/// `scalar` means every distance and gapped kernel runs its scalar path.
+/// Reported by benches and `/healthz?verbose=1`.
 pub fn active_kernel() -> &'static str {
     if !simd_enabled() {
         return "scalar";

@@ -250,19 +250,22 @@ fn concurrent_single_queries_match_serial_answers() {
     assert_eq!(concurrent, serial);
 }
 
-/// The process-wide SIMD kill switch changes which distance kernel
-/// runs, never an answer nor the work the search does: hits and each
-/// report's four `mendel.vptree.*` counter deltas are identical with it
-/// on and off, at build time and at query time (hits are compared, so
-/// toggling it under the other tests of this binary is harmless to them).
+/// The process-wide SIMD kill switch changes which distance and gapped
+/// kernels run, never an answer nor the work the query does: hits and
+/// each report's four `mendel.vptree.*` and two `mendel.query.gapped_*`
+/// counter deltas are identical with it on and off, at build time and at
+/// query time (hits are compared, so toggling it under the other tests of
+/// this binary is harmless to them).
 #[test]
 fn simd_kill_switch_leaves_cluster_hits_identical() {
     use mendel_suite::seq::simd::set_simd_enabled;
-    const COUNTERS: [&str; 4] = [
+    const COUNTERS: [&str; 6] = [
         "mendel.vptree.dist_calls",
         "mendel.vptree.early_abandons",
         "mendel.vptree.nodes_visited",
         "mendel.vptree.leaf_scans",
+        "mendel.query.gapped_extensions",
+        "mendel.query.gapped_cells",
     ];
     for alphabet in [Alphabet::Dna, Alphabet::Protein] {
         // Clusters of their own: the shared worlds serve this binary's
@@ -275,7 +278,7 @@ fn simd_kill_switch_leaves_cluster_hits_identical() {
             set_simd_enabled(prev);
             w
         };
-        let answers = |w: &World, on: bool| -> Vec<(Vec<MendelHit>, [u64; 4])> {
+        let answers = |w: &World, on: bool| -> Vec<(Vec<MendelHit>, [u64; 6])> {
             let params = params_for(w);
             let prev = set_simd_enabled(on);
             let out = w
@@ -292,10 +295,51 @@ fn simd_kill_switch_leaves_cluster_hits_identical() {
         let (scalar_built, vector_built) = (built(false), built(true));
         let scalar = answers(&scalar_built, false);
         assert!(scalar.iter().all(|(_, c)| c[0] > 0), "{alphabet:?}");
+        let cells: u64 = scalar.iter().map(|(_, c)| c[5]).sum();
+        assert!(cells > 0, "{alphabet:?}: no gapped extension ran");
         assert_eq!(scalar, answers(&scalar_built, true), "{alphabet:?}");
         assert_eq!(scalar, answers(&vector_built, false), "{alphabet:?}");
         assert_eq!(scalar, answers(&vector_built, true), "{alphabet:?}");
     }
+}
+
+/// Every hit field of a fixed-seed world's whole query pool, in rank
+/// order, plus each query's gapped extensions and DP cells, as one FNV-1a
+/// literal per alphabet. The literals were recorded before the gapped
+/// kernel went to SIMD lanes: any change to an extension's score, either
+/// range or the cells it walked trips here. (A cluster of its own: the
+/// shared worlds' other callers would leak into the counter deltas.)
+#[test]
+fn fixed_seed_hits_and_gapped_work_are_pinned() {
+    fn digest(alphabet: Alphabet) -> u64 {
+        let w = build_world(alphabet, StorageBackend::Memory, 0xF1A7, 16);
+        let params = params_for(&w);
+        let mut h = 0xCBF2_9CE4_8422_2325u64;
+        let mut eat = |v: u64| {
+            for b in v.to_le_bytes() {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01B3);
+            }
+        };
+        for q in &w.pool {
+            let r = w.cluster.query(q, &params).unwrap();
+            for hit in &r.hits {
+                let f = hit_bits(hit);
+                eat(u64::from(f.0));
+                eat(f.1 as u64);
+                eat(f.2);
+                eat(f.3);
+                for end in [f.4, f.5, f.6, f.7] {
+                    eat(end as u64);
+                }
+                eat(u64::from(f.8));
+            }
+            eat(r.metrics.counter("mendel.query.gapped_extensions"));
+            eat(r.metrics.counter("mendel.query.gapped_cells"));
+        }
+        h
+    }
+    assert_eq!(digest(Alphabet::Protein), 0x73A8645D5C0B05E7);
+    assert_eq!(digest(Alphabet::Dna), 0x6258CA7ED0EEBDEE);
 }
 
 /// Block lengths off the kernels' 16-residue tile — a short tail only
