@@ -3,12 +3,16 @@
 //! Each process builds its [`MendelCluster`] control plane
 //! deterministically from the ingested corpus (same FASTA + same
 //! cluster parameters ⇒ same routing tables and block placement in
-//! every process), serves its node's share of query traffic over a
-//! [`mendel::NodeServer`] TCP transport, and exposes a small HTTP/JSON
-//! front-end:
+//! every process), indexes only the blocks placed on its own node
+//! ([`MendelCluster::build_member`]: one vp-tree per process, every
+//! other node's blocks are keys in the ledger), serves that share of
+//! query traffic over a [`mendel::NodeServer`] TCP transport, and
+//! exposes a small HTTP/JSON front-end:
 //!
 //! * `POST /ingest`  — body: FASTA; builds the cluster and starts
-//!   serving (idempotent: re-ingesting replaces the cluster).
+//!   serving (idempotent: re-ingesting replaces the cluster). Replies
+//!   with `blocks`, the cluster-wide copy count every process agrees
+//!   on, and `hosted_blocks`, the copies this process indexes.
 //! * `POST /query`   — body: residues (raw or FASTA); answers with
 //!   hits + coverage JSON rendered by [`render_outcome_json`].
 //!   `?trace=1` appends the query's trace id and critical path (the
@@ -17,8 +21,10 @@
 //!   `?scope=cluster` scrapes every `http-peers` member and merges the
 //!   texts with `node="N"` labels ([`federate_prometheus`]).
 //! * `GET  /healthz` — liveness + whether the node is serving yet.
-//!   `?verbose=1` adds build info (version, git sha), uptime, and the
-//!   active SIMD kernel.
+//!   `?verbose=1` adds build info (version, git sha), uptime, the
+//!   active SIMD kernel and, once serving, `blocks` / `hosted_blocks`
+//!   as `/ingest` reports them (`/metrics` exports the latter as the
+//!   `mendel_hosted_blocks` gauge).
 //! * `GET  /trace/<id>` — span records for one trace; `format=`
 //!   `chrome` (default, Perfetto-loadable) | `records` | `tree` |
 //!   `path`; `scope=cluster` (default) stitches fragments scraped from
@@ -56,7 +62,7 @@
 use crate::args::{ArgError, Args};
 use crate::commands::CliError;
 use crate::http::{http_request, Handler, HttpServer, Request, Response};
-use mendel::store::RealVfs;
+use mendel::store::{RealVfs, Vfs};
 use mendel::{
     chrome_trace_json, escape_json, parse_records_text, render_records_text, Clock, ClusterConfig,
     CoverageReport, FrontEnd, MendelCluster, MendelError, MendelHit, MonotonicClock, NodeServer,
@@ -80,7 +86,7 @@ use std::time::Duration;
 /// and flags.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeConfig {
-    /// This process's node id (0-based, must be `< nodes`).
+    /// This process's node id (0-based, `< nodes`; checked at parse).
     pub node: u16,
     /// Node-to-node transport listen address.
     pub listen: SocketAddr,
@@ -243,14 +249,22 @@ impl ServeConfig {
         let timeouts = WireTimeouts {
             rpc: Duration::from_millis(parse_num("rpc-timeout-ms", 30_000)?),
         };
+        let nodes = parse_num("nodes", base.nodes as u64)? as usize;
+        let node = parse_num("node", 0)?;
+        // A process hosts a node of the topology: no wrap into u16, no id
+        // past `nodes`.
+        let node = u16::try_from(node)
+            .ok()
+            .filter(|&n| usize::from(n) < nodes)
+            .ok_or_else(|| bad("node", &node.to_string(), "node id below --nodes"))?;
         Ok(ServeConfig {
-            node: parse_num("node", 0)? as u16,
+            node,
             listen: parse_sock("listen")?,
             http: parse_sock("http")?,
             peers: parse_peers(&pick("peers").unwrap_or_default())?,
             db: pick("db"),
             dna,
-            nodes: parse_num("nodes", base.nodes as u64)? as usize,
+            nodes,
             groups: parse_num("groups", base.groups as u64)? as usize,
             block_len: parse_num("block-len", base.block_len as u64)? as usize,
             replication: parse_num("replication", base.replication as u64)? as usize,
@@ -378,9 +392,10 @@ struct State {
 }
 
 impl State {
-    /// Build the cluster from FASTA text and start (or restart) the
-    /// node server and front-end.
-    fn ingest(&self, fasta: &str) -> Result<(usize, usize), CliError> {
+    /// Build this node's share of the cluster from FASTA text and start
+    /// (or restart) the node server and front-end. Returns the sequence
+    /// count, the cluster-wide block copies and the copies hosted here.
+    fn ingest(&self, fasta: &str) -> Result<(usize, usize, usize), CliError> {
         let alphabet = self.cfg.alphabet();
         let mut store = SeqStore::new();
         for s in parse_fasta_sequences(fasta, alphabet)? {
@@ -389,20 +404,14 @@ impl State {
         let sequences = store.len();
         let db = Arc::new(store);
         let config = self.cfg.cluster_config();
-        let cluster = Arc::new(match &self.cfg.data_dir {
-            None => MendelCluster::build(config, db)?,
-            Some(dir) => {
-                let vfs = RealVfs::new(dir).map_err(|e| {
-                    CliError::Mendel(MendelError::Store(format!("data dir {dir}: {e}")))
-                })?;
-                MendelCluster::build_with_storage(
-                    config,
-                    db,
-                    Arc::new(MonotonicClock::new()),
-                    Some(Arc::new(vfs)),
-                )?
-            }
-        });
+        let me = NodeId(self.cfg.node);
+        let vfs: Option<Arc<dyn Vfs>> = match &self.cfg.data_dir {
+            None => None,
+            Some(dir) => Some(Arc::new(RealVfs::new(dir).map_err(|e| {
+                CliError::Mendel(MendelError::Store(format!("data dir {dir}: {e}")))
+            })?)),
+        };
+        let cluster = Arc::new(MendelCluster::build_member(config, db, me, vfs)?);
         // Span ids minted here must never collide with a peer process's
         // once the fragments are stitched into one tree: give each node
         // its own id plane (top 16 bits). The counter is monotone, so
@@ -417,7 +426,6 @@ impl State {
             sample_every: self.cfg.slowlog_sample,
             ..SlowLogConfig::default()
         });
-        let me = NodeId(self.cfg.node);
         let peer_addrs: Vec<(NodeAddr, SocketAddr)> = self
             .cfg
             .peers
@@ -451,14 +459,14 @@ impl State {
             TransportMetrics::registered(cluster.metrics_registry()),
             self.cfg.timeouts,
         );
-        let blocks = cluster.total_blocks();
+        let (blocks, hosted) = (cluster.placed_copies(), cluster.total_blocks());
         *self.serving.lock() = Some(Serving {
             cluster,
             _node_server: node_server,
             front,
             sequences,
         });
-        Ok((sequences, blocks))
+        Ok((sequences, blocks, hosted))
     }
 
     /// The serving cluster handle, with the serving mutex *released*:
@@ -471,10 +479,11 @@ impl State {
     fn handle(&self, req: &Request) -> Response {
         match (req.method.as_str(), req.path.as_str()) {
             ("GET", "/healthz") => {
-                let serving = self.serving.lock().is_some();
+                let cluster = self.cluster();
                 let mut body = format!(
-                    "{{\"status\":\"ok\",\"node\":{},\"serving\":{serving}",
-                    self.cfg.node
+                    "{{\"status\":\"ok\",\"node\":{},\"serving\":{}",
+                    self.cfg.node,
+                    cluster.is_some()
                 );
                 if req.query_param("verbose").is_some_and(|v| v != "0") {
                     let _ = write!(
@@ -488,6 +497,14 @@ impl State {
                         self.cfg.tracing,
                         self.cfg.trace_sample,
                     );
+                    if let Some(cluster) = &cluster {
+                        let _ = write!(
+                            body,
+                            ",\"blocks\":{},\"hosted_blocks\":{}",
+                            cluster.placed_copies(),
+                            cluster.total_blocks()
+                        );
+                    }
                 }
                 body.push('}');
                 Response::json(200, body)
@@ -497,10 +514,11 @@ impl State {
                     return Response::json(400, "{\"error\":\"ingest body must be UTF-8 FASTA\"}");
                 };
                 match self.ingest(text) {
-                    Ok((sequences, blocks)) => Response::json(
+                    Ok((sequences, blocks, hosted)) => Response::json(
                         200,
                         format!(
-                            "{{\"ingested\":true,\"sequences\":{sequences},\"blocks\":{blocks}}}"
+                            "{{\"ingested\":true,\"sequences\":{sequences},\"blocks\":{blocks},\
+                             \"hosted_blocks\":{hosted}}}"
                         ),
                     ),
                     Err(e) => Response::json(400, error_json(&e)),
@@ -889,6 +907,69 @@ mod tests {
         assert_eq!(cfg.nodes, 6, "file fills the rest");
         assert_eq!(cfg.timeouts.rpc, Duration::from_millis(1234));
         assert_eq!(cfg.listen, "127.0.0.1:7701".parse().unwrap());
+    }
+
+    #[test]
+    fn each_process_reports_its_hosted_share_of_the_blocks() {
+        if let Err(e) = std::net::TcpListener::bind("127.0.0.1:0") {
+            eprintln!("SKIPPED: loopback sockets unavailable in this environment: {e}");
+            return;
+        }
+        let corpus = mendel_seq::gen::NrLikeSpec {
+            families: 4,
+            members_per_family: 2,
+            length_range: (100, 140),
+            seed: 0x40,
+            ..Default::default()
+        }
+        .generate()
+        .unwrap();
+        let fasta = mendel_seq::write_fasta(corpus.iter(), 60);
+        let mut hosted_sum = 0;
+        let mut placed = Vec::new();
+        for node in 0..3 {
+            let line = format!(
+                "serve --node {node} --nodes 3 --groups 1 --listen 127.0.0.1:0 --http 127.0.0.1:0"
+            );
+            let state = State {
+                cfg: ServeConfig::from_args(&Args::parse(&toks(&line)).unwrap()).unwrap(),
+                serving: Mutex::new(None),
+                stop: AtomicBool::new(false),
+                uptime: MonotonicClock::new(),
+            };
+            let call = |method: &str, target: &str, body: &[u8]| {
+                let (path, query) = target.split_once('?').unwrap_or((target, ""));
+                let req = Request {
+                    method: method.into(),
+                    path: path.into(),
+                    query: query.into(),
+                    body: body.to_vec(),
+                };
+                let resp = state.handle(&req);
+                assert_eq!(resp.status, 200, "{method} {target}");
+                String::from_utf8(resp.body).unwrap()
+            };
+            let ingest = call("POST", "/ingest", fasta.as_bytes());
+            let field = |name: &str| -> usize {
+                let at = ingest.find(&format!("\"{name}\":")).unwrap() + name.len() + 3;
+                let digits = ingest[at..].split(|c: char| !c.is_ascii_digit()).next();
+                digits.unwrap().parse().unwrap()
+            };
+            let (blocks, hosted) = (field("blocks"), field("hosted_blocks"));
+            assert!(0 < hosted && hosted < blocks, "{ingest}");
+            hosted_sum += hosted;
+            placed.push(blocks);
+            let health = call("GET", "/healthz?verbose=1", b"");
+            let both = format!("\"blocks\":{blocks},\"hosted_blocks\":{hosted}");
+            assert!(health.contains(&both), "{health}");
+            let metrics = call("GET", "/metrics", b"");
+            let gauge = format!("\nmendel_hosted_blocks {hosted}\n");
+            assert!(metrics.contains(&gauge), "{metrics}");
+        }
+        // Every process reports the same cluster-wide count, and the
+        // three hosted shares partition it (one group, no replicas).
+        assert!(placed.iter().all(|&b| b == placed[0]), "{placed:?}");
+        assert_eq!(hosted_sum, placed[0]);
     }
 
     #[test]

@@ -542,6 +542,18 @@ fn serve_arg_errors_are_reported() {
         .collect();
     let err = mendel_cli::run(&toks).unwrap_err();
     assert!(err.to_string().contains("listen"), "{err}");
+
+    // A node outside the topology is refused before any socket is
+    // bound: neither wrapped into u16 nor past `nodes`.
+    for (node, nodes) in [("65536", "3"), ("7", "3"), ("3", "3")] {
+        let toks: Vec<String> = ["serve", "--node", node, "--nodes", nodes]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
+        let err = mendel_cli::run(&toks).unwrap_err();
+        let want = format!("--node \"{node}\"");
+        assert!(err.to_string().contains(&want), "{err}");
+    }
 }
 
 /// A snapshot queried against a FASTA other than the one it indexed is

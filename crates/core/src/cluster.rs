@@ -7,6 +7,11 @@
 //! This module holds construction, routing, the query wrappers and
 //! introspection; fault tolerance and elasticity (§VII-B) are in
 //! `ops`.
+//!
+//! A cluster *hosts* a set of nodes: every node in process
+//! ([`MendelCluster::build`]), one node in a `mendel serve` process
+//! ([`MendelCluster::build_member`]). The control plane is whole either
+//! way; only a hosted node's blocks are indexed in RAM (DESIGN.md §20).
 
 mod heartbeat;
 mod ops;
@@ -14,7 +19,7 @@ mod ops;
 pub use heartbeat::HeartbeatMonitor;
 pub use ops::{FailoverDelta, RepairReport};
 
-use crate::block::{make_blocks, Block};
+use crate::block::{make_blocks, Block, BlockKey};
 use crate::config::{ClusterConfig, StorageBackend};
 use crate::error::MendelError;
 use crate::ledger::Ledger;
@@ -47,6 +52,32 @@ use std::time::Duration;
 /// strongest first); bounds worst-case finalize cost on repetitive data.
 const MAX_GAPPED_ANCHORS_PER_SUBJECT: usize = 16;
 
+/// One node's batch of a placement ([`MendelCluster::place`]): the
+/// blocks themselves where this process keeps them — a hosted node
+/// indexes them, and the durable backend persists every node's — and
+/// otherwise only their keys, for the ledger.
+enum Share {
+    Blocks(Vec<Block>),
+    Keys(Vec<BlockKey>),
+}
+
+impl Share {
+    fn new(blocks: bool) -> Self {
+        if blocks {
+            Share::Blocks(Vec::new())
+        } else {
+            Share::Keys(Vec::new())
+        }
+    }
+
+    fn push(&mut self, b: &Block) {
+        match self {
+            Share::Blocks(blocks) => blocks.push(b.clone()),
+            Share::Keys(keys) => keys.push(b.key()),
+        }
+    }
+}
+
 /// A running Mendel cluster over an indexed reference database.
 pub struct MendelCluster {
     config: ClusterConfig,
@@ -55,6 +86,10 @@ pub struct MendelCluster {
     assignment: GroupAssignment,
     /// Every node ever joined, indexed by `NodeId`.
     nodes: RwLock<Vec<Arc<NodeSlot>>>,
+    /// The one node whose blocks this process indexes (§V-A: a node
+    /// indexes what it receives); `None` hosts every node. The ledger
+    /// records every node's keys regardless, so coverage is the same.
+    member: Option<NodeId>,
     /// Who holds which block key (DESIGN.md §9): written by
     /// [`Self::admit`] and where a node's holdings are struck
     /// (replay, rebalance), read by coverage and repair. Taken last and
@@ -122,9 +157,45 @@ impl MendelCluster {
         clock: Arc<dyn Clock>,
         vfs: Option<Arc<dyn Vfs>>,
     ) -> Result<Self, MendelError> {
+        Self::build_hosting(config, db, clock, vfs, None)
+    }
+
+    /// One process's cluster of a multi-process deployment (`mendel
+    /// serve`): the whole control plane — routing tables, topology and a
+    /// ledger of every node's keys — but only `member`'s blocks indexed,
+    /// the share its node serves. Every other node's blocks reach the
+    /// ledger as keys alone (and, on the durable backend, that node's
+    /// store under `vfs`). Such a cluster answers over the wire only:
+    /// [`Self::query`] and `snapshot::save` refuse it, and the §VII-B
+    /// operations, which re-place blocks from their holders' RAM, are
+    /// not for it. A `member` outside the topology is a config error.
+    pub fn build_member(
+        config: ClusterConfig,
+        db: Arc<SeqStore>,
+        member: NodeId,
+        vfs: Option<Arc<dyn Vfs>>,
+    ) -> Result<Self, MendelError> {
+        if usize::from(member.0) >= config.nodes {
+            return Err(MendelError::Config(format!(
+                "node {} is outside a {}-node cluster",
+                member.0, config.nodes
+            )));
+        }
+        let clock = Arc::new(MonotonicClock::new());
+        Self::build_hosting(config, db, clock, vfs, Some(member))
+    }
+
+    fn build_hosting(
+        config: ClusterConfig,
+        db: Arc<SeqStore>,
+        clock: Arc<dyn Clock>,
+        vfs: Option<Arc<dyn Vfs>>,
+        member: Option<NodeId>,
+    ) -> Result<Self, MendelError> {
         let started = clock.now();
         let corpus = db.clone();
         let mut cluster = Self::skeleton(config, db, clock.clone(), vfs)?;
+        cluster.member = member;
         cluster.index_sequences(corpus.iter())?;
         cluster.index_elapsed = clock.now().saturating_sub(started);
         Ok(cluster)
@@ -190,6 +261,7 @@ impl MendelCluster {
             prefix,
             assignment,
             nodes: RwLock::new(nodes),
+            member: None,
             ledger: RwLock::new(Ledger::new(config.groups)),
             failed: RwLock::new(HashMap::new()),
             group_epochs: RwLock::new(vec![0; config.groups]),
@@ -284,8 +356,8 @@ impl MendelCluster {
     }
 
     /// The one route-and-place: send each block to its replicas in its
-    /// group under `topo` and hand every node its batch ([`Self::place`]),
-    /// in node order. A block's replicas are the first `replication`
+    /// group under `topo` and hand every node its [`Share`]
+    /// ([`Self::place`]), in node order. A block's replicas are the first `replication`
     /// live members of its group's placement ring, primary first: with
     /// every node up that is [`FlatPlacement::replicas`] (both walk
     /// [`FlatPlacement::ring`]), and a copy whose
@@ -299,8 +371,11 @@ impl MendelCluster {
         topo: &Topology,
         blocks: impl Iterator<Item = (GroupId, Block)>,
     ) -> Vec<(Option<NodeId>, MendelError)> {
-        let mut batches: BTreeMap<NodeId, Vec<Block>> = BTreeMap::new();
+        let mut batches: BTreeMap<NodeId, Share> = BTreeMap::new();
         let mut down: BTreeSet<GroupId> = BTreeSet::new();
+        // A node's blocks are kept where it is hosted or has a store to
+        // persist them to; elsewhere the ledger needs their keys alone.
+        let kept = |n: NodeId| self.hosts(n) || self.storage.is_some();
         {
             let failed = self.failed.read();
             for (g, b) in blocks {
@@ -309,7 +384,10 @@ impl MendelCluster {
                     .take(self.config.replication);
                 let mut placed = false;
                 for node in live {
-                    batches.entry(node).or_default().push(b.clone());
+                    batches
+                        .entry(node)
+                        .or_insert_with(|| Share::new(kept(node)))
+                        .push(&b);
                     placed = true;
                 }
                 if !placed {
@@ -325,8 +403,8 @@ impl MendelCluster {
         refused_groups.chain(refused_nodes).collect()
     }
 
-    /// The one write path for block copies: give `node` a batch of
-    /// blocks. Persist, then ledger, then RAM — the durable backend
+    /// The one write path for block copies: give `node` its share.
+    /// Persist, then ledger, then RAM — the durable backend
     /// acknowledges a block only once its WAL record is on disk, so a
     /// copy that never became durable is never claimed by coverage or
     /// served from RAM.
@@ -335,23 +413,56 @@ impl MendelCluster {
         topo: &Topology,
         nodes: &[Arc<NodeSlot>],
         node: NodeId,
-        blocks: Vec<Block>,
+        share: Share,
     ) -> Result<(), MendelError> {
         let g = topo.node_group(node).ok_or(MendelError::NoSuchNode(node))?;
         let slot = &nodes[node.0 as usize];
-        slot.persist(&blocks)?;
-        self.admit(g, slot, blocks);
+        if let Share::Blocks(blocks) = &share {
+            slot.persist(blocks)?;
+        }
+        self.admit(g, slot, share);
         Ok(())
     }
 
-    /// [`Self::place`] without the persist: ledger, then RAM. Asked for
-    /// by name where the blocks are already on the node's disk (replay
-    /// after a restart); every other caller goes through `place`.
-    fn admit(&self, g: GroupId, slot: &NodeSlot, blocks: Vec<Block>) {
-        self.ledger
-            .write()
-            .place(g, slot.id(), blocks.iter().map(Block::key));
-        slot.insert_blocks(blocks);
+    /// [`Self::place`] without the persist: ledger, then RAM if this
+    /// cluster hosts the node. Asked for by name where the blocks are
+    /// already on the node's disk (replay after a restart); every other
+    /// caller goes through `place`.
+    fn admit(&self, g: GroupId, slot: &NodeSlot, share: Share) {
+        match share {
+            Share::Blocks(blocks) => {
+                self.ledger
+                    .write()
+                    .place(g, slot.id(), blocks.iter().map(Block::key));
+                if self.hosts(slot.id()) {
+                    slot.insert_blocks(blocks);
+                }
+            }
+            Share::Keys(keys) => self.ledger.write().place(g, slot.id(), keys),
+        }
+    }
+
+    /// Whether this cluster indexes `node`'s blocks ([`Self::build_member`]).
+    pub(crate) fn hosts(&self, node: NodeId) -> bool {
+        self.member.is_none_or(|m| m == node)
+    }
+
+    /// Refuse `what` unless this cluster hosts every node: an in-process
+    /// evaluation or a snapshot of a member cluster would read the other
+    /// nodes' empty slots and come back silently short.
+    pub(crate) fn require_every_node(&self, what: &str) -> Result<(), MendelError> {
+        match self.member {
+            Some(m) if !self.hosts_every_node() => Err(MendelError::Config(format!(
+                "{what} needs every node's blocks, and this cluster hosts only node {}",
+                m.0
+            ))),
+            _ => Ok(()),
+        }
+    }
+
+    /// Whether every node of the topology is hosted here.
+    pub(crate) fn hosts_every_node(&self) -> bool {
+        self.topology.read().nodes().all(|n| self.hosts(n))
     }
 
     /// First-tier hash: window → vp-prefix bucket → group.
@@ -488,6 +599,7 @@ impl MendelCluster {
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         let coverage = self.coverage();
         let gauge = |name: &str, v: usize| self.obs.gauge(name).set(v as i64);
+        gauge("mendel.hosted_blocks", self.total_blocks());
         gauge("mendel.coverage.blocks_expected", coverage.blocks_expected);
         gauge(
             "mendel.coverage.blocks_reachable",
@@ -698,13 +810,23 @@ impl MendelCluster {
         .with_blocks_moved(self.repair_moves.load(Ordering::Relaxed)) // audit:ordering(Relaxed): statistics read for a report snapshot
     }
 
-    /// Total blocks stored cluster-wide (replicas counted).
+    /// Total blocks held in this process's RAM (replicas counted):
+    /// cluster-wide in process, the hosted node's share on a
+    /// [`Self::build_member`] cluster.
     pub fn total_blocks(&self) -> usize {
         let topo = self.topology.read();
         let nodes = self.nodes.read();
         topo.nodes()
             .map(|n| nodes[n.0 as usize].read().block_count())
             .sum()
+    }
+
+    /// Block copies placed cluster-wide (replicas counted), read from the
+    /// placement ledger: what every process of one deployment agrees on,
+    /// whichever node it hosts. Equals [`Self::total_blocks`] in process
+    /// until a failure strikes a node's RAM or disk.
+    pub fn placed_copies(&self) -> usize {
+        self.ledger.read().copies()
     }
 
     /// Wall-clock spent building + indexing.
@@ -847,7 +969,7 @@ impl MendelCluster {
         blocks: Vec<Block>,
     ) -> Result<(), MendelError> {
         let topo = self.topology.read();
-        self.place(&topo, &self.nodes.read(), node, blocks)?;
+        self.place(&topo, &self.nodes.read(), node, Share::Blocks(blocks))?;
         drop(topo);
         self.assert_ledger("load_node_blocks");
         Ok(())
@@ -1092,8 +1214,7 @@ mod tests {
         );
     }
 
-    #[test]
-    fn dna_cluster_end_to_end() {
+    fn dna_db() -> Arc<SeqStore> {
         let mut rng = <rand_chacha::ChaCha8Rng as rand::SeedableRng>::seed_from_u64(9);
         let mut st = SeqStore::new();
         for i in 0..8 {
@@ -1104,7 +1225,12 @@ mod tests {
                 codes,
             ));
         }
-        let db = Arc::new(st);
+        Arc::new(st)
+    }
+
+    #[test]
+    fn dna_cluster_end_to_end() {
+        let db = dna_db();
         let c = MendelCluster::build(ClusterConfig::small_dna(), db.clone()).unwrap();
         let q = db.get(SeqId(3)).unwrap().residues[50..250].to_vec();
         let r = c.query(&q, &QueryParams::dna()).unwrap();
@@ -1304,6 +1430,136 @@ mod tests {
         let rw = c.query(&q, &wide).unwrap();
         assert!(rw.stats.groups_contacted >= rt.stats.groups_contacted);
         assert_eq!(rw.stats.groups_contacted, c.config().groups);
+    }
+
+    // ---- Member clusters: one hosted node -------------------------------
+
+    #[test]
+    fn member_build_equals_the_full_builds_slot() {
+        let shapes = [(3, 1, 1), (3, 3, 1), (6, 2, 2), (7, 2, 3)];
+        let alphabets = [
+            (ClusterConfig::small_protein(), small_db()),
+            (ClusterConfig::small_dna(), dna_db()),
+        ];
+        for (base, db) in alphabets {
+            for (nodes, groups, replication) in shapes {
+                let config = ClusterConfig {
+                    nodes,
+                    groups,
+                    replication,
+                    ..base.clone()
+                };
+                let shape = format!("{:?} {nodes}/{groups}/{replication}", config.alphabet);
+                let full = MendelCluster::build(config.clone(), db.clone()).unwrap();
+                let topo = full.topology();
+                let downs: Vec<Vec<NodeId>> = std::iter::once(Vec::new())
+                    .chain(topo.nodes().map(|n| vec![n]))
+                    .collect();
+                let full_slots = full.node_handles();
+                for n in topo.nodes() {
+                    let member =
+                        MendelCluster::build_member(config.clone(), db.clone(), n, None).unwrap();
+                    for (i, slot) in member.node_handles().iter().enumerate() {
+                        if i != n.0 as usize {
+                            assert_eq!(slot.read().block_count(), 0, "{shape}: slot {i} of {n}");
+                            continue;
+                        }
+                        let want = &full_slots[i];
+                        assert!(slot.read().block_count() > 0, "{shape}: {n}");
+                        assert_eq!(slot.read().block_keys(), want.read().block_keys());
+                        assert_eq!(slot.read().blocks(), want.read().blocks(), "{shape}: {n}");
+                        assert_eq!(slot.tree_layout(), want.tree_layout(), "{shape}: {n}");
+                    }
+                    for down in &downs {
+                        assert_eq!(
+                            member.coverage_with_down(down),
+                            full.coverage_with_down(down),
+                            "{shape}: member {n}, {down:?} down"
+                        );
+                    }
+                    assert_eq!(member.placed_copies(), full.total_blocks(), "{shape}");
+                    assert_eq!(member.placed_copies(), full.placed_copies(), "{shape}");
+                    assert_eq!(
+                        member.total_blocks(),
+                        full_slots[n.0 as usize].read().block_count()
+                    );
+                    member.check_ledger().unwrap();
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn member_cluster_refuses_in_process_queries() {
+        let db = small_db();
+        let config = ClusterConfig::small_protein();
+        let member = MendelCluster::build_member(config, db.clone(), NodeId(1), None).unwrap();
+        let q = db.get(SeqId(5)).unwrap().residues.clone();
+        let params = QueryParams::protein();
+        let refused = |r: Result<Vec<MendelHit>, MendelError>| match r {
+            Err(MendelError::Config(msg)) => assert!(msg.contains("only node 1"), "{msg}"),
+            other => panic!("a member cluster answered in process: {other:?}"),
+        };
+        refused(member.query(&q, &params).map(|r| r.hits));
+        refused(member.query_from(NodeId(1), &q, &params).map(|r| r.hits));
+        refused(crate::wire::WireCluster::serve(Arc::new(member)).query(&q, &params));
+    }
+
+    #[test]
+    fn member_outside_the_topology_is_a_config_error() {
+        let config = ClusterConfig::small_protein();
+        let nodes = config.nodes as u16;
+        let err = MendelCluster::build_member(config, small_db(), NodeId(nodes), None).err();
+        assert!(matches!(err, Some(MendelError::Config(_))), "{err:?}");
+    }
+
+    #[test]
+    fn one_node_member_hosts_the_whole_cluster() {
+        let db = small_db();
+        let config = ClusterConfig {
+            nodes: 1,
+            groups: 1,
+            ..ClusterConfig::small_protein()
+        };
+        let member = MendelCluster::build_member(config.clone(), db.clone(), NodeId(0), None);
+        let full = MendelCluster::build(config, db.clone()).unwrap();
+        let q = db.get(SeqId(5)).unwrap().residues.clone();
+        let params = QueryParams::protein();
+        assert_eq!(
+            member.unwrap().query(&q, &params).unwrap().hits,
+            full.query(&q, &params).unwrap().hits
+        );
+    }
+
+    #[test]
+    fn durable_member_persists_every_nodes_share() {
+        // The on-disk layout is the full cluster's: every node's store
+        // under the one VFS, though only the member's blocks are in RAM.
+        let db = small_db();
+        let vfs: Arc<dyn Vfs> = Arc::new(MemVfs::plain(7));
+        let member =
+            MendelCluster::build_member(durable_config(), db.clone(), NodeId(2), Some(vfs.clone()))
+                .unwrap();
+        let full = MendelCluster::build(durable_config(), db).unwrap();
+        for (n, slot) in full.node_handles().iter().enumerate() {
+            let (store, _) = mendel_store::DurableStore::open(
+                vfs.clone(),
+                &format!("node-{n}"),
+                mendel_store::StoreOptions::default(),
+                StoreMetrics::detached(),
+            )
+            .unwrap();
+            assert_eq!(
+                store.scan().unwrap().len(),
+                slot.read().block_count(),
+                "node {n}"
+            );
+        }
+        assert_eq!(member.placed_copies(), full.total_blocks());
+        assert_eq!(
+            member.total_blocks(),
+            full.node_handles()[2].read().block_count()
+        );
     }
 
     // ---- Durable backend ----------------------------------------------

@@ -4,7 +4,7 @@
 //! declared in the parent module; per-node work goes through the
 //! [`NodeSlot`] verbs.
 
-use super::{HeartbeatMonitor, MendelCluster};
+use super::{HeartbeatMonitor, MendelCluster, Share};
 use crate::block::{Block, BlockKey};
 use crate::error::MendelError;
 use crate::report::{CoverageReport, GroupCoverage};
@@ -96,7 +96,7 @@ impl MendelCluster {
             return Ok(());
         };
         self.ledger.write().clear(g, node);
-        self.admit(g, &slot, blocks);
+        self.admit(g, &slot, Share::Blocks(blocks));
         let elapsed = clock.now().saturating_sub(started);
         self.obs
             .histogram("mendel.store.recovery.seconds")
@@ -228,7 +228,10 @@ impl MendelCluster {
             report.copies_added += group_added;
             for (node, batch) in adds {
                 let copies = batch.len() as u64;
-                if self.place(&topo, &nodes, node, batch).is_err() {
+                if self
+                    .place(&topo, &nodes, node, Share::Blocks(batch))
+                    .is_err()
+                {
                     // The copies never became durable: don't let the
                     // report claim them either. The target is failed
                     // below and can recover from its own pre-repair
@@ -332,10 +335,16 @@ impl MendelCluster {
     /// the sweep's for each of `downs` on top of the failed set. Unlike
     /// the other checkers it exists only in test and `strict-invariants`
     /// builds, because the sweep needs oracle state (what a dark node
-    /// held) the product does not keep.
+    /// held) the product does not keep. A cluster that hosts one node
+    /// ([`MendelCluster::build_member`]) has no other node's RAM to
+    /// sweep: its check is that the hosted node holds exactly the keys
+    /// the ledger names it for.
     #[cfg(any(test, feature = "strict-invariants"))]
     pub fn check_ledger_for(&self, downs: &[Vec<NodeId>]) -> Result<(), String> {
         self.ledger.read().check_invariants()?;
+        if !self.hosts_every_node() {
+            return self.check_hosted_keys();
+        }
         let holders = self.sweep_holders();
         for down in downs {
             let ledger = self.coverage_with_down(down);
@@ -344,6 +353,30 @@ impl MendelCluster {
                 return Err(format!(
                     "with {down:?} down the ledger reports {ledger:?}, the sweep {sweep:?}"
                 ));
+            }
+        }
+        Ok(())
+    }
+
+    /// Each hosted node's held keys ([`NodeSlot::oracle_keys`]) equal
+    /// the keys whose ledger holder set names it.
+    #[cfg(any(test, feature = "strict-invariants"))]
+    fn check_hosted_keys(&self) -> Result<(), String> {
+        let topo = self.topology.read();
+        let nodes = self.nodes.read();
+        for g in topo.group_ids() {
+            for &m in topo.group_members(g).iter().filter(|&&m| self.hosts(m)) {
+                let mut held = nodes[m.0 as usize].oracle_keys();
+                held.sort_unstable();
+                held.dedup();
+                let placed = self.ledger.read().keys_held_by(g, m);
+                if held != placed {
+                    return Err(format!(
+                        "hosted node {m} holds {} keys, the ledger names it for {}",
+                        held.len(),
+                        placed.len()
+                    ));
+                }
             }
         }
         Ok(())

@@ -134,6 +134,13 @@ impl Ledger {
             .sum()
     }
 
+    /// Block copies placed, every group and holder counted: Σ over holder
+    /// sets of their size times their key count. Read in O(holder sets).
+    pub(crate) fn copies(&self) -> usize {
+        let sets = self.groups.iter().flat_map(|g| &g.sets);
+        sets.map(|(set, count)| set.len() * count).sum()
+    }
+
     /// The keys of `g` held by at least one but fewer than `want` of the
     /// `live` nodes, in key order, each with those holders in `live`
     /// order — the work list of a repair pass.
@@ -167,6 +174,21 @@ impl Ledger {
             .collect();
         out.sort_unstable_by_key(|(key, _)| *key);
         out
+    }
+
+    /// Every key of `g` whose holder set names `node`, in key order (what
+    /// `MendelCluster::check_ledger` compares a hosted node's RAM with).
+    #[cfg(any(test, feature = "strict-invariants"))]
+    pub(crate) fn keys_held_by(&self, g: GroupId, node: NodeId) -> Vec<BlockKey> {
+        let group = &self.groups[g.0 as usize];
+        let mut keys: Vec<BlockKey> = group
+            .keys
+            .iter()
+            .filter(|(_, &set)| group.sets[set as usize].0.contains(&node))
+            .map(|(key, _)| *key)
+            .collect();
+        keys.sort_unstable();
+        keys
     }
 
     /// Accounting validation (part of `MendelCluster::check_ledger`): holder
@@ -228,6 +250,11 @@ mod tests {
         assert_eq!(l.reachable(G, |n| n == NodeId(0)), 10);
         assert_eq!(l.reachable(G, |n| n == NodeId(1)), 10);
         assert_eq!(l.reachable(G, |_| false), 0);
+        assert_eq!(l.copies(), 20);
+        assert_eq!(
+            l.keys_held_by(G, NodeId(1)),
+            (5..15).map(key).collect::<Vec<_>>()
+        );
     }
 
     #[test]
@@ -242,6 +269,8 @@ mod tests {
         assert_eq!(l.reachable(G, |n| n == NodeId(1)), 10);
         l.clear(G, NodeId(7)); // a node that holds nothing
         assert_eq!(l.expected(G), 10);
+        assert_eq!(l.copies(), 10);
+        assert!(l.keys_held_by(G, NodeId(0)).is_empty());
     }
 
     #[test]

@@ -15,7 +15,11 @@
 //!
 //! [`StorageNode`] is a node's RAM state. `NodeSlot` is the node as
 //! the cluster holds it — RAM, durable store and lifecycle in one place
-//! (DESIGN.md §14.4).
+//! (DESIGN.md §14.4). A cluster keeps a slot for every node, but fills
+//! the RAM of only the nodes it hosts: all of them in process, its own
+//! in a `mendel serve` process (`MendelCluster::build_member`), where
+//! the other slots stay empty trees — and, on the durable backend,
+//! stores that still receive their node's blocks.
 
 use crate::block::{Block, BlockKey};
 use crate::config::ClusterConfig;
@@ -562,6 +566,18 @@ impl NodeSlot {
             Some(store) => Ok(f(store)?),
             None => Ok(()),
         }
+    }
+
+    /// The node's vp-tree as `Debug` prints it, its search counters
+    /// detached: two slots with equal layouts print equal strings.
+    #[cfg(test)]
+    pub(crate) fn tree_layout(&self) -> String {
+        let mut ram = self.ram.write();
+        let counters = ram.tree.search_metrics().clone();
+        ram.tree.set_metrics(SearchMetrics::default());
+        let layout = format!("{:?}", ram.tree);
+        ram.tree.set_metrics(counters);
+        layout
     }
 
     /// Every key the ledger should record on this node: what its RAM

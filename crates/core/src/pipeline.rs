@@ -202,12 +202,15 @@ fn in_bounds(a: &Hsp, query: &[u8], db: &SeqStore) -> bool {
 
 /// `MendelCluster::{query, query_from}`: resolve the entry node, run
 /// `query_via` from its front-end over inline delivery, and report.
+/// Inline delivery searches every node's slot here, so a cluster that
+/// hosts one node is refused.
 pub(crate) fn report(
     cluster: &MendelCluster,
     entry: Option<NodeId>,
     query: &[u8],
     params: &QueryParams,
 ) -> Result<QueryReport, MendelError> {
+    cluster.require_every_node("an in-process query")?;
     let topo = cluster.topology();
     let entry = cluster.resolve_entry(&topo, entry)?;
     let obs = cluster.metrics_registry();

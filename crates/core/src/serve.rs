@@ -8,7 +8,9 @@
 //! evaluates queries through `query_via`. The process builds its
 //! [`MendelCluster`] control plane deterministically from the shared
 //! corpus (every process derives the same routing tables and block
-//! placement from the same seed). The bytes on the loopback wire are
+//! placement from the same seed); `mendel serve` builds it with
+//! [`MendelCluster::build_member`], so the one node it serves is the
+//! one node whose blocks it indexes. The bytes on the loopback wire are
 //! exactly the bytes in-process delivery carries for
 //! [`MendelCluster::query`], so a real cluster and its in-process twin
 //! return identical hits — asserted end-to-end by the tests below,

@@ -66,8 +66,15 @@ fn metric_from(tag: u8) -> Result<MetricKind, MendelError> {
 /// `Topology::new(nodes, groups)`), and only with every node up: the
 /// format has no place for the failed set, so a restore would bring a
 /// down node back as healthy — without its blocks on the durable
-/// backend, whose dark nodes have nothing in RAM to save.
+/// backend, whose dark nodes have nothing in RAM to save. A cluster
+/// that hosts one node (`MendelCluster::build_member`) holds no other
+/// node's blocks and cannot be saved either.
 pub fn save(cluster: &MendelCluster) -> Result<Bytes, MendelError> {
+    if !cluster.hosts_every_node() {
+        return Err(MendelError::Snapshot(
+            "cannot snapshot a cluster that indexes one node's blocks; build every node".into(),
+        ));
+    }
     let cfg = cluster.config();
     let topo = cluster.topology();
     if topo.num_nodes() != cfg.nodes {
@@ -278,6 +285,13 @@ mod tests {
             restored.query(&q, &params).unwrap().hits,
             original.query(&q, &params).unwrap().hits,
         );
+    }
+
+    #[test]
+    fn snapshot_of_a_member_cluster_is_refused() {
+        let c = MendelCluster::build_member(ClusterConfig::small_protein(), db(), NodeId(0), None)
+            .unwrap();
+        assert!(matches!(save(&c), Err(MendelError::Snapshot(_))));
     }
 
     #[test]

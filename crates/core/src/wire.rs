@@ -605,6 +605,7 @@ impl WireCluster {
         query: &[u8],
         params: &QueryParams,
     ) -> Result<WireQueryOutcome, MendelError> {
+        self.cluster.require_every_node("an in-process query")?;
         let client = NodeAddr(0);
         let net = InlineNet::new(&self.cluster, client, &self.dead, self.timeouts);
         let answer = query_via(

@@ -46,8 +46,9 @@ impl FlatPlacement {
 
     /// The placement ring of `key` in group `g`: every member once, from
     /// the primary (SHA-1 of `key` mod the group size) on in membership
-    /// order, wrapping. Hashes once and walks the member list in place;
-    /// empty for an empty group.
+    /// order, wrapping. Hashes at most once and walks the member list in
+    /// place; empty for an empty group. A one-member group's ring is that
+    /// member whatever the hash (`x mod 1 = 0`), so it hashes nothing.
     pub fn ring<'t>(
         topo: &'t Topology,
         g: GroupId,
@@ -55,7 +56,7 @@ impl FlatPlacement {
     ) -> impl Iterator<Item = NodeId> + 't {
         let members = topo.group_members(g);
         let start = match members.len() as u64 {
-            0 => 0,
+            0 | 1 => 0,
             n => (sha1_u64(key) % n) as usize,
         };
         let (before, from) = members.split_at(start);
@@ -105,6 +106,18 @@ mod tests {
             (*max as f64) / (*min as f64) < 1.05,
             "flat hash should balance within 5%: {counts:?}"
         );
+    }
+
+    #[test]
+    fn one_member_ring_is_that_member_for_every_key() {
+        let t = Topology::new(3, 3); // three groups of one
+        for g in t.group_ids() {
+            let member = t.group_members(g)[0];
+            for i in 0..10_000u32 {
+                let ring: Vec<NodeId> = FlatPlacement::ring(&t, g, &i.to_le_bytes()).collect();
+                assert_eq!(ring, vec![member], "group {g}, key {i}");
+            }
+        }
     }
 
     #[test]
