@@ -162,8 +162,8 @@ if [ "$MODE" != "quick" ]; then
     step "trace determinism + schema" cargo test --test tracing -q
 fi
 
-# 11. Seeded chaos suite (DESIGN.md §9): seeded heartbeat drops and
-#    crash/restart schedules on a logical clock, detector failover,
+# 11. Seeded chaos suite (DESIGN.md §9): seeded heartbeat and query drops
+#    and crash/restart schedules on a logical clock, detector failover,
 #    re-replication repair and exact same-seed replay, under the
 #    invariant checkers. No threads, no sleeps; the seeds that fail at
 #    the served search budget stay behind `--ignored`.

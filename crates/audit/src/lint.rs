@@ -37,10 +37,10 @@ pub enum Rule {
     Println,
     /// `#[allow(..)]` with no justification comment beside it.
     AllowWithoutReason,
-    /// `Instant::now()` in an instrumented crate (vptree, net, dht,
-    /// core); wall-clock reads there must go through the metric
-    /// registry's injectable clock so tests can use a virtual one
-    /// (DESIGN.md §11).
+    /// `Instant::now()` or `thread::sleep` in an instrumented crate
+    /// (vptree, net, dht, core); wall-clock reads and waits there must
+    /// go through an injectable clock (the metric registry's, or the
+    /// transport's) so tests can use a virtual one (DESIGN.md §11).
     InstantNow,
 }
 
@@ -90,7 +90,7 @@ impl Rule {
             Rule::Println => "no direct stdout/stderr printing from library crates",
             Rule::AllowWithoutReason => "#[allow(..)] needs a justification comment",
             Rule::InstantNow => {
-                "instrumented crates read time via Registry::clock(), not Instant::now()"
+                "instrumented crates read and wait on an injectable Clock, not Instant::now() or thread::sleep"
             }
         }
     }
@@ -205,7 +205,10 @@ fn rule_at(toks: &[Token], i: usize, is_bin: bool, instrumented: bool) -> Option
         Rule::Println
     } else if seq(&["#", "[", "allow", "("]) || seq(&["#", "!", "[", "allow", "("]) {
         Rule::AllowWithoutReason
-    } else if instrumented && !is_bin && seq(&["Instant", ":", ":", "now", "(", ")"]) {
+    } else if instrumented
+        && !is_bin
+        && (seq(&["Instant", ":", ":", "now", "(", ")"]) || seq(&["thread", ":", ":", "sleep"]))
+    {
         Rule::InstantNow
     } else {
         return None;
@@ -411,6 +414,14 @@ mod tests {
             got.iter().map(|v| v.rule).collect::<Vec<_>>(),
             vec![Rule::InstantNow, Rule::InstantNow]
         );
+        // A wall-clock wait is a wall-clock read too.
+        let sleep = "fn f(d: Duration) { std::thread::sleep(d); thread::sleep(d); }";
+        let got = scan_source("crates/core/src/inline.rs", sleep);
+        assert_eq!(
+            got.iter().map(|v| v.rule).collect::<Vec<_>>(),
+            vec![Rule::InstantNow, Rule::InstantNow]
+        );
+        assert!(scan_source("crates/seq/src/fasta.rs", sleep).is_empty());
         // Uninstrumented crates, the obs crate, and test code are exempt.
         assert!(scan_source("crates/seq/src/fasta.rs", src).is_empty());
         assert!(scan_source("crates/obs/src/clock.rs", src).is_empty());

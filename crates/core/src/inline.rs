@@ -1,28 +1,33 @@
 //! In-process delivery (DESIGN.md §16.1): a [`Transport`] whose send to
 //! a storage node runs that node's [`serve_request`] on the sender's
 //! thread, so `MendelCluster::query` and `WireCluster` run the evaluator
-//! `mendel serve` runs over TCP. No threads, no channels: delivery order
-//! is call order, and a seed fixes every message, span id and counter.
+//! `mendel serve` runs over TCP. No threads, no channels and no wall
+//! clock: delivery order is call order, time is a [`VirtualClock`], and
+//! a seed fixes every message, span id and counter — and, through an
+//! optional [`FaultPlan`], every message lost.
 
 use crate::cluster::MendelCluster;
 use crate::wire::{is_reply_to, node_addr, serve_request, WireTimeouts};
 use mendel_dht::{NodeId, Topology};
 use mendel_net::envelope::{Envelope, NodeAddr, RecvError};
+use mendel_net::fault::{FaultPlan, Verdict};
 use mendel_net::transport::Transport;
-use mendel_obs::Counter;
+use mendel_obs::{Clock, Counter, VirtualClock};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, VecDeque};
 use std::time::Duration;
 
 /// One query's delivery between `cluster`'s nodes and one front-end:
-/// an inbox per node and one for the front-end.
+/// an inbox per node and one for the front-end, and the logical clock
+/// their deadlines run on.
 pub(crate) struct InlineNet<'a> {
     cluster: &'a MendelCluster,
     topo: Topology,
-    /// Nodes that accept what they are sent and never answer.
-    dead: &'a [NodeId],
+    /// Decides which accepted envelopes are lost in transit.
+    faults: Option<&'a FaultPlan>,
     timeouts: WireTimeouts,
     inboxes: BTreeMap<NodeAddr, Mutex<VecDeque<Envelope>>>,
+    clock: VirtualClock,
     bytes: Counter,
 }
 
@@ -30,17 +35,18 @@ impl<'a> InlineNet<'a> {
     pub(crate) fn new(
         cluster: &'a MendelCluster,
         front: NodeAddr,
-        dead: &'a [NodeId],
+        faults: Option<&'a FaultPlan>,
         timeouts: WireTimeouts,
     ) -> Self {
         let topo = cluster.topology();
         let inboxes = topo.nodes().map(node_addr).chain([front]);
         InlineNet {
             cluster,
-            dead,
+            faults,
             timeouts,
             inboxes: inboxes.map(|addr| (addr, Mutex::default())).collect(),
             topo,
+            clock: VirtualClock::new(),
             bytes: Counter::new(),
         }
     }
@@ -55,10 +61,10 @@ impl<'a> InlineNet<'a> {
         self.bytes.get()
     }
 
-    /// A send to a failed node (`fail_node`) is a dead letter; one to a
-    /// `dead` node is swallowed; a request — an id outside the
-    /// recipient's plane — is served at once; a reply waits in its
-    /// recipient's inbox.
+    /// A send to a failed node (`fail_node`) or to an unknown address is
+    /// a dead letter; one the fault plan drops is accepted and lost; a
+    /// request — an id outside the recipient's plane — is served at
+    /// once; a reply waits in its recipient's inbox.
     fn deliver(&self, env: Envelope) -> bool {
         let node =
             (env.to.0.checked_sub(1).map(NodeId)).filter(|&n| self.topo.node_group(n).is_some());
@@ -69,8 +75,13 @@ impl<'a> InlineNet<'a> {
             return false;
         };
         self.bytes.add(env.payload.len() as u64);
+        if self
+            .faults
+            .is_some_and(|plan| plan.decide(env.from, env.to) == Verdict::Drop)
+        {
+            return true;
+        }
         match node {
-            Some(n) if self.dead.contains(&n) => {}
             Some(n) if !is_reply_to(env.to, env.correlation) => {
                 let (port, mut backlog) = (self.port(env.to), VecDeque::new());
                 let (topo, timeouts) = (&self.topo, &self.timeouts);
@@ -97,16 +108,21 @@ impl Transport for Port<'_> {
         self.net.deliver(env)
     }
 
-    /// Nobody else sends while this endpoint waits, so an empty inbox
-    /// stays empty: wait out the deadline, as for a silent peer.
+    /// Every handler a send reaches has run before the send returned,
+    /// so an empty inbox stays empty: the wait is over at once, with the
+    /// clock moved past it, as for a silent peer.
     fn recv_timeout(&self, timeout: Duration) -> Result<Envelope, RecvError> {
         self.try_recv().ok_or_else(|| {
-            std::thread::sleep(timeout);
+            self.net.clock.advance(timeout);
             RecvError::Timeout
         })
     }
 
     fn try_recv(&self) -> Option<Envelope> {
         self.net.inboxes.get(&self.addr)?.lock().pop_front()
+    }
+
+    fn clock(&self) -> &dyn Clock {
+        &self.net.clock
     }
 }

@@ -218,7 +218,7 @@ pub(crate) fn report(
     // The entry node's front-end, at the address `mendel serve` gives it.
     let front = NodeAddr(FRONT_END_ADDR_BASE.saturating_add(entry.0));
     let timeouts = WireTimeouts::default();
-    let net = InlineNet::new(cluster, front, &[], timeouts);
+    let net = InlineNet::new(cluster, front, None, timeouts);
     let evaluated = query_via(cluster, &net.port(front), query, params, &timeouts)?;
     let (timings, stats) = charge(cluster, &topo, entry, query.len(), &evaluated);
     record_stage_timings(cluster, &timings);

@@ -343,9 +343,9 @@ mod tests {
     /// listener is closed, so the entry point's connect to it is refused;
     /// after `TcpConfig::dial_attempts` the send returns `false`, and the
     /// member takes `request`'s dead-letter path: counted as not
-    /// answering at once, with no member timeout waited out. (The `dead`
-    /// nodes of `wire.rs`'s `dead_` failover tests are silent instead,
-    /// and are timed out.)
+    /// answering at once, with no member timeout waited out. (The nodes
+    /// a fault plan crashes in `wire.rs`'s `dead_` failover tests are
+    /// silent instead, and are timed out on the inline clock.)
     #[test]
     fn killed_node_server_degrades_like_fail_node() {
         let cluster = cluster();

@@ -48,6 +48,7 @@ use mendel_align::Hsp;
 use mendel_dht::{GroupId, NodeId, Topology};
 use mendel_net::codec::{Decode, DecodeError, Encode};
 use mendel_net::envelope::{Envelope, NodeAddr, RecvError};
+use mendel_net::fault::{FaultConfig, FaultPlan};
 use mendel_net::tcp::TcpTransport;
 use mendel_net::transport::Transport;
 use mendel_obs::{
@@ -57,7 +58,7 @@ use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 pub(crate) const TAG_NODE_QUERY: u8 = 1;
 pub(crate) const TAG_GROUP_QUERY: u8 = 2;
@@ -154,10 +155,10 @@ fn request<T: Transport, K>(
     }
 }
 
-/// Await the replies to `pending` for up to `timeout`, handing each to
-/// `on_reply` with its parked key the moment it lands (span
-/// re-anchoring needs the receive instant). Requests still parked on
-/// return timed out.
+/// Await the replies to `pending` for up to `timeout` on the
+/// transport's own clock, handing each to `on_reply` with its parked
+/// key the moment it lands (span re-anchoring needs the receive
+/// instant). Requests still parked on return timed out.
 ///
 /// A reply is accepted only under a pending id *and* from the peer that
 /// id was sent to. Any other envelope in this endpoint's own id plane
@@ -173,13 +174,14 @@ fn gather<T: Transport, K>(
     mut on_foreign: impl FnMut(Envelope),
 ) -> Result<(), RecvError> {
     let me = transport.addr();
-    let start = Instant::now(); // audit:allow(instant-now): the gather deadline bounds a real recv_timeout; virtual time cannot wake it
+    let clock = transport.clock();
+    let deadline = clock.now().saturating_add(timeout);
     while !pending.is_empty() {
-        let waited = start.elapsed();
-        if waited >= timeout {
+        let now = clock.now();
+        if now >= deadline {
             break;
         }
-        match transport.recv_timeout(timeout - waited) {
+        match transport.recv_timeout(deadline - now) {
             Ok(env) if is_reply_to(me, env.correlation) => {
                 if let Entry::Occupied(slot) = pending.entry(env.correlation) {
                     if slot.get().0 == env.from {
@@ -521,7 +523,8 @@ pub struct WireQueryOutcome {
     /// Members that contributed per queried group.
     pub responded: BTreeMap<GroupId, Vec<NodeId>>,
     /// Nodes observed unreachable during this query (silent entry
-    /// points and members missing from group replies), ascending.
+    /// points and members missing from group replies) that no group
+    /// reply lists in [`Self::responded`], ascending.
     pub unreachable: Vec<NodeId>,
     /// Cluster-wide block availability treating [`Self::unreachable`]
     /// (plus anything already failed in the control plane) as down.
@@ -552,34 +555,37 @@ pub(crate) struct Evaluated {
 
 /// `query_via` over inline delivery: every subquery and anchor crosses a
 /// node boundary as the bytes `mendel serve` puts on TCP, on the
-/// caller's thread. Beyond [`MendelCluster::query`] it can hold nodes
-/// that never answer ([`Self::serve_with`]), takes explicit deadlines
-/// and counts its traffic.
+/// caller's thread. Beyond [`MendelCluster::query`] it can lose
+/// messages by a seeded [`FaultPlan`] ([`Self::serve_with`]), takes
+/// explicit deadlines and counts its traffic.
 pub struct WireCluster {
     cluster: Arc<MendelCluster>,
-    dead: Vec<NodeId>,
+    faults: Arc<FaultPlan>,
     timeouts: WireTimeouts,
     bytes: Counter,
 }
 
 impl WireCluster {
-    /// Serve every node of `cluster`.
+    /// Serve every node of `cluster`, losing nothing.
     pub fn serve(cluster: Arc<MendelCluster>) -> Self {
-        Self::serve_with(cluster, &[], WireTimeouts::default())
+        let lossless = FaultPlan::new(FaultConfig::passthrough(0));
+        Self::serve_with(cluster, Arc::new(lossless), WireTimeouts::default())
     }
 
     /// [`Self::serve`] with explicit deadlines (client and node side),
-    /// and with the nodes in `dead` never answering — a send to one is
-    /// accepted and swallowed, which is how a hung or crashed process
-    /// looks to its peers. For failover tests.
+    /// and with `faults` deciding every envelope's fate: one it drops is
+    /// accepted and never arrives, and a node it crashes hears nothing
+    /// and says nothing — which is how a hung process looks to its
+    /// peers. Waits are on logical time, so a lost message costs no
+    /// wall time.
     pub fn serve_with(
         cluster: Arc<MendelCluster>,
-        dead: &[NodeId],
+        faults: Arc<FaultPlan>,
         timeouts: WireTimeouts,
     ) -> Self {
         WireCluster {
             cluster,
-            dead: dead.to_vec(),
+            faults,
             timeouts,
             bytes: Counter::new(),
         }
@@ -607,7 +613,7 @@ impl WireCluster {
     ) -> Result<WireQueryOutcome, MendelError> {
         self.cluster.require_every_node("an in-process query")?;
         let client = NodeAddr(0);
-        let net = InlineNet::new(&self.cluster, client, &self.dead, self.timeouts);
+        let net = InlineNet::new(&self.cluster, client, Some(&self.faults), self.timeouts);
         let answer = query_via(
             &self.cluster,
             &net.port(client),
@@ -778,7 +784,10 @@ pub(crate) fn query_via<T: Transport>(
         .as_ref()
         .zip(root.as_ref())
         .map(|(t, r)| t.child("finalize", r.context()));
-    let unreachable: Vec<NodeId> = down.iter().copied().collect();
+    // An entry point whose reply was lost still answers the member that
+    // took its place: whoever a reply lists responded, and is not down.
+    let answered: BTreeSet<NodeId> = responded.values().flatten().copied().collect();
+    let unreachable: Vec<NodeId> = down.difference(&answered).copied().collect();
     let gathered = anchors.len();
     let epilogue = Epilogue::new(cluster, params, &unreachable);
     let trace = root.as_ref().map(ActiveSpan::trace);
@@ -1110,6 +1119,7 @@ mod tests {
     use super::*;
     use crate::config::ClusterConfig;
     use crate::inline::Port;
+    use mendel_obs::Clock;
     use mendel_seq::gen::{NrLikeSpec, QuerySetSpec};
     use mendel_seq::SeqId;
 
@@ -1499,6 +1509,13 @@ mod tests {
             .expect("a queried group with two members")
     }
 
+    /// A fault plan that crashes `victim` and loses nothing else.
+    fn crashed(victim: NodeId) -> FaultPlan {
+        let plan = FaultPlan::new(FaultConfig::passthrough(0));
+        plan.crash(node_addr(victim));
+        plan
+    }
+
     /// A node that never answers (a hung process, as seen by peers) must
     /// degrade the wire answer exactly like the control plane's
     /// `fail_node`: hits from live members only, and the same coverage
@@ -1506,18 +1523,25 @@ mod tests {
     #[test]
     fn dead_member_degrades_like_in_process_failover() {
         let cluster = cluster();
-        // Kill a non-entry-point member of a group serving seq 0's
+        // Crash a non-entry-point member of a group serving seq 0's
         // windows: it swallows the member request, so the entry point
         // must time the member out.
         let q = cluster.db().get(SeqId(0)).unwrap().residues.clone();
         let victim = queried_member(&cluster, &q, 1);
-        let fast = WireTimeouts {
+        let timeouts = WireTimeouts {
             rpc: Duration::from_millis(1000),
         };
-        let wire = WireCluster::serve_with(cluster.clone(), &[victim], fast);
-        let asked = Instant::now();
-        let outcome = wire.query_outcome(&q, &QueryParams::protein()).unwrap();
-        assert!(asked.elapsed() >= fast.member(), "the member was timed out");
+        let plan = crashed(victim);
+        let net = InlineNet::new(&cluster, FRONT, Some(&plan), timeouts);
+        let front = net.port(FRONT);
+        let outcome = query_via(&cluster, &front, &q, &QueryParams::protein(), &timeouts)
+            .unwrap()
+            .outcome;
+        assert_eq!(
+            front.clock().now(),
+            timeouts.member(),
+            "the member was timed out, and nothing else was"
+        );
 
         // Twin: same build, control-plane failover of the same node.
         let twin = self::cluster();
@@ -1542,13 +1566,22 @@ mod tests {
         let topo = cluster.topology();
         let q = cluster.db().get(SeqId(4)).unwrap().residues.clone();
         let victim = queried_member(&cluster, &q, 0);
-        let fast = WireTimeouts {
+        let timeouts = WireTimeouts {
             rpc: Duration::from_millis(900),
         };
-        let wire = WireCluster::serve_with(cluster.clone(), &[victim], fast);
-        let asked = Instant::now();
-        let outcome = wire.query_outcome(&q, &QueryParams::protein()).unwrap();
-        assert!(asked.elapsed() >= fast.rpc, "the entry point was timed out");
+        let plan = crashed(victim);
+        let net = InlineNet::new(&cluster, FRONT, Some(&plan), timeouts);
+        let front = net.port(FRONT);
+        let outcome = query_via(&cluster, &front, &q, &QueryParams::protein(), &timeouts)
+            .unwrap()
+            .outcome;
+        // The client waits out the entry point; the member that takes
+        // its place waits out the same node as a member.
+        assert_eq!(
+            front.clock().now(),
+            timeouts.rpc + timeouts.member(),
+            "the entry point was timed out"
+        );
         let twin = self::cluster();
         twin.fail_node(victim).unwrap();
         // The failed node cannot be the twin's entry point; any live
@@ -1561,6 +1594,77 @@ mod tests {
         assert_eq!(outcome.hits, expected_hits, "failover hits match");
         assert!(outcome.unreachable.contains(&victim));
         assert_eq!(outcome.coverage.degraded, twin.coverage().degraded);
+    }
+
+    /// A front-end port that loses the first reply it would receive, as
+    /// a network that dropped it would.
+    struct LosesFirstReply<'a> {
+        port: Port<'a>,
+        lost: AtomicBool,
+    }
+
+    impl Transport for LosesFirstReply<'_> {
+        fn addr(&self) -> NodeAddr {
+            self.port.addr()
+        }
+        fn send_envelope(&self, env: Envelope) -> bool {
+            self.port.send_envelope(env)
+        }
+        fn recv_timeout(&self, timeout: Duration) -> Result<Envelope, RecvError> {
+            let env = self.port.recv_timeout(timeout)?;
+            if self.lost.swap(true, Ordering::Relaxed) {
+                Ok(env)
+            } else {
+                self.port.recv_timeout(timeout)
+            }
+        }
+        fn try_recv(&self) -> Option<Envelope> {
+            self.port.try_recv()
+        }
+        fn clock(&self) -> &dyn Clock {
+            self.port.clock()
+        }
+    }
+
+    /// A lost `GroupReply` times its entry point out, but the member
+    /// retried in its place still hears from it: the node answered, so
+    /// it is not reported unreachable, and on a replication-1 cluster
+    /// the answer is the complete one.
+    #[test]
+    fn entry_point_whose_reply_was_lost_but_that_answered_is_not_unreachable() {
+        let cluster = cluster();
+        assert_eq!(cluster.config().replication, 1);
+        let q = cluster.db().get(SeqId(2)).unwrap().residues.clone();
+        let params = QueryParams::protein();
+        let clean = ask(
+            &cluster,
+            &InlineNet::new(&cluster, FRONT, None, WireTimeouts::default()),
+            &q,
+            &params,
+        );
+        let net = InlineNet::new(&cluster, FRONT, None, WireTimeouts::default());
+        let lossy = LosesFirstReply {
+            port: net.port(FRONT),
+            lost: AtomicBool::new(false),
+        };
+        let timeouts = WireTimeouts::default();
+        let next = query_via(&cluster, &lossy, &q, &params, &timeouts)
+            .unwrap()
+            .outcome;
+        assert!(lossy.lost.load(Ordering::Relaxed));
+        assert!(
+            lossy.clock().now() >= timeouts.rpc,
+            "an entry point timed out"
+        );
+        assert_eq!(next.hits, clean.hits);
+        let responded: BTreeSet<NodeId> = next.responded.values().flatten().copied().collect();
+        assert!(
+            next.unreachable.iter().all(|n| !responded.contains(n)),
+            "{:?} responded and is reported unreachable",
+            next.unreachable
+        );
+        assert!(!next.coverage.degraded);
+        assert_eq!(next.coverage, clean.coverage);
     }
 
     // ---- Hostile replies -----------------------------------------------
@@ -1590,6 +1694,9 @@ mod tests {
         fn try_recv(&self) -> Option<Envelope> {
             self.port.try_recv()
         }
+        fn clock(&self) -> &dyn Clock {
+            self.port.clock()
+        }
     }
 
     /// Anchors off the wire that lie outside the query or the subject —
@@ -1618,7 +1725,7 @@ mod tests {
             at(0, 16, db.len() as u32 + 7, 0),
             at(0, 16, 0, subject_len - 5),
         ];
-        let net = InlineNet::new(&cluster, FRONT, &[], WireTimeouts::default());
+        let net = InlineNet::new(&cluster, FRONT, None, WireTimeouts::default());
         let lying = Tampered {
             port: net.port(FRONT),
             forged: forged.clone(),
@@ -1664,6 +1771,9 @@ mod tests {
         fn try_recv(&self) -> Option<Envelope> {
             self.port.try_recv()
         }
+        fn clock(&self) -> &dyn Clock {
+            self.port.clock()
+        }
     }
 
     /// A reply under a pending id from a peer it was not sent to — a
@@ -1678,7 +1788,7 @@ mod tests {
             .query_outcome(&q, &params)
             .unwrap();
         for imposter in [STRANGER, node_addr(NodeId(5))] {
-            let net = InlineNet::new(&cluster, FRONT, &[], WireTimeouts::default());
+            let net = InlineNet::new(&cluster, FRONT, None, WireTimeouts::default());
             let forging = Impersonated {
                 port: net.port(FRONT),
                 imposter,
@@ -1703,7 +1813,7 @@ mod tests {
     fn forged_queries_are_rejected_and_the_node_keeps_serving() {
         let cluster = cluster();
         let topo = cluster.topology();
-        let net = InlineNet::new(&cluster, FRONT, &[], WireTimeouts::default());
+        let net = InlineNet::new(&cluster, FRONT, None, WireTimeouts::default());
         let q = cluster.db().get(SeqId(2)).unwrap().residues.clone();
         let params = QueryParams::protein();
         let clean = ask(&cluster, &net, &q, &params);
@@ -1760,7 +1870,7 @@ mod tests {
     fn hostile_wire_params_do_not_stop_a_node() {
         let cluster = cluster();
         let topo = cluster.topology();
-        let net = InlineNet::new(&cluster, FRONT, &[], WireTimeouts::default());
+        let net = InlineNet::new(&cluster, FRONT, None, WireTimeouts::default());
         let q = cluster.db().get(SeqId(2)).unwrap().residues.clone();
         let params = QueryParams::protein();
         let clean = ask(&cluster, &net, &q, &params);
@@ -1847,14 +1957,14 @@ mod tests {
         let before = issued_so_far();
         let clean = ask(
             &cluster,
-            &InlineNet::new(&cluster, FRONT, &[], WireTimeouts::default()),
+            &InlineNet::new(&cluster, FRONT, None, WireTimeouts::default()),
             &q,
             &params,
         );
         let issued = before..issued_so_far();
         assert!(!clean.hits.is_empty() && !issued.is_empty());
 
-        let net = InlineNet::new(&cluster, FRONT, &[], WireTimeouts::default());
+        let net = InlineNet::new(&cluster, FRONT, None, WireTimeouts::default());
         for &g in clean.responded.keys() {
             let members = topo.group_members(g);
             let empty = GroupReply {
@@ -1912,7 +2022,7 @@ mod tests {
         .to_bytes();
         // Play a front-end by hand: the late replies are queued at the
         // entry point before it asks its members anything.
-        let net = InlineNet::new(&cluster, FRONT, &[], WireTimeouts::default());
+        let net = InlineNet::new(&cluster, FRONT, None, WireTimeouts::default());
         let front = net.port(FRONT);
         let ask = |id: u64, late: std::ops::Range<u64>| {
             deliver_late(&net, node_addr(member), node_addr(entry), late, &stale);
@@ -1941,7 +2051,7 @@ mod tests {
         let before = issued_so_far();
         let clean = ask(
             &cluster,
-            &InlineNet::new(&cluster, FRONT, &[], WireTimeouts::default()),
+            &InlineNet::new(&cluster, FRONT, None, WireTimeouts::default()),
             &q,
             &params,
         );
@@ -1955,7 +2065,7 @@ mod tests {
         }
         .to_bytes();
         assert_eq!(three.first(), Some(&3));
-        let net = InlineNet::new(&cluster, FRONT, &[], WireTimeouts::default());
+        let net = InlineNet::new(&cluster, FRONT, None, WireTimeouts::default());
         for g in topo.group_ids() {
             let members = topo.group_members(g);
             for (i, &node) in members.iter().enumerate() {
@@ -1980,7 +2090,7 @@ mod tests {
     #[test]
     fn forged_stop_frame_does_not_stop_a_node() {
         let cluster = cluster();
-        let net = InlineNet::new(&cluster, FRONT, &[], WireTimeouts::default());
+        let net = InlineNet::new(&cluster, FRONT, None, WireTimeouts::default());
         let q = cluster.db().get(SeqId(2)).unwrap().residues.clone();
         let params = QueryParams::protein();
         let clean = ask(&cluster, &net, &q, &params);
@@ -2001,10 +2111,7 @@ mod tests {
     #[test]
     fn concurrent_queries_on_one_wire_cluster_match_sequential_ones() {
         let cluster = cluster();
-        let fast = WireTimeouts {
-            rpc: Duration::from_secs(1),
-        };
-        let wire = Arc::new(WireCluster::serve_with(cluster.clone(), &[], fast));
+        let wire = Arc::new(WireCluster::serve(cluster.clone()));
         let params = QueryParams::protein();
         let queries: Vec<Vec<u8>> = (0..8u32)
             .map(|id| cluster.db().get(SeqId(id)).unwrap().residues.clone())

@@ -2,19 +2,21 @@
 //!
 //! The paper's §VII-B names fault tolerance as key future work; testing a
 //! fault-tolerance loop requires *injecting* faults, and debugging a
-//! chaos run requires replaying it exactly. This module provides both: a
-//! seeded [`FaultPlan`] a harness consults per envelope (a drop
-//! probability) plus per-node crash/restart schedules, all driven by a
-//! from-scratch xorshift generator so the same seed always produces the
-//! same fault sequence — no external crates, no global state, no
-//! wall-clock input. The seeded chaos suite (`tests/chaos.rs`) asks the
-//! plan about every heartbeat on a logical clock.
+//! chaos run requires replaying it exactly. A seeded [`FaultPlan`] is
+//! consulted once per envelope: it drops with a configured probability,
+//! and always while either end is crashed. Every verdict comes from a
+//! from-scratch xorshift generator, so the same seed always produces the
+//! same faults — no external crates, no global state, no wall-clock
+//! input. `mendel`'s in-process delivery asks an optional plan about
+//! every query message it carries (`WireCluster::serve_with`), and the
+//! seeded chaos suite (`tests/chaos.rs`) asks the same plan about its
+//! heartbeats and drives its crash/restart schedule through it.
 //!
 //! Determinism contract: the verdict for the *n*-th envelope on a given
-//! `(from, to)` edge is a pure function of `(seed, from, to, n)`.
-//! Per-edge counters make verdicts independent of cross-edge
-//! interleaving: any run that asks about the same envelopes per edge in
-//! the same per-edge order sees the same drops.
+//! `(from, to)` edge is a pure function of `(seed, from, to, n)` and of
+//! which nodes are crashed. Per-edge counters make verdicts independent
+//! of cross-edge interleaving: any run that asks about the same
+//! envelopes per edge in the same per-edge order sees the same drops.
 
 use crate::envelope::NodeAddr;
 use parking_lot::{Mutex, RwLock};
@@ -88,8 +90,7 @@ impl FaultConfig {
         FaultConfig { seed, drop_prob }
     }
 
-    /// A transparent plan (crash schedules still apply when used).
-    // audit:allow(unreached): the drop-free plan of tests/chaos.rs's crash-only runs
+    /// A plan that drops nothing; crashes still apply.
     pub fn passthrough(seed: u64) -> Self {
         Self::drops(seed, 0.0)
     }
@@ -126,7 +127,6 @@ impl FaultStats {
 
 /// A seeded, reproducible fault-injection plan, consulted once per
 /// envelope through [`FaultPlan::decide`].
-// audit:allow(unreached): the seeded fault plane tests/chaos.rs runs its heartbeats through
 pub struct FaultPlan {
     config: FaultConfig,
     crashed: RwLock<HashSet<NodeAddr>>,
@@ -159,11 +159,13 @@ impl FaultPlan {
 
     /// Crash `node`: every envelope to or from it is discarded until
     /// [`Self::restart`]. Idempotent.
+    // audit:allow(unreached): tests/chaos.rs applies its crash schedule's crashes with it
     pub fn crash(&self, node: NodeAddr) {
         self.crashed.write().insert(node);
     }
 
     /// Restart a crashed node. Idempotent.
+    // audit:allow(unreached): tests/chaos.rs applies its crash schedule's restarts with it
     pub fn restart(&self, node: NodeAddr) {
         self.crashed.write().remove(&node);
     }
@@ -173,27 +175,9 @@ impl FaultPlan {
         self.crashed.read().contains(&node)
     }
 
-    /// Currently crashed nodes, ascending.
-    // audit:allow(unreached): tests/chaos.rs checks every crash was restarted with it
-    pub fn crashed_nodes(&self) -> Vec<NodeAddr> {
-        let mut v: Vec<NodeAddr> = self.crashed.read().iter().copied().collect();
-        v.sort_unstable();
-        v
-    }
-
-    /// Apply one schedule event (crash or restart).
-    // audit:allow(unreached): tests/chaos.rs replays crash_schedule events with it
-    pub fn apply(&self, event: &FaultEvent) {
-        match event.kind {
-            FaultEventKind::Crash => self.crash(event.node),
-            FaultEventKind::Restart => self.restart(event.node),
-        }
-    }
-
     /// Decide the fate of the next envelope on the `(from, to)` edge.
     /// Deterministic: the n-th call for an edge always returns the same
     /// verdict for the same seed.
-    // audit:allow(unreached): tests/chaos.rs asks it about every heartbeat
     pub fn decide(&self, from: NodeAddr, to: NodeAddr) -> Verdict {
         if self.is_crashed(from) || self.is_crashed(to) {
             self.stats.crash_blocked.fetch_add(1, Ordering::Relaxed); // audit:ordering(Relaxed): statistics counter; no ordering with envelope delivery is required
@@ -216,94 +200,6 @@ impl FaultPlan {
         }
         Verdict::Deliver
     }
-}
-
-/// Kind of a scheduled node-lifecycle event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultEventKind {
-    /// The node stops: its traffic is discarded, its beats stop.
-    Crash,
-    /// The node comes back.
-    Restart,
-}
-
-/// One event of a crash/restart schedule, at a logical step the test
-/// harness advances (real time plays no part, so replays are exact).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FaultEvent {
-    /// Logical time of the event (monotonically non-decreasing).
-    pub step: u32,
-    /// The node affected.
-    pub node: NodeAddr,
-    /// Crash or restart.
-    pub kind: FaultEventKind,
-}
-
-/// Generate a deterministic crash/restart schedule: at least `events`
-/// events over `nodes`, each crash eventually matched by a restart (the
-/// tail restarts every still-crashed node), steps ascending within
-/// `horizon`. Same inputs → identical schedule, byte for byte.
-// audit:allow(unreached): the crash/restart schedule tests/chaos.rs replays
-pub fn crash_schedule(
-    seed: u64,
-    nodes: &[NodeAddr],
-    events: usize,
-    horizon: u32,
-) -> Vec<FaultEvent> {
-    let mut out = Vec::new();
-    if nodes.is_empty() || events == 0 {
-        return out;
-    }
-    let mut rng = XorShift64::new(seed ^ 0x00C4_A05F_A017);
-    let mut crashed: Vec<NodeAddr> = Vec::new();
-    let mut step = 0u32;
-    let gap = (horizon / events.max(1) as u32).max(1);
-    for _ in 0..events {
-        step += 1 + rng.next_range(gap as u64) as u32;
-        let node = nodes[rng.next_range(nodes.len() as u64) as usize];
-        if let Some(pos) = crashed.iter().position(|&n| n == node) {
-            crashed.remove(pos);
-            out.push(FaultEvent {
-                step,
-                node,
-                kind: FaultEventKind::Restart,
-            });
-        } else {
-            crashed.push(node);
-            out.push(FaultEvent {
-                step,
-                node,
-                kind: FaultEventKind::Crash,
-            });
-        }
-    }
-    // Converge: every crash gets a restart so the cluster can heal.
-    for node in crashed {
-        step += 1;
-        out.push(FaultEvent {
-            step,
-            node,
-            kind: FaultEventKind::Restart,
-        });
-    }
-    out
-}
-
-/// Stable byte serialization of a schedule — the replay-identity check:
-/// two runs of [`crash_schedule`] with the same inputs must produce
-/// byte-identical output.
-// audit:allow(unreached): tests/chaos.rs compares two schedules with it
-pub fn schedule_bytes(events: &[FaultEvent]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(events.len() * 7);
-    for e in events {
-        out.extend_from_slice(&e.step.to_le_bytes());
-        out.extend_from_slice(&e.node.0.to_le_bytes());
-        out.push(match e.kind {
-            FaultEventKind::Crash => 0,
-            FaultEventKind::Restart => 1,
-        });
-    }
-    out
 }
 
 #[cfg(test)]
@@ -401,7 +297,7 @@ mod tests {
         assert_eq!(plan.stats().crash_blocked(), 2);
         plan.restart(NodeAddr(2));
         assert_eq!(plan.decide(NodeAddr(0), NodeAddr(2)), Verdict::Deliver);
-        assert!(plan.crashed_nodes().is_empty());
+        assert!(!plan.is_crashed(NodeAddr(2)));
     }
 
     #[test]
@@ -420,41 +316,5 @@ mod tests {
         }
         assert_eq!(bits, 0x3152_9d2a_df82_caee);
         assert_eq!(plan.stats().dropped(), 33);
-    }
-
-    #[test]
-    fn schedule_is_byte_identical_across_runs() {
-        let nodes: Vec<NodeAddr> = (0..6).map(NodeAddr).collect();
-        let a = crash_schedule(0xCAFE, &nodes, 5, 100);
-        let b = crash_schedule(0xCAFE, &nodes, 5, 100);
-        assert_eq!(schedule_bytes(&a), schedule_bytes(&b));
-        assert!(a.len() >= 5);
-        let c = crash_schedule(0xCAFF, &nodes, 5, 100);
-        assert_ne!(schedule_bytes(&a), schedule_bytes(&c));
-    }
-
-    #[test]
-    fn schedule_steps_ascend_and_crashes_match_restarts() {
-        for seed in [1u64, 2, 3, 0xDEAD] {
-            let nodes: Vec<NodeAddr> = (0..8).map(NodeAddr).collect();
-            let sched = crash_schedule(seed, &nodes, 7, 200);
-            let mut last = 0;
-            let mut down: HashSet<NodeAddr> = HashSet::new();
-            for e in &sched {
-                assert!(e.step >= last, "steps ascend");
-                last = e.step;
-                match e.kind {
-                    FaultEventKind::Crash => assert!(down.insert(e.node)),
-                    FaultEventKind::Restart => assert!(down.remove(&e.node)),
-                }
-            }
-            assert!(down.is_empty(), "every crash is eventually restarted");
-        }
-    }
-
-    #[test]
-    fn empty_inputs_yield_empty_schedule() {
-        assert!(crash_schedule(1, &[], 5, 100).is_empty());
-        assert!(crash_schedule(1, &[NodeAddr(0)], 0, 100).is_empty());
     }
 }

@@ -35,6 +35,7 @@ use crate::frame::{self, FrameError};
 use crate::metrics::TransportMetrics;
 use crate::transport::Transport;
 use crossbeam::channel::{unbounded, Receiver, Sender};
+use mendel_obs::{Clock, MonotonicClock};
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::io;
@@ -114,6 +115,9 @@ pub struct TcpTransport {
     inbox_rx: Receiver<Envelope>,
     local: Option<SocketAddr>,
     accept_handle: Mutex<Option<JoinHandle<()>>>,
+    /// What receive deadlines are measured on: real sockets wait in
+    /// real time.
+    clock: MonotonicClock,
 }
 
 impl TcpTransport {
@@ -175,6 +179,7 @@ impl TcpTransport {
             inbox_rx,
             local: None,
             accept_handle: Mutex::new(None),
+            clock: MonotonicClock::new(),
         }
     }
 
@@ -264,6 +269,10 @@ impl Transport for TcpTransport {
 
     fn try_recv(&self) -> Option<Envelope> {
         self.inbox_rx.try_recv().ok()
+    }
+
+    fn clock(&self) -> &dyn Clock {
+        &self.clock
     }
 }
 
@@ -434,6 +443,7 @@ fn send_envelope(shared: &Arc<Shared>, env: Envelope) -> bool {
         }
         if attempt > 0 {
             shared.metrics.reconnects.inc();
+            // audit:allow(instant-now): reconnect backoff; a refused peer can only come back in real time
             thread::sleep(backoff);
             backoff = (backoff * 2).min(shared.cfg.reconnect_cap);
         }

@@ -1,17 +1,17 @@
 //! The `Transport` seam between messaging semantics and message carriage.
 //!
-//! The wire-mode request/reply gather (`mendel::wire`) needs only four
+//! The wire-mode request/reply gather (`mendel::wire`) needs only five
 //! operations: know its own address, push an [`Envelope`] toward a peer,
-//! and pull delivered envelopes back out (bounded-wait or non-blocking).
-//! [`Transport`] names exactly that surface so the same protocol code
-//! runs over two carriers:
+//! pull delivered envelopes back out (bounded-wait or non-blocking), and
+//! read the clock its deadlines run on. [`Transport`] names exactly that
+//! surface so the same protocol code runs over two carriers:
 //!
 //! * the in-process delivery in `mendel`'s `inline` module, where each
 //!   node's handler runs on the caller's thread (what
-//!   `MendelCluster::query` and `WireCluster` use),
+//!   `MendelCluster::query` and `WireCluster` use) and time is logical,
 //! * [`crate::tcp::TcpTransport`] — real loopback/LAN sockets carrying
 //!   the identical envelope bytes inside length-prefixed frames
-//!   ([`crate::frame`]).
+//!   ([`crate::frame`]), on the monotonic wall clock.
 //!
 //! Semantics every backend must honour (the TCP backend is checked by
 //! `tests/transport_conformance.rs`):
@@ -27,7 +27,7 @@
 
 use crate::envelope::{Envelope, NodeAddr, RecvError};
 use bytes::Bytes;
-use mendel_obs::TraceContext;
+use mendel_obs::{Clock, TraceContext};
 use std::time::Duration;
 
 /// Minimal peer-to-peer envelope carriage. See the module docs for the
@@ -46,6 +46,11 @@ pub trait Transport: Send + Sync {
 
     /// Non-blocking poll; `None` when the inbox is empty.
     fn try_recv(&self) -> Option<Envelope>;
+
+    /// The clock [`Self::recv_timeout`] waits on: a deadline is read
+    /// from it, never from the wall clock directly, so a carrier on
+    /// logical time keeps its waits logical.
+    fn clock(&self) -> &dyn Clock;
 
     /// Untraced convenience send.
     fn send(&self, to: NodeAddr, correlation: u64, payload: Bytes) -> bool {

@@ -1,10 +1,12 @@
-//! The injectable clock: monotonic in production, virtual in tests.
+//! The injectable clock: monotonic on real sockets and in production
+//! metrics, virtual for in-process delivery and in tests.
 //!
-//! Everything in the workspace that needs "now" for instrumentation
-//! takes it from a [`Clock`] rather than calling `Instant::now()`
-//! directly, so chaos and latency tests can drive time deterministically
-//! (the `mendel-audit` `instant-now` rule enforces this in the
-//! instrumented crates; this module is the sanctioned wrapper).
+//! Everything in the workspace that needs "now" takes it from a
+//! [`Clock`] rather than calling `Instant::now()` directly, and waits
+//! on one rather than in `thread::sleep`, so chaos and latency tests
+//! can drive time deterministically (the `mendel-audit` `instant-now`
+//! rule enforces both in the instrumented crates; this module is the
+//! sanctioned wrapper).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -45,9 +47,10 @@ impl Clock for MonotonicClock {
     }
 }
 
-/// Test clock: time advances only when told to, in whole nanoseconds.
-/// Monotone by construction — there is no way to move it backwards.
-// audit:allow(unreached): the logical clock tests/chaos.rs, tests/fault_tolerance.rs and tests/tracing.rs run clusters on
+/// Logical clock: time advances only when told to, in whole
+/// nanoseconds. Monotone by construction — there is no way to move it
+/// backwards. In-process delivery waits on one, and tests drive
+/// clusters on one.
 #[derive(Debug, Default)]
 pub struct VirtualClock {
     nanos: AtomicU64,
@@ -60,7 +63,6 @@ impl VirtualClock {
     }
 
     /// Advance the clock by `d` (saturating at `u64::MAX` nanoseconds).
-    // audit:allow(unreached): how tests/chaos.rs, tests/fault_tolerance.rs and tests/tracing.rs move time
     pub fn advance(&self, d: Duration) {
         let add = u64::try_from(d.as_nanos()).unwrap_or(u64::MAX);
         let mut cur = self.nanos.load(Ordering::Relaxed); // audit:ordering(Relaxed): CAS loop seed read; any stale value is corrected by the retry

@@ -1,25 +1,30 @@
 //! Seeded chaos suite: drive deterministic fault schedules through the
 //! whole inject → detect → route-around → repair → report loop.
 //!
-//! Faults (heartbeat drops, node crash/restart schedules) come from a
-//! seeded `FaultPlan`, and detection runs on a logical clock: each round
-//! advances a `VirtualClock` by one beat period, then asks the plan, in
-//! ascending node order, whether each node's beat reaches the monitor.
-//! No thread starts and nothing waits on the wall clock, so a seed
-//! fixes the whole run: `chaos_run` returns its event log, and two runs
-//! of one seed must return equal logs. The cluster routes around suspects, `repair()`
-//! restores the replication factor, and `QueryReport::coverage`
-//! certifies when answers are complete.
+//! Faults (heartbeat and query drops, node crash/restart schedules) come
+//! from one seeded `FaultPlan`, and everything runs on logical time:
+//! each round advances a `VirtualClock` by one beat period, then asks
+//! the plan, in ascending node order, whether each node's beat reaches
+//! the monitor; queries go over in-process delivery, which asks the same
+//! plan about every message and waits out a lost one on its own logical
+//! clock. No thread starts and nothing waits on the wall clock, so a
+//! seed fixes the whole run: `chaos_run` returns its event log, and two
+//! runs of one seed must return equal logs. The cluster routes around
+//! suspects, `repair()` restores the replication factor, and
+//! `QueryReport::coverage` certifies when answers are complete.
 
+use mendel_suite::core::wire::node_addr;
 use mendel_suite::core::{
-    ClusterConfig, FailoverDelta, HeartbeatMonitor, MendelCluster, QueryParams,
+    ClusterConfig, CoverageReport, FailoverDelta, HeartbeatMonitor, MendelCluster, MendelHit,
+    QueryParams, WireCluster, WireTimeouts,
 };
 use mendel_suite::dht::NodeId;
-use mendel_suite::net::fault::{crash_schedule, schedule_bytes, FaultConfig, FaultPlan};
-use mendel_suite::net::{NodeAddr, Verdict};
+use mendel_suite::net::fault::{FaultConfig, FaultPlan};
+use mendel_suite::net::{NodeAddr, Verdict, XorShift64};
 use mendel_suite::obs::VirtualClock;
 use mendel_suite::seq::gen::NrLikeSpec;
 use mendel_suite::seq::{SeqId, SeqStore};
+use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -54,10 +59,15 @@ fn replicated_cluster(db: &Arc<SeqStore>) -> MendelCluster {
     MendelCluster::build(cfg, db.clone()).unwrap()
 }
 
+/// The heartbeat monitor's address on the plan's edges: neither a
+/// storage node's `node_addr` nor `NodeAddr(0)`, the `WireCluster`
+/// client, so its edges are no query's.
+const MONITOR: NodeAddr = NodeAddr(u16::MAX);
+
 /// Heartbeats on a logical clock. On the plan's edges storage node `i`
-/// is `NodeAddr(i)` and the monitor sits past them at `NodeAddr(NODES)`.
+/// is `node_addr(i)`, as on every carrier, and beats go to [`MONITOR`].
 struct Beats {
-    plan: FaultPlan,
+    plan: Arc<FaultPlan>,
     clock: Arc<VirtualClock>,
     monitor: HeartbeatMonitor,
 }
@@ -66,7 +76,7 @@ impl Beats {
     fn new(config: FaultConfig) -> Self {
         let clock = Arc::new(VirtualClock::new());
         Beats {
-            plan: FaultPlan::new(config),
+            plan: Arc::new(FaultPlan::new(config)),
             monitor: HeartbeatMonitor::with_clock(SUSPECT_TIMEOUT, clock.clone()),
             clock,
         }
@@ -75,12 +85,11 @@ impl Beats {
     /// `n` beat periods. Each advances the clock by one period; then
     /// every node whose beat the plan delivers is observed.
     fn rounds(&mut self, n: usize) {
-        let monitor = NodeAddr(NODES as u16);
         for _ in 0..n {
             self.clock.advance(BEAT_PERIOD);
-            for i in 0..NODES as u16 {
-                if self.plan.decide(NodeAddr(i), monitor) == Verdict::Deliver {
-                    self.monitor.observe(NodeId(i));
+            for node in (0..NODES as u16).map(NodeId) {
+                if self.plan.decide(node_addr(node), MONITOR) == Verdict::Deliver {
+                    self.monitor.observe(node);
                 }
             }
         }
@@ -103,6 +112,56 @@ impl Drop for DumpOnPanic<'_> {
     }
 }
 
+/// What a query that lost messages by the plan answered.
+#[derive(Debug, PartialEq)]
+struct LossyAnswer {
+    unreachable: Vec<NodeId>,
+    /// The unreachable nodes the control plane had not failed: silenced
+    /// by the plan alone.
+    silenced: Vec<NodeId>,
+    coverage: CoverageReport,
+    hits: Vec<MendelHit>,
+}
+
+/// Ask `query` through `lossy`, and check what it answers against the
+/// same cluster, at the same moment, under a plan that only crashes the
+/// nodes the answer found unreachable: in the client's view a lost
+/// message is a crashed node. Whether the answer equals the fault-free
+/// one is a question for the search budget (ROADMAP.md item 1), not for
+/// delivery, so it is not asked here.
+fn lossy_answer(
+    cluster: &Arc<MendelCluster>,
+    lossy: &WireCluster,
+    query: &[u8],
+    params: &QueryParams,
+) -> LossyAnswer {
+    let got = lossy.query_outcome(query, params).unwrap();
+    let crashes = FaultPlan::new(FaultConfig::passthrough(0));
+    for &node in &got.unreachable {
+        crashes.crash(node_addr(node));
+    }
+    let timeouts = WireTimeouts::default();
+    let twin = WireCluster::serve_with(cluster.clone(), Arc::new(crashes), timeouts)
+        .query_outcome(query, params)
+        .unwrap();
+    let lost = &got.unreachable;
+    assert_eq!(got.hits, twin.hits, "hits as if {lost:?} crashed");
+    assert_eq!(
+        got.coverage, twin.coverage,
+        "coverage as if {lost:?} crashed"
+    );
+    assert_eq!(got.unreachable, twin.unreachable);
+    let failed = cluster.failed_nodes();
+    LossyAnswer {
+        silenced: (got.unreachable.iter().copied())
+            .filter(|n| !failed.contains(n))
+            .collect(),
+        unreachable: got.unreachable,
+        coverage: got.coverage,
+        hits: got.hits,
+    }
+}
+
 /// Everything a chaos run decided, in order. Replaying a seed must
 /// reproduce it exactly.
 #[derive(Debug, PartialEq)]
@@ -111,6 +170,8 @@ struct ChaosLog {
     /// added, and whether the query through the first live node reported
     /// degraded coverage (`None` when every node was down).
     events: Vec<(FailoverDelta, u64, Option<bool>)>,
+    /// Per schedule event: the same query, losing messages by the plan.
+    lossy: Vec<LossyAnswer>,
     /// Detector deltas while the restarted cluster converges.
     convergence: Vec<FailoverDelta>,
     /// Copies the final repair added.
@@ -127,7 +188,7 @@ struct ChaosLog {
 /// failure dumps the flight recorders via [`DumpOnPanic`].
 fn chaos_run(seed: u64) -> ChaosLog {
     let db = db(seed ^ 0xD8);
-    let cluster = replicated_cluster(&db);
+    let cluster = Arc::new(replicated_cluster(&db));
     cluster.set_tracing(true);
     let _postmortem = DumpOnPanic(&cluster);
     let params = QueryParams::protein();
@@ -141,7 +202,7 @@ fn chaos_run(seed: u64) -> ChaosLog {
 
     // ≥ 3 crash/restart events over the storage nodes, deterministic and
     // byte-identical on replay.
-    let addrs: Vec<NodeAddr> = (0..NODES as u16).map(NodeAddr).collect();
+    let addrs: Vec<NodeAddr> = (0..NODES as u16).map(|i| node_addr(NodeId(i))).collect();
     let schedule = crash_schedule(seed, &addrs, 5, 100);
     assert!(schedule.len() >= 3, "need at least 3 fault events");
     assert_eq!(
@@ -151,14 +212,18 @@ fn chaos_run(seed: u64) -> ChaosLog {
     );
 
     // Lossy heartbeats (drop probability ≥ 0.05). Every node establishes
-    // a healthy baseline in the monitor first.
+    // a healthy baseline in the monitor first. Queries lose messages by
+    // the same plan: the same drop rate, and the schedule's crashes.
     let mut beats = Beats::new(FaultConfig::drops(seed, 0.08));
     beats.rounds(8);
     cluster.sync_failure_detector(&beats.monitor);
+    let timeouts = WireTimeouts::default();
+    let lossy = WireCluster::serve_with(cluster.clone(), beats.plan.clone(), timeouts);
 
     let mut events = Vec::new();
+    let mut answers = Vec::new();
     for event in &schedule {
-        beats.plan.apply(event);
+        apply(&beats.plan, event);
         beats.rounds(SETTLE_ROUNDS);
         let delta = cluster.sync_failure_detector(&beats.monitor);
         let copies = cluster.repair().copies_added;
@@ -177,12 +242,17 @@ fn chaos_run(seed: u64) -> ChaosLog {
             report.coverage.degraded
         });
         events.push((delta, copies, degraded));
+        answers.push(lossy_answer(&cluster, &lossy, &queries[0], &params));
     }
+    assert!(
+        answers.iter().any(|a| !a.silenced.is_empty()),
+        "lost query messages reached an answer (seed {seed:#x})"
+    );
 
     // The schedule restarts every crashed node; once beats flow again the
     // detector must converge back to an empty failed set.
     assert!(
-        beats.plan.crashed_nodes().is_empty(),
+        crashed_nodes(&beats.plan).is_empty(),
         "schedule ends all-restarted"
     );
     let mut convergence = Vec::new();
@@ -217,15 +287,26 @@ fn chaos_run(seed: u64) -> ChaosLog {
     assert!(faults.0 + faults.1 > 0, "the plan actually injected faults");
     ChaosLog {
         events,
+        lossy: answers,
         convergence,
         final_copies,
         faults,
     }
 }
 
+/// [`chaos_run`] twice: a seed fixes the whole run, every lossy query
+/// included.
+fn replayed(seed: u64) {
+    assert_eq!(
+        chaos_run(seed),
+        chaos_run(seed),
+        "a seed fixes the whole run ({seed:#x})"
+    );
+}
+
 #[test]
 fn seeded_chaos_converges_to_full_coverage() {
-    chaos_run(0xC0FFEE);
+    replayed(0xC0FFEE);
 }
 
 #[test]
@@ -250,17 +331,17 @@ fn same_seed_chaos_run_replays_an_identical_log() {
 
 #[test]
 fn seeded_chaos_sweep_seed_1() {
-    chaos_run(1);
+    replayed(1);
 }
 
 #[test]
 fn seeded_chaos_sweep_seed_3() {
-    chaos_run(3);
+    replayed(3);
 }
 
 #[test]
 fn seeded_chaos_sweep_seed_feed() {
-    chaos_run(0xFEED);
+    replayed(0xFEED);
 }
 
 /// Seeds 2 and 0xBEEF fail "complete coverage must mean complete
@@ -329,12 +410,12 @@ fn crashed_node_recovers_after_restart_under_plan() {
     cluster.sync_failure_detector(&beats.monitor);
     assert!(cluster.failed_nodes().is_empty());
 
-    beats.plan.crash(NodeAddr(5));
+    beats.plan.crash(node_addr(NodeId(5)));
     beats.rounds(SETTLE_ROUNDS);
     let delta = cluster.sync_failure_detector(&beats.monitor);
     assert_eq!(delta.suspected, vec![NodeId(5)], "crashed node suspected");
 
-    beats.plan.restart(NodeAddr(5));
+    beats.plan.restart(node_addr(NodeId(5)));
     beats.rounds(1);
     let delta = cluster.sync_failure_detector(&beats.monitor);
     assert_eq!(
@@ -343,4 +424,137 @@ fn crashed_node_recovers_after_restart_under_plan() {
         "restarted node beats again and auto-recovers"
     );
     assert!(cluster.failed_nodes().is_empty());
+}
+
+// ---- The crash/restart schedule ---------------------------------------
+
+/// Kind of a scheduled node-lifecycle event.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum FaultEventKind {
+    /// The node stops: its traffic is discarded, its beats stop.
+    Crash,
+    /// The node comes back.
+    Restart,
+}
+
+/// One event of a crash/restart schedule, at a logical step the test
+/// harness advances (real time plays no part, so replays are exact).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct FaultEvent {
+    /// Logical time of the event (monotonically non-decreasing).
+    step: u32,
+    /// The node affected.
+    node: NodeAddr,
+    /// Crash or restart.
+    kind: FaultEventKind,
+}
+
+/// Apply one schedule event (crash or restart) to `plan`.
+fn apply(plan: &FaultPlan, event: &FaultEvent) {
+    match event.kind {
+        FaultEventKind::Crash => plan.crash(event.node),
+        FaultEventKind::Restart => plan.restart(event.node),
+    }
+}
+
+/// Storage nodes `plan` currently crashes, ascending.
+fn crashed_nodes(plan: &FaultPlan) -> Vec<NodeAddr> {
+    let nodes = (0..NODES as u16).map(|i| node_addr(NodeId(i)));
+    nodes.filter(|&node| plan.is_crashed(node)).collect()
+}
+
+/// Generate a deterministic crash/restart schedule: at least `events`
+/// events over `nodes`, each crash eventually matched by a restart (the
+/// tail restarts every still-crashed node), steps ascending within
+/// `horizon`. Same inputs → identical schedule, byte for byte.
+fn crash_schedule(seed: u64, nodes: &[NodeAddr], events: usize, horizon: u32) -> Vec<FaultEvent> {
+    let mut out = Vec::new();
+    if nodes.is_empty() || events == 0 {
+        return out;
+    }
+    let mut rng = XorShift64::new(seed ^ 0x00C4_A05F_A017);
+    let mut crashed: Vec<NodeAddr> = Vec::new();
+    let mut step = 0u32;
+    let gap = (horizon / events.max(1) as u32).max(1);
+    for _ in 0..events {
+        step += 1 + rng.next_range(gap as u64) as u32;
+        let node = nodes[rng.next_range(nodes.len() as u64) as usize];
+        if let Some(pos) = crashed.iter().position(|&n| n == node) {
+            crashed.remove(pos);
+            out.push(FaultEvent {
+                step,
+                node,
+                kind: FaultEventKind::Restart,
+            });
+        } else {
+            crashed.push(node);
+            out.push(FaultEvent {
+                step,
+                node,
+                kind: FaultEventKind::Crash,
+            });
+        }
+    }
+    // Converge: every crash gets a restart so the cluster can heal.
+    for node in crashed {
+        step += 1;
+        out.push(FaultEvent {
+            step,
+            node,
+            kind: FaultEventKind::Restart,
+        });
+    }
+    out
+}
+
+/// Stable byte serialization of a schedule — the replay-identity check:
+/// two runs of [`crash_schedule`] with the same inputs must produce
+/// byte-identical output.
+fn schedule_bytes(events: &[FaultEvent]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(events.len() * 7);
+    for e in events {
+        out.extend_from_slice(&e.step.to_le_bytes());
+        out.extend_from_slice(&e.node.0.to_le_bytes());
+        out.push(match e.kind {
+            FaultEventKind::Crash => 0,
+            FaultEventKind::Restart => 1,
+        });
+    }
+    out
+}
+
+#[test]
+fn schedule_is_byte_identical_across_runs() {
+    let nodes: Vec<NodeAddr> = (0..6).map(NodeAddr).collect();
+    let a = crash_schedule(0xCAFE, &nodes, 5, 100);
+    let b = crash_schedule(0xCAFE, &nodes, 5, 100);
+    assert_eq!(schedule_bytes(&a), schedule_bytes(&b));
+    assert!(a.len() >= 5);
+    let c = crash_schedule(0xCAFF, &nodes, 5, 100);
+    assert_ne!(schedule_bytes(&a), schedule_bytes(&c));
+}
+
+#[test]
+fn schedule_steps_ascend_and_crashes_match_restarts() {
+    for seed in [1u64, 2, 3, 0xDEAD] {
+        let nodes: Vec<NodeAddr> = (0..8).map(NodeAddr).collect();
+        let sched = crash_schedule(seed, &nodes, 7, 200);
+        let mut last = 0;
+        let mut down: HashSet<NodeAddr> = HashSet::new();
+        for e in &sched {
+            assert!(e.step >= last, "steps ascend");
+            last = e.step;
+            match e.kind {
+                FaultEventKind::Crash => assert!(down.insert(e.node)),
+                FaultEventKind::Restart => assert!(down.remove(&e.node)),
+            }
+        }
+        assert!(down.is_empty(), "every crash is eventually restarted");
+    }
+}
+
+#[test]
+fn empty_inputs_yield_empty_schedule() {
+    assert!(crash_schedule(1, &[], 5, 100).is_empty());
+    assert!(crash_schedule(1, &[NodeAddr(0)], 0, 100).is_empty());
 }
