@@ -12,7 +12,9 @@
 //! Hostile-input posture mirrors the frame codec: requests are parsed
 //! into a typed [`Request`] or rejected with a 4xx, bodies above
 //! [`MAX_BODY`] are refused before allocation, and a malformed preamble
-//! never panics the acceptor.
+//! never panics the acceptor. Server and client read a preamble through
+//! one reader capped at [`MAX_PREAMBLE`] bytes, so neither side grows a
+//! line without bound for a peer that never sends a newline.
 
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -25,6 +27,11 @@ use std::time::Duration;
 /// legitimate payload). Larger Content-Lengths are rejected with 413
 /// before any buffer is allocated.
 pub const MAX_BODY: usize = 64 * 1024 * 1024;
+
+/// Cap on a preamble — the request or status line and every header,
+/// line ends included — on either side. A longer one is refused, with 431
+/// by the server and `InvalidData` by the client, once this much is read.
+pub const MAX_PREAMBLE: usize = 16 * 1024;
 
 /// Per-connection socket timeouts so a stalled client cannot pin a
 /// handler thread forever.
@@ -93,6 +100,7 @@ fn status_reason(status: u16) -> &'static str {
         404 => "Not Found",
         405 => "Method Not Allowed",
         413 => "Payload Too Large",
+        431 => "Request Header Fields Too Large",
         500 => "Internal Server Error",
         503 => "Service Unavailable",
         _ => "Response",
@@ -199,12 +207,86 @@ fn serve_connection(stream: TcpStream, handler: &Handler) {
     let _ = stream.shutdown(Shutdown::Both);
 }
 
+/// The parts of a preamble either side reads: its first line (the
+/// request or status line, line end included) and its `Content-Length`.
+struct Preamble {
+    first: String,
+    content_length: Option<usize>,
+}
+
+/// Why a preamble was refused.
+enum PreambleError {
+    /// No blank line within [`MAX_PREAMBLE`] bytes.
+    TooLarge,
+    /// A failed read, a line that is not UTF-8, or a `Content-Length`
+    /// that is not a number.
+    Malformed(io::Error),
+}
+
+impl From<PreambleError> for io::Error {
+    fn from(e: PreambleError) -> io::Error {
+        match e {
+            PreambleError::TooLarge => io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("preamble over {MAX_PREAMBLE} bytes"),
+            ),
+            PreambleError::Malformed(e) => e,
+        }
+    }
+}
+
+/// Read one preamble — a first line, headers, a blank line — reading at
+/// most [`MAX_PREAMBLE`] bytes. The end of the stream also ends it, as a
+/// blank line would. Of the headers only `Content-Length` is kept.
+fn read_preamble(reader: &mut impl BufRead) -> Result<Preamble, PreambleError> {
+    let mut budget = MAX_PREAMBLE as u64;
+    let mut next_line = || {
+        if budget == 0 {
+            return Err(PreambleError::TooLarge);
+        }
+        let mut line = Vec::new();
+        let read = (&mut *reader)
+            .take(budget)
+            .read_until(b'\n', &mut line)
+            .map_err(PreambleError::Malformed)?;
+        budget -= read as u64;
+        if budget == 0 && !line.ends_with(b"\n") {
+            return Err(PreambleError::TooLarge);
+        }
+        String::from_utf8(line)
+            .map_err(|e| PreambleError::Malformed(io::Error::new(io::ErrorKind::InvalidData, e)))
+    };
+    let first = next_line()?;
+    let mut content_length = None;
+    loop {
+        let header = next_line()?;
+        let header = header.trim_end();
+        if header.is_empty() {
+            break;
+        }
+        if let Some((name, value)) = header.split_once(':') {
+            if name.eq_ignore_ascii_case("content-length") {
+                let n = value.trim().parse().map_err(|e| {
+                    PreambleError::Malformed(io::Error::new(io::ErrorKind::InvalidData, e))
+                })?;
+                content_length = Some(n);
+            }
+        }
+    }
+    Ok(Preamble {
+        first,
+        content_length,
+    })
+}
+
 /// Parse one request off the stream; `Err` is the status to answer.
 fn read_request(stream: &TcpStream) -> Result<Request, u16> {
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    reader.read_line(&mut line).map_err(|_| 400u16)?;
-    let mut parts = line.split_whitespace();
+    let preamble = read_preamble(&mut reader).map_err(|e| match e {
+        PreambleError::TooLarge => 431u16,
+        PreambleError::Malformed(_) => 400,
+    })?;
+    let mut parts = preamble.first.split_whitespace();
     let method = parts.next().ok_or(400u16)?.to_ascii_uppercase();
     let target = parts.next().ok_or(400u16)?;
     let version = parts.next().ok_or(400u16)?;
@@ -215,21 +297,7 @@ fn read_request(stream: &TcpStream) -> Result<Request, u16> {
         Some((p, q)) => (p.to_string(), q.to_string()),
         None => (target.to_string(), String::new()),
     };
-    // Headers: only Content-Length matters to us.
-    let mut content_length = 0usize;
-    loop {
-        let mut header = String::new();
-        reader.read_line(&mut header).map_err(|_| 400u16)?;
-        let header = header.trim_end();
-        if header.is_empty() {
-            break;
-        }
-        if let Some((name, value)) = header.split_once(':') {
-            if name.eq_ignore_ascii_case("content-length") {
-                content_length = value.trim().parse().map_err(|_| 400u16)?;
-            }
-        }
-    }
+    let content_length = preamble.content_length.unwrap_or(0);
     if content_length > MAX_BODY {
         return Err(413);
     }
@@ -256,7 +324,10 @@ fn write_response(mut stream: &TcpStream, resp: &Response) -> io::Result<()> {
 }
 
 /// Blocking one-shot HTTP client, for tests and the multi-process
-/// harness: one request per connection, mirroring the server.
+/// harness: one request per connection, mirroring the server. A reply
+/// whose preamble runs past [`MAX_PREAMBLE`] or whose body would exceed
+/// [`MAX_BODY`] is an `InvalidData` error, refused before the body is
+/// allocated.
 pub fn http_request(
     addr: SocketAddr,
     method: &str,
@@ -273,35 +344,26 @@ pub fn http_request(
     stream.write_all(head.as_bytes())?;
     stream.write_all(body)?;
     let mut reader = BufReader::new(stream);
-    let mut status_line = String::new();
-    reader.read_line(&mut status_line)?;
-    let status: u16 = status_line
+    let preamble = read_preamble(&mut reader)?;
+    let status: u16 = preamble
+        .first
         .split_whitespace()
         .nth(1)
         .and_then(|s| s.parse().ok())
         .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "bad status line"))?;
-    let mut content_length = None;
-    loop {
-        let mut header = String::new();
-        reader.read_line(&mut header)?;
-        let header = header.trim_end();
-        if header.is_empty() {
-            break;
-        }
-        if let Some((name, value)) = header.split_once(':') {
-            if name.eq_ignore_ascii_case("content-length") {
-                content_length = value.trim().parse::<usize>().ok();
-            }
-        }
-    }
+    let over = || io::Error::new(io::ErrorKind::InvalidData, "response body over MAX_BODY");
     let mut body = Vec::new();
-    match content_length {
+    match preamble.content_length {
+        Some(n) if n > MAX_BODY => return Err(over()),
         Some(n) => {
             body.resize(n, 0);
             reader.read_exact(&mut body)?;
         }
         None => {
-            reader.read_to_end(&mut body)?;
+            reader.take(MAX_BODY as u64 + 1).read_to_end(&mut body)?;
+            if body.len() > MAX_BODY {
+                return Err(over());
+            }
         }
     }
     Ok((status, body))
@@ -404,6 +466,61 @@ mod tests {
         let mut reader = BufReader::new(&stream);
         let _ = reader.read_line(&mut out);
         assert!(out.starts_with("HTTP/1.1 413"), "{out}");
+    }
+
+    #[test]
+    fn endless_request_line_is_431_and_the_server_survives() {
+        let server = echo_server();
+        let stream = TcpStream::connect(server.local_addr()).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("timeout");
+        // The server stops reading at the cap and closes, so the rest of
+        // the megabyte may meet a reset: write it from another thread.
+        let writer = {
+            let mut stream = stream.try_clone().expect("clone");
+            std::thread::spawn(move || {
+                let _ = stream.write_all(&vec![b'A'; 1 << 20]);
+            })
+        };
+        let mut out = String::new();
+        let _ = BufReader::new(&stream).read_line(&mut out);
+        assert!(out.starts_with("HTTP/1.1 431"), "{out}");
+        let _ = writer.join();
+        let (status, _) = http_request(server.local_addr(), "GET", "/healthz", b"").expect("alive");
+        assert_eq!(status, 200);
+    }
+
+    /// A peer that answers one connection with `reply`, whatever it asked.
+    fn stub_peer(reply: Vec<u8>) -> SocketAddr {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        std::thread::spawn(move || {
+            if let Ok((mut stream, _)) = listener.accept() {
+                let _ = stream.read(&mut [0u8; 1024]);
+                let _ = stream.write_all(&reply);
+            }
+        });
+        addr
+    }
+
+    #[test]
+    fn client_refuses_a_content_length_over_max_body_before_allocating() {
+        let head = format!(
+            "HTTP/1.1 200 OK\r\nContent-Length: {}\r\n\r\n",
+            MAX_BODY + 1
+        );
+        let err = http_request(stub_peer(head.into_bytes()), "GET", "/metrics", b"")
+            .expect_err("a body over MAX_BODY");
+        // Allocating the body and reading it would end in UnexpectedEof.
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+    }
+
+    #[test]
+    fn client_refuses_an_endless_status_line() {
+        let err = http_request(stub_peer(vec![b'H'; 1 << 20]), "GET", "/metrics", b"")
+            .expect_err("a preamble over MAX_PREAMBLE");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
     }
 
     #[test]

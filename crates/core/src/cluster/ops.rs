@@ -169,10 +169,15 @@ impl MendelCluster {
 
     /// Re-replicate under-replicated blocks onto live group members,
     /// restoring the configured replication factor where enough live
-    /// nodes exist. Copy targets follow the same deterministic ring walk
-    /// as [`mendel_dht::FlatPlacement::replicas`], so repeated repairs are
-    /// idempotent. Blocks whose every replica is down are reported as
-    /// `unreachable` — they reappear when a holder recovers.
+    /// nodes exist. Copy targets walk the group's *live* members in
+    /// membership order, from index `sha1(key) mod live.len()` on,
+    /// wrapping, skipping members that already hold the block. While a
+    /// member is down that is not [`mendel_dht::FlatPlacement::ring`]
+    /// (whose start counts every member), so a copy need not land where
+    /// placement would put it; it is a function of the key and the live
+    /// set alone, so repeated repairs are idempotent. Blocks whose every
+    /// replica is down are reported as `unreachable` — they reappear when
+    /// a holder recovers.
     // audit:allow(unreached): the re-replication pass tests/fault_tolerance.rs and tests/chaos.rs heal with; no operator command calls it yet
     pub fn repair(&self) -> RepairReport {
         let topo = self.topology.read().clone();

@@ -3,7 +3,10 @@
 //! The cluster picks one metric for all of its vp-trees: Hamming distance
 //! for DNA blocks, or a Mendel matrix distance (BLOSUM62-derived, with or
 //! without triangle-inequality repair) for proteins. A small enum avoids
-//! making every tree generic at the cluster API surface.
+//! making every tree generic at the cluster API surface. Each variant
+//! forwards to its metric's per-pair kernels and its one lane kernel
+//! ([`Metric::scan_lanes`]), which scores a vp-tree's leaves and its
+//! build scans alike.
 
 use mendel_seq::lanes::LaneGroup;
 use mendel_seq::{Hamming, MatrixDistance, Metric, ScoringMatrix};
@@ -35,10 +38,10 @@ impl BlockMetric {
 }
 
 /// One blanket impl covers every byte-window type the trees use — the
-/// `[u8]` windows a vp-tree packs in its leaves and the owned `Vec<u8>`
-/// samples of the vp-prefix tree — so the kernels behind the inner
-/// metrics plug in at exactly one seam, and a leaf's candidates reach
-/// them as borrowed slices with nothing collected on the way.
+/// `[u8]` windows of a vp-tree and the owned `Vec<u8>` samples of the
+/// vp-prefix tree — so the kernels behind the inner metrics plug in at
+/// exactly one seam: a lane group reaches them as borrowed bytes, with
+/// nothing collected on the way.
 impl<T: AsRef<[u8]> + ?Sized> Metric<T> for BlockMetric {
     #[inline]
     fn dist(&self, a: &T, b: &T) -> f32 {
@@ -53,18 +56,6 @@ impl<T: AsRef<[u8]> + ?Sized> Metric<T> for BlockMetric {
         match self {
             BlockMetric::Hamming => Hamming.dist_bounded(a.as_ref(), b.as_ref(), bound),
             BlockMetric::Matrix(m) => m.dist_bounded(a.as_ref(), b.as_ref(), bound),
-        }
-    }
-
-    fn scan_bounded<'a, I>(&self, a: &T, cands: I, bound: f32, out: &mut Vec<(u32, f32)>)
-    where
-        I: Iterator<Item = &'a T>,
-        T: 'a,
-    {
-        let cands = cands.map(AsRef::as_ref);
-        match self {
-            BlockMetric::Hamming => Hamming.scan_bounded(a.as_ref(), cands, bound, out),
-            BlockMetric::Matrix(m) => m.scan_bounded(a.as_ref(), cands, bound, out),
         }
     }
 

@@ -28,8 +28,8 @@
 //! scores `a`, `b` — a whole number of *half-units*. The table is stored
 //! in half-units, a window distance is the integer sum of its entries, and
 //! the `f32` handed to callers is that sum × 0.5. Integer addition is
-//! associative, so `dist`, `dist_bounded` and the whole-leaf
-//! [`Metric::scan_bounded`] agree bit for bit whatever order, chunking or
+//! associative, so `dist`, `dist_bounded` and the lane-group
+//! [`Metric::scan_lanes`] agree bit for bit whatever order, chunking or
 //! lane layout a kernel uses (DESIGN.md §10, §15.1; kernels in
 //! [`crate::simd`]).
 
@@ -57,8 +57,9 @@ pub trait Metric<T: ?Sized>: Send + Sync {
     ///   exceeds `bound`.
     ///
     /// The default computes the full distance and compares — correct for
-    /// every metric. Implementations whose distance is a monotone running
-    /// sum (L1 window composition, Hamming counts) override this with an
+    /// every metric, and what Hamming runs. An implementation whose
+    /// distance is a costly monotone running sum (the L1 window
+    /// composition of [`MatrixDistance`]) overrides this with an
     /// early-abandoning kernel that bails out as soon as the partial sum
     /// exceeds `bound`.
     #[inline]
@@ -67,41 +68,21 @@ pub trait Metric<T: ?Sized>: Send + Sync {
         (d <= bound).then_some(d)
     }
 
-    /// Survivors-only scan of one query against many candidates under one
-    /// bound: append `(j, d)` to `out` for every candidate `j` (its
-    /// position in `cands`) with `d = dist(a, cands[j]) ≤ bound`, in
-    /// candidate order, each `d` bit-identical to [`Self::dist`].
+    /// The one method that scores many candidates per call: a
+    /// survivors-only scan of one query against one lane-major group of
+    /// windows ([`crate::lanes`]) under one bound. Append `(j, d)` for each
+    /// of the group's first `live` windows `j` with `d = dist(a, window j)
+    /// ≤ bound`, in lane order, each `d` bit-identical to [`Self::dist`].
+    /// The windows have `a`'s length.
     ///
-    /// This is the vp-tree's leaf scan (DESIGN.md §15.1): a leaf bucket
-    /// is scored in one call, so an implementation can put one candidate
-    /// in each SIMD lane, and candidates arrive as an iterator of
-    /// borrowed points, so nothing is collected or allocated per call.
-    /// The default loops [`Self::dist_bounded`], which keeps wrappers
-    /// like [`Unbounded`] exact by construction and is the per-pair path
-    /// the vector kernels are tested against.
-    fn scan_bounded<'a, I>(&self, a: &T, cands: I, bound: f32, out: &mut Vec<(u32, f32)>)
-    where
-        I: Iterator<Item = &'a T>,
-        T: 'a,
-        Self: Sized,
-    {
-        for (j, b) in cands.enumerate() {
-            if let Some(d) = self.dist_bounded(a, b, bound) {
-                out.push((j as u32, d));
-            }
-        }
-    }
-
-    /// [`Self::scan_bounded`] over one lane-major group of a vp-tree leaf
-    /// ([`crate::lanes`]): append `(j, d)` for each of the group's first
-    /// `live` windows `j` with `d = dist(a, window j) ≤ bound`, in lane
-    /// order, each `d` bit-identical to [`Self::dist`]. The windows have
-    /// `a`'s length.
-    ///
-    /// The default copies each window out and calls
-    /// [`Self::dist_bounded`] — the per-pair path, which keeps wrappers
-    /// like [`Unbounded`] exact; the integer metrics score a whole group
-    /// per kernel call.
+    /// A vp-tree's leaf scans call it on the groups its leaves store, and
+    /// its build scans on groups packed into scratch by
+    /// [`crate::lanes::write_lanes`] (DESIGN.md §15.1), so each metric has
+    /// one vector kernel behind it. The default copies each window out and
+    /// calls [`Self::dist_bounded`] — the per-pair path, which keeps
+    /// wrappers like [`Unbounded`] exact and is what the vector kernels
+    /// are tested against; the integer metrics score a whole group per
+    /// kernel call.
     ///
     /// # Panics
     /// Panics if the group is malformed: a width outside 1 to 16, more
@@ -136,49 +117,13 @@ impl Hamming {
     }
 }
 
+/// `dist_bounded` is the trait default: [`Hamming::count`], then a
+/// compare — one `cmpeq` + `movemask` per 16 bytes beats abandoning early
+/// at block-window lengths.
 impl Metric<[u8]> for Hamming {
     #[inline]
     fn dist(&self, a: &[u8], b: &[u8]) -> f32 {
         Hamming::count(a, b) as f32
-    }
-
-    fn dist_bounded(&self, a: &[u8], b: &[u8], bound: f32) -> Option<f32> {
-        assert_eq!(a.len(), b.len(), "Hamming distance requires equal lengths");
-        if crate::simd::simd_enabled() {
-            // One cmpeq+movemask per 16/32 bytes beats abandoning early
-            // at block-window lengths, and the integer count is exact
-            // under any chunking.
-            let d = crate::simd::hamming_count(a, b) as f32;
-            return (d <= bound).then_some(d);
-        }
-        const LANE: usize = 16;
-        let n = a.len();
-        let mut count = 0usize;
-        let mut i = 0;
-        while i + LANE <= n {
-            for j in i..i + LANE {
-                count += usize::from(a[j] != b[j]);
-            }
-            if count as f32 > bound {
-                return None;
-            }
-            i += LANE;
-        }
-        while i < n {
-            count += usize::from(a[i] != b[i]);
-            i += 1;
-        }
-        let d = count as f32;
-        (d <= bound).then_some(d)
-    }
-
-    /// One `cmpeq` + `movemask` + popcount per candidate, with the kernel
-    /// chosen once per call ([`crate::simd`]).
-    fn scan_bounded<'a, I>(&self, a: &[u8], cands: I, bound: f32, out: &mut Vec<(u32, f32)>)
-    where
-        I: Iterator<Item = &'a [u8]>,
-    {
-        crate::simd::hamming_scan(a, cands, bound, out);
     }
 
     /// One `cmpeq` per position scores all of the group's lanes
@@ -397,23 +342,9 @@ impl Metric<[u8]> for MatrixDistance {
         crate::simd::matrix_dist_bounded(&self.half, self.n, a, b, bound)
     }
 
-    /// Sixteen candidates per kernel call, one per byte lane
-    /// (`simd::matrix_scan`); per pair when the bound is too
-    /// loose for `u8` lanes, the table does not fit them, or SIMD is off.
-    ///
-    /// # Panics
-    /// As [`Metric::dist`], for the query and every candidate, on every
-    /// path.
-    fn scan_bounded<'a, I>(&self, a: &[u8], cands: I, bound: f32, out: &mut Vec<(u32, f32)>)
-    where
-        I: Iterator<Item = &'a [u8]>,
-    {
-        crate::simd::matrix_scan(&self.half, &self.rows, self.n, a, cands, bound, out);
-    }
-
-    /// The sixteen-lane kernel with one column load per position, no
-    /// transpose (`simd::matrix_scan_lanes`); per pair where
-    /// [`Metric::scan_bounded`] is.
+    /// Sixteen windows per kernel call, one per byte lane, one column load
+    /// per position (`simd::matrix_scan_lanes`); per pair when the table
+    /// does not fit `u8` rows or SIMD is off.
     ///
     /// # Panics
     /// As [`Metric::dist`], for the query and every live window, on every
@@ -437,9 +368,9 @@ impl<T: ?Sized, M: Metric<T>> Metric<T> for Unbounded<M> {
     fn dist(&self, a: &T, b: &T) -> f32 {
         self.0.dist(a, b)
     }
-    // `dist_bounded` and `scan_bounded` deliberately left at the trait
+    // `dist_bounded` and `scan_lanes` deliberately left at the trait
     // defaults: full distance, then compare against the bound, one pair
-    // at a time.
+    // at a time — a lane group's windows copied out one by one.
 }
 
 /// Percent identity between two equal-length windows: the fraction of
@@ -461,6 +392,7 @@ pub fn percent_identity(a: &[u8], b: &[u8]) -> Result<f32, SeqError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lanes::tests::scan_packed;
 
     fn enc(s: &[u8]) -> Vec<u8> {
         Alphabet::Protein.encode_seq(s).unwrap()
@@ -643,10 +575,11 @@ mod tests {
             .collect()
     }
 
-    /// Survivors through the production dispatch (vector lanes when the
-    /// table, bound and CPU allow) and through the per-pair integer path
-    /// `set_simd_enabled(false)` selects — here forced by withholding the
-    /// `u8` rows, so no test flips the process-wide switch.
+    /// Survivors of `cands`, packed lane-major by `write_lanes`, through
+    /// `scan_lanes`' production dispatch (vector lanes when the table,
+    /// bound and CPU allow) and through the lane kernel with the `u8` rows
+    /// withheld — the per-pair integer path `set_simd_enabled(false)`
+    /// selects, forced here so no test flips the process-wide switch.
     fn both_scans(
         m: &MatrixDistance,
         q: &[u8],
@@ -654,11 +587,10 @@ mod tests {
         bound: f32,
     ) -> [Vec<(u32, u32)>; 2] {
         let bits = |v: Vec<(u32, f32)>| v.into_iter().map(|(j, d)| (j, d.to_bits())).collect();
-        let mut dispatched = Vec::new();
-        m.scan_bounded(q, cands.iter().map(Vec::as_slice), bound, &mut dispatched);
-        let mut per_pair = Vec::new();
-        let slices = cands.iter().map(Vec::as_slice);
-        crate::simd::matrix_scan(&m.half, &[], m.n, q, slices, bound, &mut per_pair);
+        let dispatched = scan_packed(q, cands, |group, out| m.scan_lanes(q, group, bound, out));
+        let per_pair = scan_packed(q, cands, |group, out| {
+            crate::simd::matrix_scan_lanes(&m.half, &[], m.n, q, group, bound, out)
+        });
         [bits(dispatched), bits(per_pair)]
     }
 
@@ -722,8 +654,7 @@ mod tests {
                 let mut bad = cands.clone();
                 bad[20][len - 1] = 24;
                 let scan = std::panic::catch_unwind(|| {
-                    let mut out = Vec::new();
-                    m.scan_bounded(&q[..], bad.iter().map(Vec::as_slice), bound, &mut out);
+                    scan_packed(&q, &bad, |group, out| m.scan_lanes(&q, group, bound, out))
                 });
                 assert!(scan.is_err(), "len {len} bound {bound}: code 24 accepted");
             }
@@ -792,16 +723,17 @@ mod tests {
                     "{what}"
                 );
                 // Candidate lists long enough for the vector path, the bad
-                // window in a full group and in the tail; `both_scans`
-                // stops at the dispatched scan, so the per-pair path gets
-                // its own call. Then a bad *query* against clean windows.
+                // window in a full lane group and in the tail group;
+                // `both_scans` stops at the dispatched scan, so the
+                // rows-withheld path gets its own call. Then a bad *query*
+                // against clean windows.
                 for bad_at in [5usize, 17] {
                     let mut cands = vec![far.clone(); 19];
                     cands[bad_at] = bad.clone();
                     let per_pair = |q: &[u8], cands: &[Vec<u8>]| {
-                        let slices = cands.iter().map(Vec::as_slice);
-                        let mut out = Vec::new();
-                        crate::simd::matrix_scan(&m.half, &[], m.n, q, slices, bound, &mut out);
+                        scan_packed(q, cands, |group, out| {
+                            crate::simd::matrix_scan_lanes(&m.half, &[], m.n, q, group, bound, out)
+                        })
                     };
                     assert!(panics(|| both_scans(&m, &clean, &cands, bound)), "{what}");
                     assert!(panics(|| per_pair(&clean, &cands)), "{what}");

@@ -1,32 +1,34 @@
 //! Distance kernels: the portable integer paths and, behind runtime
-//! feature detection, their SIMD counterparts.
+//! feature detection, their SIMD counterparts. Each metric has one
+//! per-pair kernel and one lane kernel, which scores one lane group of up
+//! to sixteen windows ([`crate::lanes`]) per call: a vp-tree's leaf scans
+//! and its build scans both run it (DESIGN.md §15.1).
 //!
 //! Both metrics of [`crate::dist`] are **integers**, so every kernel here
 //! is exact under any evaluation order and the scalar and vector paths
-//! agree bit for bit by construction (DESIGN.md §15.1):
+//! agree bit for bit by construction:
 //!
-//! * **Hamming** — a mismatch count. `cmpeq` + `movemask` + popcount over
-//!   16-byte chunks (SSE2, the x86_64 baseline). `hamming_scan` scores a
-//!   whole candidate list through the same kernel with the dispatch
-//!   decided once, outside the loop, and `popcnt` enabled.
+//! * **Hamming** — a mismatch count. Per pair, `cmpeq` + `movemask` +
+//!   popcount over 16-byte chunks (SSE2, the x86_64 baseline). Per lane
+//!   group, one `cmpeq` per position counts all sixteen lanes' matches
+//!   (SSSE3, windows of at most 255 residues).
 //! * **MatrixDistance** — every table entry is a whole number of
 //!   *half-units* (`MatrixDistance` builds them as `|a| + |b|` of integer
 //!   scores), a window distance is the integer sum of its entries, and the
 //!   `f32` a caller sees is that sum × 0.5 — exact below 2²⁴ half-units.
 //!   `matrix_sum_bounded` is the per-pair kernel (8-residue spans, one
-//!   early-abandon check per span). `matrix_scan` scores candidates
-//!   **sixteen at a time**, one per lane: a 16×16 byte transpose turns
-//!   sixteen windows into sixteen position columns, and each position
-//!   costs two `pshufb` look-ups into the query residue's 32-byte table
-//!   row, a select on bit 4 of the candidate code, and one saturating
-//!   add. Bounds under 127.5 (`2·bound < 255`) add in `u8` lanes: a lane
-//!   that saturates holds a true sum ≥ 255 half-units, over every such
-//!   bound, so rejecting it is exact. Looser bounds — `∞` while a k-NN
-//!   heap is still filling, and every vp-tree build — add in `u16` lanes
-//!   through the same transpose and look-ups; a `u16` lane that
-//!   saturates (≥ 65,535 half-units) is rejected under a smaller limit
-//!   and scored per pair otherwise. A table that does not fit `u8` rows
-//!   takes the per-pair integer kernel.
+//!   early-abandon check per span). `matrix_scan_lanes` scores a lane
+//!   group **sixteen windows at a time**, one per lane: each position
+//!   costs one column load, two `pshufb` look-ups into the query residue's
+//!   32-byte table row, a select on bit 4 of the candidate code, and one
+//!   saturating add. Bounds under 127.5 (`2·bound < 255`) add in `u8`
+//!   lanes: a lane that saturates holds a true sum ≥ 255 half-units, over
+//!   every such bound, so rejecting it is exact. Looser bounds — `∞` while
+//!   a k-NN heap is still filling, and every vp-tree build scan — add in
+//!   `u16` lanes through the same look-ups; a `u16` lane that saturates
+//!   (≥ 65,535 half-units) is rejected under a smaller limit and scored
+//!   per pair otherwise. A table that does not fit `u8` rows takes the
+//!   per-pair integer kernel.
 //!
 //! What was measured and is *not* here: an eight-lane AVX2 `vgatherdps`
 //! kernel over an `f32` table (1.7–2× slower than the scalar chain), a
@@ -117,53 +119,6 @@ pub fn hamming_count(a: &[u8], b: &[u8]) -> usize {
 #[inline]
 pub(crate) fn hamming_scalar(a: &[u8], b: &[u8]) -> usize {
     a.iter().zip(b).filter(|(x, y)| x != y).count()
-}
-
-/// Survivors-only Hamming scan: append `(j, count)` for every candidate
-/// `j` whose mismatch count against `q` is `≤ bound`, in candidate order.
-/// The kill switch and CPU features are consulted once per call, not once
-/// per candidate, and the 16-byte kernel runs with `popcnt` where the CPU
-/// has it.
-///
-/// # Panics
-/// Panics if a candidate's length differs from the query's.
-pub(crate) fn hamming_scan<'a>(
-    q: &[u8],
-    cands: impl Iterator<Item = &'a [u8]>,
-    bound: f32,
-    out: &mut Vec<(u32, f32)>,
-) {
-    #[cfg(target_arch = "x86_64")]
-    if simd_enabled() {
-        // Without the `popcnt` instruction `count_ones` is a dozen bit
-        // operations per 16 bytes.
-        if std::arch::is_x86_feature_detected!("popcnt") {
-            // SAFETY: POPCNT was just detected at runtime.
-            unsafe { x86::hamming_scan_popcnt(q, cands, bound, out) };
-        } else {
-            scan_counts(q, cands, bound, out, x86::hamming_sse2);
-        }
-        return;
-    }
-    scan_counts(q, cands, bound, out, hamming_scalar);
-}
-
-/// The loop every Hamming scan shares: length check, count, threshold.
-#[inline(always)]
-fn scan_counts<'a>(
-    q: &[u8],
-    cands: impl Iterator<Item = &'a [u8]>,
-    bound: f32,
-    out: &mut Vec<(u32, f32)>,
-    count: impl Fn(&[u8], &[u8]) -> usize,
-) {
-    for (j, c) in cands.enumerate() {
-        assert_eq!(q.len(), c.len(), "Hamming distance requires equal lengths");
-        let d = count(q, c) as f32;
-        if d <= bound {
-            out.push((j as u32, d));
-        }
-    }
 }
 
 /// Half-unit sums at or above this are not exactly representable after
@@ -281,50 +236,8 @@ pub(crate) fn matrix_dist_bounded(
 /// `pshufb` tables, zero-padded past the alphabet.
 pub(crate) const ROW_BYTES: usize = 32;
 
-/// Survivors-only matrix scan: append `(j, sum × 0.5)` for every candidate
-/// `j` whose half-unit sum against `q` is within `bound`, in candidate
-/// order. `rows` is the zero-padded `u8` copy of `table`
-/// ([`ROW_BYTES`] per residue), empty when the table has an entry over
-/// 255 or more than 32 letters. Bounds under 127.5 take `u8` lanes, looser
-/// ones — `∞` included — `u16` lanes.
-///
-/// # Panics
-/// Panics if a candidate's length differs from the query's, or if any
-/// residue code of the query or a candidate is `≥ n` — on the vector and
-/// the per-pair path alike.
-pub(crate) fn matrix_scan<'a>(
-    table: &[u32],
-    rows: &[u8],
-    n: usize,
-    q: &[u8],
-    cands: impl Iterator<Item = &'a [u8]>,
-    bound: f32,
-    out: &mut Vec<(u32, f32)>,
-) {
-    #[cfg(target_arch = "x86_64")]
-    if let Some(wide) = lane_width(rows, n, q, bound) {
-        assert_codes_in_table(q, n);
-        // SAFETY: `lane_width` detected SSSE3 and SSE4.1 and found a row
-        // for each of the `n` letters, which every query code is below.
-        unsafe {
-            if wide {
-                scan_x16::<true>(table, rows, n, q, cands, bound, out);
-            } else {
-                scan_x16::<false>(table, rows, n, q, cands, bound, out);
-            }
-        }
-        return;
-    }
-    let _ = rows;
-    for (j, c) in cands.enumerate() {
-        if let Some(d) = matrix_dist_bounded(table, n, q, c, bound) {
-            out.push((j as u32, d));
-        }
-    }
-}
-
-/// [`matrix_scan`] over one lane-major group of a leaf ([`crate::lanes`]):
-/// append `(j, sum × 0.5)` for each of the group's first `live` windows
+/// The matrix lane kernel, over one lane-major group of a leaf
+/// ([`crate::lanes`]): append `(j, sum × 0.5)` for each of the group's first `live` windows
 /// within `bound`. The vector path loads one column per position; the
 /// per-pair path copies each window out ([`crate::lanes::scan_per_pair`]).
 ///
@@ -380,101 +293,11 @@ fn lane_width(rows: &[u8], n: usize, q: &[u8], bound: f32) -> Option<bool> {
     ready.then_some(limit >= 255)
 }
 
-/// `(saturated, lane limit)` of the narrow (`u8`) or wide (`u16`) lanes
-/// for a half-unit `limit`: narrow lanes need it below 255, so a lane that
-/// saturates is over it; a wide lane that saturates holds at least 65,535
-/// half-units and is scored per pair when the limit reaches that.
-#[cfg(target_arch = "x86_64")]
-#[inline]
-fn lane_limit<const WIDE: bool>(limit: u64) -> (u16, u16) {
-    let saturated = if WIDE { u16::MAX } else { u16::from(u8::MAX) };
-    debug_assert!(WIDE || limit < u64::from(saturated));
-    (saturated, limit.min(u64::from(saturated)) as u16)
-}
-
-/// Push `(base + j, d)` for every lane `j` set in `within`, in lane order:
-/// `d` is the lane's half-unit sum × 0.5, or `per_pair(j)` for a lane that
-/// saturated.
-#[cfg(target_arch = "x86_64")]
-#[inline]
-fn emit(
-    mut within: u32,
-    sums: &[u16; 16],
-    saturated: u16,
-    base: usize,
-    out: &mut Vec<(u32, f32)>,
-    per_pair: impl Fn(usize) -> Option<f32>,
-) {
-    while within != 0 {
-        let j = within.trailing_zeros() as usize;
-        let d = if sums[j] == saturated {
-            per_pair(j)
-        } else {
-            Some(f32::from(sums[j]) * 0.5)
-        };
-        if let Some(d) = d {
-            out.push(((base + j) as u32, d));
-        }
-        within &= within - 1;
-    }
-}
-
-/// The vector path of [`matrix_scan`]: candidates in groups of sixteen, a
-/// short last group padded with repeats of its first window (those lanes
-/// are masked off), each group transposed a 16-position tile at a time
-/// into the columns [`matrix_scan_lanes`] loads directly.
-///
-/// # Safety
-/// The caller must have verified SSSE3 and SSE4.1 support at runtime, and
-/// that every code of `q` has a row of `rows`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "ssse3,sse4.1")]
-unsafe fn scan_x16<'a, const WIDE: bool>(
-    table: &[u32],
-    rows: &[u8],
-    n: usize,
-    q: &[u8],
-    mut cands: impl Iterator<Item = &'a [u8]>,
-    bound: f32,
-    out: &mut Vec<(u32, f32)>,
-) {
-    let Some(limit) = half_unit_limit(bound) else {
-        return; // no distance is within a negative or NaN bound
-    };
-    let (saturated, lane_limit) = lane_limit::<WIDE>(limit);
-    let mut base = 0usize;
-    loop {
-        let mut group: [&[u8]; 16] = [&[]; 16];
-        let mut k = 0;
-        for (slot, c) in group.iter_mut().zip(&mut cands) {
-            assert_eq!(q.len(), c.len(), "window distance requires equal lengths");
-            *slot = c;
-            k += 1;
-        }
-        if k == 0 {
-            return;
-        }
-        let first = group[0];
-        group[k..].fill(first);
-        let mut sums = [0u16; 16];
-        // SAFETY: SSSE3, SSE4.1 and a row per query code are this
-        // function's own precondition; the kernel bounds-checks every
-        // window slice it loads from.
-        let (within, outside) =
-            unsafe { x86::matrix_sums_x16::<WIDE>(rows, q, &group, lane_limit, &mut sums) };
-        let mask = (1u32 << k) - 1;
-        if outside & mask != 0 {
-            assert_codes_in_table(group[(outside & mask).trailing_zeros() as usize], n);
-        }
-        emit(within & mask, &sums, saturated, base, out, |j| {
-            matrix_dist_bounded(table, n, q, group[j], bound)
-        });
-        base += k;
-    }
-}
-
 /// The vector path of [`matrix_scan_lanes`]: one kernel call per group,
-/// the lanes past `live` masked off.
+/// the lanes past `live` masked off. Narrow (`u8`) lanes take limits
+/// below 255, so a lane that saturates is over the limit; a wide (`u16`)
+/// lane that saturates holds at least 65,535 half-units and is scored per
+/// pair when the limit reaches that.
 ///
 /// # Safety
 /// The caller must have verified SSSE3 and SSE4.1 support at runtime, and
@@ -493,7 +316,9 @@ unsafe fn lanes_x16<const WIDE: bool>(
     let Some(limit) = half_unit_limit(bound) else {
         return;
     };
-    let (saturated, lane_limit) = lane_limit::<WIDE>(limit);
+    let saturated = if WIDE { u16::MAX } else { u16::from(u8::MAX) };
+    debug_assert!(WIDE || limit < u64::from(saturated));
+    let lane_limit = limit.min(u64::from(saturated)) as u16;
     let mut sums = [0u16; 16];
     // SAFETY: SSSE3, SSE4.1 and a row per query code are this function's
     // own precondition; the kernel keeps every column load inside the
@@ -510,12 +335,22 @@ unsafe fn lanes_x16<const WIDE: bool>(
     if outside & mask != 0 {
         assert_codes_in_table(&window((outside & mask).trailing_zeros() as usize), n);
     }
-    emit(within & mask, &sums, saturated, 0, out, |j| {
-        matrix_dist_bounded(table, n, q, &window(j), bound)
-    });
+    let mut within = within & mask;
+    while within != 0 {
+        let j = within.trailing_zeros() as usize;
+        let d = if sums[j] == saturated {
+            matrix_dist_bounded(table, n, q, &window(j), bound)
+        } else {
+            Some(f32::from(sums[j]) * 0.5)
+        };
+        if let Some(d) = d {
+            out.push((j as u32, d));
+        }
+        within &= within - 1;
+    }
 }
 
-/// [`hamming_scan`] over one lane-major group of a leaf
+/// The Hamming lane kernel, over one lane-major group of a leaf
 /// ([`crate::lanes`]): append `(j, count)` for each of the group's first
 /// `live` windows whose mismatch count is `≤ bound`. With SIMD on, SSSE3
 /// and windows of at most 255 residues, one `cmpeq` per position counts
@@ -610,67 +445,6 @@ mod x86 {
         total
     }
 
-    /// [`super::hamming_scan`]'s loop compiled with POPCNT enabled: the
-    /// 16-byte kernel inlines into it and its `count_ones` becomes one
-    /// instruction.
-    ///
-    /// # Safety
-    /// The caller must have verified POPCNT support at runtime.
-    #[target_feature(enable = "popcnt")]
-    pub(super) unsafe fn hamming_scan_popcnt<'a>(
-        q: &[u8],
-        cands: impl Iterator<Item = &'a [u8]>,
-        bound: f32,
-        out: &mut Vec<(u32, f32)>,
-    ) {
-        super::scan_counts(q, cands, bound, out, hamming_sse2);
-    }
-
-    /// Transpose sixteen 16-byte rows: `out[p]` byte `j` is `rows[j]`
-    /// byte `p`. Four rounds of interleaves (8-, 16-, 32-, 64-bit).
-    ///
-    /// # Safety
-    /// Uses SSE2 interleaves only, which x86_64 always has; it carries
-    /// [`matrix_sums_x16`]'s features (and so its `unsafe`) to inline
-    /// into it.
-    #[inline]
-    #[target_feature(enable = "ssse3,sse4.1")]
-    unsafe fn transpose_16x16(r: [__m128i; 16]) -> [__m128i; 16] {
-        let z = _mm_setzero_si128();
-        // Round 1: t[2i], t[2i+1] = low/high halves of rows 2i, 2i+1
-        // interleaved bytewise — 2 candidates per position.
-        let mut t = [z; 16];
-        for i in 0..8 {
-            t[2 * i] = _mm_unpacklo_epi8(r[2 * i], r[2 * i + 1]);
-            t[2 * i + 1] = _mm_unpackhi_epi8(r[2 * i], r[2 * i + 1]);
-        }
-        // Round 2: 4 candidates per position; u[4g + s] covers candidates
-        // 4g..4g+4 at positions 4s..4s+4.
-        let mut u = [z; 16];
-        for g in 0..4 {
-            u[4 * g] = _mm_unpacklo_epi16(t[4 * g], t[4 * g + 2]);
-            u[4 * g + 1] = _mm_unpackhi_epi16(t[4 * g], t[4 * g + 2]);
-            u[4 * g + 2] = _mm_unpacklo_epi16(t[4 * g + 1], t[4 * g + 3]);
-            u[4 * g + 3] = _mm_unpackhi_epi16(t[4 * g + 1], t[4 * g + 3]);
-        }
-        // Round 3: 8 candidates per position; v[8h + s] covers candidates
-        // 8h..8h+8 at positions 2s, 2s+1.
-        let mut v = [z; 16];
-        for h in 0..2 {
-            for s in 0..4 {
-                v[8 * h + 2 * s] = _mm_unpacklo_epi32(u[8 * h + s], u[8 * h + 4 + s]);
-                v[8 * h + 2 * s + 1] = _mm_unpackhi_epi32(u[8 * h + s], u[8 * h + 4 + s]);
-            }
-        }
-        // Round 4: all 16 candidates of one position per vector.
-        let mut out = [z; 16];
-        for s in 0..8 {
-            out[2 * s] = _mm_unpacklo_epi64(v[s], v[8 + s]);
-            out[2 * s + 1] = _mm_unpackhi_epi64(v[s], v[8 + s]);
-        }
-        out
-    }
-
     /// Sixteen bytes of `bytes` from `at` as one vector, zero past the
     /// end of the slice: one load when they are all inside it, a copy into
     /// a zeroed buffer otherwise.
@@ -748,153 +522,20 @@ mod x86 {
         }
     }
 
-    /// Running state of the matrix kernel: the lane sums (narrow: `acc[0]`
-    /// holds all sixteen `u8` lanes; wide: `acc[0]` lanes 0–7 and `acc[1]`
-    /// lanes 8–15 as `u16`) and the largest candidate code seen per lane.
-    #[derive(Clone, Copy)]
-    struct LaneSums {
-        acc: [__m128i; 2],
-        seen: __m128i,
-    }
-
-    /// The one accumulate body of both matrix kernels: add the cost of a
-    /// query residue, whose table row is `(lo, hi)`, against the sixteen
-    /// candidate codes of `col` — two `pshufb` look-ups, a select on bit 4
-    /// of the code, one saturating add.
-    ///
-    /// # Safety
-    /// The caller must have verified SSSE3 and SSE4.1 at runtime.
-    #[inline]
-    #[target_feature(enable = "ssse3,sse4.1")]
-    unsafe fn add_column<const WIDE: bool>(
-        (lo, hi): (__m128i, __m128i),
-        col: __m128i,
-        s: &mut LaneSums,
-    ) {
-        s.seen = _mm_max_epu8(s.seen, col);
-        // `pshufb` indexes by the low four bits; bit 4 of the code (moved
-        // to each byte's sign bit) picks the table.
-        let upper = _mm_slli_epi16(col, 3);
-        let cost = _mm_blendv_epi8(_mm_shuffle_epi8(lo, col), _mm_shuffle_epi8(hi, col), upper);
-        if WIDE {
-            let zero = _mm_setzero_si128();
-            s.acc[0] = _mm_adds_epu16(s.acc[0], _mm_unpacklo_epi8(cost, zero));
-            s.acc[1] = _mm_adds_epu16(s.acc[1], _mm_unpackhi_epi8(cost, zero));
-        } else {
-            s.acc[0] = _mm_adds_epu8(s.acc[0], cost);
-        }
-    }
-
-    /// Write the lane sums to `sums` and return `(within, outside)`: bit
+    /// Score the `width` windows of a lane group ([`crate::lanes`])
+    /// against `q` at once, one per lane, in saturating half-units: `u8`
+    /// lanes, or `u16` lanes when `WIDE`. Each position costs one column
+    /// load, two `pshufb` look-ups into the query residue's table row, a
+    /// select on bit 4 of the candidate code and one saturating add.
+    /// Writes the lane sums to `sums` and returns `(within, outside)`: bit
     /// `j` of `within` is set iff lane `j`'s sum is `≤ limit`, bit `j` of
-    /// `outside` iff lane `j` read a code `≥` the table's `letters`
-    /// (`rows.len() / ROW_BYTES`).
-    ///
-    /// # Safety
-    /// The caller must have verified SSSE3 and SSE4.1 at runtime.
-    #[inline]
-    #[target_feature(enable = "ssse3,sse4.1")]
-    unsafe fn finish<const WIDE: bool>(
-        s: LaneSums,
-        rows: &[u8],
-        limit: u16,
-        sums: &mut [u16; 16],
-    ) -> (u32, u32) {
-        let zero = _mm_setzero_si128();
-        let (wide, within) = if WIDE {
-            let lim = _mm_set1_epi16(limit as i16);
-            let lo = _mm_cmpeq_epi16(_mm_min_epu16(s.acc[0], lim), s.acc[0]);
-            let hi = _mm_cmpeq_epi16(_mm_min_epu16(s.acc[1], lim), s.acc[1]);
-            // Packing the all-ones / all-zeros words keeps lane order.
-            let mask = _mm_movemask_epi8(_mm_packs_epi16(lo, hi));
-            (s.acc, mask as u32)
-        } else {
-            let lim = _mm_set1_epi8(limit as u8 as i8);
-            let ok = _mm_cmpeq_epi8(_mm_min_epu8(s.acc[0], lim), s.acc[0]);
-            let lanes = [
-                _mm_unpacklo_epi8(s.acc[0], zero),
-                _mm_unpackhi_epi8(s.acc[0], zero),
-            ];
-            (lanes, _mm_movemask_epi8(ok) as u32)
-        };
-        // At most 32 letters have rows, so `top` fits a byte; saturating
-        // `seen − top` is non-zero exactly in the lanes over it.
-        let top = (rows.len() / ROW_BYTES).saturating_sub(1) as u8;
-        let excess = _mm_subs_epu8(s.seen, _mm_set1_epi8(top as i8));
-        let outside = !(_mm_movemask_epi8(_mm_cmpeq_epi8(excess, zero)) as u32) & 0xFFFF;
-        // SAFETY: `sums` is 32 bytes, two 16-byte halves.
-        unsafe {
-            _mm_storeu_si128(sums.as_mut_ptr() as *mut __m128i, wide[0]);
-            _mm_storeu_si128(sums.as_mut_ptr().add(8) as *mut __m128i, wide[1]);
-        }
-        (within, outside)
-    }
-
-    /// Score sixteen candidate windows against `q` at once, one per lane,
-    /// in saturating half-units: `u8` lanes, or `u16` lanes when `WIDE`.
-    /// Windows run in 16-position tiles, each transposed into sixteen
-    /// position columns for [`add_column`] (a final short tile is copied
-    /// into a zeroed buffer, so no load reads past a window). Writes the
-    /// lane sums to `sums` and returns [`finish`]'s `(within, outside)`.
+    /// `outside` iff lane `j` read a code `≥` the table's letters
+    /// (`rows.len() / ROW_BYTES`). Lanes past `width` hold bytes of the
+    /// next columns or the tail slack; the caller masks them off.
     ///
     /// A lane that saturates (255, or 65,535 when `WIDE`) holds a true sum
     /// at least that large; `rows` must be the `ROW_BYTES`-strided `u8`
     /// table, and in `u8` lanes `limit` must be below 255.
-    ///
-    /// # Panics
-    /// Panics if a window is shorter than `q`.
-    ///
-    /// # Safety
-    /// The caller must have verified SSSE3 and SSE4.1 at runtime, and that
-    /// every code of `q` has a row of `rows`. Every other load is from a
-    /// bounds-checked slice or a local buffer.
-    #[target_feature(enable = "ssse3,sse4.1")]
-    pub(super) unsafe fn matrix_sums_x16<const WIDE: bool>(
-        rows: &[u8],
-        q: &[u8],
-        c: &[&[u8]; 16],
-        limit: u16,
-        sums: &mut [u16; 16],
-    ) -> (u32, u32) {
-        let len = q.len();
-        let zero = _mm_setzero_si128();
-        let mut s = LaneSums {
-            acc: [zero; 2],
-            seen: zero,
-        };
-        let mut pos = 0;
-        while pos < len {
-            let width = (len - pos).min(16);
-            let mut tile = [zero; 16];
-            for (slot, cand) in tile.iter_mut().zip(c) {
-                let src = &cand[pos..pos + width];
-                *slot = if width == 16 {
-                    // SAFETY: `src` is a bounds-checked 16-byte slice.
-                    unsafe { _mm_loadu_si128(src.as_ptr() as *const __m128i) }
-                } else {
-                    let mut buf = [0u8; 16];
-                    buf[..width].copy_from_slice(src);
-                    // SAFETY: `buf` is a 16-byte local.
-                    unsafe { _mm_loadu_si128(buf.as_ptr() as *const __m128i) }
-                };
-            }
-            // SAFETY: same target features as this function.
-            let cols = unsafe { transpose_16x16(tile) };
-            for (&x, &col) in q[pos..pos + width].iter().zip(&cols) {
-                // SAFETY: same target features as this function; `x` has a
-                // row by this function's precondition.
-                unsafe { add_column::<WIDE>(row(rows, x), col, &mut s) };
-            }
-            pos += width;
-        }
-        // SAFETY: same target features as this function.
-        unsafe { finish::<WIDE>(s, rows, limit, sums) }
-    }
-
-    /// [`matrix_sums_x16`] over a lane group of `width` windows
-    /// ([`crate::lanes`]): each position's column is one load, no
-    /// transpose. Lanes past `width` hold bytes of the next columns or the
-    /// tail slack; the caller masks them off.
     ///
     /// # Safety
     /// The caller must have verified SSSE3 and SSE4.1 at runtime, and that
@@ -910,18 +551,54 @@ mod x86 {
         sums: &mut [u16; 16],
     ) -> (u32, u32) {
         let zero = _mm_setzero_si128();
-        let mut s = LaneSums {
-            acc: [zero; 2],
-            seen: zero,
-        };
+        // Narrow: `acc[0]` holds all sixteen `u8` lanes; wide: `acc[0]`
+        // lanes 0–7 and `acc[1]` lanes 8–15 as `u16`. `seen` keeps the
+        // largest code each lane read.
+        let (mut acc, mut seen) = ([zero; 2], zero);
         let cols = Columns::new(group, width, q.len());
         for (p, &x) in q.iter().enumerate() {
-            // SAFETY: same target features as this function; `x` has a
-            // row by this function's precondition.
-            unsafe { add_column::<WIDE>(row(rows, x), cols.get(p), &mut s) };
+            let col = cols.get(p);
+            // SAFETY: `x` has a row by this function's precondition.
+            let (lo, hi) = unsafe { row(rows, x) };
+            seen = _mm_max_epu8(seen, col);
+            // `pshufb` indexes by the low four bits; bit 4 of the code
+            // (moved to each byte's sign bit) picks the table.
+            let upper = _mm_slli_epi16(col, 3);
+            let cost = _mm_blendv_epi8(_mm_shuffle_epi8(lo, col), _mm_shuffle_epi8(hi, col), upper);
+            if WIDE {
+                acc[0] = _mm_adds_epu16(acc[0], _mm_unpacklo_epi8(cost, zero));
+                acc[1] = _mm_adds_epu16(acc[1], _mm_unpackhi_epi8(cost, zero));
+            } else {
+                acc[0] = _mm_adds_epu8(acc[0], cost);
+            }
         }
-        // SAFETY: same target features as this function.
-        unsafe { finish::<WIDE>(s, rows, limit, sums) }
+        let (wide, within) = if WIDE {
+            let lim = _mm_set1_epi16(limit as i16);
+            let lo = _mm_cmpeq_epi16(_mm_min_epu16(acc[0], lim), acc[0]);
+            let hi = _mm_cmpeq_epi16(_mm_min_epu16(acc[1], lim), acc[1]);
+            // Packing the all-ones / all-zeros words keeps lane order.
+            let mask = _mm_movemask_epi8(_mm_packs_epi16(lo, hi));
+            (acc, mask as u32)
+        } else {
+            let lim = _mm_set1_epi8(limit as u8 as i8);
+            let ok = _mm_cmpeq_epi8(_mm_min_epu8(acc[0], lim), acc[0]);
+            let lanes = [
+                _mm_unpacklo_epi8(acc[0], zero),
+                _mm_unpackhi_epi8(acc[0], zero),
+            ];
+            (lanes, _mm_movemask_epi8(ok) as u32)
+        };
+        // At most 32 letters have rows, so `top` fits a byte; saturating
+        // `seen − top` is non-zero exactly in the lanes over it.
+        let top = (rows.len() / ROW_BYTES).saturating_sub(1) as u8;
+        let excess = _mm_subs_epu8(seen, _mm_set1_epi8(top as i8));
+        let outside = !(_mm_movemask_epi8(_mm_cmpeq_epi8(excess, zero)) as u32) & 0xFFFF;
+        // SAFETY: `sums` is 32 bytes, two 16-byte halves.
+        unsafe {
+            _mm_storeu_si128(sums.as_mut_ptr() as *mut __m128i, wide[0]);
+            _mm_storeu_si128(sums.as_mut_ptr().add(8) as *mut __m128i, wide[1]);
+        }
+        (within, outside)
     }
 
     /// [`super::hamming_scan_lanes`]' vector path for windows of at most
@@ -1005,14 +682,22 @@ mod tests {
             }
             let cands: Vec<Vec<u8>> = (0..9).map(|j| windows(len, 4, 31 * j).0).collect();
             for bound in [0.0, want as f32, f32::INFINITY] {
-                let mut got = Vec::new();
-                hamming_scan(&a, cands.iter().map(Vec::as_slice), bound, &mut got);
+                let dispatched = crate::lanes::tests::scan_packed(&a, &cands, |group, out| {
+                    hamming_scan_lanes(&a, group, bound, out)
+                });
+                let per_pair = crate::lanes::tests::scan_packed(&a, &cands, |group, out| {
+                    crate::lanes::scan_per_pair(&a, group, bound, out, |q, c, bound| {
+                        let d = hamming_scalar(q, c) as f32;
+                        (d <= bound).then_some(d)
+                    })
+                });
                 let want: Vec<(u32, f32)> = (0u32..)
                     .zip(&cands)
                     .map(|(j, c)| (j, hamming_scalar(&a, c) as f32))
                     .filter(|&(_, d)| d <= bound)
                     .collect();
-                assert_eq!(got, want, "len {len} bound {bound}");
+                assert_eq!(dispatched, want, "len {len} bound {bound}");
+                assert_eq!(per_pair, want, "len {len} bound {bound} per pair");
             }
         }
     }
@@ -1042,7 +727,8 @@ mod tests {
             return;
         }
         // Direct kernel test (no global toggle): a 24-letter table with
-        // entries that make some lanes saturate, every tile shape.
+        // entries that make some lanes saturate, over one full lane group
+        // packed by `write_lanes` (whole transpose tiles and remainders).
         let n = 24usize;
         let table: Vec<u32> = (0..n * n)
             .map(|i| {
@@ -1062,10 +748,8 @@ mod tests {
         for len in [1usize, 5, 15, 16, 17, 31, 32, 40, 48] {
             let (q, _) = windows(len, n, 900 + len as u32);
             let cands: Vec<Vec<u8>> = (0..16).map(|j| windows(len, n, 77 * j + 1).0).collect();
-            let mut group: [&[u8]; 16] = [&[]; 16];
-            for (slot, c) in group.iter_mut().zip(&cands) {
-                *slot = c;
-            }
+            let mut lanes = vec![0u8; crate::lanes::lane_bytes(16, len)];
+            crate::lanes::write_lanes(cands.iter().map(Vec::as_slice), len, &mut lanes);
             // Narrow lanes take limits below 255; wide lanes any, and
             // their sums never saturate here (at most 26 × 48).
             for (wide, limit) in [
@@ -1084,9 +768,9 @@ mod tests {
                 // construction; rows built for n with all codes < n.
                 let (within, outside) = unsafe {
                     if wide {
-                        x86::matrix_sums_x16::<true>(&rows, &q, &group, limit, &mut sums)
+                        x86::matrix_sums_lanes::<true>(&rows, &q, &lanes, 16, limit, &mut sums)
                     } else {
-                        x86::matrix_sums_x16::<false>(&rows, &q, &group, limit, &mut sums)
+                        x86::matrix_sums_lanes::<false>(&rows, &q, &lanes, 16, limit, &mut sums)
                     }
                 };
                 assert_eq!(outside, 0);

@@ -440,15 +440,22 @@ impl<M: Metric<[u8]>> VpTree<M> {
         &self.vantages[node as usize * self.window_len..][..self.window_len]
     }
 
-    /// Score `from` against the staged elements at `positions` with the
-    /// metric's whole-list kernel under no bound: `out` is replaced by
-    /// `(j, d)` for every `j`, in order, each `d` bit-identical to
-    /// `Metric::dist`.
+    /// Score `from` against the staged elements at `positions` under no
+    /// bound, through the metric's lane kernel: each run of up to
+    /// [`GROUP`] of them is packed into one reused scratch group. `out` is
+    /// replaced by `(j, d)` for every `j`, in order, each `d`
+    /// bit-identical to `Metric::dist`.
     fn scan_all(&self, from: &[u8], positions: &[u32], staged: &Staged, out: &mut Vec<(u32, f32)>) {
-        let len = self.window_len;
         out.clear();
-        let windows = positions.iter().map(|&p| staged.window(p, len));
-        self.metric.scan_bounded(from, windows, f32::INFINITY, out);
+        let mut scratch = vec![0u8; lane_bytes(GROUP, self.window_len)];
+        for run in positions.chunks(GROUP) {
+            let first = out.len() as u32;
+            let group = self.pack(run, staged, &mut scratch);
+            self.metric.scan_lanes(from, group, f32::INFINITY, out);
+            for scored in &mut out[first as usize..] {
+                scored.0 += first;
+            }
+        }
         assert_eq!(
             out.len(),
             positions.len(),
@@ -456,11 +463,26 @@ impl<M: Metric<[u8]>> VpTree<M> {
         );
     }
 
+    /// Lay the staged windows at `run` (at most [`GROUP`]) out lane-major
+    /// at the front of `scratch`, as one live lane group.
+    fn pack<'s>(&self, run: &[u32], staged: &Staged, scratch: &'s mut [u8]) -> LaneGroup<'s> {
+        let len = self.window_len;
+        let bytes = &mut scratch[..lane_bytes(run.len(), len)];
+        lanes::write_lanes(run.iter().map(|&p| staged.window(p, len)), len, bytes);
+        LaneGroup {
+            bytes,
+            width: run.len(),
+            live: run.len(),
+        }
+    }
+
     /// Yianilos' spread heuristic: sample a few candidates, estimate each
     /// one's distance spread against a random subset, keep the widest.
+    /// The probes are packed into one lane group once per vertex.
     fn pick_vantage(&self, items: &[u32], staged: &Staged, rng: &mut impl Rng) -> usize {
         const CANDIDATES: usize = 5;
         const PROBES: usize = 12;
+        const _: () = assert!(PROBES <= GROUP, "the probes fill one lane group");
         if items.len() <= 2 {
             return 0;
         }
@@ -472,11 +494,16 @@ impl<M: Metric<[u8]>> VpTree<M> {
             .into_iter()
             .map(|p| items[p])
             .collect();
+        let mut scratch = vec![0u8; lane_bytes(GROUP, len)];
+        let probes = self.pack(&probes, staged, &mut scratch);
         let mut best = (0usize, f32::NEG_INFINITY);
         let mut scored = Vec::with_capacity(n_probe);
         for c in cands {
             let cp = staged.window(items[c], len);
-            self.scan_all(cp, &probes, staged, &mut scored);
+            scored.clear();
+            self.metric
+                .scan_lanes(cp, probes, f32::INFINITY, &mut scored);
+            assert_eq!(scored.len(), n_probe, "an unbounded scan keeps every probe");
             let ds = scored.iter().map(|&(_, d)| d);
             let mean = ds.clone().sum::<f32>() / n_probe as f32;
             let var = ds.map(|d| (d - mean) * (d - mean)).sum::<f32>() / n_probe as f32;
@@ -1619,6 +1646,23 @@ mod tests {
         let protein = MatrixDistance::mendel(&ScoringMatrix::blosum62());
         assert_eq!(digest(protein, 20), 0x9DAE_3048_89E8_3F40);
         assert_eq!(digest(Hamming, 4), 0x1077_EB92_932A_2AD9);
+    }
+
+    /// A BLOSUM62 window holding code 24, one past the table, panics the
+    /// build wherever it sits: the build scores through the lane kernel,
+    /// which checks the query and every live lane against the table.
+    #[test]
+    fn build_over_an_out_of_table_code_panics() {
+        use mendel_seq::{MatrixDistance, ScoringMatrix};
+        for bad_at in [0usize, 17, 99] {
+            let mut points = random_points(100, 16, 20, 0x24);
+            points[bad_at][15] = 24;
+            let build = std::panic::catch_unwind(|| {
+                let metric = MatrixDistance::mendel(&ScoringMatrix::blosum62());
+                VpTree::build(points, metric, 8, 0x24)
+            });
+            assert!(build.is_err(), "code 24 in window {bad_at} accepted");
+        }
     }
 
     #[test]
