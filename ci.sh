@@ -138,6 +138,16 @@ if [ "$MODE" != "quick" ]; then
         cargo test --release -p mendel-align -q
 fi
 
+#    The SHA-1 compression kernels: the dispatched (SHA-NI) path against
+#    the scalar rounds on 2,000 random messages at random split points in
+#    the debug suite, 100,000 in this release run (the sweep ignores
+#    itself in debug builds). It fails if a CPU with the SHA extensions
+#    dispatched scalar, so it cannot quietly compare scalar with scalar.
+if [ "$MODE" != "quick" ]; then
+    step "SHA-1 kernel differential sweep (release)" \
+        cargo test --release -p mendel-dht -q
+fi
+
 # 8. Structural invariant checkers asserted at every mutation site
 #    (see DESIGN.md §8.2).
 if [ "$MODE" != "quick" ]; then

@@ -489,11 +489,13 @@ impl State {
                     let _ = write!(
                         body,
                         ",\"version\":\"{}\",\"git_sha\":\"{}\",\"uptime_seconds\":{},\
-                         \"kernel\":\"{}\",\"tracing\":{},\"trace_sample\":{}",
+                         \"kernel\":\"{}\",\"sha1_kernel\":\"{}\",\"tracing\":{},\
+                         \"trace_sample\":{}",
                         escape_json(env!("CARGO_PKG_VERSION")),
                         escape_json(env!("MENDEL_GIT_SHA")),
                         self.uptime.now().as_secs(),
                         escape_json(mendel_seq::simd::active_kernel()),
+                        escape_json(mendel_dht::sha1::active_kernel()),
                         self.cfg.tracing,
                         self.cfg.trace_sample,
                     );
@@ -962,6 +964,8 @@ mod tests {
             let health = call("GET", "/healthz?verbose=1", b"");
             let both = format!("\"blocks\":{blocks},\"hosted_blocks\":{hosted}");
             assert!(health.contains(&both), "{health}");
+            let sha1 = format!("\"sha1_kernel\":\"{}\"", mendel_dht::sha1::active_kernel());
+            assert!(health.contains(&sha1), "{health}");
             let metrics = call("GET", "/metrics", b"");
             let gauge = format!("\nmendel_hosted_blocks {hosted}\n");
             assert!(metrics.contains(&gauge), "{metrics}");

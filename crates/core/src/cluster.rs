@@ -373,6 +373,8 @@ impl MendelCluster {
     ) -> Vec<(Option<NodeId>, MendelError)> {
         let mut batches: BTreeMap<NodeId, Share> = BTreeMap::new();
         let mut down: BTreeSet<GroupId> = BTreeSet::new();
+        // Blocks routed to each group: its ledger's new keys at most.
+        let mut routed = vec![0usize; self.config.groups];
         // A node's blocks are kept where it is hosted or has a store to
         // persist them to; elsewhere the ledger needs their keys alone.
         let kept = |n: NodeId| self.hosts(n) || self.storage.is_some();
@@ -383,6 +385,7 @@ impl MendelCluster {
                     .filter(|n| !failed.contains_key(n))
                     .take(self.config.replication);
                 let mut placed = false;
+                routed[usize::from(g.0)] += 1;
                 for node in live {
                     batches
                         .entry(node)
@@ -393,6 +396,16 @@ impl MendelCluster {
                 if !placed {
                     down.insert(g);
                 }
+            }
+        }
+        // One reserve per group before the first `place`, not a rehash
+        // per doubling as each member's share lands. Exact for new keys;
+        // a rebalance re-placing keys a dark member still holds reserves
+        // that overlap too.
+        {
+            let mut ledger = self.ledger.write();
+            for (g, routed) in routed.iter().enumerate() {
+                ledger.reserve(GroupId(g as u16), *routed);
             }
         }
         let nodes = self.nodes.read();
@@ -465,27 +478,22 @@ impl MendelCluster {
         self.topology.read().nodes().all(|n| self.hosts(n))
     }
 
-    /// First-tier hash: window → vp-prefix bucket → group.
+    /// First-tier hash: window → vp-prefix bucket → group, the descent
+    /// stopping once the group is decided (no distance at all with one
+    /// group).
     fn group_of_window(&self, window: &[u8]) -> GroupId {
-        let prefix = self.prefix.hash(window);
-        GroupId(
-            self.assignment
-                .group_of_bucket(self.prefix.bucket_index(prefix)) as u16,
-        )
+        GroupId(self.prefix.group_of(window, &self.assignment) as u16)
     }
 
     /// All groups a subquery window routes to under tolerance τ (§V-B:
-    /// "multiple groups can be selected ... if the path branches").
+    /// "multiple groups can be selected ... if the path branches"),
+    /// sorted; each branch stops once its group is decided.
     pub(crate) fn groups_of_window(&self, window: &[u8], tolerance: f32) -> Vec<GroupId> {
-        let mut groups: Vec<GroupId> = self
-            .prefix
-            .hash_with_tolerance(window, tolerance)
+        self.prefix
+            .groups_with_tolerance(window, tolerance, &self.assignment)
             .into_iter()
-            .map(|p| GroupId(self.assignment.group_of_bucket(self.prefix.bucket_index(p)) as u16))
-            .collect();
-        groups.sort_unstable();
-        groups.dedup();
-        groups
+            .map(|g| GroupId(g as u16))
+            .collect()
     }
 
     /// Resolve the Table I `M` parameter to a scoring matrix, checking it
@@ -1023,6 +1031,47 @@ mod tests {
 
     fn small_cluster(db: &Arc<SeqStore>) -> MendelCluster {
         MendelCluster::build(ClusterConfig::small_protein(), db.clone()).unwrap()
+    }
+
+    /// Per-pair distances `f` computes on this thread.
+    fn distances(f: impl FnOnce()) -> u64 {
+        use crate::metric::tests::DIST_CALLS;
+        let before = DIST_CALLS.with(|n| n.get());
+        f();
+        DIST_CALLS.with(|n| n.get()) - before
+    }
+
+    /// Route every block window, at ingest (`group_of_window`) and as a
+    /// subquery under tolerance (`groups_of_window`), and plan a query.
+    fn route_everything(c: &MendelCluster, db: &SeqStore) {
+        let len = c.config().block_len;
+        for s in db.iter() {
+            for w in s.residues.windows(len) {
+                let g = c.group_of_window(w);
+                for tau in [0.0, 1.5, f32::INFINITY] {
+                    assert!(c.groups_of_window(w, tau).contains(&g));
+                }
+            }
+        }
+        let q = db.get(SeqId(4)).unwrap().residues.clone();
+        crate::pipeline::plan(c, &q, &QueryParams::protein()).unwrap();
+    }
+
+    /// With one group the first tier's root is decided: ingest routing,
+    /// tolerance routing and the query plan compute no prefix distance.
+    /// Two groups over the same data pay for theirs.
+    #[test]
+    fn one_group_routing_computes_no_prefix_distance() {
+        let db = small_db();
+        let one = ClusterConfig {
+            nodes: 3,
+            groups: 1,
+            ..ClusterConfig::small_protein()
+        };
+        let c = MendelCluster::build(one, db.clone()).unwrap();
+        assert_eq!(distances(|| route_everything(&c, &db)), 0);
+        let two = small_cluster(&db);
+        assert!(distances(|| route_everything(&two, &db)) > 0);
     }
 
     #[test]

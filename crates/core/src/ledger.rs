@@ -51,6 +51,12 @@ impl Ledger {
         }
     }
 
+    /// Make room in `g`'s key map for `additional` more keys, so the
+    /// `place` calls that follow add them without rehashing.
+    pub(crate) fn reserve(&mut self, g: GroupId, additional: usize) {
+        self.groups[g.0 as usize].keys.reserve(additional);
+    }
+
     /// Record that `node`, a member of `g`, now holds `keys`.
     pub(crate) fn place(
         &mut self,

@@ -45,6 +45,7 @@ impl BlockMetric {
 impl<T: AsRef<[u8]> + ?Sized> Metric<T> for BlockMetric {
     #[inline]
     fn dist(&self, a: &T, b: &T) -> f32 {
+        note_distance();
         match self {
             BlockMetric::Hamming => Hamming.dist(a.as_ref(), b.as_ref()),
             BlockMetric::Matrix(m) => m.dist(a.as_ref(), b.as_ref()),
@@ -70,10 +71,29 @@ impl<T: AsRef<[u8]> + ?Sized> Metric<T> for BlockMetric {
     }
 }
 
+/// Counts a per-pair distance where tests read the count
+/// (`tests::DIST_CALLS`); nothing in any other build.
+#[cfg(not(test))]
+#[inline(always)]
+fn note_distance() {}
+
 #[cfg(test)]
-mod tests {
+use tests::note_distance;
+
+#[cfg(test)]
+pub(crate) mod tests {
     use super::*;
     use mendel_seq::Alphabet;
+
+    thread_local! {
+        /// Per-pair distances this thread has computed through a
+        /// `BlockMetric`: the call count routing tests assert on.
+        pub(crate) static DIST_CALLS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    }
+
+    pub(super) fn note_distance() {
+        DIST_CALLS.with(|n| n.set(n.get() + 1));
+    }
 
     #[test]
     fn hamming_variant_counts_mismatches() {

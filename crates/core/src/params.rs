@@ -136,11 +136,16 @@ impl QueryParams {
                 self.s
             )));
         }
-        if self.e < 0.0 {
+        // `+∞` is legal for both: report every hit, route to every group.
+        // NaN compares false with everything, so it is refused by name.
+        if self.e.is_nan() || self.e < 0.0 {
             return Err(MendelError::Params(format!("E={} must be >= 0", self.e)));
         }
-        if self.group_tolerance < 0.0 {
-            return Err(MendelError::Params("group tolerance must be >= 0".into()));
+        if self.group_tolerance.is_nan() || self.group_tolerance < 0.0 {
+            return Err(MendelError::Params(format!(
+                "group tolerance {} must be >= 0",
+                self.group_tolerance
+            )));
         }
         if self.search_budget == 0 {
             return Err(MendelError::Params("search budget must be >= 1".into()));
@@ -235,6 +240,26 @@ mod tests {
         }
         .validate()
         .is_err());
+        assert!(QueryParams {
+            e: f64::NAN,
+            ..ok.clone()
+        }
+        .validate()
+        .is_err());
+        assert!(QueryParams {
+            group_tolerance: f32::NAN,
+            ..ok.clone()
+        }
+        .validate()
+        .is_err());
+        // Infinity reports everything / routes everywhere, and is allowed.
+        QueryParams {
+            e: f64::INFINITY,
+            group_tolerance: f32::INFINITY,
+            ..ok.clone()
+        }
+        .validate()
+        .unwrap();
         assert!(QueryParams {
             search_budget: 0,
             ..ok.clone()

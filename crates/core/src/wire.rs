@@ -1864,8 +1864,9 @@ mod tests {
 
     /// Parameters that decode but would have panicked below the trust
     /// boundary: a neighbour count no heap can preallocate, a DNA
-    /// matrix name whose scores `ScoringMatrix::dna` asserts against, and
-    /// a negative ungapped X-drop, which `extend_ungapped` asserts against.
+    /// matrix name whose scores `ScoringMatrix::dna` asserts against, a
+    /// negative ungapped X-drop, which `extend_ungapped` asserts against,
+    /// and a NaN identity or consecutivity threshold.
     #[test]
     fn hostile_wire_params_do_not_stop_a_node() {
         let cluster = cluster();
@@ -1889,7 +1890,7 @@ mod tests {
             },
         ];
         let stranger = net.port(STRANGER);
-        for params in hostile {
+        let send = |params: WireParams| {
             let msg = QueryMsg {
                 tag: TAG_NODE_QUERY,
                 query: q[..40].to_vec(),
@@ -1899,10 +1900,66 @@ mod tests {
             for node in topo.nodes() {
                 assert!(stranger.send(node_addr(node), 0, msg.to_bytes()));
             }
-        }
+        };
+        hostile.into_iter().for_each(send);
         let next = ask(&cluster, &net, &q, &QueryParams::protein());
         assert_eq!(next.unreachable, Vec::<NodeId>::new());
         assert_eq!(next.hits, clean.hits);
+        // A NaN `i` or `c` fails `validate` at the trust boundary: each
+        // copy is counted as rejected, and the answer stands.
+        let rejected = || {
+            cluster
+                .metrics_registry()
+                .snapshot()
+                .counter("mendel.wire.rejected_requests")
+        };
+        let before = rejected();
+        let nan = [
+            WireParams {
+                i: f32::NAN,
+                ..WireParams::of(&params)
+            },
+            WireParams {
+                c: f32::NAN,
+                ..WireParams::of(&params)
+            },
+        ];
+        nan.into_iter().for_each(send);
+        let next = ask(&cluster, &net, &q, &QueryParams::protein());
+        assert_eq!(next.hits, clean.hits);
+        assert_eq!(rejected() - before, 2 * topo.nodes().count() as u64);
+    }
+
+    /// `E` and τ do not travel (a node neither filters by E-value nor
+    /// routes), so a NaN in either stops at the front end's `validate`
+    /// and no request is sent.
+    #[test]
+    fn nan_e_value_or_tolerance_is_refused_before_any_request() {
+        let cluster = cluster();
+        let net = InlineNet::new(&cluster, FRONT, None, WireTimeouts::default());
+        let q = cluster.db().get(SeqId(2)).unwrap().residues.clone();
+        let ok = QueryParams::protein();
+        for params in [
+            QueryParams {
+                e: f64::NAN,
+                ..ok.clone()
+            },
+            QueryParams {
+                group_tolerance: f32::NAN,
+                ..ok.clone()
+            },
+        ] {
+            let timeouts = WireTimeouts::default();
+            let Err(err) = query_via(&cluster, &net.port(FRONT), &q, &params, &timeouts) else {
+                panic!("NaN parameters were accepted");
+            };
+            assert!(matches!(err, MendelError::Params(_)), "{err}");
+        }
+        let rejected = cluster
+            .metrics_registry()
+            .snapshot()
+            .counter("mendel.wire.rejected_requests");
+        assert_eq!(rejected, 0, "nothing reached a node");
     }
 
     // ---- Late replies (DESIGN.md §16.3) -------------------------------

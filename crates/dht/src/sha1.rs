@@ -5,6 +5,21 @@
 //! uniformity matters here — SHA-1's cryptographic retirement is
 //! irrelevant to load balancing — so a dependency-free 80-round
 //! implementation suffices. Validated against the FIPS test vectors.
+//!
+//! The compression function has two kernels. On an x86_64 CPU with the
+//! SHA extensions (plus SSSE3 and SSE4.1) it runs `sha1rnds4`,
+//! `sha1nexte`, `sha1msg1` and `sha1msg2`, four rounds per instruction
+//! (`sha1/shani.rs`); elsewhere, and whenever
+//! [`mendel_seq::simd::set_simd_enabled`]`(false)` holds, it runs the
+//! portable scalar rounds, which are also the oracle the SHA-NI kernel
+//! is tested against. Both produce the same digest for every input, so
+//! the kernel decides speed only. Every caller shares the dispatch:
+//! [`sha1_u64`] (block placement and repair), the streaming [`Sha1`],
+//! and through it the store's blob digests and bloom keys.
+//! [`active_kernel`] names the kernel that runs.
+
+#[cfg(target_arch = "x86_64")]
+mod shani;
 
 /// The initial hash value (FIPS 180-1 §7).
 const H0: [u32; 5] = [
@@ -15,10 +30,60 @@ const H0: [u32; 5] = [
     0xC3D2_E1F0,
 ];
 
+/// A compression kernel: the scalar rounds, or SHA-NI where it runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Kernel {
+    Scalar,
+    #[cfg(target_arch = "x86_64")]
+    ShaNi,
+}
+
+impl Kernel {
+    /// The kernel this CPU and the SIMD kill switch allow.
+    fn dispatch() -> Self {
+        #[cfg(target_arch = "x86_64")]
+        if mendel_seq::simd::simd_enabled()
+            && std::arch::is_x86_feature_detected!("sha")
+            && std::arch::is_x86_feature_detected!("ssse3")
+            && std::arch::is_x86_feature_detected!("sse4.1")
+        {
+            return Kernel::ShaNi;
+        }
+        Kernel::Scalar
+    }
+
+    /// Compress every 64-byte block of `blocks` into `h`, in order.
+    fn compress(self, h: &mut [u32; 5], blocks: &[u8]) {
+        debug_assert_eq!(blocks.len() % 64, 0);
+        match self {
+            Kernel::Scalar => blocks
+                .chunks_exact(64)
+                .for_each(|block| compress_scalar(h, block)),
+            // SAFETY: `dispatch` returns `ShaNi` only after detecting SHA,
+            // SSSE3 and SSE4.1 at runtime, and `blocks` is whole blocks.
+            #[cfg(target_arch = "x86_64")]
+            Kernel::ShaNi => unsafe { shani::compress(h, blocks) },
+        }
+    }
+}
+
+/// Name of the SHA-1 kernel that runs, honouring the SIMD kill switch:
+/// `sha-ni` on a CPU with the SHA extensions, SSSE3 and SSE4.1, else
+/// `scalar`. Reported by `/healthz?verbose=1`.
+pub fn active_kernel() -> &'static str {
+    match Kernel::dispatch() {
+        Kernel::Scalar => "scalar",
+        #[cfg(target_arch = "x86_64")]
+        Kernel::ShaNi => "sha-ni",
+    }
+}
+
 /// Streaming SHA-1 state.
 #[derive(Debug, Clone)]
 pub struct Sha1 {
     h: [u32; 5],
+    /// The compression kernel, chosen once when the hasher is made.
+    kernel: Kernel,
     /// Bytes processed so far (for the length suffix).
     len: u64,
     /// Partial block buffer.
@@ -35,8 +100,13 @@ impl Default for Sha1 {
 impl Sha1 {
     /// Fresh hash state.
     pub fn new() -> Self {
+        Self::with_kernel(Kernel::dispatch())
+    }
+
+    fn with_kernel(kernel: Kernel) -> Self {
         Sha1 {
             h: H0,
+            kernel,
             len: 0,
             buf: [0u8; 64],
             buf_len: 0,
@@ -52,15 +122,13 @@ impl Sha1 {
             self.buf_len += take;
             data = &data[take..];
             if self.buf_len == 64 {
-                compress(&mut self.h, &self.buf);
+                self.kernel.compress(&mut self.h, &self.buf);
                 self.buf_len = 0;
             }
         }
-        let mut blocks = data.chunks_exact(64);
-        for block in &mut blocks {
-            compress(&mut self.h, block);
-        }
-        data = blocks.remainder();
+        let whole = data.len() / 64 * 64;
+        self.kernel.compress(&mut self.h, &data[..whole]);
+        data = &data[whole..];
         if !data.is_empty() {
             self.buf[..data.len()].copy_from_slice(data);
             self.buf_len = data.len();
@@ -92,9 +160,10 @@ impl Sha1 {
     }
 }
 
-/// The compression function over one 64-byte block. The four 20-round
-/// phases run as four loops, so no round decides which phase it is in.
-fn compress(h: &mut [u32; 5], block: &[u8]) {
+/// The scalar compression function over one 64-byte block. The four
+/// 20-round phases run as four loops, so no round decides which phase it
+/// is in.
+fn compress_scalar(h: &mut [u32; 5], block: &[u8]) {
     debug_assert_eq!(block.len(), 64);
     let mut w = [0u32; 80];
     for (wi, chunk) in w.iter_mut().zip(block.chunks_exact(4)) {
@@ -115,7 +184,7 @@ fn compress(h: &mut [u32; 5], block: &[u8]) {
     }
 }
 
-/// One phase of [`compress`]: a round per schedule word, with the
+/// One phase of [`compress_scalar`]: a round per schedule word, with the
 /// phase's constant `k` and boolean function `f(b, c, d)`.
 #[inline(always)]
 fn rounds(s: &mut [u32; 5], w: &[u32], k: u32, f: impl Fn(u32, u32, u32) -> u32) {
@@ -147,16 +216,21 @@ pub fn sha1(data: &[u8]) -> [u8; 20] {
 /// by [`crate::placement`]. An input under 56 bytes (every block key)
 /// fits one padded block, built on the stack and compressed once.
 pub fn sha1_u64(data: &[u8]) -> u64 {
+    head(Kernel::dispatch(), data)
+}
+
+/// [`sha1_u64`] on a given kernel.
+fn head(kernel: Kernel, data: &[u8]) -> u64 {
     let h = if data.len() < 56 {
         let mut block = [0u8; 64];
         block[..data.len()].copy_from_slice(data);
         block[data.len()] = 0x80;
         block[56..].copy_from_slice(&(data.len() as u64 * 8).to_be_bytes());
         let mut h = H0;
-        compress(&mut h, &block);
+        kernel.compress(&mut h, &block);
         h
     } else {
-        let mut s = Sha1::new();
+        let mut s = Sha1::with_kernel(kernel);
         s.update(data);
         s.finish()
     };
@@ -166,60 +240,92 @@ pub fn sha1_u64(data: &[u8]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mendel_seq::simd::set_simd_enabled;
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
+    use std::sync::{Mutex, MutexGuard};
 
     fn hex(d: &[u8]) -> String {
         d.iter().map(|b| format!("{b:02x}")).collect()
     }
 
+    /// Held by every test here that flips the process-wide SIMD switch or
+    /// needs it on: the dispatched path must not quietly run scalar.
+    fn switch() -> MutexGuard<'static, ()> {
+        static SWITCH: Mutex<()> = Mutex::new(());
+        SWITCH.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// The digest of `data` with the SIMD switch on, then off.
+    fn both_settings(data: &[u8]) -> [[u8; 20]; 2] {
+        let _held = switch();
+        let on = sha1(data);
+        let prev = set_simd_enabled(false);
+        let off = sha1(data);
+        set_simd_enabled(prev);
+        [on, off]
+    }
+
+    /// `data`'s hex digest under both settings of the SIMD switch.
+    fn fips(data: &[u8], want: &str) {
+        for (digest, setting) in both_settings(data).iter().zip(["on", "off"]) {
+            assert_eq!(hex(digest), want, "SIMD {setting}");
+        }
+    }
+
+    /// Whether this CPU runs the SHA-NI kernel with the switch on.
+    fn cpu_has_sha_ni() -> bool {
+        #[cfg(target_arch = "x86_64")]
+        {
+            std::arch::is_x86_feature_detected!("sha")
+                && std::arch::is_x86_feature_detected!("ssse3")
+                && std::arch::is_x86_feature_detected!("sse4.1")
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        {
+            false
+        }
+    }
+
     #[test]
     fn fips_vector_empty() {
-        assert_eq!(hex(&sha1(b"")), "da39a3ee5e6b4b0d3255bfef95601890afd80709");
+        fips(b"", "da39a3ee5e6b4b0d3255bfef95601890afd80709");
     }
 
     #[test]
     fn fips_vector_abc() {
-        assert_eq!(
-            hex(&sha1(b"abc")),
-            "a9993e364706816aba3e25717850c26c9cd0d89d"
-        );
+        fips(b"abc", "a9993e364706816aba3e25717850c26c9cd0d89d");
     }
 
     #[test]
     fn fips_vector_two_blocks() {
-        assert_eq!(
-            hex(&sha1(
-                b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"
-            )),
-            "84983e441c3bd26ebaae4aa1f95129e5e54670f1"
+        fips(
+            b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+            "84983e441c3bd26ebaae4aa1f95129e5e54670f1",
         );
     }
 
     #[test]
     fn fips_vector_896_bit() {
         // NIST's 896-bit two-block message.
-        assert_eq!(
-            hex(&sha1(
-                b"abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmn\
-                  hijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu"
-            )),
-            "a49b2446a02c645bf419f995b67091253a04a259"
+        fips(
+            b"abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmn\
+              hijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu",
+            "a49b2446a02c645bf419f995b67091253a04a259",
         );
     }
 
     #[test]
     fn fips_vector_million_a() {
         let data = vec![b'a'; 1_000_000];
-        assert_eq!(
-            hex(&sha1(&data)),
-            "34aa973cd4c4daa4f61eeb2bdbad27316534016f"
-        );
+        fips(&data, "34aa973cd4c4daa4f61eeb2bdbad27316534016f");
     }
 
     #[test]
     fn quick_brown_fox() {
-        assert_eq!(
-            hex(&sha1(b"The quick brown fox jumps over the lazy dog")),
-            "2fd4e1c67a2d28fced849ee1bb76e7391b93eb12"
+        fips(
+            b"The quick brown fox jumps over the lazy dog",
+            "2fd4e1c67a2d28fced849ee1bb76e7391b93eb12",
         );
     }
 
@@ -249,6 +355,91 @@ mod tests {
             }
             assert_eq!(bytewise.finalize(), want, "length {n} fed bytewise");
         }
+    }
+
+    /// The switch-on (dispatched) path equals the kill-switch path at
+    /// every length from empty to past four blocks and every split of the
+    /// streaming hasher's input, and `sha1_u64` is the digest's head on
+    /// both.
+    #[test]
+    fn kill_switch_path_equals_the_dispatched_path() {
+        let _held = switch();
+        for n in 0..=300usize {
+            let data: Vec<u8> = (0..n).map(|i| (i * 131 + n * 7) as u8).collect();
+            let mut runs = [Vec::new(), Vec::new()];
+            for (on, run) in [true, false].into_iter().zip(&mut runs) {
+                let prev = set_simd_enabled(on);
+                for split in 0..=n {
+                    let mut s = Sha1::new();
+                    s.update(&data[..split]);
+                    s.update(&data[split..]);
+                    run.push(s.finalize());
+                }
+                let head = u64::from_be_bytes(run[0][..8].try_into().unwrap());
+                assert_eq!(sha1_u64(&data), head, "length {n}, SIMD on: {on}");
+                set_simd_enabled(prev);
+            }
+            assert_eq!(runs[0], runs[1], "length {n}");
+            assert!(runs[0].iter().all(|d| *d == runs[0][0]), "length {n}");
+        }
+    }
+
+    /// `count` random messages of 0–299 bytes, each streamed in at a
+    /// random split point through the dispatched kernel and through the
+    /// scalar rounds: equal digests and heads. On a CPU with the SHA
+    /// extensions the dispatched kernel must be SHA-NI, so the sweep
+    /// cannot quietly compare scalar with scalar.
+    fn kernels_agree(count: usize, seed: u64) {
+        let _held = switch();
+        let dispatched = Kernel::dispatch();
+        if cpu_has_sha_ni() {
+            assert_ne!(dispatched, Kernel::Scalar, "SHA-NI CPU dispatched scalar");
+            assert_eq!(active_kernel(), "sha-ni");
+        }
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let mut data = Vec::with_capacity(300);
+        for case in 0..count {
+            let n = rng.random_range(0..300usize);
+            data.clear();
+            data.extend((0..n).map(|_| rng.random::<u8>()));
+            let split = rng.random_range(0..=n);
+            let digest = |kernel| {
+                let mut s = Sha1::with_kernel(kernel);
+                s.update(&data[..split]);
+                s.update(&data[split..]);
+                s.finalize()
+            };
+            let want = digest(Kernel::Scalar);
+            assert_eq!(
+                digest(dispatched),
+                want,
+                "case {case}: {n} bytes split at {split}"
+            );
+            let head = head(Kernel::Scalar, &data);
+            assert_eq!(head, u64::from_be_bytes(want[..8].try_into().unwrap()));
+            assert_eq!(super::head(dispatched, &data), head, "case {case}: head");
+        }
+    }
+
+    #[test]
+    fn dispatched_kernel_equals_the_scalar_rounds() {
+        kernels_agree(2_000, 0x5A1);
+    }
+
+    /// The same at 50× the cases, in release only (`ci.sh`).
+    #[test]
+    #[cfg_attr(debug_assertions, ignore)]
+    fn dispatched_kernel_equals_the_scalar_rounds_release_sweep() {
+        kernels_agree(100_000, 0x5A2);
+    }
+
+    #[test]
+    fn kill_switch_names_the_scalar_kernel() {
+        let _held = switch();
+        let prev = set_simd_enabled(false);
+        let off = active_kernel();
+        set_simd_enabled(prev);
+        assert_eq!(off, "scalar");
     }
 
     #[test]

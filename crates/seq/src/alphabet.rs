@@ -21,6 +21,60 @@ pub const PROTEIN_X: u8 = 22;
 /// Code of the DNA wildcard base `N`.
 pub const DNA_N: u8 = 4;
 
+/// The code-table entry of a byte with no code. No alphabet has 128 codes,
+/// so it is the only entry with its top bit set.
+const INVALID: u8 = 0xFF;
+
+/// The code of `byte` in `alphabet`, by the rules [`Alphabet::encode`]
+/// documents: case-insensitive; `U` is `T` in DNA; the other IUPAC
+/// ambiguity letters are `N` in DNA; `U`, `O` and `J` are `X` in protein.
+/// Run once per byte, at compile time, to fill the code tables.
+const fn rule(alphabet: Alphabet, byte: u8) -> Option<u8> {
+    let up = byte.to_ascii_uppercase();
+    match alphabet {
+        Alphabet::Dna => match up {
+            b'A' => Some(0),
+            b'C' => Some(1),
+            b'G' => Some(2),
+            b'T' | b'U' => Some(3),
+            b'N' | b'R' | b'Y' | b'S' | b'W' | b'K' | b'M' | b'B' | b'D' | b'H' | b'V' => {
+                Some(DNA_N)
+            }
+            _ => None,
+        },
+        Alphabet::Protein => match up {
+            b'*' => Some(23),
+            b'U' | b'O' | b'J' => Some(PROTEIN_X),
+            _ => {
+                let mut i = 0;
+                while i < PROTEIN_SYMBOLS.len() {
+                    if up.is_ascii_uppercase() && PROTEIN_SYMBOLS[i] == up {
+                        return Some(i as u8);
+                    }
+                    i += 1;
+                }
+                None
+            }
+        },
+    }
+}
+
+/// Every byte's [`rule`] code, [`INVALID`] where it has none.
+const fn code_table(alphabet: Alphabet) -> [u8; 256] {
+    let mut table = [INVALID; 256];
+    let mut byte = 0;
+    while byte < 256 {
+        if let Some(code) = rule(alphabet, byte as u8) {
+            table[byte] = code;
+        }
+        byte += 1;
+    }
+    table
+}
+
+static DNA_TABLE: [u8; 256] = code_table(Alphabet::Dna);
+static PROTEIN_TABLE: [u8; 256] = code_table(Alphabet::Protein);
+
 /// A residue alphabet: DNA (`ACGTN`) or protein (NCBI 24-letter order).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Alphabet {
@@ -63,28 +117,19 @@ impl Alphabet {
     /// Unknown-but-plausible IUPAC bytes map to the wildcard (`N`/`X`) so
     /// real-world FASTA with rare ambiguity codes still loads; genuinely
     /// non-alphabetic bytes return `None`.
+    #[inline]
     pub fn encode(self, byte: u8) -> Option<u8> {
-        let up = byte.to_ascii_uppercase();
+        let code = self.table()[byte as usize];
+        (code != INVALID).then_some(code)
+    }
+
+    /// The alphabet's 256-entry code table ([`INVALID`] where a byte has
+    /// no code).
+    #[inline]
+    fn table(self) -> &'static [u8; 256] {
         match self {
-            Alphabet::Dna => match up {
-                b'A' => Some(0),
-                b'C' => Some(1),
-                b'G' => Some(2),
-                b'T' | b'U' => Some(3),
-                b'N' | b'R' | b'Y' | b'S' | b'W' | b'K' | b'M' | b'B' | b'D' | b'H' | b'V' => {
-                    Some(DNA_N)
-                }
-                _ => None,
-            },
-            Alphabet::Protein => match up {
-                b'*' => Some(23),
-                b'U' | b'O' | b'J' => Some(PROTEIN_X),
-                c if c.is_ascii_uppercase() => PROTEIN_SYMBOLS
-                    .iter()
-                    .position(|&s| s == c)
-                    .map(|i| i as u8),
-                _ => None,
-            },
+            Alphabet::Dna => &DNA_TABLE,
+            Alphabet::Protein => &PROTEIN_TABLE,
         }
     }
 
@@ -99,15 +144,20 @@ impl Alphabet {
     }
 
     /// Encode an ASCII byte string, failing on the first invalid byte.
+    /// One table look-up per byte; the bad byte is located only when the
+    /// pass saw one.
     pub fn encode_seq(self, bytes: &[u8]) -> Result<Vec<u8>, SeqError> {
-        bytes
-            .iter()
-            .enumerate()
-            .map(|(position, &byte)| {
-                self.encode(byte)
-                    .ok_or(SeqError::InvalidResidue { byte, position })
-            })
-            .collect()
+        let table = self.table();
+        let codes: Vec<u8> = bytes.iter().map(|&b| table[b as usize]).collect();
+        // `INVALID` is the only code with its top bit set.
+        if codes.iter().fold(0, |acc, &c| acc | c) < 0x80 {
+            return Ok(codes);
+        }
+        let position = codes.iter().position(|&c| c == INVALID).unwrap_or(0);
+        Err(SeqError::InvalidResidue {
+            byte: bytes[position],
+            position,
+        })
     }
 
     /// Decode a slice of residue codes into an ASCII string.
@@ -188,6 +238,83 @@ mod tests {
                 position: 3
             }
         );
+    }
+
+    /// `encode` as it read before the code tables: the oracle every table
+    /// entry is checked against.
+    fn encode_as_written(alphabet: Alphabet, byte: u8) -> Option<u8> {
+        let up = byte.to_ascii_uppercase();
+        match alphabet {
+            Alphabet::Dna => match up {
+                b'A' => Some(0),
+                b'C' => Some(1),
+                b'G' => Some(2),
+                b'T' | b'U' => Some(3),
+                b'N' | b'R' | b'Y' | b'S' | b'W' | b'K' | b'M' | b'B' | b'D' | b'H' | b'V' => {
+                    Some(DNA_N)
+                }
+                _ => None,
+            },
+            Alphabet::Protein => match up {
+                b'*' => Some(23),
+                b'U' | b'O' | b'J' => Some(PROTEIN_X),
+                c if c.is_ascii_uppercase() => PROTEIN_SYMBOLS
+                    .iter()
+                    .position(|&s| s == c)
+                    .map(|i| i as u8),
+                _ => None,
+            },
+        }
+    }
+
+    #[test]
+    fn tables_equal_the_rules_on_every_byte() {
+        for alphabet in [Alphabet::Dna, Alphabet::Protein] {
+            for byte in 0..=255u8 {
+                assert_eq!(
+                    alphabet.encode(byte),
+                    encode_as_written(alphabet, byte),
+                    "{alphabet:?} byte {byte}"
+                );
+            }
+        }
+    }
+
+    /// `encode_seq` fails at the first byte the rules refuse, naming it and
+    /// its position, and otherwise encodes byte by byte.
+    #[test]
+    fn encode_seq_errors_where_the_byte_by_byte_encoding_does() {
+        let mut state = 0x9E37_79B9u32;
+        for alphabet in [Alphabet::Dna, Alphabet::Protein] {
+            for case in 0..2_000 {
+                let len = case % 97;
+                let bytes: Vec<u8> = (0..len)
+                    .map(|_| {
+                        state ^= state << 13;
+                        state ^= state >> 17;
+                        state ^= state << 5;
+                        // Mostly valid letters, now and then any byte.
+                        match state % 50 {
+                            0 => (state >> 8) as u8,
+                            r => alphabet.symbols()[r as usize % alphabet.size()],
+                        }
+                    })
+                    .collect();
+                let want: Result<Vec<u8>, SeqError> = bytes
+                    .iter()
+                    .enumerate()
+                    .map(|(position, &byte)| {
+                        encode_as_written(alphabet, byte)
+                            .ok_or(SeqError::InvalidResidue { byte, position })
+                    })
+                    .collect();
+                assert_eq!(
+                    alphabet.encode_seq(&bytes),
+                    want,
+                    "{alphabet:?} case {case}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -14,6 +14,13 @@
 //! Queries carry a tolerance τ: when a query ball straddles a partition
 //! boundary (`|d − μ| ≤ τ`) the traversal follows *both* children and the
 //! query is replicated to every group reached (§V-B).
+//!
+//! Routing wants the *group*, not the bucket. A [`GroupAssignment`] maps
+//! contiguous bucket ranges to groups, so a vertex whose buckets all lie
+//! in one group already names it: [`VpPrefixTree::group_of`] and
+//! [`VpPrefixTree::groups_with_tolerance`] stop there and compute no
+//! distance below it. With one group the root is decided and a window
+//! routes with no distance at all.
 
 use mendel_seq::Metric;
 use rand::{Rng, SeedableRng};
@@ -188,6 +195,80 @@ impl<M: Metric<[u8]>> VpPrefixTree<M> {
         }
     }
 
+    /// The group of `window` under `groups`: exactly
+    /// `groups.group_of_bucket(self.bucket_index(self.hash(window)))`, but
+    /// the descent stops at the first vertex whose buckets all map to one
+    /// group, so no distance is computed below it.
+    pub fn group_of(&self, window: &[u8], groups: &GroupAssignment) -> usize {
+        debug_assert_eq!(groups.num_buckets(), self.num_buckets());
+        let mut node = 0usize;
+        loop {
+            if let Some(g) = self.decided(node, groups) {
+                return g;
+            }
+            let pn = &self.nodes[node];
+            let right = self.metric.dist(window, &pn.vantage) > pn.radius;
+            node = 2 * node + 1 + usize::from(right);
+        }
+    }
+
+    /// The groups `window` reaches under tolerance `tau`, sorted and
+    /// de-duplicated: exactly the groups of [`Self::hash_with_tolerance`]'s
+    /// buckets, with every branch stopped at the first vertex whose
+    /// buckets all map to one group.
+    pub fn groups_with_tolerance(
+        &self,
+        window: &[u8],
+        tau: f32,
+        groups: &GroupAssignment,
+    ) -> Vec<usize> {
+        debug_assert_eq!(groups.num_buckets(), self.num_buckets());
+        let mut out = Vec::new();
+        self.groups_tol_rec(0, window, tau, groups, &mut out);
+        out.sort_unstable();
+        out.dedup();
+        out
+    }
+
+    fn groups_tol_rec(
+        &self,
+        node: usize,
+        window: &[u8],
+        tau: f32,
+        groups: &GroupAssignment,
+        out: &mut Vec<usize>,
+    ) {
+        if let Some(g) = self.decided(node, groups) {
+            out.push(g);
+            return;
+        }
+        let pn = &self.nodes[node];
+        let d = self.metric.dist(window, &pn.vantage);
+        let go_left = d <= pn.radius + tau;
+        let go_right = d + tau > pn.radius;
+        if go_left {
+            self.groups_tol_rec(2 * node + 1, window, tau, groups, out);
+        }
+        if go_right || !go_left {
+            self.groups_tol_rec(2 * node + 2, window, tau, groups, out);
+        }
+    }
+
+    /// The group of every bucket under heap vertex `node` (the leaves
+    /// past the internal vertices are the buckets), when they share one.
+    /// The vertex's path prefix is `node + 1`, whose bit length puts it at
+    /// level `l`, and it covers the `2^(depth − l)` buckets whose prefixes
+    /// extend it; an assignment is monotone, so the range's ends deciding
+    /// alike decides the whole range. A leaf is always decided.
+    #[inline]
+    fn decided(&self, node: usize, groups: &GroupAssignment) -> Option<usize> {
+        let prefix = node + 1;
+        let shift = self.depth - prefix.ilog2() as usize;
+        let lo = (prefix << shift) - self.num_buckets();
+        let g = groups.group_of_bucket(lo);
+        (g == groups.group_of_bucket(lo + (1 << shift) - 1)).then_some(g)
+    }
+
     /// Structural validation of the hash tree (the `strict-invariants`
     /// checker): heap completeness (`2^depth − 1` vertices), well-formed
     /// radii (non-negative; `+∞` marks starved fallback branches), and —
@@ -269,35 +350,45 @@ impl<M: Metric<[u8]>> VpPrefixTree<M> {
 /// user-configurable parameter").
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GroupAssignment {
-    buckets: usize,
+    /// `log2` of the bucket count.
+    shift: u32,
     groups: usize,
 }
 
 impl GroupAssignment {
-    /// Assignment of `buckets` hash buckets onto `groups` groups.
+    /// Assignment of `buckets` hash buckets — a power of two, as a prefix
+    /// tree's `2^depth` is — onto `groups` groups.
     ///
     /// # Panics
-    /// Panics unless `1 ≤ groups ≤ buckets`.
+    /// Panics unless `buckets` is a power of two and `1 ≤ groups ≤ buckets`.
     pub fn new(buckets: usize, groups: usize) -> Self {
+        assert!(
+            buckets.is_power_of_two(),
+            "bucket count {buckets} is not a power of two"
+        );
         assert!(groups >= 1, "at least one group");
         assert!(
             groups <= buckets,
             "more groups ({groups}) than buckets ({buckets})"
         );
-        GroupAssignment { buckets, groups }
+        GroupAssignment {
+            shift: buckets.trailing_zeros(),
+            groups,
+        }
     }
 
-    /// Group of a dense bucket index.
+    /// Group of a dense bucket index: `⌊bucket · groups / buckets⌋`, a
+    /// shift because the bucket count is a power of two.
     #[inline]
     pub fn group_of_bucket(&self, bucket: usize) -> usize {
-        debug_assert!(bucket < self.buckets);
-        bucket * self.groups / self.buckets
+        debug_assert!(bucket < self.num_buckets());
+        (bucket * self.groups) >> self.shift
     }
 
     /// Number of buckets.
     #[inline]
     pub fn num_buckets(&self) -> usize {
-        self.buckets
+        1 << self.shift
     }
 }
 
@@ -468,6 +559,104 @@ mod tests {
         let _: Tree = VpPrefixTree::build(vec![vec![0u8]], Hamming, 0, 0);
     }
 
+    /// For every depth 1–6 and every group count the tree allows, the
+    /// early-stopping traversals route random windows (and the sample)
+    /// exactly as grouping the full traversals' buckets does.
+    #[test]
+    fn group_traversals_equal_grouped_bucket_hashes() {
+        for depth in 1..=6usize {
+            let (t, sample) = build(depth, 40 + depth as u64);
+            let mut windows = random_points(100, 16, 90 + depth as u64);
+            windows.extend_from_slice(&sample[..20]);
+            for groups in 1..=t.num_buckets() {
+                let ga = GroupAssignment::new(t.num_buckets(), groups);
+                for (i, w) in windows.iter().enumerate() {
+                    let want = ga.group_of_bucket(t.bucket_index(t.hash(w)));
+                    assert_eq!(
+                        t.group_of(w, &ga),
+                        want,
+                        "depth {depth}, {groups} groups, window {i}"
+                    );
+                    for tau in [0.0, 0.5, 1.0, 1.5, 4.0, f32::INFINITY] {
+                        let mut want: Vec<usize> = t
+                            .hash_with_tolerance(w, tau)
+                            .into_iter()
+                            .map(|p| ga.group_of_bucket(t.bucket_index(p)))
+                            .collect();
+                        want.dedup();
+                        assert_eq!(
+                            t.groups_with_tolerance(w, tau, &ga),
+                            want,
+                            "depth {depth}, {groups} groups, window {i}, τ {tau}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// Hamming, counting its calls.
+    #[derive(Default)]
+    struct Counting(std::sync::atomic::AtomicUsize);
+
+    impl Metric<[u8]> for Counting {
+        fn dist(&self, a: &[u8], b: &[u8]) -> f32 {
+            self.0.fetch_add(1, std::sync::atomic::Ordering::Relaxed); // audit:ordering(Relaxed): a single-threaded test's call count
+            Hamming.dist(a, b)
+        }
+    }
+
+    /// Distances the group traversals compute for `windows` under `ga`:
+    /// one descent each, then one tolerance descent each at `tau`.
+    fn distances(
+        t: &VpPrefixTree<Counting>,
+        windows: &[Vec<u8>],
+        ga: &GroupAssignment,
+        tau: f32,
+    ) -> [usize; 2] {
+        let count = || t.metric.0.swap(0, std::sync::atomic::Ordering::Relaxed); // audit:ordering(Relaxed): a single-threaded test's call count
+        count();
+        for w in windows {
+            let _ = t.group_of(w, ga);
+        }
+        let exact = count();
+        for w in windows {
+            let _ = t.groups_with_tolerance(w, tau, ga);
+        }
+        [exact, count()]
+    }
+
+    #[test]
+    fn one_group_routes_with_no_distance() {
+        let sample = random_points(500, 16, 11);
+        let t = VpPrefixTree::build(sample.clone(), Counting::default(), 5, 11);
+        let one = GroupAssignment::new(t.num_buckets(), 1);
+        for tau in [0.0, 1.0, f32::INFINITY] {
+            assert_eq!(distances(&t, &sample, &one, tau), [0, 0], "τ {tau}");
+        }
+        // The full traversals pay a distance per level on the same tree.
+        let every = GroupAssignment::new(t.num_buckets(), t.num_buckets());
+        assert_eq!(distances(&t, &sample, &every, 0.0), [5 * 500, 5 * 500]);
+    }
+
+    /// Depth 3 over three groups (buckets → 0 0 0 1 1 1 2 2): three of the
+    /// four level-2 vertices are decided, so only windows that reach the
+    /// second of them pay a third distance.
+    #[test]
+    fn three_groups_stop_at_three_of_four_level_two_vertices() {
+        let t = VpPrefixTree::build(random_points(500, 16, 12), Counting::default(), 3, 12);
+        let ga = GroupAssignment::new(8, 3);
+        let decided: Vec<bool> = (3..7).map(|v| t.decided(v, &ga).is_some()).collect();
+        assert_eq!(decided, [true, false, true, true]);
+        assert!((0..3).all(|v| t.decided(v, &ga).is_none()));
+        let windows = random_points(300, 16, 13);
+        let via_vertex_4 = windows
+            .iter()
+            .filter(|w| matches!(t.bucket_index(t.hash(w)), 2 | 3))
+            .count();
+        assert_eq!(distances(&t, &windows, &ga, 0.0)[0], 2 * 300 + via_vertex_4);
+    }
+
     #[test]
     fn group_assignment_covers_all_groups_evenly() {
         let ga = GroupAssignment::new(64, 10);
@@ -492,5 +681,26 @@ mod tests {
     #[should_panic(expected = "more groups")]
     fn too_many_groups_rejected() {
         GroupAssignment::new(4, 8);
+    }
+
+    /// The shift is the division it replaces, for every bucket of every
+    /// assignment a depth 1–8 tree can make.
+    #[test]
+    fn group_of_bucket_is_the_floor_of_the_proportional_share() {
+        for depth in 1..=8 {
+            let buckets = 1usize << depth;
+            for groups in 1..=buckets {
+                let ga = GroupAssignment::new(buckets, groups);
+                for b in 0..buckets {
+                    assert_eq!(ga.group_of_bucket(b), b * groups / buckets);
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "power of two")]
+    fn bucket_count_must_be_a_power_of_two() {
+        GroupAssignment::new(48, 3);
     }
 }
