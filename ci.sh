@@ -148,6 +148,15 @@ if [ "$MODE" != "quick" ]; then
         cargo test --release -p mendel-dht -q
 fi
 
+#    The placement ledger at served size: a protein-long-shaped member
+#    build (60 families × 6 members × 800 residues) must keep its ledger
+#    within 4 bytes per block key, 8 per sequence and 4 KiB, and place
+#    every block of the corpus (the test ignores itself in debug builds).
+if [ "$MODE" != "quick" ]; then
+    step "served-size ledger footprint (release)" \
+        cargo test --release -p mendel --test footprint -q
+fi
+
 # 8. Structural invariant checkers asserted at every mutation site
 #    (see DESIGN.md §8.2).
 if [ "$MODE" != "quick" ]; then

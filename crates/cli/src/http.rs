@@ -102,6 +102,7 @@ fn status_reason(status: u16) -> &'static str {
         413 => "Payload Too Large",
         431 => "Request Header Fields Too Large",
         500 => "Internal Server Error",
+        501 => "Not Implemented",
         503 => "Service Unavailable",
         _ => "Response",
     }
@@ -219,8 +220,11 @@ enum PreambleError {
     /// No blank line within [`MAX_PREAMBLE`] bytes.
     TooLarge,
     /// A failed read, a line that is not UTF-8, or a `Content-Length`
-    /// that is not a number.
+    /// that is not a number or differs from an earlier one.
     Malformed(io::Error),
+    /// A `Transfer-Encoding` header: the body is framed in a way
+    /// neither side decodes.
+    TransferEncoding,
 }
 
 impl From<PreambleError> for io::Error {
@@ -231,13 +235,20 @@ impl From<PreambleError> for io::Error {
                 format!("preamble over {MAX_PREAMBLE} bytes"),
             ),
             PreambleError::Malformed(e) => e,
+            PreambleError::TransferEncoding => io::Error::new(
+                io::ErrorKind::InvalidData,
+                "Transfer-Encoding is not supported",
+            ),
         }
     }
 }
 
 /// Read one preamble — a first line, headers, a blank line — reading at
 /// most [`MAX_PREAMBLE`] bytes. The end of the stream also ends it, as a
-/// blank line would. Of the headers only `Content-Length` is kept.
+/// blank line would. Of the headers only `Content-Length` is kept. A
+/// body whose length the headers do not pin down — `Content-Length`s
+/// that disagree, or any `Transfer-Encoding`, which neither side
+/// decodes — is refused rather than guessed at.
 fn read_preamble(reader: &mut impl BufRead) -> Result<Preamble, PreambleError> {
     let mut budget = MAX_PREAMBLE as u64;
     let mut next_line = || {
@@ -265,10 +276,20 @@ fn read_preamble(reader: &mut impl BufRead) -> Result<Preamble, PreambleError> {
             break;
         }
         if let Some((name, value)) = header.split_once(':') {
+            let name = name.trim();
+            if name.eq_ignore_ascii_case("transfer-encoding") {
+                return Err(PreambleError::TransferEncoding);
+            }
             if name.eq_ignore_ascii_case("content-length") {
                 let n = value.trim().parse().map_err(|e| {
                     PreambleError::Malformed(io::Error::new(io::ErrorKind::InvalidData, e))
                 })?;
+                if content_length.is_some_and(|m| m != n) {
+                    return Err(PreambleError::Malformed(io::Error::new(
+                        io::ErrorKind::InvalidData,
+                        "differing Content-Length headers",
+                    )));
+                }
                 content_length = Some(n);
             }
         }
@@ -285,6 +306,7 @@ fn read_request(stream: &TcpStream) -> Result<Request, u16> {
     let preamble = read_preamble(&mut reader).map_err(|e| match e {
         PreambleError::TooLarge => 431u16,
         PreambleError::Malformed(_) => 400,
+        PreambleError::TransferEncoding => 501,
     })?;
     let mut parts = preamble.first.split_whitespace();
     let method = parts.next().ok_or(400u16)?.to_ascii_uppercase();
@@ -491,6 +513,45 @@ mod tests {
         assert_eq!(status, 200);
     }
 
+    /// The status line the server answers a raw `request` with.
+    fn raw_status(server: &HttpServer, request: &[u8]) -> String {
+        let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+        stream.write_all(request).expect("write");
+        let mut out = String::new();
+        let _ = BufReader::new(&stream).read_line(&mut out);
+        out
+    }
+
+    #[test]
+    fn differing_content_lengths_are_400_and_the_server_survives() {
+        let server = echo_server();
+        let out = raw_status(
+            &server,
+            b"POST /echo HTTP/1.1\r\nContent-Length: 4\r\nContent-Length: 8\r\n\r\nMKTAYIAK",
+        );
+        assert!(out.starts_with("HTTP/1.1 400"), "{out}");
+        // Repeating one value is not ambiguous.
+        let out = raw_status(
+            &server,
+            b"POST /echo HTTP/1.1\r\nContent-Length: 4\r\ncontent-length: 4\r\n\r\nMKTA",
+        );
+        assert!(out.starts_with("HTTP/1.1 200"), "{out}");
+        let (status, _) = http_request(server.local_addr(), "GET", "/healthz", b"").expect("alive");
+        assert_eq!(status, 200);
+    }
+
+    #[test]
+    fn chunked_request_is_501_not_an_empty_body() {
+        let server = echo_server();
+        let out = raw_status(
+            &server,
+            b"POST /echo HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n4\r\nMKTA\r\n0\r\n\r\n",
+        );
+        assert!(out.starts_with("HTTP/1.1 501"), "{out}");
+        let (status, _) = http_request(server.local_addr(), "GET", "/healthz", b"").expect("alive");
+        assert_eq!(status, 200);
+    }
+
     /// A peer that answers one connection with `reply`, whatever it asked.
     fn stub_peer(reply: Vec<u8>) -> SocketAddr {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
@@ -514,6 +575,17 @@ mod tests {
             .expect_err("a body over MAX_BODY");
         // Allocating the body and reading it would end in UnexpectedEof.
         assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+    }
+
+    #[test]
+    fn client_refuses_a_chunked_or_ambiguous_reply() {
+        let chunked = b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n2\r\n{}\r\n0\r\n\r\n";
+        let ambiguous = b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\nContent-Length: 3\r\n\r\n{} ";
+        for reply in [&chunked[..], &ambiguous[..]] {
+            let err = http_request(stub_peer(reply.to_vec()), "GET", "/metrics", b"")
+                .expect_err("an unframed reply");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        }
     }
 
     #[test]

@@ -24,7 +24,8 @@
 //!   `?verbose=1` adds build info (version, git sha), uptime, the
 //!   active SIMD kernel and, once serving, `blocks` / `hosted_blocks`
 //!   as `/ingest` reports them (`/metrics` exports the latter as the
-//!   `mendel_hosted_blocks` gauge).
+//!   `mendel_hosted_blocks` gauge) and `ledger_bytes`, what the
+//!   placement ledger holds (the `mendel_ledger_bytes` gauge).
 //! * `GET  /trace/<id>` — span records for one trace; `format=`
 //!   `chrome` (default, Perfetto-loadable) | `records` | `tree` |
 //!   `path`; `scope=cluster` (default) stitches fragments scraped from
@@ -502,9 +503,10 @@ impl State {
                     if let Some(cluster) = &cluster {
                         let _ = write!(
                             body,
-                            ",\"blocks\":{},\"hosted_blocks\":{}",
+                            ",\"blocks\":{},\"hosted_blocks\":{},\"ledger_bytes\":{}",
                             cluster.placed_copies(),
-                            cluster.total_blocks()
+                            cluster.total_blocks(),
+                            cluster.ledger_bytes()
                         );
                     }
                 }
@@ -966,8 +968,16 @@ mod tests {
             assert!(health.contains(&both), "{health}");
             let sha1 = format!("\"sha1_kernel\":\"{}\"", mendel_dht::sha1::active_kernel());
             assert!(health.contains(&sha1), "{health}");
+            // The ledger costs 4 bytes per block key, whatever node
+            // this process hosts.
+            let at = health.find("\"ledger_bytes\":").unwrap() + "\"ledger_bytes\":".len();
+            let digits = health[at..].split(|c: char| !c.is_ascii_digit()).next();
+            let ledger: usize = digits.unwrap().parse().unwrap();
+            assert!(0 < ledger && ledger <= 4 * blocks + 4096, "{health}");
             let metrics = call("GET", "/metrics", b"");
             let gauge = format!("\nmendel_hosted_blocks {hosted}\n");
+            assert!(metrics.contains(&gauge), "{metrics}");
+            let gauge = format!("\nmendel_ledger_bytes {ledger}\n");
             assert!(metrics.contains(&gauge), "{metrics}");
         }
         // Every process reports the same cluster-wide count, and the

@@ -248,6 +248,8 @@ impl MendelCluster {
                 metrics: StoreMetrics::registered(&obs, "mendel.store"),
             })),
         };
+        // One ledger slot per block key of the store, all `NONE`.
+        let ledger = Ledger::new(&db, config.block_len);
         let db: DbCell = Arc::new(RwLock::new(db));
         let nodes = (0..config.nodes)
             .map(|i| {
@@ -262,7 +264,7 @@ impl MendelCluster {
             assignment,
             nodes: RwLock::new(nodes),
             member: None,
-            ledger: RwLock::new(Ledger::new(config.groups)),
+            ledger: RwLock::new(ledger),
             failed: RwLock::new(HashMap::new()),
             group_epochs: RwLock::new(vec![0; config.groups]),
             repair_moves: AtomicU64::new(0),
@@ -373,8 +375,6 @@ impl MendelCluster {
     ) -> Vec<(Option<NodeId>, MendelError)> {
         let mut batches: BTreeMap<NodeId, Share> = BTreeMap::new();
         let mut down: BTreeSet<GroupId> = BTreeSet::new();
-        // Blocks routed to each group: its ledger's new keys at most.
-        let mut routed = vec![0usize; self.config.groups];
         // A node's blocks are kept where it is hosted or has a store to
         // persist them to; elsewhere the ledger needs their keys alone.
         let kept = |n: NodeId| self.hosts(n) || self.storage.is_some();
@@ -385,7 +385,6 @@ impl MendelCluster {
                     .filter(|n| !failed.contains_key(n))
                     .take(self.config.replication);
                 let mut placed = false;
-                routed[usize::from(g.0)] += 1;
                 for node in live {
                     batches
                         .entry(node)
@@ -396,16 +395,6 @@ impl MendelCluster {
                 if !placed {
                     down.insert(g);
                 }
-            }
-        }
-        // One reserve per group before the first `place`, not a rehash
-        // per doubling as each member's share lands. Exact for new keys;
-        // a rebalance re-placing keys a dark member still holds reserves
-        // that overlap too.
-        {
-            let mut ledger = self.ledger.write();
-            for (g, routed) in routed.iter().enumerate() {
-                ledger.reserve(GroupId(g as u16), *routed);
             }
         }
         let nodes = self.nodes.read();
@@ -433,26 +422,30 @@ impl MendelCluster {
         if let Share::Blocks(blocks) = &share {
             slot.persist(blocks)?;
         }
-        self.admit(g, slot, share);
-        Ok(())
+        self.admit(g, slot, share)
     }
 
     /// [`Self::place`] without the persist: ledger, then RAM if this
     /// cluster hosts the node. Asked for by name where the blocks are
     /// already on the node's disk (replay after a restart); every other
-    /// caller goes through `place`.
-    fn admit(&self, g: GroupId, slot: &NodeSlot, share: Share) {
+    /// caller goes through `place`. A share the ledger refuses reaches
+    /// neither.
+    fn admit(&self, g: GroupId, slot: &NodeSlot, share: Share) -> Result<(), MendelError> {
         match share {
             Share::Blocks(blocks) => {
                 self.ledger
                     .write()
-                    .place(g, slot.id(), blocks.iter().map(Block::key));
+                    .place(g, slot.id(), blocks.iter().map(Block::key))?;
                 if self.hosts(slot.id()) {
                     slot.insert_blocks(blocks);
                 }
             }
-            Share::Keys(keys) => self.ledger.write().place(g, slot.id(), keys),
+            Share::Keys(keys) => {
+                let keys = keys.iter().copied();
+                self.ledger.write().place(g, slot.id(), keys)?;
+            }
         }
+        Ok(())
     }
 
     /// Whether this cluster indexes `node`'s blocks ([`Self::build_member`]).
@@ -608,6 +601,7 @@ impl MendelCluster {
         let coverage = self.coverage();
         let gauge = |name: &str, v: usize| self.obs.gauge(name).set(v as i64);
         gauge("mendel.hosted_blocks", self.total_blocks());
+        gauge("mendel.ledger.bytes", self.ledger_bytes());
         gauge("mendel.coverage.blocks_expected", coverage.blocks_expected);
         gauge(
             "mendel.coverage.blocks_reachable",
@@ -837,6 +831,13 @@ impl MendelCluster {
         self.ledger.read().copies()
     }
 
+    /// Bytes the placement ledger holds: 4 per block key of the
+    /// reference store, 8 per sequence and its holder-set table — the
+    /// control plane's share of a process, whatever node it hosts.
+    pub fn ledger_bytes(&self) -> usize {
+        self.ledger.read().bytes()
+    }
+
     /// Wall-clock spent building + indexing.
     pub fn index_elapsed(&self) -> Duration {
         self.index_elapsed
@@ -887,6 +888,8 @@ impl MendelCluster {
             let mut guard = self.db.write();
             let mut extended = (**guard).clone();
             let ids = extended.insert_batch(seqs);
+            // The new keys get their ledger slots before any is routed.
+            self.ledger.write().extend_to(&extended);
             let arc = Arc::new(extended);
             *guard = arc.clone();
             (
@@ -1609,6 +1612,67 @@ mod tests {
             member.total_blocks(),
             full.node_handles()[2].read().block_count()
         );
+    }
+
+    #[test]
+    fn forged_replayed_key_keeps_the_node_failed_and_coverage_unchanged() {
+        let db = small_db();
+        let vfs: Arc<dyn Vfs> = Arc::new(MemVfs::plain(7));
+        let c = MendelCluster::build_with_storage(
+            durable_config(),
+            db.clone(),
+            Arc::new(MonotonicClock::new()),
+            Some(vfs.clone()),
+        )
+        .unwrap();
+        c.fail_node(NodeId(1)).unwrap();
+        let before = c.coverage();
+        // A block of a sequence the reference store lacks, written
+        // into the dark node's store as `persist` would.
+        let (mut store, _) = mendel_store::DurableStore::open(
+            vfs.clone(),
+            "node-1",
+            mendel_store::StoreOptions::default(),
+            StoreMetrics::detached(),
+        )
+        .unwrap();
+        let forged = BlockKey {
+            seq: SeqId(db.len() as u32 + 5),
+            start: 0,
+        };
+        let backing: Arc<[u8]> = Arc::from(vec![0u8; 16]);
+        store
+            .put_block(&forged.as_bytes(), &backing, 0, 16)
+            .unwrap();
+        store.sync().unwrap();
+        drop(store);
+        assert!(c.recover_node(NodeId(1)).is_err());
+        assert_eq!(c.failed_nodes(), vec![NodeId(1)]);
+        assert_eq!(c.coverage(), before);
+        c.check_ledger().unwrap();
+    }
+
+    #[test]
+    fn inserted_sequences_get_ledger_slots_and_count_in_coverage() {
+        let db = small_db();
+        let c = small_cluster(&db);
+        let (expected, bytes) = (c.coverage().blocks_expected, c.ledger_bytes());
+        let extra = NrLikeSpec {
+            families: 2,
+            members_per_family: 2,
+            length_range: (150, 200),
+            seed: 0xFEED,
+            ..Default::default()
+        }
+        .generate()
+        .unwrap();
+        let len = c.config().block_len;
+        let windows: usize = extra.iter().map(|s| s.len() + 1 - len).sum();
+        c.insert_sequences(extra.iter().cloned().collect()).unwrap();
+        assert_eq!(c.coverage().blocks_expected, expected + windows);
+        assert!(c.ledger_bytes() >= bytes + 4 * windows);
+        assert_eq!(c.placed_copies(), c.total_blocks());
+        c.check_ledger().unwrap();
     }
 
     // ---- Durable backend ----------------------------------------------

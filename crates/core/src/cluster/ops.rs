@@ -92,11 +92,14 @@ impl MendelCluster {
         let clock = self.obs.clock();
         let started = clock.now();
         let slot = self.slot(node);
-        let Some(blocks) = slot.replay()? else {
+        // A replayed key the ledger would refuse fails the replay like
+        // a corrupt disk: the node stays down, its holdings expected.
+        let accept = |blocks: &[Block]| self.ledger.read().check(g, blocks.iter().map(Block::key));
+        let Some(blocks) = slot.replay(accept)? else {
             return Ok(());
         };
         self.ledger.write().clear(g, node);
-        self.admit(g, &slot, Share::Blocks(blocks));
+        self.admit(g, &slot, Share::Blocks(blocks))?;
         let elapsed = clock.now().saturating_sub(started);
         self.obs
             .histogram("mendel.store.recovery.seconds")
@@ -346,7 +349,13 @@ impl MendelCluster {
     /// the ledger names it for.
     #[cfg(any(test, feature = "strict-invariants"))]
     pub fn check_ledger_for(&self, downs: &[Vec<NodeId>]) -> Result<(), String> {
-        self.ledger.read().check_invariants()?;
+        let db = self.db();
+        let len = self.config.block_len;
+        let group_of = |key: BlockKey| {
+            let seq = db.get(key.seq)?;
+            Some(self.group_of_window(seq.window(key.start as usize, len)?))
+        };
+        self.ledger.read().check_invariants(group_of)?;
         if !self.hosts_every_node() {
             return self.check_hosted_keys();
         }

@@ -489,9 +489,13 @@ impl NodeSlot {
     /// truncation) and read every block back. On `Ok` the store is open,
     /// the RAM empty, and the returned blocks are exactly what the disk
     /// holds — the caller indexes them *without* persisting them again.
-    /// On `Err` nothing changed. `None` on the memory backend, whose RAM
-    /// never left.
-    pub(crate) fn replay(&self) -> Result<Option<Vec<Block>>, MendelError> {
+    /// `accept` sees the blocks first; its refusal, like the disk's,
+    /// is an `Err` on which nothing changed. `None` on the memory
+    /// backend, whose RAM never left.
+    pub(crate) fn replay(
+        &self,
+        accept: impl FnOnce(&[Block]) -> Result<(), MendelError>,
+    ) -> Result<Option<Vec<Block>>, MendelError> {
         let Some(disk) = &self.disk else {
             return Ok(None);
         };
@@ -511,7 +515,8 @@ impl NodeSlot {
                     window: WindowView::new(s.backing, s.offset as usize, s.len as usize),
                 })
             })
-            .collect();
+            .collect::<Vec<_>>();
+        accept(&blocks)?;
         *disk.handle.lock() = Some(store);
         self.ram.write().clear();
         #[cfg(any(test, feature = "strict-invariants"))]
