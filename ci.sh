@@ -201,12 +201,16 @@ if [ "$MODE" != "quick" ]; then
 fi
 
 # 13. Real serving layer (DESIGN.md §16): frame-codec hostile-input +
-#    property tests, transport conformance of the TCP backend, then the
-#    multi-process loopback cluster — three
-#    `mendel serve` OS processes, HTTP-ingested, answering byte-identical
-#    to the in-process twin, with SIGKILL degradation matching
-#    fail_node — and, in the same suite, the cross-process tracing and
-#    live-telemetry cases of DESIGN.md §17 (spans from all three
+#    property tests, transport conformance of the TCP backend (per-peer
+#    FIFO, reply pairing, typed timeouts, a restarted peer redialed,
+#    crossing dials, and the churn case: 50 connect-and-close cycles
+#    must leave the connection table empty and no descriptor open),
+#    then the multi-process loopback cluster — three `mendel serve` OS
+#    processes, HTTP-ingested, answering byte-identical to the
+#    in-process twin, with SIGKILL degradation matching fail_node and
+#    the survivors' links to the dead peer pruned — and, in the same
+#    suite, the cross-process tracing and live-telemetry cases of
+#    DESIGN.md §17 (spans from all three
 #    processes stitched into one tree; slowlog, federated metrics and
 #    verbose healthz answer). The suite skips itself with a notice when
 #    the sandbox forbids loopback sockets and retries spawn rounds on

@@ -185,6 +185,18 @@ fn wait_exit(p: &mut Proc, within: Duration) -> Option<std::process::ExitStatus>
     }
 }
 
+/// The `mendel_net_transport_connections` gauge in `p`'s `/metrics`:
+/// its live TCP connections, dialed and accepted.
+fn live_connections(p: &Proc) -> i64 {
+    let (status, body) = http_request(p.http, "GET", "/metrics", b"").expect("metrics");
+    assert_eq!(status, 200);
+    String::from_utf8_lossy(&body)
+        .lines()
+        .find_map(|line| line.strip_prefix("mendel_net_transport_connections "))
+        .and_then(|value| value.trim().parse().ok())
+        .expect("connections gauge in /metrics")
+}
+
 #[test]
 fn three_process_cluster_matches_in_process_twin() {
     // Skip (loudly) where the sandbox forbids loopback sockets.
@@ -244,6 +256,10 @@ fn three_process_cluster_matches_in_process_twin() {
         assert!(!metrics.is_empty(), "metrics exposition is non-empty");
     }
 
+    // Every process's live TCP connections before the kill: the
+    // survivors' links to the dead peer must be pruned, not kept.
+    let before: Vec<i64> = procs.iter().map(live_connections).collect();
+
     // SIGKILL a non-entry-point member of the (only) group, then query
     // through a surviving front-end: the degraded answer must match the
     // twin's fail_node semantics (PR 2 failover) exactly.
@@ -291,6 +307,25 @@ fn three_process_cluster_matches_in_process_twin() {
         want,
         "degraded HTTP answer matches the fail_node twin byte-for-byte"
     );
+
+    let deadline = Instant::now() + Duration::from_secs(10);
+    for (p, &was) in procs.iter().zip(&before) {
+        if p.node == victim.0 {
+            continue;
+        }
+        loop {
+            let now = live_connections(p);
+            if now <= was {
+                break;
+            }
+            assert!(
+                Instant::now() < deadline,
+                "node {} holds {now} connections, {was} before its peer died",
+                p.node
+            );
+            std::thread::sleep(Duration::from_millis(50));
+        }
+    }
 
     // Orderly shutdown of the survivors.
     for p in &mut procs {

@@ -99,6 +99,13 @@ pub(crate) struct Port<'a> {
     addr: NodeAddr,
 }
 
+impl Port<'_> {
+    /// The next envelope in this address's inbox, if one is waiting.
+    pub(crate) fn try_recv(&self) -> Option<Envelope> {
+        self.net.inboxes.get(&self.addr)?.lock().pop_front()
+    }
+}
+
 impl Transport for Port<'_> {
     fn addr(&self) -> NodeAddr {
         self.addr
@@ -116,10 +123,6 @@ impl Transport for Port<'_> {
             self.net.clock.advance(timeout);
             RecvError::Timeout
         })
-    }
-
-    fn try_recv(&self) -> Option<Envelope> {
-        self.net.inboxes.get(&self.addr)?.lock().pop_front()
     }
 
     fn clock(&self) -> &dyn Clock {

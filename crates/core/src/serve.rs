@@ -33,7 +33,6 @@ use mendel_net::TransportMetrics;
 use parking_lot::Mutex;
 use std::io;
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -42,13 +41,12 @@ use std::thread::JoinHandle;
 /// this range free.
 pub const FRONT_END_ADDR_BASE: u16 = 60_000;
 
-/// One storage node serving over TCP: owns the transport, the stop flag
-/// and the serving thread. Dropping it stops the loop and joins the
-/// thread.
+/// One storage node serving over TCP: owns the transport and the
+/// serving thread. Dropping it shuts the transport down, which ends the
+/// loop, and joins the thread.
 pub struct NodeServer {
     node: NodeId,
     transport: Arc<TcpTransport>,
-    stop: Arc<AtomicBool>,
     handle: Option<JoinHandle<()>>,
 }
 
@@ -76,20 +74,18 @@ impl NodeServer {
             cfg,
             metrics,
         )?);
-        let stop = Arc::new(AtomicBool::new(false));
         let topo = cluster.topology();
         let handle = {
-            let (transport, stop) = (transport.clone(), stop.clone());
+            let transport = transport.clone();
             std::thread::Builder::new()
                 .name(format!("mendel-serve-{}", node.0))
                 .spawn(move || {
-                    node_serve_loop(&cluster, &topo, node, &transport, &timeouts, &stop);
+                    node_serve_loop(&cluster, &topo, node, &transport, &timeouts);
                 })?
         };
         Ok(NodeServer {
             node,
             transport,
-            stop,
             handle: Some(handle),
         })
     }
@@ -112,16 +108,10 @@ impl NodeServer {
     }
 
     /// Close the transport — its listener refuses connections from here
-    /// on — stop serving and join the thread. Idempotent.
+    /// on, and the serving loop sees it disconnected within one idle
+    /// poll — then join the serving thread. Idempotent.
     pub fn shutdown(&mut self) {
         self.transport.shutdown();
-        self.stop_and_join();
-    }
-
-    /// Raise the stop flag and join the serving thread. Idempotent.
-    fn stop_and_join(&mut self) {
-        // audit:ordering(Relaxed): best-effort stop flag; the serving loop re-checks it on its poll tick
-        self.stop.store(true, Ordering::Relaxed);
         if let Some(h) = self.handle.take() {
             let _ = h.join();
         }
@@ -130,7 +120,7 @@ impl NodeServer {
 
 impl Drop for NodeServer {
     fn drop(&mut self) {
-        self.stop_and_join();
+        self.shutdown();
     }
 }
 
@@ -254,6 +244,22 @@ mod tests {
             }
         }
         (servers, addrs)
+    }
+
+    /// Shutting its transport down is the one way a serving loop ends:
+    /// an idle server's `shutdown` returns within about one 100 ms poll,
+    /// and dropping the others ends their loops the same way.
+    #[test]
+    fn shutdown_and_drop_end_idle_serving_loops_promptly() {
+        let cluster = cluster();
+        let (mut servers, _) = serve_all(&cluster, timeouts());
+        let prompt = Duration::from_millis(100) + Duration::from_secs(1);
+        let started = std::time::Instant::now();
+        servers[0].shutdown();
+        assert!(started.elapsed() < prompt, "{:?}", started.elapsed());
+        let started = std::time::Instant::now();
+        drop(servers);
+        assert!(started.elapsed() < prompt * 2, "{:?}", started.elapsed());
     }
 
     /// Full in-process TCP cluster: every node a NodeServer on

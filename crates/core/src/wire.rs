@@ -56,7 +56,7 @@ use mendel_obs::{
 };
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -838,27 +838,22 @@ pub(crate) fn query_via<T: Transport>(
 /// A storage node's serving loop over TCP: receive, then
 /// [`serve_request`].
 ///
-/// Serves until `stop` is set or the transport disconnects; no message
-/// stops a node, so a forged one cannot either. Requests that arrive
-/// while the node is mid-gather as a group entry point are backlogged and
-/// served afterwards, so interleaved queries from multiple front-ends are
-/// reordered rather than dropped. Replies never get this far: an
-/// envelope in the node's own id plane is consumed or dropped by
-/// [`gather`], or dropped by the idle poll here.
+/// Serves until the transport disconnects, which shutting it down does
+/// within one idle poll; no message stops a node, so a forged one cannot
+/// either. Requests that arrive while the node is mid-gather as a group
+/// entry point are backlogged and served afterwards, so interleaved
+/// queries from multiple front-ends are reordered rather than dropped.
+/// Replies never get this far: an envelope in the node's own id plane is
+/// consumed or dropped by [`gather`], or dropped by the idle poll here.
 pub(crate) fn node_serve_loop(
     cluster: &MendelCluster,
     topo: &Topology,
     me: NodeId,
     transport: &TcpTransport,
     timeouts: &WireTimeouts,
-    stop: &AtomicBool,
 ) {
     let mut backlog: VecDeque<Envelope> = VecDeque::new();
     loop {
-        // audit:ordering(Relaxed): best-effort stop flag; the loop body only touches channel/socket state, which has its own happens-before
-        if stop.load(Ordering::Relaxed) {
-            return;
-        }
         let env = match backlog.pop_front() {
             Some(env) => env,
             None => match transport.recv_timeout(SERVE_POLL) {
@@ -1122,6 +1117,7 @@ mod tests {
     use mendel_obs::Clock;
     use mendel_seq::gen::{NrLikeSpec, QuerySetSpec};
     use mendel_seq::SeqId;
+    use std::sync::atomic::AtomicBool;
 
     fn cluster() -> Arc<MendelCluster> {
         let db = Arc::new(
@@ -1618,9 +1614,6 @@ mod tests {
                 self.port.recv_timeout(timeout)
             }
         }
-        fn try_recv(&self) -> Option<Envelope> {
-            self.port.try_recv()
-        }
         fn clock(&self) -> &dyn Clock {
             self.port.clock()
         }
@@ -1690,9 +1683,6 @@ mod tests {
                 env.payload = reply.to_bytes();
             }
             Ok(env)
-        }
-        fn try_recv(&self) -> Option<Envelope> {
-            self.port.try_recv()
         }
         fn clock(&self) -> &dyn Clock {
             self.port.clock()
@@ -1767,9 +1757,6 @@ mod tests {
         }
         fn recv_timeout(&self, timeout: Duration) -> Result<Envelope, RecvError> {
             self.port.recv_timeout(timeout)
-        }
-        fn try_recv(&self) -> Option<Envelope> {
-            self.port.try_recv()
         }
         fn clock(&self) -> &dyn Clock {
             self.port.clock()

@@ -14,10 +14,9 @@
 //! * [`envelope`] — the [`Envelope`] itself, its encoding, node
 //!   addresses and the typed receive failure,
 //! * [`transport`] — the [`Transport`] seam: address, best-effort send,
-//!   bounded / non-blocking receive, and the clock receive deadlines run
-//!   on,
+//!   bounded receive, and the clock receive deadlines run on,
 //! * [`tcp`] + [`frame`] — the real carrier (DESIGN.md §16): envelope
-//!   bytes in length-prefixed frames over pooled, reconnecting sockets,
+//!   bytes in length-prefixed frames over one reconnecting link per peer,
 //! * [`latency`] — the simulated LAN cost model: per-message base latency,
 //!   per-byte transfer cost, and per-node speed factors for the
 //!   heterogeneous cluster,

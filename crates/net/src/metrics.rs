@@ -1,9 +1,10 @@
 //! TCP carrier instrumentation (`mendel.net.transport.*`).
 //!
 //! [`TransportMetrics`] hangs off a [`crate::tcp::TcpTransport`] and
-//! counts wire activity — frames, framed bytes, connects. It defaults to
-//! *detached* counters (functional atomics registered nowhere), so the
-//! carrier carries no registry unless a caller installs one.
+//! counts wire activity — frames, framed bytes, connects — and gauges
+//! its live connections. It defaults to *detached* counters (functional
+//! atomics registered nowhere), so the carrier carries no registry
+//! unless a caller installs one.
 
 use mendel_obs::{Counter, Gauge, Registry};
 use std::sync::Arc;
@@ -34,8 +35,8 @@ pub struct TransportMetrics {
     /// Connections torn down on a frame protocol error (bad magic,
     /// oversized prefix, undecodable body, truncation).
     pub frame_errors: Arc<Counter>,
-    /// Idle pooled outbound connections, across all peers.
-    pub pool_size: Arc<Gauge>,
+    /// Live connections, dialed and accepted.
+    pub connections: Arc<Gauge>,
 }
 
 impl TransportMetrics {
@@ -57,7 +58,7 @@ impl TransportMetrics {
             reconnects: scope.counter("reconnects"),
             dead_letters: scope.counter("dead_letters"),
             frame_errors: scope.counter("frame_errors"),
-            pool_size: scope.gauge("pool_size"),
+            connections: scope.gauge("connections"),
         }
     }
 }
@@ -73,11 +74,11 @@ mod tests {
         m.frames_sent.inc();
         m.bytes_sent.add(42);
         m.reconnects.inc();
-        m.pool_size.set(3);
+        m.connections.set(3);
         let snap = r.snapshot();
         assert_eq!(snap.counter("mendel.net.transport.frames_sent"), 1);
         assert_eq!(snap.counter("mendel.net.transport.bytes_sent"), 42);
         assert_eq!(snap.counter("mendel.net.transport.reconnects"), 1);
-        assert_eq!(snap.gauge("mendel.net.transport.pool_size"), 3);
+        assert_eq!(snap.gauge("mendel.net.transport.connections"), 3);
     }
 }

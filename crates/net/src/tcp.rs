@@ -12,16 +12,16 @@
 //!   each parking in `read` until its stream closes. Node counts here
 //!   are tens, not tens of thousands — the thread model is the honest
 //!   fit.
-//! * **Connections are dialed by the requester; replies ride back on
-//!   the same socket.** Every frame a reader receives teaches it a
-//!   *reply route* (`env.from` → that connection's write half), so an
-//!   ephemeral client endpoint — one with no listener of its own — can
-//!   still receive responses. Server-to-server traffic uses the static
-//!   peer map instead.
-//! * **Per-peer pooling + reconnect with capped backoff.** Idle dialed
-//!   connections are pooled per peer (bounded by
-//!   [`TcpConfig::pool_per_peer`]); a failed write drops the connection
-//!   and redials with exponential backoff capped at
+//! * **One table of live connections.** Each connection, dialed or
+//!   accepted, is in the table from its handshake until its reader sees
+//!   the stream end and removes it, tagged with the peer it talks to:
+//!   the address dialed, or the `env.from` of an accepted connection's
+//!   first frame. A send writes on the peer's newest link, so replies
+//!   ride back on the connection a request came in on (how a client
+//!   with no listener hears back), and only a peer with no link is
+//!   dialed. Two peers that dial each other at once keep both links.
+//! * **Reconnect with capped backoff.** A write that fails drops its
+//!   link and redials with exponential backoff capped at
 //!   [`TcpConfig::reconnect_cap`]. A send that exhausts
 //!   [`TcpConfig::dial_attempts`] returns `false` — the dead-letter
 //!   signal the wire path answers by failing over to the next peer.
@@ -62,8 +62,6 @@ pub struct TcpConfig {
     pub reconnect_base: Duration,
     /// Backoff ceiling.
     pub reconnect_cap: Duration,
-    /// Idle dialed connections kept per peer.
-    pub pool_per_peer: usize,
 }
 
 impl Default for TcpConfig {
@@ -74,14 +72,26 @@ impl Default for TcpConfig {
             dial_attempts: 3,
             reconnect_base: Duration::from_millis(10),
             reconnect_cap: Duration::from_millis(250),
-            pool_per_peer: 2,
         }
     }
 }
 
-/// A connection's write half, shared between the pool/route tables and
-/// the send path. The mutex makes each frame write atomic on the wire.
-type WriteHalf = Arc<Mutex<TcpStream>>;
+/// One socket, read by its reader thread and written by senders. The
+/// mutex makes each frame write atomic on the wire; shutting the
+/// stream down needs no lock and ends the reader.
+struct Conn {
+    stream: TcpStream,
+    write: Mutex<()>,
+}
+
+/// A live connection's entry in the table.
+struct Link {
+    /// The peer it talks to; `None` for an accepted connection until
+    /// its first frame names the sender.
+    peer: Option<u16>,
+    conn: Arc<Conn>,
+    reader: JoinHandle<()>,
+}
 
 struct Shared {
     me: NodeAddr,
@@ -89,15 +99,8 @@ struct Shared {
     metrics: TransportMetrics,
     /// Static peer map: who listens where.
     peers: RwLock<HashMap<u16, SocketAddr>>,
-    /// Idle dialed connections, per peer.
-    pool: Mutex<HashMap<u16, Vec<WriteHalf>>>,
-    /// Learned reply routes: sender address → the write half of the
-    /// connection its frames arrive on.
-    routes: Mutex<HashMap<u16, WriteHalf>>,
-    /// Every live stream (one clone per connection), torn down on
-    /// shutdown to unpark blocked readers.
-    conns: Mutex<Vec<TcpStream>>,
-    reader_handles: Mutex<Vec<JoinHandle<()>>>,
+    /// Live connections, oldest first.
+    links: Mutex<Vec<Link>>,
     inbox_tx: Sender<Envelope>,
     shutdown: AtomicBool,
 }
@@ -106,6 +109,24 @@ impl Shared {
     fn is_shut_down(&self) -> bool {
         // audit:ordering(Acquire): pairs with the AcqRel swap in `shutdown`; observers must see the teardown writes
         self.shutdown.load(Ordering::Acquire)
+    }
+
+    /// The newest live link to `peer`.
+    fn link_to(&self, peer: u16) -> Option<Arc<Conn>> {
+        let links = self.links.lock();
+        let link = links.iter().rev().find(|link| link.peer == Some(peer))?;
+        Some(Arc::clone(&link.conn))
+    }
+
+    /// Take `conn` out of the table; `None` if it has already gone.
+    fn unlink(&self, conn: &Arc<Conn>) -> Option<Link> {
+        let mut links = self.links.lock();
+        let at = links
+            .iter()
+            .position(|link| Arc::ptr_eq(&link.conn, conn))?;
+        let link = links.remove(at);
+        self.metrics.connections.add(-1);
+        Some(link)
     }
 }
 
@@ -169,10 +190,7 @@ impl TcpTransport {
                 cfg,
                 metrics,
                 peers: RwLock::new(peer_map),
-                pool: Mutex::new(HashMap::new()),
-                routes: Mutex::new(HashMap::new()),
-                conns: Mutex::new(Vec::new()),
-                reader_handles: Mutex::new(Vec::new()),
+                links: Mutex::new(Vec::new()),
                 inbox_tx,
                 shutdown: AtomicBool::new(false),
             }),
@@ -195,7 +213,7 @@ impl TcpTransport {
     }
 
     /// Carrier counters for this transport.
-    // audit:allow(unreached): this file's tests read the transport counters with it
+    // audit:allow(unreached): this file's tests and the conformance suite read the transport counters with it
     pub fn metrics(&self) -> &TransportMetrics {
         &self.shared.metrics
     }
@@ -208,12 +226,6 @@ impl TcpTransport {
         if self.shared.shutdown.swap(true, Ordering::AcqRel) {
             return;
         }
-        self.shared.pool.lock().clear();
-        self.shared.routes.lock().clear();
-        let conns = std::mem::take(&mut *self.shared.conns.lock());
-        for c in &conns {
-            let _ = c.shutdown(Shutdown::Both);
-        }
         // Unpark the acceptor with a throwaway dial; it re-checks the
         // shutdown flag on every wakeup.
         if let Some(local) = self.local {
@@ -222,9 +234,15 @@ impl TcpTransport {
         if let Some(h) = self.accept_handle.lock().take() {
             let _ = h.join();
         }
-        let readers = std::mem::take(&mut *self.shared.reader_handles.lock());
-        for h in readers {
-            let _ = h.join();
+        // Nothing joins the table from here on (`link` checks the flag
+        // under the table's lock), so this empties it for good.
+        let links = std::mem::take(&mut *self.shared.links.lock());
+        self.shared.metrics.connections.add(-(links.len() as i64));
+        for link in &links {
+            let _ = link.conn.stream.shutdown(Shutdown::Both);
+        }
+        for link in links {
+            let _ = link.reader.join();
         }
     }
 }
@@ -267,84 +285,80 @@ impl Transport for TcpTransport {
         })
     }
 
-    fn try_recv(&self) -> Option<Envelope> {
-        self.inbox_rx.try_recv().ok()
-    }
-
     fn clock(&self) -> &dyn Clock {
         &self.clock
     }
 }
 
-/// Dial `peer`, complete the outbound handshake, and hand the read half
-/// to a fresh reader thread. Returns the write half.
-fn dial(shared: &Arc<Shared>, peer: SocketAddr) -> io::Result<WriteHalf> {
-    let stream = TcpStream::connect_timeout(&peer, shared.cfg.connect_timeout)?;
+/// Dial `peer` at `socket`, complete the outbound handshake, and put
+/// the connection in the table as a link to `peer`.
+fn dial(shared: &Arc<Shared>, peer: u16, socket: SocketAddr) -> io::Result<Arc<Conn>> {
+    let stream = TcpStream::connect_timeout(&socket, shared.cfg.connect_timeout)?;
     stream.set_nodelay(true)?;
     stream.set_write_timeout(Some(shared.cfg.write_timeout))?;
-    let mut write_half = stream.try_clone()?;
-    frame::write_magic(&mut write_half)?;
+    frame::write_magic(&mut &stream)?;
     shared
         .metrics
         .bytes_sent
         .add(frame::FRAME_MAGIC.len() as u64);
     shared.metrics.connects.inc();
-    spawn_reader(shared, stream, false)?;
-    Ok(Arc::new(Mutex::new(write_half)))
+    link(shared, stream, Some(peer))
 }
 
-/// Register `stream` for shutdown teardown and start its reader thread.
-/// `inbound` streams must present the magic preamble before frames.
-fn spawn_reader(shared: &Arc<Shared>, stream: TcpStream, inbound: bool) -> io::Result<()> {
-    shared.conns.lock().push(stream.try_clone()?);
-    let write_half: Option<WriteHalf> = if inbound {
-        Some(Arc::new(Mutex::new(stream.try_clone()?)))
-    } else {
-        None
+/// Put `stream` in the table as a link to `peer` — `None` for an
+/// accepted stream, which must present the magic preamble before
+/// frames and whose first frame names its peer — and start its reader.
+/// Refused once the transport is shut down.
+fn link(shared: &Arc<Shared>, stream: TcpStream, peer: Option<u16>) -> io::Result<Arc<Conn>> {
+    let conn = Arc::new(Conn {
+        stream,
+        write: Mutex::new(()),
+    });
+    // The reader starts under the table's lock, so its entry is in the
+    // table before it can look for it.
+    let mut links = shared.links.lock();
+    if shared.is_shut_down() {
+        let _ = conn.stream.shutdown(Shutdown::Both);
+        return Err(io::ErrorKind::NotConnected.into());
+    }
+    let reader = {
+        let (shared, conn) = (Arc::clone(shared), Arc::clone(&conn));
+        thread::Builder::new()
+            .name(format!("tcp-read-{}", shared.me))
+            .spawn(move || reader_loop(shared, conn, peer.is_none()))?
     };
-    let shared2 = Arc::clone(shared);
-    let handle = thread::Builder::new()
-        .name(format!("tcp-read-{}", shared.me))
-        .spawn(move || reader_loop(shared2, stream, write_half))?;
-    shared.reader_handles.lock().push(handle);
-    Ok(())
+    links.push(Link {
+        peer,
+        conn: Arc::clone(&conn),
+        reader,
+    });
+    shared.metrics.connections.add(1);
+    Ok(conn)
 }
 
 /// Per-connection read loop: verify the preamble (inbound side), then
-/// pump frames into the inbox until the stream closes or desyncs. Each
-/// inbound frame also teaches the reply route `env.from` → this
-/// connection; on exit every route still pointing here is withdrawn.
-fn reader_loop(shared: Arc<Shared>, mut stream: TcpStream, write_half: Option<WriteHalf>) {
-    let mut learned: Vec<u16> = Vec::new();
-    match pump(&shared, &mut stream, write_half.as_ref(), &mut learned) {
+/// pump frames into the inbox until the stream closes or desyncs —
+/// after a desync there is no reliable next frame boundary, so the
+/// dialer reconnects. Either way the connection leaves the table and
+/// its stream is shut, so the peer sees the close.
+fn reader_loop(shared: Arc<Shared>, conn: Arc<Conn>, inbound: bool) {
+    match pump(&shared, &conn, inbound) {
         Ok(()) | Err(FrameError::Closed) => {}
         Err(_) => {
             if !shared.is_shut_down() {
                 shared.metrics.frame_errors.inc();
             }
-            // After a desync there is no reliable next frame boundary:
-            // drop the connection and let the dialer reconnect.
-            let _ = stream.shutdown(Shutdown::Both);
         }
     }
-    if let Some(wh) = write_half.as_ref() {
-        let mut routes = shared.routes.lock();
-        for from in learned {
-            if routes.get(&from).is_some_and(|r| Arc::ptr_eq(r, wh)) {
-                routes.remove(&from);
-            }
-        }
-    }
+    shared.unlink(&conn);
+    let _ = conn.stream.shutdown(Shutdown::Both);
 }
 
-fn pump(
-    shared: &Shared,
-    stream: &mut TcpStream,
-    write_half: Option<&WriteHalf>,
-    learned: &mut Vec<u16>,
-) -> Result<(), FrameError> {
-    if write_half.is_some() {
-        frame::read_magic(stream)?;
+fn pump(shared: &Shared, conn: &Arc<Conn>, inbound: bool) -> Result<(), FrameError> {
+    let mut stream = &conn.stream;
+    let mut unnamed = inbound;
+    if inbound {
+        frame::read_magic(&mut stream)?;
         shared
             .metrics
             .bytes_received
@@ -352,21 +366,16 @@ fn pump(
         shared.metrics.accepts.inc();
     }
     loop {
-        let (env, n) = frame::read_frame(stream)?;
+        let (env, n) = frame::read_frame(&mut stream)?;
         shared.metrics.frames_received.inc();
         shared.metrics.bytes_received.add(n as u64);
-        if let Some(wh) = write_half {
-            let from = env.from.0;
-            let mut routes = shared.routes.lock();
-            let stale = match routes.get(&from) {
-                Some(existing) => !Arc::ptr_eq(existing, wh),
-                None => true,
-            };
-            if stale {
-                routes.insert(from, Arc::clone(wh));
-                learned.push(from);
+        // Named before the frame is delivered, so the reply finds it.
+        if unnamed {
+            let mut links = shared.links.lock();
+            if let Some(link) = links.iter_mut().find(|l| Arc::ptr_eq(&l.conn, conn)) {
+                link.peer = Some(env.from.0);
             }
-            drop(routes);
+            unnamed = false;
         }
         if shared.inbox_tx.send(env).is_err() {
             return Ok(());
@@ -392,20 +401,20 @@ fn accept_loop(shared: Arc<Shared>, listener: TcpListener) {
         {
             continue;
         }
-        let _ = spawn_reader(&shared, stream, true);
+        let _ = link(&shared, stream, None);
     }
 }
 
-/// Write one frame on `conn`, holding its mutex so concurrent senders
-/// cannot interleave bytes mid-frame.
-fn write_on(shared: &Shared, conn: &WriteHalf, env: &Envelope) -> io::Result<usize> {
-    // audit:allow(guard-across-io): the stream mutex MUST be held across
+/// Write one frame on `conn`, holding its write lock so concurrent
+/// senders cannot interleave bytes mid-frame.
+fn write_on(shared: &Shared, conn: &Conn, env: &Envelope) -> io::Result<usize> {
+    // audit:allow(guard-across-io): the write lock MUST be held across
     // the frame write — releasing it mid-frame would let another sender
     // interleave bytes and desync the peer's framing. Bounded by the
     // socket write timeout.
-    let mut stream = conn.lock();
-    let n = frame::write_frame(&mut *stream, env)?;
-    drop(stream);
+    let guard = conn.write.lock();
+    let n = frame::write_frame(&mut &conn.stream, env)?;
+    drop(guard);
     shared.metrics.frames_sent.inc();
     shared.metrics.bytes_sent.add(n as u64);
     Ok(n)
@@ -419,56 +428,40 @@ fn send_envelope(shared: &Arc<Shared>, env: Envelope) -> bool {
     if env.to == shared.me {
         return shared.inbox_tx.send(env).is_ok();
     }
-    // Prefer a learned reply route: it reaches ephemeral peers that
-    // have no listener, and reuses the hot connection for the rest.
-    let route = shared.routes.lock().get(&env.to.0).cloned();
-    if let Some(conn) = route {
-        if write_on(shared, &conn, &env).is_ok() {
-            return true;
-        }
-        let mut routes = shared.routes.lock();
-        if routes.get(&env.to.0).is_some_and(|r| Arc::ptr_eq(r, &conn)) {
-            routes.remove(&env.to.0);
-        }
-        drop(routes);
-    }
-    let Some(peer) = shared.peers.read().get(&env.to.0).copied() else {
-        shared.metrics.dead_letters.inc();
-        return false;
-    };
+    let to = env.to.0;
     let mut backoff = shared.cfg.reconnect_base;
     for attempt in 0..shared.cfg.dial_attempts {
         if shared.is_shut_down() {
             return false;
         }
-        if attempt > 0 {
-            shared.metrics.reconnects.inc();
-            // audit:allow(instant-now): reconnect backoff; a refused peer can only come back in real time
-            thread::sleep(backoff);
-            backoff = (backoff * 2).min(shared.cfg.reconnect_cap);
-        }
-        let pooled = shared.pool.lock().get_mut(&env.to.0).and_then(|v| v.pop());
-        if pooled.is_some() {
-            shared.metrics.pool_size.add(-1);
-        }
-        let conn = match pooled {
-            Some(c) => c,
-            None => match dial(shared, peer) {
-                Ok(c) => c,
-                Err(_) => continue,
-            },
+        let conn = match shared.link_to(to) {
+            Some(link) => link,
+            None => {
+                let Some(socket) = shared.peers.read().get(&to).copied() else {
+                    shared.metrics.dead_letters.inc();
+                    return false;
+                };
+                if attempt > 0 {
+                    shared.metrics.reconnects.inc();
+                    // audit:allow(instant-now): reconnect backoff; a refused peer can only come back in real time
+                    thread::sleep(backoff);
+                    backoff = (backoff * 2).min(shared.cfg.reconnect_cap);
+                }
+                match dial(shared, to, socket) {
+                    Ok(link) => link,
+                    Err(_) => continue,
+                }
+            }
         };
         if write_on(shared, &conn, &env).is_ok() {
-            let mut pool = shared.pool.lock();
-            let idle = pool.entry(env.to.0).or_default();
-            if idle.len() < shared.cfg.pool_per_peer {
-                idle.push(conn);
-                shared.metrics.pool_size.add(1);
-            }
             return true;
         }
-        // Failed write: the connection is broken — drop it (its reader
-        // will observe the close) and redial on the next attempt.
+        // Failed write: the connection is broken. Drop it — its shut
+        // stream ends its reader — and redial on the next attempt.
+        if let Some(link) = shared.unlink(&conn) {
+            let _ = link.conn.stream.shutdown(Shutdown::Both);
+            let _ = link.reader.join();
+        }
     }
     shared.metrics.dead_letters.inc();
     false

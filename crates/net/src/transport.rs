@@ -1,9 +1,9 @@
 //! The `Transport` seam between messaging semantics and message carriage.
 //!
-//! The wire-mode request/reply gather (`mendel::wire`) needs only five
+//! The wire-mode request/reply gather (`mendel::wire`) needs only four
 //! operations: know its own address, push an [`Envelope`] toward a peer,
-//! pull delivered envelopes back out (bounded-wait or non-blocking), and
-//! read the clock its deadlines run on. [`Transport`] names exactly that
+//! pull delivered envelopes back out with a bounded wait, and read the
+//! clock its deadlines run on. [`Transport`] names exactly that
 //! surface so the same protocol code runs over two carriers:
 //!
 //! * the in-process delivery in `mendel`'s `inline` module, where each
@@ -43,9 +43,6 @@ pub trait Transport: Send + Sync {
 
     /// Block up to `timeout` for the next envelope.
     fn recv_timeout(&self, timeout: Duration) -> Result<Envelope, RecvError>;
-
-    /// Non-blocking poll; `None` when the inbox is empty.
-    fn try_recv(&self) -> Option<Envelope>;
 
     /// The clock [`Self::recv_timeout`] waits on: a deadline is read
     /// from it, never from the wall clock directly, so a carrier on

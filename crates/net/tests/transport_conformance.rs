@@ -133,3 +133,114 @@ fn unanswered_request_times_out_typed() {
         .expect_err("nobody answers");
     assert_eq!(err, RecvError::Timeout);
 }
+
+/// Open file descriptors of this process, where the OS lists them.
+fn open_fds() -> Option<usize> {
+    std::fs::read_dir("/proc/self/fd").ok().map(|d| d.count())
+}
+
+/// Connections that end leave nothing behind: 50 peers that connect,
+/// present the magic and hang up each leave the table when their
+/// reader sees the close, and the descriptors go with them — not at
+/// shutdown. (Other tests in this binary open sockets too, so the
+/// descriptor count is polled until it settles.)
+#[test]
+fn closed_connections_leave_no_descriptor_behind() {
+    use std::io::Write;
+    use std::time::Instant;
+    let any: SocketAddr = "127.0.0.1:0".parse().expect("loopback");
+    let server = TcpTransport::bind(
+        NodeAddr(1),
+        any,
+        &[],
+        TcpConfig::default(),
+        TransportMetrics::detached(),
+    )
+    .expect("bind loopback");
+    let at = server.local_socket_addr().expect("bound");
+    let before = open_fds();
+    for _ in 0..50 {
+        let mut peer = std::net::TcpStream::connect(at).expect("connect");
+        peer.write_all(&mendel_net::FRAME_MAGIC).expect("magic");
+    }
+    let connections = || server.metrics().connections.get();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while server.metrics().accepts.get() < 50 || connections() != 0 {
+        assert!(
+            Instant::now() < deadline,
+            "{} of 50 closed connections still in the table",
+            connections()
+        );
+        thread::sleep(Duration::from_millis(5));
+    }
+    if let Some(before) = before {
+        while open_fds().is_some_and(|now| now > before + 2) {
+            assert!(
+                Instant::now() < deadline,
+                "descriptors grew from {before} to {:?}",
+                open_fds()
+            );
+            thread::sleep(Duration::from_millis(5));
+        }
+    }
+}
+
+/// A peer that restarts on the same port is redialed: the link to its
+/// old incarnation leaves the table when its reader sees the close, and
+/// the next send dials the new one.
+#[test]
+fn restarted_peer_is_redialed() {
+    let mut clique = clique(2);
+    let b = clique.pop().expect("b");
+    let a = clique.pop().expect("a");
+    let (b_addr, b_sock) = (b.addr(), b.local_socket_addr().expect("bound"));
+    assert!(a.send(b_addr, 1, Bytes::new()));
+    assert_eq!(b.recv_timeout(T).expect("first incarnation").correlation, 1);
+    drop(b);
+    let deadline = std::time::Instant::now() + T;
+    while a.metrics().connections.get() != 0 {
+        assert!(std::time::Instant::now() < deadline, "dead link kept");
+        thread::sleep(Duration::from_millis(5));
+    }
+    let b = TcpTransport::bind(
+        b_addr,
+        b_sock,
+        &[],
+        TcpConfig::default(),
+        TransportMetrics::detached(),
+    )
+    .expect("rebind the port");
+    assert!(a.send(b_addr, 2, Bytes::new()));
+    assert_eq!(
+        b.recv_timeout(T).expect("second incarnation").correlation,
+        2
+    );
+    assert_eq!(a.metrics().connects.get(), 2);
+}
+
+/// Two peers that dial each other at once keep both links, and every
+/// envelope either way arrives; each end then writes on one of them.
+#[test]
+fn crossing_dials_lose_nothing() {
+    for _ in 0..10 {
+        let mut clique = clique(2);
+        let b = clique.pop().expect("b");
+        let a = clique.pop().expect("a");
+        let (a_addr, b_addr) = (a.addr(), b.addr());
+        let h = thread::spawn(move || {
+            assert!(a.send(b_addr, 1, Bytes::new()));
+            a
+        });
+        assert!(b.send(a_addr, 2, Bytes::new()));
+        let a = h.join().expect("sender");
+        assert_eq!(a.recv_timeout(T).expect("b's request").correlation, 2);
+        assert_eq!(b.recv_timeout(T).expect("a's request").correlation, 1);
+        assert!(a.send(b_addr, 3, Bytes::new()));
+        assert!(b.send(a_addr, 4, Bytes::new()));
+        assert_eq!(a.recv_timeout(T).expect("b's reply").correlation, 4);
+        assert_eq!(b.recv_timeout(T).expect("a's reply").correlation, 3);
+        for t in [&a, &b] {
+            assert!(t.metrics().connections.get() <= 2);
+        }
+    }
+}
