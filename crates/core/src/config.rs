@@ -65,7 +65,13 @@ pub struct ClusterConfig {
     pub metric: MetricKind,
     /// Inverted-index block length (the indexing window, §V-A1).
     pub block_len: usize,
-    /// Leaf-bucket capacity of the node-local vp-trees (§III-D).
+    /// Leaf-bucket capacity of the node-local vp-trees (§III-D). A leaf
+    /// is scored sixteen windows per lane-kernel call, a few ns a window,
+    /// while each vertex a search visits costs a vantage distance and a
+    /// frontier step; so the default, 256, is chosen with
+    /// `QueryParams::search_budget` on the recall–time frontier of
+    /// `crates/vptree/tests/frontier.rs` (DESIGN.md §21.1), not on the
+    /// paper's small buckets.
     pub bucket_capacity: usize,
     /// Depth threshold of the vp-prefix hash tree (§III-F). Buckets =
     /// `2^prefix_depth`; must satisfy `2^depth ≥ groups`.
@@ -92,7 +98,7 @@ impl ClusterConfig {
             alphabet: Alphabet::Protein,
             metric: MetricKind::MendelBlosum62,
             block_len: 16,
-            bucket_capacity: 32,
+            bucket_capacity: 256,
             prefix_depth: 6,
             prefix_sample: 4096,
             replication: 1,

@@ -60,13 +60,15 @@ pub struct QueryParams {
     /// search. Short-window distances concentrate, so exact k-NN
     /// degenerates to a scan of the node's whole tree; the best-first
     /// traversal spends this budget on the subtrees nearest the query
-    /// (see `VpTree::knn_with_budget`). The defaults are the smallest
-    /// powers of two that find as much of the exhaustive answer as the
-    /// old depth-first search did at 4,096 on ~100 k-point node trees
-    /// (`crates/vptree/tests/frontier.rs`). They are not that on every
-    /// tree size: on a ~20 k-block node share protein 1,024 finds less
-    /// than depth-first 4,096 did, and 2,048 is needed (`ablation_budget`).
-    /// `usize::MAX` = exact search.
+    /// (see `VpTree::knn_with_budget`). The defaults (2,048 protein,
+    /// 4,096 DNA) were picked together with
+    /// `ClusterConfig::bucket_capacity` on a bucket × budget sweep
+    /// (`crates/vptree/tests/frontier.rs`, DESIGN.md §21.1): the fastest
+    /// setting whose filter-surviving recall is no lower than bucket 32
+    /// at 1,024 / 2,048 on node trees of ~20 k to ~190 k points. A budget
+    /// counts leaf candidates and vantage distances alike, so against a
+    /// 256-window bucket it buys about a third of the vertices the old
+    /// setting visited. `usize::MAX` = exact search.
     pub search_budget: usize,
 }
 
@@ -88,7 +90,7 @@ impl QueryParams {
             x_drop_ungapped: 18,
             x_drop_gapped: 38,
             min_anchor_score: 35,
-            search_budget: 1024,
+            search_budget: 2048,
         }
     }
 
@@ -108,7 +110,7 @@ impl QueryParams {
             x_drop_ungapped: 20,
             x_drop_gapped: 30,
             min_anchor_score: 24,
-            search_budget: 2048,
+            search_budget: 4096,
         }
     }
 

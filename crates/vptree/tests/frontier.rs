@@ -14,27 +14,43 @@
 //! ones that can become anchors), and counts the share of them the
 //! budgeted search returns.
 //!
-//! `DEPTH_FIRST_*` are the literals this file's [`frontier`] produced at
+//! `DEPTH_FIRST_*` are the literals this file's frontier produced at
 //! budget 4,096 against commit 2297ef6, whose search was a depth-first
-//! descent. The served budgets must find at least as much at a quarter
-//! (protein) or half (DNA) of its distance calls.
+//! descent. The best-first search's first operating point (bucket 32,
+//! budgets 1,024 / 2,048, commit 12c0abc) must find at least as much at a
+//! quarter (protein) or half (DNA) of its distance calls, and the served
+//! point (bucket 256, budgets 2,048 / 4,096) at least as much as that
+//! point at every corpus size, on a third of its vertices.
+//!
+//! [`sweep`] prints the bucket × budget grid the served point was picked
+//! on (DESIGN.md §21.1).
 
 use mendel_seq::gen::{MutationModel, NrLikeSpec};
 use mendel_seq::{Alphabet, Hamming, MatrixDistance, Metric, ScoringMatrix};
 use mendel_vptree::VpTree;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+use std::hint::black_box;
+use std::time::Instant;
 
 /// `QueryParams::{protein, dna}().n`.
 const N: usize = 8;
-/// `ClusterConfig::paper_testbed_protein()`'s block length and bucket.
+/// `ClusterConfig::paper_testbed_protein()`'s block length.
 const BLOCK_LEN: usize = 16;
+/// The bucket of the best-first search's first operating point (commit
+/// 12c0abc), the point the depth-first literals were beaten at.
 const BUCKET: usize = 32;
 /// Group members: the tree holds every `MEMBERS`-th window.
 const MEMBERS: usize = 3;
-/// `QueryParams::protein().search_budget` and `QueryParams::dna().search_budget`.
+/// The protein and DNA budgets of the best-first search's first operating
+/// point (commit 12c0abc).
 const PROTEIN_BUDGET: usize = 1024;
 const DNA_BUDGET: usize = 2048;
+/// The served point: `ClusterConfig::paper_testbed_protein().bucket_capacity`,
+/// `QueryParams::protein().search_budget` and `QueryParams::dna().search_budget`.
+const SERVED_BUCKET: usize = 256;
+const SERVED_PROTEIN_BUDGET: usize = 2048;
+const SERVED_DNA_BUDGET: usize = 4096;
 
 /// Corpus and query-set size.
 #[derive(Clone, Copy)]
@@ -43,6 +59,12 @@ struct Shape {
     queries: usize,
 }
 
+/// The smallest node share the served point is held to: about 20 k
+/// protein points, `ablation_budget`'s node share.
+const TINY: Shape = Shape {
+    families: 13,
+    queries: 400,
+};
 /// Sized to run in a few seconds in a debug build.
 const SMALL: Shape = Shape {
     families: 30,
@@ -51,6 +73,11 @@ const SMALL: Shape = Shape {
 /// The benchmark corpus: about 94 k protein and 124 k DNA points.
 const SERVED: Shape = Shape {
     families: 60,
+    queries: 400,
+};
+/// Twice the benchmark corpus: about 188 k protein points.
+const LARGE: Shape = Shape {
+    families: 120,
     queries: 400,
 };
 
@@ -127,36 +154,131 @@ fn identity(a: &[u8], b: &[u8]) -> f32 {
     a.iter().zip(b).filter(|(x, y)| x == y).count() as f32 / a.len() as f32
 }
 
-/// Filter-surviving recall of `budget` on the corpus of `alphabet`.
-fn frontier<M: Metric<[u8]> + Clone>(
+/// A tree's leaf bucket and a search budget in distance calls.
+#[derive(Debug, Clone, Copy)]
+struct Setting {
+    bucket: usize,
+    budget: usize,
+}
+
+/// What one setting did on a corpus: its frontier point, the vertices
+/// (internal and leaf) and the leaves its searches visited, the median
+/// µs per search over the timed passes, and the share of that time its
+/// leaf candidates would take at the flat scan's cost per candidate
+/// (both 0 when untimed).
+#[derive(Debug, Clone, Copy)]
+struct Run {
+    setting: Setting,
+    point: Point,
+    nodes_visited: u64,
+    leaf_scans: u64,
+    us: f64,
+    kernel_share: f64,
+}
+
+/// The median of `t`; 0 when empty.
+fn median(mut t: Vec<f64>) -> f64 {
+    t.sort_by(f64::total_cmp);
+    t.get(t.len() / 2).copied().unwrap_or(0.0)
+}
+
+/// Every setting's run on the corpus of `alphabet`, with `reps` timed
+/// passes of the query set each.
+fn survey<M: Metric<[u8]> + Clone>(
     alphabet: Alphabet,
     seq_len: usize,
     shape: Shape,
     metric: M,
     min_identity: f32,
-    budget: usize,
-) -> Point {
+    settings: &[Setting],
+    reps: usize,
+) -> Vec<Run> {
     let (points, queries) = corpus(alphabet, seq_len, shape);
     // A one-leaf tree is the flat scan: every point, in index order,
     // through the leaf kernel — the exhaustive answer.
     let flat = VpTree::build(points.clone(), metric.clone(), points.len(), 0);
-    let tree = VpTree::build(points.clone(), metric, BUCKET, 0xF0);
-    let (mut found, mut wanted) = (0, 0);
-    for q in &queries {
-        let got = tree.knn_with_budget(q, N, budget);
-        for nb in flat.knn(q, N) {
-            if identity(q, &points[nb.index as usize]) >= min_identity {
-                wanted += 1;
-                found += usize::from(got.iter().any(|g| g.index == nb.index));
+    let wanted: Vec<Vec<u32>> = queries
+        .iter()
+        .map(|q| {
+            flat.knn(q, N)
+                .into_iter()
+                .filter(|nb| identity(q, &points[nb.index as usize]) >= min_identity)
+                .map(|nb| nb.index)
+                .collect()
+        })
+        .collect();
+    let mut buckets: Vec<usize> = settings.iter().map(|s| s.bucket).collect();
+    buckets.sort_unstable();
+    buckets.dedup();
+    let trees: Vec<VpTree<M>> = buckets
+        .iter()
+        .map(|&b| VpTree::build(points.clone(), metric.clone(), b, 0xF0))
+        .collect();
+    let tree_of = |s: Setting| &trees[buckets.binary_search(&s.bucket).expect("built")];
+    let mut runs: Vec<Run> = settings
+        .iter()
+        .map(|&setting| {
+            let m = tree_of(setting).search_metrics();
+            let counts = || {
+                (
+                    m.dist_calls.get(),
+                    m.nodes_visited.get(),
+                    m.leaf_scans.get(),
+                )
+            };
+            let before = counts();
+            let mut found = 0;
+            for (q, want) in queries.iter().zip(&wanted) {
+                let got = tree_of(setting).knn_with_budget(q, N, setting.budget);
+                found += want
+                    .iter()
+                    .filter(|&&i| got.iter().any(|g| g.index == i))
+                    .count();
             }
+            let after = counts();
+            Run {
+                setting,
+                point: Point {
+                    found,
+                    wanted: wanted.iter().map(Vec::len).sum(),
+                    dist_calls: after.0 - before.0,
+                },
+                nodes_visited: after.1 - before.1,
+                leaf_scans: after.2 - before.2,
+                us: 0.0,
+                kernel_share: 0.0,
+            }
+        })
+        .collect();
+    // The timed passes take the settings (and the flat scan) in turn, so
+    // a swing in the host's speed lands on all of them alike.
+    let time = |tree: &VpTree<M>, budget: usize| {
+        let start = Instant::now();
+        for q in &queries {
+            black_box(tree.knn_with_budget(q, N, budget));
+        }
+        start.elapsed().as_secs_f64() * 1e6 / queries.len() as f64
+    };
+    let mut times = vec![Vec::new(); runs.len()];
+    let mut flat_times = Vec::new();
+    for _ in 0..reps {
+        flat_times.push(time(&flat, usize::MAX));
+        for (run, t) in runs.iter().zip(&mut times) {
+            t.push(time(tree_of(run.setting), run.setting.budget));
         }
     }
-    let dist_calls = tree.search_metrics().dist_calls.get();
-    Point {
-        found,
-        wanted,
-        dist_calls,
+    let us_per_candidate = median(flat_times) / points.len() as f64;
+    for (run, t) in runs.iter_mut().zip(times) {
+        run.us = median(t);
+        // Every internal vertex visited cost one vantage distance; every
+        // other distance call was a leaf candidate.
+        let vantages = run.nodes_visited - run.leaf_scans;
+        let candidates = (run.point.dist_calls - vantages) as f64 / queries.len() as f64;
+        if run.us > 0.0 {
+            run.kernel_share = candidates * us_per_candidate / run.us;
+        }
     }
+    runs
 }
 
 /// The served budget finds at least what depth-first 4,096 found, at no
@@ -173,16 +295,40 @@ fn holds(got: Point, parent: Point, cheaper: u64) {
     );
 }
 
+/// Filter-surviving recall of [`BUCKET`] at [`PROTEIN_BUDGET`].
 fn protein(shape: Shape) -> Point {
-    let metric = MatrixDistance::mendel(&ScoringMatrix::blosum62());
-    // `QueryParams::protein().i`.
-    frontier(Alphabet::Protein, 800, shape, metric, 0.40, PROTEIN_BUDGET)
+    protein_survey(shape, &[(BUCKET, 1)], 0)[0].point
 }
 
+/// Filter-surviving recall of [`BUCKET`] at [`DNA_BUDGET`].
 fn dna(shape: Shape) -> Point {
-    let metric = Hamming;
+    dna_survey(shape, &[(BUCKET, 1)], 0)[0].point
+}
+
+/// [`survey`] on the protein corpus, at budgets of `m ×`
+/// [`PROTEIN_BUDGET`] for each `(bucket, m)`.
+fn protein_survey(shape: Shape, grid: &[(usize, usize)], reps: usize) -> Vec<Run> {
+    let metric = MatrixDistance::mendel(&ScoringMatrix::blosum62());
+    let settings = scaled(grid, PROTEIN_BUDGET);
+    // `QueryParams::protein().i`.
+    survey(Alphabet::Protein, 800, shape, metric, 0.40, &settings, reps)
+}
+
+/// [`survey`] on the DNA corpus, at budgets of `m ×` [`DNA_BUDGET`].
+fn dna_survey(shape: Shape, grid: &[(usize, usize)], reps: usize) -> Vec<Run> {
+    let settings = scaled(grid, DNA_BUDGET);
     // `QueryParams::dna().i`.
-    frontier(Alphabet::Dna, 1050, shape, metric, 0.70, DNA_BUDGET)
+    survey(Alphabet::Dna, 1050, shape, Hamming, 0.70, &settings, reps)
+}
+
+/// Each `(bucket, m)` as a setting with `m × base` distance calls.
+fn scaled(grid: &[(usize, usize)], base: usize) -> Vec<Setting> {
+    grid.iter()
+        .map(|&(bucket, m)| Setting {
+            bucket,
+            budget: m * base,
+        })
+        .collect()
 }
 
 #[test]
@@ -197,6 +343,145 @@ fn best_first_at_the_served_budget_beats_depth_first_4096() {
 fn best_first_at_the_served_budget_beats_depth_first_4096_at_served_size() {
     holds(protein(SERVED), DEPTH_FIRST_PROTEIN[1], 4);
     holds(dna(SERVED), DEPTH_FIRST_DNA[1], 2);
+}
+
+/// The old point, then the served one, as `(bucket, budget multiple)`.
+const OLD_AND_SERVED: [(usize, usize); 2] = [
+    (BUCKET, 1),
+    (SERVED_BUCKET, SERVED_PROTEIN_BUDGET / PROTEIN_BUDGET),
+];
+
+/// The served point finds at least what the old one found on both
+/// alphabets at `shape`; on `fewer_vertices`, it visits at most a third
+/// of the old point's vertices doing so.
+fn served_point_holds(shape: Shape, fewer_vertices: bool) {
+    assert_eq!(
+        SERVED_DNA_BUDGET / DNA_BUDGET,
+        OLD_AND_SERVED[1].1,
+        "one budget multiple serves both alphabets"
+    );
+    for runs in [
+        protein_survey(shape, &OLD_AND_SERVED, 0),
+        dna_survey(shape, &OLD_AND_SERVED, 0),
+    ] {
+        let (old, served) = (runs[0], runs[1]);
+        assert_eq!(served.point.wanted, old.point.wanted);
+        assert!(
+            served.point.found >= old.point.found,
+            "at {} families the served point {served:?} finds less than {old:?}",
+            shape.families
+        );
+        if fewer_vertices {
+            assert!(
+                served.nodes_visited * 3 <= old.nodes_visited,
+                "{served:?} visits more than a third of {old:?}'s vertices"
+            );
+        }
+    }
+}
+
+#[test]
+fn the_served_point_finds_as_much_as_the_old_one() {
+    served_point_holds(TINY, false);
+    served_point_holds(SMALL, false);
+}
+
+/// The same at served size and twice it; `ci.sh` runs it in release.
+#[test]
+#[cfg_attr(debug_assertions, ignore)]
+fn the_served_point_finds_as_much_as_the_old_one_at_served_size() {
+    served_point_holds(SERVED, true);
+    served_point_holds(LARGE, false);
+}
+
+/// The leaf buckets and budget multiples [`sweep`] tries.
+const SWEEP_BUCKETS: [usize; 6] = [32, 64, 128, 256, 384, 512];
+const SWEEP_MULTIPLES: [usize; 3] = [1, 2, 4];
+
+/// The bucket × budget sweep the served point was picked on: per corpus
+/// size, alphabet and setting, filter-surviving `found/wanted`, vertices
+/// and leaves visited per search, the median µs per search over nine
+/// passes, and the share of it the leaf kernel takes (estimated from the
+/// flat scan's cost per candidate). The rule: of the settings whose
+/// `found` is at least the old point's at every size on both alphabets,
+/// the one with the lowest mean, over the two alphabets, of its
+/// served-size time relative to the old point's. The sweep prints that
+/// pick; timings depend on the host, so no test asserts it, and the
+/// recall half is [`served_point_holds`].
+///
+/// ```sh
+/// cargo test --release -p mendel-vptree --test frontier -- --ignored --nocapture sweep
+/// ```
+#[test]
+#[ignore = "a timed sweep; run it in release by hand"]
+fn sweep() {
+    let grid: Vec<(usize, usize)> = SWEEP_BUCKETS
+        .iter()
+        .flat_map(|&b| SWEEP_MULTIPLES.map(|m| (b, m)))
+        .collect();
+    // `kept[i]`: grid point `i` finds no less than the old point so far.
+    let mut kept = vec![true; grid.len()];
+    let mut served_ratio = vec![0.0; grid.len()];
+    for shape in [TINY, SMALL, SERVED, LARGE] {
+        for (name, runs) in [
+            ("protein", protein_survey(shape, &grid, 9)),
+            ("dna", dna_survey(shape, &grid, 9)),
+        ] {
+            let old = runs[0];
+            eprintln!(
+                "{name} at {} families ({} queries): old point found {}",
+                shape.families, shape.queries, old.point.found
+            );
+            eprintln!(
+                "{:>7} {:>7} {:>12} {:>10} {:>10} {:>9} {:>7} {:>7}",
+                "bucket",
+                "budget",
+                "found/wanted",
+                "vertices/q",
+                "leaves/q",
+                "µs/search",
+                "vs old",
+                "kernel"
+            );
+            let per_query = |n: u64| n as f64 / shape.queries as f64;
+            for (i, run) in runs.iter().enumerate() {
+                kept[i] &= run.point.found >= old.point.found;
+                if shape.families == SERVED.families {
+                    served_ratio[i] += run.us / old.us / 2.0;
+                }
+                eprintln!(
+                    "{:>7} {:>7} {:>5}/{:<6} {:>10.1} {:>10.1} {:>9.2} {:>7.2} {:>7.2}",
+                    run.setting.bucket,
+                    run.setting.budget,
+                    run.point.found,
+                    run.point.wanted,
+                    per_query(run.nodes_visited),
+                    per_query(run.leaf_scans),
+                    run.us,
+                    run.us / old.us,
+                    run.kernel_share,
+                );
+            }
+            eprintln!();
+        }
+    }
+    let pick = (0..grid.len())
+        .filter(|&i| kept[i])
+        .min_by(|&a, &b| served_ratio[a].total_cmp(&served_ratio[b]))
+        .expect("the old point always qualifies");
+    for (i, &(bucket, m)) in grid.iter().enumerate() {
+        eprintln!(
+            "bucket {bucket:>3} × {m}: {} served-size time {:.2} of the old point's",
+            if kept[i] {
+                "keeps recall, "
+            } else {
+                "loses recall,"
+            },
+            served_ratio[i]
+        );
+    }
+    let (bucket, m) = grid[pick];
+    eprintln!("pick: bucket {bucket}, budgets {m} × ({PROTEIN_BUDGET}, {DNA_BUDGET})");
 }
 
 /// The identity filter's distance ceiling for `q`: a neighbour passes

@@ -344,17 +344,22 @@ fn seeded_chaos_sweep_seed_feed() {
     replayed(0xFEED);
 }
 
-/// Seeds 2 and 0xBEEF fail "complete coverage must mean complete
-/// answers" at the served protein search budget (1,024 nodes visited):
+/// Failed at the old served point (bucket 32, protein budget 1,024);
+/// passes at the served one (bucket 256, 2,048 distance calls).
+#[test]
+fn seeded_chaos_sweep_seed_beef() {
+    replayed(0xBEEF);
+}
+
+/// Seed 2 fails "complete coverage must mean complete answers" at the
+/// served protein search budget (2,048 distance calls, bucket 256):
 /// which replicas are live changes what a budgeted k-NN search returns.
-/// Both pass at a budget of 4,096. See ROADMAP.md, "Bound the node
-/// search by the filter it feeds".
+/// It passes at 4,096. See ROADMAP.md item 1, a budget that covers what a
+/// failed member's search would have.
 #[test]
 #[ignore = "budgeted search answers depend on the live replica set"]
 fn seeded_chaos_budget_sensitive_seeds() {
-    for seed in [2u64, 0xBEEF] {
-        chaos_run(seed);
-    }
+    chaos_run(2);
 }
 
 #[test]
