@@ -108,6 +108,20 @@ if [ "$MODE" != "quick" ]; then
 fi
 step "cargo test" cargo test -q
 
+#    The five examples assert their own claims (the true source ranks
+#    first, replication masks a failure, scale-out keeps the answers);
+#    `cargo test` only compiles them. Run each in release; a non-zero
+#    exit fails the gate.
+run_examples() {
+    local example
+    for example in quickstart metagenomics protein_homology cluster_ops translated_search; do
+        cargo run --release -q --example "$example" >/dev/null || return 1
+    done
+}
+if [ "$MODE" != "quick" ]; then
+    step "examples run to a zero exit (release)" run_examples
+fi
+
 #    The vp-tree crate in release, where its served-size cases run
 #    (~100 k points per tree): the served search budgets must find as much
 #    of the exhaustive answer as the old depth-first search at 4,096, and

@@ -7,7 +7,10 @@
 //!
 //! Mendel's turnaround is the simulated 50-node cluster clock (real
 //! node-local compute + LAN model, DESIGN.md §3); BLAST's is measured
-//! single-machine wall time — matching what each system *is*.
+//! single-machine wall time — matching what each system *is*. Beside
+//! each turnaround sit its two largest stages: the group phase (node
+//! search) and finalize (the entry point's gapped extension), which
+//! grows with query length whatever the search does.
 //!
 //! ```sh
 //! cargo run --release -p mendel-bench --bin fig6a_query_length
@@ -17,7 +20,9 @@
 #![allow(clippy::print_stdout)]
 
 use mendel::{ClusterConfig, MendelCluster};
-use mendel_bench::{bench_params, figure_header, mean_duration, ms, DB_SEED, QUERY_SEED};
+use mendel_bench::{
+    bench_params, figure_header, mean_duration, ms, ratios, stage_means, DB_SEED, QUERY_SEED,
+};
 use mendel_blast::{Blast, BlastParams};
 use mendel_seq::gen::{NrLikeSpec, QuerySetSpec};
 use std::sync::Arc;
@@ -60,12 +65,12 @@ fn main() {
     let blast = Blast::new(db.clone(), BlastParams::protein());
 
     println!(
-        "\n{:>8} | {:>16} | {:>16}",
-        "len", "Mendel avg (ms)", "BLAST avg (ms)"
+        "\n{:>8} | {:>16} | {:>16} | {:>13} | {:>16}",
+        "len", "Mendel avg (ms)", "group phase (ms)", "finalize (ms)", "BLAST avg (ms)"
     );
-    println!("{}", "-".repeat(48));
-    let mut mendel_series = Vec::new();
-    let mut blast_series = Vec::new();
+    println!("{}", "-".repeat(82));
+    // Per length: mean turnaround, group phase, finalize, BLAST.
+    let mut series = Vec::new();
     for len in LENGTHS {
         let queries = QuerySetSpec {
             count: QUERIES_PER_LEN,
@@ -82,13 +87,13 @@ fn main() {
         // number of subqueries.
         let mut params = bench_params();
         params.k = (len / 64).max(8);
-        let mendel_times: Vec<_> = queries
+        let timings: Vec<_> = queries
             .iter()
             .map(|q| {
                 cluster
                     .query(&q.query.residues, &params)
                     .expect("valid query") // audit:allow(expect): bench binary; aborts on impossible fixture state with the message as the diagnostic
-                    .turnaround()
+                    .timings
             })
             .collect();
         let blast_times: Vec<_> = queries
@@ -99,20 +104,20 @@ fn main() {
                 t.elapsed()
             })
             .collect();
-        let m = mean_duration(&mendel_times);
-        let b = mean_duration(&blast_times);
-        println!("{len:>8} | {:>16} | {:>16}", ms(m), ms(b));
-        mendel_series.push(m);
-        blast_series.push(b);
+        let [total, group, finalize] = stage_means(&timings);
+        let row = [total, group, finalize, mean_duration(&blast_times)];
+        let [t, g, f, b] = row.map(ms);
+        println!("{len:>8} | {t:>16} | {g:>16} | {f:>13} | {b:>16}");
+        series.push(row);
     }
 
-    let mendel_growth =
-        mendel_series.last().unwrap().as_secs_f64() / mendel_series[0].as_secs_f64(); // audit:allow(unwrap): bench binary; aborts on impossible fixture state with the message as the diagnostic
-    let blast_growth = blast_series.last().unwrap().as_secs_f64() / blast_series[0].as_secs_f64(); // audit:allow(unwrap): bench binary; aborts on impossible fixture state with the message as the diagnostic
-    println!("\n500->3000 growth factor: Mendel {mendel_growth:.2}x vs BLAST {blast_growth:.2}x");
+    let [t, g, f, b] = ratios(series[series.len() - 1], series[0]);
     println!(
-        "paper shape: Mendel ~flat, BLAST grows -> {}",
-        if mendel_growth < blast_growth {
+        "\n500->3000 growth factor: Mendel avg {t:.2}x (group phase {g:.2}x, finalize {f:.2}x) vs BLAST avg {b:.2}x"
+    );
+    println!(
+        "paper shape, read on Mendel avg vs BLAST avg: Mendel ~flat, BLAST grows -> {}",
+        if t < b {
             "REPRODUCED"
         } else {
             "NOT reproduced"

@@ -5,6 +5,10 @@
 //! a sufficient scalability with respect to the size of the cluster" —
 //! adding nodes reduces turnaround, sublinearly.
 //!
+//! Beside each turnaround sit its two largest stages: the group phase
+//! (node search, the part more nodes divide) and finalize (the entry
+//! point's gapped extension, the same work at every cluster size).
+//!
 //! ```sh
 //! cargo run --release -p mendel-bench --bin fig6c_scalability
 //! ```
@@ -13,7 +17,7 @@
 #![allow(clippy::print_stdout)]
 
 use mendel_bench::{
-    bench_params, cluster_with, figure_header, mean_duration, ms, protein_db, query_set,
+    bench_params, cluster_with, figure_header, ms, protein_db, query_set, ratios, stage_means,
 };
 
 const NODE_COUNTS: [usize; 6] = [5, 10, 20, 30, 40, 50];
@@ -34,37 +38,36 @@ fn main() {
         QUERIES
     );
     println!(
-        "{:>7} | {:>7} | {:>16} | {:>13}",
-        "nodes", "groups", "Mendel avg (ms)", "index (s)"
+        "{:>7} | {:>7} | {:>16} | {:>16} | {:>13} | {:>9}",
+        "nodes", "groups", "Mendel avg (ms)", "group phase (ms)", "finalize (ms)", "index (s)"
     );
-    println!("{}", "-".repeat(52));
+    println!("{}", "-".repeat(84));
 
+    // Per cluster size: mean turnaround, group phase, finalize.
     let mut series = Vec::new();
     for nodes in NODE_COUNTS {
         let groups = (nodes / 5).max(1);
         let cluster = cluster_with(&db, nodes, groups);
-        let times: Vec<_> = queries
+        let timings: Vec<_> = queries
             .iter()
             .map(|q| {
                 cluster
                     .query(&q.query.residues, &params)
                     .expect("valid") // audit:allow(expect): bench binary; aborts on impossible fixture state with the message as the diagnostic
-                    .turnaround()
+                    .timings
             })
             .collect();
-        let m = mean_duration(&times);
-        println!(
-            "{nodes:>7} | {groups:>7} | {:>16} | {:>13.2}",
-            ms(m),
-            cluster.index_elapsed().as_secs_f64()
-        );
-        series.push(m);
+        let row = stage_means(&timings);
+        let [t, g, f] = row.map(ms);
+        let index_s = cluster.index_elapsed().as_secs_f64();
+        println!("{nodes:>7} | {groups:>7} | {t:>16} | {g:>16} | {f:>13} | {index_s:>9.2}");
+        series.push(row);
     }
-    let speedup = series[0].as_secs_f64() / series.last().unwrap().as_secs_f64(); // audit:allow(unwrap): bench binary; aborts on impossible fixture state with the message as the diagnostic
-    println!("\n5 -> 50 nodes speedup: {speedup:.2}x");
+    let [t, g, f] = ratios(series[0], series[series.len() - 1]);
+    println!("\n5 -> 50 nodes speedup: Mendel avg {t:.2}x (group phase {g:.2}x, finalize {f:.2}x)");
     println!(
-        "paper shape: turnaround decreases as nodes are added -> {}",
-        if speedup > 1.5 {
+        "paper shape, read on Mendel avg: turnaround decreases as nodes are added -> {}",
+        if t > 1.5 {
             "REPRODUCED"
         } else {
             "NOT reproduced"

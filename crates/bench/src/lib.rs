@@ -6,7 +6,7 @@
 //! workload builders so all experiments draw from the same synthetic
 //! `nr`-like data and the same cluster geometries.
 
-use mendel::{ClusterConfig, MendelCluster, QueryParams};
+use mendel::{ClusterConfig, MendelCluster, QueryParams, StageTimings};
 use mendel_seq::gen::{NrLikeSpec, QueryRecord, QuerySetSpec};
 use mendel_seq::SeqStore;
 use std::sync::Arc;
@@ -84,6 +84,25 @@ pub fn mean_duration(ds: &[Duration]) -> Duration {
         return Duration::ZERO;
     }
     ds.iter().sum::<Duration>() / ds.len() as u32
+}
+
+/// Mean turnaround, group phase (node search) and finalize (the entry
+/// point's gapped extension) of a set of queries: the turnaround and
+/// the two stages most of it is spent in.
+pub fn stage_means(timings: &[StageTimings]) -> [Duration; 3] {
+    let mean = |stage: fn(&StageTimings) -> Duration| {
+        mean_duration(&timings.iter().map(stage).collect::<Vec<_>>())
+    };
+    [
+        mean(StageTimings::total),
+        mean(|t| t.group_phase),
+        mean(|t| t.finalize),
+    ]
+}
+
+/// Column by column, `a / b`: a growth or speedup factor per column.
+pub fn ratios<const N: usize>(a: [Duration; N], b: [Duration; N]) -> [f64; N] {
+    std::array::from_fn(|c| a[c].as_secs_f64() / b[c].as_secs_f64())
 }
 
 /// Format a duration in fractional milliseconds.

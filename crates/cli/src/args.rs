@@ -8,7 +8,7 @@ use std::collections::HashMap;
 /// Parsed invocation: the subcommand plus its options.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Args {
-    /// The subcommand (`index`, `query`, ...).
+    /// The subcommand (`generate`, `query`, ...).
     pub command: String,
     options: HashMap<String, String>,
     flags: Vec<String>,
@@ -25,6 +25,13 @@ pub enum ArgError {
     UnexpectedToken(String),
     /// A required option is absent.
     MissingOption(String),
+    /// An option or flag the command does not read.
+    UnknownOption {
+        /// The command it was given to.
+        command: String,
+        /// The option name.
+        key: String,
+    },
     /// A value failed to parse as the expected type.
     BadValue {
         /// The option name.
@@ -43,6 +50,12 @@ impl std::fmt::Display for ArgError {
             ArgError::MissingValue(k) => write!(f, "option --{k} needs a value"),
             ArgError::UnexpectedToken(t) => write!(f, "unexpected argument {t:?}"),
             ArgError::MissingOption(k) => write!(f, "required option --{k} is missing"),
+            ArgError::UnknownOption { command, key } => {
+                write!(
+                    f,
+                    "`mendel {command}` takes no option --{key}; try `mendel help`"
+                )
+            }
             ArgError::BadValue {
                 key,
                 value,
@@ -57,7 +70,7 @@ impl std::fmt::Display for ArgError {
 impl std::error::Error for ArgError {}
 
 /// Option keys that are boolean flags (no value).
-const FLAGS: &[&str] = &["dna", "protein", "exact", "verbose"];
+const FLAGS: &[&str] = &["dna"];
 
 impl Args {
     /// Parse a raw token stream (without the program name).
@@ -119,6 +132,20 @@ impl Args {
     pub fn flag(&self, key: &str) -> bool {
         self.flags.iter().any(|f| f == key)
     }
+
+    /// Refuse any option or flag outside `known`, naming the first in
+    /// key order, so a misspelt or stale key fails instead of silently
+    /// leaving its default in place.
+    pub fn only(&self, known: &[&str]) -> Result<(), ArgError> {
+        let keys = self.options.keys().chain(&self.flags);
+        match keys.filter(|k| !known.contains(&k.as_str())).min() {
+            Some(key) => Err(ArgError::UnknownOption {
+                command: self.command.clone(),
+                key: key.clone(),
+            }),
+            None => Ok(()),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -131,12 +158,27 @@ mod tests {
 
     #[test]
     fn parses_command_options_and_flags() {
-        let a = Args::parse(&toks("index --db x.fasta --nodes 10 --dna")).unwrap();
-        assert_eq!(a.command, "index");
+        let a = Args::parse(&toks("query --db x.fasta --nodes 10 --dna")).unwrap();
+        assert_eq!(a.command, "query");
         assert_eq!(a.get("db"), Some("x.fasta"));
         assert_eq!(a.get_parsed("nodes", 0usize, "integer").unwrap(), 10);
         assert!(a.flag("dna"));
-        assert!(!a.flag("protein"));
+        assert!(!a.flag("nodes"));
+    }
+
+    #[test]
+    fn only_names_the_first_unknown_key() {
+        let a = Args::parse(&toks("query --db x --zeta 1 --alpha 2 --dna")).unwrap();
+        assert_eq!(a.only(&["db", "zeta", "alpha", "dna"]), Ok(()));
+        assert_eq!(
+            a.only(&["db"]),
+            Err(ArgError::UnknownOption {
+                command: "query".into(),
+                key: "alpha".into()
+            })
+        );
+        let err = a.only(&["db", "zeta", "alpha"]).unwrap_err();
+        assert!(err.to_string().contains("--dna"), "{err}");
     }
 
     #[test]

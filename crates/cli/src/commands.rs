@@ -3,10 +3,8 @@
 //! subprocess); `run` dispatches and does the file I/O.
 
 use crate::args::{ArgError, Args};
-use bytes::Bytes;
 use mendel::{
-    snapshot, store, ClusterConfig, MendelCluster, MendelError, MetricKind, QueryParams,
-    StorageBackend,
+    store, ClusterConfig, MendelCluster, MendelError, MetricKind, QueryParams, StorageBackend,
 };
 use mendel_seq::gen::{MutationModel, NrLikeSpec};
 use mendel_seq::{parse_fasta_sequences, write_fasta, Alphabet, SeqError, SeqStore};
@@ -91,6 +89,15 @@ fn load_db(path: &str, alphabet: Alphabet) -> Result<Arc<SeqStore>, CliError> {
     Ok(Arc::new(store))
 }
 
+/// The options of the synthetic corpus `generate` and `durability` make.
+const CORPUS: &[&str] = &["families", "members", "seed", "dna"];
+
+/// The options [`cluster_config`] reads, with `--dna`.
+const GEOMETRY: &[&str] = &["dna", "nodes", "groups", "block-len", "replication", "seed"];
+
+/// The options [`query_params`] reads.
+const SEARCH: &[&str] = &["step", "nn", "identity", "cscore", "band", "evalue"];
+
 fn cluster_config(args: &Args, alphabet: Alphabet) -> Result<ClusterConfig, CliError> {
     let base = if alphabet == Alphabet::Dna {
         ClusterConfig {
@@ -156,39 +163,19 @@ pub fn cmd_generate(args: &Args) -> Result<String, CliError> {
     ))
 }
 
-/// `mendel index` — index a FASTA database into a snapshot file.
-pub fn cmd_index(args: &Args) -> Result<String, CliError> {
+/// Index `--db` in process, every node of the cluster the geometry
+/// flags describe, in `--dna`'s alphabet: built from the FASTA, as
+/// `mendel serve` builds its node.
+fn build_cluster(args: &Args) -> Result<(MendelCluster, Alphabet), CliError> {
     let alphabet = alphabet_of(args);
     let db = load_db(args.require("db")?, alphabet)?;
     let config = cluster_config(args, alphabet)?;
-    let cluster = MendelCluster::build(config, db)?;
-    let bytes = snapshot::save(&cluster)?;
-    let out = args.require("out")?;
-    write_file(out, &bytes)?;
-    Ok(format!(
-        "indexed {} blocks over {} nodes / {} groups in {:?}; snapshot {} KiB -> {out}\n",
-        cluster.total_blocks(),
-        cluster.config().nodes,
-        cluster.config().groups,
-        cluster.index_elapsed(),
-        bytes.len() / 1024
-    ))
+    Ok((MendelCluster::build(config, db)?, alphabet))
 }
 
-/// Restore a cluster from `--index`/`--db`, parsing the db in the
-/// snapshot's alphabet.
-fn restore_cluster(args: &Args) -> Result<(MendelCluster, Alphabet), CliError> {
-    let index_path = args.require("index")?;
-    let raw = std::fs::read(index_path).map_err(|e| CliError::Io(index_path.into(), e))?;
-    let raw = Bytes::from(raw);
-    let alphabet = snapshot::config(&raw)?.alphabet;
-    let db = load_db(args.require("db")?, alphabet)?;
-    Ok((snapshot::restore(&raw, db)?, alphabet))
-}
-
-/// `mendel query` — run FASTA queries against a snapshot.
+/// `mendel query` — run FASTA queries against an indexed database.
 pub fn cmd_query(args: &Args) -> Result<String, CliError> {
-    let (cluster, alphabet) = restore_cluster(args)?;
+    let (cluster, alphabet) = build_cluster(args)?;
     let params = query_params(args, alphabet)?;
     let top = args.get_parsed("top", 5usize, "integer")?;
     let queries = parse_fasta_sequences(&read(args.require("query")?)?, alphabet)?;
@@ -268,13 +255,13 @@ pub fn cmd_blast(args: &Args) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// `mendel info` — describe a snapshot.
+/// `mendel info` — describe the cluster a database indexes into.
 pub fn cmd_info(args: &Args) -> Result<String, CliError> {
-    let (cluster, _) = restore_cluster(args)?;
+    let (cluster, _) = build_cluster(args)?;
     let cfg = cluster.config();
     let report = cluster.load_report();
     Ok(format!(
-        "snapshot: {:?} cluster, {} nodes / {} groups, block length {}, replication {}\n\
+        "index: {:?} cluster, {} nodes / {} groups, block length {}, replication {}\n\
          blocks: {} ({} bytes payload), load spread {:.3} pp\n",
         cfg.alphabet,
         cfg.nodes,
@@ -287,14 +274,14 @@ pub fn cmd_info(args: &Args) -> Result<String, CliError> {
     ))
 }
 
-/// `mendel metrics` — exercise a snapshot and dump its metric registry.
+/// `mendel metrics` — index a database and dump its metric registry.
 ///
 /// With `--query` the given FASTA queries run first so search counters
 /// and stage histograms are populated; without it the dump reflects
-/// only restore-time state. `--format prometheus` (default) emits the
+/// only index-time state. `--format prometheus` (default) emits the
 /// text exposition; `--format json` the JSON one (DESIGN.md §11).
 pub fn cmd_metrics(args: &Args) -> Result<String, CliError> {
-    let (cluster, alphabet) = restore_cluster(args)?;
+    let (cluster, alphabet) = build_cluster(args)?;
     if let Some(query_path) = args.get("query") {
         let params = query_params(args, alphabet)?;
         for q in parse_fasta_sequences(&read(query_path)?, alphabet)? {
@@ -549,7 +536,7 @@ pub fn cmd_trace_dump(args: &Args) -> Result<String, CliError> {
     if let Some(addr) = args.get("addr") {
         return trace_dump_remote(args, addr);
     }
-    let (cluster, alphabet) = restore_cluster(args)?;
+    let (cluster, alphabet) = build_cluster(args)?;
     cluster.set_tracing(true);
     let params = query_params(args, alphabet)?;
     let queries = parse_fasta_sequences(&read(args.require("query")?)?, alphabet)?;
@@ -787,24 +774,43 @@ pub fn run(tokens: &[String]) -> Result<String, CliError> {
         tokens.splice(0..2, ["trace-slowlog".to_string()]);
     }
     let args = Args::parse(&tokens)?;
-    match args.command.as_str() {
-        "generate" => cmd_generate(&args),
-        "index" => cmd_index(&args),
-        "query" => cmd_query(&args),
-        "blast" => cmd_blast(&args),
-        "info" => cmd_info(&args),
-        "metrics" => cmd_metrics(&args),
-        "durability" => cmd_durability(&args),
-        "trace-dump" => cmd_trace_dump(&args),
-        "trace-slowlog" => cmd_trace_slowlog(&args),
-        "top" => cmd_top(&args),
-        "serve" => crate::serve::cmd_serve(&args),
-        "trace" => Err(CliError::UnknownCommand(
-            "trace (did you mean `mendel trace dump` or `mendel trace slowlog`?)".into(),
-        )),
-        "help" | "--help" | "-h" => Ok(crate::USAGE.to_string()),
-        other => Err(CliError::UnknownCommand(other.into())),
-    }
+    // Each command with the keys it reads; any other key is refused
+    // before the command does any work. `serve` also reads its keys from
+    // a `--config` file, so it checks none here.
+    type Command = fn(&Args) -> Result<String, CliError>;
+    let (command, keys): (Command, &[&[&str]]) = match args.command.as_str() {
+        "generate" => (
+            cmd_generate,
+            &[&["out", "min-len", "max-len", "divergence"], CORPUS],
+        ),
+        "query" => (cmd_query, &[&["db", "query", "top"], GEOMETRY, SEARCH]),
+        "blast" => (cmd_blast, &[&["db", "query", "evalue", "top", "dna"]]),
+        "info" => (cmd_info, &[&["db"], GEOMETRY]),
+        "metrics" => (cmd_metrics, &[&["db", "query", "format"], GEOMETRY, SEARCH]),
+        "durability" => (
+            cmd_durability,
+            &[&["nodes", "groups", "fsync", "memtable"], CORPUS],
+        ),
+        "trace-dump" if args.get("addr").is_some() => {
+            (cmd_trace_dump, &[&["addr", "trace", "format", "out"]])
+        }
+        "trace-dump" => (
+            cmd_trace_dump,
+            &[&["db", "query", "format", "out"], GEOMETRY, SEARCH],
+        ),
+        "trace-slowlog" => (cmd_trace_slowlog, &[&["addr"]]),
+        "top" => (cmd_top, &[&["addr", "iterations", "interval-ms"]]),
+        "serve" => return crate::serve::cmd_serve(&args),
+        "trace" => {
+            return Err(CliError::UnknownCommand(
+                "trace (did you mean `mendel trace dump` or `mendel trace slowlog`?)".into(),
+            ))
+        }
+        "help" | "--help" | "-h" => return Ok(crate::USAGE.to_string()),
+        other => return Err(CliError::UnknownCommand(other.into())),
+    };
+    args.only(&keys.concat())?;
+    command(&args)
 }
 
 #[cfg(test)]
@@ -839,20 +845,14 @@ mod tests {
     #[test]
     fn generate_index_query_roundtrip() {
         let fasta = tmp("db.fasta");
-        let snap = tmp("db.mendel");
         let qf = tmp("q.fasta");
+        let shape = "--nodes 6 --groups 2";
 
         let out = run(&toks(&format!(
             "generate --out {fasta} --families 10 --members 2 --min-len 120 --max-len 200 --seed 5"
         )))
         .unwrap();
         assert!(out.contains("20 sequences"), "{out}");
-
-        let out = run(&toks(&format!(
-            "index --db {fasta} --out {snap} --nodes 6 --groups 2"
-        )))
-        .unwrap();
-        assert!(out.contains("indexed"), "{out}");
 
         // Query with the first database sequence itself.
         let text = std::fs::read_to_string(&fasta).unwrap();
@@ -864,19 +864,16 @@ mod tests {
         };
         std::fs::write(&qf, first_record).unwrap();
         let out = run(&toks(&format!(
-            "query --index {snap} --db {fasta} --query {qf} --top 3"
+            "query --db {fasta} {shape} --query {qf} --top 3"
         )))
         .unwrap();
         assert!(out.contains("fam0_m0"), "self-hit expected:\n{out}");
 
-        let out = run(&toks(&format!("info --index {snap} --db {fasta}"))).unwrap();
-        assert!(out.contains("6 nodes"), "{out}");
+        let out = run(&toks(&format!("info --db {fasta} {shape}"))).unwrap();
+        assert!(out.contains("6 nodes / 2 groups"), "{out}");
 
         // The metrics dump reflects the queries it just ran.
-        let out = run(&toks(&format!(
-            "metrics --index {snap} --db {fasta} --query {qf}"
-        )))
-        .unwrap();
+        let out = run(&toks(&format!("metrics --db {fasta} {shape} --query {qf}"))).unwrap();
         assert!(out.contains("# TYPE mendel_query_count counter"), "{out}");
         assert!(out.contains("mendel_query_count 1"), "{out}");
         assert!(out.contains("mendel_vptree_dist_calls"), "{out}");
@@ -887,15 +884,12 @@ mod tests {
         );
 
         let out = run(&toks(&format!(
-            "metrics --index {snap} --db {fasta} --query {qf} --format json"
+            "metrics --db {fasta} {shape} --query {qf} --format json"
         )))
         .unwrap();
         assert!(out.contains("\"mendel.query.count\": 1"), "{out}");
 
-        let err = run(&toks(&format!(
-            "metrics --index {snap} --db {fasta} --format xml"
-        )))
-        .unwrap_err();
+        let err = run(&toks(&format!("metrics --db {fasta} {shape} --format xml"))).unwrap_err();
         assert!(err.to_string().contains("prometheus|json"), "{err}");
     }
 
@@ -948,16 +942,12 @@ mod tests {
     #[test]
     fn trace_dump_emits_chrome_and_tree_formats() {
         let fasta = tmp("tdb.fasta");
-        let snap = tmp("tdb.mendel");
         let qf = tmp("tq.fasta");
         run(&toks(&format!(
             "generate --out {fasta} --families 8 --members 2 --min-len 120 --max-len 180 --seed 11"
         )))
         .unwrap();
-        run(&toks(&format!(
-            "index --db {fasta} --out {snap} --nodes 6 --groups 2"
-        )))
-        .unwrap();
+        let db = format!("--db {fasta} --nodes 6 --groups 2");
         let text = std::fs::read_to_string(&fasta).unwrap();
         let first_record: String = {
             let mut lines = text.lines();
@@ -968,10 +958,7 @@ mod tests {
         std::fs::write(&qf, first_record).unwrap();
 
         // Default format is chrome trace-event JSON.
-        let out = run(&toks(&format!(
-            "trace dump --index {snap} --db {fasta} --query {qf}"
-        )))
-        .unwrap();
+        let out = run(&toks(&format!("trace dump {db} --query {qf}"))).unwrap();
         assert!(
             out.starts_with("{\"displayTimeUnit\":\"ms\",\"traceEvents\":["),
             "{out}"
@@ -980,7 +967,7 @@ mod tests {
 
         // Tree format renders the spans and the critical path.
         let out = run(&toks(&format!(
-            "trace dump --index {snap} --db {fasta} --query {qf} --format tree"
+            "trace dump {db} --query {qf} --format tree"
         )))
         .unwrap();
         assert!(out.contains("critical path:"), "{out}");
@@ -989,17 +976,14 @@ mod tests {
         // --out writes the artifact and summarizes.
         let artifact = tmp("trace.json");
         let out = run(&toks(&format!(
-            "trace dump --index {snap} --db {fasta} --query {qf} --out {artifact}"
+            "trace dump {db} --query {qf} --out {artifact}"
         )))
         .unwrap();
         assert!(out.contains("traced 1 queries"), "{out}");
         let written = std::fs::read_to_string(&artifact).unwrap();
         assert!(written.contains("\"ph\":\"X\""), "{written}");
 
-        let err = run(&toks(&format!(
-            "trace dump --index {snap} --db {fasta} --query {qf} --format xml"
-        )))
-        .unwrap_err();
+        let err = run(&toks(&format!("trace dump {db} --query {qf} --format xml"))).unwrap_err();
         assert!(err.to_string().contains("chrome|tree"), "{err}");
 
         // Bare `trace` points at the real spelling.
@@ -1037,8 +1021,83 @@ mod tests {
 
     #[test]
     fn missing_files_report_path() {
-        let err = run(&toks("index --db /nonexistent.fasta --out /tmp/x")).unwrap_err();
+        let err = run(&toks("query --db /nonexistent.fasta --query /tmp/x")).unwrap_err();
         assert!(err.to_string().contains("/nonexistent.fasta"));
+    }
+
+    #[test]
+    fn keys_a_command_does_not_read_are_refused() {
+        for (argv, key) in [
+            (
+                "query --index db.mendel --db /nonexistent.fasta --query q",
+                "--index",
+            ),
+            ("query --exact --db /nonexistent.fasta --query q", "--exact"),
+            ("query --db /nonexistent.fasta --grups 2", "--grups"),
+            ("info --db /nonexistent.fasta --top 3", "--top"),
+            (
+                "trace dump --addr 127.0.0.1:1 --db /nonexistent.fasta",
+                "--db",
+            ),
+            ("generate --out /nonexistent/x.fasta --nodes 3", "--nodes"),
+        ] {
+            // Refused before the command reads or writes anything.
+            let err = run(&toks(argv)).unwrap_err().to_string();
+            assert!(err.contains(key), "{argv}: {err}");
+            assert!(!err.contains("/nonexistent"), "{argv}: {err}");
+        }
+    }
+
+    #[test]
+    fn every_option_usage_lists_is_accepted() {
+        // Each usage entry (`  mendel <command> ...` and its indented
+        // continuation lines, `[CLUSTER]` and `[SEARCH]` spelt out),
+        // given every option it lists at the value `x`: each command
+        // then fails on that value or on the missing file `x`, never on
+        // an unknown key.
+        let usage = crate::USAGE.split_once("USAGE:\n").unwrap().1;
+        let (commands, groups) = usage.split_once("\n\n").unwrap();
+        let mut entries: Vec<String> = Vec::new();
+        for line in commands.lines() {
+            match line.strip_prefix("  mendel ") {
+                Some(entry) => entries.push(entry.into()),
+                None => entries.last_mut().unwrap().push_str(line),
+            }
+        }
+        let groups: Vec<&str> = groups.lines().collect();
+        for pair in groups.chunks(2) {
+            let name = pair[0].split_once(',').unwrap().0;
+            for entry in &mut entries {
+                *entry = entry.replace(&format!("[{name}]"), pair[1]);
+            }
+        }
+        let mut checked = 0;
+        for entry in &entries {
+            let command: Vec<&str> = entry
+                .split_whitespace()
+                .take_while(|w| !w.starts_with("--") && !w.starts_with('['))
+                .collect();
+            if matches!(command[..], ["serve"] | ["help"]) {
+                continue;
+            }
+            let mut argv: Vec<String> = command.iter().map(|w| w.to_string()).collect();
+            for word in entry.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-')) {
+                let Some(key) = word.strip_prefix("--") else {
+                    continue;
+                };
+                argv.push(word.into());
+                if key != "dna" {
+                    argv.push("x".into());
+                }
+            }
+            let err = run(&argv).unwrap_err();
+            assert!(
+                !matches!(err, CliError::Args(ArgError::UnknownOption { .. })),
+                "{argv:?}: {err}"
+            );
+            checked += 1;
+        }
+        assert_eq!(checked, 10, "{entries:?}");
     }
 
     #[test]

@@ -2,16 +2,20 @@
 //!
 //! ```text
 //! mendel generate --out db.fasta [--families 64] [--members 4] [--dna] [--seed 7]
-//! mendel index    --db db.fasta --out db.mendel [--nodes 50] [--groups 10] [--dna] ...
-//! mendel query    --index db.mendel --db db.fasta --query q.fasta [--evalue 10] ...
+//! mendel query    --db db.fasta --query q.fasta [--nodes 50] [--groups 10] [--dna] ...
 //! mendel blast    --db db.fasta --query q.fasta [--dna]
-//! mendel info     --index db.mendel --db db.fasta
-//! mendel metrics  --index db.mendel --db db.fasta [--query q.fasta] [--format json]
-//! mendel trace dump --index db.mendel --db db.fasta --query q.fasta [--format tree]
+//! mendel info     --db db.fasta [--nodes 50] [--groups 10] [--dna] ...
+//! mendel metrics  --db db.fasta [--query q.fasta] [--format json] ...
+//! mendel trace dump --db db.fasta --query q.fasta [--format tree] ...
 //! mendel serve    --node 0 --listen 127.0.0.1:7701 --http 127.0.0.1:8701
 //!                 --peers 1=127.0.0.1:7702,2=127.0.0.1:7703 [--config serve.toml]
 //! mendel help
 //! ```
+//!
+//! `query`, `info`, `metrics` and a local `trace dump` index `--db` in
+//! process, built from the FASTA as `serve` builds its node. A key a
+//! command does not read is an error (`serve` excepted: `--config`
+//! supplies keys too).
 //!
 //! The library half holds all the logic (testable without spawning a
 //! process); `main.rs` is a thin shim.
@@ -32,19 +36,15 @@ mendel — distributed similarity search over sequencing data (IPDPS'16 reproduc
 USAGE:
   mendel generate --out <fasta> [--families N] [--members N] [--min-len N]
                   [--max-len N] [--divergence F] [--seed N] [--dna]
-  mendel index    --db <fasta> --out <snapshot> [--nodes N] [--groups N]
-                  [--block-len N] [--replication N] [--seed N] [--dna]
-  mendel query    --index <snapshot> --db <fasta> --query <fasta>
-                  [--evalue F] [--nn N] [--identity F] [--cscore F]
-                  [--step N] [--band N] [--top N]
+  mendel query    --db <fasta> --query <fasta> [--top N] [CLUSTER] [SEARCH]
   mendel blast    --db <fasta> --query <fasta> [--evalue F] [--top N] [--dna]
-  mendel info     --index <snapshot> --db <fasta>
-  mendel metrics  --index <snapshot> --db <fasta> [--query <fasta>]
-                  [--format prometheus|json]
+  mendel info     --db <fasta> [CLUSTER]
+  mendel metrics  --db <fasta> [--query <fasta>] [--format prometheus|json]
+                  [CLUSTER] [SEARCH]
   mendel durability [--nodes N] [--groups N] [--fsync always|group|flush]
                   [--memtable N] [--families N] [--members N] [--seed N] [--dna]
-  mendel trace dump --index <snapshot> --db <fasta> --query <fasta>
-                  [--format chrome|tree] [--out <path>]
+  mendel trace dump --db <fasta> --query <fasta> [--format chrome|tree]
+                  [--out <path>] [CLUSTER] [SEARCH]
   mendel trace dump --addr <host:port> [--trace N]
                   [--format chrome|tree|records|path] [--out <path>]
   mendel trace slowlog --addr <host:port>
@@ -57,4 +57,9 @@ USAGE:
                   [--tracing true|false] [--trace-sample N]
                   [--slowlog-threshold-ms N] [--slowlog-sample N]
   mendel help
+
+CLUSTER, the cluster --db is indexed into, in process, before answering:
+  [--nodes N] [--groups N] [--block-len N] [--replication N] [--seed N] [--dna]
+SEARCH, the query parameters of the paper's Table I:
+  [--evalue F] [--nn N] [--identity F] [--cscore F] [--step N] [--band N]
 ";

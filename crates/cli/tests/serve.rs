@@ -8,7 +8,7 @@
 //! collisions (ports are probed, released, then rebound by children)
 //! retry the whole spawn round.
 
-use mendel::{ClusterConfig, MendelCluster, QueryParams};
+use mendel::{ClusterConfig, MendelCluster, MetricKind, QueryParams};
 use mendel_cli::http::http_request;
 use mendel_cli::render_outcome_json;
 use mendel_seq::gen::NrLikeSpec;
@@ -591,41 +591,91 @@ fn serve_arg_errors_are_reported() {
     }
 }
 
-/// A snapshot queried against a FASTA other than the one it indexed is
-/// refused by the `mendel` executable, with a non-zero exit and the
-/// reason, instead of panicking mid-query or answering with the other
-/// database's residues.
+/// `mendel query` indexes `--db` itself: the executable, run on a
+/// generated corpus at a given geometry, prints the hits an in-process
+/// `MendelCluster::build` at the same config answers, for protein and
+/// for DNA.
 #[test]
-fn snapshot_against_another_fasta_is_refused() {
-    let dir = std::env::temp_dir().join(format!("mendel-serve-tests-{}", std::process::id()));
+fn query_executable_matches_an_in_process_build() {
+    let dir = std::env::temp_dir().join(format!("mendel-query-tests-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
-    let path = |name: &str| dir.join(name).to_string_lossy().into_owned();
-    let (a, b, snap) = (path("a.fa"), path("b.fa"), path("a.mendel"));
+    let a = dir.join("a.fa").to_string_lossy().into_owned();
     let mendel = |args: &str| {
-        Command::new(env!("CARGO_BIN_EXE_mendel"))
+        let out = Command::new(env!("CARGO_BIN_EXE_mendel"))
             .args(args.split_whitespace())
             .output()
-            .expect("run mendel")
-    };
-    for args in [
-        format!("generate --out {a} --families 6 --members 3 --min-len 300 --max-len 300 --seed 1"),
-        format!("index --db {a} --out {snap} --nodes 3 --groups 1"),
-        format!("generate --out {b} --families 3 --members 3 --min-len 200 --max-len 200 --seed 5"),
-    ] {
-        let out = mendel(&args);
+            .expect("run mendel");
         assert!(out.status.success(), "{args}: {out:?}");
-    }
-    for args in [
-        format!("query --index {snap} --db {b} --query {b}"),
-        format!("info --index {snap} --db {b}"),
-    ] {
-        let out = mendel(&args);
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(1), "{args}: {stderr}");
-        assert!(
-            stderr.contains("snapshot does not match the database"),
-            "{args}: {stderr}"
-        );
+        String::from_utf8(out.stdout).expect("utf-8 output")
+    };
+    for (alphabet, flag) in [(Alphabet::Protein, ""), (Alphabet::Dna, "--dna")] {
+        mendel(&format!(
+            "generate --out {a} --families 6 --members 3 --min-len 300 --max-len 300 --seed 1 {flag}"
+        ));
+        let printed = mendel(&format!(
+            "query --db {a} --query {a} --nodes 3 --groups 1 --top 1000 {flag}"
+        ));
+
+        let fasta = std::fs::read_to_string(&a).expect("read corpus");
+        let mut store = SeqStore::new();
+        for s in parse_fasta_sequences(&fasta, alphabet).expect("parse corpus") {
+            store.insert(s);
+        }
+        let db = Arc::new(store);
+        let (config, params) = match alphabet {
+            Alphabet::Protein => (
+                ClusterConfig::paper_testbed_protein(),
+                QueryParams::protein(),
+            ),
+            Alphabet::Dna => (
+                ClusterConfig {
+                    alphabet,
+                    metric: MetricKind::Hamming,
+                    ..ClusterConfig::paper_testbed_protein()
+                },
+                QueryParams::dna(),
+            ),
+        };
+        let config = ClusterConfig {
+            nodes: 3,
+            groups: 1,
+            ..config
+        };
+        let cluster = MendelCluster::build(config, db.clone()).expect("build");
+        // Every line but the per-query header's simulated turnaround.
+        let mut want = String::new();
+        for q in db.iter() {
+            let report = cluster.query(&q.residues, &params).expect("query");
+            want += &format!(
+                "query {} ({} residues): {} hits\n",
+                q.name,
+                q.len(),
+                report.hits.len()
+            );
+            for hit in &report.hits {
+                let name = &db.get(hit.subject).expect("subject").name;
+                want += &format!(
+                    "  {name:<20} score {:>6}  bits {:>8.1}  E {:>10.2e}  id {:>5.1}%  q[{}..{}] s[{}..{}]\n",
+                    hit.score,
+                    hit.bits,
+                    hit.evalue,
+                    hit.identity * 100.0,
+                    hit.query_start,
+                    hit.query_end,
+                    hit.subject_start,
+                    hit.subject_end
+                );
+            }
+        }
+        let got: String = printed
+            .lines()
+            .map(|l| match l.split_once(", simulated turnaround") {
+                Some((head, _)) => format!("{head}\n"),
+                None => format!("{l}\n"),
+            })
+            .collect();
+        assert!(want.contains("hits\n  "), "{alphabet:?}: no hits at all");
+        assert_eq!(got, want, "{alphabet:?}");
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

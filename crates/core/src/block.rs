@@ -8,7 +8,6 @@
 //! which its previous/next neighbour references follow (the windows
 //! overlap with step one).
 
-use mendel_net::codec::{Decode, DecodeError, Encode};
 use mendel_seq::{SeqId, Sequence, WindowView};
 use std::sync::Arc;
 
@@ -73,29 +72,6 @@ impl Block {
         (self.start as usize + self.window.len() < seq_len).then(|| BlockKey {
             seq: self.seq,
             start: self.start + 1,
-        })
-    }
-}
-
-impl Encode for Block {
-    fn encode(&self, buf: &mut bytes::BytesMut) {
-        self.seq.0.encode(buf);
-        self.start.encode(buf);
-        // Window content in the `Vec<u8>` frame (u32-le length + bytes),
-        // keeping the wire format identical to the materialized era.
-        (self.window.len() as u32).encode(buf);
-        buf.extend_from_slice(&self.window);
-    }
-}
-
-impl Decode for Block {
-    fn decode(buf: &mut bytes::Bytes) -> Result<Self, DecodeError> {
-        Ok(Block {
-            seq: SeqId(u32::decode(buf)?),
-            start: u32::decode(buf)?,
-            // Decoded views are standalone; a receiving node's tree
-            // copies the bytes into its leaves on insert.
-            window: WindowView::standalone(Vec::<u8>::decode(buf)?),
         })
     }
 }
@@ -281,38 +257,15 @@ mod tests {
     }
 
     #[test]
-    fn wire_roundtrip() {
-        let b = Block {
-            seq: SeqId(3),
-            start: 17,
-            window: WindowView::standalone(vec![1, 2, 3, 4]),
-        };
-        let bytes = b.to_bytes();
-        assert_eq!(Block::from_bytes(&bytes).unwrap(), b);
-    }
-
-    #[test]
-    fn wire_format_matches_the_materialized_era() {
-        // (seq u32-le, start u32-le, window len u32-le, window bytes) —
-        // the exact frame an owned `Vec<u8>` window encodes.
-        let b = Block {
-            seq: SeqId(3),
-            start: 17,
-            window: WindowView::standalone(vec![1, 2, 3, 4]),
-        };
-        assert_eq!(
-            b.to_bytes().as_ref(),
-            [3, 0, 0, 0, 17, 0, 0, 0, 4, 0, 0, 0, 1, 2, 3, 4]
-        );
-    }
-
-    #[test]
     fn anchored_and_standalone_blocks_compare_equal() {
         let s = seq(b"ACGTACGT");
         let blocks = make_blocks(&s, 4);
-        let rt = Block::from_bytes(&blocks[2].to_bytes()).unwrap();
-        assert_eq!(rt, blocks[2], "wire roundtrip loses nothing observable");
-        assert_eq!(rt.window.offset(), 0, "decoded views are standalone");
+        let standalone = Block {
+            window: WindowView::standalone(blocks[2].window.to_vec()),
+            ..blocks[2].clone()
+        };
+        assert_eq!(standalone, blocks[2], "a copied window loses nothing");
+        assert_eq!(standalone.window.offset(), 0);
         assert_eq!(
             blocks[2].window.offset(),
             2,

@@ -166,9 +166,9 @@ impl MendelCluster {
     /// the share its node serves. Every other node's blocks reach the
     /// ledger as keys alone (and, on the durable backend, that node's
     /// store under `vfs`). Such a cluster answers over the wire only:
-    /// [`Self::query`] and `snapshot::save` refuse it, and the §VII-B
-    /// operations, which re-place blocks from their holders' RAM, are
-    /// not for it. A `member` outside the topology is a config error.
+    /// [`Self::query`] refuses it, and the §VII-B operations, which
+    /// re-place blocks from their holders' RAM, are not for it. A
+    /// `member` outside the topology is a config error.
     pub fn build_member(
         config: ClusterConfig,
         db: Arc<SeqStore>,
@@ -199,15 +199,6 @@ impl MendelCluster {
         cluster.index_sequences(corpus.iter())?;
         cluster.index_elapsed = clock.now().saturating_sub(started);
         Ok(cluster)
-    }
-
-    /// Restore-path constructor ([`crate::snapshot`]): the skeleton
-    /// alone, no data routed.
-    pub(crate) fn build_empty(
-        config: ClusterConfig,
-        db: Arc<SeqStore>,
-    ) -> Result<Self, MendelError> {
-        Self::skeleton(config, db, Arc::new(MonotonicClock::new()), None)
     }
 
     /// The one constructor: vp-prefix hash, topology, and one empty,
@@ -454,8 +445,8 @@ impl MendelCluster {
     }
 
     /// Refuse `what` unless this cluster hosts every node: an in-process
-    /// evaluation or a snapshot of a member cluster would read the other
-    /// nodes' empty slots and come back silently short.
+    /// evaluation on a member cluster would read the other nodes' empty
+    /// slots and come back silently short.
     pub(crate) fn require_every_node(&self, what: &str) -> Result<(), MendelError> {
         match self.member {
             Some(m) if !self.hosts_every_node() => Err(MendelError::Config(format!(
@@ -967,23 +958,10 @@ impl MendelCluster {
         self.nodes.read()[node.0 as usize].clone()
     }
 
-    /// All blocks currently held by `node` (snapshot path).
+    /// All blocks currently held by `node`.
+    #[cfg(test)]
     pub(crate) fn node_blocks(&self, node: NodeId) -> Vec<Block> {
         self.slot(node).read().blocks()
-    }
-
-    /// Restore-path helper: bulk-load pre-routed blocks directly onto a
-    /// node, bypassing the hash pipeline (see [`crate::snapshot`]).
-    pub(crate) fn load_node_blocks(
-        &self,
-        node: NodeId,
-        blocks: Vec<Block>,
-    ) -> Result<(), MendelError> {
-        let topo = self.topology.read();
-        self.place(&topo, &self.nodes.read(), node, Share::Blocks(blocks))?;
-        drop(topo);
-        self.assert_ledger("load_node_blocks");
-        Ok(())
     }
 
     // ---- Durable storage (ROADMAP item 2) -----------------------------

@@ -14,8 +14,6 @@ pub enum MendelError {
     Query(String),
     /// A sequence-layer failure (FASTA, encoding...).
     Seq(mendel_seq::SeqError),
-    /// A snapshot failed to decode.
-    Snapshot(String),
     /// The addressed node does not exist or has left the cluster.
     NoSuchNode(mendel_dht::NodeId),
     /// Every member of the group is down, so the group's blocks could
@@ -33,7 +31,6 @@ impl fmt::Display for MendelError {
             MendelError::Params(m) => write!(f, "invalid query parameters: {m}"),
             MendelError::Query(m) => write!(f, "invalid query: {m}"),
             MendelError::Seq(e) => write!(f, "sequence error: {e}"),
-            MendelError::Snapshot(m) => write!(f, "snapshot error: {m}"),
             MendelError::NoSuchNode(n) => write!(f, "no such node: {n}"),
             MendelError::GroupDown(g) => write!(f, "group {g} has no live member"),
             MendelError::Store(m) => write!(f, "storage error: {m}"),

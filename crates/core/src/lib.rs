@@ -57,7 +57,6 @@ mod pipeline;
 pub mod query;
 pub mod report;
 pub mod serve;
-pub mod snapshot;
 pub mod wire;
 
 pub use block::{check_block_chain, make_blocks, Block, BlockKey};

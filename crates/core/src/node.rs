@@ -164,12 +164,12 @@ impl StorageNode {
         (self.keys.len() * (std::mem::size_of::<BlockKey>() + self.tree.window_len())) as u64
     }
 
-    /// All blocks, in insertion order (snapshot/rebalance path): the
-    /// keys plus the tree's windows. A window the reference store holds
-    /// at its key is a view of that sequence, one shared copy per
-    /// sequence, so a re-placed block persists into the sequence's
-    /// stored blob just as its first ingest did; any other window (a
-    /// wire-decoded block whose sequence the store lacks) is standalone.
+    /// All blocks, in insertion order (rebalance path): the keys plus
+    /// the tree's windows. A window the reference store holds at its key
+    /// is a view of that sequence, one shared copy per sequence, so a
+    /// re-placed block persists into the sequence's stored blob just as
+    /// its first ingest did; any other window (a block whose sequence the
+    /// store lacks) is standalone.
     pub fn blocks(&self) -> Vec<Block> {
         let db = self.db.read().clone();
         let mut seqs: HashMap<SeqId, Option<Arc<[u8]>>> = HashMap::new();
@@ -653,9 +653,8 @@ mod tests {
 
     #[test]
     fn blocks_round_trip_in_insertion_order() {
-        // Blocks as ingest makes them, then wire-decoded ones — one of
+        // Blocks as ingest makes them, then standalone ones — one of
         // them naming a sequence the reference store lacks.
-        use mendel_net::{Decode, Encode};
         let db = test_db();
         let mut node = StorageNode::new(
             BlockMetric::mendel_blosum62(),
@@ -665,9 +664,12 @@ mod tests {
             1,
         );
         let mut sent = make_blocks(db.get(SeqId(3)).unwrap(), 16);
-        let mut wired = make_blocks(db.get(SeqId(5)).unwrap(), 16);
-        wired[7].seq = SeqId(999);
-        sent.extend(Vec::<Block>::from_bytes(&wired.to_bytes()).unwrap());
+        let mut standalone = make_blocks(db.get(SeqId(5)).unwrap(), 16);
+        standalone[7].seq = SeqId(999);
+        sent.extend(standalone.into_iter().map(|b| Block {
+            window: WindowView::standalone(b.window.to_vec()),
+            ..b
+        }));
         node.insert_blocks(sent[..40].to_vec());
         node.insert_blocks(sent[40..].to_vec());
         let got = node.blocks();

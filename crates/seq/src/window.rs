@@ -42,8 +42,8 @@ impl WindowView {
         }
     }
 
-    /// A self-contained view owning exactly `window` (the wire-decode
-    /// path).
+    /// A self-contained view owning exactly `window`, for a window with
+    /// no stored sequence to view.
     pub fn standalone(window: Vec<u8>) -> Self {
         let len = window.len();
         WindowView {

@@ -1,8 +1,8 @@
 //! Cluster operations walkthrough: load balance, node failure + masking
-//! via replication, elastic scale-out, and pre-indexed snapshots.
+//! via replication, and elastic scale-out.
 //!
 //! Exercises the §VII-B "future work" features this reproduction
-//! implements (fault tolerance, elasticity, saved indexes).
+//! implements (fault tolerance, elasticity).
 //!
 //! ```sh
 //! cargo run --release --example cluster_ops
@@ -11,11 +11,10 @@
 // Examples narrate through stdout by design.
 #![allow(clippy::print_stdout)]
 
-use mendel_suite::core::{snapshot, ClusterConfig, MendelCluster, QueryParams};
+use mendel_suite::core::{ClusterConfig, MendelCluster, QueryParams};
 use mendel_suite::dht::NodeId;
 use mendel_suite::seq::gen::{NrLikeSpec, QuerySetSpec};
 use std::sync::Arc;
-use std::time::Instant;
 
 fn main() {
     let db = Arc::new(
@@ -105,25 +104,5 @@ fn main() {
     );
     assert!(share > 0);
 
-    // --- 4. Pre-indexed snapshots (§VII-B) -----------------------------
-    // (Snapshots capture original membership, so save from a fresh build.)
-    let mut cfg2 = ClusterConfig::small_protein();
-    cfg2.nodes = 10;
-    cfg2.groups = 2;
-    let fresh = MendelCluster::build(cfg2, db.clone()).expect("valid config");
-    let full_index_time = fresh.index_elapsed();
-    let bytes = snapshot::save(&fresh).expect("unmodified membership");
-    let t = Instant::now();
-    let restored = snapshot::restore(&bytes.clone(), db.clone()).expect("snapshot is well-formed");
-    let restore_time = t.elapsed();
-    let a = fresh.query(&query.query.residues, &params).unwrap();
-    let b = restored.query(&query.query.residues, &params).unwrap();
-    assert_eq!(a.hits, b.hits, "restored cluster must answer identically");
-    println!(
-        "\nsnapshot: {} KiB on the wire; full index {:?} vs restore {:?}",
-        bytes.len() / 1024,
-        full_index_time,
-        restore_time
-    );
-    println!("\nOK: load balance, failover, scale-out, and snapshots all verified.");
+    println!("\nOK: load balance, failover and scale-out all verified.");
 }

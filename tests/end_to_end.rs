@@ -2,7 +2,7 @@
 //! public API, spanning mendel-seq, mendel-vptree, mendel-dht and the
 //! mendel core.
 
-use mendel_suite::core::{snapshot, ClusterConfig, MendelCluster, QueryParams};
+use mendel_suite::core::{ClusterConfig, MendelCluster, QueryParams};
 use mendel_suite::dht::NodeId;
 use mendel_suite::seq::gen::{NrLikeSpec, QuerySetSpec};
 use mendel_suite::seq::{SeqId, SeqStore};
@@ -102,23 +102,6 @@ fn entry_point_symmetry_holds_cluster_wide() {
 }
 
 #[test]
-fn snapshot_restores_into_an_equivalent_cluster() {
-    let db = family_db(6);
-    let original = MendelCluster::build(ClusterConfig::small_protein(), db.clone()).unwrap();
-    let bytes = snapshot::save(&original).unwrap();
-    let restored = snapshot::restore(&bytes, db.clone()).unwrap();
-    let params = QueryParams::protein();
-    for id in [0u32, 9, 33] {
-        let q = db.get(SeqId(id)).unwrap().residues.clone();
-        assert_eq!(
-            original.query(&q, &params).unwrap().hits,
-            restored.query(&q, &params).unwrap().hits,
-            "restored cluster must answer identically for seq {id}"
-        );
-    }
-}
-
-#[test]
 fn dna_and_protein_clusters_coexist() {
     use mendel_suite::seq::gen::random_sequence;
     use mendel_suite::seq::{Alphabet, Sequence};
@@ -159,46 +142,6 @@ fn dna_and_protein_clusters_coexist() {
             .unwrap()
             .subject,
         SeqId(3)
-    );
-}
-
-#[test]
-fn restored_snapshot_accepts_incremental_ingest() {
-    // §VII-B snapshot + research-challenge-#1 growth, composed: restore a
-    // saved index, then keep ingesting into it.
-    let db = family_db(10);
-    let original = MendelCluster::build(ClusterConfig::small_protein(), db.clone()).unwrap();
-    let bytes = snapshot::save(&original).unwrap();
-    let restored = snapshot::restore(&bytes, db.clone()).unwrap();
-
-    let extra = NrLikeSpec {
-        families: 2,
-        members_per_family: 2,
-        length_range: (150, 220),
-        seed: 0xADD,
-        ..Default::default()
-    }
-    .generate()
-    .unwrap();
-    let new_seqs: Vec<_> = extra.iter().cloned().collect();
-    let ids = restored.insert_sequences(new_seqs.clone()).unwrap();
-    let params = QueryParams::protein();
-    let r = restored.query(&new_seqs[2].residues, &params).unwrap();
-    assert_eq!(
-        r.best().unwrap().subject,
-        ids[2],
-        "post-restore ingest must be searchable"
-    );
-    // Old content still intact.
-    let old = db.get(SeqId(5)).unwrap().residues.clone();
-    assert_eq!(
-        restored
-            .query(&old, &params)
-            .unwrap()
-            .best()
-            .unwrap()
-            .subject,
-        SeqId(5)
     );
 }
 
