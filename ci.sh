@@ -195,11 +195,13 @@ if [ "$MODE" != "quick" ]; then
     step "trace determinism + schema" cargo test --test tracing -q
 fi
 
-# 11. Seeded chaos suite (DESIGN.md §9): seeded heartbeat and query drops
-#    and crash/restart schedules on a logical clock, detector failover,
-#    re-replication repair and exact same-seed replay, under the
-#    invariant checkers. No threads, no sleeps; the seeds that fail at
-#    the served search budget stay behind `--ignored`.
+# 11. Seeded chaos suite (DESIGN.md §9): seeded query drops and a
+#    crash/restart schedule driving fail_node/recover_node on a logical
+#    clock, the wire's suspect set across lossy queries (each answer
+#    equal to a crash-only twin's), re-replication repair and exact
+#    same-seed replay, under the invariant checkers. No threads, no
+#    sleeps; the seed that fails at the served search budget stays
+#    behind `--ignored`.
 if [ "$MODE" != "quick" ]; then
     step "chaos suite (strict-invariants)" \
         cargo test --test chaos --features strict-invariants -q
@@ -222,14 +224,19 @@ fi
 #    then the multi-process loopback cluster — three `mendel serve` OS
 #    processes, HTTP-ingested, answering byte-identical to the
 #    in-process twin, with SIGKILL degradation matching fail_node and
-#    the survivors' links to the dead peer pruned — and, in the same
-#    suite, the cross-process tracing and live-telemetry cases of
-#    DESIGN.md §17 (spans from all three
+#    the survivors' links to the dead peer pruned; a SIGSTOPped member
+#    waited out once (500 ms) and then only asked, each later query
+#    under 250 ms with the same bytes, and back within two queries of
+#    SIGCONT; a SIGKILLed member costing one refused dial per send and
+#    no reconnect — and, in the same suite, the cross-process tracing
+#    and live-telemetry cases of DESIGN.md §17 (spans from all three
 #    processes stitched into one tree; slowlog, federated metrics and
-#    verbose healthz answer). The suite skips itself with a notice when
-#    the sandbox forbids loopback sockets and retries spawn rounds on
-#    port collisions; a hard timeout keeps a wedged child from hanging
-#    the gate.
+#    verbose healthz answer), and `serve`'s refusal of unknown keys.
+#    The suite skips itself with a notice when the sandbox forbids
+#    loopback sockets and retries spawn rounds on port collisions; the
+#    SIGSTOP case keeps `--rpc-timeout-ms 1000`, and a child left
+#    stopped is SIGKILLed by its guard. A hard timeout keeps a wedged
+#    child from hanging the gate.
 step "frame codec + transport conformance" \
     cargo test -p mendel-net --test frame_props --test transport_conformance -q
 if [ "$MODE" != "quick" ]; then

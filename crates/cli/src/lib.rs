@@ -14,8 +14,8 @@
 //!
 //! `query`, `info`, `metrics` and a local `trace dump` index `--db` in
 //! process, built from the FASTA as `serve` builds its node. A key a
-//! command does not read is an error (`serve` excepted: `--config`
-//! supplies keys too).
+//! command does not read is an error (for `serve`, as a flag or in its
+//! `--config` file).
 //!
 //! The library half holds all the logic (testable without spawning a
 //! process); `main.rs` is a thin shim.
@@ -52,8 +52,8 @@ USAGE:
   mendel serve    --node N --listen <host:port> --http <host:port>
                   [--peers N=host:port,...] [--http-peers N=host:port,...]
                   [--config <toml>] [--db <fasta>]
-                  [--nodes N] [--groups N] [--replication N] [--seed N] [--dna]
-                  [--data-dir <dir>] [--rpc-timeout-ms N]
+                  [--nodes N] [--groups N] [--block-len N] [--replication N]
+                  [--seed N] [--dna] [--data-dir <dir>] [--rpc-timeout-ms N]
                   [--tracing true|false] [--trace-sample N]
                   [--slowlog-threshold-ms N] [--slowlog-sample N]
   mendel help

@@ -61,7 +61,7 @@
 //! tested.
 
 use crate::args::{ArgError, Args};
-use crate::commands::CliError;
+use crate::commands::{CliError, GEOMETRY};
 use crate::http::{http_request, Handler, HttpServer, Request, Response};
 use mendel::store::{RealVfs, Vfs};
 use mendel::{
@@ -202,9 +202,21 @@ fn parse_peers(raw: &str) -> Result<Vec<(u16, SocketAddr)>, CliError> {
     Ok(out)
 }
 
+/// The keys `serve` reads besides [`GEOMETRY`], as flags or from its
+/// `--config` file.
+const SERVE_KEYS: &str = "node listen http peers http-peers db data-dir rpc-timeout-ms tracing \
+                          trace-sample slowlog-threshold-ms slowlog-sample";
+
 impl ServeConfig {
-    /// Merge `--config <toml>` (if given) with flags; flags win.
+    /// Merge `--config <toml>` (if given) with flags; flags win. A key
+    /// `serve` does not read, from either, is refused, naming it.
     pub fn from_args(args: &Args) -> Result<ServeConfig, CliError> {
+        let keys: Vec<&str> = GEOMETRY
+            .iter()
+            .copied()
+            .chain(SERVE_KEYS.split_whitespace())
+            .collect();
+        args.only(&[&keys[..], &["config"]].concat())?;
         let mut merged: HashMap<String, String> = HashMap::new();
         if let Some(path) = args.get("config") {
             let text = std::fs::read_to_string(path).map_err(|e| CliError::Io(path.into(), e))?;
@@ -214,6 +226,10 @@ impl ServeConfig {
                     std::io::Error::new(std::io::ErrorKind::InvalidData, msg),
                 )
             })?;
+        }
+        if let Some(key) = merged.keys().filter(|k| !keys.contains(&k.as_str())).min() {
+            let (command, key) = ("serve".into(), key.clone());
+            return Err(CliError::Args(ArgError::UnknownOption { command, key }));
         }
         let pick = |key: &str| -> Option<String> {
             args.get(key)
@@ -247,8 +263,12 @@ impl ServeConfig {
         } else {
             ClusterConfig::small_protein()
         };
-        let timeouts = WireTimeouts {
-            rpc: Duration::from_millis(parse_num("rpc-timeout-ms", 30_000)?),
+        // A zero deadline would make every peer a suspect.
+        let timeouts = match parse_num("rpc-timeout-ms", 30_000)? {
+            0 => return Err(bad("rpc-timeout-ms", "0", "deadline of at least 1 ms")),
+            ms => WireTimeouts {
+                rpc: Duration::from_millis(ms),
+            },
         };
         let nodes = parse_num("nodes", base.nodes as u64)? as usize;
         let node = parse_num("node", 0)?;
@@ -984,6 +1004,28 @@ mod tests {
         // three hosted shares partition it (one group, no replicas).
         assert!(placed.iter().all(|&b| b == placed[0]), "{placed:?}");
         assert_eq!(hosted_sum, placed[0]);
+    }
+
+    /// A key `serve` does not read is refused from the config file as
+    /// from a flag, before anything binds: `grups` would otherwise leave
+    /// `groups` at its default.
+    #[test]
+    fn unknown_config_file_key_is_refused() {
+        let dir = std::env::temp_dir().join("mendel-serve-cfg-unknown");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("serve.toml");
+        std::fs::write(
+            &path,
+            "node = 1\nlisten = \"127.0.0.1:0\"\nhttp = \"127.0.0.1:0\"\nnodes = 3\ngrups = 2\n",
+        )
+        .unwrap();
+        let args = Args::parse(&toks(&format!("serve --config {}", path.display()))).unwrap();
+        let err = ServeConfig::from_args(&args).unwrap_err();
+        assert!(
+            matches!(&err, CliError::Args(ArgError::UnknownOption { key, .. }) if key == "grups"),
+            "{err}"
+        );
+        assert!(err.to_string().contains("--grups"), "{err}");
     }
 
     #[test]

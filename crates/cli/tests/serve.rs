@@ -1,7 +1,9 @@
 //! Multi-process serving suite: a real 3-node `mendel serve` cluster on
 //! loopback, answered over HTTP, must be hit-for-hit identical to an
 //! in-process twin built from the same corpus and seed — including the
-//! degraded answer after one node is SIGKILLed.
+//! degraded answer after one node is SIGKILLed — and a hung (SIGSTOPped)
+//! or dead (SIGKILLed) member costs one deadline or one refused dial,
+//! not one per query.
 //!
 //! Environment posture: if the sandbox forbids loopback sockets the
 //! suite skips with a notice instead of failing; transient port
@@ -11,6 +13,7 @@
 use mendel::{ClusterConfig, MendelCluster, MetricKind, QueryParams};
 use mendel_cli::http::http_request;
 use mendel_cli::render_outcome_json;
+use mendel_dht::NodeId;
 use mendel_seq::gen::NrLikeSpec;
 use mendel_seq::{parse_fasta_sequences, write_fasta, Alphabet, SeqId, SeqStore};
 use std::net::{SocketAddr, TcpListener};
@@ -55,7 +58,8 @@ fn corpus_store(fasta: &str) -> SeqStore {
 }
 
 /// One spawned serve process; killed (best effort) on drop so a failed
-/// assertion never leaks children.
+/// assertion never leaks children. SIGKILL ends a stopped process too,
+/// so a SIGSTOPped child is not left behind either.
 struct Proc {
     node: u16,
     http: SocketAddr,
@@ -86,6 +90,7 @@ fn spawn_node(
     listen: u16,
     http: u16,
     peers: &str,
+    replication: usize,
     extra: &[String],
 ) -> std::io::Result<Proc> {
     let mut args: Vec<String> = [
@@ -103,7 +108,7 @@ fn spawn_node(
         "--groups",
         "1",
         "--replication",
-        "1",
+        &replication.to_string(),
         "--rpc-timeout-ms",
         "1000",
     ]
@@ -123,11 +128,12 @@ fn spawn_node(
     })
 }
 
-/// Spawn the whole cluster and wait for every node's `/healthz`.
-/// `None` means a child died or never came up (port collision) — retry.
-/// `extra_for(node, http_ports)` appends per-node flags (e.g. each
-/// node's view of the peer HTTP addresses).
+/// Spawn the whole cluster at `replication` and wait for every node's
+/// `/healthz`. `None` means a child died or never came up (port
+/// collision) — retry. `extra_for(node, http_ports)` appends per-node
+/// flags (e.g. each node's view of the peer HTTP addresses).
 fn spawn_cluster_with(
+    replication: usize,
     extra_for: impl Fn(u16, &[u16]) -> Vec<String>,
 ) -> std::io::Result<Option<Vec<Proc>>> {
     let ports = probe_ports(2 * NODES)?;
@@ -139,7 +145,8 @@ fn spawn_cluster_with(
     let mut procs = Vec::new();
     for i in 0..NODES {
         let extra = extra_for(i as u16, http);
-        procs.push(spawn_node(i as u16, listen[i], http[i], &peers, &extra)?);
+        let (l, h) = (listen[i], http[i]);
+        procs.push(spawn_node(i as u16, l, h, &peers, replication, &extra)?);
     }
     let deadline = Instant::now() + Duration::from_secs(20);
     for p in &mut procs {
@@ -157,13 +164,16 @@ fn spawn_cluster_with(
 }
 
 fn spawn_cluster() -> std::io::Result<Option<Vec<Proc>>> {
-    spawn_cluster_with(|_, _| Vec::new())
+    spawn_cluster_with(shape().replication, |_, _| Vec::new())
 }
 
 /// Retry the spawn round against port races, like the twin test does.
-fn spawn_cluster_retrying(extra_for: impl Fn(u16, &[u16]) -> Vec<String>) -> Vec<Proc> {
+fn spawn_cluster_retrying(
+    replication: usize,
+    extra_for: impl Fn(u16, &[u16]) -> Vec<String>,
+) -> Vec<Proc> {
     for attempt in 0..3 {
-        match spawn_cluster_with(&extra_for).expect("spawn serve processes") {
+        match spawn_cluster_with(replication, &extra_for).expect("spawn serve processes") {
             Some(p) => return p,
             None => eprintln!("spawn round {attempt} lost a port race; retrying"),
         }
@@ -185,16 +195,21 @@ fn wait_exit(p: &mut Proc, within: Duration) -> Option<std::process::ExitStatus>
     }
 }
 
+/// The unlabelled sample `name` in `p`'s `/metrics`.
+fn metric(p: &Proc, name: &str) -> i64 {
+    let (status, body) = http_request(p.http, "GET", "/metrics", b"").expect("metrics");
+    assert_eq!(status, 200);
+    let prefix = format!("{name} ");
+    String::from_utf8_lossy(&body)
+        .lines()
+        .find_map(|line| line.strip_prefix(&prefix)?.trim().parse().ok())
+        .unwrap_or_else(|| panic!("{name} in /metrics"))
+}
+
 /// The `mendel_net_transport_connections` gauge in `p`'s `/metrics`:
 /// its live TCP connections, dialed and accepted.
 fn live_connections(p: &Proc) -> i64 {
-    let (status, body) = http_request(p.http, "GET", "/metrics", b"").expect("metrics");
-    assert_eq!(status, 200);
-    String::from_utf8_lossy(&body)
-        .lines()
-        .find_map(|line| line.strip_prefix("mendel_net_transport_connections "))
-        .and_then(|value| value.trim().parse().ok())
-        .expect("connections gauge in /metrics")
+    metric(p, "mendel_net_transport_connections")
 }
 
 #[test]
@@ -354,7 +369,7 @@ fn traced_query_stitches_spans_from_all_three_processes() {
     let fasta = corpus_fasta();
     // Every node learns every other node's HTTP address, samples every
     // query's trace, and admits every query to the slowlog.
-    let mut procs = spawn_cluster_retrying(|node, http_ports| {
+    let mut procs = spawn_cluster_retrying(shape().replication, |node, http_ports| {
         let http_peers = (0..NODES)
             .filter(|&i| i != node as usize)
             .map(|i| format!("{i}=127.0.0.1:{}", http_ports[i]))
@@ -561,6 +576,143 @@ fn traced_query_stitches_spans_from_all_three_processes() {
     }
 }
 
+/// A replication-2 cluster up and ingested, with its in-process twin:
+/// `None` where the sandbox forbids loopback sockets.
+fn replicated_cluster() -> Option<(Vec<Proc>, MendelCluster, String)> {
+    if let Err(e) = TcpListener::bind("127.0.0.1:0") {
+        eprintln!("SKIPPED: loopback sockets unavailable in this environment: {e}");
+        return None;
+    }
+    let fasta = corpus_fasta();
+    let procs = spawn_cluster_retrying(2, |_, _| Vec::new());
+    for p in &procs {
+        let (status, body) =
+            http_request(p.http, "POST", "/ingest", fasta.as_bytes()).expect("ingest request");
+        assert_eq!(status, 200, "{}", String::from_utf8_lossy(&body));
+    }
+    let shape = ClusterConfig {
+        replication: 2,
+        ..shape()
+    };
+    let twin = MendelCluster::build(shape, Arc::new(corpus_store(&fasta))).expect("twin");
+    Some((procs, twin, fasta))
+}
+
+/// One `/query` of `residues` through `p`: the body, and how long it took.
+fn timed_query(p: &Proc, residues: &str) -> (String, Duration) {
+    let started = Instant::now();
+    let (status, body) =
+        http_request(p.http, "POST", "/query", residues.as_bytes()).expect("query request");
+    let took = started.elapsed();
+    let body = String::from_utf8_lossy(&body).into_owned();
+    assert_eq!(status, 200, "{body}");
+    (body, took)
+}
+
+/// Send `signal` (`-STOP`, `-CONT`) to `p`.
+fn signal(p: &Proc, signal: &str) {
+    let status = Command::new("kill")
+        .args([signal, &p.child.id().to_string()])
+        .status()
+        .expect("run kill");
+    assert!(status.success(), "kill {signal} node {}", p.node);
+}
+
+/// A hung member — SIGSTOPped: its sockets stay open and it answers
+/// nothing — is waited out once by its entry point, which then suspects
+/// it: later queries still ask it but do not wait, and answer the same
+/// bytes, which match `fail_node` on the twin. Once it runs again its
+/// replies clear the suspicion within two queries.
+#[test]
+fn hung_member_is_waited_out_once_then_only_asked() {
+    let Some((procs, twin, _)) = replicated_cluster() else {
+        return;
+    };
+    let topo = twin.topology();
+    let group = topo.group_ids().next().expect("a group");
+    let (entry, victim) = (topo.group_members(group)[0], topo.group_members(group)[1]);
+    let of = |node: NodeId| procs.iter().find(|p| p.node == node.0).expect("process");
+    let record = twin.db().get(SeqId(0)).expect("corpus seq").clone();
+    let residues = record.to_ascii();
+    let (healthy, _) = timed_query(of(entry), &residues);
+
+    twin.fail_node(victim).expect("fail victim");
+    let report = twin
+        .query(&record.residues, &QueryParams::protein())
+        .expect("twin");
+    let want = render_outcome_json(&twin.db(), &report.hits, &twin.coverage(), &[victim]);
+
+    signal(of(victim), "-STOP");
+    let (first, waited) = timed_query(of(entry), &residues);
+    assert!(
+        waited >= Duration::from_millis(500),
+        "the member deadline was waited out: {waited:?}"
+    );
+    assert_eq!(first, want, "degraded answer matches the fail_node twin");
+    let skips = || metric(of(entry), "mendel_wire_suspect_skips");
+    let before = skips();
+    for i in 0..5 {
+        let (next, took) = timed_query(of(entry), &residues);
+        assert!(took < Duration::from_millis(250), "query {i} took {took:?}");
+        assert_eq!(next, first, "query {i}");
+    }
+    assert_eq!(skips() - before, 5, "one suspect request per query");
+
+    signal(of(victim), "-CONT");
+    let back = (0..2).any(|_| timed_query(of(entry), &residues).0 == healthy);
+    assert!(back, "node {victim} answers again within two queries");
+}
+
+/// A dead member — SIGKILLed: its port refuses — costs each send to it
+/// one refused dial and no wait: after the first query, no survivor
+/// counts a reconnect, and the entry point's dead letters grow by one per
+/// query.
+#[test]
+fn dead_member_costs_one_refused_dial_per_send() {
+    let Some((mut procs, twin, _)) = replicated_cluster() else {
+        return;
+    };
+    let topo = twin.topology();
+    let group = topo.group_ids().next().expect("a group");
+    let (entry, victim) = (topo.group_members(group)[0], topo.group_members(group)[1]);
+    let record = twin.db().get(SeqId(0)).expect("corpus seq").clone();
+    let residues = record.to_ascii();
+    let at = |node: NodeId| {
+        procs
+            .iter()
+            .position(|p| p.node == node.0)
+            .expect("process")
+    };
+    let (entry, victim) = (at(entry), at(victim));
+    timed_query(&procs[entry], &residues);
+
+    procs[victim].child.kill().expect("SIGKILL victim");
+    let _ = procs[victim].child.wait();
+    let (first, _) = timed_query(&procs[entry], &residues);
+
+    let survivors: Vec<&Proc> = (procs.iter().enumerate())
+        .filter(|&(i, _)| i != victim)
+        .map(|(_, p)| p)
+        .collect();
+    let counts = || -> Vec<(i64, i64)> {
+        let count = |p: &Proc, name: &str| metric(p, &format!("mendel_net_transport_{name}"));
+        let each = |p: &&Proc| (count(p, "reconnects"), count(p, "dead_letters"));
+        survivors.iter().map(each).collect()
+    };
+    let before = counts();
+    for i in 0..5 {
+        let (next, took) = timed_query(&procs[entry], &residues);
+        assert!(took < Duration::from_millis(250), "query {i} took {took:?}");
+        assert_eq!(next, first, "query {i}");
+    }
+    let after = counts();
+    for ((p, was), now) in survivors.iter().zip(&before).zip(&after) {
+        assert_eq!(now.0, was.0, "node {} redialed: {was:?} → {now:?}", p.node);
+        let sends = if p.node == procs[entry].node { 5 } else { 0 };
+        assert_eq!(now.1 - was.1, sends, "node {} dead letters", p.node);
+    }
+}
+
 /// `serve` argument errors are reported without touching the network.
 #[test]
 fn serve_arg_errors_are_reported() {
@@ -588,6 +740,20 @@ fn serve_arg_errors_are_reported() {
         let err = mendel_cli::run(&toks).unwrap_err();
         let want = format!("--node \"{node}\"");
         assert!(err.to_string().contains(&want), "{err}");
+    }
+
+    // A misspelt key is refused, not left at its default; so is a zero
+    // deadline, which would make every peer a suspect.
+    for (args, want) in [
+        ("serve --node 7 --nodes 3 --grups 2", "--grups"),
+        (
+            "serve --listen 127.0.0.1:0 --http 127.0.0.1:0 --rpc-timeout-ms 0",
+            "--rpc-timeout-ms \"0\"",
+        ),
+    ] {
+        let toks: Vec<String> = args.split_whitespace().map(String::from).collect();
+        let err = mendel_cli::run(&toks).unwrap_err();
+        assert!(err.to_string().contains(want), "{args}: {err}");
     }
 }
 

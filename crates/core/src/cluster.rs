@@ -13,11 +13,9 @@
 //! ([`MendelCluster::build_member`]). The control plane is whole either
 //! way; only a hosted node's blocks are indexed in RAM (DESIGN.md §20).
 
-mod heartbeat;
 mod ops;
 
-pub use heartbeat::HeartbeatMonitor;
-pub use ops::{FailoverDelta, RepairReport};
+pub use ops::RepairReport;
 
 use crate::block::{make_blocks, Block, BlockKey};
 use crate::config::{ClusterConfig, StorageBackend};
@@ -40,7 +38,6 @@ use mendel_obs::{
 use mendel_seq::{Alphabet, ScoringMatrix, SeqStore, Sequence};
 use mendel_store::{MemVfs, StoreMetrics, Vfs};
 use mendel_vptree::{GroupAssignment, SearchMetrics, VpPrefixTree};
-use ops::FailureRecord;
 use parking_lot::RwLock;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::fmt::Write as _;
@@ -95,7 +92,10 @@ pub struct MendelCluster {
     /// (replay, rebalance), read by coverage and repair. Taken last and
     /// held across no other acquisition.
     ledger: RwLock<Ledger>,
-    failed: RwLock<HashMap<NodeId, FailureRecord>>,
+    /// Failed nodes, each with its group's rebalance epoch when it went
+    /// down: a mismatch at recovery means placement moved while the node
+    /// was dark, so its contents are stale and the group is re-placed.
+    failed: RwLock<HashMap<NodeId, u64>>,
     /// Per-group rebalance counters backing stale-recovery detection.
     group_epochs: RwLock<Vec<u64>>,
     /// Block copies created by [`Self::repair`] since cluster start.

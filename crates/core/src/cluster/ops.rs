@@ -1,10 +1,9 @@
-//! Cluster operations (§VII-B): failure and recovery, the failure
-//! detector, re-replication repair, scale-out, coverage and its ledger
-//! oracle. A second `impl MendelCluster` over the control-plane state
-//! declared in the parent module; per-node work goes through the
-//! [`NodeSlot`] verbs.
+//! Cluster operations (§VII-B): failure and recovery, re-replication
+//! repair, scale-out, coverage and its ledger oracle. A second `impl
+//! MendelCluster` over the control-plane state declared in the parent
+//! module; per-node work goes through the [`NodeSlot`] verbs.
 
-use super::{HeartbeatMonitor, MendelCluster, Share};
+use super::{MendelCluster, Share};
 use crate::block::{Block, BlockKey};
 use crate::error::MendelError;
 use crate::report::{CoverageReport, GroupCoverage};
@@ -13,29 +12,6 @@ use mendel_dht::{GroupId, NodeId, Topology};
 use mendel_net::NodeSpeed;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::Ordering;
-
-/// Why (and when) a node entered the failed set.
-#[derive(Debug, Clone, Copy)]
-pub(super) struct FailureRecord {
-    /// True when the failure detector suspected the node
-    /// ([`MendelCluster::sync_failure_detector`]); false for an
-    /// operator-initiated [`MendelCluster::fail_node`]. Only auto
-    /// failures are auto-recovered when the node beats again.
-    pub(super) auto: bool,
-    /// The group's rebalance epoch when the node went down. A mismatch
-    /// at recovery means placement moved while the node was dark — its
-    /// contents are stale and the group must be re-placed.
-    pub(super) group_epoch: u64,
-}
-
-/// What one [`MendelCluster::sync_failure_detector`] pass changed.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct FailoverDelta {
-    /// Nodes newly added to the failed set (detector suspects).
-    pub suspected: Vec<NodeId>,
-    /// Auto-failed nodes recovered because they beat again.
-    pub recovered: Vec<NodeId>,
-}
 
 /// What one [`MendelCluster::repair`] pass did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -57,29 +33,26 @@ impl MendelCluster {
     /// Inject a node failure: the node stops serving queries. With
     /// `replication ≥ 2`, its blocks remain reachable on replicas.
     /// Idempotent: failing an already-failed node is `Ok` and keeps the
-    /// original failure record.
+    /// group epoch of its first failure. Repair, scale-out and rebalance
+    /// fail a node the same way when its disk refuses a write.
     pub fn fail_node(&self, node: NodeId) -> Result<(), MendelError> {
-        self.mark_failed(node, false).map(|_| ())
-    }
-
-    fn mark_failed(&self, node: NodeId, auto: bool) -> Result<bool, MendelError> {
         let Some(g) = self.topology.read().node_group(node) else {
             return Err(MendelError::NoSuchNode(node));
         };
         let group_epoch = self.group_epochs.read()[g.0 as usize];
         let mut failed = self.failed.write();
         if failed.contains_key(&node) {
-            return Ok(false);
+            return Ok(());
         }
-        failed.insert(node, FailureRecord { auto, group_epoch });
+        failed.insert(node, group_epoch);
         drop(failed);
         // Durable backend: a failure is a true process kill — the node's
         // RAM and store handle die; only its disk survives. The ledger
         // keeps what the node held: a dark node's blocks stay expected,
         // so lost data never reads as full coverage.
         self.slot(node).kill();
-        self.assert_ledger("mark_failed");
-        Ok(true)
+        self.assert_ledger("fail_node");
+        Ok(())
     }
 
     /// Durable-backend half of a node recovery: the node restarts from
@@ -120,7 +93,7 @@ impl MendelCluster {
         let Some(g) = self.topology.read().node_group(node) else {
             return Err(MendelError::NoSuchNode(node));
         };
-        let Some(rec) = self.failed.read().get(&node).copied() else {
+        let Some(failed_at) = self.failed.read().get(&node).copied() else {
             return Ok(());
         };
         // Durable backend: the process is restarting from disk — replay
@@ -129,7 +102,7 @@ impl MendelCluster {
         self.restore_node_from_disk(node, g)?;
         self.failed.write().remove(&node);
         let current = self.group_epochs.read()[g.0 as usize];
-        if rec.group_epoch != current {
+        if failed_at != current {
             let topo = self.topology.read().clone();
             self.rebalance_group(&topo, g);
         }
@@ -142,32 +115,6 @@ impl MendelCluster {
         let mut v: Vec<NodeId> = self.failed.read().keys().copied().collect();
         v.sort_unstable();
         v
-    }
-
-    /// Fold a [`HeartbeatMonitor`]'s view into the failed set, closing
-    /// the detect→route-around loop. Ids outside the topology are
-    /// ignored.
-    ///
-    /// Suspects not already failed are auto-failed; auto-failed nodes
-    /// that beat again are recovered (through [`Self::recover_node`], so
-    /// stale-placement recovery applies). Operator-failed nodes are
-    /// never auto-recovered — suspicion is a hint, an explicit
-    /// `fail_node` is a decision.
-    // audit:allow(unreached): the failure detector tests/fault_tolerance.rs and tests/chaos.rs drive on a virtual clock; no serving path runs heartbeats yet
-    pub fn sync_failure_detector(&self, monitor: &HeartbeatMonitor) -> FailoverDelta {
-        let mut delta = FailoverDelta::default();
-        for node in monitor.suspects() {
-            if let Ok(true) = self.mark_failed(node, true) {
-                delta.suspected.push(node);
-            }
-        }
-        for node in monitor.alive() {
-            let is_auto = matches!(self.failed.read().get(&node), Some(r) if r.auto);
-            if is_auto && self.recover_node(node).is_ok() {
-                delta.recovered.push(node);
-            }
-        }
-        delta
     }
 
     /// Re-replicate under-replicated blocks onto live group members,
@@ -250,7 +197,7 @@ impl MendelCluster {
             }
         }
         for node in broken {
-            let _ = self.mark_failed(node, true);
+            let _ = self.fail_node(node);
         }
         self.assert_ledger("repair");
         self.repair_moves
@@ -436,7 +383,7 @@ impl MendelCluster {
         match opened {
             Ok(()) => self.rebalance_group(&topo_snapshot, g),
             Err(_) => {
-                let _ = self.mark_failed(id, true);
+                let _ = self.fail_node(id);
                 self.group_epochs.write()[g.0 as usize] += 1;
             }
         }
@@ -467,7 +414,7 @@ impl MendelCluster {
             }
         }
         for node in broken {
-            let _ = self.mark_failed(node, true);
+            let _ = self.fail_node(node);
         }
         let refused = self.route_and_place(topo, unique.into_values().map(|b| (g, b)));
         // Any node that was down during this re-placement now holds a
@@ -479,7 +426,7 @@ impl MendelCluster {
         // (The group itself refuses only when every wipe above failed,
         // and then its dark members still hold every block.)
         for node in refused.into_iter().filter_map(|(node, _)| node) {
-            let _ = self.mark_failed(node, true);
+            let _ = self.fail_node(node);
         }
         self.assert_ledger("rebalance_group");
     }

@@ -7,7 +7,7 @@
 //! optional [`FaultPlan`], every message lost.
 
 use crate::cluster::MendelCluster;
-use crate::wire::{is_reply_to, node_addr, serve_request, WireTimeouts};
+use crate::wire::{is_reply_to, node_addr, serve_request, Deadlines};
 use mendel_dht::{NodeId, Topology};
 use mendel_net::envelope::{Envelope, NodeAddr, RecvError};
 use mendel_net::fault::{FaultPlan, Verdict};
@@ -25,7 +25,8 @@ pub(crate) struct InlineNet<'a> {
     topo: Topology,
     /// Decides which accepted envelopes are lost in transit.
     faults: Option<&'a FaultPlan>,
-    timeouts: WireTimeouts,
+    /// Every address's deadlines and suspects; they may outlive the query.
+    deadlines: &'a Deadlines,
     inboxes: BTreeMap<NodeAddr, Mutex<VecDeque<Envelope>>>,
     clock: VirtualClock,
     bytes: Counter,
@@ -36,14 +37,14 @@ impl<'a> InlineNet<'a> {
         cluster: &'a MendelCluster,
         front: NodeAddr,
         faults: Option<&'a FaultPlan>,
-        timeouts: WireTimeouts,
+        deadlines: &'a Deadlines,
     ) -> Self {
         let topo = cluster.topology();
         let inboxes = topo.nodes().map(node_addr).chain([front]);
         InlineNet {
             cluster,
             faults,
-            timeouts,
+            deadlines,
             inboxes: inboxes.map(|addr| (addr, Mutex::default())).collect(),
             topo,
             clock: VirtualClock::new(),
@@ -84,8 +85,8 @@ impl<'a> InlineNet<'a> {
         match node {
             Some(n) if !is_reply_to(env.to, env.correlation) => {
                 let (port, mut backlog) = (self.port(env.to), VecDeque::new());
-                let (topo, timeouts) = (&self.topo, &self.timeouts);
-                serve_request(self.cluster, topo, n, &port, timeouts, env, &mut backlog);
+                let (topo, deadlines) = (&self.topo, self.deadlines);
+                serve_request(self.cluster, topo, n, &port, deadlines, env, &mut backlog);
             }
             _ => inbox.lock().push_back(env),
         }

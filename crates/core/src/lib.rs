@@ -60,7 +60,7 @@ pub mod serve;
 pub mod wire;
 
 pub use block::{check_block_chain, make_blocks, Block, BlockKey};
-pub use cluster::{FailoverDelta, HeartbeatMonitor, MendelCluster, RepairReport};
+pub use cluster::{MendelCluster, RepairReport};
 pub use config::{ClusterConfig, MetricKind, StorageBackend};
 pub use error::MendelError;
 pub use mendel_obs::{

@@ -16,7 +16,7 @@ use crate::params::QueryParams;
 use crate::query::subquery_offsets;
 use crate::report::{CoverageReport, MendelHit, QueryReport, QueryStats, StageTimings};
 use crate::serve::FRONT_END_ADDR_BASE;
-use crate::wire::{query_via, Evaluated, WireTimeouts, HSP_WIRE_BYTES};
+use crate::wire::{query_via, Deadlines, Evaluated, WireTimeouts, HSP_WIRE_BYTES};
 use mendel_align::hsp::merge_overlapping;
 use mendel_align::Hsp;
 use mendel_dht::{GroupId, NodeId, Topology};
@@ -217,9 +217,10 @@ pub(crate) fn report(
     let before = obs.snapshot();
     // The entry node's front-end, at the address `mendel serve` gives it.
     let front = NodeAddr(FRONT_END_ADDR_BASE.saturating_add(entry.0));
-    let timeouts = WireTimeouts::default();
-    let net = InlineNet::new(cluster, front, None, timeouts);
-    let evaluated = query_via(cluster, &net.port(front), query, params, &timeouts)?;
+    // Nothing here misses a deadline, so nothing is ever suspected.
+    let deadlines = Deadlines::new(cluster, WireTimeouts::default());
+    let net = InlineNet::new(cluster, front, None, &deadlines);
+    let evaluated = query_via(cluster, &net.port(front), query, params, &deadlines)?;
     let (timings, stats) = charge(cluster, &topo, entry, query.len(), &evaluated);
     record_stage_timings(cluster, &timings);
     let outcome = evaluated.outcome;

@@ -25,7 +25,9 @@
 use crate::cluster::MendelCluster;
 use crate::error::MendelError;
 use crate::params::QueryParams;
-use crate::wire::{node_addr, node_serve_loop, query_via, WireQueryOutcome, WireTimeouts};
+use crate::wire::{
+    node_addr, node_serve_loop, query_via, Deadlines, WireQueryOutcome, WireTimeouts,
+};
 use mendel_dht::NodeId;
 use mendel_net::envelope::NodeAddr;
 use mendel_net::tcp::{TcpConfig, TcpTransport};
@@ -80,7 +82,7 @@ impl NodeServer {
             std::thread::Builder::new()
                 .name(format!("mendel-serve-{}", node.0))
                 .spawn(move || {
-                    node_serve_loop(&cluster, &topo, node, &transport, &timeouts);
+                    node_serve_loop(&cluster, &topo, node, &transport, timeouts);
                 })?
         };
         Ok(NodeServer {
@@ -131,7 +133,8 @@ impl Drop for NodeServer {
 pub struct FrontEnd {
     cluster: Arc<MendelCluster>,
     transport: TcpTransport,
-    timeouts: WireTimeouts,
+    /// Its deadline, and the entry points that missed it.
+    deadlines: Deadlines,
     /// One query in flight per front-end: `query_via` owns the
     /// transport inbox for the duration of a call.
     in_flight: Mutex<()>,
@@ -152,9 +155,9 @@ impl FrontEnd {
     ) -> Self {
         let me = NodeAddr(FRONT_END_ADDR_BASE.saturating_add(front_end_id));
         FrontEnd {
+            deadlines: Deadlines::new(&cluster, timeouts),
             cluster,
             transport: TcpTransport::connect_only(me, peers, cfg, metrics),
-            timeouts,
             in_flight: Mutex::new(()),
         }
     }
@@ -175,7 +178,7 @@ impl FrontEnd {
             &self.transport,
             query,
             params,
-            &self.timeouts,
+            &self.deadlines,
         )
         .map(|evaluated| evaluated.outcome)
     }
@@ -346,12 +349,12 @@ mod tests {
 
     /// Killing one node's server degrades the TCP answer exactly like
     /// `fail_node` degrades the in-process twin. The killed server's
-    /// listener is closed, so the entry point's connect to it is refused;
-    /// after `TcpConfig::dial_attempts` the send returns `false`, and the
-    /// member takes `request`'s dead-letter path: counted as not
-    /// answering at once, with no member timeout waited out. (The nodes
-    /// a fault plan crashes in `wire.rs`'s `dead_` failover tests are
-    /// silent instead, and are timed out on the inline clock.)
+    /// listener is closed, so the entry point's one dial to it is
+    /// refused and the send returns `false`: the member takes
+    /// `request`'s dead-letter path, counted as not answering at once,
+    /// with no member timeout waited out. (The nodes a fault plan
+    /// crashes in `wire.rs`'s `dead_` failover tests are silent instead,
+    /// and are timed out on the inline clock.)
     #[test]
     fn killed_node_server_degrades_like_fail_node() {
         let cluster = cluster();

@@ -31,11 +31,16 @@
 //! a request.
 //!
 //! Failure semantics: a node the control plane has failed
-//! (`fail_node`) is a dead letter; a group entry point that cannot hear
-//! a member within [`WireTimeouts::member`] answers with whoever
-//! responded; the client retries a silent entry point through the
-//! group's remaining members, and folds every node observed unreachable
-//! into a [`CoverageReport`] via [`MendelCluster::coverage_with_down`].
+//! (`fail_node`), or whose one dial the carrier was refused, is a dead
+//! letter; a group entry point that cannot hear a member within
+//! [`WireTimeouts::member`] answers with whoever responded; the client
+//! retries a silent entry point through the group's remaining members,
+//! and folds every node observed unreachable into a [`CoverageReport`]
+//! via [`MendelCluster::coverage_with_down`]. A peer that missed an
+//! endpoint's deadline is a suspect there (`Deadlines`): still asked,
+//! but not waited on until heard from again, so a hung peer costs one
+//! deadline, not one per query, and the answer is the one waiting would
+//! have given.
 
 use crate::cluster::MendelCluster;
 use crate::error::MendelError;
@@ -54,6 +59,7 @@ use mendel_net::transport::Transport;
 use mendel_obs::{
     ActiveSpan, Counter, CriticalHop, SpanId, SpanRecord, TraceContext, TraceId, Tracer,
 };
+use parking_lot::Mutex;
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -135,6 +141,49 @@ pub(crate) fn is_reply_to(me: NodeAddr, correlation: u64) -> bool {
 /// it, and whatever the issuer needs back when it resolves.
 type Pending<K> = HashMap<u64, (NodeAddr, K)>;
 
+/// How issuing endpoints wait (DESIGN.md §9): their deadlines, and their
+/// failure detector, the `(issuer, peer)` pairs whose peer missed the
+/// issuer's last deadline. Any envelope from the peer, a late reply
+/// included, or its receipt in a group reply clears the pair. A suspect
+/// still gets every request, so the request is the probe, but [`gather`]
+/// does not wait for it, and [`query_via`] passes it by as entry point
+/// while a trusted member can take its place. A `FrontEnd` and a
+/// `NodeServer`'s serving loop keep one each, a [`WireCluster`] one for
+/// all its addresses.
+pub(crate) struct Deadlines {
+    timeouts: WireTimeouts,
+    suspects: Mutex<BTreeSet<(NodeAddr, NodeAddr)>>,
+    /// `mendel.wire.suspect_skips`: suspects not waited for or passed by.
+    skips: Arc<Counter>,
+}
+
+impl Deadlines {
+    pub(crate) fn new(cluster: &MendelCluster, timeouts: WireTimeouts) -> Self {
+        let skips = cluster.metrics_registry();
+        let skips = skips.counter("mendel.wire.suspect_skips");
+        let suspects = Mutex::default();
+        Deadlines {
+            timeouts,
+            suspects,
+            skips,
+        }
+    }
+
+    fn suspects(&self, me: NodeAddr, peer: NodeAddr) -> bool {
+        self.suspects.lock().contains(&(me, peer))
+    }
+
+    /// `me` heard from `peer`.
+    fn clear(&self, me: NodeAddr, peer: NodeAddr) {
+        self.suspects.lock().remove(&(me, peer));
+    }
+
+    /// `peer` missed a deadline of `me`'s.
+    fn suspect(&self, me: NodeAddr, peer: NodeAddr) {
+        self.suspects.lock().insert((me, peer));
+    }
+}
+
 /// Send `payload` to `to` under a fresh id and park `key` in `pending`
 /// until [`gather`] sees the reply. A dead-letter send parks nothing and
 /// hands `key` back.
@@ -158,7 +207,12 @@ fn request<T: Transport, K>(
 /// Await the replies to `pending` for up to `timeout` on the
 /// transport's own clock, handing each to `on_reply` with its parked
 /// key the moment it lands (span re-anchoring needs the receive
-/// instant). Requests still parked on return timed out.
+/// instant). Requests still parked on return went unanswered.
+///
+/// Only peers not suspected are waited for: once they have answered,
+/// what has already landed is taken and the wait ends. A peer still
+/// parked then becomes a suspect if the deadline passed, or else counts
+/// as a skip. Every envelope clears its sender's suspicion.
 ///
 /// A reply is accepted only under a pending id *and* from the peer that
 /// id was sent to. Any other envelope in this endpoint's own id plane
@@ -170,28 +224,48 @@ fn gather<T: Transport, K>(
     transport: &T,
     pending: &mut Pending<K>,
     timeout: Duration,
+    deadlines: &Deadlines,
     mut on_reply: impl FnMut(K, Envelope),
     mut on_foreign: impl FnMut(Envelope),
 ) -> Result<(), RecvError> {
     let me = transport.addr();
     let clock = transport.clock();
     let deadline = clock.now().saturating_add(timeout);
+    let mut expired = false;
     while !pending.is_empty() {
         let now = clock.now();
-        if now >= deadline {
+        expired = now >= deadline;
+        if expired {
             break;
         }
-        match transport.recv_timeout(deadline - now) {
-            Ok(env) if is_reply_to(me, env.correlation) => {
-                if let Entry::Occupied(slot) = pending.entry(env.correlation) {
-                    if slot.get().0 == env.from {
-                        on_reply(slot.remove().1, env);
-                    }
-                }
+        let awaited = pending.values().any(|&(to, _)| !deadlines.suspects(me, to));
+        let wait = if awaited {
+            deadline - now
+        } else {
+            Duration::ZERO
+        };
+        let env = match transport.recv_timeout(wait) {
+            Ok(env) => env,
+            Err(RecvError::Timeout) => {
+                expired = awaited;
+                break;
             }
-            Ok(env) => on_foreign(env),
-            Err(RecvError::Timeout) => break,
             Err(RecvError::Disconnected) => return Err(RecvError::Disconnected),
+        };
+        deadlines.clear(me, env.from);
+        if !is_reply_to(me, env.correlation) {
+            on_foreign(env);
+        } else if let Entry::Occupied(slot) = pending.entry(env.correlation) {
+            if slot.get().0 == env.from {
+                on_reply(slot.remove().1, env);
+            }
+        }
+    }
+    for &(to, _) in pending.values() {
+        if expired {
+            deadlines.suspect(me, to);
+        } else {
+            deadlines.skips.inc();
         }
     }
     Ok(())
@@ -561,7 +635,8 @@ pub(crate) struct Evaluated {
 pub struct WireCluster {
     cluster: Arc<MendelCluster>,
     faults: Arc<FaultPlan>,
-    timeouts: WireTimeouts,
+    /// Every address's suspects, kept from one query to the next.
+    deadlines: Deadlines,
     bytes: Counter,
 }
 
@@ -577,16 +652,17 @@ impl WireCluster {
     /// accepted and never arrives, and a node it crashes hears nothing
     /// and says nothing — which is how a hung process looks to its
     /// peers. Waits are on logical time, so a lost message costs no
-    /// wall time.
+    /// wall time. Each address keeps its suspects across queries, as a
+    /// `serve` process does.
     pub fn serve_with(
         cluster: Arc<MendelCluster>,
         faults: Arc<FaultPlan>,
         timeouts: WireTimeouts,
     ) -> Self {
         WireCluster {
+            deadlines: Deadlines::new(&cluster, timeouts),
             cluster,
             faults,
-            timeouts,
             bytes: Counter::new(),
         }
     }
@@ -613,14 +689,9 @@ impl WireCluster {
     ) -> Result<WireQueryOutcome, MendelError> {
         self.cluster.require_every_node("an in-process query")?;
         let client = NodeAddr(0);
-        let net = InlineNet::new(&self.cluster, client, Some(&self.faults), self.timeouts);
-        let answer = query_via(
-            &self.cluster,
-            &net.port(client),
-            query,
-            params,
-            &self.timeouts,
-        );
+        let (faults, deadlines) = (Some(&*self.faults), &self.deadlines);
+        let net = InlineNet::new(&self.cluster, client, faults, deadlines);
+        let answer = query_via(&self.cluster, &net.port(client), query, params, deadlines);
         self.bytes.add(net.traffic());
         Ok(answer?.outcome)
     }
@@ -641,13 +712,15 @@ type GroupRequest = (GroupId, usize, Option<(ActiveSpan, Duration)>);
 /// Group entry points are tried in member order: a dead or silent
 /// candidate is recorded unreachable and the next member gets the group
 /// query, so a dead entry point degrades the answer (anchors from live
-/// members only) instead of losing the whole group.
+/// members only) instead of losing the whole group. A candidate the
+/// client suspects is passed over while a later one is trusted; it is
+/// still asked, as a member, by the entry point that takes its place.
 pub(crate) fn query_via<T: Transport>(
     cluster: &MendelCluster,
     client: &T,
     query: &[u8],
     params: &QueryParams,
-    timeouts: &WireTimeouts,
+    deadlines: &Deadlines,
 ) -> Result<Evaluated, MendelError> {
     let topo = cluster.topology();
     let clock = cluster.metrics_registry().clock();
@@ -685,20 +758,34 @@ pub(crate) fn query_via<T: Transport>(
     let mut down: BTreeSet<NodeId> = BTreeSet::new();
     // (group, candidate entry-point index) still needing an answer, in
     // group order.
+    let me = client.addr();
     let mut round: Vec<(GroupId, usize)> = plan.groups.keys().map(|&g| (g, 0)).collect();
     while !round.is_empty() {
         let mut pending: Pending<GroupRequest> = HashMap::new();
         for (g, mut idx) in std::mem::take(&mut round) {
             let members = topo.group_members(g);
-            // Skip candidates another group's gather already proved dead.
-            while members.get(idx).is_some_and(|m| down.contains(m)) {
-                idx += 1;
+            let trusted = |n: &NodeId| !down.contains(n) && !deadlines.suspects(me, node_addr(*n));
+            // Skip candidates another group's gather already proved
+            // dead, and suspects while a trusted candidate follows.
+            while let Some(m) = members.get(idx) {
+                if down.contains(m) {
+                    idx += 1;
+                } else if !trusted(m) && members[idx + 1..].iter().any(trusted) {
+                    deadlines.skips.inc();
+                    idx += 1;
+                } else {
+                    break;
+                }
             }
             let Some(&gep) = members.get(idx) else {
-                // Every member tried and silent: the group contributes
-                // nothing; coverage already records its members down.
+                // Every candidate tried or passed by: the group
+                // contributes nothing, and none of its members answered.
+                down.extend(members);
                 continue;
             };
+            // The candidate asked is waited for, even a suspect: one is
+            // asked only when no trusted member follows it.
+            deadlines.clear(me, node_addr(gep));
             let msg = QueryMsg {
                 tag: TAG_GROUP_QUERY,
                 query: query.to_vec(),
@@ -737,6 +824,9 @@ pub(crate) fn query_via<T: Transport>(
             };
             let members = topo.group_members(g);
             let answered: Vec<NodeId> = reply.receipts.iter().map(|r| r.node).collect();
+            for &m in &answered {
+                deadlines.clear(me, node_addr(m));
+            }
             for &m in members {
                 if !answered.contains(&m) {
                     down.insert(m);
@@ -760,10 +850,11 @@ pub(crate) fn query_via<T: Transport>(
             anchors.extend(reply.hsps);
             responded.insert(g, answered);
         };
-        gather(client, &mut pending, timeouts.rpc, on_reply, on_foreign)
+        let rpc = deadlines.timeouts.rpc;
+        gather(client, &mut pending, rpc, deadlines, on_reply, on_foreign)
             .map_err(|_| MendelError::Query("wire gather failed: disconnected".into()))?;
-        // Whatever is still pending timed out: mark the candidate entry
-        // point down and move each group to its next member.
+        // Whatever is still pending went unanswered: mark the candidate
+        // entry point down and move each group to its next member.
         for (_, (_, (g, idx, span_entry))) in pending.drain() {
             if let Some(&gep) = topo.group_members(g).get(idx) {
                 down.insert(gep);
@@ -844,28 +935,35 @@ pub(crate) fn query_via<T: Transport>(
 /// entry point are backlogged and served afterwards, so interleaved
 /// queries from multiple front-ends are reordered rather than dropped.
 /// Replies never get this far: an envelope in the node's own id plane is
-/// consumed or dropped by [`gather`], or dropped by the idle poll here.
+/// consumed or dropped by [`gather`], or dropped by the idle poll here —
+/// after clearing its sender's suspicion, as every envelope does.
 pub(crate) fn node_serve_loop(
     cluster: &MendelCluster,
     topo: &Topology,
     me: NodeId,
     transport: &TcpTransport,
-    timeouts: &WireTimeouts,
+    timeouts: WireTimeouts,
 ) {
+    let deadlines = Deadlines::new(cluster, timeouts);
     let mut backlog: VecDeque<Envelope> = VecDeque::new();
     loop {
         let env = match backlog.pop_front() {
             Some(env) => env,
             None => match transport.recv_timeout(SERVE_POLL) {
-                // A reply to a gather that has ended: only requests are
-                // dispatched on their tag.
-                Ok(env) if is_reply_to(transport.addr(), env.correlation) => continue,
-                Ok(env) => env,
+                Ok(env) => {
+                    deadlines.clear(transport.addr(), env.from);
+                    // A reply to a gather that has ended: only requests
+                    // are dispatched on their tag.
+                    if is_reply_to(transport.addr(), env.correlation) {
+                        continue;
+                    }
+                    env
+                }
                 Err(RecvError::Timeout) => continue,
                 Err(RecvError::Disconnected) => return,
             },
         };
-        serve_request(cluster, topo, me, transport, timeouts, env, &mut backlog);
+        serve_request(cluster, topo, me, transport, &deadlines, env, &mut backlog);
     }
 }
 
@@ -877,7 +975,7 @@ pub(crate) fn serve_request<T: Transport>(
     topo: &Topology,
     me: NodeId,
     transport: &T,
-    timeouts: &WireTimeouts,
+    deadlines: &Deadlines,
     env: Envelope,
     backlog: &mut VecDeque<Envelope>,
 ) {
@@ -904,7 +1002,7 @@ pub(crate) fn serve_request<T: Transport>(
         return;
     }
     if group {
-        serve_group_query(cluster, topo, me, transport, timeouts, &env, &msg, backlog);
+        serve_group_query(cluster, topo, me, transport, deadlines, &env, &msg, backlog);
         return;
     }
     // A sampled trace context on the envelope: the local search is a
@@ -964,7 +1062,7 @@ fn serve_group_query<T: Transport>(
     topo: &Topology,
     me: NodeId,
     transport: &T,
-    timeouts: &WireTimeouts,
+    deadlines: &Deadlines,
     env: &Envelope,
     msg: &QueryMsg,
     backlog: &mut VecDeque<Envelope>,
@@ -1048,7 +1146,8 @@ fn serve_group_query<T: Transport>(
     let _ = gather(
         transport,
         &mut pending,
-        timeouts.member(),
+        deadlines.timeouts.member(),
+        deadlines,
         on_reply,
         on_foreign,
     );
@@ -1142,15 +1241,15 @@ mod tests {
     const STRANGER: NodeAddr = NodeAddr(999);
 
     /// One query from [`FRONT`] over `net`, whose inboxes a test may have
-    /// seeded.
+    /// seeded, by a front-end that suspects nobody.
     fn ask(
         cluster: &MendelCluster,
         net: &InlineNet,
         q: &[u8],
         params: &QueryParams,
     ) -> WireQueryOutcome {
-        let timeouts = WireTimeouts::default();
-        query_via(cluster, &net.port(FRONT), q, params, &timeouts)
+        let deadlines = Deadlines::new(cluster, WireTimeouts::default());
+        query_via(cluster, &net.port(FRONT), q, params, &deadlines)
             .unwrap()
             .outcome
     }
@@ -1527,10 +1626,11 @@ mod tests {
         let timeouts = WireTimeouts {
             rpc: Duration::from_millis(1000),
         };
+        let deadlines = Deadlines::new(&cluster, timeouts);
         let plan = crashed(victim);
-        let net = InlineNet::new(&cluster, FRONT, Some(&plan), timeouts);
+        let net = InlineNet::new(&cluster, FRONT, Some(&plan), &deadlines);
         let front = net.port(FRONT);
-        let outcome = query_via(&cluster, &front, &q, &QueryParams::protein(), &timeouts)
+        let outcome = query_via(&cluster, &front, &q, &QueryParams::protein(), &deadlines)
             .unwrap()
             .outcome;
         assert_eq!(
@@ -1565,10 +1665,11 @@ mod tests {
         let timeouts = WireTimeouts {
             rpc: Duration::from_millis(900),
         };
+        let deadlines = Deadlines::new(&cluster, timeouts);
         let plan = crashed(victim);
-        let net = InlineNet::new(&cluster, FRONT, Some(&plan), timeouts);
+        let net = InlineNet::new(&cluster, FRONT, Some(&plan), &deadlines);
         let front = net.port(FRONT);
-        let outcome = query_via(&cluster, &front, &q, &QueryParams::protein(), &timeouts)
+        let outcome = query_via(&cluster, &front, &q, &QueryParams::protein(), &deadlines)
             .unwrap()
             .outcome;
         // The client waits out the entry point; the member that takes
@@ -1590,6 +1691,80 @@ mod tests {
         assert_eq!(outcome.hits, expected_hits, "failover hits match");
         assert!(outcome.unreachable.contains(&victim));
         assert_eq!(outcome.coverage.degraded, twin.coverage().degraded);
+    }
+
+    /// Queries of `q` over one [`WireCluster`] of `cluster` whose plan
+    /// crashes `victim`, each as `query_outcome` asks it, with the logical time it
+    /// waited and the suspect skips it counted. Each address keeps its
+    /// suspects from one query to the next.
+    fn crashed_run(
+        cluster: &Arc<MendelCluster>,
+        victim: NodeId,
+        q: &[u8],
+        rounds: usize,
+    ) -> Vec<(WireQueryOutcome, Duration, u64)> {
+        let timeouts = WireTimeouts {
+            rpc: Duration::from_millis(1000),
+        };
+        let wire = WireCluster::serve_with(cluster.clone(), Arc::new(crashed(victim)), timeouts);
+        let timed = || {
+            let deadlines = &wire.deadlines;
+            let net = InlineNet::new(cluster, FRONT, Some(&wire.faults), deadlines);
+            let front = net.port(FRONT);
+            let before = cluster.metrics_snapshot();
+            let evaluated = query_via(cluster, &front, q, &QueryParams::protein(), deadlines);
+            let skips = cluster.metrics_snapshot().since(&before);
+            let skips = skips.counter("mendel.wire.suspect_skips");
+            (evaluated.unwrap().outcome, front.clock().now(), skips)
+        };
+        (0..rounds).map(|_| timed()).collect()
+    }
+
+    /// Every answer of a [`crashed_run`] is its first one.
+    fn same_answers(run: &[(WireQueryOutcome, Duration, u64)]) {
+        let first = &run[0].0;
+        for (i, (next, _, _)) in run.iter().enumerate() {
+            assert_eq!(next.hits, first.hits, "query {i}");
+            assert_eq!(next.coverage, first.coverage, "query {i}");
+            assert_eq!(next.responded, first.responded, "query {i}");
+            assert_eq!(next.unreachable, first.unreachable, "query {i}");
+        }
+    }
+
+    /// A crashed member is waited out once, then only asked: its entry
+    /// point's first query waits the member deadline on the logical
+    /// clock and skips nothing; every later one waits nothing and skips
+    /// that member once. The answer never changes.
+    #[test]
+    fn crashed_member_is_waited_out_once_then_only_asked() {
+        let cluster = cluster();
+        let q = cluster.db().get(SeqId(0)).unwrap().residues.clone();
+        let victim = queried_member(&cluster, &q, 1);
+        let run = crashed_run(&cluster, victim, &q, 4);
+        let member = Duration::from_millis(500);
+        let waits: Vec<(Duration, u64)> = run.iter().map(|r| (r.1, r.2)).collect();
+        let later = (Duration::ZERO, 1);
+        assert_eq!(waits, [(member, 0), later, later, later]);
+        assert_eq!(run[0].0.unreachable, vec![victim]);
+        same_answers(&run);
+    }
+
+    /// A crashed entry point is waited out once by the client, then once
+    /// more as a member by the member that takes its place; after that
+    /// the client passes it by and its stand-in only asks it — two skips
+    /// a query, no wait, the same answer.
+    #[test]
+    fn crashed_entry_point_is_passed_by_after_one_wait() {
+        let cluster = cluster();
+        let q = cluster.db().get(SeqId(4)).unwrap().residues.clone();
+        let victim = queried_member(&cluster, &q, 0);
+        let run = crashed_run(&cluster, victim, &q, 3);
+        let first = Duration::from_millis(1000 + 500);
+        let waits: Vec<(Duration, u64)> = run.iter().map(|r| (r.1, r.2)).collect();
+        let later = (Duration::ZERO, 2);
+        assert_eq!(waits, [(first, 0), later, later]);
+        assert!(run[0].0.unreachable.contains(&victim));
+        same_answers(&run);
     }
 
     /// A front-end port that loses the first reply it would receive, as
@@ -1626,22 +1801,23 @@ mod tests {
     #[test]
     fn entry_point_whose_reply_was_lost_but_that_answered_is_not_unreachable() {
         let cluster = cluster();
+        let deadlines = Deadlines::new(&cluster, WireTimeouts::default());
         assert_eq!(cluster.config().replication, 1);
         let q = cluster.db().get(SeqId(2)).unwrap().residues.clone();
         let params = QueryParams::protein();
         let clean = ask(
             &cluster,
-            &InlineNet::new(&cluster, FRONT, None, WireTimeouts::default()),
+            &InlineNet::new(&cluster, FRONT, None, &deadlines),
             &q,
             &params,
         );
-        let net = InlineNet::new(&cluster, FRONT, None, WireTimeouts::default());
+        let net = InlineNet::new(&cluster, FRONT, None, &deadlines);
         let lossy = LosesFirstReply {
             port: net.port(FRONT),
             lost: AtomicBool::new(false),
         };
         let timeouts = WireTimeouts::default();
-        let next = query_via(&cluster, &lossy, &q, &params, &timeouts)
+        let next = query_via(&cluster, &lossy, &q, &params, &deadlines)
             .unwrap()
             .outcome;
         assert!(lossy.lost.load(Ordering::Relaxed));
@@ -1658,6 +1834,15 @@ mod tests {
         );
         assert!(!next.coverage.degraded);
         assert_eq!(next.coverage, clean.coverage);
+        // The timed-out entry point's receipt cleared its suspicion: the
+        // next query asks it first again, and passes nobody by.
+        let before = cluster.metrics_snapshot();
+        let net = InlineNet::new(&cluster, FRONT, None, &deadlines);
+        let again = query_via(&cluster, &net.port(FRONT), &q, &params, &deadlines);
+        let again = again.unwrap().outcome;
+        let skips = cluster.metrics_snapshot().since(&before);
+        assert_eq!(skips.counter("mendel.wire.suspect_skips"), 0);
+        assert_eq!(again.responded, clean.responded);
     }
 
     // ---- Hostile replies -----------------------------------------------
@@ -1696,6 +1881,7 @@ mod tests {
     #[test]
     fn out_of_range_anchors_from_an_entry_point_are_dropped() {
         let cluster = cluster();
+        let deadlines = Deadlines::new(&cluster, WireTimeouts::default());
         let q = cluster.db().get(SeqId(2)).unwrap().residues.clone();
         let params = QueryParams::protein();
         let clean = cluster.query(&q, &params).unwrap();
@@ -1715,13 +1901,13 @@ mod tests {
             at(0, 16, db.len() as u32 + 7, 0),
             at(0, 16, 0, subject_len - 5),
         ];
-        let net = InlineNet::new(&cluster, FRONT, None, WireTimeouts::default());
+        let net = InlineNet::new(&cluster, FRONT, None, &deadlines);
         let lying = Tampered {
             port: net.port(FRONT),
             forged: forged.clone(),
         };
         let before = cluster.metrics_snapshot();
-        let outcome = query_via(&cluster, &lying, &q, &params, &WireTimeouts::default())
+        let outcome = query_via(&cluster, &lying, &q, &params, &deadlines)
             .unwrap()
             .outcome;
         assert_eq!(outcome.hits, clean.hits);
@@ -1769,18 +1955,19 @@ mod tests {
     #[test]
     fn reply_from_a_peer_not_asked_is_dropped() {
         let cluster = cluster();
+        let deadlines = Deadlines::new(&cluster, WireTimeouts::default());
         let q = cluster.db().get(SeqId(2)).unwrap().residues.clone();
         let params = QueryParams::protein();
         let clean = WireCluster::serve(cluster.clone())
             .query_outcome(&q, &params)
             .unwrap();
         for imposter in [STRANGER, node_addr(NodeId(5))] {
-            let net = InlineNet::new(&cluster, FRONT, None, WireTimeouts::default());
+            let net = InlineNet::new(&cluster, FRONT, None, &deadlines);
             let forging = Impersonated {
                 port: net.port(FRONT),
                 imposter,
             };
-            let next = query_via(&cluster, &forging, &q, &params, &WireTimeouts::default())
+            let next = query_via(&cluster, &forging, &q, &params, &deadlines)
                 .unwrap()
                 .outcome;
             assert_eq!(next.unreachable, Vec::<NodeId>::new(), "{imposter}");
@@ -1799,8 +1986,9 @@ mod tests {
     #[test]
     fn forged_queries_are_rejected_and_the_node_keeps_serving() {
         let cluster = cluster();
+        let deadlines = Deadlines::new(&cluster, WireTimeouts::default());
         let topo = cluster.topology();
-        let net = InlineNet::new(&cluster, FRONT, None, WireTimeouts::default());
+        let net = InlineNet::new(&cluster, FRONT, None, &deadlines);
         let q = cluster.db().get(SeqId(2)).unwrap().residues.clone();
         let params = QueryParams::protein();
         let clean = ask(&cluster, &net, &q, &params);
@@ -1857,8 +2045,9 @@ mod tests {
     #[test]
     fn hostile_wire_params_do_not_stop_a_node() {
         let cluster = cluster();
+        let deadlines = Deadlines::new(&cluster, WireTimeouts::default());
         let topo = cluster.topology();
-        let net = InlineNet::new(&cluster, FRONT, None, WireTimeouts::default());
+        let net = InlineNet::new(&cluster, FRONT, None, &deadlines);
         let q = cluster.db().get(SeqId(2)).unwrap().residues.clone();
         let params = QueryParams::protein();
         let clean = ask(&cluster, &net, &q, &params);
@@ -1923,7 +2112,8 @@ mod tests {
     #[test]
     fn nan_e_value_or_tolerance_is_refused_before_any_request() {
         let cluster = cluster();
-        let net = InlineNet::new(&cluster, FRONT, None, WireTimeouts::default());
+        let deadlines = Deadlines::new(&cluster, WireTimeouts::default());
+        let net = InlineNet::new(&cluster, FRONT, None, &deadlines);
         let q = cluster.db().get(SeqId(2)).unwrap().residues.clone();
         let ok = QueryParams::protein();
         for params in [
@@ -1936,8 +2126,7 @@ mod tests {
                 ..ok.clone()
             },
         ] {
-            let timeouts = WireTimeouts::default();
-            let Err(err) = query_via(&cluster, &net.port(FRONT), &q, &params, &timeouts) else {
+            let Err(err) = query_via(&cluster, &net.port(FRONT), &q, &params, &deadlines) else {
                 panic!("NaN parameters were accepted");
             };
             assert!(matches!(err, MendelError::Params(_)), "{err}");
@@ -1995,20 +2184,21 @@ mod tests {
     #[test]
     fn late_group_reply_does_not_answer_the_next_query() {
         let cluster = cluster();
+        let deadlines = Deadlines::new(&cluster, WireTimeouts::default());
         let topo = cluster.topology();
         let q = cluster.db().get(SeqId(2)).unwrap().residues.clone();
         let params = QueryParams::protein();
         let before = issued_so_far();
         let clean = ask(
             &cluster,
-            &InlineNet::new(&cluster, FRONT, None, WireTimeouts::default()),
+            &InlineNet::new(&cluster, FRONT, None, &deadlines),
             &q,
             &params,
         );
         let issued = before..issued_so_far();
         assert!(!clean.hits.is_empty() && !issued.is_empty());
 
-        let net = InlineNet::new(&cluster, FRONT, None, WireTimeouts::default());
+        let net = InlineNet::new(&cluster, FRONT, None, &deadlines);
         for &g in clean.responded.keys() {
             let members = topo.group_members(g);
             let empty = GroupReply {
@@ -2043,6 +2233,7 @@ mod tests {
     #[test]
     fn late_member_reply_is_not_merged_into_the_next_group_query() {
         let cluster = cluster();
+        let deadlines = Deadlines::new(&cluster, WireTimeouts::default());
         let topo = cluster.topology();
         let q = cluster.db().get(SeqId(2)).unwrap().residues.clone();
         let params = QueryParams::protein();
@@ -2066,7 +2257,7 @@ mod tests {
         .to_bytes();
         // Play a front-end by hand: the late replies are queued at the
         // entry point before it asks its members anything.
-        let net = InlineNet::new(&cluster, FRONT, None, WireTimeouts::default());
+        let net = InlineNet::new(&cluster, FRONT, None, &deadlines);
         let front = net.port(FRONT);
         let ask = |id: u64, late: std::ops::Range<u64>| {
             deliver_late(&net, node_addr(member), node_addr(entry), late, &stale);
@@ -2089,13 +2280,14 @@ mod tests {
     #[test]
     fn late_three_anchor_reply_does_not_stop_an_idle_node() {
         let cluster = cluster();
+        let deadlines = Deadlines::new(&cluster, WireTimeouts::default());
         let topo = cluster.topology();
         let q = cluster.db().get(SeqId(2)).unwrap().residues.clone();
         let params = QueryParams::protein();
         let before = issued_so_far();
         let clean = ask(
             &cluster,
-            &InlineNet::new(&cluster, FRONT, None, WireTimeouts::default()),
+            &InlineNet::new(&cluster, FRONT, None, &deadlines),
             &q,
             &params,
         );
@@ -2109,7 +2301,7 @@ mod tests {
         }
         .to_bytes();
         assert_eq!(three.first(), Some(&3));
-        let net = InlineNet::new(&cluster, FRONT, None, WireTimeouts::default());
+        let net = InlineNet::new(&cluster, FRONT, None, &deadlines);
         for g in topo.group_ids() {
             let members = topo.group_members(g);
             for (i, &node) in members.iter().enumerate() {
@@ -2134,7 +2326,8 @@ mod tests {
     #[test]
     fn forged_stop_frame_does_not_stop_a_node() {
         let cluster = cluster();
-        let net = InlineNet::new(&cluster, FRONT, None, WireTimeouts::default());
+        let deadlines = Deadlines::new(&cluster, WireTimeouts::default());
+        let net = InlineNet::new(&cluster, FRONT, None, &deadlines);
         let q = cluster.db().get(SeqId(2)).unwrap().residues.clone();
         let params = QueryParams::protein();
         let clean = ask(&cluster, &net, &q, &params);

@@ -8,9 +8,8 @@
 //! from-scratch xorshift generator, so the same seed always produces the
 //! same faults — no external crates, no global state, no wall-clock
 //! input. `mendel`'s in-process delivery asks an optional plan about
-//! every query message it carries (`WireCluster::serve_with`), and the
-//! seeded chaos suite (`tests/chaos.rs`) asks the same plan about its
-//! heartbeats and drives its crash/restart schedule through it.
+//! every query message it carries (`WireCluster::serve_with`), which is
+//! how the seeded chaos suite (`tests/chaos.rs`) loses query messages.
 //!
 //! Determinism contract: the verdict for the *n*-th envelope on a given
 //! `(from, to)` edge is a pure function of `(seed, from, to, n)` and of
@@ -109,19 +108,12 @@ pub enum Verdict {
 #[derive(Debug, Default)]
 pub struct FaultStats {
     dropped: AtomicU64,
-    crash_blocked: AtomicU64,
 }
 
 impl FaultStats {
     /// Envelopes lost to the drop probability.
     pub fn dropped(&self) -> u64 {
         self.dropped.load(Ordering::Relaxed) // audit:ordering(Relaxed): statistics counter read; no data is guarded by this value
-    }
-
-    /// Envelopes discarded because an endpoint was crashed.
-    // audit:allow(unreached): tests/chaos.rs and this file's tests count refused crashes with it
-    pub fn crash_blocked(&self) -> u64 {
-        self.crash_blocked.load(Ordering::Relaxed) // audit:ordering(Relaxed): statistics counter read; no data is guarded by this value
     }
 }
 
@@ -180,7 +172,6 @@ impl FaultPlan {
     /// verdict for the same seed.
     pub fn decide(&self, from: NodeAddr, to: NodeAddr) -> Verdict {
         if self.is_crashed(from) || self.is_crashed(to) {
-            self.stats.crash_blocked.fetch_add(1, Ordering::Relaxed); // audit:ordering(Relaxed): statistics counter; no ordering with envelope delivery is required
             return Verdict::Drop;
         }
         let seq = {
@@ -294,7 +285,7 @@ mod tests {
         assert_eq!(plan.decide(NodeAddr(2), NodeAddr(0)), Verdict::Drop);
         assert_eq!(plan.decide(NodeAddr(0), NodeAddr(2)), Verdict::Drop);
         assert_eq!(plan.decide(NodeAddr(0), NodeAddr(1)), Verdict::Deliver);
-        assert_eq!(plan.stats().crash_blocked(), 2);
+        assert_eq!(plan.stats().dropped(), 0, "a crash is not a drop");
         plan.restart(NodeAddr(2));
         assert_eq!(plan.decide(NodeAddr(0), NodeAddr(2)), Verdict::Deliver);
         assert!(!plan.is_crashed(NodeAddr(2)));

@@ -16,7 +16,8 @@
 //! * [`transport`] — the [`Transport`] seam: address, best-effort send,
 //!   bounded receive, and the clock receive deadlines run on,
 //! * [`tcp`] + [`frame`] — the real carrier (DESIGN.md §16): envelope
-//!   bytes in length-prefixed frames over one reconnecting link per peer,
+//!   bytes in length-prefixed frames over one link per peer, dialed once
+//!   by a send that finds none,
 //! * [`latency`] — the simulated LAN cost model: per-message base latency,
 //!   per-byte transfer cost, and per-node speed factors for the
 //!   heterogeneous cluster,

@@ -30,7 +30,8 @@ pub struct TransportMetrics {
     pub accepts: Arc<Counter>,
     /// Dials performed after a previously-working connection failed.
     pub reconnects: Arc<Counter>,
-    /// Sends abandoned after exhausting dial/write attempts.
+    /// Sends abandoned: no link took the write and the one dial failed
+    /// (or the peer's address is unknown).
     pub dead_letters: Arc<Counter>,
     /// Connections torn down on a frame protocol error (bad magic,
     /// oversized prefix, undecodable body, truncation).

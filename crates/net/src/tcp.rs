@@ -20,11 +20,13 @@
 //!   ride back on the connection a request came in on (how a client
 //!   with no listener hears back), and only a peer with no link is
 //!   dialed. Two peers that dial each other at once keep both links.
-//! * **Reconnect with capped backoff.** A write that fails drops its
-//!   link and redials with exponential backoff capped at
-//!   [`TcpConfig::reconnect_cap`]. A send that exhausts
-//!   [`TcpConfig::dial_attempts`] returns `false` — the dead-letter
-//!   signal the wire path answers by failing over to the next peer.
+//! * **One dial per send.** A send writes on the peer's newest link; if
+//!   that write fails (the link is dropped) or there is no link, it
+//!   dials the peer once. A refused or failed dial makes the envelope a
+//!   dead letter at once: `send` returns `false`, which the wire path
+//!   answers by counting the peer as not answering and failing over.
+//!   Nothing sleeps: whether a silent peer is worth waiting for is the
+//!   request/reply layer's call (its suspect set), not the carrier's.
 //! * **Determinism boundary.** Everything *above* the transport stays
 //!   deterministic (same envelopes, same codec, same merge logic);
 //!   arrival interleaving across distinct senders is real-OS
@@ -52,16 +54,10 @@ use std::time::Duration;
 pub struct TcpConfig {
     /// Per-dial connect timeout.
     pub connect_timeout: Duration,
-    /// Socket write timeout; a stalled peer fails the write (and the
-    /// send falls back to reconnect) rather than wedging the caller.
+    /// Socket write timeout; a stalled peer fails the write (the link
+    /// is dropped and the send dials once) rather than wedging the
+    /// caller.
     pub write_timeout: Duration,
-    /// Total dial-or-write attempts per send before the envelope is
-    /// declared a dead letter.
-    pub dial_attempts: u32,
-    /// First reconnect backoff; doubles per failed attempt.
-    pub reconnect_base: Duration,
-    /// Backoff ceiling.
-    pub reconnect_cap: Duration,
 }
 
 impl Default for TcpConfig {
@@ -69,9 +65,6 @@ impl Default for TcpConfig {
         TcpConfig {
             connect_timeout: Duration::from_millis(500),
             write_timeout: Duration::from_secs(5),
-            dial_attempts: 3,
-            reconnect_base: Duration::from_millis(10),
-            reconnect_cap: Duration::from_millis(250),
         }
     }
 }
@@ -406,20 +399,35 @@ fn accept_loop(shared: Arc<Shared>, listener: TcpListener) {
 }
 
 /// Write one frame on `conn`, holding its write lock so concurrent
-/// senders cannot interleave bytes mid-frame.
-fn write_on(shared: &Shared, conn: &Conn, env: &Envelope) -> io::Result<usize> {
+/// senders cannot interleave bytes mid-frame. A failed write means the
+/// connection is broken: it is dropped — its shut stream ends its
+/// reader — and `false` returned.
+fn write_on(shared: &Shared, conn: &Arc<Conn>, env: &Envelope) -> bool {
     // audit:allow(guard-across-io): the write lock MUST be held across
     // the frame write — releasing it mid-frame would let another sender
     // interleave bytes and desync the peer's framing. Bounded by the
     // socket write timeout.
     let guard = conn.write.lock();
-    let n = frame::write_frame(&mut &conn.stream, env)?;
+    let written = frame::write_frame(&mut &conn.stream, env);
     drop(guard);
-    shared.metrics.frames_sent.inc();
-    shared.metrics.bytes_sent.add(n as u64);
-    Ok(n)
+    match written {
+        Ok(n) => {
+            shared.metrics.frames_sent.inc();
+            shared.metrics.bytes_sent.add(n as u64);
+            true
+        }
+        Err(_) => {
+            if let Some(link) = shared.unlink(conn) {
+                let _ = link.conn.stream.shutdown(Shutdown::Both);
+                let _ = link.reader.join();
+            }
+            false
+        }
+    }
 }
 
+/// Write on the peer's newest link, or else dial it once; a send that
+/// neither reaches is a dead letter.
 fn send_envelope(shared: &Arc<Shared>, env: Envelope) -> bool {
     if shared.is_shut_down() {
         return false;
@@ -429,38 +437,18 @@ fn send_envelope(shared: &Arc<Shared>, env: Envelope) -> bool {
         return shared.inbox_tx.send(env).is_ok();
     }
     let to = env.to.0;
-    let mut backoff = shared.cfg.reconnect_base;
-    for attempt in 0..shared.cfg.dial_attempts {
-        if shared.is_shut_down() {
-            return false;
+    let broken = match shared.link_to(to) {
+        Some(conn) if write_on(shared, &conn, &env) => return true,
+        Some(_) => true,
+        None => false,
+    };
+    let socket = shared.peers.read().get(&to).copied();
+    if let Some(socket) = socket {
+        if broken {
+            shared.metrics.reconnects.inc();
         }
-        let conn = match shared.link_to(to) {
-            Some(link) => link,
-            None => {
-                let Some(socket) = shared.peers.read().get(&to).copied() else {
-                    shared.metrics.dead_letters.inc();
-                    return false;
-                };
-                if attempt > 0 {
-                    shared.metrics.reconnects.inc();
-                    // audit:allow(instant-now): reconnect backoff; a refused peer can only come back in real time
-                    thread::sleep(backoff);
-                    backoff = (backoff * 2).min(shared.cfg.reconnect_cap);
-                }
-                match dial(shared, to, socket) {
-                    Ok(link) => link,
-                    Err(_) => continue,
-                }
-            }
-        };
-        if write_on(shared, &conn, &env).is_ok() {
+        if dial(shared, to, socket).is_ok_and(|conn| write_on(shared, &conn, &env)) {
             return true;
-        }
-        // Failed write: the connection is broken. Drop it — its shut
-        // stream ends its reader — and redial on the next attempt.
-        if let Some(link) = shared.unlink(&conn) {
-            let _ = link.conn.stream.shutdown(Shutdown::Both);
-            let _ = link.reader.join();
         }
     }
     shared.metrics.dead_letters.inc();
@@ -515,26 +503,24 @@ mod tests {
         assert_eq!(client.metrics().dead_letters.get(), 1);
     }
 
+    /// A refused peer is dialed once and the send is a dead letter at
+    /// once: no retry, no sleep.
     #[test]
-    fn refused_connection_fails_after_capped_retries() {
+    fn refused_connection_is_a_dead_letter_after_one_dial() {
         let any: SocketAddr = "127.0.0.1:0".parse().expect("addr");
         let probe = TcpListener::bind(any).expect("probe");
         let dead = probe.local_addr().expect("addr");
         drop(probe);
-        let cfg = TcpConfig {
-            dial_attempts: 2,
-            reconnect_base: Duration::from_millis(1),
-            ..TcpConfig::default()
-        };
         let client = TcpTransport::connect_only(
             NodeAddr(2),
             &[(NodeAddr(1), dead)],
-            cfg,
+            TcpConfig::default(),
             TransportMetrics::detached(),
         );
         assert!(!client.send(NodeAddr(1), 1, Bytes::new()));
         assert_eq!(client.metrics().dead_letters.get(), 1);
-        assert_eq!(client.metrics().reconnects.get(), 1);
+        assert_eq!(client.metrics().reconnects.get(), 0);
+        assert_eq!(client.metrics().connects.get(), 0);
     }
 
     #[test]

@@ -19,9 +19,10 @@
 //! * **Per-peer FIFO**: two envelopes sent A→B are delivered to B in
 //!   send order (no ordering guarantee across distinct senders).
 //! * **Best-effort send**: `send_envelope` returns `false` when the
-//!   envelope is known lost at the sender (unknown peer, dead letter,
-//!   connection refused after capped retries); `true` means *handed to
-//!   the carrier*, not acknowledged end-to-end.
+//!   envelope is known lost at the sender (unknown peer, or a peer whose
+//!   link broke and whose one redial was refused); `true` means *handed
+//!   to the carrier*, not acknowledged end-to-end. A send never sleeps
+//!   or retries: a silent peer is the request/reply layer's to judge.
 //! * **Typed receive failure**: [`RecvError::Timeout`] is transient,
 //!   [`RecvError::Disconnected`] is terminal for the endpoint.
 

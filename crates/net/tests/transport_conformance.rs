@@ -19,7 +19,6 @@ fn clique(n: usize) -> Vec<TcpTransport> {
     let any: SocketAddr = "127.0.0.1:0".parse().expect("loopback");
     let cfg = TcpConfig {
         connect_timeout: Duration::from_millis(500),
-        reconnect_base: Duration::from_millis(1),
         ..TcpConfig::default()
     };
     let nodes: Vec<TcpTransport> = (0..n)

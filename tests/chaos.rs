@@ -1,39 +1,35 @@
 //! Seeded chaos suite: drive deterministic fault schedules through the
 //! whole inject → detect → route-around → repair → report loop.
 //!
-//! Faults (heartbeat and query drops, node crash/restart schedules) come
-//! from one seeded `FaultPlan`, and everything runs on logical time:
-//! each round advances a `VirtualClock` by one beat period, then asks
-//! the plan, in ascending node order, whether each node's beat reaches
-//! the monitor; queries go over in-process delivery, which asks the same
+//! A seeded crash/restart schedule drives the control plane's
+//! `fail_node` and `recover_node`, and one seeded `FaultPlan` drops
+//! query messages: queries go over in-process delivery, which asks the
 //! plan about every message and waits out a lost one on its own logical
-//! clock. No thread starts and nothing waits on the wall clock, so a
-//! seed fixes the whole run: `chaos_run` returns its event log, and two
-//! runs of one seed must return equal logs. The cluster routes around
-//! suspects, `repair()` restores the replication factor, and
+//! clock. The lossy `WireCluster` lives through the whole schedule, so
+//! each of its addresses keeps the suspects its missed deadlines made —
+//! the wire's failure detector — from one query to the next. No thread
+//! starts and nothing waits on the wall clock, so a seed fixes the
+//! whole run: `chaos_run` returns its event log, and two runs of one
+//! seed must return equal logs. The cluster routes around failed nodes,
+//! `repair()` restores the replication factor, and
 //! `QueryReport::coverage` certifies when answers are complete.
 
 use mendel_suite::core::wire::node_addr;
 use mendel_suite::core::{
-    ClusterConfig, CoverageReport, FailoverDelta, HeartbeatMonitor, MendelCluster, MendelHit,
-    QueryParams, WireCluster, WireTimeouts,
+    ClusterConfig, CoverageReport, MendelCluster, MendelHit, QueryParams, WireCluster, WireTimeouts,
 };
 use mendel_suite::dht::NodeId;
 use mendel_suite::net::fault::{FaultConfig, FaultPlan};
-use mendel_suite::net::{NodeAddr, Verdict, XorShift64};
-use mendel_suite::obs::VirtualClock;
+use mendel_suite::net::{NodeAddr, XorShift64};
 use mendel_suite::seq::gen::NrLikeSpec;
 use mendel_suite::seq::{SeqId, SeqStore};
 use std::collections::HashSet;
 use std::sync::Arc;
-use std::time::Duration;
 
 const NODES: usize = 8;
-const BEAT_PERIOD: Duration = Duration::from_millis(10);
-const SUSPECT_TIMEOUT: Duration = Duration::from_millis(80);
-/// Beat rounds after a schedule event before the detector is read:
-/// long enough past `SUSPECT_TIMEOUT` for a crash to be suspected.
-const SETTLE_ROUNDS: usize = 14;
+
+/// The counter of suspects not waited for.
+const SUSPECT_SKIPS: &str = "mendel.wire.suspect_skips";
 
 fn db(seed: u64) -> Arc<SeqStore> {
     Arc::new(
@@ -59,43 +55,6 @@ fn replicated_cluster(db: &Arc<SeqStore>) -> MendelCluster {
     MendelCluster::build(cfg, db.clone()).unwrap()
 }
 
-/// The heartbeat monitor's address on the plan's edges: neither a
-/// storage node's `node_addr` nor `NodeAddr(0)`, the `WireCluster`
-/// client, so its edges are no query's.
-const MONITOR: NodeAddr = NodeAddr(u16::MAX);
-
-/// Heartbeats on a logical clock. On the plan's edges storage node `i`
-/// is `node_addr(i)`, as on every carrier, and beats go to [`MONITOR`].
-struct Beats {
-    plan: Arc<FaultPlan>,
-    clock: Arc<VirtualClock>,
-    monitor: HeartbeatMonitor,
-}
-
-impl Beats {
-    fn new(config: FaultConfig) -> Self {
-        let clock = Arc::new(VirtualClock::new());
-        Beats {
-            plan: Arc::new(FaultPlan::new(config)),
-            monitor: HeartbeatMonitor::with_clock(SUSPECT_TIMEOUT, clock.clone()),
-            clock,
-        }
-    }
-
-    /// `n` beat periods. Each advances the clock by one period; then
-    /// every node whose beat the plan delivers is observed.
-    fn rounds(&mut self, n: usize) {
-        for _ in 0..n {
-            self.clock.advance(BEAT_PERIOD);
-            for node in (0..NODES as u16).map(NodeId) {
-                if self.plan.decide(node_addr(node), MONITOR) == Verdict::Deliver {
-                    self.monitor.observe(node);
-                }
-            }
-        }
-    }
-}
-
 /// Dumps the cluster's per-node flight recorders to stderr when the
 /// enclosing chaos run panics, so a failed run leaves its causal traces
 /// behind as a post-mortem artifact (DESIGN.md §12).
@@ -115,6 +74,9 @@ impl Drop for DumpOnPanic<'_> {
 /// What a query that lost messages by the plan answered.
 #[derive(Debug, PartialEq)]
 struct LossyAnswer {
+    /// Requests to suspects the query did not wait for, and suspect
+    /// entry points it passed over (`mendel.wire.suspect_skips`).
+    skips: u64,
     unreachable: Vec<NodeId>,
     /// The unreachable nodes the control plane had not failed: silenced
     /// by the plan alone.
@@ -135,7 +97,12 @@ fn lossy_answer(
     query: &[u8],
     params: &QueryParams,
 ) -> LossyAnswer {
+    let before = cluster.metrics_snapshot();
     let got = lossy.query_outcome(query, params).unwrap();
+    let skips = cluster
+        .metrics_snapshot()
+        .since(&before)
+        .counter(SUSPECT_SKIPS);
     let crashes = FaultPlan::new(FaultConfig::passthrough(0));
     for &node in &got.unreachable {
         crashes.crash(node_addr(node));
@@ -153,6 +120,7 @@ fn lossy_answer(
     assert_eq!(got.unreachable, twin.unreachable);
     let failed = cluster.failed_nodes();
     LossyAnswer {
+        skips,
         silenced: (got.unreachable.iter().copied())
             .filter(|n| !failed.contains(n))
             .collect(),
@@ -166,25 +134,23 @@ fn lossy_answer(
 /// reproduce it exactly.
 #[derive(Debug, PartialEq)]
 struct ChaosLog {
-    /// Per schedule event: the detector's delta, the copies `repair`
+    /// Per schedule event: the failed set after it, the copies `repair`
     /// added, and whether the query through the first live node reported
     /// degraded coverage (`None` when every node was down).
-    events: Vec<(FailoverDelta, u64, Option<bool>)>,
+    events: Vec<(Vec<NodeId>, u64, Option<bool>)>,
     /// Per schedule event: the same query, losing messages by the plan.
     lossy: Vec<LossyAnswer>,
-    /// Detector deltas while the restarted cluster converges.
-    convergence: Vec<FailoverDelta>,
     /// Copies the final repair added.
     final_copies: u64,
-    /// The plan's `FaultStats` at the end: dropped, crash-blocked.
-    faults: (u64, u64),
+    /// Query messages the plan dropped.
+    dropped: u64,
 }
 
 /// One full chaos run for `seed`. Asserts the acceptance contract:
 /// the schedule replays byte-identically, queries stay correct whenever
-/// coverage is complete, and after every node restarts the cluster
-/// converges back to full coverage with hits identical to the
-/// fault-free baseline. Causal tracing stays on throughout, so any
+/// coverage is complete, and once every node has restarted the cluster
+/// is back to full coverage with hits identical to the fault-free
+/// baseline. Causal tracing stays on throughout, so any
 /// failure dumps the flight recorders via [`DumpOnPanic`].
 fn chaos_run(seed: u64) -> ChaosLog {
     let db = db(seed ^ 0xD8);
@@ -211,21 +177,16 @@ fn chaos_run(seed: u64) -> ChaosLog {
         "same seed must replay the exact same fault schedule"
     );
 
-    // Lossy heartbeats (drop probability ≥ 0.05). Every node establishes
-    // a healthy baseline in the monitor first. Queries lose messages by
-    // the same plan: the same drop rate, and the schedule's crashes.
-    let mut beats = Beats::new(FaultConfig::drops(seed, 0.08));
-    beats.rounds(8);
-    cluster.sync_failure_detector(&beats.monitor);
+    // Lossy queries (drop probability ≥ 0.05) through one wire cluster,
+    // whose suspects carry over from one event to the next.
+    let plan = Arc::new(FaultPlan::new(FaultConfig::drops(seed, 0.08)));
     let timeouts = WireTimeouts::default();
-    let lossy = WireCluster::serve_with(cluster.clone(), beats.plan.clone(), timeouts);
+    let lossy = WireCluster::serve_with(cluster.clone(), plan.clone(), timeouts);
 
     let mut events = Vec::new();
     let mut answers = Vec::new();
     for event in &schedule {
-        apply(&beats.plan, event);
-        beats.rounds(SETTLE_ROUNDS);
-        let delta = cluster.sync_failure_detector(&beats.monitor);
+        apply(&cluster, event);
         let copies = cluster.repair().copies_added;
         // Whenever no block lost every replica, answers must be exact.
         let entry = (0..NODES as u16)
@@ -241,7 +202,7 @@ fn chaos_run(seed: u64) -> ChaosLog {
             }
             report.coverage.degraded
         });
-        events.push((delta, copies, degraded));
+        events.push((cluster.failed_nodes(), copies, degraded));
         answers.push(lossy_answer(&cluster, &lossy, &queries[0], &params));
     }
     assert!(
@@ -249,21 +210,11 @@ fn chaos_run(seed: u64) -> ChaosLog {
         "lost query messages reached an answer (seed {seed:#x})"
     );
 
-    // The schedule restarts every crashed node; once beats flow again the
-    // detector must converge back to an empty failed set.
+    // The schedule restarts every crashed node.
     assert!(
-        crashed_nodes(&beats.plan).is_empty(),
+        cluster.failed_nodes().is_empty(),
         "schedule ends all-restarted"
     );
-    let mut convergence = Vec::new();
-    while !cluster.failed_nodes().is_empty() {
-        assert!(
-            convergence.len() < 50,
-            "all nodes beat again => failed set drains"
-        );
-        beats.rounds(4);
-        convergence.push(cluster.sync_failure_detector(&beats.monitor));
-    }
 
     // Final repair → full coverage, exact fault-free results.
     let final_copies = cluster.repair().copies_added;
@@ -282,31 +233,35 @@ fn chaos_run(seed: u64) -> ChaosLog {
             "post-chaos hits match fault-free run"
         );
     }
-    let stats = beats.plan.stats();
-    let faults = (stats.dropped(), stats.crash_blocked());
-    assert!(faults.0 + faults.1 > 0, "the plan actually injected faults");
+    let dropped = plan.stats().dropped();
+    assert!(dropped > 0, "the plan actually injected faults");
     ChaosLog {
         events,
         lossy: answers,
-        convergence,
         final_copies,
-        faults,
+        dropped,
     }
 }
 
 /// [`chaos_run`] twice: a seed fixes the whole run, every lossy query
 /// included.
-fn replayed(seed: u64) {
+fn replayed(seed: u64) -> ChaosLog {
+    let log = chaos_run(seed);
     assert_eq!(
-        chaos_run(seed),
+        log,
         chaos_run(seed),
         "a seed fixes the whole run ({seed:#x})"
     );
+    log
 }
 
 #[test]
 fn seeded_chaos_converges_to_full_coverage() {
-    replayed(0xC0FFEE);
+    let log = replayed(0xC0FFEE);
+    assert!(
+        log.lossy.iter().any(|answer| answer.skips > 0),
+        "a lossy query passed a suspect by, and still answered as its twin"
+    );
 }
 
 #[test]
@@ -318,10 +273,8 @@ fn seeded_chaos_second_seed() {
 fn same_seed_chaos_run_replays_an_identical_log() {
     let log = chaos_run(0x5EED5);
     assert!(
-        log.events
-            .iter()
-            .any(|(delta, _, _)| !delta.suspected.is_empty()),
-        "the schedule's crashes were detected"
+        log.events.iter().any(|(failed, _, _)| !failed.is_empty()),
+        "the schedule's crashes failed nodes"
     );
     assert_eq!(log, chaos_run(0x5EED5), "a seed fixes the whole run");
 }
@@ -401,34 +354,56 @@ fn ingest_while_degraded_heals_to_full_replication() {
     assert!(!cluster.coverage().degraded);
 }
 
+/// The wire's failure detector under a plan: a member the plan crashes
+/// is waited out once by its entry point and then asked but not waited
+/// on; once restarted, its next reply — to the very request it is still
+/// sent — clears the suspicion, and the answer is the healthy one again.
 #[test]
 fn crashed_node_recovers_after_restart_under_plan() {
-    // Crash semantics at the plan level: while crashed, a node's beats
-    // are discarded and it gets suspected; after restart its next beat
-    // arrives and the cluster auto-recovers it.
     let db = db(0xB2);
-    let cluster = replicated_cluster(&db);
-    let mut beats = Beats::new(FaultConfig::passthrough(7));
+    let cluster = Arc::new(replicated_cluster(&db));
+    let params = QueryParams::protein();
+    let q = db.get(SeqId(3)).unwrap().residues.clone();
+    let plan = Arc::new(FaultPlan::new(FaultConfig::passthrough(7)));
+    let wire = WireCluster::serve_with(cluster.clone(), plan.clone(), WireTimeouts::default());
+    let ask = || {
+        let before = cluster.metrics_snapshot();
+        let outcome = wire.query_outcome(&q, &params).unwrap();
+        let skips = cluster
+            .metrics_snapshot()
+            .since(&before)
+            .counter(SUSPECT_SKIPS);
+        (outcome, skips)
+    };
 
-    // Healthy baseline.
-    beats.rounds(8);
-    cluster.sync_failure_detector(&beats.monitor);
-    assert!(cluster.failed_nodes().is_empty());
+    let (healthy, skips) = ask();
+    assert_eq!(skips, 0);
+    // The second member of a queried group: never its entry point.
+    let topo = cluster.topology();
+    let victim = (healthy.responded.keys())
+        .find_map(|&g| topo.group_members(g).get(1).copied())
+        .expect("a queried group with two members");
 
-    beats.plan.crash(node_addr(NodeId(5)));
-    beats.rounds(SETTLE_ROUNDS);
-    let delta = cluster.sync_failure_detector(&beats.monitor);
-    assert_eq!(delta.suspected, vec![NodeId(5)], "crashed node suspected");
+    // Twice: heard from again, the restarted node is trusted again, so
+    // its second crash is waited out once more.
+    for _ in 0..2 {
+        plan.crash(node_addr(victim));
+        for want_skips in [0, 1, 1] {
+            let (crashed, skips) = ask();
+            assert_eq!(crashed.unreachable, vec![victim]);
+            assert_eq!(skips, want_skips, "waited out once, then skipped");
+        }
 
-    beats.plan.restart(node_addr(NodeId(5)));
-    beats.rounds(1);
-    let delta = cluster.sync_failure_detector(&beats.monitor);
-    assert_eq!(
-        delta.recovered,
-        vec![NodeId(5)],
-        "restarted node beats again and auto-recovers"
-    );
-    assert!(cluster.failed_nodes().is_empty());
+        plan.restart(node_addr(victim));
+        let (back, skips) = ask();
+        assert_eq!(skips, 0, "the restarted node's reply was taken");
+        assert!(back.unreachable.is_empty());
+        assert_eq!(back.responded, healthy.responded);
+        assert_eq!(back.coverage, healthy.coverage);
+        assert_eq!(back.hits, healthy.hits);
+    }
+    let failed = cluster.failed_nodes();
+    assert!(failed.is_empty(), "the control plane never moved");
 }
 
 // ---- The crash/restart schedule ---------------------------------------
@@ -436,7 +411,7 @@ fn crashed_node_recovers_after_restart_under_plan() {
 /// Kind of a scheduled node-lifecycle event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum FaultEventKind {
-    /// The node stops: its traffic is discarded, its beats stop.
+    /// The node stops: the control plane fails it.
     Crash,
     /// The node comes back.
     Restart,
@@ -454,18 +429,14 @@ struct FaultEvent {
     kind: FaultEventKind,
 }
 
-/// Apply one schedule event (crash or restart) to `plan`.
-fn apply(plan: &FaultPlan, event: &FaultEvent) {
+/// Apply one schedule event to the control plane: a crash is
+/// `fail_node`, a restart `recover_node`, of the node at `event.node`.
+fn apply(cluster: &MendelCluster, event: &FaultEvent) {
+    let node = NodeId(event.node.0 - 1);
     match event.kind {
-        FaultEventKind::Crash => plan.crash(event.node),
-        FaultEventKind::Restart => plan.restart(event.node),
+        FaultEventKind::Crash => cluster.fail_node(node).unwrap(),
+        FaultEventKind::Restart => cluster.recover_node(node).unwrap(),
     }
-}
-
-/// Storage nodes `plan` currently crashes, ascending.
-fn crashed_nodes(plan: &FaultPlan) -> Vec<NodeAddr> {
-    let nodes = (0..NODES as u16).map(|i| node_addr(NodeId(i)));
-    nodes.filter(|&node| plan.is_crashed(node)).collect()
 }
 
 /// Generate a deterministic crash/restart schedule: at least `events`

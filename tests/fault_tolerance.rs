@@ -1,11 +1,9 @@
 //! Fault-tolerance and elasticity integration tests (the §VII-B
 //! extensions this reproduction implements).
 
-use mendel_suite::core::{
-    ClusterConfig, HeartbeatMonitor, MendelCluster, MendelError, QueryParams,
-};
+use mendel_suite::core::{ClusterConfig, MendelCluster, MendelError, QueryParams};
 use mendel_suite::dht::{GroupId, NodeId};
-use mendel_suite::obs::{SlowLogConfig, VirtualClock};
+use mendel_suite::obs::SlowLogConfig;
 use mendel_suite::seq::gen::NrLikeSpec;
 use mendel_suite::seq::{SeqId, SeqStore};
 use std::sync::Arc;
@@ -33,14 +31,6 @@ fn replicated_cluster(db: &Arc<SeqStore>, replication: usize) -> MendelCluster {
         ..ClusterConfig::small_protein()
     };
     MendelCluster::build(cfg, db.clone()).unwrap()
-}
-
-/// A failure detector on a logical clock, suspecting silence past
-/// `timeout_ms`, with the clock that drives it.
-fn virtual_monitor(timeout_ms: u64) -> (HeartbeatMonitor, Arc<VirtualClock>) {
-    let clock = Arc::new(VirtualClock::new());
-    let monitor = HeartbeatMonitor::with_clock(Duration::from_millis(timeout_ms), clock.clone());
-    (monitor, clock)
 }
 
 #[test]
@@ -160,51 +150,6 @@ fn repeated_scale_out_keeps_results_stable() {
 }
 
 #[test]
-fn heartbeat_suspicion_drives_failover() {
-    // Wire the failure detector to the cluster's failover: a node that
-    // stops beating gets suspected, the cluster routes around it, and
-    // queries keep answering (replication 2 masks the loss).
-    let db = db(9);
-    let cluster = replicated_cluster(&db, 2);
-    let params = QueryParams::protein();
-    let q = db.get(SeqId(3)).unwrap().residues.clone();
-    let baseline = cluster.query(&q, &params).unwrap().best().unwrap().subject;
-
-    // Beat history: node 2 went silent 200 ms ago.
-    let (mut monitor, clock) = virtual_monitor(100);
-    monitor.observe(NodeId(2));
-    clock.advance(Duration::from_millis(200));
-    for n in (0..8).filter(|&n| n != 2) {
-        monitor.observe(NodeId(n));
-    }
-    let suspects = monitor.suspects();
-    assert_eq!(suspects, vec![NodeId(2)]);
-
-    // Act on the suspicion.
-    for &s in &suspects {
-        cluster.fail_node(s).unwrap();
-    }
-    let masked = cluster
-        .query_from(NodeId(0), &q, &params)
-        .unwrap()
-        .best()
-        .unwrap()
-        .subject;
-    assert_eq!(
-        masked, baseline,
-        "suspected node's data must be served by replicas"
-    );
-
-    // Everyone beats again: suspicion clears.
-    for n in 0..8 {
-        monitor.observe(NodeId(n));
-    }
-    assert!(monitor.suspects().is_empty());
-    cluster.recover_node(NodeId(2)).unwrap();
-    assert!(cluster.failed_nodes().is_empty());
-}
-
-#[test]
 fn fail_is_idempotent_and_recover_is_symmetric() {
     let db = db(10);
     let cluster = replicated_cluster(&db, 2);
@@ -255,59 +200,6 @@ fn recovery_after_rebalance_serves_current_placement() {
         control.total_blocks(),
         "stale copies must be re-placed, not accumulated"
     );
-}
-
-#[test]
-fn detector_sync_fails_suspects_and_recovers_on_fresh_beats() {
-    // False-positive recovery: a slow-but-alive node is suspected,
-    // routed around, then unsuspected once it beats again.
-
-    let db = db(12);
-    let cluster = replicated_cluster(&db, 2);
-    let params = QueryParams::protein();
-    let q = db.get(SeqId(6)).unwrap().residues.clone();
-    let baseline = cluster.query(&q, &params).unwrap().best().unwrap().subject;
-
-    let (mut monitor, clock) = virtual_monitor(100);
-    monitor.observe(NodeId(3)); // slow node: its next beat is late
-    clock.advance(Duration::from_millis(200));
-    for n in (0..8).filter(|&n| n != 3) {
-        monitor.observe(NodeId(n));
-    }
-    let delta = cluster.sync_failure_detector(&monitor);
-    assert_eq!(delta.suspected, vec![NodeId(3)]);
-    assert!(delta.recovered.is_empty());
-    assert_eq!(cluster.failed_nodes(), vec![NodeId(3)]);
-    // Routed around: replicas mask the suspect.
-    let masked = cluster.query(&q, &params).unwrap();
-    assert_eq!(masked.best().unwrap().subject, baseline);
-    assert!(!masked.coverage.degraded, "replication keeps full coverage");
-
-    // Re-syncing while still silent must not re-suspect (idempotent).
-    let again = cluster.sync_failure_detector(&monitor);
-    assert!(again.suspected.is_empty() && again.recovered.is_empty());
-
-    // The node beats again → auto-recovery.
-    monitor.observe(NodeId(3));
-    let delta = cluster.sync_failure_detector(&monitor);
-    assert_eq!(delta.recovered, vec![NodeId(3)]);
-    assert!(cluster.failed_nodes().is_empty());
-    assert_eq!(
-        cluster.query(&q, &params).unwrap().best().unwrap().subject,
-        baseline
-    );
-}
-
-#[test]
-fn detector_never_recovers_operator_failed_nodes() {
-    let db = db(13);
-    let cluster = replicated_cluster(&db, 2);
-    cluster.fail_node(NodeId(5)).unwrap(); // operator decision
-    let (mut monitor, _clock) = virtual_monitor(100);
-    monitor.observe(NodeId(5)); // the node is beating happily
-    let delta = cluster.sync_failure_detector(&monitor);
-    assert!(delta.recovered.is_empty(), "operator failures stick");
-    assert_eq!(cluster.failed_nodes(), vec![NodeId(5)]);
 }
 
 #[test]
