@@ -204,19 +204,26 @@ fn parse_peers(raw: &str) -> Result<Vec<(u16, SocketAddr)>, CliError> {
 
 /// The keys `serve` reads besides [`GEOMETRY`], as flags or from its
 /// `--config` file.
-const SERVE_KEYS: &str = "node listen http peers http-peers db data-dir rpc-timeout-ms tracing \
-                          trace-sample slowlog-threshold-ms slowlog-sample";
+const SERVE_KEYS: &[&str] = &[
+    "node",
+    "listen",
+    "http",
+    "peers",
+    "http-peers",
+    "db",
+    "data-dir",
+    "rpc-timeout-ms",
+    "tracing",
+    "trace-sample",
+    "slowlog-threshold-ms",
+    "slowlog-sample",
+];
 
 impl ServeConfig {
     /// Merge `--config <toml>` (if given) with flags; flags win. A key
     /// `serve` does not read, from either, is refused, naming it.
     pub fn from_args(args: &Args) -> Result<ServeConfig, CliError> {
-        let keys: Vec<&str> = GEOMETRY
-            .iter()
-            .copied()
-            .chain(SERVE_KEYS.split_whitespace())
-            .collect();
-        args.only(&[&keys[..], &["config"]].concat())?;
+        args.only(&[GEOMETRY, SERVE_KEYS, &["config"]].concat())?;
         let mut merged: HashMap<String, String> = HashMap::new();
         if let Some(path) = args.get("config") {
             let text = std::fs::read_to_string(path).map_err(|e| CliError::Io(path.into(), e))?;
@@ -227,7 +234,8 @@ impl ServeConfig {
                 )
             })?;
         }
-        if let Some(key) = merged.keys().filter(|k| !keys.contains(&k.as_str())).min() {
+        let read = |k: &str| GEOMETRY.contains(&k) || SERVE_KEYS.contains(&k);
+        if let Some(key) = merged.keys().filter(|k| !read(k)).min() {
             let (command, key) = ("serve".into(), key.clone());
             return Err(CliError::Args(ArgError::UnknownOption { command, key }));
         }

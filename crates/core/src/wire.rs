@@ -39,8 +39,10 @@
 //! via [`MendelCluster::coverage_with_down`]. A peer that missed an
 //! endpoint's deadline is a suspect there (`Deadlines`): still asked,
 //! but not waited on until heard from again, so a hung peer costs one
-//! deadline, not one per query, and the answer is the one waiting would
-//! have given.
+//! deadline, not one per query, and while it stays silent the answer is
+//! the one waiting would have given. A peer that recovers is not waited
+//! on until an envelope from it arrives: a query served before then can
+//! drop its reply as late and come back degraded.
 
 use crate::cluster::MendelCluster;
 use crate::error::MendelError;
@@ -714,7 +716,8 @@ type GroupRequest = (GroupId, usize, Option<(ActiveSpan, Duration)>);
 /// query, so a dead entry point degrades the answer (anchors from live
 /// members only) instead of losing the whole group. A candidate the
 /// client suspects is passed over while a later one is trusted; it is
-/// still asked, as a member, by the entry point that takes its place.
+/// still asked, as a member, by the entry point that takes its place,
+/// and as entry point itself if every member after it fails.
 pub(crate) fn query_via<T: Transport>(
     cluster: &MendelCluster,
     client: &T,
@@ -762,29 +765,27 @@ pub(crate) fn query_via<T: Transport>(
     let mut round: Vec<(GroupId, usize)> = plan.groups.keys().map(|&g| (g, 0)).collect();
     while !round.is_empty() {
         let mut pending: Pending<GroupRequest> = HashMap::new();
-        for (g, mut idx) in std::mem::take(&mut round) {
+        for (g, from) in std::mem::take(&mut round) {
             let members = topo.group_members(g);
-            let trusted = |n: &NodeId| !down.contains(n) && !deadlines.suspects(me, node_addr(*n));
-            // Skip candidates another group's gather already proved
-            // dead, and suspects while a trusted candidate follows.
-            while let Some(m) = members.get(idx) {
-                if down.contains(m) {
-                    idx += 1;
-                } else if !trusted(m) && members[idx + 1..].iter().any(trusted) {
-                    deadlines.skips.inc();
-                    idx += 1;
-                } else {
-                    break;
-                }
+            let live = |n: &NodeId| !down.contains(n);
+            let trusted = |n: &NodeId| live(n) && !deadlines.suspects(me, node_addr(*n));
+            // The first trusted candidate from `from` on, passing by the
+            // live suspects before it; failing that, the first live
+            // member, a suspect passed by before included.
+            let next = (from..members.len()).find(|&i| trusted(&members[i]));
+            if let Some(i) = next {
+                let passed = members[from..i].iter().filter(|m| live(m)).count();
+                deadlines.skips.add(passed as u64);
             }
-            let Some(&gep) = members.get(idx) else {
-                // Every candidate tried or passed by: the group
-                // contributes nothing, and none of its members answered.
+            let Some(idx) = next.or_else(|| members.iter().position(live)) else {
+                // Every member tried: the group contributes nothing, and
+                // none of its members answered.
                 down.extend(members);
                 continue;
             };
+            let gep = members[idx];
             // The candidate asked is waited for, even a suspect: one is
-            // asked only when no trusted member follows it.
+            // asked only when no trusted member remains.
             deadlines.clear(me, node_addr(gep));
             let msg = QueryMsg {
                 tag: TAG_GROUP_QUERY,
@@ -1219,6 +1220,10 @@ mod tests {
     use std::sync::atomic::AtomicBool;
 
     fn cluster() -> Arc<MendelCluster> {
+        cluster_of(ClusterConfig::small_protein())
+    }
+
+    fn cluster_of(config: ClusterConfig) -> Arc<MendelCluster> {
         let db = Arc::new(
             NrLikeSpec {
                 families: 10,
@@ -1230,7 +1235,7 @@ mod tests {
             .generate()
             .unwrap(),
         );
-        Arc::new(MendelCluster::build(ClusterConfig::small_protein(), db).unwrap())
+        Arc::new(MendelCluster::build(config, db).unwrap())
     }
 
     /// The front-end address of a hand-built [`InlineNet`].
@@ -1765,6 +1770,44 @@ mod tests {
         assert_eq!(waits, [(first, 0), later, later]);
         assert!(run[0].0.unreachable.contains(&victim));
         same_answers(&run);
+    }
+
+    /// A suspect entry point passed by for a member that then fails is
+    /// asked before its group is given up. On a replication-2 cluster of
+    /// two-member groups, the entry point is waited out once, comes back,
+    /// and its only other member is failed: the next query passes it by
+    /// once, gets a dead letter from the other member, and then asks it,
+    /// answering as a client that suspects nobody does.
+    #[test]
+    fn passed_by_entry_point_is_asked_when_every_member_after_it_fails() {
+        let cluster = cluster_of(ClusterConfig {
+            nodes: 4,
+            groups: 2,
+            replication: 2,
+            ..ClusterConfig::small_protein()
+        });
+        let q = cluster.db().get(SeqId(4)).unwrap().residues.clone();
+        let (entry, other) = (
+            queried_member(&cluster, &q, 0),
+            queried_member(&cluster, &q, 1),
+        );
+        let ask = |wire: &WireCluster| wire.query_outcome(&q, &QueryParams::protein()).unwrap();
+        let plan = Arc::new(crashed(entry));
+        let wire = WireCluster::serve_with(cluster.clone(), plan.clone(), WireTimeouts::default());
+        assert!(ask(&wire).unreachable.contains(&entry));
+
+        plan.restart(node_addr(entry));
+        cluster.fail_node(other).unwrap();
+        let before = cluster.metrics_snapshot();
+        let next = ask(&wire);
+        let skips = cluster.metrics_snapshot().since(&before);
+        assert_eq!(skips.counter("mendel.wire.suspect_skips"), 1);
+        let trusting = ask(&WireCluster::serve(cluster.clone()));
+        assert!(next.responded.values().flatten().any(|&n| n == entry));
+        assert_eq!(next.hits, trusting.hits);
+        assert_eq!(next.responded, trusting.responded);
+        assert_eq!(next.unreachable, vec![other]);
+        assert_eq!(next.coverage, trusting.coverage);
     }
 
     /// A front-end port that loses the first reply it would receive, as
