@@ -228,13 +228,16 @@ fi
 #    waited out once (500 ms) and then only asked, each later query
 #    under 250 ms with the same bytes, and back within two queries of
 #    SIGCONT; a SIGKILLed member costing one refused dial per send and
-#    no reconnect — and, in the same suite, the cross-process tracing
-#    and live-telemetry cases of DESIGN.md §17 (spans from all three
-#    processes stitched into one tree; slowlog, federated metrics and
-#    verbose healthz answer), and `serve`'s refusal of unknown keys.
+#    no reconnect; `/healthz` answering in under 200 ms while a query
+#    waits out a SIGSTOPped member's deadline — and, in the same suite,
+#    the cross-process tracing and live-telemetry cases of DESIGN.md §17
+#    (spans from all three processes stitched into one tree; slowlog,
+#    federated metrics and verbose healthz answer), `serve`'s refusal of
+#    unknown keys, and `mendel query` printing the hits an in-process
+#    build of serve's preset answers at three groups.
 #    The suite skips itself with a notice when the sandbox forbids
 #    loopback sockets and retries spawn rounds on port collisions; the
-#    SIGSTOP case keeps `--rpc-timeout-ms 1000`, and a child left
+#    SIGSTOP cases keep `--rpc-timeout-ms 1000`, and a child left
 #    stopped is SIGKILLed by its guard. A hard timeout keeps a wedged
 #    child from hanging the gate.
 step "frame codec + transport conformance" \

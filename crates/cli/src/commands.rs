@@ -3,9 +3,7 @@
 //! subprocess); `run` dispatches and does the file I/O.
 
 use crate::args::{ArgError, Args};
-use mendel::{
-    store, ClusterConfig, MendelCluster, MendelError, MetricKind, QueryParams, StorageBackend,
-};
+use mendel::{store, ClusterConfig, MendelCluster, MendelError, QueryParams, StorageBackend};
 use mendel_seq::gen::{MutationModel, NrLikeSpec};
 use mendel_seq::{parse_fasta_sequences, write_fasta, Alphabet, SeqError, SeqStore};
 use std::fmt::Write as _;
@@ -72,7 +70,7 @@ fn write_file(path: &str, contents: &[u8]) -> Result<(), CliError> {
     std::fs::write(path, contents).map_err(|e| CliError::Io(path.into(), e))
 }
 
-fn alphabet_of(args: &Args) -> Alphabet {
+pub(crate) fn alphabet_of(args: &Args) -> Alphabet {
     if args.flag("dna") {
         Alphabet::Dna
     } else {
@@ -99,15 +97,15 @@ pub(crate) const GEOMETRY: &[&str] =
 /// The options [`query_params`] reads.
 const SEARCH: &[&str] = &["step", "nn", "identity", "cscore", "band", "evalue"];
 
-fn cluster_config(args: &Args, alphabet: Alphabet) -> Result<ClusterConfig, CliError> {
+/// The cluster every command that indexes a corpus builds, `serve`
+/// included: `serve`'s preset for `alphabet` ([`ClusterConfig::small_protein`]
+/// or [`ClusterConfig::small_dna`]) in the shape of the [`GEOMETRY`]
+/// flags, so `query` prints what a served cluster of that shape answers.
+pub(crate) fn cluster_config(args: &Args, alphabet: Alphabet) -> Result<ClusterConfig, CliError> {
     let base = if alphabet == Alphabet::Dna {
-        ClusterConfig {
-            alphabet: Alphabet::Dna,
-            metric: MetricKind::Hamming,
-            ..ClusterConfig::paper_testbed_protein()
-        }
+        ClusterConfig::small_dna()
     } else {
-        ClusterConfig::paper_testbed_protein()
+        ClusterConfig::small_protein()
     };
     Ok(ClusterConfig {
         nodes: args.get_parsed("nodes", base.nodes, "integer")?,
@@ -119,7 +117,9 @@ fn cluster_config(args: &Args, alphabet: Alphabet) -> Result<ClusterConfig, CliE
     })
 }
 
-fn query_params(args: &Args, alphabet: Alphabet) -> Result<QueryParams, CliError> {
+/// The search parameters of the paper's Table I for `alphabet`, with
+/// the [`SEARCH`] flags applied; `serve` reads none of them.
+pub(crate) fn query_params(args: &Args, alphabet: Alphabet) -> Result<QueryParams, CliError> {
     let base = if alphabet == Alphabet::Dna {
         QueryParams::dna()
     } else {
@@ -776,8 +776,7 @@ pub fn run(tokens: &[String]) -> Result<String, CliError> {
     }
     let args = Args::parse(&tokens)?;
     // Each command with the keys it reads; any other key is refused
-    // before the command does any work. `serve` also reads its keys from
-    // a `--config` file, so `ServeConfig::from_args` checks both.
+    // before the command does any work.
     type Command = fn(&Args) -> Result<String, CliError>;
     let (command, keys): (Command, &[&[&str]]) = match args.command.as_str() {
         "generate" => (
@@ -801,7 +800,10 @@ pub fn run(tokens: &[String]) -> Result<String, CliError> {
         ),
         "trace-slowlog" => (cmd_trace_slowlog, &[&["addr"]]),
         "top" => (cmd_top, &[&["addr", "iterations", "interval-ms"]]),
-        "serve" => return crate::serve::cmd_serve(&args),
+        "serve" => (
+            crate::serve::cmd_serve,
+            &[GEOMETRY, crate::serve::SERVE_KEYS],
+        ),
         "trace" => {
             return Err(CliError::UnknownCommand(
                 "trace (did you mean `mendel trace dump` or `mendel trace slowlog`?)".into(),
@@ -1041,6 +1043,10 @@ mod tests {
                 "--db",
             ),
             ("generate --out /nonexistent/x.fasta --nodes 3", "--nodes"),
+            (
+                "serve --config /nonexistent/serve.toml --node 0",
+                "--config",
+            ),
         ] {
             // Refused before the command reads or writes anything.
             let err = run(&toks(argv)).unwrap_err().to_string();

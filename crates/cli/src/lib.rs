@@ -2,20 +2,20 @@
 //!
 //! ```text
 //! mendel generate --out db.fasta [--families 64] [--members 4] [--dna] [--seed 7]
-//! mendel query    --db db.fasta --query q.fasta [--nodes 50] [--groups 10] [--dna] ...
+//! mendel query    --db db.fasta --query q.fasta [--dna] ...
 //! mendel blast    --db db.fasta --query q.fasta [--dna]
-//! mendel info     --db db.fasta [--nodes 50] [--groups 10] [--dna] ...
+//! mendel info     --db db.fasta [--dna] ...
 //! mendel metrics  --db db.fasta [--query q.fasta] [--format json] ...
 //! mendel trace dump --db db.fasta --query q.fasta [--format tree] ...
 //! mendel serve    --node 0 --listen 127.0.0.1:7701 --http 127.0.0.1:8701
-//!                 --peers 1=127.0.0.1:7702,2=127.0.0.1:7703 [--config serve.toml]
+//!                 --peers 1=127.0.0.1:7702,2=127.0.0.1:7703 ...
 //! mendel help
 //! ```
 //!
 //! `query`, `info`, `metrics` and a local `trace dump` index `--db` in
-//! process, built from the FASTA as `serve` builds its node. A key a
-//! command does not read is an error (for `serve`, as a flag or in its
-//! `--config` file).
+//! process, into the cluster `serve` builds from the same flags, so they
+//! print what a served cluster of that shape answers. A key a command
+//! does not read is an error.
 //!
 //! The library half holds all the logic (testable without spawning a
 //! process); `main.rs` is a thin shim.
@@ -51,14 +51,12 @@ USAGE:
   mendel top      --addr <host:port> [--iterations N] [--interval-ms N]
   mendel serve    --node N --listen <host:port> --http <host:port>
                   [--peers N=host:port,...] [--http-peers N=host:port,...]
-                  [--config <toml>] [--db <fasta>]
-                  [--nodes N] [--groups N] [--block-len N] [--replication N]
-                  [--seed N] [--dna] [--data-dir <dir>] [--rpc-timeout-ms N]
+                  [--db <fasta>] [--data-dir <dir>] [--rpc-timeout-ms N]
                   [--tracing true|false] [--trace-sample N]
-                  [--slowlog-threshold-ms N] [--slowlog-sample N]
+                  [--slowlog-threshold-ms N] [--slowlog-sample N] [CLUSTER]
   mendel help
 
-CLUSTER, the cluster --db is indexed into, in process, before answering:
+CLUSTER, the cluster --db is indexed into, the same for every command:
   [--nodes N] [--groups N] [--block-len N] [--replication N] [--seed N] [--dna]
 SEARCH, the query parameters of the paper's Table I:
   [--evalue F] [--nn N] [--identity F] [--cscore F] [--step N] [--band N]

@@ -35,33 +35,22 @@
 //! * `GET  /debug/slowlog` — structured slow-query log (JSON).
 //! * `POST /shutdown` — orderly exit (tests also just SIGKILL).
 //!
-//! Configuration comes from a TOML-subset file (`--config serve.toml`)
-//! and/or flags, flags winning:
+//! Configuration is flags, read like every other command's. The
+//! cluster is `commands::cluster_config` of the geometry flags (`--nodes
+//! --groups --block-len --replication --seed --dna`), the one `mendel
+//! query` builds, and must match every peer process's. The rest is this
+//! process's own:
 //!
-//! ```toml
-//! node = 0
-//! listen = "127.0.0.1:7701"          # node-to-node TCP transport
-//! http = "127.0.0.1:8701"            # HTTP front-end
-//! peers = "1=127.0.0.1:7702,2=127.0.0.1:7703"
-//! http-peers = "1=127.0.0.1:8702,2=127.0.0.1:8703"
-//! nodes = 3
-//! groups = 1
-//! replication = 1
-//! data-dir = "/var/lib/mendel/node0" # durable backend over RealVfs
-//! rpc-timeout-ms = 2000
-//! tracing = true                     # distributed tracing (DESIGN.md §17)
-//! trace-sample = 1                   # trace every Nth query
-//! slowlog-threshold-ms = 500         # slow-query log admission
-//! slowlog-sample = 0                 # plus every Nth query (0 = off)
+//! ```text
+//! --node 0 --listen 127.0.0.1:7701 --http 127.0.0.1:8701
+//! --peers 1=127.0.0.1:7702,2=127.0.0.1:7703     # node-to-node TCP
+//! --http-peers 1=127.0.0.1:8702,2=127.0.0.1:8703
+//! --db db.fasta --data-dir /var/lib/mendel/node0 --rpc-timeout-ms 2000
+//! --tracing true --trace-sample 1 --slowlog-threshold-ms 500 --slowlog-sample 0
 //! ```
-//!
-//! The supported TOML subset is flat `key = value` lines (quoted
-//! strings, bare integers/booleans) plus comments — enough for a node
-//! config file while keeping the parser dependency-free and fully
-//! tested.
 
 use crate::args::{ArgError, Args};
-use crate::commands::{CliError, GEOMETRY};
+use crate::commands::{alphabet_of, cluster_config, query_params, CliError};
 use crate::http::{http_request, Handler, HttpServer, Request, Response};
 use mendel::store::{RealVfs, Vfs};
 use mendel::{
@@ -75,16 +64,13 @@ use mendel_net::envelope::NodeAddr;
 use mendel_net::tcp::TcpConfig;
 use mendel_net::TransportMetrics;
 use mendel_seq::{parse_fasta_sequences, Alphabet, SeqStore};
-use parking_lot::Mutex;
-use std::collections::HashMap;
+use parking_lot::RwLock;
 use std::fmt::Write as _;
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
-/// Everything a serve process needs to know, after merging config file
-/// and flags.
+/// Everything a serve process needs to know, read from its flags.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeConfig {
     /// This process's node id (0-based, `< nodes`; checked at parse).
@@ -97,18 +83,6 @@ pub struct ServeConfig {
     pub peers: Vec<(u16, SocketAddr)>,
     /// Optional FASTA to ingest at startup (otherwise `POST /ingest`).
     pub db: Option<String>,
-    /// DNA alphabet instead of protein.
-    pub dna: bool,
-    /// Cluster shape (must match every peer process).
-    pub nodes: usize,
-    /// Group count.
-    pub groups: usize,
-    /// Block length override (0 = alphabet default).
-    pub block_len: usize,
-    /// Replication degree.
-    pub replication: usize,
-    /// Placement/index seed (must match every peer process).
-    pub seed: u64,
     /// Durable storage root; `None` runs RAM-only.
     pub data_dir: Option<String>,
     /// Wire deadlines.
@@ -124,6 +98,11 @@ pub struct ServeConfig {
     pub slowlog_threshold: Duration,
     /// Also admit every Nth query to the slowlog (0 = off).
     pub slowlog_sample: u64,
+    /// The cluster every peer process builds alike: `cluster_config`
+    /// of the flags, on the durable backend under `data_dir`.
+    pub cluster: ClusterConfig,
+    /// The search parameters `/query` answers with.
+    pub params: QueryParams,
 }
 
 fn bad(key: &str, value: &str, expected: &'static str) -> CliError {
@@ -132,54 +111,6 @@ fn bad(key: &str, value: &str, expected: &'static str) -> CliError {
         value: value.into(),
         expected,
     })
-}
-
-/// Parse the supported TOML subset: `key = value` lines, `#` comments,
-/// quoted strings, bare scalars. Keys are normalised (`_` → `-`).
-/// Sections, arrays, and multi-line values are rejected loudly rather
-/// than misread.
-pub fn parse_toml_subset(text: &str) -> Result<HashMap<String, String>, String> {
-    let mut out = HashMap::new();
-    for (lineno, raw) in text.lines().enumerate() {
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        if line.starts_with('[') {
-            return Err(format!(
-                "line {}: sections are not supported in the serve config subset",
-                lineno + 1
-            ));
-        }
-        let Some((key, value)) = line.split_once('=') else {
-            return Err(format!("line {}: expected `key = value`", lineno + 1));
-        };
-        let key = key.trim().replace('_', "-");
-        let mut value = value.trim();
-        // Strip a trailing comment from bare scalars (quoted strings
-        // keep their content verbatim).
-        let value = if let Some(stripped) = value.strip_prefix('"') {
-            let Some(end) = stripped.find('"') else {
-                return Err(format!("line {}: unterminated string", lineno + 1));
-            };
-            stripped[..end].to_string()
-        } else {
-            if let Some(hash) = value.find('#') {
-                value = value[..hash].trim_end();
-            }
-            if value.is_empty() || value.contains(char::is_whitespace) {
-                return Err(format!(
-                    "line {}: bare values cannot be empty or contain spaces",
-                    lineno + 1
-                ));
-            }
-            value.to_string()
-        };
-        if out.insert(key.clone(), value).is_some() {
-            return Err(format!("line {}: duplicate key {key:?}", lineno + 1));
-        }
-    }
-    Ok(out)
 }
 
 /// Parse `node-id=host:port,...`.
@@ -202,9 +133,8 @@ fn parse_peers(raw: &str) -> Result<Vec<(u16, SocketAddr)>, CliError> {
     Ok(out)
 }
 
-/// The keys `serve` reads besides [`GEOMETRY`], as flags or from its
-/// `--config` file.
-const SERVE_KEYS: &[&str] = &[
+/// The keys `serve` reads besides the geometry flags.
+pub(crate) const SERVE_KEYS: &[&str] = &[
     "node",
     "listen",
     "http",
@@ -220,129 +150,57 @@ const SERVE_KEYS: &[&str] = &[
 ];
 
 impl ServeConfig {
-    /// Merge `--config <toml>` (if given) with flags; flags win. A key
-    /// `serve` does not read, from either, is refused, naming it.
+    /// Read a serve process's flags; `run` has already refused any key
+    /// outside the geometry flags and `SERVE_KEYS`.
     pub fn from_args(args: &Args) -> Result<ServeConfig, CliError> {
-        args.only(&[GEOMETRY, SERVE_KEYS, &["config"]].concat())?;
-        let mut merged: HashMap<String, String> = HashMap::new();
-        if let Some(path) = args.get("config") {
-            let text = std::fs::read_to_string(path).map_err(|e| CliError::Io(path.into(), e))?;
-            merged = parse_toml_subset(&text).map_err(|msg| {
-                CliError::Io(
-                    path.into(),
-                    std::io::Error::new(std::io::ErrorKind::InvalidData, msg),
-                )
-            })?;
-        }
-        let read = |k: &str| GEOMETRY.contains(&k) || SERVE_KEYS.contains(&k);
-        if let Some(key) = merged.keys().filter(|k| !read(k)).min() {
-            let (command, key) = ("serve".into(), key.clone());
-            return Err(CliError::Args(ArgError::UnknownOption { command, key }));
-        }
-        let pick = |key: &str| -> Option<String> {
-            args.get(key)
-                .map(str::to_string)
-                .or_else(|| merged.get(key).cloned())
-        };
-        let parse_num = |key: &str, default: u64| -> Result<u64, CliError> {
-            match pick(key) {
-                None => Ok(default),
-                Some(raw) => raw.parse().map_err(|_| bad(key, &raw, "integer")),
-            }
-        };
-        let parse_sock = |key: &str| -> Result<SocketAddr, CliError> {
-            let raw =
-                pick(key).ok_or_else(|| CliError::Args(ArgError::MissingOption(key.into())))?;
-            raw.parse().map_err(|_| bad(key, &raw, "host:port"))
-        };
-        let dna = args.flag("dna") || merged.get("dna").is_some_and(|v| v == "true" || v == "1");
-        let parse_bool = |key: &str, default: bool| -> Result<bool, CliError> {
-            match pick(key) {
-                None => Ok(default),
-                Some(raw) => match raw.as_str() {
-                    "true" | "1" => Ok(true),
-                    "false" | "0" => Ok(false),
-                    _ => Err(bad(key, &raw, "true or false")),
-                },
-            }
-        };
-        let base = if dna {
-            ClusterConfig::small_dna()
-        } else {
-            ClusterConfig::small_protein()
+        let alphabet = alphabet_of(args);
+        let data_dir = args.get("data-dir").map(str::to_string);
+        let cluster = ClusterConfig {
+            storage: if data_dir.is_some() {
+                StorageBackend::durable()
+            } else {
+                StorageBackend::Memory
+            },
+            ..cluster_config(args, alphabet)?
         };
         // A zero deadline would make every peer a suspect.
-        let timeouts = match parse_num("rpc-timeout-ms", 30_000)? {
+        let timeouts = match args.get_parsed("rpc-timeout-ms", 30_000, "integer")? {
             0 => return Err(bad("rpc-timeout-ms", "0", "deadline of at least 1 ms")),
             ms => WireTimeouts {
                 rpc: Duration::from_millis(ms),
             },
         };
-        let nodes = parse_num("nodes", base.nodes as u64)? as usize;
-        let node = parse_num("node", 0)?;
+        let node: u64 = args.get_parsed("node", 0, "integer")?;
         // A process hosts a node of the topology: no wrap into u16, no id
         // past `nodes`.
         let node = u16::try_from(node)
             .ok()
-            .filter(|&n| usize::from(n) < nodes)
+            .filter(|&n| usize::from(n) < cluster.nodes)
             .ok_or_else(|| bad("node", &node.to_string(), "node id below --nodes"))?;
+        let sock = |key: &str| -> Result<SocketAddr, CliError> {
+            let raw = args.require(key)?;
+            raw.parse().map_err(|_| bad(key, raw, "host:port"))
+        };
         Ok(ServeConfig {
             node,
-            listen: parse_sock("listen")?,
-            http: parse_sock("http")?,
-            peers: parse_peers(&pick("peers").unwrap_or_default())?,
-            db: pick("db"),
-            dna,
-            nodes,
-            groups: parse_num("groups", base.groups as u64)? as usize,
-            block_len: parse_num("block-len", base.block_len as u64)? as usize,
-            replication: parse_num("replication", base.replication as u64)? as usize,
-            seed: parse_num("seed", base.seed)?,
-            data_dir: pick("data-dir"),
+            listen: sock("listen")?,
+            http: sock("http")?,
+            peers: parse_peers(args.get("peers").unwrap_or_default())?,
+            db: args.get("db").map(str::to_string),
+            data_dir,
             timeouts,
-            http_peers: parse_peers(&pick("http-peers").unwrap_or_default())?,
-            tracing: parse_bool("tracing", true)?,
-            trace_sample: parse_num("trace-sample", 1)?.max(1),
-            slowlog_threshold: Duration::from_millis(parse_num("slowlog-threshold-ms", 500)?),
-            slowlog_sample: parse_num("slowlog-sample", 0)?,
+            http_peers: parse_peers(args.get("http-peers").unwrap_or_default())?,
+            tracing: args.get_parsed("tracing", true, "true or false")?,
+            trace_sample: args.get_parsed("trace-sample", 1, "integer")?.max(1),
+            slowlog_threshold: Duration::from_millis(args.get_parsed(
+                "slowlog-threshold-ms",
+                500,
+                "integer",
+            )?),
+            slowlog_sample: args.get_parsed("slowlog-sample", 0, "integer")?,
+            params: query_params(args, alphabet)?,
+            cluster,
         })
-    }
-
-    fn alphabet(&self) -> Alphabet {
-        if self.dna {
-            Alphabet::Dna
-        } else {
-            Alphabet::Protein
-        }
-    }
-
-    fn cluster_config(&self) -> ClusterConfig {
-        let base = if self.dna {
-            ClusterConfig::small_dna()
-        } else {
-            ClusterConfig::small_protein()
-        };
-        ClusterConfig {
-            nodes: self.nodes,
-            groups: self.groups,
-            block_len: self.block_len,
-            replication: self.replication,
-            seed: self.seed,
-            storage: if self.data_dir.is_some() {
-                StorageBackend::durable()
-            } else {
-                StorageBackend::Memory
-            },
-            ..base
-        }
-    }
-
-    fn query_params(&self) -> QueryParams {
-        if self.dna {
-            QueryParams::dna()
-        } else {
-            QueryParams::protein()
-        }
     }
 }
 
@@ -414,8 +272,11 @@ struct Serving {
 
 struct State {
     cfg: ServeConfig,
-    serving: Mutex<Option<Serving>>,
-    stop: AtomicBool,
+    /// `/query` reads it for the whole query, other routes briefly, and
+    /// `/ingest` writes it for the whole swap.
+    serving: RwLock<Option<Serving>>,
+    /// `/shutdown` sends on it; `cmd_serve` blocks on its receiver.
+    stop: mpsc::Sender<()>,
     /// Anchored at process start; `/healthz?verbose=1` reports its age.
     uptime: MonotonicClock,
 }
@@ -425,14 +286,13 @@ impl State {
     /// (or restart) the node server and front-end. Returns the sequence
     /// count, the cluster-wide block copies and the copies hosted here.
     fn ingest(&self, fasta: &str) -> Result<(usize, usize, usize), CliError> {
-        let alphabet = self.cfg.alphabet();
         let mut store = SeqStore::new();
-        for s in parse_fasta_sequences(fasta, alphabet)? {
+        for s in parse_fasta_sequences(fasta, self.cfg.cluster.alphabet)? {
             store.insert(s);
         }
         let sequences = store.len();
         let db = Arc::new(store);
-        let config = self.cfg.cluster_config();
+        let config = self.cfg.cluster.clone();
         let me = NodeId(self.cfg.node);
         let vfs: Option<Arc<dyn Vfs>> = match &self.cfg.data_dir {
             None => None,
@@ -461,8 +321,11 @@ impl State {
             .iter()
             .map(|&(id, sock)| (NodeAddr(id + 1), sock))
             .collect();
-        // Tear the previous incarnation down before rebinding the port.
-        *self.serving.lock() = None;
+        // Tear the previous incarnation down before rebinding the port,
+        // and hold the write side until the new one serves, so no query
+        // runs on a half-swapped node.
+        let mut serving = self.serving.write();
+        *serving = None;
         let node_server = NodeServer::start(
             cluster.clone(),
             me,
@@ -480,6 +343,7 @@ impl State {
         if let Some(sock) = node_server.local_socket_addr() {
             front_peers.push((NodeAddr(me.0 + 1), sock));
         }
+        // audit:allow(guard-across-io): `FrontEnd::connect` dials nothing; its carrier dials on the first send
         let front = FrontEnd::connect(
             cluster.clone(),
             self.cfg.node,
@@ -489,7 +353,7 @@ impl State {
             self.cfg.timeouts,
         );
         let (blocks, hosted) = (cluster.placed_copies(), cluster.total_blocks());
-        *self.serving.lock() = Some(Serving {
+        *serving = Some(Serving {
             cluster,
             _node_server: node_server,
             front,
@@ -498,11 +362,11 @@ impl State {
         Ok((sequences, blocks, hosted))
     }
 
-    /// The serving cluster handle, with the serving mutex *released*:
+    /// The serving cluster handle, with the serving lock *released*:
     /// routes that go on to scrape peer HTTP endpoints must never do
     /// that socket I/O under the lock.
     fn cluster(&self) -> Option<Arc<MendelCluster>> {
-        self.serving.lock().as_ref().map(|s| s.cluster.clone())
+        self.serving.read().as_ref().map(|s| s.cluster.clone())
     }
 
     fn handle(&self, req: &Request) -> Response {
@@ -560,15 +424,16 @@ impl State {
                 let Ok(text) = std::str::from_utf8(&req.body) else {
                     return Response::json(400, "{\"error\":\"query body must be UTF-8\"}");
                 };
-                let residues = match extract_query(text, self.cfg.alphabet()) {
+                let residues = match extract_query(text, self.cfg.cluster.alphabet) {
                     Ok(r) => r,
                     Err(e) => return Response::json(400, error_json(&e)),
                 };
-                let guard = self.serving.lock();
+                let guard = self.serving.read();
                 let Some(serving) = guard.as_ref() else {
                     return Response::json(503, "{\"error\":\"no corpus ingested yet\"}");
                 };
-                match serving.front.query(&residues, &self.cfg.query_params()) {
+                // audit:allow(guard-across-io): the read side is held across the query so `/ingest` cannot rebind the port under it; monitoring routes read alongside, and `FrontEnd::in_flight` keeps one query in flight
+                match serving.front.query(&residues, &self.cfg.params) {
                     Ok(outcome) => {
                         let mut body = render_outcome_json(
                             &serving.cluster.db(),
@@ -637,8 +502,8 @@ impl State {
             }
             ("GET", path) if path.starts_with("/trace/") => self.trace_response(req),
             ("POST", "/shutdown") => {
-                // audit:ordering(Relaxed): best-effort stop flag; the serve loop polls it
-                self.stop.store(true, Ordering::Relaxed);
+                // `cmd_serve` holds the receiver until it returns.
+                let _ = self.stop.send(());
                 Response::json(200, "{\"shutting_down\":true}")
             }
             _ => Response::json(404, "{\"error\":\"no such route\"}"),
@@ -838,10 +703,11 @@ fn announce_ready(node: u16, http: SocketAddr) {
 /// orderly path.
 pub fn cmd_serve(args: &Args) -> Result<String, CliError> {
     let cfg = ServeConfig::from_args(args)?;
+    let (stop, stopped) = mpsc::channel();
     let state = Arc::new(State {
         cfg: cfg.clone(),
-        serving: Mutex::new(None),
-        stop: AtomicBool::new(false),
+        serving: RwLock::new(None),
+        stop,
         uptime: MonotonicClock::new(),
     });
     if let Some(db_path) = &cfg.db {
@@ -856,18 +722,10 @@ pub fn cmd_serve(args: &Args) -> Result<String, CliError> {
     let mut http =
         HttpServer::bind(cfg.http, handler).map_err(|e| CliError::Io(cfg.http.to_string(), e))?;
     announce_ready(cfg.node, http.local_addr());
-    // audit:ordering(Relaxed): best-effort stop flag; polling loop
-    while !state.stop.load(Ordering::Relaxed) {
-        std::thread::sleep(Duration::from_millis(100));
-    }
+    // `state` holds a sender, so this returns only on `/shutdown`.
+    let _ = stopped.recv();
     http.shutdown();
-    let served = state
-        .serving
-        .lock()
-        .as_ref()
-        .map(|s| s.sequences)
-        .unwrap_or(0);
-    *state.serving.lock() = None;
+    let served = state.serving.write().take().map_or(0, |s| s.sequences);
     Ok(format!(
         "node {} stopped; last corpus had {served} sequences\n",
         cfg.node
@@ -880,65 +738,6 @@ mod tests {
 
     fn toks(s: &str) -> Vec<String> {
         s.split_whitespace().map(String::from).collect()
-    }
-
-    #[test]
-    fn toml_subset_parses_flat_keys() {
-        let parsed = parse_toml_subset(
-            "# node zero\nnode = 0\nlisten = \"127.0.0.1:7701\"\npeers = \"1=127.0.0.1:7702\"\n\
-             replication = 2 # with a comment\ndna = true\n",
-        )
-        .unwrap();
-        assert_eq!(parsed.get("node").map(String::as_str), Some("0"));
-        assert_eq!(
-            parsed.get("listen").map(String::as_str),
-            Some("127.0.0.1:7701")
-        );
-        assert_eq!(parsed.get("replication").map(String::as_str), Some("2"));
-        assert_eq!(parsed.get("dna").map(String::as_str), Some("true"));
-    }
-
-    #[test]
-    fn toml_subset_rejects_sections_and_garbage() {
-        assert!(parse_toml_subset("[node]\n")
-            .unwrap_err()
-            .contains("section"));
-        assert!(parse_toml_subset("node 0\n")
-            .unwrap_err()
-            .contains("key = value"));
-        assert!(parse_toml_subset("s = \"open\n")
-            .unwrap_err()
-            .contains("unterminated"));
-        assert!(parse_toml_subset("a = 1\na = 2\n")
-            .unwrap_err()
-            .contains("duplicate"));
-        assert!(parse_toml_subset("a = one two\n")
-            .unwrap_err()
-            .contains("spaces"));
-    }
-
-    #[test]
-    fn flags_override_config_file() {
-        let dir = std::env::temp_dir().join("mendel-serve-cfg-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("serve.toml");
-        std::fs::write(
-            &path,
-            "node = 1\nlisten = \"127.0.0.1:7701\"\nhttp = \"127.0.0.1:8701\"\n\
-             nodes = 6\ngroups = 2\nrpc-timeout-ms = 1234\n",
-        )
-        .unwrap();
-        let args = Args::parse(&toks(&format!(
-            "serve --config {} --node 2 --groups 3",
-            path.display()
-        )))
-        .unwrap();
-        let cfg = ServeConfig::from_args(&args).unwrap();
-        assert_eq!(cfg.node, 2, "flag beats file");
-        assert_eq!(cfg.groups, 3, "flag beats file");
-        assert_eq!(cfg.nodes, 6, "file fills the rest");
-        assert_eq!(cfg.timeouts.rpc, Duration::from_millis(1234));
-        assert_eq!(cfg.listen, "127.0.0.1:7701".parse().unwrap());
     }
 
     #[test]
@@ -965,8 +764,8 @@ mod tests {
             );
             let state = State {
                 cfg: ServeConfig::from_args(&Args::parse(&toks(&line)).unwrap()).unwrap(),
-                serving: Mutex::new(None),
-                stop: AtomicBool::new(false),
+                serving: RwLock::new(None),
+                stop: mpsc::channel().0,
                 uptime: MonotonicClock::new(),
             };
             let call = |method: &str, target: &str, body: &[u8]| {
@@ -1014,26 +813,32 @@ mod tests {
         assert_eq!(hosted_sum, placed[0]);
     }
 
-    /// A key `serve` does not read is refused from the config file as
-    /// from a flag, before anything binds: `grups` would otherwise leave
-    /// `groups` at its default.
+    /// The flag sets the benchmark starts its processes with give
+    /// exactly serve's preset in that shape, and the Table I parameters.
     #[test]
-    fn unknown_config_file_key_is_refused() {
-        let dir = std::env::temp_dir().join("mendel-serve-cfg-unknown");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("serve.toml");
-        std::fs::write(
-            &path,
-            "node = 1\nlisten = \"127.0.0.1:0\"\nhttp = \"127.0.0.1:0\"\nnodes = 3\ngrups = 2\n",
-        )
-        .unwrap();
-        let args = Args::parse(&toks(&format!("serve --config {}", path.display()))).unwrap();
-        let err = ServeConfig::from_args(&args).unwrap_err();
-        assert!(
-            matches!(&err, CliError::Args(ArgError::UnknownOption { key, .. }) if key == "grups"),
-            "{err}"
-        );
-        assert!(err.to_string().contains("--grups"), "{err}");
+    fn benchmark_flag_sets_build_the_preset_cluster() {
+        let base = "serve --node 0 --listen 127.0.0.1:0 --http 127.0.0.1:0 --replication 1";
+        let protein = ClusterConfig {
+            nodes: 3,
+            groups: 1,
+            replication: 1,
+            ..ClusterConfig::small_protein()
+        };
+        let dna = ClusterConfig {
+            nodes: 3,
+            groups: 3,
+            replication: 1,
+            ..ClusterConfig::small_dna()
+        };
+        for (flags, cluster, params) in [
+            ("--nodes 3 --groups 1", protein, QueryParams::protein()),
+            ("--nodes 3 --groups 3 --dna", dna, QueryParams::dna()),
+        ] {
+            let args = Args::parse(&toks(&format!("{base} {flags}"))).unwrap();
+            let cfg = ServeConfig::from_args(&args).unwrap();
+            assert_eq!(cfg.cluster, cluster, "{flags}");
+            assert_eq!(cfg.params, params, "{flags}");
+        }
     }
 
     #[test]

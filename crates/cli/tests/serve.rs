@@ -3,18 +3,18 @@
 //! in-process twin built from the same corpus and seed — including the
 //! degraded answer after one node is SIGKILLed — and a hung (SIGSTOPped)
 //! or dead (SIGKILLed) member costs one deadline or one refused dial,
-//! not one per query.
+//! not one per query, and holds up no `/healthz` meanwhile.
 //!
 //! Environment posture: if the sandbox forbids loopback sockets the
 //! suite skips with a notice instead of failing; transient port
 //! collisions (ports are probed, released, then rebound by children)
 //! retry the whole spawn round.
 
-use mendel::{ClusterConfig, MendelCluster, MetricKind, QueryParams};
+use mendel::{ClusterConfig, MendelCluster, QueryParams};
 use mendel_cli::http::http_request;
 use mendel_cli::render_outcome_json;
 use mendel_dht::NodeId;
-use mendel_seq::gen::NrLikeSpec;
+use mendel_seq::gen::{NrLikeSpec, QuerySetSpec};
 use mendel_seq::{parse_fasta_sequences, write_fasta, Alphabet, SeqId, SeqStore};
 use std::net::{SocketAddr, TcpListener};
 use std::process::{Child, Command, Stdio};
@@ -663,6 +663,42 @@ fn hung_member_is_waited_out_once_then_only_asked() {
     assert!(back, "node {victim} answers again within two queries");
 }
 
+/// Monitoring does not wait behind a query: while the entry point waits
+/// out a hung member's deadline, its `/healthz` answers at once.
+#[test]
+fn healthz_answers_while_a_query_waits_on_a_hung_member() {
+    let Some((procs, twin, _)) = replicated_cluster() else {
+        return;
+    };
+    let topo = twin.topology();
+    let group = topo.group_ids().next().expect("a group");
+    let (entry, victim) = (topo.group_members(group)[0], topo.group_members(group)[1]);
+    let of = |node: NodeId| procs.iter().find(|p| p.node == node.0).expect("process");
+    let residues = twin.db().get(SeqId(0)).expect("corpus seq").to_ascii();
+    timed_query(of(entry), &residues);
+
+    signal(of(victim), "-STOP");
+    let entry = of(entry);
+    std::thread::scope(|s| {
+        let query = s.spawn(|| {
+            let (_, took) = timed_query(entry, &residues);
+            (took, Instant::now())
+        });
+        std::thread::sleep(Duration::from_millis(100));
+        let started = Instant::now();
+        let (status, _) = http_request(entry.http, "GET", "/healthz", b"").expect("healthz");
+        let (answered, took) = (Instant::now(), started.elapsed());
+        assert_eq!(status, 200);
+        let (waited, done) = query.join().expect("query thread");
+        assert!(
+            waited >= Duration::from_millis(500),
+            "the member deadline was waited out: {waited:?}"
+        );
+        assert!(answered < done, "healthz answered after the query");
+        assert!(took < Duration::from_millis(200), "healthz took {took:?}");
+    });
+}
+
 /// A dead member — SIGKILLed: its port refuses — costs each send to it
 /// one refused dial and no wait: after the first query, no survivor
 /// counts a reconnect, and the entry point's dead letters grow by one per
@@ -757,15 +793,18 @@ fn serve_arg_errors_are_reported() {
     }
 }
 
-/// `mendel query` indexes `--db` itself: the executable, run on a
-/// generated corpus at a given geometry, prints the hits an in-process
-/// `MendelCluster::build` at the same config answers, for protein and
-/// for DNA.
+/// `mendel query` indexes `--db` itself, into the cluster `mendel serve`
+/// builds from the same flags: the executable, run on a generated corpus
+/// at three groups with queries 30 % substituted away from their sources
+/// (so which groups a query reaches matters), prints the hits an
+/// in-process build of serve's preset at that shape answers, for protein
+/// and for DNA.
 #[test]
 fn query_executable_matches_an_in_process_build() {
     let dir = std::env::temp_dir().join(format!("mendel-query-tests-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
     let a = dir.join("a.fa").to_string_lossy().into_owned();
+    let q = dir.join("q.fa").to_string_lossy().into_owned();
     let mendel = |args: &str| {
         let out = Command::new(env!("CARGO_BIN_EXE_mendel"))
             .args(args.split_whitespace())
@@ -776,41 +815,40 @@ fn query_executable_matches_an_in_process_build() {
     };
     for (alphabet, flag) in [(Alphabet::Protein, ""), (Alphabet::Dna, "--dna")] {
         mendel(&format!(
-            "generate --out {a} --families 6 --members 3 --min-len 300 --max-len 300 --seed 1 {flag}"
+            "generate --out {a} --families 12 --members 3 --min-len 200 --max-len 400 --seed 1 {flag}"
         ));
-        let printed = mendel(&format!(
-            "query --db {a} --query {a} --nodes 3 --groups 1 --top 1000 {flag}"
-        ));
-
         let fasta = std::fs::read_to_string(&a).expect("read corpus");
         let mut store = SeqStore::new();
         for s in parse_fasta_sequences(&fasta, alphabet).expect("parse corpus") {
             store.insert(s);
         }
         let db = Arc::new(store);
-        let (config, params) = match alphabet {
-            Alphabet::Protein => (
-                ClusterConfig::paper_testbed_protein(),
-                QueryParams::protein(),
-            ),
-            Alphabet::Dna => (
-                ClusterConfig {
-                    alphabet,
-                    metric: MetricKind::Hamming,
-                    ..ClusterConfig::paper_testbed_protein()
-                },
-                QueryParams::dna(),
-            ),
+        let queries = QuerySetSpec {
+            count: 24,
+            length: 150,
+            identity: 0.7,
+            seed: 0x51,
+        }
+        .generate(&db)
+        .expect("queries");
+        std::fs::write(&q, write_fasta(queries.iter().map(|r| &r.query), 60)).expect("write");
+        let printed = mendel(&format!(
+            "query --db {a} --query {q} --nodes 3 --groups 3 --top 1000 {flag}"
+        ));
+
+        let (preset, params) = match alphabet {
+            Alphabet::Protein => (ClusterConfig::small_protein(), QueryParams::protein()),
+            Alphabet::Dna => (ClusterConfig::small_dna(), QueryParams::dna()),
         };
         let config = ClusterConfig {
             nodes: 3,
-            groups: 1,
-            ..config
+            groups: 3,
+            ..preset
         };
         let cluster = MendelCluster::build(config, db.clone()).expect("build");
         // Every line but the per-query header's simulated turnaround.
         let mut want = String::new();
-        for q in db.iter() {
+        for q in queries.iter().map(|r| &r.query) {
             let report = cluster.query(&q.residues, &params).expect("query");
             want += &format!(
                 "query {} ({} residues): {} hits\n",
