@@ -226,10 +226,13 @@ fi
 #    in-process twin, with SIGKILL degradation matching fail_node and
 #    the survivors' links to the dead peer pruned; a SIGSTOPped member
 #    waited out once (500 ms) and then only asked, each later query
-#    under 250 ms with the same bytes, and back within two queries of
-#    SIGCONT; a SIGKILLed member costing one refused dial per send and
-#    no reconnect; `/healthz` answering in under 200 ms while a query
-#    waits out a SIGSTOPped member's deadline — and, in the same suite,
+#    under 250 ms with the same bytes, one suspect skip and a whole
+#    query's frames, and back within two queries of SIGCONT; a
+#    SIGKILLed member costing one refused dial (a dead letter in place
+#    of a frame) per send and no reconnect; `/healthz` answering in
+#    under 200 ms while a query waits out a SIGSTOPped member's
+#    deadline, and a second `/ingest` answering 409, with `/healthz`
+#    200, before that query returns — and, in the same suite,
 #    the cross-process tracing and live-telemetry cases of DESIGN.md §17
 #    (spans from all three processes stitched into one tree; slowlog,
 #    federated metrics and verbose healthz answer), `serve`'s refusal of

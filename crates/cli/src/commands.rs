@@ -291,7 +291,7 @@ pub fn cmd_metrics(args: &Args) -> Result<String, CliError> {
     }
     let snap = cluster.metrics_snapshot();
     match args.get("format").unwrap_or("prometheus") {
-        "prometheus" | "prom" | "text" => Ok(snap.to_prometheus()),
+        "prometheus" => Ok(snap.to_prometheus()),
         "json" => Ok(snap.to_json()),
         other => Err(CliError::Args(ArgError::BadValue {
             key: "format".into(),
@@ -474,10 +474,7 @@ fn remote_trace_ids(addr: std::net::SocketAddr) -> Result<Vec<u64>, CliError> {
 fn trace_dump_remote(args: &Args, addr_raw: &str) -> Result<String, CliError> {
     let addr = http_addr("addr", addr_raw)?;
     let format = match args.get("format").unwrap_or("chrome") {
-        "chrome" | "json" => "chrome",
-        "tree" | "text" => "tree",
-        "records" => "records",
-        "path" => "path",
+        format @ ("chrome" | "tree" | "records" | "path") => format,
         other => {
             return Err(CliError::Args(ArgError::BadValue {
                 key: "format".into(),
@@ -547,8 +544,8 @@ pub fn cmd_trace_dump(args: &Args) -> Result<String, CliError> {
         traced.push((q.name.clone(), report));
     }
     let artifact = match args.get("format").unwrap_or("chrome") {
-        "chrome" | "json" => cluster.chrome_trace(),
-        "tree" | "text" => {
+        "chrome" => cluster.chrome_trace(),
+        "tree" => {
             let mut out = String::new();
             for (name, report) in &traced {
                 if let Some(tree) = report.trace.and_then(|t| cluster.trace_tree(t)) {
@@ -892,8 +889,14 @@ mod tests {
         .unwrap();
         assert!(out.contains("\"mendel.query.count\": 1"), "{out}");
 
-        let err = run(&toks(&format!("metrics --db {fasta} {shape} --format xml"))).unwrap_err();
-        assert!(err.to_string().contains("prometheus|json"), "{err}");
+        // One name per format: the old aliases are refused too.
+        for format in ["xml", "prom", "text"] {
+            let err = run(&toks(&format!(
+                "metrics --db {fasta} {shape} --format {format}"
+            )))
+            .unwrap_err();
+            assert!(err.to_string().contains("prometheus|json"), "{err}");
+        }
     }
 
     #[test]
@@ -986,8 +989,19 @@ mod tests {
         let written = std::fs::read_to_string(&artifact).unwrap();
         assert!(written.contains("\"ph\":\"X\""), "{written}");
 
-        let err = run(&toks(&format!("trace dump {db} --query {qf} --format xml"))).unwrap_err();
-        assert!(err.to_string().contains("chrome|tree"), "{err}");
+        // One name per format, locally and from a live node (refused
+        // before any socket is opened): `text` and `json` are not aliases.
+        for format in ["xml", "json", "text"] {
+            let local = format!("trace dump {db} --query {qf} --format {format}");
+            let err = run(&toks(&local)).unwrap_err();
+            assert!(err.to_string().contains("chrome|tree"), "{err}");
+            let remote = format!("trace dump --addr 127.0.0.1:9 --format {format}");
+            let err = run(&toks(&remote)).unwrap_err();
+            assert!(
+                err.to_string().contains("chrome|tree|records|path"),
+                "{err}"
+            );
+        }
 
         // Bare `trace` points at the real spelling.
         let err = run(&toks("trace")).unwrap_err();

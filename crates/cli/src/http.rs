@@ -99,6 +99,7 @@ fn status_reason(status: u16) -> &'static str {
         400 => "Bad Request",
         404 => "Not Found",
         405 => "Method Not Allowed",
+        409 => "Conflict",
         413 => "Payload Too Large",
         431 => "Request Header Fields Too Large",
         500 => "Internal Server Error",
@@ -115,8 +116,8 @@ pub type Handler = Arc<dyn Fn(&Request) -> Response + Send + Sync>;
 
 /// The server: an acceptor thread plus one short-lived thread per
 /// connection. [`HttpServer::shutdown`] (also run on drop) stops the
-/// acceptor and joins it; in-flight handler threads finish their one
-/// request and exit.
+/// acceptor and joins it once every request in flight is answered, so
+/// a `/shutdown` reply is written before its process exits.
 pub struct HttpServer {
     local: SocketAddr,
     stop: Arc<AtomicBool>,
@@ -147,7 +148,7 @@ impl HttpServer {
         self.local
     }
 
-    /// Stop accepting and join the acceptor. Idempotent.
+    /// Stop accepting, answer the requests in flight, and join. Idempotent.
     pub fn shutdown(&mut self) {
         // audit:ordering(Relaxed): best-effort stop flag; the wake-up connection below does the real unblocking
         if self.stop.swap(true, Ordering::Relaxed) {
@@ -168,25 +169,32 @@ impl Drop for HttpServer {
 }
 
 fn accept_loop(listener: &TcpListener, handler: &Handler, stop: &Arc<AtomicBool>) {
+    let mut conns: Vec<JoinHandle<()>> = Vec::new();
     loop {
         let (stream, _) = match listener.accept() {
             Ok(conn) => conn,
             Err(_) => {
                 // audit:ordering(Relaxed): best-effort stop flag re-check
                 if stop.load(Ordering::Relaxed) {
-                    return;
+                    break;
                 }
                 continue;
             }
         };
         // audit:ordering(Relaxed): best-effort stop flag re-check
         if stop.load(Ordering::Relaxed) {
-            return;
+            break;
         }
+        conns.retain(|c| !c.is_finished());
         let handler = handler.clone();
-        let _ = std::thread::Builder::new()
-            .name("mendel-http-conn".into())
-            .spawn(move || serve_connection(stream, &handler));
+        conns.extend(
+            std::thread::Builder::new()
+                .name("mendel-http-conn".into())
+                .spawn(move || serve_connection(stream, &handler)),
+        );
+    }
+    for c in conns {
+        let _ = c.join();
     }
 }
 

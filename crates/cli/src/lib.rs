@@ -51,7 +51,7 @@ USAGE:
   mendel top      --addr <host:port> [--iterations N] [--interval-ms N]
   mendel serve    --node N --listen <host:port> --http <host:port>
                   [--peers N=host:port,...] [--http-peers N=host:port,...]
-                  [--db <fasta>] [--data-dir <dir>] [--rpc-timeout-ms N]
+                  [--data-dir <dir>] [--rpc-timeout-ms N]
                   [--tracing true|false] [--trace-sample N]
                   [--slowlog-threshold-ms N] [--slowlog-sample N] [CLUSTER]
   mendel help

@@ -10,7 +10,9 @@
 //! exposes a small HTTP/JSON front-end:
 //!
 //! * `POST /ingest`  — body: FASTA; builds the cluster and starts
-//!   serving (idempotent: re-ingesting replaces the cluster). Replies
+//!   serving. A process ingests once: any other `/ingest`, later or
+//!   concurrent, answers 409 and changes nothing, while one that fails
+//!   (bad FASTA, a refused bind) leaves the process ingestible. Replies
 //!   with `blocks`, the cluster-wide copy count every process agrees
 //!   on, and `hosted_blocks`, the copies this process indexes.
 //! * `POST /query`   — body: residues (raw or FASTA); answers with
@@ -45,7 +47,7 @@
 //! --node 0 --listen 127.0.0.1:7701 --http 127.0.0.1:8701
 //! --peers 1=127.0.0.1:7702,2=127.0.0.1:7703     # node-to-node TCP
 //! --http-peers 1=127.0.0.1:8702,2=127.0.0.1:8703
-//! --db db.fasta --data-dir /var/lib/mendel/node0 --rpc-timeout-ms 2000
+//! --data-dir /var/lib/mendel/node0 --rpc-timeout-ms 2000
 //! --tracing true --trace-sample 1 --slowlog-threshold-ms 500 --slowlog-sample 0
 //! ```
 
@@ -64,10 +66,10 @@ use mendel_net::envelope::NodeAddr;
 use mendel_net::tcp::TcpConfig;
 use mendel_net::TransportMetrics;
 use mendel_seq::{parse_fasta_sequences, Alphabet, SeqStore};
-use parking_lot::RwLock;
 use std::fmt::Write as _;
 use std::net::SocketAddr;
-use std::sync::{mpsc, Arc};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Arc, OnceLock};
 use std::time::Duration;
 
 /// Everything a serve process needs to know, read from its flags.
@@ -81,8 +83,6 @@ pub struct ServeConfig {
     pub http: SocketAddr,
     /// Other nodes' transport addresses: `node-id=host:port,...`.
     pub peers: Vec<(u16, SocketAddr)>,
-    /// Optional FASTA to ingest at startup (otherwise `POST /ingest`).
-    pub db: Option<String>,
     /// Durable storage root; `None` runs RAM-only.
     pub data_dir: Option<String>,
     /// Wire deadlines.
@@ -140,7 +140,6 @@ pub(crate) const SERVE_KEYS: &[&str] = &[
     "http",
     "peers",
     "http-peers",
-    "db",
     "data-dir",
     "rpc-timeout-ms",
     "tracing",
@@ -170,6 +169,11 @@ impl ServeConfig {
                 rpc: Duration::from_millis(ms),
             },
         };
+        // `--tracing false` turns tracing off; 0 is refused, not read as 1.
+        let trace_sample = match args.get_parsed("trace-sample", 1, "integer")? {
+            0 => return Err(bad("trace-sample", "0", "integer of at least 1")),
+            n => n,
+        };
         let node: u64 = args.get_parsed("node", 0, "integer")?;
         // A process hosts a node of the topology: no wrap into u16, no id
         // past `nodes`.
@@ -186,12 +190,11 @@ impl ServeConfig {
             listen: sock("listen")?,
             http: sock("http")?,
             peers: parse_peers(args.get("peers").unwrap_or_default())?,
-            db: args.get("db").map(str::to_string),
             data_dir,
             timeouts,
             http_peers: parse_peers(args.get("http-peers").unwrap_or_default())?,
             tracing: args.get_parsed("tracing", true, "true or false")?,
-            trace_sample: args.get_parsed("trace-sample", 1, "integer")?.max(1),
+            trace_sample,
             slowlog_threshold: Duration::from_millis(args.get_parsed(
                 "slowlog-threshold-ms",
                 500,
@@ -272,9 +275,12 @@ struct Serving {
 
 struct State {
     cfg: ServeConfig,
-    /// `/query` reads it for the whole query, other routes briefly, and
-    /// `/ingest` writes it for the whole swap.
-    serving: RwLock<Option<Serving>>,
+    /// Set once, by the first `/ingest` that succeeds; every route reads
+    /// it without a lock.
+    serving: OnceLock<Serving>,
+    /// Claimed by the `/ingest` that builds `serving`, so no other one
+    /// builds or binds; given back only if that build fails.
+    ingest_claimed: AtomicBool,
     /// `/shutdown` sends on it; `cmd_serve` blocks on its receiver.
     stop: mpsc::Sender<()>,
     /// Anchored at process start; `/healthz?verbose=1` reports its age.
@@ -282,9 +288,9 @@ struct State {
 }
 
 impl State {
-    /// Build this node's share of the cluster from FASTA text and start
-    /// (or restart) the node server and front-end. Returns the sequence
-    /// count, the cluster-wide block copies and the copies hosted here.
+    /// Build this node's share of the cluster from FASTA text and start its
+    /// node server and front-end; the caller holds `ingest_claimed`. Returns
+    /// the sequence count, the cluster-wide block copies and the copies here.
     fn ingest(&self, fasta: &str) -> Result<(usize, usize, usize), CliError> {
         let mut store = SeqStore::new();
         for s in parse_fasta_sequences(fasta, self.cfg.cluster.alphabet)? {
@@ -303,8 +309,7 @@ impl State {
         let cluster = Arc::new(MendelCluster::build_member(config, db, me, vfs)?);
         // Span ids minted here must never collide with a peer process's
         // once the fragments are stitched into one tree: give each node
-        // its own id plane (top 16 bits). The counter is monotone, so
-        // re-ingesting never rewinds it.
+        // its own id plane (top 16 bits).
         cluster
             .metrics_registry()
             .seed_trace_ids(((self.cfg.node as u64 + 1) << 48) | 1);
@@ -321,11 +326,6 @@ impl State {
             .iter()
             .map(|&(id, sock)| (NodeAddr(id + 1), sock))
             .collect();
-        // Tear the previous incarnation down before rebinding the port,
-        // and hold the write side until the new one serves, so no query
-        // runs on a half-swapped node.
-        let mut serving = self.serving.write();
-        *serving = None;
         let node_server = NodeServer::start(
             cluster.clone(),
             me,
@@ -343,7 +343,6 @@ impl State {
         if let Some(sock) = node_server.local_socket_addr() {
             front_peers.push((NodeAddr(me.0 + 1), sock));
         }
-        // audit:allow(guard-across-io): `FrontEnd::connect` dials nothing; its carrier dials on the first send
         let front = FrontEnd::connect(
             cluster.clone(),
             self.cfg.node,
@@ -353,7 +352,7 @@ impl State {
             self.cfg.timeouts,
         );
         let (blocks, hosted) = (cluster.placed_copies(), cluster.total_blocks());
-        *serving = Some(Serving {
+        self.serving.get_or_init(|| Serving {
             cluster,
             _node_server: node_server,
             front,
@@ -362,21 +361,14 @@ impl State {
         Ok((sequences, blocks, hosted))
     }
 
-    /// The serving cluster handle, with the serving lock *released*:
-    /// routes that go on to scrape peer HTTP endpoints must never do
-    /// that socket I/O under the lock.
-    fn cluster(&self) -> Option<Arc<MendelCluster>> {
-        self.serving.read().as_ref().map(|s| s.cluster.clone())
-    }
-
     fn handle(&self, req: &Request) -> Response {
         match (req.method.as_str(), req.path.as_str()) {
             ("GET", "/healthz") => {
-                let cluster = self.cluster();
+                let serving = self.serving.get();
                 let mut body = format!(
                     "{{\"status\":\"ok\",\"node\":{},\"serving\":{}",
                     self.cfg.node,
-                    cluster.is_some()
+                    serving.is_some()
                 );
                 if req.query_param("verbose").is_some_and(|v| v != "0") {
                     let _ = write!(
@@ -392,7 +384,7 @@ impl State {
                         self.cfg.tracing,
                         self.cfg.trace_sample,
                     );
-                    if let Some(cluster) = &cluster {
+                    if let Some(Serving { cluster, .. }) = serving {
                         let _ = write!(
                             body,
                             ",\"blocks\":{},\"hosted_blocks\":{},\"ledger_bytes\":{}",
@@ -409,6 +401,13 @@ impl State {
                 let Ok(text) = std::str::from_utf8(&req.body) else {
                     return Response::json(400, "{\"error\":\"ingest body must be UTF-8 FASTA\"}");
                 };
+                // audit:ordering(AcqRel): the claim is the one builder's; a failed build's release hands it on
+                if self.ingest_claimed.swap(true, Ordering::AcqRel) {
+                    return Response::json(
+                        409,
+                        "{\"error\":\"a corpus is ingested or ingesting\"}",
+                    );
+                }
                 match self.ingest(text) {
                     Ok((sequences, blocks, hosted)) => Response::json(
                         200,
@@ -417,7 +416,11 @@ impl State {
                              \"hosted_blocks\":{hosted}}}"
                         ),
                     ),
-                    Err(e) => Response::json(400, error_json(&e)),
+                    Err(e) => {
+                        // audit:ordering(Release): pairs with the claim's Acquire
+                        self.ingest_claimed.store(false, Ordering::Release);
+                        Response::json(400, error_json(&e))
+                    }
                 }
             }
             ("POST", "/query") => {
@@ -428,11 +431,9 @@ impl State {
                     Ok(r) => r,
                     Err(e) => return Response::json(400, error_json(&e)),
                 };
-                let guard = self.serving.read();
-                let Some(serving) = guard.as_ref() else {
+                let Some(serving) = self.serving.get() else {
                     return Response::json(503, "{\"error\":\"no corpus ingested yet\"}");
                 };
-                // audit:allow(guard-across-io): the read side is held across the query so `/ingest` cannot rebind the port under it; monitoring routes read alongside, and `FrontEnd::in_flight` keeps one query in flight
                 match serving.front.query(&residues, &self.cfg.params) {
                     Ok(outcome) => {
                         let mut body = render_outcome_json(
@@ -455,15 +456,13 @@ impl State {
                 }
             }
             ("GET", "/metrics") => {
-                let Some(cluster) = self.cluster() else {
+                let Some(Serving { cluster, .. }) = self.serving.get() else {
                     return Response::text(200, "# no corpus ingested yet\n");
                 };
                 let local = cluster.metrics_snapshot().to_prometheus();
                 if req.query_param("scope") != Some("cluster") {
                     return Response::text(200, local);
                 }
-                // Serving lock already released: scraping peers is
-                // socket I/O and must run lock-free.
                 let mut parts = vec![(self.cfg.node, local)];
                 for &(node, http) in &self.cfg.http_peers {
                     if let Some(text) = scrape_peer(http, "/metrics") {
@@ -473,7 +472,7 @@ impl State {
                 Response::text(200, federate_prometheus(&parts))
             }
             ("GET", "/debug/traces") => {
-                let Some(cluster) = self.cluster() else {
+                let Some(Serving { cluster, .. }) = self.serving.get() else {
                     return Response::json(503, "{\"error\":\"no corpus ingested yet\"}");
                 };
                 let mut collector = TraceCollector::new();
@@ -486,13 +485,13 @@ impl State {
                 Response::json(200, format!("{{\"traces\":[{}]}}", ids.join(",")))
             }
             ("GET", "/debug/flight") => {
-                let Some(cluster) = self.cluster() else {
+                let Some(Serving { cluster, .. }) = self.serving.get() else {
                     return Response::json(503, "{\"error\":\"no corpus ingested yet\"}");
                 };
                 Response::text(200, cluster.flight_recorder_dump())
             }
             ("GET", "/debug/slowlog") => {
-                let Some(cluster) = self.cluster() else {
+                let Some(Serving { cluster, .. }) = self.serving.get() else {
                     return Response::json(503, "{\"error\":\"no corpus ingested yet\"}");
                 };
                 // `render_json` clones entries out under the ring lock
@@ -521,7 +520,7 @@ impl State {
             return Response::json(400, "{\"error\":\"trace id must be a decimal u64\"}");
         };
         let trace = TraceId(id);
-        let Some(cluster) = self.cluster() else {
+        let Some(Serving { cluster, .. }) = self.serving.get() else {
             return Response::json(503, "{\"error\":\"no corpus ingested yet\"}");
         };
         let mut collector = TraceCollector::new();
@@ -532,9 +531,7 @@ impl State {
                 .filter(|r| r.trace == trace),
         );
         if req.query_param("scope").unwrap_or("cluster") == "cluster" {
-            // Peers are asked for `scope=local` — no scrape cycles —
-            // and the serving lock is already released (socket I/O must
-            // run lock-free; the audit's lock-order graph stays flat).
+            // Peers are asked for `scope=local`: no scrape cycles.
             for &(_, http) in &self.cfg.http_peers {
                 let path = format!("/trace/{id}?scope=local&format=records");
                 if let Some(text) = scrape_peer(http, &path) {
@@ -549,8 +546,8 @@ impl State {
             return Response::json(404, "{\"error\":\"no records for that trace\"}");
         }
         match req.query_param("format").unwrap_or("chrome") {
-            "chrome" | "json" => Response::json(200, chrome_trace_json(collector.records())),
-            "records" | "text" => Response::text(200, render_records_text(collector.records())),
+            "chrome" => Response::json(200, chrome_trace_json(collector.records())),
+            "records" => Response::text(200, render_records_text(collector.records())),
             "tree" => match collector.tree(trace) {
                 Some(tree) => Response::text(200, tree.render()),
                 None => Response::json(404, "{\"error\":\"no records for that trace\"}"),
@@ -706,15 +703,11 @@ pub fn cmd_serve(args: &Args) -> Result<String, CliError> {
     let (stop, stopped) = mpsc::channel();
     let state = Arc::new(State {
         cfg: cfg.clone(),
-        serving: RwLock::new(None),
+        serving: OnceLock::new(),
+        ingest_claimed: AtomicBool::new(false),
         stop,
         uptime: MonotonicClock::new(),
     });
-    if let Some(db_path) = &cfg.db {
-        let text =
-            std::fs::read_to_string(db_path).map_err(|e| CliError::Io(db_path.clone(), e))?;
-        state.ingest(&text)?;
-    }
     let handler: Handler = {
         let state = state.clone();
         Arc::new(move |req: &Request| state.handle(req))
@@ -725,9 +718,9 @@ pub fn cmd_serve(args: &Args) -> Result<String, CliError> {
     // `state` holds a sender, so this returns only on `/shutdown`.
     let _ = stopped.recv();
     http.shutdown();
-    let served = state.serving.write().take().map_or(0, |s| s.sequences);
+    let served = state.serving.get().map_or(0, |s| s.sequences);
     Ok(format!(
-        "node {} stopped; last corpus had {served} sequences\n",
+        "node {} stopped; its corpus had {served} sequences\n",
         cfg.node
     ))
 }
@@ -740,14 +733,46 @@ mod tests {
         s.split_whitespace().map(String::from).collect()
     }
 
-    #[test]
-    fn each_process_reports_its_hosted_share_of_the_blocks() {
-        if let Err(e) = std::net::TcpListener::bind("127.0.0.1:0") {
-            eprintln!("SKIPPED: loopback sockets unavailable in this environment: {e}");
-            return;
+    /// A serve process's state from its flags, without its HTTP socket.
+    fn state(flags: &str) -> State {
+        let args = Args::parse(&toks(&format!("serve {flags}"))).unwrap();
+        State {
+            cfg: ServeConfig::from_args(&args).unwrap(),
+            serving: OnceLock::new(),
+            ingest_claimed: AtomicBool::new(false),
+            stop: mpsc::channel().0,
+            uptime: MonotonicClock::new(),
         }
+    }
+
+    /// `state`'s answer to `method target`: its status and body.
+    fn call(state: &State, method: &str, target: &str, body: &[u8]) -> (u16, String) {
+        let (path, query) = target.split_once('?').unwrap_or((target, ""));
+        let req = Request {
+            method: method.into(),
+            path: path.into(),
+            query: query.into(),
+            body: body.to_vec(),
+        };
+        let resp = state.handle(&req);
+        (resp.status, String::from_utf8(resp.body).unwrap())
+    }
+
+    /// The unsigned integer after `"name":` in a JSON body.
+    fn number(body: &str, name: &str) -> u64 {
+        let key = format!("\"{name}\":");
+        let at = body
+            .find(&key)
+            .unwrap_or_else(|| panic!("{name} in {body}"))
+            + key.len();
+        let digits = body[at..].split(|c: char| !c.is_ascii_digit()).next();
+        digits.unwrap().parse().unwrap()
+    }
+
+    /// A small generated protein corpus of `families` × 2 sequences.
+    fn corpus_fasta(families: usize) -> String {
         let corpus = mendel_seq::gen::NrLikeSpec {
-            families: 4,
+            families,
             members_per_family: 2,
             length_range: (100, 140),
             seed: 0x40,
@@ -755,38 +780,38 @@ mod tests {
         }
         .generate()
         .unwrap();
-        let fasta = mendel_seq::write_fasta(corpus.iter(), 60);
+        mendel_seq::write_fasta(corpus.iter(), 60)
+    }
+
+    fn loopback() -> bool {
+        match std::net::TcpListener::bind("127.0.0.1:0") {
+            Ok(_) => true,
+            Err(e) => {
+                eprintln!("SKIPPED: loopback sockets unavailable in this environment: {e}");
+                false
+            }
+        }
+    }
+
+    #[test]
+    fn each_process_reports_its_hosted_share_of_the_blocks() {
+        if !loopback() {
+            return;
+        }
+        let fasta = corpus_fasta(4);
         let mut hosted_sum = 0;
         let mut placed = Vec::new();
         for node in 0..3 {
-            let line = format!(
-                "serve --node {node} --nodes 3 --groups 1 --listen 127.0.0.1:0 --http 127.0.0.1:0"
-            );
-            let state = State {
-                cfg: ServeConfig::from_args(&Args::parse(&toks(&line)).unwrap()).unwrap(),
-                serving: RwLock::new(None),
-                stop: mpsc::channel().0,
-                uptime: MonotonicClock::new(),
-            };
+            let state = state(&format!(
+                "--node {node} --nodes 3 --groups 1 --listen 127.0.0.1:0 --http 127.0.0.1:0"
+            ));
             let call = |method: &str, target: &str, body: &[u8]| {
-                let (path, query) = target.split_once('?').unwrap_or((target, ""));
-                let req = Request {
-                    method: method.into(),
-                    path: path.into(),
-                    query: query.into(),
-                    body: body.to_vec(),
-                };
-                let resp = state.handle(&req);
-                assert_eq!(resp.status, 200, "{method} {target}");
-                String::from_utf8(resp.body).unwrap()
+                let (status, body) = call(&state, method, target, body);
+                assert_eq!(status, 200, "{method} {target}");
+                body
             };
             let ingest = call("POST", "/ingest", fasta.as_bytes());
-            let field = |name: &str| -> usize {
-                let at = ingest.find(&format!("\"{name}\":")).unwrap() + name.len() + 3;
-                let digits = ingest[at..].split(|c: char| !c.is_ascii_digit()).next();
-                digits.unwrap().parse().unwrap()
-            };
-            let (blocks, hosted) = (field("blocks"), field("hosted_blocks"));
+            let (blocks, hosted) = (number(&ingest, "blocks"), number(&ingest, "hosted_blocks"));
             assert!(0 < hosted && hosted < blocks, "{ingest}");
             hosted_sum += hosted;
             placed.push(blocks);
@@ -797,9 +822,7 @@ mod tests {
             assert!(health.contains(&sha1), "{health}");
             // The ledger costs 4 bytes per block key, whatever node
             // this process hosts.
-            let at = health.find("\"ledger_bytes\":").unwrap() + "\"ledger_bytes\":".len();
-            let digits = health[at..].split(|c: char| !c.is_ascii_digit()).next();
-            let ledger: usize = digits.unwrap().parse().unwrap();
+            let ledger = number(&health, "ledger_bytes");
             assert!(0 < ledger && ledger <= 4 * blocks + 4096, "{health}");
             let metrics = call("GET", "/metrics", b"");
             let gauge = format!("\nmendel_hosted_blocks {hosted}\n");
@@ -811,6 +834,83 @@ mod tests {
         // three hosted shares partition it (one group, no replicas).
         assert!(placed.iter().all(|&b| b == placed[0]), "{placed:?}");
         assert_eq!(hosted_sum, placed[0]);
+    }
+
+    /// A process ingests once. An `/ingest` that fails, on bad FASTA or
+    /// on a port already bound, leaves it ingestible; the first that
+    /// succeeds sets its node, and any later one answers 409 and changes
+    /// nothing.
+    #[test]
+    fn a_process_ingests_once() {
+        if !loopback() {
+            return;
+        }
+        let held = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let listen = held.local_addr().unwrap();
+        let state = state(&format!(
+            "--nodes 1 --groups 1 --replication 1 --listen {listen} --http 127.0.0.1:0"
+        ));
+        let fasta = corpus_fasta(4);
+        let (status, body) = call(&state, "POST", "/ingest", b"MKTAYIAKQR\n");
+        assert_eq!(status, 400, "{body}");
+        let (status, body) = call(&state, "POST", "/ingest", fasta.as_bytes());
+        assert_eq!(status, 400, "the listen port is taken: {body}");
+        let (_, health) = call(&state, "GET", "/healthz", b"");
+        assert!(health.contains("\"serving\":false"), "{health}");
+        drop(held);
+        let (status, first) = call(&state, "POST", "/ingest", fasta.as_bytes());
+        assert_eq!(status, 200, "{first}");
+        let blocks = number(&first, "blocks");
+        let (status, body) = call(&state, "POST", "/ingest", corpus_fasta(6).as_bytes());
+        assert_eq!(status, 409, "{body}");
+        let (status, health) = call(&state, "GET", "/healthz?verbose=1", b"");
+        assert_eq!(status, 200);
+        assert_eq!(number(&health, "blocks"), blocks, "{health}");
+        assert!(health.contains("\"serving\":true"), "{health}");
+    }
+
+    /// Once serving, every route answers 200, each trace format included;
+    /// a format name outside `chrome|records|tree|path` answers 400.
+    #[test]
+    fn every_route_answers_once_serving() {
+        if !loopback() {
+            return;
+        }
+        let state =
+            state("--nodes 1 --groups 1 --replication 1 --listen 127.0.0.1:0 --http 127.0.0.1:0");
+        let fasta = corpus_fasta(4);
+        let query = parse_fasta_sequences(&fasta, Alphabet::Protein).unwrap()[0].to_ascii();
+        assert_eq!(call(&state, "POST", "/query", query.as_bytes()).0, 503);
+        assert_eq!(call(&state, "POST", "/ingest", fasta.as_bytes()).0, 200);
+        let (status, traced) = call(&state, "POST", "/query?trace=1", query.as_bytes());
+        assert_eq!(status, 200, "{traced}");
+        let trace = number(&traced, "trace");
+        let routes = [
+            ("POST", "/query".to_string()),
+            ("GET", "/healthz".into()),
+            ("GET", "/healthz?verbose=1".into()),
+            ("GET", "/metrics".into()),
+            ("GET", "/metrics?scope=cluster".into()),
+            ("GET", "/debug/traces".into()),
+            ("GET", "/debug/flight".into()),
+            ("GET", "/debug/slowlog".into()),
+            ("GET", format!("/trace/{trace}")),
+            ("GET", format!("/trace/{trace}?format=chrome")),
+            ("GET", format!("/trace/{trace}?format=records")),
+            ("GET", format!("/trace/{trace}?format=tree")),
+            ("GET", format!("/trace/{trace}?format=path")),
+            ("POST", "/shutdown".into()),
+        ];
+        for (method, target) in routes {
+            let (status, body) = call(&state, method, &target, query.as_bytes());
+            assert_eq!(status, 200, "{method} {target}: {body}");
+            assert!(!body.is_empty(), "{method} {target}");
+        }
+        for format in ["json", "text"] {
+            let target = format!("/trace/{trace}?format={format}");
+            let (status, body) = call(&state, "GET", &target, b"");
+            assert_eq!(status, 400, "{target}: {body}");
+        }
     }
 
     /// The flag sets the benchmark starts its processes with give

@@ -3,7 +3,9 @@
 //! in-process twin built from the same corpus and seed — including the
 //! degraded answer after one node is SIGKILLed — and a hung (SIGSTOPped)
 //! or dead (SIGKILLed) member costs one deadline or one refused dial,
-//! not one per query, and holds up no `/healthz` meanwhile.
+//! not one per query, and holds up no `/healthz` meanwhile. A process
+//! ingests once: a second `/ingest` answers 409 without waiting for a
+//! query.
 //!
 //! Environment posture: if the sandbox forbids loopback sockets the
 //! suite skips with a notice instead of failing; transient port
@@ -195,15 +197,63 @@ fn wait_exit(p: &mut Proc, within: Duration) -> Option<std::process::ExitStatus>
     }
 }
 
-/// The unlabelled sample `name` in `p`'s `/metrics`.
-fn metric(p: &Proc, name: &str) -> i64 {
+/// The unlabelled samples `names` in one scrape of `p`'s `/metrics`.
+fn metrics<const N: usize>(p: &Proc, names: [&str; N]) -> [i64; N] {
     let (status, body) = http_request(p.http, "GET", "/metrics", b"").expect("metrics");
     assert_eq!(status, 200);
-    let prefix = format!("{name} ");
-    String::from_utf8_lossy(&body)
-        .lines()
-        .find_map(|line| line.strip_prefix(&prefix)?.trim().parse().ok())
-        .unwrap_or_else(|| panic!("{name} in /metrics"))
+    let body = String::from_utf8_lossy(&body);
+    names.map(|name| {
+        let prefix = format!("{name} ");
+        body.lines()
+            .find_map(|line| line.strip_prefix(&prefix)?.trim().parse().ok())
+            .unwrap_or_else(|| panic!("{name} in /metrics"))
+    })
+}
+
+/// The unlabelled sample `name` in `p`'s `/metrics`.
+fn metric(p: &Proc, name: &str) -> i64 {
+    metrics(p, [name])[0]
+}
+
+/// What a process's failure handling has cost so far: the suspects it did
+/// not wait for (`mendel_wire_suspect_skips`), and its transport's dead
+/// letters, redials and frames written (`mendel_net_transport_*`).
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Costs {
+    skips: i64,
+    dead_letters: i64,
+    reconnects: i64,
+    frames_sent: i64,
+}
+
+impl Costs {
+    fn of(p: &Proc) -> Costs {
+        let [skips, dead_letters, reconnects, frames_sent] = metrics(
+            p,
+            [
+                "mendel_wire_suspect_skips",
+                "mendel_net_transport_dead_letters",
+                "mendel_net_transport_reconnects",
+                "mendel_net_transport_frames_sent",
+            ],
+        );
+        Costs {
+            skips,
+            dead_letters,
+            reconnects,
+            frames_sent,
+        }
+    }
+
+    /// The costs run up since `before`.
+    fn since(self, before: Costs) -> Costs {
+        Costs {
+            skips: self.skips - before.skips,
+            dead_letters: self.dead_letters - before.dead_letters,
+            reconnects: self.reconnects - before.reconnects,
+            frames_sent: self.frames_sent - before.frames_sent,
+        }
+    }
 }
 
 /// The `mendel_net_transport_connections` gauge in `p`'s `/metrics`:
@@ -618,6 +668,16 @@ fn signal(p: &Proc, signal: &str) {
     assert!(status.success(), "kill {signal} node {}", p.node);
 }
 
+/// Query `p` until an answer has every member in it, and return it: on
+/// a loaded host a slow first answer can leave a member a suspect, and
+/// a suspect is not waited for.
+fn whole_answer(p: &Proc, residues: &str) -> String {
+    (0..5)
+        .map(|_| timed_query(p, residues).0)
+        .find(|body| body.contains("\"unreachable\":[]"))
+        .expect("a whole answer within five queries")
+}
+
 /// A hung member — SIGSTOPped: its sockets stay open and it answers
 /// nothing — is waited out once by its entry point, which then suspects
 /// it: later queries still ask it but do not wait, and answer the same
@@ -634,7 +694,11 @@ fn hung_member_is_waited_out_once_then_only_asked() {
     let of = |node: NodeId| procs.iter().find(|p| p.node == node.0).expect("process");
     let record = twin.db().get(SeqId(0)).expect("corpus seq").clone();
     let residues = record.to_ascii();
-    let (healthy, _) = timed_query(of(entry), &residues);
+    let healthy = whole_answer(of(entry), &residues);
+    // What one whole query costs the entry point.
+    let before = Costs::of(of(entry));
+    assert_eq!(timed_query(of(entry), &residues).0, healthy);
+    let whole = Costs::of(of(entry)).since(before);
 
     twin.fail_node(victim).expect("fail victim");
     let report = twin
@@ -649,14 +713,20 @@ fn hung_member_is_waited_out_once_then_only_asked() {
         "the member deadline was waited out: {waited:?}"
     );
     assert_eq!(first, want, "degraded answer matches the fail_node twin");
-    let skips = || metric(of(entry), "mendel_wire_suspect_skips");
-    let before = skips();
+    let before = Costs::of(of(entry));
     for i in 0..5 {
         let (next, took) = timed_query(of(entry), &residues);
         assert!(took < Duration::from_millis(250), "query {i} took {took:?}");
         assert_eq!(next, first, "query {i}");
     }
-    assert_eq!(skips() - before, 5, "one suspect request per query");
+    // The hung member is still asked, so each query writes every frame
+    // of a whole one; one suspect request per query is not waited for.
+    let five = Costs {
+        skips: 5,
+        frames_sent: 5 * whole.frames_sent,
+        ..whole
+    };
+    assert_eq!(Costs::of(of(entry)).since(before), five, "five queries");
 
     signal(of(victim), "-CONT");
     let back = (0..2).any(|_| timed_query(of(entry), &residues).0 == healthy);
@@ -676,14 +746,7 @@ fn healthz_answers_while_a_query_waits_on_a_hung_member() {
     let of = |node: NodeId| procs.iter().find(|p| p.node == node.0).expect("process");
     let residues = twin.db().get(SeqId(0)).expect("corpus seq").to_ascii();
     let entry = of(entry);
-    // An answer with every member in it: on a loaded host a slow first
-    // answer can leave the victim a suspect, and then nothing waits.
-    let whole = (0..5).any(|_| {
-        timed_query(entry, &residues)
-            .0
-            .contains("\"unreachable\":[]")
-    });
-    assert!(whole, "a whole answer before the stop");
+    whole_answer(entry, &residues);
 
     signal(of(victim), "-STOP");
     std::thread::scope(|s| {
@@ -727,33 +790,92 @@ fn dead_member_costs_one_refused_dial_per_send() {
             .expect("process")
     };
     let (entry, victim) = (at(entry), at(victim));
-    timed_query(&procs[entry], &residues);
+    let survivors: Vec<usize> = (0..procs.len()).filter(|&i| i != victim).collect();
+    let costs = |procs: &[Proc]| -> Vec<Costs> {
+        survivors.iter().map(|&i| Costs::of(&procs[i])).collect()
+    };
+    let healthy = whole_answer(&procs[entry], &residues);
+    // What one whole query costs each survivor.
+    let before = costs(&procs);
+    assert_eq!(timed_query(&procs[entry], &residues).0, healthy);
+    let whole: Vec<Costs> = (costs(&procs).into_iter().zip(&before))
+        .map(|(now, was)| now.since(*was))
+        .collect();
 
     procs[victim].child.kill().expect("SIGKILL victim");
     let _ = procs[victim].child.wait();
     let (first, _) = timed_query(&procs[entry], &residues);
 
-    let survivors: Vec<&Proc> = (procs.iter().enumerate())
-        .filter(|&(i, _)| i != victim)
-        .map(|(_, p)| p)
-        .collect();
-    let counts = || -> Vec<(i64, i64)> {
-        let count = |p: &Proc, name: &str| metric(p, &format!("mendel_net_transport_{name}"));
-        let each = |p: &&Proc| (count(p, "reconnects"), count(p, "dead_letters"));
-        survivors.iter().map(each).collect()
-    };
-    let before = counts();
+    let before = costs(&procs);
     for i in 0..5 {
         let (next, took) = timed_query(&procs[entry], &residues);
         assert!(took < Duration::from_millis(250), "query {i} took {took:?}");
         assert_eq!(next, first, "query {i}");
     }
-    let after = counts();
-    for ((p, was), now) in survivors.iter().zip(&before).zip(&after) {
-        assert_eq!(now.0, was.0, "node {} redialed: {was:?} → {now:?}", p.node);
-        let sends = if p.node == procs[entry].node { 5 } else { 0 };
-        assert_eq!(now.1 - was.1, sends, "node {} dead letters", p.node);
+    let after = costs(&procs);
+    for (i, &p) in survivors.iter().enumerate() {
+        // The entry point's send to the dead member is a dead letter in
+        // place of a frame; it redials nothing, and there is nothing to
+        // wait for or skip. The other survivor works as in a whole query.
+        let lost = i64::from(p == entry);
+        let five = Costs {
+            skips: 5 * whole[i].skips,
+            dead_letters: 5 * lost,
+            reconnects: 0,
+            frames_sent: 5 * (whole[i].frames_sent - lost),
+        };
+        let node = procs[p].node;
+        assert_eq!(after[i].since(before[i]), five, "node {node}");
     }
+}
+
+/// A process ingests once, and a second `/ingest` waits behind no query:
+/// while the entry point waits out a hung member's deadline, a second
+/// `/ingest` to it answers 409 and its `/healthz` 200, both before the
+/// query returns, and the query still answers as the `fail_node` twin.
+#[test]
+fn second_ingest_is_refused_without_waiting_for_a_query() {
+    let Some((procs, twin, fasta)) = replicated_cluster() else {
+        return;
+    };
+    let topo = twin.topology();
+    let group = topo.group_ids().next().expect("a group");
+    let (entry, victim) = (topo.group_members(group)[0], topo.group_members(group)[1]);
+    let of = |node: NodeId| procs.iter().find(|p| p.node == node.0).expect("process");
+    let record = twin.db().get(SeqId(0)).expect("corpus seq").clone();
+    let residues = record.to_ascii();
+    whole_answer(of(entry), &residues);
+    twin.fail_node(victim).expect("fail victim");
+    let report = twin
+        .query(&record.residues, &QueryParams::protein())
+        .expect("twin");
+    let want = render_outcome_json(&twin.db(), &report.hits, &twin.coverage(), &[victim]);
+
+    signal(of(victim), "-STOP");
+    let entry = of(entry);
+    std::thread::scope(|s| {
+        let query = s.spawn(|| {
+            let (body, _) = timed_query(entry, &residues);
+            (body, Instant::now())
+        });
+        // The query waits out the member deadline (1 s) from here on.
+        std::thread::sleep(Duration::from_millis(100));
+        let (ingest, body) =
+            http_request(entry.http, "POST", "/ingest", fasta.as_bytes()).expect("ingest");
+        let ingested = Instant::now();
+        let (health, _) = http_request(entry.http, "GET", "/healthz", b"").expect("healthz");
+        let healthy = Instant::now();
+        let (answer, done) = query.join().expect("query thread");
+        assert!(
+            ingested < done,
+            "the second /ingest answered after the query"
+        );
+        assert!(healthy < done, "healthz answered after the query");
+        let body = String::from_utf8_lossy(&body);
+        assert_eq!(ingest, 409, "a second /ingest is refused: {body}");
+        assert_eq!(health, 200);
+        assert_eq!(answer, want, "degraded answer matches the fail_node twin");
+    });
 }
 
 /// `serve` argument errors are reported without touching the network.
@@ -785,13 +907,23 @@ fn serve_arg_errors_are_reported() {
         assert!(err.to_string().contains(&want), "{err}");
     }
 
-    // A misspelt key is refused, not left at its default; so is a zero
-    // deadline, which would make every peer a suspect.
+    // A misspelt key is refused, not left at its default, and so is
+    // `--db`: `/ingest` is the one road to a serving node. So are a zero
+    // deadline, which would make every peer a suspect, and a zero trace
+    // sample, which used to be read as 1.
     for (args, want) in [
         ("serve --node 7 --nodes 3 --grups 2", "--grups"),
         (
+            "serve --listen 127.0.0.1:0 --http 127.0.0.1:0 --db x",
+            "--db",
+        ),
+        (
             "serve --listen 127.0.0.1:0 --http 127.0.0.1:0 --rpc-timeout-ms 0",
             "--rpc-timeout-ms \"0\"",
+        ),
+        (
+            "serve --listen 127.0.0.1:0 --http 127.0.0.1:0 --trace-sample 0",
+            "--trace-sample \"0\"",
         ),
     ] {
         let toks: Vec<String> = args.split_whitespace().map(String::from).collect();

@@ -23,11 +23,12 @@
 //! point at every corpus size, on a third of its vertices.
 //!
 //! [`sweep`] prints the bucket × budget grid the served point was picked
-//! on (DESIGN.md §21.1).
+//! on (DESIGN.md §21.1). [`unbudgeted_protein_search_is_exact`] checks the
+//! search with no budget against brute force on the same corpus.
 
 use mendel_seq::gen::{MutationModel, NrLikeSpec};
 use mendel_seq::{Alphabet, Hamming, MatrixDistance, Metric, ScoringMatrix};
-use mendel_vptree::VpTree;
+use mendel_vptree::{brute_force_knn, VpTree};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::hint::black_box;
@@ -595,4 +596,51 @@ fn the_identity_filters_ceiling_is_no_search_radius() {
 #[cfg_attr(debug_assertions, ignore)]
 fn the_identity_filters_ceiling_is_no_search_radius_at_served_size() {
     ceilings(SERVED);
+}
+
+/// An unbudgeted search of the served protein tree (bucket 256,
+/// `MatrixDistance::mendel`) answers as brute force does, in ids and
+/// distance bits, for every query at k = 1, 8 and 16. The §III-B distance
+/// breaks the triangle inequality, so a search that prunes on it could
+/// drop a true neighbour (ROADMAP item 18); on this corpus none is
+/// dropped, at either size.
+fn unbudgeted_protein_search_is_exact(shape: Shape) {
+    let metric = MatrixDistance::mendel(&ScoringMatrix::blosum62());
+    let (points, queries) = corpus(Alphabet::Protein, 800, shape);
+    let tree = VpTree::build(points.clone(), metric.clone(), SERVED_BUCKET, 0xF0);
+    let key = |nbs: Vec<mendel_vptree::Neighbor>| -> Vec<(u32, u32)> {
+        nbs.iter().map(|nb| (nb.index, nb.dist.to_bits())).collect()
+    };
+    let mut misses = Vec::new();
+    for (i, q) in queries.iter().enumerate() {
+        for k in [1, 8, 16] {
+            if key(tree.knn(q, k)) != key(brute_force_knn(&points, &metric, q, k)) {
+                misses.push((i, k));
+            }
+        }
+    }
+    assert!(
+        misses.is_empty(),
+        "{} of {} (query, k) pairs differ from brute force: {misses:?}",
+        misses.len(),
+        3 * queries.len()
+    );
+}
+
+/// Sized to run in a few seconds in a debug build.
+const EXACT: Shape = Shape {
+    families: 13,
+    queries: 60,
+};
+
+#[test]
+fn unbudgeted_protein_search_matches_brute_force() {
+    unbudgeted_protein_search_is_exact(EXACT);
+}
+
+/// The same at served size; `ci.sh` runs it in release.
+#[test]
+#[cfg_attr(debug_assertions, ignore)]
+fn unbudgeted_protein_search_matches_brute_force_at_served_size() {
+    unbudgeted_protein_search_is_exact(SERVED);
 }
