@@ -44,9 +44,14 @@ step "mendel-audit lint" cargo run -q -p mendel-audit -- lint
 #    naming its reader. No baseline; any finding fails the gate.
 step "mendel-audit reach" cargo run -q -p mendel-audit -- reach
 
-# 3. Clippy with the workspace lint table ([workspace.lints.clippy]).
+# 3. Clippy with the workspace lint table ([workspace.lints.clippy]) and
+#    clippy's default groups (`clippy::all`) denied: a new style,
+#    complexity, perf or suspicious finding fails the gate. `unwrap_used`,
+#    a restriction lint the table sets to `warn`, still prints (tests
+#    unwrap; `mendel-audit lint` refuses an unwaived unwrap elsewhere).
 if cargo clippy --version >/dev/null 2>&1; then
-    step "cargo clippy" cargo clippy --workspace --all-targets -q
+    step "cargo clippy (clippy::all denied)" \
+        cargo clippy --workspace --all-targets -q -- -D clippy::all
 else
     echo "==> clippy unavailable; skipping lint check"
 fi

@@ -195,6 +195,7 @@ pub struct GappedExtension {
 /// diagonal (the paper's `l`). Uses affine gaps and X-drop termination
 /// per DP row (see the module doc for the kernel). `gaps.open` must not be
 /// negative.
+#[allow(clippy::too_many_arguments)] // audit:allow(too-many-arguments): the anchor and the DP's scoring, band and X-drop are the call; `benchmark/`'s layer probe calls this signature positionally
 pub fn extend_gapped_banded(
     query: &[u8],
     subject: &[u8],
@@ -624,8 +625,8 @@ mod reference {
         let mut f: Vec<i32> = vec![NEG; n + 1];
         h_prev[0] = 0;
         // Row 0: leading gap in `a` (delete run) within the band.
-        for j in 1..=n.min(band) {
-            h_prev[j] = -gaps.cost(j);
+        for (j, h) in h_prev.iter_mut().enumerate().take(n.min(band) + 1).skip(1) {
+            *h = -gaps.cost(j);
         }
         let mut best = 0i32;
         let mut best_at = (0usize, 0usize);

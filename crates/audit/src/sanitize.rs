@@ -85,9 +85,7 @@ pub(crate) fn sanitize(source: &str) -> Vec<SanitizedLine> {
                             && !prev_is_ident
                             && (c == 'r' || j > i + 1 || hashes > 0 || chars.get(j) == Some(&'"'))
                         {
-                            for k in i..=j {
-                                cur.code.push(if chars[k] == '"' { '"' } else { chars[k] });
-                            }
+                            cur.code.extend(&chars[i..=j]);
                             mode = if c == 'r' || chars.get(i + 1) == Some(&'r') {
                                 Mode::RawStr(hashes)
                             } else {

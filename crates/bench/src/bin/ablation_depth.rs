@@ -44,7 +44,7 @@ fn main() {
                 .collect::<Vec<_>>()
         })
         .collect();
-    let sample: Vec<Vec<u8>> = windows.iter().step_by(7).cloned().take(4096).collect();
+    let sample: Vec<Vec<u8>> = windows.iter().step_by(7).take(4096).cloned().collect();
     println!(
         "{} windows, {} sampled for tree construction\n",
         windows.len(),

@@ -74,7 +74,7 @@ fn main() {
             flat_node_of.insert(b.key(), n_flat);
             // (b) vp-prefix within the group: bucket the window again and
             // fold the finer bucket onto the group's members.
-            let bucket = tier2.bucket_index(tier2.hash(&b.window.to_vec()));
+            let bucket = tier2.bucket_index(tier2.hash(&b.window));
             let n_vp = members[bucket * members.len() / tier2.num_buckets()];
             vp_load[n_vp.0 as usize] += b.window.len() as u64;
             vp_node_of.insert(b.key(), n_vp);

@@ -72,7 +72,7 @@ fn main() {
                 continue;
             }
             for start in 0..=s.len() - BLOCK_LEN {
-                if c % stride == 0 {
+                if c.is_multiple_of(stride) {
                     out.push(s.residues[start..start + BLOCK_LEN].to_vec());
                 }
                 c += 1;
@@ -88,8 +88,7 @@ fn main() {
         for b in make_blocks(s, BLOCK_LEN) {
             let _ = &metric; // metric drives the prefix hash below
             let g = GroupId(
-                assignment.group_of_bucket(prefix.bucket_index(prefix.hash(&b.window.to_vec())))
-                    as u16,
+                assignment.group_of_bucket(prefix.bucket_index(prefix.hash(&b.window))) as u16,
             );
             let node = placement
                 .primary(&topo, g, &b.key().as_bytes())

@@ -262,7 +262,7 @@ impl Blast {
                     subject_end: sr.1,
                     identity,
                 };
-                if best.as_ref().map_or(true, |b| hit.score > b.score) {
+                if best.as_ref().is_none_or(|b| hit.score > b.score) {
                     best = Some(hit);
                 }
             }

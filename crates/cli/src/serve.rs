@@ -14,7 +14,10 @@
 //!   concurrent, answers 409 and changes nothing, while one that fails
 //!   (bad FASTA, a refused bind) leaves the process ingestible. Replies
 //!   with `blocks`, the cluster-wide copy count every process agrees
-//!   on, and `hosted_blocks`, the copies this process indexes.
+//!   on, `hosted_blocks`, the copies this process indexes, and
+//!   `ingest_ms`, where the ingest's time went (`total`, `parse`,
+//!   `route`, `place`, `tree`), with `route_threads`, the threads the
+//!   routing pass ran on.
 //! * `POST /query`   — body: residues (raw or FASTA); answers with
 //!   hits + coverage JSON rendered by [`render_outcome_json`].
 //!   `?trace=1` appends the query's trace id and critical path (the
@@ -24,10 +27,11 @@
 //!   texts with `node="N"` labels ([`federate_prometheus`]).
 //! * `GET  /healthz` — liveness + whether the node is serving yet.
 //!   `?verbose=1` adds build info (version, git sha), uptime, the
-//!   active SIMD kernel and, once serving, `blocks` / `hosted_blocks`
-//!   as `/ingest` reports them (`/metrics` exports the latter as the
-//!   `mendel_hosted_blocks` gauge) and `ledger_bytes`, what the
-//!   placement ledger holds (the `mendel_ledger_bytes` gauge).
+//!   active SIMD kernel and, once serving, `blocks`, `hosted_blocks`
+//!   (`/metrics` exports it as the `mendel_hosted_blocks` gauge),
+//!   `ingest_ms` and `route_threads` as `/ingest` reports them, and
+//!   `ledger_bytes`, what the placement ledger holds (the
+//!   `mendel_ledger_bytes` gauge).
 //! * `GET  /trace/<id>` — span records for one trace; `format=`
 //!   `chrome` (default, Perfetto-loadable) | `records` | `tree` |
 //!   `path`; `scope=cluster` (default) stitches fragments scraped from
@@ -271,6 +275,25 @@ struct Serving {
     _node_server: NodeServer,
     front: FrontEnd,
     sequences: usize,
+    /// `"ingest_ms":{…},"route_threads":N`: where the `/ingest` that
+    /// built this went ([`Serving::ingest_json`]).
+    ingest: String,
+}
+
+impl Serving {
+    /// The fields `/ingest` and `/healthz?verbose=1` both report: the
+    /// cluster-wide copies, this process's copies, and the ingest's time
+    /// — `total` (the whole `/ingest`) and its phases `parse` (FASTA into
+    /// the store), `route` (pass 1), `place` (pass 2 and the ledger) and
+    /// `tree` (the hosted node's vp-tree) — with pass 1's thread count.
+    fn ingest_json(&self) -> String {
+        format!(
+            "\"blocks\":{},\"hosted_blocks\":{},{}",
+            self.cluster.placed_copies(),
+            self.cluster.total_blocks(),
+            self.ingest
+        )
+    }
 }
 
 struct State {
@@ -290,12 +313,14 @@ struct State {
 impl State {
     /// Build this node's share of the cluster from FASTA text and start its
     /// node server and front-end; the caller holds `ingest_claimed`. Returns
-    /// the sequence count, the cluster-wide block copies and the copies here.
-    fn ingest(&self, fasta: &str) -> Result<(usize, usize, usize), CliError> {
+    /// the serving node, which keeps where the ingest's time went.
+    fn ingest(&self, fasta: &str) -> Result<&Serving, CliError> {
+        let started = self.uptime.now();
         let mut store = SeqStore::new();
         for s in parse_fasta_sequences(fasta, self.cfg.cluster.alphabet)? {
             store.insert(s);
         }
+        let parse = self.uptime.now().saturating_sub(started);
         let sequences = store.len();
         let db = Arc::new(store);
         let config = self.cfg.cluster.clone();
@@ -351,14 +376,25 @@ impl State {
             TransportMetrics::registered(cluster.metrics_registry()),
             self.cfg.timeouts,
         );
-        let (blocks, hosted) = (cluster.placed_copies(), cluster.total_blocks());
-        self.serving.get_or_init(|| Serving {
+        let profile = cluster.ingest_profile();
+        let ms = |d: Duration| d.as_secs_f64() * 1e3;
+        let ingest = format!(
+            "\"ingest_ms\":{{\"total\":{:.3},\"parse\":{:.3},\"route\":{:.3},\"place\":{:.3},\
+             \"tree\":{:.3}}},\"route_threads\":{}",
+            ms(self.uptime.now().saturating_sub(started)),
+            ms(parse),
+            ms(profile.route),
+            ms(profile.place),
+            ms(profile.tree),
+            profile.threads,
+        );
+        Ok(self.serving.get_or_init(|| Serving {
             cluster,
             _node_server: node_server,
             front,
             sequences,
-        });
-        Ok((sequences, blocks, hosted))
+            ingest,
+        }))
     }
 
     fn handle(&self, req: &Request) -> Response {
@@ -384,13 +420,12 @@ impl State {
                         self.cfg.tracing,
                         self.cfg.trace_sample,
                     );
-                    if let Some(Serving { cluster, .. }) = serving {
+                    if let Some(serving) = serving {
                         let _ = write!(
                             body,
-                            ",\"blocks\":{},\"hosted_blocks\":{},\"ledger_bytes\":{}",
-                            cluster.placed_copies(),
-                            cluster.total_blocks(),
-                            cluster.ledger_bytes()
+                            ",{},\"ledger_bytes\":{}",
+                            serving.ingest_json(),
+                            serving.cluster.ledger_bytes()
                         );
                     }
                 }
@@ -409,11 +444,12 @@ impl State {
                     );
                 }
                 match self.ingest(text) {
-                    Ok((sequences, blocks, hosted)) => Response::json(
+                    Ok(serving) => Response::json(
                         200,
                         format!(
-                            "{{\"ingested\":true,\"sequences\":{sequences},\"blocks\":{blocks},\
-                             \"hosted_blocks\":{hosted}}}"
+                            "{{\"ingested\":true,\"sequences\":{},{}}}",
+                            serving.sequences,
+                            serving.ingest_json()
                         ),
                     ),
                     Err(e) => {

@@ -404,6 +404,37 @@ fn three_process_cluster_matches_in_process_twin() {
     }
 }
 
+/// The number after `"key":` in `body`.
+fn json_number(body: &str, key: &str) -> f64 {
+    let field = format!("\"{key}\":");
+    let at = body
+        .find(&field)
+        .unwrap_or_else(|| panic!("no {key}: {body}"))
+        + field.len();
+    let digits = body[at..]
+        .split(|c: char| !(c.is_ascii_digit() || c == '.'))
+        .next()
+        .unwrap_or("");
+    digits
+        .parse()
+        .unwrap_or_else(|_| panic!("{key} is no number: {body}"))
+}
+
+/// An `/ingest` reply reports where its time went (DESIGN.md §11.1):
+/// its phases, which run one after another inside it, sum to no more
+/// than its total, and the routing pass ran on at least one thread.
+fn assert_ingest_budget(body: &str) {
+    let total = json_number(body, "total");
+    let phases: f64 = ["parse", "route", "place", "tree"]
+        .iter()
+        .map(|phase| json_number(body, phase))
+        .sum();
+    assert!(total > 0.0, "{body}");
+    // Each figure is rounded to a microsecond.
+    assert!(phases <= total + 0.003, "phases over the total: {body}");
+    assert!(json_number(body, "route_threads") >= 1.0, "{body}");
+}
+
 /// Cross-process distributed tracing (DESIGN.md §17): a traced query
 /// against a real 3-process cluster yields one merged Perfetto-loadable
 /// chrome JSON with node-side spans from every contacted process and
@@ -434,19 +465,18 @@ fn traced_query_stitches_spans_from_all_three_processes() {
             "0".into(),
         ]
     });
+    let mut ingests = Vec::new();
     for p in &procs {
         let (status, body) =
             http_request(p.http, "POST", "/ingest", fasta.as_bytes()).expect("ingest request");
-        assert_eq!(
-            status,
-            200,
-            "ingest on node {}: {}",
-            p.node,
-            String::from_utf8_lossy(&body)
-        );
+        let body = String::from_utf8_lossy(&body).into_owned();
+        assert_eq!(status, 200, "ingest on node {}: {body}", p.node);
+        assert_ingest_budget(&body);
+        ingests.push(body);
     }
 
-    // Verbose healthz: build info, uptime, active kernel.
+    // Verbose healthz: build info, uptime, active kernel, and the ingest
+    // budget as `/ingest` reported it.
     let entry = procs[0].http;
     let (status, health) =
         http_request(entry, "GET", "/healthz?verbose=1", b"").expect("verbose healthz");
@@ -461,6 +491,14 @@ fn traced_query_stitches_spans_from_all_three_processes() {
     ] {
         assert!(health.contains(key), "healthz missing {key}: {health}");
     }
+    let budget = |body: &str| {
+        let at = body.find("\"ingest_ms\"").expect("ingest_ms");
+        let end = body[at..]
+            .find("\"ledger_bytes\"")
+            .map_or(body.len(), |e| at + e);
+        body[at..end].trim_end_matches(['}', ',']).to_owned()
+    };
+    assert_eq!(budget(&health), budget(&ingests[0]), "{health}");
 
     // A traced query through node 0's front-end. The plain body must be
     // untouched; `?trace=1` appends the trace id and critical path.
@@ -659,6 +697,17 @@ fn timed_query(p: &Proc, residues: &str) -> (String, Duration) {
     (body, took)
 }
 
+/// The bound on a query that must not wait out a member deadline:
+/// three times a healthy query timed in the same run, so a loaded host
+/// that stretches every query stretches the bound with it, and never
+/// under 250 ms, the bound on an unloaded host. A query that waited
+/// takes at least the 500 ms member deadline plus a healthy query, so
+/// the bound tells the two apart while a healthy query takes under
+/// 250 ms.
+fn unwaited_bound(healthy: Duration) -> Duration {
+    (3 * healthy).max(Duration::from_millis(250))
+}
+
 /// Send `signal` (`-STOP`, `-CONT`) to `p`.
 fn signal(p: &Proc, signal: &str) {
     let status = Command::new("kill")
@@ -697,8 +746,10 @@ fn hung_member_is_waited_out_once_then_only_asked() {
     let healthy = whole_answer(of(entry), &residues);
     // What one whole query costs the entry point.
     let before = Costs::of(of(entry));
-    assert_eq!(timed_query(of(entry), &residues).0, healthy);
+    let (answer, took) = timed_query(of(entry), &residues);
+    assert_eq!(answer, healthy);
     let whole = Costs::of(of(entry)).since(before);
+    let bound = unwaited_bound(took);
 
     twin.fail_node(victim).expect("fail victim");
     let report = twin
@@ -716,7 +767,7 @@ fn hung_member_is_waited_out_once_then_only_asked() {
     let before = Costs::of(of(entry));
     for i in 0..5 {
         let (next, took) = timed_query(of(entry), &residues);
-        assert!(took < Duration::from_millis(250), "query {i} took {took:?}");
+        assert!(took < bound, "query {i} took {took:?}, over {bound:?}");
         assert_eq!(next, first, "query {i}");
     }
     // The hung member is still asked, so each query writes every frame
@@ -797,7 +848,9 @@ fn dead_member_costs_one_refused_dial_per_send() {
     let healthy = whole_answer(&procs[entry], &residues);
     // What one whole query costs each survivor.
     let before = costs(&procs);
-    assert_eq!(timed_query(&procs[entry], &residues).0, healthy);
+    let (answer, took) = timed_query(&procs[entry], &residues);
+    assert_eq!(answer, healthy);
+    let bound = unwaited_bound(took);
     let whole: Vec<Costs> = (costs(&procs).into_iter().zip(&before))
         .map(|(now, was)| now.since(*was))
         .collect();
@@ -809,7 +862,7 @@ fn dead_member_costs_one_refused_dial_per_send() {
     let before = costs(&procs);
     for i in 0..5 {
         let (next, took) = timed_query(&procs[entry], &residues);
-        assert!(took < Duration::from_millis(250), "query {i} took {took:?}");
+        assert!(took < bound, "query {i} took {took:?}, over {bound:?}");
         assert_eq!(next, first, "query {i}");
     }
     let after = costs(&procs);

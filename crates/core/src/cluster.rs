@@ -17,7 +17,7 @@ mod ops;
 
 pub use ops::RepairReport;
 
-use crate::block::{make_blocks, Block, BlockKey};
+use crate::block::{Block, BlockKey};
 use crate::config::{ClusterConfig, StorageBackend};
 use crate::error::MendelError;
 use crate::ledger::Ledger;
@@ -29,17 +29,18 @@ use crate::report::{MendelHit, QueryReport};
 use mendel_align::hsp::bin_by_subject;
 use mendel_align::karlin::solve_ungapped_background;
 use mendel_align::{extend_gapped_banded, Hsp, KarlinParams};
+use mendel_dht::sha1::KeyHasher;
 use mendel_dht::{FlatPlacement, GroupId, LoadReport, NodeId, Topology};
 use mendel_net::NodeSpeed;
 use mendel_obs::{
     Clock, MetricsSnapshot, MonotonicClock, Registry, SlowLogConfig, SlowQueryLog, SpanRecord,
     TraceCollector, TraceId, TraceTree,
 };
-use mendel_seq::{Alphabet, ScoringMatrix, SeqStore, Sequence};
+use mendel_seq::{Alphabet, ScoringMatrix, SeqId, SeqStore, Sequence, WindowView};
 use mendel_store::{MemVfs, StoreMetrics, Vfs};
 use mendel_vptree::{GroupAssignment, SearchMetrics, VpPrefixTree};
 use parking_lot::RwLock;
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -49,28 +50,132 @@ use std::time::Duration;
 /// strongest first); bounds worst-case finalize cost on repetitive data.
 const MAX_GAPPED_ANCHORS_PER_SUBJECT: usize = 16;
 
-/// One node's batch of a placement ([`MendelCluster::place`]): the
-/// blocks themselves where this process keeps them — a hosted node
-/// indexes them, and the durable backend persists every node's — and
-/// otherwise only their keys, for the ledger.
-enum Share {
-    Blocks(Vec<Block>),
-    Keys(Vec<BlockKey>),
+/// Pass 2's output ([`MendelCluster::dispatch`]): where each block's
+/// copies go, and the blocks of the nodes this process keeps.
+struct Dispatch {
+    /// `replicas[p]`: the nodes a block whose ring starts at node `p`
+    /// is copied to — the first `replication` live members of `p`'s
+    /// group from `p` on, primary first; none for a group with no live
+    /// member.
+    replicas: Vec<Vec<NodeId>>,
+    /// Copies per node, indexed by `NodeId`.
+    copies: Vec<usize>,
+    /// Each kept node's blocks in corpus order — a node this process
+    /// hosts, or any node on the durable backend — and `None` for the
+    /// others, whose keys the ledger reads from the routes
+    /// ([`keys_of`]).
+    blocks: Vec<Option<Vec<Block>>>,
+    /// Groups a block routed to while none of their members was live.
+    down: BTreeSet<GroupId>,
 }
 
-impl Share {
-    fn new(blocks: bool) -> Self {
-        if blocks {
-            Share::Blocks(Vec::new())
-        } else {
-            Share::Keys(Vec::new())
+/// The keys `node` holds of a placement, in corpus order: those of
+/// `keys` whose route copies to it. Walks the routes, so a node this
+/// process neither hosts nor persists costs no list of its own.
+fn keys_of<'a>(
+    replicas: &[Vec<NodeId>],
+    node: NodeId,
+    routes: &'a [NodeId],
+    keys: impl Iterator<Item = BlockKey> + Clone + 'a,
+) -> impl Iterator<Item = BlockKey> + Clone + 'a {
+    let to: Vec<bool> = replicas.iter().map(|r| r.contains(&node)).collect();
+    routes
+        .iter()
+        .zip(keys)
+        .filter(move |(p, _)| to[p.0 as usize])
+        .map(|(_, key)| key)
+}
+
+/// The block keys of `seqs`, in corpus order: each sequence's step-one
+/// window starts. [`keys_of`] walks it once per node whose keys are
+/// not listed, so it is a plain counter: that walk took about 10 ns a
+/// block over a `flat_map` of each sequence's starts with a replica
+/// list searched per block, and 1–2 ns with this and a per-node table.
+#[derive(Clone)]
+struct CorpusKeys<'s> {
+    seqs: std::slice::Iter<'s, &'s Sequence>,
+    block_len: usize,
+    seq: SeqId,
+    start: u32,
+    end: u32,
+}
+
+impl<'s> CorpusKeys<'s> {
+    fn new(seqs: &'s [&'s Sequence], block_len: usize) -> Self {
+        CorpusKeys {
+            seqs: seqs.iter(),
+            block_len,
+            seq: SeqId(0),
+            start: 0,
+            end: 0,
         }
     }
+}
 
-    fn push(&mut self, b: &Block) {
-        match self {
-            Share::Blocks(blocks) => blocks.push(b.clone()),
-            Share::Keys(keys) => keys.push(b.key()),
+impl Iterator for CorpusKeys<'_> {
+    type Item = BlockKey;
+
+    fn next(&mut self) -> Option<BlockKey> {
+        while self.start == self.end {
+            let s = self.seqs.next()?;
+            self.seq = s.id;
+            self.start = 0;
+            self.end = s.len().saturating_sub(self.block_len - 1) as u32;
+        }
+        self.start += 1;
+        Some(BlockKey {
+            seq: self.seq,
+            start: self.start - 1,
+        })
+    }
+}
+
+/// Fewest blocks a pass-1 thread routes: below this a thread costs
+/// about as much to start as its share of the pass saves.
+const MIN_BLOCKS_PER_THREAD: usize = 8192;
+
+/// Where a build's indexing time went (DESIGN.md §11.1): `mendel serve`
+/// reports it as `/ingest`'s and `/healthz?verbose=1`'s `ingest_ms`.
+/// Read on the cluster's clock, so a non-advancing clock reads zero.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct IngestProfile {
+    /// Pass 1: every block's group and ring start.
+    pub route: Duration,
+    /// Pass 2, the ledger and, on the durable backend, the disk.
+    pub place: Duration,
+    /// The hosted nodes' vp-tree builds.
+    pub tree: Duration,
+    /// Threads pass 1 ran on.
+    pub threads: usize,
+}
+
+/// Threads pass 1 runs on for `blocks` blocks: one a core, none with
+/// fewer than [`MIN_BLOCKS_PER_THREAD`] blocks.
+fn routing_threads(blocks: usize) -> usize {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    cores.min(blocks.div_ceil(MIN_BLOCKS_PER_THREAD)).max(1)
+}
+
+/// Pass 2's block maker for freshly ingested `seqs` (keys in corpus
+/// order): a block's window is a view of one backing copy of its
+/// sequence, made when the first of its blocks is kept — a sequence
+/// none of whose blocks this process keeps is never copied.
+fn fresh_blocks<'s>(
+    seqs: &'s [&'s Sequence],
+    block_len: usize,
+) -> impl FnMut(usize, BlockKey) -> Block + 's {
+    let mut at = 0;
+    let mut backing: Option<Arc<[u8]>> = None;
+    move |_, key| {
+        while seqs[at].id != key.seq {
+            at += 1;
+            backing = None;
+        }
+        let bytes = backing.get_or_insert_with(|| Arc::from(seqs[at].residues.as_slice()));
+        Block {
+            seq: key.seq,
+            start: key.start,
+            window: WindowView::new(bytes.clone(), key.start as usize, block_len),
         }
     }
 }
@@ -88,9 +193,9 @@ pub struct MendelCluster {
     /// records every node's keys regardless, so coverage is the same.
     member: Option<NodeId>,
     /// Who holds which block key (DESIGN.md §9): written by
-    /// [`Self::admit`] and where a node's holdings are struck
-    /// (replay, rebalance), read by coverage and repair. Taken last and
-    /// held across no other acquisition.
+    /// [`Self::admit`], [`Self::record`] and where a node's holdings are
+    /// struck (replay, rebalance), read by coverage and repair. Taken
+    /// last and held across no other acquisition.
     ledger: RwLock<Ledger>,
     /// Failed nodes, each with its group's rebalance epoch when it went
     /// down: a mismatch at recovery means placement moved while the node
@@ -121,6 +226,8 @@ pub struct MendelCluster {
     db: DbCell,
     karlin: KarlinParams,
     index_elapsed: Duration,
+    /// The construction build's [`IngestProfile`].
+    ingest: IngestProfile,
     /// What opening a node's durable store takes; `None` in memory mode.
     storage: Option<Arc<NodeStores>>,
 }
@@ -196,7 +303,7 @@ impl MendelCluster {
         let corpus = db.clone();
         let mut cluster = Self::skeleton(config, db, clock.clone(), vfs)?;
         cluster.member = member;
-        cluster.index_sequences(corpus.iter())?;
+        cluster.ingest = cluster.index_sequences(corpus.iter())?;
         cluster.index_elapsed = clock.now().saturating_sub(started);
         Ok(cluster)
     }
@@ -266,6 +373,7 @@ impl MendelCluster {
             db,
             karlin: Self::default_karlin(config.alphabet),
             index_elapsed: Duration::ZERO,
+            ingest: IngestProfile::default(),
             storage,
             obs,
             config,
@@ -317,7 +425,7 @@ impl MendelCluster {
                 continue;
             }
             for start in 0..=s.len() - block_len {
-                if counter % stride == 0 {
+                if counter.is_multiple_of(stride) {
                     out.push(s.residues[start..start + block_len].to_vec());
                 }
                 counter += 1;
@@ -327,116 +435,265 @@ impl MendelCluster {
     }
 
     /// Phases 1–3 of indexing (§V-A) for `seqs`, which the reference
-    /// store already holds: block creation, vp-prefix dispersion to
-    /// groups, SHA-1 placement within groups, node-local vp-tree
-    /// insertion. Reports the first refusal: a routed group with no live
-    /// member, or a node whose disk refused its batch.
+    /// store already holds: vp-prefix dispersion to groups and SHA-1
+    /// placement within groups ([`Self::route`], on every core), then
+    /// block creation for the nodes this process keeps and node-local
+    /// vp-tree insertion ([`Self::route_and_place`]). Reports the first
+    /// refusal: a routed group with no live member, or a node whose disk
+    /// refused its batch.
     fn index_sequences<'a>(
         &self,
         seqs: impl Iterator<Item = &'a Sequence>,
-    ) -> Result<(), MendelError> {
+    ) -> Result<IngestProfile, MendelError> {
+        let seqs: Vec<&Sequence> = seqs.collect();
+        let k = self.config.block_len;
+        let clock = self.obs.clock();
         let topo = self.topology.read();
-        let blocks = seqs
-            .flat_map(|s| make_blocks(s, self.config.block_len))
-            .map(|b| (self.group_of_window(&b.window), b));
-        let refused = self.route_and_place(&topo, blocks);
+        let started = clock.now();
+        let blocks = seqs.iter().map(|s| s.len().saturating_sub(k - 1)).sum();
+        let (routes, threads) = self.route(&topo, &seqs, routing_threads(blocks));
+        let routed = clock.now();
+        let keys = CorpusKeys::new(&seqs, k);
+        let (refused, tree) = self.route_and_place(&topo, &routes, keys, fresh_blocks(&seqs, k));
+        let placed = clock.now();
         drop(topo);
         self.assert_ledger("index_sequences");
         match refused.into_iter().next() {
             Some((_, e)) => Err(e),
-            None => Ok(()),
+            None => Ok(IngestProfile {
+                route: routed.saturating_sub(started),
+                place: placed.saturating_sub(routed).saturating_sub(tree),
+                tree,
+                threads,
+            }),
         }
     }
 
-    /// The one route-and-place: send each block to its replicas in its
-    /// group under `topo` and hand every node its [`Share`]
-    /// ([`Self::place`]), in node order. A block's replicas are the first `replication`
-    /// live members of its group's placement ring, primary first: with
-    /// every node up that is [`FlatPlacement::replicas`] (both walk
-    /// [`FlatPlacement::ring`]), and a copy whose
-    /// node is down goes to the next live member instead — a down node
-    /// cannot accept writes. A group with no live member places nothing.
-    /// Returns the refusals — such a group (no node), then every node
+    /// Pass 1 of route-and-place over the blocks of `seqs`: each block's
+    /// route, in corpus order, into one array sized up front. A route is
+    /// the first member of the block's placement ring — its window's
+    /// group, and in it the member SHA-1 of its key picks — so it names
+    /// the group and where the ring starts in two bytes. The corpus is
+    /// cut into at most `chunks` runs of contiguous sequences, each
+    /// routed on its own scoped thread (the last on the caller's) into
+    /// its own slice of the array. A route is a function of its block
+    /// alone, so the array is the same for every `chunks`. Returns it
+    /// and the number of runs.
+    fn route(&self, topo: &Topology, seqs: &[&Sequence], chunks: usize) -> (Vec<NodeId>, usize) {
+        let k = self.config.block_len;
+        let blocks = |run: &[&Sequence]| -> usize {
+            run.iter().map(|s| s.len().saturating_sub(k - 1)).sum()
+        };
+        let runs: Vec<&[&Sequence]> = seqs
+            .chunks(seqs.len().div_ceil(chunks.max(1)).max(1))
+            .collect();
+        // A topology's groups are never empty, so every ring has a start.
+        let rings: Vec<&[NodeId]> = topo.group_ids().map(|g| topo.group_members(g)).collect();
+        let hasher = KeyHasher::dispatched();
+        let route_run = |run: &[&Sequence], out: &mut [NodeId]| {
+            let mut out = out.iter_mut();
+            for s in run {
+                for (start, window) in s.residues.windows(k).enumerate() {
+                    let ring = rings[self.group_of_window(window).0 as usize];
+                    let key = BlockKey {
+                        seq: s.id,
+                        start: start as u32,
+                    };
+                    let at = FlatPlacement::ring_start(hasher, ring.len(), &key.as_bytes());
+                    if let Some(route) = out.next() {
+                        *route = ring[at];
+                    }
+                }
+            }
+        };
+        let mut routes = vec![NodeId::default(); blocks(seqs)];
+        std::thread::scope(|scope| {
+            let mut rest = routes.as_mut_slice();
+            for (i, &run) in runs.iter().enumerate() {
+                let (mine, after) = std::mem::take(&mut rest).split_at_mut(blocks(run));
+                rest = after;
+                if i + 1 < runs.len() {
+                    scope.spawn(move || route_run(run, mine));
+                } else {
+                    route_run(run, mine);
+                }
+            }
+        });
+        (routes, runs.len())
+    }
+
+    /// The one route-and-place: pass 2 ([`Self::dispatch`]) over blocks
+    /// routed by pass 1, then, in node order, every kept node's blocks
+    /// placed ([`Self::place`]) and every other node's keys recorded in
+    /// the ledger ([`Self::record`]), read from the routes. Returns the
+    /// refusals — a group with no live member (no node), then every node
     /// whose disk refused its batch; what the caller does about them is
-    /// its policy.
+    /// its policy — and the time the hosted nodes' trees took.
     fn route_and_place(
         &self,
         topo: &Topology,
-        blocks: impl Iterator<Item = (GroupId, Block)>,
-    ) -> Vec<(Option<NodeId>, MendelError)> {
-        let mut batches: BTreeMap<NodeId, Share> = BTreeMap::new();
-        let mut down: BTreeSet<GroupId> = BTreeSet::new();
+        routes: &[NodeId],
+        keys: impl Iterator<Item = BlockKey> + Clone,
+        block: impl FnMut(usize, BlockKey) -> Block,
+    ) -> (Vec<(Option<NodeId>, MendelError)>, Duration) {
+        let Dispatch {
+            replicas,
+            copies,
+            blocks,
+            down,
+        } = self.dispatch(topo, routes, keys.clone(), block);
+        let nodes = self.nodes.read();
+        let mut refused: Vec<_> = down
+            .into_iter()
+            .map(|g| (None, MendelError::GroupDown(g)))
+            .collect();
+        let mut tree = Duration::ZERO;
+        for (i, kept) in blocks.into_iter().enumerate() {
+            let node = NodeId(i as u16);
+            if copies[i] == 0 {
+                continue;
+            }
+            let placed = match kept {
+                Some(blocks) => self
+                    .place(topo, &nodes, node, blocks)
+                    .map(|took| tree += took),
+                None => self.record(topo, node, keys_of(&replicas, node, routes, keys.clone())),
+            };
+            if let Err(e) = placed {
+                refused.push((Some(node), e));
+            }
+        }
+        (refused, tree)
+    }
+
+    /// Pass 2 of route-and-place, in corpus order: each block, the i-th
+    /// of `keys` with route `routes[i]`, goes to its replicas, the first
+    /// `replication` live members of its group's ring, primary first.
+    /// With every node up that is [`FlatPlacement::replicas`] (both walk
+    /// [`FlatPlacement::ring_from`]); a copy whose node is down goes to
+    /// the next live member instead — a down node cannot accept writes —
+    /// and a group with no live member places nothing. A ring is walked
+    /// once per node it can start at, not once per block, and each kept
+    /// node's list is counted before it is filled, so it is allocated
+    /// once. Only kept nodes get blocks, made by `block(i, key)`.
+    fn dispatch(
+        &self,
+        topo: &Topology,
+        routes: &[NodeId],
+        keys: impl Iterator<Item = BlockKey>,
+        mut block: impl FnMut(usize, BlockKey) -> Block,
+    ) -> Dispatch {
+        let slots = self.nodes.read().len();
+        let mut dead = vec![false; slots];
+        for n in self.failed.read().keys() {
+            dead[n.0 as usize] = true;
+        }
+        let replicas: Vec<Vec<NodeId>> = (0..slots)
+            .map(|p| {
+                let p = NodeId(p as u16);
+                let Some(g) = topo.node_group(p) else {
+                    return Vec::new();
+                };
+                let at = topo.group_members(g).iter().position(|&m| m == p);
+                FlatPlacement::ring_from(topo, g, at.unwrap_or(0))
+                    .filter(|n| !dead[n.0 as usize])
+                    .take(self.config.replication)
+                    .collect()
+            })
+            .collect();
+        let mut starts = vec![0usize; slots];
+        for p in routes {
+            starts[p.0 as usize] += 1;
+        }
+        let mut copies = vec![0usize; slots];
+        let mut down = BTreeSet::new();
+        for (p, &n) in starts.iter().enumerate().filter(|(_, &n)| n > 0) {
+            if replicas[p].is_empty() {
+                down.extend(topo.node_group(NodeId(p as u16)));
+            }
+            for r in &replicas[p] {
+                copies[r.0 as usize] += n;
+            }
+        }
         // A node's blocks are kept where it is hosted or has a store to
         // persist them to; elsewhere the ledger needs their keys alone.
         let kept = |n: NodeId| self.hosts(n) || self.storage.is_some();
-        {
-            let failed = self.failed.read();
-            for (g, b) in blocks {
-                let live = FlatPlacement::ring(topo, g, &b.key().as_bytes())
-                    .filter(|n| !failed.contains_key(n))
-                    .take(self.config.replication);
-                let mut placed = false;
-                for node in live {
-                    batches
-                        .entry(node)
-                        .or_insert_with(|| Share::new(kept(node)))
-                        .push(&b);
-                    placed = true;
-                }
-                if !placed {
-                    down.insert(g);
+        let mut blocks: Vec<Option<Vec<Block>>> = copies
+            .iter()
+            .enumerate()
+            .map(|(i, &n)| kept(NodeId(i as u16)).then(|| Vec::with_capacity(n)))
+            .collect();
+        let kept_at: Vec<Vec<NodeId>> = replicas
+            .iter()
+            .map(|r| r.iter().copied().filter(|&n| kept(n)).collect())
+            .collect();
+        for (i, (p, key)) in routes.iter().zip(keys).enumerate() {
+            for n in &kept_at[p.0 as usize] {
+                if let Some(list) = &mut blocks[n.0 as usize] {
+                    list.push(block(i, key));
                 }
             }
         }
-        let nodes = self.nodes.read();
-        let refused_groups = down.into_iter().map(|g| (None, MendelError::GroupDown(g)));
-        let refused_nodes = batches.into_iter().filter_map(|(node, batch)| {
-            Some((Some(node), self.place(topo, &nodes, node, batch).err()?))
-        });
-        refused_groups.chain(refused_nodes).collect()
+        Dispatch {
+            replicas,
+            copies,
+            blocks,
+            down,
+        }
     }
 
-    /// The one write path for block copies: give `node` its share.
+    /// The one write path for block copies: give `node` its blocks.
     /// Persist, then ledger, then RAM — the durable backend
     /// acknowledges a block only once its WAL record is on disk, so a
     /// copy that never became durable is never claimed by coverage or
-    /// served from RAM.
+    /// served from RAM. Returns what indexing them in RAM took.
     fn place(
         &self,
         topo: &Topology,
         nodes: &[Arc<NodeSlot>],
         node: NodeId,
-        share: Share,
-    ) -> Result<(), MendelError> {
+        blocks: Vec<Block>,
+    ) -> Result<Duration, MendelError> {
         let g = topo.node_group(node).ok_or(MendelError::NoSuchNode(node))?;
         let slot = &nodes[node.0 as usize];
-        if let Share::Blocks(blocks) = &share {
-            slot.persist(blocks)?;
-        }
-        self.admit(g, slot, share)
+        slot.persist(&blocks)?;
+        self.admit(g, slot, blocks)
+    }
+
+    /// Record `node` as holding `keys` where this process keeps none of
+    /// their blocks — a node it does not host, on the memory backend:
+    /// the ledger is all that needs them.
+    fn record(
+        &self,
+        topo: &Topology,
+        node: NodeId,
+        keys: impl Iterator<Item = BlockKey> + Clone,
+    ) -> Result<(), MendelError> {
+        let g = topo.node_group(node).ok_or(MendelError::NoSuchNode(node))?;
+        self.ledger.write().place(g, node, keys)
     }
 
     /// [`Self::place`] without the persist: ledger, then RAM if this
     /// cluster hosts the node. Asked for by name where the blocks are
     /// already on the node's disk (replay after a restart); every other
-    /// caller goes through `place`. A share the ledger refuses reaches
-    /// neither.
-    fn admit(&self, g: GroupId, slot: &NodeSlot, share: Share) -> Result<(), MendelError> {
-        match share {
-            Share::Blocks(blocks) => {
-                self.ledger
-                    .write()
-                    .place(g, slot.id(), blocks.iter().map(Block::key))?;
-                if self.hosts(slot.id()) {
-                    slot.insert_blocks(blocks);
-                }
-            }
-            Share::Keys(keys) => {
-                let keys = keys.iter().copied();
-                self.ledger.write().place(g, slot.id(), keys)?;
-            }
+    /// caller goes through `place`. Blocks the ledger refuses reach
+    /// neither. Returns what indexing them in RAM took.
+    fn admit(
+        &self,
+        g: GroupId,
+        slot: &NodeSlot,
+        blocks: Vec<Block>,
+    ) -> Result<Duration, MendelError> {
+        self.ledger
+            .write()
+            .place(g, slot.id(), blocks.iter().map(Block::key))?;
+        if !self.hosts(slot.id()) {
+            return Ok(Duration::ZERO);
         }
-        Ok(())
+        let clock = self.obs.clock();
+        let started = clock.now();
+        slot.insert_blocks(blocks);
+        Ok(clock.now().saturating_sub(started))
     }
 
     /// Whether this cluster indexes `node`'s blocks ([`Self::build_member`]).
@@ -629,7 +886,7 @@ impl MendelCluster {
         let every = self.trace_sample.load(Ordering::Relaxed).max(1);
         // audit:ordering(Relaxed): deterministic per-cluster sequence; fetch_add atomicity alone yields distinct, gapless ticks
         let seq = self.trace_seq.fetch_add(1, Ordering::Relaxed);
-        seq % every == 0
+        seq.is_multiple_of(every)
     }
 
     /// The structured slow-query log (DESIGN.md §17). Every query feeds
@@ -765,7 +1022,7 @@ impl MendelCluster {
                     subject_end: sr.1,
                     identity: anchor_identity,
                 };
-                if best.as_ref().map_or(true, |b| hit.score > b.score) {
+                if best.as_ref().is_none_or(|b| hit.score > b.score) {
                     best = Some(hit);
                 }
             }
@@ -832,6 +1089,11 @@ impl MendelCluster {
     /// Wall-clock spent building + indexing.
     pub fn index_elapsed(&self) -> Duration {
         self.index_elapsed
+    }
+
+    /// Where the construction build's indexing time went.
+    pub fn ingest_profile(&self) -> IngestProfile {
+        self.ingest
     }
 
     /// The cluster configuration.
@@ -1514,6 +1776,76 @@ mod tests {
                         full_slots[n.0 as usize].read().block_count()
                     );
                     member.check_ledger().unwrap();
+                }
+            }
+        }
+    }
+
+    /// Pass 1 over k chunks, then pass 2, hands every node the same keys
+    /// and blocks in the same order, and refuses the same groups, as one
+    /// chunk does: on both alphabets, at replication 1–3, hosting node 0,
+    /// with node 1 failed and group 2 (nodes 5 and 6) left with no live
+    /// member.
+    #[test]
+    fn routing_in_chunks_changes_no_share() {
+        let alphabets = [
+            (ClusterConfig::small_protein(), small_db()),
+            (ClusterConfig::small_dna(), dna_db()),
+        ];
+        for (base, db) in alphabets {
+            let seqs: Vec<&Sequence> = db.iter().collect();
+            let k = base.block_len;
+            let keys = || CorpusKeys::new(&seqs, k);
+            for replication in 1..=3 {
+                let config = ClusterConfig {
+                    nodes: 7,
+                    groups: 3,
+                    replication,
+                    ..base.clone()
+                };
+                let clock = Arc::new(MonotonicClock::new());
+                let mut c = MendelCluster::skeleton(config, db.clone(), clock, None).unwrap();
+                c.member = Some(NodeId(0));
+                for n in [1, 5, 6] {
+                    c.failed.write().insert(NodeId(n), 0);
+                }
+                let topo = c.topology();
+                let run = |chunks| {
+                    let (routes, runs) = c.route(&topo, &seqs, chunks);
+                    assert!(runs <= chunks && runs <= seqs.len());
+                    let Dispatch {
+                        replicas,
+                        copies,
+                        blocks,
+                        down,
+                    } = c.dispatch(&topo, &routes, keys(), fresh_blocks(&seqs, k));
+                    let shares: Vec<_> = blocks
+                        .into_iter()
+                        .enumerate()
+                        .filter(|&(i, _)| copies[i] > 0)
+                        .map(|(i, blocks)| {
+                            let node = NodeId(i as u16);
+                            let held: Vec<BlockKey> =
+                                keys_of(&replicas, node, &routes, keys()).collect();
+                            if let Some(blocks) = &blocks {
+                                assert!(blocks.iter().map(Block::key).eq(held.iter().copied()));
+                            }
+                            assert_eq!(held.len(), copies[i]);
+                            (node, held, blocks)
+                        })
+                        .collect();
+                    (shares, down)
+                };
+                let (shares, down) = run(1);
+                let shape = format!("{:?} replication {replication}", base.alphabet);
+                assert_eq!(down, BTreeSet::from([GroupId(2)]), "{shape}");
+                let nodes: Vec<_> = shares.iter().map(|(n, _, b)| (n.0, b.is_some())).collect();
+                assert_eq!(nodes, [(0, true), (2, false), (3, false), (4, false)]);
+                for chunks in [2, 3, 7, seqs.len() + 5] {
+                    assert!(
+                        run(chunks) == (shares.clone(), down.clone()),
+                        "{shape}: {chunks}"
+                    );
                 }
             }
         }

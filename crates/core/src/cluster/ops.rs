@@ -3,12 +3,12 @@
 //! MendelCluster` over the control-plane state declared in the parent
 //! module; per-node work goes through the [`NodeSlot`] verbs.
 
-use super::{MendelCluster, Share};
+use super::MendelCluster;
 use crate::block::{Block, BlockKey};
 use crate::error::MendelError;
 use crate::report::{CoverageReport, GroupCoverage};
-use mendel_dht::sha1::sha1_u64;
-use mendel_dht::{GroupId, NodeId, Topology};
+use mendel_dht::sha1::KeyHasher;
+use mendel_dht::{FlatPlacement, GroupId, NodeId, Topology};
 use mendel_net::NodeSpeed;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::Ordering;
@@ -72,7 +72,7 @@ impl MendelCluster {
             return Ok(());
         };
         self.ledger.write().clear(g, node);
-        self.admit(g, &slot, Share::Blocks(blocks))?;
+        self.admit(g, &slot, blocks)?;
         let elapsed = clock.now().saturating_sub(started);
         self.obs
             .histogram("mendel.store.recovery.seconds")
@@ -135,6 +135,7 @@ impl MendelCluster {
         // Nodes whose durable store broke while persisting a repair copy;
         // marked failed after all guards drop.
         let mut broken: Vec<NodeId> = Vec::new();
+        let hasher = KeyHasher::dispatched();
         for g in topo.group_ids() {
             let live = self.live_members(&topo, g);
             let nodes = self.nodes.read();
@@ -162,7 +163,7 @@ impl MendelCluster {
                 let Some(block) = src_blocks.get(key) else {
                     continue;
                 };
-                let start = (sha1_u64(&key.as_bytes()) % live.len() as u64) as usize;
+                let start = (hasher.head(&key.as_bytes()) % live.len() as u64) as usize;
                 let mut have = hs.len();
                 for i in 0..live.len() {
                     if have >= want {
@@ -183,10 +184,7 @@ impl MendelCluster {
             report.copies_added += group_added;
             for (node, batch) in adds {
                 let copies = batch.len() as u64;
-                if self
-                    .place(&topo, &nodes, node, Share::Blocks(batch))
-                    .is_err()
-                {
+                if self.place(&topo, &nodes, node, batch).is_err() {
                     // The copies never became durable: don't let the
                     // report claim them either. The target is failed
                     // below and can recover from its own pre-repair
@@ -416,7 +414,15 @@ impl MendelCluster {
         for node in broken {
             let _ = self.fail_node(node);
         }
-        let refused = self.route_and_place(topo, unique.into_values().map(|b| (g, b)));
+        // Pass 1 for blocks whose group is known: where their rings start.
+        let blocks: Vec<Block> = unique.into_values().collect();
+        let (hasher, ring) = (KeyHasher::dispatched(), topo.group_members(g));
+        let routes: Vec<NodeId> = blocks
+            .iter()
+            .map(|b| ring[FlatPlacement::ring_start(hasher, ring.len(), &b.key().as_bytes())])
+            .collect();
+        let keys = blocks.iter().map(Block::key);
+        let (refused, _) = self.route_and_place(topo, &routes, keys, |i, _| blocks[i].clone());
         // Any node that was down during this re-placement now holds a
         // stale layout; the epoch bump makes recover_node detect that.
         self.group_epochs.write()[g.0 as usize] += 1;

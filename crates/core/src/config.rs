@@ -163,11 +163,10 @@ impl ClusterConfig {
         if self.replication == 0 {
             return Err(MendelError::Config("replication must be >= 1".into()));
         }
-        let metric_matches = match (self.alphabet, self.metric) {
-            (Alphabet::Dna, MetricKind::Hamming) => true,
-            (Alphabet::Protein, _) => true,
-            _ => false,
-        };
+        let metric_matches = matches!(
+            (self.alphabet, self.metric),
+            (Alphabet::Dna, MetricKind::Hamming) | (Alphabet::Protein, _)
+        );
         if !metric_matches {
             return Err(MendelError::Config(format!(
                 "metric {:?} does not fit alphabet {:?}",

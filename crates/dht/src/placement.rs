@@ -8,7 +8,7 @@
 //! Placement optionally yields `replication` distinct nodes (primary
 //! first) — the fault-tolerance extension of §VII-B.
 
-use crate::sha1::sha1_u64;
+use crate::sha1::KeyHasher;
 use crate::topology::{GroupId, NodeId, Topology};
 
 /// SHA-1-based flat placement within groups.
@@ -54,12 +54,29 @@ impl FlatPlacement {
         g: GroupId,
         key: &[u8],
     ) -> impl Iterator<Item = NodeId> + 't {
-        let members = topo.group_members(g);
-        let start = match members.len() as u64 {
+        let start = Self::ring_start(KeyHasher::dispatched(), topo.group_members(g).len(), key);
+        Self::ring_from(topo, g, start)
+    }
+
+    /// Where `key`'s ring starts in a group of `members`: SHA-1 of the
+    /// key mod the group size, hashed on `hasher`'s kernel. A group of
+    /// zero or one member starts at 0 without hashing.
+    #[inline]
+    pub fn ring_start(hasher: KeyHasher, members: usize, key: &[u8]) -> usize {
+        match members as u64 {
             0 | 1 => 0,
-            n => (sha1_u64(key) % n) as usize,
-        };
-        let (before, from) = members.split_at(start);
+            n => (hasher.head(key) % n) as usize,
+        }
+    }
+
+    /// Group `g`'s ring from the member at `start` ([`Self::ring_start`])
+    /// on, in membership order, wrapping.
+    pub fn ring_from(
+        topo: &Topology,
+        g: GroupId,
+        start: usize,
+    ) -> impl Iterator<Item = NodeId> + '_ {
+        let (before, from) = topo.group_members(g).split_at(start);
         from.iter().chain(before).copied()
     }
 }

@@ -216,7 +216,28 @@ pub fn sha1(data: &[u8]) -> [u8; 20] {
 /// by [`crate::placement`]. An input under 56 bytes (every block key)
 /// fits one padded block, built on the stack and compressed once.
 pub fn sha1_u64(data: &[u8]) -> u64 {
-    head(Kernel::dispatch(), data)
+    KeyHasher::dispatched().head(data)
+}
+
+/// [`sha1_u64`] with its kernel chosen once, for a pass that hashes many
+/// keys (routing, repair): the choice loads the SIMD switch and probes
+/// three CPU features, a tenth of what a block key's SHA-NI hash costs.
+/// A hasher keeps the kernel it was made with, so a pass that starts
+/// after [`mendel_seq::simd::set_simd_enabled`] runs the new setting.
+#[derive(Debug, Clone, Copy)]
+pub struct KeyHasher(Kernel);
+
+impl KeyHasher {
+    /// The kernel this CPU and the SIMD kill switch allow now.
+    pub fn dispatched() -> Self {
+        KeyHasher(Kernel::dispatch())
+    }
+
+    /// [`sha1_u64`] of `data` on this hasher's kernel.
+    #[inline]
+    pub fn head(self, data: &[u8]) -> u64 {
+        head(self.0, data)
+    }
 }
 
 /// [`sha1_u64`] on a given kernel.

@@ -67,7 +67,7 @@ impl NodeSpeed {
     /// The heterogeneous 50/50 mix of the paper's testbed: even node
     /// indices are HP DL160s, odd are SunFires.
     pub fn paper_mix(node_index: usize) -> NodeSpeed {
-        if node_index % 2 == 0 {
+        if node_index.is_multiple_of(2) {
             NodeSpeed::HP_DL160
         } else {
             NodeSpeed::SUNFIRE_X4100

@@ -47,7 +47,7 @@ impl Histogram {
             return Err(HistogramError::BadBounds("no boundaries".into()));
         }
         for w in bounds.windows(2) {
-            if !(w[0] < w[1]) {
+            if w[0].partial_cmp(&w[1]) != Some(std::cmp::Ordering::Less) {
                 return Err(HistogramError::BadBounds(format!(
                     "not strictly increasing at {} -> {}",
                     w[0], w[1]
@@ -69,7 +69,7 @@ impl Histogram {
     /// (`min > 0`, `max > min`, `buckets >= 2`): boundary `i` is
     /// `min · (max/min)^(i/(buckets−1))`.
     pub fn log_spaced(min: f64, max: f64, buckets: usize) -> Result<Self, HistogramError> {
-        if !(min > 0.0 && min.is_finite()) || !(max > min && max.is_finite()) {
+        if !(min > 0.0 && min.is_finite() && max > min && max.is_finite()) {
             return Err(HistogramError::BadBounds(format!(
                 "log spacing needs 0 < min < max, got {min}..{max}"
             )));

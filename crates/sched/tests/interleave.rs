@@ -84,7 +84,7 @@ fn lockstep_submit_and_drain() {
     }
     // Drain whatever the odd steps didn't take; every submitted job must
     // have run exactly once.
-    let submitted = (STEPS + 1) / 2;
+    let submitted = STEPS.div_ceil(2);
     while hits.load(Ordering::Relaxed) < submitted as u64 {
         // audit:ordering(Relaxed): test tally (the loop load above).
         std::thread::yield_now();

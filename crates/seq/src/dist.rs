@@ -530,8 +530,8 @@ mod tests {
     #[test]
     fn bounded_kernel_abandons_over_bound() {
         let m = MatrixDistance::unit(Alphabet::Dna);
-        let a = vec![0u8; 32];
-        let b = vec![1u8; 32]; // distance 32
+        let a = [0u8; 32];
+        let b = [1u8; 32]; // distance 32
         assert_eq!(m.dist_bounded(&a[..], &b[..], 31.0), None);
         assert_eq!(m.dist_bounded(&a[..], &b[..], 32.0), Some(32.0));
         assert_eq!(Hamming.dist_bounded(&a[..], &b[..], 10.0), None);
@@ -540,8 +540,8 @@ mod tests {
     #[test]
     fn unbounded_wrapper_never_abandons_early_but_respects_bound() {
         let m = Unbounded(MatrixDistance::unit(Alphabet::Dna));
-        let a = vec![0u8; 16];
-        let b = vec![1u8; 16];
+        let a = [0u8; 16];
+        let b = [1u8; 16];
         assert_eq!(m.dist(&a[..], &b[..]), 16.0);
         assert_eq!(m.dist_bounded(&a[..], &b[..], 15.9), None);
         assert_eq!(m.dist_bounded(&a[..], &b[..], 16.0), Some(16.0));

@@ -680,7 +680,7 @@ mod tests {
             ..DiskFaultConfig::none(3)
         });
         let mut f = vfs.create("f").unwrap();
-        let data = vec![7u8; 64];
+        let data = [7u8; 64];
         let mut written = 0;
         while written < data.len() {
             let n = f.append(&data[written..]).unwrap();

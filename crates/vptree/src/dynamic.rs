@@ -120,7 +120,7 @@ impl<M: Metric<[u8]>> VpTree<M> {
             // without growing the subtree's height: a height-h vp-tree
             // holds at most 2^h full buckets plus 2^h − 1 vantage elements.
             let capacity = (1usize << height) * self.bucket_capacity + ((1usize << height) - 1);
-            if count + 1 <= capacity {
+            if count < capacity {
                 let parent = path.get(anc_pos.wrapping_sub(1)).copied();
                 self.rebuild_subtree(anc, parent, idx, point);
                 let levels = levels_up + 1;
@@ -543,7 +543,7 @@ mod tests {
         let counters = crate::metrics::SearchMetrics::default();
         cleared.set_metrics(counters.clone());
         grow(&mut cleared);
-        cleared.knn(&vec![0u8; 8], 3);
+        cleared.knn(&[0u8; 8], 3);
         cleared.clear();
         assert!(cleared.is_empty());
         assert_eq!(cleared.rebuilds(), 0);

@@ -288,7 +288,7 @@ impl<M: Metric<[u8]>> VpPrefixTree<M> {
             ));
         }
         for (i, n) in self.nodes.iter().enumerate() {
-            if !(n.radius >= 0.0) {
+            if n.radius.is_nan() || n.radius < 0.0 {
                 return Err(format!("vertex {i} has invalid radius {}", n.radius));
             }
         }
@@ -522,9 +522,9 @@ mod tests {
     fn duplicate_sample_still_hashes_totally() {
         let sample = vec![vec![7u8; 8]; 64];
         let t: Tree = VpPrefixTree::build(sample, Hamming, 4, 10);
-        let h = t.hash(&vec![7u8; 8]);
+        let h = t.hash(&[7u8; 8]);
         assert!(t.bucket_index(h) < 16);
-        let other = t.hash(&vec![3u8; 8]);
+        let other = t.hash(&[3u8; 8]);
         assert!(t.bucket_index(other) < 16);
     }
 
@@ -664,7 +664,7 @@ mod tests {
         for b in 0..64 {
             counts[ga.group_of_bucket(b)] += 1;
         }
-        assert!(counts.iter().all(|&c| c >= 6 && c <= 7), "{counts:?}");
+        assert!(counts.iter().all(|c| (6..=7).contains(c)), "{counts:?}");
     }
 
     #[test]

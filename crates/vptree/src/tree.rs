@@ -1026,7 +1026,7 @@ impl<M: Metric<[u8]>> VpTree<M> {
         if elems.ids.is_empty() {
             return Ok(());
         }
-        if !(lo <= hi) {
+        if lo.partial_cmp(&hi).is_none_or(std::cmp::Ordering::is_gt) {
             return Err(format!(
                 "node {node} {side} bounds [{lo}, {hi}] are not ordered"
             ));
@@ -1107,15 +1107,15 @@ mod tests {
     fn empty_tree() {
         let t = build(vec![], 4);
         assert!(t.is_empty());
-        assert!(t.knn(&vec![0u8; 4], 3).is_empty());
-        assert!(t.range(&vec![0u8; 4], 10.0).is_empty());
+        assert!(t.knn(&[0u8; 4], 3).is_empty());
+        assert!(t.range(&[0u8; 4], 10.0).is_empty());
         assert_eq!(t.stats().points, 0);
     }
 
     #[test]
     fn single_point() {
         let t = build(vec![vec![1, 2, 3]], 4);
-        let nn = t.knn(&vec![1, 2, 4], 1);
+        let nn = t.knn(&[1, 2, 4], 1);
         assert_eq!(nn.len(), 1);
         assert_eq!(nn[0].dist, 1.0);
     }
@@ -1212,7 +1212,7 @@ mod tests {
         points.extend(random_points(50, 3, 4, 12));
         let t = build(points.clone(), 4);
         assert_eq!(t.len(), 150);
-        let nn = t.knn(&vec![1u8, 1, 1], 3);
+        let nn = t.knn(&[1u8, 1, 1], 3);
         assert!(
             nn.iter().all(|n| n.dist == 0.0),
             "duplicates are all at distance 0"
@@ -1222,7 +1222,7 @@ mod tests {
     #[test]
     fn knn_returns_fewer_when_tree_is_small() {
         let t = build(random_points(3, 6, 4, 13), 2);
-        assert_eq!(t.knn(&vec![0u8; 6], 10).len(), 3);
+        assert_eq!(t.knn(&[0u8; 6], 10).len(), 3);
     }
 
     #[test]
@@ -1307,7 +1307,7 @@ mod tests {
     #[test]
     fn zero_budget_returns_nothing() {
         let t = build(random_points(64, 8, 4, 23), 8);
-        assert!(t.knn_with_budget(&vec![0u8; 8], 3, 0).is_empty());
+        assert!(t.knn_with_budget(&[0u8; 8], 3, 0).is_empty());
     }
 
     #[test]

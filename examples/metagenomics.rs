@@ -88,7 +88,7 @@ fn main() {
     let params = QueryParams::dna();
     let mut correct = 0usize;
     let mut unassigned = 0usize;
-    let mut per_org = vec![0usize; N_ORGANISMS];
+    let mut per_org = [0usize; N_ORGANISMS];
     for (read, truth) in &reads {
         let report = cluster.query(read, &params).expect("read is long enough");
         match report.best() {
