@@ -284,6 +284,16 @@ step "ab.sh parses and prints its usage" ab_script
 #    (loc.sh): it must parse and count the tree.
 loc_script() { bash -n loc.sh && ./loc.sh | grep -q '^total'; }
 step "loc.sh parses and counts the tree" loc_script
+#    And the per-process ingest probe (ingest.sh): in full mode it brings
+#    up three `mendel serve` processes per workload for one round,
+#    ingests them and reaps them, and must print every node's row.
+ingest_script() {
+    bash -n ingest.sh && ./ingest.sh --rounds 1 >target/ci/ingest.txt &&
+        [ "$(grep -c '^| [0-2] | tree |' target/ci/ingest.txt)" -eq 6 ]
+}
+if [ "$MODE" != "quick" ]; then
+    step "ingest.sh brings up, ingests and reaps a cluster" ingest_script
+fi
 
 # 16. The gate reads the tree; it must not rewrite it. Any tracked file
 #    that differs from its state when the gate started (a step that

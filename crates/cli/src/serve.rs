@@ -17,7 +17,10 @@
 //!   on, `hosted_blocks`, the copies this process indexes, and
 //!   `ingest_ms`, where the ingest's time went (`total`, `parse`,
 //!   `route`, `place`, `tree`), with `route_threads`, the threads the
-//!   routing pass ran on.
+//!   routing pass ran on. `place` is pass 2: one walk over the routes
+//!   that writes every node's ledger slots and copies the hosted
+//!   node's windows into its tree input (and, with `--data-dir`, the
+//!   stores' writes before it); `tree` is that node's vp-tree build.
 //! * `POST /query`   — body: residues (raw or FASTA); answers with
 //!   hits + coverage JSON rendered by [`render_outcome_json`].
 //!   `?trace=1` appends the query's trace id and critical path (the
@@ -284,7 +287,8 @@ impl Serving {
     /// The fields `/ingest` and `/healthz?verbose=1` both report: the
     /// cluster-wide copies, this process's copies, and the ingest's time
     /// — `total` (the whole `/ingest`) and its phases `parse` (FASTA into
-    /// the store), `route` (pass 1), `place` (pass 2 and the ledger) and
+    /// the store), `route` (pass 1), `place` (pass 2: every node's
+    /// ledger slots and the hosted node's tree input, in one walk) and
     /// `tree` (the hosted node's vp-tree) — with pass 1's thread count.
     fn ingest_json(&self) -> String {
         format!(

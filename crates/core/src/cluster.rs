@@ -36,7 +36,7 @@ use mendel_obs::{
     Clock, MetricsSnapshot, MonotonicClock, Registry, SlowLogConfig, SlowQueryLog, SpanRecord,
     TraceCollector, TraceId, TraceTree,
 };
-use mendel_seq::{Alphabet, ScoringMatrix, SeqId, SeqStore, Sequence, WindowView};
+use mendel_seq::{Alphabet, ScoringMatrix, SeqStore, Sequence, WindowView};
 use mendel_store::{MemVfs, StoreMetrics, Vfs};
 use mendel_vptree::{GroupAssignment, SearchMetrics, VpPrefixTree};
 use parking_lot::RwLock;
@@ -50,8 +50,8 @@ use std::time::Duration;
 /// strongest first); bounds worst-case finalize cost on repetitive data.
 const MAX_GAPPED_ANCHORS_PER_SUBJECT: usize = 16;
 
-/// Pass 2's output ([`MendelCluster::dispatch`]): where each block's
-/// copies go, and the blocks of the nodes this process keeps.
+/// Where pass 2 sends each block ([`MendelCluster::dispatch`]), read
+/// off the routes before any block is.
 struct Dispatch {
     /// `replicas[p]`: the nodes a block whose ring starts at node `p`
     /// is copied to — the first `replication` live members of `p`'s
@@ -60,72 +60,178 @@ struct Dispatch {
     replicas: Vec<Vec<NodeId>>,
     /// Copies per node, indexed by `NodeId`.
     copies: Vec<usize>,
-    /// Each kept node's blocks in corpus order — a node this process
-    /// hosts, or any node on the durable backend — and `None` for the
-    /// others, whose keys the ledger reads from the routes
-    /// ([`keys_of`]).
-    blocks: Vec<Option<Vec<Block>>>,
     /// Groups a block routed to while none of their members was live.
     down: BTreeSet<GroupId>,
 }
 
-/// The keys `node` holds of a placement, in corpus order: those of
-/// `keys` whose route copies to it. Walks the routes, so a node this
-/// process neither hosts nor persists costs no list of its own.
-fn keys_of<'a>(
-    replicas: &[Vec<NodeId>],
-    node: NodeId,
-    routes: &'a [NodeId],
-    keys: impl Iterator<Item = BlockKey> + Clone + 'a,
-) -> impl Iterator<Item = BlockKey> + Clone + 'a {
-    let to: Vec<bool> = replicas.iter().map(|r| r.contains(&node)).collect();
-    routes
-        .iter()
-        .zip(keys)
-        .filter(move |(p, _)| to[p.0 as usize])
-        .map(|(_, key)| key)
+/// What route-and-place reads the blocks it places from, one block per
+/// route and in route order: the corpus of an ingest, or the blocks a
+/// rebalance re-places.
+trait BlockSource {
+    /// The blocks in runs of consecutive keys of one sequence: each
+    /// run's first key and the residues its windows cover, so a run of
+    /// `n` blocks of length k covers n + k − 1 residues.
+    fn runs(&self) -> impl Iterator<Item = (BlockKey, &[u8])> + Clone;
+
+    /// The blocks `keep` picks by position, each with its window as a
+    /// view of the sequence it was cut from: what a store persists.
+    fn views(&self, keep: impl Fn(usize) -> bool) -> impl Iterator<Item = (BlockKey, WindowView)>;
 }
 
-/// The block keys of `seqs`, in corpus order: each sequence's step-one
-/// window starts. [`keys_of`] walks it once per node whose keys are
-/// not listed, so it is a plain counter: that walk took about 10 ns a
-/// block over a `flat_map` of each sequence's starts with a replica
-/// list searched per block, and 1–2 ns with this and a per-node table.
-#[derive(Clone)]
-struct CorpusKeys<'s> {
-    seqs: std::slice::Iter<'s, &'s Sequence>,
+/// The blocks of freshly ingested sequences: every step-one window, in
+/// corpus order.
+struct Corpus<'s> {
+    seqs: &'s [&'s Sequence],
     block_len: usize,
-    seq: SeqId,
-    start: u32,
-    end: u32,
+    /// One shared copy of each sequence, made when a store first needs
+    /// a view of it, so every store dedupes the same backing.
+    backings: std::cell::OnceCell<Vec<Arc<[u8]>>>,
 }
 
-impl<'s> CorpusKeys<'s> {
-    fn new(seqs: &'s [&'s Sequence], block_len: usize) -> Self {
-        CorpusKeys {
-            seqs: seqs.iter(),
-            block_len,
-            seq: SeqId(0),
-            start: 0,
-            end: 0,
-        }
+impl BlockSource for Corpus<'_> {
+    fn runs(&self) -> impl Iterator<Item = (BlockKey, &[u8])> + Clone {
+        let whole = self.seqs.iter().filter(|s| s.len() >= self.block_len);
+        whole.map(|s| {
+            (
+                BlockKey {
+                    seq: s.id,
+                    start: 0,
+                },
+                s.residues.as_slice(),
+            )
+        })
+    }
+
+    fn views(&self, keep: impl Fn(usize) -> bool) -> impl Iterator<Item = (BlockKey, WindowView)> {
+        let backings = self.backings.get_or_init(|| {
+            let copy = |s: &&Sequence| Arc::from(s.residues.as_slice());
+            self.seqs.iter().map(copy).collect()
+        });
+        let k = self.block_len;
+        let blocks = backings.iter().zip(self.seqs).flat_map(move |(b, s)| {
+            let starts = 0..b.len().saturating_sub(k - 1);
+            starts.map(move |start| (b, s.id, start))
+        });
+        let kept = blocks.enumerate().filter(move |(i, _)| keep(*i));
+        kept.map(move |(_, (b, seq, start))| {
+            let key = BlockKey {
+                seq,
+                start: start as u32,
+            };
+            (key, WindowView::new(b.clone(), start, k))
+        })
     }
 }
 
-impl Iterator for CorpusKeys<'_> {
-    type Item = BlockKey;
+impl BlockSource for [Block] {
+    fn runs(&self) -> impl Iterator<Item = (BlockKey, &[u8])> + Clone {
+        self.iter().map(|b| (b.key(), &*b.window))
+    }
 
-    fn next(&mut self) -> Option<BlockKey> {
-        while self.start == self.end {
-            let s = self.seqs.next()?;
-            self.seq = s.id;
-            self.start = 0;
-            self.end = s.len().saturating_sub(self.block_len - 1) as u32;
+    fn views(&self, keep: impl Fn(usize) -> bool) -> impl Iterator<Item = (BlockKey, WindowView)> {
+        let kept = self.iter().enumerate().filter(move |(i, _)| keep(*i));
+        kept.map(|(_, b)| (b.key(), b.window.clone()))
+    }
+}
+
+/// One hosted node's tree input: the keys and, back to back, the windows
+/// of its copies, in corpus order, in buffers sized once, one block past
+/// its copies. A write lands at the end; `keep` says whether the end
+/// moves past it.
+struct TreeInput {
+    node: NodeId,
+    keys: Vec<BlockKey>,
+    windows: Vec<u8>,
+    len: usize,
+}
+
+impl TreeInput {
+    /// Write a block at the end, and keep it there if `keep` is 1.
+    fn write(&mut self, key: BlockKey, window: &[u8], keep: usize) {
+        let k = window.len();
+        self.keys[self.len] = key;
+        self.windows[self.len * k..][..k].copy_from_slice(window);
+        self.len += keep;
+    }
+}
+
+/// The hosted nodes' tree inputs, filled by pass 2's walk. Every block
+/// makes the same `width` writes: one to each hosted node its ring start
+/// copies to, padded with writes that keep nothing (into the room one
+/// block past a node's copies). So the walk stores without a branch,
+/// which a SHA-1-placed copy would mispredict about once in three on a
+/// member build: on protein-long's 94 k hosted copies of 282 k blocks, a
+/// pushing loop took about 5 ms where this takes under 1 ms. `width` is
+/// the most hosted holders a start has, at most `replication`, so a
+/// member build writes each block once and a full build as often as it
+/// has copies.
+struct Staging {
+    inputs: Vec<TreeInput>,
+    /// `width` offers per ring start: which input a block whose ring
+    /// starts there is written to, and whether it is kept.
+    offers: Vec<(usize, usize)>,
+    width: usize,
+}
+
+impl Staging {
+    /// Inputs for the `hosted` nodes, each with room for its `copies`
+    /// blocks of length `k`, taken from the starts whose holder set in
+    /// `sets` (indexed by ring start) names it.
+    fn new(
+        hosted: impl Iterator<Item = (NodeId, usize)>,
+        sets: &[(GroupId, Vec<NodeId>)],
+        k: usize,
+    ) -> Self {
+        let key = BlockKey {
+            seq: mendel_seq::SeqId(0),
+            start: 0,
+        };
+        let inputs: Vec<TreeInput> = hosted
+            .map(|(node, copies)| TreeInput {
+                node,
+                keys: vec![key; copies + 1],
+                windows: vec![0; (copies + 1) * k],
+                len: 0,
+            })
+            .collect();
+        let takers: Vec<Vec<usize>> = sets
+            .iter()
+            .map(|(_, set)| {
+                let held = |i: &usize| set.contains(&inputs[*i].node);
+                (0..inputs.len()).filter(held).collect()
+            })
+            .collect();
+        let width = takers.iter().map(Vec::len).max().unwrap_or(0);
+        let offers = takers
+            .iter()
+            .flat_map(|t| {
+                let kept = t.iter().map(|&i| (i, 1));
+                kept.chain(std::iter::repeat((0, 0))).take(width)
+            })
+            .collect();
+        Staging {
+            inputs,
+            offers,
+            width,
         }
-        self.start += 1;
-        Some(BlockKey {
-            seq: self.seq,
-            start: self.start - 1,
+    }
+
+    /// A block whose ring starts at `start`, kept by the hosted nodes it
+    /// is copied to.
+    fn offer(&mut self, start: NodeId, key: BlockKey, window: &[u8]) {
+        let at = start.0 as usize * self.width;
+        for &(i, keep) in &self.offers[at..at + self.width] {
+            self.inputs[i].write(key, window, keep);
+        }
+    }
+
+    /// Each hosted node and the keys and windows it kept.
+    fn finish(self) -> impl Iterator<Item = (NodeId, Vec<BlockKey>, Vec<u8>)> {
+        self.inputs.into_iter().map(|mut input| {
+            let k = input.windows.len() / input.keys.len();
+            input.keys.truncate(input.len);
+            input.windows.truncate(input.len * k);
+            (input.node, input.keys, input.windows)
         })
     }
 }
@@ -141,7 +247,9 @@ const MIN_BLOCKS_PER_THREAD: usize = 8192;
 pub struct IngestProfile {
     /// Pass 1: every block's group and ring start.
     pub route: Duration,
-    /// Pass 2, the ledger and, on the durable backend, the disk.
+    /// Pass 2: on the durable backend the disk, then the one walk that
+    /// writes every node's ledger slots and the hosted nodes' tree
+    /// input.
     pub place: Duration,
     /// The hosted nodes' vp-tree builds.
     pub tree: Duration,
@@ -154,30 +262,6 @@ pub struct IngestProfile {
 fn routing_threads(blocks: usize) -> usize {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     cores.min(blocks.div_ceil(MIN_BLOCKS_PER_THREAD)).max(1)
-}
-
-/// Pass 2's block maker for freshly ingested `seqs` (keys in corpus
-/// order): a block's window is a view of one backing copy of its
-/// sequence, made when the first of its blocks is kept — a sequence
-/// none of whose blocks this process keeps is never copied.
-fn fresh_blocks<'s>(
-    seqs: &'s [&'s Sequence],
-    block_len: usize,
-) -> impl FnMut(usize, BlockKey) -> Block + 's {
-    let mut at = 0;
-    let mut backing: Option<Arc<[u8]>> = None;
-    move |_, key| {
-        while seqs[at].id != key.seq {
-            at += 1;
-            backing = None;
-        }
-        let bytes = backing.get_or_insert_with(|| Arc::from(seqs[at].residues.as_slice()));
-        Block {
-            seq: key.seq,
-            start: key.start,
-            window: WindowView::new(bytes.clone(), key.start as usize, block_len),
-        }
-    }
 }
 
 /// A running Mendel cluster over an indexed reference database.
@@ -193,7 +277,7 @@ pub struct MendelCluster {
     /// records every node's keys regardless, so coverage is the same.
     member: Option<NodeId>,
     /// Who holds which block key (DESIGN.md §9): written by
-    /// [`Self::admit`], [`Self::record`] and where a node's holdings are
+    /// [`Self::route_and_place`], [`Self::admit`] and where a node's holdings are
     /// struck (replay, rebalance), read by coverage and repair. Taken
     /// last and held across no other acquisition.
     ledger: RwLock<Ledger>,
@@ -437,8 +521,9 @@ impl MendelCluster {
     /// Phases 1–3 of indexing (§V-A) for `seqs`, which the reference
     /// store already holds: vp-prefix dispersion to groups and SHA-1
     /// placement within groups ([`Self::route`], on every core), then
-    /// block creation for the nodes this process keeps and node-local
-    /// vp-tree insertion ([`Self::route_and_place`]). Reports the first
+    /// one walk that records every copy in the ledger and cuts the
+    /// hosted nodes' blocks straight into their vp-trees' input
+    /// ([`Self::route_and_place`]). Reports the first
     /// refusal: a routed group with no live member, or a node whose disk
     /// refused its batch.
     fn index_sequences<'a>(
@@ -453,8 +538,12 @@ impl MendelCluster {
         let blocks = seqs.iter().map(|s| s.len().saturating_sub(k - 1)).sum();
         let (routes, threads) = self.route(&topo, &seqs, routing_threads(blocks));
         let routed = clock.now();
-        let keys = CorpusKeys::new(&seqs, k);
-        let (refused, tree) = self.route_and_place(&topo, &routes, keys, fresh_blocks(&seqs, k));
+        let corpus = Corpus {
+            seqs: &seqs,
+            block_len: k,
+            backings: std::cell::OnceCell::new(),
+        };
+        let (refused, tree) = self.route_and_place(&topo, &routes, &corpus);
         let placed = clock.now();
         drop(topo);
         self.assert_ledger("index_sequences");
@@ -522,67 +611,123 @@ impl MendelCluster {
         (routes, runs.len())
     }
 
-    /// The one route-and-place: pass 2 ([`Self::dispatch`]) over blocks
-    /// routed by pass 1, then, in node order, every kept node's blocks
-    /// placed ([`Self::place`]) and every other node's keys recorded in
-    /// the ledger ([`Self::record`]), read from the routes. Returns the
-    /// refusals — a group with no live member (no node), then every node
-    /// whose disk refused its batch; what the caller does about them is
-    /// its policy — and the time the hosted nodes' trees took.
+    /// The one route-and-place: pass 2 over the blocks routed by pass 1,
+    /// whose keys and windows `blocks` holds in route order. Where each
+    /// block's copies go is read off the routes first
+    /// ([`Self::dispatch`]). Then, in order:
+    /// - **persist**: on the durable backend, every node with copies
+    ///   writes them to its store, in node order, reading the routes; a
+    ///   node whose disk refuses takes none;
+    /// - **ledger**: one walk over the routes in corpus order writes each
+    ///   block's slot — the holder set of its ring start, the replicas
+    ///   that took their copy — and copies each hosted copy's key and
+    ///   window into its node's staging, sized once from the copy
+    ///   counts;
+    /// - **RAM**: each hosted node's tree adopts its staging, in node
+    ///   order.
+    ///
+    /// The durable backend acknowledges a block only once its WAL record
+    /// is on disk, so a copy that never became durable is never claimed
+    /// by coverage or served from RAM. A node whose disk or ledger
+    /// refuses its copies takes none of them, and the rest are placed
+    /// without it: the ledger checks the whole walk before it writes a
+    /// slot, so a refused key's holders leave the holder sets and the
+    /// walk starts again. Returns the refusals — a group with no live
+    /// member (no node), then every node refused, in node order; what
+    /// the caller does about them is its policy — and the time the
+    /// hosted nodes' trees took.
     fn route_and_place(
         &self,
         topo: &Topology,
         routes: &[NodeId],
-        keys: impl Iterator<Item = BlockKey> + Clone,
-        block: impl FnMut(usize, BlockKey) -> Block,
+        blocks: &(impl BlockSource + ?Sized),
     ) -> (Vec<(Option<NodeId>, MendelError)>, Duration) {
         let Dispatch {
             replicas,
             copies,
-            blocks,
             down,
-        } = self.dispatch(topo, routes, keys.clone(), block);
+        } = self.dispatch(topo, routes);
         let nodes = self.nodes.read();
         let mut refused: Vec<_> = down
             .into_iter()
             .map(|g| (None, MendelError::GroupDown(g)))
             .collect();
-        let mut tree = Duration::ZERO;
-        for (i, kept) in blocks.into_iter().enumerate() {
-            let node = NodeId(i as u16);
-            if copies[i] == 0 {
-                continue;
+        // Nodes that took their copies: all of them, but for refusals.
+        let mut took: Vec<bool> = copies.iter().map(|&n| n > 0).collect();
+        if self.storage.is_some() {
+            for (slot, took) in nodes.iter().zip(&mut took).filter(|(_, took)| **took) {
+                let node = slot.id();
+                let to: Vec<bool> = replicas.iter().map(|r| r.contains(&node)).collect();
+                if let Err(e) = slot.persist(blocks.views(|i| to[routes[i].0 as usize])) {
+                    *took = false;
+                    refused.push((Some(node), e));
+                }
             }
-            let placed = match kept {
-                Some(blocks) => self
-                    .place(topo, &nodes, node, blocks)
-                    .map(|took| tree += took),
-                None => self.record(topo, node, keys_of(&replicas, node, routes, keys.clone())),
+        }
+        let k = self.config.block_len;
+        let runs = blocks
+            .runs()
+            .map(|(first, run)| (first, run.len() + 1 - k, run));
+        let mut ledger = self.ledger.write();
+        let staging = loop {
+            let sets: Vec<(GroupId, Vec<NodeId>)> = replicas
+                .iter()
+                .enumerate()
+                .map(|(p, r)| {
+                    let g = topo.node_group(NodeId(p as u16)).unwrap_or_default();
+                    (
+                        g,
+                        r.iter().copied().filter(|n| took[n.0 as usize]).collect(),
+                    )
+                })
+                .collect();
+            let hosted = (0..copies.len()).filter(|&i| took[i] && self.hosts(NodeId(i as u16)));
+            let hosted = hosted.map(|i| (NodeId(i as u16), copies[i]));
+            let mut staging = Staging::new(hosted, &sets, k);
+            let placed = ledger.place_walk(
+                &sets,
+                |i| routes[i],
+                runs.clone(),
+                |first, j, p, run| {
+                    let key = BlockKey {
+                        start: first.start + j as u32,
+                        ..first
+                    };
+                    staging.offer(p, key, &run[j..j + k]);
+                },
+            );
+            let Err((p, e)) = placed else {
+                break staging;
             };
-            if let Err(e) = placed {
-                refused.push((Some(node), e));
+            // The walk wrote nothing. Every holder of the key it refused
+            // is refused, as its own placement of its keys would have
+            // been, and the others walk again without them.
+            for &n in &sets[p.0 as usize].1 {
+                took[n.0 as usize] = false;
+                refused.push((Some(n), e.clone()));
             }
+        };
+        drop(ledger);
+        refused.sort_by_key(|&(n, _)| n);
+        let clock = self.obs.clock();
+        let mut tree = Duration::ZERO;
+        for (node, keys, windows) in staging.finish() {
+            let started = clock.now();
+            nodes[node.0 as usize].insert_windows(keys, windows);
+            tree += clock.now().saturating_sub(started);
         }
         (refused, tree)
     }
 
-    /// Pass 2 of route-and-place, in corpus order: each block, the i-th
-    /// of `keys` with route `routes[i]`, goes to its replicas, the first
+    /// Where pass 2 sends each block: to its replicas, the first
     /// `replication` live members of its group's ring, primary first.
     /// With every node up that is [`FlatPlacement::replicas`] (both walk
     /// [`FlatPlacement::ring_from`]); a copy whose node is down goes to
     /// the next live member instead — a down node cannot accept writes —
     /// and a group with no live member places nothing. A ring is walked
-    /// once per node it can start at, not once per block, and each kept
-    /// node's list is counted before it is filled, so it is allocated
-    /// once. Only kept nodes get blocks, made by `block(i, key)`.
-    fn dispatch(
-        &self,
-        topo: &Topology,
-        routes: &[NodeId],
-        keys: impl Iterator<Item = BlockKey>,
-        mut block: impl FnMut(usize, BlockKey) -> Block,
-    ) -> Dispatch {
+    /// once per node it can start at, not once per block, and each
+    /// node's copies are counted off the routes.
+    fn dispatch(&self, topo: &Topology, routes: &[NodeId]) -> Dispatch {
         let slots = self.nodes.read().len();
         let mut dead = vec![false; slots];
         for n in self.failed.read().keys() {
@@ -615,38 +760,16 @@ impl MendelCluster {
                 copies[r.0 as usize] += n;
             }
         }
-        // A node's blocks are kept where it is hosted or has a store to
-        // persist them to; elsewhere the ledger needs their keys alone.
-        let kept = |n: NodeId| self.hosts(n) || self.storage.is_some();
-        let mut blocks: Vec<Option<Vec<Block>>> = copies
-            .iter()
-            .enumerate()
-            .map(|(i, &n)| kept(NodeId(i as u16)).then(|| Vec::with_capacity(n)))
-            .collect();
-        let kept_at: Vec<Vec<NodeId>> = replicas
-            .iter()
-            .map(|r| r.iter().copied().filter(|&n| kept(n)).collect())
-            .collect();
-        for (i, (p, key)) in routes.iter().zip(keys).enumerate() {
-            for n in &kept_at[p.0 as usize] {
-                if let Some(list) = &mut blocks[n.0 as usize] {
-                    list.push(block(i, key));
-                }
-            }
-        }
         Dispatch {
             replicas,
             copies,
-            blocks,
             down,
         }
     }
 
-    /// The one write path for block copies: give `node` its blocks.
-    /// Persist, then ledger, then RAM — the durable backend
-    /// acknowledges a block only once its WAL record is on disk, so a
-    /// copy that never became durable is never claimed by coverage or
-    /// served from RAM. Returns what indexing them in RAM took.
+    /// Repair's write path for block copies: give `node` its blocks.
+    /// Persist, then ledger, then RAM, as [`Self::route_and_place`]
+    /// does. Returns what indexing them in RAM took.
     fn place(
         &self,
         topo: &Topology,
@@ -656,27 +779,13 @@ impl MendelCluster {
     ) -> Result<Duration, MendelError> {
         let g = topo.node_group(node).ok_or(MendelError::NoSuchNode(node))?;
         let slot = &nodes[node.0 as usize];
-        slot.persist(&blocks)?;
+        slot.persist(blocks.views(|_| true))?;
         self.admit(g, slot, blocks)
-    }
-
-    /// Record `node` as holding `keys` where this process keeps none of
-    /// their blocks — a node it does not host, on the memory backend:
-    /// the ledger is all that needs them.
-    fn record(
-        &self,
-        topo: &Topology,
-        node: NodeId,
-        keys: impl Iterator<Item = BlockKey> + Clone,
-    ) -> Result<(), MendelError> {
-        let g = topo.node_group(node).ok_or(MendelError::NoSuchNode(node))?;
-        self.ledger.write().place(g, node, keys)
     }
 
     /// [`Self::place`] without the persist: ledger, then RAM if this
     /// cluster hosts the node. Asked for by name where the blocks are
-    /// already on the node's disk (replay after a restart); every other
-    /// caller goes through `place`. Blocks the ledger refuses reach
+    /// already on the node's disk (replay after a restart). Blocks the ledger refuses reach
     /// neither. Returns what indexing them in RAM took.
     fn admit(
         &self,
@@ -1781,11 +1890,86 @@ mod tests {
         }
     }
 
-    /// Pass 1 over k chunks, then pass 2, hands every node the same keys
-    /// and blocks in the same order, and refuses the same groups, as one
-    /// chunk does: on both alphabets, at replication 1–3, hosting node 0,
-    /// with node 1 failed and group 2 (nodes 5 and 6) left with no live
-    /// member.
+    /// Pass 2's walk builds each hosted node as the block path did:
+    /// `make_blocks` over the corpus, kept where the ledger names the
+    /// node, then `StorageNode::insert_blocks` into a fresh slot. Keys,
+    /// tree layout and a fixed query's node-search answers are equal on
+    /// both alphabets at `member_build_equals_the_full_builds_slot`'s
+    /// shapes, for full and member builds.
+    #[test]
+    fn the_walk_builds_the_node_the_block_path_built() {
+        let shapes = [(3, 1, 1), (3, 3, 1), (6, 2, 2), (7, 2, 3)];
+        let alphabets = [
+            (
+                ClusterConfig::small_protein(),
+                small_db(),
+                QueryParams::protein(),
+            ),
+            (ClusterConfig::small_dna(), dna_db(), QueryParams::dna()),
+        ];
+        for (base, db, params) in alphabets {
+            let k = base.block_len;
+            let blocks: Vec<Block> = db
+                .iter()
+                .flat_map(|s| crate::block::make_blocks(s, k))
+                .collect();
+            let query = db.get(SeqId(3)).unwrap().residues.clone();
+            let offsets: Vec<usize> = (0..=query.len() - k).step_by(3).collect();
+            let mut anchors = 0;
+            for (nodes, groups, replication) in shapes {
+                let config = ClusterConfig {
+                    nodes,
+                    groups,
+                    replication,
+                    ..base.clone()
+                };
+                let shape = format!("{:?} {nodes}/{groups}/{replication}", config.alphabet);
+                let ids = || (0..nodes as u16).map(NodeId);
+                let full = MendelCluster::build(config.clone(), db.clone()).unwrap();
+                let mut builds = vec![(full, ids().collect::<Vec<_>>())];
+                for n in ids() {
+                    let member = MendelCluster::build_member(config.clone(), db.clone(), n, None);
+                    builds.push((member.unwrap(), vec![n]));
+                }
+                for (c, hosted) in &builds {
+                    let matrix = c.resolve_matrix(&params.m).unwrap();
+                    let search = |slot: &NodeSlot| {
+                        let out = slot
+                            .read()
+                            .local_search_many(&query, &offsets, k, &params, &matrix);
+                        (out.anchors, out.candidates)
+                    };
+                    for &n in hosted {
+                        let g = c.topology().node_group(n).unwrap();
+                        let held: HashSet<BlockKey> =
+                            c.ledger.read().keys_held_by(g, n).into_iter().collect();
+                        let kept = blocks.iter().filter(|b| held.contains(&b.key()));
+                        let reference =
+                            MendelCluster::new_slot(&config, &c.db, &c.obs, &None, n.0 as usize);
+                        reference.insert_blocks(kept.cloned().collect());
+                        let got = c.slot(n);
+                        assert!(got.read().block_count() > 0, "{shape}: {n}");
+                        assert_eq!(got.read().block_keys(), reference.read().block_keys());
+                        assert_eq!(got.tree_layout(), reference.tree_layout(), "{shape}: {n}");
+                        let answer = search(&got);
+                        assert_eq!(answer, search(&reference), "{shape}: {n}");
+                        anchors += answer.0.len();
+                    }
+                }
+            }
+            assert!(
+                anchors > 0,
+                "{:?}: the query anchored nowhere",
+                base.alphabet
+            );
+        }
+    }
+
+    /// Pass 1 over k chunks, then pass 2's walk, gives every node the
+    /// same keys, fills the hosted node's RAM with its share and refuses
+    /// the same groups, as one chunk does: on both alphabets, at
+    /// replication 1–3, hosting node 0, with node 1 failed and group 2
+    /// (nodes 5 and 6) left with no live member.
     #[test]
     fn routing_in_chunks_changes_no_share() {
         let alphabets = [
@@ -1794,8 +1978,6 @@ mod tests {
         ];
         for (base, db) in alphabets {
             let seqs: Vec<&Sequence> = db.iter().collect();
-            let k = base.block_len;
-            let keys = || CorpusKeys::new(&seqs, k);
             for replication in 1..=3 {
                 let config = ClusterConfig {
                     nodes: 7,
@@ -1803,50 +1985,124 @@ mod tests {
                     replication,
                     ..base.clone()
                 };
-                let clock = Arc::new(MonotonicClock::new());
-                let mut c = MendelCluster::skeleton(config, db.clone(), clock, None).unwrap();
-                c.member = Some(NodeId(0));
-                for n in [1, 5, 6] {
-                    c.failed.write().insert(NodeId(n), 0);
-                }
-                let topo = c.topology();
                 let run = |chunks| {
+                    let clock = Arc::new(MonotonicClock::new());
+                    let mut c =
+                        MendelCluster::skeleton(config.clone(), db.clone(), clock, None).unwrap();
+                    c.member = Some(NodeId(0));
+                    for n in [1, 5, 6] {
+                        c.failed.write().insert(NodeId(n), 0);
+                    }
+                    let topo = c.topology();
                     let (routes, runs) = c.route(&topo, &seqs, chunks);
                     assert!(runs <= chunks && runs <= seqs.len());
-                    let Dispatch {
-                        replicas,
-                        copies,
-                        blocks,
-                        down,
-                    } = c.dispatch(&topo, &routes, keys(), fresh_blocks(&seqs, k));
-                    let shares: Vec<_> = blocks
-                        .into_iter()
-                        .enumerate()
-                        .filter(|&(i, _)| copies[i] > 0)
-                        .map(|(i, blocks)| {
-                            let node = NodeId(i as u16);
-                            let held: Vec<BlockKey> =
-                                keys_of(&replicas, node, &routes, keys()).collect();
-                            if let Some(blocks) = &blocks {
-                                assert!(blocks.iter().map(Block::key).eq(held.iter().copied()));
-                            }
-                            assert_eq!(held.len(), copies[i]);
-                            (node, held, blocks)
+                    let corpus = Corpus {
+                        seqs: &seqs,
+                        block_len: base.block_len,
+                        backings: std::cell::OnceCell::new(),
+                    };
+                    let (refused, _) = c.route_and_place(&topo, &routes, &corpus);
+                    let shares: Vec<(NodeId, Vec<BlockKey>)> = topo
+                        .nodes()
+                        .map(|n| {
+                            let g = topo.node_group(n).unwrap();
+                            (n, c.ledger.read().keys_held_by(g, n))
                         })
+                        .filter(|(_, keys)| !keys.is_empty())
                         .collect();
-                    (shares, down)
+                    for (n, keys) in &shares {
+                        let ram = c.slot(*n).read().block_keys();
+                        assert_eq!(ram, if n.0 == 0 { keys.clone() } else { Vec::new() });
+                    }
+                    c.check_ledger().unwrap();
+                    (shares, refused)
                 };
-                let (shares, down) = run(1);
+                let (shares, refused) = run(1);
                 let shape = format!("{:?} replication {replication}", base.alphabet);
-                assert_eq!(down, BTreeSet::from([GroupId(2)]), "{shape}");
-                let nodes: Vec<_> = shares.iter().map(|(n, _, b)| (n.0, b.is_some())).collect();
-                assert_eq!(nodes, [(0, true), (2, false), (3, false), (4, false)]);
+                assert_eq!(
+                    refused,
+                    [(None, MendelError::GroupDown(GroupId(2)))],
+                    "{shape}"
+                );
+                let nodes: Vec<u16> = shares.iter().map(|(n, _)| n.0).collect();
+                assert_eq!(nodes, [0, 2, 3, 4], "{shape}");
                 for chunks in [2, 3, 7, seqs.len() + 5] {
                     assert!(
-                        run(chunks) == (shares.clone(), down.clone()),
+                        run(chunks) == (shares.clone(), refused.clone()),
                         "{shape}: {chunks}"
                     );
                 }
+            }
+        }
+    }
+
+    /// A key the ledger refuses refuses its holders alone: the replicas
+    /// of its ring start take none of their copies, in the ledger or in
+    /// RAM, and every other node is placed as it is when nothing is
+    /// refused.
+    #[test]
+    fn a_refused_key_refuses_its_holders_alone() {
+        let config = ClusterConfig {
+            nodes: 7,
+            groups: 3,
+            replication: 2,
+            ..ClusterConfig::small_protein()
+        };
+        let db = small_db();
+        let seqs: Vec<&Sequence> = db.iter().collect();
+        let run = |foreign: bool| {
+            let clock = Arc::new(MonotonicClock::new());
+            let c = MendelCluster::skeleton(config.clone(), db.clone(), clock, None).unwrap();
+            let topo = c.topology();
+            let (routes, _) = c.route(&topo, &seqs, 1);
+            let corpus = Corpus {
+                seqs: &seqs,
+                block_len: config.block_len,
+                backings: std::cell::OnceCell::new(),
+            };
+            // The corpus's first key, already placed in another group.
+            let first = corpus.runs().next().unwrap().0;
+            let g = topo.node_group(routes[0]).unwrap();
+            let other = topo.nodes().find(|&n| topo.node_group(n) != Some(g));
+            let other = other.unwrap();
+            if foreign {
+                let h = topo.node_group(other).unwrap();
+                c.ledger
+                    .write()
+                    .place(h, other, [first].into_iter())
+                    .unwrap();
+            }
+            let (refused, _) = c.route_and_place(&topo, &routes, &corpus);
+            let held: Vec<Vec<BlockKey>> = topo
+                .nodes()
+                .map(|n| {
+                    let g = topo.node_group(n).unwrap();
+                    let mut keys = c.ledger.read().keys_held_by(g, n);
+                    keys.retain(|&k| n != other || k != first);
+                    assert_eq!(c.slot(n).read().block_keys(), keys, "{n}");
+                    keys
+                })
+                .collect();
+            let mut holders = c.dispatch(&topo, &routes).replicas[routes[0].0 as usize].clone();
+            holders.sort_unstable();
+            (refused, held, holders)
+        };
+        let (clean, all, holders) = run(false);
+        assert!(clean.is_empty(), "{clean:?}");
+        assert_eq!(holders.len(), 2);
+        let (refused, held, _) = run(true);
+        let named: Vec<Option<NodeId>> = refused.iter().map(|(n, _)| *n).collect();
+        assert_eq!(named, holders.iter().copied().map(Some).collect::<Vec<_>>());
+        for (_, e) in &refused {
+            let placed_elsewhere =
+                matches!(e, MendelError::Store(m) if m.contains("placed in group"));
+            assert!(placed_elsewhere, "{e:?}");
+        }
+        for (n, keys) in held.iter().enumerate() {
+            if holders.contains(&NodeId(n as u16)) {
+                assert!(keys.is_empty(), "{n}");
+            } else {
+                assert_eq!(keys, &all[n], "{n}");
             }
         }
     }

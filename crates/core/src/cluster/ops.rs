@@ -421,8 +421,7 @@ impl MendelCluster {
             .iter()
             .map(|b| ring[FlatPlacement::ring_start(hasher, ring.len(), &b.key().as_bytes())])
             .collect();
-        let keys = blocks.iter().map(Block::key);
-        let (refused, _) = self.route_and_place(topo, &routes, keys, |i, _| blocks[i].clone());
+        let (refused, _) = self.route_and_place(topo, &routes, blocks.as_slice());
         // Any node that was down during this re-placement now holds a
         // stale layout; the epoch bump makes recover_node detect that.
         self.group_epochs.write()[g.0 as usize] += 1;

@@ -27,6 +27,7 @@ use crate::block::BlockKey;
 use crate::error::MendelError;
 use mendel_dht::{GroupId, NodeId};
 use mendel_seq::{SeqId, SeqStore};
+use std::ops::Range;
 
 /// Index of an interned holder set.
 type SetId = u32;
@@ -97,13 +98,21 @@ impl Ledger {
         self.slots.resize(end, NONE);
     }
 
-    /// The slot of `key`, if its sequence is in the key space and its
-    /// window inside that sequence.
-    fn slot_of(&self, key: BlockKey) -> Option<usize> {
-        let s = key.seq.index();
-        let (lo, hi) = (*self.base.get(s)?, *self.base.get(s + 1)?);
-        let at = lo + key.start as usize;
-        (at < hi).then_some(at)
+    /// The slots of those of the `n` keys of `first`'s sequence from
+    /// `first` on that are in the key space: a prefix of them.
+    fn slots_in(&self, first: BlockKey, n: usize) -> Range<usize> {
+        let s = first.seq.index();
+        let (Some(&lo), Some(&hi)) = (self.base.get(s), self.base.get(s + 1)) else {
+            return 0..0;
+        };
+        let at = (lo + first.start as usize).min(hi);
+        at..(at + n).min(hi)
+    }
+
+    /// The slots of the `n` keys of `first`'s sequence from `first` on,
+    /// if they are all in the key space.
+    fn run_slots(&self, first: BlockKey, n: usize) -> Option<Range<usize>> {
+        Some(self.slots_in(first, n)).filter(|r| r.len() == n)
     }
 
     /// Whether [`Self::place`] in `g` would take every one of `keys`;
@@ -113,25 +122,28 @@ impl Ledger {
         g: GroupId,
         keys: impl IntoIterator<Item = BlockKey>,
     ) -> Result<(), MendelError> {
-        for key in keys {
-            let refuse = |why: String| {
-                Err(MendelError::Store(format!(
-                    "the ledger refuses block (seq {}, start {}): {why}",
-                    key.seq.0, key.start
-                )))
+        keys.into_iter().try_for_each(|key| self.check_key(g, key))
+    }
+
+    /// Whether a slot of `g` would take `key` (see the module docs).
+    fn check_key(&self, g: GroupId, key: BlockKey) -> Result<(), MendelError> {
+        let refuse = |why: String| {
+            Err(MendelError::Store(format!(
+                "the ledger refuses block (seq {}, start {}): {why}",
+                key.seq.0, key.start
+            )))
+        };
+        let Some(at) = self.run_slots(key, 1).map(|r| r.start) else {
+            return if self.base.get(key.seq.index() + 1).is_none() {
+                refuse("its sequence is not in the reference store".into())
+            } else {
+                refuse("its window runs past its sequence's end".into())
             };
-            let Some(at) = self.slot_of(key) else {
-                return if self.base.get(key.seq.index() + 1).is_none() {
-                    refuse("its sequence is not in the reference store".into())
-                } else {
-                    refuse("its window runs past its sequence's end".into())
-                };
-            };
-            let set = self.slots[at];
-            if set != NONE && self.sets[set as usize].group != g {
-                let other = self.sets[set as usize].group;
-                return refuse(format!("it is placed in group {other}, not {g}"));
-            }
+        };
+        let set = self.slots[at];
+        if set != NONE && self.sets[set as usize].group != g {
+            let other = self.sets[set as usize].group;
+            return refuse(format!("it is placed in group {other}, not {g}"));
         }
         Ok(())
     }
@@ -144,35 +156,102 @@ impl Ledger {
         node: NodeId,
         keys: impl Iterator<Item = BlockKey> + Clone,
     ) -> Result<(), MendelError> {
-        self.check(g, keys.clone())?;
-        let alone = intern(&mut self.sets, g, vec![node]);
-        // Holder set → the same set with `node` in it, worked out once
-        // per distinct set rather than once per key.
-        let mut joined: Vec<(SetId, SetId)> = Vec::new();
-        for key in keys {
-            let Some(at) = self.slot_of(key) else {
-                continue; // `check` refused such a key above
+        let runs = keys.map(|key| (key, 1, ()));
+        let one = [(g, vec![node])];
+        let placed = self.place_walk(&one, |_| NodeId(0), runs, |_, _, _, ()| {});
+        placed.map_err(|(_, e)| e)
+    }
+
+    /// Record one placement walk, in one pass over its keys. They come in
+    /// runs `(first, n, item)`: the `n` keys of `first`'s sequence from
+    /// `first` on. The i-th key of the walk is now held by
+    /// `sets[route(i)]` — a group and some of its members, indexed by
+    /// the node the key's ring starts at — as well as by whoever held it
+    /// before; a set with no member places its keys nowhere and is not
+    /// checked. Refuses (see the module docs) before writing any slot,
+    /// naming the ring start of the first key refused. Once the j-th key
+    /// of a run is written, `each(first, j, its route, &item)` sees it,
+    /// in the same pass. The joined set of a slot's old set and a
+    /// start's set is worked out once per distinct pair, not once per
+    /// key.
+    pub(crate) fn place_walk<T>(
+        &mut self,
+        sets: &[(GroupId, Vec<NodeId>)],
+        route: impl Fn(usize) -> NodeId,
+        runs: impl Iterator<Item = (BlockKey, usize, T)> + Clone,
+        mut each: impl FnMut(BlockKey, usize, NodeId, &T),
+    ) -> Result<(), (NodeId, MendelError)> {
+        // Per start, the group its keys are placed in, if any.
+        let into: Vec<Option<GroupId>> = sets
+            .iter()
+            .map(|(g, members)| (!members.is_empty()).then_some(*g))
+            .collect();
+        let mut i = 0;
+        for (first, n, _) in runs.clone() {
+            let at = i;
+            i += n;
+            let clash = |(j, &set): (usize, &SetId)| {
+                let g = into[route(at + j).0 as usize];
+                set != NONE && g.is_some_and(|g| self.sets[set as usize].group != g)
             };
-            let old = self.slots[at];
-            let new = if old == NONE {
-                alone
-            } else if let Some(&(_, new)) = joined.iter().find(|(from, _)| *from == old) {
-                new
-            } else {
-                let mut members = self.sets[old as usize].members.clone();
-                if let Err(at) = members.binary_search(&node) {
-                    members.insert(at, node);
+            let fits = self.run_slots(first, n);
+            if fits.is_none_or(|r| self.slots[r].iter().enumerate().any(clash)) {
+                // Name the first key refused.
+                for j in 0..n {
+                    let p = route(at + j);
+                    if let Some(g) = into[p.0 as usize] {
+                        let start = first.start.wrapping_add(j as u32);
+                        let key = BlockKey { start, ..first };
+                        self.check_key(g, key).map_err(|e| (p, e))?;
+                    }
                 }
-                let new = intern(&mut self.sets, g, members);
-                joined.push((old, new));
-                new
-            };
-            if new != old {
-                self.slots[at] = new;
-                if old != NONE {
-                    self.sets[old as usize].keys -= 1;
+            }
+        }
+        // Per start, its set's id once a slot placed nowhere has needed
+        // it; per (old set, start), the joined set.
+        let mut alone: Vec<Option<SetId>> = vec![None; sets.len()];
+        let mut joined: Vec<(SetId, NodeId, SetId)> = Vec::new();
+        let mut i = 0;
+        for (first, n, item) in runs {
+            let at = i;
+            i += n;
+            // Keys past the key space were refused above, or place nowhere.
+            let slots = self.slots_in(first, n);
+            for (j, slot) in self.slots[slots].iter_mut().enumerate() {
+                let p = route(at + j);
+                let (g, members) = &sets[p.0 as usize];
+                let old = *slot;
+                let new = if members.is_empty() {
+                    old
+                } else if old == NONE {
+                    *alone[p.0 as usize].get_or_insert_with(|| {
+                        let mut members = members.clone();
+                        members.sort_unstable();
+                        intern(&mut self.sets, *g, members)
+                    })
+                } else if let Some(&(_, _, new)) =
+                    joined.iter().find(|&&(from, by, _)| from == old && by == p)
+                {
+                    new
+                } else {
+                    let mut union = self.sets[old as usize].members.clone();
+                    for &n in members {
+                        if let Err(at) = union.binary_search(&n) {
+                            union.insert(at, n);
+                        }
+                    }
+                    let new = intern(&mut self.sets, *g, union);
+                    joined.push((old, p, new));
+                    new
+                };
+                if new != old {
+                    *slot = new;
+                    if old != NONE {
+                        self.sets[old as usize].keys -= 1;
+                    }
+                    self.sets[new as usize].keys += 1;
                 }
-                self.sets[new as usize].keys += 1;
+                each(first, j, p, &item);
             }
         }
         Ok(())
@@ -486,6 +565,103 @@ mod tests {
         assert_eq!(l.expected(G), 3);
         assert!(l.place(G, NodeId(0), [key(2, 0)].into_iter()).is_err());
         one_group(&l).unwrap();
+    }
+
+    /// One walk over runs of keys places what one `place` per node
+    /// places: random routes over three ring starts whose sets overlap
+    /// (one of them empty), over keys some of which a fourth node
+    /// already holds. A run that leaves its sequence is refused with
+    /// nothing written, unless the keys past its end place nowhere.
+    #[test]
+    fn a_walk_places_what_one_place_per_node_places() {
+        let lens = [12, 3, 30, 7, 19];
+        let db = store(&lens);
+        let runs: Vec<(BlockKey, usize, ())> = (0..lens.len() as u32)
+            .filter(|&s| lens[s as usize] >= BLOCK)
+            .map(|s| (key(s, 0), lens[s as usize] + 1 - BLOCK, ()))
+            .collect();
+        let all: Vec<BlockKey> = runs
+            .iter()
+            .flat_map(|&(first, n, ())| (0..n as u32).map(move |t| key(first.seq.0, t)))
+            .collect();
+        let sets = [
+            (G, vec![NodeId(2), NodeId(0)]),
+            (G, vec![NodeId(1)]),
+            (G, Vec::new()),
+        ];
+        for seed in 0..20 {
+            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+            let mut walked = Ledger::new(&db, BLOCK);
+            let held: Vec<BlockKey> = all
+                .iter()
+                .copied()
+                .filter(|_| rng.random_bool(0.3))
+                .collect();
+            walked.place(G, NodeId(3), held.iter().copied()).unwrap();
+            let mut placed = Ledger::new(&db, BLOCK);
+            placed.place(G, NodeId(3), held.iter().copied()).unwrap();
+            let routes: Vec<NodeId> = all.iter().map(|_| NodeId(rng.random_range(0..3))).collect();
+            let mut seen = Vec::new();
+            walked
+                .place_walk(
+                    &sets,
+                    |i| routes[i],
+                    runs.iter().copied(),
+                    |first, j, p, ()| {
+                        seen.push((
+                            BlockKey {
+                                start: j as u32,
+                                ..first
+                            },
+                            p,
+                        ))
+                    },
+                )
+                .unwrap();
+            for (p, (_, members)) in sets.iter().enumerate() {
+                for &n in members {
+                    let mine = all.iter().zip(&routes).filter(|(_, r)| r.0 as usize == p);
+                    placed.place(G, n, mine.map(|(k, _)| *k)).unwrap();
+                }
+            }
+            one_group(&walked).unwrap();
+            assert_eq!(
+                seen,
+                all.iter()
+                    .copied()
+                    .zip(routes.iter().copied())
+                    .collect::<Vec<_>>()
+            );
+            assert_eq!(walked.copies(), placed.copies());
+            assert_eq!(walked.expected(G), placed.expected(G));
+            for n in (0..4).map(NodeId) {
+                assert_eq!(
+                    walked.keys_held_by(G, n),
+                    placed.keys_held_by(G, n),
+                    "{seed} {n}"
+                );
+            }
+            // A run past its sequence's end is refused, naming the start
+            // of its first key out of range, with nothing written...
+            let past_the_end = [(key(0, 7), 3, ())];
+            let before = walked.keys_held_by(G, NodeId(1));
+            let to = [2, 2, 1];
+            let run = past_the_end.into_iter();
+            let refused = walked.place_walk(&sets, |i| NodeId(to[i]), run, |_, _, _, ()| {});
+            assert_eq!(refused.map_err(|(p, _)| p), Err(NodeId(1)));
+            assert_eq!(walked.keys_held_by(G, NodeId(1)), before);
+            // ...unless what runs past it places nowhere: its keys in
+            // range are written.
+            let to = [1, 1, 2];
+            let run = past_the_end.into_iter();
+            let placed = walked.place_walk(&sets, |i| NodeId(to[i]), run, |_, _, _, ()| {});
+            placed.unwrap();
+            let mut want = before.clone();
+            want.extend([key(0, 7), key(0, 8)]);
+            want.sort_unstable();
+            want.dedup();
+            assert_eq!(walked.keys_held_by(G, NodeId(1)), want);
+        }
     }
 
     /// Key → (group, holders), the ledger's meaning spelled out.

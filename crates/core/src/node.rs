@@ -120,14 +120,23 @@ impl StorageNode {
         self.tree.clear();
     }
 
-    /// Phase 3 of indexing: index a batch of blocks' windows in the local
-    /// vp-tree and record their keys under the same insertion ids. The
-    /// tree copies each window into its leaves, so a block costs its
-    /// 8-byte `(seq, start)` key plus its window.
-    pub fn insert_blocks(&mut self, blocks: Vec<Block>) {
-        self.keys.extend(blocks.iter().map(Block::key));
-        // By value: the blocks are gone before the tree builds.
-        self.tree.insert_batch(blocks.into_iter().map(|b| b.window));
+    /// Phase 3 of indexing: index a batch of blocks in the local vp-tree
+    /// — `keys`, and their windows packed back to back in `windows` — and
+    /// record the keys under the same insertion ids. The tree takes
+    /// `windows` as its build's staging (the §III-D batch path,
+    /// [`VpTree::insert_windows`]), so a block costs its 8-byte
+    /// `(seq, start)` key plus its window.
+    pub fn insert_windows(&mut self, keys: Vec<BlockKey>, windows: Vec<u8>) {
+        if keys.is_empty() {
+            return;
+        }
+        let len = windows.len() / keys.len();
+        if self.keys.is_empty() {
+            self.keys = keys;
+        } else {
+            self.keys.extend(keys);
+        }
+        self.tree.insert_windows(windows, len);
         debug_assert_eq!(self.keys.len(), self.tree.len());
         #[cfg(feature = "strict-invariants")]
         {
@@ -144,6 +153,17 @@ impl StorageNode {
                 panic!("storage-node ingest violated vp-tree invariants: {e}");
             }
         }
+    }
+
+    /// [`Self::insert_windows`] over whole blocks (replay from disk,
+    /// repair copies).
+    pub fn insert_blocks(&mut self, blocks: Vec<Block>) {
+        let keys = blocks.iter().map(Block::key).collect();
+        let mut windows = Vec::with_capacity(blocks.iter().map(|b| b.window.len()).sum());
+        for b in &blocks {
+            windows.extend_from_slice(&b.window);
+        }
+        self.insert_windows(keys, windows);
     }
 
     /// Install shared vp-tree search counters (e.g. one
@@ -433,11 +453,15 @@ impl NodeSlot {
         Ok(())
     }
 
-    /// Append `blocks` to the node's store; the store's fsync policy
-    /// decides when the records become crash-proof. Nothing to do on
-    /// the memory backend — but a durable node without an open store
+    /// Append `blocks` — each a key and its window, a view of the
+    /// sequence it was cut from — to the node's store; the store's fsync
+    /// policy decides when the records become crash-proof. Nothing to do
+    /// on the memory backend — but a durable node without an open store
     /// cannot acknowledge anything, so that is an error.
-    pub(crate) fn persist(&self, blocks: &[Block]) -> Result<(), MendelError> {
+    pub(crate) fn persist(
+        &self,
+        blocks: impl IntoIterator<Item = (BlockKey, WindowView)>,
+    ) -> Result<(), MendelError> {
         let Some(disk) = &self.disk else {
             return Ok(());
         };
@@ -445,19 +469,25 @@ impl NodeSlot {
         let store = handle
             .as_mut()
             .ok_or_else(|| MendelError::Store(format!("node {} has no open store", self.id)))?;
-        for b in blocks {
+        for (key, window) in blocks {
             store.put_block(
-                &b.key().as_bytes(),
-                b.window.backing(),
-                b.window.offset() as u32,
-                b.window.len() as u32,
+                &key.as_bytes(),
+                window.backing(),
+                window.offset() as u32,
+                window.len() as u32,
             )?;
         }
         Ok(())
     }
 
-    /// Index `blocks` in RAM. Callers persist first ([`Self::persist`]),
-    /// or hold blocks that came off this node's own disk.
+    /// Index a batch in RAM ([`StorageNode::insert_windows`]). Callers
+    /// persist first ([`Self::persist`]), or hold blocks that came off
+    /// this node's own disk.
+    pub(crate) fn insert_windows(&self, keys: Vec<BlockKey>, windows: Vec<u8>) {
+        self.ram.write().insert_windows(keys, windows);
+    }
+
+    /// [`Self::insert_windows`] over whole blocks.
     pub(crate) fn insert_blocks(&self, blocks: Vec<Block>) {
         self.ram.write().insert_blocks(blocks);
     }

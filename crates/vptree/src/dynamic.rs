@@ -25,6 +25,7 @@ use crate::tree::{Leaf, Node, Staged, VpTree, NIL};
 use mendel_seq::Metric;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use std::ops::Range;
 
 /// Which of the four §III-D cases an insertion exercised.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -137,35 +138,66 @@ impl<M: Metric<[u8]>> VpTree<M> {
 
         // Case 4: the tree is completely full — split the root (rebuild;
         // the build routine grows the extra level it needs).
-        let mut extra = Staged::default();
-        extra.push(idx, point);
-        self.rebuild_root(extra);
+        self.rebuild_root(point.to_vec());
         (idx, InsertOutcome::RebuiltRoot)
     }
 
-    /// Batched insertion (§III-D's recommended "middle ground"). A batch
-    /// that is large relative to the existing tree (≥ 25%) triggers one
-    /// balanced rebuild over everything; smaller batches fall back to
-    /// per-element insertion, whose §III-D cases only rebuild the
-    /// affected subtrees. Returns the insertion ids.
-    pub fn insert_batch<P: AsRef<[u8]>>(&mut self, batch: impl IntoIterator<Item = P>) -> Vec<u32> {
-        let batch: Vec<P> = batch.into_iter().collect();
+    /// Batched insertion (§III-D's recommended "middle ground") of
+    /// windows `len` bytes long, packed back to back in `windows`: the
+    /// one batch entry. They take the next insertion ids in order. A
+    /// batch that is large relative to the existing tree (≥ 25%)
+    /// triggers one balanced rebuild over everything, which adopts
+    /// `windows` as its staging without copying them; smaller batches
+    /// fall back to per-element insertion, whose §III-D cases only
+    /// rebuild the affected subtrees. Returns the insertion ids.
+    ///
+    /// # Panics
+    /// Panics when `len` is 0, `windows` is not whole windows, or `len`
+    /// differs from the length of the windows the tree holds.
+    pub fn insert_windows(&mut self, windows: Vec<u8>, len: usize) -> Range<u32> {
+        assert!(len > 0, "vp-tree windows must be non-empty");
+        assert_eq!(windows.len() % len, 0, "a batch is whole windows");
+        let count = windows.len() / len;
         let start = self.len as u32;
-        if batch.is_empty() {
-            return Vec::new();
+        if count == 0 {
+            return start..start;
         }
-        if batch.len() * 4 >= self.len {
-            let mut extra = Staged::default();
-            for p in batch {
-                self.stage(&mut extra, p.as_ref());
+        if count * 4 >= self.len {
+            if self.len == 0 {
+                self.window_len = len;
             }
-            self.rebuild_root(extra);
+            assert_eq!(
+                len, self.window_len,
+                "vp-tree windows must share one length"
+            );
+            self.len += count;
+            self.rebuild_root(windows);
             #[cfg(feature = "strict-invariants")]
             self.assert_invariants("batch rebuild");
-            (start..self.len as u32).collect()
         } else {
-            batch.into_iter().map(|p| self.insert(p).0).collect()
+            for window in windows.chunks_exact(len) {
+                self.insert(window);
+            }
         }
+        start..self.len as u32
+    }
+
+    /// [`Self::insert_windows`] over windows given one by one.
+    ///
+    /// # Panics
+    /// Panics when a window is empty or the windows differ in length.
+    pub fn insert_batch<P: AsRef<[u8]>>(&mut self, batch: impl IntoIterator<Item = P>) -> Vec<u32> {
+        let mut batch = batch.into_iter().peekable();
+        let Some(len) = batch.peek().map(|p| p.as_ref().len()) else {
+            return Vec::new();
+        };
+        let mut windows = Vec::new();
+        for p in batch {
+            let p = p.as_ref();
+            assert_eq!(p.len(), len, "vp-tree windows must share one length");
+            windows.extend_from_slice(p);
+        }
+        self.insert_windows(windows, len).collect()
     }
 
     /// (elements, height) of the subtree rooted at `node`; a lone leaf has
@@ -242,19 +274,19 @@ impl<M: Metric<[u8]>> VpTree<M> {
         }
     }
 
-    /// Rebuild the whole tree over its elements plus the `extra` ones
-    /// admitted after them (case 4 and the batch path), in insertion-id
-    /// order.
-    fn rebuild_root(&mut self, extra: Staged) {
+    /// Rebuild the whole tree over its elements plus the windows `extra`
+    /// holds back to back, those of the ids admitted after them (case 4
+    /// and the batch path), in insertion-id order.
+    fn rebuild_root(&mut self, extra: Vec<u8>) {
         self.rebuild_count += 1;
         let bytes = if self.root == NIL {
-            extra.bytes // an empty tree's ids are exactly `extra`'s
+            extra // an empty tree's ids are exactly `extra`'s
         } else {
             // The ids admitted with `extra` come last and are not in the
             // tree yet: `windows` gives them zeros, which `extra` replaces.
             let mut bytes = self.windows();
-            bytes.truncate((self.len - extra.ids.len()) * self.window_len);
-            bytes.extend_from_slice(&extra.bytes);
+            bytes.truncate(self.len * self.window_len - extra.len());
+            bytes.extend_from_slice(&extra);
             bytes
         };
         self.nodes.clear();
