@@ -4,7 +4,7 @@
 //! deterministically from the ingested corpus (same FASTA + same
 //! cluster parameters ⇒ same routing tables and block placement in
 //! every process), indexes only the blocks placed on its own node
-//! ([`MendelCluster::build_member`]: one vp-tree per process, every
+//! ([`MendelCluster::build_member`]: one local index per process, every
 //! other node's blocks are keys in the ledger), serves that share of
 //! query traffic over a [`mendel::NodeServer`] TCP transport, and
 //! exposes a small HTTP/JSON front-end:
@@ -20,7 +20,8 @@
 //!   routing pass ran on. `place` is pass 2: one walk over the routes
 //!   that writes every node's ledger slots and copies the hosted
 //!   node's windows into its tree input (and, with `--data-dir`, the
-//!   stores' writes before it); `tree` is that node's vp-tree build.
+//!   stores' writes before it); `tree` is that node's index build (a
+//!   vp-tree for protein, pigeonhole tables for DNA).
 //! * `POST /query`   — body: residues (raw or FASTA); answers with
 //!   hits + coverage JSON rendered by [`render_outcome_json`].
 //!   `?trace=1` appends the query's trace id and critical path (the
@@ -34,7 +35,10 @@
 //!   (`/metrics` exports it as the `mendel_hosted_blocks` gauge),
 //!   `ingest_ms` and `route_threads` as `/ingest` reports them, and
 //!   `ledger_bytes`, what the placement ledger holds (the
-//!   `mendel_ledger_bytes` gauge).
+//!   `mendel_ledger_bytes` gauge), and `dna_index`, the buckets a DNA
+//!   node's searches probed and the windows they checked (the
+//!   `mendel_dna_index_{probes,candidates}` counters; 0 on protein, whose
+//!   node search counts into `mendel_vptree_*`).
 //! * `GET  /trace/<id>` — span records for one trace; `format=`
 //!   `chrome` (default, Perfetto-loadable) | `records` | `tree` |
 //!   `path`; `scope=cluster` (default) stitches fragments scraped from
@@ -289,7 +293,7 @@ impl Serving {
     /// — `total` (the whole `/ingest`) and its phases `parse` (FASTA into
     /// the store), `route` (pass 1), `place` (pass 2: every node's
     /// ledger slots and the hosted node's tree input, in one walk) and
-    /// `tree` (the hosted node's vp-tree) — with pass 1's thread count.
+    /// `tree` (the hosted node's index build) — with pass 1's thread count.
     fn ingest_json(&self) -> String {
         format!(
             "\"blocks\":{},\"hosted_blocks\":{},{}",
@@ -425,11 +429,14 @@ impl State {
                         self.cfg.trace_sample,
                     );
                     if let Some(serving) = serving {
+                        let count = |name| serving.cluster.metrics_registry().counter(name).get();
                         let _ = write!(
                             body,
-                            ",{},\"ledger_bytes\":{}",
+                            ",{},\"ledger_bytes\":{},\"dna_index\":{{\"probes\":{},\"candidates\":{}}}",
                             serving.ingest_json(),
-                            serving.cluster.ledger_bytes()
+                            serving.cluster.ledger_bytes(),
+                            count("mendel.dna_index.probes"),
+                            count("mendel.dna_index.candidates"),
                         );
                     }
                 }
@@ -907,6 +914,49 @@ mod tests {
         assert_eq!(status, 200);
         assert_eq!(number(&health, "blocks"), blocks, "{health}");
         assert!(health.contains("\"serving\":true"), "{health}");
+    }
+
+    /// A DNA process reports its node search's work — buckets probed and
+    /// windows checked — in `/healthz?verbose=1` and `/metrics`, and
+    /// nothing under `mendel_vptree_*`, which counts protein searches.
+    #[test]
+    fn a_dna_process_reports_its_index_work() {
+        if !loopback() {
+            return;
+        }
+        let state = state(
+            "--nodes 1 --groups 1 --replication 1 --dna --listen 127.0.0.1:0 --http 127.0.0.1:0",
+        );
+        let corpus = mendel_seq::gen::NrLikeSpec {
+            alphabet: Alphabet::Dna,
+            families: 4,
+            members_per_family: 2,
+            length_range: (300, 400),
+            seed: 0x41,
+            ..Default::default()
+        }
+        .generate()
+        .unwrap();
+        let fasta = mendel_seq::write_fasta(corpus.iter(), 60);
+        assert_eq!(call(&state, "POST", "/ingest", fasta.as_bytes()).0, 200);
+        let (_, health) = call(&state, "GET", "/healthz?verbose=1", b"");
+        assert!(
+            health.contains("\"dna_index\":{\"probes\":0,\"candidates\":0}"),
+            "{health}"
+        );
+        let query = parse_fasta_sequences(&fasta, Alphabet::Dna).unwrap()[0].to_ascii();
+        let (status, body) = call(&state, "POST", "/query", query.as_bytes());
+        assert_eq!(status, 200, "{body}");
+        let (_, health) = call(&state, "GET", "/healthz?verbose=1", b"");
+        let checked = number(&health, "candidates");
+        assert!(checked > 0, "{health}");
+        let (_, metrics) = call(&state, "GET", "/metrics", b"");
+        let counter = format!("\nmendel_dna_index_candidates {checked}\n");
+        assert!(metrics.contains(&counter), "{metrics}");
+        assert!(
+            metrics.contains("\nmendel_vptree_dist_calls 0\n"),
+            "{metrics}"
+        );
     }
 
     /// Once serving, every route answers 200, each trace format included;

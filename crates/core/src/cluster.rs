@@ -38,7 +38,7 @@ use mendel_obs::{
 };
 use mendel_seq::{Alphabet, ScoringMatrix, SeqStore, Sequence, WindowView};
 use mendel_store::{MemVfs, StoreMetrics, Vfs};
-use mendel_vptree::{GroupAssignment, SearchMetrics, VpPrefixTree};
+use mendel_vptree::{GroupAssignment, IndexMetrics, SearchMetrics, VpPrefixTree};
 use parking_lot::RwLock;
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::fmt::Write as _;
@@ -251,7 +251,8 @@ pub struct IngestProfile {
     /// writes every node's ledger slots and the hosted nodes' tree
     /// input.
     pub place: Duration,
-    /// The hosted nodes' vp-tree builds.
+    /// The hosted nodes' index builds: vp-trees for protein, pigeonhole
+    /// tables for DNA.
     pub tree: Duration,
     /// Threads pass 1 ran on.
     pub threads: usize,
@@ -466,7 +467,8 @@ impl MendelCluster {
 
     /// The one place a node slot is made (construction and
     /// [`Self::add_node`]): empty, wired to the cluster's shared
-    /// `mendel.vptree.*` counters, its store not yet open.
+    /// `mendel.vptree.*` and `mendel.dna_index.*` counters, its store not
+    /// yet open.
     fn new_slot(
         config: &ClusterConfig,
         db: &DbCell,
@@ -478,7 +480,10 @@ impl MendelCluster {
             NodeId(idx as u16),
             config,
             db.clone(),
-            SearchMetrics::registered(obs),
+            (
+                SearchMetrics::registered(obs),
+                IndexMetrics::registered(obs),
+            ),
             storage.clone(),
         ))
     }
@@ -522,7 +527,7 @@ impl MendelCluster {
     /// store already holds: vp-prefix dispersion to groups and SHA-1
     /// placement within groups ([`Self::route`], on every core), then
     /// one walk that records every copy in the ledger and cuts the
-    /// hosted nodes' blocks straight into their vp-trees' input
+    /// hosted nodes' blocks straight into their indexes' input
     /// ([`Self::route_and_place`]). Reports the first
     /// refusal: a routed group with no live member, or a node whose disk
     /// refused its batch.
@@ -1224,8 +1229,9 @@ impl MendelCluster {
     /// Incremental ingest (research challenge #1: "the collection of
     /// reference sequences ... continues to grow rapidly"): append
     /// sequences to the reference store and run the three-phase §V-A
-    /// indexing pipeline for just their blocks. Node-local vp-trees take
-    /// the batched §III-D insertion path. The vp-prefix hash function is
+    /// indexing pipeline for just their blocks. Protein nodes' vp-trees
+    /// take the batched §III-D insertion path; DNA nodes rebuild their
+    /// pigeonhole tables over all they hold. The vp-prefix hash function is
     /// *not* rebuilt — it was fixed at cluster construction, exactly so
     /// that placement stays stable under growth.
     // audit:allow(unreached): tests/end_to_end.rs, tests/chaos.rs and tests/durability.rs ingest through it; its product caller is ROADMAP item 7
@@ -1869,7 +1875,7 @@ mod tests {
                         assert!(slot.read().block_count() > 0, "{shape}: {n}");
                         assert_eq!(slot.read().block_keys(), want.read().block_keys());
                         assert_eq!(slot.read().blocks(), want.read().blocks(), "{shape}: {n}");
-                        assert_eq!(slot.tree_layout(), want.tree_layout(), "{shape}: {n}");
+                        assert_eq!(slot.index_layout(), want.index_layout(), "{shape}: {n}");
                     }
                     for down in &downs {
                         assert_eq!(
@@ -1893,7 +1899,8 @@ mod tests {
     /// Pass 2's walk builds each hosted node as the block path did:
     /// `make_blocks` over the corpus, kept where the ledger names the
     /// node, then `StorageNode::insert_blocks` into a fresh slot. Keys,
-    /// tree layout and a fixed query's node-search answers are equal on
+    /// index layout (a protein node's tree, a digest of a DNA node's
+    /// tables) and a fixed query's node-search answers are equal on
     /// both alphabets at `member_build_equals_the_full_builds_slot`'s
     /// shapes, for full and member builds.
     #[test]
@@ -1950,7 +1957,7 @@ mod tests {
                         let got = c.slot(n);
                         assert!(got.read().block_count() > 0, "{shape}: {n}");
                         assert_eq!(got.read().block_keys(), reference.read().block_keys());
-                        assert_eq!(got.tree_layout(), reference.tree_layout(), "{shape}: {n}");
+                        assert_eq!(got.index_layout(), reference.index_layout(), "{shape}: {n}");
                         let answer = search(&got);
                         assert_eq!(answer, search(&reference), "{shape}: {n}");
                         anchors += answer.0.len();
@@ -1963,6 +1970,64 @@ mod tests {
                 base.alphabet
             );
         }
+    }
+
+    /// A DNA node grown after its build — by `insert_sequences`, by the
+    /// `rebalance_group` a scale-out runs, and by replay from its durable
+    /// store after a kill — holds the tables one `insert_blocks` of its
+    /// blocks builds at once, and answers a query's node search as that
+    /// node does.
+    #[test]
+    fn a_grown_dna_node_answers_like_one_built_at_once() {
+        let db = dna_db();
+        let mut first = SeqStore::new();
+        for s in db.iter().take(4) {
+            first.insert(s.clone());
+        }
+        let config = ClusterConfig {
+            storage: StorageBackend::durable(),
+            ..ClusterConfig::small_dna()
+        };
+        let c = MendelCluster::build(config, Arc::new(first)).unwrap();
+        let params = QueryParams::dna();
+        let matrix = c.resolve_matrix(&params.m).unwrap();
+        let k = c.config.block_len;
+        let same_as_built_at_once = |when: &str| {
+            let query = db.get(SeqId(6)).unwrap().residues[40..340].to_vec();
+            let offsets = crate::query::subquery_offsets(query.len(), k, params.k);
+            let mut anchors = 0;
+            for (i, slot) in c.node_handles().iter().enumerate() {
+                let reference = MendelCluster::new_slot(&c.config, &c.db, &c.obs, &None, i);
+                reference.insert_blocks(slot.read().blocks());
+                assert!(slot.read().block_count() > 0, "{when}: node {i}");
+                assert_eq!(slot.read().block_keys(), reference.read().block_keys());
+                assert_eq!(
+                    slot.index_layout(),
+                    reference.index_layout(),
+                    "{when}: node {i}"
+                );
+                let search = |s: &NodeSlot| {
+                    let out = s
+                        .read()
+                        .local_search_many(&query, &offsets, k, &params, &matrix);
+                    (out.anchors, out.candidates)
+                };
+                let answer = search(slot);
+                assert_eq!(answer, search(&reference), "{when}: node {i}");
+                anchors += answer.0.len();
+            }
+            anchors
+        };
+        let inserted: Vec<Sequence> = db.iter().skip(4).cloned().collect();
+        c.insert_sequences(inserted).unwrap();
+        assert!(same_as_built_at_once("inserted") > 0, "the query anchors");
+        c.add_node();
+        same_as_built_at_once("rebalanced");
+        c.fail_node(NodeId(1)).unwrap();
+        c.recover_node(NodeId(1)).unwrap();
+        assert!(c.failed_nodes().is_empty());
+        same_as_built_at_once("replayed");
+        c.check_ledger().unwrap();
     }
 
     /// Pass 1 over k chunks, then pass 2's walk, gives every node the

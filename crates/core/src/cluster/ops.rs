@@ -97,7 +97,7 @@ impl MendelCluster {
             return Ok(());
         };
         // Durable backend: the process is restarting from disk — replay
-        // the WAL and rebuild the vp-tree before the node serves
+        // the WAL and rebuild the node's index before it serves
         // anything, and leave the failed set only once that worked.
         self.restore_node_from_disk(node, g)?;
         self.failed.write().remove(&node);

@@ -61,11 +61,13 @@ pub struct ClusterConfig {
     pub groups: usize,
     /// Residue alphabet of the indexed data.
     pub alphabet: Alphabet,
-    /// Block metric for every vp-tree in the cluster.
+    /// Block metric for the cluster's vp-trees: the protein nodes' and
+    /// the vp-prefix routing tree's.
     pub metric: MetricKind,
     /// Inverted-index block length (the indexing window, §V-A1).
     pub block_len: usize,
-    /// Leaf-bucket capacity of the node-local vp-trees (§III-D). A leaf
+    /// Leaf-bucket capacity of the protein nodes' vp-trees (§III-D); DNA
+    /// nodes index pigeonhole tables, which have none. A leaf
     /// is scored sixteen windows per lane-kernel call, a few ns a window,
     /// while each vertex a search visits costs a vantage distance and a
     /// frontier step; so the default, 256, is chosen with

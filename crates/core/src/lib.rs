@@ -13,7 +13,8 @@
 //!    and a flat SHA-1 hash balances blocks across the group
 //!    ([`cluster`], with the substrate in `mendel-dht`),
 //! 3. indexing each node's blocks in a local dynamic vantage-point tree
-//!    ([`node`]),
+//!    — on protein; a DNA node indexes its windows in pigeonhole tables,
+//!    exact at the identity filter's radius ([`node`]),
 //! 4. answering queries with a distributed nearest-neighbour search:
 //!    subquery decomposition, group fan-out, per-node k-NN with identity
 //!    and consecutivity filtering, anchor extension, two-stage diagonal

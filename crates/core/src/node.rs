@@ -1,4 +1,4 @@
-//! The storage node: one local vp-tree over its blocks + node-local
+//! The storage node: one local index over its blocks + node-local
 //! query evaluation (§V-A3 and the first half of §V-B).
 //!
 //! "Once an inverted index block reaches its destination storage node
@@ -6,6 +6,12 @@
 //! vp-tree ... implemented using dynamic update balancing. This
 //! memory-resident NNS structure serves as a starting point for queries
 //! to find high similarity segments."
+//!
+//! A protein node does exactly that. A DNA node indexes its windows in
+//! pigeonhole tables instead ([`PigeonholeIndex`]): Hamming distance on
+//! short windows takes so few values that a metric tree cannot prune to
+//! the handful of windows the identity filter passes, and the tables find
+//! all of them exactly (DESIGN.md §3).
 //!
 //! For anchor extension a node reads neighbouring sequence content
 //! through a shared [`SeqStore`] handle. In a wire deployment those reads
@@ -26,12 +32,12 @@ use crate::config::ClusterConfig;
 use crate::error::MendelError;
 use crate::metric::BlockMetric;
 use crate::params::QueryParams;
-use crate::query::{c_score, identity};
+use crate::query::{c_score, identity, identity_radius};
 use mendel_align::{extend_ungapped, Hsp};
 use mendel_dht::NodeId;
 use mendel_seq::{Alphabet, ScoringMatrix, SeqId, SeqStore, WindowView};
 use mendel_store::{DurableStore, StoreMetrics, StoreOptions, Vfs};
-use mendel_vptree::{SearchMetrics, VpTree};
+use mendel_vptree::{IndexMetrics, Neighbor, PigeonholeIndex, SearchMetrics, VpTree};
 use parking_lot::{Mutex, RwLock, RwLockReadGuard};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -43,17 +49,25 @@ pub type DbCell = Arc<RwLock<Arc<SeqStore>>>;
 
 /// One storage node's state.
 ///
-/// The vp-tree owns the blocks' windows, packed per leaf for the search;
-/// `keys` holds each block's compact `(seq, start)` at its insertion id.
-/// A block costs its key plus its window's bytes, once (DESIGN.md §10).
+/// The local index owns the blocks' windows — a vp-tree packs them per
+/// leaf, the DNA tables 2 bits a base — and `keys` holds each block's
+/// compact `(seq, start)` at its insertion id (DESIGN.md §10).
 pub struct StorageNode {
-    /// Each held block's key, at its tree insertion id.
+    /// Each held block's key, at its insertion id in `index`.
     keys: Vec<BlockKey>,
-    tree: VpTree<BlockMetric>,
+    index: LocalIndex,
     /// Read path to sequence content for anchor extension (models the
     /// zero-hop block-fetch path; see module docs).
     db: DbCell,
     alphabet: Alphabet,
+}
+
+/// A node's local index, chosen by its alphabet.
+enum LocalIndex {
+    /// Protein: the paper's vp-tree, searched on a distance-call budget.
+    Tree(VpTree<BlockMetric>),
+    /// DNA: pigeonhole tables, exact at the identity filter's radius.
+    Dna(PigeonholeIndex),
 }
 
 /// `(subject, diagonal)` → query range already covered by an anchor.
@@ -97,7 +111,8 @@ pub struct LocalSearchOutput {
 }
 
 impl StorageNode {
-    /// An empty node.
+    /// An empty node: a vp-tree under `metric` (leaf `bucket_capacity`,
+    /// vantage `seed`) for protein, pigeonhole tables for DNA.
     pub fn new(
         metric: BlockMetric,
         bucket_capacity: usize,
@@ -105,9 +120,13 @@ impl StorageNode {
         alphabet: Alphabet,
         seed: u64,
     ) -> Self {
+        let index = match alphabet {
+            Alphabet::Protein => LocalIndex::Tree(VpTree::new(metric, bucket_capacity, seed)),
+            Alphabet::Dna => LocalIndex::Dna(PigeonholeIndex::default()),
+        };
         StorageNode {
             keys: Vec::new(),
-            tree: VpTree::new(metric, bucket_capacity, seed),
+            index,
             db,
             alphabet,
         }
@@ -117,15 +136,26 @@ impl StorageNode {
     /// counters still attached.
     pub fn clear(&mut self) {
         self.keys.clear();
-        self.tree.clear();
+        match &mut self.index {
+            LocalIndex::Tree(tree) => tree.clear(),
+            LocalIndex::Dna(index) => index.clear(),
+        }
     }
 
-    /// Phase 3 of indexing: index a batch of blocks in the local vp-tree
-    /// — `keys`, and their windows packed back to back in `windows` — and
-    /// record the keys under the same insertion ids. The tree takes
-    /// `windows` as its build's staging (the §III-D batch path,
-    /// [`VpTree::insert_windows`]), so a block costs its 8-byte
-    /// `(seq, start)` key plus its window.
+    /// Windows the local index holds.
+    fn indexed(&self) -> usize {
+        match &self.index {
+            LocalIndex::Tree(tree) => tree.len(),
+            LocalIndex::Dna(index) => index.len(),
+        }
+    }
+
+    /// Phase 3 of indexing: index a batch of blocks locally — `keys`, and
+    /// their windows packed back to back in `windows` — and record the
+    /// keys under the same insertion ids. The index takes `windows` as its
+    /// build's staging (the vp-tree's §III-D batch path,
+    /// [`VpTree::insert_windows`], or one counting sort into the DNA
+    /// tables, [`PigeonholeIndex::insert_windows`]).
     pub fn insert_windows(&mut self, keys: Vec<BlockKey>, windows: Vec<u8>) {
         if keys.is_empty() {
             return;
@@ -136,21 +166,32 @@ impl StorageNode {
         } else {
             self.keys.extend(keys);
         }
-        self.tree.insert_windows(windows, len);
-        debug_assert_eq!(self.keys.len(), self.tree.len());
+        match &mut self.index {
+            LocalIndex::Tree(tree) => {
+                tree.insert_windows(windows, len);
+            }
+            LocalIndex::Dna(index) => {
+                index.insert_windows(windows, len);
+            }
+        }
+        debug_assert_eq!(self.keys.len(), self.indexed());
         #[cfg(feature = "strict-invariants")]
         {
-            if self.keys.len() != self.tree.len() {
+            if self.keys.len() != self.indexed() {
                 // audit:allow(panic): strict-invariants mode aborts on accounting corruption by design.
                 panic!(
-                    "storage-node ingest left {} keys for {} tree points",
+                    "storage-node ingest left {} keys for {} indexed windows",
                     self.keys.len(),
-                    self.tree.len()
+                    self.indexed()
                 );
             }
-            if let Err(e) = self.tree.check_invariants() {
+            let checked = match &self.index {
+                LocalIndex::Tree(tree) => tree.check_invariants(),
+                LocalIndex::Dna(index) => index.check_invariants(),
+            };
+            if let Err(e) = checked {
                 // audit:allow(panic): strict-invariants mode aborts on structural corruption by design.
-                panic!("storage-node ingest violated vp-tree invariants: {e}");
+                panic!("storage-node ingest violated its index's invariants: {e}");
             }
         }
     }
@@ -166,11 +207,16 @@ impl StorageNode {
         self.insert_windows(keys, windows);
     }
 
-    /// Install shared vp-tree search counters (e.g. one
-    /// [`mendel_vptree::SearchMetrics::registered`] bundle cloned across
-    /// all nodes, aggregating cluster-wide). Survives dynamic rebuilds.
-    pub fn set_search_metrics(&mut self, metrics: mendel_vptree::SearchMetrics) {
-        self.tree.set_metrics(metrics);
+    /// Install shared search counters (e.g. one
+    /// [`SearchMetrics::registered`] and one [`IndexMetrics::registered`]
+    /// bundle cloned across all nodes, aggregating cluster-wide): a
+    /// protein node counts into `tree`, a DNA node into `dna`. Survives
+    /// rebuilds.
+    pub fn set_search_metrics(&mut self, tree: SearchMetrics, dna: IndexMetrics) {
+        match &mut self.index {
+            LocalIndex::Tree(t) => t.set_metrics(tree),
+            LocalIndex::Dna(index) => index.set_metrics(dna),
+        }
     }
 
     /// Number of blocks held.
@@ -179,13 +225,21 @@ impl StorageNode {
     }
 
     /// Bytes held: each block's 8-byte `(seq, start)` key plus its
-    /// window's bytes in the tree (DESIGN.md §10).
+    /// window's bytes (DESIGN.md §10).
     pub fn stored_bytes(&self) -> u64 {
-        (self.keys.len() * (std::mem::size_of::<BlockKey>() + self.tree.window_len())) as u64
+        (self.keys.len() * (std::mem::size_of::<BlockKey>() + self.window_len())) as u64
+    }
+
+    /// Residues a held window has (0 while empty).
+    fn window_len(&self) -> usize {
+        match &self.index {
+            LocalIndex::Tree(tree) => tree.window_len(),
+            LocalIndex::Dna(index) => index.window_len(),
+        }
     }
 
     /// All blocks, in insertion order (rebalance path): the keys plus
-    /// the tree's windows. A window the reference store holds at its key
+    /// the index's windows. A window the reference store holds at its key
     /// is a view of that sequence, one shared copy per sequence, so a
     /// re-placed block persists into the sequence's stored blob just as
     /// its first ingest did; any other window (a block whose sequence the
@@ -193,7 +247,11 @@ impl StorageNode {
     pub fn blocks(&self) -> Vec<Block> {
         let db = self.db.read().clone();
         let mut seqs: HashMap<SeqId, Option<Arc<[u8]>>> = HashMap::new();
-        let (windows, len) = (self.tree.windows(), self.tree.window_len());
+        let windows = match &self.index {
+            LocalIndex::Tree(tree) => tree.windows(),
+            LocalIndex::Dna(index) => index.windows(),
+        };
+        let len = self.window_len();
         self.keys
             .iter()
             .enumerate()
@@ -226,7 +284,10 @@ impl StorageNode {
 
     /// Evaluate one request's subquery windows against this node (§V-B):
     ///
-    /// 1. vp-tree k-NN for the `n` nearest blocks per subquery,
+    /// 1. the `n` nearest blocks per subquery: a protein node's vp-tree
+    ///    k-NN on its distance-call budget; a DNA node's exact k-NN within
+    ///    the identity filter's Hamming radius, which the identity filter
+    ///    then passes whole,
     /// 2. percent-identity and c-score filtering,
     /// 3. ungapped anchor extension through neighbouring content, with
     ///    per-diagonal coverage tracking so consecutive subqueries that
@@ -258,24 +319,38 @@ impl StorageNode {
         let mut out = LocalSearchOutput::default();
         // (subject, diagonal) → query range already covered by an anchor.
         let mut covered: CoveredMap = CoveredMap::new();
-        for &offset in offsets {
-            let window = &query[offset..offset + block_len];
-            let neighbors = self
-                .tree
-                .knn_with_budget(window, params.n, params.search_budget);
-            self.eval_subquery(&cx, offset, neighbors, &mut covered, &mut out);
+        match &self.index {
+            LocalIndex::Tree(tree) => {
+                for &offset in offsets {
+                    let window = &query[offset..offset + block_len];
+                    let neighbors = tree.knn_with_budget(window, params.n, params.search_budget);
+                    self.eval_subquery(&cx, offset, neighbors, false, &mut covered, &mut out);
+                }
+            }
+            LocalIndex::Dna(index) => {
+                // No window passes when not even an equal one does.
+                if let Some(radius) = identity_radius(block_len, params.i) {
+                    let found = index.search(query, offsets, params.n, radius);
+                    for (&offset, neighbors) in offsets.iter().zip(found) {
+                        self.eval_subquery(&cx, offset, neighbors, true, &mut covered, &mut out);
+                    }
+                }
+            }
         }
         finish_output(&mut out);
         out
     }
 
     /// Evaluate one subquery's k-NN candidates: §V-B filtering, coverage
-    /// tracking, and ungapped anchor extension.
+    /// tracking, and ungapped anchor extension. `identical_enough` says
+    /// the search already held every candidate to the identity filter's
+    /// radius.
     fn eval_subquery(
         &self,
         cx: &SubqueryCtx<'_>,
         offset: usize,
-        neighbors: Vec<mendel_vptree::Neighbor>,
+        neighbors: Vec<Neighbor>,
+        identical_enough: bool,
         covered: &mut CoveredMap,
         out: &mut LocalSearchOutput,
     ) {
@@ -310,7 +385,7 @@ impl StorageNode {
                     continue;
                 };
                 // §V-B candidate measures.
-                if identity(window, cand) < params.i {
+                if !identical_enough && identity(window, cand) < params.i {
                     continue;
                 }
                 if c_score(window, cand, positive) < params.c {
@@ -409,7 +484,7 @@ impl NodeSlot {
         id: NodeId,
         config: &ClusterConfig,
         db: DbCell,
-        counters: SearchMetrics,
+        counters: (SearchMetrics, IndexMetrics),
         stores: Option<Arc<NodeStores>>,
     ) -> Self {
         let mut ram = StorageNode::new(
@@ -419,7 +494,7 @@ impl NodeSlot {
             config.alphabet,
             config.seed ^ (id.0 as u64 + 1),
         );
-        ram.set_search_metrics(counters);
+        ram.set_search_metrics(counters.0, counters.1);
         NodeSlot {
             id,
             ram: RwLock::new(ram),
@@ -603,16 +678,27 @@ impl NodeSlot {
         }
     }
 
-    /// The node's vp-tree as `Debug` prints it, its search counters
-    /// detached: two slots with equal layouts print equal strings.
+    /// The node's local index, counters left out: a protein node's
+    /// vp-tree as `Debug` prints it, a DNA node's tables as a digest of
+    /// their content. Two slots with equal layouts give equal strings.
     #[cfg(test)]
-    pub(crate) fn tree_layout(&self) -> String {
+    pub(crate) fn index_layout(&self) -> String {
+        use std::hash::{Hash, Hasher};
         let mut ram = self.ram.write();
-        let counters = ram.tree.search_metrics().clone();
-        ram.tree.set_metrics(SearchMetrics::default());
-        let layout = format!("{:?}", ram.tree);
-        ram.tree.set_metrics(counters);
-        layout
+        match &mut ram.index {
+            LocalIndex::Tree(tree) => {
+                let counters = tree.search_metrics().clone();
+                tree.set_metrics(SearchMetrics::default());
+                let layout = format!("{tree:?}");
+                tree.set_metrics(counters);
+                layout
+            }
+            LocalIndex::Dna(index) => {
+                let mut h = std::collections::hash_map::DefaultHasher::new();
+                index.hash(&mut h);
+                format!("{} windows, digest {:016x}", index.len(), h.finish())
+            }
+        }
     }
 
     /// Every key the ledger should record on this node: what its RAM

@@ -25,7 +25,7 @@ pub struct QueryParams {
     /// "rather than of size one, to reduce the amplification of the
     /// subqueries" (§V-B).
     pub k: usize,
-    /// `n` — nearest neighbours fetched from each local vp-tree.
+    /// `n` — nearest neighbours fetched from each node's local index.
     pub n: usize,
     /// `i` — minimum percent identity for a candidate block.
     pub i: f32,
@@ -56,8 +56,11 @@ pub struct QueryParams {
     /// score of a match below the threshold"; anchors that never reach
     /// this score are chance k-NN neighbours, not seeds).
     pub min_anchor_score: i32,
-    /// Per-subquery distance-call budget for each node-local vp-tree
-    /// search. Short-window distances concentrate, so exact k-NN
+    /// Per-subquery distance-call budget for each protein node's vp-tree
+    /// search; DNA nodes do not read it, since their pigeonhole index
+    /// finds every window within the identity filter's radius exactly
+    /// (DESIGN.md §3). DNA's default is kept so a parameter set encodes
+    /// as before. Short-window distances concentrate, so exact k-NN
     /// degenerates to a scan of the node's whole tree; the best-first
     /// traversal spends this budget on the subtrees nearest the query
     /// (see `VpTree::knn_with_budget`). The defaults (2,048 protein,

@@ -106,13 +106,54 @@ pub fn identity(query_win: &[u8], cand_win: &[u8]) -> f32 {
         .zip(cand_win)
         .filter(|(a, b)| a == b)
         .count();
-    same as f32 / query_win.len() as f32
+    identity_of(same, query_win.len())
+}
+
+/// [`identity`] of two `len`-residue windows equal at `same` positions.
+fn identity_of(same: usize, len: usize) -> f32 {
+    same as f32 / len as f32
+}
+
+/// The identity filter's Hamming radius: the most mismatches two
+/// `len`-residue windows can have and still pass `identity ≥ min`, read
+/// off [`identity`]'s own expression so no rounding differs; `None` when
+/// not even equal windows pass. ⌊(1 − 0.70) · 16⌋ = 4 at the DNA
+/// defaults.
+pub fn identity_radius(len: usize, min: f32) -> Option<usize> {
+    if len == 0 {
+        return None;
+    }
+    (0..=len).rev().find(|&d| identity_of(len - d, len) >= min)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use mendel_seq::Alphabet;
+
+    #[test]
+    fn the_radius_is_the_most_mismatches_the_filter_passes() {
+        assert_eq!(identity_radius(16, 0.70), Some(4));
+        assert_eq!(identity_radius(16, 0.50), Some(8));
+        assert_eq!(identity_radius(16, 0.85), Some(2));
+        assert_eq!(identity_radius(16, 0.0), Some(16));
+        assert_eq!(identity_radius(16, 1.0), Some(0));
+        assert_eq!(identity_radius(16, 1.5), None);
+        assert_eq!(identity_radius(0, 0.5), None);
+        for len in 1..=40 {
+            for i in [0.3f32, 0.6, 0.7, 0.75, 0.8, 0.9] {
+                let r = identity_radius(len, i).unwrap();
+                let window = vec![0u8; len];
+                let mut other = window.clone();
+                other[..r].fill(1);
+                assert!(identity(&window, &other) >= i, "{len} {i}");
+                if r < len {
+                    other[r] = 1;
+                    assert!(identity(&window, &other) < i, "{len} {i}");
+                }
+            }
+        }
+    }
 
     #[test]
     fn offsets_cover_query_with_step() {

@@ -291,12 +291,13 @@ impl<M: Metric<[u8]>> VpTree<M> {
         };
         self.nodes.clear();
         self.vantages.clear();
+        // Ids are positions: the staging names none.
         let staged = Staged {
-            ids: (0..self.len as u32).collect(),
+            ids: Vec::new(),
             bytes,
         };
         let mut rng = ChaCha8Rng::seed_from_u64(self.seed ^ (self.rebuild_count as u64) << 17);
-        let mut items = staged.ids.clone();
+        let mut items: Vec<u32> = (0..self.len as u32).collect();
         self.root = self.build_rec(&mut items, &staged, &mut rng);
     }
 

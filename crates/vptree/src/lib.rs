@@ -12,21 +12,27 @@
 //! * [`prefix`] — the vp-*prefix* tree of §III-E/F: a depth-limited
 //!   vp-tree whose root-to-node binary paths act as a locality-sensitive
 //!   hash, including multi-group fan-out when a query ball straddles a
-//!   partition boundary.
+//!   partition boundary,
+//! * [`pigeonhole`] — the DNA node index that replaces the vp-tree on
+//!   DNA storage nodes: pigeonhole tables over 8-base parts, exact at the
+//!   identity filter's Hamming radius.
 //!
 //! A [`VpTree`] indexes fixed-length byte windows, which it owns, under
-//! any [`mendel_seq::Metric`] over `[u8]`, so the same structure indexes
-//! DNA blocks under Hamming distance and protein blocks under the Mendel
-//! BLOSUM62-derived distance. The vp-prefix tree is generic over its
-//! point type.
+//! any [`mendel_seq::Metric`] over `[u8]`: protein blocks under the
+//! Mendel BLOSUM62-derived distance on storage nodes, and windows of
+//! either alphabet wherever a caller builds one (the ablation bins, the
+//! benchmark's layer probes). The vp-prefix tree is generic over its
+//! point type and routes both alphabets.
 
 pub mod dynamic;
 pub mod knn;
 pub mod metrics;
+pub mod pigeonhole;
 pub mod prefix;
 pub mod tree;
 
 pub use knn::{brute_force_knn, Neighbor};
 pub use metrics::SearchMetrics;
+pub use pigeonhole::{IndexMetrics, PigeonholeIndex};
 pub use prefix::{GroupAssignment, VpPrefixTree};
 pub use tree::{VpTree, VpTreeStats};

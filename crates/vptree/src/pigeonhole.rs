@@ -1,0 +1,1004 @@
+//! Exact Hamming search over DNA windows by the pigeonhole principle.
+//!
+//! A window of `L` bases is cut into `p = ⌈L/8⌉` parts of at most 8
+//! bases. If it lies within Hamming distance `r` of a query window, one
+//! of its parts `t` lies within `b_t` of the query's part at the same
+//! place, for any radii with `Σ (b_t + 1) = r + 1`: parts that each
+//! differ in more than their `b_t` bases differ in more than `r` in all.
+//! So a table per part, keyed by the part's bases 2 bits each (4⁸ =
+//! 65,536 keys), finds every window within `r` by looking up the keys
+//! within `b_t` of each query part and checking what they hold. This is
+//! the exact form of the k-mer LSH of Sunarso et al. (PAPERS.md). At
+//! 16-base windows and `r` = 4 the even split, 2 and 2, looks up 277 keys
+//! in each table; the split that looks up the fewest, 2 and 1, takes 277
+//! and 25 (`PigeonholeIndex::plan`).
+//!
+//! The tables are one CSR array: the bucket of part `t` under key `k` is
+//! bucket `k·p + t`, so the buckets one key names in every table are
+//! adjacent, and a request whose subquery windows share an 8-base run
+//! (at stride 8, one window's second half is the next one's first) probes
+//! that run once for both. An entry is the window's insertion id followed
+//! by the whole window, 2 bits a base, so a candidate is checked with an
+//! XOR and a popcount where the bucket already put it in cache.
+//!
+//! Bytes outside `A`, `C`, `G`, `T` (codes 0–3; `N` is 4) match only
+//! themselves, as `identity` counts them. A window holding one is
+//! *wild*: it is packed with `A` in their place, which is never farther
+//! from a query base than the true byte, so its parts are found wherever
+//! the true window's would be; its entry names it in a side list that
+//! keeps its bytes, and a candidate check reads them. A query byte
+//! outside 0–3 is a mismatch against every packed base, so a probe takes
+//! all four keys there at a cost of one; a query window holding one
+//! checks the wild windows byte by byte instead of through the tables,
+//! where an `N` against an `N` would count a mismatch it is not. Every
+//! search is exact: its answer is brute-force k-NN cut to the radius.
+
+use crate::knn::{KnnHeap, Neighbor};
+use mendel_obs::{Counter, Registry};
+use std::hash::{Hash, Hasher};
+use std::ops::Range;
+use std::sync::{Arc, OnceLock};
+
+/// Bases a part holds at most: a key is one part's bases, 2 bits each.
+const PART: usize = 8;
+/// Keys of one table: 4⁸.
+const KEYS: usize = 1 << (2 * PART);
+/// Bases one packed word holds.
+const BASES_PER_WORD: usize = 16;
+/// Set in an entry's first word when the rest of it indexes the wild
+/// list, not the id space.
+const WILD: u32 = 1 << 31;
+/// Adjacent keys the build moves entries into together: a group's
+/// buckets, in every part, fit in cache.
+const GROUP: usize = 256;
+/// Keys a probe asks for its entries ahead of checking them (and twice
+/// as far ahead, for their bounds).
+const AHEAD: usize = 8;
+/// What one bucket lookup costs, in candidate checks: the two loads of
+/// its bounds and its first entry are misses a scan does not take.
+const PROBE_COST: usize = 4;
+
+/// Shared counters of the DNA node search (`mendel.dna_index.*`): one
+/// bundle is cloned across a cluster's nodes, as the vp-tree's
+/// [`crate::SearchMetrics`] are. Default handles are detached.
+#[derive(Debug, Clone, Default)]
+pub struct IndexMetrics {
+    /// Buckets looked up.
+    pub probes: Arc<Counter>,
+    /// Windows checked against a query window: what the probed buckets
+    /// held, the wild windows a wild query window reads, and every window
+    /// of a scan.
+    pub candidates: Arc<Counter>,
+}
+
+impl IndexMetrics {
+    /// Counters registered under `mendel.dna_index.*` in `registry`.
+    pub fn registered(registry: &Registry) -> Self {
+        let scope = registry.scoped("mendel.dna_index");
+        IndexMetrics {
+            probes: scope.counter("probes"),
+            candidates: scope.counter("candidates"),
+        }
+    }
+}
+
+/// Pigeonhole tables over fixed-length DNA windows (see the module
+/// docs). Windows are named by insertion id, `i` for the `i`-th window
+/// given; a batch rebuilds the tables over every window held, so a grown
+/// index equals one built over the same windows at once.
+#[derive(Debug, Default)]
+pub struct PigeonholeIndex {
+    /// Bases a window holds; 0 until the first window.
+    width: usize,
+    /// Windows held: their ids are `0..count`.
+    count: usize,
+    /// CSR bounds: bucket `k·parts + t` holds the entries
+    /// `starts[b] .. starts[b + 1]`, those whose part `t` has key `k`, in
+    /// id order.
+    starts: Vec<u32>,
+    /// Entries back to back, `1 + words` each: the id (or [`WILD`] and a
+    /// wild-list position), then the window packed 2 bits a base, base `i`
+    /// at bit `2·(i mod 16)` of word `i / 16`.
+    entries: Vec<u32>,
+    /// Ids of the wild windows, ascending.
+    wild_ids: Vec<u32>,
+    /// Their bytes, back to back.
+    wild: Vec<u8>,
+    obs: IndexMetrics,
+}
+
+/// The content of the tables; the counters are not part of it.
+impl Hash for PigeonholeIndex {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.width.hash(state);
+        self.count.hash(state);
+        self.starts.hash(state);
+        self.entries.hash(state);
+        self.wild_ids.hash(state);
+        self.wild.hash(state);
+    }
+}
+
+/// Every byte of a word whose code is outside 0–3 has a bit here.
+const WILD_BITS: u64 = 0xFCFC_FCFC_FCFC_FCFC;
+
+/// The 2-bit codes of 8 bytes, each 0–3, packed: byte `i` at bit `2i`.
+#[inline]
+fn pack8(x: u64) -> u32 {
+    let x = (x | x >> 6) & 0x000F_000F_000F_000F;
+    let x = (x | x >> 12) & 0x0000_00FF_0000_00FF;
+    ((x | x >> 24) & 0xFFFF) as u32
+}
+
+/// [`pack8`] undone: 8 codes, one a byte.
+#[inline]
+fn unpack8(v: u32) -> u64 {
+    let x = u64::from(v);
+    let x = (x | x << 24) & 0x0000_00FF_0000_00FF;
+    let x = (x | x << 12) & 0x000F_000F_000F_000F;
+    (x | x << 6) & 0x0303_0303_0303_0303
+}
+
+/// Start loading `*target` into cache: a hint, with no effect on what the
+/// program computes (and none at all off x86_64).
+#[inline]
+fn prefetch<T>(target: Option<&T>) {
+    #[cfg(target_arch = "x86_64")]
+    if let Some(target) = target {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        // SAFETY: SSE is part of the x86_64 baseline, and a prefetch reads
+        // nothing the program sees; the address is a live reference.
+        unsafe { _mm_prefetch::<_MM_HINT_T0>((target as *const T).cast()) };
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = target;
+}
+
+/// Up to 8 bytes as one little-endian word.
+#[inline]
+fn word(bytes: &[u8]) -> u64 {
+    bytes.iter().rev().fold(0, |x, &b| x << 8 | u64::from(b))
+}
+
+/// Pack `window` into `out` (⌈len/16⌉ words), `A` standing in for a byte
+/// outside 0–3; returns whether there was one.
+fn pack(window: &[u8], out: &mut [u32]) -> bool {
+    out.fill(0);
+    let mut chunks = window.chunks_exact(PART);
+    let mut wild = false;
+    for (j, chunk) in chunks.by_ref().enumerate() {
+        let mut x = word(chunk);
+        if x & WILD_BITS != 0 {
+            wild = true;
+            let tame = chunk.iter().rev().map(|&c| if c > 3 { 0 } else { c });
+            x = tame.fold(0, |x, c| x << 8 | u64::from(c));
+        }
+        out[j / 2] |= pack8(x) << (16 * (j % 2));
+    }
+    let at = window.len() - chunks.remainder().len();
+    for (i, &b) in chunks
+        .remainder()
+        .iter()
+        .enumerate()
+        .map(|(i, b)| (at + i, b))
+    {
+        if b > 3 {
+            wild = true;
+            continue;
+        }
+        out[i / BASES_PER_WORD] |= u32::from(b) << (2 * (i % BASES_PER_WORD));
+    }
+    wild
+}
+
+/// Positions where two windows differ: per 8 bytes, the high bit of
+/// each nonzero byte of their XOR, counted.
+fn mismatches(a: &[u8], b: &[u8]) -> u32 {
+    const LOW7: u64 = 0x7F7F_7F7F_7F7F_7F7F;
+    let (mut ca, mut cb) = (a.chunks_exact(8), b.chunks_exact(8));
+    let mut d = 0;
+    for (x, y) in ca.by_ref().zip(cb.by_ref()) {
+        let diff = word(x) ^ word(y);
+        d += ((((diff & LOW7) + LOW7) | diff) & !LOW7).count_ones();
+    }
+    let rest = ca.remainder().iter().zip(cb.remainder());
+    d + rest.filter(|(x, y)| x != y).count() as u32
+}
+
+/// Keys within `b` of a run of `m` bases: `Σ_{i ≤ b} C(m, i)·3^i`, 0 for
+/// no radius.
+fn near_count(m: usize, b: Option<usize>) -> usize {
+    let Some(b) = b else { return 0 };
+    let mut keys = 0;
+    let mut ways = 1; // C(m, i) · 3^i
+    for i in 0..=b.min(m) {
+        keys += ways;
+        ways = ways * (m - i) / (i + 1) * 3;
+    }
+    keys
+}
+
+/// The keys within `b` of an all-`A` run of `m` bases: the XOR patterns
+/// that take any run of that length without other bytes to its keys
+/// within `b`. Made once per process and `(m, b)`, in ascending order: a
+/// run's keys then come grouped by their high bases, so neighbouring
+/// probes read neighbouring buckets (sorting each run's keys instead
+/// cost more than it saved).
+fn deltas(m: usize, b: usize) -> &'static [u32] {
+    static DELTAS: [[OnceLock<Vec<u32>>; PART + 1]; PART + 1] =
+        [const { [const { OnceLock::new() }; PART + 1] }; PART + 1];
+    DELTAS[m][b.min(m)].get_or_init(|| {
+        let mut d = Vec::new();
+        near_keys(&[0; PART][..m], b, &mut d);
+        d.sort_unstable();
+        d
+    })
+}
+
+/// Every key within `budget` of `mer` (at most [`PART`] bases, one code a
+/// byte): a base from 0–3 keeps its value for free or takes another for
+/// one; any other byte takes each of the four for one.
+fn near_keys(mer: &[u8], budget: usize, out: &mut Vec<u32>) {
+    fn walk(mer: &[u8], i: usize, key: u32, left: usize, out: &mut Vec<u32>) {
+        let Some(&c) = mer.get(i) else {
+            out.push(key);
+            return;
+        };
+        let shift = 2 * i;
+        if c < 4 {
+            walk(mer, i + 1, key | u32::from(c) << shift, left, out);
+        }
+        if left > 0 {
+            for v in (0..4u8).filter(|&v| v != c) {
+                walk(mer, i + 1, key | u32::from(v) << shift, left - 1, out);
+            }
+        }
+    }
+    walk(mer, 0, 0, budget, out);
+}
+
+/// A request's query windows, packed once: per window `words` packed
+/// words, as many masks with the low bit of each 0–3 base set, and its
+/// count of other bytes in all and per part.
+struct Queries<'q> {
+    windows: Vec<&'q [u8]>,
+    words: usize,
+    parts: usize,
+    packed: Vec<u32>,
+    care: Vec<u32>,
+    wild: Vec<u32>,
+    wild_parts: Vec<u32>,
+}
+
+impl<'q> Queries<'q> {
+    fn new(windows: Vec<&'q [u8]>, words: usize, parts: usize) -> Self {
+        let mut q = Queries {
+            words,
+            parts,
+            packed: vec![0; windows.len() * words],
+            care: vec![0; windows.len() * words],
+            wild: Vec::with_capacity(windows.len()),
+            wild_parts: vec![0; windows.len() * parts],
+            windows,
+        };
+        for (w, window) in q.windows.iter().enumerate() {
+            for (i, &b) in window.iter().enumerate() {
+                let word = w * words + i / BASES_PER_WORD;
+                let shift = 2 * (i % BASES_PER_WORD);
+                if b < 4 {
+                    q.packed[word] |= u32::from(b) << shift;
+                    q.care[word] |= 1 << shift;
+                } else {
+                    q.wild_parts[w * parts + i / PART] += 1;
+                }
+            }
+            q.wild.push(q.wild_parts[w * parts..][..parts].iter().sum());
+        }
+        q
+    }
+
+    /// Hamming distance from window `w` to the packed window `x`.
+    #[inline]
+    fn dist(&self, w: usize, x: &[u32]) -> u32 {
+        let at = w * self.words;
+        let mut d = self.wild[w];
+        for ((&q, &care), &x) in self.packed[at..].iter().zip(&self.care[at..]).zip(x) {
+            let diff = q ^ x;
+            d += ((diff | diff >> 1) & care).count_ones();
+        }
+        d
+    }
+
+    /// Hamming distance from part `t` of window `w` to that of `x`.
+    #[inline]
+    fn part_dist(&self, w: usize, t: usize, x: &[u32]) -> u32 {
+        let (word, shift) = (t / 2, 16 * (t % 2));
+        let at = w * self.words + word;
+        let diff = (self.packed[at] ^ x[word]) >> shift;
+        let care = (self.care[at] >> shift) & 0xFFFF;
+        ((diff | diff >> 1) & care).count_ones() + self.wild_parts[w * self.parts + t]
+    }
+}
+
+impl PigeonholeIndex {
+    /// An empty index whose searches count into `obs`.
+    pub fn new(obs: IndexMetrics) -> Self {
+        PigeonholeIndex {
+            obs,
+            ..Self::default()
+        }
+    }
+
+    /// Windows held.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.count
+    }
+
+    /// True when no window is held.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.count == 0
+    }
+
+    /// Bases a window holds (0 while empty).
+    #[inline]
+    pub fn window_len(&self) -> usize {
+        self.width
+    }
+
+    /// Count into `obs` from now on.
+    pub fn set_metrics(&mut self, obs: IndexMetrics) {
+        self.obs = obs;
+    }
+
+    /// Forget every window; the counters stay.
+    pub fn clear(&mut self) {
+        *self = Self::new(self.obs.clone());
+    }
+
+    fn parts(&self) -> usize {
+        self.width.div_ceil(PART)
+    }
+
+    fn words(&self) -> usize {
+        self.width.div_ceil(BASES_PER_WORD)
+    }
+
+    /// Bases of part `t`.
+    fn part_len(&self, t: usize) -> usize {
+        PART.min(self.width - PART * t)
+    }
+
+    /// Index windows `len` bytes long, packed back to back in `windows`:
+    /// they take the next insertion ids in order, returned. The tables
+    /// are rebuilt over everything held.
+    ///
+    /// # Panics
+    /// Panics when `len` is 0, `windows` is not whole windows, or `len`
+    /// differs from the length of the windows the index holds.
+    pub fn insert_windows(&mut self, windows: Vec<u8>, len: usize) -> Range<u32> {
+        assert!(len > 0, "indexed windows must be non-empty");
+        assert_eq!(windows.len() % len, 0, "a batch is whole windows");
+        let start = self.count as u32;
+        if windows.is_empty() {
+            return start..start;
+        }
+        let all = if self.count == 0 {
+            self.width = len;
+            windows
+        } else {
+            assert_eq!(len, self.width, "indexed windows must share one length");
+            let mut all = self.windows();
+            all.extend_from_slice(&windows);
+            all
+        };
+        self.build(all);
+        start..self.count as u32
+    }
+
+    /// Rebuild the tables over `all`, the windows of ids `0..`: pack each
+    /// window once, count the buckets, then per part move the entries
+    /// into groups of [`GROUP`] adjacent keys and each group into its
+    /// buckets. Every move writes near the one before it, where one
+    /// scatter straight into 2·4⁸ buckets would miss the cache on nearly
+    /// every entry.
+    fn build(&mut self, all: Vec<u8>) {
+        let (len, parts, words) = (self.width, self.parts(), self.words());
+        let stride = 1 + words;
+        let count = all.len() / len;
+        let mut packed = vec![0u32; count * words];
+        let mut wild_ids = Vec::new();
+        let mut wild = Vec::new();
+        for (id, (window, x)) in all
+            .chunks_exact(len)
+            .zip(packed.chunks_exact_mut(words))
+            .enumerate()
+        {
+            if pack(window, x) {
+                wild_ids.push(id as u32);
+                wild.extend_from_slice(window);
+            }
+        }
+        drop(all);
+        self.count = count;
+        let mut starts = vec![0u32; KEYS * parts + 1];
+        for x in packed.chunks_exact(words) {
+            for t in 0..parts {
+                starts[self.key(x, t) * parts + t] += 1;
+            }
+        }
+        // Exclusive prefix sums; each start then serves as its bucket's
+        // fill cursor, and ends one bucket late.
+        let mut sum = 0;
+        for s in &mut starts {
+            let n = *s;
+            *s = sum;
+            sum += n;
+        }
+        let mut entries = vec![0u32; count * parts * stride];
+        let mut grouped = vec![0u32; count * stride];
+        for t in 0..parts {
+            let mut at = vec![0u32; KEYS / GROUP + 1];
+            for x in packed.chunks_exact(words) {
+                at[self.key(x, t) / GROUP + 1] += 1;
+            }
+            for g in 1..at.len() {
+                at[g] += at[g - 1];
+            }
+            let mut wild_at = 0;
+            for (id, x) in packed.chunks_exact(words).enumerate() {
+                let mut name = id as u32;
+                if wild_ids.get(wild_at) == Some(&name) {
+                    name = WILD | wild_at as u32;
+                    wild_at += 1;
+                }
+                let cursor = &mut at[self.key(x, t) / GROUP];
+                let to = *cursor as usize * stride;
+                *cursor += 1;
+                grouped[to] = name;
+                grouped[to + 1..to + stride].copy_from_slice(x);
+            }
+            for entry in grouped.chunks_exact(stride) {
+                let cursor = &mut starts[self.key(&entry[1..], t) * parts + t];
+                let to = *cursor as usize * stride;
+                *cursor += 1;
+                entries[to..to + stride].copy_from_slice(entry);
+            }
+        }
+        let last = starts.len() - 1;
+        starts.copy_within(..last, 1);
+        starts[0] = 0;
+        self.starts = starts;
+        self.entries = entries;
+        self.wild_ids = wild_ids;
+        self.wild = wild;
+    }
+
+    /// Part `t`'s key in the packed window `x`.
+    #[inline]
+    fn key(&self, x: &[u32], t: usize) -> usize {
+        let mask = (1u32 << (2 * self.part_len(t))).wrapping_sub(1);
+        ((x[t / 2] >> (16 * (t % 2))) & mask) as usize
+    }
+
+    /// The entries of bucket `b`.
+    #[inline]
+    fn bucket(&self, b: usize) -> &[u32] {
+        let stride = 1 + self.words();
+        &self.entries[self.starts[b] as usize * stride..self.starts[b + 1] as usize * stride]
+    }
+
+    /// Every entry once: the buckets of part 0.
+    fn every_entry(&self) -> impl Iterator<Item = &[u32]> {
+        let (parts, stride) = (self.parts(), 1 + self.words());
+        let keys = if self.count == 0 {
+            0
+        } else {
+            1 << (2 * self.part_len(0))
+        };
+        (0..keys).flat_map(move |key| self.bucket(key * parts).chunks_exact(stride))
+    }
+
+    /// The id an entry names, and the wild window's bytes if it is one.
+    #[inline]
+    fn named(&self, name: u32) -> (u32, Option<&[u8]>) {
+        if name & WILD == 0 {
+            return (name, None);
+        }
+        let at = (name & !WILD) as usize;
+        (
+            self.wild_ids[at],
+            Some(&self.wild[at * self.width..][..self.width]),
+        )
+    }
+
+    /// Every window held, in id order, back to back.
+    pub fn windows(&self) -> Vec<u8> {
+        let len = self.width;
+        let mut out = vec![0u8; self.count * len];
+        for entry in self.every_entry() {
+            let (id, wild) = self.named(entry[0]);
+            let window = &mut out[id as usize * len..][..len];
+            match wild {
+                Some(bytes) => window.copy_from_slice(bytes),
+                None => {
+                    for (j, bases) in window.chunks_mut(PART).enumerate() {
+                        let codes = unpack8(entry[1 + j / 2] >> (16 * (j % 2)) & 0xFFFF);
+                        bases.copy_from_slice(&codes.to_le_bytes()[..bases.len()]);
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// For each window `query[o .. o + len]` at an `offsets` entry, its
+    /// `n` nearest held windows within Hamming distance `radius`, ordered
+    /// by (distance, id): brute-force k-NN cut to the radius ball.
+    ///
+    /// # Panics
+    /// Panics when `n` is 0 or a window runs past `query`.
+    pub fn search(
+        &self,
+        query: &[u8],
+        offsets: &[usize],
+        n: usize,
+        radius: usize,
+    ) -> Vec<Vec<Neighbor>> {
+        let plan = self.plan(radius);
+        let scan = self.probe_cost(&plan) >= self.count;
+        self.search_by(query, offsets, n, radius, &plan, scan)
+    }
+
+    /// The radius each part is probed at, `None` for a part not probed:
+    /// any split with `Σ (b_t + 1) = radius + 1` finds every window within
+    /// `radius`, since parts that each differ by more than their `b_t`
+    /// differ by more than `radius` in all. The one probing the fewest
+    /// keys takes each of the `radius + 1` units where it adds the fewest,
+    /// the lower part on a tie: at 16-base windows and radius 4, the first
+    /// half at 2 (277 keys) and the second at 1 (25).
+    fn plan(&self, radius: usize) -> Vec<Option<usize>> {
+        let mut plan: Vec<Option<usize>> = vec![None; self.parts()];
+        for _ in 0..=radius {
+            let more = |t: usize| {
+                let m = self.part_len(t);
+                let b = plan[t].map_or(0, |b| b + 1);
+                (b <= m).then(|| near_count(m, Some(b)) - near_count(m, plan[t]))
+            };
+            let cheapest = (0..plan.len())
+                .filter_map(|t| more(t).map(|c| (c, t)))
+                .min();
+            let Some((_, t)) = cheapest else { break };
+            plan[t] = Some(plan[t].map_or(0, |b| b + 1));
+        }
+        plan
+    }
+
+    /// Candidate checks a probe of every part of one window costs under
+    /// `plan`, counting a lookup as [`PROBE_COST`] checks.
+    fn probe_cost(&self, plan: &[Option<usize>]) -> usize {
+        plan.iter()
+            .enumerate()
+            .map(|(t, &b)| {
+                let m = self.part_len(t);
+                near_count(m, b) * (PROBE_COST + self.count / (1 << (2 * m)))
+            })
+            .sum()
+    }
+
+    /// [`Self::search`], probing the tables under `plan` or, on `scan`,
+    /// checking every window.
+    fn search_by(
+        &self,
+        query: &[u8],
+        offsets: &[usize],
+        n: usize,
+        radius: usize,
+        plan: &[Option<usize>],
+        scan: bool,
+    ) -> Vec<Vec<Neighbor>> {
+        let mut heaps: Vec<KnnHeap> = offsets.iter().map(|_| KnnHeap::new(n)).collect();
+        if self.count > 0 {
+            let windows = offsets.iter().map(|&o| &query[o..o + self.width]).collect();
+            let queries = Queries::new(windows, self.words(), self.parts());
+            let (probes, checked) = if scan {
+                (0, self.scan(&queries, radius, &mut heaps))
+            } else {
+                self.probe(query, offsets, &queries, radius, plan, &mut heaps)
+            };
+            if probes > 0 {
+                self.obs.probes.add(probes);
+            }
+            if checked > 0 {
+                self.obs.candidates.add(checked);
+            }
+        }
+        heaps.into_iter().map(KnnHeap::into_sorted).collect()
+    }
+
+    /// Check every window against every query window; returns the checks.
+    fn scan(&self, queries: &Queries<'_>, radius: usize, heaps: &mut [KnnHeap]) -> u64 {
+        let mut checked = 0;
+        for entry in self.every_entry() {
+            let (id, wild) = self.named(entry[0]);
+            for (w, heap) in heaps.iter_mut().enumerate() {
+                let d = match wild {
+                    Some(bytes) => mismatches(queries.windows[w], bytes),
+                    None => queries.dist(w, &entry[1..]),
+                };
+                if d as usize <= radius {
+                    heap.offer(id, d as f32);
+                }
+            }
+            checked += heaps.len() as u64;
+        }
+        checked
+    }
+
+    /// Probe every planned part of every query window at its radius, each
+    /// distinct run of the query once for every window and part it starts
+    /// (at the largest of their radii, each reading the keys within its
+    /// own), then check the wild windows byte by byte against the wild
+    /// query windows; returns the buckets looked up and the candidates
+    /// checked.
+    fn probe(
+        &self,
+        query: &[u8],
+        offsets: &[usize],
+        queries: &Queries<'_>,
+        radius: usize,
+        plan: &[Option<usize>],
+        heaps: &mut [KnnHeap],
+    ) -> (u64, u64) {
+        let (parts, stride) = (self.parts(), 1 + self.words());
+        // (query position, part length, window, part, radius) of every
+        // planned part.
+        let mut runs: Vec<(usize, usize, usize, usize, usize)> = offsets
+            .iter()
+            .enumerate()
+            .flat_map(|(w, &o)| {
+                let planned = plan
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(t, b)| b.map(|b| (t, b)));
+                planned.map(move |(t, b)| (o + PART * t, w, t, b))
+            })
+            .map(|(at, w, t, b)| (at, self.part_len(t), w, t, b))
+            .collect();
+        runs.sort_unstable();
+        let mut keys = Vec::new();
+        let (mut probes, mut checked) = (0u64, 0u64);
+        for group in runs.chunk_by(|x, y| (x.0, x.1) == (y.0, y.1)) {
+            let (at, m) = (group[0].0, group[0].1);
+            let b = group.iter().map(|r| r.4).max().unwrap_or(0);
+            let run = &query[at..at + m];
+            let mut tame = 0u32; // the run's bases 0–3 ...
+            let mut care = 0u32; // ... the low bit of each of them ...
+            let mut wild = 0u32; // ... and how many others it has
+            for (i, &c) in run.iter().enumerate() {
+                if c < 4 {
+                    tame |= u32::from(c) << (2 * i);
+                    care |= 1 << (2 * i);
+                } else {
+                    wild += 1;
+                }
+            }
+            keys.clear();
+            if wild == 0 {
+                keys.extend(deltas(m, b).iter().map(|d| tame ^ d));
+            } else {
+                near_keys(run, b, &mut keys);
+            }
+            // Each key's bounds, then its entries, are asked for ahead of
+            // their turn, so the misses of a few probes overlap.
+            for (i, &key) in keys.iter().enumerate() {
+                if let Some(&ahead) = keys.get(i + 2 * AHEAD) {
+                    prefetch(self.starts.get(ahead as usize * parts + group[0].3));
+                }
+                if let Some(&ahead) = keys.get(i + AHEAD) {
+                    let first = self.starts[ahead as usize * parts + group[0].3];
+                    prefetch(self.entries.get(first as usize * stride));
+                }
+                let diff = key ^ tame;
+                let away = ((diff | diff >> 1) & care).count_ones() + wild;
+                for &(_, _, w, t, b) in group {
+                    if away as usize > b {
+                        continue;
+                    }
+                    let bucket = self.bucket(key as usize * parts + t);
+                    probes += 1;
+                    checked += (bucket.len() / stride) as u64;
+                    for entry in bucket.chunks_exact(stride) {
+                        let x = &entry[1..];
+                        let (id, wild) = self.named(entry[0]);
+                        let d = match wild {
+                            None => queries.dist(w, x),
+                            // A wild query window reads these below.
+                            Some(_) if queries.wild[w] > 0 => continue,
+                            Some(bytes) => mismatches(queries.windows[w], bytes),
+                        };
+                        // A window within an earlier part's radius was
+                        // found in that part's table.
+                        let earlier = || {
+                            (0..t).any(|u| {
+                                plan[u].is_some_and(|bu| queries.part_dist(w, u, x) as usize <= bu)
+                            })
+                        };
+                        if d as usize <= radius && !earlier() {
+                            heaps[w].offer(id, d as f32);
+                        }
+                    }
+                }
+            }
+        }
+        let len = self.width;
+        for (w, window) in queries.windows.iter().enumerate() {
+            if queries.wild[w] == 0 {
+                continue;
+            }
+            for (&id, bytes) in self.wild_ids.iter().zip(self.wild.chunks_exact(len)) {
+                let d = mismatches(window, bytes);
+                if d as usize <= radius {
+                    heaps[w].offer(id, d as f32);
+                }
+            }
+            checked += self.wild_ids.len() as u64;
+        }
+        (probes, checked)
+    }
+
+    /// Check the tables against the windows they index: every bucket's
+    /// entries carry its key, in ascending id order, and every window
+    /// sits once in each part's table; the wild list holds windows with a
+    /// byte outside 0–3, ascending, each packed with `A` for those bytes.
+    pub fn check_invariants(&self) -> Result<(), String> {
+        let (len, parts, stride) = (self.width, self.parts(), 1 + self.words());
+        if self.count == 0 {
+            return Ok(());
+        }
+        if !self.wild_ids.windows(2).all(|p| p[0] < p[1]) {
+            return Err("the wild list is out of id order".into());
+        }
+        let mut seen = vec![0usize; self.count];
+        let mut packed = vec![0u32; self.words()];
+        for b in 0..KEYS * parts {
+            let (key, t) = (b / parts, b % parts);
+            let mut last = None;
+            for entry in self.bucket(b).chunks_exact(stride) {
+                if entry[0] & WILD != 0 && (entry[0] & !WILD) as usize >= self.wild_ids.len() {
+                    return Err(format!("bucket {b} names wild window {}", entry[0] & !WILD));
+                }
+                let (id, wild) = self.named(entry[0]);
+                if self.key(&entry[1..], t) != key {
+                    return Err(format!("window {id} is in bucket {b} under another key"));
+                }
+                if last.is_some_and(|l| l >= id) {
+                    return Err(format!("bucket {b} is out of id order at {id}"));
+                }
+                last = Some(id);
+                if let Some(bytes) = wild {
+                    if !pack(bytes, &mut packed) || packed != entry[1..] {
+                        return Err(format!("wild window {id} is not packed as its bytes"));
+                    }
+                }
+                let Some(n) = seen.get_mut(id as usize) else {
+                    return Err(format!("id {id} past the {} held", self.count));
+                };
+                *n += 1;
+            }
+        }
+        if self.wild.len() != self.wild_ids.len() * len {
+            return Err("the wild list's bytes and ids disagree".into());
+        }
+        match seen.iter().position(|&n| n != parts) {
+            Some(id) => Err(format!(
+                "window {id} sits in {} tables of {parts}",
+                seen[id]
+            )),
+            None => Ok(()),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::knn::brute_force_knn;
+    use mendel_seq::Hamming;
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
+
+    /// `count` windows of `len` bases from a few related families, with
+    /// an `N` (code 4) in about one window of `wild_every`.
+    fn windows(count: usize, len: usize, wild_every: usize, seed: u64) -> Vec<Vec<u8>> {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let roots: Vec<Vec<u8>> = (0..8)
+            .map(|_| (0..len).map(|_| rng.random_range(0..4u8)).collect())
+            .collect();
+        (0..count)
+            .map(|_| {
+                let mut w = roots[rng.random_range(0..roots.len())].clone();
+                for b in w.iter_mut() {
+                    if rng.random_range(0..4) == 0 {
+                        *b = rng.random_range(0..4u8);
+                    }
+                }
+                if rng.random_range(0..wild_every) == 0 {
+                    w[rng.random_range(0..len)] = 4;
+                }
+                w
+            })
+            .collect()
+    }
+
+    fn index(points: &[Vec<u8>]) -> PigeonholeIndex {
+        let mut index = PigeonholeIndex::default();
+        index.insert_windows(points.concat(), points[0].len());
+        index
+    }
+
+    /// Brute-force k-NN cut to the radius, as (id, distance bits).
+    fn want(points: &[Vec<u8>], q: &[u8], n: usize, radius: usize) -> Vec<(u32, u32)> {
+        brute_force_knn(points, &Hamming, q, n)
+            .into_iter()
+            .filter(|nb| nb.dist <= radius as f32)
+            .map(|nb| (nb.index, nb.dist.to_bits()))
+            .collect()
+    }
+
+    fn key(found: &[Neighbor]) -> Vec<(u32, u32)> {
+        found
+            .iter()
+            .map(|nb| (nb.index, nb.dist.to_bits()))
+            .collect()
+    }
+
+    #[test]
+    fn probes_and_scans_equal_brute_force_cut_to_the_radius() {
+        for (len, radius) in [
+            (16, 4),
+            (16, 2),
+            (16, 0),
+            (16, 8),
+            (12, 3),
+            (20, 5),
+            (5, 1),
+            (32, 8),
+        ] {
+            let points = windows(3000, len, 20, len as u64);
+            let index = index(&points);
+            index.check_invariants().unwrap();
+            // Queries: corpus windows mutated, one in four with an `N`.
+            let mut rng = ChaCha8Rng::seed_from_u64(7);
+            let mut query = Vec::new();
+            for _ in 0..30 {
+                let mut w = points[rng.random_range(0..points.len())].clone();
+                for b in w.iter_mut() {
+                    if rng.random_range(0..6) == 0 {
+                        *b = rng.random_range(0..5u8);
+                    }
+                }
+                query.extend(w);
+            }
+            // Every window start, so runs are shared and overlap.
+            let offsets: Vec<usize> = (0..=query.len() - len).step_by(3).collect();
+            for n in [1, 8, 16] {
+                for scan in [false, true] {
+                    let plan = index.plan(radius);
+                    let got = index.search_by(&query, &offsets, n, radius, &plan, scan);
+                    for (&o, found) in offsets.iter().zip(&got) {
+                        let q = &query[o..o + len];
+                        assert_eq!(
+                            key(found),
+                            want(&points, q, n, radius),
+                            "len {len} r {radius} n {n} scan {scan} at {o}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_grown_index_equals_one_built_at_once() {
+        let points = windows(2000, 16, 10, 3);
+        let whole = index(&points);
+        let mut grown = PigeonholeIndex::default();
+        for chunk in points.chunks(300) {
+            let at = grown.len() as u32;
+            assert_eq!(
+                grown.insert_windows(chunk.concat(), 16),
+                at..at + chunk.len() as u32
+            );
+        }
+        let digest = |i: &PigeonholeIndex| {
+            let mut h = std::collections::hash_map::DefaultHasher::new();
+            i.hash(&mut h);
+            h.finish()
+        };
+        assert_eq!(digest(&grown), digest(&whole));
+        assert_eq!(grown.windows(), points.concat());
+        grown.clear();
+        assert!(grown.is_empty());
+        assert_eq!(grown.windows(), Vec::<u8>::new());
+    }
+
+    #[test]
+    fn plans_spend_the_radius_where_it_probes_least() {
+        let sized = |width| PigeonholeIndex {
+            width,
+            ..PigeonholeIndex::default()
+        };
+        let halves = sized(16);
+        assert_eq!(halves.plan(4), [Some(2), Some(1)]);
+        assert_eq!(halves.plan(0), [Some(0), None]);
+        assert_eq!(halves.plan(1), [Some(0), Some(0)]);
+        assert_eq!(halves.plan(8), [Some(4), Some(3)]);
+        // A short last part is cheap to widen.
+        assert_eq!(sized(12).plan(3), [Some(1), Some(1)]);
+        assert_eq!(sized(12).plan(2), [Some(0), Some(1)]);
+        for len in [5, 12, 16, 20, 32] {
+            let index = sized(len);
+            for radius in 0..=len {
+                let plan = index.plan(radius);
+                let units: usize = plan.iter().map(|b| b.map_or(0, |b| b + 1)).sum();
+                assert_eq!(units, radius + 1, "len {len} radius {radius}: {plan:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn near_keys_count_every_key_within_the_budget() {
+        let mut keys = Vec::new();
+        near_keys(&[0, 1, 2, 3, 0, 1, 2, 3], 2, &mut keys);
+        assert_eq!(keys.len(), 277);
+        assert_eq!(near_count(8, Some(2)), 277);
+        keys.clear();
+        // Two `N`s spend the budget: 4² keys, all other bases fixed.
+        near_keys(&[4, 1, 2, 3, 0, 1, 2, 4], 2, &mut keys);
+        assert_eq!(keys.len(), 16);
+        keys.clear();
+        near_keys(&[4, 4, 4, 1], 2, &mut keys);
+        assert!(keys.is_empty());
+    }
+
+    #[test]
+    fn loose_radii_scan_and_tight_ones_probe_at_served_size() {
+        let mut index = PigeonholeIndex {
+            width: 16,
+            count: 186_295,
+            ..PigeonholeIndex::default()
+        };
+        assert!(index.probe_cost(&index.plan(4)) < index.count);
+        assert!(index.probe_cost(&index.plan(8)) < index.count);
+        assert!(index.probe_cost(&index.plan(16)) >= index.count);
+        index.count = 1000;
+        assert!(
+            index.probe_cost(&index.plan(4)) >= index.count,
+            "a small node scans"
+        );
+    }
+
+    #[test]
+    fn counters_report_probes_and_candidates() {
+        let points = windows(500, 16, 1_000_000, 5);
+        let mut index = index(&points);
+        let obs = IndexMetrics::default();
+        index.set_metrics(obs.clone());
+        let q = points[0].clone();
+        let plan = index.plan(4);
+        let found = index.search_by(&q, &[0], 1, 4, &plan, false);
+        assert_eq!(key(&found[0]), vec![(0, 0f32.to_bits())]);
+        assert_eq!(obs.probes.get(), 277 + 25);
+        let probed = obs.candidates.get();
+        assert!(probed > 0 && probed < 500);
+        index.search_by(&q, &[0], 1, 4, &plan, true);
+        assert_eq!(obs.probes.get(), 277 + 25, "a scan looks up no bucket");
+        assert_eq!(
+            obs.candidates.get(),
+            probed + 500,
+            "a scan checks every window"
+        );
+    }
+}

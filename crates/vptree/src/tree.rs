@@ -177,7 +177,8 @@ pub struct VpTree<M> {
 }
 
 /// Windows on their way into a (sub)tree build: element `p` has insertion
-/// id `ids[p]` and window `bytes[p·L .. (p+1)·L]`.
+/// id `ids[p]` — or `p` itself while `ids` is empty, as for a whole-tree
+/// rebuild — and window `bytes[p·L .. (p+1)·L]`.
 #[derive(Debug, Default)]
 pub(crate) struct Staged {
     pub(crate) ids: Vec<u32>,
@@ -190,9 +191,25 @@ impl Staged {
         self.bytes.extend_from_slice(window);
     }
 
+    /// Element `p`'s insertion id.
+    fn id(&self, p: u32) -> u32 {
+        self.ids.get(p as usize).copied().unwrap_or(p)
+    }
+
     fn window(&self, p: u32, len: usize) -> &[u8] {
         &self.bytes[p as usize * len..][..len]
     }
+}
+
+/// One build's scratch, reused down its recursion: a vertex is done with
+/// it before it recurses, so the build writes its pages once rather than
+/// a fresh set per vertex.
+#[derive(Default)]
+pub(crate) struct BuildScratch {
+    /// `(position, distance to the vantage)` of a vertex's elements.
+    dists: Vec<(u32, f32)>,
+    /// One lane group's bytes.
+    lanes: Vec<u8>,
 }
 
 /// The mutable state of one k-NN search. The survivors scratch lives
@@ -330,27 +347,38 @@ impl<M: Metric<[u8]>> VpTree<M> {
         staged: &Staged,
         rng: &mut impl Rng,
     ) -> u32 {
+        self.build_with(items, staged, rng, &mut BuildScratch::default())
+    }
+
+    /// [`Self::build_rec`] on one scratch for the whole recursion.
+    fn build_with(
+        &mut self,
+        items: &mut [u32],
+        staged: &Staged,
+        rng: &mut impl Rng,
+        scratch: &mut BuildScratch,
+    ) -> u32 {
         if items.is_empty() {
             return NIL;
         }
         let len = self.window_len;
         if items.len() <= self.bucket_capacity {
-            let elements = items
-                .iter()
-                .map(|&p| (staged.ids[p as usize], staged.window(p, len)));
+            let elements = items.iter().map(|&p| (staged.id(p), staged.window(p, len)));
             return self.push_node(Node::Leaf(Leaf::new(elements, len)), None);
         }
-        let v_pos = self.pick_vantage(items, staged, rng);
+        let v_pos = self.pick_vantage(items, staged, rng, &mut scratch.lanes);
         items.swap(0, v_pos);
         let vantage = staged.window(items[0], len);
-        let vantage_id = staged.ids[items[0] as usize];
+        let vantage_id = staged.id(items[0]);
         let rest = &mut items[1..];
+        let BuildScratch { dists, lanes } = scratch;
+        // The first vertex to fill the scratch is the build's top one.
+        let top = dists.capacity() == 0;
 
         // Distances of the remaining elements to the vantage point, in
         // one unbounded scan — it keeps every element, in order — then
         // keyed by staged position.
-        let mut dists = Vec::with_capacity(rest.len());
-        self.scan_all(vantage, rest, staged, &mut dists);
+        self.scan_all(vantage, rest, staged, dists, lanes);
         for (entry, &i) in dists.iter_mut().zip(rest.iter()) {
             entry.0 = i;
         }
@@ -361,56 +389,59 @@ impl<M: Metric<[u8]>> VpTree<M> {
         let mut radius = dists[mid].1;
         // Left: d ≤ μ. Right: d > μ. Ties beyond the median spill left, so
         // rebalance pure-tie splits by count to avoid degenerate recursion.
-        let mut left: Vec<(u32, f32)> = Vec::with_capacity(mid + 1);
-        let mut right: Vec<(u32, f32)> = Vec::with_capacity(dists.len() - mid);
-        for &(i, d) in dists.iter() {
-            if d <= radius {
-                left.push((i, d));
-            } else {
-                right.push((i, d));
-            }
-        }
-        if right.is_empty() && left.len() > self.bucket_capacity {
+        let within = |radius: f32| dists.iter().filter(|e| e.1 <= radius).count();
+        let mut left = within(radius);
+        // Left: the first `left` elements in `dists` order, on a pure tie.
+        let mut by_count = false;
+        if left == dists.len() && left > self.bucket_capacity {
             // The upper half of the distances ties the median, so `d > μ`
             // selected nothing. Lower μ to the largest distance *below*
             // the tie so the boundary points go right — keeping descent
             // deterministic for equal inputs. Only when every element is
             // exactly equidistant is an arbitrary count split unavoidable.
             let maxd = radius;
-            let below = left
+            let below = dists
                 .iter()
                 .map(|&(_, d)| d)
                 .filter(|&d| d < maxd)
                 .fold(f32::NEG_INFINITY, f32::max);
             if below.is_finite() {
                 radius = below;
-                right = left.iter().copied().filter(|&(_, d)| d > radius).collect();
-                left.retain(|&(_, d)| d <= radius);
+                left = within(radius);
             } else {
-                let half = left.len() / 2;
-                right = left.split_off(half);
+                left /= 2;
+                by_count = true;
             }
         }
 
-        let bounds = |side: &[(u32, f32)]| -> (f32, f32) {
-            side.iter()
-                .fold((f32::INFINITY, f32::NEG_INFINITY), |(lo, hi), &(_, d)| {
-                    (lo.min(d), hi.max(d))
-                })
-        };
-        let left_bounds = bounds(&left);
-        let right_bounds = bounds(&right);
-
-        // The children's items go back into `rest`, left then right, and
-        // this level's scratch is freed before recursing: a build's
-        // temporaries stay one level deep.
-        for (slot, &(i, _)) in rest.iter_mut().zip(left.iter().chain(&right)) {
-            *slot = i;
+        // The children's items go back into `rest`, left then right, each
+        // side in `dists` order, and each side's distance bounds with them.
+        let (mut to_left, mut to_right) = (0, left);
+        let mut bounds = [(f32::INFINITY, f32::NEG_INFINITY); 2];
+        for (j, &(i, d)) in dists.iter().enumerate() {
+            let goes_left = if by_count { j < left } else { d <= radius };
+            let at = if goes_left {
+                &mut to_left
+            } else {
+                &mut to_right
+            };
+            rest[*at] = i;
+            *at += 1;
+            let (lo, hi) = &mut bounds[usize::from(!goes_left)];
+            (*lo, *hi) = (lo.min(d), hi.max(d));
         }
-        let (left_items, right_items) = rest.split_at_mut(left.len());
-        drop((dists, left, right));
-        let left_node = self.build_rec(left_items, staged, rng);
-        let right_node = self.build_rec(right_items, staged, rng);
+        let [left_bounds, right_bounds] = bounds;
+        // The children reuse the scratch, which this vertex is done with.
+        // None of them needs more than the larger child's share, so the
+        // top vertex gives the rest back before the tree's own allocations
+        // grow (no deeper one does: a later sibling would grow it again).
+        if top {
+            dists.clear();
+            dists.shrink_to(left.max(rest.len() - left));
+        }
+        let (left_items, right_items) = rest.split_at_mut(left);
+        let left_node = self.build_with(left_items, staged, rng, scratch);
+        let right_node = self.build_with(right_items, staged, rng, scratch);
         let node = Node::Internal {
             vantage: vantage_id,
             radius,
@@ -444,13 +475,20 @@ impl<M: Metric<[u8]>> VpTree<M> {
     /// bound, through the metric's lane kernel: each run of up to
     /// [`GROUP`] of them is packed into one reused scratch group. `out` is
     /// replaced by `(j, d)` for every `j`, in order, each `d`
-    /// bit-identical to `Metric::dist`.
-    fn scan_all(&self, from: &[u8], positions: &[u32], staged: &Staged, out: &mut Vec<(u32, f32)>) {
+    /// bit-identical to `Metric::dist`. `lanes` is the group's scratch.
+    fn scan_all(
+        &self,
+        from: &[u8],
+        positions: &[u32],
+        staged: &Staged,
+        out: &mut Vec<(u32, f32)>,
+        lanes: &mut Vec<u8>,
+    ) {
         out.clear();
-        let mut scratch = vec![0u8; lane_bytes(GROUP, self.window_len)];
+        lanes.resize(lane_bytes(GROUP, self.window_len), 0);
         for run in positions.chunks(GROUP) {
             let first = out.len() as u32;
-            let group = self.pack(run, staged, &mut scratch);
+            let group = self.pack(run, staged, lanes);
             self.metric.scan_lanes(from, group, f32::INFINITY, out);
             for scored in &mut out[first as usize..] {
                 scored.0 += first;
@@ -479,7 +517,13 @@ impl<M: Metric<[u8]>> VpTree<M> {
     /// Yianilos' spread heuristic: sample a few candidates, estimate each
     /// one's distance spread against a random subset, keep the widest.
     /// The probes are packed into one lane group once per vertex.
-    fn pick_vantage(&self, items: &[u32], staged: &Staged, rng: &mut impl Rng) -> usize {
+    fn pick_vantage(
+        &self,
+        items: &[u32],
+        staged: &Staged,
+        rng: &mut impl Rng,
+        lanes: &mut Vec<u8>,
+    ) -> usize {
         const CANDIDATES: usize = 5;
         const PROBES: usize = 12;
         const _: () = assert!(PROBES <= GROUP, "the probes fill one lane group");
@@ -494,8 +538,8 @@ impl<M: Metric<[u8]>> VpTree<M> {
             .into_iter()
             .map(|p| items[p])
             .collect();
-        let mut scratch = vec![0u8; lane_bytes(GROUP, len)];
-        let probes = self.pack(&probes, staged, &mut scratch);
+        lanes.resize(lane_bytes(GROUP, len), 0);
+        let probes = self.pack(&probes, staged, lanes);
         let mut best = (0usize, f32::NEG_INFINITY);
         let mut scored = Vec::with_capacity(n_probe);
         for c in cands {

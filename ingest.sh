@@ -9,9 +9,11 @@
 # up three `mendel serve` processes with the benchmark's flags on free
 # loopback ports, ingests the corpus into node 0, 1 and 2 one after
 # another, reads each reply's `ingest_ms` phases (total, parse, route,
-# place, tree) and each process's VmHWM (/proc/<pid>/status), and stops
-# the processes. It prints, per workload and node, the median of each over
-# N rounds (default 3), and the range (max - min) of VmHWM across them.
+# place, tree), the minor page faults the /ingest took (minflt of
+# /proc/<pid>/stat, before and after) and each process's VmHWM
+# (/proc/<pid>/status), and stops the processes. It prints, per workload
+# and node, the median of each over N rounds (default 3), and the range
+# (max - min) of VmHWM across them.
 #
 # Given <ref>, it also exports that commit (git archive) and builds it
 # into its own CARGO_TARGET_DIR, as ab.sh does, and alternates the two
@@ -118,9 +120,16 @@ def vm_hwm_kb(pid):
     raise RuntimeError(f"no VmHWM for pid {pid}")
 
 
+def minflt(pid):
+    with open(f"/proc/{pid}/stat") as f:
+        stat = f.read()
+    # Fields after the parenthesised command: state is field 3, minflt 10.
+    return int(stat[stat.rindex(")") + 2:].split()[7])
+
+
 def ingest_round(mendel, fasta, serve_flags):
     """Three serve processes, ingested in node order: per node, its
-    ingest_ms phases and VmHWM (kB)."""
+    ingest_ms phases, the minor faults its /ingest took and VmHWM (kB)."""
     ports = free_ports(2 * NODES)
     listen, web = ports[:NODES], ports[NODES:]
     peers = ",".join(f"{i}=127.0.0.1:{listen[i]}" for i in range(NODES))
@@ -144,11 +153,14 @@ def ingest_round(mendel, fasta, serve_flags):
                 time.sleep(0.02)
         out = []
         for i in range(NODES):
+            faults = minflt(live[i].pid)
             status, body = request(web[i], "POST", "/ingest", body=fasta)
             if status != 200:
                 raise RuntimeError(f"{mendel}: /ingest on node {i}: HTTP {status}: {body}")
+            faults = minflt(live[i].pid) - faults
             phases = json.loads(body)["ingest_ms"]
-            out.append({**{p: phases[p] for p in PHASES}, "hwm": vm_hwm_kb(live[i].pid)})
+            out.append({**{p: phases[p] for p in PHASES}, "minflt": faults,
+                        "hwm": vm_hwm_kb(live[i].pid)})
         return out
     finally:
         reap()
@@ -173,13 +185,15 @@ try:
                 print(f"ingest.sh: round {r + 1}/{rounds} {name} {side}", file=sys.stderr)
                 samples[name][side].append(ingest_round(exe, corpora[name], serve_flags))
     for name, _, _ in WORKLOADS:
-        print(f"\n{name}, seed {SEED}: median of {rounds} round(s); ms of /ingest's ingest_ms, VmHWM in MB\n")
-        print("| node | side | " + " | ".join(PHASES) + " | VmHWM | VmHWM range |")
-        print("|---|---|" + "---:|" * (len(PHASES) + 2))
+        print(f"\n{name}, seed {SEED}: median of {rounds} round(s); ms of /ingest's ingest_ms, "
+              "its minor faults, VmHWM in MB\n")
+        print("| node | side | " + " | ".join(PHASES) + " | minflt | VmHWM | VmHWM range |")
+        print("|---|---|" + "---:|" * (len(PHASES) + 3))
         for node in range(NODES):
             for side, _ in sides:
                 runs = [run[node] for run in samples[name][side]]
                 cells = [f"{statistics.median(r[p] for r in runs):.2f}" for p in PHASES]
+                cells.append(f"{statistics.median(r['minflt'] for r in runs):.0f}")
                 hwm = [r["hwm"] / 1024 for r in runs]
                 spread = max(hwm) - min(hwm)
                 print(f"| {node} | {side} | " + " | ".join(cells) + f" | {statistics.median(hwm):.1f} | {spread:.1f} |")

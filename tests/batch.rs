@@ -252,18 +252,21 @@ fn concurrent_single_queries_match_serial_answers() {
 
 /// The process-wide SIMD kill switch changes which distance and gapped
 /// kernels run, never an answer nor the work the query does: hits and
-/// each report's four `mendel.vptree.*` and two `mendel.query.gapped_*`
+/// each report's four `mendel.vptree.*` (protein node search), two
+/// `mendel.dna_index.*` (DNA node search) and two `mendel.query.gapped_*`
 /// counter deltas are identical with it on and off, at build time and at
 /// query time (hits are compared, so toggling it under the other tests of
 /// this binary is harmless to them).
 #[test]
 fn simd_kill_switch_leaves_cluster_hits_identical() {
     use mendel_suite::seq::simd::set_simd_enabled;
-    const COUNTERS: [&str; 6] = [
+    const COUNTERS: [&str; 8] = [
         "mendel.vptree.dist_calls",
         "mendel.vptree.early_abandons",
         "mendel.vptree.nodes_visited",
         "mendel.vptree.leaf_scans",
+        "mendel.dna_index.candidates",
+        "mendel.dna_index.probes",
         "mendel.query.gapped_extensions",
         "mendel.query.gapped_cells",
     ];
@@ -278,7 +281,7 @@ fn simd_kill_switch_leaves_cluster_hits_identical() {
             set_simd_enabled(prev);
             w
         };
-        let answers = |w: &World, on: bool| -> Vec<(Vec<MendelHit>, [u64; 6])> {
+        let answers = |w: &World, on: bool| -> Vec<(Vec<MendelHit>, [u64; 8])> {
             let params = params_for(w);
             let prev = set_simd_enabled(on);
             let out = w
@@ -294,8 +297,14 @@ fn simd_kill_switch_leaves_cluster_hits_identical() {
         };
         let (scalar_built, vector_built) = (built(false), built(true));
         let scalar = answers(&scalar_built, false);
-        assert!(scalar.iter().all(|(_, c)| c[0] > 0), "{alphabet:?}");
-        let cells: u64 = scalar.iter().map(|(_, c)| c[5]).sum();
+        // Every query searched its nodes: the tree's distance calls on
+        // protein, the tables' candidate checks on DNA.
+        let searched = match alphabet {
+            Alphabet::Protein => 0,
+            Alphabet::Dna => 4,
+        };
+        assert!(scalar.iter().all(|(_, c)| c[searched] > 0), "{alphabet:?}");
+        let cells: u64 = scalar.iter().map(|(_, c)| c[7]).sum();
         assert!(cells > 0, "{alphabet:?}: no gapped extension ran");
         assert_eq!(scalar, answers(&scalar_built, true), "{alphabet:?}");
         assert_eq!(scalar, answers(&vector_built, false), "{alphabet:?}");
