@@ -4,9 +4,9 @@
 #   ./ci.sh          # full gate
 #   ./ci.sh quick    # skip the release build and strict-invariants pass
 #
-# Every step works without network access; steps whose tool is absent
-# from the toolchain (rustfmt, clippy) are skipped with a notice rather
-# than failing the gate.
+# Every step works without network access. A missing rustfmt skips the
+# format check with a notice; a missing clippy fails the gate, because
+# clippy carries the workspace's lint rules (step 3).
 set -u
 
 cd "$(dirname "$0")"
@@ -34,27 +34,29 @@ else
     echo "==> rustfmt unavailable; skipping format check"
 fi
 
-# 2. Source audit (DESIGN.md §8.1): no panic, std::sync lock, stray
-#    print or unjustified allow left unwaived. Like every audit step
-#    below, it has no baseline: any unwaived finding fails the gate.
-step "mendel-audit lint" cargo run -q -p mendel-audit -- lint
-
-#    Dead-code audit (DESIGN.md §8.1): every pub fn, type and const is
+# 2. Dead-code audit (DESIGN.md §8.1): every pub fn, type and const is
 #    named outside its own definition and tests, or carries a waiver
-#    naming its reader. No baseline; any finding fails the gate.
+#    naming its reader. Like every audit step below, it has no baseline:
+#    any unwaived finding fails the gate.
 step "mendel-audit reach" cargo run -q -p mendel-audit -- reach
 
-# 3. Clippy with the workspace lint table ([workspace.lints.clippy]) and
-#    clippy's default groups (`clippy::all`) denied: a new style,
-#    complexity, perf or suspicious finding fails the gate. `unwrap_used`,
-#    a restriction lint the table sets to `warn`, still prints (tests
-#    unwrap; `mendel-audit lint` refuses an unwaived unwrap elsewhere).
-if cargo clippy --version >/dev/null 2>&1; then
-    step "cargo clippy (clippy::all denied)" \
-        cargo clippy --workspace --all-targets -q -- -D clippy::all
-else
-    echo "==> clippy unavailable; skipping lint check"
-fi
+# 3. Clippy with the workspace lint table ([workspace.lints.clippy]),
+#    the root and per-crate clippy.toml, and clippy's default groups
+#    (`clippy::all`) denied (DESIGN.md §8.1): no unwrap, expect or panic
+#    outside test code, no std::sync lock, no stray print, no `#[allow]`
+#    without a reason, no raw wall-clock read or sleep in an
+#    instrumented crate, and no new style, complexity, perf or
+#    suspicious finding. `--all-features` also lints the
+#    strict-invariants code. Without clippy these rules go unchecked, so
+#    its absence fails the gate.
+clippy_gate() {
+    cargo clippy --version >/dev/null 2>&1 || {
+        echo "    clippy is not installed; the lint rules cannot run"
+        return 1
+    }
+    cargo clippy --workspace --all-targets --all-features -q -- -D clippy::all
+}
+step "cargo clippy (clippy::all denied)" clippy_gate
 
 #    Rustdoc with warnings denied: a dangling or private intra-doc link
 #    (one a deletion left behind, say) fails the gate. Library targets

@@ -195,7 +195,10 @@ pub struct GappedExtension {
 /// diagonal (the paper's `l`). Uses affine gaps and X-drop termination
 /// per DP row (see the module doc for the kernel). `gaps.open` must not be
 /// negative.
-#[allow(clippy::too_many_arguments)] // audit:allow(too-many-arguments): the anchor and the DP's scoring, band and X-drop are the call; `benchmark/`'s layer probe calls this signature positionally
+#[allow(
+    clippy::too_many_arguments,
+    reason = "the anchor and the DP's scoring, band and X-drop are the call; `benchmark/`'s layer probe calls this signature positionally"
+)]
 pub fn extend_gapped_banded(
     query: &[u8],
     subject: &[u8],
@@ -557,6 +560,10 @@ mod tests {
 /// verbatim apart from a cell count: the oracle the scalar kernel and the
 /// lane kernel must match on every field, for every input.
 #[cfg(test)]
+#[allow(
+    clippy::disallowed_types,
+    reason = "the SIMD switch lock is a const-built std Mutex; this crate does not depend on parking_lot"
+)]
 mod reference {
     use super::*;
     use mendel_seq::gen::{random_sequence, MutationModel};
@@ -575,7 +582,10 @@ mod reference {
         SWITCH.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "the oracle keeps the kernel's signature, argument for argument"
+    )]
     fn reference_extend(
         query: &[u8],
         subject: &[u8],

@@ -7,9 +7,9 @@
 //! cleaned text a single pass produces a flat token stream; two cheap
 //! post-passes then stamp each token with its brace depth and whether
 //! it sits inside a `#[test]` / `#[cfg(test)]` region. The token stream
-//! is what all four analyses walk — the lint ([`crate::lint`]), lock
-//! order ([`crate::locks`]), atomic ordering ([`crate::atomics`]) and
-//! reachability ([`crate::reach`]). None of them touches raw text, so
+//! is what all three analyses walk — lock order ([`crate::locks`]),
+//! atomic ordering ([`crate::atomics`]) and reachability
+//! ([`crate::reach`]). None of them touches raw text, so
 //! macro bodies, raw strings, and multi-line method chains cannot fool
 //! them the way they could a line-regex rule, and they all honour
 //! waivers through one parser, [`Lexed::markers`].
@@ -81,7 +81,7 @@ impl Lexed {
     /// marker in the comment on 1-based `line`, in order. A reason runs
     /// to the next `audit:` marker or the end of the comment; a marker
     /// whose reason is empty is no marker. Which lines to consult is the
-    /// caller's choice: the lint, `locks` and `atomics` read a site's
+    /// caller's choice: `locks` and `atomics` read a site's
     /// own line and the one above, `reach` an item's attributes and doc.
     pub fn markers<'a>(
         &'a self,
@@ -438,13 +438,7 @@ mod tests {
         // One site per analysis, the marker that waives it, and the same
         // tag with a name that must not.
         type Waived = fn(&str) -> bool;
-        let analyses: [(&str, &str, &str, Waived); 4] = [
-            (
-                "fn f(o: Option<u8>) -> u8 { o.unwrap() }",
-                "audit:allow(unwrap)",
-                "audit:allow(expect)",
-                |src| crate::lint::scan_source("crates/x/src/lib.rs", src).is_empty(),
-            ),
+        let analyses: [(&str, &str, &str, Waived); 3] = [
             (
                 "fn f() { x.load(Ordering::Relaxed); }",
                 "audit:ordering(Relaxed)",

@@ -2,22 +2,22 @@
 //! unwaived findings and exits 1 when there are any, 2 on a usage error.
 //!
 //! ```text
-//! mendel-audit lint     [--root DIR] [--json FILE]          # panics, std::sync locks, prints, ...
 //! mendel-audit locks    [--root DIR] [--dot] [--json FILE]  # lock-order cycles, unwaived smells
 //! mendel-audit atomics  [--root DIR] [--json FILE]          # unannotated Ordering::* sites
 //! mendel-audit reach    [--root DIR] [--json FILE]          # unreached pub items
-//! mendel-audit self-test
 //! ```
 
-// This binary's purpose is terminal output: reports go to stderr, DOT
-// graphs to stdout (so they can be redirected).
-#![allow(clippy::print_stdout)]
+#![allow(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "this binary's purpose is terminal output: reports go to stderr, DOT graphs to stdout"
+)]
 
-use mendel_audit::{atomics, lint, locks, reach, scan_workspace, self_test, Json};
+use mendel_audit::{atomics, locks, reach, Json};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-const USAGE: &str = "usage: mendel-audit <lint|locks|atomics|reach|self-test> \
+const USAGE: &str = "usage: mendel-audit <locks|atomics|reach> \
      [--root DIR] [--dot] [--json FILE]";
 
 struct Options {
@@ -28,7 +28,7 @@ struct Options {
 
 fn parse_args(args: &[String]) -> Result<Options, String> {
     // Default root: the workspace this binary was built from, so
-    // `cargo run -p mendel-audit -- lint` works from any directory.
+    // `cargo run -p mendel-audit -- reach` works from any directory.
     let mut root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
     root.pop();
     root.pop();
@@ -66,21 +66,6 @@ fn run() -> Result<ExitCode, String> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let (command, rest) = args.split_first().ok_or_else(|| USAGE.to_string())?;
     match command.as_str() {
-        "lint" => {
-            let opts = parse_args(rest)?;
-            let violations = scan_workspace(&opts.root)
-                .map_err(|e| format!("scanning {}: {e}", opts.root.display()))?;
-            if let Some(json_path) = &opts.json {
-                let doc = Json::Obj(vec![
-                    ("analysis".into(), Json::str("lint")),
-                    ("violations".into(), Json::count(violations.len())),
-                    ("clean".into(), Json::Bool(violations.is_empty())),
-                ]);
-                write_json(json_path, &doc)?;
-            }
-            eprintln!("{}", lint::render_report(&violations));
-            Ok(exit(violations.is_empty()))
-        }
         "locks" => {
             let opts = parse_args(rest)?;
             let report = locks::analyze_workspace(&opts.root)?;
@@ -110,12 +95,6 @@ fn run() -> Result<ExitCode, String> {
             }
             eprintln!("{}", reach::render_report(&report));
             Ok(exit(report.is_clean()))
-        }
-        "self-test" => {
-            let report = self_test()?;
-            eprintln!("self-test ok: seeded violations detected and reported:\n");
-            eprintln!("{report}");
-            Ok(ExitCode::SUCCESS)
         }
         other => Err(format!("unknown command `{other}`\n{USAGE}")),
     }

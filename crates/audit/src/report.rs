@@ -2,7 +2,7 @@
 //!
 //! The audit crate deliberately has zero dependencies, so this is a
 //! small hand-rolled JSON value tree with a deterministic renderer.
-//! Every analysis (`lint`, `locks`, `atomics`, `reach`) can be asked for a
+//! Every analysis (`locks`, `atomics`, `reach`) can be asked for a
 //! [`Json`] document; `ci.sh` writes them under `target/ci/` so
 //! finding counts can be compared across commits like any other metric.
 

@@ -10,8 +10,7 @@
 //! cargo run --release -p mendel-bench --bin ablation_batch_insert
 //! ```
 
-// Benchmark reports go to stdout by design.
-#![allow(clippy::print_stdout)]
+#![allow(clippy::print_stdout, reason = "a bench binary reports on stdout")]
 
 use mendel::MetricKind;
 use mendel_bench::{figure_header, protein_db};

@@ -23,8 +23,11 @@
 //! cargo run --release -p mendel-bench --bin ablation_budget
 //! ```
 
-// Benchmark reports go to stdout by design.
-#![allow(clippy::print_stdout)]
+#![allow(
+    clippy::print_stdout,
+    clippy::expect_used,
+    reason = "a bench binary reports on stdout and aborts on impossible fixture state with the message as the diagnostic"
+)]
 
 use mendel::query::{identity, subquery_offsets};
 use mendel::{ClusterConfig, MendelCluster, QueryParams};
@@ -95,7 +98,7 @@ fn main() {
             bucket_capacity: bucket,
             ..served.clone()
         };
-        let cluster = MendelCluster::build(config, db.clone()).expect("valid config"); // audit:allow(expect): bench binary; aborts on impossible fixture state with the message as the diagnostic
+        let cluster = MendelCluster::build(config, db.clone()).expect("valid config");
         let tree = VpTree::build(share.clone(), metric.clone(), bucket, served.seed);
         for budget in budgets {
             let params = QueryParams {
@@ -116,7 +119,7 @@ fn main() {
             for q in &queries {
                 let r = cluster
                     .query(&q.query.residues, &params)
-                    .expect("valid query"); // audit:allow(expect): bench binary; aborts on impossible fixture state with the message as the diagnostic
+                    .expect("valid query");
                 if r.hits.iter().any(|h| h.subject == q.source) {
                     found += 1;
                 }

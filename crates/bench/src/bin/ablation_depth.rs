@@ -13,8 +13,11 @@
 //! cargo run --release -p mendel-bench --bin ablation_depth
 //! ```
 
-// Benchmark reports go to stdout by design.
-#![allow(clippy::print_stdout)]
+#![allow(
+    clippy::print_stdout,
+    clippy::expect_used,
+    reason = "a bench binary reports on stdout and aborts on impossible fixture state with the message as the diagnostic"
+)]
 
 use mendel::MetricKind;
 use mendel_bench::{figure_header, protein_db, DB_SEED};
@@ -56,7 +59,7 @@ fn main() {
         .map(|i| {
             let idx = i * windows.len() / 500;
             let m = mutate_to_identity(Alphabet::Protein, &windows[idx], 0.85, &mut rng)
-                .expect("valid identity"); // audit:allow(expect): bench binary; aborts on impossible fixture state with the message as the diagnostic
+                .expect("valid identity");
             (idx, m)
         })
         .collect();

@@ -14,8 +14,11 @@
 //! cargo run --release -p mendel-bench --bin ablation_group_hash
 //! ```
 
-// Benchmark reports go to stdout by design.
-#![allow(clippy::print_stdout)]
+#![allow(
+    clippy::print_stdout,
+    clippy::unwrap_used,
+    reason = "a bench binary reports on stdout and aborts on impossible fixture state with the message as the diagnostic"
+)]
 
 use mendel::{make_blocks, MetricKind};
 use mendel_bench::{figure_header, protein_db, query_set, DB_SEED};
@@ -69,7 +72,7 @@ fn main() {
             let g = group_of(&b.window.to_vec());
             let members = topo.group_members(g);
             // (a) flat SHA-1 within the group.
-            let n_flat = placement.primary(&topo, g, &b.key().as_bytes()).unwrap(); // audit:allow(unwrap): bench binary; aborts on impossible fixture state with the message as the diagnostic
+            let n_flat = placement.primary(&topo, g, &b.key().as_bytes()).unwrap();
             flat_load[n_flat.0 as usize] += b.window.len() as u64;
             flat_node_of.insert(b.key(), n_flat);
             // (b) vp-prefix within the group: bucket the window again and
@@ -107,7 +110,7 @@ fn main() {
     let mut vp_distinct = 0.0f64;
     let mut samples = 0usize;
     for q in &queries {
-        let src = db.get(q.source).unwrap(); // audit:allow(unwrap): bench binary; aborts on impossible fixture state with the message as the diagnostic
+        let src = db.get(q.source).unwrap();
         let mut f: std::collections::HashMap<GroupId, std::collections::HashSet<NodeId>> =
             Default::default();
         let mut v: std::collections::HashMap<GroupId, std::collections::HashSet<NodeId>> =

@@ -11,8 +11,11 @@
 //! cargo run --release -p mendel-bench --bin ablation_metric
 //! ```
 
-// Benchmark reports go to stdout by design.
-#![allow(clippy::print_stdout)]
+#![allow(
+    clippy::print_stdout,
+    clippy::expect_used,
+    reason = "a bench binary reports on stdout and aborts on impossible fixture state with the message as the diagnostic"
+)]
 
 use mendel::{ClusterConfig, MendelCluster, MetricKind, QueryParams};
 use mendel_bench::{figure_header, protein_db, query_set};
@@ -76,7 +79,7 @@ fn main() {
             metric: kind,
             ..ClusterConfig::small_protein()
         };
-        let cluster = MendelCluster::build(cfg, db.clone()).expect("valid config"); // audit:allow(expect): bench binary; aborts on impossible fixture state with the message as the diagnostic
+        let cluster = MendelCluster::build(cfg, db.clone()).expect("valid config");
         let queries = query_set(&db, 10, 300, 0.75);
         let params = QueryParams::protein();
         let t = Instant::now();

@@ -11,8 +11,12 @@
 //! cargo run --release -p mendel-bench --bin fig5_load_balance
 //! ```
 
-// Benchmark reports go to stdout by design.
-#![allow(clippy::print_stdout)]
+#![allow(
+    clippy::print_stdout,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "a bench binary reports on stdout and aborts on impossible fixture state with the message as the diagnostic"
+)]
 
 use mendel::{make_blocks, MetricKind};
 use mendel_bench::{figure_header, protein_db, DB_SEED};
@@ -46,7 +50,7 @@ fn main() {
     let mut flat = vec![0u64; NODES];
     for s in db.iter() {
         for b in make_blocks(s, BLOCK_LEN) {
-            let h = u64::from_be_bytes(sha1(&b.key().as_bytes())[..8].try_into().unwrap()); // audit:allow(unwrap): bench binary; aborts on impossible fixture state with the message as the diagnostic
+            let h = u64::from_be_bytes(sha1(&b.key().as_bytes())[..8].try_into().unwrap());
             flat[(h % NODES as u64) as usize] += b.window.len() as u64;
         }
     }
@@ -92,7 +96,7 @@ fn main() {
             );
             let node = placement
                 .primary(&topo, g, &b.key().as_bytes())
-                .expect("group non-empty"); // audit:allow(expect): bench binary; aborts on impossible fixture state with the message as the diagnostic
+                .expect("group non-empty");
             two_tier[node.0 as usize] += b.window.len() as u64;
         }
     }

@@ -16,8 +16,11 @@
 //! cargo run --release -p mendel-bench --bin fig6a_query_length
 //! ```
 
-// Benchmark reports go to stdout by design.
-#![allow(clippy::print_stdout)]
+#![allow(
+    clippy::print_stdout,
+    clippy::expect_used,
+    reason = "a bench binary reports on stdout and aborts on impossible fixture state with the message as the diagnostic"
+)]
 
 use mendel::{ClusterConfig, MendelCluster};
 use mendel_bench::{
@@ -47,7 +50,7 @@ fn main() {
             ..Default::default()
         }
         .generate()
-        .expect("valid spec"), // audit:allow(expect): bench binary; aborts on impossible fixture state with the message as the diagnostic
+        .expect("valid spec"),
     );
     println!(
         "database: {} sequences / {} residues",
@@ -56,7 +59,7 @@ fn main() {
     );
 
     let cluster = MendelCluster::build(ClusterConfig::paper_testbed_protein(), db.clone())
-        .expect("valid config"); // audit:allow(expect): bench binary; aborts on impossible fixture state with the message as the diagnostic
+        .expect("valid config");
     println!(
         "Mendel: indexed {} blocks in {:?}",
         cluster.total_blocks(),
@@ -79,7 +82,7 @@ fn main() {
             seed: QUERY_SEED + len as u64,
         }
         .generate(&db)
-        .expect("long sequences exist"); // audit:allow(expect): bench binary; aborts on impossible fixture state with the message as the diagnostic
+        .expect("long sequences exist");
 
         // Table I's `k` exists "to reduce the amplification of the
         // subqueries"; the natural operator setting scales the stride
@@ -92,7 +95,7 @@ fn main() {
             .map(|q| {
                 cluster
                     .query(&q.query.residues, &params)
-                    .expect("valid query") // audit:allow(expect): bench binary; aborts on impossible fixture state with the message as the diagnostic
+                    .expect("valid query")
                     .timings
             })
             .collect();

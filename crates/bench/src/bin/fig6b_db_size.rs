@@ -10,8 +10,12 @@
 //! cargo run --release -p mendel-bench --bin fig6b_db_size
 //! ```
 
-// Benchmark reports go to stdout by design.
-#![allow(clippy::print_stdout)]
+#![allow(
+    clippy::print_stdout,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "a bench binary reports on stdout and aborts on impossible fixture state with the message as the diagnostic"
+)]
 
 use mendel_bench::{bench_params, figure_header, mean_duration, ms, paper_cluster, protein_db};
 use mendel_blast::{Blast, BlastParams};
@@ -46,14 +50,14 @@ fn main() {
             seed: 0x6B + size as u64,
         }
         .generate(&db)
-        .expect("long sequences exist"); // audit:allow(expect): bench binary; aborts on impossible fixture state with the message as the diagnostic
+        .expect("long sequences exist");
 
         let mendel_times: Vec<_> = queries
             .iter()
             .map(|q| {
                 cluster
                     .query(&q.query.residues, &params)
-                    .expect("valid") // audit:allow(expect): bench binary; aborts on impossible fixture state with the message as the diagnostic
+                    .expect("valid")
                     .turnaround()
             })
             .collect();
@@ -78,8 +82,8 @@ fn main() {
         blast_series.push(b);
     }
     let mendel_growth =
-        mendel_series.last().unwrap().as_secs_f64() / mendel_series[0].as_secs_f64(); // audit:allow(unwrap): bench binary; aborts on impossible fixture state with the message as the diagnostic
-    let blast_growth = blast_series.last().unwrap().as_secs_f64() / blast_series[0].as_secs_f64(); // audit:allow(unwrap): bench binary; aborts on impossible fixture state with the message as the diagnostic
+        mendel_series.last().unwrap().as_secs_f64() / mendel_series[0].as_secs_f64();
+    let blast_growth = blast_series.last().unwrap().as_secs_f64() / blast_series[0].as_secs_f64();
     println!(
         "\n16x database growth factor: Mendel {mendel_growth:.2}x vs BLAST {blast_growth:.2}x"
     );

@@ -13,8 +13,11 @@
 //! cargo run --release -p mendel-bench --bin fig6c_scalability
 //! ```
 
-// Benchmark reports go to stdout by design.
-#![allow(clippy::print_stdout)]
+#![allow(
+    clippy::print_stdout,
+    clippy::expect_used,
+    reason = "a bench binary reports on stdout and aborts on impossible fixture state with the message as the diagnostic"
+)]
 
 use mendel_bench::{
     bench_params, cluster_with, figure_header, ms, protein_db, query_set, ratios, stage_means,
@@ -53,7 +56,7 @@ fn main() {
             .map(|q| {
                 cluster
                     .query(&q.query.residues, &params)
-                    .expect("valid") // audit:allow(expect): bench binary; aborts on impossible fixture state with the message as the diagnostic
+                    .expect("valid")
                     .timings
             })
             .collect();

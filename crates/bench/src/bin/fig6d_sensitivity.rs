@@ -19,8 +19,12 @@
 //! cargo run --release -p mendel-bench --bin fig6d_sensitivity
 //! ```
 
-// Benchmark reports go to stdout by design.
-#![allow(clippy::print_stdout)]
+#![allow(
+    clippy::print_stdout,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "a bench binary reports on stdout and aborts on impossible fixture state with the message as the diagnostic"
+)]
 
 use mendel::{ClusterConfig, MendelCluster, QueryParams};
 use mendel_bench::figure_header;
@@ -51,15 +55,15 @@ fn main() {
         ..Default::default()
     }
     .generate()
-    .expect("valid spec"); // audit:allow(expect): bench binary; aborts on impossible fixture state with the message as the diagnostic
-                           // ...plus, per similarity level, a cohort of mutants of one target.
+    .expect("valid spec");
+    // ...plus, per similarity level, a cohort of mutants of one target.
     let target = random_sequence(Alphabet::Protein, TARGET_LEN, &mut rng);
     let mut cohorts: Vec<(f64, Vec<SeqId>)> = Vec::new();
     for &level in &LEVELS {
         let ids: Vec<SeqId> = (0..COHORT)
             .map(|m| {
                 let codes = mutate_to_identity(Alphabet::Protein, &target, level, &mut rng)
-                    .expect("valid level"); // audit:allow(expect): bench binary; aborts on impossible fixture state with the message as the diagnostic
+                    .expect("valid level");
                 store.insert(Sequence::from_codes(
                     format!("lvl{}_m{m}", (level * 100.0) as u32),
                     Alphabet::Protein,
@@ -78,7 +82,7 @@ fn main() {
     );
 
     let cluster = MendelCluster::build(ClusterConfig::paper_testbed_protein(), db.clone())
-        .expect("valid config"); // audit:allow(expect): bench binary; aborts on impossible fixture state with the message as the diagnostic
+        .expect("valid config");
     let blast = Blast::new(db.clone(), BlastParams::protein());
 
     // Sensitivity-oriented Mendel parameters: thresholds below the
@@ -106,10 +110,10 @@ fn main() {
         let mut blast_pairs = 0usize;
         let mut pairwise_id = 0.0f64;
         for (qi, &qid) in ids.iter().enumerate() {
-            let qseq = &db.get(qid).unwrap().residues; // audit:allow(unwrap): bench binary; aborts on impossible fixture state with the message as the diagnostic
+            let qseq = &db.get(qid).unwrap().residues;
             let m_hits: Vec<SeqId> = cluster
                 .query(qseq, &params)
-                .expect("valid query") // audit:allow(expect): bench binary; aborts on impossible fixture state with the message as the diagnostic
+                .expect("valid query")
                 .hits
                 .iter()
                 .map(|h| h.subject)
@@ -125,7 +129,7 @@ fn main() {
                 if b_hits.contains(&sid) {
                     blast_pairs += 1;
                 }
-                let sseq = &db.get(sid).unwrap().residues; // audit:allow(unwrap): bench binary; aborts on impossible fixture state with the message as the diagnostic
+                let sseq = &db.get(sid).unwrap().residues;
                 let same = qseq.iter().zip(sseq.iter()).filter(|(a, b)| a == b).count();
                 pairwise_id += same as f64 / TARGET_LEN as f64;
             }

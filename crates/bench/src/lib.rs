@@ -23,6 +23,10 @@ pub const QUERY_SEED: u64 = 0x517;
 /// family-redundant, which is exactly the clustering that makes
 /// metric-tree pruning effective); lengths run 200–1400 so the paper's
 /// 1000-residue query windows can be sampled.
+#[expect(
+    clippy::expect_used,
+    reason = "bench fixture; the hard-coded spec is valid by construction"
+)]
 pub fn protein_db(residues: usize) -> Arc<SeqStore> {
     const MEMBERS: usize = 8;
     let families = (residues / (800 * MEMBERS)).max(2);
@@ -35,28 +39,40 @@ pub fn protein_db(residues: usize) -> Arc<SeqStore> {
             ..Default::default()
         }
         .generate()
-        .expect("spec is valid"), // audit:allow(expect): bench fixture; the hard-coded spec is valid by construction
+        .expect("spec is valid"),
     )
 }
 
 /// The paper's cluster geometry (50 nodes, 10 groups) over a database.
+#[expect(
+    clippy::expect_used,
+    reason = "bench fixture; the paper testbed geometry is valid by construction"
+)]
 pub fn paper_cluster(db: &Arc<SeqStore>) -> MendelCluster {
     MendelCluster::build(ClusterConfig::paper_testbed_protein(), db.clone())
-        .expect("testbed config is valid") // audit:allow(expect): bench fixture; the paper testbed geometry is valid by construction
+        .expect("testbed config is valid")
 }
 
 /// A cluster with an explicit geometry.
+#[expect(
+    clippy::expect_used,
+    reason = "bench fixture; callers pass small positive geometries"
+)]
 pub fn cluster_with(db: &Arc<SeqStore>, nodes: usize, groups: usize) -> MendelCluster {
     let cfg = ClusterConfig {
         nodes,
         groups,
         ..ClusterConfig::paper_testbed_protein()
     };
-    MendelCluster::build(cfg, db.clone()).expect("geometry is valid") // audit:allow(expect): bench fixture; callers pass small positive geometries
+    MendelCluster::build(cfg, db.clone()).expect("geometry is valid")
 }
 
 /// An `s_aureus`-style query set: fragments of database sequences at the
 /// given identity.
+#[expect(
+    clippy::expect_used,
+    reason = "bench fixture; protein_db always holds 1400-residue members"
+)]
 pub fn query_set(
     db: &Arc<SeqStore>,
     count: usize,
@@ -70,7 +86,7 @@ pub fn query_set(
         seed: QUERY_SEED,
     }
     .generate(db)
-    .expect("database holds long enough sequences") // audit:allow(expect): bench fixture; protein_db always holds 1400-residue members
+    .expect("database holds long enough sequences")
 }
 
 /// Default Mendel query parameters used by the performance figures.
@@ -111,14 +127,14 @@ pub fn ms(d: Duration) -> String {
 }
 
 /// Print a figure header in a consistent style.
-// The bench binaries report through stdout; this shared banner helper is
-// their only print path in the lib.
-#[allow(clippy::print_stdout)]
+#[allow(
+    clippy::print_stdout,
+    reason = "the bench binaries report through stdout; this shared banner is the lib's only print"
+)]
 pub fn figure_header(id: &str, caption: &str) {
-    println!("================================================================"); // audit:allow(println): shared stdout banner for the bench binaries
-    println!("{id}: {caption}"); // audit:allow(println): shared stdout banner for the bench binaries
     println!("================================================================");
-    // audit:allow(println): shared stdout banner for the bench binaries
+    println!("{id}: {caption}");
+    println!("================================================================");
 }
 
 #[cfg(test)]

@@ -65,8 +65,12 @@ impl BlastParams {
     /// Karlin parameters are solved numerically for the scoring system.
     pub fn dna() -> Self {
         let matrix = ScoringMatrix::dna(2, -3);
+        #[expect(
+            clippy::expect_used,
+            reason = "+2/-3 has negative drift and positive max score, so the Karlin solver always converges"
+        )]
         let karlin = solve_ungapped_background(&matrix)
-            .expect("+2/-3 has negative drift and positive scores"); // audit:allow(expect): +2/-3 has negative drift and positive max score, so the Karlin solver always converges
+            .expect("+2/-3 has negative drift and positive scores");
         BlastParams {
             spec: WordSpec::dna(),
             matrix,
@@ -171,10 +175,14 @@ impl Blast {
         for ((seq, _diag), mut hits) in by_diag {
             hits.sort_unstable();
             hits.dedup();
+            #[expect(
+                clippy::expect_used,
+                reason = "index invariant; postings only reference sequences stored in the same db"
+            )]
             let subject = &self
                 .db
                 .get(seq)
-                .expect("posting references live sequence") // audit:allow(expect): index invariant; postings only reference sequences stored in the same db
+                .expect("posting references live sequence")
                 .residues;
             let mut covered_to: i64 = -1; // rightmost query end already extended
             let mut last_hit_q: Option<usize> = None;
@@ -217,7 +225,11 @@ impl Blast {
             // Deterministic winner among equal-scoring HSPs regardless of
             // hash-map iteration order.
             segments.sort_unstable_by_key(|s| (s.qs, s.ss, std::cmp::Reverse(s.score)));
-            let subject = &self.db.get(seq).expect("live sequence").residues; // audit:allow(expect): index invariant; per_subject keys come from live postings
+            #[expect(
+                clippy::expect_used,
+                reason = "index invariant; per_subject keys come from live postings"
+            )]
+            let subject = &self.db.get(seq).expect("live sequence").residues;
             let mut best: Option<BlastHit> = None;
             for seg in &segments {
                 let identity = percent_identity(

@@ -50,8 +50,12 @@ impl WordSpec {
     }
 
     /// Number of possible packed words (`radix^k`).
+    #[expect(
+        clippy::expect_used,
+        reason = "WordSpec constructors reject overflowing k/radix, so the product always fits"
+    )]
     pub fn domain(&self) -> u32 {
-        self.domain_checked().expect("validated at construction") // audit:allow(expect): WordSpec constructors reject overflowing k/radix, so the product always fits
+        self.domain_checked().expect("validated at construction")
     }
 
     fn domain_checked(&self) -> Option<u32> {
@@ -136,9 +140,10 @@ pub fn neighborhood(
     out
 }
 
-// The recursion carries the whole DFS state; bundling it into a struct
-// would only rename the arguments without removing any of them.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "the recursion carries the whole DFS state; a struct would only rename the arguments"
+)]
 fn expand(
     spec: WordSpec,
     word: &[u8],
@@ -152,7 +157,11 @@ fn expand(
 ) {
     if pos == spec.k {
         if score >= threshold {
-            out.push(pack_word(spec, partial).expect("canonical residues")); // audit:allow(expect): partial holds canonical residues below the radix by construction
+            #[expect(
+                clippy::expect_used,
+                reason = "partial holds canonical residues below the radix by construction"
+            )]
+            out.push(pack_word(spec, partial).expect("canonical residues"));
         }
         return;
     }

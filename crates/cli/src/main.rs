@@ -1,8 +1,10 @@
 //! Thin binary shim over [`mendel_cli::run`].
 
-// Command output belongs on stdout; this shim is the one place the CLI
-// prints.
-#![allow(clippy::print_stdout)]
+#![allow(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "command output belongs on stdout and errors on stderr; this shim is the one place the CLI prints"
+)]
 
 fn main() {
     let tokens: Vec<String> = std::env::args().skip(1).collect();

@@ -736,9 +736,11 @@ fn extract_query(text: &str, alphabet: Alphabet) -> Result<Vec<u8>, CliError> {
 /// Readiness marker for process harnesses: printed exactly once, after
 /// the HTTP socket is live. `cmd_serve` blocks until shutdown, so this
 /// cannot be returned through `run()` like other command output.
-#[allow(clippy::print_stdout)]
+#[allow(
+    clippy::print_stdout,
+    reason = "serve readiness marker; the command blocks until shutdown"
+)]
 fn announce_ready(node: u16, http: SocketAddr) {
-    // audit:allow(println): serve readiness marker; the command blocks until shutdown
     println!("mendel serve: node {node} http {http} ready");
 }
 

@@ -12,6 +12,13 @@
 //! collisions (ports are probed, released, then rebound by children)
 //! retry the whole spawn round.
 
+#![allow(
+    clippy::print_stderr,
+    clippy::expect_used,
+    clippy::panic,
+    reason = "test support code outside #[test] functions fails the calling test on a broken fixture; it notes skips, retries and measurements on stderr"
+)]
+
 use mendel::{ClusterConfig, MendelCluster, QueryParams};
 use mendel_cli::http::http_request;
 use mendel_cli::render_outcome_json;
@@ -243,6 +250,23 @@ impl Costs {
             reconnects,
             frames_sent,
         }
+    }
+
+    /// `p`'s costs once no count is still landing: a frame is counted
+    /// after its write returns, so the peer can answer it — and a query
+    /// reach the test — before the sender's count moves. Reads until two
+    /// scrapes 100 ms apart agree.
+    fn settled(p: &Proc) -> Costs {
+        let mut last = Costs::of(p);
+        for _ in 0..50 {
+            std::thread::sleep(Duration::from_millis(100));
+            let now = Costs::of(p);
+            if now == last {
+                break;
+            }
+            last = now;
+        }
+        last
     }
 
     /// The costs run up since `before`.
@@ -708,13 +732,37 @@ fn unwaited_bound(healthy: Duration) -> Duration {
     (3 * healthy).max(Duration::from_millis(250))
 }
 
-/// Send `signal` (`-STOP`, `-CONT`) to `p`.
+/// Send `signal` (`-STOP`, `-CONT`) to `p`; after `-STOP`, wait until
+/// every thread of `p` has stopped, since `kill` returns before a busy
+/// thread takes the signal.
 fn signal(p: &Proc, signal: &str) {
     let status = Command::new("kill")
         .args([signal, &p.child.id().to_string()])
         .status()
         .expect("run kill");
     assert!(status.success(), "kill {signal} node {}", p.node);
+    if signal == "-STOP" {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while !stopped(p) {
+            assert!(Instant::now() < deadline, "node {} never stopped", p.node);
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    }
+}
+
+/// True when every thread of `p` is stopped, by the state field of its
+/// `/proc` stat line; true where there is no `/proc` to read.
+fn stopped(p: &Proc) -> bool {
+    let Ok(tasks) = std::fs::read_dir(format!("/proc/{}/task", p.child.id())) else {
+        return true;
+    };
+    tasks.flatten().all(|task| {
+        std::fs::read_to_string(task.path().join("stat")).is_ok_and(|stat| {
+            // The state follows the parenthesised command name.
+            stat.rsplit_once(") ")
+                .is_some_and(|(_, rest)| rest.starts_with(['T', 't']))
+        })
+    })
 }
 
 /// Query `p` until an answer has every member in it, and return it: on
@@ -745,10 +793,10 @@ fn hung_member_is_waited_out_once_then_only_asked() {
     let residues = record.to_ascii();
     let healthy = whole_answer(of(entry), &residues);
     // What one whole query costs the entry point.
-    let before = Costs::of(of(entry));
+    let before = Costs::settled(of(entry));
     let (answer, took) = timed_query(of(entry), &residues);
     assert_eq!(answer, healthy);
-    let whole = Costs::of(of(entry)).since(before);
+    let whole = Costs::settled(of(entry)).since(before);
     let bound = unwaited_bound(took);
 
     twin.fail_node(victim).expect("fail victim");
@@ -764,7 +812,7 @@ fn hung_member_is_waited_out_once_then_only_asked() {
         "the member deadline was waited out: {waited:?}"
     );
     assert_eq!(first, want, "degraded answer matches the fail_node twin");
-    let before = Costs::of(of(entry));
+    let before = Costs::settled(of(entry));
     for i in 0..5 {
         let (next, took) = timed_query(of(entry), &residues);
         assert!(took < bound, "query {i} took {took:?}, over {bound:?}");
@@ -777,7 +825,11 @@ fn hung_member_is_waited_out_once_then_only_asked() {
         frames_sent: 5 * whole.frames_sent,
         ..whole
     };
-    assert_eq!(Costs::of(of(entry)).since(before), five, "five queries");
+    assert_eq!(
+        Costs::settled(of(entry)).since(before),
+        five,
+        "five queries"
+    );
 
     signal(of(victim), "-CONT");
     let back = (0..2).any(|_| timed_query(of(entry), &residues).0 == healthy);
@@ -843,7 +895,10 @@ fn dead_member_costs_one_refused_dial_per_send() {
     let (entry, victim) = (at(entry), at(victim));
     let survivors: Vec<usize> = (0..procs.len()).filter(|&i| i != victim).collect();
     let costs = |procs: &[Proc]| -> Vec<Costs> {
-        survivors.iter().map(|&i| Costs::of(&procs[i])).collect()
+        survivors
+            .iter()
+            .map(|&i| Costs::settled(&procs[i]))
+            .collect()
     };
     let healthy = whole_answer(&procs[entry], &residues);
     // What one whole query costs each survivor.

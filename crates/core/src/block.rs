@@ -97,8 +97,11 @@ pub fn make_blocks(seq: &Sequence, block_len: usize) -> Vec<Block> {
         })
         .collect();
     #[cfg(feature = "strict-invariants")]
+    #[expect(
+        clippy::panic,
+        reason = "strict-invariants mode aborts on a corrupt fragmentation by design"
+    )]
     if let Err(e) = check_block_chain(&blocks, seq.len()) {
-        // audit:allow(panic): strict-invariants mode aborts on a corrupt fragmentation by design.
         panic!(
             "block chain invariant violated fragmenting {:?}: {e}",
             seq.id

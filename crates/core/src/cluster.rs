@@ -488,11 +488,15 @@ impl MendelCluster {
         ))
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "+2/-3 has negative drift and positive max score, so the Karlin solver always converges"
+    )]
     fn default_karlin(alphabet: Alphabet) -> KarlinParams {
         match alphabet {
             Alphabet::Protein => KarlinParams::BLOSUM62_GAPPED_11_1,
             Alphabet::Dna => solve_ungapped_background(&ScoringMatrix::dna(2, -3))
-                .expect("+2/-3 is a valid scoring system"), // audit:allow(expect): +2/-3 has negative drift and positive max score, so the Karlin solver always converges
+                .expect("+2/-3 is a valid scoring system"),
         }
     }
 
@@ -1252,6 +1256,10 @@ impl MendelCluster {
         }
         // Append under the write lock (clone-on-write keeps readers
         // lock-free on their own snapshots).
+        #[expect(
+            clippy::unwrap_used,
+            reason = "insert_batch just added these ids to the arc being read"
+        )]
         let (ids, new_seqs) = {
             let mut guard = self.db.write();
             let mut extended = (**guard).clone();
@@ -1263,7 +1271,7 @@ impl MendelCluster {
             (
                 ids.clone(),
                 ids.into_iter()
-                    .map(|id| arc.get(id).unwrap().clone()) // audit:allow(unwrap): insert_batch just added these ids to the arc being read
+                    .map(|id| arc.get(id).unwrap().clone())
                     .collect::<Vec<_>>(),
             )
         };

@@ -355,8 +355,11 @@ impl MendelCluster {
     /// `strict-invariants`; nothing otherwise.
     pub(super) fn assert_ledger(&self, _site: &str) {
         #[cfg(feature = "strict-invariants")]
+        #[expect(
+            clippy::panic,
+            reason = "strict-invariants mode aborts on accounting corruption by design"
+        )]
         if let Err(e) = self.check_ledger() {
-            // audit:allow(panic): strict-invariants mode aborts on accounting corruption by design.
             panic!("placement ledger diverged from the coverage sweep after {_site}: {e}");
         }
     }

@@ -177,8 +177,11 @@ impl StorageNode {
         debug_assert_eq!(self.keys.len(), self.indexed());
         #[cfg(feature = "strict-invariants")]
         {
+            #[expect(
+                clippy::panic,
+                reason = "strict-invariants mode aborts on accounting corruption by design"
+            )]
             if self.keys.len() != self.indexed() {
-                // audit:allow(panic): strict-invariants mode aborts on accounting corruption by design.
                 panic!(
                     "storage-node ingest left {} keys for {} indexed windows",
                     self.keys.len(),
@@ -189,8 +192,11 @@ impl StorageNode {
                 LocalIndex::Tree(tree) => tree.check_invariants(),
                 LocalIndex::Dna(index) => index.check_invariants(),
             };
+            #[expect(
+                clippy::panic,
+                reason = "strict-invariants mode aborts on structural corruption by design"
+            )]
             if let Err(e) = checked {
-                // audit:allow(panic): strict-invariants mode aborts on structural corruption by design.
                 panic!("storage-node ingest violated its index's invariants: {e}");
             }
         }

@@ -185,6 +185,10 @@ impl FrontEnd {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "these tests time real loopback servers on the wall clock"
+)]
 mod tests {
     use super::*;
     use crate::config::ClusterConfig;

@@ -1057,7 +1057,10 @@ fn admissible(cluster: &MendelCluster, msg: &QueryMsg) -> bool {
 /// Entry-point duty: replicate the subqueries to the other members,
 /// evaluate the local share, gather member anchor sets under the member
 /// deadline, merge, and reply with every contributor's receipt.
-#[allow(clippy::too_many_arguments)] // audit:allow(too-many-arguments): serving-context plumbing; bundling into a struct would be pure ceremony
+#[allow(
+    clippy::too_many_arguments,
+    reason = "serving-context plumbing; bundling into a struct would be pure ceremony"
+)]
 fn serve_group_query<T: Transport>(
     cluster: &MendelCluster,
     topo: &Topology,

@@ -5,6 +5,11 @@
 //! node it hosts, at replication 1 and with holder sets of two. Too slow
 //! for a debug build; `ci.sh` runs it in release.
 
+#![allow(
+    clippy::unwrap_used,
+    reason = "test support code outside #[test] functions fails the calling test on a broken fixture"
+)]
+
 use mendel::{ClusterConfig, MendelCluster};
 use mendel_dht::NodeId;
 use mendel_seq::gen::NrLikeSpec;

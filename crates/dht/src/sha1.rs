@@ -259,6 +259,10 @@ fn head(kernel: Kernel, data: &[u8]) -> u64 {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::disallowed_types,
+    reason = "the SIMD switch lock is a const-built std Mutex, as in mendel-seq's and mendel-align's tests"
+)]
 mod tests {
     use super::*;
     use mendel_seq::simd::set_simd_enabled;

@@ -19,7 +19,10 @@ use core::arch::x86_64::*;
 /// The caller must have verified SHA, SSSE3 and SSE4.1 at runtime.
 /// `blocks.len()` must be a multiple of 64.
 #[target_feature(enable = "sha,ssse3,sse4.1")]
-#[allow(unused_assignments)] // quad 19's schedule steps sit behind constant-false guards, and rustc still sees their writes
+#[allow(
+    unused_assignments,
+    reason = "quad 19's schedule steps sit behind constant-false guards, and rustc still sees their writes"
+)]
 pub(super) unsafe fn compress(h: &mut [u32; 5], blocks: &[u8]) {
     debug_assert_eq!(blocks.len() % 64, 0);
     // Reverses the sixteen bytes: big-endian words, word 0 on top.

@@ -159,8 +159,11 @@ impl Topology {
     /// called after `new` and `join` under `strict-invariants`.
     #[cfg(feature = "strict-invariants")]
     fn assert_invariants(&self, site: &str) {
+        #[expect(
+            clippy::panic,
+            reason = "strict-invariants mode aborts on membership corruption by design"
+        )]
         if let Err(e) = self.check_invariants() {
-            // audit:allow(panic): strict-invariants mode aborts on membership corruption by design.
             panic!("topology invariant violated after {site}: {e}");
         }
     }

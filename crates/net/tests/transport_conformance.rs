@@ -3,6 +3,12 @@
 //! and typed receive timeouts — the semantics the [`Transport`] trait
 //! documents and the wire path's gather relies on.
 
+#![allow(
+    clippy::expect_used,
+    clippy::disallowed_methods,
+    reason = "test support code outside #[test] functions fails the calling test on a broken fixture; it times real loopback sockets on the wall clock"
+)]
+
 use bytes::Bytes;
 use mendel_net::tcp::{TcpConfig, TcpTransport};
 use mendel_net::transport::Transport;

@@ -4,9 +4,9 @@
 //! Everything in the workspace that needs "now" takes it from a
 //! [`Clock`] rather than calling `Instant::now()` directly, and waits
 //! on one rather than in `thread::sleep`, so chaos and latency tests
-//! can drive time deterministically (the `mendel-audit` `instant-now`
-//! rule enforces both in the instrumented crates; this module is the
-//! sanctioned wrapper).
+//! can drive time deterministically (clippy's `disallowed_methods`, set
+//! in the instrumented crates' `clippy.toml`, enforces both there; this
+//! module is the sanctioned wrapper).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};

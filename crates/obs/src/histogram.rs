@@ -92,8 +92,8 @@ impl Histogram {
 
     /// The default span histogram: 1µs to 100s in seconds, 36 log-spaced
     /// boundaries (~4.4 per decade).
+    #[expect(clippy::expect_used, reason = "constant arguments proven valid above")]
     pub fn span_seconds() -> Self {
-        // audit:allow(expect): constant arguments proven valid above.
         Self::log_spaced(1e-6, 100.0, 36).expect("constant bounds are valid")
     }
 

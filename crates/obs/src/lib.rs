@@ -20,8 +20,9 @@
 //! - [`Clock`]: the injectable time source stage timings and trace
 //!   spans read — [`MonotonicClock`] in production, [`VirtualClock`] in
 //!   tests so chaos/latency tests stay deterministic. Instrumented crates must
-//!   not call `Instant::now()` directly (enforced by the `mendel-audit`
-//!   `instant-now` rule); they take time from the registry's clock.
+//!   not call `Instant::now()` directly (enforced by clippy's
+//!   `disallowed_methods` in their `clippy.toml`); they take time from
+//!   the registry's clock.
 //!
 //! See `DESIGN.md` §11 for the metric namespace and the
 //! injectable-clock rule.

@@ -204,16 +204,17 @@ impl Scheduler {
             wake_rx,
             counters: SchedCounters::registered(registry),
         });
+        #[expect(
+            clippy::panic,
+            reason = "a scheduler that cannot spawn its workers cannot run jobs at all; failing loudly at construction beats hanging every query later"
+        )]
         let handles = (0..workers)
             .map(|me| {
                 let inner = Arc::clone(&inner);
                 std::thread::Builder::new()
                     .name(format!("mendel-sched-{me}"))
                     .spawn(move || worker_loop(inner, me))
-                    .unwrap_or_else(|e| {
-                        // audit:allow(panic): a scheduler that cannot spawn its workers cannot run jobs at all; failing loudly at construction beats hanging every query later
-                        panic!("failed to spawn scheduler worker {me}: {e}")
-                    })
+                    .unwrap_or_else(|e| panic!("failed to spawn scheduler worker {me}: {e}"))
             })
             .collect();
         Scheduler {
@@ -462,8 +463,7 @@ mod tests {
             &reg,
         );
         let bad = sched.run(|| {
-            // audit:allow(panic): deliberately hostile job for the
-            // containment test.
+            // A deliberately hostile job for the containment test.
             panic!("poisoned query");
         });
         assert_eq!(bad.wait(), None);

@@ -35,9 +35,13 @@ pub struct ResidueSampler {
 
 impl ResidueSampler {
     /// Sampler using the alphabet's background frequencies.
+    #[expect(
+        clippy::expect_used,
+        reason = "embedded background tables are positive and match the alphabet size"
+    )]
     pub fn background(alphabet: Alphabet) -> Self {
         Self::with_frequencies(alphabet, &background_frequencies(alphabet))
-            .expect("background frequencies are valid") // audit:allow(expect): embedded background tables are positive and match the alphabet size
+            .expect("background frequencies are valid")
     }
 
     /// Sampler with caller-supplied canonical-residue frequencies.

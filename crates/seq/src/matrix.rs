@@ -65,12 +65,16 @@ impl ScoringMatrix {
     /// The BLOSUM62 matrix (the paper's and BLAST's default for proteins).
     /// The embedded text is parsed once per process; each call clones the
     /// parsed table.
+    #[expect(
+        clippy::expect_used,
+        reason = "embedded constant text; failing to parse it is a build defect worth a panic"
+    )]
     pub fn blosum62() -> Self {
         static PARSED: OnceLock<ScoringMatrix> = OnceLock::new();
         PARSED
             .get_or_init(|| {
                 Self::from_ncbi_text("BLOSUM62", Alphabet::Protein, BLOSUM62_TEXT)
-                    .expect("embedded BLOSUM62 must parse") // audit:allow(expect): embedded constant text; failing to parse it is a build defect worth a panic
+                    .expect("embedded BLOSUM62 must parse")
             })
             .clone()
     }

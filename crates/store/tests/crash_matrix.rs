@@ -9,6 +9,12 @@
 //! n-th one into a machine crash (unsynced tails torn to a random
 //! prefix, with bit flips). The matrix sweeps n over the whole run.
 
+#![allow(
+    clippy::expect_used,
+    clippy::panic,
+    reason = "test support code outside #[test] functions fails the calling test on a broken fixture"
+)]
+
 use mendel_store::{
     DiskFaultConfig, DurableStore, FsyncPolicy, MemVfs, StoreMetrics, StoreOptions, Vfs,
 };

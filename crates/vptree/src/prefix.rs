@@ -324,8 +324,11 @@ impl<M: Metric<[u8]>> VpPrefixTree<M> {
     /// called after builds under `strict-invariants`.
     #[cfg(feature = "strict-invariants")]
     fn assert_invariants(&self, probes: &[Vec<u8>], site: &str) {
+        #[expect(
+            clippy::panic,
+            reason = "strict-invariants mode aborts on structural corruption by design"
+        )]
         if let Err(e) = self.check_invariants(probes) {
-            // audit:allow(panic): strict-invariants mode aborts on structural corruption by design.
             panic!("vp-prefix-tree invariant violated after {site}: {e}");
         }
     }

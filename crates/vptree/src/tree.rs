@@ -1101,8 +1101,11 @@ impl<M: Metric<[u8]>> VpTree<M> {
     /// called at build/rebalance sites under `strict-invariants`.
     #[cfg(feature = "strict-invariants")]
     pub(crate) fn assert_invariants(&self, site: &str) {
+        #[expect(
+            clippy::panic,
+            reason = "strict-invariants mode aborts on structural corruption by design"
+        )]
         if let Err(e) = self.check_invariants() {
-            // audit:allow(panic): strict-invariants mode aborts on structural corruption by design.
             panic!("vp-tree invariant violated after {site}: {e}");
         }
     }

@@ -29,6 +29,13 @@
 //! is checked against brute force, and against the budgeted tree it
 //! replaced, by [`pigeonhole_search_is_exact`].
 
+#![allow(
+    clippy::print_stderr,
+    clippy::expect_used,
+    clippy::disallowed_methods,
+    reason = "test support code outside #[test] functions fails the calling test on a broken fixture; it notes skips, retries and measurements on stderr; it times real builds and searches on the wall clock"
+)]
+
 use mendel_seq::gen::{MutationModel, NrLikeSpec};
 use mendel_seq::{Alphabet, Hamming, MatrixDistance, Metric, ScoringMatrix};
 use mendel_vptree::{brute_force_knn, VpTree};

@@ -8,8 +8,12 @@
 //! cargo run --release --example cluster_ops
 //! ```
 
-// Examples narrate through stdout by design.
-#![allow(clippy::print_stdout)]
+#![allow(
+    clippy::print_stdout,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "an example narrates on stdout and stops at a failed step with the message as the diagnostic"
+)]
 
 use mendel_suite::core::{ClusterConfig, MendelCluster, QueryParams};
 use mendel_suite::dht::NodeId;

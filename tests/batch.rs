@@ -7,6 +7,11 @@
 //! `mendel serve` runs them. Beside it: concurrent callers, the SIMD
 //! kill switch and the error text, all one query per call.
 
+#![allow(
+    clippy::unwrap_used,
+    reason = "test support code outside #[test] functions fails the calling test on a broken fixture"
+)]
+
 use mendel_suite::core::wire::node_addr;
 use mendel_suite::core::{
     ClusterConfig, FrontEnd, MendelCluster, MendelHit, NodeServer, QueryParams, StorageBackend,
@@ -137,7 +142,10 @@ fn world(alphabet: Alphabet, durable: bool) -> &'static (World, Served) {
 }
 
 /// Every field of a hit, floats as raw bit patterns.
-#[allow(clippy::type_complexity)]
+#[allow(
+    clippy::type_complexity,
+    reason = "the tuple is the hit's fields in order, compared as a whole"
+)]
 fn hit_bits(h: &MendelHit) -> (u32, i32, u64, u64, usize, usize, usize, usize, u32) {
     (
         h.subject.0,

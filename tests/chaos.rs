@@ -14,6 +14,12 @@
 //! `repair()` restores the replication factor, and
 //! `QueryReport::coverage` certifies when answers are complete.
 
+#![allow(
+    clippy::print_stderr,
+    clippy::unwrap_used,
+    reason = "test support code outside #[test] functions fails the calling test on a broken fixture; it notes skips, retries and measurements on stderr"
+)]
+
 use mendel_suite::core::wire::node_addr;
 use mendel_suite::core::{
     ClusterConfig, CoverageReport, MendelCluster, MendelHit, QueryParams, WireCluster, WireTimeouts,

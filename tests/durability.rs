@@ -3,6 +3,11 @@
 //! kill-and-recover chaos with bit-identical answers, and a torn-tail
 //! machine crash must lose at most the un-synced suffix.
 
+#![allow(
+    clippy::unwrap_used,
+    reason = "test support code outside #[test] functions fails the calling test on a broken fixture"
+)]
+
 use mendel_suite::core::{ClusterConfig, MendelCluster, QueryParams, StorageBackend};
 use mendel_suite::dht::NodeId;
 use mendel_suite::obs::MonotonicClock;

@@ -2,6 +2,11 @@
 //! public API, spanning mendel-seq, mendel-vptree, mendel-dht and the
 //! mendel core.
 
+#![allow(
+    clippy::expect_used,
+    reason = "test support code outside #[test] functions fails the calling test on a broken fixture"
+)]
+
 use mendel_suite::core::{ClusterConfig, MendelCluster, QueryParams};
 use mendel_suite::dht::NodeId;
 use mendel_suite::seq::gen::{NrLikeSpec, QuerySetSpec};

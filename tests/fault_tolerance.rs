@@ -1,6 +1,11 @@
 //! Fault-tolerance and elasticity integration tests (the §VII-B
 //! extensions this reproduction implements).
 
+#![allow(
+    clippy::unwrap_used,
+    reason = "test support code outside #[test] functions fails the calling test on a broken fixture"
+)]
+
 use mendel_suite::core::{ClusterConfig, MendelCluster, MendelError, QueryParams};
 use mendel_suite::dht::{GroupId, NodeId};
 use mendel_suite::obs::SlowLogConfig;

@@ -1,6 +1,11 @@
 //! Cross-engine agreement: Mendel and the BLAST baseline must agree on
 //! unambiguous searches (the paper's §VI compares the two throughout).
 
+#![allow(
+    clippy::unwrap_used,
+    reason = "test support code outside #[test] functions fails the calling test on a broken fixture"
+)]
+
 use mendel_suite::blast::{Blast, BlastParams};
 use mendel_suite::core::{ClusterConfig, MendelCluster, QueryParams};
 use mendel_suite::seq::gen::{NrLikeSpec, QuerySetSpec};

@@ -14,6 +14,11 @@
 //!    evaluators, and identical serial runs produce identical counter
 //!    deltas.
 
+#![allow(
+    clippy::unwrap_used,
+    reason = "test support code outside #[test] functions fails the calling test on a broken fixture"
+)]
+
 use mendel_suite::core::{ClusterConfig, MendelCluster, QueryParams, WireCluster};
 use mendel_suite::dht::NodeId;
 use mendel_suite::obs::{MetricsSnapshot, Registry};

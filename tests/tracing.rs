@@ -4,6 +4,11 @@
 //! chaos runs, a minimal trace-event schema check, and the envelope
 //! wire-format compatibility contract (with and without trace context).
 
+#![allow(
+    clippy::unwrap_used,
+    reason = "test support code outside #[test] functions fails the calling test on a broken fixture"
+)]
+
 use bytes::{BufMut, Bytes, BytesMut};
 use mendel_suite::core::{ClusterConfig, MendelCluster, QueryParams, TraceCollector, WireCluster};
 use mendel_suite::dht::NodeId;
