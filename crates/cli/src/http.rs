@@ -112,7 +112,7 @@ fn status_reason(status: u16) -> &'static str {
 /// Request handler: pure function from request to response. Handler
 /// panics are caught per connection and answered as 500 so one bad
 /// query cannot take the server down.
-pub type Handler = Arc<dyn Fn(&Request) -> Response + Send + Sync>;
+pub type Handler = Arc<dyn Fn(Request) -> Response + Send + Sync>;
 
 /// The server: an acceptor thread plus one short-lived thread per
 /// connection. [`HttpServer::shutdown`] (also run on drop) stops the
@@ -205,7 +205,7 @@ fn serve_connection(stream: TcpStream, handler: &Handler) {
         Ok(req) => {
             // A panicking handler answers 500 instead of killing the
             // connection silently (the thread is already isolated).
-            match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| handler(&req))) {
+            match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| handler(req))) {
                 Ok(resp) => resp,
                 Err(_) => Response::json(500, "{\"error\":\"internal handler failure\"}"),
             }
@@ -406,9 +406,9 @@ mod tests {
     fn echo_server() -> HttpServer {
         let handler: Handler =
             Arc::new(
-                |req: &Request| match (req.method.as_str(), req.path.as_str()) {
+                |req: Request| match (req.method.as_str(), req.path.as_str()) {
                     ("GET", "/healthz") => Response::json(200, "{\"status\":\"ok\"}"),
-                    ("POST", "/echo") => Response::text(200, req.body.clone()),
+                    ("POST", "/echo") => Response::text(200, req.body),
                     ("GET", "/boom") => panic!("handler blew up"),
                     _ => Response::json(404, "{\"error\":\"no such route\"}"),
                 },

@@ -321,13 +321,15 @@ struct State {
 impl State {
     /// Build this node's share of the cluster from FASTA text and start its
     /// node server and front-end; the caller holds `ingest_claimed`. Returns
-    /// the serving node, which keeps where the ingest's time went.
-    fn ingest(&self, fasta: &str) -> Result<&Serving, CliError> {
+    /// the serving node, which keeps where the ingest's time went. The
+    /// text is dropped once it is parsed, before the build.
+    fn ingest(&self, fasta: String) -> Result<&Serving, CliError> {
         let started = self.uptime.now();
         let mut store = SeqStore::new();
-        for s in parse_fasta_sequences(fasta, self.cfg.cluster.alphabet)? {
+        for s in parse_fasta_sequences(&fasta, self.cfg.cluster.alphabet)? {
             store.insert(s);
         }
+        drop(fasta);
         let parse = self.uptime.now().saturating_sub(started);
         let sequences = store.len();
         let db = Arc::new(store);
@@ -405,7 +407,7 @@ impl State {
         }))
     }
 
-    fn handle(&self, req: &Request) -> Response {
+    fn handle(&self, req: Request) -> Response {
         match (req.method.as_str(), req.path.as_str()) {
             ("GET", "/healthz") => {
                 let serving = self.serving.get();
@@ -444,7 +446,7 @@ impl State {
                 Response::json(200, body)
             }
             ("POST", "/ingest") => {
-                let Ok(text) = std::str::from_utf8(&req.body) else {
+                let Ok(text) = String::from_utf8(req.body) else {
                     return Response::json(400, "{\"error\":\"ingest body must be UTF-8 FASTA\"}");
                 };
                 // audit:ordering(AcqRel): the claim is the one builder's; a failed build's release hands it on
@@ -546,7 +548,7 @@ impl State {
                 // the socket write.
                 Response::json(200, cluster.slowlog().render_json())
             }
-            ("GET", path) if path.starts_with("/trace/") => self.trace_response(req),
+            ("GET", path) if path.starts_with("/trace/") => self.trace_response(&req),
             ("POST", "/shutdown") => {
                 // `cmd_serve` holds the receiver until it returns.
                 let _ = self.stop.send(());
@@ -759,7 +761,7 @@ pub fn cmd_serve(args: &Args) -> Result<String, CliError> {
     });
     let handler: Handler = {
         let state = state.clone();
-        Arc::new(move |req: &Request| state.handle(req))
+        Arc::new(move |req: Request| state.handle(req))
     };
     let mut http =
         HttpServer::bind(cfg.http, handler).map_err(|e| CliError::Io(cfg.http.to_string(), e))?;
@@ -803,7 +805,7 @@ mod tests {
             query: query.into(),
             body: body.to_vec(),
         };
-        let resp = state.handle(&req);
+        let resp = state.handle(req);
         (resp.status, String::from_utf8(resp.body).unwrap())
     }
 

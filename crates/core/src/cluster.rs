@@ -69,9 +69,8 @@ struct Dispatch {
 /// rebalance re-places.
 trait BlockSource {
     /// The blocks in runs of consecutive keys of one sequence: each
-    /// run's first key and the residues its windows cover, so a run of
-    /// `n` blocks of length k covers n + k − 1 residues.
-    fn runs(&self) -> impl Iterator<Item = (BlockKey, &[u8])> + Clone;
+    /// run's first key and its number of blocks.
+    fn runs(&self) -> impl Iterator<Item = (BlockKey, usize)> + Clone;
 
     /// The blocks `keep` picks by position, each with its window as a
     /// view of the sequence it was cut from: what a store persists.
@@ -89,16 +88,15 @@ struct Corpus<'s> {
 }
 
 impl BlockSource for Corpus<'_> {
-    fn runs(&self) -> impl Iterator<Item = (BlockKey, &[u8])> + Clone {
-        let whole = self.seqs.iter().filter(|s| s.len() >= self.block_len);
-        whole.map(|s| {
-            (
-                BlockKey {
-                    seq: s.id,
-                    start: 0,
-                },
-                s.residues.as_slice(),
-            )
+    fn runs(&self) -> impl Iterator<Item = (BlockKey, usize)> + Clone {
+        let k = self.block_len;
+        let whole = self.seqs.iter().filter(move |s| s.len() >= k);
+        whole.map(move |s| {
+            let first = BlockKey {
+                seq: s.id,
+                start: 0,
+            };
+            (first, s.len() + 1 - k)
         })
     }
 
@@ -124,8 +122,8 @@ impl BlockSource for Corpus<'_> {
 }
 
 impl BlockSource for [Block] {
-    fn runs(&self) -> impl Iterator<Item = (BlockKey, &[u8])> + Clone {
-        self.iter().map(|b| (b.key(), &*b.window))
+    fn runs(&self) -> impl Iterator<Item = (BlockKey, usize)> + Clone {
+        self.iter().map(|b| (b.key(), 1))
     }
 
     fn views(&self, keep: impl Fn(usize) -> bool) -> impl Iterator<Item = (BlockKey, WindowView)> {
@@ -134,23 +132,22 @@ impl BlockSource for [Block] {
     }
 }
 
-/// One hosted node's tree input: the keys and, back to back, the windows
-/// of its copies, in corpus order, in buffers sized once, one block past
-/// its copies. A write lands at the end; `keep` says whether the end
-/// moves past it.
+/// One hosted node's tree input: the keys of its copies, in corpus
+/// order, in a buffer sized once, one key past its copies. A write lands
+/// at the end; `keep` says whether the end moves past it. The node's
+/// index reads each key's window from the reference store
+/// ([`crate::node::StorageNode::insert_keys`]), so no window is copied
+/// here.
 struct TreeInput {
     node: NodeId,
     keys: Vec<BlockKey>,
-    windows: Vec<u8>,
     len: usize,
 }
 
 impl TreeInput {
-    /// Write a block at the end, and keep it there if `keep` is 1.
-    fn write(&mut self, key: BlockKey, window: &[u8], keep: usize) {
-        let k = window.len();
+    /// Write a key at the end, and keep it there if `keep` is 1.
+    fn write(&mut self, key: BlockKey, keep: usize) {
         self.keys[self.len] = key;
-        self.windows[self.len * k..][..k].copy_from_slice(window);
         self.len += keep;
     }
 }
@@ -158,7 +155,7 @@ impl TreeInput {
 /// The hosted nodes' tree inputs, filled by pass 2's walk. Every block
 /// makes the same `width` writes: one to each hosted node its ring start
 /// copies to, padded with writes that keep nothing (into the room one
-/// block past a node's copies). So the walk stores without a branch,
+/// key past a node's copies). So the walk stores without a branch,
 /// which a SHA-1-placed copy would mispredict about once in three on a
 /// member build: on protein-long's 94 k hosted copies of 282 k blocks, a
 /// pushing loop took about 5 ms where this takes under 1 ms. `width` is
@@ -175,13 +172,9 @@ struct Staging {
 
 impl Staging {
     /// Inputs for the `hosted` nodes, each with room for its `copies`
-    /// blocks of length `k`, taken from the starts whose holder set in
-    /// `sets` (indexed by ring start) names it.
-    fn new(
-        hosted: impl Iterator<Item = (NodeId, usize)>,
-        sets: &[(GroupId, Vec<NodeId>)],
-        k: usize,
-    ) -> Self {
+    /// keys, taken from the starts whose holder set in `sets` (indexed
+    /// by ring start) names it.
+    fn new(hosted: impl Iterator<Item = (NodeId, usize)>, sets: &[(GroupId, Vec<NodeId>)]) -> Self {
         let key = BlockKey {
             seq: mendel_seq::SeqId(0),
             start: 0,
@@ -190,7 +183,6 @@ impl Staging {
             .map(|(node, copies)| TreeInput {
                 node,
                 keys: vec![key; copies + 1],
-                windows: vec![0; (copies + 1) * k],
                 len: 0,
             })
             .collect();
@@ -216,22 +208,20 @@ impl Staging {
         }
     }
 
-    /// A block whose ring starts at `start`, kept by the hosted nodes it
-    /// is copied to.
-    fn offer(&mut self, start: NodeId, key: BlockKey, window: &[u8]) {
+    /// The block of `key`, whose ring starts at `start`, kept by the
+    /// hosted nodes it is copied to.
+    fn offer(&mut self, start: NodeId, key: BlockKey) {
         let at = start.0 as usize * self.width;
         for &(i, keep) in &self.offers[at..at + self.width] {
-            self.inputs[i].write(key, window, keep);
+            self.inputs[i].write(key, keep);
         }
     }
 
-    /// Each hosted node and the keys and windows it kept.
-    fn finish(self) -> impl Iterator<Item = (NodeId, Vec<BlockKey>, Vec<u8>)> {
+    /// Each hosted node and the keys it kept.
+    fn finish(self) -> impl Iterator<Item = (NodeId, Vec<BlockKey>)> {
         self.inputs.into_iter().map(|mut input| {
-            let k = input.windows.len() / input.keys.len();
             input.keys.truncate(input.len);
-            input.windows.truncate(input.len * k);
-            (input.node, input.keys, input.windows)
+            (input.node, input.keys)
         })
     }
 }
@@ -530,9 +520,9 @@ impl MendelCluster {
     /// Phases 1–3 of indexing (§V-A) for `seqs`, which the reference
     /// store already holds: vp-prefix dispersion to groups and SHA-1
     /// placement within groups ([`Self::route`], on every core), then
-    /// one walk that records every copy in the ledger and cuts the
-    /// hosted nodes' blocks straight into their indexes' input
-    /// ([`Self::route_and_place`]). Reports the first
+    /// one walk that records every copy in the ledger and lists the
+    /// hosted nodes' keys, whose windows their indexes read from the
+    /// store ([`Self::route_and_place`]). Reports the first
     /// refusal: a routed group with no live member, or a node whose disk
     /// refused its batch.
     fn index_sequences<'a>(
@@ -629,11 +619,10 @@ impl MendelCluster {
     ///   node whose disk refuses takes none;
     /// - **ledger**: one walk over the routes in corpus order writes each
     ///   block's slot — the holder set of its ring start, the replicas
-    ///   that took their copy — and copies each hosted copy's key and
-    ///   window into its node's staging, sized once from the copy
-    ///   counts;
-    /// - **RAM**: each hosted node's tree adopts its staging, in node
-    ///   order.
+    ///   that took their copy — and each hosted copy's key into its
+    ///   node's staging, sized once from the copy counts;
+    /// - **RAM**: each hosted node indexes its keys, in node order, its
+    ///   index reading every window from the reference store at its key.
     ///
     /// The durable backend acknowledges a block only once its WAL record
     /// is on disk, so a copy that never became durable is never claimed
@@ -673,10 +662,7 @@ impl MendelCluster {
                 }
             }
         }
-        let k = self.config.block_len;
-        let runs = blocks
-            .runs()
-            .map(|(first, run)| (first, run.len() + 1 - k, run));
+        let runs = blocks.runs();
         let mut ledger = self.ledger.write();
         let staging = loop {
             let sets: Vec<(GroupId, Vec<NodeId>)> = replicas
@@ -692,17 +678,17 @@ impl MendelCluster {
                 .collect();
             let hosted = (0..copies.len()).filter(|&i| took[i] && self.hosts(NodeId(i as u16)));
             let hosted = hosted.map(|i| (NodeId(i as u16), copies[i]));
-            let mut staging = Staging::new(hosted, &sets, k);
+            let mut staging = Staging::new(hosted, &sets);
             let placed = ledger.place_walk(
                 &sets,
                 |i| routes[i],
                 runs.clone(),
-                |first, j, p, run| {
+                |first, j, p| {
                     let key = BlockKey {
                         start: first.start + j as u32,
                         ..first
                     };
-                    staging.offer(p, key, &run[j..j + k]);
+                    staging.offer(p, key);
                 },
             );
             let Err((p, e)) = placed else {
@@ -720,9 +706,9 @@ impl MendelCluster {
         refused.sort_by_key(|&(n, _)| n);
         let clock = self.obs.clock();
         let mut tree = Duration::ZERO;
-        for (node, keys, windows) in staging.finish() {
+        for (node, keys) in staging.finish() {
             let started = clock.now();
-            nodes[node.0 as usize].insert_windows(keys, windows);
+            nodes[node.0 as usize].insert_keys(keys, self.config.block_len);
             tree += clock.now().saturating_sub(started);
         }
         (refused, tree)

@@ -156,30 +156,30 @@ impl Ledger {
         node: NodeId,
         keys: impl Iterator<Item = BlockKey> + Clone,
     ) -> Result<(), MendelError> {
-        let runs = keys.map(|key| (key, 1, ()));
+        let runs = keys.map(|key| (key, 1));
         let one = [(g, vec![node])];
-        let placed = self.place_walk(&one, |_| NodeId(0), runs, |_, _, _, ()| {});
+        let placed = self.place_walk(&one, |_| NodeId(0), runs, |_, _, _| {});
         placed.map_err(|(_, e)| e)
     }
 
     /// Record one placement walk, in one pass over its keys. They come in
-    /// runs `(first, n, item)`: the `n` keys of `first`'s sequence from
+    /// runs `(first, n)`: the `n` keys of `first`'s sequence from
     /// `first` on. The i-th key of the walk is now held by
     /// `sets[route(i)]` — a group and some of its members, indexed by
     /// the node the key's ring starts at — as well as by whoever held it
     /// before; a set with no member places its keys nowhere and is not
     /// checked. Refuses (see the module docs) before writing any slot,
     /// naming the ring start of the first key refused. Once the j-th key
-    /// of a run is written, `each(first, j, its route, &item)` sees it,
+    /// of a run is written, `each(first, j, its route)` sees it,
     /// in the same pass. The joined set of a slot's old set and a
     /// start's set is worked out once per distinct pair, not once per
     /// key.
-    pub(crate) fn place_walk<T>(
+    pub(crate) fn place_walk(
         &mut self,
         sets: &[(GroupId, Vec<NodeId>)],
         route: impl Fn(usize) -> NodeId,
-        runs: impl Iterator<Item = (BlockKey, usize, T)> + Clone,
-        mut each: impl FnMut(BlockKey, usize, NodeId, &T),
+        runs: impl Iterator<Item = (BlockKey, usize)> + Clone,
+        mut each: impl FnMut(BlockKey, usize, NodeId),
     ) -> Result<(), (NodeId, MendelError)> {
         // Per start, the group its keys are placed in, if any.
         let into: Vec<Option<GroupId>> = sets
@@ -187,7 +187,7 @@ impl Ledger {
             .map(|(g, members)| (!members.is_empty()).then_some(*g))
             .collect();
         let mut i = 0;
-        for (first, n, _) in runs.clone() {
+        for (first, n) in runs.clone() {
             let at = i;
             i += n;
             let clash = |(j, &set): (usize, &SetId)| {
@@ -212,7 +212,7 @@ impl Ledger {
         let mut alone: Vec<Option<SetId>> = vec![None; sets.len()];
         let mut joined: Vec<(SetId, NodeId, SetId)> = Vec::new();
         let mut i = 0;
-        for (first, n, item) in runs {
+        for (first, n) in runs {
             let at = i;
             i += n;
             // Keys past the key space were refused above, or place nowhere.
@@ -251,7 +251,7 @@ impl Ledger {
                     }
                     self.sets[new as usize].keys += 1;
                 }
-                each(first, j, p, &item);
+                each(first, j, p);
             }
         }
         Ok(())
@@ -576,13 +576,13 @@ mod tests {
     fn a_walk_places_what_one_place_per_node_places() {
         let lens = [12, 3, 30, 7, 19];
         let db = store(&lens);
-        let runs: Vec<(BlockKey, usize, ())> = (0..lens.len() as u32)
+        let runs: Vec<(BlockKey, usize)> = (0..lens.len() as u32)
             .filter(|&s| lens[s as usize] >= BLOCK)
-            .map(|s| (key(s, 0), lens[s as usize] + 1 - BLOCK, ()))
+            .map(|s| (key(s, 0), lens[s as usize] + 1 - BLOCK))
             .collect();
         let all: Vec<BlockKey> = runs
             .iter()
-            .flat_map(|&(first, n, ())| (0..n as u32).map(move |t| key(first.seq.0, t)))
+            .flat_map(|&(first, n)| (0..n as u32).map(move |t| key(first.seq.0, t)))
             .collect();
         let sets = [
             (G, vec![NodeId(2), NodeId(0)]),
@@ -607,7 +607,7 @@ mod tests {
                     &sets,
                     |i| routes[i],
                     runs.iter().copied(),
-                    |first, j, p, ()| {
+                    |first, j, p| {
                         seen.push((
                             BlockKey {
                                 start: j as u32,
@@ -643,18 +643,18 @@ mod tests {
             }
             // A run past its sequence's end is refused, naming the start
             // of its first key out of range, with nothing written...
-            let past_the_end = [(key(0, 7), 3, ())];
+            let past_the_end = [(key(0, 7), 3)];
             let before = walked.keys_held_by(G, NodeId(1));
             let to = [2, 2, 1];
             let run = past_the_end.into_iter();
-            let refused = walked.place_walk(&sets, |i| NodeId(to[i]), run, |_, _, _, ()| {});
+            let refused = walked.place_walk(&sets, |i| NodeId(to[i]), run, |_, _, _| {});
             assert_eq!(refused.map_err(|(p, _)| p), Err(NodeId(1)));
             assert_eq!(walked.keys_held_by(G, NodeId(1)), before);
             // ...unless what runs past it places nowhere: its keys in
             // range are written.
             let to = [1, 1, 2];
             let run = past_the_end.into_iter();
-            let placed = walked.place_walk(&sets, |i| NodeId(to[i]), run, |_, _, _, ()| {});
+            let placed = walked.place_walk(&sets, |i| NodeId(to[i]), run, |_, _, _| {});
             placed.unwrap();
             let mut want = before.clone();
             want.extend([key(0, 7), key(0, 8)]);

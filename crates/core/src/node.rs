@@ -150,28 +150,71 @@ impl StorageNode {
         }
     }
 
-    /// Phase 3 of indexing: index a batch of blocks locally — `keys`, and
-    /// their windows packed back to back in `windows` — and record the
-    /// keys under the same insertion ids. The index takes `windows` as its
-    /// build's staging (the vp-tree's §III-D batch path,
-    /// [`VpTree::insert_windows`], or one counting sort into the DNA
-    /// tables, [`PigeonholeIndex::insert_windows`]).
-    pub fn insert_windows(&mut self, keys: Vec<BlockKey>, windows: Vec<u8>) {
-        if keys.is_empty() {
+    /// Phase 3 of indexing: index the blocks of `keys` locally, under the
+    /// next insertion ids, each window `len` residues of the reference
+    /// store at its key. The index reads every window it builds over
+    /// from the store there — those of the ids held before too, where a
+    /// rebuild reaches them — so no copy of them is made first (the
+    /// vp-tree's §III-D batch path, [`VpTree::insert_windows`], or one
+    /// counting sort into the DNA tables,
+    /// [`PigeonholeIndex::insert_windows`]).
+    ///
+    /// # Panics
+    /// Panics when a key's sequence is absent from the store or its
+    /// window runs past the sequence's end: the ledger, which records
+    /// every key before a node indexes it, refuses such a key.
+    pub fn insert_keys(&mut self, keys: Vec<BlockKey>, len: usize) {
+        self.insert_with(keys, len, |_| None);
+    }
+
+    /// [`Self::insert_keys`] over whole blocks (replay from disk, repair
+    /// copies): the batch's windows are read from its blocks.
+    pub fn insert_blocks(&mut self, blocks: Vec<Block>) {
+        let Some(len) = blocks.first().map(|b| b.window.len()) else {
+            return;
+        };
+        let keys = blocks.iter().map(Block::key).collect();
+        self.insert_with(keys, len, |i| Some(&*blocks[i].window));
+    }
+
+    /// Index `keys` under the next insertion ids: the window of the
+    /// batch's `i`-th is `batch(i)` where that gives one, and any other
+    /// id's the `len` residues of the store at its key.
+    fn insert_with<'b>(
+        &mut self,
+        keys: Vec<BlockKey>,
+        len: usize,
+        batch: impl Fn(usize) -> Option<&'b [u8]>,
+    ) {
+        let count = keys.len();
+        if count == 0 {
             return;
         }
-        let len = windows.len() / keys.len();
-        if self.keys.is_empty() {
+        let held = self.keys.len();
+        if held == 0 {
             self.keys = keys;
         } else {
             self.keys.extend(keys);
         }
+        let db = self.db.read().clone();
+        let seqs: Vec<&[u8]> = db.iter().map(|s| s.residues.as_slice()).collect();
+        let all = &self.keys;
+        let window = |id: u32| {
+            let id = id as usize;
+            match id.checked_sub(held).and_then(&batch) {
+                Some(window) => window,
+                None => {
+                    let key = all[id];
+                    &seqs[key.seq.index()][key.start as usize..][..len]
+                }
+            }
+        };
         match &mut self.index {
             LocalIndex::Tree(tree) => {
-                tree.insert_windows(windows, len);
+                tree.insert_windows(count, window);
             }
             LocalIndex::Dna(index) => {
-                index.insert_windows(windows, len);
+                index.insert_windows(count, window);
             }
         }
         debug_assert_eq!(self.keys.len(), self.indexed());
@@ -200,17 +243,6 @@ impl StorageNode {
                 panic!("storage-node ingest violated its index's invariants: {e}");
             }
         }
-    }
-
-    /// [`Self::insert_windows`] over whole blocks (replay from disk,
-    /// repair copies).
-    pub fn insert_blocks(&mut self, blocks: Vec<Block>) {
-        let keys = blocks.iter().map(Block::key).collect();
-        let mut windows = Vec::with_capacity(blocks.iter().map(|b| b.window.len()).sum());
-        for b in &blocks {
-            windows.extend_from_slice(&b.window);
-        }
-        self.insert_windows(keys, windows);
     }
 
     /// Install shared search counters (e.g. one
@@ -561,14 +593,14 @@ impl NodeSlot {
         Ok(())
     }
 
-    /// Index a batch in RAM ([`StorageNode::insert_windows`]). Callers
+    /// Index a batch in RAM ([`StorageNode::insert_keys`]). Callers
     /// persist first ([`Self::persist`]), or hold blocks that came off
     /// this node's own disk.
-    pub(crate) fn insert_windows(&self, keys: Vec<BlockKey>, windows: Vec<u8>) {
-        self.ram.write().insert_windows(keys, windows);
+    pub(crate) fn insert_keys(&self, keys: Vec<BlockKey>, len: usize) {
+        self.ram.write().insert_keys(keys, len);
     }
 
-    /// [`Self::insert_windows`] over whole blocks.
+    /// [`Self::insert_keys`] over whole blocks.
     pub(crate) fn insert_blocks(&self, blocks: Vec<Block>) {
         self.ram.write().insert_blocks(blocks);
     }

@@ -125,6 +125,12 @@ pub fn read_magic(r: &mut impl Read) -> Result<(), FrameError> {
     Ok(())
 }
 
+/// Bytes [`write_frame`] writes for `env`: the 4-byte length prefix and
+/// the envelope.
+pub fn frame_len(env: &Envelope) -> usize {
+    4 + env.encoded_len()
+}
+
 /// Encode `env` and write it as one length-prefixed frame.
 ///
 /// The envelope bytes are produced by the shared codec, so a frame body
@@ -132,7 +138,7 @@ pub fn read_magic(r: &mut impl Read) -> Result<(), FrameError> {
 /// carry the 17-byte trace tail, untraced ones stay tail-free.
 pub fn write_frame(w: &mut impl Write, env: &Envelope) -> io::Result<usize> {
     let body_len = env.encoded_len();
-    let mut buf = BytesMut::with_capacity(4 + body_len);
+    let mut buf = BytesMut::with_capacity(frame_len(env));
     buf.extend_from_slice(&(body_len as u32).to_le_bytes());
     env.encode(&mut buf);
     w.write_all(&buf)?;

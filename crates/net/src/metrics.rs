@@ -16,11 +16,15 @@ use std::sync::Arc;
 /// 4-byte length prefix and envelope header.
 #[derive(Debug, Clone, Default)]
 pub struct TransportMetrics {
-    /// Frames successfully written to a peer.
+    /// Frames handed to a socket: counted before the write, so a reply
+    /// never arrives ahead of its request's count. A write that fails
+    /// still counts; the link is dropped and the send retried or
+    /// dead-lettered (`reconnects`, `dead_letters`).
     pub frames_sent: Arc<Counter>,
     /// Frames successfully read from any connection.
     pub frames_received: Arc<Counter>,
-    /// Bytes written, including frame prefixes.
+    /// Bytes handed to a socket, counted as `frames_sent` is: each
+    /// frame with its prefix, and each dial's handshake magic.
     pub bytes_sent: Arc<Counter>,
     /// Bytes read, including frame prefixes.
     pub bytes_received: Arc<Counter>,

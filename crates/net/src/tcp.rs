@@ -399,7 +399,10 @@ fn accept_loop(shared: Arc<Shared>, listener: TcpListener) {
 }
 
 /// Write one frame on `conn`, holding its write lock so concurrent
-/// senders cannot interleave bytes mid-frame. A failed write means the
+/// senders cannot interleave bytes mid-frame. The frame is counted
+/// under the lock before its bytes reach the socket: a peer can answer
+/// as soon as they do, and whoever reads `frames_sent` after that
+/// answer must find the frame in it. A failed write means the
 /// connection is broken: it is dropped — its shut stream ends its
 /// reader — and `false` returned.
 fn write_on(shared: &Shared, conn: &Arc<Conn>, env: &Envelope) -> bool {
@@ -408,14 +411,12 @@ fn write_on(shared: &Shared, conn: &Arc<Conn>, env: &Envelope) -> bool {
     // interleave bytes and desync the peer's framing. Bounded by the
     // socket write timeout.
     let guard = conn.write.lock();
+    shared.metrics.frames_sent.inc();
+    shared.metrics.bytes_sent.add(frame::frame_len(env) as u64);
     let written = frame::write_frame(&mut &conn.stream, env);
     drop(guard);
     match written {
-        Ok(n) => {
-            shared.metrics.frames_sent.inc();
-            shared.metrics.bytes_sent.add(n as u64);
-            true
-        }
+        Ok(_) => true,
         Err(_) => {
             if let Some(link) = shared.unlink(conn) {
                 let _ = link.conn.stream.shutdown(Shutdown::Both);

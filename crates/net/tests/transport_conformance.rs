@@ -126,6 +126,34 @@ fn reply_pairs_with_request_id_and_sender() {
     h.join().expect("server thread");
 }
 
+/// A frame is counted before a reply to it can arrive: in 1,000
+/// request/reply rounds, the moment each reply is received both ends'
+/// `frames_sent` already count every frame they sent — the replier's
+/// included, whose count a served query's `/metrics` reads.
+#[test]
+fn frames_sent_counts_a_frame_before_its_reply_arrives() {
+    const ROUNDS: u64 = 1000;
+    let mut clique = clique(2);
+    let server = clique.pop().expect("server");
+    let client = clique.pop().expect("client");
+    let server_addr = server.addr();
+    let replied = server.metrics().clone();
+    let h = thread::spawn(move || {
+        for _ in 0..ROUNDS {
+            let req = server.recv_timeout(T).expect("request");
+            assert!(server.send(req.from, req.correlation, req.payload));
+        }
+    });
+    for i in 0..ROUNDS {
+        assert!(client.send(server_addr, i, Bytes::new()));
+        let reply = client.recv_timeout(T).expect("reply");
+        assert_eq!(reply.correlation, i);
+        assert_eq!(client.metrics().frames_sent.get(), i + 1, "requests sent");
+        assert_eq!(replied.frames_sent.get(), i + 1, "replies sent");
+    }
+    h.join().expect("server thread");
+}
+
 /// A request nobody answers ends in the typed, transient timeout.
 #[test]
 fn unanswered_request_times_out_typed() {

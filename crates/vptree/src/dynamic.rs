@@ -21,7 +21,7 @@
 //! never dangle. A rebuild moves the windows of the subtree it replaces
 //! into the new one, so the orphaned nodes hold no bytes.
 
-use crate::tree::{Leaf, Node, Staged, VpTree, NIL};
+use crate::tree::{flat, ById, Elements, Leaf, Node, Staged, VpTree, NIL};
 use mendel_seq::Metric;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -49,19 +49,31 @@ impl<M: Metric<[u8]>> VpTree<M> {
     /// Panics when the window is empty or its length differs from the
     /// tree's.
     pub fn insert(&mut self, point: impl AsRef<[u8]>) -> (u32, InsertOutcome) {
-        let result = self.insert_inner(point.as_ref());
+        let point = point.as_ref();
+        let id = self.admit(point);
+        let outcome = self.place(id, point).unwrap_or_else(|| {
+            // Case 4 reads every window: the tree's own, then `point`,
+            // in the slot `windows` leaves zero for an id it does not hold.
+            let len = self.window_len;
+            let mut all = self.windows();
+            all[id as usize * len..].copy_from_slice(point);
+            self.rebuild_root(&ById::new(flat(&all, len)));
+            InsertOutcome::RebuiltRoot
+        });
         #[cfg(feature = "strict-invariants")]
         self.assert_invariants("dynamic insert");
-        result
+        (id, outcome)
     }
 
-    fn insert_inner(&mut self, point: &[u8]) -> (u32, InsertOutcome) {
-        let idx = self.admit(point);
+    /// Place element `idx`, already admitted, by the §III-D cases 1–3,
+    /// returning the case taken; `None`, with the tree unchanged, when
+    /// the tree is full and only a root rebuild (case 4) takes it.
+    fn place(&mut self, idx: u32, point: &[u8]) -> Option<InsertOutcome> {
         let leaf_of = |point: &[u8]| Node::Leaf(Leaf::new([(idx, point)].into_iter(), point.len()));
 
         if self.root == NIL {
             self.root = self.push_node(leaf_of(point), None);
-            return (idx, InsertOutcome::Appended);
+            return Some(InsertOutcome::Appended);
         }
 
         // Descend to the leaf, recording the path and expanding the child
@@ -97,7 +109,7 @@ impl<M: Metric<[u8]>> VpTree<M> {
                 // create a fresh leaf in place.
                 *child = next_node;
                 self.push_node(leaf_of(point), None);
-                return (idx, InsertOutcome::Appended);
+                return Some(InsertOutcome::Appended);
             }
             node = *child;
         }
@@ -108,7 +120,7 @@ impl<M: Metric<[u8]>> VpTree<M> {
         if let Node::Leaf(leaf) = &mut self.nodes[node as usize] {
             if leaf.len() < self.bucket_capacity {
                 leaf.push(idx, point);
-                return (idx, InsertOutcome::Appended);
+                return Some(InsertOutcome::Appended);
             }
         }
 
@@ -125,64 +137,67 @@ impl<M: Metric<[u8]>> VpTree<M> {
                 let parent = path.get(anc_pos.wrapping_sub(1)).copied();
                 self.rebuild_subtree(anc, parent, idx, point);
                 let levels = levels_up + 1;
-                return (
-                    idx,
-                    if levels == 1 {
-                        InsertOutcome::RebuiltParent
-                    } else {
-                        InsertOutcome::RebuiltAncestor(levels)
-                    },
-                );
+                return Some(if levels == 1 {
+                    InsertOutcome::RebuiltParent
+                } else {
+                    InsertOutcome::RebuiltAncestor(levels)
+                });
             }
         }
 
-        // Case 4: the tree is completely full — split the root (rebuild;
-        // the build routine grows the extra level it needs).
-        self.rebuild_root(point.to_vec());
-        (idx, InsertOutcome::RebuiltRoot)
+        // Case 4: the tree is completely full — the caller splits the
+        // root (a rebuild; the build routine grows the extra level it
+        // needs).
+        None
     }
 
     /// Batched insertion (§III-D's recommended "middle ground") of
-    /// windows `len` bytes long, packed back to back in `windows`: the
-    /// one batch entry. They take the next insertion ids in order. A
-    /// batch that is large relative to the existing tree (≥ 25%)
-    /// triggers one balanced rebuild over everything, which adopts
-    /// `windows` as its staging without copying them; smaller batches
-    /// fall back to per-element insertion, whose §III-D cases only
-    /// rebuild the affected subtrees. Returns the insertion ids.
+    /// `count` windows, those of the next insertion ids: the one batch
+    /// entry. `window(id)` is the window of any id the tree holds once
+    /// the batch is in — each of the batch's, and each held before it,
+    /// as it was inserted — so a rebuild reads the windows it places
+    /// from there, and no copy of them is made first. A batch that is
+    /// large relative to the existing tree (≥ 25%) triggers one balanced
+    /// rebuild over everything; smaller batches fall back to per-element
+    /// insertion, whose §III-D cases only rebuild the affected subtrees.
+    /// Returns the insertion ids.
     ///
     /// # Panics
-    /// Panics when `len` is 0, `windows` is not whole windows, or `len`
-    /// differs from the length of the windows the tree holds.
-    pub fn insert_windows(&mut self, windows: Vec<u8>, len: usize) -> Range<u32> {
-        assert!(len > 0, "vp-tree windows must be non-empty");
-        assert_eq!(windows.len() % len, 0, "a batch is whole windows");
-        let count = windows.len() / len;
+    /// Panics when a window is empty, or differs in length from the
+    /// batch's first or from the windows the tree holds.
+    pub fn insert_windows<'w>(
+        &mut self,
+        count: usize,
+        window: impl Fn(u32) -> &'w [u8],
+    ) -> Range<u32> {
         let start = self.len as u32;
         if count == 0 {
             return start..start;
         }
         if count * 4 >= self.len {
-            if self.len == 0 {
-                self.window_len = len;
-            }
-            assert_eq!(
-                len, self.window_len,
-                "vp-tree windows must share one length"
-            );
-            self.len += count;
-            self.rebuild_root(windows);
+            // The first window fixes or checks the length; the build
+            // checks every window it reads against it.
+            self.admit(window(start));
+            self.len += count - 1;
+            self.rebuild_root(&ById::new(&window));
             #[cfg(feature = "strict-invariants")]
             self.assert_invariants("batch rebuild");
         } else {
-            for window in windows.chunks_exact(len) {
-                self.insert(window);
+            for id in start..start + count as u32 {
+                let point = window(id);
+                self.admit(point);
+                if self.place(id, point).is_none() {
+                    self.rebuild_root(&ById::new(&window));
+                }
+                #[cfg(feature = "strict-invariants")]
+                self.assert_invariants("dynamic insert");
             }
         }
         start..self.len as u32
     }
 
-    /// [`Self::insert_windows`] over windows given one by one.
+    /// [`Self::insert_windows`] over windows given one by one; the
+    /// windows the tree holds are read out of it first, for a rebuild.
     ///
     /// # Panics
     /// Panics when a window is empty or the windows differ in length.
@@ -191,13 +206,15 @@ impl<M: Metric<[u8]>> VpTree<M> {
         let Some(len) = batch.peek().map(|p| p.as_ref().len()) else {
             return Vec::new();
         };
-        let mut windows = Vec::new();
+        let mut all = self.windows();
+        let mut count = 0;
         for p in batch {
             let p = p.as_ref();
             assert_eq!(p.len(), len, "vp-tree windows must share one length");
-            windows.extend_from_slice(p);
+            all.extend_from_slice(p);
+            count += 1;
         }
-        self.insert_windows(windows, len).collect()
+        self.insert_windows(count, flat(&all, len)).collect()
     }
 
     /// (elements, height) of the subtree rooted at `node`; a lone leaf has
@@ -274,31 +291,15 @@ impl<M: Metric<[u8]>> VpTree<M> {
         }
     }
 
-    /// Rebuild the whole tree over its elements plus the windows `extra`
-    /// holds back to back, those of the ids admitted after them (case 4
-    /// and the batch path), in insertion-id order.
-    fn rebuild_root(&mut self, extra: Vec<u8>) {
+    /// Rebuild the whole tree over its elements, ids `0..len`, reading
+    /// each window from `all` (case 4 and the batch path).
+    fn rebuild_root(&mut self, all: &impl Elements) {
         self.rebuild_count += 1;
-        let bytes = if self.root == NIL {
-            extra // an empty tree's ids are exactly `extra`'s
-        } else {
-            // The ids admitted with `extra` come last and are not in the
-            // tree yet: `windows` gives them zeros, which `extra` replaces.
-            let mut bytes = self.windows();
-            bytes.truncate(self.len * self.window_len - extra.len());
-            bytes.extend_from_slice(&extra);
-            bytes
-        };
         self.nodes.clear();
         self.vantages.clear();
-        // Ids are positions: the staging names none.
-        let staged = Staged {
-            ids: Vec::new(),
-            bytes,
-        };
         let mut rng = ChaCha8Rng::seed_from_u64(self.seed ^ (self.rebuild_count as u64) << 17);
         let mut items: Vec<u32> = (0..self.len as u32).collect();
-        self.root = self.build_rec(&mut items, &staged, &mut rng);
+        self.root = self.build_rec(&mut items, all, &mut rng);
     }
 
     /// How many subtree/root rebuilds have run so far.

@@ -370,57 +370,59 @@ impl PigeonholeIndex {
         PART.min(self.width - PART * t)
     }
 
-    /// Index windows `len` bytes long, packed back to back in `windows`:
-    /// they take the next insertion ids in order, returned. The tables
-    /// are rebuilt over everything held.
+    /// Index `count` windows, those of the next insertion ids, returned.
+    /// The tables are rebuilt over everything held, each window read
+    /// from `window(id)`: the window of any id held once the batch is
+    /// in — each of the batch's, and each held before it, as it was
+    /// inserted — so no copy of the windows is made first.
     ///
     /// # Panics
-    /// Panics when `len` is 0, `windows` is not whole windows, or `len`
-    /// differs from the length of the windows the index holds.
-    pub fn insert_windows(&mut self, windows: Vec<u8>, len: usize) -> Range<u32> {
-        assert!(len > 0, "indexed windows must be non-empty");
-        assert_eq!(windows.len() % len, 0, "a batch is whole windows");
+    /// Panics when a window is empty, or differs in length from the
+    /// batch's first or from the windows the index holds.
+    pub fn insert_windows<'w>(
+        &mut self,
+        count: usize,
+        window: impl Fn(u32) -> &'w [u8],
+    ) -> Range<u32> {
         let start = self.count as u32;
-        if windows.is_empty() {
+        if count == 0 {
             return start..start;
         }
-        let all = if self.count == 0 {
+        let len = window(start).len();
+        assert!(len > 0, "indexed windows must be non-empty");
+        if self.count == 0 {
             self.width = len;
-            windows
-        } else {
-            assert_eq!(len, self.width, "indexed windows must share one length");
-            let mut all = self.windows();
-            all.extend_from_slice(&windows);
-            all
-        };
-        self.build(all);
+        }
+        assert_eq!(len, self.width, "indexed windows must share one length");
+        self.build(self.count + count, window);
         start..self.count as u32
     }
 
-    /// Rebuild the tables over `all`, the windows of ids `0..`: pack each
-    /// window once, count the buckets, then per part move the entries
-    /// into groups of [`GROUP`] adjacent keys and each group into its
-    /// buckets. Every move writes near the one before it, where one
-    /// scatter straight into 2·4⁸ buckets would miss the cache on nearly
-    /// every entry.
-    fn build(&mut self, all: Vec<u8>) {
+    /// Rebuild the tables over the `count` windows of ids `0..count`,
+    /// each read from `window(id)`: pack each window once, count the
+    /// buckets, then per part move the entries into groups of [`GROUP`]
+    /// adjacent keys and each group into its buckets. Every move writes
+    /// near the one before it, where one scatter straight into 2·4⁸
+    /// buckets would miss the cache on nearly every entry.
+    fn build<'w>(&mut self, count: usize, window: impl Fn(u32) -> &'w [u8]) {
         let (len, parts, words) = (self.width, self.parts(), self.words());
         let stride = 1 + words;
-        let count = all.len() / len;
         let mut packed = vec![0u32; count * words];
         let mut wild_ids = Vec::new();
         let mut wild = Vec::new();
-        for (id, (window, x)) in all
-            .chunks_exact(len)
-            .zip(packed.chunks_exact_mut(words))
-            .enumerate()
-        {
+        for (id, x) in packed.chunks_exact_mut(words).enumerate() {
+            let id = id as u32;
+            let window = window(id);
+            assert_eq!(window.len(), len, "indexed windows must share one length");
             if pack(window, x) {
-                wild_ids.push(id as u32);
+                wild_ids.push(id);
                 wild.extend_from_slice(window);
             }
         }
-        drop(all);
+        // Every window is read and checked: the old tables go before the
+        // new ones are laid out.
+        self.starts = Vec::new();
+        self.entries = Vec::new();
         self.count = count;
         let mut starts = vec![0u32; KEYS * parts + 1];
         for x in packed.chunks_exact(words) {
@@ -834,7 +836,7 @@ mod tests {
 
     fn index(points: &[Vec<u8>]) -> PigeonholeIndex {
         let mut index = PigeonholeIndex::default();
-        index.insert_windows(points.concat(), points[0].len());
+        index.insert_windows(points.len(), |id| &points[id as usize]);
         index
     }
 
@@ -908,7 +910,7 @@ mod tests {
         for chunk in points.chunks(300) {
             let at = grown.len() as u32;
             assert_eq!(
-                grown.insert_windows(chunk.concat(), 16),
+                grown.insert_windows(chunk.len(), |id| &points[id as usize]),
                 at..at + chunk.len() as u32
             );
         }
@@ -922,6 +924,54 @@ mod tests {
         grown.clear();
         assert!(grown.is_empty());
         assert_eq!(grown.windows(), Vec::<u8>::new());
+    }
+
+    /// Tables that read each window through its key into its sequence —
+    /// as a storage node's do — equal tables built from a flat copy of
+    /// the same windows, digest and answers, after a bulk build and after
+    /// growth.
+    #[test]
+    fn tables_read_through_keys_equal_ones_built_from_copies() {
+        let len = 16;
+        let seqs = windows(30, 200, 3, 0x61);
+        let mut rng = ChaCha8Rng::seed_from_u64(0x62);
+        let starts = seqs
+            .iter()
+            .enumerate()
+            .flat_map(|(s, seq)| (0..=seq.len() - len).map(move |at| (s, at)));
+        let keys: Vec<(usize, usize)> = starts.filter(|_| rng.random_range(0..3) == 0).collect();
+        let window = |id: u32| {
+            let (s, at) = keys[id as usize];
+            &seqs[s][at..at + len]
+        };
+        let copies: Vec<u8> = (0..keys.len() as u32).flat_map(window).copied().collect();
+        let copy = |id: u32| &copies[id as usize * len..][..len];
+        let query: Vec<u8> = seqs[7][..120].to_vec();
+        let offsets: Vec<usize> = (0..=query.len() - len).step_by(8).collect();
+        let digest = |i: &PigeonholeIndex| {
+            let mut h = std::collections::hash_map::DefaultHasher::new();
+            i.hash(&mut h);
+            h.finish()
+        };
+        let (mut keyed, mut copied) = (PigeonholeIndex::default(), PigeonholeIndex::default());
+        let bulk = keys.len() * 6 / 10;
+        for (from, to) in [(0, bulk), (bulk, keys.len())] {
+            assert_eq!(
+                keyed.insert_windows(to - from, window),
+                from as u32..to as u32
+            );
+            copied.insert_windows(to - from, copy);
+            assert_eq!(digest(&keyed), digest(&copied), "{to} windows");
+            for radius in [2, 4] {
+                let found = keyed.search(&query, &offsets, 8, radius);
+                assert_eq!(found, copied.search(&query, &offsets, 8, radius));
+                assert!(
+                    found.iter().any(|f| !f.is_empty()),
+                    "the query finds nothing"
+                );
+            }
+        }
+        assert_eq!(keyed.windows(), copies);
     }
 
     #[test]

@@ -28,6 +28,7 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::marker::PhantomData;
 
 /// Sentinel for "no node".
 pub(crate) const NIL: u32 = u32::MAX;
@@ -176,9 +177,21 @@ pub struct VpTree<M> {
     pub(crate) obs: SearchMetrics,
 }
 
-/// Windows on their way into a (sub)tree build: element `p` has insertion
-/// id `ids[p]` — or `p` itself while `ids` is empty, as for a whole-tree
-/// rebuild — and window `bytes[p·L .. (p+1)·L]`.
+/// What a (sub)tree build reads its elements from: element `p`'s
+/// insertion id and window of length `len`. Builds are generic over it,
+/// so every read is inlined.
+pub(crate) trait Elements {
+    /// Whether a window is read through the caller's function (a
+    /// storage node's reads its key, then the reference store) rather
+    /// than from a compact copy the build made.
+    const SCATTERED: bool = false;
+
+    fn id(&self, p: u32) -> u32;
+    fn window(&self, p: u32, len: usize) -> &[u8];
+}
+
+/// The elements of a subtree on their way into its rebuild: element `p`
+/// has insertion id `ids[p]` and window `bytes[p·L .. (p+1)·L]`.
 #[derive(Debug, Default)]
 pub(crate) struct Staged {
     pub(crate) ids: Vec<u32>,
@@ -190,15 +203,51 @@ impl Staged {
         self.ids.push(id);
         self.bytes.extend_from_slice(window);
     }
+}
 
-    /// Element `p`'s insertion id.
+impl Elements for Staged {
+    #[inline]
     fn id(&self, p: u32) -> u32 {
-        self.ids.get(p as usize).copied().unwrap_or(p)
+        self.ids[p as usize]
     }
 
+    #[inline]
     fn window(&self, p: u32, len: usize) -> &[u8] {
         &self.bytes[p as usize * len..][..len]
     }
+}
+
+/// Every element of a whole-tree build, by insertion id: element `p` is
+/// id `p`, its window whatever `F` returns for it — a slice of a flat
+/// buffer, or of the sequence a storage node's key names.
+pub(crate) struct ById<'w, F>(F, PhantomData<&'w [u8]>);
+
+impl<'w, F: Fn(u32) -> &'w [u8]> ById<'w, F> {
+    pub(crate) fn new(window: F) -> Self {
+        ById(window, PhantomData)
+    }
+}
+
+impl<'w, F: Fn(u32) -> &'w [u8]> Elements for ById<'w, F> {
+    const SCATTERED: bool = true;
+
+    #[inline]
+    fn id(&self, p: u32) -> u32 {
+        p
+    }
+
+    #[inline]
+    fn window(&self, p: u32, len: usize) -> &[u8] {
+        let window = (self.0)(p);
+        assert_eq!(window.len(), len, "vp-tree windows must share one length");
+        window
+    }
+}
+
+/// The windows of length `len` packed back to back in `bytes`, by
+/// position.
+pub(crate) fn flat<'b>(bytes: &'b [u8], len: usize) -> impl Fn(u32) -> &'b [u8] + 'b {
+    move |p| &bytes[p as usize * len..][..len]
 }
 
 /// One build's scratch, reused down its recursion: a vertex is done with
@@ -210,7 +259,13 @@ pub(crate) struct BuildScratch {
     dists: Vec<(u32, f32)>,
     /// One lane group's bytes.
     lanes: Vec<u8>,
+    /// The elements of the subtree being built from a local copy.
+    local: Staged,
 }
+
+/// Most window bytes a subtree built from scattered elements copies into
+/// [`BuildScratch::local`], to read them from there at every level below.
+const LOCAL_BYTES: usize = 64 << 10;
 
 /// The mutable state of one k-NN search. The survivors scratch lives
 /// here so a leaf scan allocates nothing.
@@ -305,13 +360,15 @@ impl<M: Metric<[u8]>> VpTree<M> {
         seed: u64,
     ) -> Self {
         let mut tree = Self::new(metric, bucket_capacity, seed);
-        let mut staged = Staged::default();
+        let mut bytes = Vec::new();
         for p in points {
-            tree.stage(&mut staged, p.as_ref());
+            tree.admit(p.as_ref());
+            bytes.extend_from_slice(p.as_ref());
         }
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let mut items: Vec<u32> = (0..tree.len as u32).collect();
-        tree.root = tree.build_rec(&mut items, &staged, &mut rng);
+        let len = tree.window_len;
+        tree.root = tree.build_rec(&mut items, &ById::new(flat(&bytes, len)), &mut rng);
         #[cfg(feature = "strict-invariants")]
         tree.assert_invariants("build");
         tree
@@ -333,28 +390,22 @@ impl<M: Metric<[u8]>> VpTree<M> {
         (self.len - 1) as u32
     }
 
-    /// [`Self::admit`] `window` and stage it for a build.
-    pub(crate) fn stage(&mut self, staged: &mut Staged, window: &[u8]) {
-        let id = self.admit(window);
-        staged.push(id, window);
-    }
-
-    /// Recursively build the subtree over the staged elements at
+    /// Recursively build the subtree over the elements of `staged` at
     /// positions `items`, returning its node index.
     pub(crate) fn build_rec(
         &mut self,
         items: &mut [u32],
-        staged: &Staged,
+        staged: &impl Elements,
         rng: &mut impl Rng,
     ) -> u32 {
         self.build_with(items, staged, rng, &mut BuildScratch::default())
     }
 
     /// [`Self::build_rec`] on one scratch for the whole recursion.
-    fn build_with(
+    fn build_with<S: Elements>(
         &mut self,
         items: &mut [u32],
-        staged: &Staged,
+        staged: &S,
         rng: &mut impl Rng,
         scratch: &mut BuildScratch,
     ) -> u32 {
@@ -366,12 +417,28 @@ impl<M: Metric<[u8]>> VpTree<M> {
             let elements = items.iter().map(|&p| (staged.id(p), staged.window(p, len)));
             return self.push_node(Node::Leaf(Leaf::new(elements, len)), None);
         }
+        if S::SCATTERED && items.len() * len <= LOCAL_BYTES {
+            // A subtree this small is built from a copy of its elements,
+            // read once here and then from cache at every level below; the
+            // positions are renamed to the copy's, in the same order, so
+            // the build makes the same choices.
+            let mut local = std::mem::take(&mut scratch.local);
+            local.ids.clear();
+            local.bytes.clear();
+            for (j, p) in items.iter_mut().enumerate() {
+                local.push(staged.id(*p), staged.window(*p, len));
+                *p = j as u32;
+            }
+            let node = self.build_with(items, &local, rng, scratch);
+            scratch.local = local;
+            return node;
+        }
         let v_pos = self.pick_vantage(items, staged, rng, &mut scratch.lanes);
         items.swap(0, v_pos);
         let vantage = staged.window(items[0], len);
         let vantage_id = staged.id(items[0]);
         let rest = &mut items[1..];
-        let BuildScratch { dists, lanes } = scratch;
+        let BuildScratch { dists, lanes, .. } = scratch;
         // The first vertex to fill the scratch is the build's top one.
         let top = dists.capacity() == 0;
 
@@ -480,7 +547,7 @@ impl<M: Metric<[u8]>> VpTree<M> {
         &self,
         from: &[u8],
         positions: &[u32],
-        staged: &Staged,
+        staged: &impl Elements,
         out: &mut Vec<(u32, f32)>,
         lanes: &mut Vec<u8>,
     ) {
@@ -503,7 +570,12 @@ impl<M: Metric<[u8]>> VpTree<M> {
 
     /// Lay the staged windows at `run` (at most [`GROUP`]) out lane-major
     /// at the front of `scratch`, as one live lane group.
-    fn pack<'s>(&self, run: &[u32], staged: &Staged, scratch: &'s mut [u8]) -> LaneGroup<'s> {
+    fn pack<'s>(
+        &self,
+        run: &[u32],
+        staged: &impl Elements,
+        scratch: &'s mut [u8],
+    ) -> LaneGroup<'s> {
         let len = self.window_len;
         let bytes = &mut scratch[..lane_bytes(run.len(), len)];
         lanes::write_lanes(run.iter().map(|&p| staged.window(p, len)), len, bytes);
@@ -520,7 +592,7 @@ impl<M: Metric<[u8]>> VpTree<M> {
     fn pick_vantage(
         &self,
         items: &[u32],
-        staged: &Staged,
+        staged: &impl Elements,
         rng: &mut impl Rng,
         lanes: &mut Vec<u8>,
     ) -> usize {
@@ -1693,6 +1765,91 @@ mod tests {
         let protein = MatrixDistance::mendel(&ScoringMatrix::blosum62());
         assert_eq!(digest(protein, 20), 0x9DAE_3048_89E8_3F40);
         assert_eq!(digest(Hamming, 4), 0x1077_EB92_932A_2AD9);
+    }
+
+    /// Windows of `len` cut from a few sequences at keys `(sequence,
+    /// start)`, as a storage node holds them: the sequences, and the keys
+    /// of about a third of the starts, in sequence order.
+    fn keyed_corpus(alphabet: u8, len: usize) -> (Vec<Vec<u8>>, Vec<(usize, usize)>) {
+        let seqs = random_points(30, 200, alphabet, 0x51);
+        let mut rng = ChaCha8Rng::seed_from_u64(0x52);
+        let starts = seqs
+            .iter()
+            .enumerate()
+            .flat_map(|(s, seq)| (0..=seq.len() - len).map(move |at| (s, at)));
+        let keys = starts.filter(|_| rng.random_range(0..3) == 0).collect();
+        (seqs, keys)
+    }
+
+    /// A tree that reads each window through its key into its sequence —
+    /// as a storage node's tree does — equals one built from a flat copy
+    /// of the same windows, node for node and answer for answer: after a
+    /// bulk build, a growth batch of over a quarter, single inserts, and,
+    /// on a small tree at bucket 2, single inserts that rebuild the root.
+    #[test]
+    fn a_tree_read_through_keys_equals_one_built_from_copies() {
+        use crate::dynamic::InsertOutcome;
+        use mendel_seq::{MatrixDistance, ScoringMatrix};
+        /// The root rebuilds the single inserts on the small tree made.
+        fn check<M: Metric<[u8]> + Clone>(metric: M, alphabet: u8) -> usize {
+            let len = 16;
+            let (seqs, keys) = keyed_corpus(alphabet, len);
+            let window = |id: u32| {
+                let (s, at) = keys[id as usize];
+                &seqs[s][at..at + len]
+            };
+            let copies: Vec<Vec<u8>> = (0..keys.len() as u32)
+                .map(|id| window(id).to_vec())
+                .collect();
+            let queries = random_points(16, len, alphabet, 0x54);
+            let same = |keyed: &VpTree<M>, copied: &VpTree<M>, what: &str| {
+                assert_eq!(layout_digest(keyed), layout_digest(copied), "{what}");
+                for q in &queries {
+                    let (k, c) = (
+                        keyed.knn_with_budget(q, 8, 512),
+                        copied.knn_with_budget(q, 8, 512),
+                    );
+                    assert_eq!(k, c, "{what}");
+                }
+                keyed.check_invariants().unwrap();
+            };
+            let n = keys.len();
+            let (bulk, grown) = (n * 6 / 10, n * 9 / 10);
+            assert!(
+                (grown - bulk) * 4 >= bulk,
+                "the growth batch rebuilds the root"
+            );
+            let mut keyed = VpTree::new(metric.clone(), 32, 0x53);
+            let mut copied = VpTree::new(metric.clone(), 32, 0x53);
+            assert_eq!(keyed.insert_windows(bulk, window), 0..bulk as u32);
+            copied.insert_batch(&copies[..bulk]);
+            same(&keyed, &copied, "bulk build");
+            keyed.insert_windows(grown - bulk, window);
+            copied.insert_batch(&copies[bulk..grown]);
+            same(&keyed, &copied, "growth batch");
+            for copy in &copies[grown..] {
+                keyed.insert_windows(1, window);
+                copied.insert(copy);
+            }
+            same(&keyed, &copied, "single inserts");
+
+            // Past 4 windows a single window is under a quarter of the
+            // tree, so it is inserted by the §III-D cases.
+            let mut keyed = VpTree::new(metric.clone(), 2, 0x55);
+            let mut copied = VpTree::new(metric, 2, 0x55);
+            keyed.insert_windows(8, window);
+            copied.insert_batch(&copies[..8]);
+            let mut roots = 0;
+            for copy in &copies[8..600] {
+                keyed.insert_windows(1, window);
+                roots += usize::from(copied.insert(copy).1 == InsertOutcome::RebuiltRoot);
+            }
+            same(&keyed, &copied, "single inserts on a small tree");
+            roots
+        }
+        let roots = check(MatrixDistance::mendel(&ScoringMatrix::blosum62()), 20);
+        assert!(roots > 0, "no single insert rebuilt the root");
+        check(Hamming, 4);
     }
 
     /// A BLOSUM62 window holding code 24, one past the table, panics the

@@ -681,7 +681,7 @@ fn pigeonhole_search_is_exact(shape: Shape) -> Vec<Exact> {
     let obs = IndexMetrics::default();
     let mut index = PigeonholeIndex::new(obs.clone());
     let started = Instant::now();
-    index.insert_windows(points.concat(), BLOCK_LEN);
+    index.insert_windows(points.len(), |id| &points[id as usize]);
     let index_ms = started.elapsed().as_secs_f64() * 1e3;
     let started = Instant::now();
     let tree = VpTree::build(points.clone(), Hamming, SERVED_BUCKET, 0xF0);

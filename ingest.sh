@@ -10,9 +10,11 @@
 # loopback ports, ingests the corpus into node 0, 1 and 2 one after
 # another, reads each reply's `ingest_ms` phases (total, parse, route,
 # place, tree), the minor page faults the /ingest took (minflt of
-# /proc/<pid>/stat, before and after) and each process's VmHWM
-# (/proc/<pid>/status), and stops the processes. It prints, per workload
-# and node, the median of each over N rounds (default 3), and the range
+# /proc/<pid>/stat, before and after), each process's VmHWM (its peak)
+# and its VmRSS right after the /ingest returns (what the ingest left
+# resident; /proc/<pid>/status), and stops the processes. It prints, per
+# workload and node, the median of each over N rounds (default 3), the
+# median of VmHWM - VmRSS (the ingest's transient), and the range
 # (max - min) of VmHWM across them.
 #
 # Given <ref>, it also exports that commit (git archive) and builds it
@@ -23,7 +25,7 @@
 set -euo pipefail
 
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")" && pwd)"
-usage() { sed -n '2,22p' "${BASH_SOURCE[0]}" | sed 's/^# \{0,1\}//'; }
+usage() { sed -n '2,24p' "${BASH_SOURCE[0]}" | sed 's/^# \{0,1\}//'; }
 
 ref=""
 rounds=3
@@ -112,12 +114,12 @@ def request(port, method, path, body=None, timeout=60):
         conn.close()
 
 
-def vm_hwm_kb(pid):
+def status_kb(pid, field):
     with open(f"/proc/{pid}/status") as f:
         for line in f:
-            if line.startswith("VmHWM:"):
+            if line.startswith(f"{field}:"):
                 return int(line.split()[1])
-    raise RuntimeError(f"no VmHWM for pid {pid}")
+    raise RuntimeError(f"no {field} for pid {pid}")
 
 
 def minflt(pid):
@@ -129,7 +131,8 @@ def minflt(pid):
 
 def ingest_round(mendel, fasta, serve_flags):
     """Three serve processes, ingested in node order: per node, its
-    ingest_ms phases, the minor faults its /ingest took and VmHWM (kB)."""
+    ingest_ms phases, the minor faults its /ingest took, VmRSS right after
+    it and VmHWM (kB)."""
     ports = free_ports(2 * NODES)
     listen, web = ports[:NODES], ports[NODES:]
     peers = ",".join(f"{i}=127.0.0.1:{listen[i]}" for i in range(NODES))
@@ -157,10 +160,11 @@ def ingest_round(mendel, fasta, serve_flags):
             status, body = request(web[i], "POST", "/ingest", body=fasta)
             if status != 200:
                 raise RuntimeError(f"{mendel}: /ingest on node {i}: HTTP {status}: {body}")
+            rss = status_kb(live[i].pid, "VmRSS")
             faults = minflt(live[i].pid) - faults
             phases = json.loads(body)["ingest_ms"]
             out.append({**{p: phases[p] for p in PHASES}, "minflt": faults,
-                        "hwm": vm_hwm_kb(live[i].pid)})
+                        "rss": rss, "hwm": status_kb(live[i].pid, "VmHWM")})
         return out
     finally:
         reap()
@@ -186,17 +190,21 @@ try:
                 samples[name][side].append(ingest_round(exe, corpora[name], serve_flags))
     for name, _, _ in WORKLOADS:
         print(f"\n{name}, seed {SEED}: median of {rounds} round(s); ms of /ingest's ingest_ms, "
-              "its minor faults, VmHWM in MB\n")
-        print("| node | side | " + " | ".join(PHASES) + " | minflt | VmHWM | VmHWM range |")
-        print("|---|---|" + "---:|" * (len(PHASES) + 3))
+              "its minor faults, VmHWM and VmRSS after the /ingest in MB\n")
+        print("| node | side | " + " | ".join(PHASES)
+              + " | minflt | VmHWM | VmRSS | VmHWM - VmRSS | VmHWM range |")
+        print("|---|---|" + "---:|" * (len(PHASES) + 5))
         for node in range(NODES):
             for side, _ in sides:
                 runs = [run[node] for run in samples[name][side]]
                 cells = [f"{statistics.median(r[p] for r in runs):.2f}" for p in PHASES]
                 cells.append(f"{statistics.median(r['minflt'] for r in runs):.0f}")
                 hwm = [r["hwm"] / 1024 for r in runs]
-                spread = max(hwm) - min(hwm)
-                print(f"| {node} | {side} | " + " | ".join(cells) + f" | {statistics.median(hwm):.1f} | {spread:.1f} |")
+                rss = [r["rss"] / 1024 for r in runs]
+                transient = statistics.median((r["hwm"] - r["rss"]) / 1024 for r in runs)
+                cells += [f"{statistics.median(hwm):.1f}", f"{statistics.median(rss):.1f}",
+                          f"{transient:.1f}", f"{max(hwm) - min(hwm):.1f}"]
+                print(f"| {node} | {side} | " + " | ".join(cells) + " |")
 finally:
     reap()
 PY
