@@ -115,6 +115,13 @@ if [ "$MODE" != "quick" ]; then
 fi
 step "cargo test" cargo test -q
 
+#    The crates' own unit tests (`src/**` `#[cfg(test)]` modules: the
+#    cluster, node, ledger, vp-tree, store, ... tests) without
+#    `strict-invariants`. `cargo test` above runs only the root package;
+#    step 8 runs these only with the feature on, so a test that passes
+#    under the checkers alone would otherwise go unseen.
+step "crate unit tests" cargo test --workspace --lib -q
+
 #    The five examples assert their own claims (the true source ranks
 #    first, replication masks a failure, scale-out keeps the answers);
 #    `cargo test` only compiles them. Run each in release; a non-zero

@@ -17,7 +17,7 @@ mod ops;
 
 pub use ops::RepairReport;
 
-use crate::block::{Block, BlockKey};
+use crate::block::BlockKey;
 use crate::config::{ClusterConfig, StorageBackend};
 use crate::error::MendelError;
 use crate::ledger::Ledger;
@@ -64,71 +64,102 @@ struct Dispatch {
     down: BTreeSet<GroupId>,
 }
 
-/// What route-and-place reads the blocks it places from, one block per
-/// route and in route order: the corpus of an ingest, or the blocks a
-/// rebalance re-places.
-trait BlockSource {
-    /// The blocks in runs of consecutive keys of one sequence: each
-    /// run's first key and its number of blocks.
-    fn runs(&self) -> impl Iterator<Item = (BlockKey, usize)> + Clone;
-
-    /// The blocks `keep` picks by position, each with its window as a
-    /// view of the sequence it was cut from: what a store persists.
-    fn views(&self, keep: impl Fn(usize) -> bool) -> impl Iterator<Item = (BlockKey, WindowView)>;
-}
-
-/// The blocks of freshly ingested sequences: every step-one window, in
-/// corpus order.
-struct Corpus<'s> {
-    seqs: &'s [&'s Sequence],
+/// The blocks route-and-place places, one per route and in route order:
+/// runs of consecutive keys over the reference store. An ingest gives
+/// one run a sequence, a rebalance the ledger's keys, a repair a node's
+/// copies. A block is its key; its window is read from the store.
+struct KeyRuns {
+    db: Arc<SeqStore>,
     block_len: usize,
-    /// One shared copy of each sequence, made when a store first needs
-    /// a view of it, so every store dedupes the same backing.
+    /// `(first, n)`: the `n` keys of `first`'s sequence from `first` on.
+    runs: Vec<(BlockKey, usize)>,
+    /// One shared copy of each sequence the runs touch, made when a
+    /// store first needs a view of it, so every store dedupes the same
+    /// backing.
     backings: std::cell::OnceCell<Vec<Arc<[u8]>>>,
 }
 
-impl BlockSource for Corpus<'_> {
-    fn runs(&self) -> impl Iterator<Item = (BlockKey, usize)> + Clone {
-        let k = self.block_len;
-        let whole = self.seqs.iter().filter(move |s| s.len() >= k);
-        whole.map(move |s| {
+impl KeyRuns {
+    /// The blocks of `runs`, in order, a run that continues the one
+    /// before it joined to it.
+    fn new(
+        db: Arc<SeqStore>,
+        block_len: usize,
+        runs: impl IntoIterator<Item = (BlockKey, usize)>,
+    ) -> Self {
+        let mut joined: Vec<(BlockKey, usize)> = Vec::new();
+        for (first, n) in runs.into_iter().filter(|&(_, n)| n > 0) {
+            match joined.last_mut() {
+                Some((at, m)) if at.seq == first.seq && at.start + *m as u32 == first.start => {
+                    *m += n;
+                }
+                _ => joined.push((first, n)),
+            }
+        }
+        KeyRuns {
+            db,
+            block_len,
+            runs: joined,
+            backings: std::cell::OnceCell::new(),
+        }
+    }
+
+    /// Every step-one window of each of `seqs`, which `db` holds: one
+    /// run a sequence.
+    fn of_sequences(db: Arc<SeqStore>, block_len: usize, seqs: &[&Sequence]) -> Self {
+        let run = |s: &&Sequence| {
             let first = BlockKey {
                 seq: s.id,
                 start: 0,
             };
-            (first, s.len() + 1 - k)
-        })
+            (first, s.len().saturating_sub(block_len - 1))
+        };
+        Self::new(db, block_len, seqs.iter().map(run))
     }
 
-    fn views(&self, keep: impl Fn(usize) -> bool) -> impl Iterator<Item = (BlockKey, WindowView)> {
-        let backings = self.backings.get_or_init(|| {
-            let copy = |s: &&Sequence| Arc::from(s.residues.as_slice());
-            self.seqs.iter().map(copy).collect()
-        });
+    /// The blocks of `keys`, in order: what a rebalance or a repair
+    /// places.
+    fn of_keys(db: Arc<SeqStore>, block_len: usize, keys: &[BlockKey]) -> Self {
+        Self::new(db, block_len, keys.iter().map(|&key| (key, 1)))
+    }
+
+    /// The blocks `keep` picks by position, each with its window as a
+    /// view of its sequence: what a store persists. Every key's window
+    /// is in the store: an ingest's sequences are stored before they are
+    /// routed, and the ledger, which rebalance and repair take their keys
+    /// from, refuses any other key.
+    fn views<'a>(
+        &'a self,
+        keep: impl Fn(usize) -> bool + 'a,
+    ) -> impl Iterator<Item = (BlockKey, WindowView)> + 'a {
         let k = self.block_len;
-        let blocks = backings.iter().zip(self.seqs).flat_map(move |(b, s)| {
-            let starts = 0..b.len().saturating_sub(k - 1);
-            starts.map(move |start| (b, s.id, start))
+        let keys = self.runs.iter().enumerate().flat_map(|(r, &(first, n))| {
+            (0..n as u32).map(move |j| {
+                let start = first.start + j;
+                (r, BlockKey { start, ..first })
+            })
         });
-        let kept = blocks.enumerate().filter(move |(i, _)| keep(*i));
-        kept.map(move |(_, (b, seq, start))| {
-            let key = BlockKey {
-                seq,
-                start: start as u32,
-            };
-            (key, WindowView::new(b.clone(), start, k))
+        let kept = keys.enumerate().filter(move |(i, _)| keep(*i));
+        kept.map(move |(_, (r, key))| {
+            let backing = self.backings()[r].clone();
+            (key, WindowView::new(backing, key.start as usize, k))
         })
     }
-}
 
-impl BlockSource for [Block] {
-    fn runs(&self) -> impl Iterator<Item = (BlockKey, usize)> + Clone {
-        self.iter().map(|b| (b.key(), 1))
-    }
-
-    fn views(&self, keep: impl Fn(usize) -> bool) -> impl Iterator<Item = (BlockKey, WindowView)> {
-        let kept = self.iter().enumerate().filter(move |(i, _)| keep(*i));
-        kept.map(|(_, b)| (b.key(), b.window.clone()))
+    /// Each run's sequence, shared with the run before when that is of
+    /// the same sequence.
+    fn backings(&self) -> &[Arc<[u8]>] {
+        self.backings.get_or_init(|| {
+            let mut backings: Vec<Arc<[u8]>> = Vec::with_capacity(self.runs.len());
+            for (r, &(first, _)) in self.runs.iter().enumerate() {
+                let backing = match backings.last() {
+                    Some(b) if self.runs[r - 1].0.seq == first.seq => b.clone(),
+                    _ => Arc::from(self.db.get(first.seq).map_or(&[][..], |s| &s.residues)),
+                };
+                backings.push(backing);
+            }
+            backings
+        })
     }
 }
 
@@ -537,12 +568,8 @@ impl MendelCluster {
         let blocks = seqs.iter().map(|s| s.len().saturating_sub(k - 1)).sum();
         let (routes, threads) = self.route(&topo, &seqs, routing_threads(blocks));
         let routed = clock.now();
-        let corpus = Corpus {
-            seqs: &seqs,
-            block_len: k,
-            backings: std::cell::OnceCell::new(),
-        };
-        let (refused, tree) = self.route_and_place(&topo, &routes, &corpus);
+        let blocks = KeyRuns::of_sequences(self.db(), k, &seqs);
+        let (refused, tree) = self.route_and_place(&topo, &routes, &blocks);
         let placed = clock.now();
         drop(topo);
         self.assert_ledger("index_sequences");
@@ -638,7 +665,7 @@ impl MendelCluster {
         &self,
         topo: &Topology,
         routes: &[NodeId],
-        blocks: &(impl BlockSource + ?Sized),
+        blocks: &KeyRuns,
     ) -> (Vec<(Option<NodeId>, MendelError)>, Duration) {
         let Dispatch {
             replicas,
@@ -662,7 +689,7 @@ impl MendelCluster {
                 }
             }
         }
-        let runs = blocks.runs();
+        let runs = blocks.runs.iter().copied();
         let mut ledger = self.ledger.write();
         let staging = loop {
             let sets: Vec<(GroupId, Vec<NodeId>)> = replicas
@@ -762,41 +789,44 @@ impl MendelCluster {
         }
     }
 
-    /// Repair's write path for block copies: give `node` its blocks.
-    /// Persist, then ledger, then RAM, as [`Self::route_and_place`]
-    /// does. Returns what indexing them in RAM took.
+    /// Repair's write path for block copies: give `node` the blocks of
+    /// `keys`, their windows read from the reference store. Persist, then
+    /// ledger, then RAM, as [`Self::route_and_place`] does. Returns what
+    /// indexing them in RAM took.
     fn place(
         &self,
         topo: &Topology,
         nodes: &[Arc<NodeSlot>],
         node: NodeId,
-        blocks: Vec<Block>,
+        keys: Vec<BlockKey>,
     ) -> Result<Duration, MendelError> {
         let g = topo.node_group(node).ok_or(MendelError::NoSuchNode(node))?;
         let slot = &nodes[node.0 as usize];
+        let blocks = KeyRuns::of_keys(self.db(), self.config.block_len, &keys);
         slot.persist(blocks.views(|_| true))?;
-        self.admit(g, slot, blocks)
+        self.admit(g, slot, keys)
     }
 
     /// [`Self::place`] without the persist: ledger, then RAM if this
     /// cluster hosts the node. Asked for by name where the blocks are
-    /// already on the node's disk (replay after a restart). Blocks the ledger refuses reach
-    /// neither. Returns what indexing them in RAM took.
+    /// already on the node's disk (replay after a restart). Keys the
+    /// ledger refuses reach neither. Returns what indexing them in RAM
+    /// took.
     fn admit(
         &self,
         g: GroupId,
         slot: &NodeSlot,
-        blocks: Vec<Block>,
+        keys: Vec<BlockKey>,
     ) -> Result<Duration, MendelError> {
         self.ledger
             .write()
-            .place(g, slot.id(), blocks.iter().map(Block::key))?;
+            .place(g, slot.id(), keys.iter().copied())?;
         if !self.hosts(slot.id()) {
             return Ok(Duration::ZERO);
         }
         let clock = self.obs.clock();
         let started = clock.now();
-        slot.insert_blocks(blocks);
+        slot.insert_keys(keys, self.config.block_len);
         Ok(clock.now().saturating_sub(started))
     }
 
@@ -1327,12 +1357,6 @@ impl MendelCluster {
     /// The slot of a node the topology knows.
     fn slot(&self, node: NodeId) -> Arc<NodeSlot> {
         self.nodes.read()[node.0 as usize].clone()
-    }
-
-    /// All blocks currently held by `node`.
-    #[cfg(test)]
-    pub(crate) fn node_blocks(&self, node: NodeId) -> Vec<Block> {
-        self.slot(node).read().blocks()
     }
 
     // ---- Durable storage (ROADMAP item 2) -----------------------------
@@ -1868,7 +1892,6 @@ mod tests {
                         let want = &full_slots[i];
                         assert!(slot.read().block_count() > 0, "{shape}: {n}");
                         assert_eq!(slot.read().block_keys(), want.read().block_keys());
-                        assert_eq!(slot.read().blocks(), want.read().blocks(), "{shape}: {n}");
                         assert_eq!(slot.index_layout(), want.index_layout(), "{shape}: {n}");
                     }
                     for down in &downs {
@@ -1891,8 +1914,8 @@ mod tests {
     }
 
     /// Pass 2's walk builds each hosted node as the block path did:
-    /// `make_blocks` over the corpus, kept where the ledger names the
-    /// node, then `StorageNode::insert_blocks` into a fresh slot. Keys,
+    /// `make_blocks` over the corpus, the keys kept where the ledger
+    /// names the node, then `StorageNode::insert_keys` into a fresh slot. Keys,
     /// index layout (a protein node's tree, a digest of a DNA node's
     /// tables) and a fixed query's node-search answers are equal on
     /// both alphabets at `member_build_equals_the_full_builds_slot`'s
@@ -1910,9 +1933,10 @@ mod tests {
         ];
         for (base, db, params) in alphabets {
             let k = base.block_len;
-            let blocks: Vec<Block> = db
+            let blocks: Vec<BlockKey> = db
                 .iter()
                 .flat_map(|s| crate::block::make_blocks(s, k))
+                .map(|b| b.key())
                 .collect();
             let query = db.get(SeqId(3)).unwrap().residues.clone();
             let offsets: Vec<usize> = (0..=query.len() - k).step_by(3).collect();
@@ -1942,12 +1966,16 @@ mod tests {
                     };
                     for &n in hosted {
                         let g = c.topology().node_group(n).unwrap();
-                        let held: HashSet<BlockKey> =
-                            c.ledger.read().keys_held_by(g, n).into_iter().collect();
-                        let kept = blocks.iter().filter(|b| held.contains(&b.key()));
+                        let held: HashSet<BlockKey> = c
+                            .ledger
+                            .read()
+                            .keys_held_by(g, |h| h == n)
+                            .into_iter()
+                            .collect();
+                        let kept = blocks.iter().filter(|key| held.contains(key));
                         let reference =
                             MendelCluster::new_slot(&config, &c.db, &c.obs, &None, n.0 as usize);
-                        reference.insert_blocks(kept.cloned().collect());
+                        reference.insert_keys(kept.copied().collect(), k);
                         let got = c.slot(n);
                         assert!(got.read().block_count() > 0, "{shape}: {n}");
                         assert_eq!(got.read().block_keys(), reference.read().block_keys());
@@ -1966,62 +1994,84 @@ mod tests {
         }
     }
 
-    /// A DNA node grown after its build — by `insert_sequences`, by the
-    /// `rebalance_group` a scale-out runs, and by replay from its durable
-    /// store after a kill — holds the tables one `insert_blocks` of its
-    /// blocks builds at once, and answers a query's node search as that
-    /// node does.
+    /// A node grown after its build — by `insert_sequences`, by the
+    /// `rebalance_group` a scale-out runs, by the copies a `repair` at
+    /// replication 2 places while a member is down, and by replay from
+    /// its durable store after a kill — holds the keys a fresh node fed
+    /// them in one `insert_keys` holds, and answers a query's exact node
+    /// search as that node does, on both alphabets. A DNA node's tables,
+    /// rebuilt on every batch, are the same tables too.
     #[test]
-    fn a_grown_dna_node_answers_like_one_built_at_once() {
-        let db = dna_db();
-        let mut first = SeqStore::new();
-        for s in db.iter().take(4) {
-            first.insert(s.clone());
-        }
-        let config = ClusterConfig {
-            storage: StorageBackend::durable(),
-            ..ClusterConfig::small_dna()
-        };
-        let c = MendelCluster::build(config, Arc::new(first)).unwrap();
-        let params = QueryParams::dna();
-        let matrix = c.resolve_matrix(&params.m).unwrap();
-        let k = c.config.block_len;
-        let same_as_built_at_once = |when: &str| {
-            let query = db.get(SeqId(6)).unwrap().residues[40..340].to_vec();
-            let offsets = crate::query::subquery_offsets(query.len(), k, params.k);
-            let mut anchors = 0;
-            for (i, slot) in c.node_handles().iter().enumerate() {
-                let reference = MendelCluster::new_slot(&c.config, &c.db, &c.obs, &None, i);
-                reference.insert_blocks(slot.read().blocks());
-                assert!(slot.read().block_count() > 0, "{when}: node {i}");
-                assert_eq!(slot.read().block_keys(), reference.read().block_keys());
-                assert_eq!(
-                    slot.index_layout(),
-                    reference.index_layout(),
-                    "{when}: node {i}"
-                );
-                let search = |s: &NodeSlot| {
-                    let out = s
-                        .read()
-                        .local_search_many(&query, &offsets, k, &params, &matrix);
-                    (out.anchors, out.candidates)
-                };
-                let answer = search(slot);
-                assert_eq!(answer, search(&reference), "{when}: node {i}");
-                anchors += answer.0.len();
+    fn a_grown_node_answers_like_one_built_at_once() {
+        let alphabets = [
+            (
+                ClusterConfig::small_protein(),
+                small_db(),
+                QueryParams::protein(),
+            ),
+            (ClusterConfig::small_dna(), dna_db(), QueryParams::dna()),
+        ];
+        for (base, db, params) in alphabets {
+            let mut first = SeqStore::new();
+            for s in db.iter().take(4) {
+                first.insert(s.clone());
             }
-            anchors
-        };
-        let inserted: Vec<Sequence> = db.iter().skip(4).cloned().collect();
-        c.insert_sequences(inserted).unwrap();
-        assert!(same_as_built_at_once("inserted") > 0, "the query anchors");
-        c.add_node();
-        same_as_built_at_once("rebalanced");
-        c.fail_node(NodeId(1)).unwrap();
-        c.recover_node(NodeId(1)).unwrap();
-        assert!(c.failed_nodes().is_empty());
-        same_as_built_at_once("replayed");
-        c.check_ledger().unwrap();
+            let config = ClusterConfig {
+                storage: StorageBackend::durable(),
+                replication: 2,
+                ..base
+            };
+            let alphabet = config.alphabet;
+            let c = MendelCluster::build(config, Arc::new(first)).unwrap();
+            let params = QueryParams {
+                search_budget: usize::MAX,
+                ..params
+            };
+            let matrix = c.resolve_matrix(&params.m).unwrap();
+            let k = c.config.block_len;
+            let same_as_built_at_once = |when: &str| {
+                let residues = &db.get(SeqId(6)).unwrap().residues;
+                let query = residues[40..residues.len().min(340)].to_vec();
+                let offsets = crate::query::subquery_offsets(query.len(), k, params.k);
+                let failed = c.failed_nodes();
+                let mut anchors = 0;
+                for (i, slot) in c.node_handles().iter().enumerate() {
+                    if failed.contains(&slot.id()) {
+                        continue;
+                    }
+                    let when = format!("{alphabet:?} {when}: node {i}");
+                    let reference = MendelCluster::new_slot(&c.config, &c.db, &c.obs, &None, i);
+                    reference.insert_keys(slot.read().block_keys(), k);
+                    assert!(slot.read().block_count() > 0, "{when}");
+                    assert_eq!(slot.read().block_keys(), reference.read().block_keys());
+                    if alphabet == Alphabet::Dna {
+                        assert_eq!(slot.index_layout(), reference.index_layout(), "{when}");
+                    }
+                    let search = |s: &NodeSlot| {
+                        let out = s
+                            .read()
+                            .local_search_many(&query, &offsets, k, &params, &matrix);
+                        (out.anchors, out.candidates)
+                    };
+                    let answer = search(slot);
+                    assert_eq!(answer, search(&reference), "{when}");
+                    anchors += answer.0.len();
+                }
+                anchors
+            };
+            let inserted: Vec<Sequence> = db.iter().skip(4).cloned().collect();
+            c.insert_sequences(inserted).unwrap();
+            assert!(same_as_built_at_once("inserted") > 0, "the query anchors");
+            c.add_node();
+            same_as_built_at_once("rebalanced");
+            c.fail_node(NodeId(1)).unwrap();
+            assert!(c.repair().copies_added > 0, "{alphabet:?}");
+            same_as_built_at_once("repaired");
+            c.recover_node(NodeId(1)).unwrap();
+            assert!(c.failed_nodes().is_empty());
+            same_as_built_at_once("replayed");
+            c.check_ledger().unwrap();
+        }
     }
 
     /// Pass 1 over k chunks, then pass 2's walk, gives every node the
@@ -2055,17 +2105,13 @@ mod tests {
                     let topo = c.topology();
                     let (routes, runs) = c.route(&topo, &seqs, chunks);
                     assert!(runs <= chunks && runs <= seqs.len());
-                    let corpus = Corpus {
-                        seqs: &seqs,
-                        block_len: base.block_len,
-                        backings: std::cell::OnceCell::new(),
-                    };
+                    let corpus = KeyRuns::of_sequences(c.db(), base.block_len, &seqs);
                     let (refused, _) = c.route_and_place(&topo, &routes, &corpus);
                     let shares: Vec<(NodeId, Vec<BlockKey>)> = topo
                         .nodes()
                         .map(|n| {
                             let g = topo.node_group(n).unwrap();
-                            (n, c.ledger.read().keys_held_by(g, n))
+                            (n, c.ledger.read().keys_held_by(g, |h| h == n))
                         })
                         .filter(|(_, keys)| !keys.is_empty())
                         .collect();
@@ -2114,13 +2160,9 @@ mod tests {
             let c = MendelCluster::skeleton(config.clone(), db.clone(), clock, None).unwrap();
             let topo = c.topology();
             let (routes, _) = c.route(&topo, &seqs, 1);
-            let corpus = Corpus {
-                seqs: &seqs,
-                block_len: config.block_len,
-                backings: std::cell::OnceCell::new(),
-            };
+            let corpus = KeyRuns::of_sequences(c.db(), config.block_len, &seqs);
             // The corpus's first key, already placed in another group.
-            let first = corpus.runs().next().unwrap().0;
+            let first = corpus.runs[0].0;
             let g = topo.node_group(routes[0]).unwrap();
             let other = topo.nodes().find(|&n| topo.node_group(n) != Some(g));
             let other = other.unwrap();
@@ -2136,7 +2178,7 @@ mod tests {
                 .nodes()
                 .map(|n| {
                     let g = topo.node_group(n).unwrap();
-                    let mut keys = c.ledger.read().keys_held_by(g, n);
+                    let mut keys = c.ledger.read().keys_held_by(g, |h| h == n);
                     keys.retain(|&k| n != other || k != first);
                     assert_eq!(c.slot(n).read().block_keys(), keys, "{n}");
                     keys
@@ -2277,6 +2319,54 @@ mod tests {
         c.check_ledger().unwrap();
     }
 
+    /// A replayed record that is no block of the reference — a key not
+    /// in the 8-byte `seq‖start` form, or a held key whose stored window
+    /// differs from the reference's — fails the replay: the node stays
+    /// failed and its holdings stay expected.
+    #[test]
+    fn replayed_record_that_is_no_block_keeps_the_node_failed() {
+        let db = small_db();
+        let k = durable_config().block_len;
+        for forge in ["short key", "wrong window"] {
+            let vfs: Arc<dyn Vfs> = Arc::new(MemVfs::plain(7));
+            let c = MendelCluster::build_with_storage(
+                durable_config(),
+                db.clone(),
+                Arc::new(MonotonicClock::new()),
+                Some(vfs.clone()),
+            )
+            .unwrap();
+            let g = c.topology().node_group(NodeId(1)).unwrap();
+            let held = c.ledger.read().keys_held_by(g, |h| h == NodeId(1))[0];
+            c.fail_node(NodeId(1)).unwrap();
+            let before = c.coverage();
+            let (mut store, _) = mendel_store::DurableStore::open(
+                vfs.clone(),
+                "node-1",
+                mendel_store::StoreOptions::default(),
+                StoreMetrics::detached(),
+            )
+            .unwrap();
+            let seq = &db.get(held.seq).unwrap().residues;
+            let mut window = seq[held.start as usize..][..k].to_vec();
+            let key = match forge {
+                "short key" => held.as_bytes()[..7].to_vec(),
+                _ => {
+                    window[0] = (window[0] + 1) % 20;
+                    held.as_bytes().to_vec()
+                }
+            };
+            let backing: Arc<[u8]> = Arc::from(window);
+            store.put_block(&key, &backing, 0, k as u32).unwrap();
+            store.sync().unwrap();
+            drop(store);
+            assert!(c.recover_node(NodeId(1)).is_err(), "{forge}");
+            assert_eq!(c.failed_nodes(), vec![NodeId(1)], "{forge}");
+            assert_eq!(c.coverage(), before, "{forge}");
+            c.check_ledger().unwrap();
+        }
+    }
+
     #[test]
     fn inserted_sequences_get_ledger_slots_and_count_in_coverage() {
         let db = small_db();
@@ -2336,7 +2426,7 @@ mod tests {
         // empties (memory mode would keep it).
         let victim = NodeId(1);
         c.fail_node(victim).unwrap();
-        assert!(c.node_blocks(victim).is_empty());
+        assert!(c.slot(victim).read().block_count() == 0);
         assert!(c.total_blocks() < total);
 
         // Recovery replays the WAL from disk; nothing acknowledged is
@@ -2446,10 +2536,10 @@ mod tests {
 
             // A joiner that stayed live acknowledged only what is on
             // its disk: a restart brings all of it back.
-            let held = c.node_blocks(id).len();
+            let held = c.slot(id).read().block_count();
             c.fail_node(id).unwrap();
             c.recover_node(id).unwrap();
-            assert!(failed.contains(&id) || c.node_blocks(id).len() == held);
+            assert!(failed.contains(&id) || c.slot(id).read().block_count() == held);
             c.check_ledger().unwrap();
 
             // Nobody else was touched then, and bringing the joiner up
@@ -2460,8 +2550,8 @@ mod tests {
                 assert_eq!(c.coverage(), twin.coverage(), "k = {k}");
                 assert_eq!(c.total_blocks(), twin.total_blocks(), "k = {k}");
                 assert_eq!(
-                    c.node_blocks(id).len(),
-                    twin.node_blocks(id).len(),
+                    c.slot(id).read().block_count(),
+                    twin.slot(id).read().block_count(),
                     "k = {k}"
                 );
             }

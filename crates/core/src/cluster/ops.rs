@@ -3,14 +3,16 @@
 //! MendelCluster` over the control-plane state declared in the parent
 //! module; per-node work goes through the [`NodeSlot`] verbs.
 
-use super::MendelCluster;
-use crate::block::{Block, BlockKey};
+use super::{KeyRuns, MendelCluster};
+use crate::block::BlockKey;
 use crate::error::MendelError;
 use crate::report::{CoverageReport, GroupCoverage};
 use mendel_dht::sha1::KeyHasher;
 use mendel_dht::{FlatPlacement, GroupId, NodeId, Topology};
 use mendel_net::NodeSpeed;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
+#[cfg(any(test, feature = "strict-invariants"))]
+use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 
 /// What one [`MendelCluster::repair`] pass did.
@@ -67,12 +69,12 @@ impl MendelCluster {
         let slot = self.slot(node);
         // A replayed key the ledger would refuse fails the replay like
         // a corrupt disk: the node stays down, its holdings expected.
-        let accept = |blocks: &[Block]| self.ledger.read().check(g, blocks.iter().map(Block::key));
-        let Some(blocks) = slot.replay(accept)? else {
+        let accept = |keys: &[BlockKey]| self.ledger.read().check(g, keys.iter().copied());
+        let Some(keys) = slot.replay(self.config.block_len, accept)? else {
             return Ok(());
         };
         self.ledger.write().clear(g, node);
-        self.admit(g, &slot, blocks)?;
+        self.admit(g, &slot, keys)?;
         let elapsed = clock.now().saturating_sub(started);
         self.obs
             .histogram("mendel.store.recovery.seconds")
@@ -147,22 +149,9 @@ impl MendelCluster {
                 report.unreachable += expected - ledger.reachable(g, |n| live.contains(&n));
                 ledger.under_replicated(g, &live, want)
             };
-            let mut adds: BTreeMap<NodeId, Vec<Block>> = BTreeMap::new();
-            let mut cache: HashMap<NodeId, BTreeMap<BlockKey, Block>> = HashMap::new();
+            let mut adds: BTreeMap<NodeId, Vec<BlockKey>> = BTreeMap::new();
             let mut group_added = 0u64;
             for (key, hs) in &short {
-                let src = hs[0];
-                let src_blocks = cache.entry(src).or_insert_with(|| {
-                    nodes[src.0 as usize]
-                        .read()
-                        .blocks()
-                        .into_iter()
-                        .map(|b| (b.key(), b))
-                        .collect()
-                });
-                let Some(block) = src_blocks.get(key) else {
-                    continue;
-                };
                 let start = (hasher.head(&key.as_bytes()) % live.len() as u64) as usize;
                 let mut have = hs.len();
                 for i in 0..live.len() {
@@ -173,7 +162,7 @@ impl MendelCluster {
                     if hs.contains(&target) {
                         continue;
                     }
-                    adds.entry(target).or_default().push(block.clone());
+                    adds.entry(target).or_default().push(*key);
                     have += 1;
                     group_added += 1;
                 }
@@ -182,9 +171,9 @@ impl MendelCluster {
                 report.groups_repaired += 1;
             }
             report.copies_added += group_added;
-            for (node, batch) in adds {
-                let copies = batch.len() as u64;
-                if self.place(&topo, &nodes, node, batch).is_err() {
+            for (node, keys) in adds {
+                let copies = keys.len() as u64;
+                if self.place(&topo, &nodes, node, keys).is_err() {
                     // The copies never became durable: don't let the
                     // report claim them either. The target is failed
                     // below and can recover from its own pre-repair
@@ -328,7 +317,7 @@ impl MendelCluster {
                 let mut held = nodes[m.0 as usize].oracle_keys();
                 held.sort_unstable();
                 held.dedup();
-                let placed = self.ledger.read().keys_held_by(g, m);
+                let placed = self.ledger.read().keys_held_by(g, |n| n == m);
                 if held != placed {
                     return Err(format!(
                         "hosted node {m} holds {} keys, the ledger names it for {}",
@@ -393,22 +382,21 @@ impl MendelCluster {
     }
 
     /// Re-place every block of group `g` under the current membership.
+    /// The blocks are the keys the ledger records on a live member; each
+    /// window is read from the reference store at its key, so no
+    /// member's RAM is read.
     pub(super) fn rebalance_group(&self, topo: &Topology, g: GroupId) {
         let members = self.live_members(topo, g);
-        // Collect each member's blocks and empty it, RAM and disk. A
-        // member whose disk refuses goes dark holding what it held and
-        // is failed before anything is re-placed, so the blocks it alone
+        // Take the keys, then empty each member, RAM and disk. A member
+        // whose disk refuses goes dark holding what it held and is
+        // failed before anything is re-placed, so the blocks it alone
         // held stay expected.
-        let mut unique: BTreeMap<BlockKey, Block> = BTreeMap::new();
+        let keys = self.ledger.read().keys_held_by(g, |n| members.contains(&n));
         let mut broken: Vec<NodeId> = Vec::new();
         {
             let nodes = self.nodes.read();
             for &m in &members {
-                let slot = &nodes[m.0 as usize];
-                for b in slot.read().blocks() {
-                    unique.insert(b.key(), b);
-                }
-                match slot.wipe() {
+                match nodes[m.0 as usize].wipe() {
                     Ok(()) => self.ledger.write().clear(g, m),
                     Err(_) => broken.push(m),
                 }
@@ -418,13 +406,13 @@ impl MendelCluster {
             let _ = self.fail_node(node);
         }
         // Pass 1 for blocks whose group is known: where their rings start.
-        let blocks: Vec<Block> = unique.into_values().collect();
         let (hasher, ring) = (KeyHasher::dispatched(), topo.group_members(g));
-        let routes: Vec<NodeId> = blocks
+        let routes: Vec<NodeId> = keys
             .iter()
-            .map(|b| ring[FlatPlacement::ring_start(hasher, ring.len(), &b.key().as_bytes())])
+            .map(|key| ring[FlatPlacement::ring_start(hasher, ring.len(), &key.as_bytes())])
             .collect();
-        let (refused, _) = self.route_and_place(topo, &routes, blocks.as_slice());
+        let blocks = KeyRuns::of_keys(self.db(), self.config.block_len, &keys);
+        let (refused, _) = self.route_and_place(topo, &routes, &blocks);
         // Any node that was down during this re-placement now holds a
         // stale layout; the epoch bump makes recover_node detect that.
         self.group_epochs.write()[g.0 as usize] += 1;

@@ -371,14 +371,18 @@ impl Ledger {
             .collect()
     }
 
-    /// Every key of `g` whose holder set names `node`, in key order (what
-    /// `MendelCluster::check_ledger` compares a hosted node's RAM with).
-    #[cfg(any(test, feature = "strict-invariants"))]
-    pub(crate) fn keys_held_by(&self, g: GroupId, node: NodeId) -> Vec<BlockKey> {
+    /// Every key of `g` whose holder set names a node `holder` picks, in
+    /// key order: what a rebalance re-places, and what
+    /// `MendelCluster::check_ledger` compares a hosted node's RAM with.
+    pub(crate) fn keys_held_by(
+        &self,
+        g: GroupId,
+        holder: impl Fn(NodeId) -> bool,
+    ) -> Vec<BlockKey> {
         let names: Vec<bool> = self
             .sets
             .iter()
-            .map(|s| s.group == g && s.members.contains(&node))
+            .map(|s| s.group == g && s.members.iter().any(|&n| holder(n)))
             .collect();
         self.placed()
             .filter(|(_, set)| names[*set as usize])
@@ -489,7 +493,7 @@ mod tests {
         assert_eq!(l.reachable(G, |_| false), 0);
         assert_eq!(l.copies(), 20);
         assert_eq!(
-            l.keys_held_by(G, NodeId(1)),
+            l.keys_held_by(G, |h| h == NodeId(1)),
             keys(5..15).collect::<Vec<_>>()
         );
     }
@@ -507,7 +511,7 @@ mod tests {
         l.clear(G, NodeId(7)); // a node that holds nothing
         assert_eq!(l.expected(G), 10);
         assert_eq!(l.copies(), 10);
-        assert!(l.keys_held_by(G, NodeId(0)).is_empty());
+        assert!(l.keys_held_by(G, |h| h == NodeId(0)).is_empty());
     }
 
     #[test]
@@ -636,20 +640,20 @@ mod tests {
             assert_eq!(walked.expected(G), placed.expected(G));
             for n in (0..4).map(NodeId) {
                 assert_eq!(
-                    walked.keys_held_by(G, n),
-                    placed.keys_held_by(G, n),
+                    walked.keys_held_by(G, |h| h == n),
+                    placed.keys_held_by(G, |h| h == n),
                     "{seed} {n}"
                 );
             }
             // A run past its sequence's end is refused, naming the start
             // of its first key out of range, with nothing written...
             let past_the_end = [(key(0, 7), 3)];
-            let before = walked.keys_held_by(G, NodeId(1));
+            let before = walked.keys_held_by(G, |h| h == NodeId(1));
             let to = [2, 2, 1];
             let run = past_the_end.into_iter();
             let refused = walked.place_walk(&sets, |i| NodeId(to[i]), run, |_, _, _| {});
             assert_eq!(refused.map_err(|(p, _)| p), Err(NodeId(1)));
-            assert_eq!(walked.keys_held_by(G, NodeId(1)), before);
+            assert_eq!(walked.keys_held_by(G, |h| h == NodeId(1)), before);
             // ...unless what runs past it places nowhere: its keys in
             // range are written.
             let to = [1, 1, 2];
@@ -660,7 +664,7 @@ mod tests {
             want.extend([key(0, 7), key(0, 8)]);
             want.sort_unstable();
             want.dedup();
-            assert_eq!(walked.keys_held_by(G, NodeId(1)), want);
+            assert_eq!(walked.keys_held_by(G, |h| h == NodeId(1)), want);
         }
     }
 
@@ -743,7 +747,7 @@ mod tests {
                     for n in group {
                         let held = of_g().filter(|(_, (_, hs))| hs.contains(&n));
                         let held: Vec<BlockKey> = held.map(|(k, _)| *k).collect();
-                        assert_eq!(l.keys_held_by(g, n), held);
+                        assert_eq!(l.keys_held_by(g, |h| h == n), held);
                     }
                 }
             }

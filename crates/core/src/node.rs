@@ -26,8 +26,15 @@
 //! in a `mendel serve` process (`MendelCluster::build_member`), where
 //! the other slots stay empty trees — and, on the durable backend,
 //! stores that still receive their node's blocks.
+//!
+//! A block is its key, `(seq, start)`: its window is the reference
+//! store's residues there. Every batch a node indexes — an ingest's, a
+//! rebalance's or repair's copies, a replay's — arrives as keys
+//! ([`StorageNode::insert_keys`]), and every window a node indexes or
+//! persists is read from the reference store, never back out of an
+//! index (DESIGN.md §20.2).
 
-use crate::block::{Block, BlockKey};
+use crate::block::BlockKey;
 use crate::config::ClusterConfig;
 use crate::error::MendelError;
 use crate::metric::BlockMetric;
@@ -36,10 +43,9 @@ use crate::query::{c_score, identity, identity_radius};
 use mendel_align::{extend_ungapped, Hsp};
 use mendel_dht::NodeId;
 use mendel_seq::{Alphabet, ScoringMatrix, SeqId, SeqStore, WindowView};
-use mendel_store::{DurableStore, StoreMetrics, StoreOptions, Vfs};
+use mendel_store::{DurableStore, ScannedBlock, StoreMetrics, StoreOptions, Vfs};
 use mendel_vptree::{IndexMetrics, Neighbor, PigeonholeIndex, SearchMetrics, VpTree};
 use parking_lot::{Mutex, RwLock, RwLockReadGuard};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Shared, swappable handle on the reference store: nodes read the
@@ -159,39 +165,19 @@ impl StorageNode {
     /// counting sort into the DNA tables,
     /// [`PigeonholeIndex::insert_windows`]).
     ///
+    /// The one way into a node's index: an ingest, a rebalance, a
+    /// repair and a replay from disk all index keys.
+    ///
     /// # Panics
     /// Panics when a key's sequence is absent from the store or its
     /// window runs past the sequence's end: the ledger, which records
     /// every key before a node indexes it, refuses such a key.
     pub fn insert_keys(&mut self, keys: Vec<BlockKey>, len: usize) {
-        self.insert_with(keys, len, |_| None);
-    }
-
-    /// [`Self::insert_keys`] over whole blocks (replay from disk, repair
-    /// copies): the batch's windows are read from its blocks.
-    pub fn insert_blocks(&mut self, blocks: Vec<Block>) {
-        let Some(len) = blocks.first().map(|b| b.window.len()) else {
-            return;
-        };
-        let keys = blocks.iter().map(Block::key).collect();
-        self.insert_with(keys, len, |i| Some(&*blocks[i].window));
-    }
-
-    /// Index `keys` under the next insertion ids: the window of the
-    /// batch's `i`-th is `batch(i)` where that gives one, and any other
-    /// id's the `len` residues of the store at its key.
-    fn insert_with<'b>(
-        &mut self,
-        keys: Vec<BlockKey>,
-        len: usize,
-        batch: impl Fn(usize) -> Option<&'b [u8]>,
-    ) {
         let count = keys.len();
         if count == 0 {
             return;
         }
-        let held = self.keys.len();
-        if held == 0 {
+        if self.keys.is_empty() {
             self.keys = keys;
         } else {
             self.keys.extend(keys);
@@ -200,14 +186,8 @@ impl StorageNode {
         let seqs: Vec<&[u8]> = db.iter().map(|s| s.residues.as_slice()).collect();
         let all = &self.keys;
         let window = |id: u32| {
-            let id = id as usize;
-            match id.checked_sub(held).and_then(&batch) {
-                Some(window) => window,
-                None => {
-                    let key = all[id];
-                    &seqs[key.seq.index()][key.start as usize..][..len]
-                }
-            }
+            let key = all[id as usize];
+            &seqs[key.seq.index()][key.start as usize..][..len]
         };
         match &mut self.index {
             LocalIndex::Tree(tree) => {
@@ -274,44 +254,6 @@ impl StorageNode {
             LocalIndex::Tree(tree) => tree.window_len(),
             LocalIndex::Dna(index) => index.window_len(),
         }
-    }
-
-    /// All blocks, in insertion order (rebalance path): the keys plus
-    /// the index's windows. A window the reference store holds at its key
-    /// is a view of that sequence, one shared copy per sequence, so a
-    /// re-placed block persists into the sequence's stored blob just as
-    /// its first ingest did; any other window (a block whose sequence the
-    /// store lacks) is standalone.
-    pub fn blocks(&self) -> Vec<Block> {
-        let db = self.db.read().clone();
-        let mut seqs: HashMap<SeqId, Option<Arc<[u8]>>> = HashMap::new();
-        let windows = match &self.index {
-            LocalIndex::Tree(tree) => tree.windows(),
-            LocalIndex::Dna(index) => index.windows(),
-        };
-        let len = self.window_len();
-        self.keys
-            .iter()
-            .enumerate()
-            .map(|(i, k)| {
-                let bytes = &windows[i * len..][..len];
-                let start = k.start as usize;
-                let backing = seqs
-                    .entry(k.seq)
-                    .or_insert_with(|| db.get(k.seq).map(|s| Arc::from(s.residues.as_slice())))
-                    .as_ref()
-                    .filter(|seq| seq.get(start..start + bytes.len()) == Some(bytes));
-                let window = match backing {
-                    Some(seq) => WindowView::new(seq.clone(), start, bytes.len()),
-                    None => WindowView::standalone(bytes.to_vec()),
-                };
-                Block {
-                    seq: k.seq,
-                    start: k.start,
-                    window,
-                }
-            })
-            .collect()
     }
 
     /// Keys of all held blocks, without touching payloads (what the
@@ -567,7 +509,7 @@ impl NodeSlot {
     }
 
     /// Append `blocks` — each a key and its window, a view of the
-    /// sequence it was cut from — to the node's store; the store's fsync
+    /// reference store's copy of its sequence — to the node's store; the store's fsync
     /// policy decides when the records become crash-proof. Nothing to do
     /// on the memory backend — but a durable node without an open store
     /// cannot acknowledge anything, so that is an error.
@@ -594,15 +536,10 @@ impl NodeSlot {
     }
 
     /// Index a batch in RAM ([`StorageNode::insert_keys`]). Callers
-    /// persist first ([`Self::persist`]), or hold blocks that came off
-    /// this node's own disk.
+    /// persist first ([`Self::persist`]), or hold keys that came off
+    /// this node's own disk ([`Self::replay`]).
     pub(crate) fn insert_keys(&self, keys: Vec<BlockKey>, len: usize) {
         self.ram.write().insert_keys(keys, len);
-    }
-
-    /// [`Self::insert_keys`] over whole blocks.
-    pub(crate) fn insert_blocks(&self, blocks: Vec<Block>) {
-        self.ram.write().insert_blocks(blocks);
     }
 
     /// The node's process dies: on the durable backend the store handle
@@ -629,42 +566,54 @@ impl NodeSlot {
 
     /// The node's process restarts from disk: reopen the store
     /// (manifest + segment verification, WAL replay, torn-tail
-    /// truncation) and read every block back. On `Ok` the store is open,
-    /// the RAM empty, and the returned blocks are exactly what the disk
-    /// holds — the caller indexes them *without* persisting them again.
-    /// `accept` sees the blocks first; its refusal, like the disk's,
-    /// is an `Err` on which nothing changed. `None` on the memory
-    /// backend, whose RAM never left.
+    /// truncation) and read every block's key back. On `Ok` the store is
+    /// open, the RAM empty, and the returned keys are exactly what the
+    /// disk holds — the caller indexes them *without* persisting them
+    /// again. A record that is no block of the reference — a key not in
+    /// the 8-byte `seq‖start` form, or a window other than the `len`
+    /// residues the reference store holds at its key — fails the replay
+    /// as a corrupt disk does; so does `accept`'s refusal of the keys. On
+    /// `Err` nothing changed. `None` on the memory backend, whose RAM
+    /// never left.
     pub(crate) fn replay(
         &self,
-        accept: impl FnOnce(&[Block]) -> Result<(), MendelError>,
-    ) -> Result<Option<Vec<Block>>, MendelError> {
+        len: usize,
+        accept: impl FnOnce(&[BlockKey]) -> Result<(), MendelError>,
+    ) -> Result<Option<Vec<BlockKey>>, MendelError> {
         let Some(disk) = &self.disk else {
             return Ok(None);
         };
         let store = disk.open_store()?;
-        let blocks = store
+        let cell = self.ram.read().db.clone();
+        let db = cell.read().clone();
+        let block = |s: &ScannedBlock| {
+            let key: [u8; 8] = s.key.as_slice().try_into().ok()?;
+            let key = BlockKey {
+                seq: SeqId(u32::from_le_bytes([key[0], key[1], key[2], key[3]])),
+                start: u32::from_le_bytes([key[4], key[5], key[6], key[7]]),
+            };
+            let stored = s.backing.get(s.offset as usize..)?.get(..s.len as usize)?;
+            let reference = db.get(key.seq)?.window(key.start as usize, len)?;
+            (stored == reference).then_some(key)
+        };
+        let keys = store
             .scan()?
-            .into_iter()
-            .filter_map(|s| {
-                // Keys are the 8-byte BlockKey wire form; anything else
-                // in the store did not come from `persist`.
-                let key: [u8; 8] = s.key.as_slice().try_into().ok()?;
-                let seq = u32::from_le_bytes([key[0], key[1], key[2], key[3]]);
-                let start = u32::from_le_bytes([key[4], key[5], key[6], key[7]]);
-                Some(Block {
-                    seq: SeqId(seq),
-                    start,
-                    window: WindowView::new(s.backing, s.offset as usize, s.len as usize),
+            .iter()
+            .map(|s| {
+                block(s).ok_or_else(|| {
+                    MendelError::Store(format!(
+                        "node {} replayed a record that is no block of the reference (key {:02x?})",
+                        self.id, s.key
+                    ))
                 })
             })
-            .collect::<Vec<_>>();
-        accept(&blocks)?;
+            .collect::<Result<Vec<_>, _>>()?;
+        accept(&keys)?;
         *disk.handle.lock() = Some(store);
         self.ram.write().clear();
         #[cfg(any(test, feature = "strict-invariants"))]
         self.dark_keys.lock().clear();
-        Ok(Some(blocks))
+        Ok(Some(keys))
     }
 
     /// Forget everything, RAM and disk, ahead of a re-placement: the
@@ -752,7 +701,7 @@ impl NodeSlot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::block::make_blocks;
+    use crate::block::{make_blocks, Block};
     use mendel_seq::gen::NrLikeSpec;
     use mendel_seq::SeqId;
 
@@ -779,7 +728,7 @@ mod tests {
             1,
         );
         for s in db.iter() {
-            node.insert_blocks(make_blocks(s, 16));
+            node.insert_keys(make_blocks(s, 16).iter().map(Block::key).collect(), 16);
         }
         node
     }
@@ -796,49 +745,9 @@ mod tests {
     fn stored_bytes_are_each_blocks_key_plus_its_window() {
         let db = test_db();
         let node = loaded_node(&db);
-        let held: u64 = node
-            .blocks()
-            .iter()
-            .map(|b| (std::mem::size_of::<BlockKey>() + b.window.len()) as u64)
-            .sum();
-        assert_eq!(node.stored_bytes(), held);
-        assert_eq!(node.stored_bytes(), node.block_count() as u64 * (8 + 16));
-    }
-
-    #[test]
-    fn blocks_round_trip_in_insertion_order() {
-        // Blocks as ingest makes them, then standalone ones — one of
-        // them naming a sequence the reference store lacks.
-        let db = test_db();
-        let mut node = StorageNode::new(
-            BlockMetric::mendel_blosum62(),
-            4,
-            Arc::new(RwLock::new(db.clone())),
-            Alphabet::Protein,
-            1,
-        );
-        let mut sent = make_blocks(db.get(SeqId(3)).unwrap(), 16);
-        let mut standalone = make_blocks(db.get(SeqId(5)).unwrap(), 16);
-        standalone[7].seq = SeqId(999);
-        sent.extend(standalone.into_iter().map(|b| Block {
-            window: WindowView::standalone(b.window.to_vec()),
-            ..b
-        }));
-        node.insert_blocks(sent[..40].to_vec());
-        node.insert_blocks(sent[40..].to_vec());
-        let got = node.blocks();
-        assert_eq!(got, sent);
-        for b in &got {
-            // A resolvable block shares its sequence's buffer again.
-            let resolves = b.seq != SeqId(999);
-            let seq_len = db.get(b.seq).map_or(0, |s| s.residues.len());
-            assert_eq!(
-                b.window.backing().len() == seq_len,
-                resolves,
-                "{:?}",
-                b.key()
-            );
-        }
+        let windows: usize = db.iter().map(|s| s.len() + 1 - 16).sum();
+        assert_eq!(node.block_count(), windows);
+        assert_eq!(node.stored_bytes(), windows as u64 * (8 + 16));
     }
 
     #[test]

@@ -130,15 +130,6 @@ fn pack8(x: u64) -> u32 {
     ((x | x >> 24) & 0xFFFF) as u32
 }
 
-/// [`pack8`] undone: 8 codes, one a byte.
-#[inline]
-fn unpack8(v: u32) -> u64 {
-    let x = u64::from(v);
-    let x = (x | x << 24) & 0x0000_00FF_0000_00FF;
-    let x = (x | x << 12) & 0x000F_000F_000F_000F;
-    (x | x << 6) & 0x0303_0303_0303_0303
-}
-
 /// Start loading `*target` into cache: a hint, with no effect on what the
 /// program computes (and none at all off x86_64).
 #[inline]
@@ -513,26 +504,6 @@ impl PigeonholeIndex {
             self.wild_ids[at],
             Some(&self.wild[at * self.width..][..self.width]),
         )
-    }
-
-    /// Every window held, in id order, back to back.
-    pub fn windows(&self) -> Vec<u8> {
-        let len = self.width;
-        let mut out = vec![0u8; self.count * len];
-        for entry in self.every_entry() {
-            let (id, wild) = self.named(entry[0]);
-            let window = &mut out[id as usize * len..][..len];
-            match wild {
-                Some(bytes) => window.copy_from_slice(bytes),
-                None => {
-                    for (j, bases) in window.chunks_mut(PART).enumerate() {
-                        let codes = unpack8(entry[1 + j / 2] >> (16 * (j % 2)) & 0xFFFF);
-                        bases.copy_from_slice(&codes.to_le_bytes()[..bases.len()]);
-                    }
-                }
-            }
-        }
-        out
     }
 
     /// For each window `query[o .. o + len]` at an `offsets` entry, its
@@ -920,10 +891,21 @@ mod tests {
             h.finish()
         };
         assert_eq!(digest(&grown), digest(&whole));
-        assert_eq!(grown.windows(), points.concat());
+        assert_holds(&grown, &points);
         grown.clear();
         assert!(grown.is_empty());
-        assert_eq!(grown.windows(), Vec::<u8>::new());
+    }
+
+    /// Each of `points` finds, at radius 0, the windows equal to it that
+    /// brute force finds: the index holds each window at its id.
+    fn assert_holds(index: &PigeonholeIndex, points: &[Vec<u8>]) {
+        let len = points[0].len();
+        let query: Vec<u8> = points.iter().flatten().copied().collect();
+        let offsets: Vec<usize> = (0..query.len()).step_by(len).collect();
+        let found = index.search(&query, &offsets, 4, 0);
+        for (&o, found) in offsets.iter().zip(&found) {
+            assert_eq!(key(found), want(points, &query[o..o + len], 4, 0), "at {o}");
+        }
     }
 
     /// Tables that read each window through its key into its sequence —
@@ -971,7 +953,8 @@ mod tests {
                 );
             }
         }
-        assert_eq!(keyed.windows(), copies);
+        let points: Vec<Vec<u8>> = copies.chunks_exact(len).map(<[u8]>::to_vec).collect();
+        assert_holds(&keyed, &points);
     }
 
     #[test]
