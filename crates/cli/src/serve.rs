@@ -35,10 +35,12 @@
 //!   (`/metrics` exports it as the `mendel_hosted_blocks` gauge),
 //!   `ingest_ms` and `route_threads` as `/ingest` reports them, and
 //!   `ledger_bytes`, what the placement ledger holds (the
-//!   `mendel_ledger_bytes` gauge), and `dna_index`, the buckets a DNA
-//!   node's searches probed and the windows they checked (the
-//!   `mendel_dna_index_{probes,candidates}` counters; 0 on protein, whose
-//!   node search counts into `mendel_vptree_*`).
+//!   `mendel_ledger_bytes` gauge), `index_bytes`, what the hosted
+//!   node's index holds (the `mendel_index_bytes` gauge), and
+//!   `dna_index`, the buckets a DNA node's searches probed and the
+//!   windows they checked (the `mendel_dna_index_{probes,candidates}`
+//!   counters; 0 on protein, whose node search counts into
+//!   `mendel_vptree_*`).
 //! * `GET  /trace/<id>` — span records for one trace; `format=`
 //!   `chrome` (default, Perfetto-loadable) | `records` | `tree` |
 //!   `path`; `scope=cluster` (default) stitches fragments scraped from
@@ -434,9 +436,11 @@ impl State {
                         let count = |name| serving.cluster.metrics_registry().counter(name).get();
                         let _ = write!(
                             body,
-                            ",{},\"ledger_bytes\":{},\"dna_index\":{{\"probes\":{},\"candidates\":{}}}",
+                            ",{},\"ledger_bytes\":{},\"index_bytes\":{},\
+                             \"dna_index\":{{\"probes\":{},\"candidates\":{}}}",
                             serving.ingest_json(),
                             serving.cluster.ledger_bytes(),
+                            serving.cluster.index_bytes(),
                             count("mendel.dna_index.probes"),
                             count("mendel.dna_index.candidates"),
                         );
@@ -879,6 +883,10 @@ mod tests {
             let gauge = format!("\nmendel_hosted_blocks {hosted}\n");
             assert!(metrics.contains(&gauge), "{metrics}");
             let gauge = format!("\nmendel_ledger_bytes {ledger}\n");
+            assert!(metrics.contains(&gauge), "{metrics}");
+            let index = number(&health, "index_bytes");
+            assert!(index > 0, "{health}");
+            let gauge = format!("\nmendel_index_bytes {index}\n");
             assert!(metrics.contains(&gauge), "{metrics}");
         }
         // Every process reports the same cluster-wide count, and the

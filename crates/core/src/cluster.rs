@@ -984,6 +984,7 @@ impl MendelCluster {
         let gauge = |name: &str, v: usize| self.obs.gauge(name).set(v as i64);
         gauge("mendel.hosted_blocks", self.total_blocks());
         gauge("mendel.ledger.bytes", self.ledger_bytes());
+        gauge("mendel.index.bytes", self.index_bytes());
         gauge("mendel.coverage.blocks_expected", coverage.blocks_expected);
         gauge(
             "mendel.coverage.blocks_reachable",
@@ -1202,6 +1203,17 @@ impl MendelCluster {
         let nodes = self.nodes.read();
         topo.nodes()
             .map(|n| nodes[n.0 as usize].read().block_count())
+            .sum()
+    }
+
+    /// Heap bytes the local indexes in this process's RAM hold: every
+    /// node's in process, the hosted node's on a [`Self::build_member`]
+    /// cluster.
+    pub fn index_bytes(&self) -> usize {
+        let topo = self.topology.read();
+        let nodes = self.nodes.read();
+        topo.nodes()
+            .map(|n| nodes[n.0 as usize].read().index_bytes())
             .sum()
     }
 
@@ -1660,6 +1672,29 @@ mod tests {
         let q = db.get(SeqId(3)).unwrap().residues[50..250].to_vec();
         let r = c.query(&q, &QueryParams::dna()).unwrap();
         assert_eq!(r.best().unwrap().subject, SeqId(3));
+    }
+
+    /// At 16 bases a DNA node's tables hold 12 bytes a window — in each
+    /// of its two tables, the id and the half that is not the bucket's
+    /// key — beside 4 bytes of bounds a bucket, and
+    /// `mendel.index.bytes` reports the sum over the nodes.
+    #[test]
+    fn dna_index_bytes_are_entries_and_bounds() {
+        let c = MendelCluster::build(ClusterConfig::small_dna(), dna_db()).unwrap();
+        assert_eq!(c.config().block_len, 16);
+        let holding = {
+            let topo = c.topology.read();
+            let nodes = c.nodes.read();
+            topo.nodes()
+                .filter(|n| nodes[n.0 as usize].read().block_count() > 0)
+                .count()
+        };
+        assert!(holding > 1);
+        let bounds = 4 * (2 * 4usize.pow(8) + 1);
+        let want = 12 * c.total_blocks() + holding * bounds;
+        assert_eq!(c.index_bytes(), want);
+        let snapshot = c.metrics_snapshot();
+        assert_eq!(snapshot.gauge("mendel.index.bytes"), want as i64);
     }
 
     #[test]

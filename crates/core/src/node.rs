@@ -248,6 +248,15 @@ impl StorageNode {
         (self.keys.len() * (std::mem::size_of::<BlockKey>() + self.window_len())) as u64
     }
 
+    /// Heap bytes the local index holds: a tree's vertices, leaves and
+    /// vantage arena, or the DNA tables' entries, bounds and wild list.
+    pub fn index_bytes(&self) -> usize {
+        match &self.index {
+            LocalIndex::Tree(tree) => tree.heap_bytes(),
+            LocalIndex::Dna(index) => index.heap_bytes(),
+        }
+    }
+
     /// Residues a held window has (0 while empty).
     fn window_len(&self) -> usize {
         match &self.index {

@@ -17,9 +17,12 @@
 //! bucket `k·p + t`, so the buckets one key names in every table are
 //! adjacent, and a request whose subquery windows share an 8-base run
 //! (at stride 8, one window's second half is the next one's first) probes
-//! that run once for both. An entry is the window's insertion id followed
-//! by the whole window, 2 bits a base, so a candidate is checked with an
-//! XOR and a popcount where the bucket already put it in cache.
+//! that run once for both. An entry of part `t`'s table is the window's
+//! insertion id followed by its other parts, each packed 2 bits a base
+//! into 16 bits: with the bucket's key, which is part `t`, they are the
+//! whole window, so a candidate is checked with an XOR and a popcount a
+//! part where the bucket already put it in cache. At 16-base windows an
+//! entry is 6 bytes a table; at 8 bases or fewer it is just the id.
 //!
 //! Bytes outside `A`, `C`, `G`, `T` (codes 0–3; `N` is 4) match only
 //! themselves, as `identity` counts them. A window holding one is
@@ -43,14 +46,15 @@ use std::sync::{Arc, OnceLock};
 const PART: usize = 8;
 /// Keys of one table: 4⁸.
 const KEYS: usize = 1 << (2 * PART);
-/// Bases one packed word holds.
-const BASES_PER_WORD: usize = 16;
-/// Set in an entry's first word when the rest of it indexes the wild
-/// list, not the id space.
+/// Set in an entry's id when the rest of it indexes the wild list, not
+/// the id space.
 const WILD: u32 = 1 << 31;
 /// Adjacent keys the build moves entries into together: a group's
 /// buckets, in every part, fit in cache.
 const GROUP: usize = 256;
+/// Windows the build packs and moves into the tables at a time: all the
+/// scratch it takes besides the tables.
+const CHUNK: usize = 1 << 12;
 /// Keys a probe asks for its entries ahead of checking them (and twice
 /// as far ahead, for their bounds).
 const AHEAD: usize = 8;
@@ -96,10 +100,11 @@ pub struct PigeonholeIndex {
     /// `starts[b] .. starts[b + 1]`, those whose part `t` has key `k`, in
     /// id order.
     starts: Vec<u32>,
-    /// Entries back to back, `1 + words` each: the id (or [`WILD`] and a
-    /// wild-list position), then the window packed 2 bits a base, base `i`
-    /// at bit `2·(i mod 16)` of word `i / 16`.
-    entries: Vec<u32>,
+    /// Entries back to back, `1 + parts` halfwords each: the id (or
+    /// [`WILD`] and a wild-list position), low half first, then every
+    /// part of the window but the bucket's own, in order, each packed
+    /// 2 bits a base, base `i` at bit `2i`.
+    entries: Vec<u16>,
     /// Ids of the wild windows, ascending.
     wild_ids: Vec<u32>,
     /// Their bytes, back to back.
@@ -124,10 +129,10 @@ const WILD_BITS: u64 = 0xFCFC_FCFC_FCFC_FCFC;
 
 /// The 2-bit codes of 8 bytes, each 0–3, packed: byte `i` at bit `2i`.
 #[inline]
-fn pack8(x: u64) -> u32 {
+fn pack8(x: u64) -> u16 {
     let x = (x | x >> 6) & 0x000F_000F_000F_000F;
     let x = (x | x >> 12) & 0x0000_00FF_0000_00FF;
-    ((x | x >> 24) & 0xFFFF) as u32
+    (x | x >> 24) as u16
 }
 
 /// Start loading `*target` into cache: a hint, with no effect on what the
@@ -151,35 +156,26 @@ fn word(bytes: &[u8]) -> u64 {
     bytes.iter().rev().fold(0, |x, &b| x << 8 | u64::from(b))
 }
 
-/// Pack `window` into `out` (⌈len/16⌉ words), `A` standing in for a byte
-/// outside 0–3; returns whether there was one.
-fn pack(window: &[u8], out: &mut [u32]) -> bool {
-    out.fill(0);
-    let mut chunks = window.chunks_exact(PART);
+/// Pack `window` into `out`, part `t` into `out[t]`, `A` standing in for
+/// a byte outside 0–3; returns whether there was one.
+fn pack(window: &[u8], out: &mut [u16]) -> bool {
     let mut wild = false;
-    for (j, chunk) in chunks.by_ref().enumerate() {
-        let mut x = word(chunk);
+    for (half, part) in out.iter_mut().zip(window.chunks(PART)) {
+        let mut x = word(part);
         if x & WILD_BITS != 0 {
             wild = true;
-            let tame = chunk.iter().rev().map(|&c| if c > 3 { 0 } else { c });
+            let tame = part.iter().rev().map(|&c| if c > 3 { 0 } else { c });
             x = tame.fold(0, |x, c| x << 8 | u64::from(c));
         }
-        out[j / 2] |= pack8(x) << (16 * (j % 2));
-    }
-    let at = window.len() - chunks.remainder().len();
-    for (i, &b) in chunks
-        .remainder()
-        .iter()
-        .enumerate()
-        .map(|(i, b)| (at + i, b))
-    {
-        if b > 3 {
-            wild = true;
-            continue;
-        }
-        out[i / BASES_PER_WORD] |= u32::from(b) << (2 * (i % BASES_PER_WORD));
+        *half = pack8(x);
     }
     wild
+}
+
+/// The id an entry's first two halfwords hold.
+#[inline]
+fn name(entry: &[u16]) -> u32 {
+    u32::from(entry[0]) | u32::from(entry[1]) << 16
 }
 
 /// Positions where two windows differ: per 8 bytes, the high bit of
@@ -248,66 +244,79 @@ fn near_keys(mer: &[u8], budget: usize, out: &mut Vec<u32>) {
     walk(mer, 0, 0, budget, out);
 }
 
-/// A request's query windows, packed once: per window `words` packed
-/// words, as many masks with the low bit of each 0–3 base set, and its
-/// count of other bytes in all and per part.
+/// A part of a query window, packed as the tables pack one: its bases
+/// 0–3 (`tame`), the low bit of each of them (`care`) and its count of
+/// other bytes (`wild`).
+#[derive(Debug, Clone, Copy, Default)]
+struct Half {
+    tame: u32,
+    care: u32,
+    wild: u32,
+}
+
+impl Half {
+    fn of(part: &[u8]) -> Half {
+        let mut half = Half::default();
+        for (i, &c) in part.iter().enumerate() {
+            if c < 4 {
+                half.tame |= u32::from(c) << (2 * i);
+                half.care |= 1 << (2 * i);
+            } else {
+                half.wild += 1;
+            }
+        }
+        half
+    }
+
+    /// Hamming distance to the packed part `x`.
+    #[inline]
+    fn dist(self, x: u32) -> u32 {
+        let diff = self.tame ^ x;
+        ((diff | diff >> 1) & self.care).count_ones() + self.wild
+    }
+}
+
+/// A request's query windows, packed once: per window its parts, and its
+/// count of bytes outside 0–3.
 struct Queries<'q> {
     windows: Vec<&'q [u8]>,
-    words: usize,
     parts: usize,
-    packed: Vec<u32>,
-    care: Vec<u32>,
+    halves: Vec<Half>,
     wild: Vec<u32>,
-    wild_parts: Vec<u32>,
 }
 
 impl<'q> Queries<'q> {
-    fn new(windows: Vec<&'q [u8]>, words: usize, parts: usize) -> Self {
-        let mut q = Queries {
-            words,
-            parts,
-            packed: vec![0; windows.len() * words],
-            care: vec![0; windows.len() * words],
-            wild: Vec::with_capacity(windows.len()),
-            wild_parts: vec![0; windows.len() * parts],
+    fn new(windows: Vec<&'q [u8]>, parts: usize) -> Self {
+        let halves: Vec<Half> = windows
+            .iter()
+            .flat_map(|window| window.chunks(PART).map(Half::of))
+            .collect();
+        let wild = halves
+            .chunks_exact(parts)
+            .map(|row| row.iter().map(|h| h.wild).sum())
+            .collect();
+        Queries {
             windows,
-        };
-        for (w, window) in q.windows.iter().enumerate() {
-            for (i, &b) in window.iter().enumerate() {
-                let word = w * words + i / BASES_PER_WORD;
-                let shift = 2 * (i % BASES_PER_WORD);
-                if b < 4 {
-                    q.packed[word] |= u32::from(b) << shift;
-                    q.care[word] |= 1 << shift;
-                } else {
-                    q.wild_parts[w * parts + i / PART] += 1;
-                }
-            }
-            q.wild.push(q.wild_parts[w * parts..][..parts].iter().sum());
+            parts,
+            halves,
+            wild,
         }
-        q
     }
 
-    /// Hamming distance from window `w` to the packed window `x`.
+    /// Hamming distance from part `t` of window `w` to the packed part `x`.
     #[inline]
-    fn dist(&self, w: usize, x: &[u32]) -> u32 {
-        let at = w * self.words;
-        let mut d = self.wild[w];
-        for ((&q, &care), &x) in self.packed[at..].iter().zip(&self.care[at..]).zip(x) {
-            let diff = q ^ x;
-            d += ((diff | diff >> 1) & care).count_ones();
-        }
-        d
+    fn part_dist(&self, w: usize, t: usize, x: u16) -> u32 {
+        self.halves[w * self.parts + t].dist(u32::from(x))
     }
 
-    /// Hamming distance from part `t` of window `w` to that of `x`.
+    /// Hamming distance from window `w`, over every part but `t`, to the
+    /// packed parts `rest` (those of an entry of part `t`'s table).
     #[inline]
-    fn part_dist(&self, w: usize, t: usize, x: &[u32]) -> u32 {
-        let (word, shift) = (t / 2, 16 * (t % 2));
-        let at = w * self.words + word;
-        let diff = (self.packed[at] ^ x[word]) >> shift;
-        let care = (self.care[at] >> shift) & 0xFFFF;
-        ((diff | diff >> 1) & care).count_ones() + self.wild_parts[w * self.parts + t]
+    fn rest_dist(&self, w: usize, t: usize, rest: &[u16]) -> u32 {
+        let parts = rest.iter().enumerate();
+        parts
+            .map(|(i, &x)| self.part_dist(w, i + usize::from(i >= t), x))
+            .sum()
     }
 }
 
@@ -338,6 +347,16 @@ impl PigeonholeIndex {
         self.width
     }
 
+    /// Heap bytes the index holds, by capacity: its entries, bucket
+    /// bounds and wild list.
+    pub fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.entries.capacity() * size_of::<u16>()
+            + self.starts.capacity() * size_of::<u32>()
+            + self.wild_ids.capacity() * size_of::<u32>()
+            + self.wild.capacity()
+    }
+
     /// Count into `obs` from now on.
     pub fn set_metrics(&mut self, obs: IndexMetrics) {
         self.obs = obs;
@@ -352,8 +371,10 @@ impl PigeonholeIndex {
         self.width.div_ceil(PART)
     }
 
-    fn words(&self) -> usize {
-        self.width.div_ceil(BASES_PER_WORD)
+    /// Halfwords an entry takes: the id's two, and one per part but the
+    /// bucket's.
+    fn stride(&self) -> usize {
+        1 + self.parts()
     }
 
     /// Bases of part `t`.
@@ -390,24 +411,28 @@ impl PigeonholeIndex {
     }
 
     /// Rebuild the tables over the `count` windows of ids `0..count`,
-    /// each read from `window(id)`: pack each window once, count the
-    /// buckets, then per part move the entries into groups of [`GROUP`]
-    /// adjacent keys and each group into its buckets. Every move writes
-    /// near the one before it, where one scatter straight into 2·4⁸
-    /// buckets would miss the cache on nearly every entry.
+    /// each read from `window(id)` twice. The first pass packs each
+    /// window to count the buckets and list the wild ones. The second
+    /// packs [`CHUNK`] windows at a time and, per part, moves the chunk
+    /// into groups of [`GROUP`] adjacent keys and each group into its
+    /// buckets: every move writes near the one before it, where one
+    /// scatter straight into 2·4⁸ buckets would miss the cache on nearly
+    /// every entry. The chunk is all the scratch, whatever `count` is.
     fn build<'w>(&mut self, count: usize, window: impl Fn(u32) -> &'w [u8]) {
-        let (len, parts, words) = (self.width, self.parts(), self.words());
-        let stride = 1 + words;
-        let mut packed = vec![0u32; count * words];
+        let (len, parts, stride) = (self.width, self.parts(), self.stride());
+        let mut starts = vec![0u32; KEYS * parts + 1];
         let mut wild_ids = Vec::new();
         let mut wild = Vec::new();
-        for (id, x) in packed.chunks_exact_mut(words).enumerate() {
-            let id = id as u32;
+        let mut x = vec![0u16; parts];
+        for id in 0..count as u32 {
             let window = window(id);
             assert_eq!(window.len(), len, "indexed windows must share one length");
-            if pack(window, x) {
+            if pack(window, &mut x) {
                 wild_ids.push(id);
                 wild.extend_from_slice(window);
+            }
+            for (t, &key) in x.iter().enumerate() {
+                starts[usize::from(key) * parts + t] += 1;
             }
         }
         // Every window is read and checked: the old tables go before the
@@ -415,12 +440,6 @@ impl PigeonholeIndex {
         self.starts = Vec::new();
         self.entries = Vec::new();
         self.count = count;
-        let mut starts = vec![0u32; KEYS * parts + 1];
-        for x in packed.chunks_exact(words) {
-            for t in 0..parts {
-                starts[self.key(x, t) * parts + t] += 1;
-            }
-        }
         // Exclusive prefix sums; each start then serves as its bucket's
         // fill cursor, and ends one bucket late.
         let mut sum = 0;
@@ -429,34 +448,49 @@ impl PigeonholeIndex {
             *s = sum;
             sum += n;
         }
-        let mut entries = vec![0u32; count * parts * stride];
-        let mut grouped = vec![0u32; count * stride];
-        for t in 0..parts {
-            let mut at = vec![0u32; KEYS / GROUP + 1];
-            for x in packed.chunks_exact(words) {
-                at[self.key(x, t) / GROUP + 1] += 1;
-            }
-            for g in 1..at.len() {
-                at[g] += at[g - 1];
-            }
-            let mut wild_at = 0;
-            for (id, x) in packed.chunks_exact(words).enumerate() {
-                let mut name = id as u32;
-                if wild_ids.get(wild_at) == Some(&name) {
+        let mut entries = vec![0u16; count * parts * stride];
+        // A chunk's windows, each as its id's two halfwords and then
+        // every part: any part's entry is this less that part.
+        let wide = stride + 1;
+        let mut chunk = vec![0u16; CHUNK.min(count) * wide];
+        let mut order = vec![0u32; CHUNK.min(count)];
+        let mut wild_at = 0;
+        for first in (0..count).step_by(CHUNK) {
+            let n = CHUNK.min(count - first);
+            let chunk = &mut chunk[..n * wide];
+            for (id, slot) in (first as u32..).zip(chunk.chunks_exact_mut(wide)) {
+                let mut name = id;
+                if wild_ids.get(wild_at) == Some(&id) {
                     name = WILD | wild_at as u32;
                     wild_at += 1;
                 }
-                let cursor = &mut at[self.key(x, t) / GROUP];
-                let to = *cursor as usize * stride;
-                *cursor += 1;
-                grouped[to] = name;
-                grouped[to + 1..to + stride].copy_from_slice(x);
+                slot[0] = name as u16;
+                slot[1] = (name >> 16) as u16;
+                pack(window(id), &mut slot[2..]);
             }
-            for entry in grouped.chunks_exact(stride) {
-                let cursor = &mut starts[self.key(&entry[1..], t) * parts + t];
-                let to = *cursor as usize * stride;
-                *cursor += 1;
-                entries[to..to + stride].copy_from_slice(entry);
+            for t in 0..parts {
+                let key = |slot: &[u16]| usize::from(slot[2 + t]);
+                let mut at = [0u32; KEYS / GROUP + 1];
+                for slot in chunk.chunks_exact(wide) {
+                    at[key(slot) / GROUP + 1] += 1;
+                }
+                for g in 1..at.len() {
+                    at[g] += at[g - 1];
+                }
+                for (i, slot) in chunk.chunks_exact(wide).enumerate() {
+                    let cursor = &mut at[key(slot) / GROUP];
+                    order[*cursor as usize] = i as u32;
+                    *cursor += 1;
+                }
+                for &i in &order[..n] {
+                    let slot = &chunk[i as usize * wide..][..wide];
+                    let cursor = &mut starts[key(slot) * parts + t];
+                    let to = *cursor as usize * stride;
+                    *cursor += 1;
+                    let entry = &mut entries[to..to + stride];
+                    entry[..2 + t].copy_from_slice(&slot[..2 + t]);
+                    entry[2 + t..].copy_from_slice(&slot[3 + t..]);
+                }
             }
         }
         let last = starts.len() - 1;
@@ -468,29 +502,11 @@ impl PigeonholeIndex {
         self.wild = wild;
     }
 
-    /// Part `t`'s key in the packed window `x`.
-    #[inline]
-    fn key(&self, x: &[u32], t: usize) -> usize {
-        let mask = (1u32 << (2 * self.part_len(t))).wrapping_sub(1);
-        ((x[t / 2] >> (16 * (t % 2))) & mask) as usize
-    }
-
     /// The entries of bucket `b`.
     #[inline]
-    fn bucket(&self, b: usize) -> &[u32] {
-        let stride = 1 + self.words();
+    fn bucket(&self, b: usize) -> &[u16] {
+        let stride = self.stride();
         &self.entries[self.starts[b] as usize * stride..self.starts[b + 1] as usize * stride]
-    }
-
-    /// Every entry once: the buckets of part 0.
-    fn every_entry(&self) -> impl Iterator<Item = &[u32]> {
-        let (parts, stride) = (self.parts(), 1 + self.words());
-        let keys = if self.count == 0 {
-            0
-        } else {
-            1 << (2 * self.part_len(0))
-        };
-        (0..keys).flat_map(move |key| self.bucket(key * parts).chunks_exact(stride))
     }
 
     /// The id an entry names, and the wild window's bytes if it is one.
@@ -574,7 +590,7 @@ impl PigeonholeIndex {
         let mut heaps: Vec<KnnHeap> = offsets.iter().map(|_| KnnHeap::new(n)).collect();
         if self.count > 0 {
             let windows = offsets.iter().map(|&o| &query[o..o + self.width]).collect();
-            let queries = Queries::new(windows, self.words(), self.parts());
+            let queries = Queries::new(windows, self.parts());
             let (probes, checked) = if scan {
                 (0, self.scan(&queries, radius, &mut heaps))
             } else {
@@ -592,19 +608,25 @@ impl PigeonholeIndex {
 
     /// Check every window against every query window; returns the checks.
     fn scan(&self, queries: &Queries<'_>, radius: usize, heaps: &mut [KnnHeap]) -> u64 {
+        let (parts, stride) = (self.parts(), self.stride());
         let mut checked = 0;
-        for entry in self.every_entry() {
-            let (id, wild) = self.named(entry[0]);
-            for (w, heap) in heaps.iter_mut().enumerate() {
-                let d = match wild {
-                    Some(bytes) => mismatches(queries.windows[w], bytes),
-                    None => queries.dist(w, &entry[1..]),
-                };
-                if d as usize <= radius {
-                    heap.offer(id, d as f32);
+        for key in 0..1usize << (2 * self.part_len(0)) {
+            for entry in self.bucket(key * parts).chunks_exact(stride) {
+                let (id, wild) = self.named(name(entry));
+                for (w, heap) in heaps.iter_mut().enumerate() {
+                    let d = match wild {
+                        Some(bytes) => mismatches(queries.windows[w], bytes),
+                        None => {
+                            queries.part_dist(w, 0, key as u16)
+                                + queries.rest_dist(w, 0, &entry[2..])
+                        }
+                    };
+                    if d as usize <= radius {
+                        heap.offer(id, d as f32);
+                    }
                 }
+                checked += heaps.len() as u64;
             }
-            checked += heaps.len() as u64;
         }
         checked
     }
@@ -624,7 +646,7 @@ impl PigeonholeIndex {
         plan: &[Option<usize>],
         heaps: &mut [KnnHeap],
     ) -> (u64, u64) {
-        let (parts, stride) = (self.parts(), 1 + self.words());
+        let (parts, stride) = (self.parts(), self.stride());
         // (query position, part length, window, part, radius) of every
         // planned part.
         let mut runs: Vec<(usize, usize, usize, usize, usize)> = offsets
@@ -646,20 +668,10 @@ impl PigeonholeIndex {
             let (at, m) = (group[0].0, group[0].1);
             let b = group.iter().map(|r| r.4).max().unwrap_or(0);
             let run = &query[at..at + m];
-            let mut tame = 0u32; // the run's bases 0–3 ...
-            let mut care = 0u32; // ... the low bit of each of them ...
-            let mut wild = 0u32; // ... and how many others it has
-            for (i, &c) in run.iter().enumerate() {
-                if c < 4 {
-                    tame |= u32::from(c) << (2 * i);
-                    care |= 1 << (2 * i);
-                } else {
-                    wild += 1;
-                }
-            }
+            let half = Half::of(run);
             keys.clear();
-            if wild == 0 {
-                keys.extend(deltas(m, b).iter().map(|d| tame ^ d));
+            if half.wild == 0 {
+                keys.extend(deltas(m, b).iter().map(|d| half.tame ^ d));
             } else {
                 near_keys(run, b, &mut keys);
             }
@@ -673,8 +685,9 @@ impl PigeonholeIndex {
                     let first = self.starts[ahead as usize * parts + group[0].3];
                     prefetch(self.entries.get(first as usize * stride));
                 }
-                let diff = key ^ tame;
-                let away = ((diff | diff >> 1) & care).count_ones() + wild;
+                // The run is part `t` of every window of the group, so
+                // this is each one's distance over that part.
+                let away = half.dist(key);
                 for &(_, _, w, t, b) in group {
                     if away as usize > b {
                         continue;
@@ -683,19 +696,22 @@ impl PigeonholeIndex {
                     probes += 1;
                     checked += (bucket.len() / stride) as u64;
                     for entry in bucket.chunks_exact(stride) {
-                        let x = &entry[1..];
-                        let (id, wild) = self.named(entry[0]);
+                        let rest = &entry[2..];
+                        let (id, wild) = self.named(name(entry));
                         let d = match wild {
-                            None => queries.dist(w, x),
+                            None => away + queries.rest_dist(w, t, rest),
                             // A wild query window reads these below.
                             Some(_) if queries.wild[w] > 0 => continue,
                             Some(bytes) => mismatches(queries.windows[w], bytes),
                         };
                         // A window within an earlier part's radius was
-                        // found in that part's table.
+                        // found in that part's table; `rest` holds the
+                        // parts before `t` at their own places.
                         let earlier = || {
                             (0..t).any(|u| {
-                                plan[u].is_some_and(|bu| queries.part_dist(w, u, x) as usize <= bu)
+                                plan[u].is_some_and(|bu| {
+                                    queries.part_dist(w, u, rest[u]) as usize <= bu
+                                })
                             })
                         };
                         if d as usize <= radius && !earlier() {
@@ -722,47 +738,67 @@ impl PigeonholeIndex {
     }
 
     /// Check the tables against the windows they index: every bucket's
-    /// entries carry its key, in ascending id order, and every window
-    /// sits once in each part's table; the wild list holds windows with a
-    /// byte outside 0–3, ascending, each packed with `A` for those bytes.
+    /// entries are in ascending id order; every window sits once in each
+    /// part's table, and its entries there, each with its bucket's key,
+    /// make one packed window whose parts hold no base past their length;
+    /// the wild list holds windows with a byte outside 0–3, ascending,
+    /// each packed as its entries make it and named by them.
     pub fn check_invariants(&self) -> Result<(), String> {
-        let (len, parts, stride) = (self.width, self.parts(), 1 + self.words());
+        let (len, parts, stride) = (self.width, self.parts(), self.stride());
         if self.count == 0 {
             return Ok(());
         }
         if !self.wild_ids.windows(2).all(|p| p[0] < p[1]) {
             return Err("the wild list is out of id order".into());
         }
+        if self.wild.len() != self.wild_ids.len() * len {
+            return Err("the wild list's bytes and ids disagree".into());
+        }
         let mut seen = vec![0usize; self.count];
-        let mut packed = vec![0u32; self.words()];
+        // Each window as its first entry found makes it.
+        let mut windows = vec![0u16; self.count * parts];
+        let mut x = vec![0u16; parts];
+        let mut packed = vec![0u16; parts];
         for b in 0..KEYS * parts {
-            let (key, t) = (b / parts, b % parts);
+            let (key, t) = ((b / parts) as u16, b % parts);
             let mut last = None;
             for entry in self.bucket(b).chunks_exact(stride) {
-                if entry[0] & WILD != 0 && (entry[0] & !WILD) as usize >= self.wild_ids.len() {
-                    return Err(format!("bucket {b} names wild window {}", entry[0] & !WILD));
+                let name = name(entry);
+                if name & WILD != 0 && (name & !WILD) as usize >= self.wild_ids.len() {
+                    return Err(format!("bucket {b} names wild window {}", name & !WILD));
                 }
-                let (id, wild) = self.named(entry[0]);
-                if self.key(&entry[1..], t) != key {
-                    return Err(format!("window {id} is in bucket {b} under another key"));
-                }
+                let (id, wild) = self.named(name);
                 if last.is_some_and(|l| l >= id) {
                     return Err(format!("bucket {b} is out of id order at {id}"));
                 }
                 last = Some(id);
-                if let Some(bytes) = wild {
-                    if !pack(bytes, &mut packed) || packed != entry[1..] {
-                        return Err(format!("wild window {id} is not packed as its bytes"));
-                    }
-                }
                 let Some(n) = seen.get_mut(id as usize) else {
                     return Err(format!("id {id} past the {} held", self.count));
                 };
+                x[..t].copy_from_slice(&entry[2..2 + t]);
+                x[t] = key;
+                x[t + 1..].copy_from_slice(&entry[2 + t..]);
+                let past = (0..parts).any(|u| u32::from(x[u]) >> (2 * self.part_len(u)) != 0);
+                if past {
+                    return Err(format!("window {id} has a base past its length"));
+                }
+                let first = &mut windows[id as usize * parts..][..parts];
+                if *n == 0 {
+                    first.copy_from_slice(&x);
+                } else if *first != x[..] {
+                    return Err(format!("window {id}'s tables disagree on it"));
+                }
                 *n += 1;
+                match wild {
+                    Some(bytes) if !pack(bytes, &mut packed) || packed != x => {
+                        return Err(format!("wild window {id} is not packed as its bytes"));
+                    }
+                    None if self.wild_ids.binary_search(&id).is_ok() => {
+                        return Err(format!("wild window {id} is named by its id"));
+                    }
+                    _ => {}
+                }
             }
-        }
-        if self.wild.len() != self.wild_ids.len() * len {
-            return Err("the wild list's bytes and ids disagree".into());
         }
         match seen.iter().position(|&n| n != parts) {
             Some(id) => Err(format!(
@@ -873,6 +909,13 @@ mod tests {
         }
     }
 
+    /// A digest of the tables' content.
+    fn digest(index: &PigeonholeIndex) -> u64 {
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        index.hash(&mut h);
+        h.finish()
+    }
+
     #[test]
     fn a_grown_index_equals_one_built_at_once() {
         let points = windows(2000, 16, 10, 3);
@@ -885,11 +928,6 @@ mod tests {
                 at..at + chunk.len() as u32
             );
         }
-        let digest = |i: &PigeonholeIndex| {
-            let mut h = std::collections::hash_map::DefaultHasher::new();
-            i.hash(&mut h);
-            h.finish()
-        };
         assert_eq!(digest(&grown), digest(&whole));
         assert_holds(&grown, &points);
         grown.clear();
@@ -930,11 +968,6 @@ mod tests {
         let copy = |id: u32| &copies[id as usize * len..][..len];
         let query: Vec<u8> = seqs[7][..120].to_vec();
         let offsets: Vec<usize> = (0..=query.len() - len).step_by(8).collect();
-        let digest = |i: &PigeonholeIndex| {
-            let mut h = std::collections::hash_map::DefaultHasher::new();
-            i.hash(&mut h);
-            h.finish()
-        };
         let (mut keyed, mut copied) = (PigeonholeIndex::default(), PigeonholeIndex::default());
         let bulk = keys.len() * 6 / 10;
         for (from, to) in [(0, bulk), (bulk, keys.len())] {
@@ -955,6 +988,62 @@ mod tests {
         }
         let points: Vec<Vec<u8>> = copies.chunks_exact(len).map(<[u8]>::to_vec).collect();
         assert_holds(&keyed, &points);
+    }
+
+    /// The build's chunks join seamlessly: with wild windows at the
+    /// first and last id of every chunk, so the wild list's cursor
+    /// carries from one chunk into the next with a wild window on each
+    /// side of the edge, every probe and scan equals brute force, the
+    /// invariants hold and the tables equal ones grown in two batches
+    /// that split a chunk.
+    #[test]
+    fn the_builds_chunks_join_at_their_edges() {
+        let (len, count) = (16, 2 * CHUNK + 7);
+        let mut points = windows(count, len, 50, 0x63);
+        let edges = [0, CHUNK - 1, CHUNK, 2 * CHUNK - 1, 2 * CHUNK, count - 1];
+        for id in edges {
+            points[id][id % len] = 4;
+        }
+        let index = index(&points);
+        index.check_invariants().unwrap();
+        // Queries: the edge windows and a neighbour of each, mutated, some
+        // with an `N`.
+        let mut rng = ChaCha8Rng::seed_from_u64(0x64);
+        let mut query = Vec::new();
+        for id in edges.into_iter().chain([1, CHUNK + 1, 2 * CHUNK + 1]) {
+            let mut w = points[id].clone();
+            for b in w.iter_mut() {
+                if rng.random_range(0..8) == 0 {
+                    *b = rng.random_range(0..5u8);
+                }
+            }
+            query.extend(w);
+        }
+        let offsets: Vec<usize> = (0..=query.len() - len).step_by(4).collect();
+        let brute: Vec<Vec<(u32, u32)>> = offsets
+            .iter()
+            .map(|&o| want(&points, &query[o..o + len], 8, 4))
+            .collect();
+        for radius in 0..=4 {
+            for n in [1, 8] {
+                for scan in [false, true] {
+                    let plan = index.plan(radius);
+                    let got = index.search_by(&query, &offsets, n, radius, &plan, scan);
+                    for ((&o, found), brute) in offsets.iter().zip(&got).zip(&brute) {
+                        let within = brute
+                            .iter()
+                            .filter(|&&(_, d)| f32::from_bits(d) <= radius as f32);
+                        let want: Vec<(u32, u32)> = within.take(n).copied().collect();
+                        assert_eq!(key(found), want, "r {radius} n {n} scan {scan} at {o}");
+                    }
+                }
+            }
+        }
+        let split = CHUNK + CHUNK / 2 + 3;
+        let mut grown = PigeonholeIndex::default();
+        grown.insert_windows(split, |id| &points[id as usize]);
+        grown.insert_windows(count - split, |id| &points[id as usize]);
+        assert_eq!(digest(&grown), digest(&index));
     }
 
     #[test]

@@ -636,6 +636,20 @@ impl<M: Metric<[u8]>> VpTree<M> {
         self.len
     }
 
+    /// Heap bytes the tree holds, by capacity: its vertices, their leaves'
+    /// allocations and the vantage arena.
+    pub fn heap_bytes(&self) -> usize {
+        let leaves: usize = self
+            .nodes
+            .iter()
+            .map(|node| match node {
+                Node::Leaf(leaf) => leaf.bytes.len(),
+                Node::Internal { .. } => 0,
+            })
+            .sum();
+        self.nodes.capacity() * std::mem::size_of::<Node>() + leaves + self.vantages.capacity()
+    }
+
     /// True when the tree indexes nothing.
     #[inline]
     pub fn is_empty(&self) -> bool {

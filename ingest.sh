@@ -15,7 +15,9 @@
 # resident; /proc/<pid>/status), and stops the processes. It prints, per
 # workload and node, the median of each over N rounds (default 3), the
 # median of VmHWM - VmRSS (the ingest's transient), and the range
-# (max - min) of VmHWM across them.
+# (max - min) of VmHWM across them; then, per side, the median and range
+# of the three processes' VmHWM summed, the quantity behind the
+# benchmark's rss_mb (which reads it once the queries have run too).
 #
 # Given <ref>, it also exports that commit (git archive) and builds it
 # into its own CARGO_TARGET_DIR, as ab.sh does, and alternates the two
@@ -25,7 +27,7 @@
 set -euo pipefail
 
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")" && pwd)"
-usage() { sed -n '2,24p' "${BASH_SOURCE[0]}" | sed 's/^# \{0,1\}//'; }
+usage() { sed -n '2,26p' "${BASH_SOURCE[0]}" | sed 's/^# \{0,1\}//'; }
 
 ref=""
 rounds=3
@@ -205,6 +207,11 @@ try:
                 cells += [f"{statistics.median(hwm):.1f}", f"{statistics.median(rss):.1f}",
                           f"{transient:.1f}", f"{max(hwm) - min(hwm):.1f}"]
                 print(f"| {node} | {side} | " + " | ".join(cells) + " |")
+        print()
+        for side, _ in sides:
+            sums = [sum(r["hwm"] for r in run) / 1024 for run in samples[name][side]]
+            print(f"{name} {side}: sum of VmHWM over the {NODES} nodes "
+                  f"{statistics.median(sums):.1f} MB (range {min(sums):.1f}-{max(sums):.1f})")
 finally:
     reap()
 PY
