@@ -21,13 +21,20 @@
 #               regression" cannot be told from noise
 #   same        within the bound, and the bound is resolvable
 #
+# Each run's "# <workload> env" line is kept beside its result. A run of
+# the wrong build stops the script with status 2: a change run's git_sha
+# must be this checkout's HEAD, and a parent run's must be "unknown" (the
+# parent is built below GIT_CEILING_DIRECTORIES=target/ab, where git finds
+# no repository). A build cache copied from another checkout can run, or
+# stamp, another commit; remove the directory named and run again.
+#
 # Everything it writes is under the ignored target/ab/ and benchmark/out/;
 # the exported parent tree is removed on exit (the two build directories
 # stay as caches, the parent's keyed by commit).
 set -euo pipefail
 
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")" && pwd)"
-usage() { sed -n '2,26p' "${BASH_SOURCE[0]}" | sed 's/^# \{0,1\}//'; }
+usage() { sed -n '2,33p' "${BASH_SOURCE[0]}" | sed 's/^# \{0,1\}//'; }
 
 parent_ref=""
 pairs=10
@@ -48,6 +55,7 @@ done
 [ -n "$parent_ref" ] || { usage >&2; exit 2; }
 sha="$(git -C "$root" rev-parse --verify --quiet "$parent_ref^{commit}")" \
     || { echo "ab.sh: $parent_ref is not a commit" >&2; exit 2; }
+head="$(git -C "$root" rev-parse --short=12 HEAD)"
 
 ab="$root/target/ab"
 results="$ab/results"
@@ -64,14 +72,25 @@ else
 fi
 
 run_side() { # run_side parent|change PAIR WORKLOAD SEED
-    local tree="$root" target="$ab/target-change"
+    local tree="$root" target="$ab/target-change" want="$head" env=()
     if [ "$1" = parent ]; then
-        tree="$ab/parent" target="$ab/target-${sha:0:12}"
+        tree="$ab/parent" target="$ab/target-${sha:0:12}" want=unknown
+        env=(GIT_CEILING_DIRECTORIES="$ab")
     fi
+    local out="$results/$1-$3-$2"
     echo "ab.sh: pair $(($2 + 1))/$pairs $1 $3 seed $4" >&2
-    CARGO_TARGET_DIR="$target" "$tree/benchmark/run.sh" \
-        --workload "$3" --seed "$4" --seconds "$seconds" --trace 0 \
-        | tail -n 1 >"$results/$1-$3-$2.json"
+    env "${env[@]}" CARGO_TARGET_DIR="$target" "$tree/benchmark/run.sh" \
+        --workload "$3" --seed "$4" --seconds "$seconds" --trace 0 >"$out.txt"
+    grep '^# .* env ' "$out.txt" >"$out.env" || true
+    tail -n 1 "$out.txt" >"$out.json"
+    local got
+    got="$(python3 -c 'import json, sys
+line = open(sys.argv[1]).readline()
+print(json.loads(line.split(" env ", 1)[1])["run"].get("git_sha", "none") if line else "none")' "$out.env")"
+    if [ "$got" != "$want" ]; then
+        echo "ab.sh: the $1 run of pair $(($2 + 1)) ran a build stamped $got, not $want; remove $target and run again" >&2
+        exit 2
+    fi
 }
 
 for i in $(seq 0 $((pairs - 1))); do

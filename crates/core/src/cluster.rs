@@ -646,8 +646,10 @@ impl MendelCluster {
     ///   node whose disk refuses takes none;
     /// - **ledger**: one walk over the routes in corpus order writes each
     ///   block's slot — the holder set of its ring start, the replicas
-    ///   that took their copy — and each hosted copy's key into its
-    ///   node's staging, sized once from the copy counts;
+    ///   that took their copy, in place of whoever held it before; a
+    ///   block none of whose replicas took it keeps its holders — and
+    ///   each hosted copy's key into its node's staging, sized once from
+    ///   the copy counts;
     /// - **RAM**: each hosted node indexes its keys, in node order, its
     ///   index reading every window from the reference store at its key.
     ///
@@ -710,6 +712,7 @@ impl MendelCluster {
                 &sets,
                 |i| routes[i],
                 runs.clone(),
+                true,
                 |first, j, p| {
                     let key = BlockKey {
                         start: first.start + j as u32,
@@ -2542,8 +2545,9 @@ mod tests {
         let twin = MendelCluster::build(durable_config(), db.clone()).unwrap();
         let twin_joiner = twin.add_node();
         // `k` VFS operations into add_node the disk dies: inside the
-        // joiner's open at first, then inside the members'
-        // wipe-and-reopen, then under the re-placement's persists.
+        // joiner's open at first, then under the re-placement's
+        // persists. No crash point loses a block: every one stays
+        // expected, and is reachable again once every node is back.
         let mut failed_to_open = 0;
         for k in (0..12).chain((12..4000).step_by(397)) {
             let vfs = MemVfs::plain(7);
@@ -2555,12 +2559,14 @@ mod tests {
             )
             .unwrap();
             let blocks = c.coverage().blocks_expected;
+            assert_eq!(blocks, 3825);
             vfs.set_crash_after(vfs.ops() + k);
             let id = c.add_node();
             assert_eq!(id, twin_joiner);
             if !vfs.is_crashed() {
                 break; // `k` is past the end of add_node
             }
+            assert_eq!(c.coverage().blocks_expected, blocks, "k = {k}");
             vfs.recover();
             c.check_ledger().unwrap();
             let failed = c.failed_nodes();
@@ -2590,6 +2596,13 @@ mod tests {
                     "k = {k}"
                 );
             }
+            for n in c.failed_nodes() {
+                c.recover_node(n).unwrap();
+            }
+            let back = c.coverage();
+            assert_eq!(back.blocks_expected, blocks, "k = {k}");
+            assert_eq!(back.blocks_reachable, blocks, "k = {k}");
+            c.check_ledger().unwrap();
         }
         assert!(failed_to_open > 0, "no crash point hit the joiner's open");
     }
@@ -2609,5 +2622,56 @@ mod tests {
         c.recover_node(id).unwrap();
         assert_eq!(c.total_blocks(), total);
         assert_eq!(c.query(&q, &params).unwrap().hits, baseline);
+    }
+
+    /// A restart after a re-placement keeps what the ledger names: each
+    /// earlier member of the re-placed group still has the records of
+    /// its old share on disk, skips those the joiner took over, and comes
+    /// back as the member of a twin that was never killed.
+    #[test]
+    fn durable_restart_after_a_rebalance_keeps_only_what_the_ledger_names() {
+        let db = small_db();
+        let vfs: Arc<dyn Vfs> = Arc::new(MemVfs::plain(7));
+        let c = MendelCluster::build_with_storage(
+            durable_config(),
+            db.clone(),
+            Arc::new(MonotonicClock::new()),
+            Some(vfs.clone()),
+        )
+        .unwrap();
+        let twin = MendelCluster::build(durable_config(), db.clone()).unwrap();
+        let joiner = c.add_node();
+        assert_eq!(twin.add_node(), joiner);
+        let topo = c.topology();
+        let g = topo.node_group(joiner).unwrap();
+        for &m in topo.group_members(g).iter().filter(|&&m| m != joiner) {
+            c.fail_node(m).unwrap();
+            let (store, _) = mendel_store::DurableStore::open(
+                vfs.clone(),
+                &format!("node-{}", m.0),
+                mendel_store::StoreOptions::default(),
+                StoreMetrics::detached(),
+            )
+            .unwrap();
+            let records = store.scan().unwrap().len();
+            drop(store);
+            c.recover_node(m).unwrap();
+            let held = c.slot(m).read().block_count();
+            assert!(records > held, "node {m}: {records} records, {held} held");
+            assert_eq!(held, twin.slot(m).read().block_count(), "node {m}");
+        }
+        assert!(c.failed_nodes().is_empty());
+        assert_eq!(c.total_blocks(), twin.total_blocks());
+        assert_eq!(c.coverage(), twin.coverage());
+        let params = QueryParams::protein();
+        for s in [0, 4, 7] {
+            let q = db.get(SeqId(s)).unwrap().residues.clone();
+            assert_eq!(
+                c.query(&q, &params).unwrap().hits,
+                twin.query(&q, &params).unwrap().hits,
+                "query {s}"
+            );
+        }
+        c.check_ledger().unwrap();
     }
 }

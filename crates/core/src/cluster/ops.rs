@@ -1,7 +1,9 @@
 //! Cluster operations (§VII-B): failure and recovery, re-replication
 //! repair, scale-out, coverage and its ledger oracle. A second `impl
 //! MendelCluster` over the control-plane state declared in the parent
-//! module; per-node work goes through the [`NodeSlot`] verbs.
+//! module; per-node work goes through the [`NodeSlot`] verbs. No
+//! operation deletes a stored record, and a rebalance places the new
+//! layout before it lets the old one go.
 
 use super::{KeyRuns, MendelCluster};
 use crate::block::BlockKey;
@@ -58,11 +60,13 @@ impl MendelCluster {
     }
 
     /// Durable-backend half of a node recovery: the node restarts from
-    /// its disk ([`NodeSlot::replay`]) and holds exactly what the disk
-    /// does — its ledger entry is struck and rewritten from the replayed
-    /// blocks, which are indexed without being persisted again. Times
-    /// the whole thing into `mendel.store.recovery.seconds`. No-op in
-    /// memory mode.
+    /// its disk ([`NodeSlot::replay`]) and holds what the disk does and
+    /// the ledger still names it for — its ledger entry is struck and
+    /// rewritten from those replayed blocks, which are indexed without
+    /// being persisted again. A record of a copy the ledger has since
+    /// moved elsewhere is stale: it stays on disk and is not indexed.
+    /// Times the whole thing into `mendel.store.recovery.seconds`. No-op
+    /// in memory mode.
     fn restore_node_from_disk(&self, node: NodeId, g: GroupId) -> Result<(), MendelError> {
         let clock = self.obs.clock();
         let started = clock.now();
@@ -70,10 +74,14 @@ impl MendelCluster {
         // A replayed key the ledger would refuse fails the replay like
         // a corrupt disk: the node stays down, its holdings expected.
         let accept = |keys: &[BlockKey]| self.ledger.read().check(g, keys.iter().copied());
-        let Some(keys) = slot.replay(self.config.block_len, accept)? else {
+        let Some(mut keys) = slot.replay(self.config.block_len, accept)? else {
             return Ok(());
         };
-        self.ledger.write().clear(g, node);
+        let mut ledger = self.ledger.write();
+        let named = ledger.keys_held_by(g, |n| n == node);
+        keys.retain(|key| named.binary_search(key).is_ok());
+        ledger.clear(g, node);
+        drop(ledger);
         self.admit(g, &slot, keys)?;
         let elapsed = clock.now().saturating_sub(started);
         self.obs
@@ -381,49 +389,51 @@ impl MendelCluster {
         id
     }
 
-    /// Re-place every block of group `g` under the current membership.
-    /// The blocks are the keys the ledger records on a live member; each
-    /// window is read from the reference store at its key, so no
-    /// member's RAM is read.
+    /// Re-place every block of group `g` under the current membership,
+    /// the new layout placed before the old one is let go (DESIGN.md
+    /// §20.3). The blocks are the keys the ledger records on a live
+    /// member; each window is read from the reference store at its key,
+    /// so no member's RAM is read. Each pass forgets the members' RAM
+    /// (their disks keep every record) and re-places: a key's holders are
+    /// replaced where a replica took it, and kept where every replica's
+    /// disk refused, so a crash anywhere leaves extra copies, never
+    /// missing ones. Members whose disks refused are failed, and the
+    /// group is re-placed again without them.
     pub(super) fn rebalance_group(&self, topo: &Topology, g: GroupId) {
-        let members = self.live_members(topo, g);
-        // Take the keys, then empty each member, RAM and disk. A member
-        // whose disk refuses goes dark holding what it held and is
-        // failed before anything is re-placed, so the blocks it alone
-        // held stay expected.
-        let keys = self.ledger.read().keys_held_by(g, |n| members.contains(&n));
-        let mut broken: Vec<NodeId> = Vec::new();
-        {
-            let nodes = self.nodes.read();
+        let (hasher, ring) = (KeyHasher::dispatched(), topo.group_members(g));
+        loop {
+            let members = self.live_members(topo, g);
+            let keys = self.ledger.read().keys_held_by(g, |n| members.contains(&n));
             for &m in &members {
-                match nodes[m.0 as usize].wipe() {
-                    Ok(()) => self.ledger.write().clear(g, m),
-                    Err(_) => broken.push(m),
-                }
+                self.slot(m).forget();
+            }
+            // Pass 1 for blocks whose group is known: where their rings start.
+            let routes: Vec<NodeId> = keys
+                .iter()
+                .map(|key| ring[FlatPlacement::ring_start(hasher, ring.len(), &key.as_bytes())])
+                .collect();
+            let blocks = KeyRuns::of_keys(self.db(), self.config.block_len, &keys);
+            let (refused, _) = self.route_and_place(topo, &routes, &blocks);
+            let broken: Vec<NodeId> = refused.into_iter().filter_map(|(node, _)| node).collect();
+            if broken.is_empty() {
+                break;
+            }
+            // A key no replica took still names its old holders: each
+            // member indexes what the ledger names it for before any is
+            // failed, so the dark ones hold what the ledger says.
+            for &m in members.iter().filter(|&&m| self.hosts(m)) {
+                let named = self.ledger.read().keys_held_by(g, |n| n == m);
+                let slot = self.slot(m);
+                slot.forget();
+                slot.insert_keys(named, self.config.block_len);
+            }
+            for node in broken {
+                let _ = self.fail_node(node);
             }
         }
-        for node in broken {
-            let _ = self.fail_node(node);
-        }
-        // Pass 1 for blocks whose group is known: where their rings start.
-        let (hasher, ring) = (KeyHasher::dispatched(), topo.group_members(g));
-        let routes: Vec<NodeId> = keys
-            .iter()
-            .map(|key| ring[FlatPlacement::ring_start(hasher, ring.len(), &key.as_bytes())])
-            .collect();
-        let blocks = KeyRuns::of_keys(self.db(), self.config.block_len, &keys);
-        let (refused, _) = self.route_and_place(topo, &routes, &blocks);
         // Any node that was down during this re-placement now holds a
         // stale layout; the epoch bump makes recover_node detect that.
         self.group_epochs.write()[g.0 as usize] += 1;
-        // Members whose disks refused their new batch hold partial
-        // state: fail them (every guard above is gone) so queries route
-        // around until an operator recover replays what *is* durable.
-        // (The group itself refuses only when every wipe above failed,
-        // and then its dark members still hold every block.)
-        for node in refused.into_iter().filter_map(|(node, _)| node) {
-            let _ = self.fail_node(node);
-        }
         self.assert_ledger("rebalance_group");
     }
 }

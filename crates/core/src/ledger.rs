@@ -148,8 +148,9 @@ impl Ledger {
         Ok(())
     }
 
-    /// Record that `node`, a member of `g`, now holds `keys`. Refuses
-    /// (see the module docs) before writing any slot.
+    /// Record that `node`, a member of `g`, now holds `keys` as well as
+    /// whoever held them before. Refuses (see the module docs) before
+    /// writing any slot.
     pub(crate) fn place(
         &mut self,
         g: GroupId,
@@ -158,7 +159,7 @@ impl Ledger {
     ) -> Result<(), MendelError> {
         let runs = keys.map(|key| (key, 1));
         let one = [(g, vec![node])];
-        let placed = self.place_walk(&one, |_| NodeId(0), runs, |_, _, _| {});
+        let placed = self.place_walk(&one, |_| NodeId(0), runs, false, |_, _, _| {});
         placed.map_err(|(_, e)| e)
     }
 
@@ -166,8 +167,9 @@ impl Ledger {
     /// runs `(first, n)`: the `n` keys of `first`'s sequence from
     /// `first` on. The i-th key of the walk is now held by
     /// `sets[route(i)]` — a group and some of its members, indexed by
-    /// the node the key's ring starts at — as well as by whoever held it
-    /// before; a set with no member places its keys nowhere and is not
+    /// the node the key's ring starts at — and, unless the walk
+    /// `replace`s holders, by whoever held it before as well. A set with
+    /// no member takes nothing: its keys keep their holders, and are not
     /// checked. Refuses (see the module docs) before writing any slot,
     /// naming the ring start of the first key refused. Once the j-th key
     /// of a run is written, `each(first, j, its route)` sees it,
@@ -179,6 +181,7 @@ impl Ledger {
         sets: &[(GroupId, Vec<NodeId>)],
         route: impl Fn(usize) -> NodeId,
         runs: impl Iterator<Item = (BlockKey, usize)> + Clone,
+        replace: bool,
         mut each: impl FnMut(BlockKey, usize, NodeId),
     ) -> Result<(), (NodeId, MendelError)> {
         // Per start, the group its keys are placed in, if any.
@@ -207,7 +210,7 @@ impl Ledger {
                 }
             }
         }
-        // Per start, its set's id once a slot placed nowhere has needed
+        // Per start, its set's id once a slot it takes alone has needed
         // it; per (old set, start), the joined set.
         let mut alone: Vec<Option<SetId>> = vec![None; sets.len()];
         let mut joined: Vec<(SetId, NodeId, SetId)> = Vec::new();
@@ -223,7 +226,7 @@ impl Ledger {
                 let old = *slot;
                 let new = if members.is_empty() {
                     old
-                } else if old == NONE {
+                } else if old == NONE || replace {
                     *alone[p.0 as usize].get_or_insert_with(|| {
                         let mut members = members.clone();
                         members.sort_unstable();
@@ -611,6 +614,7 @@ mod tests {
                     &sets,
                     |i| routes[i],
                     runs.iter().copied(),
+                    false,
                     |first, j, p| {
                         seen.push((
                             BlockKey {
@@ -651,20 +655,55 @@ mod tests {
             let before = walked.keys_held_by(G, |h| h == NodeId(1));
             let to = [2, 2, 1];
             let run = past_the_end.into_iter();
-            let refused = walked.place_walk(&sets, |i| NodeId(to[i]), run, |_, _, _| {});
+            let refused = walked.place_walk(&sets, |i| NodeId(to[i]), run, false, |_, _, _| {});
             assert_eq!(refused.map_err(|(p, _)| p), Err(NodeId(1)));
             assert_eq!(walked.keys_held_by(G, |h| h == NodeId(1)), before);
             // ...unless what runs past it places nowhere: its keys in
             // range are written.
             let to = [1, 1, 2];
             let run = past_the_end.into_iter();
-            let placed = walked.place_walk(&sets, |i| NodeId(to[i]), run, |_, _, _| {});
+            let placed = walked.place_walk(&sets, |i| NodeId(to[i]), run, false, |_, _, _| {});
             placed.unwrap();
             let mut want = before.clone();
             want.extend([key(0, 7), key(0, 8)]);
             want.sort_unstable();
             want.dedup();
             assert_eq!(walked.keys_held_by(G, |h| h == NodeId(1)), want);
+        }
+    }
+
+    /// A replacing walk gives each key its start's set in place of the
+    /// holders it had, and leaves a key whose start has no taker with
+    /// the holders it had; a joining walk adds the start's set to them.
+    /// Either way no key is dropped.
+    #[test]
+    fn a_replacing_walk_swaps_holders_only_where_a_start_takes() {
+        let db = store(&[12]);
+        let sets = [(G, vec![NodeId(2), NodeId(1)]), (G, Vec::new())];
+        let routes = [0, 1, 0, 1, 1, 0, 0, 1, 0];
+        let all = || keys(0..9);
+        let taken = || all().filter(|k| routes[k.start as usize] == 0);
+        let kept = || all().filter(|k| routes[k.start as usize] == 1);
+        for replace in [false, true] {
+            let mut l = Ledger::new(&db, BLOCK);
+            l.place(G, NodeId(0), all()).unwrap();
+            l.place(G, NodeId(2), keys(0..3)).unwrap();
+            let run = [(key(0, 0), 9)].into_iter();
+            let walk = l.place_walk(&sets, |i| NodeId(routes[i]), run, replace, |_, _, _| {});
+            walk.unwrap();
+            one_group(&l).unwrap();
+            let held = |n: u16| l.keys_held_by(G, |h| h == NodeId(n));
+            let zero: Vec<BlockKey> = if replace {
+                kept().collect()
+            } else {
+                all().collect()
+            };
+            let two = all().filter(|k| routes[k.start as usize] == 0 || k.start < 3);
+            assert_eq!(held(0), zero, "{replace}");
+            assert_eq!(held(1), taken().collect::<Vec<_>>(), "{replace}");
+            assert_eq!(held(2), two.collect::<Vec<_>>(), "{replace}");
+            assert_eq!(l.expected(G), 9);
+            assert_eq!(l.copies(), held(0).len() + held(1).len() + held(2).len());
         }
     }
 

@@ -452,7 +452,9 @@ impl Disk {
 /// One storage node as the cluster holds it: everything that is per
 /// node, and the lifecycle verbs over it. The RAM lock and the disk
 /// mutex are separate and never held together, so a persist (an fsync
-/// per block) does not block the node's queries.
+/// per block) does not block the node's queries. The store only
+/// appends: a re-placement forgets the RAM and keeps the disk, and a
+/// restart keeps the records the ledger still names the node for.
 pub(crate) struct NodeSlot {
     id: NodeId,
     ram: RwLock<StorageNode>,
@@ -551,6 +553,12 @@ impl NodeSlot {
         self.ram.write().insert_keys(keys, len);
     }
 
+    /// Forget the RAM ahead of a re-placement; the disk keeps every
+    /// record, and a restart keeps those the ledger names the node for.
+    pub(crate) fn forget(&self) {
+        self.ram.write().clear();
+    }
+
     /// The node's process dies: on the durable backend the store handle
     /// and the RAM go, the disk stays. The memory backend keeps its RAM
     /// (a failed node's in-process data never leaves). Killing a node
@@ -560,29 +568,25 @@ impl NodeSlot {
         if disk.handle.lock().take().is_none() {
             return;
         }
-        self.go_dark();
-    }
-
-    /// Drop the RAM, remembering (for the ledger oracle) what it held.
-    fn go_dark(&self) {
+        // The ledger oracle remembers what the RAM held.
         #[cfg(any(test, feature = "strict-invariants"))]
         {
             let held = self.ram.read().block_keys();
             *self.dark_keys.lock() = held;
         }
-        self.ram.write().clear();
+        self.forget();
     }
 
     /// The node's process restarts from disk: reopen the store
     /// (manifest + segment verification, WAL replay, torn-tail
     /// truncation) and read every block's key back. On `Ok` the store is
     /// open, the RAM empty, and the returned keys are exactly what the
-    /// disk holds — the caller indexes them *without* persisting them
-    /// again. A record that is no block of the reference — a key not in
-    /// the 8-byte `seq‖start` form, or a window other than the `len`
-    /// residues the reference store holds at its key — fails the replay
-    /// as a corrupt disk does; so does `accept`'s refusal of the keys. On
-    /// `Err` nothing changed. `None` on the memory backend, whose RAM
+    /// disk holds — the caller indexes those the ledger still names the
+    /// node for, *without* persisting them again. A record that is no
+    /// block of the reference — a key not in the 8-byte `seq‖start`
+    /// form, or a window other than the `len` residues the reference
+    /// store holds at its key — fails the replay as a corrupt disk does;
+    /// so does `accept`'s refusal of the keys. On `Err` nothing changed. `None` on the memory backend, whose RAM
     /// never left.
     pub(crate) fn replay(
         &self,
@@ -619,36 +623,10 @@ impl NodeSlot {
             .collect::<Result<Vec<_>, _>>()?;
         accept(&keys)?;
         *disk.handle.lock() = Some(store);
-        self.ram.write().clear();
+        self.forget();
         #[cfg(any(test, feature = "strict-invariants"))]
         self.dark_keys.lock().clear();
         Ok(Some(keys))
-    }
-
-    /// Forget everything, RAM and disk, ahead of a re-placement: the
-    /// store is closed, its files deleted and a fresh one opened, so
-    /// disk never resurrects the old placement. A node whose disk
-    /// refuses goes dark instead ([`Self::kill`]) — still holding, as
-    /// far as anyone can tell, what it held — and the caller must fail
-    /// it.
-    pub(crate) fn wipe(&self) -> Result<(), MendelError> {
-        if let Some(disk) = &self.disk {
-            let mut handle = disk.handle.lock();
-            *handle = None;
-            let reopened = DurableStore::wipe(disk.env.vfs.as_ref(), &disk.root)
-                .map_err(MendelError::from)
-                .and_then(|()| disk.open_store());
-            match reopened {
-                Ok(store) => *handle = Some(store),
-                Err(e) => {
-                    drop(handle);
-                    self.go_dark();
-                    return Err(e);
-                }
-            }
-        }
-        self.ram.write().clear();
-        Ok(())
     }
 
     /// Fsync the node's WAL, if its store is open.

@@ -417,15 +417,6 @@ impl DurableStore {
         ))
     }
 
-    /// Delete every file under `root/` — a factory reset for nodes that
-    /// are about to be rebuilt from peers (rebalance, group moves).
-    pub fn wipe(vfs: &dyn Vfs, root: &str) -> StoreResult<()> {
-        for path in vfs.list(&format!("{root}/"))? {
-            vfs.remove(&path)?;
-        }
-        Ok(())
-    }
-
     fn ensure_live(&self) -> StoreResult<()> {
         match &self.broken {
             Some(why) => Err(StoreError::Broken(why.clone())),
@@ -869,20 +860,6 @@ mod tests {
         vfs.recover();
         let (s, _) = open_mem(&vfs, StoreOptions::default());
         assert!(!s.is_broken());
-    }
-
-    #[test]
-    fn wipe_leaves_a_fresh_store() {
-        let vfs = Arc::new(MemVfs::plain(101));
-        let (mut s, _) = open_mem(&vfs, StoreOptions::default());
-        s.put(b"k", b"v").unwrap();
-        s.flush().unwrap();
-        drop(s);
-        DurableStore::wipe(vfs.as_ref(), "node-0").unwrap();
-        assert!(vfs.list("node-0/").unwrap().is_empty());
-        let (s, report) = open_mem(&vfs, StoreOptions::default());
-        assert_eq!(report.segments, 0);
-        assert_eq!(s.get(b"k").unwrap(), None);
     }
 
     #[test]

@@ -7,13 +7,19 @@ use mendel_suite::core::{
     StorageBackend,
 };
 use mendel_suite::dht::{FlatPlacement, GroupId, NodeId, Topology};
+use mendel_suite::obs::MonotonicClock;
 use mendel_suite::seq::gen::NrLikeSpec;
 use mendel_suite::seq::matrix::ScoringMatrix;
 use mendel_suite::seq::{Alphabet, MatrixDistance, Metric, SeqId, Sequence, Unbounded};
-use mendel_suite::store::StoreOptions;
+use mendel_suite::store::{MemVfs, StoreOptions, Vfs};
 use mendel_suite::vptree::{brute_force_knn, VpTree};
 use proptest::prelude::*;
 use std::sync::Arc;
+
+/// Crash points `ledger_coverage_holds_through_churn`'s scale-out is
+/// cut at: about the VFS operations an unreplicated one takes on its
+/// corpus, so most cuts land inside it.
+const CRASH_POINTS: u16 = 1024;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -167,8 +173,8 @@ proptest! {
 
     /// Coverage read from the placement ledger stays what a sweep over
     /// every node's blocks would report, through any sequence of
-    /// failures, recoveries, repairs, scale-outs, ingests and flushes —
-    /// on both backends, unreplicated and replicated, and for any set of
+    /// failures, recoveries, repairs, scale-outs (the durable ones
+    /// crashed part way too), ingests and flushes — on both backends, unreplicated and replicated, and for any set of
     /// extra unreachable nodes. The exact ledger == sweep comparison
     /// needs the checker's oracle and so runs under `strict-invariants`
     /// (where every mutation site asserts it as well); the relations
@@ -188,7 +194,7 @@ proptest! {
     /// cases reach the comparison.
     #[test]
     fn ledger_coverage_holds_through_churn(
-        ops in proptest::collection::vec((0u8..8, any::<u16>()), 6..12),
+        ops in proptest::collection::vec((0u8..9, any::<u16>()), 6..12),
         calm in any::<bool>(),
         seed in 0u64..4,
     ) {
@@ -206,7 +212,15 @@ proptest! {
             [(StorageBackend::Memory, 1), (StorageBackend::Memory, 2), (durable, 1), (durable, 2)]
         {
             let config = ClusterConfig { storage, replication, ..ClusterConfig::small_protein() };
-            let cluster = MendelCluster::build(config.clone(), db.clone()).unwrap();
+            // The durable cases' disk, which op 8 crashes.
+            let vfs = matches!(storage, StorageBackend::Durable(_))
+                .then(|| MemVfs::plain(config.seed));
+            let cluster = MendelCluster::build_with_storage(
+                config.clone(),
+                db.clone(),
+                Arc::new(MonotonicClock::new()),
+                vfs.clone().map(|v| Arc::new(v) as Arc<dyn Vfs>),
+            ).unwrap();
             let mut ingested: Vec<Vec<Sequence>> = Vec::new();
             let mut twin_defined = true;
             for &(op, pick) in &ops {
@@ -214,7 +228,7 @@ proptest! {
                 let nodes: Vec<NodeId> = topo.nodes().collect();
                 let node = nodes[pick as usize % nodes.len()];
                 let may_fail = cluster.failed_nodes().len() + 1 < nodes.len();
-                let op = if calm { [0, 1, 2, 1, 4, 0, 7, 4][op as usize] } else { op };
+                let op = if calm { [0, 1, 2, 1, 4, 0, 7, 4, 7][op as usize] } else { op };
                 if calm && matches!(op, 2 | 4) {
                     for down in cluster.failed_nodes() {
                         cluster.recover_node(down).unwrap();
@@ -288,6 +302,25 @@ proptest! {
                         cluster.recover_node(node).unwrap();
                     }
                     7 => cluster.flush_storage().unwrap(),
+                    // The disk dies some operations into a scale-out —
+                    // in the joiner's open, inside the re-placement or
+                    // past its end — and comes back: no block stops being
+                    // expected, and every failed node recovers.
+                    8 if nodes.len() < 9 => {
+                        twin_defined = false;
+                        let before = cluster.coverage().blocks_expected;
+                        if let Some(vfs) = &vfs {
+                            vfs.set_crash_after(vfs.ops() + u64::from(pick % CRASH_POINTS));
+                        }
+                        cluster.add_node();
+                        if let Some(vfs) = &vfs {
+                            vfs.recover();
+                        }
+                        prop_assert_eq!(cluster.coverage().blocks_expected, before);
+                        for down in cluster.failed_nodes() {
+                            cluster.recover_node(down).unwrap();
+                        }
+                    }
                     _ => {}
                 }
 
